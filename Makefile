@@ -138,9 +138,12 @@ bench:
 	$(GO) run ./cmd/demi-bench -shards 8 -shardsout BENCH_multishard.json
 	$(GO) run ./cmd/demi-http -bench -out BENCH_http.json
 
-## benchsmoke: one iteration of every hot-path benchmark; part of tier1.
+## benchsmoke: one iteration of every hot-path benchmark, and of the
+## netstack per-byte microbenchmarks (checksum throughput; ACK dequeue
+## cost at 4 KiB and at 128 KiB queued, which must read as a flat line);
+## part of tier1.
 benchsmoke:
-	$(GO) test -run xxx -bench 'BenchmarkHotPath|BenchmarkURing|BenchmarkHTTP|BenchmarkStorage|BenchmarkReshard' -benchtime=1x .
+	$(GO) test -run xxx -bench 'BenchmarkHotPath|BenchmarkURing|BenchmarkHTTP|BenchmarkStorage|BenchmarkReshard|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue' -benchtime=1x . ./internal/netstack/
 
 ## benchall: every benchmark in the repo (E1..E13 experiments + hot path).
 benchall:

@@ -58,6 +58,40 @@ func TestHotPathAllocsEchoRTT(t *testing.T) {
 	}
 }
 
+// TestHotPathAllocsStream is the bulk-transfer fence: a steady-state
+// 16 KiB push → pop over catnip↔catnip — twelve MSS segments out of the
+// send ring, one burst into the receive ring, the stream bytes appended
+// straight onto the framer's buffer, one pooled clone out — must be
+// exactly allocation-free. Every per-byte structure on that path (both
+// byte rings, the wire frames, the reassembly buffer) is reused storage.
+func TestHotPathAllocsStream(t *testing.T) {
+	cli, srv, cqd, sqd, cleanup := hotPathPair(t)
+	defer cleanup()
+	payload := NewSGA(make([]byte, 16<<10))
+	transfer := func() {
+		sqt, err := srv.Pop(sqd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cqt, err := cli.Push(cqd, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := pumpWait(t, srv, cli, sqt)
+		if msg.Err != nil || msg.SGA.Len() != payload.Len() {
+			t.Fatalf("popped %d bytes, err %v", msg.SGA.Len(), msg.Err)
+		}
+		pumpWait(t, cli, srv, cqt)
+		msg.SGA.Free()
+	}
+	for i := 0; i < 64; i++ {
+		transfer() // open cwnd, size the rings, warm the pools
+	}
+	if allocs := testing.AllocsPerRun(100, transfer); allocs != 0 {
+		t.Fatalf("16 KiB stream transfer allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 // TestHotPathAllocsRingEchoRTT is the fence for the acceptance
 // criterion of the syscall-free ring path: a full batched echo round
 // trip — SQE submit, Poll-side drain, slab-armed completion, CQE

@@ -20,6 +20,7 @@ import (
 
 	"demikernel/internal/core"
 	"demikernel/internal/fabric"
+	"demikernel/internal/fifo"
 	"demikernel/internal/membuf"
 	"demikernel/internal/netstack"
 	"demikernel/internal/nic"
@@ -493,22 +494,17 @@ type endpoint struct {
 	listener  *netstack.TCPListener
 	conn      *netstack.TCPConn
 	framer    sga.Framer
-	ready     []queue.Completion
-	waiters   []queue.DoneFunc
+	ready     fifo.Queue[queue.Completion]
+	waiters   fifo.Queue[queue.DoneFunc]
 	// txq holds marshaled frames not yet fully accepted by the TCP send
 	// buffer.
-	txq    []txFrame
+	txq    fifo.Queue[txFrame]
 	closed bool
 	// dead, when non-nil, is the lifecycle-typed terminal error stamped
 	// on this endpoint by a stack crash: every subsequent operation
 	// fails with it immediately. Listener endpoints are exempt — they
 	// are re-armed on Restart instead.
 	dead error
-	// rxScratch is the reused receive-copy buffer drainRx hands to
-	// RecvAppend; the framer copies out of it, so one buffer per
-	// endpoint suffices and the steady-state pop path never allocates
-	// for stream bytes.
-	rxScratch []byte
 }
 
 type txFrame struct {
@@ -616,43 +612,9 @@ func (e *endpoint) Err() error {
 // byte. No payload copy is charged — the device DMAs from the framed
 // buffer (§3.2's zero-copy path).
 func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
-	e.mu.Lock()
-	if e.dead != nil {
-		dead := e.dead
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPush, Err: dead})
-		return
+	if e.stage(s, cost, done) {
+		e.Pump()
 	}
-	if e.closed || e.conn == nil {
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPush, Err: queue.ErrClosed})
-		return
-	}
-	e.mu.Unlock()
-	// Stage the framed SGA in device-registered memory (the NIC DMAs
-	// from it). Under a configured memory cap, exhaustion surfaces here
-	// as an ErrNoMem push completion — backpressure, not a panic.
-	buf, err := e.t.mem.TryAlloc(s.MarshalledSize())
-	if err != nil {
-		done(queue.Completion{Kind: queue.OpPush, Err: err})
-		return
-	}
-	data := s.AppendMarshal(buf.Bytes()[:0])
-	e.mu.Lock()
-	if e.dead != nil || e.closed || e.conn == nil {
-		err := queue.ErrClosed
-		if e.dead != nil {
-			err = e.dead
-		}
-		e.mu.Unlock()
-		buf.Free()
-		done(queue.Completion{Kind: queue.OpPush, Err: err})
-		return
-	}
-	e.txq = append(e.txq, txFrame{data: data, buf: buf, cost: cost, done: done})
-	e.txPending.Store(int32(len(e.txq)))
-	e.mu.Unlock()
-	e.Pump()
 }
 
 // PushBatched implements queue.BatchIoQueue: Push without the trailing
@@ -660,91 +622,94 @@ func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 // the transport poll that follows flushes them through one coalesced
 // flushTx — MSS-sized segments instead of one small segment per push.
 func (e *endpoint) PushBatched(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
+	e.stage(s, cost, done)
+}
+
+// stage frames s into device-registered memory and queues it for the
+// next flushTx. It reports whether the push was queued; when not, done
+// has already fired with the error.
+func (e *endpoint) stage(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) bool {
 	e.mu.Lock()
-	if e.dead != nil {
-		dead := e.dead
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPush, Err: dead})
-		return
-	}
-	if e.closed || e.conn == nil {
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPush, Err: queue.ErrClosed})
-		return
-	}
+	err := e.pushErrLocked()
 	e.mu.Unlock()
+	if err != nil {
+		done(queue.Completion{Kind: queue.OpPush, Err: err})
+		return false
+	}
+	// Stage the framed SGA in device-registered memory (the NIC DMAs
+	// from it). Under a configured memory cap, exhaustion surfaces here
+	// as an ErrNoMem push completion — backpressure, not a panic.
 	buf, err := e.t.mem.TryAlloc(s.MarshalledSize())
 	if err != nil {
 		done(queue.Completion{Kind: queue.OpPush, Err: err})
-		return
+		return false
 	}
 	data := s.AppendMarshal(buf.Bytes()[:0])
 	e.mu.Lock()
-	if e.dead != nil || e.closed || e.conn == nil {
-		err := queue.ErrClosed
-		if e.dead != nil {
-			err = e.dead
-		}
+	if err := e.pushErrLocked(); err != nil {
 		e.mu.Unlock()
 		buf.Free()
 		done(queue.Completion{Kind: queue.OpPush, Err: err})
-		return
+		return false
 	}
-	e.txq = append(e.txq, txFrame{data: data, buf: buf, cost: cost, done: done})
-	e.txPending.Store(int32(len(e.txq)))
+	e.txq.Push(txFrame{data: data, buf: buf, cost: cost, done: done})
+	e.txPending.Store(int32(e.txq.Len()))
 	e.mu.Unlock()
+	return true
+}
+
+// pushErrLocked is the error a push fails with right now: the crash
+// stamp if there is one, else ErrClosed on a closed or unconnected
+// endpoint, else nil.
+func (e *endpoint) pushErrLocked() error {
+	if e.dead != nil {
+		return e.dead
+	}
+	if e.closed || e.conn == nil {
+		return queue.ErrClosed
+	}
+	return nil
 }
 
 // Pop implements queue.IoQueue.
 func (e *endpoint) Pop(done queue.DoneFunc) {
-	e.mu.Lock()
-	if e.dead != nil && len(e.ready) == 0 {
-		dead := e.dead
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: dead})
-		return
+	if e.popOrWait(done) {
+		e.Pump()
 	}
-	if e.closed {
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-		return
-	}
-	if len(e.ready) > 0 {
-		c := e.popReadyLocked()
-		e.mu.Unlock()
-		done(c)
-		return
-	}
-	e.waiters = append(e.waiters, done)
-	e.waiterLen.Store(int32(len(e.waiters)))
-	e.mu.Unlock()
-	e.Pump()
 }
 
 // PopBatched implements queue.BatchIoQueue: Pop without the trailing
 // Pump; the burst issuer's follow-up poll serves it.
 func (e *endpoint) PopBatched(done queue.DoneFunc) {
+	e.popOrWait(done)
+}
+
+// popOrWait completes done at once — with a buffered completion, or with
+// the error a dead or closed endpoint fails pops with — or else queues it
+// as a waiter, and reports whether it did the latter.
+func (e *endpoint) popOrWait(done queue.DoneFunc) (waiting bool) {
 	e.mu.Lock()
-	if e.dead != nil && len(e.ready) == 0 {
+	if e.dead != nil && e.ready.Len() == 0 {
 		dead := e.dead
 		e.mu.Unlock()
 		done(queue.Completion{Kind: queue.OpPop, Err: dead})
-		return
+		return false
 	}
 	if e.closed {
 		e.mu.Unlock()
 		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-		return
+		return false
 	}
-	if len(e.ready) > 0 {
+	if e.ready.Len() > 0 {
 		c := e.popReadyLocked()
 		e.mu.Unlock()
 		done(c)
-		return
+		return false
 	}
-	e.waiters = append(e.waiters, done)
-	e.waiterLen.Store(int32(len(e.waiters)))
+	e.waiters.Push(done)
+	e.waiterLen.Store(int32(e.waiters.Len()))
 	e.mu.Unlock()
+	return true
 }
 
 // NeedsPump implements core.NeedsPumper with a handful of atomic loads
@@ -817,8 +782,8 @@ func (e *endpoint) flushTx(conn *netstack.TCPConn) int {
 	fired := firedArr[:0]
 	e.mu.Lock()
 	n := 0
-	for len(e.txq) > 0 {
-		f := &e.txq[0]
+	for e.txq.Len() > 0 {
+		f := e.txq.Front()
 		// Buffered send: the whole staged burst coalesces into MSS-sized
 		// segments at the single FlushSend below, so 32 small pushes cost
 		// ~2 segments of per-segment work, not 32.
@@ -855,27 +820,24 @@ func (e *endpoint) flushTx(conn *netstack.TCPConn) int {
 	return n
 }
 
-// popTxqLocked dequeues the head tx frame, preserving slice capacity
-// (see popReadyLocked).
+// popTxqLocked dequeues the head tx frame.
 func (e *endpoint) popTxqLocked() {
-	n := copy(e.txq, e.txq[1:])
-	e.txq[n] = txFrame{} // clear so data/buf/done are not retained
-	e.txq = e.txq[:n]
-	e.txPending.Store(int32(n))
+	e.txq.Pop()
+	e.txPending.Store(int32(e.txq.Len()))
 }
 
 func (e *endpoint) drainRx(conn *netstack.TCPConn) int {
-	// Hold e.mu across the whole drain: RecvAppend fills the endpoint's
-	// reused scratch buffer and the framer copies out of it, so the
-	// steady-state receive path allocates nothing — and two concurrent
-	// pumps can no longer interleave their stream bytes into the framer
-	// out of order. Lock order (e.mu → stack.mu) matches flushTx.
+	// Hold e.mu across the whole drain: RecvAppend appends the stream
+	// bytes straight onto the framer's reassembly buffer (reused, so the
+	// steady-state receive path allocates nothing), and two concurrent
+	// pumps must not interleave their bytes into it out of order. Lock
+	// order (e.mu → stack.mu) matches flushTx.
 	n := 0
 	var failErr error
 	readyCap := e.t.cfg.RxReadyCap
 	e.mu.Lock()
 	for {
-		if readyCap > 0 && len(e.ready) >= readyCap {
+		if readyCap > 0 && e.ready.Len() >= readyCap {
 			// Reader too slow: park the drain with the bytes still in
 			// the TCP receive buffer. The stack's shrinking advertised
 			// window now pushes the stall back to the peer's sender —
@@ -883,22 +845,20 @@ func (e *endpoint) drainRx(conn *netstack.TCPConn) int {
 			if !e.rxStalled.Swap(true) {
 				e.t.rxStalls.Add(1)
 			}
-			e.readyLen.Store(int32(len(e.ready)))
+			e.readyLen.Store(int32(e.ready.Len()))
 			e.mu.Unlock()
 			return n
 		}
-		b, cost, err := conn.RecvAppend(e.rxScratch[:0], 0)
-		if cap(b) > cap(e.rxScratch) {
-			e.rxScratch = b[:0] // keep the grown scratch for reuse
-		}
+		had := e.framer.Buffer()
+		b, cost, err := conn.RecvAppend(had, 0)
+		e.framer.Commit(b)
 		if err == io.EOF {
 			failErr = queue.ErrClosed
 			break
 		}
-		if err != nil || len(b) == 0 {
+		if err != nil || len(b) == len(had) {
 			break
 		}
-		e.framer.Feed(b)
 		for {
 			s, ok, ferr := e.framer.Next()
 			if ferr != nil {
@@ -908,7 +868,7 @@ func (e *endpoint) drainRx(conn *netstack.TCPConn) int {
 			if !ok {
 				break
 			}
-			e.ready = append(e.ready, queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
+			e.ready.Push(queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
 			n++
 		}
 		if failErr != nil {
@@ -916,7 +876,7 @@ func (e *endpoint) drainRx(conn *netstack.TCPConn) int {
 		}
 	}
 	e.rxStalled.Store(false)
-	readyLeft := len(e.ready)
+	readyLeft := e.ready.Len()
 	e.readyLen.Store(int32(readyLeft))
 	e.mu.Unlock()
 	if failErr != nil && readyLeft == 0 {
@@ -933,30 +893,22 @@ func (e *endpoint) drainRx(conn *netstack.TCPConn) int {
 func (e *endpoint) serveWaiters() {
 	for {
 		e.mu.Lock()
-		if len(e.waiters) == 0 || len(e.ready) == 0 {
+		if e.waiters.Len() == 0 || e.ready.Len() == 0 {
 			e.mu.Unlock()
 			return
 		}
-		w := e.waiters[0]
-		n := copy(e.waiters, e.waiters[1:])
-		e.waiters[n] = nil // clear so the closure is not retained
-		e.waiters = e.waiters[:n]
-		e.waiterLen.Store(int32(n))
+		w := e.waiters.Pop()
+		e.waiterLen.Store(int32(e.waiters.Len()))
 		c := e.popReadyLocked()
 		e.mu.Unlock()
 		w(c)
 	}
 }
 
-// popReadyLocked dequeues the head completion with a shift-copy so the
-// slice keeps its capacity across pops — the `[1:]` reslice would force
-// append to reallocate every producer/consumer cycle.
+// popReadyLocked dequeues the head completion.
 func (e *endpoint) popReadyLocked() queue.Completion {
-	c := e.ready[0]
-	n := copy(e.ready, e.ready[1:])
-	e.ready[n] = queue.Completion{} // clear so the SGA is not retained
-	e.ready = e.ready[:n]
-	e.readyLen.Store(int32(n))
+	c := e.ready.Pop()
+	e.readyLen.Store(int32(e.ready.Len()))
 	return c
 }
 
@@ -965,11 +917,9 @@ func (e *endpoint) popReadyLocked() queue.Completion {
 // stack has given up, so their pushes fail too.
 func (e *endpoint) failAll(err error) {
 	e.mu.Lock()
-	ws := e.waiters
-	e.waiters = nil
+	ws := e.waiters.Take()
 	e.waiterLen.Store(0)
-	txq := e.txq
-	e.txq = nil
+	txq := e.txq.Take()
 	e.txPending.Store(0)
 	e.mu.Unlock()
 	for _, w := range ws {
@@ -985,8 +935,7 @@ func (e *endpoint) failAll(err error) {
 
 func (e *endpoint) failWaiters(err error) {
 	e.mu.Lock()
-	ws := e.waiters
-	e.waiters = nil
+	ws := e.waiters.Take()
 	e.waiterLen.Store(0)
 	e.mu.Unlock()
 	for _, w := range ws {

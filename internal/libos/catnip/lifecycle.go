@@ -156,14 +156,11 @@ func (s *ShardSet) Restart() error {
 func (e *endpoint) kill(err error) int {
 	e.mu.Lock()
 	isListener := e.listener != nil
-	ready := e.ready
-	e.ready = nil
+	ready := e.ready.Take()
 	e.readyLen.Store(0)
-	ws := e.waiters
-	e.waiters = nil
+	ws := e.waiters.Take()
 	e.waiterLen.Store(0)
-	txq := e.txq
-	e.txq = nil
+	txq := e.txq.Take()
 	e.txPending.Store(0)
 	e.conn = nil
 	if !isListener {
@@ -203,10 +200,8 @@ func (e *endpoint) rearm() {
 // release, and the endpoint goes dead until revive.
 func (e *udpEndpoint) kill(err error) int {
 	e.mu.Lock()
-	ready := e.ready
-	e.ready = nil
-	ws := e.waiters
-	e.waiters = nil
+	ready := e.ready.Take()
+	ws := e.waiters.Take()
 	e.sock = nil // the stack shutdown already recycled its queue
 	e.dead = err
 	e.mu.Unlock()

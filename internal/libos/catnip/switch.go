@@ -63,25 +63,21 @@ func (t *Transport) Export(cep core.Endpoint) (core.PortState, bool) {
 		Conn:      e.conn,
 		Listener:  e.listener,
 		Framer:    e.framer,
-		Ready:     e.ready,
-		Waiters:   e.waiters,
+		Ready:     e.ready.Take(),
+		Waiters:   e.waiters.Take(),
 	}
 	// The clone fn closes over this transport's pools; the adopter
 	// re-binds its own.
 	st.Framer.SetClone(nil)
 	// Staged TX frames move as heap copies of their unsent bytes so the
 	// membuf staging buffers can be freed back to this libOS now.
-	for i := range e.txq {
-		f := &e.txq[i]
+	for _, f := range e.txq.Take() {
 		rest := append([]byte(nil), f.data[f.sent:]...)
 		st.Tx = append(st.Tx, core.PortTx{Data: rest, Cost: f.cost, Done: f.done})
 		if f.buf != nil {
 			f.buf.Free()
 		}
 	}
-	e.txq = nil
-	e.ready = nil
-	e.waiters = nil
 	e.conn = nil
 	e.listener = nil
 	e.closed = true
@@ -104,21 +100,25 @@ func (t *Transport) Adopt(st core.PortState) (core.Endpoint, error) {
 		listener:  st.Listener,
 		conn:      st.Conn,
 		framer:    st.Framer,
-		ready:     st.Ready,
-		waiters:   st.Waiters,
 	}
 	e.framer.SetClone(t.pooledCloneSGA)
 	for _, f := range st.Tx {
 		// Heap-backed frames (buf nil): flushTx just skips the staging
 		// free. The bytes were framed by the exporter; they go out as-is.
-		e.txq = append(e.txq, txFrame{data: f.Data, cost: f.Cost, done: f.Done})
+		e.txq.Push(txFrame{data: f.Data, cost: f.Cost, done: f.Done})
+	}
+	for _, c := range st.Ready {
+		e.ready.Push(c)
+	}
+	for _, w := range st.Waiters {
+		e.waiters.Push(w)
 	}
 	if st.Conn != nil {
 		e.connp.Store(st.Conn)
 	}
-	e.txPending.Store(int32(len(e.txq)))
-	e.readyLen.Store(int32(len(e.ready)))
-	e.waiterLen.Store(int32(len(e.waiters)))
+	e.txPending.Store(int32(e.txq.Len()))
+	e.readyLen.Store(int32(e.ready.Len()))
+	e.waiterLen.Store(int32(e.waiters.Len()))
 	t.adopt(e)
 	return e, nil
 }

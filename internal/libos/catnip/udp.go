@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"demikernel/internal/core"
+	"demikernel/internal/fifo"
 	"demikernel/internal/netstack"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
@@ -34,8 +35,8 @@ type udpEndpoint struct {
 	peer     core.Addr
 	havePeer bool
 	sock     *netstack.UDPSock
-	ready    []queue.Completion
-	waiters  []queue.DoneFunc
+	ready    fifo.Queue[queue.Completion]
+	waiters  fifo.Queue[queue.DoneFunc]
 	closed   bool
 	// dead, when non-nil, is the lifecycle-typed error stamped by a
 	// stack crash; cleared when Restart rebinds the socket on the fresh
@@ -140,13 +141,13 @@ func (e *udpEndpoint) Pop(done queue.DoneFunc) {
 		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
 		return
 	}
-	if len(e.ready) > 0 {
-		c := e.popReadyLocked()
+	if e.ready.Len() > 0 {
+		c := e.ready.Pop()
 		e.mu.Unlock()
 		done(c)
 		return
 	}
-	e.waiters = append(e.waiters, done)
+	e.waiters.Push(done)
 	e.mu.Unlock()
 	e.Pump()
 }
@@ -179,7 +180,7 @@ func (e *udpEndpoint) Pump() int {
 			comp.SGA = s.WithFree(d.Free)
 		}
 		e.mu.Lock()
-		e.ready = append(e.ready, comp)
+		e.ready.Push(comp)
 		e.mu.Unlock()
 		n++
 	}
@@ -190,29 +191,14 @@ func (e *udpEndpoint) Pump() int {
 func (e *udpEndpoint) serveWaiters() {
 	for {
 		e.mu.Lock()
-		if len(e.waiters) == 0 || len(e.ready) == 0 {
+		if e.waiters.Len() == 0 || e.ready.Len() == 0 {
 			e.mu.Unlock()
 			return
 		}
-		w := e.waiters[0]
-		n := copy(e.waiters, e.waiters[1:])
-		e.waiters[n] = nil // clear so the closure is not retained
-		e.waiters = e.waiters[:n]
-		c := e.popReadyLocked()
+		w, c := e.waiters.Pop(), e.ready.Pop()
 		e.mu.Unlock()
 		w(c)
 	}
-}
-
-// popReadyLocked dequeues the head completion, preserving slice capacity
-// so the steady-state pop path does not reallocate (see the endpoint
-// version for rationale).
-func (e *udpEndpoint) popReadyLocked() queue.Completion {
-	c := e.ready[0]
-	n := copy(e.ready, e.ready[1:])
-	e.ready[n] = queue.Completion{}
-	e.ready = e.ready[:n]
-	return c
 }
 
 // Close implements queue.IoQueue.
@@ -223,8 +209,7 @@ func (e *udpEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	ws := e.waiters
-	e.waiters = nil
+	ws := e.waiters.Take()
 	sock := e.sock
 	e.mu.Unlock()
 	if sock != nil {

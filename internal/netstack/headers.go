@@ -12,6 +12,7 @@ package netstack
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"demikernel/internal/fabric"
 )
@@ -159,6 +160,9 @@ type tcpSegment struct {
 	flags            uint8
 	window           uint16
 	payload          []byte
+	// tail continues payload on transmit, when the bytes wrap the end of
+	// the send ring; parsed segments never set it.
+	tail []byte
 }
 
 func (s tcpSegment) marshal(dst []byte, srcIP, dstIP IPv4Addr) []byte {
@@ -171,6 +175,7 @@ func (s tcpSegment) marshal(dst []byte, srcIP, dstIP IPv4Addr) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, s.window)
 	dst = append(dst, 0, 0, 0, 0) // checksum + urgent
 	dst = append(dst, s.payload...)
+	dst = append(dst, s.tail...)
 	cs := transportChecksum(srcIP, dstIP, protoTCP, dst[start:])
 	binary.BigEndian.PutUint16(dst[start+16:start+18], cs)
 	return dst
@@ -212,6 +217,12 @@ func (u udpDatagram) marshal(dst []byte, srcIP, dstIP IPv4Addr) []byte {
 	dst = append(dst, 0, 0) // checksum placeholder
 	dst = append(dst, u.payload...)
 	cs := transportChecksum(srcIP, dstIP, protoUDP, dst[start:])
+	if cs == 0 {
+		// RFC 768: a transmitted checksum of zero means "none computed",
+		// so a sum that comes out zero goes on the wire as all ones (the
+		// two are the same value in one's complement arithmetic).
+		cs = 0xffff
+	}
 	binary.BigEndian.PutUint16(dst[start+6:start+8], cs)
 	return dst
 }
@@ -234,33 +245,45 @@ func parseUDP(b []byte, srcIP, dstIP IPv4Addr) (udpDatagram, bool) {
 	return u, true
 }
 
-// checksum computes the Internet checksum of b seeded with init.
+// checksum computes the Internet checksum of b seeded with initial. The
+// one's complement sum does not care how the 16-bit words are grouped
+// (RFC 1071 section 2), so the bulk of b is added eight bytes at a time
+// into a 64-bit accumulator with end-around carry and folded to 16 bits
+// once at the end.
 func checksum(b []byte, initial uint32) uint16 {
-	sum := initial
-	for len(b) >= 2 {
-		sum += uint32(binary.BigEndian.Uint16(b[:2]))
-		b = b[2:]
+	sum, carry := uint64(initial), uint64(0)
+	for len(b) >= 32 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), carry)
+		b = b[32:]
 	}
-	if len(b) == 1 {
-		sum += uint32(b[0]) << 8
+	for len(b) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
+		b = b[8:]
 	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+	// Fewer than eight bytes are left: as a big-endian word zero-padded on
+	// the right they keep their 16-bit lanes, odd last byte included.
+	var last uint64
+	for i, c := range b {
+		last |= uint64(c) << (56 - 8*i)
 	}
+	sum, carry = bits.Add64(sum, last, carry)
+	sum, carry = bits.Add64(sum, 0, carry)
+	sum += carry
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>32 + sum&0xffffffff
+	sum = sum>>16 + sum&0xffff
+	sum = sum>>16 + sum&0xffff
 	return ^uint16(sum)
 }
 
 // transportChecksum computes the TCP/UDP checksum over the pseudo-header
 // and segment.
 func transportChecksum(src, dst IPv4Addr, proto uint8, seg []byte) uint16 {
-	var pseudo [12]byte
-	copy(pseudo[0:4], src[:])
-	copy(pseudo[4:8], dst[:])
-	pseudo[9] = proto
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(seg)))
-	var sum uint32
-	for i := 0; i < 12; i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(pseudo[i : i+2]))
-	}
-	return checksum(seg, sum)
+	pseudo := uint32(binary.BigEndian.Uint16(src[0:2])) + uint32(binary.BigEndian.Uint16(src[2:4])) +
+		uint32(binary.BigEndian.Uint16(dst[0:2])) + uint32(binary.BigEndian.Uint16(dst[2:4])) +
+		uint32(proto) + uint32(uint16(len(seg)))
+	return checksum(seg, pseudo)
 }

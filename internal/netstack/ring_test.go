@@ -1,0 +1,232 @@
+package netstack
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"demikernel/internal/fabric"
+)
+
+// contents returns the ring's queued bytes as one slice.
+func (r *byteRing) contents() []byte {
+	first, second := r.spans(0, r.n)
+	return append(append([]byte(nil), first...), second...)
+}
+
+// TestByteRingAgainstSlice drives a byteRing and the plain slice it
+// replaced through the same random writes, discards, partial reads and
+// offset reads; they must agree byte for byte after every step, the
+// storage must stay within limit, and the run must actually wrap.
+func TestByteRingAgainstSlice(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		limit := 64 + r.Intn(4096)
+		var ring byteRing
+		var model []byte
+		wraps := 0
+		for step := 0; step < 20000; step++ {
+			switch op := r.Intn(10); {
+			case op < 4: // write, up to the cap
+				p := make([]byte, r.Intn(limit/2+1))
+				r.Read(p)
+				p = p[:min(len(p), limit-len(model))]
+				ring.write(p, limit)
+				model = append(model, p...)
+			case op < 6: // ACK: drop a prefix
+				n := r.Intn(len(model) + 1)
+				ring.discard(n)
+				model = model[n:]
+			case op < 8: // partial read
+				n := r.Intn(len(model) + 1)
+				got := ring.readAppend([]byte("prefix"), n)
+				if !bytes.Equal(got, append([]byte("prefix"), model[:n]...)) {
+					t.Fatalf("seed %d step %d: readAppend(%d) diverged from the model", seed, step, n)
+				}
+				model = model[n:]
+			default: // segment read at an offset, as trySendLocked does
+				off := r.Intn(len(model) + 1)
+				n := r.Intn(len(model) - off + 1)
+				first, second := ring.spans(off, n)
+				if second != nil {
+					wraps++
+				}
+				if got := append(append([]byte(nil), first...), second...); !bytes.Equal(got, model[off:off+n]) {
+					t.Fatalf("seed %d step %d: spans(%d, %d) diverged from the model", seed, step, off, n)
+				}
+			}
+			if ring.Len() != len(model) || !bytes.Equal(ring.contents(), model) {
+				t.Fatalf("seed %d step %d: ring holds %d bytes, model %d, or contents differ", seed, step, ring.Len(), len(model))
+			}
+			if len(ring.buf) > limit {
+				t.Fatalf("seed %d step %d: storage %d exceeds limit %d", seed, step, len(ring.buf), limit)
+			}
+		}
+		if wraps == 0 {
+			t.Fatalf("seed %d: no read ever wrapped the ring", seed)
+		}
+	}
+	var idle byteRing
+	if idle.discard(0); idle.buf != nil || idle.readAppend(nil, 0) != nil {
+		t.Fatal("an untouched ring allocated storage")
+	}
+}
+
+// streamModel is the plain-slice model of one direction of a TCP
+// connection: every byte Send accepted, in order, and how many of them
+// Recv has returned. The connection's two rings must at all times hold
+// exactly the model's unacknowledged and undelivered ranges.
+type streamModel struct {
+	t         *testing.T
+	w         *world
+	c, srv    *TCPConn
+	base      uint32 // sequence number of sent[0]
+	sent      []byte
+	delivered int
+
+	sndWrapped, rcvWrapped, shortWrite bool
+}
+
+func (m *streamModel) send(p []byte) {
+	m.t.Helper()
+	m.w.a.mu.Lock()
+	room := sndBufMax - m.c.sndBuf.Len()
+	m.w.a.mu.Unlock()
+	n, err := m.c.Send(p, 0)
+	if err != nil {
+		m.t.Fatalf("Send: %v", err)
+	}
+	if want := min(len(p), room); n != want {
+		m.t.Fatalf("Send accepted %d of %d bytes with %d free, want %d", n, len(p), room, want)
+	}
+	m.shortWrite = m.shortWrite || n < len(p)
+	m.sent = append(m.sent, p[:n]...)
+}
+
+func (m *streamModel) recv(max int) {
+	m.t.Helper()
+	b, _, err := m.srv.RecvAppend(nil, max)
+	if err != nil {
+		m.t.Fatalf("RecvAppend: %v", err)
+	}
+	if max > 0 && len(b) > max {
+		m.t.Fatalf("RecvAppend(max=%d) returned %d bytes", max, len(b))
+	}
+	if !bytes.Equal(b, m.sent[m.delivered:m.delivered+len(b)]) {
+		m.t.Fatalf("RecvAppend returned bytes that differ from the stream at offset %d", m.delivered)
+	}
+	m.delivered += len(b)
+}
+
+// check compares both rings with the model.
+func (m *streamModel) check(step int) {
+	m.t.Helper()
+	m.w.a.mu.Lock()
+	acked := int(m.c.sndUna - m.base)
+	queued := m.c.sndBuf.contents()
+	_, second := m.c.sndBuf.spans(0, m.c.sndBuf.Len())
+	m.w.a.mu.Unlock()
+	m.sndWrapped = m.sndWrapped || second != nil
+	if acked+len(queued) != len(m.sent) || !bytes.Equal(queued, m.sent[acked:]) {
+		m.t.Fatalf("step %d: send ring holds %d bytes after %d acked, model has %d sent; or contents differ",
+			step, len(queued), acked, len(m.sent))
+	}
+	m.w.b.mu.Lock()
+	ready := m.srv.rcvBuf.contents()
+	_, second = m.srv.rcvBuf.spans(0, m.srv.rcvBuf.Len())
+	next := int(m.srv.rcvNxt - m.base)
+	m.w.b.mu.Unlock()
+	m.rcvWrapped = m.rcvWrapped || second != nil
+	if m.delivered+len(ready) != next || !bytes.Equal(ready, m.sent[m.delivered:next]) {
+		m.t.Fatalf("step %d: receive ring holds %d bytes after %d delivered, rcvNxt at %d; or contents differ",
+			step, len(ready), m.delivered, next)
+	}
+}
+
+// TestTCPRingsAgainstStreamModel interleaves, from a seed, Send (up to
+// and past sndBufMax), ACK advance (pumping), retransmit-head (loss
+// windows that end in RTO or fast retransmit), zero-window probes (a
+// reader that stops until the persist timer fires) and partial
+// RecvAppend(max), checking both rings against the model after every
+// step. The receive window is a few MSS so both rings wrap many times.
+func TestTCPRingsAgainstStreamModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			rto := 2 * time.Millisecond
+			w := newWorld(t, Config{MSS: 200 + r.Intn(1200), RTO: rto},
+				Config{MSS: 512, RTO: rto, RxWindow: 3000 + r.Intn(6000)})
+			c, srv := dialPair(t, w, 8000)
+			m := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna}
+			chunk := make([]byte, sndBufMax+50_000)
+
+			for step := 0; step < 1500; step++ {
+				switch op := r.Intn(20); {
+				case op < 6:
+					p := chunk[:1+r.Intn(6000)]
+					r.Read(p)
+					m.send(p)
+				case op < 12:
+					m.recv(1 + r.Intn(2500))
+				case op < 16:
+					w.pump()
+				case op < 18: // loss window: the head is retransmitted
+					w.sw.SetImpairments(fabric.Impairments{LossRate: 0.3})
+					w.pump()
+					time.Sleep(rto)
+					w.pump()
+					w.sw.SetImpairments(fabric.Impairments{})
+				case op < 19: // stalled reader: window closes, probes go out
+					before := w.a.Stats().Retransmits
+					r.Read(chunk)
+					m.send(chunk) // more than sndBufMax: a short write
+					w.pumpUntil(t, func() bool {
+						m.check(step)
+						return w.a.Stats().Retransmits > before
+					}, 5*time.Second)
+				default:
+					m.recv(0)
+				}
+				m.check(step)
+			}
+			w.pumpUntil(t, func() bool {
+				m.recv(0)
+				m.check(-1)
+				return m.delivered == len(m.sent)
+			}, 20*time.Second)
+
+			if !m.sndWrapped || !m.rcvWrapped || !m.shortWrite {
+				t.Fatalf("coverage: send ring wrapped=%v, receive ring wrapped=%v, short write=%v; want all",
+					m.sndWrapped, m.rcvWrapped, m.shortWrite)
+			}
+			if st := w.a.Stats(); st.Retransmits == 0 {
+				t.Fatal("coverage: no retransmission or zero-window probe was ever sent")
+			}
+		})
+	}
+}
+
+// BenchmarkNetstack_AckDequeue is the cost of one ACK that releases an
+// MSS from the head of the send queue, with 4 KiB and with 128 KiB
+// queued behind it. The dequeue is an index advance, so the two read the
+// same; the shift-copy it replaced moved the whole queue per ACK.
+func BenchmarkNetstack_AckDequeue(b *testing.B) {
+	for _, queued := range []int{4 << 10, 128 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", queued>>10), func(b *testing.B) {
+			const mss = 1024
+			s := &Stack{cfg: Config{MSS: mss, RTO: time.Second}, now: time.Now}
+			c := s.newConnLocked(connKey{}, stateClosed) // closed: the ACK path sends nothing
+			c.sndBuf.write(make([]byte, queued), sndBufMax)
+			c.sndNxt = c.sndUna + uint32(queued)
+			refill := make([]byte, mss)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.processAckLocked(tcpSegment{flags: flagACK, ack: c.sndUna + mss, window: 0xffff})
+				c.sndBuf.write(refill, sndBufMax)
+				c.sndNxt += mss
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"demikernel/internal/fabric"
+	"demikernel/internal/fifo"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
 )
@@ -176,11 +177,11 @@ type Stack struct {
 
 	// Hot-path scratch, guarded by mu and reused across calls so the
 	// steady-state data path does not allocate: rxBatch is the receive
-	// burst buffer handed to nic.AppendRxBurst, l4buf the transport-header
-	// marshal buffer (its contents are always copied into the outgoing
-	// frame before the next use).
-	rxBatch []fabric.Frame
-	l4buf   []byte
+	// burst buffer handed to nic.AppendRxBurst, ackQueue the connections
+	// that accepted in-order data during the current burst and are owed
+	// one cumulative ACK when it ends (see flushAcksLocked).
+	rxBatch  []fabric.Frame
+	ackQueue []*TCPConn
 }
 
 // New creates a stack for dev with the given configuration.
@@ -251,7 +252,7 @@ func (s *Stack) Shutdown(cause error) {
 	}
 	for port, l := range s.listeners {
 		l.closed = true
-		l.backlog = nil // backlog conns were terminated via s.conns above
+		l.backlog = fifo.Queue[*TCPConn]{} // backlog conns were terminated via s.conns above
 		delete(s.listeners, port)
 	}
 	for port, u := range s.udp {
@@ -353,9 +354,6 @@ func (s *Stack) Poll() int {
 		// the stack lock is amortised per burst and the steady-state
 		// loop allocates nothing.
 		s.rxBatch = s.dev.AppendRxBurst(s.rxBatch[:0], s.cfg.RxQueue, 64)
-		if len(s.rxBatch) == 0 {
-			break
-		}
 		for i := range s.rxBatch {
 			s.handleFrameLocked(s.rxBatch[i])
 			// Ingest is copy-out (rcvBuf / pooled datagram payloads), so
@@ -363,9 +361,27 @@ func (s *Stack) Poll() int {
 			s.rxBatch[i].Release()
 			n++
 		}
+		s.flushAcksLocked()
+		if len(s.rxBatch) == 0 {
+			break
+		}
 	}
 	s.tickTimersLocked()
 	return n
+}
+
+// flushAcksLocked ends a receive burst: every connection that accepted
+// in-order data during it, and has not sent a segment since, sends one
+// cumulative ACK carrying the window as it stands now. A burst of k
+// segments on one flow thus costs one ACK frame instead of k.
+func (s *Stack) flushAcksLocked() {
+	for i, c := range s.ackQueue {
+		if c.ackPending && c.state != stateClosed {
+			c.sendAckLocked()
+		}
+		s.ackQueue[i] = nil
+	}
+	s.ackQueue = s.ackQueue[:0]
 }
 
 func (s *Stack) handleFrameLocked(f fabric.Frame) {
@@ -434,55 +450,81 @@ func (s *Stack) flushARPPendingLocked(ip IPv4Addr) {
 	}
 }
 
-// sendIPv4Locked wraps payload in an IPv4+Ethernet frame to dstIP,
-// resolving the MAC with ARP if needed.
-func (s *Stack) sendIPv4Locked(dstIP IPv4Addr, proto uint8, l4 []byte, cost simclock.Lat) {
+// ipv4Tx is an outgoing IPv4 packet between openIPv4Locked, which wrote
+// its headers, and sendIPv4Locked, which transmits it; in between the
+// caller marshals the transport header and payload into l4 in place, so
+// payload bytes go from their queue to the wire frame in one copy.
+type ipv4Tx struct {
+	dst IPv4Addr
+	// fb is the pooled wire frame, nil while dst's MAC is unresolved.
+	fb *fabric.FrameBuf
+	// pkt is Ethernet+IPv4+L4 inside fb, or a heap-backed IPv4+L4 packet
+	// to park behind ARP resolution when fb is nil.
+	pkt []byte
+	// l4 is the empty, exactly-sized tail of pkt the transport appends to.
+	l4 []byte
+}
+
+// openIPv4Locked starts an IPv4 packet of l4Len transport bytes to dstIP,
+// resolving the MAC from the ARP cache. ok is false when the packet was
+// dropped for want of a frame buffer.
+func (s *Stack) openIPv4Locked(dstIP IPv4Addr, proto uint8, l4Len int) (ipv4Tx, bool) {
 	s.ipID++
 	h := ipv4Header{
-		totalLen: uint16(ipv4HdrLen + len(l4)),
+		totalLen: uint16(ipv4HdrLen + l4Len),
 		id:       s.ipID,
 		ttl:      64,
 		proto:    proto,
 		src:      s.cfg.IP,
 		dst:      dstIP,
 	}
+	tx := ipv4Tx{dst: dstIP}
 
-	mac, ok := s.arp[dstIP]
-	if !ok && s.cfg.Neighbors != nil {
+	mac, resolved := s.arp[dstIP]
+	if !resolved && s.cfg.Neighbors != nil {
 		// Shared-table miss path: a sibling shard may have resolved it.
-		if mac, ok = s.cfg.Neighbors.Lookup(dstIP); ok {
+		if mac, resolved = s.cfg.Neighbors.Lookup(dstIP); resolved {
 			s.arp[dstIP] = mac // cache privately; next send skips the table
 		}
 	}
-	if ok {
+	if !resolved {
+		// Slow path: a heap-backed packet, queued behind ARP resolution.
+		tx.pkt = h.marshal(make([]byte, 0, ipv4HdrLen+l4Len))
+	} else {
 		// Fast path: assemble Ethernet+IPv4+L4 directly into one pooled
 		// frame buffer. Ownership of the buffer rides the Frame through
 		// NIC, fabric, and the receiving stack.
-		fb := s.pool.Get(ethHdrLen + ipv4HdrLen + len(l4))
-		if fb == nil {
+		tx.fb = s.pool.Get(ethHdrLen + ipv4HdrLen + l4Len)
+		if tx.fb == nil {
 			// Frame quota exhausted: the packet is dropped here, exactly
 			// where a real NIC driver fails a descriptor allocation. TCP's
 			// retransmission machinery turns this into backpressure on the
 			// over-quota tenant; nothing blocks, nothing panics.
 			s.stats.TxQuotaDrops++
-			return
+			return tx, false
 		}
-		frame := appendEth(fb.Bytes()[:0], mac, s.dev.MAC(), etherTypeIPv4)
-		frame = h.marshal(frame)
-		frame = append(frame, l4...)
-		s.dev.TxFrame(fabric.Frame{Data: frame, Cost: cost, Buf: fb})
+		tx.pkt = h.marshal(appendEth(tx.fb.Bytes()[:0], mac, s.dev.MAC(), etherTypeIPv4))
+	}
+	hdrs := len(tx.pkt)
+	tx.pkt = tx.pkt[:hdrs+l4Len]
+	tx.l4 = tx.pkt[hdrs:hdrs:len(tx.pkt)]
+	return tx, true
+}
+
+// sendIPv4Locked transmits a packet whose l4 region the caller has
+// filled, or parks it and asks for the destination's MAC.
+func (s *Stack) sendIPv4Locked(tx ipv4Tx, cost simclock.Lat) {
+	if tx.fb != nil {
+		s.dev.TxFrame(fabric.Frame{Data: tx.pkt, Cost: cost, Buf: tx.fb})
 		return
 	}
-	// Slow path: queue a heap-backed copy behind ARP resolution.
-	pkt := h.marshal(make([]byte, 0, ipv4HdrLen+len(l4)))
-	pkt = append(pkt, l4...)
-	s.arpPending[dstIP] = append(s.arpPending[dstIP], pendingPkt{etherTypeIPv4, pkt, cost})
+	s.arpPending[tx.dst] = append(s.arpPending[tx.dst], pendingPkt{etherTypeIPv4, tx.pkt, cost})
 	s.stats.ARPRequests++
 	req := arpPacket{
 		op:       arpOpRequest,
 		senderHW: s.dev.MAC(),
 		senderIP: s.cfg.IP,
-		targetIP: dstIP,
+		targetIP: tx.dst,
 	}
 	frame := appendEth(nil, fabric.Broadcast, s.dev.MAC(), etherTypeARP)
 	frame = req.marshal(frame)
@@ -616,9 +658,10 @@ func (u *UDPSock) SendTo(ip IPv4Addr, port uint16, payload []byte, cost simclock
 	defer s.mu.Unlock()
 	s.stats.UDPSent++
 	d := udpDatagram{srcPort: u.port, dstPort: port, payload: payload}
-	l4 := d.marshal(s.l4buf[:0], s.cfg.IP, ip)
-	s.l4buf = l4 // keep the (possibly grown) scratch for reuse
-	s.sendIPv4Locked(ip, protoUDP, l4, cost+s.model.UserNetStackNS+s.cfg.PerPacketExtra)
+	if tx, ok := s.openIPv4Locked(ip, protoUDP, udpHdrLen+len(payload)); ok {
+		d.marshal(tx.l4, s.cfg.IP, ip)
+		s.sendIPv4Locked(tx, cost+s.model.UserNetStackNS+s.cfg.PerPacketExtra)
+	}
 }
 
 // Recv pops one received datagram without blocking.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"demikernel/internal/fabric"
+	"demikernel/internal/fifo"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
 )
@@ -37,7 +38,7 @@ const sndBufMax = 256 * 1024
 type TCPListener struct {
 	stack   *Stack
 	port    uint16
-	backlog []*TCPConn
+	backlog fifo.Queue[*TCPConn]
 	closed  bool
 }
 
@@ -58,12 +59,10 @@ func (l *TCPListener) Accept() (*TCPConn, bool) {
 	s := l.stack
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(l.backlog) == 0 {
+	if l.backlog.Len() == 0 {
 		return nil, false
 	}
-	c := l.backlog[0]
-	l.backlog = l.backlog[1:]
-	return c, true
+	return l.backlog.Pop(), true
 }
 
 // Close unbinds the listener. Established connections are unaffected.
@@ -84,9 +83,9 @@ type TCPConn struct {
 	state tcpState
 	iss   uint32
 
-	// Send side. sndBuf holds bytes in [sndUna, sndUna+len(sndBuf)).
+	// Send side. sndBuf holds bytes in [sndUna, sndUna+sndBuf.Len()).
 	sndUna, sndNxt uint32
-	sndBuf         []byte
+	sndBuf         byteRing
 	peerWnd        int
 	cwnd, ssthresh int
 	dupAcks        int
@@ -99,10 +98,11 @@ type TCPConn struct {
 	finAcked       bool
 
 	// Receive side. ooo stashes out-of-order segments in pooled buffers
-	// keyed by sequence number; every exit path (drain, RST, give-up,
+	// keyed by sequence number (made on the first stash: a loss-free
+	// connection never owns one); every exit path (drain, RST, give-up,
 	// orderly close) releases them back to the frame pool.
 	rcvNxt      uint32
-	rcvBuf      []byte
+	rcvBuf      byteRing
 	ooo         map[uint32]*fabric.FrameBuf
 	peerFinRcvd bool
 	rxCost      simclock.Lat
@@ -111,6 +111,11 @@ type TCPConn struct {
 	// application drain has reopened the window enough that the (possibly
 	// stalled) sender must be told with a window-update ACK.
 	advWnd int
+	// ackPending marks in-order data accepted but not yet acknowledged:
+	// the connection sits in stack.ackQueue and one cumulative ACK goes
+	// out when the receive burst ends — unless a segment sent meanwhile
+	// carried the acknowledgement first (see sendSegmentLocked).
+	ackPending bool
 
 	// pendingListener receives the connection on handshake completion.
 	pendingListener *TCPListener
@@ -129,7 +134,7 @@ type TCPConn struct {
 // updateReadyLocked refreshes the lock-free readiness hint. Call at
 // every point where rcvBuf, peerFinRcvd, or err transitions.
 func (c *TCPConn) updateReadyLocked() {
-	c.readyHint.Store(len(c.rcvBuf) > 0 || c.peerFinRcvd || c.err != nil)
+	c.readyHint.Store(c.rcvBuf.Len() > 0 || c.peerFinRcvd || c.err != nil)
 }
 
 // ReadyHint reports the last published read-readiness without taking the
@@ -160,7 +165,7 @@ func (s *Stack) DialTCPFrom(localPort uint16, ip IPv4Addr, port uint16) (*TCPCon
 	}
 	c := s.newConnLocked(key, stateSynSent)
 	s.conns[key] = c
-	c.sendSegmentLocked(c.iss, nil, flagSYN)
+	c.sendSegmentLocked(c.iss, 0, 0, flagSYN)
 	c.sndNxt = c.iss + 1
 	c.armTimerLocked()
 	return c, nil
@@ -177,7 +182,6 @@ func (s *Stack) newConnLocked(key connKey, st tcpState) *TCPConn {
 		ssthresh: 64 * 1024,
 		peerWnd:  s.cfg.MSS, // until the peer advertises
 		rto:      s.cfg.RTO,
-		ooo:      make(map[uint32]*fabric.FrameBuf),
 	}
 }
 
@@ -211,24 +215,11 @@ func (c *TCPConn) Send(b []byte, cost simclock.Lat) (int, error) {
 	s := c.stack
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c.err != nil {
-		return 0, c.err
+	n, err := c.enqueueLocked(b, cost)
+	if n > 0 {
+		c.trySendLocked()
 	}
-	if c.state == stateClosed || c.finQueued {
-		return 0, ErrConnClosed
-	}
-	space := sndBufMax - len(c.sndBuf)
-	if space <= 0 {
-		return 0, nil
-	}
-	n := len(b)
-	if n > space {
-		n = space
-	}
-	c.sndBuf = append(c.sndBuf, b[:n]...)
-	c.txCost = cost
-	c.trySendLocked()
-	return n, nil
+	return n, err
 }
 
 // SendBuffered queues bytes like Send but defers segmentation until
@@ -239,21 +230,23 @@ func (c *TCPConn) SendBuffered(b []byte, cost simclock.Lat) (int, error) {
 	s := c.stack
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return c.enqueueLocked(b, cost)
+}
+
+// enqueueLocked copies as much of b as fits under sndBufMax into the
+// send queue: (0, nil) is a full buffer, not an error.
+func (c *TCPConn) enqueueLocked(b []byte, cost simclock.Lat) (int, error) {
 	if c.err != nil {
 		return 0, c.err
 	}
 	if c.state == stateClosed || c.finQueued {
 		return 0, ErrConnClosed
 	}
-	space := sndBufMax - len(c.sndBuf)
-	if space <= 0 {
+	n := min(len(b), sndBufMax-c.sndBuf.Len())
+	if n <= 0 {
 		return 0, nil
 	}
-	n := len(b)
-	if n > space {
-		n = space
-	}
-	c.sndBuf = append(c.sndBuf, b[:n]...)
+	c.sndBuf.write(b[:n], sndBufMax)
 	c.txCost = cost
 	return n, nil
 }
@@ -285,18 +278,17 @@ func (c *TCPConn) RecvAppend(dst []byte, max int) ([]byte, simclock.Lat, error) 
 	if c.err != nil {
 		return dst, 0, c.err
 	}
-	if len(c.rcvBuf) == 0 {
+	if c.rcvBuf.Len() == 0 {
 		if c.peerFinRcvd {
 			return dst, 0, io.EOF
 		}
 		return dst, 0, nil
 	}
-	n := len(c.rcvBuf)
+	n := c.rcvBuf.Len()
 	if max > 0 && n > max {
 		n = max
 	}
-	dst = append(dst, c.rcvBuf[:n]...)
-	c.rcvBuf = c.rcvBuf[:copy(c.rcvBuf, c.rcvBuf[n:])]
+	dst = c.rcvBuf.readAppend(dst, n)
 	// The drain may have made room for out-of-order segments that were
 	// parked because the reassembly buffer was full; deliver them now
 	// instead of waiting for the sender's RTO to retransmit them.
@@ -337,7 +329,7 @@ func (c *TCPConn) Close() {
 func (c *TCPConn) Readable() bool {
 	c.stack.mu.Lock()
 	defer c.stack.mu.Unlock()
-	return len(c.rcvBuf) > 0 || c.peerFinRcvd || c.err != nil
+	return c.rcvBuf.Len() > 0 || c.peerFinRcvd || c.err != nil
 }
 
 // Pending returns the number of connections waiting in the accept
@@ -345,7 +337,7 @@ func (c *TCPConn) Readable() bool {
 func (l *TCPListener) Pending() int {
 	l.stack.mu.Lock()
 	defer l.stack.mu.Unlock()
-	return len(l.backlog)
+	return l.backlog.Len()
 }
 
 // Closed reports whether both directions have shut down or the connection
@@ -378,7 +370,7 @@ func (s *Stack) handleTCPLocked(h ipv4Header, body []byte, cost simclock.Lat) {
 			c.rcvNxt = seg.seq + 1
 			c.peerWnd = int(seg.window)
 			c.pendingListener = l
-			c.sendSegmentLocked(c.iss, nil, flagSYN|flagACK)
+			c.sendSegmentLocked(c.iss, 0, 0, flagSYN|flagACK)
 			c.sndNxt = c.iss + 1
 			c.armTimerLocked()
 			return
@@ -404,9 +396,7 @@ func (s *Stack) sendRSTLocked(dst IPv4Addr, orphan tcpSegment) {
 		ack:   orphan.seq + uint32(len(orphan.payload)) + 1,
 		flags: flagRST | flagACK,
 	}
-	l4 := rst.marshal(s.l4buf[:0], s.cfg.IP, dst)
-	s.l4buf = l4
-	s.sendIPv4Locked(dst, protoTCP, l4, 0)
+	s.sendTCPLocked(dst, rst, 0)
 }
 
 func (c *TCPConn) handleSegmentLocked(seg tcpSegment, cost simclock.Lat) {
@@ -441,7 +431,7 @@ func (c *TCPConn) handleSegmentLocked(seg tcpSegment, cost simclock.Lat) {
 			c.retries = 0
 			c.clearTimerLocked()
 			if l := c.pendingListener; l != nil && !l.closed {
-				l.backlog = append(l.backlog, c)
+				l.backlog.Push(c)
 			}
 			c.pendingListener = nil
 			// Fall through: the handshake ACK may carry data.
@@ -475,22 +465,25 @@ func (c *TCPConn) processAckLocked(seg tcpSegment) {
 	case seqLT(c.sndUna, seg.ack) && seqLEQ(seg.ack, c.sndNxt):
 		acked := int(seg.ack - c.sndUna)
 		dataAcked := acked
-		if dataAcked > len(c.sndBuf) {
-			dataAcked = len(c.sndBuf) // the excess is our FIN
+		if dataAcked > c.sndBuf.Len() {
+			dataAcked = c.sndBuf.Len() // the excess is our FIN
 			c.finAcked = c.finSent
 		}
-		c.sndBuf = c.sndBuf[:copy(c.sndBuf, c.sndBuf[dataAcked:])]
+		c.sndBuf.discard(dataAcked)
 		c.sndUna = seg.ack
 		c.dupAcks = 0
 		c.retries = 0 // forward progress: the peer is alive
 		c.rto = c.stack.cfg.RTO
-		// Congestion control: slow start then AIMD (RFC 5681 shape).
+		// Congestion control: slow start then AIMD (RFC 5681 shape),
+		// counted in bytes acknowledged rather than ACKs received (RFC
+		// 3465): the receiver sends one cumulative ACK per burst, and a
+		// window that grew per ACK would open that many times slower.
 		if c.cwnd < c.ssthresh {
-			c.cwnd += mss
+			c.cwnd += dataAcked
 		} else {
-			c.cwnd += mss * mss / c.cwnd
+			c.cwnd += mss * dataAcked / c.cwnd
 		}
-		if c.sndUna != c.sndNxt || len(c.sndBuf) > 0 {
+		if c.sndUna != c.sndNxt || c.sndBuf.Len() > 0 {
 			// Data in flight, or data stalled behind a closed peer
 			// window (the timer then acts as the persist timer).
 			c.armTimerLocked()
@@ -522,12 +515,10 @@ func (c *TCPConn) fastRetransmitLocked() {
 // retransmitHeadLocked resends the first unacknowledged segment (or the
 // FIN when only the FIN is outstanding).
 func (c *TCPConn) retransmitHeadLocked() {
-	mss := c.stack.cfg.MSS
-	if len(c.sndBuf) > 0 {
-		n := min(mss, len(c.sndBuf))
-		c.sendSegmentLocked(c.sndUna, c.sndBuf[:n], flagACK|flagPSH)
+	if n := min(c.stack.cfg.MSS, c.sndBuf.Len()); n > 0 {
+		c.sendSegmentLocked(c.sndUna, 0, n, flagACK|flagPSH)
 	} else if c.finSent && !c.finAcked {
-		c.sendSegmentLocked(c.sndNxt-1, nil, flagFIN|flagACK)
+		c.sendSegmentLocked(c.sndNxt-1, 0, 0, flagFIN|flagACK)
 	}
 	c.armTimerLocked()
 }
@@ -557,12 +548,26 @@ func (c *TCPConn) processDataLocked(seg tcpSegment, cost simclock.Lat) {
 	}
 	switch {
 	case seq == c.rcvNxt:
-		c.acceptDataLocked(payload, cost)
+		// In-order data that fits is the one case whose ACK can wait for
+		// the end of the receive burst. Anything the sender is waiting on
+		// to make a decision is acknowledged now: a FIN, a segment that
+		// fills (part of) a reassembly gap, and data the window cut short
+		// — which includes the zero-window probe, whose answer is what
+		// keeps the persist timer from giving up.
+		gap := len(c.ooo) > 0
+		deferAck := c.acceptDataLocked(payload, cost) && !hasFin && !gap
 		if hasFin && !c.peerFinRcvd {
 			c.peerFinRcvd = true
 			c.rcvNxt++
 		}
 		c.drainOutOfOrderLocked()
+		if deferAck {
+			if !c.ackPending {
+				c.ackPending = true
+				c.stack.ackQueue = append(c.stack.ackQueue, c)
+			}
+			return
+		}
 	default:
 		// Future segment: stash a pooled copy for reassembly. The wire
 		// frame recycles after the burst; the stash lives until the gap
@@ -572,6 +577,9 @@ func (c *TCPConn) processDataLocked(seg tcpSegment, cost simclock.Lat) {
 			if _, dup := c.ooo[seq]; !dup {
 				if fb := c.stack.pool.Get(len(payload)); fb != nil {
 					copy(fb.Bytes(), payload)
+					if c.ooo == nil {
+						c.ooo = make(map[uint32]*fabric.FrameBuf)
+					}
 					c.ooo[seq] = fb
 				} else {
 					// Quota exhausted: drop the stash; retransmission
@@ -585,16 +593,19 @@ func (c *TCPConn) processDataLocked(seg tcpSegment, cost simclock.Lat) {
 	c.sendAckLocked()
 }
 
-func (c *TCPConn) acceptDataLocked(payload []byte, cost simclock.Lat) {
-	space := c.stack.cfg.RxWindow - len(c.rcvBuf)
+// acceptDataLocked queues in-order payload and reports whether all of it
+// fit the receive window.
+func (c *TCPConn) acceptDataLocked(payload []byte, cost simclock.Lat) bool {
+	space := c.stack.cfg.RxWindow - c.rcvBuf.Len()
 	n := min(len(payload), space)
 	if n > 0 {
-		c.rcvBuf = append(c.rcvBuf, payload[:n]...)
+		c.rcvBuf.write(payload[:n], c.stack.cfg.RxWindow)
 		c.rcvNxt += uint32(n)
 		c.rxCost = cost
 	}
 	// Bytes beyond the window are dropped; the shrunken advertised
 	// window makes the sender retransmit them later.
+	return n == len(payload)
 }
 
 func (c *TCPConn) drainOutOfOrderLocked() {
@@ -604,12 +615,12 @@ func (c *TCPConn) drainOutOfOrderLocked() {
 			return
 		}
 		payload := fb.Bytes()
-		space := c.stack.cfg.RxWindow - len(c.rcvBuf)
+		space := c.stack.cfg.RxWindow - c.rcvBuf.Len()
 		if space < len(payload) {
 			return // keep it buffered until the app drains
 		}
 		delete(c.ooo, c.rcvNxt)
-		c.rcvBuf = append(c.rcvBuf, payload...)
+		c.rcvBuf.write(payload, c.stack.cfg.RxWindow)
 		c.rcvNxt += uint32(len(payload))
 		fb.Release()
 	}
@@ -636,7 +647,7 @@ func (c *TCPConn) maybeFinishLocked() {
 // --- segment output ---
 
 func (c *TCPConn) advertisedWindowLocked() uint16 {
-	w := c.stack.cfg.RxWindow - len(c.rcvBuf)
+	w := c.stack.cfg.RxWindow - c.rcvBuf.Len()
 	if w < 0 {
 		w = 0
 	}
@@ -647,10 +658,14 @@ func (c *TCPConn) advertisedWindowLocked() uint16 {
 }
 
 func (c *TCPConn) sendAckLocked() {
-	c.sendSegmentLocked(c.sndNxt, nil, flagACK)
+	c.sendSegmentLocked(c.sndNxt, 0, 0, flagACK)
 }
 
-func (c *TCPConn) sendSegmentLocked(seq uint32, payload []byte, flags uint8) {
+// sendSegmentLocked transmits one segment whose payload is the n bytes
+// of the send queue starting off bytes past sndUna (n == 0: a bare
+// control segment). The bytes are marshaled from the ring straight into
+// the outgoing frame.
+func (c *TCPConn) sendSegmentLocked(seq uint32, off, n int, flags uint8) {
 	s := c.stack
 	s.stats.TCPSegsSent++
 	seg := tcpSegment{
@@ -660,16 +675,22 @@ func (c *TCPConn) sendSegmentLocked(seq uint32, payload []byte, flags uint8) {
 		ack:     c.rcvNxt,
 		flags:   flags,
 		window:  c.advertisedWindowLocked(),
-		payload: payload,
 	}
+	seg.payload, seg.tail = c.sndBuf.spans(off, n)
 	c.advWnd = int(seg.window)
-	// Marshal into the stack's scratch buffer: sendIPv4Locked copies the
-	// bytes into the outgoing pooled frame before returning, so the
-	// scratch is free again by the next segment.
-	l4 := seg.marshal(s.l4buf[:0], s.cfg.IP, c.key.remoteIP)
-	s.l4buf = l4
+	// Every segment carries the cumulative ACK and the current window, so
+	// whatever acknowledgement the burst still owed has now been sent.
+	c.ackPending = false
 	cost := c.txCost + s.model.UserNetStackNS + s.cfg.PerPacketExtra
-	s.sendIPv4Locked(c.key.remoteIP, protoTCP, l4, cost)
+	s.sendTCPLocked(c.key.remoteIP, seg, cost)
+}
+
+// sendTCPLocked marshals seg into an IPv4 packet to dst and transmits it.
+func (s *Stack) sendTCPLocked(dst IPv4Addr, seg tcpSegment, cost simclock.Lat) {
+	if tx, ok := s.openIPv4Locked(dst, protoTCP, tcpHdrLen+len(seg.payload)+len(seg.tail)); ok {
+		seg.marshal(tx.l4, s.cfg.IP, dst)
+		s.sendIPv4Locked(tx, cost)
+	}
 }
 
 // trySendLocked emits as much buffered data as the congestion and flow
@@ -683,7 +704,7 @@ func (c *TCPConn) trySendLocked() {
 	for {
 		flight := int(c.sndNxt - c.sndUna)
 		wnd := min(c.peerWnd, c.cwnd)
-		unsent := len(c.sndBuf) - flight
+		unsent := c.sndBuf.Len() - flight
 		if unsent <= 0 {
 			break
 		}
@@ -691,13 +712,12 @@ func (c *TCPConn) trySendLocked() {
 		if n <= 0 {
 			break
 		}
-		off := flight
-		c.sendSegmentLocked(c.sndNxt, c.sndBuf[off:off+n], flagACK|flagPSH)
+		c.sendSegmentLocked(c.sndNxt, flight, n, flagACK|flagPSH)
 		c.sndNxt += uint32(n)
 		c.armTimerLocked()
 	}
-	if c.finQueued && !c.finSent && int(c.sndNxt-c.sndUna) == len(c.sndBuf) {
-		c.sendSegmentLocked(c.sndNxt, nil, flagFIN|flagACK)
+	if c.finQueued && !c.finSent && int(c.sndNxt-c.sndUna) == c.sndBuf.Len() {
+		c.sendSegmentLocked(c.sndNxt, 0, 0, flagFIN|flagACK)
 		c.sndNxt++
 		c.finSent = true
 		c.armTimerLocked()
@@ -709,7 +729,7 @@ func (c *TCPConn) trySendLocked() {
 	// window-update ACK, so without a probe the connection deadlocks
 	// silently. Arm the timer; tickTimersLocked sends the one-byte
 	// zero-window probe when it fires.
-	if len(c.sndBuf) > int(c.sndNxt-c.sndUna) && c.rtoDeadline.IsZero() {
+	if c.sndBuf.Len() > int(c.sndNxt-c.sndUna) && c.rtoDeadline.IsZero() {
 		c.armTimerLocked()
 	}
 }
@@ -766,16 +786,16 @@ func (s *Stack) tickTimersLocked() {
 		mss := s.cfg.MSS
 		switch c.state {
 		case stateSynSent:
-			c.sendSegmentLocked(c.iss, nil, flagSYN)
+			c.sendSegmentLocked(c.iss, 0, 0, flagSYN)
 		case stateSynRcvd:
-			c.sendSegmentLocked(c.iss, nil, flagSYN|flagACK)
+			c.sendSegmentLocked(c.iss, 0, 0, flagSYN|flagACK)
 		case stateEstablished:
 			flight := int(c.sndNxt - c.sndUna)
 			c.ssthresh = max(flight/2, 2*mss)
 			c.cwnd = mss
-			if c.peerWnd == 0 && len(c.sndBuf) > 0 && flight == 0 {
+			if c.peerWnd == 0 && c.sndBuf.Len() > 0 && flight == 0 {
 				// Zero-window probe: one byte past the edge.
-				c.sendSegmentLocked(c.sndNxt, c.sndBuf[:1], flagACK|flagPSH)
+				c.sendSegmentLocked(c.sndNxt, 0, 1, flagACK|flagPSH)
 				c.sndNxt++
 			} else if flight > 0 {
 				c.retransmitHeadLocked()

@@ -145,10 +145,10 @@ func TestTCPZeroWindowProbeRecoversLostUpdate(t *testing.T) {
 	}
 	w.pumpUntil(t, func() bool {
 		w.b.mu.Lock()
-		filled := len(srv.rcvBuf) == 1024
+		filled := srv.rcvBuf.Len() == 1024
 		w.b.mu.Unlock()
 		w.a.mu.Lock()
-		drained := len(c.sndBuf) == 0 && c.peerWnd == 0
+		drained := c.sndBuf.Len() == 0 && c.peerWnd == 0
 		w.a.mu.Unlock()
 		return filled && drained
 	}, 5*time.Second)

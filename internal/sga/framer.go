@@ -8,7 +8,12 @@ package sga
 //
 // A Framer is not safe for concurrent use; each connection owns one.
 type Framer struct {
-	buf []byte
+	// buf[head:] is the stream not yet decoded. Next only advances head;
+	// the undecoded remainder moves to the front once per feed, in Buffer,
+	// so decoding k frames out of one feed moves no bytes at all rather
+	// than the whole remainder k times.
+	buf  []byte
+	head int
 	// segScratch is reused segment-header storage for decoding: the
 	// decoded SGA only lives until clone copies it out, so one scratch
 	// slice serves every frame and the steady-state pop path stops
@@ -31,8 +36,24 @@ func (f *Framer) SetClone(fn func(SGA) SGA) { f.clone = fn }
 
 // Feed appends stream bytes to the framer's reassembly buffer.
 func (f *Framer) Feed(b []byte) {
-	f.buf = append(f.buf, b...)
+	f.Commit(append(f.Buffer(), b...))
 }
+
+// Buffer returns the reassembly buffer for a producer that can append
+// stream bytes to it directly — one copy fewer than staging them in a
+// buffer of its own and calling Feed. The result of the append must be
+// handed back with Commit before any other call on the framer.
+func (f *Framer) Buffer() []byte {
+	if f.head > 0 {
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
+		f.head = 0
+	}
+	return f.buf
+}
+
+// Commit adopts b, the slice Buffer returned with stream bytes appended,
+// as the reassembly buffer.
+func (f *Framer) Commit(b []byte) { f.buf = b }
 
 // Next returns the next complete SGA from the reassembly buffer, or
 // ok=false if no complete frame has arrived yet. The returned SGA owns
@@ -42,7 +63,7 @@ func (f *Framer) Feed(b []byte) {
 // the same error (a stream with corrupt framing cannot be re-synchronised,
 // matching TCP stream semantics).
 func (f *Framer) Next() (SGA, bool, error) {
-	s, n, err := UnmarshalInto(f.buf, f.segScratch)
+	s, n, err := UnmarshalInto(f.buf[f.head:], f.segScratch)
 	if err == ErrShortBuffer {
 		return SGA{}, false, nil
 	}
@@ -50,20 +71,20 @@ func (f *Framer) Next() (SGA, bool, error) {
 		return SGA{}, false, err
 	}
 	f.segScratch = s.Segments[:0]
-	// Copy out so the internal buffer can be compacted safely.
+	// Copy out so the internal buffer can be reused safely.
 	var out SGA
 	if f.clone != nil {
 		out = f.clone(s)
 	} else {
 		out = s.Clone()
 	}
-	f.buf = f.buf[:copy(f.buf, f.buf[n:])]
+	f.head += n
 	f.decoded++
 	return out, true, nil
 }
 
 // Pending returns the number of buffered, not-yet-decoded bytes.
-func (f *Framer) Pending() int { return len(f.buf) }
+func (f *Framer) Pending() int { return len(f.buf) - f.head }
 
 // Decoded returns the number of complete SGAs produced so far.
 func (f *Framer) Decoded() int64 { return f.decoded }
@@ -73,6 +94,6 @@ func (f *Framer) Decoded() int64 { return f.decoded }
 // abstraction, the application asks "is a whole request ready?" instead of
 // re-parsing a stream prefix.
 func (f *Framer) HasCompleteFrame() bool {
-	_, _, err := Unmarshal(f.buf)
+	_, _, err := Unmarshal(f.buf[f.head:])
 	return err == nil
 }

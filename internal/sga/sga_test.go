@@ -256,6 +256,50 @@ func TestFramerHasCompleteFrame(t *testing.T) {
 	}
 }
 
+// TestFramerDirectAppend: a producer appending straight onto Buffer()
+// (as catnip's receive drain does) is equivalent to Feed; Next consumes
+// by cursor, so decoding pipelined frames leaves the undecoded tail
+// where it lies until the next Buffer call moves it to the front.
+func TestFramerDirectAppend(t *testing.T) {
+	frames := []SGA{New([]byte("first")), New([]byte("second"), []byte("seg")), New(bytes.Repeat([]byte{7}, 300))}
+	var stream []byte
+	for _, s := range frames {
+		stream = s.AppendMarshal(stream)
+	}
+	cut := len(stream) - 100 // the third frame arrives in two pieces
+
+	var fr Framer
+	fr.Commit(append(fr.Buffer(), stream[:cut]...))
+	for i, want := range frames[:2] {
+		got, ok, err := fr.Next()
+		if err != nil || !ok || !got.Equal(want) {
+			t.Fatalf("frame %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if _, ok, _ := fr.Next(); ok {
+		t.Fatal("partial third frame decoded")
+	}
+	partial := cut - frames[0].MarshalledSize() - frames[1].MarshalledSize()
+	if fr.Pending() != partial || fr.HasCompleteFrame() {
+		t.Fatalf("Pending = %d, want the %d-byte partial frame", fr.Pending(), partial)
+	}
+	if fr.head == 0 {
+		t.Fatal("Next moved the remainder instead of advancing the cursor")
+	}
+	b := fr.Buffer()
+	if fr.head != 0 || len(b) != partial {
+		t.Fatalf("Buffer left head=%d len=%d, want the partial frame compacted to the front", fr.head, len(b))
+	}
+	fr.Commit(append(b, stream[cut:]...))
+	got, ok, err := fr.Next()
+	if err != nil || !ok || !got.Equal(frames[2]) {
+		t.Fatalf("split frame: ok=%v err=%v", ok, err)
+	}
+	if fr.Pending() != 0 || fr.Decoded() != 3 {
+		t.Fatalf("Pending=%d Decoded=%d after the stream ended", fr.Pending(), fr.Decoded())
+	}
+}
+
 func TestPropFramerArbitraryFragmentation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
