@@ -1,8 +1,22 @@
 GO ?= go
 
-.PHONY: all tier1 vet build test race statsmoke shardsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak chaos bench benchsmoke benchall report clean
+.PHONY: all tier1 vet build test runcheck race statsmoke shardsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak chaos bench benchsmoke benchall report clean
 
 all: tier1
+
+# What the soak targets select, named once so that runcheck verifies
+# exactly the patterns and package lists the targets run.
+RACE_PKGS       := ./internal/chaos/ ./internal/netstack/ ./internal/membuf/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/
+RACE_RUN        := TestChaosShardedKV
+LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush
+TENANT_RUN      := TestHostileTenantSoak|TestTenantCrashSparesNeighbors
+HTTP_RUN        := TestHTTPProductionSoak|TestHTTPSlowClientStallAndRecover|TestHTTPRingSlowClient
+STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish/
+STORAGE_RUN     := TestChaosPushdownResetMidTraversal
+RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
+CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
+BENCHSMOKE_RUN  := BenchmarkHotPath|BenchmarkURing|BenchmarkHTTP|BenchmarkStorage|BenchmarkReshard|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue
+BENCHSMOKE_PKGS := . ./internal/netstack/
 
 ## tier1: the gate every PR must keep green — vet, build, full test
 ## suite, a short -race pass over the concurrency-heavy packages
@@ -21,8 +35,9 @@ all: tier1
 ## slow readers and a mid-run crash/restart; stalled readers must
 ## become TCP backpressure, not unbounded buffering), and a
 ## one-iteration smoke of the hot-path benchmark suite so a broken
-## benchmark rig fails the gate, not the nightly bench run.
-tier1: vet build test race statsmoke shardsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak benchsmoke
+## benchmark rig fails the gate, not the nightly bench run. runcheck
+## goes first: a soak whose pattern matches nothing passes vacuously.
+tier1: vet build test runcheck race statsmoke shardsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -33,9 +48,27 @@ build:
 test:
 	$(GO) test ./...
 
+## runcheck: every alternative of every -run/-bench pattern above names
+## at least one test (or benchmark) in the packages its target passes,
+## and every listed package has tests — so a deleted or renamed test
+## fails the gate instead of turning a soak into a silent no-op.
+runcheck:
+	@fail=0; \
+	check() { \
+		for alt in $$(echo "$$1" | tr '|' ' '); do \
+			$(GO) test -list "$$alt" $$2 | grep -Eq '^(Test|Benchmark)' || \
+				{ echo "runcheck: '$$alt' matches nothing in $$2"; fail=1; }; \
+		done; \
+	}; \
+	for pkg in $(RACE_PKGS) $(STORAGE_PKGS); do check Test $$pkg; done; \
+	check '$(RACE_RUN)|$(LIFECYCLE_RUN)|$(TENANT_RUN)|$(HTTP_RUN)|$(STORAGE_RUN)|$(RESHARD_RUN)' .; \
+	check '$(CHAOS_RUN)' ./...; \
+	check '$(BENCHSMOKE_RUN)' '$(BENCHSMOKE_PKGS)'; \
+	exit $$fail
+
 race:
-	$(GO) test -race -count=1 ./internal/chaos/ ./internal/netstack/ ./internal/membuf/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/
-	$(GO) test -race -count=1 -run 'TestChaosShardedKV' .
+	$(GO) test -race -count=1 $(RACE_PKGS)
+	$(GO) test -race -count=1 -run '$(RACE_RUN)' .
 
 ## statsmoke: run an impaired echo workload and check that the telemetry
 ## counters obey the frame-conservation laws end to end (demi-stat
@@ -58,7 +91,7 @@ shardsmoke:
 ## ErrLocalReset CQE; frames conserved across the incarnation
 ## boundary). Part of tier1.
 lifecyclesoak:
-	$(GO) test -race -count=2 -run 'TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush' .
+	$(GO) test -race -count=2 -run '$(LIFECYCLE_RUN)' .
 
 ## tenantsoak: the multi-tenant isolation gauntlet, under the race
 ## detector — three tenants on one shared NIC, one hostile (flood →
@@ -69,7 +102,7 @@ lifecyclesoak:
 ## demi-stat -tenants dashboard, which re-asserts containment.
 ## Part of tier1.
 tenantsoak:
-	$(GO) test -race -count=1 -run 'TestHostileTenantSoak|TestTenantCrashSparesNeighbors' .
+	$(GO) test -race -count=1 -run '$(TENANT_RUN)' .
 	$(GO) run ./cmd/demi-stat -tenants -n 300
 
 ## httpsoak: the HTTP/1.1 workload gauntlet, under the race detector —
@@ -82,7 +115,7 @@ tenantsoak:
 ## by a short run of the demi-stat -http dashboard, which re-asserts
 ## the same on the CLI surface. Part of tier1.
 httpsoak:
-	$(GO) test -race -count=1 -run 'TestHTTPProductionSoak|TestHTTPSlowClientStallAndRecover|TestHTTPRingSlowClient' .
+	$(GO) test -race -count=1 -run '$(HTTP_RUN)' .
 	$(GO) run ./cmd/demi-stat -http -n 600
 
 ## storagesoak: the storage-pushdown gauntlet, under the race detector —
@@ -97,8 +130,8 @@ httpsoak:
 ## which audits the crossing/leak invariants on the CLI surface.
 ## Part of tier1.
 storagesoak:
-	$(GO) test -race -count=1 ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish/
-	$(GO) test -race -count=1 -run 'TestChaosPushdownResetMidTraversal' .
+	$(GO) test -race -count=1 $(STORAGE_PKGS)
+	$(GO) test -race -count=1 -run '$(STORAGE_RUN)' .
 	$(GO) run ./cmd/demi-stat -storage -n 300 -depth 4
 
 ## reshardsoak: the elastic-resharding and live-switching gauntlet,
@@ -109,11 +142,11 @@ storagesoak:
 ## connection carrying in-flight bytes through both transitions.
 ## Part of tier1.
 reshardsoak:
-	$(GO) test -race -count=1 -run 'TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive' .
+	$(GO) test -race -count=1 -run '$(RESHARD_RUN)' .
 
 ## chaos: just the fault-injection suite (root soak tests + engine).
 chaos:
-	$(GO) test -run 'TestChaos|TestCrashRestart|TestKVFailover' -count=1 ./...
+	$(GO) test -run '$(CHAOS_RUN)' -count=1 ./...
 
 ## bench: run the hot-path regression suite and write the machine-
 ## readable result stream to BENCH_hotpath.json, then measure the
@@ -143,7 +176,7 @@ bench:
 ## cost at 4 KiB and at 128 KiB queued, which must read as a flat line);
 ## part of tier1.
 benchsmoke:
-	$(GO) test -run xxx -bench 'BenchmarkHotPath|BenchmarkURing|BenchmarkHTTP|BenchmarkStorage|BenchmarkReshard|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue' -benchtime=1x . ./internal/netstack/
+	$(GO) test -run xxx -bench '$(BENCHSMOKE_RUN)' -benchtime=1x $(BENCHSMOKE_PKGS)
 
 ## benchall: every benchmark in the repo (E1..E13 experiments + hot path).
 benchall:

@@ -126,7 +126,7 @@ func BenchmarkE3_ZeroCopy(b *testing.B) {
 			defer cliNode.Background()()
 			stop := make(chan struct{})
 			defer close(stop)
-			go srv.Run(stop)
+			srv.Run(stop)
 			cli := kv.NewClient(cliNode.LibOS)
 			if err := cli.Connect(c.AddrOf(srvNode, 6379)); err != nil {
 				b.Fatal(err)
@@ -419,7 +419,8 @@ func BenchmarkE13_RecvBuffers(b *testing.B) {
 	}
 	spd := snd.AllocPD()
 	sscq, srcq := snd.CreateCQ(), snd.CreateCQ()
-	qp := snd.Connect(rcv.MAC(), 9, spd, sscq, srcq)
+	qp := snd.NewQP(spd, sscq, srcq)
+	qp.Connect(rcv.MAC(), 9)
 	for snd.Poll()+rcv.Poll() > 0 {
 	}
 	rqp, ok := l.Accept()

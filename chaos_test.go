@@ -115,7 +115,7 @@ func chaosSoakNet(t *testing.T, flavor string) {
 	defer cliNode.Background()()
 	stop := make(chan struct{})
 	defer close(stop)
-	go srv.Run(stop)
+	srv.Run(stop)
 
 	cli := kv.NewClient(cliNode.LibOS)
 	addr := c.AddrOf(srvNode, 6379)

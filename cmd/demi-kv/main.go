@@ -68,7 +68,7 @@ func run(libos string, ops, valueSize int, wl string, seed int64, stats bool) er
 	defer cliNode.Background()()
 	stop := make(chan struct{})
 	defer close(stop)
-	go server.Run(stop)
+	server.Run(stop)
 
 	client := kv.NewClient(cliNode.LibOS)
 	if err := client.Connect(cluster.AddrOf(srvNode, 6379)); err != nil {
@@ -140,7 +140,7 @@ func run(libos string, ops, valueSize int, wl string, seed int64, stats bool) er
 	tbl.AddRow("GET", g.Count, g.P50, g.P99, g.Mean)
 	fmt.Println(tbl.String())
 
-	st := server.Stats()
+	st := server.StatsOf(0)
 	fmt.Printf("server: %d connections, %d sets, %d gets, %d bytes stored\n",
 		st.Connections, st.Sets, st.Gets, st.BytesStored)
 

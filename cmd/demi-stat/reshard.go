@@ -26,10 +26,10 @@ func runReshard(seed int64, ops int) error {
 	)
 	c := demi.NewCluster(seed)
 	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1),
-		demi.WithShards(initial), demi.WithShardCapacity(capacity)).Sharded
+		demi.WithShards(initial), demi.WithShardCapacity(capacity))
 	cliNode := c.MustSpawn(demi.Catnip, demi.WithHost(2))
 
-	server := kv.NewShardedServerElastic(srvNode.Libs, &c.Model, srvNode.Mesh(), initial)
+	server := kv.NewShardedServerElastic(srvNode.Sharded.Libs, &c.Model, srvNode.Sharded.Mesh(), initial)
 	srvNode.SetResharder(server)
 	if err := server.Listen(port); err != nil {
 		return err
@@ -41,7 +41,7 @@ func runReshard(seed int64, ops int) error {
 	defer stopCli()
 
 	dial := func(i int) (demi.QD, error) {
-		return c.Router().DialShard(cliNode, srvNode, port, i, uint16(4096*i+23))
+		return c.Router().DialShard(cliNode, srvNode.Sharded, port, i, uint16(4096*i+23))
 	}
 	cli, err := kv.NewShardedClient(cliNode.LibOS, initial, dial)
 	if err != nil {
@@ -51,7 +51,7 @@ func runReshard(seed int64, ops int) error {
 	cli.EnableFailover(
 		failover.Policy{MaxAttempts: 25, Base: time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.5, Seed: seed},
 		func(shard, attempt int) (demi.QD, error) {
-			return c.Router().DialShard(cliNode, srvNode, port, shard%srvNode.Size(),
+			return c.Router().DialShard(cliNode, srvNode.Sharded, port, shard%srvNode.Shards(),
 				uint16(4096*shard+31+attempt*17))
 		})
 
@@ -76,7 +76,7 @@ func runReshard(seed int64, ops int) error {
 	tbl := metrics.NewTable("Generation timeline (app + steering planes)",
 		"phase", "gen", "active", "migrating", "rss queues", "pinned flows", "keys by shard", "mig out", "mig in")
 	snap := func(phase string) {
-		dev := srvNode.Set.Device()
+		dev := srvNode.Sharded.Set.Device()
 		var out, in int64
 		keysBy := ""
 		for i := 0; i < server.Size(); i++ {

@@ -119,8 +119,7 @@ type Cluster struct {
 	Model  CostModel
 	Switch *fabric.Switch
 
-	nodes        []*Node
-	shardedNodes []*ShardedNode
+	nodes []*Node
 
 	// Multi-tenant plane, created lazily by the first WithTenant spawn:
 	// one shared NIC whose queue groups partition among tenants, and the
@@ -175,13 +174,7 @@ type NodeConfig struct {
 	// PerPacketExtra adds processing cost to every packet on this
 	// node's stack (used to model mTCP-style POSIX emulation, §6).
 	PerPacketExtra Lat
-	// PostedRecvs overrides the RDMA receive window (catmint only).
-	PostedRecvs int
 
-	// MemCapacity caps the catnip node's pinned-memory bytes; staging a
-	// push beyond it fails with membuf.ErrNoMem (catnip only, 0 =
-	// unbounded).
-	MemCapacity int64
 	// RTO overrides the user TCP stack's initial retransmission timeout
 	// (catnip only; chaos tests shorten it).
 	RTO time.Duration
@@ -257,7 +250,6 @@ type spawnSpec struct {
 	shards    int
 	capacity  int
 	reg       *telemetry.Registry
-	prefix    string
 	lifecycle bool
 	blocks    int
 	disk      *spdk.Device
@@ -277,7 +269,7 @@ func WithHost(h byte) SpawnOption {
 }
 
 // WithConfig carries the long tail of per-node knobs (RTO, retransmit
-// budgets, RDMA windows, memory caps...). A later WithHost still wins
+// budgets, RDMA timeouts...). A later WithHost still wins
 // for the host identity.
 func WithConfig(cfg NodeConfig) SpawnOption {
 	return func(s *spawnSpec) {
@@ -310,12 +302,6 @@ func WithShardCapacity(cap int) SpawnOption {
 // membuf, lifecycle counters) in reg under "host<N>" as it is spawned.
 func WithTelemetry(reg *telemetry.Registry) SpawnOption {
 	return func(s *spawnSpec) { s.reg = reg }
-}
-
-// WithTelemetryPrefix overrides the registration prefix used by
-// WithTelemetry.
-func WithTelemetryPrefix(prefix string) SpawnOption {
-	return func(s *spawnSpec) { s.prefix = prefix }
 }
 
 // WithLifecycle gives the node a private skewable virtual wall clock
@@ -398,7 +384,6 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 			MAC:            c.mac(cfg.Host),
 			IP:             c.ip(cfg.Host),
 			PerPacketExtra: cfg.PerPacketExtra,
-			MemCapacity:    cfg.MemCapacity,
 			RTO:            cfg.RTO,
 			MaxRetransmits: cfg.MaxRetransmits,
 			RxReadyCap:     cfg.RxReadyCap,
@@ -411,9 +396,7 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 				return nil, err
 			}
 			n.Tenant, grp = ten, g
-			if ccfg.MemCapacity == 0 {
-				ccfg.MemCapacity = ten.Policy.MemBytes
-			}
+			ccfg.MemCapacity = ten.Policy.MemBytes
 			// Every frame pool this tenant's shards create is tagged with
 			// the tenant ID (so misuse panics name the culprit) and
 			// charged against the tenant's ledger (so a leak exhausts the
@@ -438,15 +421,13 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 			default:
 				set = catnip.NewSharded(&c.Model, c.Switch, ccfg, sp.shards)
 			}
-			sn := &ShardedNode{Set: set, MAC: n.MAC, IP: n.IP, Clock: n.Clock, cluster: c}
+			sn := &ShardedNode{Set: set, MAC: n.MAC, IP: n.IP, Clock: n.Clock}
 			for i := 0; i < set.Capacity(); i++ {
 				sn.Libs = append(sn.Libs, core.New(set.Shard(i), &c.Model))
 			}
 			n.Sharded = sn
 			n.LibOS = sn.Libs[0]
 			n.Catnip = set.Shard(0)
-			sn.node = n
-			c.shardedNodes = append(c.shardedNodes, sn)
 		} else {
 			var t *catnip.Transport
 			if grp != nil {
@@ -456,25 +437,21 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 			}
 			n.LibOS = core.New(t, &c.Model)
 			n.Catnip = t
-			c.nodes = append(c.nodes, n)
 		}
 	case Catnap:
 		dev := c.newKernelNIC(cfg.Host)
 		k := kernel.New(&c.Model, dev, c.ip(cfg.Host))
 		n.LibOS = core.New(catnap.New(&c.Model, k), &c.Model)
 		n.Kernel = k
-		c.nodes = append(c.nodes, n)
 	case Catmint:
 		t := catmint.New(&c.Model, c.Switch, catmint.Config{
 			MAC:              c.mac(cfg.Host),
-			PostedRecvs:      cfg.PostedRecvs,
 			OpTimeout:        cfg.OpTimeout,
 			MaxReconnects:    cfg.MaxReconnects,
 			ReconnectBackoff: cfg.ReconnectBackoff,
 		})
 		n.LibOS = core.New(t, &c.Model)
 		n.Catmint = t
-		c.nodes = append(c.nodes, n)
 	case Catfish:
 		dev := sp.disk
 		if dev == nil {
@@ -487,18 +464,14 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 		n.LibOS = core.New(t, &c.Model)
 		n.Catfish = t
 		n.MAC, n.IP = fabric.MAC{}, netstack.IPv4Addr{}
-		c.nodes = append(c.nodes, n)
 	default:
 		return nil, fmt.Errorf("demikernel: unknown libOS kind %q", kind)
 	}
 	n.kind = kind
 	n.cfg = cfg
+	c.nodes = append(c.nodes, n)
 	if sp.reg != nil {
-		prefix := sp.prefix
-		if prefix == "" {
-			prefix = fmt.Sprintf("host%d", cfg.Host)
-		}
-		n.RegisterTelemetry(sp.reg, prefix)
+		n.RegisterTelemetry(sp.reg, fmt.Sprintf("host%d", cfg.Host))
 	}
 	return n, nil
 }
@@ -602,14 +575,7 @@ type ShardedNode struct {
 	// Clock is non-nil when spawned WithLifecycle: the node-wide
 	// skewable clock every shard's protocol timers read.
 	Clock *simclock.DriftClock
-
-	cluster *Cluster
-	node    *Node
 }
-
-// Node returns the unified Node wrapper for this sharded host (LibOS =
-// shard 0), the handle Spawn hands out.
-func (n *ShardedNode) Node() *Node { return n.node }
 
 // Size returns the ACTIVE shard count (equal to the provisioned count
 // unless the node was spawned WithShardCapacity and resharded).
@@ -770,16 +736,6 @@ func (n *Node) Crashed() bool {
 	return n.Catnip != nil && n.Catnip.Crashed()
 }
 
-// Crash crashes the sharded host — all shards at once, plus link
-// detach and ring reclamation. See Node.Crash for the semantics.
-func (n *ShardedNode) Crash() (int, error) { return n.node.Crash() }
-
-// Restart reconstitutes the crashed sharded host. See Node.Restart.
-func (n *ShardedNode) Restart() error { return n.node.Restart() }
-
-// Crashed reports whether the sharded host is currently down.
-func (n *ShardedNode) Crashed() bool { return n.Set.Crashed() }
-
 // AddrOf returns the address of node's port, usable from any libOS.
 func (c *Cluster) AddrOf(n *Node, port uint16) Addr {
 	return Addr{IP: n.IP, MAC: n.MAC, Port: port}
@@ -790,9 +746,6 @@ func (c *Cluster) AddrOf(n *Node, port uint16) Addr {
 func (c *Cluster) Poll() int {
 	total := 0
 	for _, n := range c.nodes {
-		total += n.Poll()
-	}
-	for _, n := range c.shardedNodes {
 		total += n.Poll()
 	}
 	return total

@@ -38,7 +38,7 @@ func main() {
 	defer cliNode.Background()()
 	stop := make(chan struct{})
 	defer close(stop)
-	go server.Run(stop)
+	server.Run(stop)
 
 	client := kv.NewClient(cliNode.LibOS)
 	if err := client.Connect(cluster.AddrOf(srvNode, 6379)); err != nil {

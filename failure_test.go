@@ -134,7 +134,8 @@ func TestRDMARawQPErrorStatus(t *testing.T) {
 	}
 	pdA := a.AllocPD()
 	scqA, rcqA := a.CreateCQ(), a.CreateCQ()
-	qp := a.Connect(b.MAC(), 9, pdA, scqA, rcqA)
+	qp := a.NewQP(pdA, scqA, rcqA)
+	qp.Connect(b.MAC(), 9)
 	for a.Poll()+b.Poll() > 0 {
 	}
 	rqp, ok := l.Accept()

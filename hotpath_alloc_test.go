@@ -10,6 +10,7 @@ package demikernel
 import (
 	"testing"
 
+	"demikernel/internal/apps/echo"
 	"demikernel/internal/queue"
 	"demikernel/internal/sched"
 )
@@ -55,6 +56,75 @@ func TestHotPathAllocsEchoRTT(t *testing.T) {
 	})
 	if allocs > limit {
 		t.Fatalf("echo RTT allocates %.1f objects/op, want <= %.0f", allocs, limit)
+	}
+}
+
+// TestHotPathAllocsEchoServer fences the echo application's per-op serve
+// loop, stepped inline as the repo benchmark's echo64 workload steps it:
+// an idle echo.Server.Step, and a 64 B echo served through it end to
+// end, allocate nothing — the server walks its own connection table in
+// place instead of snapshotting it per step.
+func TestHotPathAllocsEchoServer(t *testing.T) {
+	c := NewCluster(1)
+	srvNode := c.MustSpawn(Catnip, WithHost(1))
+	cliNode := c.MustSpawn(Catnip, WithHost(2))
+	cli, srv := cliNode.LibOS, srvNode.LibOS
+	app := echo.NewServer(srv)
+	if err := app.Listen(7); err != nil {
+		t.Fatal(err)
+	}
+	cqd, err := cli.Socket()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := srvNode.Background() // the handshake only; the data path is pumped below
+	err = cli.Connect(cqd, c.AddrOf(srvNode, 7))
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close(cqd)
+
+	payload := NewSGA(make([]byte, 64))
+	roundTrip := func() {
+		popQT, err := cli.Pop(cqd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pushQT, err := cli.Push(cqd, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			if back, ok, err := cli.TryWait(popQT); err != nil {
+				t.Fatal(err)
+			} else if ok {
+				if back.Err != nil || back.SGA.Len() != payload.Len() {
+					t.Fatalf("echoed %d bytes, err %v", back.SGA.Len(), back.Err)
+				}
+				back.SGA.Free()
+				break
+			}
+			cli.Poll()
+			srv.Poll()
+			app.Step()
+			if i > 1_000_000 {
+				t.Fatal("echo server made no progress")
+			}
+		}
+		pumpWait(t, cli, srv, pushQT)
+	}
+	for i := 0; i < 64; i++ {
+		roundTrip() // accept the connection, warm pools and scratch
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { app.Step() }); allocs != 0 {
+		t.Errorf("idle echo.Server.Step allocates %.1f objects/op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Errorf("64 B echo through echo.Server allocates %.1f objects/op, want 0", allocs)
+	}
+	if app.Echoed() < 64 {
+		t.Fatalf("server echoed %d requests", app.Echoed())
 	}
 }
 

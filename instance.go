@@ -30,9 +30,9 @@ import (
 )
 
 // Instance is the unified surface of a spawned node: polling, chaos
-// lifecycle, topology introspection, and live reconfiguration. Both
-// *Node (which Spawn returns) and *ShardedNode satisfy it, so rigs that
-// orchestrate mixed fleets hold one type.
+// lifecycle, topology introspection, and live reconfiguration. *Node —
+// what Spawn returns for every kind and shard shape — is its one
+// implementation, so rigs that orchestrate mixed fleets hold one type.
 type Instance interface {
 	// Poll pumps the instance's data path once.
 	Poll() int
@@ -59,10 +59,7 @@ type Instance interface {
 	RegisterTelemetry(r *telemetry.Registry, prefix string)
 }
 
-var (
-	_ Instance = (*Node)(nil)
-	_ Instance = (*ShardedNode)(nil)
-)
+var _ Instance = (*Node)(nil)
 
 // Resharder is the application-plane hook Reshard drives: the app
 // (e.g. kv.ShardedServer) repartitions its own state when the shard
@@ -176,7 +173,6 @@ func (n *Node) promoteToCatnip() error {
 		MAC:            n.MAC,
 		IP:             n.IP,
 		PerPacketExtra: n.cfg.PerPacketExtra,
-		MemCapacity:    n.cfg.MemCapacity,
 		RxReadyCap:     n.cfg.RxReadyCap,
 	}, stack)
 	if err := n.swapOnto(nt); err != nil {
@@ -241,31 +237,6 @@ func (n *Node) swapOnto(nt core.Transport) error {
 	return nil
 }
 
-// --- ShardedNode's Instance surface (delegating to its Node) ---
-
-// Kind reports the library OS backing the sharded runtime (Catnip).
-func (n *ShardedNode) Kind() Kind { return Catnip }
-
-// Shards reports the ACTIVE shard width.
-func (n *ShardedNode) Shards() int { return n.Set.Size() }
-
-// Capacity reports the provisioned shard width (WithShardCapacity).
-func (n *ShardedNode) Capacity() int { return n.Set.Capacity() }
-
-// Generation counts completed reshards.
-func (n *ShardedNode) Generation() uint64 { return n.node.gen.Load() }
-
-// Reshard repartitions the runtime to m active shards. See Node.Reshard.
-func (n *ShardedNode) Reshard(ctx context.Context, m int) error { return n.node.Reshard(ctx, m) }
-
-// SetResharder registers the application-plane reshard participant.
-func (n *ShardedNode) SetResharder(r Resharder) { n.node.SetResharder(r) }
-
-// SwitchKind is not supported on sharded runtimes.
-func (n *ShardedNode) SwitchKind(k Kind) error {
-	return fmt.Errorf("demikernel: SwitchKind on a sharded node: %w", core.ErrNotSupported)
-}
-
 // --- Router ---
 
 // Router resolves client connections onto the shards of a sharded peer,
@@ -287,7 +258,7 @@ func (c *Cluster) Router() *Router { return &Router{c: c} }
 // generation. seed staggers the search start so concurrent dialers
 // pick distinct ports.
 func (r *Router) SourcePort(client *Node, srv *ShardedNode, port uint16, target int, seed uint16) uint16 {
-	return catnip.SourcePortFor(client.IP, srv.IP, port, srv.Shards(), target, seed)
+	return catnip.SourcePortFor(client.IP, srv.IP, port, srv.Size(), target, seed)
 }
 
 // DialShard connects a plain catnip client node to one specific shard
@@ -296,8 +267,8 @@ func (r *Router) SourcePort(client *Node, srv *ShardedNode, port uint16, target 
 // (Background) for the handshake to complete. target must name an
 // active shard.
 func (r *Router) DialShard(client *Node, srv *ShardedNode, port uint16, target int, seed uint16) (QD, error) {
-	if target < 0 || target >= srv.Shards() {
-		return core.InvalidQD, fmt.Errorf("demikernel: dial to shard %d of %d active", target, srv.Shards())
+	if target < 0 || target >= srv.Size() {
+		return core.InvalidQD, fmt.Errorf("demikernel: dial to shard %d of %d active", target, srv.Size())
 	}
 	sp := r.SourcePort(client, srv, port, target, seed)
 	ep, err := client.Catnip.SocketFrom(sp)

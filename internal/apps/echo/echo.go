@@ -7,9 +7,7 @@ package echo
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"demikernel/internal/apps/failover"
 	"demikernel/internal/core"
@@ -19,16 +17,17 @@ import (
 	"demikernel/internal/uring"
 )
 
-// Server echoes every popped element back on its connection.
+// Server echoes every popped element back on its connection. One
+// goroutine owns it (Step, or Run wrapping Step); only Echoed may be
+// called from another.
 type Server struct {
 	lib *core.LibOS
 	// AppCost is charged per echoed request (models server compute).
 	AppCost simclock.Lat
 
-	mu     sync.Mutex
 	lqd    core.QD
 	conns  map[core.QD]queue.QToken
-	echoed int64
+	echoed atomic.Int64
 
 	// Ring-path state (nil until EnableRing; see ring.go).
 	ring     *uring.Pair
@@ -59,11 +58,7 @@ func (s *Server) Listen(port uint16) error {
 }
 
 // Echoed returns the number of requests echoed so far.
-func (s *Server) Echoed() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.echoed
-}
+func (s *Server) Echoed() int64 { return s.echoed.Load() }
 
 // Step runs one non-blocking iteration and returns requests served.
 // After EnableRing it travels the syscall-free ring path instead of the
@@ -78,36 +73,23 @@ func (s *Server) Step() int {
 			break
 		}
 		if qt, err := s.lib.Pop(conn); err == nil {
-			s.mu.Lock()
 			s.conns[conn] = qt
-			s.mu.Unlock()
 		}
 	}
-	s.mu.Lock()
-	type armed struct {
-		conn core.QD
-		qt   queue.QToken
-	}
-	pending := make([]armed, 0, len(s.conns))
-	for conn, qt := range s.conns {
-		pending = append(pending, armed{conn, qt})
-	}
-	s.mu.Unlock()
-
 	served := 0
-	for _, p := range pending {
-		comp, ok, err := s.lib.TryWait(p.qt)
+	// Re-arming or deleting the entry being visited is safe while ranging
+	// over the private map: no key is ever added here.
+	for conn, qt := range s.conns {
+		comp, ok, err := s.lib.TryWait(qt)
 		if err != nil || !ok {
 			continue
 		}
 		if comp.Err != nil {
-			s.mu.Lock()
-			delete(s.conns, p.conn)
-			s.mu.Unlock()
-			s.lib.Close(p.conn)
+			delete(s.conns, conn)
+			s.lib.Close(conn)
 			continue
 		}
-		if qt, err := s.lib.PushCost(p.conn, comp.SGA, comp.Cost+s.AppCost); err == nil {
+		if qt, err := s.lib.PushCost(conn, comp.SGA, comp.Cost+s.AppCost); err == nil {
 			s.lib.Wait(qt)
 		}
 		// The push staged its own copy; the popped SGA's pooled clone
@@ -115,17 +97,11 @@ func (s *Server) Step() int {
 		// serving tenant's frame quota forever.
 		comp.SGA.Free()
 		served++
-		s.mu.Lock()
-		s.echoed++
-		s.mu.Unlock()
-		if qt, err := s.lib.Pop(p.conn); err == nil {
-			s.mu.Lock()
-			s.conns[p.conn] = qt
-			s.mu.Unlock()
+		s.echoed.Add(1)
+		if qt, err := s.lib.Pop(conn); err == nil {
+			s.conns[conn] = qt
 		} else {
-			s.mu.Lock()
-			delete(s.conns, p.conn)
-			s.mu.Unlock()
+			delete(s.conns, conn)
 		}
 	}
 	return served
@@ -155,8 +131,7 @@ type Client struct {
 	addr core.Addr
 	pol  *failover.Policy
 
-	reconnects atomic.Int64
-	replays    atomic.Int64
+	redials atomic.Int64
 
 	// Ring-path state (nil until EnableRing; see ring.go).
 	ring    *uring.Pair
@@ -174,18 +149,17 @@ func NewClient(lib *core.LibOS) *Client {
 // EnableFailover arms redial-and-replay with pol.
 func (c *Client) EnableFailover(pol failover.Policy) { c.pol = &pol }
 
-// FailoverStats reports redials and replays performed so far.
+// FailoverStats reports redials and replays performed so far (every
+// successful redial replays the one operation that was in flight).
 func (c *Client) FailoverStats() (reconnects, replays int64) {
-	return c.reconnects.Load(), c.replays.Load()
+	n := c.redials.Load()
+	return n, n
 }
 
 // Connect dials the echo server and remembers the address for redials.
 func (c *Client) Connect(addr core.Addr) error {
-	qd, err := c.lib.Socket()
+	qd, err := failover.Dial(c.lib, addr)
 	if err != nil {
-		return err
-	}
-	if err := c.lib.Connect(qd, addr); err != nil {
 		return err
 	}
 	c.qd = qd
@@ -196,32 +170,14 @@ func (c *Client) Connect(addr core.Addr) error {
 // RTT sends payload and returns the virtual cost accumulated by the
 // response — the simulated round-trip latency. Under an armed failover
 // policy a dead peer triggers backoff, redial, and replay.
-func (c *Client) RTT(payload []byte, appCost simclock.Lat) (simclock.Lat, error) {
-	cost, err := c.rtt(payload, appCost)
-	if err == nil || c.pol == nil || !failover.Retriable(err) {
-		return cost, err
+func (c *Client) RTT(payload []byte, appCost simclock.Lat) (cost simclock.Lat, err error) {
+	redials, err := failover.Do(c.pol,
+		func() (err error) { cost, err = c.rtt(payload, appCost); return err },
+		func() error { return failover.Redial(c.lib, &c.qd, c.addr) })
+	if redials > 0 {
+		c.redials.Add(int64(redials))
 	}
-	bo := failover.NewBackoff(*c.pol)
-	for {
-		d, ok := bo.Next()
-		if !ok {
-			return 0, err
-		}
-		time.Sleep(d)
-		if rerr := c.redial(); rerr != nil {
-			if failover.Retriable(rerr) {
-				err = rerr
-				continue
-			}
-			return 0, rerr
-		}
-		c.reconnects.Add(1)
-		c.replays.Add(1)
-		cost, err = c.rtt(payload, appCost)
-		if err == nil || !failover.Retriable(err) {
-			return cost, err
-		}
-	}
+	return cost, err
 }
 
 func (c *Client) rtt(payload []byte, appCost simclock.Lat) (simclock.Lat, error) {
@@ -245,23 +201,6 @@ func (c *Client) rtt(payload []byte, appCost simclock.Lat) (simclock.Lat, error)
 	}
 	defer comp.SGA.Free()
 	return comp.Cost, nil
-}
-
-// redial abandons the dead connection and dials the saved address anew.
-// Dial-first, close-second: a failed redial must leave the old (dead
-// but valid) QD in place so subsequent errors stay typed and retriable.
-func (c *Client) redial() error {
-	qd, err := c.lib.Socket()
-	if err != nil {
-		return err
-	}
-	if err := c.lib.Connect(qd, c.addr); err != nil {
-		c.lib.Close(qd) //nolint:errcheck
-		return err
-	}
-	c.lib.Close(c.qd) //nolint:errcheck // the old QD is already dead
-	c.qd = qd
-	return nil
 }
 
 // QD exposes the client's connection descriptor so experiments can push

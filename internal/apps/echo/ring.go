@@ -105,9 +105,7 @@ func (s *Server) stepRing() int {
 		*c = uring.CQE{}
 	}
 	if served > 0 {
-		s.mu.Lock()
-		s.echoed += int64(served)
-		s.mu.Unlock()
+		s.echoed.Add(int64(served))
 	}
 	s.flushSQ()
 	return served

@@ -10,9 +10,10 @@
 //
 // The package is deliberately tiny and application-agnostic: a Policy
 // (how many attempts, how the backoff grows, how much jitter), a
-// Backoff iterator seeded for reproducible chaos runs, and Retriable —
-// the single predicate deciding whether an error means "the peer died,
-// try again" versus "the request itself is wrong, give up".
+// Backoff iterator seeded for reproducible chaos runs, Retriable — the
+// single predicate deciding whether an error means "the peer died, try
+// again" versus "the request itself is wrong, give up" — and Do, the
+// one attempt → backoff → redial → replay loop every client runs.
 package failover
 
 import (
@@ -119,4 +120,67 @@ func Retriable(err error) bool {
 		errors.Is(err, core.ErrLocalReset) ||
 		errors.Is(err, core.ErrWaitTimeout) ||
 		errors.Is(err, queue.ErrClosed))
+}
+
+// Do runs attempt, and while it fails with a Retriable error under an
+// armed policy: backs off, calls redial, and replays attempt on the
+// fresh connection. A nil pol disables failover (attempt runs once). It
+// returns how many redials succeeded — each is followed by one replay —
+// and attempt's last result: nil, a non-retriable error, or, once the
+// policy's attempts are exhausted, the last typed error seen. A redial
+// that fails retriably (server still down) keeps backing off; any other
+// redial error ends the loop at once.
+func Do(pol *Policy, attempt, redial func() error) (redials int, err error) {
+	err = attempt()
+	if err == nil || pol == nil || !Retriable(err) {
+		return 0, err
+	}
+	bo := NewBackoff(*pol)
+	for {
+		d, ok := bo.Next()
+		if !ok {
+			return redials, err
+		}
+		time.Sleep(d)
+		if rerr := redial(); rerr != nil {
+			if Retriable(rerr) {
+				err = rerr
+				continue
+			}
+			return redials, rerr
+		}
+		redials++
+		if err = attempt(); err == nil || !Retriable(err) {
+			return redials, err
+		}
+	}
+}
+
+// Dial opens a socket on lib and connects it to addr; a socket whose
+// connect fails is closed rather than leaked.
+func Dial(lib *core.LibOS, addr core.Addr) (core.QD, error) {
+	qd, err := lib.Socket()
+	if err != nil {
+		return core.InvalidQD, err
+	}
+	if err := lib.Connect(qd, addr); err != nil {
+		lib.Close(qd) //nolint:errcheck // never connected
+		return core.InvalidQD, err
+	}
+	return qd, nil
+}
+
+// Redial replaces the dead connection *qd with a fresh one to addr. The
+// swap is dial-first: the old QD is closed only once a replacement
+// exists, so a failed redial (server still down) leaves the client
+// holding a QD whose errors stay typed and retriable — never a stale
+// closed descriptor that would surface non-retriable ErrBadQD.
+func Redial(lib *core.LibOS, qd *core.QD, addr core.Addr) error {
+	fresh, err := Dial(lib, addr)
+	if err != nil {
+		return err
+	}
+	lib.Close(*qd) //nolint:errcheck // the old QD is already dead
+	*qd = fresh
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	demi "demikernel"
 	"demikernel/internal/core"
 	"demikernel/internal/queue"
 )
@@ -94,5 +95,126 @@ func TestRetriableClassification(t *testing.T) {
 		if Retriable(err) {
 			t.Errorf("Retriable(%v) = true, want false", err)
 		}
+	}
+}
+
+// fastPolicy retries n times with negligible sleeps.
+func fastPolicy(n int) *Policy {
+	return &Policy{MaxAttempts: n, Base: time.Microsecond, Max: time.Microsecond}
+}
+
+func TestDoReplaysAfterRedial(t *testing.T) {
+	const k = 3
+	attempts := 0
+	redials, err := Do(fastPolicy(10),
+		func() error {
+			attempts++
+			if attempts <= k {
+				return fmt.Errorf("attempt %d: %w", attempts, core.ErrPeerDead)
+			}
+			return nil
+		},
+		func() error { return nil })
+	if err != nil || redials != k || attempts != k+1 {
+		t.Fatalf("Do = %d redials, err %v after %d attempts; want %d, nil, %d", redials, err, attempts, k, k+1)
+	}
+
+	// Unarmed (nil policy) and non-retriable failures run attempt once.
+	for _, tc := range []struct {
+		pol *Policy
+		err error
+	}{{nil, core.ErrPeerDead}, {fastPolicy(10), core.ErrBadQD}} {
+		attempts = 0
+		redials, err = Do(tc.pol,
+			func() error { attempts++; return tc.err },
+			func() error { t.Fatal("redial called"); return nil })
+		if !errors.Is(err, tc.err) || redials != 0 || attempts != 1 {
+			t.Fatalf("Do(%v) = %d redials, err %v after %d attempts", tc.pol, redials, err, attempts)
+		}
+	}
+}
+
+func TestDoStopsAtMaxAttemptsWithLastTypedError(t *testing.T) {
+	// The server stays down for the first two redials (typed, retriable),
+	// then every replay dies with a different typed error: the budget
+	// counts both, and the error reported is the last one seen.
+	calls := 0
+	redials, err := Do(fastPolicy(5),
+		func() error { return core.ErrPeerDead },
+		func() error {
+			calls++
+			if calls <= 2 {
+				return core.ErrWaitTimeout
+			}
+			return nil
+		})
+	if calls != 5 || redials != 3 {
+		t.Fatalf("redial called %d times, %d succeeded; want 5 and 3", calls, redials)
+	}
+	if !errors.Is(err, core.ErrPeerDead) {
+		t.Fatalf("err = %v, want the last attempt's ErrPeerDead", err)
+	}
+
+	_, err = Do(fastPolicy(4),
+		func() error { return core.ErrPeerDead },
+		func() error { return core.ErrWaitTimeout })
+	if !errors.Is(err, core.ErrWaitTimeout) {
+		t.Fatalf("err = %v, want the last redial's ErrWaitTimeout", err)
+	}
+}
+
+func TestDoNonRetriableRedialEndsLoop(t *testing.T) {
+	calls := 0
+	redials, err := Do(fastPolicy(10),
+		func() error { return core.ErrPeerDead },
+		func() error { calls++; return core.ErrBadQD })
+	if !errors.Is(err, core.ErrBadQD) || redials != 0 || calls != 1 {
+		t.Fatalf("Do = %d redials, err %v after %d redial calls; want 0, ErrBadQD, 1", redials, err, calls)
+	}
+}
+
+// Dial-first, close-second: a redial that fails must leave the old QD
+// open (its errors stay typed, never ErrBadQD); one that succeeds swaps
+// the descriptor and closes the old one.
+func TestRedialClosesOldQDOnlyAfterDialing(t *testing.T) {
+	c := demi.NewCluster(7)
+	srv := c.MustSpawn(demi.Catnip, demi.WithHost(1))
+	cli := c.MustSpawn(demi.Catnip, demi.WithHost(2))
+	defer srv.Background()()
+	defer cli.Background()()
+	lqd, err := srv.Socket()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Bind(lqd, core.Addr{Port: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen(lqd); err != nil {
+		t.Fatal(err)
+	}
+
+	qd, err := Dial(cli.LibOS, c.AddrOf(srv, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := qd
+	if err := Redial(cli.LibOS, &qd, c.AddrOf(srv, 9)); err == nil {
+		t.Fatal("redial to a port nobody listens on succeeded")
+	}
+	if qd != old {
+		t.Fatalf("failed redial replaced the QD: %d -> %d", old, qd)
+	}
+	if _, err := cli.Push(qd, demi.NewSGA([]byte("still open"))); err != nil {
+		t.Fatalf("old QD unusable after a failed redial: %v", err)
+	}
+
+	if err := Redial(cli.LibOS, &qd, c.AddrOf(srv, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if qd == old {
+		t.Fatal("successful redial kept the old QD")
+	}
+	if err := cli.Close(old); !errors.Is(err, core.ErrBadQD) {
+		t.Fatalf("Close(old) = %v after a successful redial, want ErrBadQD (already closed)", err)
 	}
 }

@@ -42,8 +42,7 @@ type Client struct {
 	req  []byte // reused request-build buffer
 	pol  *failover.Policy
 
-	reconnects atomic.Int64
-	replays    atomic.Int64
+	redials atomic.Int64
 
 	// Ring-path state (nil until EnableRing).
 	ring    *uring.Pair
@@ -59,11 +58,8 @@ func NewClient(lib *core.LibOS) *Client { return &Client{lib: lib} }
 
 // Connect dials the server and remembers the address for redials.
 func (c *Client) Connect(addr core.Addr) error {
-	qd, err := c.lib.Socket()
+	qd, err := failover.Dial(c.lib, addr)
 	if err != nil {
-		return err
-	}
-	if err := c.lib.Connect(qd, addr); err != nil {
 		return err
 	}
 	c.qd = qd
@@ -86,9 +82,11 @@ func (c *Client) Close() error { return c.lib.Close(c.qd) }
 // EnableFailover arms redial-and-replay with pol (GETs are idempotent).
 func (c *Client) EnableFailover(pol failover.Policy) { c.pol = &pol }
 
-// FailoverStats reports redials and replays performed so far.
+// FailoverStats reports redials and replays performed so far (every
+// successful redial replays the one request that was in flight).
 func (c *Client) FailoverStats() (reconnects, replays int64) {
-	return c.reconnects.Load(), c.replays.Load()
+	n := c.redials.Load()
+	return n, n
 }
 
 // appendRequest serializes one request into dst.
@@ -117,14 +115,6 @@ func (c *Client) SendRequest(path string, connClose bool) error {
 	return c.send(path, false, connClose, "")
 }
 
-// SendHead pushes one HEAD request without reading the response.
-func (c *Client) SendHead(path string) error { return c.send(path, true, false, "") }
-
-// SendRange pushes one ranged GET without reading the response.
-func (c *Client) SendRange(path, rangeSpec string) error {
-	return c.send(path, false, false, rangeSpec)
-}
-
 func (c *Client) send(path string, head, connClose bool, rangeSpec string) error {
 	c.req = appendRequest(c.req[:0], path, head, connClose, rangeSpec)
 	qt, err := c.lib.PushCost(c.qd, sga.New(c.req), 0)
@@ -140,10 +130,6 @@ func (c *Client) send(path string, head, connClose bool, rangeSpec string) error
 
 // ReadResponse blocks for the next response and parses it.
 func (c *Client) ReadResponse() (Response, error) { return c.readResponse(false) }
-
-// ReadHeadResponse is ReadResponse for a HEAD request's reply, whose
-// Content-Length describes the body it deliberately does not carry.
-func (c *Client) ReadHeadResponse() (Response, error) { return c.readResponse(true) }
 
 func (c *Client) readResponse(head bool) (Response, error) {
 	comp, err := c.lib.BlockingPop(c.qd)
@@ -180,32 +166,14 @@ func (c *Client) GetRange(path, rangeSpec string) (Response, error) {
 	return c.roundTrip(path, false, false, rangeSpec)
 }
 
-func (c *Client) roundTrip(path string, head, connClose bool, rangeSpec string) (Response, error) {
-	resp, err := c.attempt(path, head, connClose, rangeSpec)
-	if err == nil || c.pol == nil || !failover.Retriable(err) {
-		return resp, err
+func (c *Client) roundTrip(path string, head, connClose bool, rangeSpec string) (resp Response, err error) {
+	redials, err := failover.Do(c.pol,
+		func() (err error) { resp, err = c.attempt(path, head, connClose, rangeSpec); return err },
+		func() error { return failover.Redial(c.lib, &c.qd, c.addr) })
+	if redials > 0 {
+		c.redials.Add(int64(redials))
 	}
-	bo := failover.NewBackoff(*c.pol)
-	for {
-		d, ok := bo.Next()
-		if !ok {
-			return Response{}, err
-		}
-		time.Sleep(d)
-		if rerr := c.redial(); rerr != nil {
-			if failover.Retriable(rerr) {
-				err = rerr
-				continue
-			}
-			return Response{}, rerr
-		}
-		c.reconnects.Add(1)
-		c.replays.Add(1)
-		resp, err = c.attempt(path, head, connClose, rangeSpec)
-		if err == nil || !failover.Retriable(err) {
-			return resp, err
-		}
-	}
+	return resp, err
 }
 
 func (c *Client) attempt(path string, head, connClose bool, rangeSpec string) (Response, error) {
@@ -213,23 +181,6 @@ func (c *Client) attempt(path string, head, connClose bool, rangeSpec string) (R
 		return Response{}, err
 	}
 	return c.readResponse(head)
-}
-
-// redial abandons the dead connection and dials the saved address anew.
-// Dial-first, close-second: a failed redial must leave the old (dead
-// but valid) QD in place so subsequent errors stay typed and retriable.
-func (c *Client) redial() error {
-	qd, err := c.lib.Socket()
-	if err != nil {
-		return err
-	}
-	if err := c.lib.Connect(qd, c.addr); err != nil {
-		c.lib.Close(qd) //nolint:errcheck
-		return err
-	}
-	c.lib.Close(c.qd) //nolint:errcheck // the old QD is already dead
-	c.qd = qd
-	return nil
 }
 
 // GetPipelined concatenates all requests into ONE push — the wire shape

@@ -126,11 +126,6 @@ type Server struct {
 	IdleTimeout time.Duration
 	// Now is the reap clock (injectable for tests); nil means time.Now.
 	Now func() time.Time
-	// MaxConnBacklog overrides defaultBacklog (set before serving).
-	MaxConnBacklog int
-	// PopDepth overrides defaultPopDepth for ring mode (set before
-	// EnableRing).
-	PopDepth int
 
 	mu       sync.Mutex
 	lqd      core.QD
@@ -169,13 +164,7 @@ type Server struct {
 
 // NewServer creates a server for tree on lib.
 func NewServer(lib *core.LibOS, tree *Tree) *Server {
-	return &Server{
-		lib:            lib,
-		tree:           tree,
-		conns:          make(map[core.QD]*conn),
-		MaxConnBacklog: defaultBacklog,
-		PopDepth:       defaultPopDepth,
-	}
+	return &Server{lib: lib, tree: tree, conns: make(map[core.QD]*conn)}
 }
 
 // Listen binds the server to port.
@@ -304,7 +293,7 @@ func (s *Server) pumpPushes(c *conn) {
 			return
 		}
 	}
-	if c.paused && len(c.pushes) <= s.MaxConnBacklog/2 {
+	if c.paused && len(c.pushes) <= defaultBacklog/2 {
 		c.paused = false
 	}
 }
@@ -458,7 +447,7 @@ func (s *Server) submit(c *conn, rb *respBuf, g sga.SGA, cost simclock.Lat) {
 		return
 	}
 	c.pushes = append(c.pushes, push{qt: qt, rb: rb})
-	if len(c.pushes) >= s.MaxConnBacklog && !c.paused {
+	if len(c.pushes) >= defaultBacklog && !c.paused {
 		c.paused = true
 		s.pauses.Add(1)
 	}

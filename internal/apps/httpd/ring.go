@@ -2,7 +2,7 @@ package httpd
 
 // Ring mode: the server posts pops and pushes through a syscall-free
 // SQ/CQ ring pair instead of per-op tokens, mirroring the echo server's
-// ring path but with HTTP semantics layered on: a window of PopDepth
+// ring path but with HTTP semantics layered on: a window of defaultPopDepth
 // armed pops per connection (the pipeline depth), a FIFO of pooled
 // response descriptors held until their push CQEs land, backlog-based
 // pause/resume for stalled readers, and half-close/Connection: close
@@ -145,7 +145,7 @@ func (s *Server) submitRing(c *conn, rb *respBuf, g sga.SGA, cost simclock.Lat) 
 	c.inflight = append(c.inflight, rb)
 }
 
-// armPops tops the connection's armed-pop window up to PopDepth, unless
+// armPops tops the connection's armed-pop window up to defaultPopDepth, unless
 // the response backlog says the reader is not keeping up — then the
 // window stays closed (paused) until the backlog half-drains, which is
 // what turns a stalled client into TCP backpressure instead of
@@ -155,17 +155,17 @@ func (s *Server) armPops(c *conn) {
 		return
 	}
 	if c.paused {
-		if len(c.inflight) > s.MaxConnBacklog/2 {
+		if len(c.inflight) > defaultBacklog/2 {
 			return
 		}
 		c.paused = false
 	}
-	if len(c.inflight) >= s.MaxConnBacklog {
+	if len(c.inflight) >= defaultBacklog {
 		c.paused = true
 		s.pauses.Add(1)
 		return
 	}
-	depth := s.PopDepth
+	depth := defaultPopDepth
 	if quarter := s.ring.Cap() / 4; quarter < depth {
 		depth = quarter
 		if depth < 1 {

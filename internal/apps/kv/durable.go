@@ -52,8 +52,7 @@ func Load(t *catfish.Transport, pairs []spdk.KV, cfg DurableConfig) (*DurableSto
 // Index exposes the built index (depth, levels, build cost).
 func (d *DurableStore) Index() *spdk.Index { return d.idx }
 
-// Queue exposes the underlying lookup face, e.g. to adopt it into a
-// LibOS instance and drive it with real qtokens.
+// Queue exposes the underlying lookup face (its crossing counters).
 func (d *DurableStore) Queue() *catfish.LookupQueue { return d.lq }
 
 // Get performs one lookup: a Push of the key and a Pop of the value —

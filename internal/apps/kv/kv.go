@@ -21,18 +21,12 @@ package kv
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"demikernel/internal/apps/failover"
 	"demikernel/internal/core"
-	"demikernel/internal/queue"
 	"demikernel/internal/sga"
+	"demikernel/internal/shard"
 	"demikernel/internal/simclock"
-	"demikernel/internal/uring"
 )
 
 // Ops and statuses.
@@ -49,477 +43,33 @@ const (
 // ErrBadRequest is returned for malformed requests.
 var ErrBadRequest = errors.New("kv: malformed request")
 
-// Stats counts server activity.
-type Stats struct {
-	Gets, Sets, Dels int64
-	NotFound         int64
-	BadRequests      int64
-	Connections      int64
-	BytesStored      int64
-}
-
+// storedVal is one stored value: val aliases a segment of the retained
+// request SGA s, which is freed when the value is overwritten or deleted.
 type storedVal struct {
 	val []byte
-	s   sga.SGA // retained popped SGA backing val; freed on overwrite
-
-	// Ring-path bookkeeping (see ring.go): a GET response pushed through
-	// the ring references val zero-copy while the push is in flight, so
-	// an overwrite/delete must defer the free until the last reference
-	// drains. Guarded by Server.mu.
-	refs int32
-	dead bool
+	s   sga.SGA
 }
 
-// Server is a KV server over one Demikernel libOS.
-type Server struct {
-	lib   *core.LibOS
-	model *simclock.CostModel
-
-	mu     sync.Mutex
-	store  map[string]*storedVal
-	stats  Stats
-	lqd    core.QD
-	conns  map[core.QD]queue.QToken // outstanding pop per connection
-	closed bool
-
-	// Ring-path state (nil until EnableRing; see ring.go).
-	ring     *uring.Pair
-	sqes     []uring.SQE
-	cqes     []uring.CQE
-	inflight map[core.QD][]*storedVal // per-push GET reference, FIFO
+// NewServer creates a KV server over one libOS: the sharded server at
+// width 1 (one worker, a mesh with no edges). Per-request application
+// compute is charged from model (the paper's 2µs Redis figure).
+func NewServer(lib *core.LibOS, model *simclock.CostModel) *ShardedServer {
+	return NewShardedServer([]*core.LibOS{lib}, model, shard.NewGroup(1, 0))
 }
 
-// NewServer creates a server on lib; per-request application compute is
-// charged from model (the paper's 2µs Redis figure).
-func NewServer(lib *core.LibOS, model *simclock.CostModel) *Server {
-	return &Server{
-		lib:   lib,
-		model: model,
-		store: make(map[string]*storedVal),
-		conns: make(map[core.QD]queue.QToken),
-	}
+// NewClient creates a client on lib with no connection yet; Connect
+// makes it the one-connection client of a width-1 server.
+func NewClient(lib *core.LibOS) *ShardedClient {
+	return &ShardedClient{lib: lib}
 }
 
-// Listen binds the server to port.
-func (s *Server) Listen(port uint16) error {
-	qd, err := s.lib.Socket()
-	if err != nil {
-		return err
+// Connect dials addr with Socket+Connect and makes that the client's
+// single connection, replacing (dial-first) the one a previous Connect
+// made. The same dialer serves failover redials of the connection.
+func (c *ShardedClient) Connect(addr core.Addr) error {
+	c.redialFn = func(int, int) (core.QD, error) { return failover.Dial(c.lib, addr) }
+	if c.Shards() == 0 {
+		return c.Resize(1, func(int) (core.QD, error) { return c.redialFn(0, 0) })
 	}
-	if err := s.lib.Bind(qd, core.Addr{Port: port}); err != nil {
-		return err
-	}
-	if err := s.lib.Listen(qd); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.lqd = qd
-	s.mu.Unlock()
-	return nil
+	return c.redialShard(0)
 }
-
-// Stats returns a snapshot of server counters.
-func (s *Server) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Step runs one non-blocking server iteration: accept new connections,
-// collect completed pops, serve requests, re-arm pops. It returns the
-// number of requests served. Callers pump it from their event loop; Run
-// wraps it in a goroutine. After EnableRing it travels the syscall-free
-// ring path instead of the per-op token path.
-func (s *Server) Step() int {
-	if s.ring != nil {
-		return s.stepRing()
-	}
-	s.acceptNew()
-	return s.serveReady()
-}
-
-func (s *Server) acceptNew() {
-	for {
-		conn, ok, err := s.lib.TryAccept(s.lqd)
-		if err != nil || !ok {
-			return
-		}
-		qt, err := s.lib.Pop(conn)
-		if err != nil {
-			continue
-		}
-		s.mu.Lock()
-		s.stats.Connections++
-		s.conns[conn] = qt
-		s.mu.Unlock()
-	}
-}
-
-func (s *Server) serveReady() int {
-	s.mu.Lock()
-	type armed struct {
-		conn core.QD
-		qt   queue.QToken
-	}
-	pending := make([]armed, 0, len(s.conns))
-	for conn, qt := range s.conns {
-		pending = append(pending, armed{conn, qt})
-	}
-	s.mu.Unlock()
-
-	served := 0
-	for _, p := range pending {
-		comp, ok, err := s.lib.TryWait(p.qt)
-		if err != nil || !ok {
-			continue
-		}
-		if comp.Err != nil {
-			// Connection closed or failed: drop it.
-			s.mu.Lock()
-			delete(s.conns, p.conn)
-			s.mu.Unlock()
-			s.lib.Close(p.conn)
-			continue
-		}
-		s.handle(p.conn, comp)
-		served++
-		// Re-arm the pop for the next request on this connection.
-		qt, err := s.lib.Pop(p.conn)
-		if err != nil {
-			s.mu.Lock()
-			delete(s.conns, p.conn)
-			s.mu.Unlock()
-			continue
-		}
-		s.mu.Lock()
-		s.conns[p.conn] = qt
-		s.mu.Unlock()
-	}
-	return served
-}
-
-// Run pumps Step until stop closes.
-func (s *Server) Run(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if s.Step() == 0 {
-			s.lib.Poll()
-		}
-		runtime.Gosched()
-	}
-}
-
-// handle serves one request and pushes the response, charging the
-// application compute cost on top of the request's accumulated path cost.
-func (s *Server) handle(conn core.QD, comp queue.Completion) {
-	resp, retain := s.Apply(comp.SGA)
-	if !retain {
-		comp.SGA.Free()
-	}
-	cost := comp.Cost + s.model.AppRequestNS
-	if qt, err := s.lib.PushCost(conn, resp, cost); err == nil {
-		// The response's buffers may be store-owned; the push holds
-		// them only until the transport accepts the bytes, which the
-		// wait below observes.
-		s.lib.Wait(qt)
-	}
-}
-
-// Apply executes one decoded request against the store and returns the
-// response. retain reports whether the server kept the request SGA's
-// buffers (a SET stores the value segment in place — the zero-copy
-// pointer swap).
-func (s *Server) Apply(req sga.SGA) (resp sga.SGA, retain bool) {
-	resp, retain, _ = s.apply(req, false)
-	return resp, retain
-}
-
-// apply is Apply plus the ring-path zero-copy discipline. With ring set,
-// a GET response takes a reference on the stored value (released by the
-// harvest loop once the push completes), and an overwrite/delete whose
-// buffer is still referenced by an in-flight response tombstones it
-// instead of freeing it out from under the transport.
-func (s *Server) apply(req sga.SGA, ring bool) (resp sga.SGA, retain bool, ref *storedVal) {
-	segs := req.Segments
-	if len(segs) < 2 {
-		s.count(func(st *Stats) { st.BadRequests++ })
-		return sga.New([]byte(StatusError)), false, nil
-	}
-	op := string(segs[0].Buf)
-	key := string(segs[1].Buf)
-	switch op {
-	case OpGet:
-		s.mu.Lock()
-		sv, ok := s.store[key]
-		s.stats.Gets++
-		if !ok {
-			s.stats.NotFound++
-		}
-		if ok && ring {
-			sv.refs++
-			ref = sv
-		}
-		s.mu.Unlock()
-		if !ok {
-			return sga.New([]byte(StatusNotFound)), false, nil
-		}
-		// Zero-copy: the stored buffer itself is the response segment.
-		return sga.New([]byte(StatusOK), sv.val), false, ref
-	case OpSet:
-		if len(segs) < 3 {
-			s.count(func(st *Stats) { st.BadRequests++ })
-			return sga.New([]byte(StatusError)), false, nil
-		}
-		val := segs[2].Buf
-		s.mu.Lock()
-		old, had := s.store[key]
-		s.store[key] = &storedVal{val: val, s: req}
-		s.stats.Sets++
-		s.stats.BytesStored += int64(len(val))
-		freeOld := false
-		if had {
-			s.stats.BytesStored -= int64(len(old.val))
-			if old.refs > 0 {
-				old.dead = true // in-flight GET still reads it; free later
-			} else {
-				freeOld = true
-			}
-		}
-		s.mu.Unlock()
-		if freeOld {
-			old.s.Free() // the swapped-out buffer goes back to the pool
-		}
-		return sga.New([]byte(StatusOK)), true, nil
-	case OpDel:
-		s.mu.Lock()
-		old, had := s.store[key]
-		delete(s.store, key)
-		s.stats.Dels++
-		freeOld := false
-		if had {
-			s.stats.BytesStored -= int64(len(old.val))
-			if old.refs > 0 {
-				old.dead = true
-			} else {
-				freeOld = true
-			}
-		}
-		s.mu.Unlock()
-		if freeOld {
-			old.s.Free()
-		}
-		if had {
-			return sga.New([]byte(StatusOK)), false, nil
-		}
-		return sga.New([]byte(StatusNotFound)), false, nil
-	default:
-		s.count(func(st *Stats) { st.BadRequests++ })
-		return sga.New([]byte(StatusError)), false, nil
-	}
-}
-
-// releaseRef drops one in-flight-response reference on a stored value,
-// freeing its buffer if it was tombstoned while referenced.
-func (s *Server) releaseRef(sv *storedVal) {
-	if sv == nil {
-		return
-	}
-	s.mu.Lock()
-	sv.refs--
-	freeIt := sv.dead && sv.refs == 0
-	s.mu.Unlock()
-	if freeIt {
-		sv.s.Free()
-	}
-}
-
-func (s *Server) count(f func(*Stats)) {
-	s.mu.Lock()
-	f(&s.stats)
-	s.mu.Unlock()
-}
-
-// Len returns the number of stored keys.
-func (s *Server) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.store)
-}
-
-// Client is a KV client over one Demikernel libOS. With EnableFailover
-// it survives server death: a retriable typed error (ErrPeerDead,
-// ErrLocalReset) triggers jittered-exponential backoff, a redial of the
-// saved address, and a replay of the in-flight idempotent operation —
-// the availability loop the kernel's connection repair used to hide.
-type Client struct {
-	lib  *core.LibOS
-	qd   core.QD
-	addr core.Addr
-	pol  *failover.Policy
-
-	reconnects atomic.Int64
-	replays    atomic.Int64
-
-	// Ring-path state (nil until EnableRing; see ring.go).
-	ring    *uring.Pair
-	rsqes   []uring.SQE
-	rcqes   []uring.CQE
-	ringGen uint64
-}
-
-// NewClient creates a client on lib.
-func NewClient(lib *core.LibOS) *Client {
-	return &Client{lib: lib}
-}
-
-// EnableFailover arms redial-and-replay with pol. Call before or after
-// Connect; GET/SET/DEL are idempotent, so replay is safe.
-func (c *Client) EnableFailover(pol failover.Policy) { c.pol = &pol }
-
-// FailoverStats reports how many redials succeeded and how many
-// operations were replayed onto a fresh connection.
-func (c *Client) FailoverStats() (reconnects, replays int64) {
-	return c.reconnects.Load(), c.replays.Load()
-}
-
-// Connect dials the server and remembers the address for redials.
-func (c *Client) Connect(addr core.Addr) error {
-	qd, err := c.lib.Socket()
-	if err != nil {
-		return err
-	}
-	if err := c.lib.Connect(qd, addr); err != nil {
-		return err
-	}
-	c.qd = qd
-	c.addr = addr
-	return nil
-}
-
-// roundTrip pushes a request and waits for its response, redialing and
-// replaying through the failover policy when the peer dies mid-flight.
-func (c *Client) roundTrip(req sga.SGA, appCost simclock.Lat) (sga.SGA, simclock.Lat, error) {
-	resp, cost, err := c.attempt(req, appCost)
-	if err == nil || c.pol == nil || !failover.Retriable(err) {
-		return resp, cost, err
-	}
-	bo := failover.NewBackoff(*c.pol)
-	for {
-		d, ok := bo.Next()
-		if !ok {
-			return sga.SGA{}, 0, err // attempts exhausted: last typed error
-		}
-		time.Sleep(d)
-		if rerr := c.redial(); rerr != nil {
-			if failover.Retriable(rerr) {
-				err = rerr
-				continue // server still down; keep backing off
-			}
-			return sga.SGA{}, 0, rerr
-		}
-		c.reconnects.Add(1)
-		c.replays.Add(1)
-		resp, cost, err = c.attempt(req, appCost)
-		if err == nil || !failover.Retriable(err) {
-			return resp, cost, err
-		}
-	}
-}
-
-// attempt performs one push/pop round trip on the current connection,
-// via the ring pair when EnableRing has armed one (the failover loop in
-// roundTrip wraps both paths identically).
-func (c *Client) attempt(req sga.SGA, appCost simclock.Lat) (sga.SGA, simclock.Lat, error) {
-	if c.ring != nil {
-		return c.attemptRing(req, appCost)
-	}
-	qt, err := c.lib.PushCost(c.qd, req, appCost)
-	if err != nil {
-		return sga.SGA{}, 0, err
-	}
-	pushed, err := c.lib.Wait(qt)
-	if err != nil {
-		return sga.SGA{}, 0, err
-	}
-	if pushed.Err != nil {
-		// The push itself failed (dead peer, backpressure): surface the
-		// typed transport error instead of waiting for a response that
-		// can never come.
-		return sga.SGA{}, 0, pushed.Err
-	}
-	comp, err := c.lib.BlockingPop(c.qd)
-	if err != nil {
-		return sga.SGA{}, 0, err
-	}
-	if comp.Err != nil {
-		return sga.SGA{}, 0, comp.Err
-	}
-	return comp.SGA, comp.Cost, nil
-}
-
-// redial abandons the dead connection and dials the saved address anew.
-// The swap is dial-first: the old QD is closed only once a replacement
-// exists, so a failed redial (server still down) leaves the client
-// holding a QD whose errors stay typed and retriable — never a stale
-// closed descriptor that would surface non-retriable ErrBadQD.
-func (c *Client) redial() error {
-	qd, err := c.lib.Socket()
-	if err != nil {
-		return err
-	}
-	if err := c.lib.Connect(qd, c.addr); err != nil {
-		c.lib.Close(qd) //nolint:errcheck
-		return err
-	}
-	c.lib.Close(c.qd) //nolint:errcheck // the old QD is already dead
-	c.qd = qd
-	return nil
-}
-
-// Get fetches key; found is false on StatusNotFound.
-func (c *Client) Get(key string) (val []byte, cost simclock.Lat, found bool, err error) {
-	resp, cost, err := c.roundTrip(sga.New([]byte(OpGet), []byte(key)), 0)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	status := string(resp.Segments[0].Buf)
-	switch status {
-	case StatusOK:
-		if resp.NumSegments() < 2 {
-			return nil, cost, false, ErrBadRequest
-		}
-		return resp.Segments[1].Buf, cost, true, nil
-	case StatusNotFound:
-		return nil, cost, false, nil
-	default:
-		return nil, cost, false, fmt.Errorf("kv: server error %q", status)
-	}
-}
-
-// Set stores key=val. The value segment travels and is stored zero-copy.
-func (c *Client) Set(key string, val []byte) (simclock.Lat, error) {
-	resp, cost, err := c.roundTrip(sga.New([]byte(OpSet), []byte(key), val), 0)
-	if err != nil {
-		return 0, err
-	}
-	if status := string(resp.Segments[0].Buf); status != StatusOK {
-		return cost, fmt.Errorf("kv: set failed: %q", status)
-	}
-	return cost, nil
-}
-
-// Del removes key; found reports whether it existed.
-func (c *Client) Del(key string) (found bool, err error) {
-	resp, _, err := c.roundTrip(sga.New([]byte(OpDel), []byte(key)), 0)
-	if err != nil {
-		return false, err
-	}
-	return string(resp.Segments[0].Buf) == StatusOK, nil
-}
-
-// Close shuts the client connection.
-func (c *Client) Close() error { return c.lib.Close(c.qd) }

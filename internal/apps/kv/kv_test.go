@@ -2,196 +2,234 @@ package kv
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	demi "demikernel"
 	"demikernel/internal/sga"
 )
 
-// harness builds a connected client/server pair over the given libOS
-// flavour; the same test body runs over all of them (§4.1 portability).
+// harness is a connected client/server pair, all polling in the
+// background. The same test bodies run over every libOS flavour (§4.1
+// portability) and every shard width: width 1 is NewServer + NewClient
+// over a plain node, width > 1 a WithShards catnip node behind an
+// RSS-aligned ShardedClient.
 type harness struct {
 	cluster *demi.Cluster
-	server  *Server
-	client  *Client
-	stop    []func()
+	node    *demi.Node // the server's node
+	server  *ShardedServer
+	client  *ShardedClient
+	stops   []func()
 }
 
-func newHarness(t *testing.T, flavor string, seed int64) *harness {
+func newHarness(t *testing.T, kind demi.Kind, width int, seed int64) *harness {
 	t.Helper()
+	const port = 6379
 	c := demi.NewCluster(seed)
-	mk := func(host byte) *demi.Node {
-		switch flavor {
-		case "catnip":
-			return c.MustSpawn(demi.Catnip, demi.WithHost(host))
-		case "catnap":
-			return c.MustSpawn(demi.Catnap, demi.WithHost(host))
-		case "catmint":
-			return c.MustSpawn(demi.Catmint, demi.WithHost(host))
-		default:
-			t.Fatalf("unknown flavor %q", flavor)
-			return nil
-		}
+	h := &harness{cluster: c}
+	var err error
+	if width == 1 {
+		h.node = c.MustSpawn(kind, demi.WithHost(1))
+		h.server = NewServer(h.node.LibOS, &c.Model)
+	} else {
+		h.node = c.MustSpawn(kind, demi.WithHost(1), demi.WithShards(width))
+		h.server = NewShardedServer(h.node.Sharded.Libs, &c.Model, h.node.Sharded.Mesh())
 	}
-	srvNode := mk(1)
-	cliNode := mk(2)
+	cliNode := c.MustSpawn(kind, demi.WithHost(2))
+	if err := h.server.Listen(port); err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	stop := make(chan struct{})
+	wg := h.server.Run(stop)
+	h.stops = append(h.stops, func() { close(stop); wg.Wait() }, h.node.Background(), cliNode.Background())
 
-	srv := NewServer(srvNode.LibOS, &c.Model)
-	if err := srv.Listen(6379); err != nil {
-		t.Fatal(err)
+	if width == 1 {
+		h.client = NewClient(cliNode.LibOS)
+		err = h.client.Connect(c.AddrOf(h.node, port))
+	} else {
+		h.client, err = NewShardedClient(cliNode.LibOS, width, func(i int) (demi.QD, error) {
+			return c.Router().DialShard(cliNode, h.node.Sharded, port, i, uint16(1000*i+17))
+		})
 	}
-	stopSrvPoll := srvNode.Background()
-	stopCliPoll := cliNode.Background()
-	stopServe := make(chan struct{})
-	go srv.Run(stopServe)
-
-	cli := NewClient(cliNode.LibOS)
-	if err := cli.Connect(c.AddrOf(srvNode, 6379)); err != nil {
-		t.Fatal(err)
+	if err != nil {
+		h.close()
+		t.Fatalf("dial: %v", err)
 	}
-	return &harness{
-		cluster: c,
-		server:  srv,
-		client:  cli,
-		stop: []func(){
-			func() { close(stopServe) },
-			stopCliPoll,
-			stopSrvPoll,
-		},
-	}
+	return h
 }
 
 func (h *harness) close() {
-	for _, f := range h.stop {
-		f()
+	for i := len(h.stops) - 1; i >= 0; i-- {
+		h.stops[i]()
 	}
 }
 
-func testBasicOps(t *testing.T, flavor string, seed int64) {
-	h := newHarness(t, flavor, seed)
-	defer h.close()
-	cli := h.client
+// total sums the per-shard counters.
+func (h *harness) total() ShardStats {
+	var sum ShardStats
+	for i := 0; i < h.server.Size(); i++ {
+		s := h.server.StatsOf(i)
+		sum.Gets += s.Gets
+		sum.Sets += s.Sets
+		sum.Dels += s.Dels
+		sum.BytesStored += s.BytesStored
+	}
+	return sum
+}
 
-	// Missing key.
-	if _, _, found, err := cli.Get("nope"); err != nil || found {
-		t.Fatalf("get missing: found=%v err=%v", found, err)
-	}
-	// Set then get.
-	if _, err := cli.Set("k1", []byte("value-1")); err != nil {
-		t.Fatal(err)
-	}
-	val, _, found, err := cli.Get("k1")
-	if err != nil || !found {
-		t.Fatalf("get: found=%v err=%v", found, err)
-	}
-	if string(val) != "value-1" {
-		t.Fatalf("val = %q", val)
-	}
-	// Overwrite.
-	if _, err := cli.Set("k1", []byte("value-2")); err != nil {
-		t.Fatal(err)
-	}
-	val, _, _, _ = cli.Get("k1")
-	if string(val) != "value-2" {
-		t.Fatalf("overwritten val = %q", val)
-	}
-	// Delete.
-	if found, err := cli.Del("k1"); err != nil || !found {
-		t.Fatalf("del: found=%v err=%v", found, err)
-	}
-	if found, _ := cli.Del("k1"); found {
-		t.Fatal("double delete reported found")
-	}
-	if _, _, found, _ := cli.Get("k1"); found {
-		t.Fatal("deleted key still readable")
-	}
+type shape struct {
+	kind  demi.Kind
+	width int
+}
 
-	st := h.server.Stats()
-	if st.Sets != 2 || st.Gets != 4 || st.Dels != 2 {
-		t.Fatalf("stats = %+v", st)
+// allShapes is every libOS flavour at width 1 plus the sharded shape;
+// catnipWidths is one flavour at both widths.
+var (
+	allShapes    = []shape{{demi.Catnip, 1}, {demi.Catnap, 1}, {demi.Catmint, 1}, {demi.Catnip, 2}}
+	catnipWidths = []shape{{demi.Catnip, 1}, {demi.Catnip, 2}}
+)
+
+// forEachShape runs one client-visible script against every shape.
+func forEachShape(t *testing.T, shapes []shape, seed int64, body func(t *testing.T, h *harness)) {
+	for i, sh := range shapes {
+		sh, seed := sh, seed+int64(i)
+		t.Run(fmt.Sprintf("%s-w%d", sh.kind, sh.width), func(t *testing.T) {
+			h := newHarness(t, sh.kind, sh.width, seed)
+			defer h.close()
+			body(t, h)
+		})
 	}
 }
 
-func TestKVOverCatnip(t *testing.T)  { testBasicOps(t, "catnip", 21) }
-func TestKVOverCatnap(t *testing.T)  { testBasicOps(t, "catnap", 22) }
-func TestKVOverCatmint(t *testing.T) { testBasicOps(t, "catmint", 23) }
+func TestKVBasicOps(t *testing.T) {
+	forEachShape(t, allShapes, 21, func(t *testing.T, h *harness) {
+		cli := h.client
+
+		// Missing key.
+		if _, _, found, err := cli.Get("nope"); err != nil || found {
+			t.Fatalf("get missing: found=%v err=%v", found, err)
+		}
+		// Set then get.
+		if _, err := cli.Set("k1", []byte("value-1")); err != nil {
+			t.Fatal(err)
+		}
+		val, _, found, err := cli.Get("k1")
+		if err != nil || !found {
+			t.Fatalf("get: found=%v err=%v", found, err)
+		}
+		if string(val) != "value-1" {
+			t.Fatalf("val = %q", val)
+		}
+		// Overwrite.
+		if _, err := cli.Set("k1", []byte("value-2!")); err != nil {
+			t.Fatal(err)
+		}
+		val, _, _, _ = cli.Get("k1")
+		if string(val) != "value-2!" {
+			t.Fatalf("overwritten val = %q", val)
+		}
+		if st := h.total(); st.BytesStored != int64(len("value-2!")) {
+			t.Fatalf("BytesStored = %d after overwrite, want %d", st.BytesStored, len("value-2!"))
+		}
+		// Delete.
+		if found, err := cli.Del("k1"); err != nil || !found {
+			t.Fatalf("del: found=%v err=%v", found, err)
+		}
+		if found, _ := cli.Del("k1"); found {
+			t.Fatal("double delete reported found")
+		}
+		if _, _, found, _ := cli.Get("k1"); found {
+			t.Fatal("deleted key still readable")
+		}
+
+		st := h.total()
+		if st.Sets != 2 || st.Gets != 4 || st.Dels != 2 || st.BytesStored != 0 {
+			t.Fatalf("stats = %+v", st)
+		}
+	})
+}
 
 func TestKVLargeValues(t *testing.T) {
-	h := newHarness(t, "catnip", 24)
-	defer h.close()
-	val := bytes.Repeat([]byte{0xAB}, 8000)
-	if _, err := h.client.Set("big", val); err != nil {
-		t.Fatal(err)
-	}
-	got, _, found, err := h.client.Get("big")
-	if err != nil || !found {
-		t.Fatalf("found=%v err=%v", found, err)
-	}
-	if !bytes.Equal(got, val) {
-		t.Fatal("large value corrupted")
-	}
+	forEachShape(t, catnipWidths, 24, func(t *testing.T, h *harness) {
+		val := bytes.Repeat([]byte{0xAB}, 8000)
+		if _, err := h.client.Set("big", val); err != nil {
+			t.Fatal(err)
+		}
+		got, _, found, err := h.client.Get("big")
+		if err != nil || !found {
+			t.Fatalf("found=%v err=%v", found, err)
+		}
+		if !bytes.Equal(got, val) {
+			t.Fatal("large value corrupted")
+		}
+	})
 }
 
 func TestKVManyKeys(t *testing.T) {
-	h := newHarness(t, "catnip", 25)
-	defer h.close()
-	for i := 0; i < 50; i++ {
-		key := string(rune('a'+i%26)) + string(rune('0'+i/26))
-		if _, err := h.client.Set(key, []byte{byte(i)}); err != nil {
-			t.Fatalf("set %d: %v", i, err)
+	forEachShape(t, catnipWidths, 26, func(t *testing.T, h *harness) {
+		for i := 0; i < 50; i++ {
+			key := string(rune('a'+i%26)) + string(rune('0'+i/26))
+			if _, err := h.client.Set(key, []byte{byte(i)}); err != nil {
+				t.Fatalf("set %d: %v", i, err)
+			}
 		}
-	}
-	if h.server.Len() != 50 {
-		t.Fatalf("stored keys = %d", h.server.Len())
-	}
-	for i := 0; i < 50; i++ {
-		key := string(rune('a'+i%26)) + string(rune('0'+i/26))
-		val, _, found, err := h.client.Get(key)
-		if err != nil || !found || val[0] != byte(i) {
-			t.Fatalf("get %q: %v %v %v", key, val, found, err)
+		if h.server.Len() != 50 {
+			t.Fatalf("stored keys = %d", h.server.Len())
 		}
-	}
+		for i := 0; i < 50; i++ {
+			key := string(rune('a'+i%26)) + string(rune('0'+i/26))
+			val, _, found, err := h.client.Get(key)
+			if err != nil || !found || val[0] != byte(i) {
+				t.Fatalf("get %q: %v %v %v", key, val, found, err)
+			}
+		}
+	})
+}
+
+// applyServer is a width-1 server whose one worker the Apply tests
+// drive directly, with no connection in the way.
+func applyServer(seed int64) (*ShardedServer, *shardWorker) {
+	c := demi.NewCluster(seed)
+	node := c.MustSpawn(demi.Catnip, demi.WithHost(1))
+	srv := NewServer(node.LibOS, &c.Model)
+	return srv, srv.workers[0]
 }
 
 func TestApplyMalformedRequests(t *testing.T) {
-	c := demi.NewCluster(26)
-	node := c.MustSpawn(demi.Catnip, demi.WithHost(1))
-	srv := NewServer(node.LibOS, &c.Model)
+	srv, w := applyServer(26)
 
-	resp, retain := srv.Apply(sga.New([]byte("GET"))) // missing key
+	resp, retain := w.apply(sga.New([]byte("GET"))) // missing key
 	if retain || string(resp.Segments[0].Buf) != StatusError {
 		t.Fatalf("resp = %v", resp)
 	}
-	resp, _ = srv.Apply(sga.New([]byte("SET"), []byte("k"))) // missing value
+	resp, _ = w.apply(sga.New([]byte("SET"), []byte("k"))) // missing value
 	if string(resp.Segments[0].Buf) != StatusError {
 		t.Fatalf("resp = %v", resp)
 	}
-	resp, _ = srv.Apply(sga.New([]byte("WAT"), []byte("k")))
+	resp, _ = w.apply(sga.New([]byte("WAT"), []byte("k")))
 	if string(resp.Segments[0].Buf) != StatusError {
 		t.Fatalf("resp = %v", resp)
 	}
-	if srv.Stats().BadRequests != 3 {
-		t.Fatalf("BadRequests = %d", srv.Stats().BadRequests)
+	if n := srv.StatsOf(0).BadRequests; n != 3 {
+		t.Fatalf("BadRequests = %d", n)
 	}
 }
 
 func TestApplyZeroCopySetRetains(t *testing.T) {
 	// The SET request's value segment must be stored by reference: the
 	// paper's pointer-swap discipline, not a copy.
-	c := demi.NewCluster(27)
-	node := c.MustSpawn(demi.Catnip, demi.WithHost(1))
-	srv := NewServer(node.LibOS, &c.Model)
+	_, w := applyServer(27)
 
 	val := []byte("owned-by-store")
 	req := sga.New([]byte(OpSet), []byte("k"), val)
-	resp, retain := srv.Apply(req)
+	resp, retain := w.apply(req)
 	if !retain {
 		t.Fatal("SET must retain the request SGA")
 	}
 	if string(resp.Segments[0].Buf) != StatusOK {
 		t.Fatalf("resp = %v", resp)
 	}
-	getResp, retain2 := srv.Apply(sga.New([]byte(OpGet), []byte("k")))
+	getResp, retain2 := w.apply(sga.New([]byte(OpGet), []byte("k")))
 	if retain2 {
 		t.Fatal("GET must not retain")
 	}
@@ -204,18 +242,16 @@ func TestApplyZeroCopySetRetains(t *testing.T) {
 }
 
 func TestSetOverwriteFreesOldBuffer(t *testing.T) {
-	c := demi.NewCluster(28)
-	node := c.MustSpawn(demi.Catnip, demi.WithHost(1))
-	srv := NewServer(node.LibOS, &c.Model)
+	_, w := applyServer(28)
 
 	freed := 0
 	old := sga.New([]byte(OpSet), []byte("k"), []byte("old")).WithFree(func() { freed++ })
-	srv.Apply(old)
-	srv.Apply(sga.New([]byte(OpSet), []byte("k"), []byte("new")))
+	w.apply(old)
+	w.apply(sga.New([]byte(OpSet), []byte("k"), []byte("new")))
 	if freed != 1 {
 		t.Fatalf("old buffer freed %d times, want 1 (free-protection handoff)", freed)
 	}
-	resp, _ := srv.Apply(sga.New([]byte(OpGet), []byte("k")))
+	resp, _ := w.apply(sga.New([]byte(OpGet), []byte("k")))
 	if string(resp.Segments[1].Buf) != "new" {
 		t.Fatalf("value = %q", resp.Segments[1].Buf)
 	}

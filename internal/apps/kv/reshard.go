@@ -159,6 +159,7 @@ func (w *shardWorker) stepMigration() int {
 		}
 		delete(w.store, k)
 		w.ctr.keys.Add(-1)
+		w.ctr.bytesStored.Add(-int64(len(sv.val)))
 		w.ctr.migratedOut.Add(1)
 		w.ctr.busyVirt.Add(int64(w.meshHopCost()))
 		w.migKeys = w.migKeys[:len(w.migKeys)-1]

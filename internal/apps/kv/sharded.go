@@ -1,4 +1,5 @@
-// Sharded KV: the share-nothing, multi-core shape of the server. One
+// The server and client: share-nothing and multi-core at any width, with
+// a single libOS as the width-1 case (NewServer, NewClient in kv.go). One
 // worker per libOS shard owns a disjoint slice of the keyspace and every
 // connection RSS steered to its NIC queue. The GET/PUT hot path takes no
 // lock: the store map, the connection table, and the scratch state are
@@ -14,7 +15,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"demikernel/internal/apps/failover"
 	"demikernel/internal/core"
@@ -53,6 +53,7 @@ type ShardStats struct {
 	MigratedOut      int64 // records shipped out during reshards
 	MigratedIn       int64 // records received during reshards
 	Keys             int64
+	BytesStored      int64 // value bytes currently held
 	BusyVirtNS       int64 // accumulated virtual busy time (see BusyVirt)
 }
 
@@ -70,6 +71,7 @@ type shardCounters struct {
 	migratedOut      atomic.Int64
 	migratedIn       atomic.Int64
 	keys             atomic.Int64
+	bytesStored      atomic.Int64
 	busyVirt         atomic.Int64
 	_                [64 - 8]byte //nolint:unused // pad to a cache line
 }
@@ -237,6 +239,7 @@ func (s *ShardedServer) StatsOf(i int) ShardStats {
 		MigratedOut:  c.migratedOut.Load(),
 		MigratedIn:   c.migratedIn.Load(),
 		Keys:         c.keys.Load(),
+		BytesStored:  c.bytesStored.Load(),
 		BusyVirtNS:   c.busyVirt.Load(),
 	}
 }
@@ -513,6 +516,7 @@ func (w *shardWorker) drainMesh() int {
 			}
 			w.store[r.key] = r.val
 			w.ctr.keys.Add(1)
+			w.ctr.bytesStored.Add(int64(len(r.val.val)))
 		}
 	}
 	return len(w.inbox)
@@ -575,8 +579,10 @@ func (w *shardWorker) relayCost() simclock.Lat {
 func (w *shardWorker) meshHopCost() simclock.Lat { return w.model.SyscallNS }
 
 // apply executes one decoded request against this worker's private
-// store. It is Server.Apply without the lock: the store is owned by one
-// goroutine, so the zero-copy pointer swap needs no synchronisation.
+// store and returns the response. retain reports whether the store kept
+// the request SGA's buffers (a SET stores the value segment in place —
+// the zero-copy pointer swap, which needs no synchronisation because one
+// goroutine owns the store).
 func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, retain bool) {
 	segs := req.Segments
 	if len(segs) < 2 {
@@ -593,6 +599,7 @@ func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, retain bool) {
 			w.ctr.notFound.Add(1)
 			return sga.New([]byte(StatusNotFound)), false
 		}
+		// Zero-copy: the stored buffer itself is the response segment.
 		return sga.New([]byte(StatusOK), sv.val), false
 	case OpSet:
 		if len(segs) < 3 {
@@ -602,8 +609,9 @@ func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, retain bool) {
 		old, had := w.store[key]
 		w.store[key] = storedVal{val: segs[2].Buf, s: req}
 		w.ctr.sets.Add(1)
+		w.ctr.bytesStored.Add(int64(len(segs[2].Buf) - len(old.val)))
 		if had {
-			old.s.Free()
+			old.s.Free() // the swapped-out buffer goes back to the pool
 		} else {
 			w.ctr.keys.Add(1)
 		}
@@ -615,6 +623,7 @@ func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, retain bool) {
 		if had {
 			old.s.Free()
 			w.ctr.keys.Add(-1)
+			w.ctr.bytesStored.Add(-int64(len(old.val)))
 			return sga.New([]byte(StatusOK)), false
 		}
 		return sga.New([]byte(StatusNotFound)), false
@@ -632,11 +641,13 @@ func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, retain bool) {
 // shard; Get/Set/Del then route each key over the connection of its
 // owning shard, so in steady state no request crosses a server core.
 //
-// With EnableFailover, a dead peer on any per-shard connection triggers
-// jittered backoff and a redial of that shard only — the redial dialer
-// receives the attempt number so it can vary the source-port seed and
-// avoid colliding with the dead connection's 4-tuple in TIME_WAIT-less
-// bypass stacks.
+// With EnableFailover it survives server death: a retriable typed error
+// (ErrPeerDead, ErrLocalReset) on any per-shard connection triggers
+// jittered backoff, a redial of that shard only, and a replay of the
+// in-flight idempotent operation — the availability loop the kernel's
+// connection repair used to hide. The redial dialer receives the attempt
+// number so it can vary the source-port seed and avoid colliding with
+// the dead connection's 4-tuple in TIME_WAIT-less bypass stacks.
 type ShardedClient struct {
 	lib *core.LibOS
 
@@ -653,8 +664,7 @@ type ShardedClient struct {
 	pol      *failover.Policy
 	redialFn func(shard, attempt int) (core.QD, error)
 
-	reconnects atomic.Int64
-	replays    atomic.Int64
+	redials atomic.Int64
 }
 
 // connAt resolves a (possibly stale) shard index against the current
@@ -662,6 +672,9 @@ type ShardedClient struct {
 func (c *ShardedClient) connAt(i int) (core.QD, int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	if c.n == 0 {
+		return core.InvalidQD, 0 // NewClient before Connect: ops fail ErrBadQD
+	}
 	j := i % c.n
 	return c.conns[j], j
 }
@@ -682,50 +695,47 @@ func NewShardedClient(lib *core.LibOS, n int, dial func(shard int) (core.QD, err
 // EnableFailover arms per-shard redial-and-replay: on a retriable typed
 // error the owning shard's connection is redialed via dial (attempt
 // starts at 1 and increments per redial of that shard, letting the
-// dialer rotate source-port seeds) and the operation replays.
+// dialer rotate source-port seeds) and the operation replays —
+// GET/SET/DEL are idempotent, so replay is safe. A nil dial keeps the
+// dialer Connect installs (call order does not matter).
 func (c *ShardedClient) EnableFailover(pol failover.Policy, dial func(shard, attempt int) (core.QD, error)) {
 	c.pol = &pol
-	c.redialFn = dial
+	if dial != nil {
+		c.redialFn = dial
+	}
 }
 
-// FailoverStats reports redials and replays across all shards.
+// FailoverStats reports redials and replays across all shards (every
+// successful redial replays the one operation that was in flight).
 func (c *ShardedClient) FailoverStats() (reconnects, replays int64) {
-	return c.reconnects.Load(), c.replays.Load()
+	n := c.redials.Load()
+	return n, n
 }
 
 // roundTrip pushes req on shard i's connection and waits for the
 // response, redialing that shard and replaying under an armed policy.
-func (c *ShardedClient) roundTrip(i int, req sga.SGA) (sga.SGA, simclock.Lat, error) {
-	conn, j := c.connAt(i)
-	resp, cost, err := c.attempt(conn, req)
-	if err == nil || c.pol == nil || c.redialFn == nil || !failover.Retriable(err) {
-		return resp, cost, err
+func (c *ShardedClient) roundTrip(i int, req sga.SGA) (resp sga.SGA, cost simclock.Lat, err error) {
+	pol := c.pol
+	if c.redialFn == nil {
+		pol = nil
 	}
-	bo := failover.NewBackoff(*c.pol)
-	for {
-		d, ok := bo.Next()
-		if !ok {
-			return sga.SGA{}, 0, err
-		}
-		time.Sleep(d)
-		// Re-resolve every iteration: a concurrent Resize may have
-		// shrunk the width, retiring the shard this op was aimed at.
-		conn, j = c.connAt(i)
-		if rerr := c.redialShard(j); rerr != nil {
-			if failover.Retriable(rerr) {
-				err = rerr
-				continue
-			}
-			return sga.SGA{}, 0, rerr
-		}
-		c.reconnects.Add(1)
-		c.replays.Add(1)
-		conn, _ = c.connAt(j)
-		resp, cost, err = c.attempt(conn, req)
-		if err == nil || !failover.Retriable(err) {
-			return resp, cost, err
-		}
+	j := i
+	redials, err := failover.Do(pol,
+		func() (err error) {
+			conn, _ := c.connAt(j)
+			resp, cost, err = c.attempt(conn, req)
+			return err
+		},
+		func() error {
+			// Re-resolve every time: a concurrent Resize may have shrunk
+			// the width, retiring the shard this op was aimed at.
+			_, j = c.connAt(i)
+			return c.redialShard(j)
+		})
+	if redials > 0 {
+		c.redials.Add(int64(redials))
 	}
+	return resp, cost, err
 }
 
 // attempt performs one push/pop round trip on conn.
@@ -739,6 +749,9 @@ func (c *ShardedClient) attempt(conn core.QD, req sga.SGA) (sga.SGA, simclock.La
 		return sga.SGA{}, 0, err
 	}
 	if pushed.Err != nil {
+		// The push itself failed (dead peer, backpressure): surface the
+		// typed transport error instead of waiting for a response that
+		// can never come.
 		return sga.SGA{}, 0, pushed.Err
 	}
 	comp, err := c.lib.BlockingPop(conn)
@@ -792,9 +805,22 @@ func (c *ShardedClient) owner(key string) int {
 	return KeyShard(key, c.n)
 }
 
-// Get fetches key from its owning shard.
+// Get fetches key from its owning shard; found is false on
+// StatusNotFound.
 func (c *ShardedClient) Get(key string) (val []byte, cost simclock.Lat, found bool, err error) {
-	resp, cost, err := c.roundTrip(c.owner(key), sga.New([]byte(OpGet), []byte(key)))
+	return c.get(c.owner(key), key)
+}
+
+// GetOn fetches key via shard conn's connection regardless of owner —
+// the misdirection the forwarding path exists for. Tests and the scaling
+// benchmark's "unaligned client" mode use it.
+func (c *ShardedClient) GetOn(conn int, key string) (val []byte, found bool, err error) {
+	val, _, found, err = c.get(conn, key)
+	return val, found, err
+}
+
+func (c *ShardedClient) get(conn int, key string) (val []byte, cost simclock.Lat, found bool, err error) {
+	resp, cost, err := c.roundTrip(conn, sga.New([]byte(OpGet), []byte(key)))
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -811,21 +837,14 @@ func (c *ShardedClient) Get(key string) (val []byte, cost simclock.Lat, found bo
 	}
 }
 
-// Set stores key=val on its owning shard.
+// Set stores key=val on its owning shard. The value segment travels and
+// is stored zero-copy.
 func (c *ShardedClient) Set(key string, val []byte) (simclock.Lat, error) {
-	resp, cost, err := c.roundTrip(c.owner(key), sga.New([]byte(OpSet), []byte(key), val))
-	if err != nil {
-		return 0, err
-	}
-	if string(resp.Segments[0].Buf) != StatusOK {
-		return cost, ErrBadRequest
-	}
-	return cost, nil
+	return c.SetOn(c.owner(key), key, val)
 }
 
 // SetOn stores key=val via shard conn's connection regardless of the
-// key's owner — the misdirection the forwarding path exists for. Tests
-// and the scaling benchmark's "unaligned client" mode use it.
+// key's owner (see GetOn).
 func (c *ShardedClient) SetOn(conn int, key string, val []byte) (simclock.Lat, error) {
 	resp, cost, err := c.roundTrip(conn, sga.New([]byte(OpSet), []byte(key), val))
 	if err != nil {
@@ -835,25 +854,6 @@ func (c *ShardedClient) SetOn(conn int, key string, val []byte) (simclock.Lat, e
 		return cost, ErrBadRequest
 	}
 	return cost, nil
-}
-
-// GetOn fetches key via shard conn's connection regardless of owner.
-func (c *ShardedClient) GetOn(conn int, key string) (val []byte, found bool, err error) {
-	resp, _, err := c.roundTrip(conn, sga.New([]byte(OpGet), []byte(key)))
-	if err != nil {
-		return nil, false, err
-	}
-	switch string(resp.Segments[0].Buf) {
-	case StatusOK:
-		if resp.NumSegments() < 2 {
-			return nil, false, ErrBadRequest
-		}
-		return resp.Segments[1].Buf, true, nil
-	case StatusNotFound:
-		return nil, false, nil
-	default:
-		return nil, false, ErrBadRequest
-	}
 }
 
 // Del removes key from its owning shard.

@@ -9,50 +9,6 @@ import (
 	"demikernel/internal/telemetry"
 )
 
-// shardedHarness is a 4-shard catnip KV server plus an RSS-aligned
-// client, all polling in the background.
-type shardedHarness struct {
-	cluster *demi.Cluster
-	node    *demi.ShardedNode
-	server  *ShardedServer
-	client  *ShardedClient
-	stops   []func()
-}
-
-func newShardedHarness(t *testing.T, shards int, seed int64) *shardedHarness {
-	t.Helper()
-	c := demi.NewCluster(seed)
-	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1), demi.WithShards(shards)).Sharded
-	cliNode := c.MustSpawn(demi.Catnip, demi.WithHost(2))
-
-	server := NewShardedServer(srvNode.Libs, &c.Model, srvNode.Mesh())
-	const port = 6379
-	if err := server.Listen(port); err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	stop := make(chan struct{})
-	wg := server.Run(stop)
-	h := &shardedHarness{cluster: c, node: srvNode, server: server}
-	h.stops = append(h.stops, func() { close(stop); wg.Wait() })
-	h.stops = append(h.stops, cliNode.Background())
-
-	client, err := NewShardedClient(cliNode.LibOS, shards, func(i int) (demi.QD, error) {
-		return c.Router().DialShard(cliNode, srvNode, port, i, uint16(1000*i+17))
-	})
-	if err != nil {
-		h.close()
-		t.Fatalf("dial: %v", err)
-	}
-	h.client = client
-	return h
-}
-
-func (h *shardedHarness) close() {
-	for i := len(h.stops) - 1; i >= 0; i-- {
-		h.stops[i]()
-	}
-}
-
 func TestKeyShardPartition(t *testing.T) {
 	// Deterministic, full-range, and roughly balanced.
 	counts := make([]int, 4)
@@ -77,7 +33,7 @@ func TestKeyShardPartition(t *testing.T) {
 // travels over the connection of its key's owning shard, so no request
 // should ever cross the mesh.
 func TestShardedKVAligned(t *testing.T) {
-	h := newShardedHarness(t, 4, 1)
+	h := newHarness(t, demi.Catnip, 4, 1)
 	defer h.close()
 
 	const n = 64
@@ -140,7 +96,7 @@ func TestShardedKVAligned(t *testing.T) {
 // connections: the receiving shard must relay them across the mesh to
 // the owner and return the owner's answer.
 func TestShardedKVForwarding(t *testing.T) {
-	h := newShardedHarness(t, 4, 2)
+	h := newHarness(t, demi.Catnip, 4, 2)
 	defer h.close()
 
 	const n = 32
@@ -194,7 +150,7 @@ func TestShardedKVForwarding(t *testing.T) {
 // TestShardedKVTelemetry spot-checks the per-shard registry surface the
 // demi-stat aggregation relies on.
 func TestShardedKVTelemetry(t *testing.T) {
-	h := newShardedHarness(t, 2, 3)
+	h := newHarness(t, demi.Catnip, 2, 3)
 	defer h.close()
 	if _, err := h.client.Set("a", []byte("1")); err != nil {
 		t.Fatalf("set: %v", err)

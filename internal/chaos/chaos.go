@@ -55,7 +55,7 @@ type FiredEvent struct {
 }
 
 // Lifecycle is the crash/restart surface of a node, as seen by the
-// engine. demikernel.Node and demikernel.ShardedNode both satisfy it;
+// engine. demikernel.Node satisfies it for every kind and shard shape;
 // the indirection keeps this package free of a dependency on the root
 // package. Crash returns how many pending operations it aborted.
 type Lifecycle interface {

@@ -320,13 +320,6 @@ func (l *LibOS) AdoptEndpoint(ep Endpoint) QD {
 	return l.insert(&qdesc{kind: qdEndpoint, ep: ep})
 }
 
-// AdoptQueue registers an IoQueue constructed outside the ordinary
-// Open/Queue paths (e.g. catfish's pushdown lookup face) and returns
-// its queue descriptor. The queue joins the poll list like any other.
-func (l *LibOS) AdoptQueue(q queue.IoQueue) QD {
-	return l.insert(&qdesc{kind: qdQueue, q: q})
-}
-
 // EndpointOf returns the transport endpoint behind a socket queue
 // descriptor, for transport-specific extensions (e.g. catmint's
 // one-sided remote-memory operations).

@@ -136,7 +136,7 @@ func runA2(seed int64) (*Result, error) {
 			stopS := srvNode.Background()
 			stopC := cliNode.Background()
 			stopServe := make(chan struct{})
-			go srv.Run(stopServe)
+			srv.Run(stopServe)
 			cli := kv.NewClient(cliNode.LibOS)
 			if err := cli.Connect(c.AddrOf(srvNode, 6379)); err != nil {
 				return nil, err

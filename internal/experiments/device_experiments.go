@@ -250,7 +250,8 @@ func runE13(seed int64) (*Result, error) {
 		}
 		spd := snd.AllocPD()
 		sscq, srcq := snd.CreateCQ(), snd.CreateCQ()
-		qp := snd.Connect(rcv.MAC(), 9, spd, sscq, srcq)
+		qp := snd.NewQP(spd, sscq, srcq)
+		qp.Connect(rcv.MAC(), 9)
 		for snd.Poll()+rcv.Poll() > 0 {
 		}
 		rqp, ok := l.Accept()

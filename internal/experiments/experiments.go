@@ -291,8 +291,8 @@ func (r *echoRig) measureEcho(size, n int) (*metrics.Histogram, error) {
 // kvRig is a connected KV client/server over one libOS flavour.
 type kvRig struct {
 	cluster *demi.Cluster
-	server  *kv.Server
-	client  *kv.Client
+	server  *kv.ShardedServer
+	client  *kv.ShardedClient
 	srvNode *demi.Node
 	cliNode *demi.Node
 	stops   []func()
@@ -321,7 +321,7 @@ func newKVRig(flavor string, seed int64) (*kvRig, error) {
 	stopS := srvNode.Background()
 	stopC := cliNode.Background()
 	stopServe := make(chan struct{})
-	go srv.Run(stopServe)
+	srv.Run(stopServe)
 
 	cli := kv.NewClient(cliNode.LibOS)
 	if err := cli.Connect(c.AddrOf(srvNode, 6379)); err != nil {

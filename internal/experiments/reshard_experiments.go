@@ -54,10 +54,10 @@ func e19Reshard(seed int64, res *Result) error {
 	)
 	c := demi.NewCluster(seed)
 	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1),
-		demi.WithShards(2), demi.WithShardCapacity(4)).Sharded
+		demi.WithShards(2), demi.WithShardCapacity(4))
 	cliNode := c.MustSpawn(demi.Catnip, demi.WithHost(2))
 
-	server := kv.NewShardedServerElastic(srvNode.Libs, &c.Model, srvNode.Mesh(), 2)
+	server := kv.NewShardedServerElastic(srvNode.Sharded.Libs, &c.Model, srvNode.Sharded.Mesh(), 2)
 	srvNode.SetResharder(server)
 	if err := server.Listen(port); err != nil {
 		return err
@@ -69,7 +69,7 @@ func e19Reshard(seed int64, res *Result) error {
 	defer stopCli()
 
 	dial := func(i int) (demi.QD, error) {
-		return c.Router().DialShard(cliNode, srvNode, port, i, uint16(2048*i+77))
+		return c.Router().DialShard(cliNode, srvNode.Sharded, port, i, uint16(2048*i+77))
 	}
 	cli, err := kv.NewShardedClient(cliNode.LibOS, 2, dial)
 	if err != nil {

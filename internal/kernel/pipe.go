@@ -90,14 +90,3 @@ func (k *Kernel) ReadPipe(fd FD, max int) ([]byte, simclock.Lat, error) {
 	cost += k.model.CopyCost(n) + p.rxCost
 	return out, cost, nil
 }
-
-// PipeBuffered reports how many bytes are queued (used by readiness).
-func (k *Kernel) PipeBuffered(fd FD) int {
-	e, err := k.lookup(fd)
-	if err != nil || e.pipe == nil {
-		return 0
-	}
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(e.pipe.buf)
-}

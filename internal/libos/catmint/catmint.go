@@ -95,9 +95,6 @@ const (
 // Config tunes the transport.
 type Config struct {
 	MAC fabric.MAC
-	// PostedRecvs overrides DefaultPostedRecvs (experiments lower it to
-	// reproduce the RNR failure mode).
-	PostedRecvs int
 	// OpTimeout overrides DefaultOpTimeout (chaos tests shorten it so
 	// dead peers are detected quickly). Negative disables the detector.
 	OpTimeout time.Duration
@@ -161,9 +158,6 @@ type pendingOp struct {
 
 // New attaches a catmint instance to the fabric switch.
 func New(model *simclock.CostModel, sw *fabric.Switch, cfg Config) *Transport {
-	if cfg.PostedRecvs <= 0 {
-		cfg.PostedRecvs = DefaultPostedRecvs
-	}
 	if cfg.OpTimeout == 0 {
 		cfg.OpTimeout = DefaultOpTimeout
 	}
@@ -566,7 +560,7 @@ func (e *endpoint) stageAccepts() int {
 		}
 		child := &endpoint{t: e.t, qp: qp, isReady: true, accepted: true}
 		e.t.adopt(child, qp.Num())
-		for i := 0; i < e.t.cfg.PostedRecvs; i++ {
+		for i := 0; i < DefaultPostedRecvs; i++ {
 			child.postRecv()
 		}
 		child.sendReadyMarker()
@@ -600,16 +594,17 @@ func (e *endpoint) Accept() (core.Endpoint, bool, error) {
 // the connection request leaves, so the peer can never hit RNR on the
 // handshake.
 func (e *endpoint) Connect(addr core.Addr) error {
-	qp := e.t.dev.Connect(addr.MAC, addr.Port, e.t.pd, e.t.scq, e.t.rcq)
+	qp := e.t.dev.NewQP(e.t.pd, e.t.scq, e.t.rcq)
 	e.mu.Lock()
 	e.qp = qp
 	e.remote = addr
 	e.dialer = true
 	e.mu.Unlock()
 	e.t.adopt(e, qp.Num())
-	for i := 0; i < e.t.cfg.PostedRecvs; i++ {
+	for i := 0; i < DefaultPostedRecvs; i++ {
 		e.postRecv()
 	}
+	qp.Connect(addr.MAC, addr.Port)
 	return nil
 }
 
@@ -729,7 +724,7 @@ func (e *endpoint) redial() int {
 		old.Destroy() // previous redial attempt died too
 	}
 
-	qp := e.t.dev.Connect(remote.MAC, remote.Port, e.t.pd, e.t.scq, e.t.rcq)
+	qp := e.t.dev.NewQP(e.t.pd, e.t.scq, e.t.rcq)
 	e.mu.Lock()
 	e.qp = qp
 	// Arm the next backoff now: if this attempt dies too, checkQP
@@ -740,9 +735,10 @@ func (e *endpoint) redial() int {
 	e.t.reconnects++
 	e.t.byQPN[qp.Num()] = e
 	e.t.mu.Unlock()
-	for i := 0; i < e.t.cfg.PostedRecvs; i++ {
+	for i := 0; i < DefaultPostedRecvs; i++ {
 		e.postRecv()
 	}
+	qp.Connect(remote.MAC, remote.Port) // after the window is posted, as in Connect
 	return 1
 }
 

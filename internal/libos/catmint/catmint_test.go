@@ -9,11 +9,11 @@ import (
 	"demikernel/internal/libos/catmint"
 )
 
-func pair(t *testing.T, seed int64, postedRecvs int) (*demi.Cluster, *demi.Node, *demi.Node, func()) {
+func pair(t *testing.T, seed int64) (*demi.Cluster, *demi.Node, *demi.Node, func()) {
 	t.Helper()
 	c := demi.NewCluster(seed)
-	srv := c.MustSpawn(demi.Catmint, demi.WithConfig(demi.NodeConfig{Host: 1, PostedRecvs: postedRecvs}))
-	cli := c.MustSpawn(demi.Catmint, demi.WithConfig(demi.NodeConfig{Host: 2, PostedRecvs: postedRecvs}))
+	srv := c.MustSpawn(demi.Catmint, demi.WithHost(1))
+	cli := c.MustSpawn(demi.Catmint, demi.WithHost(2))
 	stop1 := srv.Background()
 	stop2 := cli.Background()
 	return c, srv, cli, func() { stop2(); stop1() }
@@ -46,7 +46,7 @@ func connect(t *testing.T, c *demi.Cluster, srv, cli *demi.Node, port uint16) (c
 }
 
 func TestZeroCopyFromAllocSGA(t *testing.T) {
-	c, srv, cli, cleanup := pair(t, 61, 0)
+	c, srv, cli, cleanup := pair(t, 61)
 	defer cleanup()
 	cqd, sqd := connect(t, c, srv, cli, 7)
 
@@ -79,7 +79,7 @@ func TestZeroCopyFromAllocSGA(t *testing.T) {
 }
 
 func TestMessageTooBigRejected(t *testing.T) {
-	c, srv, cli, cleanup := pair(t, 62, 0)
+	c, srv, cli, cleanup := pair(t, 62)
 	defer cleanup()
 	cqd, _ := connect(t, c, srv, cli, 7)
 	huge := demi.NewSGA(make([]byte, catmint.SlotSize+1))
@@ -93,7 +93,7 @@ func TestMessageTooBigRejected(t *testing.T) {
 }
 
 func TestArenaAmortisation(t *testing.T) {
-	c, srv, cli, cleanup := pair(t, 63, 0)
+	c, srv, cli, cleanup := pair(t, 63)
 	defer cleanup()
 	cqd, sqd := connect(t, c, srv, cli, 7)
 	for i := 0; i < 50; i++ {
@@ -112,12 +112,12 @@ func TestArenaAmortisation(t *testing.T) {
 }
 
 func TestPostedReceiveWindowMaintained(t *testing.T) {
-	c, srv, cli, cleanup := pair(t, 64, 16)
+	c, srv, cli, cleanup := pair(t, 64)
 	defer cleanup()
 	cqd, sqd := connect(t, c, srv, cli, 7)
-	// Drive traffic; the libOS must keep re-posting receives so the
-	// window never empties.
-	for i := 0; i < 40; i++ {
+	// Drive traffic through the posted window two and a half times over;
+	// the libOS must keep re-posting receives so it never empties.
+	for i := 0; i < 5*catmint.DefaultPostedRecvs/2; i++ {
 		if _, err := cli.BlockingPush(cqd, demi.NewSGA([]byte("keepalive"))); err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestPostedReceiveWindowMaintained(t *testing.T) {
 }
 
 func TestBidirectional(t *testing.T) {
-	c, srv, cli, cleanup := pair(t, 65, 0)
+	c, srv, cli, cleanup := pair(t, 65)
 	defer cleanup()
 	cqd, sqd := connect(t, c, srv, cli, 7)
 	if _, err := srv.BlockingPush(sqd, demi.NewSGA([]byte("server speaks first"))); err != nil {
@@ -149,7 +149,7 @@ func TestBidirectional(t *testing.T) {
 }
 
 func TestSegmentationPreservedOverRDMA(t *testing.T) {
-	c, srv, cli, cleanup := pair(t, 66, 0)
+	c, srv, cli, cleanup := pair(t, 66)
 	defer cleanup()
 	cqd, sqd := connect(t, c, srv, cli, 7)
 	s := demi.NewSGA([]byte("a"), nil, []byte("ccc"), []byte("dd"))
@@ -166,7 +166,7 @@ func TestSegmentationPreservedOverRDMA(t *testing.T) {
 }
 
 func TestFeatures(t *testing.T) {
-	_, srv, _, cleanup := pair(t, 67, 0)
+	_, srv, _, cleanup := pair(t, 67)
 	defer cleanup()
 	f := srv.Features()
 	if !f.KernelBypass || !f.HWTransport {

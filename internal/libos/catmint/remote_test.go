@@ -16,7 +16,7 @@ import (
 func oneSidedRig(t *testing.T, seed int64, windowLen int) (
 	cli *demi.Node, handle *catmint.OneSided, window *catmint.Window, cleanup func()) {
 	t.Helper()
-	c, srv, cliNode, clean := pair(t, seed, 0)
+	c, srv, cliNode, clean := pair(t, seed)
 	cqd, sqd := connect(t, c, srv, cliNode, 7)
 
 	window = srv.Catmint.ExposeMemory(windowLen)

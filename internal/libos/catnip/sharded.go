@@ -188,14 +188,6 @@ func (s *ShardSet) Mesh() *shard.Group { return s.group }
 // Neighbors returns the shared ARP resolution table.
 func (s *ShardSet) Neighbors() *netstack.NeighborTable { return s.neigh }
 
-// QueueOfFlow reports which shard RSS will deliver a flow to — the same
-// computation the device performs per frame, exposed so clients can pick
-// source ports that land their flow on a chosen shard and servers can
-// partition their keyspace to match.
-func (s *ShardSet) QueueOfFlow(srcIP, dstIP netstack.IPv4Addr, srcPort, dstPort uint16) int {
-	return nic.RSSQueueFlow(srcIP, dstIP, srcPort, dstPort, s.Size())
-}
-
 // SourcePortFor searches the ephemeral range for a source port whose
 // flow (localIP:port → remoteIP:remotePort) RSS-hashes to the target
 // queue on a peer with peerShards receive queues. It starts the probe at

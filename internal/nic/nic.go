@@ -191,13 +191,6 @@ func (d *Device) TxFrame(f fabric.Frame) {
 	d.port.Send(f)
 }
 
-// TxBurst transmits a batch of frames, as DPDK's tx_burst would.
-func (d *Device) TxBurst(frames []fabric.Frame) {
-	for _, f := range frames {
-		d.TxFrame(f)
-	}
-}
-
 // RxBurst polls up to max frames from the given receive queue, as DPDK's
 // rx_burst would. It first drains the wire into the device's rings,
 // applying hardware filters and RSS steering.

@@ -43,16 +43,6 @@ func InstallDrop(dev *nic.Device, spec FilterSpec) int {
 	})
 }
 
-// InstallSteer lowers the spec onto the device as a steering filter:
-// matching frames go to the given receive queue.
-func InstallSteer(dev *nic.Device, spec FilterSpec, rxQueue int) int {
-	return dev.AddFilter(nic.HWFilter{
-		Match:  spec.Frame,
-		Action: nic.ActionSteer,
-		Queue:  rxQueue,
-	})
-}
-
 // CPUFilter wraps q with the spec's CPU fallback, charging host filter
 // cost per element.
 func CPUFilter(q queue.IoQueue, spec FilterSpec, model *simclock.CostModel) queue.IoQueue {

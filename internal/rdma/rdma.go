@@ -136,9 +136,6 @@ type MR struct {
 	valid bool
 }
 
-// LKey returns the region's local key.
-func (mr *MR) LKey() uint32 { return mr.lkey }
-
 // RKey returns the region's remote key, handed to peers for one-sided ops.
 func (mr *MR) RKey() uint32 { return mr.rkey }
 
@@ -435,11 +432,20 @@ func (d *Device) Listen(port uint16, pd *PD, sendCQ, recvCQ *CQ) (*Listener, err
 	return l, nil
 }
 
-// Connect starts a reliable-connected handshake with the listener at
-// remoteMAC:port. Poll the device until the returned QP is Connected.
-func (d *Device) Connect(remoteMAC fabric.MAC, port uint16, pd *PD, sendCQ, recvCQ *CQ) *QP {
+// NewQP creates an unconnected queue pair. Receives posted on it before
+// Connect are in place before the peer can possibly send, so the peer's
+// first message never meets an empty receive queue (RNR).
+func (d *Device) NewQP(pd *PD, sendCQ, recvCQ *CQ) *QP {
 	d.mu.Lock()
-	qp := d.newQPLocked(pd, sendCQ, recvCQ)
+	defer d.mu.Unlock()
+	return d.newQPLocked(pd, sendCQ, recvCQ)
+}
+
+// Connect starts a reliable-connected handshake with the listener at
+// remoteMAC:port. Poll the device until qp is Connected.
+func (qp *QP) Connect(remoteMAC fabric.MAC, port uint16) {
+	d := qp.dev
+	d.mu.Lock()
 	qp.remoteMAC = remoteMAC
 	d.mu.Unlock()
 
@@ -447,7 +453,6 @@ func (d *Device) Connect(remoteMAC fabric.MAC, port uint16, pd *PD, sendCQ, recv
 	payload = binary.BigEndian.AppendUint16(payload, port)
 	payload = binary.BigEndian.AppendUint32(payload, qp.num)
 	d.send(remoteMAC, opConnReq, 0, payload, 0)
-	return qp
 }
 
 func (d *Device) newQPLocked(pd *PD, sendCQ, recvCQ *CQ) *QP {

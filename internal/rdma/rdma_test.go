@@ -40,7 +40,8 @@ func (r *rig) connect(t *testing.T) (cli, srv *QP, cliPD, srvPD *PD, cliSCQ, cli
 	}
 	cliPD = r.a.AllocPD()
 	cliSCQ, cliRCQ = r.a.CreateCQ(), r.a.CreateCQ()
-	cli = r.a.Connect(macB, 7, cliPD, cliSCQ, cliRCQ)
+	cli = r.a.NewQP(cliPD, cliSCQ, cliRCQ)
+	cli.Connect(macB, 7)
 	r.pump()
 	if !cli.Connected() {
 		t.Fatal("client QP not connected")
@@ -220,7 +221,8 @@ func TestSendBeforeConnectFails(t *testing.T) {
 	r := newRig(t)
 	pd := r.a.AllocPD()
 	scq, rcq := r.a.CreateCQ(), r.a.CreateCQ()
-	qp := r.a.Connect(macB, 99, pd, scq, rcq) // nobody listening
+	qp := r.a.NewQP(pd, scq, rcq)
+	qp.Connect(macB, 99) // nobody listening
 	mr := pd.RegisterMemory(make([]byte, 4))
 	if err := qp.PostSend(1, Sge{MR: mr, Off: 0, Len: 4}); err != ErrQPState {
 		t.Fatalf("err = %v, want ErrQPState", err)

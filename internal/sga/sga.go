@@ -68,9 +68,6 @@ func New(segs ...[]byte) SGA {
 	return s
 }
 
-// FromBytes builds a single-segment SGA over b without copying.
-func FromBytes(b []byte) SGA { return New(b) }
-
 // WithFree returns a copy of s that invokes fn exactly once when freed.
 // Libraries allocating device memory for an SGA use this to attach the
 // release of that memory (free-protection is the memory manager's job;

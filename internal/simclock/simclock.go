@@ -26,9 +26,6 @@ type Lat int64
 // Add returns l extended by d virtual nanoseconds.
 func (l Lat) Add(d Lat) Lat { return l + d }
 
-// Micros reports the latency in microseconds as a float.
-func (l Lat) Micros() float64 { return float64(l) / 1000.0 }
-
 // String formats the latency in a human unit.
 func (l Lat) String() string {
 	switch {

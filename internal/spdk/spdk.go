@@ -201,12 +201,6 @@ func (d *Device) Submit(cmd Command) (uint64, error) {
 	return d.submit(cmd, nil, false)
 }
 
-// SubmitFunc enqueues a command whose completion is delivered to done —
-// from whichever goroutine next pumps the device — instead of the CQ.
-func (d *Device) SubmitFunc(cmd Command, done func(Completion)) (uint64, error) {
-	return d.submit(cmd, done, false)
-}
-
 func (d *Device) submit(cmd Command, done func(Completion), internal bool) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -198,13 +198,5 @@ func (t *Tracer) ExportChromeJSON(w io.Writer) error {
 // sites stay one line. All are single-atomic-load no-ops when tracing is
 // off.
 
-// TraceEnabled reports whether the process-wide tracer is recording.
-func TraceEnabled() bool { return Trace.Enabled() }
-
 // TraceInstant records a point event on the process-wide tracer.
 func TraceInstant(cat, name string, tid int32, arg int64) { Trace.Instant(cat, name, tid, arg) }
-
-// TraceSpan records a duration event on the process-wide tracer.
-func TraceSpan(cat, name string, tid int32, startNS, durNS, arg int64) {
-	Trace.Span(cat, name, tid, startNS, durNS, arg)
-}

@@ -122,12 +122,12 @@ func TestKVFailoverAcrossCrash(t *testing.T) {
 	defer cliNode.Background()()
 	stop := make(chan struct{})
 	defer close(stop)
-	go srv.Run(stop)
+	srv.Run(stop)
 
 	cli := kv.NewClient(cliNode.LibOS)
 	pol := failover.DefaultPolicy()
 	pol.MaxAttempts = 60
-	cli.EnableFailover(pol)
+	cli.EnableFailover(pol, nil) // redial with Connect's dialer
 	if err := cli.Connect(c.AddrOf(srvNode, 6379)); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,8 @@ func TestChaosShardedKVCrashRestart(t *testing.T) {
 	const shards = 4
 	const port = 6380
 	c := NewCluster(45)
-	srvNode := c.MustSpawn(Catnip, WithHost(1), WithShards(shards)).Sharded
+	node := c.MustSpawn(Catnip, WithHost(1), WithShards(shards))
+	srvNode := node.Sharded
 	cliNode := c.MustSpawn(Catnip, WithConfig(NodeConfig{
 		Host: 2, RTO: 2 * time.Millisecond, MaxRetransmits: 4,
 	}))
@@ -212,7 +213,7 @@ func TestChaosShardedKVCrashRestart(t *testing.T) {
 		ImpairAll(20*time.Millisecond, c.Switch, fabric.Impairments{}).
 		AsymmetricPartition(25*time.Millisecond, 15*time.Millisecond, c.Switch,
 			cliNode.FabricPort(), srvNode.Set.Device().PortID()).
-		NodeCrashRestart(55*time.Millisecond, 20*time.Millisecond, "kv", srvNode)
+		NodeCrashRestart(55*time.Millisecond, 20*time.Millisecond, "kv", node)
 	// The engine runs on its own goroutine: the workload loop below can
 	// block inside failover backoff, and the restart event must fire on
 	// schedule regardless.
@@ -298,7 +299,7 @@ func TestChaosShardedKVCrashRestart(t *testing.T) {
 	if crashes, restarts := srvNode.Set.Shard(0).Lifetimes(); crashes != 1 || restarts != 1 {
 		t.Fatalf("Lifetimes = %d, %d; want 1, 1", crashes, restarts)
 	}
-	if srvNode.Crashed() {
+	if node.Crashed() {
 		t.Fatal("server still reports crashed after the schedule completed")
 	}
 

@@ -43,7 +43,7 @@ func reshardVal(k int) []byte { return bytes.Repeat([]byte{byte(k)}, 64+k) }
 // forwarding absorbs the misdirection).
 type reshardRig struct {
 	c       *Cluster
-	srvNode *ShardedNode
+	srvNode *Node // the sharded server, as Spawn returned it
 	cliNode *Node
 	server  *kv.ShardedServer
 	cli     *kv.ShardedClient
@@ -56,11 +56,11 @@ type reshardRig struct {
 func newReshardRig(t testing.TB, seed int64, shards, capacity int, port uint16) *reshardRig {
 	t.Helper()
 	c := NewCluster(seed)
-	srvNode := c.MustSpawn(Catnip, WithHost(1), WithShards(shards), WithShardCapacity(capacity)).Sharded
+	srvNode := c.MustSpawn(Catnip, WithHost(1), WithShards(shards), WithShardCapacity(capacity))
 	cliNode := c.MustSpawn(Catnip, WithConfig(NodeConfig{Host: 2, RTO: 2 * time.Millisecond, MaxRetransmits: 6}))
 	cliNode.WaitTimeout = 500 * time.Millisecond
 
-	server := kv.NewShardedServerElastic(srvNode.Libs, &c.Model, srvNode.Mesh(), shards)
+	server := kv.NewShardedServerElastic(srvNode.Sharded.Libs, &c.Model, srvNode.Sharded.Mesh(), shards)
 	srvNode.SetResharder(server)
 	if err := server.Listen(port); err != nil {
 		t.Fatal(err)
@@ -88,8 +88,8 @@ func newReshardRig(t testing.TB, seed int64, shards, capacity int, port uint16) 
 		func(shard, attempt int) (QD, error) {
 			// Across a shrink the shard index may name a retired worker;
 			// land on an active one instead — the mesh forwards the op.
-			target := shard % r.srvNode.Size()
-			return c.Router().DialShard(cliNode, srvNode, port, target,
+			target := shard % r.srvNode.Shards()
+			return c.Router().DialShard(cliNode, srvNode.Sharded, port, target,
 				uint16(1000*shard+int(seedCtr.Add(1))*131+attempt*17))
 		})
 	r.cli = cli
@@ -99,7 +99,7 @@ func newReshardRig(t testing.TB, seed int64, shards, capacity int, port uint16) 
 // dialFn returns an aligned dialer for the server's CURRENT width.
 func (r *reshardRig) dialFn(round int) func(i int) (QD, error) {
 	return func(i int) (QD, error) {
-		return r.c.Router().DialShard(r.cliNode, r.srvNode, r.port, i,
+		return r.c.Router().DialShard(r.cliNode, r.srvNode.Sharded, r.port, i,
 			uint16(2000*i+31+round*257))
 	}
 }
@@ -391,7 +391,7 @@ func TestChaosReshardUnderCrashRestart(t *testing.T) {
 	if lhs, rhs := sumTx+fs.InjectedDup, fs.Delivered+fs.InjectedLoss+fs.LinkDownDrops+fs.DroppedRxFull+fs.AsymDrops; lhs != rhs {
 		t.Fatalf("fabric conservation violated: tx+dup=%d != accounted=%d", lhs, rhs)
 	}
-	dev := rig.srvNode.Set.Device()
+	dev := rig.srvNode.Sharded.Set.Device()
 	dev.QueueDepth(0)
 	ds := dev.Stats()
 	ps := sw.PortStats(dev.PortID())

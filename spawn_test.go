@@ -76,9 +76,9 @@ func TestSpawnShapesSatisfyInstance(t *testing.T) {
 	if err != nil || fish.Catfish == nil {
 		t.Fatalf("catfish: %v %+v", err, fish)
 	}
-	sharded := c.MustSpawn(Catnip, WithHost(4), WithShards(2)).Sharded
-	if sharded == nil || sharded.Size() != 2 {
-		t.Fatalf("sharded shape: %+v", sharded)
+	sharded := c.MustSpawn(Catnip, WithHost(4), WithShards(2))
+	if sharded.Sharded == nil || sharded.Sharded.Size() != 2 {
+		t.Fatalf("sharded shape: %+v", sharded.Sharded)
 	}
 
 	// The unified Instance surface reports each shape faithfully.

@@ -97,7 +97,7 @@ func TestHostileTenantSoak(t *testing.T) {
 		defer n.Background()()
 	}
 	stop := make(chan struct{})
-	go srvA.Run(stop)
+	srvA.Run(stop)
 	wgB := srvB.Run(stop)
 	defer func() { close(stop); wgB.Wait() }()
 
