@@ -15,7 +15,7 @@ STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish
 STORAGE_RUN     := TestChaosPushdownResetMidTraversal
 RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
-BENCHSMOKE_RUN  := BenchmarkHotPath|BenchmarkURing|BenchmarkHTTP|BenchmarkStorage|BenchmarkReshard|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue
+BENCHSMOKE_RUN  := BenchmarkHotPath|BenchmarkHotPath_PollIdle|BenchmarkURing|BenchmarkHTTP|BenchmarkStorage|BenchmarkReshard|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns
 BENCHSMOKE_PKGS := . ./internal/netstack/
 
 ## tier1: the gate every PR must keep green — vet, build, full test
@@ -172,9 +172,10 @@ bench:
 	$(GO) run ./cmd/demi-http -bench -out BENCH_http.json
 
 ## benchsmoke: one iteration of every hot-path benchmark, and of the
-## netstack per-byte microbenchmarks (checksum throughput; ACK dequeue
-## cost at 4 KiB and at 128 KiB queued, which must read as a flat line);
-## part of tier1.
+## netstack microbenchmarks (checksum throughput; ACK dequeue cost at
+## 4 KiB and at 128 KiB queued, and Stack.Poll beside 1, 1 k and 100 k
+## idle connections, both of which must read as a flat line); part of
+## tier1.
 benchsmoke:
 	$(GO) test -run xxx -bench '$(BENCHSMOKE_RUN)' -benchtime=1x $(BENCHSMOKE_PKGS)
 

@@ -92,6 +92,7 @@ func TestChaosSoakKV(t *testing.T) {
 func chaosSoakNet(t *testing.T, flavor string) {
 	c := NewCluster(42)
 	var srvNode, cliNode *Node
+	waitTimeout := 200 * time.Millisecond
 	switch flavor {
 	case "catnip":
 		srvNode = c.MustSpawn(Catnip, WithHost(1))
@@ -99,13 +100,22 @@ func chaosSoakNet(t *testing.T, flavor string) {
 		// up inside the fault window instead of riding it out.
 		cliNode = c.MustSpawn(Catnip, WithConfig(NodeConfig{Host: 2, RTO: 2 * time.Millisecond, MaxRetransmits: 4}))
 	case "catmint":
-		srvNode = c.MustSpawn(Catmint, WithHost(1))
+		// Every failure detector has to fire inside the schedule's 40 ms
+		// clean gap, or the client is still waiting when the partition
+		// lands and sends nothing into the downed link. A send completes
+		// when the peer acknowledges it and the KV server waits for its
+		// response to complete, so a response lost to the corruption
+		// phase stalls the server for its OpTimeout (2 s by default);
+		// the client's own sends are still acknowledged, so all it sees
+		// is a pop that never completes, for its WaitTimeout.
+		srvNode = c.MustSpawn(Catmint, WithConfig(NodeConfig{Host: 1, OpTimeout: 10 * time.Millisecond}))
+		waitTimeout = 15 * time.Millisecond
 		cliNode = c.MustSpawn(Catmint, WithConfig(NodeConfig{
 			Host: 2, OpTimeout: 10 * time.Millisecond,
 			MaxReconnects: 40, ReconnectBackoff: time.Millisecond,
 		}))
 	}
-	cliNode.WaitTimeout = 200 * time.Millisecond
+	cliNode.WaitTimeout = waitTimeout
 
 	srv := kv.NewServer(srvNode.LibOS, &c.Model)
 	if err := srv.Listen(6379); err != nil {

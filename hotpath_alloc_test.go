@@ -9,6 +9,7 @@ package demikernel
 
 import (
 	"testing"
+	"time"
 
 	"demikernel/internal/apps/echo"
 	"demikernel/internal/queue"
@@ -180,17 +181,49 @@ func TestHotPathAllocsRingEchoRTT(t *testing.T) {
 }
 
 // TestHotPathAllocsIdlePoll requires a steady-state LibOS.Poll over
-// connected-but-idle descriptors to be allocation-free: the poll list
-// is generation-cached and every per-poll scratch buffer is reused.
+// connected-but-idle descriptors to be allocation-free, on the bypass
+// libOS and on the kernel one: no per-poll snapshot of any table, and
+// every per-poll scratch buffer reused.
 func TestHotPathAllocsIdlePoll(t *testing.T) {
-	cli, srv, _, _, cleanup := hotPathPair(t)
-	defer cleanup()
-	cli.Poll()
-	srv.Poll()
+	for _, kind := range []Kind{Catnip, Catnap} {
+		cliNode, srvNode, _, _, cleanup := hotPathNodes(t, kind, 0)
+		cliNode.Poll()
+		srvNode.Poll()
+		for name, l := range map[string]*LibOS{"client": cliNode.LibOS, "server": srvNode.LibOS} {
+			if allocs := testing.AllocsPerRun(1000, func() { l.Poll() }); allocs != 0 {
+				t.Errorf("%s %s idle Poll allocates %.1f objects/op, want 0", kind, name, allocs)
+			}
+		}
+		cleanup()
+	}
+}
 
-	for name, l := range map[string]*LibOS{"client": cli, "server": srv} {
-		if allocs := testing.AllocsPerRun(1000, func() { l.Poll() }); allocs != 0 {
-			t.Errorf("%s idle Poll allocates %.1f objects/op, want 0", name, allocs)
+// TestHotPathIdlePollFindsNoWork is the fence on what an idle poll
+// touches: beside 1024 established, idle connections, LibOS.Poll finds
+// the timer heap, the stack's ready queue and the transport's pump list
+// all empty — the connections are on no list, so no poll visits them —
+// and allocates nothing. A count, not a timing.
+func TestHotPathIdlePollFindsNoWork(t *testing.T) {
+	cliNode, srvNode, _, _, cleanup := hotPathNodes(t, Catnip, 1024, WithLifecycle())
+	defer cleanup()
+	for _, n := range []*Node{cliNode, srvNode} {
+		// Past the deadline of every handshake's timer: the entries they
+		// left in the heap, cleared but not yet dropped, go at the next poll.
+		n.Clock.SetSkew(0, time.Minute)
+	}
+	for i := 0; i < 2; i++ {
+		cliNode.Poll()
+		srvNode.Poll()
+	}
+	for name, n := range map[string]*Node{"client": cliNode, "server": srvNode} {
+		if flows := len(n.Catnip.Stack().EstablishedFlows()); flows != 1025 {
+			t.Fatalf("%s has %d connections, want 1025", name, flows)
+		}
+		allocs := testing.AllocsPerRun(1000, func() { n.LibOS.Poll() })
+		timers, ready, pumps := n.Catnip.WorkQueued()
+		if allocs != 0 || timers+ready+pumps != 0 {
+			t.Errorf("%s idle Poll beside 1024 idle connections: %.1f allocs/op, %d timer entries, %d ready connections, %d endpoints to pump; want all 0",
+				name, allocs, timers, ready, pumps)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package demikernel
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"demikernel/internal/queue"
 	"demikernel/internal/sched"
@@ -19,9 +20,18 @@ import (
 // the connection handshake (setup only) and stopped before returning.
 func hotPathPair(tb testing.TB) (cli, srv *LibOS, cqd, sqd QD, cleanup func()) {
 	tb.Helper()
+	cliNode, srvNode, cqd, sqd, cleanup := hotPathNodes(tb, Catnip, 0)
+	return cliNode.LibOS, srvNode.LibOS, cqd, sqd, cleanup
+}
+
+// hotPathNodes is hotPathPair with the knobs: the libOS kind, spawn
+// options for both nodes, and idle extra connections — established on the
+// same listener beside the measured one, and never used again.
+func hotPathNodes(tb testing.TB, kind Kind, idle int, opts ...SpawnOption) (cliNode, srvNode *Node, cqd, sqd QD, cleanup func()) {
+	tb.Helper()
 	c := NewCluster(1)
-	srvNode := c.MustSpawn(Catnip, WithHost(1))
-	cliNode := c.MustSpawn(Catnip, WithHost(2))
+	srvNode = c.MustSpawn(kind, append([]SpawnOption{WithHost(1)}, opts...)...)
+	cliNode = c.MustSpawn(kind, append([]SpawnOption{WithHost(2)}, opts...)...)
 
 	lqd, err := srvNode.Socket()
 	if err != nil {
@@ -35,26 +45,33 @@ func hotPathPair(tb testing.TB) (cli, srv *LibOS, cqd, sqd QD, cleanup func()) {
 		tb.Fatal(err)
 	}
 
-	cqd, err = cliNode.Socket()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	// Handshake needs both sides progressing; pump the server from a
+	qds := make([]QD, 0, 2*(idle+1))
+	// Handshakes need both sides progressing; pump the server from a
 	// helper goroutine during setup only.
 	stop := srvNode.Background()
-	if err := cliNode.Connect(cqd, addr); err != nil {
-		stop()
-		tb.Fatal(err)
-	}
-	sqd, err = srvNode.Accept(lqd)
-	if err != nil {
-		stop()
-		tb.Fatal(err)
+	for i := 0; i <= idle; i++ {
+		cqd, err = cliNode.Socket()
+		if err != nil {
+			stop()
+			tb.Fatal(err)
+		}
+		if err := cliNode.Connect(cqd, addr); err != nil {
+			stop()
+			tb.Fatal(err)
+		}
+		sqd, err = srvNode.Accept(lqd)
+		if err != nil {
+			stop()
+			tb.Fatal(err)
+		}
+		qds = append(qds, cqd, sqd)
 	}
 	stop()
-	return cliNode.LibOS, srvNode.LibOS, cqd, sqd, func() {
-		cliNode.Close(cqd)
-		srvNode.Close(sqd)
+	return cliNode, srvNode, cqd, sqd, func() {
+		for i := 0; i < len(qds); i += 2 {
+			cliNode.Close(qds[i])
+			srvNode.Close(qds[i+1])
+		}
 		srvNode.Close(lqd)
 	}
 }
@@ -133,17 +150,30 @@ func BenchmarkHotPath_EchoRTT(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPath_PollIdle measures LibOS.Poll with connected-but-idle
-// descriptors: the cached poll list should make an idle poll O(n) map-free
-// and alloc-free.
+// BenchmarkHotPath_PollIdle measures LibOS.Poll on a client with 1 and
+// with 1 k connected-but-idle descriptors: a poll serves work lists, none
+// of which an idle connection is on, so the two read the same and neither
+// allocates.
 func BenchmarkHotPath_PollIdle(b *testing.B) {
-	cli, srv, _, _, cleanup := hotPathPair(b)
-	defer cleanup()
-	_ = srv
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cli.Poll()
+	for _, conns := range []int{1, 1000} {
+		name := "1"
+		if conns == 1000 {
+			name = "1k"
+		}
+		b.Run(name, func(b *testing.B) {
+			cliNode, srvNode, _, _, cleanup := hotPathNodes(b, Catnip, conns-1)
+			defer cleanup()
+			// Let the handshakes' lazily cleared timer entries expire.
+			time.Sleep(25 * time.Millisecond)
+			cliNode.Poll()
+			srvNode.Poll()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cliNode.LibOS.Poll()
+			}
+			b.StopTimer() // closing 1 k connections is not the poll's cost
+		})
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 type harness struct {
 	cluster *demi.Cluster
 	node    *demi.Node // the server's node
+	cliNode *demi.Node
 	server  *ShardedServer
 	client  *ShardedClient
 	stops   []func()
@@ -36,6 +37,7 @@ func newHarness(t *testing.T, kind demi.Kind, width int, seed int64) *harness {
 		h.server = NewShardedServer(h.node.Sharded.Libs, &c.Model, h.node.Sharded.Mesh())
 	}
 	cliNode := c.MustSpawn(kind, demi.WithHost(2))
+	h.cliNode = cliNode
 	if err := h.server.Listen(port); err != nil {
 		t.Fatalf("listen: %v", err)
 	}

@@ -12,7 +12,9 @@
 package kv
 
 import (
+	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -724,6 +726,12 @@ func (c *ShardedClient) roundTrip(i int, req sga.SGA) (resp sga.SGA, cost simclo
 		func() (err error) {
 			conn, _ := c.connAt(j)
 			resp, cost, err = c.attempt(conn, req)
+			if errors.Is(err, core.ErrBadQD) && c.retired(conn) {
+				// A concurrent Resize closed conn between connAt and the
+				// pop: the descriptor was good when the op took it, so
+				// this is a dead connection to replay past, not a bug.
+				err = queue.ErrClosed
+			}
 			return err
 		},
 		func() error {
@@ -736,6 +744,14 @@ func (c *ShardedClient) roundTrip(i int, req sga.SGA) (resp sga.SGA, cost simclo
 		c.redials.Add(int64(redials))
 	}
 	return resp, cost, err
+}
+
+// retired reports whether conn was one of the client's connections and
+// no longer is.
+func (c *ShardedClient) retired(conn core.QD) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return conn != core.InvalidQD && !slices.Contains(c.conns, conn)
 }
 
 // attempt performs one push/pop round trip on conn.

@@ -3,9 +3,12 @@ package kv
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	demi "demikernel"
+	"demikernel/internal/apps/failover"
 	"demikernel/internal/telemetry"
 )
 
@@ -175,5 +178,55 @@ func TestShardedKVTelemetry(t *testing.T) {
 	shardIdx := KeyShard("a", 2)
 	if v, _ := snap.Get(fmt.Sprintf("demi.shard.%d.kv_sets", shardIdx)); v != 1 {
 		t.Fatalf("kv_sets = %d, want 1", v)
+	}
+}
+
+// TestShardedClientResizeUnderOps shrinks and regrows the client while
+// another goroutine runs ops. A shrink closes surplus connections, and an
+// op that took one of them a moment earlier finds its descriptor gone:
+// that is a dead connection to replay past, never a failed request.
+func TestShardedClientResizeUnderOps(t *testing.T) {
+	h := newHarness(t, demi.Catnip, 4, 7)
+	defer h.close()
+	var dials atomic.Uint32
+	dial := func(i int) (demi.QD, error) {
+		return h.cluster.Router().DialShard(h.cliNode, h.node.Sharded, 6379, i,
+			uint16(2000*i+31+int(dials.Add(1))*67))
+	}
+	h.client.EnableFailover(failover.Policy{MaxAttempts: 20, Base: time.Millisecond, Max: 5 * time.Millisecond, Seed: 7},
+		func(shard, _ int) (demi.QD, error) { return dial(shard) })
+
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			k := fmt.Sprintf("key-%d", i%32)
+			if _, err := h.client.Set(k, []byte(k)); err != nil {
+				done <- fmt.Errorf("set %s: %w", k, err)
+				return
+			}
+			if v, _, found, err := h.client.Get(k); err != nil || !found || string(v) != k {
+				done <- fmt.Errorf("get %s = %q, found=%v: %v", k, v, found, err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 60; r++ {
+		for _, n := range []int{2, 4} {
+			if err := h.client.Resize(n, dial); err != nil {
+				t.Fatalf("round %d: resize to %d: %v", r, n, err)
+			}
+			time.Sleep(500 * time.Microsecond)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

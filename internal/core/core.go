@@ -160,22 +160,9 @@ type qdesc struct {
 	kind qdKind
 	ep   Endpoint
 	q    queue.IoQueue
-}
-
-// NeedsPumper is implemented by queues that can cheaply report whether a
-// Pump would do anything. Poll consults it so steady-state idle ticks
-// skip armed-but-quiet queues without taking their locks — the §3.1
-// poll-cost optimisation: the poll loop's cost must not grow with the
-// number of idle connections.
-type NeedsPumper interface {
-	NeedsPump() bool
-}
-
-// pollEntry caches the NeedsPumper type assertion alongside the queue so
-// the per-tick loop performs zero interface assertions.
-type pollEntry struct {
-	q  queue.IoQueue
-	np NeedsPumper // nil when the queue cannot pre-screen pumps
+	// composed marks a queue this libOS built over other queues: Poll
+	// pumps q (see LibOS.composed).
+	composed bool
 }
 
 func (d *qdesc) ioq() queue.IoQueue {
@@ -203,14 +190,13 @@ type LibOS struct {
 	next     QD
 	forwards []*forward
 
-	// Poll-list cache: Poll iterates pollList, a snapshot of every
-	// pumpable queue, rebuilt only when the descriptor table changes
-	// (qdGen != pollGen). Steady-state polling takes the mutex for a
-	// two-word generation check instead of an O(qds) map walk + slice
-	// build per tick.
-	qdGen    uint64
-	pollGen  uint64
-	pollList []pollEntry
+	// composed is what Poll pumps besides the transport: the queues this
+	// libOS built itself (Merge, Filter, Sort, Map), whose prefetch and
+	// waiter machinery nothing else drives. Endpoints and file queues are
+	// the transport's to service inside its own Poll, and a memory queue
+	// has no machinery, so the descriptor table is never walked. Copy on
+	// write under mu, loaded lock-free on every tick.
+	composed atomic.Pointer[[]queue.IoQueue]
 
 	// rings holds the attached SQ/CQ pairs (see uring.go); copy-on-write
 	// behind an atomic pointer so the Poll hot path loads it lock-free.
@@ -287,8 +273,23 @@ func (l *LibOS) insert(d *qdesc) QD {
 	qd := l.next
 	l.next++
 	l.qds[qd] = d
-	l.qdGen++ // invalidate the Poll snapshot
+	if d.composed {
+		qs := append(append([]queue.IoQueue(nil), l.composedQueues()...), d.q)
+		l.composed.Store(&qs)
+	}
 	return qd
+}
+
+// insertComposed is insert for a queue built over other queues.
+func (l *LibOS) insertComposed(q queue.IoQueue) QD {
+	return l.insert(&qdesc{kind: qdQueue, q: q, composed: true})
+}
+
+func (l *LibOS) composedQueues() []queue.IoQueue {
+	if qs := l.composed.Load(); qs != nil {
+		return *qs
+	}
+	return nil
 }
 
 func (l *LibOS) get(qd QD) (*qdesc, error) {
@@ -450,13 +451,27 @@ func (l *LibOS) Close(qd QD) error {
 	d, ok := l.qds[qd]
 	if ok {
 		delete(l.qds, qd)
-		l.qdGen++ // invalidate the Poll snapshot
+		if d.composed {
+			l.dropComposedLocked(d.q)
+		}
 	}
 	l.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrBadQD, qd)
 	}
 	return d.ioq().Close()
+}
+
+// dropComposedLocked takes q off the list Poll pumps.
+func (l *LibOS) dropComposedLocked(q queue.IoQueue) {
+	old := l.composedQueues()
+	for i := range old {
+		if old[i] == q {
+			qs := append(append([]queue.IoQueue(nil), old[:i]...), old[i+1:]...)
+			l.composed.Store(&qs)
+			return
+		}
+	}
 }
 
 // --- control path: files (Figure 3, bottom-left) ---
@@ -492,8 +507,7 @@ func (l *LibOS) Merge(qd1, qd2 QD) (QD, error) {
 	if err != nil {
 		return InvalidQD, err
 	}
-	m := queue.NewMergeQueue(d1.ioq(), d2.ioq(), 0)
-	return l.insert(&qdesc{kind: qdQueue, q: m}), nil
+	return l.insertComposed(queue.NewMergeQueue(d1.ioq(), d2.ioq(), 0)), nil
 }
 
 // Filter returns a queue exposing only elements of qd that match fn.
@@ -505,8 +519,7 @@ func (l *LibOS) Filter(qd QD, fn queue.FilterFunc) (QD, error) {
 	if err != nil {
 		return InvalidQD, err
 	}
-	f := queue.NewFilterQueue(d.ioq(), fn, l.model)
-	return l.insert(&qdesc{kind: qdQueue, q: f}), nil
+	return l.insertComposed(queue.NewFilterQueue(d.ioq(), fn, l.model)), nil
 }
 
 // Sort returns a queue that pops elements of qd in priority order.
@@ -515,8 +528,7 @@ func (l *LibOS) Sort(qd QD, less queue.LessFunc) (QD, error) {
 	if err != nil {
 		return InvalidQD, err
 	}
-	s := queue.NewSortQueue(d.ioq(), less, 0)
-	return l.insert(&qdesc{kind: qdQueue, q: s}), nil
+	return l.insertComposed(queue.NewSortQueue(d.ioq(), less, 0)), nil
 }
 
 // Map returns a queue applying fn to every element crossing qd.
@@ -525,8 +537,7 @@ func (l *LibOS) Map(qd QD, fn queue.MapFunc) (QD, error) {
 	if err != nil {
 		return InvalidQD, err
 	}
-	m := queue.NewMapQueue(d.ioq(), fn, l.model)
-	return l.insert(&qdesc{kind: qdQueue, q: m}), nil
+	return l.insertComposed(queue.NewMapQueue(d.ioq(), fn, l.model)), nil
 }
 
 // QConnect plumbs qdin's pops into pushes on qdout; the forwarding runs
@@ -593,35 +604,17 @@ func (l *LibOS) Pop(qd QD) (queue.QToken, error) {
 }
 
 // Poll pumps the whole libOS data path once: submission rings,
-// transport, composed queues, and qconnect forwarding.
+// transport, composed queues, and qconnect forwarding. The transport
+// services every queue it handed out (sockets, files) from work lists of
+// its own, so the cost of a poll follows the work there is, not the
+// number of descriptors open.
 func (l *LibOS) Poll() int {
 	// Drain attached SQ rings first so ops submitted this tick reach
 	// the transport before it is pumped (one-tick latency saved).
 	n := l.drainRings()
 	n += l.Transport().Poll()
-	l.mu.Lock()
-	if l.pollGen != l.qdGen {
-		// Topology changed: rebuild into a *fresh* slice (a concurrent
-		// Poll may still be iterating the previous snapshot outside the
-		// lock, so the old backing array must not be reused). The
-		// NeedsPumper assertion is resolved here, once per topology
-		// change, not per tick.
-		qs := make([]pollEntry, 0, len(l.qds))
-		for _, d := range l.qds {
-			q := d.ioq()
-			np, _ := q.(NeedsPumper)
-			qs = append(qs, pollEntry{q: q, np: np})
-		}
-		l.pollList = qs
-		l.pollGen = l.qdGen
-	}
-	qs := l.pollList
-	l.mu.Unlock()
-	for _, e := range qs {
-		if e.np != nil && !e.np.NeedsPump() {
-			continue // armed but quiet: skip without touching its lock
-		}
-		n += e.q.Pump()
+	for _, q := range l.composedQueues() {
+		n += q.Pump()
 	}
 	return n
 }

@@ -85,6 +85,5 @@ func (l *LibOS) SwapTransport(newT Transport, migrate func(Endpoint) Endpoint) i
 			n++
 		}
 	}
-	l.qdGen++ // invalidate the Poll snapshot
 	return n
 }

@@ -115,9 +115,6 @@ type LookupQueue struct {
 	rhead   int
 	waiters []queue.DoneFunc
 	closed  bool
-	// ready mirrors (results available && waiters waiting) for the
-	// lock-free NeedsPump pre-screen.
-	ready atomic.Bool
 }
 
 type lookupRes struct {
@@ -240,7 +237,6 @@ func (q *LookupQueue) deliver(r spdk.LookupResult) {
 		return
 	}
 	q.results = append(q.results, res)
-	q.ready.Store(len(q.waiters) > 0)
 	q.mu.Unlock()
 	q.Pump()
 }
@@ -254,7 +250,6 @@ func (q *LookupQueue) Pop(done queue.DoneFunc) {
 		return
 	}
 	q.waiters = append(q.waiters, done)
-	q.ready.Store(q.rhead < len(q.results))
 	q.mu.Unlock()
 	q.Pump()
 }
@@ -266,7 +261,6 @@ func (q *LookupQueue) Pump() int {
 	for {
 		q.mu.Lock()
 		if q.closed || len(q.waiters) == 0 || q.rhead >= len(q.results) {
-			q.ready.Store(false)
 			q.mu.Unlock()
 			return n
 		}
@@ -289,10 +283,6 @@ func (q *LookupQueue) Pump() int {
 		n++
 	}
 }
-
-// NeedsPump implements core.NeedsPumper: idle poll ticks skip the queue
-// unless a result is waiting for a waiter.
-func (q *LookupQueue) NeedsPump() bool { return q.ready.Load() }
 
 // Close implements queue.IoQueue.
 func (q *LookupQueue) Close() error {

@@ -96,15 +96,15 @@ func (t *Transport) Socket() (core.Endpoint, error) {
 // Poll implements core.Transport.
 func (t *Transport) Poll() int {
 	n := t.k.Poll()
+	// Snapshot the slice headers only: both tables are append-only, so
+	// the captured prefix stays valid (and the tick allocation-free) even
+	// if a concurrent Socket, Accept or Open grows them.
 	t.mu.Lock()
-	eps := append([]*endpoint(nil), t.eps...)
+	eps, fqs := t.eps, t.fqs
 	t.mu.Unlock()
 	for _, ep := range eps {
 		n += ep.Pump()
 	}
-	t.mu.Lock()
-	fqs := append([]*fileQueue(nil), t.fqs...)
-	t.mu.Unlock()
 	for _, fq := range fqs {
 		n += fq.Pump()
 	}

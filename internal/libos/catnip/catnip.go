@@ -80,15 +80,25 @@ type Transport struct {
 	// draining" state. The operator's signal that clients are stalling.
 	rxStalls atomic.Int64
 
+	// mu guards the endpoint tables and the pump list. eps holds every
+	// open TCP endpoint at the index it remembers as slot (Close
+	// swap-removes); Crash and Restart walk it, Poll never does. udps is
+	// copy-on-write, because Poll pumps every datagram endpoint from a
+	// snapshot taken under the lock.
 	mu   sync.Mutex
 	eps  []*endpoint
 	udps []*udpEndpoint
-	// Cached Poll snapshots, rebuilt (as fresh slices, so a concurrent
-	// Poll iterating the previous snapshot is unaffected) only when an
-	// endpoint is added. Steady-state polling allocates nothing.
-	epsSnap  []*endpoint
-	udpsSnap []*udpEndpoint
-	epsDirty bool
+	// pump is the work list Poll serves instead of walking eps: the
+	// endpoints marked since the last poll, each once (endpoint.marked),
+	// in marking order. An endpoint is marked by whatever gives it work a
+	// poll must finish — a push or pop staged without an inline pump, a
+	// pump that left frames behind a full send buffer, a parked receive
+	// drain the reader has caught up on, and the stack reporting its
+	// connection readable. pumpSpare is the drained list of the previous
+	// poll, kept so that two slices trade places and nothing is allocated;
+	// ready is PollReady's scratch.
+	pump, pumpSpare []*endpoint
+	ready           []any
 }
 
 // Config tunes the transport.
@@ -383,10 +393,7 @@ func (t *Transport) pooledCloneSGA(s sga.SGA) sga.SGA {
 func (t *Transport) Socket() (core.Endpoint, error) {
 	ep := &endpoint{t: t}
 	ep.framer.SetClone(t.pooledCloneSGA)
-	t.mu.Lock()
-	t.eps = append(t.eps, ep)
-	t.epsDirty = true
-	t.mu.Unlock()
+	t.adopt(ep)
 	return ep, nil
 }
 
@@ -429,62 +436,101 @@ func wrapConnErr(err error) error {
 // victims: the crash path allocates nothing per operation.
 var errCrashed = fmt.Errorf("catnip: stack crashed: %w", core.ErrLocalReset)
 
-// Poll implements core.Transport: it pumps the user stack and every
-// endpoint's framing/dispatch machinery. While the transport is crashed
+// Poll implements core.Transport: it pumps the user stack, then the
+// endpoints on the pump list — those with work to finish, however many
+// are open — then every datagram endpoint. While the transport is crashed
 // the whole body is skipped behind one atomic load — the only cost the
 // lifecycle subsystem adds to a healthy data path.
 func (t *Transport) Poll() int {
 	if t.crashed.Load() {
 		return 0
 	}
-	n := t.Stack().Poll()
 	t.mu.Lock()
-	if t.epsDirty {
-		t.epsSnap = append(make([]*endpoint, 0, len(t.eps)), t.eps...)
-		t.udpsSnap = append(make([]*udpEndpoint, 0, len(t.udps)), t.udps...)
-		t.epsDirty = false
+	n, ready := t.Stack().PollReady(t.ready[:0])
+	for i, owner := range ready {
+		t.markLocked(owner.(*endpoint))
+		ready[i] = nil
 	}
-	eps, udps := t.epsSnap, t.udpsSnap
+	t.ready = ready
+	var batch []*endpoint
+	if len(t.pump) > 0 {
+		batch = t.pump
+		t.pump, t.pumpSpare = t.pumpSpare, nil
+	}
+	udps := t.udps
 	t.mu.Unlock()
-	for _, ep := range eps {
-		// Armed-queue skip: quiet established connections answer a few
-		// atomic loads instead of paying flushTx+drainRx lock traffic.
-		// This is what keeps per-tick poll cost flat as the number of
-		// idle connections grows (§3.1).
-		if !ep.NeedsPump() {
-			continue
-		}
-		n += ep.Pump()
+	for i, ep := range batch {
+		n += ep.pumpMarked()
+		batch[i] = nil
 	}
 	for _, ep := range udps {
 		n += ep.Pump()
 	}
+	if batch != nil {
+		t.mu.Lock()
+		t.pumpSpare = batch[:0]
+		t.mu.Unlock()
+	}
 	return n
+}
+
+// mark puts ep on the pump list unless it is there already.
+func (t *Transport) mark(ep *endpoint) {
+	if ep.marked.CompareAndSwap(false, true) {
+		t.mu.Lock()
+		t.pump = append(t.pump, ep)
+		t.mu.Unlock()
+	}
+}
+
+func (t *Transport) markLocked(ep *endpoint) {
+	if ep.marked.CompareAndSwap(false, true) {
+		t.pump = append(t.pump, ep)
+	}
+}
+
+// WorkQueued reports the sizes of the three work lists a poll serves: the
+// stack's timer heap and ready queue, and the pump list. All are zero on
+// a transport at rest, whatever the number of open connections.
+func (t *Transport) WorkQueued() (timers, ready, pumps int) {
+	timers, ready = t.Stack().WorkQueued()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return timers, ready, len(t.pump)
 }
 
 func (t *Transport) adopt(ep *endpoint) {
 	t.mu.Lock()
+	ep.slot = len(t.eps)
 	t.eps = append(t.eps, ep)
-	t.epsDirty = true
 	t.mu.Unlock()
+}
+
+// drop takes a closed endpoint out of eps, moving the last one into its
+// slot. It stays on the pump list, if it is there, until the poll that
+// finds it with nothing left to flush.
+func (t *Transport) drop(ep *endpoint) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if ep.slot < 0 {
+		return
+	}
+	last := len(t.eps) - 1
+	t.eps[ep.slot] = t.eps[last]
+	t.eps[ep.slot].slot = ep.slot
+	t.eps[last] = nil
+	t.eps = t.eps[:last]
+	ep.slot = -1
 }
 
 // endpoint is one catnip socket queue: a TCP connection (or listener)
 // carrying framed SGAs.
 type endpoint struct {
 	t *Transport
-
-	// Lock-free pump pre-screen state (see NeedsPump): connp mirrors
-	// conn, and the counters mirror len(txq)/len(ready)/len(waiters).
-	// All are written under mu but read without it.
-	connp     atomic.Pointer[netstack.TCPConn]
-	txPending atomic.Int32
-	readyLen  atomic.Int32
-	waiterLen atomic.Int32
-	// rxStalled is set while drainRx is parked on a full ready list
-	// (RxReadyCap). NeedsPump uses it to resume the drain once the app
-	// has harvested the backlog down to half the cap.
-	rxStalled atomic.Bool
+	// slot is the endpoint's index in t.eps, -1 once dropped (guarded by
+	// t.mu); marked is set while it sits on t.pump.
+	slot   int
+	marked atomic.Bool
 
 	mu    sync.Mutex
 	bound core.Addr
@@ -498,8 +544,12 @@ type endpoint struct {
 	waiters   fifo.Queue[queue.DoneFunc]
 	// txq holds marshaled frames not yet fully accepted by the TCP send
 	// buffer.
-	txq    fifo.Queue[txFrame]
-	closed bool
+	txq fifo.Queue[txFrame]
+	// rxStalled is set while drainRx is parked on a full ready list
+	// (RxReadyCap); popReadyLocked marks the endpoint to resume the drain
+	// once the app has harvested the backlog down to half the cap.
+	rxStalled bool
+	closed    bool
 	// dead, when non-nil, is the lifecycle-typed terminal error stamped
 	// on this endpoint by a stack crash: every subsequent operation
 	// fails with it immediately. Listener endpoints are exempt — they
@@ -555,9 +605,9 @@ func (e *endpoint) Accept() (core.Endpoint, bool, error) {
 		return nil, false, nil
 	}
 	child := &endpoint{t: e.t, conn: conn}
-	child.connp.Store(conn)
 	child.framer.SetClone(e.t.pooledCloneSGA)
 	e.t.adopt(child)
+	conn.SetOwner(child)
 	return child, true, nil
 }
 
@@ -577,7 +627,7 @@ func (e *endpoint) Connect(addr core.Addr) error {
 	e.mu.Lock()
 	e.conn = conn
 	e.mu.Unlock()
-	e.connp.Store(conn)
+	conn.SetOwner(e)
 	return nil
 }
 
@@ -617,12 +667,15 @@ func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 	}
 }
 
-// PushBatched implements queue.BatchIoQueue: Push without the trailing
-// Pump. The SQ drain path stages a whole burst of pushes this way, then
-// the transport poll that follows flushes them through one coalesced
-// flushTx — MSS-sized segments instead of one small segment per push.
+// PushBatched implements queue.BatchIoQueue: Push with the Pump left to
+// the next transport poll. The SQ drain path stages a whole burst of
+// pushes this way, then the poll that follows flushes them through one
+// coalesced flushTx — MSS-sized segments instead of one small segment per
+// push.
 func (e *endpoint) PushBatched(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
-	e.stage(s, cost, done)
+	if e.stage(s, cost, done) {
+		e.t.mark(e)
+	}
 }
 
 // stage frames s into device-registered memory and queues it for the
@@ -653,7 +706,6 @@ func (e *endpoint) stage(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) bool
 		return false
 	}
 	e.txq.Push(txFrame{data: data, buf: buf, cost: cost, done: done})
-	e.txPending.Store(int32(e.txq.Len()))
 	e.mu.Unlock()
 	return true
 }
@@ -678,10 +730,14 @@ func (e *endpoint) Pop(done queue.DoneFunc) {
 	}
 }
 
-// PopBatched implements queue.BatchIoQueue: Pop without the trailing
-// Pump; the burst issuer's follow-up poll serves it.
+// PopBatched implements queue.BatchIoQueue: Pop with the Pump left to the
+// burst issuer's follow-up poll. A new waiter always gets that pump: data
+// that arrived while nobody waited was reported by the stack then, and is
+// not reported again.
 func (e *endpoint) PopBatched(done queue.DoneFunc) {
-	e.popOrWait(done)
+	if e.popOrWait(done) {
+		e.t.mark(e)
+	}
 }
 
 // popOrWait completes done at once — with a buffered completion, or with
@@ -707,38 +763,32 @@ func (e *endpoint) popOrWait(done queue.DoneFunc) (waiting bool) {
 		return false
 	}
 	e.waiters.Push(done)
-	e.waiterLen.Store(int32(e.waiters.Len()))
 	e.mu.Unlock()
 	return true
 }
 
-// NeedsPump implements core.NeedsPumper with a handful of atomic loads
-// and no locks: an endpoint needs pumping only when it has unsent tx
-// frames or a registered pop waiter that could be served (buffered
-// completions, or stream bytes/FIN/terminal error pending in the TCP
-// receive buffer — all three folded into conn.ReadyHint). With neither,
-// no qtoken is outstanding on this endpoint, so Pump would observably do
-// nothing: idle established connections — the common case in a server
-// with many quiet clients — are skipped by the poll loop without even
-// touching their locks.
-func (e *endpoint) NeedsPump() bool {
-	conn := e.connp.Load()
-	if conn == nil {
-		return false // listener or unconnected socket: stack-driven
+// pumpMarked is Pump for an endpoint taken off the pump list, which does
+// nothing when no qtoken could come of it: no frame to send, no pop
+// waiting, no parked drain to resume. That is the case of a connection
+// the stack reported readable while nobody waits on it; its bytes stay in
+// the TCP receive buffer, under the advertised window, until the next pop
+// pumps for them.
+func (e *endpoint) pumpMarked() int {
+	e.marked.Store(false) // before looking: a mark from here on queues again
+	e.mu.Lock()
+	idle := e.txq.Len() == 0 && e.waiters.Len() == 0 && !e.resumableLocked()
+	e.mu.Unlock()
+	if idle {
+		return 0
 	}
-	if e.txPending.Load() > 0 {
-		return true
-	}
-	if e.rxStalled.Load() && e.readyLen.Load() <= int32(e.t.cfg.RxReadyCap/2) {
-		// Parked drain with the backlog half-harvested: pump to refill
-		// the ready list and re-open the advertised window (hysteresis
-		// keeps a merely-slow reader from thrashing stall/resume).
-		return true
-	}
-	if w := e.waiterLen.Load(); w > 0 {
-		return e.readyLen.Load() > 0 || conn.ReadyHint()
-	}
-	return false
+	return e.Pump()
+}
+
+// resumableLocked reports a parked receive drain whose backlog the reader
+// has brought down to half the cap (the hysteresis keeps a merely slow
+// reader from thrashing stall/resume).
+func (e *endpoint) resumableLocked() bool {
+	return e.rxStalled && e.ready.Len() <= e.t.cfg.RxReadyCap/2
 }
 
 // Pump implements queue.IoQueue: it flushes pending frames into the TCP
@@ -790,7 +840,7 @@ func (e *endpoint) flushTx(conn *netstack.TCPConn) int {
 		sent, err := conn.SendBuffered(f.data[f.sent:], f.cost)
 		if err != nil {
 			fired = append(fired, txDone{done: f.done, buf: f.buf, err: wrapConnErr(err)})
-			e.popTxqLocked()
+			e.txq.Pop()
 			continue
 		}
 		f.sent += sent
@@ -799,10 +849,15 @@ func (e *endpoint) flushTx(conn *netstack.TCPConn) int {
 			break // TCP send buffer full; retry on a later pump
 		}
 		fired = append(fired, txDone{done: f.done, buf: f.buf, cost: f.cost})
-		e.popTxqLocked()
+		e.txq.Pop()
 	}
 	if n > 0 {
 		conn.FlushSend()
+	}
+	if e.txq.Len() > 0 {
+		// Send buffer full, and nothing reports when ACKs make room: try
+		// again on every poll until the frames are through.
+		e.t.mark(e)
 	}
 	e.mu.Unlock()
 	for i := range fired {
@@ -818,12 +873,6 @@ func (e *endpoint) flushTx(conn *netstack.TCPConn) int {
 		*d = txDone{}
 	}
 	return n
-}
-
-// popTxqLocked dequeues the head tx frame.
-func (e *endpoint) popTxqLocked() {
-	e.txq.Pop()
-	e.txPending.Store(int32(e.txq.Len()))
 }
 
 func (e *endpoint) drainRx(conn *netstack.TCPConn) int {
@@ -842,10 +891,10 @@ func (e *endpoint) drainRx(conn *netstack.TCPConn) int {
 			// the TCP receive buffer. The stack's shrinking advertised
 			// window now pushes the stall back to the peer's sender —
 			// flow control end to end instead of an unbounded backlog.
-			if !e.rxStalled.Swap(true) {
+			if !e.rxStalled {
+				e.rxStalled = true
 				e.t.rxStalls.Add(1)
 			}
-			e.readyLen.Store(int32(e.ready.Len()))
 			e.mu.Unlock()
 			return n
 		}
@@ -875,9 +924,8 @@ func (e *endpoint) drainRx(conn *netstack.TCPConn) int {
 			break
 		}
 	}
-	e.rxStalled.Store(false)
+	e.rxStalled = false
 	readyLeft := e.ready.Len()
-	e.readyLen.Store(int32(readyLeft))
 	e.mu.Unlock()
 	if failErr != nil && readyLeft == 0 {
 		// Fail waiters only once every buffered completion has been
@@ -898,17 +946,19 @@ func (e *endpoint) serveWaiters() {
 			return
 		}
 		w := e.waiters.Pop()
-		e.waiterLen.Store(int32(e.waiters.Len()))
 		c := e.popReadyLocked()
 		e.mu.Unlock()
 		w(c)
 	}
 }
 
-// popReadyLocked dequeues the head completion.
+// popReadyLocked dequeues the head completion, and has the next poll
+// resume a parked receive drain once that brings the backlog low enough.
 func (e *endpoint) popReadyLocked() queue.Completion {
 	c := e.ready.Pop()
-	e.readyLen.Store(int32(e.ready.Len()))
+	if e.resumableLocked() {
+		e.t.mark(e)
+	}
 	return c
 }
 
@@ -918,9 +968,7 @@ func (e *endpoint) popReadyLocked() queue.Completion {
 func (e *endpoint) failAll(err error) {
 	e.mu.Lock()
 	ws := e.waiters.Take()
-	e.waiterLen.Store(0)
 	txq := e.txq.Take()
-	e.txPending.Store(0)
 	e.mu.Unlock()
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: err})
@@ -936,7 +984,6 @@ func (e *endpoint) failAll(err error) {
 func (e *endpoint) failWaiters(err error) {
 	e.mu.Lock()
 	ws := e.waiters.Take()
-	e.waiterLen.Store(0)
 	e.mu.Unlock()
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: err})
@@ -954,11 +1001,13 @@ func (e *endpoint) Close() error {
 	conn, l := e.conn, e.listener
 	e.mu.Unlock()
 	if conn != nil {
+		conn.SetOwner(nil) // nobody reads it any more
 		conn.Close()
 	}
 	if l != nil {
 		l.Close()
 	}
 	e.failWaiters(queue.ErrClosed)
+	e.t.drop(e)
 	return nil
 }

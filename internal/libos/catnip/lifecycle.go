@@ -157,17 +157,13 @@ func (e *endpoint) kill(err error) int {
 	e.mu.Lock()
 	isListener := e.listener != nil
 	ready := e.ready.Take()
-	e.readyLen.Store(0)
 	ws := e.waiters.Take()
-	e.waiterLen.Store(0)
 	txq := e.txq.Take()
-	e.txPending.Store(0)
 	e.conn = nil
 	if !isListener {
 		e.dead = err
 	}
 	e.mu.Unlock()
-	e.connp.Store(nil)
 	for i := range ready {
 		ready[i].SGA.Free() // un-popped pooled clones go home
 	}

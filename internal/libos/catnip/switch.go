@@ -83,10 +83,10 @@ func (t *Transport) Export(cep core.Endpoint) (core.PortState, bool) {
 	e.closed = true
 	e.framer = sga.Framer{}
 	e.mu.Unlock()
-	e.connp.Store(nil)
-	e.txPending.Store(0)
-	e.readyLen.Store(0)
-	e.waiterLen.Store(0)
+	if st.Conn != nil {
+		st.Conn.SetOwner(nil)
+	}
+	t.drop(e)
 	return st, true
 }
 
@@ -113,12 +113,12 @@ func (t *Transport) Adopt(st core.PortState) (core.Endpoint, error) {
 	for _, w := range st.Waiters {
 		e.waiters.Push(w)
 	}
-	if st.Conn != nil {
-		e.connp.Store(st.Conn)
-	}
-	e.txPending.Store(int32(e.txq.Len()))
-	e.readyLen.Store(int32(e.ready.Len()))
-	e.waiterLen.Store(int32(e.waiters.Len()))
 	t.adopt(e)
+	if st.Conn != nil {
+		st.Conn.SetOwner(e)
+	}
+	// Whatever came along — staged frames, parked poppers, bytes the old
+	// transport left in the connection — is work for the first poll.
+	t.mark(e)
 	return e, nil
 }

@@ -18,8 +18,7 @@ import (
 func (t *Transport) SocketUDP() (core.Endpoint, error) {
 	ep := &udpEndpoint{t: t}
 	t.mu.Lock()
-	t.udps = append(t.udps, ep)
-	t.epsDirty = true
+	t.udps = append(t.udps[:len(t.udps):len(t.udps)], ep) // copy: Poll may hold the old slice
 	t.mu.Unlock()
 	return ep, nil
 }
@@ -218,5 +217,20 @@ func (e *udpEndpoint) Close() error {
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
 	}
+	e.t.dropUDP(e)
 	return nil
+}
+
+// dropUDP takes a closed datagram endpoint out of udps, into a fresh
+// slice like every change to it.
+func (t *Transport) dropUDP(ep *udpEndpoint) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	kept := make([]*udpEndpoint, 0, len(t.udps))
+	for _, u := range t.udps {
+		if u != ep {
+			kept = append(kept, u)
+		}
+	}
+	t.udps = kept
 }

@@ -1,0 +1,240 @@
+package catnip
+
+// In-package checks of the transport's own tables and lists, on two
+// transports driven directly (no libOS above them): closing gives back
+// everything opening took, and a reader that catches up on a parked drain
+// gets it resumed by the next poll.
+
+import (
+	"testing"
+	"time"
+
+	"demikernel/internal/core"
+	"demikernel/internal/fabric"
+	"demikernel/internal/netstack"
+	"demikernel/internal/queue"
+	"demikernel/internal/sga"
+	"demikernel/internal/simclock"
+)
+
+type wlRig struct {
+	t      *testing.T
+	now    time.Time
+	ta, tb *Transport
+	lis    core.Endpoint
+}
+
+const wlPort = 7
+
+func newWLRig(t *testing.T, readyCap int) *wlRig {
+	model := simclock.Datacenter2019()
+	sw := fabric.NewSwitch(&model, 1)
+	r := &wlRig{t: t, now: time.Unix(1_000_000, 0)}
+	clock := func() time.Time { return r.now }
+	r.ta = New(&model, sw, Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xa}, IP: netstack.IP(10, 0, 0, 0xa), Clock: clock})
+	r.tb = New(&model, sw, Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xb}, IP: netstack.IP(10, 0, 0, 0xb), Clock: clock, RxReadyCap: readyCap})
+	var err error
+	if r.lis, err = r.tb.Socket(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.lis.Bind(core.Addr{Port: wlPort}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.lis.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func (r *wlRig) poll() { r.ta.Poll(); r.tb.Poll() }
+
+// until polls until cond holds.
+func (r *wlRig) until(what string, cond func() bool) {
+	r.t.Helper()
+	for i := 0; !cond(); i++ {
+		if i > 10_000 {
+			r.t.Fatalf("%s: no progress", what)
+		}
+		r.poll()
+	}
+}
+
+// connect dials tb's listener from ta and returns both ends.
+func (r *wlRig) connect() (a, b core.Endpoint) {
+	r.t.Helper()
+	a, err := r.ta.Socket()
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	if err := a.Connect(core.Addr{IP: netstack.IP(10, 0, 0, 0xb), Port: wlPort}); err != nil {
+		r.t.Fatal(err)
+	}
+	r.until("handshake", func() bool {
+		if b == nil {
+			if ep, ok, err := r.lis.Accept(); err != nil {
+				r.t.Fatal(err)
+			} else if ok {
+				b = ep
+			}
+		}
+		return b != nil && a.Connected()
+	})
+	return a, b
+}
+
+// atRest requires empty work lists on both transports once every timer
+// deadline has passed.
+func (r *wlRig) atRest(what string) {
+	r.t.Helper()
+	r.now = r.now.Add(time.Minute)
+	r.poll()
+	r.poll()
+	for name, tr := range map[string]*Transport{"dialer": r.ta, "listener": r.tb} {
+		if timers, ready, pumps := tr.WorkQueued(); timers+ready+pumps != 0 {
+			r.t.Fatalf("%s: %s at rest has %d timer entries, %d ready connections, %d endpoints to pump", what, name, timers, ready, pumps)
+		}
+	}
+}
+
+func poolOutstanding(p *fabric.FramePool) int64 {
+	st := p.Stats()
+	return st.Pooled + st.Misses - st.Recycled
+}
+
+// TestCloseReleasesEndpoint: 10 000 connect → echo → close cycles leave
+// the endpoint tables, the stacks' connection tables, the work lists and
+// the frame pool where they started. Before Close removed the endpoint
+// from Transport.eps, each cycle left one behind on either side.
+func TestCloseReleasesEndpoint(t *testing.T) {
+	r := newWLRig(t, 0)
+	frames := poolOutstanding(r.ta.pool)
+	msg := sga.New(make([]byte, 64))
+	for cycle := 0; cycle < 10_000; cycle++ {
+		a, b := r.connect()
+		var atB, atA queue.Completion
+		gotB, gotA := false, false
+		b.Pop(func(c queue.Completion) { atB, gotB = c, true })
+		a.Push(msg, 0, func(queue.Completion) {})
+		r.until("request", func() bool { return gotB })
+		a.Pop(func(c queue.Completion) { atA, gotA = c, true })
+		b.Push(atB.SGA, 0, func(queue.Completion) {})
+		atB.SGA.Free()
+		r.until("response", func() bool { return gotA })
+		if atB.Err != nil || atA.Err != nil || atA.SGA.Len() != msg.Len() {
+			t.Fatalf("cycle %d: echo failed: %v, %v, %d bytes", cycle, atB.Err, atA.Err, atA.SGA.Len())
+		}
+		atA.SGA.Free()
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r.until("orderly close", func() bool {
+			return len(r.ta.Stack().EstablishedFlows())+len(r.tb.Stack().EstablishedFlows()) == 0
+		})
+	}
+	if len(r.ta.eps) != 0 || len(r.tb.eps) != 1 {
+		t.Fatalf("endpoint tables hold %d and %d endpoints, want 0 and the listener", len(r.ta.eps), len(r.tb.eps))
+	}
+	if r.lis.(*endpoint).slot != 0 {
+		t.Fatalf("the listener moved to slot %d of a table of one", r.lis.(*endpoint).slot)
+	}
+	r.atRest("after 10k cycles")
+	if got := poolOutstanding(r.ta.pool); got != frames {
+		t.Fatalf("frame pool outstanding went from %d to %d", frames, got)
+	}
+
+	// The datagram table likewise.
+	for i := 0; i < 100; i++ {
+		u, err := r.ta.SocketUDP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := u.Bind(core.Addr{Port: uint16(5000 + i)}); err != nil {
+			t.Fatal(err)
+		}
+		r.poll()
+		if err := u.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.ta.HasUDP() {
+		t.Fatalf("datagram table holds %d closed endpoints", len(r.ta.udps))
+	}
+}
+
+// TestParkedDrainResumes: a burst past RxReadyCap parks the receive
+// drain; once the reader has popped the backlog down to half the cap —
+// without ever waiting — the endpoint is on the pump list, and the next
+// poll refills the ready list from the bytes TCP was holding.
+func TestParkedDrainResumes(t *testing.T) {
+	const readyCap, burst = 4, 200 // 200 KB: three receive windows' worth
+	r := newWLRig(t, readyCap)
+	a, b := r.connect()
+	eb := b.(*endpoint)
+	for i := 0; i < burst; i++ {
+		a.Push(sga.New(append([]byte{byte(i)}, make([]byte, 999)...)), 0, func(queue.Completion) {})
+	}
+	r.poll()
+	r.poll()
+	next := 0
+	pop := func() {
+		t.Helper()
+		done := false
+		b.Pop(func(c queue.Completion) {
+			done = true
+			if c.Err != nil || c.SGA.Bytes()[0] != byte(next) {
+				t.Fatalf("pop %d: %v", next, c.Err)
+			}
+			c.SGA.Free()
+		})
+		if !done {
+			t.Fatalf("pop %d had to wait: the backlog ran dry", next)
+		}
+		next++
+	}
+	state := func() (buffered int, parked bool, pumps int) {
+		eb.mu.Lock()
+		defer eb.mu.Unlock()
+		_, _, pumps = r.tb.WorkQueued()
+		return eb.ready.Len(), eb.rxStalled, pumps
+	}
+	// The first pop is the waiter that starts the drain. It takes what the
+	// window let through, far past the cap, and parks.
+	done := false
+	b.Pop(func(c queue.Completion) { done = true; c.SGA.Free() })
+	next++
+	if n, parked, pumps := state(); !done || n < readyCap || !parked || pumps != 0 || r.tb.RxStalls() != 1 {
+		t.Fatalf("after the first pop: served %v, %d buffered, parked %v, %d to pump, %d stalls; want true, >= %d, true, 0, 1",
+			done, n, parked, pumps, r.tb.RxStalls(), readyCap)
+	}
+	for n, _, _ := state(); n > readyCap/2+1; n, _, _ = state() {
+		pop()
+		r.poll() // a parked drain is not work: polls leave it alone
+		if _, parked, pumps := state(); !parked || pumps != 0 {
+			t.Fatalf("%d buffered: parked %v, %d to pump; want the drain left parked", n-1, parked, pumps)
+		}
+	}
+	pop() // down to half the cap
+	if n, parked, pumps := state(); n != readyCap/2 || !parked || pumps != 1 {
+		t.Fatalf("reader caught up: %d buffered, parked %v, %d to pump; want %d, true, 1", n, parked, pumps, readyCap/2)
+	}
+	r.poll()
+	if n, parked, pumps := state(); n < readyCap || !parked || pumps != 0 {
+		t.Fatalf("after the resuming poll: %d buffered, parked %v, %d to pump; want a refilled backlog, parked again, 0", n, parked, pumps)
+	}
+	for next < burst {
+		done := false
+		b.Pop(func(c queue.Completion) {
+			done = true
+			if c.Err != nil || c.SGA.Bytes()[0] != byte(next) {
+				t.Fatalf("pop %d: %v", next, c.Err)
+			}
+			c.SGA.Free()
+		})
+		r.until("pop", func() bool { return done })
+		next++
+	}
+	r.atRest("burst consumed")
+}

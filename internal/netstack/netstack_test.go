@@ -25,7 +25,7 @@ type world struct {
 	devA, devB *nic.Device
 }
 
-func newWorld(t *testing.T, cfgA, cfgB Config) *world {
+func newWorld(t testing.TB, cfgA, cfgB Config) *world {
 	t.Helper()
 	model := simclock.Datacenter2019()
 	sw := fabric.NewSwitch(&model, 99)

@@ -182,6 +182,14 @@ type Stack struct {
 	// one cumulative ACK when it ends (see flushAcksLocked).
 	rxBatch  []fabric.Frame
 	ackQueue []*TCPConn
+
+	// The work lists that keep a poll's cost off the connection count:
+	// timers is the deadline heap of armed connections (timer.go), armSeq
+	// the arm counter that breaks its ties, and readyQueue the owned
+	// connections that became readable since the last PollReady.
+	timers     []timerEntry
+	armSeq     uint32
+	readyQueue []*TCPConn
 }
 
 // New creates a stack for dev with the given configuration.
@@ -242,13 +250,8 @@ func (s *Stack) Shutdown(cause error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for key, c := range s.conns {
-		c.err = cause
-		c.state = stateClosed
-		c.clearTimerLocked()
-		c.releaseOOOLocked()
-		c.updateReadyLocked()
-		delete(s.conns, key)
+	for _, c := range s.conns {
+		c.abortLocked(cause)
 	}
 	for port, l := range s.listeners {
 		l.closed = true
@@ -337,6 +340,45 @@ func RegisterStatsTelemetry(r *telemetry.Registry, prefix string, src func() Sta
 func (s *Stack) Poll() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.pollLocked()
+}
+
+// PollReady is Poll for a caller that consumes connections through
+// TCPConn.SetOwner: besides the frame count it returns dst with the owner
+// appended of every connection that a segment (or a partial read) has left
+// readable — data, FIN or a terminal error — since the previous call, in
+// the order that happened. A connection is reported once per call however
+// much arrived, and not again until something more does: the owner reads
+// until it runs dry, or comes back for the rest unprompted.
+func (s *Stack) PollReady(dst []any) (int, []any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pollLocked(), s.takeReadyLocked(dst)
+}
+
+// takeReadyLocked empties the ready queue, appending the owners to dst.
+func (s *Stack) takeReadyLocked(dst []any) []any {
+	for i, c := range s.readyQueue {
+		c.readyQueued = false
+		if c.owner != nil {
+			dst = append(dst, c.owner)
+		}
+		s.readyQueue[i] = nil
+	}
+	s.readyQueue = s.readyQueue[:0]
+	return dst
+}
+
+// WorkQueued reports the sizes of the stack's work lists: heap entries of
+// armed (or not yet lazily dropped) timers, and readable connections not
+// yet handed to PollReady. Both are zero on a stack at rest.
+func (s *Stack) WorkQueued() (timers, ready int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.timers), len(s.readyQueue)
+}
+
+func (s *Stack) pollLocked() int {
 	n := 0
 	// Sharded mode: resolutions learned by the ARP-owning sibling shard
 	// land in the shared table; flush any sends parked behind them. This

@@ -3,7 +3,6 @@ package netstack
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
 	"time"
 
 	"demikernel/internal/fabric"
@@ -90,7 +89,6 @@ type TCPConn struct {
 	cwnd, ssthresh int
 	dupAcks        int
 	rto            time.Duration
-	rtoDeadline    time.Time
 	retries        int // consecutive timer-driven retransmits
 	txCost         simclock.Lat
 	finQueued      bool
@@ -122,24 +120,44 @@ type TCPConn struct {
 
 	err error
 
-	// readyHint mirrors Readable() into a lock-free flag: it is updated
-	// (under the stack lock) wherever read-readiness can change, and read
-	// without any lock by idle pollers deciding whether an endpoint needs
-	// a pump at all. A false hint is always eventually corrected by the
-	// same Poll that makes the connection readable, so skipping on false
-	// never strands data — it only skips the stack-lock acquisition.
-	readyHint atomic.Bool
+	// The one timer (RTO, persist and give-up share it; see timer.go).
+	// deadline is when it fires, in the stack clock's UnixNano, 0 while
+	// unarmed; armSeq orders connections armed for the same instant;
+	// timerSlot is the connection's 1-based position in stack.timers, 0
+	// while it has no entry there.
+	deadline  int64
+	armSeq    uint32
+	timerSlot int32
+
+	// owner is whoever consumes this connection's receive side, as handed
+	// to SetOwner; while it is set, the connection joins stack.readyQueue
+	// (once, readyQueued) whenever it is or becomes readable.
+	owner       any
+	readyQueued bool
 }
 
-// updateReadyLocked refreshes the lock-free readiness hint. Call at
+// SetOwner names the consumer of the connection's receive side: from now
+// on Stack.PollReady hands owner back whenever data, a FIN or a terminal
+// error is there to be read, starting with whatever already is. nil stops
+// the reports.
+func (c *TCPConn) SetOwner(owner any) {
+	c.stack.mu.Lock()
+	c.owner = owner
+	c.updateReadyLocked()
+	c.stack.mu.Unlock()
+}
+
+// updateReadyLocked queues a readable connection for its owner. Call at
 // every point where rcvBuf, peerFinRcvd, or err transitions.
 func (c *TCPConn) updateReadyLocked() {
-	c.readyHint.Store(c.rcvBuf.Len() > 0 || c.peerFinRcvd || c.err != nil)
+	if c.owner == nil || c.readyQueued {
+		return
+	}
+	if c.rcvBuf.Len() > 0 || c.peerFinRcvd || c.err != nil {
+		c.readyQueued = true
+		c.stack.readyQueue = append(c.stack.readyQueue, c)
+	}
 }
-
-// ReadyHint reports the last published read-readiness without taking the
-// stack lock. See readyHint for the staleness contract.
-func (c *TCPConn) ReadyHint() bool { return c.readyHint.Load() }
 
 // DialTCP starts an active open to ip:port. The returned connection is in
 // SYN-SENT; poll the stack until Established reports true.
@@ -403,11 +421,7 @@ func (c *TCPConn) handleSegmentLocked(seg tcpSegment, cost simclock.Lat) {
 	s := c.stack
 	if seg.flags&flagRST != 0 {
 		s.stats.RSTsRcvd++
-		c.err = ErrConnClosed
-		c.state = stateClosed
-		c.releaseOOOLocked()
-		c.updateReadyLocked()
-		delete(s.conns, c.key)
+		c.abortLocked(ErrConnClosed)
 		return
 	}
 	switch c.state {
@@ -636,11 +650,22 @@ func (c *TCPConn) releaseOOOLocked() {
 	}
 }
 
+// abortLocked ends the connection at once with err, which every later
+// call on it returns: stashed segments go back to the pool, the owner is
+// told, and the stack forgets it.
+func (c *TCPConn) abortLocked(err error) {
+	c.err = err
+	c.state = stateClosed
+	c.releaseOOOLocked()
+	c.updateReadyLocked()
+	c.stack.forgetLocked(c)
+}
+
 func (c *TCPConn) maybeFinishLocked() {
 	if c.finSent && c.finAcked && c.peerFinRcvd && c.state != stateClosed {
 		c.state = stateClosed
 		c.releaseOOOLocked()
-		delete(c.stack.conns, c.key)
+		c.stack.forgetLocked(c)
 	}
 }
 
@@ -727,91 +752,9 @@ func (c *TCPConn) trySendLocked() {
 	// *after* everything in flight was ACKed (which cleared the timer) —
 	// with nothing in flight there is no retransmission to recover a lost
 	// window-update ACK, so without a probe the connection deadlocks
-	// silently. Arm the timer; tickTimersLocked sends the one-byte
+	// silently. Arm the timer; fireTimerLocked sends the one-byte
 	// zero-window probe when it fires.
-	if c.sndBuf.Len() > int(c.sndNxt-c.sndUna) && c.rtoDeadline.IsZero() {
-		c.armTimerLocked()
-	}
-}
-
-// --- timers ---
-
-// giveUpLocked terminates a connection whose retransmission budget is
-// exhausted: SYN-phase failures become ErrConnectTimeout, established
-// ones ErrMaxRetransmits. The error is terminal and observable through
-// Err/Send/Recv, which is how the libOS above turns it into a failed
-// qtoken instead of a hang.
-func (c *TCPConn) giveUpLocked() {
-	s := c.stack
-	s.stats.GiveUps++
-	telemetry.TraceInstant("netstack", "give-up", int32(c.key.localPort), int64(c.retries))
-	switch c.state {
-	case stateSynSent, stateSynRcvd:
-		c.err = ErrConnectTimeout
-	default:
-		c.err = ErrMaxRetransmits
-	}
-	c.state = stateClosed
-	c.clearTimerLocked()
-	c.releaseOOOLocked()
-	c.updateReadyLocked()
-	delete(s.conns, c.key)
-}
-
-func (c *TCPConn) armTimerLocked() {
-	c.rtoDeadline = c.stack.now().Add(c.rto)
-}
-
-func (c *TCPConn) clearTimerLocked() {
-	c.rtoDeadline = time.Time{}
-}
-
-// tickTimersLocked fires retransmission timers across all connections.
-func (s *Stack) tickTimersLocked() {
-	now := s.now()
-	for _, c := range s.conns {
-		if c.rtoDeadline.IsZero() || now.Before(c.rtoDeadline) {
-			continue
-		}
-		// Retransmission budget: a timer firing MaxRetransmits times in a
-		// row without forward progress means the peer is gone. Surface a
-		// terminal, typed error instead of retrying into the void.
-		if c.retries >= s.cfg.MaxRetransmits {
-			c.giveUpLocked()
-			continue
-		}
-		c.retries++
-		s.stats.Retransmits++
-		telemetry.TraceInstant("netstack", "retransmit", int32(c.key.localPort), int64(c.retries))
-		mss := s.cfg.MSS
-		switch c.state {
-		case stateSynSent:
-			c.sendSegmentLocked(c.iss, 0, 0, flagSYN)
-		case stateSynRcvd:
-			c.sendSegmentLocked(c.iss, 0, 0, flagSYN|flagACK)
-		case stateEstablished:
-			flight := int(c.sndNxt - c.sndUna)
-			c.ssthresh = max(flight/2, 2*mss)
-			c.cwnd = mss
-			if c.peerWnd == 0 && c.sndBuf.Len() > 0 && flight == 0 {
-				// Zero-window probe: one byte past the edge.
-				c.sendSegmentLocked(c.sndNxt, 0, 1, flagACK|flagPSH)
-				c.sndNxt++
-			} else if flight > 0 {
-				c.retransmitHeadLocked()
-				continue // retransmitHead re-armed the timer
-			} else {
-				c.clearTimerLocked()
-				continue
-			}
-		case stateClosed:
-			c.clearTimerLocked()
-			continue
-		}
-		c.rto *= 2
-		if c.rto > maxRTO {
-			c.rto = maxRTO
-		}
+	if c.sndBuf.Len() > int(c.sndNxt-c.sndUna) && c.deadline == 0 {
 		c.armTimerLocked()
 	}
 }

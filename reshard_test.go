@@ -252,8 +252,23 @@ func TestChaosReshardUnderCrashRestart(t *testing.T) {
 	eng := chaos.New(92).
 		ImpairAll(0, rig.c.Switch, fabric.Impairments{LossRate: 0.02, CorruptRate: 0.05}).
 		ImpairAll(50*time.Millisecond, rig.c.Switch, fabric.Impairments{}).
-		AsymmetricPartition(70*time.Millisecond, 40*time.Millisecond, rig.c.Switch, fport, sport)
+		AsymmetricPartition(70*time.Millisecond, 0, rig.c.Switch, fport, sport)
 	eng.Start()
+	// The schedule fires from the load loop's Step, which is fine for the
+	// partition's start but not for its end: a Set that sits out the whole
+	// window starts and heals it in one Step, nothing dropped in between,
+	// and a Set caught by it holds the next Step back — and the partition
+	// up — through all forty of its redials. So the partition heals itself,
+	// 40 ms after its first drop.
+	healed := make(chan struct{})
+	go func() {
+		defer close(healed)
+		for rig.c.Switch.Stats().AsymDrops == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(40 * time.Millisecond)
+		rig.c.Switch.SetOneWayBlock(fport, sport, false)
+	}()
 
 	var successes, failures atomic.Int64
 	stopLoad := make(chan struct{})
@@ -317,6 +332,13 @@ func TestChaosReshardUnderCrashRestart(t *testing.T) {
 		t.Fatalf("reshard 4→3 after restart: %v", err)
 	}
 	waitProgress(40, "post-shrink")
+	// A loss-free run through all of the above takes less wall time than
+	// the partition's start: keep the load on until it has come and gone.
+	select {
+	case <-healed:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("the partition never dropped a frame: fired %v", eng.Fired())
+	}
 	close(stopLoad)
 	loadWG.Wait()
 	if t.Failed() {
