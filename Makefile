@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 vet build test runcheck race statsmoke shardsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak chaos bench benchsmoke benchall report clean
+.PHONY: all tier1 vet build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak chaos bench bench-aa benchsmoke report loc clean
 
 all: tier1
 
@@ -15,8 +15,8 @@ STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish
 STORAGE_RUN     := TestChaosPushdownResetMidTraversal
 RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
-BENCHSMOKE_RUN  := BenchmarkHotPath|BenchmarkHotPath_PollIdle|BenchmarkURing|BenchmarkHTTP|BenchmarkStorage|BenchmarkReshard|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns
-BENCHSMOKE_PKGS := . ./internal/netstack/
+BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkHotPath_EventLoopTick|BenchmarkURing_SubmitHarvest|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns
+BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/
 
 ## tier1: the gate every PR must keep green — vet, build, full test
 ## suite, a short -race pass over the concurrency-heavy packages
@@ -27,17 +27,18 @@ BENCHSMOKE_PKGS := . ./internal/netstack/
 ## (telemetry must conserve frames: TXed == delivered + every
 ## attributed drop, at the fabric, per NIC, and per stack — including
 ## across a crash/restart, the crash-time RxFlushed bucket folded in),
-## a 2-shard KV scaling smoke (the sharded runtime must come up,
-## align, and beat one shard), a crash/restart soak (the lifecycle
-## tests repeated under -race: typed errors only, listener re-binding,
-## failover recovery, frame conservation across the incarnation
-## boundary), an HTTP workload soak (production-shaped traffic with
-## slow readers and a mid-run crash/restart; stalled readers must
-## become TCP backpressure, not unbounded buffering), and a
-## one-iteration smoke of the hot-path benchmark suite so a broken
-## benchmark rig fails the gate, not the nightly bench run. runcheck
-## goes first: a soak whose pattern matches nothing passes vacuously.
-tier1: vet build test runcheck race statsmoke shardsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak benchsmoke
+## a crash/restart soak (the lifecycle tests repeated under -race: typed
+## errors only, listener re-binding, failover recovery, frame
+## conservation across the incarnation boundary), an HTTP workload soak
+## (production-shaped traffic with slow readers and a mid-run
+## crash/restart; stalled readers must become TCP backpressure, not
+## unbounded buffering), and a one-iteration smoke of the component
+## microbenchmarks so a broken rig fails the gate. The sharded runtime's
+## scaling floor (4 shards >= 2.5x one, monotone growth, no aligned
+## request crossing the mesh) is experiment E14's, checked by `test`.
+## runcheck goes first: a soak whose pattern matches nothing passes
+## vacuously.
+tier1: vet build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -75,13 +76,6 @@ race:
 ## -selftest). A leak anywhere in the datapath bookkeeping fails tier1.
 statsmoke:
 	$(GO) run ./cmd/demi-stat -selftest
-
-## shardsmoke: bring up the sharded runtime at 1 and 2 shards and
-## verify RSS alignment and a speedup; part of tier1. The full curve
-## (1..8 shards, with the 2.5x @ 4-shard regression fence) runs under
-## `make bench`.
-shardsmoke:
-	$(GO) run ./cmd/demi-bench -shards 2 -shardsout /dev/null
 
 ## lifecyclesoak: the crash/restart gauntlet, repeated under the race
 ## detector — node death mid-connection, client failover across the
@@ -148,44 +142,39 @@ reshardsoak:
 chaos:
 	$(GO) test -run '$(CHAOS_RUN)' -count=1 ./...
 
-## bench: run the hot-path regression suite and write the machine-
-## readable result stream to BENCH_hotpath.json, then measure the
-## multi-core scaling curve (1..8 shards) and persist it as
-## BENCH_multishard.json. The curve run fails if 4 shards fall below
-## 2.5x the single-shard virtual throughput. Finally measure the HTTP
-## server on both data paths (demi-http -bench) and persist
-## BENCH_http.json; that run fails unless the ring path sustains >=2x
-## the per-op requests/sec at some batch >= 8 with zero steady-state
-## allocations per request. The storage run persists BENCH_storage.json
-## and fails in-bench unless a depth>=4 pushdown GET crosses the device
-## boundary at least 3x less often than the host traversal, with zero
-## steady-state allocations per GET. The reshard run persists
-## BENCH_reshard.json and fails in-bench unless client p99 during a
-## live 4→8 reshard stays within 3x of steady-state p99. Compare the
-## files against the committed baselines to spot regressions.
+## bench: the repo benchmark — the one place wall clock is measured.
+## One workload of BENCHMARK.json per run (W=echo64 by default; add
+## `-trace 1` through BENCHFLAGS for the per-layer ladder); results are
+## compared as alternated parent/change pairs of this command, never
+## against a committed file. bench-aa runs every workload in interleaved
+## sets of the same code, to read the host's run-to-run spread.
+W ?= echo64
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkHotPath' -benchmem -json . | tee BENCH_hotpath.json
-	$(GO) test -run xxx -bench 'BenchmarkURing' -benchmem -json . | tee BENCH_uring.json
-	$(GO) test -run xxx -bench 'BenchmarkStorage' -benchmem -json . | tee BENCH_storage.json
-	$(GO) test -run xxx -bench 'BenchmarkReshard' -benchmem -json . | tee BENCH_reshard.json
-	$(GO) run ./cmd/demi-bench -shards 8 -shardsout BENCH_multishard.json
-	$(GO) run ./cmd/demi-http -bench -out BENCH_http.json
+	$(GO) run ./benchmark -workload $(W) $(BENCHFLAGS)
 
-## benchsmoke: one iteration of every hot-path benchmark, and of the
-## netstack microbenchmarks (checksum throughput; ACK dequeue cost at
-## 4 KiB and at 128 KiB queued, and Stack.Poll beside 1, 1 k and 100 k
-## idle connections, both of which must read as a flat line); part of
-## tier1.
+bench-aa:
+	$(GO) run ./benchmark -aa -sets 2 -runs 3
+
+## benchsmoke: one iteration of every component microbenchmark — the
+## completer, an idle event-loop tick, the ring crossing, the memory
+## queue, SGA marshalling, WaitAny's fan-in, and the netstack's (checksum
+## throughput; ACK dequeue cost at 4 KiB and at 128 KiB queued, and
+## Stack.Poll beside 1, 1 k and 100 k idle connections, both of which
+## must read as a flat line); part of tier1.
 benchsmoke:
 	$(GO) test -run xxx -bench '$(BENCHSMOKE_RUN)' -benchtime=1x $(BENCHSMOKE_PKGS)
-
-## benchall: every benchmark in the repo (E1..E13 experiments + hot path).
-benchall:
-	$(GO) test -bench=. -benchmem .
 
 ## report: regenerate EXPERIMENTS.md's measured tables.
 report:
 	$(GO) run ./cmd/demi-bench -md EXPERIMENTS.md
+
+## loc: the three line counts every PR reports — non-test Go outside
+## benchmark/, test Go outside benchmark/, and benchmark/.
+loc:
+	@count() { find . -name '*.go' "$$@" -print0 | xargs -0 cat | wc -l; }; \
+	echo "non-test Go outside benchmark/: $$(count -not -name '*_test.go' -not -path './benchmark/*')"; \
+	echo "_test.go outside benchmark/:    $$(count -name '*_test.go' -not -path './benchmark/*')"; \
+	echo "benchmark/:                     $$(count -path './benchmark/*')"
 
 clean:
 	$(GO) clean ./...

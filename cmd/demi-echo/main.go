@@ -57,56 +57,30 @@ func main() {
 
 func measure(flavor string, size, n int, seed int64, stats bool) (*metrics.Histogram, error) {
 	cluster := demi.NewCluster(seed)
-	mk := func(host byte) (*demi.Node, error) {
-		switch flavor {
-		case "catnip":
-			return cluster.MustSpawn(demi.Catnip, demi.WithHost(host)), nil
-		case "catnap":
-			return cluster.MustSpawn(demi.Catnap, demi.WithHost(host)), nil
-		case "catmint":
-			return cluster.MustSpawn(demi.Catmint, demi.WithHost(host)), nil
-		default:
-			return nil, fmt.Errorf("unknown libOS %q", flavor)
-		}
-	}
-	srvNode, err := mk(1)
+	reg := telemetry.NewRegistry()
+	srvNode, err := cluster.Spawn(demi.Kind(flavor), demi.WithHost(1), demi.WithTelemetry(reg))
 	if err != nil {
 		return nil, err
 	}
-	cliNode, err := mk(2)
+	cliNode, err := cluster.Spawn(demi.Kind(flavor), demi.WithHost(2), demi.WithTelemetry(reg))
 	if err != nil {
 		return nil, err
 	}
-	server := echo.NewServer(srvNode.LibOS)
-	server.AppCost = cluster.Model.AppRequestNS
-	if err := server.Listen(7); err != nil {
+	_, stopSrv, err := echo.Serve(srvNode.LibOS, 7, cluster.Model.AppRequestNS, 0)
+	if err != nil {
 		return nil, err
 	}
-	defer srvNode.Background()()
-	defer cliNode.Background()()
-	stop := make(chan struct{})
-	defer close(stop)
-	go server.Run(stop)
-
-	client := echo.NewClient(cliNode.LibOS)
-	if err := client.Connect(cluster.AddrOf(srvNode, 7)); err != nil {
+	defer stopSrv()
+	client, stopCli, err := echo.Dial(cliNode.LibOS, cluster.AddrOf(srvNode, 7), 0)
+	if err != nil {
 		return nil, err
 	}
+	defer stopCli()
 
-	var reg *telemetry.Registry
-	var before telemetry.Snapshot
+	var report func() string
 	if stats {
-		reg = telemetry.NewRegistry()
-		cluster.Switch.RegisterTelemetry(reg, "fabric")
-		srvNode.RegisterTelemetry(reg, "server")
-		cliNode.RegisterTelemetry(reg, "client")
-		srvNode.Spans().SetName(flavor + " server")
-		cliNode.Spans().SetName(flavor + " client")
-		srvNode.Spans().Enable()
-		cliNode.Spans().Enable()
-		before = reg.Snapshot()
+		report = cluster.Observe(reg)
 	}
-
 	payload := make([]byte, size)
 	var h metrics.Histogram
 	for i := 0; i < n; i++ {
@@ -116,12 +90,8 @@ func measure(flavor string, size, n int, seed int64, stats bool) (*metrics.Histo
 		}
 		h.Record(cost)
 	}
-
 	if stats {
-		fmt.Printf("-- %s / %dB: per-layer counters (delta) --\n", flavor, size)
-		fmt.Print(reg.Snapshot().Diff(before).NonZero().String())
-		fmt.Println(cliNode.Spans().Table().String())
-		fmt.Println(srvNode.Spans().Table().String())
+		fmt.Printf("-- %s / %dB --\n%s", flavor, size, report())
 	}
 	return &h, nil
 }

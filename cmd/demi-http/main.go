@@ -1,41 +1,29 @@
 // Command demi-http drives the HTTP/1.1 server that runs directly on
 // catnip queues — the paper's "real application on the bypass path"
-// workload — in two modes:
+// workload — with a production-shaped driver: a 2-shard catnip server
+// (shard 0 on the legacy per-op token path, shard 1 on the syscall-free
+// SQ/CQ rings) serving a Zipf-popular cached object tree to keep-alive
+// clients with connection churn and deliberately slow readers, with a
+// full crash/restart of the server node halfway through. It prints the
+// httpd.* telemetry counters per shard and the per-route service-latency
+// table with the p99/p99.9 tail the paper cares about, plus the
+// rx_ready_stalls count that shows the slow readers being converted into
+// TCP backpressure instead of unbounded buffering.
 //
-// The default mode is a production-shaped driver: a 2-shard catnip
-// server (shard 0 on the legacy per-op token path, shard 1 on the
-// syscall-free SQ/CQ rings) serving a Zipf-popular cached object tree
-// to keep-alive clients with connection churn and deliberately slow
-// readers, with a full crash/restart of the server node halfway
-// through. It prints the httpd.* telemetry counters per shard and the
-// per-route service-latency table with the p99/p99.9 tail the paper
-// cares about, plus the rx_ready_stalls count that shows the slow
-// readers being converted into TCP backpressure instead of unbounded
-// buffering.
-//
-// With -bench it instead measures requests/sec on a single-goroutine,
-// manually-pumped rig (no background pollers, so allocs are exact):
-// the per-op token path versus ring batches of 1/8/32, writing the
-// machine-readable results to BENCH_http.json. The run fails (exit 1)
-// unless the ring path sustains >= 2x the per-op requests/sec at some
-// batch >= 8 with zero steady-state allocations per request — the
-// regression fence `make bench` enforces.
+// Requests per second on both paths, wall clock, is the http_get_b32
+// workload of the repo benchmark (go run ./benchmark).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"testing"
 	"time"
 
 	demi "demikernel"
 	"demikernel/internal/apps/httpd"
 	"demikernel/internal/metrics"
-	"demikernel/internal/queue"
 	"demikernel/internal/telemetry"
-	"demikernel/internal/uring"
 	"demikernel/internal/workload"
 )
 
@@ -43,27 +31,14 @@ const httpPort = 8080
 
 func main() {
 	seed := flag.Int64("seed", 42, "deterministic seed for the workload")
-	n := flag.Int("n", 2000, "requests to issue in driver mode")
-	bench := flag.Bool("bench", false, "run the per-op vs ring benchmark instead of the driver")
-	out := flag.String("out", "BENCH_http.json", "where -bench writes its results")
+	n := flag.Int("n", 2000, "requests to issue")
 	flag.Parse()
 
-	if *bench {
-		if err := runBench(*seed, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "demi-http: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := runDriver(*seed, *n); err != nil {
 		fmt.Fprintf(os.Stderr, "demi-http: %v\n", err)
 		os.Exit(1)
 	}
 }
-
-// ---------------------------------------------------------------------
-// Driver mode: production-shaped workload with a mid-run crash/restart.
-// ---------------------------------------------------------------------
 
 func runDriver(seed int64, total int) error {
 	const nshards = 2
@@ -82,21 +57,19 @@ func runDriver(seed int64, total int) error {
 	}
 
 	reg := telemetry.NewRegistry()
-	srvNode.RegisterTelemetry(reg, "srv")
 	servers := make([]*httpd.Server, nshards)
-	stop := make(chan struct{})
-	defer close(stop)
 	for i := 0; i < nshards; i++ {
-		servers[i] = httpd.NewServer(sh.Libs[i], tree)
-		servers[i].EnableLatency()
-		servers[i].RegisterTelemetry(reg, fmt.Sprintf("httpd.%d", i))
-		if err := servers[i].Listen(httpPort); err != nil {
+		ringCap := 0
+		if i == 1 {
+			ringCap = 64
+		}
+		srv, stop, err := httpd.Serve(sh.Libs[i], tree, httpPort, ringCap)
+		if err != nil {
 			return err
 		}
-		if i == 1 {
-			servers[i].EnableRing(64)
-		}
-		go servers[i].Run(stop)
+		defer stop()
+		srv.RegisterTelemetry(reg, fmt.Sprintf("httpd.%d", i))
+		servers[i] = srv
 	}
 	stopCli := cliNode.Background()
 	defer stopCli()
@@ -233,282 +206,6 @@ func runDriver(seed int64, total int) error {
 	}
 	if served != int64(issued) {
 		return fmt.Errorf("request accounting broken: issued %d, served %d", issued, served)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Bench mode: per-op vs ring on a manually-pumped single-goroutine rig.
-// ---------------------------------------------------------------------
-
-// benchRig mirrors the httpd benchmark rig in the test suite: a
-// connected server/client pair whose data path is pumped only by this
-// goroutine, so requests/sec and allocs/request are deterministic.
-type benchRig struct {
-	cli    *demi.LibOS
-	srvLib *demi.LibOS
-	srv    *httpd.Server
-	cqd    demi.QD
-	req    demi.SGA
-
-	ring *uring.Pair
-	sq   []uring.SQE
-	cq   []uring.CQE
-}
-
-func newBenchRig(seed int64, ringCap int) (*benchRig, error) {
-	c := demi.NewCluster(seed)
-	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1))
-	cliNode := c.MustSpawn(demi.Catnip, demi.WithHost(2))
-
-	objs := workload.HTTPObjects(4, workload.FixedSize(64), seed)
-	tree := httpd.NewTree()
-	for _, o := range objs {
-		tree.Add(o.Path, o.Body)
-	}
-	srv := httpd.NewServer(srvNode.LibOS, tree)
-	if err := srv.Listen(httpPort); err != nil {
-		return nil, err
-	}
-	if ringCap > 0 {
-		srv.EnableRing(ringCap)
-	}
-	cqd, err := cliNode.Socket()
-	if err != nil {
-		return nil, err
-	}
-	stop := srvNode.Background()
-	err = cliNode.Connect(cqd, c.AddrOf(srvNode, httpPort))
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	r := &benchRig{
-		cli: cliNode.LibOS, srvLib: srvNode.LibOS, srv: srv, cqd: cqd,
-		req: demi.NewSGA([]byte("GET " + workload.HTTPObjectPath(0) + " HTTP/1.1\r\n\r\n")),
-	}
-	if ringCap > 0 {
-		r.ring = cliNode.AttachRing(ringCap)
-		r.sq = make([]uring.SQE, 0, 2*ringCap)
-		r.cq = make([]uring.CQE, ringCap)
-	}
-	for i := 0; r.srv.Conns() == 0; i++ {
-		r.cli.Poll()
-		r.srvLib.Poll()
-		r.srv.Step()
-		if i > 1_000_000 {
-			return nil, fmt.Errorf("bench rig: accept made no progress")
-		}
-	}
-	return r, nil
-}
-
-func (r *benchRig) pump() {
-	r.cli.Poll()
-	r.srvLib.Poll()
-	r.srv.Step()
-	r.srvLib.Poll()
-	r.cli.Poll()
-}
-
-// getOnce is one GET over the per-op token path.
-func (r *benchRig) getOnce() error {
-	pqt, err := r.cli.Pop(r.cqd)
-	if err != nil {
-		return err
-	}
-	if _, err := r.cli.Push(r.cqd, r.req); err != nil {
-		return err
-	}
-	for i := 0; ; i++ {
-		c, ok, err := r.cli.TryWait(pqt)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if c.Err != nil {
-				return c.Err
-			}
-			c.SGA.Free()
-			return nil
-		}
-		r.pump()
-		if i > 1_000_000 {
-			return fmt.Errorf("per-op GET made no progress")
-		}
-	}
-}
-
-// getBatch is `batch` pipelined GETs over the SQ/CQ rings.
-func (r *benchRig) getBatch(batch int) error {
-	sq := r.sq[:0]
-	for i := 0; i < batch; i++ {
-		sq = append(sq,
-			uring.SQE{Op: queue.OpPush, QD: int32(r.cqd), Tag: uint64(i)<<1 | 1, SGA: r.req},
-			uring.SQE{Op: queue.OpPop, QD: int32(r.cqd), Tag: uint64(i) << 1})
-	}
-	want, got := 2*batch, 0
-	for it := 0; got < want || len(sq) > 0; it++ {
-		if len(sq) > 0 {
-			n, err := r.cli.SubmitBatch(r.ring, sq)
-			if err != nil {
-				return err
-			}
-			sq = sq[n:]
-		}
-		r.pump()
-		n := r.cli.HarvestCQ(r.ring, r.cq)
-		for i := 0; i < n; i++ {
-			c := &r.cq[i]
-			if c.Err != nil {
-				return c.Err
-			}
-			if c.Tag&1 == 0 {
-				c.SGA.Free()
-			}
-			got++
-			*c = uring.CQE{}
-		}
-		if it > 1_000_000 {
-			return fmt.Errorf("ring GET batch made no progress")
-		}
-	}
-	return nil
-}
-
-type benchPoint struct {
-	Path        string  `json:"path"`  // "per-op" or "ring"
-	Batch       int     `json:"batch"` // 0 for per-op
-	Requests    int     `json:"requests"`
-	NsPerReq    float64 `json:"ns_per_req"`
-	ReqPerSec   float64 `json:"req_per_sec"`
-	AllocsPerOp float64 `json:"allocs_per_req"` // steady-state heap allocs per request
-}
-
-type benchReport struct {
-	Seed        int64        `json:"seed"`
-	Points      []benchPoint `json:"points"`
-	BestSpeedup float64      `json:"ring_speedup_at_batch_ge_8"`
-	FencePassed bool         `json:"fence_passed"`
-}
-
-func runBench(seed int64, out string) error {
-	const reqs = 4000
-
-	// Per-op baseline.
-	perOp, err := newBenchRig(seed, 0)
-	if err != nil {
-		return err
-	}
-	if err := perOp.getOnce(); err != nil { // warm pools
-		return err
-	}
-	var opErr error
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := perOp.getOnce(); err != nil {
-			opErr = err
-		}
-	})
-	if opErr != nil {
-		return opErr
-	}
-	el := time.Duration(1 << 62)
-	for trial := 0; trial < 3; trial++ { // best-of-3: wall-clock noise
-		start := time.Now()
-		for i := 0; i < reqs; i++ {
-			if err := perOp.getOnce(); err != nil {
-				return err
-			}
-		}
-		if t := time.Since(start); t < el {
-			el = t
-		}
-	}
-	rep := benchReport{Seed: seed}
-	rep.Points = append(rep.Points, benchPoint{
-		Path: "per-op", Requests: reqs,
-		NsPerReq:    float64(el.Nanoseconds()) / reqs,
-		ReqPerSec:   float64(reqs) / el.Seconds(),
-		AllocsPerOp: allocs,
-	})
-
-	// Ring path at increasing batch sizes.
-	for _, batch := range []int{1, 8, 32} {
-		rig, err := newBenchRig(seed, 256)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < 20; i++ { // warm pools
-			if err := rig.getBatch(batch); err != nil {
-				return err
-			}
-		}
-		var bErr error
-		ba := testing.AllocsPerRun(100, func() {
-			if err := rig.getBatch(batch); err != nil {
-				bErr = err
-			}
-		})
-		if bErr != nil {
-			return bErr
-		}
-		iters := reqs / batch
-		el := time.Duration(1 << 62)
-		for trial := 0; trial < 3; trial++ { // best-of-3: wall-clock noise
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := rig.getBatch(batch); err != nil {
-					return err
-				}
-			}
-			if t := time.Since(start); t < el {
-				el = t
-			}
-		}
-		n := iters * batch
-		rep.Points = append(rep.Points, benchPoint{
-			Path: "ring", Batch: batch, Requests: n,
-			NsPerReq:    float64(el.Nanoseconds()) / float64(n),
-			ReqPerSec:   float64(n) / el.Seconds(),
-			AllocsPerOp: ba / float64(batch),
-		})
-	}
-
-	// Fence: at some batch >= 8 the ring path must sustain >= 2x the
-	// per-op requests/sec, allocation-free per request.
-	base := rep.Points[0].ReqPerSec
-	for _, p := range rep.Points[1:] {
-		if p.Batch < 8 {
-			continue
-		}
-		if sp := p.ReqPerSec / base; sp > rep.BestSpeedup {
-			rep.BestSpeedup = sp
-		}
-		if p.ReqPerSec/base >= 2.0 && p.AllocsPerOp == 0 {
-			rep.FencePassed = true
-		}
-	}
-
-	for _, p := range rep.Points {
-		label := p.Path
-		if p.Batch > 0 {
-			label = fmt.Sprintf("%s b=%d", p.Path, p.Batch)
-		}
-		fmt.Printf("%-12s %8.0f req/s  %7.0f ns/req  %.2f allocs/req\n",
-			label, p.ReqPerSec, p.NsPerReq, p.AllocsPerOp)
-	}
-	fmt.Printf("ring speedup at batch>=8: %.2fx (fence: >=2x, 0 allocs/req)\n", rep.BestSpeedup)
-
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	if !rep.FencePassed {
-		return fmt.Errorf("bench fence failed: ring %.2fx per-op at batch>=8 (need >=2.0x with 0 allocs/req)", rep.BestSpeedup)
 	}
 	return nil
 }

@@ -38,55 +38,29 @@ func main() {
 
 func run(libos string, ops, valueSize int, wl string, seed int64, stats bool) error {
 	cluster := demi.NewCluster(seed)
-	var srvNode, cliNode *demi.Node
-	mk := func(host byte) (*demi.Node, error) {
-		switch libos {
-		case "catnip":
-			return cluster.MustSpawn(demi.Catnip, demi.WithHost(host)), nil
-		case "catnap":
-			return cluster.MustSpawn(demi.Catnap, demi.WithHost(host)), nil
-		case "catmint":
-			return cluster.MustSpawn(demi.Catmint, demi.WithHost(host)), nil
-		default:
-			return nil, fmt.Errorf("unknown libOS %q", libos)
-		}
-	}
-	srvNode, err := mk(1)
+	reg := telemetry.NewRegistry()
+	srvNode, err := cluster.Spawn(demi.Kind(libos), demi.WithHost(1), demi.WithTelemetry(reg))
 	if err != nil {
 		return err
 	}
-	cliNode, err = mk(2)
+	cliNode, err := cluster.Spawn(demi.Kind(libos), demi.WithHost(2), demi.WithTelemetry(reg))
 	if err != nil {
 		return err
 	}
-
-	server := kv.NewServer(srvNode.LibOS, &cluster.Model)
-	if err := server.Listen(6379); err != nil {
+	server, stopSrv, err := kv.Serve([]*demi.LibOS{srvNode.LibOS}, nil, 1, &cluster.Model, 6379)
+	if err != nil {
 		return err
 	}
-	defer srvNode.Background()()
-	defer cliNode.Background()()
-	stop := make(chan struct{})
-	defer close(stop)
-	server.Run(stop)
-
-	client := kv.NewClient(cliNode.LibOS)
-	if err := client.Connect(cluster.AddrOf(srvNode, 6379)); err != nil {
+	defer stopSrv()
+	client, stopCli, err := kv.Dial(cliNode.LibOS, 1, cluster.Router().Dialer(cliNode, srvNode, 6379))
+	if err != nil {
 		return err
 	}
+	defer stopCli()
 
-	var reg *telemetry.Registry
-	var before telemetry.Snapshot
+	var report func() string
 	if stats {
-		reg = telemetry.NewRegistry()
-		cluster.Switch.RegisterTelemetry(reg, "fabric")
-		srvNode.RegisterTelemetry(reg, "server")
-		cliNode.RegisterTelemetry(reg, "client")
-		srvNode.Spans().SetName(libos + " server")
-		cliNode.Spans().SetName(libos + " client")
-		srvNode.Spans().Enable()
-		cliNode.Spans().Enable()
-		before = reg.Snapshot()
+		report = cluster.Observe(reg)
 	}
 
 	const keys = 64
@@ -145,11 +119,7 @@ func run(libos string, ops, valueSize int, wl string, seed int64, stats bool) er
 		st.Connections, st.Sets, st.Gets, st.BytesStored)
 
 	if stats {
-		fmt.Println("\n== per-layer counters (delta over the run) ==")
-		fmt.Print(reg.Snapshot().Diff(before).NonZero().String())
-		fmt.Println()
-		fmt.Println(cliNode.Spans().Table().String())
-		fmt.Println(srvNode.Spans().Table().String())
+		fmt.Print("\n", report())
 	}
 	return nil
 }

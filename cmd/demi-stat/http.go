@@ -25,10 +25,11 @@ const httpStatPort = 8080
 
 func runHTTP(seed int64, n int, ringCap int) error {
 	c := demi.NewCluster(seed)
-	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1))
+	reg := telemetry.NewRegistry()
+	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1), demi.WithTelemetry(reg))
 	cliNode := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{
 		Host: 2, RxReadyCap: 4,
-	}))
+	}), demi.WithTelemetry(reg))
 	cliNode.WaitTimeout = 5 * time.Second
 
 	prod := workload.NewHTTPProduction(64, 1e6, seed)
@@ -37,31 +38,21 @@ func runHTTP(seed int64, n int, ringCap int) error {
 		tree.Add(o.Path, o.Body)
 	}
 
-	reg := telemetry.NewRegistry()
-	srvNode.RegisterTelemetry(reg, "srv")
-	cliNode.RegisterTelemetry(reg, "cli")
-
-	srv := httpd.NewServer(srvNode.LibOS, tree)
-	srv.EnableLatency()
-	srv.RegisterTelemetry(reg, "httpd")
-	if err := srv.Listen(httpStatPort); err != nil {
+	srv, stopSrv, err := httpd.Serve(srvNode.LibOS, tree, httpStatPort, ringCap)
+	if err != nil {
 		return err
 	}
+	defer stopSrv()
+	srv.RegisterTelemetry(reg, "httpd")
 	mode := "per-op tokens"
 	if ringCap > 0 {
-		srv.EnableRing(ringCap)
 		mode = fmt.Sprintf("SQ/CQ rings (cap %d)", ringCap)
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go srv.Run(stop)
-	stopCli := cliNode.Background()
-	defer stopCli()
-
-	cl := httpd.NewClient(cliNode.LibOS)
-	if err := cl.Connect(c.AddrOf(srvNode, httpStatPort)); err != nil {
+	cl, stopCli, err := httpd.Dial(cliNode.LibOS, c.AddrOf(srvNode, httpStatPort))
+	if err != nil {
 		return err
 	}
+	defer stopCli()
 
 	before := reg.Snapshot()
 	pending, stallLeft := 0, 0

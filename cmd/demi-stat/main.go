@@ -57,64 +57,14 @@ import (
 	"time"
 
 	demi "demikernel"
-	"demikernel/internal/apps/echo"
 	"demikernel/internal/apps/failover"
-	"demikernel/internal/apps/kv"
 	"demikernel/internal/chaos"
+	"demikernel/internal/experiments"
 	"demikernel/internal/fabric"
 	"demikernel/internal/metrics"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
 )
-
-// echoPair is a connected echo client over a served listener. With
-// ringBatch > 0 round trips travel the syscall-free SQ/CQ rings,
-// ringBatch at a time, instead of the per-op token path.
-type echoPair struct {
-	client    *echo.Client
-	server    *echo.Server
-	ringBatch int
-}
-
-func (p *echoPair) rtt(payload []byte, appCost simclock.Lat) (simclock.Lat, error) {
-	if p.ringBatch > 0 {
-		return p.client.RTTBatch(payload, appCost, p.ringBatch)
-	}
-	return p.client.RTT(payload, appCost)
-}
-
-// startEcho brings up the echo server on srvNode:7, backgrounds both
-// nodes' pollers, and connects a client from cliNode. With ringBatch >
-// 0 both sides attach SQ/CQ ring pairs and the data path goes
-// syscall-free. The returned stop functions shut everything down in
-// order.
-func startEcho(c *demi.Cluster, srvNode, cliNode *demi.Node, ringBatch int) (*echoPair, []func(), error) {
-	srv := echo.NewServer(srvNode.LibOS)
-	srv.AppCost = c.Model.AppRequestNS
-	if err := srv.Listen(7); err != nil {
-		return nil, nil, err
-	}
-	if ringBatch > 0 {
-		srv.EnableRing(ringCap)
-	}
-	stopS := srvNode.Background()
-	stopC := cliNode.Background()
-	stopServe := make(chan struct{})
-	go srv.Run(stopServe)
-
-	cli := echo.NewClient(cliNode.LibOS)
-	if err := cli.Connect(c.AddrOf(srvNode, 7)); err != nil {
-		stopC()
-		stopS()
-		close(stopServe)
-		return nil, nil, err
-	}
-	if ringBatch > 0 {
-		cli.EnableRing(ringCap)
-	}
-	stops := []func(){func() { close(stopServe) }, stopC, stopS}
-	return &echoPair{client: cli, server: srv, ringBatch: ringBatch}, stops, nil
-}
 
 // ringCap is the SQ/CQ capacity demi-stat attaches in -ring mode.
 const ringCap = 64
@@ -190,51 +140,48 @@ func main() {
 	}
 }
 
-// rig is one instrumented catnip echo pair.
+// rig is one instrumented catnip echo pair. With ringBatch > 0 round
+// trips travel the syscall-free SQ/CQ rings, ringBatch at a time, instead
+// of the per-op token path.
 type rig struct {
 	cluster *demi.Cluster
-	server  *demi.Node
-	client  *demi.Node
+	srvNode *demi.Node
+	cliNode *demi.Node
 	reg     *telemetry.Registry
-	stops   []func()
+	*experiments.EchoRig
+	ringBatch int
 }
 
-func (r *rig) close() {
-	for _, f := range r.stops {
-		f()
+func (r *rig) rtt(payload []byte, appCost simclock.Lat) (simclock.Lat, error) {
+	if r.ringBatch > 0 {
+		return r.Client.RTTBatch(payload, appCost, r.ringBatch)
 	}
+	return r.Client.RTT(payload, appCost)
 }
 
-func newRig(seed int64, imp fabric.Impairments, ringBatch int) (*rig, *echoPair, error) {
+func newRig(seed int64, imp fabric.Impairments, ringBatch int) (*rig, error) {
 	c := demi.NewCluster(seed)
-	srvNode := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{Host: 1, RTO: 2 * time.Millisecond}))
-	cliNode := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{Host: 2, RTO: 2 * time.Millisecond}))
+	reg := telemetry.NewRegistry()
+	fabric.DefaultFramePool.RegisterTelemetry(reg, "framepool")
+	fabric.RegisterBurstTelemetry(reg, "burst")
+	srvNode := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{Host: 1, RTO: 2 * time.Millisecond}), demi.WithTelemetry(reg))
+	cliNode := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{Host: 2, RTO: 2 * time.Millisecond}), demi.WithTelemetry(reg))
 	// A silent peer (crashed after ACKing a request) is only detectable
 	// through the wait deadline; keep it tight so failover engages fast.
 	cliNode.WaitTimeout = 250 * time.Millisecond
 
-	reg := telemetry.NewRegistry()
-	c.Switch.RegisterTelemetry(reg, "fabric")
-	fabric.DefaultFramePool.RegisterTelemetry(reg, "framepool")
-	fabric.RegisterBurstTelemetry(reg, "burst")
-	srvNode.RegisterTelemetry(reg, "server")
-	cliNode.RegisterTelemetry(reg, "client")
-
-	// Span tables on: every push/pop qtoken on either side is timed.
-	srvNode.Spans().SetName("server")
-	cliNode.Spans().SetName("client")
-	srvNode.Spans().Enable()
-	cliNode.Spans().Enable()
-
-	pair, stops, err := startEcho(c, srvNode, cliNode, ringBatch)
-	if err != nil {
-		return nil, nil, err
+	rings := 0
+	if ringBatch > 0 {
+		rings = ringCap
 	}
-	r := &rig{cluster: c, server: srvNode, client: cliNode, reg: reg, stops: stops}
+	pair, err := experiments.StageEcho(c, srvNode, cliNode, rings)
+	if err != nil {
+		return nil, err
+	}
 	// Impairments go live only after the connection is up, so the
 	// handshake is clean and every injected fault lands on data frames.
 	c.Switch.SetImpairments(imp)
-	return r, pair, nil
+	return &rig{cluster: c, srvNode: srvNode, cliNode: cliNode, reg: reg, EchoRig: pair, ringBatch: ringBatch}, nil
 }
 
 func runDashboard(n, payload int, seed int64, underChaos bool, tracePath string, ringBatch int) error {
@@ -248,11 +195,11 @@ func runDashboard(n, payload int, seed int64, underChaos bool, tracePath string,
 		defer telemetry.Trace.Disable()
 	}
 
-	r, pair, err := newRig(seed, imp, ringBatch)
+	r, err := newRig(seed, imp, ringBatch)
 	if err != nil {
 		return err
 	}
-	defer r.close()
+	defer r.Close()
 
 	// Under -chaos the server dies and comes back mid-run; the client's
 	// failover policy rides it out, and the engine's fired-event log
@@ -262,11 +209,11 @@ func runDashboard(n, payload int, seed int64, underChaos bool, tracePath string,
 	var eng *chaos.Engine
 	var engDone chan struct{}
 	if underChaos {
-		pair.client.EnableFailover(failover.Policy{
+		r.Client.EnableFailover(failover.Policy{
 			MaxAttempts: 60, Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: 0.5, Seed: seed,
 		})
 		eng = chaos.New(seed)
-		eng.NodeCrashRestart(30*time.Millisecond, 25*time.Millisecond, "server", r.server)
+		eng.NodeCrashRestart(30*time.Millisecond, 25*time.Millisecond, "server", r.srvNode)
 		engDone = make(chan struct{})
 		go func() {
 			defer close(engDone)
@@ -274,7 +221,7 @@ func runDashboard(n, payload int, seed int64, underChaos bool, tracePath string,
 		}()
 	}
 
-	before := r.reg.Snapshot()
+	report := r.cluster.Observe(r.reg)
 	buf := make([]byte, payload)
 	var rtt metrics.Histogram
 	step := 1
@@ -282,7 +229,7 @@ func runDashboard(n, payload int, seed int64, underChaos bool, tracePath string,
 		step = ringBatch
 	}
 	for i := 0; i < n; i += step {
-		cost, err := pair.rtt(buf, r.cluster.Model.AppRequestNS)
+		cost, err := r.rtt(buf, r.cluster.Model.AppRequestNS)
 		if err != nil {
 			return fmt.Errorf("rtt %d: %w", i, err)
 		}
@@ -291,7 +238,7 @@ func runDashboard(n, payload int, seed int64, underChaos bool, tracePath string,
 	if eng != nil {
 		<-engDone
 	}
-	after := r.reg.Snapshot()
+	observed := report()
 
 	s := rtt.Summarize()
 	if ringBatch > 0 {
@@ -302,19 +249,12 @@ func runDashboard(n, payload int, seed int64, underChaos bool, tracePath string,
 	fmt.Printf("virtual RTT: p50=%v p99=%v mean=%v max=%v\n\n", s.P50, s.P99, s.Mean, s.Max)
 
 	if ringBatch > 0 {
-		printRings(map[string]*demi.LibOS{"client": r.client.LibOS, "server": r.server.LibOS})
+		printRings(map[string]*demi.LibOS{"client": r.cliNode.LibOS, "server": r.srvNode.LibOS})
 	}
-
-	fmt.Println("== per-layer counters (delta over the run) ==")
-	fmt.Print(after.Diff(before).NonZero().String())
-	fmt.Println()
-
 	if eng != nil {
-		printLifecycle(eng, after)
+		printLifecycle(eng, r.reg.Snapshot())
 	}
-
-	fmt.Println(r.client.Spans().Table().String())
-	fmt.Println(r.server.Spans().Table().String())
+	fmt.Print(observed)
 
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
@@ -373,14 +313,14 @@ func printLifecycle(eng *chaos.Engine, snap telemetry.Snapshot) {
 // conservation laws across fabric, NIC, and stack incarnations.
 func runSelftest(seed int64) error {
 	imp := fabric.Impairments{LossRate: 0.05, DupRate: 0.03, CorruptRate: 0.03, ReorderRate: 0.05}
-	r, pair, err := newRig(seed, imp, 0)
+	r, err := newRig(seed, imp, 0)
 	if err != nil {
 		return err
 	}
-	defer r.close()
+	defer r.Close()
 
 	// The client must survive the server's death below.
-	pair.client.EnableFailover(failover.Policy{
+	r.Client.EnableFailover(failover.Policy{
 		MaxAttempts: 60, Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: 0.5, Seed: seed,
 	})
 
@@ -391,19 +331,19 @@ func runSelftest(seed int64) error {
 			// the link drops. Then bring it back and let the client's
 			// failover redial. The conservation laws below must balance
 			// across the incarnation boundary.
-			if _, err := r.server.Crash(); err != nil {
+			if _, err := r.srvNode.Crash(); err != nil {
 				return fmt.Errorf("crash: %w", err)
 			}
 			time.Sleep(5 * time.Millisecond)
-			if err := r.server.Restart(); err != nil {
+			if err := r.srvNode.Restart(); err != nil {
 				return fmt.Errorf("restart: %w", err)
 			}
 		}
-		if _, err := pair.rtt(buf, 0); err != nil {
+		if _, err := r.rtt(buf, 0); err != nil {
 			return fmt.Errorf("rtt %d: %w", i, err)
 		}
 	}
-	recon, replays := pair.client.FailoverStats()
+	recon, replays := r.Client.FailoverStats()
 	if recon == 0 || replays == 0 {
 		return fmt.Errorf("failover never engaged across the crash (reconnects=%d replays=%d)", recon, replays)
 	}
@@ -443,7 +383,7 @@ func runSelftest(seed int64) error {
 	// NIC's port is in a device counter, and every frame the device
 	// counted as received is either in the stack's FramesIn or still
 	// sitting in a receive ring.
-	for _, node := range []*demi.Node{r.server, r.client} {
+	for _, node := range []*demi.Node{r.srvNode, r.cliNode} {
 		dev := node.Catnip.Device()
 		// Force a wire drain so port-delivered frames land in NIC counters.
 		dev.QueueDepth(0)
@@ -506,33 +446,15 @@ func aggregateShards(s telemetry.Snapshot) telemetry.Snapshot {
 // aggregate of every shard.<i>.* counter.
 func runSharded(seed int64, shards, ops int) error {
 	c := demi.NewCluster(seed)
-	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1), demi.WithShards(shards)).Sharded
-	cliNode := c.MustSpawn(demi.Catnip, demi.WithHost(2))
-
 	reg := telemetry.NewRegistry()
 	c.Switch.RegisterTelemetry(reg, "fabric")
-	srvNode.RegisterTelemetry(reg, "server")
-	cliNode.RegisterTelemetry(reg, "client")
-
-	server := kv.NewShardedServer(srvNode.Libs, &c.Model, srvNode.Mesh())
-	server.RegisterTelemetry(reg, "server.shard")
-	const port = 6379
-	if err := server.Listen(port); err != nil {
-		return err
-	}
-	stop := make(chan struct{})
-	wg := server.Run(stop)
-	defer func() { close(stop); wg.Wait() }()
-	stopCli := cliNode.Background()
-	defer stopCli()
-
-	cli, err := kv.NewShardedClient(cliNode.LibOS, shards, func(i int) (demi.QD, error) {
-		return c.Router().DialShard(cliNode, srvNode, port, i, uint16(4096*i+11))
-	})
+	rig, err := experiments.NewShardedKVRig(c, shards, shards, 6379, demi.WithTelemetry(reg))
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
+	defer rig.Close()
+	srvNode, server, cli := rig.SrvNode, rig.Server, rig.Client
+	server.RegisterTelemetry(reg, "host1.shard")
 
 	before := reg.Snapshot()
 	val := []byte("0123456789abcdef0123456789abcdef")
@@ -554,17 +476,16 @@ func runSharded(seed int64, shards, ops int) error {
 	var maxBusy int64
 	for i := 0; i < shards; i++ {
 		s := server.StatsOf(i)
-		st := srvNode.Set.Shard(i).Stack().Stats()
-		xs := srvNode.Mesh().StatsOf(i)
+		st := srvNode.Sharded.Set.Shard(i).Stack().Stats()
+		xs := srvNode.Sharded.Mesh().StatsOf(i)
 		if s.BusyVirtNS > maxBusy {
 			maxBusy = s.BusyVirtNS
 		}
 		// Live SQ+CQ occupancy across the shard's attached ring pairs: a
 		// nonzero residue after quiesce means an app stopped harvesting.
-		ringOcc := 0
-		for _, p := range srvNode.Libs[i].Rings() {
-			ringOcc += p.SQLen() + p.CQLen()
-		}
+		sqOcc, _ := after.Get(fmt.Sprintf("host1.shard.%d.uring.sq_occupancy", i))
+		cqOcc, _ := after.Get(fmt.Sprintf("host1.shard.%d.uring.cq_occupancy", i))
+		ringOcc := sqOcc + cqOcc
 		tbl.AddRow(i, s.Connections, s.Gets, s.Sets, s.ForwardedOut, s.ForwardedIn, s.Keys,
 			fmt.Sprintf("%.3f", float64(s.BusyVirtNS)/1e6), st.FramesIn, xs.Sent, ringOcc)
 	}

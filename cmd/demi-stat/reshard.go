@@ -14,7 +14,7 @@ import (
 
 	demi "demikernel"
 	"demikernel/internal/apps/failover"
-	"demikernel/internal/apps/kv"
+	"demikernel/internal/experiments"
 	"demikernel/internal/metrics"
 )
 
@@ -24,36 +24,13 @@ func runReshard(seed int64, ops int) error {
 		initial  = 2
 		capacity = 4
 	)
-	c := demi.NewCluster(seed)
-	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1),
-		demi.WithShards(initial), demi.WithShardCapacity(capacity))
-	cliNode := c.MustSpawn(demi.Catnip, demi.WithHost(2))
-
-	server := kv.NewShardedServerElastic(srvNode.Sharded.Libs, &c.Model, srvNode.Sharded.Mesh(), initial)
-	srvNode.SetResharder(server)
-	if err := server.Listen(port); err != nil {
-		return err
-	}
-	stop := make(chan struct{})
-	wg := server.Run(stop)
-	defer func() { close(stop); wg.Wait() }()
-	stopCli := cliNode.Background()
-	defer stopCli()
-
-	dial := func(i int) (demi.QD, error) {
-		return c.Router().DialShard(cliNode, srvNode.Sharded, port, i, uint16(4096*i+23))
-	}
-	cli, err := kv.NewShardedClient(cliNode.LibOS, initial, dial)
+	rig, err := experiments.NewShardedKVRig(demi.NewCluster(seed), initial, capacity, port)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
-	cli.EnableFailover(
-		failover.Policy{MaxAttempts: 25, Base: time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.5, Seed: seed},
-		func(shard, attempt int) (demi.QD, error) {
-			return c.Router().DialShard(cliNode, srvNode.Sharded, port, shard%srvNode.Shards(),
-				uint16(4096*shard+31+attempt*17))
-		})
+	defer rig.Close()
+	srvNode, server, cli := rig.SrvNode, rig.Server, rig.Client
+	cli.EnableFailover(failover.Policy{MaxAttempts: 25, Base: time.Millisecond, Max: 20 * time.Millisecond, Jitter: 0.5, Seed: seed}, nil)
 
 	keys := ops
 	if keys > 512 {
@@ -102,7 +79,7 @@ func runReshard(seed int64, ops int) error {
 		if err := srvNode.Reshard(ctx, m); err != nil {
 			return fmt.Errorf("reshard to %d: %w", m, err)
 		}
-		return cli.Resize(m, dial)
+		return cli.Resize(m, nil)
 	}
 
 	snap("steady @2")

@@ -17,94 +17,37 @@ import (
 	"bytes"
 	"fmt"
 
-	demi "demikernel"
-	"demikernel/internal/libos/catfish"
+	"demikernel/internal/experiments"
 	"demikernel/internal/metrics"
-	"demikernel/internal/offload"
-	"demikernel/internal/queue"
-	"demikernel/internal/simclock"
 	"demikernel/internal/spdk"
 	"demikernel/internal/telemetry"
 )
 
-// storageGet runs one Push+Pop GET round trip through a lookup queue,
-// polling the transport until the result lands.
-func storageGet(tr *catfish.Transport, q *catfish.LookupQueue, key []byte) ([]byte, simclock.Lat, error) {
-	s := tr.AllocSGA(len(key))
-	copy(s.Segments[0].Buf, key)
-	q.Push(s, 0, func(queue.Completion) {})
-	var c queue.Completion
-	got := false
-	q.Pop(func(qc queue.Completion) { c = qc; got = true })
-	for i := 0; !got; i++ {
-		tr.Poll()
-		if i > 1_000_000 {
-			return nil, 0, fmt.Errorf("lookup hung")
-		}
-	}
-	if c.Err != nil {
-		return nil, 0, c.Err
-	}
-	v := append([]byte(nil), c.SGA.Bytes()...)
-	c.SGA.Free()
-	return v, c.Cost, nil
-}
-
 // runStorage drives n GETs over a depth-`depth` index in both lookup
 // modes, renders the dashboard, and audits the pushdown invariants.
 func runStorage(seed int64, n, depth int) error {
-	nKeys := 1 << (depth + 1) // fanout 2: 2^(d+1) keys build depth d
-	var pairs []spdk.KV
-	for i := 0; i < nKeys; i++ {
-		pairs = append(pairs, spdk.KV{
-			Key: []byte(fmt.Sprintf("key-%05d", i)),
-			Val: []byte(fmt.Sprintf("value-%d", i)),
-		})
-	}
-
-	type rig struct {
-		tr  *catfish.Transport
-		q   *catfish.LookupQueue
-		reg *telemetry.Registry
-	}
-	open := func(pushdown bool, seedOff int64) (*rig, *spdk.Index, error) {
-		c := demi.NewCluster(seed + seedOff)
-		node, err := c.Spawn(demi.Catfish, demi.WithBlocks(0))
-		if err != nil {
-			return nil, nil, err
-		}
-		tr := node.Catfish
-		reg := telemetry.NewRegistry()
-		tr.RegisterTelemetry(reg, "catfish")
-		idx, err := tr.BuildIndex(pairs, 2)
-		if err != nil {
-			return nil, nil, err
-		}
-		q, err := tr.OpenLookup(idx, offload.IndexLookup(), catfish.LookupConfig{Pushdown: pushdown})
-		if err != nil {
-			return nil, nil, err
-		}
-		return &rig{tr: tr, q: q, reg: reg}, idx, nil
-	}
-	pd, idx, err := open(true, 0)
+	pd, err := experiments.NewLookupRig(seed, depth, true)
 	if err != nil {
 		return err
 	}
-	host, _, err := open(false, 1)
+	host, err := experiments.NewLookupRig(seed+1, depth, false)
 	if err != nil {
 		return err
 	}
+	pairs, nKeys := pd.Pairs, len(pd.Pairs)
+	reg := telemetry.NewRegistry()
+	pd.Transport.RegisterTelemetry(reg, "catfish")
 
-	before := pd.reg.Snapshot()
+	before := reg.Snapshot()
 	var pdH, hostH metrics.Histogram
 	var miscompares int
 	for i := 0; i < n; i++ {
 		k := pairs[i%nKeys].Key
-		v1, c1, err := storageGet(pd.tr, pd.q, k)
+		v1, c1, err := pd.Get(k)
 		if err != nil {
 			return fmt.Errorf("pushdown GET %d: %w", i, err)
 		}
-		v2, c2, err := storageGet(host.tr, host.q, k)
+		v2, c2, err := host.Get(k)
 		if err != nil {
 			return fmt.Errorf("host GET %d: %w", i, err)
 		}
@@ -115,18 +58,18 @@ func runStorage(seed int64, n, depth int) error {
 		hostH.Record(c2)
 	}
 	// A miss must be typed, not a hang or a zero-value hit.
-	if _, _, err := storageGet(pd.tr, pd.q, []byte("no-such-key")); err != spdk.ErrNotFound {
+	if _, _, err := pd.Get([]byte("no-such-key")); err != spdk.ErrNotFound {
 		return fmt.Errorf("pushdown miss returned %v, want spdk.ErrNotFound", err)
 	}
-	if _, _, err := storageGet(host.tr, host.q, []byte("no-such-key")); err != spdk.ErrNotFound {
+	if _, _, err := host.Get([]byte("no-such-key")); err != spdk.ErrNotFound {
 		return fmt.Errorf("host miss returned %v, want spdk.ErrNotFound", err)
 	}
-	after := pd.reg.Snapshot()
+	after := reg.Snapshot()
 
 	fmt.Printf("storage run: %d GETs over a depth-%d index (%d keys, fanout 2, seed %d)\n\n",
-		n, idx.Depth, nKeys, seed)
+		n, depth, nKeys, seed)
 
-	ps, hs := pd.q.Stats(), host.q.Stats()
+	ps, hs := pd.Queue.Stats(), host.Queue.Stats()
 	pdCross := float64(ps.Crossings) / float64(ps.Lookups)
 	hostCross := float64(hs.Crossings) / float64(hs.Lookups)
 	s1, s2 := pdH.Summarize(), hostH.Summarize()
@@ -136,8 +79,8 @@ func runStorage(seed int64, n, depth int) error {
 	tbl.AddRow("host fallback", hs.Lookups, fmt.Sprintf("%.2f", hostCross), s2.P50, s2.P99)
 	fmt.Println(tbl.String())
 
-	dev := pd.tr.Device().PushdownStats()
-	pool := pd.tr.Pool().Stats()
+	dev := pd.Transport.Device().PushdownStats()
+	pool := pd.Transport.Pool().Stats()
 	tbl2 := metrics.NewTable("Device + pool accounting (pushdown node)",
 		"counter", "value", "meaning")
 	tbl2.AddRow("pushdown.resubmits", dev.Resubmits, "device-internal hops that never crossed to the host")
@@ -155,7 +98,7 @@ func runStorage(seed int64, n, depth int) error {
 
 	// The invariant audit — any failure here means the protection
 	// boundary or the accounting is broken.
-	expected := float64(idx.Depth + 1)
+	expected := float64(depth + 1)
 	var violations []string
 	fail := func(format string, args ...any) {
 		violations = append(violations, fmt.Sprintf(format, args...))
@@ -172,14 +115,14 @@ func runStorage(seed int64, n, depth int) error {
 	if depth >= 4 && hostCross < 3*pdCross {
 		fail("crossing fence: host %.2f vs pushdown %.2f is below 3x", hostCross, pdCross)
 	}
-	if dev.Resubmits != int64(idx.Depth)*dev.Lookups {
-		fail("resubmits = %d, want depth*lookups = %d", dev.Resubmits, int64(idx.Depth)*dev.Lookups)
+	if dev.Resubmits != int64(depth)*dev.Lookups {
+		fail("resubmits = %d, want depth*lookups = %d", dev.Resubmits, int64(depth)*dev.Lookups)
 	}
 	if dev.Inflight != 0 {
 		fail("%d traversals leaked device-side", dev.Inflight)
 	}
-	for name, r := range map[string]*rig{"pushdown": pd, "host": host} {
-		if out := r.tr.Pool().Outstanding(); out != 0 {
+	for name, r := range map[string]*experiments.LookupRig{"pushdown": pd, "host": host} {
+		if out := r.Transport.Pool().Outstanding(); out != 0 {
 			fail("%s node leaked %d pooled buffers", name, out)
 		}
 	}

@@ -11,158 +11,46 @@ package main
 // is the number the whole mechanism exists to protect.
 
 import (
-	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	demi "demikernel"
-	"demikernel/internal/chaos"
+	"demikernel/internal/experiments"
 	"demikernel/internal/metrics"
-	"demikernel/internal/nic"
-	"demikernel/internal/tenant"
 )
 
-// tenantRow pairs a tenant's registry entry with its queue group.
-type tenantRow struct {
-	ten *tenant.Tenant
-	grp *nic.QueueGroup
-}
-
 func runTenants(seed int64, ops int) error {
-	c := demi.NewCluster(seed)
-
-	vicA := c.MustSpawn(demi.Catnip, demi.WithHost(1), demi.WithTenant("vic-a", demi.TenantPolicy{
-		TxWeight: 2, FrameQuotaBytes: 8 << 20,
-	}))
-	vicB := c.MustSpawn(demi.Catnip, demi.WithHost(2), demi.WithTenant("vic-b", demi.TenantPolicy{
-		TxWeight: 2, FrameQuotaBytes: 8 << 20,
-	}))
-	mal := c.MustSpawn(demi.Catnip, demi.WithHost(3), demi.WithTenant("mal", demi.TenantPolicy{
-		TxWeight: 1, FrameQuotaBytes: 2 << 20, TxRateBps: 4 << 20, TxBurstBytes: 64 << 10,
-	}))
-	cliA := c.MustSpawn(demi.Catnip, demi.WithHost(4))
-	cliB := c.MustSpawn(demi.Catnip, demi.WithHost(5))
-	sinkNode := c.MustSpawn(demi.Catnip, demi.WithHost(6))
-
-	rows := []tenantRow{
-		{vicA.Tenant, vicA.Catnip.Group()},
-		{vicB.Tenant, vicB.Catnip.Group()},
-		{mal.Tenant, mal.Catnip.Group()},
-	}
-
-	pairA, stopsA, err := startEcho(c, vicA, cliA, 0)
+	rig, err := experiments.NewTenantRig(seed)
 	if err != nil {
 		return err
 	}
-	pairB, stopsB, err := startEcho(c, vicB, cliB, 0)
-	if err != nil {
-		return err
-	}
-	for _, stops := range [][]func(){stopsA, stopsB} {
-		for _, f := range stops {
-			defer f()
-		}
-	}
-	defer mal.Background()()
-	defer sinkNode.Background()()
-
-	// The hostile rampage, on the same schedule shape the soak test
-	// uses: flood toward the bystander sink, leak pooled frames, crash.
-	floodStop := make(chan struct{})
-	var floodWG sync.WaitGroup
-	flood := func() {
-		fqd, err := mal.SocketUDP()
-		if err != nil {
-			return
-		}
-		if err := mal.Bind(fqd, demi.Addr{Port: 7777}); err != nil {
-			return
-		}
-		if err := mal.Connect(fqd, c.AddrOf(sinkNode, 9)); err != nil {
-			return
-		}
-		floodWG.Add(1)
-		go func() {
-			defer floodWG.Done()
-			for {
-				select {
-				case <-floodStop:
-					return
-				default:
-				}
-				ok := true
-				for j := 0; j < 32; j++ {
-					if _, err := mal.BlockingPush(fqd, demi.NewSGA(bytes.Repeat([]byte{0xAB}, 1024))); err != nil {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					time.Sleep(100 * time.Microsecond)
-					continue
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-		}()
-	}
-	leak := func() {
-		for i := 0; i < 400; i++ {
-			mal.Catnip.Pool().Get(1500) // acquired, never released
-		}
-	}
-
+	defer rig.Close()
 	// Quiet third, then the rampage overlaps the rest of the run.
-	buf := make([]byte, 64)
-	var quietA, quietB, hotA, hotB metrics.Histogram
-	step := func(ha, hb *metrics.Histogram) error {
-		la, err := pairA.rtt(buf, 0)
-		if err != nil {
-			return fmt.Errorf("victim A rtt: %w", err)
-		}
-		lb, err := pairB.rtt(buf, 0)
-		if err != nil {
-			return fmt.Errorf("victim B rtt: %w", err)
-		}
-		ha.Record(la)
-		hb.Record(lb)
-		return nil
+	eng, err := rig.Run(ops/3, ops-ops/3)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < ops/3; i++ {
-		if err := step(&quietA, &quietB); err != nil {
-			return err
-		}
-	}
-	eng := chaos.New(seed).HostileTenant(0, 20*time.Millisecond, 0, "mal", chaos.HostileTenantFaults{
-		Flood: flood, Leak: leak, Node: mal,
-	})
-	eng.Start()
-	for i := ops / 3; i < ops || !eng.Done(); i++ {
-		eng.Step()
-		if err := step(&hotA, &hotB); err != nil {
-			return err
-		}
-	}
-	close(floodStop)
-	floodWG.Wait()
+	c, mal := rig.Cluster, rig.Mal
 
 	fmt.Printf("multi-tenant NIC run: %d echo RTTs per victim, hostile tenant flooding/leaking/crashing mid-run (seed %d)\n\n", ops, seed)
-	qa, qb := quietA.Summarize(), quietB.Summarize()
-	ha, hb := hotA.Summarize(), hotB.Summarize()
-	fmt.Printf("victim vic-a virtual RTT: quiet p50=%v p99=%v | under attack p50=%v p99=%v\n", qa.P50, qa.P99, ha.P50, ha.P99)
-	fmt.Printf("victim vic-b virtual RTT: quiet p50=%v p99=%v | under attack p50=%v p99=%v\n\n", qb.P50, qb.P99, hb.P50, hb.P99)
+	for _, p := range rig.Points() {
+		fmt.Printf("victim %s virtual RTT: quiet p50=%v p99=%v | under attack p50=%v p99=%v\n",
+			p.Victim, p.QuietP50, p.QuietP99, p.HotP50, p.HotP99)
+	}
+	fmt.Println()
 
 	tbl := metrics.NewTable("Per-tenant isolation plane",
 		"tenant", "weight", "quota out (f/B)", "denials", "reclaims",
 		"rx", "tx", "tx bytes", "deficit", "tokens", "thr drops", "steer denied")
-	for _, row := range rows {
-		framesOut, bytesOut := row.ten.Ledger.Outstanding()
-		reclaims, _, _ := row.ten.Ledger.Reclaims()
-		gs := row.grp.Stats()
-		deficit, tokens := row.grp.TxCredits()
-		tbl.AddRow(string(row.ten.ID), row.ten.Policy.TxWeight,
+	for _, n := range []*demi.Node{rig.VicA, rig.VicB, mal} {
+		ten, grp := n.Tenant, n.Catnip.Group()
+		framesOut, bytesOut := ten.Ledger.Outstanding()
+		reclaims, _, _ := ten.Ledger.Reclaims()
+		gs := grp.Stats()
+		deficit, tokens := grp.TxCredits()
+		tbl.AddRow(string(ten.ID), ten.Policy.TxWeight,
 			fmt.Sprintf("%d/%d", framesOut, bytesOut),
-			row.ten.Ledger.Denials(), reclaims,
+			ten.Ledger.Denials(), reclaims,
 			gs.RxFrames, gs.TxFrames, gs.TxBytes, deficit, tokens,
 			gs.ThrottleDrops, gs.SteeringDenied)
 	}

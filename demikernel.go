@@ -562,6 +562,29 @@ func (n *Node) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	n.LibOS.RegisterTelemetry(r, prefix)
 }
 
+// Observe opens a measurement window over the cluster: the fabric's
+// counters join reg under "fabric", beside those of the nodes spawned
+// WithTelemetry(reg), and every node's qtoken span table (shard 0's, on a
+// sharded node) is named after its host and enabled. The returned function
+// renders what the window saw: each registered counter that moved, then
+// each node's span table.
+func (c *Cluster) Observe(reg *telemetry.Registry) (report func() string) {
+	c.Switch.RegisterTelemetry(reg, "fabric")
+	for _, n := range c.nodes {
+		n.Spans().SetName(fmt.Sprintf("host%d %s", n.host, n.kind))
+		n.Spans().Enable()
+	}
+	before := reg.Snapshot()
+	return func() string {
+		out := "== per-layer counters (delta over the window) ==\n" +
+			reg.Snapshot().Diff(before).NonZero().String() + "\n"
+		for _, n := range c.nodes {
+			out += n.Spans().Table().String() + "\n"
+		}
+		return out
+	}
+}
+
 // ShardedNode is an N-shard catnip host: one NIC (with N RSS receive
 // queues), one MAC, one IP — and N fully independent libOS shards, each
 // owning one queue, one netstack, one memory manager, and one frame
@@ -612,13 +635,14 @@ func (n *ShardedNode) Background() (stop func()) {
 func (n *ShardedNode) FabricPort() int { return n.Set.Device().PortID() }
 
 // RegisterTelemetry lifts the whole sharded vertical into a registry:
-// the shared NIC under prefix.nic, each shard's stack/membuf/completer
-// under prefix.shard.<i>.*, and the mesh counters as
-// prefix.shard.<i>.xs_*.
+// the shared NIC under prefix.nic, and under prefix.shard.<i> everything
+// an unsharded node registers under its prefix beside the NIC — shard i's
+// stack, membuf, lifecycle, rx_ready_stalls, completer and uring.* — plus
+// the mesh counters as prefix.shard.<i>.xs_*.
 func (n *ShardedNode) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	n.Set.RegisterTelemetry(r, prefix)
 	for i, l := range n.Libs {
-		l.Completer().RegisterTelemetry(r, fmt.Sprintf("%s.shard.%d.completer", prefix, i))
+		l.RegisterQueueTelemetry(r, fmt.Sprintf("%s.shard.%d", prefix, i))
 	}
 }
 

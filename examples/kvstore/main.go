@@ -21,29 +21,23 @@ func main() {
 	flag.Parse()
 
 	cluster := demi.NewCluster(7)
-	var srvNode, cliNode *demi.Node
+	kind := demi.Catnip
 	if *posix {
-		srvNode = cluster.MustSpawn(demi.Catnap, demi.WithHost(1))
-		cliNode = cluster.MustSpawn(demi.Catnap, demi.WithHost(2))
-	} else {
-		srvNode = cluster.MustSpawn(demi.Catnip, demi.WithHost(1))
-		cliNode = cluster.MustSpawn(demi.Catnip, demi.WithHost(2))
+		kind = demi.Catnap
 	}
+	srvNode := cluster.MustSpawn(kind, demi.WithHost(1))
+	cliNode := cluster.MustSpawn(kind, demi.WithHost(2))
 
-	server := kv.NewServer(srvNode.LibOS, &cluster.Model)
-	if err := server.Listen(6379); err != nil {
+	_, stopServer, err := kv.Serve([]*demi.LibOS{srvNode.LibOS}, nil, 1, &cluster.Model, 6379)
+	if err != nil {
 		log.Fatal(err)
 	}
-	defer srvNode.Background()()
-	defer cliNode.Background()()
-	stop := make(chan struct{})
-	defer close(stop)
-	server.Run(stop)
-
-	client := kv.NewClient(cliNode.LibOS)
-	if err := client.Connect(cluster.AddrOf(srvNode, 6379)); err != nil {
+	defer stopServer()
+	client, stopClient, err := kv.Dial(cliNode.LibOS, 1, cluster.Router().Dialer(cliNode, srvNode, 6379))
+	if err != nil {
 		log.Fatal(err)
 	}
+	defer stopClient()
 
 	// A 4KB value: the size the paper uses for its copy-overhead claim.
 	value := make([]byte, 4096)

@@ -1,8 +1,8 @@
 // multidevice: the paper's portability claim (§4.1) — one application
 // function, written once against the Demikernel API, runs unmodified
 // over the kernel libOS, the DPDK libOS, and the RDMA libOS. Only the
-// node constructor changes; the application code cannot tell the
-// difference (except in latency).
+// kind the nodes are spawned with changes; the application code cannot
+// tell the difference (except in latency).
 package main
 
 import (
@@ -15,21 +15,16 @@ import (
 
 // runWorkload is the "application": it never mentions a device.
 func runWorkload(cluster *demi.Cluster, srvNode, cliNode *demi.Node) (demi.Lat, error) {
-	server := echo.NewServer(srvNode.LibOS)
-	server.AppCost = cluster.Model.AppRequestNS
-	if err := server.Listen(7); err != nil {
+	_, stopServer, err := echo.Serve(srvNode.LibOS, 7, cluster.Model.AppRequestNS, 0)
+	if err != nil {
 		return 0, err
 	}
-	defer srvNode.Background()()
-	defer cliNode.Background()()
-	stop := make(chan struct{})
-	defer close(stop)
-	go server.Run(stop)
-
-	client := echo.NewClient(cliNode.LibOS)
-	if err := client.Connect(cluster.AddrOf(srvNode, 7)); err != nil {
+	defer stopServer()
+	client, stopClient, err := echo.Dial(cliNode.LibOS, cluster.AddrOf(srvNode, 7), 0)
+	if err != nil {
 		return 0, err
 	}
+	defer stopClient()
 	var total demi.Lat
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -43,30 +38,22 @@ func runWorkload(cluster *demi.Cluster, srvNode, cliNode *demi.Node) (demi.Lat, 
 }
 
 func main() {
-	type flavor struct {
-		name string
-		make func(c *demi.Cluster, host byte) *demi.Node
-	}
-	flavors := []flavor{
-		{"catnap (legacy kernel)", func(c *demi.Cluster, h byte) *demi.Node {
-			return c.MustSpawn(demi.Catnap, demi.WithHost(h))
-		}},
-		{"catnip (DPDK-class)", func(c *demi.Cluster, h byte) *demi.Node {
-			return c.MustSpawn(demi.Catnip, demi.WithHost(h))
-		}},
-		{"catmint (RDMA-class)", func(c *demi.Cluster, h byte) *demi.Node {
-			return c.MustSpawn(demi.Catmint, demi.WithHost(h))
-		}},
-	}
 	fmt.Println("one application, three library OSes:")
-	for _, f := range flavors {
+	for _, f := range []struct {
+		kind demi.Kind
+		what string
+	}{
+		{demi.Catnap, "legacy kernel"},
+		{demi.Catnip, "DPDK-class"},
+		{demi.Catmint, "RDMA-class"},
+	} {
 		cluster := demi.NewCluster(9)
-		srv := f.make(cluster, 1)
-		cli := f.make(cluster, 2)
+		srv := cluster.MustSpawn(f.kind, demi.WithHost(1))
+		cli := cluster.MustSpawn(f.kind, demi.WithHost(2))
 		mean, err := runWorkload(cluster, srv, cli)
 		if err != nil {
-			log.Fatalf("%s: %v", f.name, err)
+			log.Fatalf("%s: %v", f.kind, err)
 		}
-		fmt.Printf("  %-24s mean RTT %v\n", f.name, mean)
+		fmt.Printf("  %-24s mean RTT %v\n", fmt.Sprintf("%s (%s)", f.kind, f.what), mean)
 	}
 }

@@ -1,20 +1,230 @@
 package demikernel
 
-// Alloc-count guards for the pooled data path. These are hard
-// regression fences: the thresholds have headroom over the measured
-// steady state (echo RTT measures ~6 allocs/op with the completer
-// freelists, down from ~47 before pooling), so incidental churn does
-// not flake them, but any change that reintroduces per-packet or
-// per-poll allocation trips them immediately.
+// Alloc-count guards for the pooled data path, on rigs pumped only by
+// the calling goroutine — no Background pollers past the handshake — so
+// that allocations per operation are exact. These are hard regression
+// fences: any change that reintroduces per-packet or per-poll allocation
+// trips them immediately. Where an application is involved it is the
+// product's own (echo.Server, httpd.Server), stepped inline the way the
+// repo benchmark steps it; wall-clock cost is that benchmark's business
+// (go run ./benchmark), not this file's.
 
 import (
 	"testing"
 	"time"
 
 	"demikernel/internal/apps/echo"
+	"demikernel/internal/apps/httpd"
+	"demikernel/internal/libos/catnap"
 	"demikernel/internal/queue"
 	"demikernel/internal/sched"
+	"demikernel/internal/uring"
+	"demikernel/internal/workload"
 )
+
+// hotPathPair builds a connected catnip pair whose data path is pumped
+// only by the calling goroutine.
+func hotPathPair(tb testing.TB) (cli, srv *LibOS, cqd, sqd QD, cleanup func()) {
+	tb.Helper()
+	cliNode, srvNode, cqd, sqd, cleanup := hotPathNodes(tb, Catnip, 0)
+	return cliNode.LibOS, srvNode.LibOS, cqd, sqd, cleanup
+}
+
+// hotPathNodes is hotPathPair with the knobs: the libOS kind, spawn
+// options for both nodes, and idle extra connections — established on the
+// same listener beside the measured one, and never used again.
+// Background polling is used for the handshakes only and stopped before
+// returning.
+func hotPathNodes(tb testing.TB, kind Kind, idle int, opts ...SpawnOption) (cliNode, srvNode *Node, cqd, sqd QD, cleanup func()) {
+	tb.Helper()
+	c := NewCluster(1)
+	srvNode = c.MustSpawn(kind, append([]SpawnOption{WithHost(1)}, opts...)...)
+	cliNode = c.MustSpawn(kind, append([]SpawnOption{WithHost(2)}, opts...)...)
+
+	lqd, err := srvNode.Socket()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	addr := c.AddrOf(srvNode, 7)
+	if err := srvNode.Bind(lqd, addr); err != nil {
+		tb.Fatal(err)
+	}
+	if err := srvNode.Listen(lqd); err != nil {
+		tb.Fatal(err)
+	}
+
+	qds := make([]QD, 0, 2*(idle+1))
+	stop := srvNode.Background()
+	defer stop()
+	for i := 0; i <= idle; i++ {
+		if cqd, err = cliNode.Socket(); err != nil {
+			tb.Fatal(err)
+		}
+		if err := cliNode.Connect(cqd, addr); err != nil {
+			tb.Fatal(err)
+		}
+		if sqd, err = srvNode.Accept(lqd); err != nil {
+			tb.Fatal(err)
+		}
+		qds = append(qds, cqd, sqd)
+	}
+	return cliNode, srvNode, cqd, sqd, func() {
+		for i := 0; i < len(qds); i += 2 {
+			cliNode.Close(qds[i])
+			srvNode.Close(qds[i+1])
+		}
+		srvNode.Close(lqd)
+	}
+}
+
+// pumpWait drives both libOSes until qt completes on l.
+func pumpWait(tb testing.TB, l, peer *LibOS, qt QToken) Completion {
+	tb.Helper()
+	for i := 0; ; i++ {
+		c, ok, err := l.TryWait(qt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if ok {
+			return c
+		}
+		l.Poll()
+		peer.Poll()
+		if i > 1_000_000 {
+			tb.Fatal("hot-path pump made no progress")
+		}
+	}
+}
+
+// echoRTT performs one full request/response cycle on the manual rig:
+// client push → server pop → server push (echo) → client pop, freeing
+// both popped SGAs so pooled payload storage recycles.
+func echoRTT(tb testing.TB, cli, srv *LibOS, cqd, sqd QD, payload SGA) {
+	tb.Helper()
+	sqt, err := srv.Pop(sqd)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cqt, err := cli.Push(cqd, payload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req := pumpWait(tb, srv, cli, sqt)
+	if req.Err != nil {
+		tb.Fatal(req.Err)
+	}
+	pumpWait(tb, cli, srv, cqt)
+
+	cqt2, err := cli.Pop(cqd)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sqt2, err := srv.Push(sqd, req.SGA)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	resp := pumpWait(tb, cli, srv, cqt2)
+	if resp.Err != nil {
+		tb.Fatal(resp.Err)
+	}
+	pumpWait(tb, srv, cli, sqt2)
+	req.SGA.Free()
+	resp.SGA.Free()
+}
+
+// steppedApp connects a client descriptor to a product application that
+// the test steps inline: listen binds the application to port 7 on the
+// server's libOS and returns its Step. The server is polled in the
+// background for the handshake only.
+func steppedApp(tb testing.TB, listen func(srv *LibOS) (step func() int, err error)) (cli, srv *LibOS, cqd QD, step func() int) {
+	tb.Helper()
+	c := NewCluster(1)
+	srvNode := c.MustSpawn(Catnip, WithHost(1))
+	cliNode := c.MustSpawn(Catnip, WithHost(2))
+	step, err := listen(srvNode.LibOS)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if cqd, err = cliNode.Socket(); err != nil {
+		tb.Fatal(err)
+	}
+	stop := srvNode.Background()
+	err = cliNode.Connect(cqd, c.AddrOf(srvNode, 7))
+	stop()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { cliNode.Close(cqd) })
+	return cliNode.LibOS, srvNode.LibOS, cqd, step
+}
+
+// ringClient is the hand-pumped client of an application served over its
+// ring (steppedApp): requests and the pops of their responses go to the
+// client's own ring a batch at a time, and both libOSes are polled and the
+// application stepped inline until every completion is harvested. The
+// product clients' ring calls (echo.Client.RTTBatch, httpd.Client.GetBatch)
+// wait by polling their own libOS, so they need a background poller
+// behind the server, and allocations beside one cannot be counted.
+type ringClient struct {
+	cli, srv *LibOS
+	cqd      QD
+	step     func() int
+	ring     *uring.Pair
+	sq       []uring.SQE
+	cq       []uring.CQE
+}
+
+// ringCap is the ring capacity on both sides of a ringClient.
+const ringCap = 256
+
+func newRingClient(tb testing.TB, listen func(srv *LibOS) (step func() int, err error)) *ringClient {
+	tb.Helper()
+	r := &ringClient{sq: make([]uring.SQE, 0, ringCap), cq: make([]uring.CQE, ringCap)}
+	r.cli, r.srv, r.cqd, r.step = steppedApp(tb, listen)
+	r.ring = r.cli.AttachRing(ringCap)
+	return r
+}
+
+// roundTrips posts batch copies of req, each with the pop of its one
+// response element, and returns when all 2*batch completions are in.
+func (r *ringClient) roundTrips(tb testing.TB, req SGA, batch int) {
+	tb.Helper()
+	sq := r.sq[:0]
+	for i := 0; i < batch; i++ {
+		sq = append(sq,
+			uring.SQE{Op: queue.OpPush, QD: int32(r.cqd), Tag: uint64(i)<<1 | 1, SGA: req},
+			uring.SQE{Op: queue.OpPop, QD: int32(r.cqd), Tag: uint64(i) << 1})
+	}
+	for got, it := 0, 0; got < 2*batch; it++ {
+		if len(sq) > 0 {
+			n, err := r.cli.SubmitBatch(r.ring, sq)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			sq = sq[n:]
+		}
+		r.cli.Poll() // drain the client SQ, TX the requests
+		r.srv.Poll() // RX them; pop CQEs land on the server's ring
+		r.step()
+		r.srv.Poll() // drain the server SQ, TX the responses
+		r.cli.Poll() // RX them; pop CQEs land on the client's ring
+		n := r.cli.HarvestCQ(r.ring, r.cq)
+		for i := 0; i < n; i++ {
+			c := &r.cq[i]
+			if c.Err != nil {
+				tb.Fatal(c.Err)
+			}
+			if c.Kind == queue.OpPop {
+				c.SGA.Free()
+			}
+			*c = uring.CQE{}
+		}
+		got += n
+		if it > 1_000_000 {
+			tb.Fatal("ring batch made no progress")
+		}
+	}
+}
 
 // TestHotPathAllocsCompleter requires the full token round trip
 // (NewToken → done → TryWait) to be allocation-free once the per-shard
@@ -38,11 +248,10 @@ func TestHotPathAllocsCompleter(t *testing.T) {
 }
 
 // TestHotPathAllocsEchoRTT bounds allocations for one full echo round
-// trip (client push → server pop → echo push → client pop) on the
-// manually-pumped rig. With completer token states recycled through the
-// per-shard freelists the measured steady state is ~6 allocs/op (SGA
-// headers and per-segment bookkeeping); payload bytes, TX frames, RX
-// staging, and completion records all come from pools.
+// trip (client push → server pop → echo push → client pop) through the
+// libOS calls alone, no application between them. Payload bytes, TX
+// frames, RX staging, token states and completion records all come from
+// pools.
 func TestHotPathAllocsEchoRTT(t *testing.T) {
 	cli, srv, cqd, sqd, cleanup := hotPathPair(t)
 	defer cleanup()
@@ -66,26 +275,11 @@ func TestHotPathAllocsEchoRTT(t *testing.T) {
 // end, allocate nothing — the server walks its own connection table in
 // place instead of snapshotting it per step.
 func TestHotPathAllocsEchoServer(t *testing.T) {
-	c := NewCluster(1)
-	srvNode := c.MustSpawn(Catnip, WithHost(1))
-	cliNode := c.MustSpawn(Catnip, WithHost(2))
-	cli, srv := cliNode.LibOS, srvNode.LibOS
-	app := echo.NewServer(srv)
-	if err := app.Listen(7); err != nil {
-		t.Fatal(err)
-	}
-	cqd, err := cli.Socket()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := srvNode.Background() // the handshake only; the data path is pumped below
-	err = cli.Connect(cqd, c.AddrOf(srvNode, 7))
-	stop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close(cqd)
-
+	var app *echo.Server
+	cli, srv, cqd, step := steppedApp(t, func(srv *LibOS) (func() int, error) {
+		app = echo.NewServer(srv)
+		return app.Step, app.Listen(7)
+	})
 	payload := NewSGA(make([]byte, 64))
 	roundTrip := func() {
 		popQT, err := cli.Pop(cqd)
@@ -108,7 +302,7 @@ func TestHotPathAllocsEchoServer(t *testing.T) {
 			}
 			cli.Poll()
 			srv.Poll()
-			app.Step()
+			step()
 			if i > 1_000_000 {
 				t.Fatal("echo server made no progress")
 			}
@@ -118,7 +312,7 @@ func TestHotPathAllocsEchoServer(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		roundTrip() // accept the connection, warm pools and scratch
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { app.Step() }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(1000, func() { step() }); allocs != 0 {
 		t.Errorf("idle echo.Server.Step allocates %.1f objects/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
@@ -164,19 +358,47 @@ func TestHotPathAllocsStream(t *testing.T) {
 }
 
 // TestHotPathAllocsRingEchoRTT is the fence for the acceptance
-// criterion of the syscall-free ring path: a full batched echo round
-// trip — SQE submit, Poll-side drain, slab-armed completion, CQE
-// harvest on both rings — must be exactly allocation-free once warm.
+// criterion of the syscall-free ring path: a batch of echo round trips
+// through echo.Server on its ring — SQE submit, Poll-side drain,
+// slab-armed completion, CQE harvest on both rings — must be exactly
+// allocation-free once warm.
 func TestHotPathAllocsRingEchoRTT(t *testing.T) {
-	r := newRingEchoRig(t)
-	defer r.cleanup()
+	r := newRingClient(t, func(srv *LibOS) (func() int, error) {
+		app := echo.NewServer(srv)
+		err := app.Listen(7)
+		app.EnableRing(ringCap)
+		return app.Step, err
+	})
 	payload := NewSGA(make([]byte, 64))
-	r.roundTrips(t, payload, 8) // warm pools and scratch
-
-	if allocs := testing.AllocsPerRun(100, func() {
-		r.roundTrips(t, payload, 8)
-	}); allocs != 0 {
+	for i := 0; i < 50; i++ {
+		r.roundTrips(t, payload, 8) // warm pools and scratch
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.roundTrips(t, payload, 8) }); allocs != 0 {
 		t.Fatalf("ring echo RTT allocates %.1f objects/batch, want 0", allocs)
+	}
+}
+
+// TestHotPathAllocsHTTPRingServe fences the steady-state ring serve
+// loop of httpd.Server at zero heap allocations: after warmup, a full
+// batch of GETs — request parse, route lookup, pooled response build,
+// ring submit/harvest on both sides — must not malloc.
+func TestHotPathAllocsHTTPRingServe(t *testing.T) {
+	r := newRingClient(t, func(srv *LibOS) (func() int, error) {
+		tree := httpd.NewTree()
+		for _, o := range workload.HTTPObjects(4, workload.FixedSize(64), 7) {
+			tree.Add(o.Path, o.Body)
+		}
+		app := httpd.NewServer(srv, tree)
+		err := app.Listen(7)
+		app.EnableRing(ringCap)
+		return app.Step, err
+	})
+	get := NewSGA([]byte("GET " + workload.HTTPObjectPath(0) + " HTTP/1.1\r\n\r\n"))
+	for i := 0; i < 50; i++ {
+		r.roundTrips(t, get, 8)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.roundTrips(t, get, 8) }); allocs != 0 {
+		t.Fatalf("ring HTTP serve loop allocates: %.1f allocs/run (want 0)", allocs)
 	}
 }
 
@@ -195,6 +417,88 @@ func TestHotPathAllocsIdlePoll(t *testing.T) {
 			}
 		}
 		cleanup()
+	}
+}
+
+// TestHotPathCatnapClosedEndpointsLeavePoll is the kernel libOS's half of
+// the same fence: a poll pumps every open endpoint and file queue, so a
+// closed one has to leave its table. 10 k connect → echo → close cycles
+// (and as many file queues opened and closed) leave the server's and the
+// client's tables at their starting lengths, and an idle poll afterwards
+// still allocates nothing.
+func TestHotPathCatnapClosedEndpointsLeavePoll(t *testing.T) {
+	c := NewCluster(1)
+	srv := c.MustSpawn(Catnap, WithHost(1))
+	cli := c.MustSpawn(Catnap, WithHost(2))
+	srv.Kernel.AttachDisk(c.NewDisk(0))
+	lqd, err := srv.Socket()
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := c.AddrOf(srv, 7)
+	if err := srv.Bind(lqd, addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen(lqd); err != nil {
+		t.Fatal(err)
+	}
+	pumped := func(n *Node) [2]int {
+		eps, fqs := n.Transport().(*catnap.Transport).Pumped()
+		return [2]int{eps, fqs}
+	}
+	srvBase, cliBase := pumped(srv), pumped(cli)
+
+	stopSrv, stopCli := srv.Background(), cli.Background()
+	payload := NewSGA(make([]byte, 64))
+	for i := 0; i < 10_000; i++ {
+		cqd, err := cli.Socket()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Connect(cqd, addr); err != nil {
+			t.Fatalf("cycle %d: connect: %v", i, err)
+		}
+		sqd, err := srv.Accept(lqd)
+		if err != nil {
+			t.Fatalf("cycle %d: accept: %v", i, err)
+		}
+		if _, err := cli.BlockingPush(cqd, payload); err != nil {
+			t.Fatal(err)
+		}
+		req, err := srv.BlockingPop(sqd)
+		if err != nil || req.Err != nil {
+			t.Fatalf("cycle %d: server pop: %v %v", i, err, req.Err)
+		}
+		if _, err := srv.BlockingPush(sqd, req.SGA); err != nil {
+			t.Fatal(err)
+		}
+		if back, err := cli.BlockingPop(cqd); err != nil || back.Err != nil || back.SGA.Len() != 64 {
+			t.Fatalf("cycle %d: echoed %d bytes: %v %v", i, back.SGA.Len(), err, back.Err)
+		}
+		fqd, err := srv.Open("/log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, err := range []error{cli.Close(cqd), srv.Close(sqd), srv.Close(fqd)} {
+			if err != nil {
+				t.Fatalf("cycle %d: close: %v", i, err)
+			}
+		}
+	}
+	stopCli()
+	stopSrv()
+
+	if got := pumped(srv); got != srvBase {
+		t.Errorf("server pumps %v endpoints/file queues after 10 k cycles, %v before", got, srvBase)
+	}
+	if got := pumped(cli); got != cliBase {
+		t.Errorf("client pumps %v endpoints/file queues after 10 k cycles, %v before", got, cliBase)
+	}
+	for name, n := range map[string]*Node{"client": cli, "server": srv} {
+		n.Poll()
+		if allocs := testing.AllocsPerRun(1000, func() { n.LibOS.Poll() }); allocs != 0 {
+			t.Errorf("catnap %s idle Poll after 10 k cycles allocates %.1f objects/op, want 0", name, allocs)
+		}
 	}
 }
 

@@ -54,17 +54,17 @@ func TestHTTPProductionSoak(t *testing.T) {
 
 	// One server per shard; shard 1 serves over the SQ/CQ rings.
 	servers := make([]*httpd.Server, nshards)
-	stop := make(chan struct{})
-	defer close(stop)
 	for i := 0; i < nshards; i++ {
-		servers[i] = httpd.NewServer(sh.Libs[i], tree)
-		if err := servers[i].Listen(port); err != nil {
+		ringCap := 0
+		if i == 1 {
+			ringCap = 64
+		}
+		srv, stop, err := httpd.Serve(sh.Libs[i], tree, port, ringCap)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 1 {
-			servers[i].EnableRing(64)
-		}
-		go servers[i].Run(stop)
+		defer stop()
+		servers[i] = srv
 	}
 
 	// Seeds stride by 8 so no two dials resolve to the same source port

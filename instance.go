@@ -282,3 +282,27 @@ func (r *Router) DialShard(client *Node, srv *ShardedNode, port uint16, target i
 	}
 	return qd, nil
 }
+
+// Dialer returns the dial function a sharded client keeps for srv:port
+// (kv.Dial): called with a shard and an attempt number, it connects client
+// to that shard of srv — wrapped onto srv's current active width, so that
+// a redial aimed at a shard a reshard has since retired lands on a live
+// one and the server's mesh forwards — from a source port that differs
+// per shard and per attempt, so that a redial never reuses the 4-tuple of
+// the connection it replaces. An unsharded srv takes any source port.
+func (r *Router) Dialer(client, srv *Node, port uint16) func(shard, attempt int) (QD, error) {
+	return func(shard, attempt int) (QD, error) {
+		if srv.Sharded == nil {
+			qd, err := client.Socket()
+			if err != nil {
+				return core.InvalidQD, err
+			}
+			if err := client.Connect(qd, r.c.AddrOf(srv, port)); err != nil {
+				client.Close(qd)
+				return core.InvalidQD, err
+			}
+			return qd, nil
+		}
+		return r.DialShard(client, srv.Sharded, port, shard%srv.Shards(), uint16(2048*shard+131*attempt+101))
+	}
+}

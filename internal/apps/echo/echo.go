@@ -11,6 +11,7 @@ import (
 
 	"demikernel/internal/apps/failover"
 	"demikernel/internal/core"
+	"demikernel/internal/fifo"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
@@ -33,7 +34,7 @@ type Server struct {
 	ring     *uring.Pair
 	sqes     []uring.SQE
 	cqes     []uring.CQE
-	inflight map[core.QD][]sga.SGA
+	inflight map[core.QD]*fifo.Queue[sga.SGA] // per connection: payloads whose echo is in flight
 }
 
 // NewServer creates an echo server on lib.
@@ -55,6 +56,48 @@ func (s *Server) Listen(port uint16) error {
 	}
 	s.lqd = qd
 	return nil
+}
+
+// Serve stages an echo server on lib: listening on port, charging appCost
+// per request, on an SQ/CQ ring of ringCap entries when ringCap > 0, and
+// run by one goroutine that is also lib's poller. stop ends the goroutine,
+// then closes the server's connections and its listener, so the port can
+// be served again.
+func Serve(lib *core.LibOS, port uint16, appCost simclock.Lat, ringCap int) (srv *Server, stop func(), err error) {
+	s := NewServer(lib)
+	s.AppCost = appCost
+	if err := s.Listen(port); err != nil {
+		return nil, nil, err
+	}
+	if ringCap > 0 {
+		s.EnableRing(ringCap)
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run(quit)
+	}()
+	return s, func() {
+		close(quit)
+		<-done
+		s.close()
+	}, nil
+}
+
+// close releases what a stopped server still holds: each connection with
+// its armed pop (consumed, so the token does not outlive the descriptor)
+// or its payloads awaiting a ring push completion, and the listener.
+func (s *Server) close() {
+	for conn, qt := range s.conns {
+		s.lib.Close(conn) //nolint:errcheck // may already be gone
+		if comp, ok, _ := s.lib.TryWait(qt); ok && comp.Err == nil {
+			comp.SGA.Free()
+		}
+	}
+	for conn := range s.inflight {
+		s.drop(conn)
+	}
+	s.lib.Close(s.lqd) //nolint:errcheck // nothing to do about it at shutdown
 }
 
 // Echoed returns the number of requests echoed so far.
@@ -201,6 +244,25 @@ func (c *Client) rtt(payload []byte, appCost simclock.Lat) (simclock.Lat, error)
 	}
 	defer comp.SGA.Free()
 	return comp.Cost, nil
+}
+
+// Dial stages an echo client on lib: a background poller for lib, a
+// connection to addr and, when ringCap > 0, a ring of that many entries
+// for RTTBatch. stop closes the connection and stops the poller.
+func Dial(lib *core.LibOS, addr core.Addr, ringCap int) (cli *Client, stop func(), err error) {
+	stopPoll := lib.Background()
+	c := NewClient(lib)
+	if err := c.Connect(addr); err != nil {
+		stopPoll()
+		return nil, nil, err
+	}
+	if ringCap > 0 {
+		c.EnableRing(ringCap)
+	}
+	return c, func() {
+		c.Close() //nolint:errcheck // the peer may have closed first
+		stopPoll()
+	}, nil
 }
 
 // QD exposes the client's connection descriptor so experiments can push

@@ -7,47 +7,28 @@ import (
 	demi "demikernel"
 )
 
-func newPair(t *testing.T, flavor string, seed int64) (*Server, *Client, *demi.Cluster, func()) {
+// newPair stages an echo server and a client of it between two kind nodes
+// (Serve, Dial), stopped with the test.
+func newPair(t *testing.T, kind demi.Kind, seed int64) (*Server, *Client, *demi.Cluster) {
 	t.Helper()
 	c := demi.NewCluster(seed)
-	mk := func(host byte) *demi.Node {
-		switch flavor {
-		case "catnip":
-			return c.MustSpawn(demi.Catnip, demi.WithHost(host))
-		case "catnap":
-			return c.MustSpawn(demi.Catnap, demi.WithHost(host))
-		case "catmint":
-			return c.MustSpawn(demi.Catmint, demi.WithHost(host))
-		default:
-			t.Fatalf("unknown flavor %q", flavor)
-			return nil
-		}
-	}
-	srvNode, cliNode := mk(1), mk(2)
-	srv := NewServer(srvNode.LibOS)
-	if err := srv.Listen(7); err != nil {
+	srvNode := c.MustSpawn(kind, demi.WithHost(1))
+	cliNode := c.MustSpawn(kind, demi.WithHost(2))
+	srv, stopSrv, err := Serve(srvNode.LibOS, 7, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	stopSrv := srvNode.Background()
-	stopCli := cliNode.Background()
-	stopServe := make(chan struct{})
-	go srv.Run(stopServe)
-
-	cli := NewClient(cliNode.LibOS)
-	if err := cli.Connect(c.AddrOf(srvNode, 7)); err != nil {
+	t.Cleanup(stopSrv)
+	cli, stopCli, err := Dial(cliNode.LibOS, c.AddrOf(srvNode, 7), 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cleanup := func() {
-		close(stopServe)
-		stopCli()
-		stopSrv()
-	}
-	return srv, cli, c, cleanup
+	t.Cleanup(stopCli)
+	return srv, cli, c
 }
 
-func testEcho(t *testing.T, flavor string, seed int64) {
-	srv, cli, _, cleanup := newPair(t, flavor, seed)
-	defer cleanup()
+func testEcho(t *testing.T, kind demi.Kind, seed int64) {
+	srv, cli, _ := newPair(t, kind, seed)
 	for i := 0; i < 5; i++ {
 		cost, err := cli.RTT([]byte("ping"), 0)
 		if err != nil {
@@ -68,18 +49,16 @@ func testEcho(t *testing.T, flavor string, seed int64) {
 	}
 }
 
-func TestEchoOverCatnip(t *testing.T)  { testEcho(t, "catnip", 31) }
-func TestEchoOverCatnap(t *testing.T)  { testEcho(t, "catnap", 32) }
-func TestEchoOverCatmint(t *testing.T) { testEcho(t, "catmint", 33) }
+func TestEchoOverCatnip(t *testing.T)  { testEcho(t, demi.Catnip, 31) }
+func TestEchoOverCatnap(t *testing.T)  { testEcho(t, demi.Catnap, 32) }
+func TestEchoOverCatmint(t *testing.T) { testEcho(t, demi.Catmint, 33) }
 
 func TestKernelPathCostsMore(t *testing.T) {
 	// The E1 shape in miniature: the same echo costs more virtual
 	// latency over the kernel (catnap) than over kernel-bypass
 	// (catnip), by at least the syscall + copy + kernel-stack deltas.
-	_, catnipCli, _, cleanup1 := newPair(t, "catnip", 34)
-	defer cleanup1()
-	_, catnapCli, _, cleanup2 := newPair(t, "catnap", 34)
-	defer cleanup2()
+	_, catnipCli, _ := newPair(t, demi.Catnip, 34)
+	_, catnapCli, _ := newPair(t, demi.Catnap, 34)
 
 	payload := make([]byte, 1024)
 	var bypass, legacy demi.Lat
@@ -101,8 +80,7 @@ func TestKernelPathCostsMore(t *testing.T) {
 }
 
 func TestServerAppCostCharged(t *testing.T) {
-	srv, cli, c, cleanup := newPair(t, "catnip", 35)
-	defer cleanup()
+	srv, cli, c := newPair(t, demi.Catnip, 35)
 	base, err := cli.RTT([]byte("x"), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"demikernel/internal/core"
+	"demikernel/internal/fifo"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
@@ -36,7 +37,7 @@ func (s *Server) EnableRing(capacity int) {
 	s.ring = s.lib.AttachRing(capacity)
 	s.sqes = make([]uring.SQE, 0, s.ring.Cap())
 	s.cqes = make([]uring.CQE, s.ring.Cap())
-	s.inflight = make(map[core.QD][]sga.SGA)
+	s.inflight = make(map[core.QD]*fifo.Queue[sga.SGA])
 }
 
 // Ring returns the server's ring pair (telemetry registration), nil
@@ -58,6 +59,7 @@ func (s *Server) stepRing() int {
 		for i := 0; i < depth; i++ {
 			s.sqes = append(s.sqes, uring.SQE{Op: queue.OpPop, QD: int32(conn), Tag: popTag(conn)})
 		}
+		s.inflight[conn] = new(fifo.Queue[sga.SGA])
 	}
 	s.flushSQ()
 
@@ -67,14 +69,13 @@ func (s *Server) stepRing() int {
 		c := &s.cqes[i]
 		conn := core.QD(c.Tag >> 1)
 		isPush := c.Tag&1 == 1
-		if c.Err != nil {
-			// Connection failed (or the node crashed): release anything
-			// queued behind it and drop the descriptor.
-			for _, held := range s.inflight[conn] {
-				held.Free()
-			}
-			delete(s.inflight, conn)
-			s.lib.Close(conn) //nolint:errcheck // may already be gone
+		held := s.inflight[conn]
+		if c.Err != nil || held == nil {
+			// Connection failed (or the node crashed), now or at an
+			// earlier CQE of this harvest: release anything queued behind
+			// it and drop the descriptor.
+			s.drop(conn)
+			c.SGA.Free()
 			*c = uring.CQE{}
 			continue
 		}
@@ -82,22 +83,16 @@ func (s *Server) stepRing() int {
 			// Echo delivered: the transport no longer references the
 			// popped payload, so it recycles now. Pushes complete FIFO
 			// per connection, so the head is always the right buffer.
-			if held := s.inflight[conn]; len(held) > 0 {
-				held[0].Free()
-				held[0] = sga.SGA{}
-				s.inflight[conn] = held[1:]
-				if len(held) == 1 {
-					// Reset to the backing array's start so the per-conn
-					// queue reuses storage instead of creeping forward.
-					s.inflight[conn] = held[:0]
-				}
+			if held.Len() > 0 {
+				held.Front().Free()
+				held.Pop()
 			}
 			*c = uring.CQE{}
 			continue
 		}
 		// Request arrived: echo it back and re-arm the pop. The popped
 		// SGA stays alive (inflight) until its push completes.
-		s.inflight[conn] = append(s.inflight[conn], c.SGA)
+		held.Push(c.SGA)
 		s.sqes = append(s.sqes,
 			uring.SQE{Op: queue.OpPush, QD: int32(conn), Tag: pushTag(conn), SGA: c.SGA, Cost: c.Cost + s.AppCost},
 			uring.SQE{Op: queue.OpPop, QD: int32(conn), Tag: popTag(conn)})
@@ -109,6 +104,19 @@ func (s *Server) stepRing() int {
 	}
 	s.flushSQ()
 	return served
+}
+
+// drop forgets conn: the payloads still awaiting their echo's completion
+// are released and the descriptor closed.
+func (s *Server) drop(conn core.QD) {
+	if held := s.inflight[conn]; held != nil {
+		for held.Len() > 0 {
+			held.Front().Free()
+			held.Pop()
+		}
+		delete(s.inflight, conn)
+	}
+	s.lib.Close(conn) //nolint:errcheck // may already be gone
 }
 
 // flushSQ submits whatever is staged, keeping the unaccepted suffix

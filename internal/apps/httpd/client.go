@@ -67,6 +67,21 @@ func (c *Client) Connect(addr core.Addr) error {
 	return nil
 }
 
+// Dial stages a client on lib: a background poller for lib and a
+// connection to addr. stop closes the connection and stops the poller.
+func Dial(lib *core.LibOS, addr core.Addr) (cli *Client, stop func(), err error) {
+	stopPoll := lib.Background()
+	c := NewClient(lib)
+	if err := c.Connect(addr); err != nil {
+		stopPoll()
+		return nil, nil, err
+	}
+	return c, func() {
+		c.Close() //nolint:errcheck // the server may have closed first
+		stopPoll()
+	}, nil
+}
+
 // Adopt takes over an already-connected descriptor (DialToShard flows).
 func (c *Client) Adopt(qd core.QD, addr core.Addr) {
 	c.qd = qd

@@ -183,6 +183,37 @@ func (s *Server) Listen(port uint16) error {
 	return nil
 }
 
+// Serve stages a server for tree on lib: listening on port, recording
+// per-route latency, on an SQ/CQ ring of ringCap entries when ringCap > 0,
+// and run by one goroutine that is also lib's poller. stop ends the
+// goroutine, then closes the server's connections and its listener, so
+// the port can be served again.
+func Serve(lib *core.LibOS, tree *Tree, port uint16, ringCap int) (srv *Server, stop func(), err error) {
+	s := NewServer(lib, tree)
+	s.EnableLatency()
+	if err := s.Listen(port); err != nil {
+		return nil, nil, err
+	}
+	if ringCap > 0 {
+		s.EnableRing(ringCap)
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run(quit)
+	}()
+	return s, func() {
+		close(quit)
+		<-done
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for _, c := range s.conns {
+			s.closeConn(c)
+		}
+		s.lib.Close(s.lqd) //nolint:errcheck // nothing to do about it at shutdown
+	}, nil
+}
+
 func (s *Server) now() time.Time {
 	if s.Now != nil {
 		return s.Now()

@@ -7,63 +7,46 @@ import (
 
 	demi "demikernel"
 	"demikernel/internal/sga"
+	"demikernel/internal/shard"
 )
 
-// harness is a connected client/server pair, all polling in the
-// background. The same test bodies run over every libOS flavour (§4.1
-// portability) and every shard width: width 1 is NewServer + NewClient
-// over a plain node, width > 1 a WithShards catnip node behind an
-// RSS-aligned ShardedClient.
+// harness is a staged client/server pair (Serve, Dial), stopped with the
+// test. The same test bodies run over every libOS flavour (§4.1
+// portability) and every shard width: width 1 is a plain node, width > 1
+// a WithShards catnip node behind an RSS-aligned client.
 type harness struct {
 	cluster *demi.Cluster
 	node    *demi.Node // the server's node
 	cliNode *demi.Node
 	server  *ShardedServer
 	client  *ShardedClient
-	stops   []func()
 }
 
 func newHarness(t *testing.T, kind demi.Kind, width int, seed int64) *harness {
 	t.Helper()
 	const port = 6379
 	c := demi.NewCluster(seed)
-	h := &harness{cluster: c}
-	var err error
+	h := &harness{cluster: c, cliNode: c.MustSpawn(kind, demi.WithHost(2))}
+	var libs []*demi.LibOS
+	var mesh *shard.Group
 	if width == 1 {
 		h.node = c.MustSpawn(kind, demi.WithHost(1))
-		h.server = NewServer(h.node.LibOS, &c.Model)
+		libs = []*demi.LibOS{h.node.LibOS}
 	} else {
 		h.node = c.MustSpawn(kind, demi.WithHost(1), demi.WithShards(width))
-		h.server = NewShardedServer(h.node.Sharded.Libs, &c.Model, h.node.Sharded.Mesh())
+		libs, mesh = h.node.Sharded.Libs, h.node.Sharded.Mesh()
 	}
-	cliNode := c.MustSpawn(kind, demi.WithHost(2))
-	h.cliNode = cliNode
-	if err := h.server.Listen(port); err != nil {
-		t.Fatalf("listen: %v", err)
+	var err error
+	var stop func()
+	if h.server, stop, err = Serve(libs, mesh, width, &c.Model, port); err != nil {
+		t.Fatalf("serve: %v", err)
 	}
-	stop := make(chan struct{})
-	wg := h.server.Run(stop)
-	h.stops = append(h.stops, func() { close(stop); wg.Wait() }, h.node.Background(), cliNode.Background())
-
-	if width == 1 {
-		h.client = NewClient(cliNode.LibOS)
-		err = h.client.Connect(c.AddrOf(h.node, port))
-	} else {
-		h.client, err = NewShardedClient(cliNode.LibOS, width, func(i int) (demi.QD, error) {
-			return c.Router().DialShard(cliNode, h.node.Sharded, port, i, uint16(1000*i+17))
-		})
-	}
-	if err != nil {
-		h.close()
+	t.Cleanup(stop)
+	if h.client, stop, err = Dial(h.cliNode.LibOS, width, c.Router().Dialer(h.cliNode, h.node, port)); err != nil {
 		t.Fatalf("dial: %v", err)
 	}
+	t.Cleanup(stop)
 	return h
-}
-
-func (h *harness) close() {
-	for i := len(h.stops) - 1; i >= 0; i-- {
-		h.stops[i]()
-	}
 }
 
 // total sums the per-shard counters.
@@ -96,9 +79,7 @@ func forEachShape(t *testing.T, shapes []shape, seed int64, body func(t *testing
 	for i, sh := range shapes {
 		sh, seed := sh, seed+int64(i)
 		t.Run(fmt.Sprintf("%s-w%d", sh.kind, sh.width), func(t *testing.T) {
-			h := newHarness(t, sh.kind, sh.width, seed)
-			defer h.close()
-			body(t, h)
+			body(t, newHarness(t, sh.kind, sh.width, seed))
 		})
 	}
 }

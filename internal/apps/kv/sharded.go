@@ -12,6 +12,7 @@
 package kv
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"slices"
@@ -840,12 +841,17 @@ func (c *ShardedClient) get(conn int, key string) (val []byte, cost simclock.Lat
 	if err != nil {
 		return nil, 0, false, err
 	}
+	// The response is a pooled buffer of the libOS: the value is copied
+	// out so that the buffer can go back, not stay charged to this node
+	// (on a shared NIC, to its tenant's quota) for as long as the caller
+	// keeps the value.
+	defer resp.Free()
 	switch string(resp.Segments[0].Buf) {
 	case StatusOK:
 		if resp.NumSegments() < 2 {
 			return nil, cost, false, ErrBadRequest
 		}
-		return resp.Segments[1].Buf, cost, true, nil
+		return bytes.Clone(resp.Segments[1].Buf), cost, true, nil
 	case StatusNotFound:
 		return nil, cost, false, nil
 	default:
@@ -866,6 +872,7 @@ func (c *ShardedClient) SetOn(conn int, key string, val []byte) (simclock.Lat, e
 	if err != nil {
 		return 0, err
 	}
+	defer resp.Free()
 	if string(resp.Segments[0].Buf) != StatusOK {
 		return cost, ErrBadRequest
 	}
@@ -878,6 +885,7 @@ func (c *ShardedClient) Del(key string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	defer resp.Free()
 	return string(resp.Segments[0].Buf) == StatusOK, nil
 }
 
@@ -886,10 +894,14 @@ func (c *ShardedClient) Del(key string) (bool, error) {
 // hash keys over the new width. Safe to call lazily after a server
 // reshard — a stale client stays correct in the meantime because the
 // server's mesh forwarding absorbs misdirected requests; Resize just
-// restores the zero-forward steady state.
+// restores the zero-forward steady state. A nil dial is the dialer the
+// client was staged with (Dial, Connect), at attempt 0.
 func (c *ShardedClient) Resize(n int, dial func(shard int) (core.QD, error)) error {
 	if n < 1 {
 		return ErrBadRequest
+	}
+	if dial == nil {
+		dial = func(i int) (core.QD, error) { return c.redialFn(i, 0) }
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

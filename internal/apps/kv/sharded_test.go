@@ -37,7 +37,6 @@ func TestKeyShardPartition(t *testing.T) {
 // should ever cross the mesh.
 func TestShardedKVAligned(t *testing.T) {
 	h := newHarness(t, demi.Catnip, 4, 1)
-	defer h.close()
 
 	const n = 64
 	for i := 0; i < n; i++ {
@@ -100,7 +99,6 @@ func TestShardedKVAligned(t *testing.T) {
 // the owner and return the owner's answer.
 func TestShardedKVForwarding(t *testing.T) {
 	h := newHarness(t, demi.Catnip, 4, 2)
-	defer h.close()
 
 	const n = 32
 	for i := 0; i < n; i++ {
@@ -154,7 +152,6 @@ func TestShardedKVForwarding(t *testing.T) {
 // demi-stat aggregation relies on.
 func TestShardedKVTelemetry(t *testing.T) {
 	h := newHarness(t, demi.Catnip, 2, 3)
-	defer h.close()
 	if _, err := h.client.Set("a", []byte("1")); err != nil {
 		t.Fatalf("set: %v", err)
 	}
@@ -187,7 +184,6 @@ func TestShardedKVTelemetry(t *testing.T) {
 // that is a dead connection to replay past, never a failed request.
 func TestShardedClientResizeUnderOps(t *testing.T) {
 	h := newHarness(t, demi.Catnip, 4, 7)
-	defer h.close()
 	var dials atomic.Uint32
 	dial := func(i int) (demi.QD, error) {
 		return h.cluster.Router().DialShard(h.cliNode, h.node.Sharded, 6379, i,

@@ -26,13 +26,16 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
+	"demikernel/internal/core"
 	"demikernel/internal/fabric"
+	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
 	"demikernel/internal/spdk"
 )
@@ -267,41 +270,83 @@ func (e *Engine) NodeCrashRestart(at, downFor time.Duration, name string, n Life
 	})
 }
 
-// HostileTenantFaults bundles the misbehaviours of one tenant sharing a
-// NIC with victims — the paper's protection scenario turned adversarial.
-// Flood should saturate the tenant's TX path (the WDRR scheduler and the
-// tenant's rate limit must contain it); Leak should acquire pooled
-// frames and never release them (the tenant's quota ledger must absorb
-// it); Node is the tenant node, crashed mid-rampage so device-side
-// reclamation is exercised with maximum state outstanding.
-type HostileTenantFaults struct {
-	Flood func() // saturate the tenant's own TX path
-	Leak  func() // acquire pooled frames and withhold Release
-	Node  Lifecycle
+// HostileTenant is one tenant of a shared NIC gone hostile — the paper's
+// protection scenario turned adversarial. Its rampage floods its own TX
+// path with datagrams for a bystander (the WDRR scheduler and the
+// tenant's rate limit must contain it), acquires pooled frames and never
+// releases them (the tenant's quota ledger must absorb it), and ends with
+// the node crashed mid-burst, so device-side reclamation is exercised with
+// the most state outstanding.
+type HostileTenant struct {
+	Lib  *core.LibOS       // the tenant's libOS, source of the flood
+	Pool *fabric.FramePool // its quota-charged frame pool, target of the leak
+	Node Lifecycle         // the tenant's node, crashed last
+	Sink core.Addr         // the bystander the flood is addressed to
+
+	stop   chan struct{}
+	wg     sync.WaitGroup
+	leaked int
 }
 
-// HostileTenant schedules the full rampage of one co-located tenant:
-// flood at `at`, leak at `at+stagger`, crash mid-burst at `at+2*stagger`
-// (reclaiming the leaked quota device-side), and — when downFor > 0 —
-// restart at `at+2*stagger+downFor`. Victim tenants on the same NIC
-// must ride it out behind their queue groups, TX weights, and quotas;
-// the hostile-tenant soak test asserts exactly that.
-func (e *Engine) HostileTenant(at, stagger, downFor time.Duration, name string, h HostileTenantFaults) *Engine {
-	if h.Flood != nil {
-		e.At(at, fmt.Sprintf("hostile-flood(%s)", name), h.Flood)
-	}
-	if h.Leak != nil {
-		e.At(at+stagger, fmt.Sprintf("hostile-leak(%s)", name), h.Leak)
-	}
-	e.At(at+2*stagger, fmt.Sprintf("hostile-crash(%s)", name), func() {
+// Rampage schedules h's whole repertoire: flood at `at`, leak at
+// `at+stagger`, crash at `at+2*stagger`. Victim tenants on the same NIC
+// must ride it out behind their queue groups, TX weights and quotas. Once
+// the schedule is Done, h.Stop ends the flood.
+func (e *Engine) Rampage(at, stagger time.Duration, name string, h *HostileTenant) *Engine {
+	h.stop = make(chan struct{})
+	e.At(at, fmt.Sprintf("hostile-flood(%s)", name), h.flood)
+	e.At(at+stagger, fmt.Sprintf("hostile-leak(%s)", name), func() {
+		for i := 0; i < 400; i++ {
+			if h.Pool.Get(1500) != nil { // acquired, never released
+				h.leaked++
+			}
+		}
+	})
+	return e.At(at+2*stagger, fmt.Sprintf("hostile-crash(%s)", name), func() {
 		h.Node.Crash() //nolint:errcheck // reclamation is observable via the ledger
 	})
-	if downFor > 0 {
-		e.At(at+2*stagger+downFor, fmt.Sprintf("hostile-restart(%s)", name), func() {
-			h.Node.Restart() //nolint:errcheck // Restart on a live node is a no-op error
-		})
+}
+
+// flood starts a goroutine pushing 1 KiB datagrams at the sink as fast as
+// the tenant can. Bursts of 32 back to back overrun the tenant's staging
+// ring and rate cap at once; the sleep between bursts keeps the host CPU
+// out of the victims' measured latency. A push that fails (the transport
+// crashed underneath) backs off instead of hammering a corpse.
+func (h *HostileTenant) flood() {
+	qd, err := h.Lib.SocketUDP()
+	if err != nil {
+		return
 	}
-	return e
+	if h.Lib.Bind(qd, core.Addr{Port: 7777}) != nil || h.Lib.Connect(qd, h.Sink) != nil {
+		return
+	}
+	payload := sga.New(bytes.Repeat([]byte{0xAB}, 1024))
+	h.wg.Add(1)
+	go func() {
+		defer h.wg.Done()
+		for {
+			select {
+			case <-h.stop:
+				return
+			default:
+			}
+			pause := 200 * time.Microsecond
+			for j := 0; j < 32; j++ {
+				if _, err := h.Lib.BlockingPush(qd, payload); err != nil {
+					pause = 100 * time.Microsecond
+					break
+				}
+			}
+			time.Sleep(pause)
+		}
+	}()
+}
+
+// Stop ends the flood and reports how many frames the leak acquired.
+func (h *HostileTenant) Stop() (leaked int) {
+	close(h.stop)
+	h.wg.Wait()
+	return h.leaked
 }
 
 // AsymmetricPartition schedules a one-way fabric break: frames from port

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	demi "demikernel"
-	"demikernel/internal/apps/echo"
-	"demikernel/internal/apps/kv"
 	"demikernel/internal/metrics"
 	"demikernel/internal/simclock"
 )
@@ -15,58 +13,15 @@ import (
 // zero-copy argument to memory bandwidth? They are not paper figures;
 // they stress the *reasons* behind the paper's claims.
 
-// echoOverModel builds an echo rig over a custom cost model and measures
-// round trips.
-func echoOverModel(flavor string, seed int64, model simclock.CostModel, size, n int) (*metrics.Histogram, error) {
-	c := demi.NewClusterWithModel(seed, model)
-	srvNode, err := newNodeOn(c, flavor, demi.NodeConfig{Host: 1})
+// echoOverModel measures n echo round trips of size bytes between a pair
+// of kind nodes charged from a custom cost model.
+func echoOverModel(kind demi.Kind, seed int64, model simclock.CostModel, size, n int) (*metrics.Histogram, error) {
+	rig, err := newEchoRig(demi.NewClusterWithModel(seed, model), kind, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	cliNode, err := newNodeOn(c, flavor, demi.NodeConfig{Host: 2})
-	if err != nil {
-		return nil, err
-	}
-	srv := echo.NewServer(srvNode.LibOS)
-	srv.AppCost = c.Model.AppRequestNS
-	if err := srv.Listen(7); err != nil {
-		return nil, err
-	}
-	stopS := srvNode.Background()
-	defer stopS()
-	stopC := cliNode.Background()
-	defer stopC()
-	stopServe := make(chan struct{})
-	defer close(stopServe)
-	go srv.Run(stopServe)
-
-	cli := echo.NewClient(cliNode.LibOS)
-	if err := cli.Connect(c.AddrOf(srvNode, 7)); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, size)
-	var h metrics.Histogram
-	for i := 0; i < n; i++ {
-		cost, err := cli.RTT(payload, c.Model.AppRequestNS)
-		if err != nil {
-			return nil, err
-		}
-		h.Record(cost)
-	}
-	return &h, nil
-}
-
-func newNodeOn(c *demi.Cluster, flavor string, cfg demi.NodeConfig) (*demi.Node, error) {
-	switch flavor {
-	case "catnip":
-		return c.MustSpawn(demi.Catnip, demi.WithConfig(cfg)), nil
-	case "catnap":
-		return c.MustSpawn(demi.Catnap, demi.WithConfig(cfg)), nil
-	case "catmint":
-		return c.MustSpawn(demi.Catmint, demi.WithConfig(cfg)), nil
-	default:
-		return nil, fmt.Errorf("unknown libOS flavor %q", flavor)
-	}
+	defer rig.Close()
+	return rig.measureEcho(size, n)
 }
 
 // runA1 ablates the syscall cost: if syscalls were free, would the
@@ -81,11 +36,11 @@ func runA1(seed int64) (*Result, error) {
 	for _, syscallNS := range []simclock.Lat{0, 250, 500, 1000, 2000} {
 		model := simclock.Datacenter2019()
 		model.SyscallNS = syscallNS
-		kh, err := echoOverModel("catnap", seed, model, 4096, rttSamples)
+		kh, err := echoOverModel(demi.Catnap, seed, model, 4096, rttSamples)
 		if err != nil {
 			return nil, err
 		}
-		bh, err := echoOverModel("catnip", seed, model, 4096, rttSamples)
+		bh, err := echoOverModel(demi.Catnip, seed, model, 4096, rttSamples)
 		if err != nil {
 			return nil, err
 		}
@@ -119,43 +74,12 @@ func runA2(seed int64) (*Result, error) {
 		model.CopyPerByteNS = perByte
 
 		var p50s [2]simclock.Lat
-		for i, flavor := range []string{"catnap", "catnip"} {
-			c := demi.NewClusterWithModel(seed, model)
-			srvNode, err := newNodeOn(c, flavor, demi.NodeConfig{Host: 1})
+		for i, kind := range []demi.Kind{demi.Catnap, demi.Catnip} {
+			p50, err := kvGetP50(demi.NewClusterWithModel(seed, model), kind, "k", make([]byte, 4096))
 			if err != nil {
 				return nil, err
 			}
-			cliNode, err := newNodeOn(c, flavor, demi.NodeConfig{Host: 2})
-			if err != nil {
-				return nil, err
-			}
-			srv := kv.NewServer(srvNode.LibOS, &c.Model)
-			if err := srv.Listen(6379); err != nil {
-				return nil, err
-			}
-			stopS := srvNode.Background()
-			stopC := cliNode.Background()
-			stopServe := make(chan struct{})
-			srv.Run(stopServe)
-			cli := kv.NewClient(cliNode.LibOS)
-			if err := cli.Connect(c.AddrOf(srvNode, 6379)); err != nil {
-				return nil, err
-			}
-			if _, err := cli.Set("k", make([]byte, 4096)); err != nil {
-				return nil, err
-			}
-			var h metrics.Histogram
-			for j := 0; j < rttSamples; j++ {
-				_, cost, found, err := cli.Get("k")
-				if err != nil || !found {
-					return nil, fmt.Errorf("get: %v found=%v", err, found)
-				}
-				h.Record(cost)
-			}
-			close(stopServe)
-			stopC()
-			stopS()
-			p50s[i] = h.Percentile(50)
+			p50s[i] = p50
 		}
 		delta := p50s[0] - p50s[1]
 		deltas = append(deltas, delta)

@@ -288,19 +288,19 @@ func runE13(seed int64) (*Result, error) {
 
 	// The libOS path: catmint keeps its window posted and the queue API
 	// paces pushes, so the same burst count completes without failures.
-	rig, err := newEchoRig("catmint", seed, 0)
+	rig, err := newEchoRig(demi.NewCluster(seed), demi.Catmint, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	libosFailed := 0
 	for i := 0; i < burst; i++ {
-		if _, err := rig.client.RTT(make([]byte, msgSize), 0); err != nil {
+		if _, err := rig.Client.RTT(make([]byte, msgSize), 0); err != nil {
 			libosFailed++
 		}
 	}
 	rnr := rig.srvNode.Catmint.Device().Stats().RNRNaks +
 		rig.cliNode.Catmint.Device().Stats().RNRNaks
-	rig.close()
+	rig.Close()
 	tbl.AddRow("catmint (libOS-managed)", "libOS window", libosFailed, 0)
 	tbl.Note = "raw verbs: the application guesses; the libOS owns buffer management (§4.5)"
 	res.Tables = append(res.Tables, tbl)

@@ -211,75 +211,68 @@ func ByID(id string) (Experiment, bool) {
 
 // --- shared harness plumbing ---
 
-// echoRig is a connected echo client/server over one libOS flavour.
-type echoRig struct {
+// spawnPair puts two nodes of one libOS kind on c: host 1, which serves,
+// and host 2, which dials. cfg's Host is overwritten.
+func spawnPair(c *demi.Cluster, kind demi.Kind, cfg demi.NodeConfig) (srvNode, cliNode *demi.Node, err error) {
+	cfg.Host = 1
+	if srvNode, err = c.Spawn(kind, demi.WithConfig(cfg)); err != nil {
+		return nil, nil, err
+	}
+	cfg.Host = 2
+	cliNode, err = c.Spawn(kind, demi.WithConfig(cfg))
+	return srvNode, cliNode, err
+}
+
+// EchoRig is a connected echo client/server pair: the experiments' rig and
+// the `demi-stat` echo dashboards'.
+type EchoRig struct {
+	Client  *echo.Client
+	Close   func()
 	cluster *demi.Cluster
 	server  *echo.Server
-	client  *echo.Client
 	srvNode *demi.Node
 	cliNode *demi.Node
-	stops   []func()
 }
 
-func (r *echoRig) close() {
-	for _, f := range r.stops {
-		f()
-	}
-}
-
-func newNode(c *demi.Cluster, flavor string, cfg demi.NodeConfig) (*demi.Node, error) {
-	switch flavor {
-	case "catnip":
-		return c.MustSpawn(demi.Catnip, demi.WithConfig(cfg)), nil
-	case "catnap":
-		return c.MustSpawn(demi.Catnap, demi.WithConfig(cfg)), nil
-	case "catmint":
-		return c.MustSpawn(demi.Catmint, demi.WithConfig(cfg)), nil
-	default:
-		return nil, fmt.Errorf("unknown libOS flavor %q", flavor)
-	}
-}
-
-func newEchoRig(flavor string, seed int64, extra simclock.Lat) (*echoRig, error) {
-	c := demi.NewCluster(seed)
-	srvNode, err := newNode(c, flavor, demi.NodeConfig{Host: 1, PerPacketExtra: extra})
+// newEchoRig spawns a pair of kind nodes on c, each charging extra per
+// packet, and stages echo between them (StageEcho).
+func newEchoRig(c *demi.Cluster, kind demi.Kind, extra simclock.Lat, ringCap int) (*EchoRig, error) {
+	srvNode, cliNode, err := spawnPair(c, kind, demi.NodeConfig{PerPacketExtra: extra})
 	if err != nil {
 		return nil, err
 	}
-	cliNode, err := newNode(c, flavor, demi.NodeConfig{Host: 2, PerPacketExtra: extra})
+	return StageEcho(c, srvNode, cliNode, ringCap)
+}
+
+// StageEcho serves echo on srvNode:7, charging the model's application
+// cost per request, and dials it from cliNode; ringCap > 0 puts both sides
+// on SQ/CQ rings of that capacity.
+func StageEcho(c *demi.Cluster, srvNode, cliNode *demi.Node, ringCap int) (*EchoRig, error) {
+	srv, stopSrv, err := echo.Serve(srvNode.LibOS, 7, c.Model.AppRequestNS, ringCap)
 	if err != nil {
 		return nil, err
 	}
-	srv := echo.NewServer(srvNode.LibOS)
-	srv.AppCost = c.Model.AppRequestNS
-	if err := srv.Listen(7); err != nil {
+	cli, stopCli, err := echo.Dial(cliNode.LibOS, c.AddrOf(srvNode, 7), ringCap)
+	if err != nil {
+		stopSrv()
 		return nil, err
 	}
-	stopS := srvNode.Background()
-	stopC := cliNode.Background()
-	stopServe := make(chan struct{})
-	go srv.Run(stopServe)
-
-	cli := echo.NewClient(cliNode.LibOS)
-	if err := cli.Connect(c.AddrOf(srvNode, 7)); err != nil {
-		return nil, err
-	}
-	return &echoRig{
+	return &EchoRig{
+		Client:  cli,
+		Close:   func() { stopCli(); stopSrv() },
 		cluster: c,
 		server:  srv,
-		client:  cli,
 		srvNode: srvNode,
 		cliNode: cliNode,
-		stops:   []func(){func() { close(stopServe) }, stopC, stopS},
 	}, nil
 }
 
 // measureEcho collects n round trips of the given payload size.
-func (r *echoRig) measureEcho(size, n int) (*metrics.Histogram, error) {
+func (r *EchoRig) measureEcho(size, n int) (*metrics.Histogram, error) {
 	payload := make([]byte, size)
 	var h metrics.Histogram
 	for i := 0; i < n; i++ {
-		cost, err := r.client.RTT(payload, r.cluster.Model.AppRequestNS)
+		cost, err := r.Client.RTT(payload, r.cluster.Model.AppRequestNS)
 		if err != nil {
 			return nil, fmt.Errorf("rtt %d: %w", i, err)
 		}
@@ -288,51 +281,21 @@ func (r *echoRig) measureEcho(size, n int) (*metrics.Histogram, error) {
 	return &h, nil
 }
 
-// kvRig is a connected KV client/server over one libOS flavour.
-type kvRig struct {
-	cluster *demi.Cluster
-	server  *kv.ShardedServer
-	client  *kv.ShardedClient
-	srvNode *demi.Node
-	cliNode *demi.Node
-	stops   []func()
-}
-
-func (r *kvRig) close() {
-	for _, f := range r.stops {
-		f()
-	}
-}
-
-func newKVRig(flavor string, seed int64) (*kvRig, error) {
-	c := demi.NewCluster(seed)
-	srvNode, err := newNode(c, flavor, demi.NodeConfig{Host: 1})
+// newKVRig spawns a pair of kind nodes on c and stages the width-1 KV
+// server and its client between them.
+func newKVRig(c *demi.Cluster, kind demi.Kind) (client *kv.ShardedClient, close func(), err error) {
+	srvNode, cliNode, err := spawnPair(c, kind, demi.NodeConfig{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cliNode, err := newNode(c, flavor, demi.NodeConfig{Host: 2})
+	_, stopSrv, err := kv.Serve([]*demi.LibOS{srvNode.LibOS}, nil, 1, &c.Model, 6379)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	srv := kv.NewServer(srvNode.LibOS, &c.Model)
-	if err := srv.Listen(6379); err != nil {
-		return nil, err
+	cli, stopCli, err := kv.Dial(cliNode.LibOS, 1, c.Router().Dialer(cliNode, srvNode, 6379))
+	if err != nil {
+		stopSrv()
+		return nil, nil, err
 	}
-	stopS := srvNode.Background()
-	stopC := cliNode.Background()
-	stopServe := make(chan struct{})
-	srv.Run(stopServe)
-
-	cli := kv.NewClient(cliNode.LibOS)
-	if err := cli.Connect(c.AddrOf(srvNode, 6379)); err != nil {
-		return nil, err
-	}
-	return &kvRig{
-		cluster: c,
-		server:  srv,
-		client:  cli,
-		srvNode: srvNode,
-		cliNode: cliNode,
-		stops:   []func(){func() { close(stopServe) }, stopC, stopS},
-	}, nil
+	return cli, func() { stopCli(); stopSrv() }, nil
 }

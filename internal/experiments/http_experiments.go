@@ -29,60 +29,37 @@ import (
 
 const e17Port = 8080
 
-// httpRig is a served httpd server plus one connected keep-alive
-// client, background-polled on both sides.
+// httpRig is a served httpd server plus one connected keep-alive client.
 type httpRig struct {
-	cluster *demi.Cluster
 	cliNode *demi.Node
 	srv     *httpd.Server
 	cli     *httpd.Client
-	stops   []func()
+	close   func()
 }
 
-func (r *httpRig) close() {
-	for _, f := range r.stops {
-		f()
-	}
-}
-
-func newHTTPRig(seed int64, tree *httpd.Tree, ringCap int, cliCfg demi.NodeConfig) (*httpRig, error) {
+// newHTTPRig serves tree from one catnip node (over rings when ringCap >
+// 0) to a client on another whose rx ready list is bounded at rxReadyCap.
+func newHTTPRig(seed int64, tree *httpd.Tree, ringCap, rxReadyCap int) (*httpRig, error) {
 	c := demi.NewCluster(seed)
-	srvNode, err := newNode(c, "catnip", demi.NodeConfig{Host: 1})
+	srvNode, err := c.Spawn(demi.Catnip, demi.WithHost(1))
 	if err != nil {
 		return nil, err
 	}
-	if cliCfg.Host == 0 {
-		cliCfg.Host = 2
-	}
-	cliNode, err := newNode(c, "catnip", cliCfg)
+	cliNode, err := c.Spawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{Host: 2, RxReadyCap: rxReadyCap}))
 	if err != nil {
 		return nil, err
 	}
 	cliNode.WaitTimeout = 10 * time.Second
-	srv := httpd.NewServer(srvNode.LibOS, tree)
-	srv.EnableLatency()
-	if err := srv.Listen(e17Port); err != nil {
+	srv, stopSrv, err := httpd.Serve(srvNode.LibOS, tree, e17Port, ringCap)
+	if err != nil {
 		return nil, err
 	}
-	if ringCap > 0 {
-		srv.EnableRing(ringCap)
-	}
-	stopS := srvNode.Background()
-	stopC := cliNode.Background()
-	stopServe := make(chan struct{})
-	go srv.Run(stopServe)
-
-	cli := httpd.NewClient(cliNode.LibOS)
-	if err := cli.Connect(c.AddrOf(srvNode, e17Port)); err != nil {
+	cli, stopCli, err := httpd.Dial(cliNode.LibOS, c.AddrOf(srvNode, e17Port))
+	if err != nil {
+		stopSrv()
 		return nil, err
 	}
-	return &httpRig{
-		cluster: c,
-		cliNode: cliNode,
-		srv:     srv,
-		cli:     cli,
-		stops:   []func(){func() { close(stopServe) }, stopC, stopS},
-	}, nil
+	return &httpRig{cliNode: cliNode, srv: srv, cli: cli, close: func() { stopCli(); stopSrv() }}, nil
 }
 
 func runE17(seed int64) (*Result, error) {
@@ -101,7 +78,7 @@ func runE17(seed int64) (*Result, error) {
 		"path", "requests", "p50", "p99", "p99.9", "max")
 	var p50s [2]int64
 	for i, ringCap := range []int{0, 64} {
-		r, err := newHTTPRig(seed, tree, ringCap, demi.NodeConfig{})
+		r, err := newHTTPRig(seed, tree, ringCap, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +125,7 @@ func runE17(seed int64) (*Result, error) {
 	for _, o := range objs {
 		slowTree.Add(o.Path, o.Body)
 	}
-	r, err := newHTTPRig(seed+1, slowTree, 0, demi.NodeConfig{Host: 2, RxReadyCap: 4})
+	r, err := newHTTPRig(seed+1, slowTree, 0, 4)
 	if err != nil {
 		return nil, err
 	}

@@ -28,7 +28,7 @@ func runE1(seed int64) (*Result, error) {
 	var kernel4k, bypass4k simclock.Lat
 	var counterTbl *metrics.Table
 	for _, size := range sizes {
-		kr, err := newEchoRig("catnap", seed, 0)
+		kr, err := newEchoRig(demi.NewCluster(seed), demi.Catnap, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -36,13 +36,13 @@ func runE1(seed int64) (*Result, error) {
 		kr.cliNode.Kernel.ResetCounters()
 		kh, err := kr.measureEcho(size, rttSamples)
 		if err != nil {
-			kr.close()
+			kr.Close()
 			return nil, err
 		}
 		cliSyscalls := kr.cliNode.Kernel.Counters().SyscallCrossings
-		kr.close()
+		kr.Close()
 
-		br, err := newEchoRig("catnip", seed, 0)
+		br, err := newEchoRig(demi.NewCluster(seed), demi.Catnip, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -59,7 +59,7 @@ func runE1(seed int64) (*Result, error) {
 		}
 		bh, err := br.measureEcho(size, rttSamples)
 		if err != nil {
-			br.close()
+			br.Close()
 			return nil, err
 		}
 		if size == 4096 {
@@ -81,7 +81,7 @@ func runE1(seed int64) (*Result, error) {
 				counterTbl.AddRow(smp.Name, smp.Value)
 			}
 		}
-		br.close()
+		br.Close()
 
 		kp50, bp50 := kh.Percentile(50), bh.Percentile(50)
 		if size == 4096 {
@@ -132,29 +132,15 @@ func runE3(seed int64) (*Result, error) {
 		val := bytes.Repeat([]byte{0x5A}, size)
 
 		var p e3Point
-		for i, flavor := range []string{"catnap", "catnip"} {
-			rig, err := newKVRig(flavor, seed)
+		for i, kind := range []demi.Kind{demi.Catnap, demi.Catnip} {
+			p50, err := kvGetP50(demi.NewCluster(seed), kind, "key", val)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := rig.client.Set("key", val); err != nil {
-				rig.close()
-				return nil, fmt.Errorf("%s set: %w", flavor, err)
-			}
-			var h metrics.Histogram
-			for j := 0; j < rttSamples; j++ {
-				_, cost, found, err := rig.client.Get("key")
-				if err != nil || !found {
-					rig.close()
-					return nil, fmt.Errorf("%s get: found=%v err=%v", flavor, found, err)
-				}
-				h.Record(cost)
-			}
-			rig.close()
 			if i == 0 {
-				p.copyP50 = h.Percentile(50)
+				p.copyP50 = p50
 			} else {
-				p.zcP50 = h.Percentile(50)
+				p.zcP50 = p50
 			}
 		}
 		points[size] = p
@@ -181,6 +167,28 @@ func runE3(seed int64) (*Result, error) {
 
 type e3Point struct{ copyP50, zcP50 simclock.Lat }
 
+// kvGetP50 stores val under key on a fresh KV pair of kind nodes and
+// returns the median virtual cost of rttSamples GETs of it.
+func kvGetP50(c *demi.Cluster, kind demi.Kind, key string, val []byte) (simclock.Lat, error) {
+	client, closeRig, err := newKVRig(c, kind)
+	if err != nil {
+		return 0, err
+	}
+	defer closeRig()
+	if _, err := client.Set(key, val); err != nil {
+		return 0, fmt.Errorf("%s set: %w", kind, err)
+	}
+	var h metrics.Histogram
+	for j := 0; j < rttSamples; j++ {
+		_, cost, found, err := client.Get(key)
+		if err != nil || !found {
+			return 0, fmt.Errorf("%s get: found=%v err=%v", kind, found, err)
+		}
+		h.Record(cost)
+	}
+	return h.Percentile(50), nil
+}
+
 func allSizesWin(points map[int]e3Point) bool {
 	for _, p := range points {
 		if p.copyP50 <= p.zcP50 {
@@ -199,24 +207,24 @@ func runE6(seed int64) (*Result, error) {
 	model := simclock.Datacenter2019()
 
 	configs := []struct {
-		label  string
-		flavor string
-		extra  simclock.Lat
+		label string
+		kind  demi.Kind
+		extra simclock.Lat
 	}{
-		{"linux kernel (catnap)", "catnap", 0},
-		{"mTCP-style user stack + POSIX emulation", "catnip", model.PosixEmulationNS},
-		{"demikernel interface (catnip)", "catnip", 0},
+		{"linux kernel (catnap)", demi.Catnap, 0},
+		{"mTCP-style user stack + POSIX emulation", demi.Catnip, model.PosixEmulationNS},
+		{"demikernel interface (catnip)", demi.Catnip, 0},
 	}
 	tbl := metrics.NewTable("E6: 64B echo RTT across stack architectures",
 		"stack", "p50", "p99", "vs kernel")
 	p50s := make([]simclock.Lat, len(configs))
 	for i, cfg := range configs {
-		rig, err := newEchoRig(cfg.flavor, seed, cfg.extra)
+		rig, err := newEchoRig(demi.NewCluster(seed), cfg.kind, cfg.extra, 0)
 		if err != nil {
 			return nil, err
 		}
 		h, err := rig.measureEcho(64, rttSamples)
-		rig.close()
+		rig.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -236,13 +244,17 @@ func runE6(seed int64) (*Result, error) {
 // over three libOSes.
 func runE9(seed int64) (*Result, error) {
 	res := &Result{}
-	flavors := []string{"catnap", "catnip", "catmint"}
+	deviceClass := map[demi.Kind]string{
+		demi.Catnap:  "none (legacy kernel)",
+		demi.Catnip:  "DPDK-class NIC",
+		demi.Catmint: "RDMA-class NIC",
+	}
 	tbl := metrics.NewTable("E9: unmodified KV application across libOSes",
 		"libOS", "device class", "SET p50", "GET p50", "ops OK")
-	getP50 := map[string]simclock.Lat{}
+	getP50 := map[demi.Kind]simclock.Lat{}
 
-	for _, flavor := range flavors {
-		rig, err := newKVRig(flavor, seed)
+	for _, flavor := range []demi.Kind{demi.Catnap, demi.Catnip, demi.Catmint} {
+		client, closeRig, err := newKVRig(demi.NewCluster(seed), flavor)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +263,7 @@ func runE9(seed int64) (*Result, error) {
 		val := bytes.Repeat([]byte{7}, 512)
 		for i := 0; i < 20; i++ {
 			key := fmt.Sprintf("k%02d", i)
-			cost, err := rig.client.Set(key, append([]byte(nil), val...))
+			cost, err := client.Set(key, append([]byte(nil), val...))
 			if err != nil {
 				ok = false
 				break
@@ -260,27 +272,22 @@ func runE9(seed int64) (*Result, error) {
 		}
 		for i := 0; i < 40 && ok; i++ {
 			key := fmt.Sprintf("k%02d", i%20)
-			got, cost, found, err := rig.client.Get(key)
+			got, cost, found, err := client.Get(key)
 			if err != nil || !found || !bytes.Equal(got, val) {
 				ok = false
 				break
 			}
 			getH.Record(cost)
 		}
-		deviceClass := map[string]string{
-			"catnap":  "none (legacy kernel)",
-			"catnip":  "DPDK-class NIC",
-			"catmint": "RDMA-class NIC",
-		}[flavor]
-		rig.close()
+		closeRig()
 		getP50[flavor] = getH.Percentile(50)
-		tbl.AddRow(flavor, deviceClass, setH.Percentile(50), getH.Percentile(50), ok)
+		tbl.AddRow(flavor, deviceClass[flavor], setH.Percentile(50), getH.Percentile(50), ok)
 		res.check(fmt.Sprintf("%s runs the app unmodified", flavor), ok, "all ops verified")
 	}
 	res.Tables = append(res.Tables, tbl)
 	res.check("both bypass libOSes beat the kernel libOS",
-		getP50["catnip"] < getP50["catnap"] && getP50["catmint"] < getP50["catnap"],
-		"catnip %v, catmint %v, catnap %v", getP50["catnip"], getP50["catmint"], getP50["catnap"])
+		getP50[demi.Catnip] < getP50[demi.Catnap] && getP50[demi.Catmint] < getP50[demi.Catnap],
+		"catnip %v, catmint %v, catnap %v", getP50[demi.Catnip], getP50[demi.Catmint], getP50[demi.Catnap])
 	return res, nil
 }
 
@@ -288,11 +295,11 @@ func runE9(seed int64) (*Result, error) {
 // survive a lossy, reordering stream intact and in order.
 func runE11(seed int64) (*Result, error) {
 	res := &Result{}
-	rig, err := newEchoRig("catnip", seed, 0)
+	rig, err := newEchoRig(demi.NewCluster(seed), demi.Catnip, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer rig.close()
+	defer rig.Close()
 
 	// Inject loss and reordering mid-run.
 	rig.cluster.Switch.SetImpairments(fabric.Impairments{LossRate: 0.05, ReorderRate: 0.1})
@@ -339,4 +346,4 @@ func runE11(seed int64) (*Result, error) {
 // mustQD digs the echo client's queue descriptor out of the rig. The
 // echo client owns the connection; for E11 the experiment pushes raw
 // SGAs over it directly.
-func mustQD(r *echoRig) demi.QD { return r.client.QD() }
+func mustQD(r *EchoRig) demi.QD { return r.Client.QD() }

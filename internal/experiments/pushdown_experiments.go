@@ -13,6 +13,64 @@ import (
 	"demikernel/internal/spdk"
 )
 
+// LookupRig is a catfish node holding a static index of the given depth
+// (fanout 2, so 2^(depth+1) keys) with a lookup queue open on it, its
+// step function pushed into the device or run on the host: E18's rig and
+// the `demi-stat -storage` dashboard's.
+type LookupRig struct {
+	Transport *catfish.Transport
+	Queue     *catfish.LookupQueue
+	Pairs     []spdk.KV // what the index holds
+}
+
+// NewLookupRig spawns the node, builds the index and opens the queue.
+func NewLookupRig(seed int64, depth int, pushdown bool) (*LookupRig, error) {
+	node, err := demi.NewCluster(seed).Spawn(demi.Catfish, demi.WithBlocks(0))
+	if err != nil {
+		return nil, err
+	}
+	r := &LookupRig{Transport: node.Catfish}
+	for i := 0; i < 1<<(depth+1); i++ {
+		r.Pairs = append(r.Pairs, spdk.KV{
+			Key: []byte(fmt.Sprintf("key-%05d", i)),
+			Val: []byte(fmt.Sprintf("value-%d", i)),
+		})
+	}
+	idx, err := r.Transport.BuildIndex(r.Pairs, 2)
+	if err != nil {
+		return nil, err
+	}
+	if idx.Depth != depth {
+		return nil, fmt.Errorf("built an index of depth %d, want %d", idx.Depth, depth)
+	}
+	r.Queue, err = r.Transport.OpenLookup(idx, offload.IndexLookup(), catfish.LookupConfig{Pushdown: pushdown})
+	return r, err
+}
+
+// Get runs one Push+Pop GET round trip through the lookup queue, polling
+// the transport until the result lands, and returns a copy of the value
+// with the virtual cost of the lookup.
+func (r *LookupRig) Get(key []byte) ([]byte, simclock.Lat, error) {
+	s := r.Transport.AllocSGA(len(key))
+	copy(s.Segments[0].Buf, key)
+	r.Queue.Push(s, 0, func(queue.Completion) {})
+	var c queue.Completion
+	got := false
+	r.Queue.Pop(func(qc queue.Completion) { c = qc; got = true })
+	for i := 0; !got; i++ {
+		r.Transport.Poll()
+		if i > 1_000_000 {
+			return nil, 0, fmt.Errorf("lookup hung")
+		}
+	}
+	if c.Err != nil {
+		return nil, 0, c.Err
+	}
+	v := bytes.Clone(c.SGA.Bytes())
+	c.SGA.Free()
+	return v, c.Cost, nil
+}
+
 // runE18 measures storage pushdown: BPF-style compute in the NVMe
 // completion path. A depth-N index lookup is the worst case for the
 // kernel-bypass storage interface — every hop is a device round trip
@@ -41,78 +99,24 @@ func runE18(seed int64) (*Result, error) {
 	var outcomes []outcome
 
 	for _, depth := range depths {
-		nKeys := 1 << (depth + 1) // fanout 2: 2^(d+1) keys build depth d
-		var pairs []spdk.KV
-		for i := 0; i < nKeys; i++ {
-			pairs = append(pairs, spdk.KV{
-				Key: []byte(fmt.Sprintf("key-%05d", i)),
-				Val: []byte(fmt.Sprintf("value-%d", i)),
-			})
-		}
-
-		type rig struct {
-			tr *catfish.Transport
-			q  *catfish.LookupQueue
-		}
-		open := func(pushdown bool, seedOff int64) (*rig, *spdk.Index, error) {
-			c := demi.NewCluster(seed + seedOff)
-			node, err := c.Spawn(demi.Catfish, demi.WithBlocks(0))
-			if err != nil {
-				return nil, nil, err
-			}
-			tr := node.Catfish
-			idx, err := tr.BuildIndex(pairs, 2)
-			if err != nil {
-				return nil, nil, err
-			}
-			q, err := tr.OpenLookup(idx, offload.IndexLookup(), catfish.LookupConfig{Pushdown: pushdown})
-			if err != nil {
-				return nil, nil, err
-			}
-			return &rig{tr: tr, q: q}, idx, nil
-		}
-		pd, idx, err := open(true, 0)
+		pd, err := NewLookupRig(seed, depth, true)
 		if err != nil {
 			return nil, err
 		}
-		host, _, err := open(false, 1)
+		host, err := NewLookupRig(seed+1, depth, false)
 		if err != nil {
 			return nil, err
 		}
-		if idx.Depth != depth {
-			return nil, fmt.Errorf("E18: built depth %d, want %d", idx.Depth, depth)
-		}
-
-		get := func(r *rig, key []byte) ([]byte, simclock.Lat, error) {
-			s := r.tr.AllocSGA(len(key))
-			copy(s.Segments[0].Buf, key)
-			r.q.Push(s, 0, func(queue.Completion) {})
-			var c queue.Completion
-			got := false
-			r.q.Pop(func(qc queue.Completion) { c = qc; got = true })
-			for i := 0; !got; i++ {
-				r.tr.Poll()
-				if i > 1_000_000 {
-					return nil, 0, fmt.Errorf("E18: lookup hung")
-				}
-			}
-			if c.Err != nil {
-				return nil, 0, c.Err
-			}
-			v := append([]byte(nil), c.SGA.Bytes()...)
-			c.SGA.Free()
-			return v, c.Cost, nil
-		}
+		pairs, nKeys := pd.Pairs, len(pd.Pairs)
 
 		var pdH, hostH metrics.Histogram
 		agree := true
 		for i := 0; i < nKeys; i++ {
-			key := []byte(fmt.Sprintf("key-%05d", i))
-			v1, c1, err := get(pd, key)
+			v1, c1, err := pd.Get(pairs[i].Key)
 			if err != nil {
 				return nil, err
 			}
-			v2, c2, err := get(host, key)
+			v2, c2, err := host.Get(pairs[i].Key)
 			if err != nil {
 				return nil, err
 			}
@@ -124,9 +128,9 @@ func runE18(seed int64) (*Result, error) {
 		}
 
 		gets := float64(nKeys)
-		ps := pd.q.Stats()
-		hs := host.q.Stats()
-		devStats := pd.tr.Device().PushdownStats()
+		ps := pd.Queue.Stats()
+		hs := host.Queue.Stats()
+		devStats := pd.Transport.Device().PushdownStats()
 		o := outcome{
 			depth:           depth,
 			hostCross:       float64(hs.Crossings) / gets,

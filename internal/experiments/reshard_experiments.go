@@ -9,7 +9,6 @@ import (
 
 	demi "demikernel"
 	"demikernel/internal/apps/failover"
-	"demikernel/internal/apps/kv"
 	"demikernel/internal/metrics"
 	"demikernel/internal/simclock"
 )
@@ -52,30 +51,12 @@ func e19Reshard(seed int64, res *Result) error {
 		port     = 6384
 		setsGets = 256
 	)
-	c := demi.NewCluster(seed)
-	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1),
-		demi.WithShards(2), demi.WithShardCapacity(4))
-	cliNode := c.MustSpawn(demi.Catnip, demi.WithHost(2))
-
-	server := kv.NewShardedServerElastic(srvNode.Sharded.Libs, &c.Model, srvNode.Sharded.Mesh(), 2)
-	srvNode.SetResharder(server)
-	if err := server.Listen(port); err != nil {
-		return err
-	}
-	stop := make(chan struct{})
-	wg := server.Run(stop)
-	defer func() { close(stop); wg.Wait() }()
-	stopCli := cliNode.Background()
-	defer stopCli()
-
-	dial := func(i int) (demi.QD, error) {
-		return c.Router().DialShard(cliNode, srvNode.Sharded, port, i, uint16(2048*i+77))
-	}
-	cli, err := kv.NewShardedClient(cliNode.LibOS, 2, dial)
+	rig, err := NewShardedKVRig(demi.NewCluster(seed), 2, 4, port)
 	if err != nil {
 		return err
 	}
-	defer cli.Close()
+	defer rig.Close()
+	srvNode, server, cli := rig.SrvNode, rig.Server, rig.Client
 
 	val := []byte("0123456789abcdef0123456789abcdef")
 	var lastOps int64
@@ -142,7 +123,7 @@ func e19Reshard(seed int64, res *Result) error {
 	}
 	pm.name = fmt.Sprintf("migrating (%d ops sampled)", len(duringLats))
 
-	if err := cli.Resize(4, dial); err != nil {
+	if err := cli.Resize(4, nil); err != nil {
 		return err
 	}
 	p4, err := phase("steady @4 (post-reshard)", setsGets, nil)

@@ -32,28 +32,12 @@ type ShardScalePoint struct {
 // partition working as designed) or sprays every request over shard 0's
 // connection (forcing the mesh-forward slow path).
 func RunShardScale(seed int64, shards, setsGets int, aligned bool) (ShardScalePoint, error) {
-	c := demi.NewCluster(seed)
-	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1), demi.WithShards(shards)).Sharded
-	cliNode := c.MustSpawn(demi.Catnip, demi.WithHost(2))
-
-	server := kv.NewShardedServer(srvNode.Libs, &c.Model, srvNode.Mesh())
-	const port = 6379
-	if err := server.Listen(port); err != nil {
-		return ShardScalePoint{}, err
-	}
-	stop := make(chan struct{})
-	wg := server.Run(stop)
-	defer func() { close(stop); wg.Wait() }()
-	stopCli := cliNode.Background()
-	defer stopCli()
-
-	client, err := kv.NewShardedClient(cliNode.LibOS, shards, func(i int) (demi.QD, error) {
-		return c.Router().DialShard(cliNode, srvNode, port, i, uint16(2048*i+101))
-	})
+	rig, err := NewShardedKVRig(demi.NewCluster(seed), shards, shards, 6379)
 	if err != nil {
 		return ShardScalePoint{}, err
 	}
-	defer client.Close()
+	defer rig.Close()
+	server, client := rig.Server, rig.Client
 
 	val := []byte("0123456789abcdef0123456789abcdef") // 32 B values
 	for i := 0; i < setsGets; i++ {
@@ -94,6 +78,42 @@ func RunShardScale(seed int64, shards, setsGets int, aligned bool) (ShardScalePo
 		p.ThroughputK = float64(p.Ops) / (float64(maxBusy) / 1e9) / 1e3
 	}
 	return p, nil
+}
+
+// ShardedKVRig is a sharded KV server node, served, and an RSS-aligned
+// client of it: E14's and E19's rig and the `demi-stat -shards` and
+// `-reshard` dashboards'.
+type ShardedKVRig struct {
+	SrvNode *demi.Node
+	Server  *kv.ShardedServer
+	Client  *kv.ShardedClient
+	Close   func()
+}
+
+// NewShardedKVRig spawns a catnip server node of shards active shards
+// within capacity on c (host 1) and a plain catnip client node (host 2),
+// both with opts, serves KV on every shard of the first — as its
+// resharder — and dials each active shard from the second.
+func NewShardedKVRig(c *demi.Cluster, shards, capacity int, port uint16, opts ...demi.SpawnOption) (*ShardedKVRig, error) {
+	srvNode, err := c.Spawn(demi.Catnip, append([]demi.SpawnOption{demi.WithHost(1), demi.WithShards(shards), demi.WithShardCapacity(capacity)}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	cliNode, err := c.Spawn(demi.Catnip, append([]demi.SpawnOption{demi.WithHost(2)}, opts...)...)
+	if err != nil {
+		return nil, err
+	}
+	server, stopSrv, err := kv.Serve(srvNode.Sharded.Libs, srvNode.Sharded.Mesh(), shards, &c.Model, port)
+	if err != nil {
+		return nil, err
+	}
+	srvNode.SetResharder(server)
+	client, stopCli, err := kv.Dial(cliNode.LibOS, shards, c.Router().Dialer(cliNode, srvNode, port))
+	if err != nil {
+		stopSrv()
+		return nil, err
+	}
+	return &ShardedKVRig{SrvNode: srvNode, Server: server, Client: client, Close: func() { stopCli(); stopSrv() }}, nil
 }
 
 // runE14 reproduces the §3.1 scale-out claim: a share-nothing sharded

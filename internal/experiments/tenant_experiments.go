@@ -12,13 +12,13 @@ package experiments
 //     out link share in weight proportion.
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"time"
 
 	demi "demikernel"
 	"demikernel/internal/apps/echo"
+	"demikernel/internal/chaos"
 	"demikernel/internal/fabric"
 	"demikernel/internal/metrics"
 	"demikernel/internal/nic"
@@ -27,165 +27,112 @@ import (
 // TenantAttackPoint summarises one victim's service quality in the
 // quiet and under-attack halves of a hostile-tenant run.
 type TenantAttackPoint struct {
-	Victim            string
+	Victim             string
 	QuietP50, QuietP99 demi.Lat
 	HotP50, HotP99     demi.Lat
 	HostileThrottled   int64 // frames dropped at the hostile tenant's rate cap
 	HostileReclaimedOK bool  // ledger returned to zero after the crash
 }
 
-// RunTenantAttack measures victim echo latency on a shared NIC while a
-// hostile co-tenant floods, leaks, and finally crashes. ops round trips
-// are driven per victim in each half.
-func RunTenantAttack(seed int64, ops int) ([]TenantAttackPoint, error) {
+// TenantRig is the hostile-tenant scenario, staged: three tenants on one
+// shared NIC — two victims serving echo to clients on NICs of their own,
+// and one that will go hostile against a bystander sink — E15's rig and
+// the `demi-stat -tenants` dashboard's.
+type TenantRig struct {
+	Cluster         *demi.Cluster
+	VicA, VicB, Mal *demi.Node
+	Close           func()
+
+	seed       int64
+	hostile    *chaos.HostileTenant // Mal's repertoire
+	victims    [2]*echo.Client      // of VicA and VicB
+	quiet, hot [2]metrics.Histogram // per victim, over Run's two halves
+}
+
+// NewTenantRig spawns and stages the scenario. The hostile tenant gets a
+// real quota and a TX rate cap — the contract the device will hold it to.
+func NewTenantRig(seed int64) (*TenantRig, error) {
 	c := demi.NewCluster(seed)
-	vicA := c.MustSpawn(demi.Catnip, demi.WithHost(1), demi.WithTenant("vic-a", demi.TenantPolicy{
+	r := &TenantRig{seed: seed, Cluster: c}
+	r.VicA = c.MustSpawn(demi.Catnip, demi.WithHost(1), demi.WithTenant("vic-a", demi.TenantPolicy{
 		TxWeight: 2, FrameQuotaBytes: 8 << 20,
 	}))
-	vicB := c.MustSpawn(demi.Catnip, demi.WithHost(2), demi.WithTenant("vic-b", demi.TenantPolicy{
+	r.VicB = c.MustSpawn(demi.Catnip, demi.WithHost(2), demi.WithTenant("vic-b", demi.TenantPolicy{
 		TxWeight: 2, FrameQuotaBytes: 8 << 20,
 	}))
-	mal := c.MustSpawn(demi.Catnip, demi.WithHost(3), demi.WithTenant("mal", demi.TenantPolicy{
+	r.Mal = c.MustSpawn(demi.Catnip, demi.WithHost(3), demi.WithTenant("mal", demi.TenantPolicy{
 		TxWeight: 1, FrameQuotaBytes: 2 << 20, TxRateBps: 4 << 20, TxBurstBytes: 64 << 10,
 	}))
 	cliA := c.MustSpawn(demi.Catnip, demi.WithHost(4))
 	cliB := c.MustSpawn(demi.Catnip, demi.WithHost(5))
 	sink := c.MustSpawn(demi.Catnip, demi.WithHost(6))
+	r.hostile = &chaos.HostileTenant{Lib: r.Mal.LibOS, Pool: r.Mal.Catnip.Pool(), Node: r.Mal, Sink: c.AddrOf(sink, 9)}
 
-	pairA, err := newTenantEchoPair(c, vicA, cliA)
+	pairA, err := StageEcho(c, r.VicA, cliA, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer pairA.close()
-	pairB, err := newTenantEchoPair(c, vicB, cliB)
+	pairB, err := StageEcho(c, r.VicB, cliB, 0)
 	if err != nil {
+		pairA.Close()
 		return nil, err
 	}
-	defer pairB.close()
-	defer mal.Background()()
-	defer sink.Background()()
+	r.victims = [2]*echo.Client{pairA.Client, pairB.Client}
+	stopMal, stopSink := r.Mal.Background(), sink.Background()
+	r.Close = func() { stopSink(); stopMal(); pairB.Close(); pairA.Close() }
+	return r, nil
+}
 
+// Run drives quiet echo round trips per victim, then the rampage on the
+// schedule shape the soak test uses (flood, leak a stagger later, crash
+// another stagger later) under at least hot more round trips per victim,
+// stepping the engine between them until the schedule is done. The
+// stagger is 20 ms, or what the quiet half took if that was longer: the
+// schedule runs on the wall clock, and on a loaded host a flood that is
+// crashed after 40 ms may not have got to its rate cap yet.
+func (r *TenantRig) Run(quiet, hot int) (*chaos.Engine, error) {
 	buf := make([]byte, 64)
-	var quietA, quietB, hotA, hotB metrics.Histogram
-	run := func(ha, hb *metrics.Histogram) error {
-		for i := 0; i < ops; i++ {
-			la, err := pairA.client.RTT(buf, 0)
+	step := func(into *[2]metrics.Histogram) error {
+		for v, cli := range r.victims {
+			lat, err := cli.RTT(buf, 0)
 			if err != nil {
-				return fmt.Errorf("victim A rtt: %w", err)
+				return fmt.Errorf("victim %c rtt: %w", 'A'+v, err)
 			}
-			lb, err := pairB.client.RTT(buf, 0)
-			if err != nil {
-				return fmt.Errorf("victim B rtt: %w", err)
-			}
-			ha.Record(la)
-			hb.Record(lb)
+			into[v].Record(lat)
 		}
 		return nil
 	}
-	if err := run(&quietA, &quietB); err != nil {
-		return nil, err
-	}
-
-	// The rampage: flood toward the bystander sink from a background
-	// goroutine, leak 400 pooled frames, then crash mid-burst.
-	floodStop := make(chan struct{})
-	var floodWG sync.WaitGroup
-	fqd, err := mal.SocketUDP()
-	if err != nil {
-		return nil, err
-	}
-	if err := mal.Bind(fqd, demi.Addr{Port: 7777}); err != nil {
-		return nil, err
-	}
-	if err := mal.Connect(fqd, c.AddrOf(sink, 9)); err != nil {
-		return nil, err
-	}
-	floodWG.Add(1)
-	go func() {
-		defer floodWG.Done()
-		for {
-			select {
-			case <-floodStop:
-				return
-			default:
-			}
-			ok := true
-			for j := 0; j < 32; j++ {
-				if _, err := mal.BlockingPush(fqd, demi.NewSGA(bytes.Repeat([]byte{0xAB}, 1024))); err != nil {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				time.Sleep(100 * time.Microsecond)
-				continue
-			}
-			time.Sleep(200 * time.Microsecond)
+	start := time.Now()
+	for i := 0; i < quiet; i++ {
+		if err := step(&r.quiet); err != nil {
+			return nil, err
 		}
-	}()
-	for i := 0; i < 400; i++ {
-		mal.Catnip.Pool().Get(1500) // leaked against the hostile quota
 	}
-	if err := run(&hotA, &hotB); err != nil {
-		close(floodStop)
-		floodWG.Wait()
-		return nil, err
+	stagger := max(20*time.Millisecond, time.Since(start))
+	eng := chaos.New(r.seed).Rampage(0, stagger, "mal", r.hostile)
+	eng.Start()
+	defer r.hostile.Stop()
+	for i := 0; i < hot || !eng.Done(); i++ {
+		eng.Step()
+		if err := step(&r.hot); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := mal.Crash(); err != nil {
-		close(floodStop)
-		floodWG.Wait()
-		return nil, err
-	}
-	close(floodStop)
-	floodWG.Wait()
-
-	mf, mb := mal.Tenant.Ledger.Outstanding()
-	throttled := mal.Catnip.Group().Stats().ThrottleDrops
-	qa, qb := quietA.Summarize(), quietB.Summarize()
-	ha, hb := hotA.Summarize(), hotB.Summarize()
-	return []TenantAttackPoint{
-		{Victim: "vic-a", QuietP50: qa.P50, QuietP99: qa.P99, HotP50: ha.P50, HotP99: ha.P99,
-			HostileThrottled: throttled, HostileReclaimedOK: mf == 0 && mb == 0},
-		{Victim: "vic-b", QuietP50: qb.P50, QuietP99: qb.P99, HotP50: hb.P50, HotP99: hb.P99,
-			HostileThrottled: throttled, HostileReclaimedOK: mf == 0 && mb == 0},
-	}, nil
+	return eng, nil
 }
 
-// tenantEchoPair is a connected echo pair over two already-spawned
-// nodes (the package echoRig spawns its own whole-device nodes; tenant
-// nodes need WithTenant options, so they arrive pre-built).
-type tenantEchoPair struct {
-	client *echo.Client
-	stops  []func()
-}
-
-func (p *tenantEchoPair) close() {
-	for _, f := range p.stops {
-		f()
+// Points summarises each victim's service quality over Run's two halves.
+func (r *TenantRig) Points() []TenantAttackPoint {
+	mf, mb := r.Mal.Tenant.Ledger.Outstanding()
+	throttled := r.Mal.Catnip.Group().Stats().ThrottleDrops
+	var points []TenantAttackPoint
+	for v, name := range []string{"vic-a", "vic-b"} {
+		q, h := r.quiet[v].Summarize(), r.hot[v].Summarize()
+		points = append(points, TenantAttackPoint{Victim: name,
+			QuietP50: q.P50, QuietP99: q.P99, HotP50: h.P50, HotP99: h.P99,
+			HostileThrottled: throttled, HostileReclaimedOK: mf == 0 && mb == 0})
 	}
-}
-
-func newTenantEchoPair(c *demi.Cluster, srvNode, cliNode *demi.Node) (*tenantEchoPair, error) {
-	srv := echo.NewServer(srvNode.LibOS)
-	srv.AppCost = c.Model.AppRequestNS
-	if err := srv.Listen(7); err != nil {
-		return nil, err
-	}
-	stopS := srvNode.Background()
-	stopC := cliNode.Background()
-	stopServe := make(chan struct{})
-	go srv.Run(stopServe)
-	cli := echo.NewClient(cliNode.LibOS)
-	if err := cli.Connect(c.AddrOf(srvNode, 7)); err != nil {
-		stopC()
-		stopS()
-		close(stopServe)
-		return nil, err
-	}
-	return &tenantEchoPair{
-		client: cli,
-		stops:  []func(){func() { close(stopServe) }, stopC, stopS},
-	}, nil
+	return points
 }
 
 // RunTenantWDRR measures TX link share under deterministic contention:
@@ -206,8 +153,8 @@ func RunTenantWDRR(seed int64, weights [3]int) ([3]int64, error) {
 	var groups [3]*nic.QueueGroup
 	for i := range groups {
 		g, err := dev.NewQueueGroup(fmt.Sprintf("t%d", i), 1, nic.GroupConfig{
-			MAC:   fabric.MAC{0x02, 0xE1, 0x50, 0, 1, byte(i)},
-			IP:    [4]byte{10, 0, 15, byte(i + 1)},
+			MAC: fabric.MAC{0x02, 0xE1, 0x50, 0, 1, byte(i)},
+			IP:  [4]byte{10, 0, 15, byte(i + 1)},
 			Bounds: nic.SteeringBounds{
 				MACs: []fabric.MAC{{0x02, 0xE1, 0x50, 0, 1, byte(i)}},
 				IPs:  [][4]byte{{10, 0, 15, byte(i + 1)}},
@@ -255,10 +202,15 @@ func runE15(seed int64) (*Result, error) {
 	res := &Result{}
 
 	const ops = 300
-	points, err := RunTenantAttack(seed, ops)
+	rig, err := NewTenantRig(seed)
 	if err != nil {
 		return nil, err
 	}
+	defer rig.Close()
+	if _, err := rig.Run(ops, ops); err != nil {
+		return nil, err
+	}
+	points := rig.Points()
 	tbl := metrics.NewTable("Victim service quality with a hostile co-tenant (virtual time)",
 		"victim", "quiet p50", "quiet p99", "attacked p50", "attacked p99", "p99 ratio")
 	for _, p := range points {

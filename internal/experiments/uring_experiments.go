@@ -10,51 +10,11 @@ package experiments
 
 import (
 	demi "demikernel"
-	"demikernel/internal/apps/echo"
 	"demikernel/internal/metrics"
 	"demikernel/internal/uring"
 )
 
 const e16RingCap = 64
-
-// newRingEchoRig is newEchoRig with SQ/CQ rings attached on both sides
-// before the server starts accepting — ring mode is a per-connection
-// commitment, so it must be on before the dial.
-func newRingEchoRig(seed int64) (*echoRig, error) {
-	c := demi.NewCluster(seed)
-	srvNode, err := newNode(c, "catnip", demi.NodeConfig{Host: 1})
-	if err != nil {
-		return nil, err
-	}
-	cliNode, err := newNode(c, "catnip", demi.NodeConfig{Host: 2})
-	if err != nil {
-		return nil, err
-	}
-	srv := echo.NewServer(srvNode.LibOS)
-	srv.AppCost = c.Model.AppRequestNS
-	if err := srv.Listen(7); err != nil {
-		return nil, err
-	}
-	srv.EnableRing(e16RingCap)
-	stopS := srvNode.Background()
-	stopC := cliNode.Background()
-	stopServe := make(chan struct{})
-	go srv.Run(stopServe)
-
-	cli := echo.NewClient(cliNode.LibOS)
-	if err := cli.Connect(c.AddrOf(srvNode, 7)); err != nil {
-		return nil, err
-	}
-	cli.EnableRing(e16RingCap)
-	return &echoRig{
-		cluster: c,
-		server:  srv,
-		client:  cli,
-		srvNode: srvNode,
-		cliNode: cliNode,
-		stops:   []func(){func() { close(stopServe) }, stopC, stopS},
-	}, nil
-}
 
 func runE16(seed int64) (*Result, error) {
 	const ops = 512
@@ -62,12 +22,12 @@ func runE16(seed int64) (*Result, error) {
 
 	// Legacy per-op path on its own rig: one libOS call per Push/Pop/
 	// Wait, completer token per op.
-	legacy, err := newEchoRig("catnip", seed, 0)
+	legacy, err := newEchoRig(demi.NewCluster(seed), demi.Catnip, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	perOp, err := legacy.measureEcho(64, ops)
-	legacy.close()
+	legacy.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -75,11 +35,11 @@ func runE16(seed int64) (*Result, error) {
 
 	// Ring rig: same cluster seed and cost model, only the submission
 	// path differs.
-	r, err := newRingEchoRig(seed)
+	r, err := newEchoRig(demi.NewCluster(seed), demi.Catnip, 0, e16RingCap)
 	if err != nil {
 		return nil, err
 	}
-	defer r.close()
+	defer r.Close()
 
 	res := &Result{}
 	tbl := metrics.NewTable("64B echo RTT: per-op calls vs SQ/CQ rings (virtual)",
@@ -88,7 +48,7 @@ func runE16(seed int64) (*Result, error) {
 
 	counters := func() uring.Counters {
 		var total uring.Counters
-		for _, p := range []*uring.Pair{r.client.Ring(), r.server.Ring()} {
+		for _, p := range []*uring.Pair{r.Client.Ring(), r.server.Ring()} {
 			c := p.CountersSnapshot()
 			total.SQPosted += c.SQPosted
 			total.SQDrained += c.SQDrained
@@ -105,7 +65,7 @@ func runE16(seed int64) (*Result, error) {
 	for _, batch := range []int{1, 8, 32} {
 		var h metrics.Histogram
 		for i := 0; i < ops; i += batch {
-			cost, err := r.client.RTTBatch(payload, r.cluster.Model.AppRequestNS, batch)
+			cost, err := r.Client.RTTBatch(payload, r.cluster.Model.AppRequestNS, batch)
 			if err != nil {
 				return nil, err
 			}
@@ -152,11 +112,10 @@ func runE16(seed int64) (*Result, error) {
 	// Shape 3 — the ring is not a slower road: a single syscall-free
 	// round trip costs no more virtual time than the per-op path (the
 	// data path underneath is identical), and pipelining 32 at a time
-	// adds only marginal virtual queueing (< 10%). The real-time win —
-	// 6998 → ~1900 ns/op wall clock at batch 32 — is measured by
-	// BenchmarkURing_EchoRTT and persisted in BENCH_uring.json; virtual
-	// time can't see it because it charges the cost model, not the
-	// submission machinery.
+	// adds only marginal virtual queueing (< 10%). The real-time win is
+	// the repo benchmark's to measure (ring_echo64_b32 beside echo64);
+	// virtual time can't see it because it charges the cost model, not
+	// the submission machinery.
 	res.check("ring RTT <= per-op RTT at batch 1", batch1Mean <= int64(perOpMean),
 		"ring batch1 mean %dns vs per-op mean %dns", batch1Mean, int64(perOpMean))
 	res.check("batch 32 within 10% of batch 1 (virtual)", batch32Mean <= batch1Mean*11/10,

@@ -273,36 +273,40 @@ func TestAllocSGAConsumedByDurablePush(t *testing.T) {
 }
 
 // The steady-state GET through the whole catfish face is allocation
-// free: pooled key staging, pooled value buffers, recycled results.
+// free at every index depth: pooled key staging, pooled value buffers,
+// recycled results and traversals.
 func TestLookupQueueSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc fences are not meaningful under -race (sync.Pool drops Puts)")
 	}
-	tr, _ := newTransport(t)
-	q, _ := openLookup(t, tr, testPairs(8), LookupConfig{Pushdown: true})
-	key := []byte("key-0003")
-	var popDone queue.DoneFunc
-	var res queue.Completion
-	got := false
-	popDone = func(c queue.Completion) { res = c; got = true }
-	pushDone := func(c queue.Completion) {}
-	run := func() {
-		got = false
-		ks := tr.AllocSGA(len(key))
-		copy(ks.Segments[0].Buf, key)
-		q.Push(ks, 0, pushDone)
-		q.Pop(popDone)
-		for !got {
-			tr.Poll()
+	for _, depth := range []int{1, 2, 4, 8} {
+		tr, _ := newTransport(t)
+		q, idx := openLookup(t, tr, testPairs(1<<(depth+1)), LookupConfig{Pushdown: true}) // fanout 2
+		if idx.Depth != depth {
+			t.Fatalf("index depth = %d, want %d", idx.Depth, depth)
 		}
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		key := []byte("key-0003")
+		var res queue.Completion
+		got := false
+		popDone := func(c queue.Completion) { res = c; got = true }
+		pushDone := func(c queue.Completion) {}
+		run := func() {
+			got = false
+			ks := tr.AllocSGA(len(key))
+			copy(ks.Segments[0].Buf, key)
+			q.Push(ks, 0, pushDone)
+			q.Pop(popDone)
+			for !got {
+				tr.Poll()
+			}
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			res.SGA.Free()
 		}
-		res.SGA.Free()
-	}
-	run() // warm every pool
-	avg := testing.AllocsPerRun(200, run)
-	if avg != 0 {
-		t.Fatalf("steady-state GET allocates %v/op, want 0", avg)
+		run() // warm every pool
+		if avg := testing.AllocsPerRun(200, run); avg != 0 {
+			t.Fatalf("depth %d: steady-state GET allocates %v/op, want 0", depth, avg)
+		}
 	}
 }

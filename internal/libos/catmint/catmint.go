@@ -931,7 +931,11 @@ func (e *endpoint) Close() error {
 	e.closed = true
 	ws := e.waiters
 	e.waiters = nil
+	l := e.listener
 	e.mu.Unlock()
+	if l != nil {
+		l.Close() // or the port stays bound to a listener nobody accepts from
+	}
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
 	}

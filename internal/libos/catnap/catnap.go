@@ -25,6 +25,10 @@ type Transport struct {
 	model *simclock.CostModel
 	k     *kernel.Kernel
 
+	// eps and fqs are what Poll pumps, from slice headers snapshotted
+	// under mu and walked outside it. An open appends, which writes past
+	// what any snapshot covers; a close builds a new slice without its
+	// entry and never writes the old one.
 	mu  sync.Mutex
 	eps []*endpoint
 	fqs []*fileQueue
@@ -87,18 +91,15 @@ func (t *Transport) Open(path string) (queue.IoQueue, error) {
 // Socket implements core.Transport.
 func (t *Transport) Socket() (core.Endpoint, error) {
 	ep := &endpoint{t: t, fd: -1}
-	t.mu.Lock()
-	t.eps = append(t.eps, ep)
-	t.mu.Unlock()
+	t.adopt(ep)
 	return ep, nil
 }
 
 // Poll implements core.Transport.
 func (t *Transport) Poll() int {
 	n := t.k.Poll()
-	// Snapshot the slice headers only: both tables are append-only, so
-	// the captured prefix stays valid (and the tick allocation-free) even
-	// if a concurrent Socket, Accept or Open grows them.
+	// Snapshot the slice headers only: no change to either table writes
+	// where a snapshot reads, so the tick allocates nothing.
 	t.mu.Lock()
 	eps, fqs := t.eps, t.fqs
 	t.mu.Unlock()
@@ -111,10 +112,29 @@ func (t *Transport) Poll() int {
 	return n
 }
 
+// Pumped reports how many socket endpoints and file queues a Poll pumps:
+// the open ones, a closed one having left its table.
+func (t *Transport) Pumped() (endpoints, files int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.eps), len(t.fqs)
+}
+
 func (t *Transport) adopt(ep *endpoint) {
 	t.mu.Lock()
 	t.eps = append(t.eps, ep)
 	t.mu.Unlock()
+}
+
+// without returns a copy of list that lacks x.
+func without[T comparable](list []T, x T) []T {
+	kept := make([]T, 0, len(list))
+	for _, v := range list {
+		if v != x {
+			kept = append(kept, v)
+		}
+	}
+	return kept
 }
 
 // endpoint is one catnap socket queue over a kernel TCP socket.
@@ -295,15 +315,21 @@ func (e *endpoint) flushTx(fd kernel.FD) int {
 func (e *endpoint) drainRx(fd kernel.FD) int {
 	n := 0
 	for {
+		// Receive and feed under one hold of the lock: two pollers (a
+		// background one and a waiting application) that each took a chunk
+		// off the socket and then raced to the framer could feed them out
+		// of order, and the stream would decode as a corrupt frame.
+		e.mu.Lock()
 		b, cost, err := e.t.k.Recv(fd, 0)
 		if errors.Is(err, io.EOF) {
+			e.mu.Unlock()
 			e.failWaiters(queue.ErrClosed)
 			return n
 		}
 		if err != nil || len(b) == 0 {
+			e.mu.Unlock()
 			return n
 		}
-		e.mu.Lock()
 		e.framer.Feed(b)
 		for {
 			s, ok, ferr := e.framer.Next()
@@ -365,5 +391,8 @@ func (e *endpoint) Close() error {
 		e.t.k.Close(lfd)
 	}
 	e.failWaiters(queue.ErrClosed)
+	e.t.mu.Lock()
+	e.t.eps = without(e.t.eps, e)
+	e.t.mu.Unlock()
 	return nil
 }

@@ -170,5 +170,8 @@ func (q *fileQueue) Close() error {
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
 	}
+	q.t.mu.Lock()
+	q.t.fqs = without(q.t.fqs, q)
+	q.t.mu.Unlock()
 	return nil
 }

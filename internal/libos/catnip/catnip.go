@@ -285,6 +285,12 @@ func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	} else {
 		t.dev.RegisterTelemetry(r, prefix+".nic")
 	}
+	t.registerStackTelemetry(r, prefix)
+}
+
+// registerStackTelemetry registers everything of the vertical above the
+// NIC, which a shard set registers once for all its shards.
+func (t *Transport) registerStackTelemetry(r *telemetry.Registry, prefix string) {
 	netstack.RegisterStatsTelemetry(r, prefix+".netstack", t.StackStats)
 	t.mem.RegisterTelemetry(r, prefix+".membuf")
 	t.RegisterLifecycleTelemetry(r, prefix+".lifecycle")

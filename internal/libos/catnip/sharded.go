@@ -210,9 +210,10 @@ func SourcePortFor(localIP, remoteIP netstack.IPv4Addr, remotePort uint16, peerS
 	panic(fmt.Sprintf("catnip: no source port maps to shard %d/%d", targetQueue, peerShards))
 }
 
-// RegisterTelemetry lifts every shard's vertical (NIC shared, stack and
-// membuf per shard) plus the cross-shard mesh counters into a registry:
-// prefix.nic.*, prefix.shard.<i>.netstack.*, prefix.shard.<i>.membuf.*,
+// RegisterTelemetry lifts every shard's vertical (NIC shared; stack,
+// membuf, lifecycle and rx_ready_stalls per shard, under the names an
+// unsharded transport gives them) plus the cross-shard mesh counters into
+// a registry: prefix.nic.*, prefix.shard.<i>.netstack.*, ...,
 // prefix.shard.<i>.xs_*.
 func (s *ShardSet) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	if s.qg != nil {
@@ -221,10 +222,7 @@ func (s *ShardSet) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 		s.dev.RegisterTelemetry(r, prefix+".nic")
 	}
 	for i, t := range s.shards {
-		p := fmt.Sprintf("%s.shard.%d", prefix, i)
-		netstack.RegisterStatsTelemetry(r, p+".netstack", t.StackStats)
-		t.mem.RegisterTelemetry(r, p+".membuf")
-		t.RegisterLifecycleTelemetry(r, p+".lifecycle")
+		t.registerStackTelemetry(r, fmt.Sprintf("%s.shard.%d", prefix, i))
 	}
 	s.group.RegisterTelemetry(r, prefix+".shard")
 	r.RegisterFunc(prefix+".active_shards", func() int64 { return int64(s.Size()) })

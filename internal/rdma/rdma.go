@@ -321,6 +321,17 @@ func (l *Listener) Accept() (*QP, bool) {
 	return qp, true
 }
 
+// Close unbinds the listener's port; queue pairs already accepted, or
+// still in the backlog, are unaffected.
+func (l *Listener) Close() {
+	d := l.dev
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.listeners[l.port] == l {
+		delete(d.listeners, l.port)
+	}
+}
+
 // Device is a simulated RDMA NIC attached to the fabric.
 type Device struct {
 	model *simclock.CostModel

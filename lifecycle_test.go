@@ -114,23 +114,19 @@ func TestKVFailoverAcrossCrash(t *testing.T) {
 	}))
 	cliNode.WaitTimeout = 200 * time.Millisecond
 
-	srv := kv.NewServer(srvNode.LibOS, &c.Model)
-	if err := srv.Listen(6379); err != nil {
+	_, stopSrv, err := kv.Serve([]*LibOS{srvNode.LibOS}, nil, 1, &c.Model, 6379)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer srvNode.Background()()
-	defer cliNode.Background()()
-	stop := make(chan struct{})
-	defer close(stop)
-	srv.Run(stop)
-
-	cli := kv.NewClient(cliNode.LibOS)
+	defer stopSrv()
+	cli, stopCli, err := kv.Dial(cliNode.LibOS, 1, c.Router().Dialer(cliNode, srvNode, 6379))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopCli()
 	pol := failover.DefaultPolicy()
 	pol.MaxAttempts = 60
-	cli.EnableFailover(pol, nil) // redial with Connect's dialer
-	if err := cli.Connect(c.AddrOf(srvNode, 6379)); err != nil {
-		t.Fatal(err)
-	}
+	cli.EnableFailover(pol, nil) // redial with the dialer the client was staged with
 	if _, err := cli.Set("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}

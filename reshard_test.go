@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -29,7 +28,6 @@ import (
 	"demikernel/internal/apps/kv"
 	"demikernel/internal/chaos"
 	"demikernel/internal/fabric"
-	"demikernel/internal/simclock"
 )
 
 // reshardVal is the deterministic value for a key index: every write of
@@ -480,61 +478,5 @@ func TestSwitchKindLive(t *testing.T) {
 	// Idempotence and gating.
 	if err := srv.SwitchKind(Catnap); err != nil {
 		t.Fatalf("no-op switch: %v", err)
-	}
-}
-
-// BenchmarkReshard measures KV op latency (virtual nanoseconds) in
-// steady state and during a live 4→8 reshard, and enforces the fence:
-// p99 during the reshard must stay within 3x of steady-state p99.
-func BenchmarkReshard(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		benchReshardOnce(b)
-	}
-}
-
-func benchReshardOnce(b *testing.B) {
-	const keys = 64
-	rig := newReshardRig(b, 94, 4, 8, 6382)
-	defer rig.close()
-
-	measure := func(n int, during bool) []simclock.Lat {
-		var lats []simclock.Lat
-		for i := 0; i < n; i++ {
-			k := i % keys
-			cost, err := rig.cli.Set(fmt.Sprintf("bk%03d", k), reshardVal(k))
-			if err != nil {
-				b.Fatalf("bench set (during=%v): %v", during, err)
-			}
-			lats = append(lats, cost)
-		}
-		return lats
-	}
-	p99 := func(lats []simclock.Lat) simclock.Lat {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		return lats[len(lats)*99/100]
-	}
-
-	steady := measure(400, false)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- rig.srvNode.Reshard(ctx, 8) }()
-	var during []simclock.Lat
-	for !rig.server.Stable() || len(during) < 100 {
-		during = append(during, measure(10, true)...)
-		if len(during) > 4000 {
-			break
-		}
-	}
-	if err := <-done; err != nil {
-		b.Fatalf("reshard: %v", err)
-	}
-
-	ps, pd := p99(steady), p99(during)
-	b.ReportMetric(float64(ps), "steady-p99-vns")
-	b.ReportMetric(float64(pd), "reshard-p99-vns")
-	if pd > 3*ps {
-		b.Fatalf("reshard p99 fence violated: %dns > 3x steady %dns", pd, ps)
 	}
 }

@@ -7,11 +7,15 @@ package demikernel
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"demikernel/internal/core"
+	"demikernel/internal/queue"
 	"demikernel/internal/telemetry"
+	"demikernel/internal/uring"
 )
 
 func TestSpawnHonorsOptions(t *testing.T) {
@@ -42,6 +46,41 @@ func TestSpawnHonorsOptions(t *testing.T) {
 	}
 	if sharded.Catnip != sharded.Sharded.Set.Shard(0) {
 		t.Fatal("sharded node's Catnip is not shard 0")
+	}
+}
+
+// WithTelemetry gives every shard of a sharded node the names an
+// unsharded node gets — everything beside the NIC, which the shards share
+// — so ring traffic on a sharded server is as visible as on a plain one.
+func TestSpawnWithTelemetryShardedShape(t *testing.T) {
+	c := NewCluster(73)
+	reg := telemetry.NewRegistry()
+	c.MustSpawn(Catnip, WithHost(1), WithTelemetry(reg))
+	sharded := c.MustSpawn(Catnip, WithHost(2), WithShards(2), WithTelemetry(reg))
+
+	// One ring operation per shard: a push to a memory queue.
+	for _, l := range sharded.Sharded.Libs {
+		p, qd := l.AttachRing(8), l.Queue()
+		if n, err := l.SubmitBatch(p, []uring.SQE{{Op: queue.OpPush, QD: int32(qd), SGA: NewSGA([]byte("x"))}}); n != 1 || err != nil {
+			t.Fatalf("submit: n=%d err=%v", n, err)
+		}
+		l.Poll()
+	}
+	snap := reg.Snapshot()
+	for i := range sharded.Sharded.Libs {
+		prefix := fmt.Sprintf("host2.shard.%d.", i)
+		if v, _ := snap.Get(prefix + "uring.sq_posted"); v != 1 {
+			t.Errorf("%suring.sq_posted = %d after one ring op, want 1", prefix, v)
+		}
+		for _, sm := range snap.Samples {
+			suffix, plain := strings.CutPrefix(sm.Name, "host1.")
+			if !plain || strings.HasPrefix(suffix, "nic.") {
+				continue
+			}
+			if _, ok := snap.Get(prefix + suffix); !ok {
+				t.Errorf("host1.%s has no %s%s", suffix, prefix, suffix)
+			}
+		}
 	}
 }
 

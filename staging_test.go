@@ -1,0 +1,161 @@
+package demikernel
+
+// The staging functions every rig outside the benchmark is built from —
+// echo.Serve/Dial, kv.Serve/Dial, httpd.Serve/Dial — own what they start:
+// after one round trip and stop(), the goroutines are gone, every pooled
+// frame is back, and the same node serves the same port again.
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"demikernel/internal/apps/echo"
+	"demikernel/internal/apps/httpd"
+	"demikernel/internal/apps/kv"
+	"demikernel/internal/fabric"
+	"demikernel/internal/shard"
+)
+
+// framesOut counts pooled frames handed out and not yet returned, over
+// the process-wide pool and the private pools of n's shards.
+func framesOut(n *Node) int64 {
+	pools := []*fabric.FramePool{fabric.DefaultFramePool}
+	if n.Sharded != nil {
+		for i := range n.Sharded.Libs {
+			pools = append(pools, n.Sharded.Set.Shard(i).Pool())
+		}
+	}
+	var out int64
+	for _, p := range pools {
+		st := p.Stats()
+		out += st.Pooled + st.Misses - st.Recycled
+	}
+	return out
+}
+
+func TestStagingStopsClean(t *testing.T) {
+	const port = 7
+	echoOver := func(ringCap int) func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
+		return func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
+			_, stopSrv, err := echo.Serve(srv.LibOS, port, c.Model.AppRequestNS, ringCap)
+			if err != nil {
+				return nil, nil, err
+			}
+			client, stopCli, err := echo.Dial(cli.LibOS, c.AddrOf(srv, port), ringCap)
+			if err != nil {
+				stopSrv()
+				return nil, nil, err
+			}
+			return func() error {
+				if ringCap > 0 {
+					_, err := client.RTTBatch([]byte("ping"), 0, 4)
+					return err
+				}
+				_, err := client.RTT([]byte("ping"), 0)
+				return err
+			}, func() { stopCli(); stopSrv() }, nil
+		}
+	}
+	kvOver := func(active int) func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
+		return func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
+			libs, mesh := []*LibOS{srv.LibOS}, (*shard.Group)(nil)
+			if srv.Sharded != nil {
+				libs, mesh = srv.Sharded.Libs, srv.Sharded.Mesh()
+			}
+			_, stopSrv, err := kv.Serve(libs, mesh, active, &c.Model, port)
+			if err != nil {
+				return nil, nil, err
+			}
+			client, stopCli, err := kv.Dial(cli.LibOS, active, c.Router().Dialer(cli, srv, port))
+			if err != nil {
+				stopSrv()
+				return nil, nil, err
+			}
+			return func() error {
+				for i := 0; i < 2*active; i++ { // reach every shard
+					key := fmt.Sprintf("key-%d", i)
+					if _, err := client.Set(key, []byte("value")); err != nil {
+						return err
+					}
+					if got, _, found, err := client.Get(key); err != nil || !found || !bytes.Equal(got, []byte("value")) {
+						return fmt.Errorf("get %s = %q, found %v: %v", key, got, found, err)
+					}
+					if ok, err := client.Del(key); err != nil || !ok { // the store keeps no buffer
+						return fmt.Errorf("del %s: %v %v", key, ok, err)
+					}
+				}
+				return nil
+			}, func() { stopCli(); stopSrv() }, nil
+		}
+	}
+	httpOver := func(ringCap int) func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
+		return func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
+			tree := httpd.NewTree()
+			tree.Add("/obj", []byte("body"))
+			_, stopSrv, err := httpd.Serve(srv.LibOS, tree, port, ringCap)
+			if err != nil {
+				return nil, nil, err
+			}
+			client, stopCli, err := httpd.Dial(cli.LibOS, c.AddrOf(srv, port))
+			if err != nil {
+				stopSrv()
+				return nil, nil, err
+			}
+			return func() error {
+				resp, err := client.Get("/obj")
+				if err == nil && (resp.Status != 200 || string(resp.Body) != "body") {
+					err = fmt.Errorf("GET /obj = %d %q", resp.Status, resp.Body)
+				}
+				return err
+			}, func() { stopCli(); stopSrv() }, nil
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		kind  Kind
+		shape []SpawnOption // the server's; the client is a plain node of kind
+		stage func(c *Cluster, srv, cli *Node) (roundTrip func() error, stop func(), err error)
+	}{
+		{"echo/catnip", Catnip, nil, echoOver(0)},
+		{"echo/catnip-ring", Catnip, nil, echoOver(16)},
+		{"echo/catnap", Catnap, nil, echoOver(0)},
+		{"echo/catmint", Catmint, nil, echoOver(0)},
+		{"kv/width1", Catnip, nil, kvOver(1)},
+		{"kv/width2", Catnip, []SpawnOption{WithShards(2)}, kvOver(2)},
+		{"kv/elastic2of4", Catnip, []SpawnOption{WithShards(2), WithShardCapacity(4)}, kvOver(2)},
+		{"httpd/per-op", Catnip, nil, httpOver(0)},
+		{"httpd/ring", Catnip, nil, httpOver(16)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(81)
+			srv := c.MustSpawn(tc.kind, append([]SpawnOption{WithHost(1)}, tc.shape...)...)
+			cli := c.MustSpawn(tc.kind, WithHost(2))
+			goroutines, frames := runtime.NumGoroutine(), framesOut(srv)
+
+			for round := 1; round <= 2; round++ { // the second serves the same port again
+				roundTrip, stop, err := tc.stage(c, srv, cli)
+				if err != nil {
+					t.Fatalf("round %d: stage: %v", round, err)
+				}
+				if err := roundTrip(); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				stop()
+				// Nothing polls any more; deliver the closes by hand.
+				deadline := time.Now().Add(2 * time.Second)
+				for runtime.NumGoroutine() != goroutines || framesOut(srv) != frames {
+					if time.Now().After(deadline) {
+						t.Fatalf("round %d: after stop %d goroutines and %d frames out, %d and %d before",
+							round, runtime.NumGoroutine(), framesOut(srv), goroutines, frames)
+					}
+					c.Poll()
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		})
+	}
+}

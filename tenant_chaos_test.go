@@ -14,13 +14,11 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
 	"demikernel/internal/apps/kv"
 	"demikernel/internal/chaos"
-	"demikernel/internal/fabric"
 	"demikernel/internal/nic"
 )
 
@@ -85,32 +83,28 @@ func TestHostileTenantSoak(t *testing.T) {
 	cliANode.WaitTimeout = 250 * time.Millisecond
 	cliBNode.WaitTimeout = 250 * time.Millisecond
 
-	srvA := kv.NewServer(vicA.LibOS, &c.Model)
-	if err := srvA.Listen(port); err != nil {
-		t.Fatal(err)
-	}
-	srvB := kv.NewShardedServer(vicB.Sharded.Libs, &c.Model, vicB.Sharded.Mesh())
-	if err := srvB.Listen(port); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []*Node{vicA, vicB, mal, cliANode, cliBNode, sinkNode} {
-		defer n.Background()()
-	}
-	stop := make(chan struct{})
-	srvA.Run(stop)
-	wgB := srvB.Run(stop)
-	defer func() { close(stop); wgB.Wait() }()
-
-	cliA := kv.NewClient(cliANode.LibOS)
-	if err := cliA.Connect(c.AddrOf(vicA, port)); err != nil {
-		t.Fatal(err)
-	}
-	cliB, err := kv.NewShardedClient(cliBNode.LibOS, vicB.Sharded.Size(), func(i int) (QD, error) {
-		return c.Router().DialShard(cliBNode, vicB.Sharded, port, i, uint16(3000*i+7))
-	})
+	_, stopSrvA, err := kv.Serve([]*LibOS{vicA.LibOS}, nil, 1, &c.Model, port)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stopSrvA()
+	_, stopSrvB, err := kv.Serve(vicB.Sharded.Libs, vicB.Sharded.Mesh(), vicB.Shards(), &c.Model, port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopSrvB()
+	defer mal.Background()()
+	defer sinkNode.Background()()
+	cliA, stopCliA, err := kv.Dial(cliANode.LibOS, 1, c.Router().Dialer(cliANode, vicA, port))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopCliA()
+	cliB, stopCliB, err := kv.Dial(cliBNode.LibOS, vicB.Shards(), c.Router().Dialer(cliBNode, vicB, port))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopCliB()
 
 	// One KV op against each victim; returns the two virtual costs.
 	expected := make(map[string][]byte)
@@ -144,70 +138,13 @@ func TestHostileTenantSoak(t *testing.T) {
 	}
 
 	// --- Phase 2: the rampage. ---
-	// Flood: a background goroutine spams datagrams at the bystander
-	// sink as fast as the hostile node can push — the WDRR scheduler
-	// and the tenant's own rate cap are what stand between this and
-	// the victims' share of the link.
-	floodStop := make(chan struct{})
-	var floodWG sync.WaitGroup
-	sink := c.AddrOf(sinkNode, 9)
-	flood := func() {
-		fqd, err := mal.SocketUDP()
-		if err != nil {
-			return
-		}
-		if err := mal.Bind(fqd, Addr{Port: 7777}); err != nil {
-			return
-		}
-		if err := mal.Connect(fqd, sink); err != nil {
-			return
-		}
-		floodWG.Add(1)
-		go func() {
-			defer floodWG.Done()
-			for {
-				select {
-				case <-floodStop:
-					return
-				default:
-				}
-				// Bursts of back-to-back datagrams overwhelm the
-				// tenant's staging ring and rate cap immediately; the
-				// sleep between bursts keeps the *test machine's* CPU
-				// out of the victims' measured latency.
-				ok := true
-				for j := 0; j < 32; j++ {
-					if _, err := mal.BlockingPush(fqd, NewSGA(bytes.Repeat([]byte{0xAB}, 1024))); err != nil {
-						// The transport crashed under us: typed error,
-						// stop hammering a corpse.
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					time.Sleep(100 * time.Microsecond)
-					continue
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-		}()
-	}
-	// Leak: acquire pooled frames charged to the hostile quota and
-	// never release them. The ledger absorbs it; the crash reclaims it.
-	var leaked []*fabric.FrameBuf
-	leak := func() {
-		for i := 0; i < 400; i++ {
-			if fb := mal.Catnip.Pool().Get(1500); fb != nil {
-				leaked = append(leaked, fb)
-			}
-		}
-	}
-
-	eng := chaos.New(46).HostileTenant(0, 40*time.Millisecond, 0, "mal", chaos.HostileTenantFaults{
-		Flood: flood,
-		Leak:  leak,
-		Node:  mal,
-	})
+	// Flood: datagrams at the bystander sink as fast as the hostile node
+	// can push — the WDRR scheduler and the tenant's own rate cap are
+	// what stand between this and the victims' share of the link. Leak:
+	// pooled frames charged to the hostile quota and never released; the
+	// ledger absorbs it, the crash reclaims it.
+	hostile := &chaos.HostileTenant{Lib: mal.LibOS, Pool: mal.Catnip.Pool(), Node: mal, Sink: c.AddrOf(sinkNode, 9)}
+	eng := chaos.New(46).Rampage(0, 40*time.Millisecond, "mal", hostile)
 	eng.Start()
 
 	var hostileA, hostileB []Lat
@@ -216,8 +153,7 @@ func TestHostileTenantSoak(t *testing.T) {
 		la, lb := step(i)
 		hostileA, hostileB = append(hostileA, la), append(hostileB, lb)
 	}
-	close(floodStop)
-	floodWG.Wait()
+	leaked := hostile.Stop()
 
 	// Quiesce: drain the wire and every ring so conservation can be
 	// read at a fixed point.
@@ -258,7 +194,7 @@ func TestHostileTenantSoak(t *testing.T) {
 	if malGrp.Stats().ThrottleDrops == 0 {
 		t.Error("flood never hit the hostile tenant's rate cap: fault did not bite")
 	}
-	if len(leaked) == 0 {
+	if leaked == 0 {
 		t.Error("leak acquired no frames: fault did not bite")
 	}
 
