@@ -8,7 +8,7 @@ all: tier1
 # exactly the patterns and package lists the targets run.
 RACE_PKGS       := ./internal/chaos/ ./internal/netstack/ ./internal/membuf/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/
 RACE_RUN        := TestChaosShardedKV
-LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush
+LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestNodeShapesShareLifecycle|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush
 TENANT_RUN      := TestHostileTenantSoak|TestTenantCrashSparesNeighbors
 HTTP_RUN        := TestHTTPProductionSoak|TestHTTPSlowClientStallAndRecover|TestHTTPRingSlowClient
 STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish/
@@ -73,14 +73,16 @@ race:
 
 ## statsmoke: run an impaired echo workload and check that the telemetry
 ## counters obey the frame-conservation laws end to end (demi-stat
-## -selftest). A leak anywhere in the datapath bookkeeping fails tier1.
+## -selftest, which reads them from Cluster.Conservation as the tests do).
+## A leak anywhere in the datapath bookkeeping fails tier1.
 statsmoke:
 	$(GO) run ./cmd/demi-stat -selftest
 
 ## lifecyclesoak: the crash/restart gauntlet, repeated under the race
 ## detector — node death mid-connection, client failover across the
 ## outage, the sharded-KV chaos schedule (loss → asymmetric
-## partition → crash → restart → heal), and the SQ/CQ ring flush
+## partition → crash → restart → heal), one crash/restart of every node
+## shape (each width, a tenant's slice, a promoted node), and the SQ/CQ ring flush
 ## (every ring op pending at crash time resolves to one typed
 ## ErrLocalReset CQE; frames conserved across the incarnation
 ## boundary). Part of tier1.

@@ -33,15 +33,7 @@ func chaosConnect(t *testing.T, cluster *Cluster, cli, srv *Node, port uint16) (
 	stopS := srv.Background()
 	stopC := cli.Background()
 	var err error
-	if lqd, err = srv.Socket(); err != nil {
-		t.Fatal(err)
-	}
-	if err = srv.Bind(lqd, Addr{Port: port}); err != nil {
-		t.Fatal(err)
-	}
-	if err = srv.Listen(lqd); err != nil {
-		t.Fatal(err)
-	}
+	lqd = listenAll(t, srv, port)[0]
 	if cqd, err = cli.Socket(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,13 +229,13 @@ func chaosSoakNet(t *testing.T, flavor string) {
 func TestChaosShardedKV(t *testing.T) {
 	const shards = 4
 	c := NewCluster(44)
-	srvNode := c.MustSpawn(Catnip, WithHost(1), WithShards(shards)).Sharded
+	srvNode := c.MustSpawn(Catnip, WithHost(1), WithShards(shards))
 	// Short retransmission budget so partitioned connections give up
 	// inside the fault window instead of riding it out.
 	cliNode := c.MustSpawn(Catnip, WithConfig(NodeConfig{Host: 2, RTO: 2 * time.Millisecond, MaxRetransmits: 4}))
 	cliNode.WaitTimeout = 200 * time.Millisecond
 
-	server := kv.NewShardedServer(srvNode.Libs, &c.Model, srvNode.Mesh())
+	server := kv.NewShardedServer(srvNode.Libs(), &c.Model, srvNode.Mesh())
 	const port = 6379
 	if err := server.Listen(port); err != nil {
 		t.Fatal(err)
@@ -263,7 +255,7 @@ func TestChaosShardedKV(t *testing.T) {
 	// SourcePortFor keeps every choice aligned with its target shard.
 	dial := func(attempt int) (*kv.ShardedClient, error) {
 		return kv.NewShardedClient(cliNode.LibOS, shards, func(i int) (QD, error) {
-			return c.Router().DialShard(cliNode, srvNode, port, i, uint16(3000*i+7+attempt*131))
+			return c.Router().DialShard(cliNode, srvNode.Sharded, port, i, uint16(3000*i+7+attempt*131))
 		})
 	}
 	cli, err := dial(0)
@@ -380,58 +372,14 @@ func TestChaosShardedKV(t *testing.T) {
 		t.Fatalf("mesh dropped %d forwards", fwdDrops)
 	}
 
-	// Frame conservation across the sharded datapath. Quiesce first:
-	// stop injecting, release the reorder buffer, pump until in-flight
-	// frames land in a counter, then freeze both sides so counters stop
-	// moving while the laws are read.
-	c.Switch.SetImpairments(fabric.Impairments{})
-	c.Switch.Flush()
-	qdeadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(qdeadline) {
-		c.Poll()
-		c.Switch.Flush()
-		time.Sleep(time.Millisecond)
-	}
+	// Frame conservation across the sharded datapath — the shared NIC and
+	// all four per-shard stacks. Quiesce first, then freeze both sides so
+	// counters stop moving while the laws are read.
+	c.Quiesce(200 * time.Millisecond)
 	stopServer()
 	stopClient()
-
-	// Law 1 — the wire loses nothing silently.
-	sw := c.Switch
-	fs := sw.Stats()
-	var sumTx int64
-	for id := 0; id < sw.NumPorts(); id++ {
-		sumTx += sw.PortStats(id).TxFrames
-	}
-	if lhs, rhs := sumTx+fs.InjectedDup, fs.Delivered+fs.InjectedLoss+fs.LinkDownDrops+fs.DroppedRxFull; lhs != rhs {
-		t.Fatalf("fabric conservation violated: tx+dup=%d != delivered+loss+linkdown+rxfull=%d", lhs, rhs)
-	}
-
-	// Law 2 — every frame delivered to the shared NIC port is in a
-	// device counter (force a wire drain so delivered frames ring first).
-	dev := srvNode.Set.Device()
-	dev.QueueDepth(0)
-	ds := dev.Stats()
-	ps := sw.PortStats(dev.PortID())
-	if ps.Delivered != ds.RxFrames+ds.RxDropped+ds.FilterDrops {
-		t.Fatalf("nic conservation violated: delivered=%d != rx=%d+dropped=%d+filtered=%d",
-			ps.Delivered, ds.RxFrames, ds.RxDropped, ds.FilterDrops)
-	}
-
-	// Law 3 — every frame the NIC counted as received is in some shard
-	// stack's FramesIn or still sitting in one of the RX rings.
-	srvNode.Poll() // ingest anything the forced drain just ringed
-	ds = dev.Stats()
-	var occ int64
-	for q := 0; q < dev.NumRxQueues(); q++ {
-		occ += int64(dev.RxOccupancy(q))
-	}
-	var framesIn int64
-	for i := 0; i < srvNode.Size(); i++ {
-		framesIn += srvNode.Set.Shard(i).Stack().Stats().FramesIn
-	}
-	if ds.RxFrames != framesIn+occ {
-		t.Fatalf("stack conservation violated: nic rx=%d != sum frames_in=%d + rings=%d",
-			ds.RxFrames, framesIn, occ)
+	if err := c.Conservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -47,12 +47,12 @@ func run(libos string, ops, valueSize int, wl string, seed int64, stats bool) er
 	if err != nil {
 		return err
 	}
-	server, stopSrv, err := kv.Serve([]*demi.LibOS{srvNode.LibOS}, nil, 1, &cluster.Model, 6379)
+	server, stopSrv, err := kv.Serve(srvNode.Libs(), srvNode.Mesh(), srvNode.Shards(), &cluster.Model, 6379)
 	if err != nil {
 		return err
 	}
 	defer stopSrv()
-	client, stopCli, err := kv.Dial(cliNode.LibOS, 1, cluster.Router().Dialer(cliNode, srvNode, 6379))
+	client, stopCli, err := kv.Dial(cliNode.LibOS, srvNode.Shards(), cluster.Router().Dialer(cliNode, srvNode, 6379))
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,7 @@ func runReshard(seed int64, ops int) error {
 		initial  = 2
 		capacity = 4
 	)
-	rig, err := experiments.NewShardedKVRig(demi.NewCluster(seed), initial, capacity, port)
+	rig, err := experiments.NewKVRig(demi.NewCluster(seed), demi.Catnip, initial, capacity, port)
 	if err != nil {
 		return err
 	}
@@ -53,7 +53,7 @@ func runReshard(seed int64, ops int) error {
 	tbl := metrics.NewTable("Generation timeline (app + steering planes)",
 		"phase", "gen", "active", "migrating", "rss queues", "pinned flows", "keys by shard", "mig out", "mig in")
 	snap := func(phase string) {
-		dev := srvNode.Sharded.Set.Device()
+		dev := srvNode.Catnip.Device()
 		var out, in int64
 		keysBy := ""
 		for i := 0; i < server.Size(); i++ {

@@ -128,11 +128,11 @@ type Cluster struct {
 	sharedNIC *nic.Device
 }
 
-// Node binds a LibOS to its simulated host identity on the cluster.
-// Sharded catnip nodes are Nodes too: LibOS is shard 0's syscall
-// surface and Sharded carries the full shard set, so the lifecycle
-// methods (Crash, Restart) and the polling helpers work uniformly over
-// both shapes.
+// Node binds a LibOS to its simulated host identity on the cluster. Every
+// node has one shape, whatever its kind and width: Libs() is its libOSes
+// (one per provisioned shard; one, on a kind that has no shards), LibOS is
+// the first of them, and Poll, Background, Crash, Restart and
+// RegisterTelemetry each walk them all.
 type Node struct {
 	*LibOS
 	MAC fabric.MAC
@@ -140,15 +140,16 @@ type Node struct {
 
 	// Kernel is non-nil on catnap nodes (for counters).
 	Kernel *kernel.Kernel
-	// Catnip is non-nil on catnip nodes (for device/stack access). On a
-	// sharded node it is shard 0's transport.
+	// Catnip is non-nil on catnip nodes (for device/stack access): shard
+	// 0's transport.
 	Catnip *catnip.Transport
 	// Catmint is non-nil on catmint nodes.
 	Catmint *catmint.Transport
 	// Catfish is non-nil on catfish nodes.
 	Catfish *catfish.Transport
-	// Sharded is non-nil when the node was spawned with WithShards: the
-	// N-shard catnip runtime behind this host identity.
+	// Sharded is non-nil exactly while Kind() == Catnip, at spawn and after
+	// every SwitchKind: the catnip shard set behind this host identity, of
+	// capacity 1 unless the node was spawned WithShards.
 	Sharded *ShardedNode
 	// Clock is non-nil when the node was spawned WithLifecycle: the
 	// node's private virtual wall clock, skewable by the chaos engine's
@@ -162,6 +163,7 @@ type Node struct {
 	host      byte
 	kind      Kind
 	cfg       NodeConfig // spawn-time knobs, kept for SwitchKind rebuilds
+	libs      []*LibOS   // fixed at spawn; SwitchKind swaps the transport under libs[0]
 	gen       atomic.Uint64
 	resharder Resharder
 }
@@ -283,8 +285,9 @@ func WithConfig(cfg NodeConfig) SpawnOption {
 
 // WithShards spawns the catnip node as an n-shard share-nothing runtime
 // (one RSS queue, netstack, completer, and frame pool per shard). The
-// returned Node's LibOS is shard 0; Node.Sharded carries the full set.
-// Only meaningful for the Catnip kind.
+// returned Node's LibOS is shard 0; Node.Libs() is all of them. Without
+// it a catnip node has one shard, and WithShards(1) is that same node —
+// on every kind; only Catnip takes more.
 func WithShards(n int) SpawnOption {
 	return func(s *spawnSpec) { s.shards = n }
 }
@@ -293,13 +296,14 @@ func WithShards(n int) SpawnOption {
 // device gets cap receive queues and cap full shard verticals, but only
 // WithShards(n) of them are active at spawn. Reshard can then move the
 // active width anywhere in [1, cap] live. cap below the shard count is
-// ignored. Only meaningful with WithShards on a non-tenant Catnip node.
+// ignored. Only meaningful on a non-tenant Catnip node.
 func WithShardCapacity(cap int) SpawnOption {
 	return func(s *spawnSpec) { s.capacity = cap }
 }
 
 // WithTelemetry registers the node's whole vertical (NIC, stack(s),
-// membuf, lifecycle counters) in reg under "host<N>" as it is spawned.
+// membuf, lifecycle counters) in reg under "host<N>" as it is spawned
+// (Node.RegisterTelemetry).
 func WithTelemetry(reg *telemetry.Registry) SpawnOption {
 	return func(s *spawnSpec) { s.reg = reg }
 }
@@ -360,7 +364,7 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 	for _, o := range opts {
 		o(&sp)
 	}
-	if sp.shards > 0 && kind != Catnip {
+	if sp.shards > 1 && kind != Catnip {
 		return nil, fmt.Errorf("demikernel: WithShards is %w for %s nodes", core.ErrNotSupported, kind)
 	}
 	if sp.hasTenant && kind != Catnip {
@@ -389,13 +393,17 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 			RxReadyCap:     cfg.RxReadyCap,
 			Clock:          clock,
 		}
-		var grp *nic.QueueGroup
+		sp.shards = max(sp.shards, 1)
+		var set *catnip.ShardSet
 		if sp.hasTenant {
-			ten, g, err := c.spawnTenant(&sp, n, clock)
+			if sp.capacity > sp.shards {
+				return nil, fmt.Errorf("demikernel: WithShardCapacity on a tenant node: %w", core.ErrNotSupported)
+			}
+			ten, grp, err := c.spawnTenant(&sp, n, clock)
 			if err != nil {
 				return nil, err
 			}
-			n.Tenant, grp = ten, g
+			n.Tenant = ten
 			ccfg.MemCapacity = ten.Policy.MemBytes
 			// Every frame pool this tenant's shards create is tagged with
 			// the tenant ID (so misuse panics name the culprit) and
@@ -407,41 +415,18 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 				p.SetOwner(id, ledger)
 				return p
 			}
-		}
-		if sp.shards > 0 {
-			var set *catnip.ShardSet
-			switch {
-			case grp != nil:
-				if sp.capacity > sp.shards {
-					return nil, fmt.Errorf("demikernel: WithShardCapacity on a tenant node: %w", core.ErrNotSupported)
-				}
-				set = catnip.NewShardedOn(&c.Model, grp, ccfg, sp.shards)
-			case sp.capacity > sp.shards:
-				set = catnip.NewShardedElastic(&c.Model, c.Switch, ccfg, sp.shards, sp.capacity)
-			default:
-				set = catnip.NewSharded(&c.Model, c.Switch, ccfg, sp.shards)
-			}
-			sn := &ShardedNode{Set: set, MAC: n.MAC, IP: n.IP, Clock: n.Clock}
-			for i := 0; i < set.Capacity(); i++ {
-				sn.Libs = append(sn.Libs, core.New(set.Shard(i), &c.Model))
-			}
-			n.Sharded = sn
-			n.LibOS = sn.Libs[0]
-			n.Catnip = set.Shard(0)
+			set = catnip.NewShardedOn(&c.Model, grp, ccfg)
 		} else {
-			var t *catnip.Transport
-			if grp != nil {
-				t = catnip.NewOnGroup(&c.Model, grp, ccfg)
-			} else {
-				t = catnip.New(&c.Model, c.Switch, ccfg)
-			}
-			n.LibOS = core.New(t, &c.Model)
-			n.Catnip = t
+			set = catnip.NewSharded(&c.Model, c.Switch, ccfg, sp.shards, sp.capacity)
 		}
+		for i := 0; i < set.Capacity(); i++ {
+			n.libs = append(n.libs, core.New(set.Shard(i), &c.Model))
+		}
+		n.bindSet(set)
 	case Catnap:
 		dev := c.newKernelNIC(cfg.Host)
 		k := kernel.New(&c.Model, dev, c.ip(cfg.Host))
-		n.LibOS = core.New(catnap.New(&c.Model, k), &c.Model)
+		n.libs = []*LibOS{core.New(catnap.New(&c.Model, k), &c.Model)}
 		n.Kernel = k
 	case Catmint:
 		t := catmint.New(&c.Model, c.Switch, catmint.Config{
@@ -450,7 +435,7 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 			MaxReconnects:    cfg.MaxReconnects,
 			ReconnectBackoff: cfg.ReconnectBackoff,
 		})
-		n.LibOS = core.New(t, &c.Model)
+		n.libs = []*LibOS{core.New(t, &c.Model)}
 		n.Catmint = t
 	case Catfish:
 		dev := sp.disk
@@ -461,12 +446,13 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.LibOS = core.New(t, &c.Model)
+		n.libs = []*LibOS{core.New(t, &c.Model)}
 		n.Catfish = t
 		n.MAC, n.IP = fabric.MAC{}, netstack.IPv4Addr{}
 	default:
 		return nil, fmt.Errorf("demikernel: unknown libOS kind %q", kind)
 	}
+	n.LibOS = n.libs[0]
 	n.kind = kind
 	n.cfg = cfg
 	c.nodes = append(c.nodes, n)
@@ -518,11 +504,7 @@ func (c *Cluster) spawnTenant(sp *spawnSpec, n *Node, clock func() time.Time) (*
 	if err != nil {
 		return nil, nil, fmt.Errorf("demikernel: spawn tenant %q: %w", sp.tenantID, err)
 	}
-	queues := sp.shards
-	if queues <= 0 {
-		queues = 1
-	}
-	grp, err := c.SharedNIC().NewQueueGroup(string(sp.tenantID), queues, nic.GroupConfig{
+	grp, err := c.SharedNIC().NewQueueGroup(string(sp.tenantID), sp.shards, nic.GroupConfig{
 		MAC: n.MAC,
 		IP:  [4]byte(n.IP),
 		Bounds: nic.SteeringBounds{
@@ -553,97 +535,92 @@ func (c *Cluster) MustSpawn(kind Kind, opts ...SpawnOption) *Node {
 }
 
 // RegisterTelemetry lifts the node's whole vertical into a registry
-// under prefix, whatever the node's kind or shard shape.
+// under prefix. A node of one libOS, whatever its kind, registers flat
+// names: prefix.completer.*, prefix.uring.* and its transport's
+// (prefix.nic.*, prefix.netstack.*, ... on catnip). A catnip node
+// provisioned wider shares prefix.nic.* among its shards and registers
+// everything else per shard under prefix.shard.<i>, beside the mesh
+// counters prefix.shard.<i>.xs_* and prefix.active_shards.
 func (n *Node) RegisterTelemetry(r *telemetry.Registry, prefix string) {
-	if n.Sharded != nil {
-		n.Sharded.RegisterTelemetry(r, prefix)
-		return
+	for i, l := range n.libs {
+		p := prefix
+		if len(n.libs) > 1 {
+			p = fmt.Sprintf("%s.shard.%d", prefix, i)
+		}
+		l.RegisterTelemetry(r, p)
 	}
-	n.LibOS.RegisterTelemetry(r, prefix)
+	if n.Sharded != nil {
+		n.Sharded.Set.RegisterTelemetry(r, prefix) // what the shards share
+	}
 }
 
 // Observe opens a measurement window over the cluster: the fabric's
 // counters join reg under "fabric", beside those of the nodes spawned
-// WithTelemetry(reg), and every node's qtoken span table (shard 0's, on a
-// sharded node) is named after its host and enabled. The returned function
-// renders what the window saw: each registered counter that moved, then
-// each node's span table.
+// WithTelemetry(reg), and the qtoken span table of every libOS of every
+// node is enabled, named "host<N> <kind>" on a node of one libOS and
+// "host<N>.shard<i> <kind>" on a wider one. The returned function renders
+// what the window saw: each registered counter that moved, then each span
+// table.
 func (c *Cluster) Observe(reg *telemetry.Registry) (report func() string) {
 	c.Switch.RegisterTelemetry(reg, "fabric")
+	var spans []*telemetry.SpanTable
 	for _, n := range c.nodes {
-		n.Spans().SetName(fmt.Sprintf("host%d %s", n.host, n.kind))
-		n.Spans().Enable()
+		for i, l := range n.libs {
+			name := fmt.Sprintf("host%d %s", n.host, n.kind)
+			if len(n.libs) > 1 {
+				name = fmt.Sprintf("host%d.shard%d %s", n.host, i, n.kind)
+			}
+			l.Spans().SetName(name)
+			l.Spans().Enable()
+			spans = append(spans, l.Spans())
+		}
 	}
 	before := reg.Snapshot()
 	return func() string {
 		out := "== per-layer counters (delta over the window) ==\n" +
 			reg.Snapshot().Diff(before).NonZero().String() + "\n"
-		for _, n := range c.nodes {
-			out += n.Spans().Table().String() + "\n"
+		for _, sp := range spans {
+			out += sp.Table().String() + "\n"
 		}
 		return out
 	}
 }
 
-// ShardedNode is an N-shard catnip host: one NIC (with N RSS receive
-// queues), one MAC, one IP — and N fully independent libOS shards, each
-// owning one queue, one netstack, one memory manager, and one frame
-// pool. Libs[i] is shard i's complete Demikernel syscall surface; the
+// ShardedNode is the catnip shard set of a node as a dialer sees it: one
+// NIC (with one RSS receive queue per shard), one MAC, one IP — and one
+// fully independent libOS per shard, each owning one queue, one netstack,
+// one memory manager, and one frame pool. Libs[i] is shard i's complete
+// Demikernel syscall surface (Node.Libs() returns the same slice); the
 // Mesh carries the rare cross-shard traffic.
 type ShardedNode struct {
 	Set  *catnip.ShardSet
 	Libs []*LibOS
 	MAC  fabric.MAC
 	IP   netstack.IPv4Addr
-	// Clock is non-nil when spawned WithLifecycle: the node-wide
-	// skewable clock every shard's protocol timers read.
-	Clock *simclock.DriftClock
 }
-
-// Size returns the ACTIVE shard count (equal to the provisioned count
-// unless the node was spawned WithShardCapacity and resharded).
-func (n *ShardedNode) Size() int { return n.Set.Size() }
 
 // Mesh returns the cross-shard SPSC message mesh.
 func (n *ShardedNode) Mesh() *shard.Group { return n.Set.Mesh() }
 
-// Poll pumps every shard's data path once.
-func (n *ShardedNode) Poll() int {
-	total := 0
-	for _, l := range n.Libs {
-		total += l.Poll()
-	}
-	return total
+// bindSet makes set, whose shards n.libs already run over, the node's
+// catnip side.
+func (n *Node) bindSet(set *catnip.ShardSet) {
+	n.Sharded = &ShardedNode{Set: set, Libs: n.libs, MAC: n.MAC, IP: n.IP}
+	n.Catnip = set.Shard(0)
 }
 
-// Background starts one polling goroutine per shard (a deployment pins
-// one per core) and returns a function stopping them all.
-func (n *ShardedNode) Background() (stop func()) {
-	stops := make([]func(), 0, len(n.Libs))
-	for _, l := range n.Libs {
-		stops = append(stops, l.Background())
-	}
-	return func() {
-		for _, s := range stops {
-			s()
-		}
-	}
-}
+// Libs returns the node's libOSes: one per provisioned shard of a catnip
+// node, one on every other kind. Servers are staged over all of them —
+// kv.Serve(n.Libs(), n.Mesh(), n.Shards(), ...) — whatever the node is.
+func (n *Node) Libs() []*LibOS { return n.libs }
 
-// FabricPort returns the switch port of the sharded node's NIC (for
-// chaos schedules).
-func (n *ShardedNode) FabricPort() int { return n.Set.Device().PortID() }
-
-// RegisterTelemetry lifts the whole sharded vertical into a registry:
-// the shared NIC under prefix.nic, and under prefix.shard.<i> everything
-// an unsharded node registers under its prefix beside the NIC — shard i's
-// stack, membuf, lifecycle, rx_ready_stalls, completer and uring.* — plus
-// the mesh counters as prefix.shard.<i>.xs_*.
-func (n *ShardedNode) RegisterTelemetry(r *telemetry.Registry, prefix string) {
-	n.Set.RegisterTelemetry(r, prefix)
-	for i, l := range n.Libs {
-		l.RegisterQueueTelemetry(r, fmt.Sprintf("%s.shard.%d", prefix, i))
+// Mesh returns the cross-shard mesh of the node's shard set, nil on the
+// kinds that have none.
+func (n *Node) Mesh() *shard.Group {
+	if n.Sharded == nil {
+		return nil
 	}
+	return n.Sharded.Mesh()
 }
 
 // FabricPort returns the switch port ID the node's NIC is attached to
@@ -659,22 +636,27 @@ func (n *Node) FabricPort() int {
 	return -1
 }
 
-// Poll pumps the node's data path once — every shard of a sharded node,
-// the single libOS otherwise.
+// Poll pumps the node's data path once: every libOS it has.
 func (n *Node) Poll() int {
-	if n.Sharded != nil {
-		return n.Sharded.Poll()
+	total := 0
+	for _, l := range n.libs {
+		total += l.Poll()
 	}
-	return n.LibOS.Poll()
+	return total
 }
 
-// Background starts the node's polling goroutines (one per shard) and
-// returns a function stopping them all.
+// Background starts the node's polling goroutines, one per libOS (a
+// deployment pins one per core), and returns a function stopping them all.
 func (n *Node) Background() (stop func()) {
-	if n.Sharded != nil {
-		return n.Sharded.Background()
+	stops := make([]func(), 0, len(n.libs))
+	for _, l := range n.libs {
+		stops = append(stops, l.Background())
 	}
-	return n.LibOS.Background()
+	return func() {
+		for _, s := range stops {
+			s()
+		}
+	}
 }
 
 // Crash kills the node the way a process death does (§3: with kernel
@@ -684,21 +666,21 @@ func (n *Node) Background() (stop func()) {
 //   - the node's fabric link goes down, so the wire stops delivering to
 //     the corpse (frames already in flight are dropped at the switch,
 //     counted as LinkDownDrops);
-//   - the stack (every shard's, on a sharded node) is shut down in
-//     place: connections become terminal, listener backlogs die, pooled
-//     buffers held by reassembly and datagram queues are released;
+//   - every shard's stack is shut down in place: connections become
+//     terminal, listener backlogs die, pooled buffers held by reassembly
+//     and datagram queues are released;
 //   - every pending qtoken completes immediately with a typed error
 //     satisfying errors.Is(err, ErrLocalReset) — nothing hangs;
 //   - the NIC receive rings are flushed, releasing frames the dead
 //     stack never ingested back to their pools (counted in the nic
-//     rx_flushed telemetry bucket, which the frame-conservation
-//     selftest folds into its law).
+//     rx_flushed telemetry bucket, which Cluster.Conservation folds into
+//     its third law).
 //
 // Crash returns the number of qtokens aborted plus ring frames
-// reclaimed. It is idempotent and supported on catnip nodes (sharded or
-// not); other kinds return ErrNotSupported.
+// reclaimed. It is idempotent and supported on catnip nodes of every
+// width, promoted ones included; other kinds return ErrNotSupported.
 func (n *Node) Crash() (int, error) {
-	if n.Catnip == nil {
+	if n.Sharded == nil {
 		return 0, fmt.Errorf("demikernel: Crash is %w on this node kind", core.ErrNotSupported)
 	}
 	if n.Tenant == nil {
@@ -707,22 +689,14 @@ func (n *Node) Crash() (int, error) {
 		// device's link dies with its owner.
 		n.cluster.Switch.SetLinkState(n.FabricPort(), false)
 	}
-	var aborted int
-	if n.Sharded != nil {
-		aborted = n.Sharded.Set.Crash()
-		// Flush submission rings after the transports die: in-flight ring
-		// ops have already posted their typed-error CQEs, so the flush
-		// only converts posted-but-undrained SQEs (and rewrites anything
-		// unharvested at harvest time) — each pending op resolves to
-		// exactly one ErrLocalReset CQE.
-		for _, l := range n.Sharded.Libs {
-			fs, fc := l.FlushRings(core.ErrLocalReset)
-			aborted += fs + fc
-		}
-	} else {
-		aborted = n.Catnip.Crash()
-		aborted += n.Catnip.FlushRx()
-		fs, fc := n.LibOS.FlushRings(core.ErrLocalReset)
+	aborted := n.Sharded.Set.Crash()
+	// Flush submission rings after the transports die: in-flight ring ops
+	// have already posted their typed-error CQEs, so the flush only
+	// converts posted-but-undrained SQEs (and rewrites anything unharvested
+	// at harvest time) — each pending op resolves to exactly one
+	// ErrLocalReset CQE.
+	for _, l := range n.libs {
+		fs, fc := l.FlushRings(core.ErrLocalReset)
 		aborted += fs + fc
 	}
 	if n.Tenant != nil {
@@ -743,21 +717,18 @@ func (n *Node) Crash() (int, error) {
 // Established connections stay dead: peers must redial, exactly like
 // clients of a restarted server in the real world.
 func (n *Node) Restart() error {
-	if n.Catnip == nil {
+	if n.Sharded == nil {
 		return fmt.Errorf("demikernel: Restart is %w on this node kind", core.ErrNotSupported)
 	}
 	if n.Tenant == nil {
 		n.cluster.Switch.SetLinkState(n.FabricPort(), true)
 	}
-	if n.Sharded != nil {
-		return n.Sharded.Set.Restart()
-	}
-	return n.Catnip.Restart()
+	return n.Sharded.Set.Restart()
 }
 
 // Crashed reports whether the node is currently down.
 func (n *Node) Crashed() bool {
-	return n.Catnip != nil && n.Catnip.Crashed()
+	return n.Sharded != nil && n.Sharded.Set.Crashed()
 }
 
 // AddrOf returns the address of node's port, usable from any libOS.

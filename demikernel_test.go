@@ -9,9 +9,15 @@ import (
 	"demikernel/internal/sga"
 )
 
+// blockingIO is the part of a node, or of one libOS of it, echoOnce drives.
+type blockingIO interface {
+	BlockingPush(QD, SGA) (Completion, error)
+	BlockingPop(QD) (Completion, error)
+}
+
 // echoOnce drives one full request/response over an established pair of
 // queue descriptors.
-func echoOnce(t *testing.T, cli *Node, cqd QD, srv *Node, sqd QD, payload string) {
+func echoOnce(t *testing.T, cli blockingIO, cqd QD, srv blockingIO, sqd QD, payload string) {
 	t.Helper()
 	if _, err := cli.BlockingPush(cqd, NewSGA([]byte(payload))); err != nil {
 		t.Fatalf("push: %v", err)
@@ -35,23 +41,33 @@ func echoOnce(t *testing.T, cli *Node, cqd QD, srv *Node, sqd QD, payload string
 	}
 }
 
+// listenAll opens a listening socket on port on every active shard of n
+// — the one libOS of a node that has no shards — and returns them by shard.
+func listenAll(tb testing.TB, n *Node, port uint16) []QD {
+	tb.Helper()
+	lqds := make([]QD, n.Shards())
+	for i, lib := range n.Libs()[:n.Shards()] {
+		var err error
+		if lqds[i], err = lib.Socket(); err == nil {
+			if err = lib.Bind(lqds[i], Addr{Port: port}); err == nil {
+				err = lib.Listen(lqds[i])
+			}
+		}
+		if err != nil {
+			tb.Fatalf("listen on shard %d: %v", i, err)
+		}
+	}
+	return lqds
+}
+
 // connectNodes builds a connected client/server pair over any two nodes.
 func connectNodes(t *testing.T, cluster *Cluster, cli, srv *Node, port uint16) (cqd, sqd QD, cleanup func()) {
 	t.Helper()
 	stopS := srv.Background()
 	stopC := cli.Background()
 
-	lqd, err := srv.Socket()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Bind(lqd, Addr{Port: port}); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen(lqd); err != nil {
-		t.Fatal(err)
-	}
-	cqd, err = cli.Socket()
+	lqd := listenAll(t, srv, port)[0]
+	cqd, err := cli.Socket()
 	if err != nil {
 		t.Fatal(err)
 	}

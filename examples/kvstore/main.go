@@ -28,12 +28,12 @@ func main() {
 	srvNode := cluster.MustSpawn(kind, demi.WithHost(1))
 	cliNode := cluster.MustSpawn(kind, demi.WithHost(2))
 
-	_, stopServer, err := kv.Serve([]*demi.LibOS{srvNode.LibOS}, nil, 1, &cluster.Model, 6379)
+	_, stopServer, err := kv.Serve(srvNode.Libs(), srvNode.Mesh(), srvNode.Shards(), &cluster.Model, 6379)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer stopServer()
-	client, stopClient, err := kv.Dial(cliNode.LibOS, 1, cluster.Router().Dialer(cliNode, srvNode, 6379))
+	client, stopClient, err := kv.Dial(cliNode.LibOS, srvNode.Shards(), cluster.Router().Dialer(cliNode, srvNode, 6379))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,19 +41,9 @@ func hotPathNodes(tb testing.TB, kind Kind, idle int, opts ...SpawnOption) (cliN
 	srvNode = c.MustSpawn(kind, append([]SpawnOption{WithHost(1)}, opts...)...)
 	cliNode = c.MustSpawn(kind, append([]SpawnOption{WithHost(2)}, opts...)...)
 
-	lqd, err := srvNode.Socket()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	addr := c.AddrOf(srvNode, 7)
-	if err := srvNode.Bind(lqd, addr); err != nil {
-		tb.Fatal(err)
-	}
-	if err := srvNode.Listen(lqd); err != nil {
-		tb.Fatal(err)
-	}
-
+	lqd, addr := listenAll(tb, srvNode, 7)[0], c.AddrOf(srvNode, 7)
 	qds := make([]QD, 0, 2*(idle+1))
+	var err error
 	stop := srvNode.Background()
 	defer stop()
 	for i := 0; i <= idle; i++ {
@@ -431,17 +421,7 @@ func TestHotPathCatnapClosedEndpointsLeavePoll(t *testing.T) {
 	srv := c.MustSpawn(Catnap, WithHost(1))
 	cli := c.MustSpawn(Catnap, WithHost(2))
 	srv.Kernel.AttachDisk(c.NewDisk(0))
-	lqd, err := srv.Socket()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := c.AddrOf(srv, 7)
-	if err := srv.Bind(lqd, addr); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen(lqd); err != nil {
-		t.Fatal(err)
-	}
+	lqd, addr := listenAll(t, srv, 7)[0], c.AddrOf(srv, 7)
 	pumped := func(n *Node) [2]int {
 		eps, fqs := n.Transport().(*catnap.Transport).Pumped()
 		return [2]int{eps, fqs}

@@ -499,38 +499,9 @@ func TestHTTPCrashRestartKeepAlive(t *testing.T) {
 	// boundary: the fabric, the NIC, and the stack each account for
 	// every frame.
 	r.shutdown()
-	qdeadline := time.Now().Add(100 * time.Millisecond)
-	for time.Now().Before(qdeadline) {
-		r.c.Poll()
-		r.c.Switch.Flush()
-		time.Sleep(time.Millisecond)
-	}
-	sw := r.c.Switch
-	fs := sw.Stats()
-	var sumTx int64
-	for id := 0; id < sw.NumPorts(); id++ {
-		sumTx += sw.PortStats(id).TxFrames
-	}
-	if lhs, rhs := sumTx+fs.InjectedDup, fs.Delivered+fs.InjectedLoss+fs.LinkDownDrops+fs.DroppedRxFull+fs.AsymDrops; lhs != rhs {
-		t.Fatalf("fabric conservation violated: tx+dup=%d != delivered+drops=%d", lhs, rhs)
-	}
-	dev := r.srvNode.Catnip.Device()
-	ds := dev.Stats()
-	ps := sw.PortStats(dev.PortID())
-	if ps.Delivered != ds.RxFrames+ds.RxDropped+ds.FilterDrops {
-		t.Fatalf("nic conservation violated: delivered=%d != rx=%d+dropped=%d+filtered=%d",
-			ps.Delivered, ds.RxFrames, ds.RxDropped, ds.FilterDrops)
-	}
-	r.srvNode.Poll()
-	ds = dev.Stats()
-	var occ int64
-	for q := 0; q < dev.NumRxQueues(); q++ {
-		occ += int64(dev.RxOccupancy(q))
-	}
-	framesIn := r.srvNode.Catnip.StackStats().FramesIn
-	if ds.RxFrames != framesIn+occ+ds.RxFlushed {
-		t.Fatalf("stack conservation violated across crash: nic rx=%d != frames_in=%d + rings=%d + flushed=%d",
-			ds.RxFrames, framesIn, occ, ds.RxFlushed)
+	r.c.Quiesce(100 * time.Millisecond)
+	if err := r.c.Conservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 

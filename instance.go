@@ -1,11 +1,10 @@
-// The unified Instance API: one handle over every node shape the
-// cluster can spawn — single-libOS nodes and sharded runtimes alike —
-// plus the two live-reconfiguration verbs this layer exists for:
+// Live reconfiguration of a spawned node, and the dialing surface that
+// follows it:
 //
-//   - Reshard(ctx, m): elastic repartition of a sharded catnip runtime
-//     from its current active width to m, live under load. The device
-//     plane re-steers RSS and pins surviving flows (catnip.Resteer),
-//     the application plane (registered via SetResharder) migrates its
+//   - Reshard(ctx, m): elastic repartition of a catnip node from its
+//     current active width to m, live under load. The device plane
+//     re-steers RSS and pins surviving flows (catnip.Resteer), the
+//     application plane (registered via SetResharder) migrates its
 //     keyspace over the mesh with generation-tagged ownership, and
 //     clients ride through on failover redials.
 //
@@ -26,40 +25,7 @@ import (
 	"demikernel/internal/kernel"
 	"demikernel/internal/libos/catnap"
 	"demikernel/internal/libos/catnip"
-	"demikernel/internal/telemetry"
 )
-
-// Instance is the unified surface of a spawned node: polling, chaos
-// lifecycle, topology introspection, and live reconfiguration. *Node —
-// what Spawn returns for every kind and shard shape — is its one
-// implementation, so rigs that orchestrate mixed fleets hold one type.
-type Instance interface {
-	// Poll pumps the instance's data path once.
-	Poll() int
-	// Background starts the instance's polling goroutines.
-	Background() (stop func())
-	// Crash kills the instance as a process death would; Restart
-	// reconstitutes it on the same device, MAC, and IP.
-	Crash() (int, error)
-	Restart() error
-	Crashed() bool
-	// FabricPort is the switch port of the instance's NIC (-1 if none).
-	FabricPort() int
-	// Kind reports the library OS currently backing the instance.
-	Kind() Kind
-	// Shards reports the ACTIVE shard width (1 for unsharded nodes).
-	Shards() int
-	// Generation counts completed reshards.
-	Generation() uint64
-	// Reshard repartitions a sharded runtime to m active shards.
-	Reshard(ctx context.Context, m int) error
-	// SwitchKind migrates the node onto another library OS live.
-	SwitchKind(k Kind) error
-	// RegisterTelemetry lifts the instance's vertical into a registry.
-	RegisterTelemetry(r *telemetry.Registry, prefix string)
-}
-
-var _ Instance = (*Node)(nil)
 
 // Resharder is the application-plane hook Reshard drives: the app
 // (e.g. kv.ShardedServer) repartitions its own state when the shard
@@ -78,27 +44,28 @@ func (n *Node) SetResharder(r Resharder) { n.resharder = r }
 // when SwitchKind succeeds.
 func (n *Node) Kind() Kind { return n.kind }
 
-// Shards reports the node's active shard width (1 when unsharded).
+// Shards reports the node's ACTIVE shard width: how many of Libs() RSS
+// spreads new flows across (1 on the kinds that have no shard set).
 func (n *Node) Shards() int {
-	if n.Sharded != nil {
-		return n.Sharded.Set.Size()
+	if n.Sharded == nil {
+		return 1
 	}
-	return 1
+	return n.Sharded.Set.Size()
 }
 
 // Generation counts this node's completed reshards.
 func (n *Node) Generation() uint64 { return n.gen.Load() }
 
-// Reshard repartitions the sharded catnip runtime to m active shards,
-// live under load: the application plane (SetResharder) starts its
-// generation-tagged keyspace handoff, the device plane pins surviving
-// flows and flips the RSS width, and the call blocks until the handoff
-// drains or ctx expires. m may grow or shrink the active set anywhere
-// within the provisioned capacity (WithShardCapacity). Unsharded and
-// tenant nodes return ErrNotSupported.
+// Reshard repartitions the catnip node to m active shards, live under
+// load: the application plane (SetResharder) starts its generation-tagged
+// keyspace handoff, the device plane pins surviving flows and flips the
+// RSS width, and the call blocks until the handoff drains or ctx expires.
+// m may grow or shrink the active set anywhere within the provisioned
+// capacity (WithShardCapacity; 1 on a plain node); outside it is a range
+// error. Kinds with no shard set and tenant nodes return ErrNotSupported.
 func (n *Node) Reshard(ctx context.Context, m int) error {
 	if n.Sharded == nil {
-		return fmt.Errorf("demikernel: Reshard on an unsharded node: %w", core.ErrNotSupported)
+		return fmt.Errorf("demikernel: Reshard on a %s node: %w", n.kind, core.ErrNotSupported)
 	}
 	if n.Tenant != nil {
 		return fmt.Errorf("demikernel: Reshard on a tenant node: %w", core.ErrNotSupported)
@@ -140,13 +107,13 @@ func (n *Node) Reshard(ctx context.Context, m int) error {
 // descriptors keep their numbers; parked pops and staged pushes travel
 // with them. A gratuitous ARP announces the (unchanged) binding, as a
 // real migration would. Supported between Catnap and Catnip on
-// unsharded, non-tenant nodes; everything else is ErrNotSupported.
+// non-tenant nodes of one libOS; everything else is ErrNotSupported.
 func (n *Node) SwitchKind(k Kind) error {
 	if k == n.kind {
 		return nil
 	}
-	if n.Sharded != nil {
-		return fmt.Errorf("demikernel: SwitchKind on a sharded node: %w", core.ErrNotSupported)
+	if len(n.libs) > 1 {
+		return fmt.Errorf("demikernel: SwitchKind on a node of %d shards: %w", len(n.libs), core.ErrNotSupported)
 	}
 	if n.Tenant != nil {
 		return fmt.Errorf("demikernel: SwitchKind on a tenant node: %w", core.ErrNotSupported)
@@ -161,7 +128,7 @@ func (n *Node) SwitchKind(k Kind) error {
 }
 
 // promoteToCatnip moves a catnap node onto the bypass path: the kernel's
-// stack and device are adopted wholesale by a fresh catnip transport,
+// stack and device are adopted wholesale by a fresh catnip set of one,
 // every socket FD is detached from the kernel and rebuilt as a catnip
 // endpoint, and the stack's per-packet tax drops to the user-level
 // profile.
@@ -169,17 +136,18 @@ func (n *Node) promoteToCatnip() error {
 	c := n.cluster
 	kern := n.Kernel
 	dev, stack := kern.Device(), kern.Stack()
-	nt := catnip.NewOnStack(&c.Model, dev, catnip.Config{
+	set := catnip.NewOnStack(&c.Model, dev, catnip.Config{
 		MAC:            n.MAC,
 		IP:             n.IP,
 		PerPacketExtra: n.cfg.PerPacketExtra,
 		RxReadyCap:     n.cfg.RxReadyCap,
 	}, stack)
-	if err := n.swapOnto(nt); err != nil {
+	if err := n.swapOnto(set.Shard(0)); err != nil {
 		return err
 	}
 	stack.SetPerPacketExtra(n.cfg.PerPacketExtra)
-	n.Catnip, n.Kernel = nt, nil
+	n.bindSet(set)
+	n.Kernel = nil
 	n.kind = Catnip
 	stack.AnnounceARP()
 	return nil
@@ -202,7 +170,7 @@ func (n *Node) demoteToCatnap() error {
 		return err
 	}
 	stack.SetPerPacketExtra(kernel.KernelPerPacketExtra(&c.Model) + n.cfg.PerPacketExtra)
-	n.Kernel, n.Catnip = kern, nil
+	n.Kernel, n.Catnip, n.Sharded = kern, nil, nil
 	n.kind = Catnap
 	stack.AnnounceARP()
 	return nil
@@ -239,7 +207,7 @@ func (n *Node) swapOnto(nt core.Transport) error {
 
 // --- Router ---
 
-// Router resolves client connections onto the shards of a sharded peer,
+// Router resolves client connections onto the shards of a catnip peer,
 // correctly across reshard generations: every placement decision reads
 // the server's CURRENT active width, so a client that routes through it
 // after a reshard lands on live shards only.
@@ -247,31 +215,21 @@ type Router struct {
 	c *Cluster
 }
 
-// Router returns the cluster's shard-aware dialing surface. It replaces
-// the removed Cluster.DialToShard / catnip.SourcePortFor pair as the
-// public API: those placed flows against a fixed shard count, which a
-// reshard silently invalidates.
+// Router returns the cluster's shard-aware dialing surface.
 func (c *Cluster) Router() *Router { return &Router{c: c} }
 
-// SourcePort searches the ephemeral range for a client source port
-// whose flow lands on shard target of srv under srv's current
-// generation. seed staggers the search start so concurrent dialers
-// pick distinct ports.
-func (r *Router) SourcePort(client *Node, srv *ShardedNode, port uint16, target int, seed uint16) uint16 {
-	return catnip.SourcePortFor(client.IP, srv.IP, port, srv.Size(), target, seed)
-}
-
-// DialShard connects a plain catnip client node to one specific shard
-// of a sharded peer, computing the source port against the server's
-// current active width. The caller must keep the server side polling
-// (Background) for the handshake to complete. target must name an
-// active shard.
+// DialShard connects a catnip client node to one specific shard of a
+// catnip peer (its Node.Sharded, whatever its width), from a source port
+// whose flow lands on that shard under the server's current active width;
+// seed staggers the port search so concurrent dialers pick distinct ones.
+// The caller must keep the server side polling (Background) for the
+// handshake to complete. target must name an active shard.
 func (r *Router) DialShard(client *Node, srv *ShardedNode, port uint16, target int, seed uint16) (QD, error) {
-	if target < 0 || target >= srv.Size() {
-		return core.InvalidQD, fmt.Errorf("demikernel: dial to shard %d of %d active", target, srv.Size())
+	active := srv.Set.Size()
+	if target < 0 || target >= active {
+		return core.InvalidQD, fmt.Errorf("demikernel: dial to shard %d of %d active", target, active)
 	}
-	sp := r.SourcePort(client, srv, port, target, seed)
-	ep, err := client.Catnip.SocketFrom(sp)
+	ep, err := client.Catnip.SocketFrom(catnip.SourcePortFor(client.IP, srv.IP, port, active, target, seed))
 	if err != nil {
 		return core.InvalidQD, err
 	}
@@ -289,10 +247,13 @@ func (r *Router) DialShard(client *Node, srv *ShardedNode, port uint16, target i
 // a redial aimed at a shard a reshard has since retired lands on a live
 // one and the server's mesh forwards — from a source port that differs
 // per shard and per attempt, so that a redial never reuses the 4-tuple of
-// the connection it replaces. An unsharded srv takes any source port.
+// the connection it replaces. Only a catnip client picks its source port
+// and only a catnip server has shards to aim it at; any other pair of
+// kinds dials from whatever port the client's stack picks, which is also
+// what a catnip server one shard wide gets.
 func (r *Router) Dialer(client, srv *Node, port uint16) func(shard, attempt int) (QD, error) {
 	return func(shard, attempt int) (QD, error) {
-		if srv.Sharded == nil {
+		if client.kind != Catnip || srv.kind != Catnip {
 			qd, err := client.Socket()
 			if err != nil {
 				return core.InvalidQD, err

@@ -7,7 +7,6 @@ import (
 
 	demi "demikernel"
 	"demikernel/internal/sga"
-	"demikernel/internal/shard"
 )
 
 // harness is a staged client/server pair (Serve, Dial), stopped with the
@@ -27,18 +26,10 @@ func newHarness(t *testing.T, kind demi.Kind, width int, seed int64) *harness {
 	const port = 6379
 	c := demi.NewCluster(seed)
 	h := &harness{cluster: c, cliNode: c.MustSpawn(kind, demi.WithHost(2))}
-	var libs []*demi.LibOS
-	var mesh *shard.Group
-	if width == 1 {
-		h.node = c.MustSpawn(kind, demi.WithHost(1))
-		libs = []*demi.LibOS{h.node.LibOS}
-	} else {
-		h.node = c.MustSpawn(kind, demi.WithHost(1), demi.WithShards(width))
-		libs, mesh = h.node.Sharded.Libs, h.node.Sharded.Mesh()
-	}
+	h.node = c.MustSpawn(kind, demi.WithHost(1), demi.WithShards(width))
 	var err error
 	var stop func()
-	if h.server, stop, err = Serve(libs, mesh, width, &c.Model, port); err != nil {
+	if h.server, stop, err = Serve(h.node.Libs(), h.node.Mesh(), width, &c.Model, port); err != nil {
 		t.Fatalf("serve: %v", err)
 	}
 	t.Cleanup(stop)

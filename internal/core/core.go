@@ -254,25 +254,18 @@ func (l *LibOS) Completer() *queue.Completer { return l.completer }
 func (l *LibOS) Spans() *telemetry.SpanTable { return l.completer.Spans() }
 
 // RegisterTelemetry lifts the libOS's observable state into a telemetry
-// registry: its own queue machinery (RegisterQueueTelemetry), and — when
+// registry: its own queue machinery — the completer under
+// prefix.completer, the attached rings under prefix.uring — and, when
 // the transport itself knows how to register (all in-tree transports
-// do) — the transport's device/stack counters under prefix.
+// do), the transport's device/stack counters under prefix.
 func (l *LibOS) RegisterTelemetry(r *telemetry.Registry, prefix string) {
-	l.RegisterQueueTelemetry(r, prefix)
+	l.completer.RegisterTelemetry(r, prefix+".completer")
+	l.registerRingTelemetry(r, prefix+".uring")
 	if tr, ok := l.Transport().(interface {
 		RegisterTelemetry(*telemetry.Registry, string)
 	}); ok {
 		tr.RegisterTelemetry(r, prefix)
 	}
-}
-
-// RegisterQueueTelemetry registers what the libOS itself counts, whatever
-// transport it runs over: the completer under prefix.completer and the
-// attached rings under prefix.uring. A sharded node calls it per shard,
-// the shards' transports being registered by their shard set.
-func (l *LibOS) RegisterQueueTelemetry(r *telemetry.Registry, prefix string) {
-	l.completer.RegisterTelemetry(r, prefix+".completer")
-	l.registerRingTelemetry(r, prefix+".uring")
 }
 
 func (l *LibOS) insert(d *qdesc) QD {

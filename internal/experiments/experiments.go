@@ -16,7 +16,6 @@ import (
 
 	demi "demikernel"
 	"demikernel/internal/apps/echo"
-	"demikernel/internal/apps/kv"
 	"demikernel/internal/metrics"
 	"demikernel/internal/simclock"
 )
@@ -279,23 +278,4 @@ func (r *EchoRig) measureEcho(size, n int) (*metrics.Histogram, error) {
 		h.Record(cost)
 	}
 	return &h, nil
-}
-
-// newKVRig spawns a pair of kind nodes on c and stages the width-1 KV
-// server and its client between them.
-func newKVRig(c *demi.Cluster, kind demi.Kind) (client *kv.ShardedClient, close func(), err error) {
-	srvNode, cliNode, err := spawnPair(c, kind, demi.NodeConfig{})
-	if err != nil {
-		return nil, nil, err
-	}
-	_, stopSrv, err := kv.Serve([]*demi.LibOS{srvNode.LibOS}, nil, 1, &c.Model, 6379)
-	if err != nil {
-		return nil, nil, err
-	}
-	cli, stopCli, err := kv.Dial(cliNode.LibOS, 1, c.Router().Dialer(cliNode, srvNode, 6379))
-	if err != nil {
-		stopSrv()
-		return nil, nil, err
-	}
-	return cli, func() { stopCli(); stopSrv() }, nil
 }

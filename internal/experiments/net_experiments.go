@@ -170,11 +170,12 @@ type e3Point struct{ copyP50, zcP50 simclock.Lat }
 // kvGetP50 stores val under key on a fresh KV pair of kind nodes and
 // returns the median virtual cost of rttSamples GETs of it.
 func kvGetP50(c *demi.Cluster, kind demi.Kind, key string, val []byte) (simclock.Lat, error) {
-	client, closeRig, err := newKVRig(c, kind)
+	rig, err := NewKVRig(c, kind, 1, 1, 6379)
 	if err != nil {
 		return 0, err
 	}
-	defer closeRig()
+	defer rig.Close()
+	client := rig.Client
 	if _, err := client.Set(key, val); err != nil {
 		return 0, fmt.Errorf("%s set: %w", kind, err)
 	}
@@ -254,10 +255,11 @@ func runE9(seed int64) (*Result, error) {
 	getP50 := map[demi.Kind]simclock.Lat{}
 
 	for _, flavor := range []demi.Kind{demi.Catnap, demi.Catnip, demi.Catmint} {
-		client, closeRig, err := newKVRig(demi.NewCluster(seed), flavor)
+		rig, err := NewKVRig(demi.NewCluster(seed), flavor, 1, 1, 6379)
 		if err != nil {
 			return nil, err
 		}
+		client, closeRig := rig.Client, rig.Close
 		var setH, getH metrics.Histogram
 		ok := true
 		val := bytes.Repeat([]byte{7}, 512)

@@ -13,7 +13,8 @@ import (
 	"demikernel/internal/simclock"
 )
 
-// runE19 measures the two elasticity claims behind the Instance API:
+// runE19 measures the two elasticity claims behind Node.Reshard and
+// Node.SwitchKind:
 //
 //  1. Scaling across a reshard boundary — an elastic node that grows
 //     2→4 shards LIVE (keys migrating, RSS re-steered, clients
@@ -51,7 +52,7 @@ func e19Reshard(seed int64, res *Result) error {
 		port     = 6384
 		setsGets = 256
 	)
-	rig, err := NewShardedKVRig(demi.NewCluster(seed), 2, 4, port)
+	rig, err := NewKVRig(demi.NewCluster(seed), demi.Catnip, 2, 4, port)
 	if err != nil {
 		return err
 	}

@@ -32,7 +32,7 @@ type ShardScalePoint struct {
 // partition working as designed) or sprays every request over shard 0's
 // connection (forcing the mesh-forward slow path).
 func RunShardScale(seed int64, shards, setsGets int, aligned bool) (ShardScalePoint, error) {
-	rig, err := NewShardedKVRig(demi.NewCluster(seed), shards, shards, 6379)
+	rig, err := NewKVRig(demi.NewCluster(seed), demi.Catnip, shards, shards, 6379)
 	if err != nil {
 		return ShardScalePoint{}, err
 	}
@@ -80,40 +80,41 @@ func RunShardScale(seed int64, shards, setsGets int, aligned bool) (ShardScalePo
 	return p, nil
 }
 
-// ShardedKVRig is a sharded KV server node, served, and an RSS-aligned
-// client of it: E14's and E19's rig and the `demi-stat -shards` and
-// `-reshard` dashboards'.
-type ShardedKVRig struct {
+// KVRig is a KV server node, served, and a client of it with one
+// connection per active shard: every KV experiment's rig and the
+// `demi-stat -shards` and `-reshard` dashboards'.
+type KVRig struct {
 	SrvNode *demi.Node
 	Server  *kv.ShardedServer
 	Client  *kv.ShardedClient
 	Close   func()
 }
 
-// NewShardedKVRig spawns a catnip server node of shards active shards
-// within capacity on c (host 1) and a plain catnip client node (host 2),
-// both with opts, serves KV on every shard of the first — as its
-// resharder — and dials each active shard from the second.
-func NewShardedKVRig(c *demi.Cluster, shards, capacity int, port uint16, opts ...demi.SpawnOption) (*ShardedKVRig, error) {
-	srvNode, err := c.Spawn(demi.Catnip, append([]demi.SpawnOption{demi.WithHost(1), demi.WithShards(shards), demi.WithShardCapacity(capacity)}, opts...)...)
+// NewKVRig spawns a kind server node of shards active shards within
+// capacity on c (host 1; only catnip takes more than one) and a plain kind
+// client node (host 2), both with opts, serves KV on port over every libOS
+// of the first — as its resharder — and dials each active shard from the
+// second.
+func NewKVRig(c *demi.Cluster, kind demi.Kind, shards, capacity int, port uint16, opts ...demi.SpawnOption) (*KVRig, error) {
+	srvNode, err := c.Spawn(kind, append([]demi.SpawnOption{demi.WithHost(1), demi.WithShards(shards), demi.WithShardCapacity(capacity)}, opts...)...)
 	if err != nil {
 		return nil, err
 	}
-	cliNode, err := c.Spawn(demi.Catnip, append([]demi.SpawnOption{demi.WithHost(2)}, opts...)...)
+	cliNode, err := c.Spawn(kind, append([]demi.SpawnOption{demi.WithHost(2)}, opts...)...)
 	if err != nil {
 		return nil, err
 	}
-	server, stopSrv, err := kv.Serve(srvNode.Sharded.Libs, srvNode.Sharded.Mesh(), shards, &c.Model, port)
+	server, stopSrv, err := kv.Serve(srvNode.Libs(), srvNode.Mesh(), srvNode.Shards(), &c.Model, port)
 	if err != nil {
 		return nil, err
 	}
 	srvNode.SetResharder(server)
-	client, stopCli, err := kv.Dial(cliNode.LibOS, shards, c.Router().Dialer(cliNode, srvNode, port))
+	client, stopCli, err := kv.Dial(cliNode.LibOS, srvNode.Shards(), c.Router().Dialer(cliNode, srvNode, port))
 	if err != nil {
 		stopSrv()
 		return nil, err
 	}
-	return &ShardedKVRig{SrvNode: srvNode, Server: server, Client: client, Close: func() { stopCli(); stopSrv() }}, nil
+	return &KVRig{SrvNode: srvNode, Server: server, Client: client, Close: func() { stopCli(); stopSrv() }}, nil
 }
 
 // runE14 reproduces the §3.1 scale-out claim: a share-nothing sharded

@@ -45,10 +45,9 @@ type Transport struct {
 	// loading it; everything protocol-level lives behind it.
 	stackp atomic.Pointer[netstack.Stack]
 	mem    *membuf.Manager
-	// pool supplies pop-path payload buffers. Standalone transports use
-	// the process-wide default; sharded transports get a private pool so
-	// the steady-state buffer recycle path never crosses shard cache
-	// lines.
+	// pool supplies pop-path payload buffers: the process-wide default in
+	// a set of one, a private pool per shard in a wider set, so the
+	// steady-state buffer recycle path never crosses shard cache lines.
 	pool *fabric.FramePool
 	// clonePool recycles pop-SGA headers (segment slice + free closure)
 	// so pooledCloneSGA allocates nothing in steady state; see cloneHdr.
@@ -140,47 +139,16 @@ type Config struct {
 	RxReadyCap int
 }
 
-// newPool makes one transport-private frame pool per the config.
-func (cfg Config) newPool() *fabric.FramePool {
-	if cfg.PoolFactory != nil {
-		return cfg.PoolFactory()
-	}
-	return fabric.NewFramePool()
-}
-
 // New attaches a catnip instance (NIC + user stack + memory manager) to
-// the fabric switch.
+// the fabric switch: the one shard of a set of one.
 func New(model *simclock.CostModel, sw *fabric.Switch, cfg Config) *Transport {
-	dev := nic.New(model, sw, nic.Config{MAC: cfg.MAC})
-	pool := fabric.DefaultFramePool
-	if cfg.PoolFactory != nil {
-		pool = cfg.PoolFactory()
-	}
-	return newOnDevice(model, dev, cfg, 0, pool, nil)
+	return NewSharded(model, sw, cfg, 1, 1).Shard(0)
 }
 
-// NewOnGroup builds a transport bound to a tenant's queue group on a
-// shared NIC: the stack transmits through the group's scheduled TX
-// queue, polls the group's first receive queue, and registers staging
-// memory through the group. Everything above the device binding is
-// identical to a whole-NIC transport.
-func NewOnGroup(model *simclock.CostModel, grp *nic.QueueGroup, cfg Config) *Transport {
-	return newOnPort(model, grp.Device(), grp, cfg, 0, cfg.newPool(), nil)
-}
-
-// newOnDevice builds a transport over an existing device, polling the
-// given RX queue and allocating pop buffers from pool. It is the shared
-// constructor between New (one transport owning the whole device) and
-// NewSharded (N transports, one per RSS queue, over one device).
-func newOnDevice(model *simclock.CostModel, dev *nic.Device, cfg Config,
-	rxQueue int, pool *fabric.FramePool, neigh *netstack.NeighborTable) *Transport {
-	return newOnPort(model, dev, nil, cfg, rxQueue, pool, neigh)
-}
-
-// newOnPort is the constructor behind every transport shape: group nil
-// means the transport owns (a queue of) the whole device; non-nil means
-// it owns a queue of the tenant's slice.
-func newOnPort(model *simclock.CostModel, dev *nic.Device, group *nic.QueueGroup, cfg Config,
+// newTransport is the constructor behind every shard of every set: group
+// nil means the transport owns (a queue of) the whole device; non-nil
+// means it owns a queue of the tenant's slice.
+func newTransport(model *simclock.CostModel, dev *nic.Device, group *nic.QueueGroup, cfg Config,
 	rxQueue int, pool *fabric.FramePool, neigh *netstack.NeighborTable) *Transport {
 	var port netstack.Device = dev
 	var sink membuf.RegistrationSink = dev
@@ -188,7 +156,6 @@ func newOnPort(model *simclock.CostModel, dev *nic.Device, group *nic.QueueGroup
 		port = group
 		sink = group
 	}
-	stack := buildStack(model, port, cfg, rxQueue, pool, neigh)
 	var opts []membuf.Option
 	if cfg.MemCapacity > 0 {
 		opts = append(opts, membuf.WithCapacity(cfg.MemCapacity))
@@ -197,7 +164,7 @@ func newOnPort(model *simclock.CostModel, dev *nic.Device, group *nic.QueueGroup
 	mem.AttachDevice(sink) // transparent registration (§4.5)
 	t := &Transport{model: model, dev: dev, group: group, port: port, mem: mem, pool: pool,
 		cfg: cfg, rxQueue: rxQueue, neigh: neigh}
-	t.stackp.Store(stack)
+	t.stackp.Store(buildStack(model, port, cfg, rxQueue, pool, neigh))
 	return t
 }
 
@@ -244,17 +211,6 @@ func (t *Transport) Group() *nic.QueueGroup { return t.group }
 // engine's hostile-tenant leak fault, which hoards frames from it).
 func (t *Transport) Pool() *fabric.FramePool { return t.pool }
 
-// FlushRx reclaims frames parked in the transport's receive rings: the
-// whole device's rings for a dedicated NIC, or only the tenant's own
-// queue range on a shared one (a tenant crash must never discard a
-// neighbour's frames). Returns the number of frames released.
-func (t *Transport) FlushRx() int {
-	if t.group != nil {
-		return t.group.FlushRings()
-	}
-	return t.dev.FlushRings()
-}
-
 // Stack exposes the current user-level network stack (for stats). After
 // a Restart this is the fresh incarnation; see StackStats for counters
 // cumulative across incarnations.
@@ -273,48 +229,23 @@ func (t *Transport) StackStats() netstack.Stats {
 // Memory exposes the libOS memory manager (for stats).
 func (t *Transport) Memory() *membuf.Manager { return t.mem }
 
-// RegisterTelemetry lifts the transport's whole vertical — NIC, user
-// stack, and memory manager — into a telemetry registry under prefix,
-// plus the lifecycle counters under prefix.lifecycle.*. Netstack
-// counters are registered through StackStats so they survive restarts.
+// RegisterTelemetry lifts the transport's vertical above the NIC — user
+// stack, memory manager, rx_ready_stalls, and the crash/restart counts
+// under prefix.lifecycle — into a telemetry registry under prefix.
+// Netstack counters are registered through StackStats so they survive
+// restarts. The NIC is the shard set's to register: its shards share it.
+// (core.LibOS.RegisterTelemetry finds this method.)
 func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
-	if t.group != nil {
-		// Tenant transport: the NIC-level view is the tenant's own queue
-		// group, not the shared device (whose counters mix every tenant).
-		t.group.RegisterTelemetry(r, prefix+".nic")
-	} else {
-		t.dev.RegisterTelemetry(r, prefix+".nic")
-	}
-	t.registerStackTelemetry(r, prefix)
-}
-
-// registerStackTelemetry registers everything of the vertical above the
-// NIC, which a shard set registers once for all its shards.
-func (t *Transport) registerStackTelemetry(r *telemetry.Registry, prefix string) {
 	netstack.RegisterStatsTelemetry(r, prefix+".netstack", t.StackStats)
 	t.mem.RegisterTelemetry(r, prefix+".membuf")
-	t.RegisterLifecycleTelemetry(r, prefix+".lifecycle")
+	r.RegisterFunc(prefix+".lifecycle.crashes", func() int64 { n, _ := t.Lifetimes(); return n })
+	r.RegisterFunc(prefix+".lifecycle.restarts", func() int64 { _, n := t.Lifetimes(); return n })
 	r.RegisterFunc(prefix+".rx_ready_stalls", t.rxStalls.Load)
 }
 
 // RxStalls reports how many times an endpoint's receive drain parked on
 // a full ready list (see Config.RxReadyCap).
 func (t *Transport) RxStalls() int64 { return t.rxStalls.Load() }
-
-// RegisterLifecycleTelemetry registers just the crash/restart counters
-// under prefix (prefix.crashes, prefix.restarts).
-func (t *Transport) RegisterLifecycleTelemetry(r *telemetry.Registry, prefix string) {
-	r.RegisterFunc(prefix+".crashes", func() int64 {
-		t.statsMu.Lock()
-		defer t.statsMu.Unlock()
-		return t.crashes
-	})
-	r.RegisterFunc(prefix+".restarts", func() int64 {
-		t.statsMu.Lock()
-		defer t.statsMu.Unlock()
-		return t.restarts
-	})
-}
 
 // AllocSGA implements core.Transport: buffers come from device-registered
 // slab regions and free back into them. When a configured memory cap is

@@ -42,30 +42,22 @@ type ShardSet struct {
 	active atomic.Int32
 }
 
-// NewSharded attaches an n-shard catnip instance to the fabric switch.
-// The device is configured with n RSS receive queues; shard i gets its
-// own netstack (polling queue i), membuf manager, and frame pool.
+// NewSharded attaches a catnip instance to the fabric switch: a device
+// with capacity RSS receive queues and capacity full shard verticals
+// (netstack polling queue i, membuf manager, mesh row), of which RSS
+// spreads new flows across the first n. Resteer moves the active width
+// anywhere in [1, capacity] while the set is live. capacity below n means
+// n; a plain node is n = capacity = 1.
 //
-// ARP needs special handling under RSS: ARP frames carry no IP/TCP
-// tuple, so their hash would scatter them across queues and n-1 stacks
-// would answer or miss. A hardware filter steers etherType 0x0806 to
-// queue 0; shard 0 is the designated ARP speaker, and resolutions are
-// published to a neighbor table shared (read-mostly, amortised to the
-// control path) by every sibling stack.
-func NewSharded(model *simclock.CostModel, sw *fabric.Switch, cfg Config, n int) *ShardSet {
-	return NewShardedElastic(model, sw, cfg, n, n)
-}
-
-// NewShardedElastic is NewSharded with pre-provisioned headroom: the
-// device gets capacity receive queues and capacity full shard
-// verticals (stack, membuf, pool, mesh row), but RSS spreads new flows
-// across only the first n. Resteer moves the active width anywhere in
-// [1, capacity] while the set is live. capacity == n degenerates to
-// the fixed layout.
-func NewShardedElastic(model *simclock.CostModel, sw *fabric.Switch, cfg Config, n, capacity int) *ShardSet {
-	if n <= 0 {
-		panic("catnip: shard count must be positive")
-	}
+// Capacity, not an option, decides what only several shards need: a
+// private frame pool each (a set of one recycles through
+// fabric.DefaultFramePool), mesh rows in the telemetry, and ARP steering.
+// ARP frames carry no IP/TCP tuple, so their RSS hash would scatter them
+// across queues and stacks would answer or miss at random; a hardware
+// filter steers etherType 0x0806 to queue 0, shard 0 is the designated
+// ARP speaker, and resolutions are published to a neighbor table shared
+// (read-mostly, amortised to the control path) by every sibling stack.
+func NewSharded(model *simclock.CostModel, sw *fabric.Switch, cfg Config, n, capacity int) *ShardSet {
 	if capacity < n {
 		capacity = n
 	}
@@ -83,45 +75,44 @@ func NewShardedElastic(model *simclock.CostModel, sw *fabric.Switch, cfg Config,
 			panic(err)
 		}
 	}
-	neigh := netstack.NewNeighborTable()
-	s := &ShardSet{
-		dev:   dev,
-		group: shard.NewGroup(capacity, 0),
-		neigh: neigh,
-	}
-	s.active.Store(int32(n))
-	for i := 0; i < capacity; i++ {
-		s.shards = append(s.shards, newOnDevice(model, dev, cfg, i, cfg.newPool(), neigh))
-	}
-	return s
+	return newSet(model, dev, nil, cfg, n, capacity)
 }
 
-// NewShardedOn attaches an n-shard catnip instance to a tenant queue
-// group on a shared NIC: shard i polls the group's i-th queue. n must
-// equal the group's queue count — the share-nothing contract is one
-// shard per owned queue, no more, no fewer.
+// NewShardedOn attaches a catnip instance to a tenant queue group on a
+// shared NIC, one shard per queue the group owns — the share-nothing
+// contract — shard i polling the group's i-th queue.
 //
 // No ARP hardware filter is installed here: on a multi-tenant device
 // the classification table already steers each tenant's ARP traffic to
 // that tenant's first queue, so shard 0 is the ARP speaker exactly as
 // in the whole-device layout.
-func NewShardedOn(model *simclock.CostModel, grp *nic.QueueGroup, cfg Config, n int) *ShardSet {
+func NewShardedOn(model *simclock.CostModel, grp *nic.QueueGroup, cfg Config) *ShardSet {
+	n := grp.NumRxQueues()
+	return newSet(model, grp.Device(), grp, cfg, n, n)
+}
+
+// newSet builds the set behind every constructor: capacity shards over dev
+// (over qg's slice of it, when non-nil), the first n of them active.
+func newSet(model *simclock.CostModel, dev *nic.Device, qg *nic.QueueGroup, cfg Config, n, capacity int) *ShardSet {
 	if n <= 0 {
 		panic("catnip: shard count must be positive")
 	}
-	if n != grp.NumRxQueues() {
-		panic(fmt.Sprintf("catnip: %d shards over a %d-queue group", n, grp.NumRxQueues()))
-	}
-	neigh := netstack.NewNeighborTable()
 	s := &ShardSet{
-		dev:   grp.Device(),
-		qg:    grp,
-		group: shard.NewGroup(n, 0),
-		neigh: neigh,
+		dev:   dev,
+		qg:    qg,
+		group: shard.NewGroup(capacity, 0),
+		neigh: netstack.NewNeighborTable(),
 	}
 	s.active.Store(int32(n))
-	for i := 0; i < n; i++ {
-		s.shards = append(s.shards, newOnPort(model, grp.Device(), grp, cfg, i, cfg.newPool(), neigh))
+	for i := 0; i < capacity; i++ {
+		pool := fabric.DefaultFramePool
+		switch {
+		case cfg.PoolFactory != nil:
+			pool = cfg.PoolFactory()
+		case capacity > 1:
+			pool = fabric.NewFramePool()
+		}
+		s.shards = append(s.shards, newTransport(model, dev, qg, cfg, i, pool, s.neigh))
 	}
 	return s
 }
@@ -210,20 +201,19 @@ func SourcePortFor(localIP, remoteIP netstack.IPv4Addr, remotePort uint16, peerS
 	panic(fmt.Sprintf("catnip: no source port maps to shard %d/%d", targetQueue, peerShards))
 }
 
-// RegisterTelemetry lifts every shard's vertical (NIC shared; stack,
-// membuf, lifecycle and rx_ready_stalls per shard, under the names an
-// unsharded transport gives them) plus the cross-shard mesh counters into
-// a registry: prefix.nic.*, prefix.shard.<i>.netstack.*, ...,
-// prefix.shard.<i>.xs_*.
+// RegisterTelemetry lifts what the set's shards share into a registry —
+// each shard's own vertical is its libOS's to register: the NIC (the
+// tenant's queue group, on a shared one — the device's own counters mix
+// every tenant) under prefix.nic and, past one shard, the cross-shard
+// mesh counters as prefix.shard.<i>.xs_* and the active width.
 func (s *ShardSet) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	if s.qg != nil {
 		s.qg.RegisterTelemetry(r, prefix+".nic")
 	} else {
 		s.dev.RegisterTelemetry(r, prefix+".nic")
 	}
-	for i, t := range s.shards {
-		t.registerStackTelemetry(r, fmt.Sprintf("%s.shard.%d", prefix, i))
+	if len(s.shards) > 1 {
+		s.group.RegisterTelemetry(r, prefix+".shard")
+		r.RegisterFunc(prefix+".active_shards", func() int64 { return int64(s.Size()) })
 	}
-	s.group.RegisterTelemetry(r, prefix+".shard")
-	r.RegisterFunc(prefix+".active_shards", func() int64 { return int64(s.Size()) })
 }

@@ -7,33 +7,22 @@ package catnip
 
 import (
 	"demikernel/internal/core"
-	"demikernel/internal/fabric"
-	"demikernel/internal/membuf"
 	"demikernel/internal/netstack"
 	"demikernel/internal/nic"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
 )
 
-// NewOnStack builds a catnip transport that drives an existing stack
-// on an existing device instead of constructing fresh ones. The stack
-// keeps every established connection, listener, and timer it had; the
-// caller is responsible for flipping its per-packet cost profile
-// (netstack.SetPerPacketExtra) to match the bypass path.
-func NewOnStack(model *simclock.CostModel, dev *nic.Device, cfg Config, stack *netstack.Stack) *Transport {
-	pool := fabric.DefaultFramePool
-	if cfg.PoolFactory != nil {
-		pool = cfg.PoolFactory()
-	}
-	var opts []membuf.Option
-	if cfg.MemCapacity > 0 {
-		opts = append(opts, membuf.WithCapacity(cfg.MemCapacity))
-	}
-	mem := membuf.NewManager(model, opts...)
-	mem.AttachDevice(dev)
-	t := &Transport{model: model, dev: dev, port: dev, mem: mem, pool: pool, cfg: cfg}
-	t.stackp.Store(stack)
-	return t
+// NewOnStack builds a catnip set of one that drives an existing stack on
+// an existing device instead of constructing fresh ones. The stack keeps
+// every established connection, listener, and timer it had; the caller is
+// responsible for flipping its per-packet cost profile
+// (netstack.SetPerPacketExtra) to match the bypass path. From there on the
+// set crashes, restarts and registers like one spawned as catnip.
+func NewOnStack(model *simclock.CostModel, dev *nic.Device, cfg Config, stack *netstack.Stack) *ShardSet {
+	s := newSet(model, dev, nil, cfg, 1, 1)
+	s.shards[0].stackp.Store(stack) // in place of the fresh one newSet built
+	return s
 }
 
 // HasUDP reports whether any UDP endpoint is open. UDP state cannot

@@ -11,6 +11,7 @@ package demikernel
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -20,6 +21,8 @@ import (
 	"demikernel/internal/apps/kv"
 	"demikernel/internal/chaos"
 	"demikernel/internal/fabric"
+	"demikernel/internal/queue"
+	"demikernel/internal/uring"
 )
 
 // TestCrashRestartMidConnection kills a server with a connection
@@ -36,13 +39,7 @@ func TestCrashRestartMidConnection(t *testing.T) {
 	cqd, lqd, sqd, cleanup := chaosConnect(t, c, cliNode, srvNode, 7070)
 	defer cleanup()
 
-	// Prove the connection is live.
-	if _, err := cliNode.BlockingPush(cqd, NewSGA([]byte("ping"))); err != nil {
-		t.Fatal(err)
-	}
-	if comp, err := srvNode.BlockingPop(sqd); err != nil || comp.Err != nil {
-		t.Fatalf("pre-crash pop: %v %v", err, comp.Err)
-	}
+	echoOnce(t, cliNode, cqd, srvNode, sqd, "ping") // the connection is live
 
 	// Arm a pop on each side, then kill the server.
 	cqt, err := cliNode.Pop(cqd)
@@ -90,16 +87,7 @@ func TestCrashRestartMidConnection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pre-crash listener refused a post-restart dial: %v", err)
 	}
-	if _, err := cliNode.BlockingPush(cqd2, NewSGA([]byte("again"))); err != nil {
-		t.Fatal(err)
-	}
-	comp, err = srvNode.BlockingPop(sqd2)
-	if err != nil || comp.Err != nil {
-		t.Fatalf("post-restart pop: %v %v", err, comp.Err)
-	}
-	if !bytes.Equal(comp.SGA.Bytes(), []byte("again")) {
-		t.Fatalf("post-restart payload = %q", comp.SGA.Bytes())
-	}
+	echoOnce(t, cliNode, cqd2, srvNode, sqd2, "again")
 }
 
 // TestKVFailoverAcrossCrash drives the single-connection KV client
@@ -114,7 +102,7 @@ func TestKVFailoverAcrossCrash(t *testing.T) {
 	}))
 	cliNode.WaitTimeout = 200 * time.Millisecond
 
-	_, stopSrv, err := kv.Serve([]*LibOS{srvNode.LibOS}, nil, 1, &c.Model, 6379)
+	_, stopSrv, err := kv.Serve(srvNode.Libs(), srvNode.Mesh(), srvNode.Shards(), &c.Model, 6379)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,54 +292,115 @@ func TestChaosShardedKVCrashRestart(t *testing.T) {
 		t.Fatal("restart never generation-invalidated the shared neighbor table")
 	}
 
-	// Quiesce, then read the conservation laws.
-	c.Switch.SetImpairments(fabric.Impairments{})
-	c.Switch.Flush()
-	qdeadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(qdeadline) {
-		c.Poll()
-		c.Switch.Flush()
-		time.Sleep(time.Millisecond)
-	}
+	// Quiesce, then read the conservation laws — across the incarnation
+	// boundary, the crash-time RxFlushed bucket included.
+	c.Quiesce(200 * time.Millisecond)
 	stopServer()
 	stopClient()
+	if err := c.Conservation(); err != nil {
+		t.Fatal(err)
+	}
+}
 
-	// Law 1 — the wire loses nothing silently.
-	sw := c.Switch
-	fs := sw.Stats()
-	var sumTx int64
-	for id := 0; id < sw.NumPorts(); id++ {
-		sumTx += sw.PortStats(id).TxFrames
-	}
-	if lhs, rhs := sumTx+fs.InjectedDup, fs.Delivered+fs.InjectedLoss+fs.LinkDownDrops+fs.DroppedRxFull+fs.AsymDrops; lhs != rhs {
-		t.Fatalf("fabric conservation violated: tx+dup=%d != delivered+loss+linkdown+rxfull+asym=%d", lhs, rhs)
-	}
+// TestNodeShapesShareLifecycle puts every shape a catnip node comes in —
+// each width, dedicated NIC or tenant's slice, spawned as catnip or
+// promoted to it — through the one Crash/Restart path: with a per-op pop
+// and a ring pop armed on every active shard, Crash resolves each exactly
+// once to ErrLocalReset and counts them, Restart re-arms the same
+// listening QDs, and the frame laws hold across the incarnations.
+func TestNodeShapesShareLifecycle(t *testing.T) {
+	const port = 7300
+	tenant := WithTenant("t", TenantPolicy{})
+	for _, tc := range []struct {
+		name  string
+		kind  Kind // spawned as; switched to Catnip with its listener armed
+		shape []SpawnOption
+	}{
+		{"plain", Catnip, nil},
+		{"shards2", Catnip, []SpawnOption{WithShards(2)}},
+		{"elastic2of4", Catnip, []SpawnOption{WithShards(2), WithShardCapacity(4)}},
+		{"tenant", Catnip, []SpawnOption{tenant}},
+		{"tenant-shards2", Catnip, []SpawnOption{tenant, WithShards(2)}},
+		{"promoted", Catnap, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(74)
+			srv := c.MustSpawn(tc.kind, append([]SpawnOption{WithHost(1)}, tc.shape...)...)
+			cli := c.MustSpawn(Catnip, WithHost(2))
+			libs, lqds := srv.Libs()[:srv.Shards()], listenAll(t, srv, port)
+			if err := srv.SwitchKind(Catnip); err != nil {
+				t.Fatal(err)
+			}
+			if srv.Sharded == nil || srv.Sharded.Set.Shard(0) != srv.Catnip {
+				t.Fatalf("catnip node without its shard set: %+v", srv)
+			}
+			// polled starts both nodes' pollers; the function it returns lets
+			// the wire go quiet and stops them.
+			polled := func() (rest func()) {
+				stopSrv, stopCli := srv.Background(), cli.Background()
+				return func() { c.Quiesce(5 * time.Millisecond); stopCli(); stopSrv() }
+			}
+			connect := func(i, attempt int) (cqd, sqd QD) {
+				t.Helper()
+				cqd, err := c.Router().DialShard(cli, srv.Sharded, port, i, uint16(1000*i+attempt))
+				if err != nil {
+					t.Fatalf("shard %d dial %d: %v", i, attempt, err)
+				}
+				if sqd, err = libs[i].Accept(lqds[i]); err != nil {
+					t.Fatalf("shard %d accept %d: %v", i, attempt, err)
+				}
+				return cqd, sqd
+			}
 
-	// Law 2 — every frame delivered to the shared NIC port is accounted.
-	dev := srvNode.Set.Device()
-	dev.QueueDepth(0) // force a wire drain so delivered frames ring first
-	ds := dev.Stats()
-	ps := sw.PortStats(dev.PortID())
-	if ps.Delivered != ds.RxFrames+ds.RxDropped+ds.FilterDrops {
-		t.Fatalf("nic conservation violated: delivered=%d != rx=%d+dropped=%d+filtered=%d",
-			ps.Delivered, ds.RxFrames, ds.RxDropped, ds.FilterDrops)
-	}
+			// Arm with nothing polling, so the ring pops are still in their
+			// SQs when the node dies and nothing sits in a NIC ring.
+			qts := make([]QToken, len(libs))
+			rings := make([]*uring.Pair, len(libs))
+			sqds := make([]QD, len(libs))
+			rest := polled()
+			for i := range libs {
+				_, sqds[i] = connect(i, 0)
+			}
+			rest()
+			for i, lib := range libs {
+				var err error
+				if qts[i], err = lib.Pop(sqds[i]); err != nil {
+					t.Fatal(err)
+				}
+				rings[i] = lib.AttachRing(4)
+				if n, err := lib.SubmitBatch(rings[i], []uring.SQE{{Op: queue.OpPop, QD: int32(sqds[i]), Tag: 1}}); n != 1 || err != nil {
+					t.Fatalf("shard %d ring pop: n=%d err=%v", i, n, err)
+				}
+			}
+			aborted, err := srv.Crash()
+			if err != nil || aborted != 2*len(libs) || !srv.Crashed() {
+				t.Fatalf("Crash = %d, %v (crashed %v), want %d aborted", aborted, err, srv.Crashed(), 2*len(libs))
+			}
+			for i, lib := range libs {
+				if comp, ok, err := lib.TryWait(qts[i]); !ok || err != nil || !errors.Is(comp.Err, ErrLocalReset) {
+					t.Errorf("shard %d per-op pop after crash: %v, %v, %v", i, comp.Err, ok, err)
+				}
+				if _, _, err := lib.TryWait(qts[i]); !errors.Is(err, queue.ErrUnknownToken) {
+					t.Errorf("shard %d per-op pop resolved twice: %v", i, err)
+				}
+				cqes := make([]uring.CQE, 4)
+				if n := lib.HarvestCQ(rings[i], cqes); n != 1 || !errors.Is(cqes[0].Err, ErrLocalReset) {
+					t.Errorf("shard %d ring pop after crash: %d CQEs, first %v", i, n, cqes[0].Err)
+				}
+			}
 
-	// Law 3 — across the incarnation boundary: every frame the NIC
-	// received is in some incarnation's FramesIn, still in a ring, or in
-	// the crash-time RxFlushed bucket.
-	srvNode.Poll() // ingest anything the forced drain just ringed
-	ds = dev.Stats()
-	var occ int64
-	for q := 0; q < dev.NumRxQueues(); q++ {
-		occ += int64(dev.RxOccupancy(q))
-	}
-	var framesIn int64
-	for i := 0; i < srvNode.Size(); i++ {
-		framesIn += srvNode.Set.Shard(i).StackStats().FramesIn
-	}
-	if ds.RxFrames != framesIn+occ+ds.RxFlushed {
-		t.Fatalf("stack conservation violated across crash: nic rx=%d != sum frames_in=%d + rings=%d + flushed=%d",
-			ds.RxFrames, framesIn, occ, ds.RxFlushed)
+			if err := srv.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			rest = polled()
+			for i, lib := range libs {
+				cqd, sqd := connect(i, 1)
+				echoOnce(t, cli, cqd, lib, sqd, "again")
+			}
+			rest()
+			if err := c.Conservation(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

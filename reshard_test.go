@@ -392,32 +392,10 @@ func TestChaosReshardUnderCrashRestart(t *testing.T) {
 
 	// Frame conservation across three generations and one incarnation
 	// boundary. Quiesce, then read the laws.
-	rig.c.Switch.SetImpairments(fabric.Impairments{})
-	rig.c.Switch.Flush()
-	qdeadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(qdeadline) {
-		rig.c.Poll()
-		rig.c.Switch.Flush()
-		time.Sleep(time.Millisecond)
-	}
+	rig.c.Quiesce(200 * time.Millisecond)
 	rig.close()
-
-	sw := rig.c.Switch
-	fs := sw.Stats()
-	var sumTx int64
-	for id := 0; id < sw.NumPorts(); id++ {
-		sumTx += sw.PortStats(id).TxFrames
-	}
-	if lhs, rhs := sumTx+fs.InjectedDup, fs.Delivered+fs.InjectedLoss+fs.LinkDownDrops+fs.DroppedRxFull+fs.AsymDrops; lhs != rhs {
-		t.Fatalf("fabric conservation violated: tx+dup=%d != accounted=%d", lhs, rhs)
-	}
-	dev := rig.srvNode.Sharded.Set.Device()
-	dev.QueueDepth(0)
-	ds := dev.Stats()
-	ps := sw.PortStats(dev.PortID())
-	if ps.Delivered != ds.RxFrames+ds.RxDropped+ds.FilterDrops {
-		t.Fatalf("nic conservation violated: delivered=%d != rx=%d+dropped=%d+filtered=%d",
-			ps.Delivered, ds.RxFrames, ds.RxDropped, ds.FilterDrops)
+	if err := rig.c.Conservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"demikernel/internal/fabric"
 	"demikernel/internal/queue"
 	"demikernel/internal/uring"
 )
@@ -25,18 +24,8 @@ import (
 // used only for the TCP handshake.
 func ringConnect(t *testing.T, c *Cluster, cliNode, srvNode *Node, port uint16) (cqd, lqd, sqd QD) {
 	t.Helper()
-	lqd, err := srvNode.Socket()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := c.AddrOf(srvNode, port)
-	if err := srvNode.Bind(lqd, addr); err != nil {
-		t.Fatal(err)
-	}
-	if err := srvNode.Listen(lqd); err != nil {
-		t.Fatal(err)
-	}
-	cqd, err = cliNode.Socket()
+	lqd, addr := listenAll(t, srvNode, port)[0], c.AddrOf(srvNode, port)
+	cqd, err := cliNode.Socket()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,42 +207,9 @@ func TestRingCrashRestart(t *testing.T) {
 
 	// Quiesce, then read the conservation laws across the incarnation
 	// boundary (same laws as the chaos lifecycle soak).
-	c.Switch.SetImpairments(fabric.Impairments{})
-	c.Switch.Flush()
-	qdeadline := time.Now().Add(100 * time.Millisecond)
-	for time.Now().Before(qdeadline) {
-		c.Poll()
-		c.Switch.Flush()
-		time.Sleep(time.Millisecond)
-	}
-
-	sw := c.Switch
-	fs := sw.Stats()
-	var sumTx int64
-	for id := 0; id < sw.NumPorts(); id++ {
-		sumTx += sw.PortStats(id).TxFrames
-	}
-	if lhs, rhs := sumTx+fs.InjectedDup, fs.Delivered+fs.InjectedLoss+fs.LinkDownDrops+fs.DroppedRxFull+fs.AsymDrops; lhs != rhs {
-		t.Fatalf("fabric conservation violated: tx+dup=%d != delivered+loss+linkdown+rxfull+asym=%d", lhs, rhs)
-	}
-	dev := srvNode.Catnip.Device()
-	dev.QueueDepth(0)
-	ds := dev.Stats()
-	ps := sw.PortStats(dev.PortID())
-	if ps.Delivered != ds.RxFrames+ds.RxDropped+ds.FilterDrops {
-		t.Fatalf("nic conservation violated: delivered=%d != rx=%d+dropped=%d+filtered=%d",
-			ps.Delivered, ds.RxFrames, ds.RxDropped, ds.FilterDrops)
-	}
-	srvNode.Poll()
-	ds = dev.Stats()
-	var occ int64
-	for q := 0; q < dev.NumRxQueues(); q++ {
-		occ += int64(dev.RxOccupancy(q))
-	}
-	framesIn := srvNode.Catnip.StackStats().FramesIn
-	if ds.RxFrames != framesIn+occ+ds.RxFlushed {
-		t.Fatalf("stack conservation violated across crash: nic rx=%d != sum frames_in=%d + rings=%d + flushed=%d",
-			ds.RxFrames, framesIn, occ, ds.RxFlushed)
+	c.Quiesce(100 * time.Millisecond)
+	if err := c.Conservation(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -264,11 +220,6 @@ func TestShardedRingSmoke(t *testing.T) {
 	c := NewCluster(72)
 	srvNode := c.MustSpawn(Catnip, WithHost(1), WithShards(2))
 	cliNode := c.MustSpawn(Catnip, WithHost(2))
-	sh := srvNode.Sharded
-	if sh == nil || len(sh.Libs) != 2 {
-		t.Fatalf("expected a 2-shard node, got %+v", sh)
-	}
-
 	stopS := srvNode.Background()
 	defer stopS()
 	stopC := cliNode.Background()
@@ -278,26 +229,14 @@ func TestShardedRingSmoke(t *testing.T) {
 	// which shard a SYN reaches, so the dial must come from a source
 	// port that hashes to the target shard.
 	const port = 7200
-	lqds := make([]QD, 2)
-	for shardID := 0; shardID < 2; shardID++ {
-		lib := sh.Libs[shardID]
-		lqd, err := lib.Socket()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := lib.Bind(lqd, Addr{Port: port}); err != nil {
-			t.Fatal(err)
-		}
-		if err := lib.Listen(lqd); err != nil {
-			t.Fatal(err)
-		}
-		lqds[shardID] = lqd
+	lqds := listenAll(t, srvNode, port)
+	if len(lqds) != 2 {
+		t.Fatalf("expected a 2-shard node, got %d listeners", len(lqds))
 	}
 
-	for shardID := 0; shardID < 2; shardID++ {
-		lib := sh.Libs[shardID]
+	for shardID, lib := range srvNode.Libs() {
 		lqd := lqds[shardID]
-		cqd, err := c.Router().DialShard(cliNode, sh, port, shardID, uint16(shardID))
+		cqd, err := c.Router().DialShard(cliNode, srvNode.Sharded, port, shardID, uint16(shardID))
 		if err != nil {
 			t.Fatalf("shard %d dial: %v", shardID, err)
 		}

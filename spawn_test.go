@@ -2,17 +2,19 @@ package demikernel
 
 // Spawn API tests: the unified construction surface must honor its
 // options, reject nonsense kinds and kind/option mismatches with errors
-// (not panics), and every spawned shape must carry the full Instance
+// (not panics), and every spawned shape must carry the full *Node
 // surface (the per-kind constructors are gone; Spawn is the only door).
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"demikernel/internal/core"
+	"demikernel/internal/fabric"
 	"demikernel/internal/queue"
 	"demikernel/internal/telemetry"
 	"demikernel/internal/uring"
@@ -27,7 +29,7 @@ func TestSpawnHonorsOptions(t *testing.T) {
 		WithTelemetry(reg),
 		WithLifecycle(),
 	)
-	if n.Catnip == nil || n.Sharded != nil {
+	if n.Catnip == nil || n.Sharded == nil || len(n.Libs()) != 1 || n.Shards() != 1 {
 		t.Fatalf("spawned the wrong shape: %+v", n)
 	}
 	if n.IP != c.ip(7) || n.MAC != c.mac(7) {
@@ -41,25 +43,32 @@ func TestSpawnHonorsOptions(t *testing.T) {
 	}
 
 	sharded := c.MustSpawn(Catnip, WithHost(8), WithShards(4))
-	if sharded.Sharded == nil || sharded.Sharded.Size() != 4 {
+	if len(sharded.Libs()) != 4 || sharded.Shards() != 4 {
 		t.Fatalf("WithShards(4) produced %+v", sharded.Sharded)
-	}
-	if sharded.Catnip != sharded.Sharded.Set.Shard(0) {
-		t.Fatal("sharded node's Catnip is not shard 0")
 	}
 }
 
 // WithTelemetry gives every shard of a sharded node the names an
 // unsharded node gets — everything beside the NIC, which the shards share
-// — so ring traffic on a sharded server is as visible as on a plain one.
+// — so ring traffic on a sharded server is as visible as on a plain one;
+// and nothing else but its mesh rows, so the two shapes stay one. Which
+// of the two a node is goes by its capacity: WithShards(1) is the plain
+// node, flat names and process-wide frame pool included.
 func TestSpawnWithTelemetryShardedShape(t *testing.T) {
 	c := NewCluster(73)
 	reg := telemetry.NewRegistry()
-	c.MustSpawn(Catnip, WithHost(1), WithTelemetry(reg))
+	plain := c.MustSpawn(Catnip, WithHost(1), WithTelemetry(reg))
 	sharded := c.MustSpawn(Catnip, WithHost(2), WithShards(2), WithTelemetry(reg))
+	one := c.MustSpawn(Catnip, WithHost(3), WithShards(1), WithTelemetry(reg))
+	if plain.Catnip.Pool() != fabric.DefaultFramePool || one.Catnip.Pool() != fabric.DefaultFramePool {
+		t.Error("a catnip node of one shard left the process-wide frame pool")
+	}
+	if sharded.Catnip.Pool() == fabric.DefaultFramePool {
+		t.Error("a shard of two shares the process-wide frame pool")
+	}
 
 	// One ring operation per shard: a push to a memory queue.
-	for _, l := range sharded.Sharded.Libs {
+	for _, l := range sharded.Libs() {
 		p, qd := l.AttachRing(8), l.Queue()
 		if n, err := l.SubmitBatch(p, []uring.SQE{{Op: queue.OpPush, QD: int32(qd), SGA: NewSGA([]byte("x"))}}); n != 1 || err != nil {
 			t.Fatalf("submit: n=%d err=%v", n, err)
@@ -67,19 +76,26 @@ func TestSpawnWithTelemetryShardedShape(t *testing.T) {
 		l.Poll()
 	}
 	snap := reg.Snapshot()
-	for i := range sharded.Sharded.Libs {
+	// names lists, in registry order, what is registered under prefix,
+	// less the names that begin with except.
+	names := func(prefix, except string) (out []string) {
+		for _, sm := range snap.Samples {
+			if name, ok := strings.CutPrefix(sm.Name, prefix); ok && (except == "" || !strings.HasPrefix(name, except)) {
+				out = append(out, name)
+			}
+		}
+		return out
+	}
+	if got, want := names("host3.", ""), names("host1.", ""); !slices.Equal(got, want) {
+		t.Errorf("WithShards(1) registers %v, no option %v", got, want)
+	}
+	for i := range sharded.Libs() {
 		prefix := fmt.Sprintf("host2.shard.%d.", i)
 		if v, _ := snap.Get(prefix + "uring.sq_posted"); v != 1 {
 			t.Errorf("%suring.sq_posted = %d after one ring op, want 1", prefix, v)
 		}
-		for _, sm := range snap.Samples {
-			suffix, plain := strings.CutPrefix(sm.Name, "host1.")
-			if !plain || strings.HasPrefix(suffix, "nic.") {
-				continue
-			}
-			if _, ok := snap.Get(prefix + suffix); !ok {
-				t.Errorf("host1.%s has no %s%s", suffix, prefix, suffix)
-			}
+		if got, want := names(prefix, "xs_"), names("host1.", "nic."); !slices.Equal(got, want) {
+			t.Errorf("beside its mesh rows %s* registers %v, a plain node beside its NIC %v", prefix, got, want)
 		}
 	}
 }
@@ -94,8 +110,9 @@ func TestSpawnRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// Every spawned shape satisfies Instance, reports its kind and shard
-// width, and carries the lifecycle surface.
+// Every spawned shape reports its kind and shard width, and refuses the
+// reconfigurations it cannot do (TestNodeShapesShareLifecycle crashes and
+// restarts them).
 func TestSpawnShapesSatisfyInstance(t *testing.T) {
 	c := NewCluster(73)
 
@@ -116,13 +133,9 @@ func TestSpawnShapesSatisfyInstance(t *testing.T) {
 		t.Fatalf("catfish: %v %+v", err, fish)
 	}
 	sharded := c.MustSpawn(Catnip, WithHost(4), WithShards(2))
-	if sharded.Sharded == nil || sharded.Sharded.Size() != 2 {
-		t.Fatalf("sharded shape: %+v", sharded.Sharded)
-	}
 
-	// The unified Instance surface reports each shape faithfully.
 	for _, tc := range []struct {
-		inst   Instance
+		node   *Node
 		kind   Kind
 		shards int
 	}{
@@ -132,31 +145,33 @@ func TestSpawnShapesSatisfyInstance(t *testing.T) {
 		{fish, Catfish, 1},
 		{sharded, Catnip, 2},
 	} {
-		if tc.inst.Kind() != tc.kind || tc.inst.Shards() != tc.shards {
-			t.Fatalf("Instance reports kind=%s shards=%d, want %s/%d",
-				tc.inst.Kind(), tc.inst.Shards(), tc.kind, tc.shards)
+		if tc.node.Kind() != tc.kind || tc.node.Shards() != tc.shards || len(tc.node.Libs()) != tc.shards {
+			t.Fatalf("node reports kind=%s shards=%d libs=%d, want %s/%d",
+				tc.node.Kind(), tc.node.Shards(), len(tc.node.Libs()), tc.kind, tc.shards)
 		}
-		if tc.inst.Generation() != 0 {
-			t.Fatalf("fresh instance at generation %d", tc.inst.Generation())
+		if tc.node.Generation() != 0 {
+			t.Fatalf("fresh node at generation %d", tc.node.Generation())
+		}
+		if (tc.node.Sharded != nil) != (tc.kind == Catnip) {
+			t.Fatalf("%s node: Sharded set = %v", tc.kind, tc.node.Sharded != nil)
 		}
 	}
 
-	// Reshard is gated to sharded runtimes, SwitchKind to Catnap/Catnip.
-	if err := nip.Reshard(t.Context(), 2); !errors.Is(err, core.ErrNotSupported) {
-		t.Fatalf("Reshard on unsharded node = %v, want ErrNotSupported", err)
+	// Reshard is bounded by capacity on every catnip node and gated to
+	// them, SwitchKind to Catnap/Catnip nodes of one libOS.
+	if err := nip.Reshard(t.Context(), 2); err == nil || errors.Is(err, core.ErrNotSupported) {
+		t.Fatalf("Reshard past a plain node's capacity = %v, want a range error", err)
+	}
+	if err := nip.Reshard(t.Context(), 1); err != nil {
+		t.Fatalf("Reshard of a plain node to its own width: %v", err)
+	}
+	if err := nap.Reshard(t.Context(), 1); !errors.Is(err, core.ErrNotSupported) {
+		t.Fatalf("Reshard on catnap node = %v, want ErrNotSupported", err)
 	}
 	if err := sharded.SwitchKind(Catnap); !errors.Is(err, core.ErrNotSupported) {
 		t.Fatalf("SwitchKind on sharded node = %v, want ErrNotSupported", err)
 	}
 	if err := mint.SwitchKind(Catnip); !errors.Is(err, core.ErrNotSupported) {
 		t.Fatalf("SwitchKind catmint→catnip = %v, want ErrNotSupported", err)
-	}
-
-	// A spawned node still has the full lifecycle surface.
-	if _, err := nip.Crash(); err != nil {
-		t.Fatalf("Crash on spawned node: %v", err)
-	}
-	if err := nip.Restart(); err != nil {
-		t.Fatalf("Restart on spawned node: %v", err)
 	}
 }

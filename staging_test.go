@@ -16,20 +16,20 @@ import (
 	"demikernel/internal/apps/httpd"
 	"demikernel/internal/apps/kv"
 	"demikernel/internal/fabric"
-	"demikernel/internal/shard"
 )
 
 // framesOut counts pooled frames handed out and not yet returned, over
-// the process-wide pool and the private pools of n's shards.
+// the process-wide pool and the private pools of n's shards, if it has
+// them.
 func framesOut(n *Node) int64 {
-	pools := []*fabric.FramePool{fabric.DefaultFramePool}
+	pools := map[*fabric.FramePool]bool{fabric.DefaultFramePool: true}
 	if n.Sharded != nil {
-		for i := range n.Sharded.Libs {
-			pools = append(pools, n.Sharded.Set.Shard(i).Pool())
+		for i := range n.Libs() {
+			pools[n.Sharded.Set.Shard(i).Pool()] = true
 		}
 	}
 	var out int64
-	for _, p := range pools {
+	for p := range pools {
 		st := p.Stats()
 		out += st.Pooled + st.Misses - st.Recycled
 	}
@@ -59,37 +59,31 @@ func TestStagingStopsClean(t *testing.T) {
 			}, func() { stopCli(); stopSrv() }, nil
 		}
 	}
-	kvOver := func(active int) func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
-		return func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
-			libs, mesh := []*LibOS{srv.LibOS}, (*shard.Group)(nil)
-			if srv.Sharded != nil {
-				libs, mesh = srv.Sharded.Libs, srv.Sharded.Mesh()
-			}
-			_, stopSrv, err := kv.Serve(libs, mesh, active, &c.Model, port)
-			if err != nil {
-				return nil, nil, err
-			}
-			client, stopCli, err := kv.Dial(cli.LibOS, active, c.Router().Dialer(cli, srv, port))
-			if err != nil {
-				stopSrv()
-				return nil, nil, err
-			}
-			return func() error {
-				for i := 0; i < 2*active; i++ { // reach every shard
-					key := fmt.Sprintf("key-%d", i)
-					if _, err := client.Set(key, []byte("value")); err != nil {
-						return err
-					}
-					if got, _, found, err := client.Get(key); err != nil || !found || !bytes.Equal(got, []byte("value")) {
-						return fmt.Errorf("get %s = %q, found %v: %v", key, got, found, err)
-					}
-					if ok, err := client.Del(key); err != nil || !ok { // the store keeps no buffer
-						return fmt.Errorf("del %s: %v %v", key, ok, err)
-					}
-				}
-				return nil
-			}, func() { stopCli(); stopSrv() }, nil
+	kvOver := func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
+		_, stopSrv, err := kv.Serve(srv.Libs(), srv.Mesh(), srv.Shards(), &c.Model, port)
+		if err != nil {
+			return nil, nil, err
 		}
+		client, stopCli, err := kv.Dial(cli.LibOS, srv.Shards(), c.Router().Dialer(cli, srv, port))
+		if err != nil {
+			stopSrv()
+			return nil, nil, err
+		}
+		return func() error {
+			for i := 0; i < 2*srv.Shards(); i++ { // reach every shard
+				key := fmt.Sprintf("key-%d", i)
+				if _, err := client.Set(key, []byte("value")); err != nil {
+					return err
+				}
+				if got, _, found, err := client.Get(key); err != nil || !found || !bytes.Equal(got, []byte("value")) {
+					return fmt.Errorf("get %s = %q, found %v: %v", key, got, found, err)
+				}
+				if ok, err := client.Del(key); err != nil || !ok { // the store keeps no buffer
+					return fmt.Errorf("del %s: %v %v", key, ok, err)
+				}
+			}
+			return nil
+		}, func() { stopCli(); stopSrv() }, nil
 	}
 	httpOver := func(ringCap int) func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
 		return func(c *Cluster, srv, cli *Node) (func() error, func(), error) {
@@ -124,9 +118,9 @@ func TestStagingStopsClean(t *testing.T) {
 		{"echo/catnip-ring", Catnip, nil, echoOver(16)},
 		{"echo/catnap", Catnap, nil, echoOver(0)},
 		{"echo/catmint", Catmint, nil, echoOver(0)},
-		{"kv/width1", Catnip, nil, kvOver(1)},
-		{"kv/width2", Catnip, []SpawnOption{WithShards(2)}, kvOver(2)},
-		{"kv/elastic2of4", Catnip, []SpawnOption{WithShards(2), WithShardCapacity(4)}, kvOver(2)},
+		{"kv/width1", Catnip, nil, kvOver},
+		{"kv/width2", Catnip, []SpawnOption{WithShards(2)}, kvOver},
+		{"kv/elastic2of4", Catnip, []SpawnOption{WithShards(2), WithShardCapacity(4)}, kvOver},
 		{"httpd/per-op", Catnip, nil, httpOver(0)},
 		{"httpd/ring", Catnip, nil, httpOver(16)},
 	} {

@@ -19,7 +19,6 @@ import (
 
 	"demikernel/internal/apps/kv"
 	"demikernel/internal/chaos"
-	"demikernel/internal/nic"
 )
 
 // latP99 returns the 99th-percentile of virtual latencies.
@@ -30,24 +29,6 @@ func latP99(lats []Lat) Lat {
 	s := append([]Lat(nil), lats...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[len(s)*99/100]
-}
-
-// tenantConservation asserts the per-tenant frame law on one queue
-// group: every frame the group's classifier accepted is in some
-// incarnation's FramesIn, still ringed in one of the group's own
-// queues, or in the group's crash-time RxFlushed bucket.
-func tenantConservation(t *testing.T, name string, grp *nic.QueueGroup, framesIn int64) {
-	t.Helper()
-	dev := grp.Device()
-	gs := grp.Stats()
-	var occ int64
-	for q := 0; q < grp.NumRxQueues(); q++ {
-		occ += int64(dev.RxOccupancy(grp.BaseQueue() + q))
-	}
-	if gs.RxFrames != framesIn+occ+gs.RxFlushed {
-		t.Errorf("tenant %s conservation violated: group rx=%d != frames_in=%d + rings=%d + flushed=%d",
-			name, gs.RxFrames, framesIn, occ, gs.RxFlushed)
-	}
 }
 
 func TestHostileTenantSoak(t *testing.T) {
@@ -83,19 +64,19 @@ func TestHostileTenantSoak(t *testing.T) {
 	cliANode.WaitTimeout = 250 * time.Millisecond
 	cliBNode.WaitTimeout = 250 * time.Millisecond
 
-	_, stopSrvA, err := kv.Serve([]*LibOS{vicA.LibOS}, nil, 1, &c.Model, port)
+	_, stopSrvA, err := kv.Serve(vicA.Libs(), vicA.Mesh(), vicA.Shards(), &c.Model, port)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stopSrvA()
-	_, stopSrvB, err := kv.Serve(vicB.Sharded.Libs, vicB.Sharded.Mesh(), vicB.Shards(), &c.Model, port)
+	_, stopSrvB, err := kv.Serve(vicB.Libs(), vicB.Mesh(), vicB.Shards(), &c.Model, port)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stopSrvB()
 	defer mal.Background()()
 	defer sinkNode.Background()()
-	cliA, stopCliA, err := kv.Dial(cliANode.LibOS, 1, c.Router().Dialer(cliANode, vicA, port))
+	cliA, stopCliA, err := kv.Dial(cliANode.LibOS, vicA.Shards(), c.Router().Dialer(cliANode, vicA, port))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +138,7 @@ func TestHostileTenantSoak(t *testing.T) {
 
 	// Quiesce: drain the wire and every ring so conservation can be
 	// read at a fixed point.
-	c.Switch.Flush()
-	qdeadline := time.Now().Add(100 * time.Millisecond)
-	for time.Now().Before(qdeadline) {
-		c.Poll()
-		c.Switch.Flush()
-		time.Sleep(time.Millisecond)
-	}
+	c.Quiesce(100 * time.Millisecond)
 
 	// The schedule must have fired completely: flood, leak, crash.
 	if fired := eng.Fired(); len(fired) != 3 {
@@ -208,23 +183,13 @@ func TestHostileTenantSoak(t *testing.T) {
 	}
 
 	// Per-tenant frame conservation, including across the hostile
-	// tenant's crash (its ingested-but-dead frames sit in RxFlushed).
-	var framesInB int64
-	for i := 0; i < vicB.Sharded.Size(); i++ {
-		framesInB += vicB.Sharded.Set.Shard(i).StackStats().FramesIn
+	// tenant's crash (its ingested-but-dead frames sit in RxFlushed), and
+	// the whole shared device's port-level law: delivered == ingested +
+	// ring-dropped + filter-dropped + unowned.
+	if err := c.Conservation(); err != nil {
+		t.Error(err)
 	}
-	tenantConservation(t, "vic-a", vicA.Catnip.Group(), vicA.Catnip.StackStats().FramesIn)
-	tenantConservation(t, "vic-b", vicB.Sharded.Set.Group(), framesInB)
-	tenantConservation(t, "mal", malGrp, mal.Catnip.StackStats().FramesIn)
-
-	// And the whole shared device still satisfies the port-level law:
-	// delivered == ingested + ring-dropped + filter-dropped + unowned.
-	dev := vicA.Catnip.Device()
-	dev.QueueDepth(0) // force a wire drain
-	ds := dev.Stats()
-	ps := c.Switch.PortStats(dev.PortID())
-	if ps.Delivered != ds.RxFrames+ds.RxDropped+ds.FilterDrops+ds.SteerDrops {
-		t.Errorf("shared NIC conservation violated: delivered=%d != rx=%d+dropped=%d+filtered=%d+steered=%d",
-			ps.Delivered, ds.RxFrames, ds.RxDropped, ds.FilterDrops, ds.SteerDrops)
+	if !c.FabricLawApplies() {
+		t.Logf("fabric law skipped on a %d-port switch: NIC and node laws only", c.Switch.NumPorts())
 	}
 }
