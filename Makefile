@@ -8,7 +8,7 @@ all: tier1
 # exactly the patterns and package lists the targets run.
 RACE_PKGS       := ./internal/chaos/ ./internal/netstack/ ./internal/membuf/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/
 RACE_RUN        := TestChaosShardedKV
-LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestNodeShapesShareLifecycle|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush
+LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestNodeShapesShareLifecycle|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush|TestRingServerManyConns
 TENANT_RUN      := TestHostileTenantSoak|TestTenantCrashSparesNeighbors
 HTTP_RUN        := TestHTTPProductionSoak|TestHTTPSlowClientStallAndRecover|TestHTTPRingSlowClient
 STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish/
@@ -82,10 +82,13 @@ statsmoke:
 ## detector — node death mid-connection, client failover across the
 ## outage, the sharded-KV chaos schedule (loss → asymmetric
 ## partition → crash → restart → heal), one crash/restart of every node
-## shape (each width, a tenant's slice, a promoted node), and the SQ/CQ ring flush
-## (every ring op pending at crash time resolves to one typed
-## ErrLocalReset CQE; frames conserved across the incarnation
-## boundary). Part of tier1.
+## shape (each width, a tenant's slice, a promoted node), the completion
+## ring's crash flush (every ring op pending at crash time resolves to
+## one typed ErrLocalReset CQE, counted once; the ring and the servers on
+## it outlive three crash/restart cycles untouched; frames conserved
+## across the incarnation boundary), and the echo and httpd serve loops
+## past their rings' initial size (64 connections, 64 pipelined
+## requests; no creep afterwards). Part of tier1.
 lifecyclesoak:
 	$(GO) test -race -count=2 -run '$(LIFECYCLE_RUN)' .
 
@@ -104,8 +107,8 @@ tenantsoak:
 ## httpsoak: the HTTP/1.1 workload gauntlet, under the race detector —
 ## the production-shaped soak (Zipf popularity, keep-alive churn, slow
 ## readers, a mid-run crash/restart of the 2-shard server, exact
-## request accounting) plus the slow-client stall/recover tests on both
-## data paths (per-op tokens and SQ/CQ rings): a stalled reader must
+## request accounting) plus the slow-client stall/recover tests (a
+## slow-read phase, and read straight through): a stalled reader must
 ## park the bounded rx ready list (rx_ready_stalls) and turn into TCP
 ## backpressure, then drain cleanly once the reader resumes. Followed
 ## by a short run of the demi-stat -http dashboard, which re-asserts
@@ -158,7 +161,7 @@ bench-aa:
 	$(GO) run ./benchmark -aa -sets 2 -runs 3
 
 ## benchsmoke: one iteration of every component microbenchmark — the
-## completer, an idle event-loop tick, the ring crossing, the memory
+## completer, an idle event-loop tick, batch submit and harvest, the memory
 ## queue, SGA marshalling, WaitAny's fan-in, and the netstack's (checksum
 ## throughput; ACK dequeue cost at 4 KiB and at 128 KiB queued, and
 ## Stack.Poll beside 1, 1 k and 100 k idle connections, both of which

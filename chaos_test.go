@@ -107,7 +107,6 @@ func chaosSoakNet(t *testing.T, flavor string) {
 			MaxReconnects: 40, ReconnectBackoff: time.Millisecond,
 		}))
 	}
-	cliNode.WaitTimeout = waitTimeout
 
 	srv := kv.NewServer(srvNode.LibOS, &c.Model)
 	if err := srv.Listen(6379); err != nil {
@@ -124,6 +123,10 @@ func chaosSoakNet(t *testing.T, flavor string) {
 	if err := cli.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
+	// The short detector is for the schedule below; the first connect,
+	// before any fault, keeps the default so that a busy host cannot fail
+	// it (15 ms is one scheduling hiccup beside other packages' tests).
+	cliNode.WaitTimeout = waitTimeout
 
 	// The seeded schedule: a loss+corruption phase, a clean gap so both
 	// sides re-stabilise, then a hard partition of the client's link,

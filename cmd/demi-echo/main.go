@@ -66,12 +66,12 @@ func measure(flavor string, size, n int, seed int64, stats bool) (*metrics.Histo
 	if err != nil {
 		return nil, err
 	}
-	_, stopSrv, err := echo.Serve(srvNode.LibOS, 7, cluster.Model.AppRequestNS, 0)
+	_, stopSrv, err := echo.Serve(srvNode.LibOS, 7, cluster.Model.AppRequestNS)
 	if err != nil {
 		return nil, err
 	}
 	defer stopSrv()
-	client, stopCli, err := echo.Dial(cliNode.LibOS, cluster.AddrOf(srvNode, 7), 0)
+	client, stopCli, err := echo.Dial(cliNode.LibOS, cluster.AddrOf(srvNode, 7))
 	if err != nil {
 		return nil, err
 	}

@@ -1,17 +1,16 @@
 // Command demi-http drives the HTTP/1.1 server that runs directly on
 // catnip queues — the paper's "real application on the bypass path"
 // workload — with a production-shaped driver: a 2-shard catnip server
-// (shard 0 on the legacy per-op token path, shard 1 on the syscall-free
-// SQ/CQ rings) serving a Zipf-popular cached object tree to keep-alive
-// clients with connection churn and deliberately slow readers, with a
-// full crash/restart of the server node halfway through. It prints the
+// serving a Zipf-popular cached object tree to keep-alive clients with
+// connection churn and deliberately slow readers, with a full
+// crash/restart of the server node halfway through. It prints the
 // httpd.* telemetry counters per shard and the per-route service-latency
 // table with the p99/p99.9 tail the paper cares about, plus the
 // rx_ready_stalls count that shows the slow readers being converted into
 // TCP backpressure instead of unbounded buffering.
 //
-// Requests per second on both paths, wall clock, is the http_get_b32
-// workload of the repo benchmark (go run ./benchmark).
+// Requests per second, wall clock, is the http_get_b32 workload of the
+// repo benchmark (go run ./benchmark).
 package main
 
 import (
@@ -59,11 +58,7 @@ func runDriver(seed int64, total int) error {
 	reg := telemetry.NewRegistry()
 	servers := make([]*httpd.Server, nshards)
 	for i := 0; i < nshards; i++ {
-		ringCap := 0
-		if i == 1 {
-			ringCap = 64
-		}
-		srv, stop, err := httpd.Serve(sh.Libs[i], tree, httpPort, ringCap)
+		srv, stop, err := httpd.Serve(sh.Libs[i], tree, httpPort)
 		if err != nil {
 			return err
 		}
@@ -153,7 +148,7 @@ func runDriver(seed int64, total int) error {
 		return nil
 	}
 
-	fmt.Printf("demi-http: %d requests over %d keep-alive conns, 2 shards (0=per-op, 1=ring), crash at midpoint\n\n", total, nclients)
+	fmt.Printf("demi-http: %d requests over %d keep-alive conns, 2 shards, crash at midpoint\n\n", total, nclients)
 	if err := run(total / 2); err != nil {
 		return err
 	}
@@ -163,7 +158,6 @@ func runDriver(seed int64, total int) error {
 	if err := srvNode.Restart(); err != nil {
 		return err
 	}
-	servers[1].EnableRing(64) // rings die with the stack incarnation
 	for _, l := range lanes {
 		l.cl.Close() //nolint:errcheck // old QD died with the node
 		l.pending = 0
@@ -185,7 +179,7 @@ func runDriver(seed int64, total int) error {
 	fmt.Printf("client rx_ready_stalls: %d (slow readers parked the bounded ready list)\n\n", cliNode.Catnip.RxStalls())
 
 	snap := reg.Snapshot()
-	tbl := metrics.NewTable("httpd counters per shard", "counter", "shard0 (per-op)", "shard1 (ring)")
+	tbl := metrics.NewTable("httpd counters per shard", "counter", "shard0", "shard1")
 	for _, name := range []string{
 		"requests", "heads", "resp_200", "resp_206", "resp_400", "resp_404", "resp_416",
 		"bytes_out", "conns_accepted", "conns_closed", "idle_reaped", "half_closes", "backlog_pauses",

@@ -23,7 +23,7 @@ import (
 
 const httpStatPort = 8080
 
-func runHTTP(seed int64, n int, ringCap int) error {
+func runHTTP(seed int64, n int) error {
 	c := demi.NewCluster(seed)
 	reg := telemetry.NewRegistry()
 	srvNode := c.MustSpawn(demi.Catnip, demi.WithHost(1), demi.WithTelemetry(reg))
@@ -38,16 +38,12 @@ func runHTTP(seed int64, n int, ringCap int) error {
 		tree.Add(o.Path, o.Body)
 	}
 
-	srv, stopSrv, err := httpd.Serve(srvNode.LibOS, tree, httpStatPort, ringCap)
+	srv, stopSrv, err := httpd.Serve(srvNode.LibOS, tree, httpStatPort)
 	if err != nil {
 		return err
 	}
 	defer stopSrv()
 	srv.RegisterTelemetry(reg, "httpd")
-	mode := "per-op tokens"
-	if ringCap > 0 {
-		mode = fmt.Sprintf("SQ/CQ rings (cap %d)", ringCap)
-	}
 	cl, stopCli, err := httpd.Dial(cliNode.LibOS, c.AddrOf(srvNode, httpStatPort))
 	if err != nil {
 		return err
@@ -97,8 +93,8 @@ func runHTTP(seed int64, n int, ringCap int) error {
 	}
 	after := reg.Snapshot()
 
-	fmt.Printf("demi-stat -http: %d keep-alive GETs over %s, Zipf(1.2) over %d objects, slow-read episodes\n\n",
-		n, mode, len(prod.Objects))
+	fmt.Printf("demi-stat -http: %d keep-alive GETs, Zipf(1.2) over %d objects, slow-read episodes\n\n",
+		n, len(prod.Objects))
 	fmt.Print(after.Diff(before).NonZero().String())
 	fmt.Println()
 	fmt.Println(srv.LatencyTable().String())

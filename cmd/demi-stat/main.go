@@ -59,9 +59,6 @@ import (
 	"demikernel/internal/telemetry"
 )
 
-// ringCap is the SQ/CQ capacity demi-stat attaches in -ring mode.
-const ringCap = 64
-
 func main() {
 	n := flag.Int("n", 2000, "number of echo round trips")
 	payload := flag.Int("payload", 64, "echo payload bytes")
@@ -71,9 +68,8 @@ func main() {
 	selftest := flag.Bool("selftest", false, "run the counter-consistency audit and exit")
 	shards := flag.Int("shards", 0, "run the sharded-KV dashboard over this many catnip shards")
 	tenants := flag.Bool("tenants", false, "run the multi-tenant NIC dashboard (victims + a hostile tenant)")
-	ringBatch := flag.Int("ring", 0, "run the echo workload over SQ/CQ rings, this many round trips per batch")
+	ringBatch := flag.Int("ring", 0, "run the echo workload as batched submissions, this many round trips per batch")
 	httpView := flag.Bool("http", false, "run the HTTP/1.1 workload dashboard (httpd counters + latency tail)")
-	httpRing := flag.Int("httpring", 0, "with -http: serve over SQ/CQ rings of this capacity instead of per-op tokens")
 	storageView := flag.Bool("storage", false, "run the storage-pushdown dashboard (crossings/GET, spdk.pushdown.* counters, invariant audit)")
 	reshardView := flag.Bool("reshard", false, "run the elastic-resharding dashboard (live 2→4→2 reshard under load, generation + steering gauges)")
 	storageDepth := flag.Int("depth", 4, "with -storage: index depth for the lookup workload")
@@ -114,7 +110,7 @@ func main() {
 		return
 	}
 	if *httpView {
-		if err := runHTTP(*seed, *n, *httpRing); err != nil {
+		if err := runHTTP(*seed, *n); err != nil {
 			fmt.Fprintf(os.Stderr, "demi-stat: %v\n", err)
 			os.Exit(1)
 		}
@@ -133,9 +129,9 @@ func main() {
 	}
 }
 
-// rig is one instrumented catnip echo pair. With ringBatch > 0 round
-// trips travel the syscall-free SQ/CQ rings, ringBatch at a time, instead
-// of the per-op token path.
+// rig is one instrumented catnip echo pair. With ringBatch > 0 the client
+// submits ringBatch round trips per batch and harvests them from its
+// ring, instead of making the per-op token calls.
 type rig struct {
 	cluster *demi.Cluster
 	srvNode *demi.Node
@@ -163,11 +159,7 @@ func newRig(seed int64, imp fabric.Impairments, ringBatch int) (*rig, error) {
 	// through the wait deadline; keep it tight so failover engages fast.
 	cliNode.WaitTimeout = 250 * time.Millisecond
 
-	rings := 0
-	if ringBatch > 0 {
-		rings = ringCap
-	}
-	pair, err := experiments.StageEcho(c, srvNode, cliNode, rings)
+	pair, err := experiments.StageEcho(c, srvNode, cliNode)
 	if err != nil {
 		return nil, err
 	}
@@ -264,13 +256,12 @@ func runDashboard(n, payload int, seed int64, underChaos bool, tracePath string,
 	return nil
 }
 
-// printRings renders per-pair SQ/CQ ring state for each libOS: counters
-// plus live occupancy — the operator's view of whether an app is
-// keeping up with its completion queue or a poller is falling behind
-// its submission queue.
+// printRings renders per-pair completion-ring state for each libOS:
+// counters plus live occupancy — the operator's view of whether an app is
+// keeping up with its completion queue.
 func printRings(libs map[string]*demi.LibOS) {
-	tbl := metrics.NewTable("SQ/CQ ring pairs",
-		"side", "pair", "cap", "sq occ", "cq occ", "sq posted", "sq drained", "cq posted", "cq harvested", "outstanding")
+	tbl := metrics.NewTable("completion rings",
+		"side", "pair", "slab", "cq occ", "submitted", "cq posted", "cq harvested", "outstanding")
 	for _, side := range []string{"client", "server"} {
 		l, ok := libs[side]
 		if !ok {
@@ -278,8 +269,8 @@ func printRings(libs map[string]*demi.LibOS) {
 		}
 		for i, p := range l.Rings() {
 			cnt := p.CountersSnapshot()
-			tbl.AddRow(side, i, p.Cap(), p.SQLen(), p.CQLen(),
-				cnt.SQPosted, cnt.SQDrained, cnt.CQPosted, cnt.CQHarvested, cnt.Outstanding)
+			tbl.AddRow(side, i, cnt.Slab, cnt.CQOccupancy,
+				cnt.Submitted, cnt.CQPosted, cnt.CQHarvested, cnt.Outstanding)
 		}
 	}
 	fmt.Println(tbl.String())
@@ -418,11 +409,11 @@ func runSharded(seed int64, shards, ops int) error {
 		if s.BusyVirtNS > maxBusy {
 			maxBusy = s.BusyVirtNS
 		}
-		// Live SQ+CQ occupancy across the shard's attached ring pairs: a
-		// nonzero residue after quiesce means an app stopped harvesting.
-		ringOcc := 0
+		// Live CQ occupancy across the shard's attached rings: a nonzero
+		// residue after quiesce means an app stopped harvesting.
+		var ringOcc int64
 		for _, p := range srvNode.Libs()[i].Rings() {
-			ringOcc += p.SQLen() + p.CQLen()
+			ringOcc += p.CountersSnapshot().CQOccupancy
 		}
 		tbl.AddRow(i, s.Connections, s.Gets, s.Sets, s.ForwardedOut, s.ForwardedIn, s.Keys,
 			fmt.Sprintf("%.3f", float64(s.BusyVirtNS)/1e6), st.FramesIn, xs.Sent, ringOcc)

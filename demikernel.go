@@ -676,8 +676,9 @@ func (n *Node) Background() (stop func()) {
 //     rx_flushed telemetry bucket, which Cluster.Conservation folds into
 //     its third law).
 //
-// Crash returns the number of qtokens aborted plus ring frames
-// reclaimed. It is idempotent and supported on catnip nodes of every
+// Crash returns the number of operations it failed — each qtoken and
+// ring operation pending, once — plus NIC ring frames reclaimed. It is
+// idempotent and supported on catnip nodes of every
 // width, promoted ones included; other kinds return ErrNotSupported.
 func (n *Node) Crash() (int, error) {
 	if n.Sharded == nil {
@@ -690,14 +691,13 @@ func (n *Node) Crash() (int, error) {
 		n.cluster.Switch.SetLinkState(n.FabricPort(), false)
 	}
 	aborted := n.Sharded.Set.Crash()
-	// Flush submission rings after the transports die: in-flight ring ops
-	// have already posted their typed-error CQEs, so the flush only
-	// converts posted-but-undrained SQEs (and rewrites anything unharvested
-	// at harvest time) — each pending op resolves to exactly one
-	// ErrLocalReset CQE.
+	// Flush the completion rings after the transports die: ring operations
+	// in flight have already posted their typed-error CQEs and are in the
+	// count above, so the flush rewrites, and counts, only completions no
+	// one had harvested — each pending op resolves to exactly one
+	// ErrLocalReset CQE and is counted once.
 	for _, l := range n.libs {
-		fs, fc := l.FlushRings(core.ErrLocalReset)
-		aborted += fs + fc
+		aborted += l.FlushRings(core.ErrLocalReset)
 	}
 	if n.Tenant != nil {
 		// Device-side reclamation of the dead tenant's quota: whatever

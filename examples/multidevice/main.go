@@ -15,12 +15,12 @@ import (
 
 // runWorkload is the "application": it never mentions a device.
 func runWorkload(cluster *demi.Cluster, srvNode, cliNode *demi.Node) (demi.Lat, error) {
-	_, stopServer, err := echo.Serve(srvNode.LibOS, 7, cluster.Model.AppRequestNS, 0)
+	_, stopServer, err := echo.Serve(srvNode.LibOS, 7, cluster.Model.AppRequestNS)
 	if err != nil {
 		return 0, err
 	}
 	defer stopServer()
-	client, stopClient, err := echo.Dial(cliNode.LibOS, cluster.AddrOf(srvNode, 7), 0)
+	client, stopClient, err := echo.Dial(cliNode.LibOS, cluster.AddrOf(srvNode, 7))
 	if err != nil {
 		return 0, err
 	}

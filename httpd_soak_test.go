@@ -3,8 +3,7 @@ package demikernel
 // TestHTTPProductionSoak is the chaos + slow-client soak behind `make
 // httpsoak`: a production-shaped HTTP workload (Zipf-popular paths over
 // a bimodal object tree, keep-alive connections with churn, a fraction
-// of deliberately slow readers) against a 2-shard catnip server — one
-// shard on the legacy per-op path, one on the syscall-free rings — with
+// of deliberately slow readers) against a 2-shard catnip server, with
 // a full node crash/restart in the middle. Every response must come
 // back 200 with the right body, the slow readers must drive the bounded
 // ready list into its parked state (rx_ready_stalls), and the server's
@@ -52,14 +51,10 @@ func TestHTTPProductionSoak(t *testing.T) {
 		bodies[o.Path] = o.Body
 	}
 
-	// One server per shard; shard 1 serves over the SQ/CQ rings.
+	// One server per shard.
 	servers := make([]*httpd.Server, nshards)
 	for i := 0; i < nshards; i++ {
-		ringCap := 0
-		if i == 1 {
-			ringCap = 64
-		}
-		srv, stop, err := httpd.Serve(sh.Libs[i], tree, port, ringCap)
+		srv, stop, err := httpd.Serve(sh.Libs[i], tree, port)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,15 +138,14 @@ func TestHTTPProductionSoak(t *testing.T) {
 	half()
 
 	// Mid-soak node death: every client connection dies with the stack.
-	// The soak resumes against the restarted incarnation — the legacy
-	// shard self-heals, the ring shard gets a fresh ring pair.
+	// The soak resumes against the restarted incarnation, with no call
+	// into the servers: they heal themselves.
 	if _, err := srvNode.Crash(); err != nil {
 		t.Fatal(err)
 	}
 	if err := srvNode.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	servers[1].EnableRing(64)
 	for i, sc := range clients {
 		sc.cl.Close() //nolint:errcheck // the old QD is already dead
 		clients[i].cl = dial(sc.shard)

@@ -11,6 +11,7 @@ package demikernel
 
 import (
 	"bytes"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -357,12 +358,11 @@ func TestHTTPSlowClientStallAndRecover(t *testing.T) {
 	}
 }
 
-// TestHTTPRingServe runs the same server over the syscall-free SQ/CQ
-// ring path: legacy clients keep working against it, and a ring client
-// drives full batches through with GetBatch.
+// TestHTTPRingServe drives the server with every client discipline on
+// one connection: per-op calls, one pipelined push, and a batch submitted
+// at once and harvested from the client's ring with GetBatch.
 func TestHTTPRingServe(t *testing.T) {
 	r := newHTTPDRig(t, 88, 8, 1024, NodeConfig{})
-	r.srv.EnableRing(64)
 	r.start()
 	defer r.shutdown()
 	cl := r.dial(t)
@@ -389,7 +389,6 @@ func TestHTTPRingServe(t *testing.T) {
 		}
 	}
 
-	cl.EnableRing(64)
 	ok2xx, _, err := cl.GetBatch(paths, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -402,13 +401,13 @@ func TestHTTPRingServe(t *testing.T) {
 	}
 }
 
-// TestHTTPRingSlowClient runs the slow-reader scenario against the
-// ring-mode server: pops stay armed per connection, the backlog pause
-// must close the window instead of buffering, and the batch API drains
-// the stall.
+// TestHTTPRingSlowClient (named for the ring-mode server it once
+// selected) is the slow-reader scenario read straight through once the
+// server has paused: pops stay armed per connection, the backlog pause
+// must close the window instead of buffering, and the server must have
+// served exactly what was sent.
 func TestHTTPRingSlowClient(t *testing.T) {
 	r := newHTTPDRig(t, 89, 2, 8192, NodeConfig{Host: 2, RxReadyCap: 4})
-	r.srv.EnableRing(64)
 	r.start()
 	defer r.shutdown()
 	cl := r.dial(t)
@@ -440,12 +439,18 @@ func TestHTTPRingSlowClient(t *testing.T) {
 }
 
 // TestHTTPCrashRestartKeepAlive kills the server mid keep-alive session
-// (pipelined requests before and after), requires the client's armed
-// failover policy to redial and replay onto the restarted incarnation,
-// and closes with the frame-conservation laws across the boundary.
+// (pipelined requests before and after), three times over, with no call
+// into the server in between: it heals itself. After each restart the
+// client's armed failover policy must redial and replay onto the new
+// incarnation, a fresh dial must be served, and the server's libOS must
+// still carry the one ring it started with; the frame-conservation laws
+// across the boundaries close the test.
 func TestHTTPCrashRestartKeepAlive(t *testing.T) {
 	r := newHTTPDRig(t, 87, 4, 2048, NodeConfig{Host: 2, RTO: 2 * time.Millisecond, MaxRetransmits: 4})
 	r.cliNode.WaitTimeout = 200 * time.Millisecond
+	reg := telemetry.NewRegistry()
+	r.srvNode.RegisterTelemetry(reg, "host1")
+	frames := framesOut(r.srvNode)
 	r.start()
 	defer r.shutdown()
 	cl := r.dial(t)
@@ -455,53 +460,66 @@ func TestHTTPCrashRestartKeepAlive(t *testing.T) {
 	for i := range paths {
 		paths[i] = r.objs[i].Path
 	}
-	resps, err := cl.GetPipelined(paths)
-	if err != nil || len(resps) != 4 {
-		t.Fatalf("pre-crash pipeline: %d responses, err=%v", len(resps), err)
-	}
-	for i, rp := range resps {
-		if rp.Status != 200 || !bytes.Equal(rp.Body, r.objs[i].Body) {
-			t.Fatalf("pre-crash response %d: status=%d", i, rp.Status)
+	pipeline := func(cl *httpd.Client, when string) {
+		t.Helper()
+		resps, err := cl.GetPipelined(paths)
+		if err != nil || len(resps) != 4 {
+			t.Fatalf("%s pipeline: %d responses, err=%v", when, len(resps), err)
+		}
+		for i, rp := range resps {
+			if rp.Status != 200 || !bytes.Equal(rp.Body, r.objs[i].Body) {
+				t.Fatalf("%s response %d: status=%d", when, i, rp.Status)
+			}
 		}
 	}
-
-	if _, err := r.srvNode.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.srvNode.Restart(); err != nil {
-		t.Fatal(err)
+	pipeline(cl, "pre-crash")
+	pairs, _ := reg.Snapshot().Get("host1.uring.pairs")
+	if pairs != 1 {
+		t.Fatalf("host1.uring.pairs = %d before the first crash, want the server's 1", pairs)
 	}
 
-	// The same Server keeps pumping the same LibOS; its pre-crash
-	// listener must accept the failover client's redial.
-	resp, err := cl.Get(r.objs[2].Path)
-	if err != nil {
-		t.Fatalf("post-restart GET: %v", err)
-	}
-	if resp.Status != 200 || !bytes.Equal(resp.Body, r.objs[2].Body) {
-		t.Fatalf("post-restart GET: status=%d", resp.Status)
-	}
-	reconnects, replays := cl.FailoverStats()
-	if reconnects < 1 || replays < 1 {
-		t.Fatalf("failover did not engage: reconnects=%d replays=%d", reconnects, replays)
-	}
-	resps, err = cl.GetPipelined(paths)
-	if err != nil || len(resps) != 4 {
-		t.Fatalf("post-restart pipeline: %d responses, err=%v", len(resps), err)
-	}
-	for i, rp := range resps {
-		if rp.Status != 200 || !bytes.Equal(rp.Body, r.objs[i].Body) {
-			t.Fatalf("post-restart response %d: status=%d", i, rp.Status)
+	for cycle := 1; cycle <= 3; cycle++ {
+		when := fmt.Sprintf("cycle %d", cycle)
+		if _, err := r.srvNode.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.srvNode.Restart(); err != nil {
+			t.Fatal(err)
+		}
+
+		// The same Server keeps pumping the same LibOS; its pre-crash
+		// listener must accept the failover client's redial.
+		resp, err := cl.Get(r.objs[2].Path)
+		if err != nil {
+			t.Fatalf("%s GET: %v", when, err)
+		}
+		if resp.Status != 200 || !bytes.Equal(resp.Body, r.objs[2].Body) {
+			t.Fatalf("%s GET: status=%d", when, resp.Status)
+		}
+		if reconnects, replays := cl.FailoverStats(); reconnects < int64(cycle) || replays < int64(cycle) {
+			t.Fatalf("%s: failover did not engage: reconnects=%d replays=%d", when, reconnects, replays)
+		}
+		pipeline(cl, when)
+		fresh := r.dial(t)
+		pipeline(fresh, when+", fresh dial")
+		fresh.Close() //nolint:errcheck // the server closes its end on the FIN
+		if got, _ := reg.Snapshot().Get("host1.uring.pairs"); got != pairs {
+			t.Fatalf("%s: host1.uring.pairs = %d, was %d before the crash", when, got, pairs)
 		}
 	}
 
 	// Quiesce, then assert the conservation laws across the incarnation
-	// boundary: the fabric, the NIC, and the stack each account for
-	// every frame.
+	// boundaries: the fabric, the NIC, and the stack each account for
+	// every frame, and the pools have every frame back.
+	cl.Close() //nolint:errcheck // as above
+	r.waitCond(t, "the server to close its connections", func() bool { return r.srv.Conns() == 0 })
 	r.shutdown()
 	r.c.Quiesce(100 * time.Millisecond)
 	if err := r.c.Conservation(); err != nil {
 		t.Fatal(err)
+	}
+	if got := framesOut(r.srvNode); got != frames {
+		t.Fatalf("%d frames outstanding after three incarnations, %d before", got, frames)
 	}
 }
 

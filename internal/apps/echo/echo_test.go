@@ -14,12 +14,12 @@ func newPair(t *testing.T, kind demi.Kind, seed int64) (*Server, *Client, *demi.
 	c := demi.NewCluster(seed)
 	srvNode := c.MustSpawn(kind, demi.WithHost(1))
 	cliNode := c.MustSpawn(kind, demi.WithHost(2))
-	srv, stopSrv, err := Serve(srvNode.LibOS, 7, 0, 0)
+	srv, stopSrv, err := Serve(srvNode.LibOS, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(stopSrv)
-	cli, stopCli, err := Dial(cliNode.LibOS, c.AddrOf(srvNode, 7), 0)
+	cli, stopCli, err := Dial(cliNode.LibOS, c.AddrOf(srvNode, 7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,13 +4,12 @@ package httpd
 // requests, with three request disciplines layered over the same
 // parser — one-at-a-time (Get), pipelined-in-one-push (GetPipelined,
 // which exercises the server's multiple-requests-per-pop parse loop),
-// and ring batches (GetBatch, the syscall-free path). SendRequest /
+// and batches over a completion ring (GetBatch). SendRequest /
 // ReadResponse are split out so a workload rig can model a slow reader:
 // keep sending, refuse to read, and let TCP backpressure build.
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -22,9 +21,6 @@ import (
 	"demikernel/internal/simclock"
 	"demikernel/internal/uring"
 )
-
-// ErrRingDisabled is returned by ring-path calls before EnableRing.
-var ErrRingDisabled = errors.New("httpd: ring mode not enabled")
 
 // Response is one parsed HTTP response.
 type Response struct {
@@ -44,7 +40,7 @@ type Client struct {
 
 	redials atomic.Int64
 
-	// Ring-path state (nil until EnableRing).
+	// GetBatch state; the ring attaches on the first batch.
 	ring    *uring.Pair
 	rsqes   []uring.SQE
 	rcqes   []uring.CQE
@@ -308,31 +304,22 @@ func parseResponseHead(head []byte) (status int, contentLen int64, connClose boo
 	return int(code), contentLen, connClose, nil
 }
 
-// EnableRing switches the client onto an SQ/CQ ring pair of the given
-// capacity. Batched round trips are issued with GetBatch; the legacy
-// per-op path keeps working (and keeps its failover loop) alongside.
-func (c *Client) EnableRing(capacity int) {
-	c.ring = c.lib.AttachRing(capacity)
-	c.rsqes = make([]uring.SQE, 0, c.ring.Cap())
-	c.rcqes = make([]uring.CQE, c.ring.Cap())
-}
-
-// Ring returns the client's ring pair (nil before EnableRing).
+// Ring returns the client's ring pair (nil before the first GetBatch).
 func (c *Client) Ring() *uring.Pair { return c.ring }
 
-// GetBatch issues len(paths) pipelined GETs through the ring — pushes
-// and pops posted up front, completions harvested as they land — and
+// GetBatch issues len(paths) pipelined GETs in one submission — pushes
+// and pops together, completions harvested as they land — and
 // returns how many responses came back 2xx plus the mean virtual
 // round-trip cost. Bodies are validated against Content-Length and
 // discarded without copying, so the steady-state path allocates
 // nothing once the per-slot buffers are warm.
 func (c *Client) GetBatch(paths []string, appCost simclock.Lat) (ok2xx int, mean simclock.Lat, err error) {
-	if c.ring == nil {
-		return 0, 0, ErrRingDisabled
-	}
 	batch := len(paths)
-	if batch < 1 || 2*batch > c.ring.Cap() {
-		return 0, 0, errors.New("httpd: batch out of range for ring capacity")
+	if c.ring == nil {
+		c.ring = c.lib.AttachRing(2 * batch)
+	}
+	if len(c.rcqes) < 2*batch {
+		c.rcqes = make([]uring.CQE, 2*batch)
 	}
 	for len(c.breqs) < batch {
 		c.breqs = append(c.breqs, nil)
@@ -350,18 +337,12 @@ func (c *Client) GetBatch(paths []string, appCost simclock.Lat) (ok2xx int, mean
 				SGA: sga.SGA{Segments: c.bsegs[i][:1]}, Cost: appCost},
 			uring.SQE{Op: queue.OpPop, QD: int32(c.qd), Tag: gen | uint64(i)<<1})
 	}
-	want := len(sq)
-	got, pops := 0, 0
+	c.rsqes = sq[:0]
+	c.lib.SubmitBatch(c.ring, sq) //nolint:errcheck // a failed op is a CQE
+	pops := 0
 	var total simclock.Lat
 	var firstErr error
-	for got < want {
-		if len(sq) > 0 {
-			n, err := c.lib.SubmitBatch(c.ring, sq)
-			if err != nil {
-				return 0, 0, err
-			}
-			sq = sq[n:]
-		}
+	for got := 0; got < len(sq); {
 		n, err := c.lib.WaitAnyRing(c.ring, c.rcqes, time.Time{})
 		if err != nil {
 			return 0, 0, err
@@ -393,7 +374,6 @@ func (c *Client) GetBatch(paths []string, appCost simclock.Lat) (ok2xx int, mean
 			*cq = uring.CQE{}
 		}
 	}
-	c.rsqes = c.rsqes[:0]
 	if firstErr != nil {
 		return ok2xx, 0, firstErr
 	}

@@ -4,8 +4,8 @@
 // toy, but keep-alive connection management, pipelining, ranged reads
 // from a cached object tree, slow-client backpressure, and per-route
 // telemetry. It is written against the Demikernel API only (queues,
-// SGAs, qtokens, and — after EnableRing — the syscall-free SQ/CQ
-// rings), so it runs unmodified over every libOS.
+// SGAs, batched submission and a completion ring), so it runs
+// unmodified over every libOS.
 //
 // Requests and responses travel as framed SGAs over the byte stream: a
 // client pushes the raw request bytes as one SGA; the server parses in
@@ -73,9 +73,14 @@ const (
 	// then stops popping that connection's requests (application-level
 	// backpressure) instead of buffering unbounded responses.
 	defaultBacklog = 32
-	// defaultPopDepth is how many pops the ring-mode server keeps armed
-	// per connection — the per-connection pipeline window.
+	// defaultPopDepth is how many pops the server keeps armed per
+	// connection — the per-connection pipeline window.
 	defaultPopDepth = 8
+	// serverRing is where the server's ring starts: two connections'
+	// windows. It grows with the connections the server accepts.
+	serverRing = 2 * defaultPopDepth
+	// harvest is how many completions one Step takes off the ring.
+	harvest = 64
 )
 
 // respBuf is one pooled in-flight response: the header bytes plus the
@@ -88,12 +93,6 @@ type respBuf struct {
 	nseg int
 }
 
-// push is one outstanding legacy-path response awaiting completion.
-type push struct {
-	qt queue.QToken
-	rb *respBuf
-}
-
 // conn is the server's per-connection state.
 type conn struct {
 	qd core.QD
@@ -104,17 +103,17 @@ type conn struct {
 	closing bool      // close once in-flight responses flush
 	paused  bool      // backlog full: stop popping requests
 
-	// Legacy-path state.
-	popQT    queue.QToken
-	popArmed bool
-	pushes   []push
-
-	// Ring-path state.
 	inflight []*respBuf // header FIFO awaiting push CQEs
-	pops     int        // armed pop SQEs
+	pops     int        // armed pops
 }
 
-// Server serves a Tree over HTTP/1.1 on Demikernel queues.
+// Server serves a Tree over HTTP/1.1 on Demikernel queues, through a
+// completion ring on every libOS: a window of defaultPopDepth armed pops
+// per connection (the pipeline depth), a FIFO of pooled response
+// descriptors held until their push CQEs land, backlog-based
+// pause/resume for stalled readers, and half-close/Connection: close
+// teardown driven entirely off the completion stream. Each Step submits
+// what it staged as one batch; the steady-state loop allocates nothing.
 type Server struct {
 	lib  *core.LibOS
 	tree *Tree
@@ -156,7 +155,6 @@ type Server struct {
 	latOn  atomic.Bool
 	routes []string // registration order, for stable tables
 
-	// Ring-path state (nil until EnableRing; see ring.go).
 	ring *uring.Pair
 	sqes []uring.SQE
 	cqes []uring.CQE
@@ -164,8 +162,27 @@ type Server struct {
 
 // NewServer creates a server for tree on lib.
 func NewServer(lib *core.LibOS, tree *Tree) *Server {
-	return &Server{lib: lib, tree: tree, conns: make(map[core.QD]*conn)}
+	return &Server{
+		lib: lib, tree: tree, conns: make(map[core.QD]*conn),
+		ring: lib.AttachRing(serverRing), cqes: make([]uring.CQE, harvest),
+	}
 }
+
+// EnableRing pre-sizes the server's ring for capacity operations in
+// flight, and its harvest for as many completions at once. The ring grows
+// to that by itself; a rig that measures steady state from the first
+// request calls this instead of warming up.
+func (s *Server) EnableRing(capacity int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ring.Reserve(capacity)
+	if capacity > len(s.cqes) {
+		s.cqes = make([]uring.CQE, capacity)
+	}
+}
+
+// Ring returns the server's ring pair (telemetry).
+func (s *Server) Ring() *uring.Pair { return s.ring }
 
 // Listen binds the server to port.
 func (s *Server) Listen(port uint16) error {
@@ -184,18 +201,14 @@ func (s *Server) Listen(port uint16) error {
 }
 
 // Serve stages a server for tree on lib: listening on port, recording
-// per-route latency, on an SQ/CQ ring of ringCap entries when ringCap > 0,
-// and run by one goroutine that is also lib's poller. stop ends the
-// goroutine, then closes the server's connections and its listener, so
-// the port can be served again.
-func Serve(lib *core.LibOS, tree *Tree, port uint16, ringCap int) (srv *Server, stop func(), err error) {
+// per-route latency, and run by one goroutine that is also lib's poller.
+// stop ends the goroutine, then closes the server's connections and its
+// listener, so the port can be served again.
+func Serve(lib *core.LibOS, tree *Tree, port uint16) (srv *Server, stop func(), err error) {
 	s := NewServer(lib, tree)
 	s.EnableLatency()
 	if err := s.Listen(port); err != nil {
 		return nil, nil, err
-	}
-	if ringCap > 0 {
-		s.EnableRing(ringCap)
 	}
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -221,124 +234,139 @@ func (s *Server) now() time.Time {
 	return time.Now()
 }
 
+// Tags encode the connection QD and the operation kind in the low bit,
+// so one harvest loop dispatches every connection without a token map.
+func popTag(conn core.QD) uint64  { return uint64(conn) << 1 }
+func pushTag(conn core.QD) uint64 { return uint64(conn)<<1 | 1 }
+
 // Step runs one non-blocking server iteration and returns requests
-// served. After EnableRing it travels the syscall-free ring path.
+// served: accept → arm pop windows, harvest → parse/respond/re-arm, and
+// one batch submission of everything that staged.
 func (s *Server) Step() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ring != nil {
-		return s.stepRingLocked()
+	for {
+		qd, ok, err := s.lib.TryAccept(s.lqd)
+		if err != nil || !ok {
+			break
+		}
+		c := &conn{qd: qd, last: s.now()}
+		s.conns[qd] = c
+		s.accepted.Add(1)
+		s.armPops(c)
 	}
-	s.acceptLegacy()
 
-	s.scan = s.scan[:0]
-	for _, c := range s.conns {
-		s.scan = append(s.scan, c)
-	}
 	served := 0
-	for _, c := range s.scan {
-		if _, live := s.conns[c.qd]; !live {
-			continue // closed by an earlier iteration
-		}
-		s.pumpPushes(c)
-		if _, live := s.conns[c.qd]; !live {
+	n := s.lib.HarvestCQ(s.ring, s.cqes)
+	for i := 0; i < n; i++ {
+		cq := &s.cqes[i]
+		qd := core.QD(cq.Tag >> 1)
+		isPush := cq.Tag&1 == 1
+		c, live := s.conns[qd]
+		if !live {
+			// Connection already torn down (reset CQEs from its armed
+			// pops, or stragglers): release any payload and move on.
+			cq.SGA.Free()
+			*cq = uring.CQE{}
 			continue
 		}
-		if c.popArmed {
-			comp, ok, err := s.lib.TryWait(c.popQT)
-			if err != nil {
+		if cq.Err != nil {
+			if !isPush {
+				c.pops--
+			}
+			s.opFailed(c, isPush, cq.Err)
+			*cq = uring.CQE{}
+			continue
+		}
+		if isPush {
+			// Response delivered: the transport no longer references
+			// the header buffer. Pushes complete FIFO per connection,
+			// so the head descriptor is always the one retiring.
+			if k := len(c.inflight); k > 0 {
+				s.putResp(c.inflight[0])
+				m := copy(c.inflight, c.inflight[1:])
+				c.inflight[m] = nil
+				c.inflight = c.inflight[:m]
+			}
+			if c.closing && len(c.inflight) == 0 {
 				s.closeConn(c)
-				continue
-			}
-			if ok {
-				c.popArmed = false
-				if comp.Err != nil {
-					s.popFailed(c, comp.Err)
-					continue
-				}
-				c.last = s.now()
-				if c.closing {
-					comp.SGA.Free() // data after close: discard
-				} else {
-					served += s.serveSGA(c, comp.SGA, comp.Cost)
-				}
-			}
-		}
-		if _, live := s.conns[c.qd]; !live {
-			continue
-		}
-		if c.closing {
-			if len(c.pushes) == 0 {
-				s.closeConn(c)
-			}
-			continue
-		}
-		if !c.popArmed && !c.paused {
-			if qt, err := s.lib.Pop(c.qd); err == nil {
-				c.popQT, c.popArmed = qt, true
 			} else {
+				s.armPops(c)
+			}
+			*cq = uring.CQE{}
+			continue
+		}
+		c.pops--
+		c.last = s.now()
+		if c.closing {
+			cq.SGA.Free() // data after close: discard
+		} else {
+			served += s.serveSGA(c, cq.SGA, cq.Cost)
+			if c.closing && len(c.inflight) == 0 {
 				s.closeConn(c)
+			} else {
+				s.armPops(c)
 			}
 		}
+		*cq = uring.CQE{}
+	}
+	if len(s.sqes) > 0 {
+		s.lib.SubmitBatch(s.ring, s.sqes) //nolint:errcheck // a failed op is a CQE
+		clear(s.sqes)
+		s.sqes = s.sqes[:0]
 	}
 	s.reapIdle()
 	return served
 }
 
-// acceptLegacy drains the accept queue and arms the first pop per
-// connection.
-func (s *Server) acceptLegacy() {
-	for {
-		qd, ok, err := s.lib.TryAccept(s.lqd)
-		if err != nil || !ok {
-			return
+// opFailed handles an errored CQE for a live connection. A pop
+// failing with the typed ErrClosed while responses are still in flight
+// is the half-close case: the client sent FIN but still receives, so
+// the server finishes flushing before tearing down.
+func (s *Server) opFailed(c *conn, isPush bool, err error) {
+	if !isPush && errors.Is(err, queue.ErrClosed) && len(c.inflight) > 0 {
+		if !c.closing {
+			s.halfClosed.Add(1)
+			c.closing = true
 		}
-		c := &conn{qd: qd, last: s.now()}
-		if qt, err := s.lib.Pop(qd); err == nil {
-			c.popQT, c.popArmed = qt, true
-		}
-		s.conns[qd] = c
-		s.accepted.Add(1)
-	}
-}
-
-// pumpPushes retires completed response pushes in FIFO order, recycling
-// their header buffers, and unpauses the connection once the backlog
-// has half-drained.
-func (s *Server) pumpPushes(c *conn) {
-	for len(c.pushes) > 0 {
-		comp, ok, err := s.lib.TryWait(c.pushes[0].qt)
-		if !ok && err == nil {
-			break
-		}
-		if err == nil {
-			err = comp.Err
-		}
-		rb := c.pushes[0].rb
-		n := copy(c.pushes, c.pushes[1:])
-		c.pushes[n] = push{}
-		c.pushes = c.pushes[:n]
-		s.putResp(rb)
-		if err != nil {
-			s.closeConn(c)
-			return
-		}
-	}
-	if c.paused && len(c.pushes) <= defaultBacklog/2 {
-		c.paused = false
-	}
-}
-
-// popFailed handles a failed pop. A typed ErrClosed with responses
-// still in flight is the half-close case — the client sent FIN but can
-// still receive, so the server flushes what it owes before closing.
-func (s *Server) popFailed(c *conn, err error) {
-	if errors.Is(err, queue.ErrClosed) && len(c.pushes) > 0 {
-		s.halfClosed.Add(1)
-		c.closing = true
 		return
 	}
 	s.closeConn(c)
+}
+
+// submit stages one response push; rb joins the connection's
+// in-flight FIFO until its push CQE retires it.
+func (s *Server) submit(c *conn, rb *respBuf, g sga.SGA, cost simclock.Lat) {
+	s.sqes = append(s.sqes, uring.SQE{
+		Op: queue.OpPush, QD: int32(c.qd), Tag: pushTag(c.qd), SGA: g, Cost: cost,
+	})
+	c.inflight = append(c.inflight, rb)
+}
+
+// armPops tops the connection's armed-pop window up to defaultPopDepth,
+// unless the response backlog says the reader is not keeping up — then the
+// window stays closed (paused) until the backlog half-drains, which is
+// what turns a stalled client into TCP backpressure instead of
+// unbounded buffering.
+func (s *Server) armPops(c *conn) {
+	if c.closing {
+		return
+	}
+	if c.paused {
+		if len(c.inflight) > defaultBacklog/2 {
+			return
+		}
+		c.paused = false
+	}
+	if len(c.inflight) >= defaultBacklog {
+		c.paused = true
+		s.pauses.Add(1)
+		return
+	}
+	for c.pops < defaultPopDepth {
+		s.sqes = append(s.sqes, uring.SQE{Op: queue.OpPop, QD: int32(c.qd), Tag: popTag(c.qd)})
+		c.pops++
+	}
 }
 
 // closeConn tears the connection down, releasing any queued response
@@ -348,25 +376,12 @@ func (s *Server) closeConn(c *conn) {
 		return
 	}
 	delete(s.conns, c.qd)
-	for i := range c.pushes {
-		s.putResp(c.pushes[i].rb)
-		c.pushes[i] = push{}
-	}
-	c.pushes = c.pushes[:0]
 	for i, rb := range c.inflight {
 		s.putResp(rb)
 		c.inflight[i] = nil
 	}
 	c.inflight = c.inflight[:0]
 	s.lib.Close(c.qd) //nolint:errcheck // may already be gone
-	if c.popArmed {
-		// Consume the completion Close just failed so the token does
-		// not linger in the completer map across a long soak.
-		if comp, ok, _ := s.lib.TryWait(c.popQT); ok && comp.Err == nil {
-			comp.SGA.Free()
-		}
-		c.popArmed = false
-	}
 	s.closed.Add(1)
 }
 
@@ -384,7 +399,7 @@ func (s *Server) reapIdle() {
 	s.lastReap = now
 	s.scan = s.scan[:0]
 	for _, c := range s.conns {
-		if !c.closing && len(c.pushes) == 0 && len(c.inflight) == 0 &&
+		if !c.closing && len(c.inflight) == 0 &&
 			now.Sub(c.last) >= s.IdleTimeout {
 			s.scan = append(s.scan, c)
 		}
@@ -462,26 +477,6 @@ func (s *Server) respondBad(c *conn, cost simclock.Lat) {
 	s.requests.Add(1)
 	s.r400.Add(1)
 	s.submit(c, rb, g, cost+s.AppCost)
-}
-
-// submit hands a built response to the active data path. The respBuf
-// stays alive until the push completes (legacy TryWait or ring CQE).
-func (s *Server) submit(c *conn, rb *respBuf, g sga.SGA, cost simclock.Lat) {
-	if s.ring != nil {
-		s.submitRing(c, rb, g, cost)
-		return
-	}
-	qt, err := s.lib.PushCost(c.qd, g, cost)
-	if err != nil {
-		s.putResp(rb)
-		s.closeConn(c)
-		return
-	}
-	c.pushes = append(c.pushes, push{qt: qt, rb: rb})
-	if len(c.pushes) >= defaultBacklog && !c.paused {
-		c.paused = true
-		s.pauses.Add(1)
-	}
 }
 
 // Canned status lines and bodies.

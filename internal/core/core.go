@@ -26,6 +26,7 @@ import (
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
+	"demikernel/internal/uring"
 )
 
 // QD is a queue descriptor: what a file descriptor becomes when I/O is
@@ -198,9 +199,9 @@ type LibOS struct {
 	// write under mu, loaded lock-free on every tick.
 	composed atomic.Pointer[[]queue.IoQueue]
 
-	// rings holds the attached SQ/CQ pairs (see uring.go); copy-on-write
-	// behind an atomic pointer so the Poll hot path loads it lock-free.
-	rings atomic.Pointer[[]*ringEntry]
+	// rings holds the attached completion rings (see uring.go), under mu:
+	// nothing on the data path reads it.
+	rings []*uring.Pair
 
 	// WaitTimeout bounds Wait/WaitAny/WaitAll spinning. The default
 	// (5s of wall time) exists so a lost completion fails loudly in
@@ -604,16 +605,13 @@ func (l *LibOS) Pop(qd QD) (queue.QToken, error) {
 	return qt, nil
 }
 
-// Poll pumps the whole libOS data path once: submission rings,
-// transport, composed queues, and qconnect forwarding. The transport
+// Poll pumps the whole libOS data path once: transport, composed
+// queues, and qconnect forwarding. The transport
 // services every queue it handed out (sockets, files) from work lists of
 // its own, so the cost of a poll follows the work there is, not the
 // number of descriptors open.
 func (l *LibOS) Poll() int {
-	// Drain attached SQ rings first so ops submitted this tick reach
-	// the transport before it is pumped (one-tick latency saved).
-	n := l.drainRings()
-	n += l.Transport().Poll()
+	n := l.Transport().Poll()
 	for _, q := range l.composedQueues() {
 		n += q.Pump()
 	}

@@ -1,15 +1,16 @@
 package core
 
-// Syscall-free submission (the paper's end state: the OS control plane
-// out of the data path entirely). An application thread that has
-// attached a ring pair posts SQEs and harvests CQEs through lock-free
-// shared-memory rings; the libOS drains the SQ in bursts inside Poll —
-// which is what sched.EventLoop.Tick pumps — so in steady state an
-// operation crosses app→libOS→app with zero calls into the libOS, zero
-// completer-map touches, and zero allocations. The legacy per-op
-// Push/Pop/Wait path stays intact as the slow/compat path (catnap keeps
-// it, modeling the kernel crossing), so the bypass-vs-kernel comparison
-// the paper makes stays measurable.
+// Batched submission with a completion ring. The libOS is linked into
+// the application, so there is no crossing for a submission queue to
+// avoid: SubmitBatch is a call that arms one ring slot per SQE and
+// stages the operation on its queue at once — a ring of SQEs drained by
+// the next Poll would only defer that work, and cost the poll a walk
+// over every attached ring. What a batch saves is pumps and tokens: its
+// operations are staged first and each queue is pumped once, so 32
+// pushes leave as MSS-sized segments, and their completions come back
+// tagged on the ring's CQ (internal/uring), with no qtoken, no token
+// table and no allocation. Push/Pop/Wait is the same path one operation
+// at a time, with a token. Poll does not touch a ring.
 
 import (
 	"runtime"
@@ -20,147 +21,86 @@ import (
 	"demikernel/internal/uring"
 )
 
-// ringDrainBurst bounds how many SQEs one Poll drains from one ring per
-// DrainSQ call (the burst loops until the SQ is empty regardless).
-const ringDrainBurst = 64
-
-// ringEntry is one attached ring pair plus the drain-side scratch. The
-// mutex makes concurrent Polls skip, not block, a ring another poller
-// is already draining (TryLock), so scratch needs no further guarding.
-type ringEntry struct {
-	p       *uring.Pair
-	scratch []uring.SQE
-	busy    chan struct{} // 1-slot token; TryLock without sync.Mutex spin
-}
-
-// AttachRing creates an SQ/CQ ring pair of the given capacity serviced
-// by this libOS's Poll loop and returns it. The pair inherits the
-// libOS's span table, so issue→complete attribution keeps working when
-// operations travel the ring instead of the completer map. One
-// application thread owns the returned pair's app side.
+// AttachRing creates a completion ring whose slab starts at capacity
+// slots and returns it. The libOS keeps it for three things only: the
+// uring.* telemetry sums, Rings, and the crash flush. The ring inherits
+// the libOS's span table, so issue→complete attribution keeps working
+// when operations carry tags instead of tokens. One application thread
+// owns the returned pair; it outlives Crash and Restart.
 func (l *LibOS) AttachRing(capacity int) *uring.Pair {
 	p := uring.NewPair(capacity)
 	p.SetSpans(l.completer.Spans())
-	burst := ringDrainBurst
-	if c := p.Cap(); c < burst {
-		burst = c
-	}
-	e := &ringEntry{p: p, scratch: make([]uring.SQE, burst), busy: make(chan struct{}, 1)}
 	l.mu.Lock()
-	old := l.rings.Load()
-	var next []*ringEntry
-	if old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, e)
-	l.rings.Store(&next)
+	l.rings = append(l.rings, p)
 	l.mu.Unlock()
 	return p
 }
 
 // Rings returns the attached ring pairs (telemetry and stat tools).
 func (l *LibOS) Rings() []*uring.Pair {
-	rl := l.rings.Load()
-	if rl == nil {
-		return nil
-	}
-	out := make([]*uring.Pair, len(*rl))
-	for i, e := range *rl {
-		out[i] = e.p
-	}
-	return out
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]*uring.Pair(nil), l.rings...)
 }
 
-// drainRings is Poll's ring hook: drain every attached SQ in bursts and
-// issue the operations against the descriptor table with slab-backed
-// DoneFuncs. Returns the number of operations issued.
-func (l *LibOS) drainRings() int {
-	rl := l.rings.Load()
-	if rl == nil {
-		return 0
-	}
-	n := 0
-	for _, e := range *rl {
-		n += l.drainRing(e)
-	}
-	return n
-}
-
-func (l *LibOS) drainRing(e *ringEntry) int {
-	select {
-	case e.busy <- struct{}{}: // claimed
-	default:
-		return 0 // another poller is draining this ring
-	}
-	defer func() { <-e.busy }()
-	total := 0
-	// Memoize the last QD resolved: batches overwhelmingly target one
-	// descriptor, so the common case resolves the table lock once per
-	// burst, not once per op. Queues exposing the batched face get their
-	// operations staged without per-op pumping — the transport poll that
-	// follows drainRings pays TX segmentation once for the whole burst.
-	var (
-		lastQD QD = InvalidQD
-		lastIQ queue.IoQueue
-		lastBQ queue.BatchIoQueue
-	)
-	for {
-		n := e.p.DrainSQ(e.scratch)
-		if n == 0 {
-			return total
-		}
-		total += n
-		for i := 0; i < n; i++ {
-			sqe := e.scratch[i]
-			e.scratch[i] = uring.SQE{} // drop payload refs
-			done := e.p.Arm(sqe)
-			if QD(sqe.QD) != lastQD {
-				d, err := l.get(QD(sqe.QD))
-				if err != nil {
-					done(queue.Completion{Kind: sqe.Op, Err: err})
-					continue
-				}
-				lastQD = QD(sqe.QD)
-				lastIQ = d.ioq()
-				lastBQ, _ = lastIQ.(queue.BatchIoQueue)
-			}
-			switch sqe.Op {
-			case queue.OpPush:
-				if lastBQ != nil {
-					lastBQ.PushBatched(sqe.SGA, sqe.Cost, done)
-				} else {
-					lastIQ.Push(sqe.SGA, sqe.Cost, done)
-				}
-			case queue.OpPop:
-				if lastBQ != nil {
-					lastBQ.PopBatched(done)
-				} else {
-					lastIQ.Pop(done)
-				}
-			default:
-				done(queue.Completion{Kind: sqe.Op, Err: ErrNotSupported})
-			}
-		}
-	}
-}
-
-// SubmitBatch posts a batch of SQEs to an attached ring pair and
-// returns how many were accepted (a prefix of es; zero means the ring
-// is full — harvest first). After a crash flush it reports the typed
-// reset error instead.
+// SubmitBatch issues es against the descriptor table, completions to
+// arrive on p's CQ under each SQE's tag, and returns len(es): a ring
+// holds what its application submits. An operation on a queue with the
+// batched face (queue.BatchIoQueue) is staged without a pump, and the
+// queue is pumped once when the batch moves on to another queue or ends
+// — so a batch that keeps each queue's SQEs together pays one pump per
+// queue (the clients' batches are on one connection; a server's follows
+// completion order, which runs connection by connection within a poll),
+// and a batch of one pays what Push or Pop pays. Other queues take Push
+// and Pop as they are. A bad descriptor or operation kind completes its
+// SQE with the error.
 func (l *LibOS) SubmitBatch(p *uring.Pair, es []uring.SQE) (int, error) {
-	n := p.SubmitN(es)
-	if n == 0 {
-		if err := p.ResetErr(); err != nil {
-			return 0, err
+	// Memoize the last QD resolved: batches overwhelmingly target one
+	// descriptor, so the common case takes the table lock once per
+	// batch, not once per op.
+	var (
+		lastQD QD
+		iq     queue.IoQueue
+		bq     queue.BatchIoQueue
+	)
+	for i := range es {
+		sqe := &es[i]
+		done := p.Arm(sqe)
+		if iq == nil || QD(sqe.QD) != lastQD {
+			if bq != nil {
+				iq.Pump()
+			}
+			iq, bq = nil, nil
+			d, err := l.get(QD(sqe.QD))
+			if err != nil {
+				done(queue.Completion{Kind: sqe.Op, Err: err})
+				continue
+			}
+			lastQD, iq = QD(sqe.QD), d.ioq()
+			bq, _ = iq.(queue.BatchIoQueue)
+		}
+		switch {
+		case sqe.Op == queue.OpPush && bq != nil:
+			bq.PushBatched(sqe.SGA, sqe.Cost, done)
+		case sqe.Op == queue.OpPush:
+			iq.Push(sqe.SGA, sqe.Cost, done)
+		case sqe.Op == queue.OpPop && bq != nil:
+			bq.PopBatched(done)
+		case sqe.Op == queue.OpPop:
+			iq.Pop(done)
+		default:
+			done(queue.Completion{Kind: sqe.Op, Err: ErrNotSupported})
 		}
 	}
-	return n, nil
+	if bq != nil {
+		iq.Pump()
+	}
+	p.Submitted(len(es))
+	return len(es), nil
 }
 
 // HarvestCQ pops up to len(dst) completions from an attached ring
-// without polling — the non-blocking harvest half of the ring path,
-// dispatching by user tag straight off the CQ with no token-map scan.
+// without polling, for dispatch by user tag.
 func (l *LibOS) HarvestCQ(p *uring.Pair, dst []uring.CQE) int {
 	return p.Harvest(dst)
 }
@@ -168,20 +108,13 @@ func (l *LibOS) HarvestCQ(p *uring.Pair, dst []uring.CQE) int {
 // WaitAnyRing polls the data path until at least one completion can be
 // harvested from p, fills dst, and returns the count. It replaces
 // WaitAny for ring-path applications: completions arrive tagged, so
-// there is no token slice to rescan. After a crash flush, pending
-// operations surface as CQEs carrying the typed reset error; once the
-// ring is both reset and empty the reset error itself is returned.
+// there is no token slice to rescan. Operations pending at a crash
+// surface here as CQEs carrying the typed reset error.
 func (l *LibOS) WaitAnyRing(p *uring.Pair, dst []uring.CQE, deadline time.Time) (int, error) {
 	dl, budget := l.deadlineFor(deadline)
 	for {
 		if n := p.Harvest(dst); n > 0 {
 			return n, nil
-		}
-		if err := p.ResetErr(); err != nil {
-			if p.Outstanding() == 0 {
-				return 0, err
-			}
-			// Outstanding ops will surface as reset CQEs; keep draining.
 		}
 		if time.Now().After(dl) {
 			return 0, timeoutErr("wait-any-ring", budget)
@@ -194,60 +127,43 @@ func (l *LibOS) WaitAnyRing(p *uring.Pair, dst []uring.CQE, deadline time.Time) 
 // registerRingTelemetry publishes the uring.* counter family as
 // read-time closures that sum across every attached pair, so rings
 // attached *after* telemetry registration are still counted (pairs
-// attach lazily, when an app opts into the ring path).
+// attach lazily, on an application's first batch). sq_posted is
+// operations submitted: the name, like sq_full_spins (nothing refuses a
+// submission any more, so it reads 0), is one benchmark/ sums by.
 func (l *LibOS) registerRingTelemetry(r *telemetry.Registry, prefix string) {
 	sum := func(pick func(uring.Counters) int64) func() int64 {
 		return func() int64 {
 			var total int64
-			rl := l.rings.Load()
-			if rl == nil {
-				return 0
-			}
-			for _, e := range *rl {
-				total += pick(e.p.CountersSnapshot())
+			for _, p := range l.Rings() {
+				total += pick(p.CountersSnapshot())
 			}
 			return total
 		}
 	}
-	r.RegisterFunc(prefix+".pairs", func() int64 {
-		if rl := l.rings.Load(); rl != nil {
-			return int64(len(*rl))
-		}
-		return 0
-	})
-	r.RegisterFunc(prefix+".sq_posted", sum(func(c uring.Counters) int64 { return c.SQPosted }))
-	r.RegisterFunc(prefix+".sq_drained", sum(func(c uring.Counters) int64 { return c.SQDrained }))
+	r.RegisterFunc(prefix+".pairs", func() int64 { return int64(len(l.Rings())) })
+	r.RegisterFunc(prefix+".sq_posted", sum(func(c uring.Counters) int64 { return c.Submitted }))
+	r.RegisterFunc(prefix+".sq_full_spins", func() int64 { return 0 })
 	r.RegisterFunc(prefix+".cq_posted", sum(func(c uring.Counters) int64 { return c.CQPosted }))
 	r.RegisterFunc(prefix+".cq_harvested", sum(func(c uring.Counters) int64 { return c.CQHarvested }))
-	r.RegisterFunc(prefix+".sq_full_spins", sum(func(c uring.Counters) int64 { return c.SQFullSpins }))
-	r.RegisterFunc(prefix+".cq_overflow", sum(func(c uring.Counters) int64 { return c.CQOverflow }))
-	r.RegisterFunc(prefix+".sq_flushed", sum(func(c uring.Counters) int64 { return c.SQFlushed }))
 	r.RegisterFunc(prefix+".cq_flushed", sum(func(c uring.Counters) int64 { return c.CQFlushed }))
-	r.RegisterFunc(prefix+".sq_occupancy", sum(func(c uring.Counters) int64 { return c.SQOccupancy }))
 	r.RegisterFunc(prefix+".cq_occupancy", sum(func(c uring.Counters) int64 { return c.CQOccupancy }))
 	r.RegisterFunc(prefix+".outstanding", sum(func(c uring.Counters) int64 { return c.Outstanding }))
+	r.RegisterFunc(prefix+".slab", sum(func(c uring.Counters) int64 { return c.Slab }))
 	for i, name := range uring.BatchBucketNames() {
 		i := i
-		r.RegisterFunc(prefix+".drain_batch."+name, sum(func(c uring.Counters) int64 { return c.DrainBatch[i] }))
+		r.RegisterFunc(prefix+".submit_batch."+name, sum(func(c uring.Counters) int64 { return c.SubmitBatch[i] }))
 	}
 }
 
-// FlushRings resets every attached ring pair with err: posted-but-
-// undrained SQEs convert to error CQEs, unharvested CQEs are rewritten
-// at harvest, and new submissions are refused. Node.Crash calls this
-// with ErrLocalReset after the transport kills in-flight operations, so
-// every pending ring op resolves to exactly one typed-error CQE. It
-// returns the total flushed from each side (per-ring flush counters are
-// kept by the pairs themselves).
-func (l *LibOS) FlushRings(err error) (flushedSQ, flushedCQ int) {
-	rl := l.rings.Load()
-	if rl == nil {
-		return 0, 0
+// FlushRings is the ring half of Node.Crash, run after the transport has
+// failed every operation in flight: completions no one had harvested are
+// rewritten to err (uring.Pair.Reset), so every ring operation pending
+// at the crash resolves to exactly one typed-error CQE. It returns how
+// many it rewrote.
+func (l *LibOS) FlushRings(err error) int {
+	n := 0
+	for _, p := range l.Rings() {
+		n += p.Reset(err)
 	}
-	for _, e := range *rl {
-		fs, fc := e.p.Reset(err)
-		flushedSQ += fs
-		flushedCQ += fc
-	}
-	return flushedSQ, flushedCQ
+	return n
 }

@@ -16,7 +16,7 @@ import (
 // echoOverModel measures n echo round trips of size bytes between a pair
 // of kind nodes charged from a custom cost model.
 func echoOverModel(kind demi.Kind, seed int64, model simclock.CostModel, size, n int) (*metrics.Histogram, error) {
-	rig, err := newEchoRig(demi.NewClusterWithModel(seed, model), kind, 0, 0)
+	rig, err := newEchoRig(demi.NewClusterWithModel(seed, model), kind, 0)
 	if err != nil {
 		return nil, err
 	}

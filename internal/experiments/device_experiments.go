@@ -288,7 +288,7 @@ func runE13(seed int64) (*Result, error) {
 
 	// The libOS path: catmint keeps its window posted and the queue API
 	// paces pushes, so the same burst count completes without failures.
-	rig, err := newEchoRig(demi.NewCluster(seed), demi.Catmint, 0, 0)
+	rig, err := newEchoRig(demi.NewCluster(seed), demi.Catmint, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -156,9 +156,9 @@ var All = []Experiment{
 	},
 	{
 		ID:     "E16",
-		Title:  "Syscall-free submission: SQ/CQ rings vs per-op calls",
+		Title:  "Batched submission and a completion ring vs per-op calls",
 		Source: "§3.2, §4.4",
-		Claim:  "the OS control plane leaves the data path entirely: apps post batches of operations and harvest completions through shared-memory rings, with zero libOS calls per op in steady state",
+		Claim:  "the OS control plane leaves the data path, which in a library OS is a function call away: apps submit batches of operations in one call and harvest tagged completions from a ring, with no token per op and one transport pump per batch",
 		Run:    runE16,
 	},
 	{
@@ -235,23 +235,22 @@ type EchoRig struct {
 
 // newEchoRig spawns a pair of kind nodes on c, each charging extra per
 // packet, and stages echo between them (StageEcho).
-func newEchoRig(c *demi.Cluster, kind demi.Kind, extra simclock.Lat, ringCap int) (*EchoRig, error) {
+func newEchoRig(c *demi.Cluster, kind demi.Kind, extra simclock.Lat) (*EchoRig, error) {
 	srvNode, cliNode, err := spawnPair(c, kind, demi.NodeConfig{PerPacketExtra: extra})
 	if err != nil {
 		return nil, err
 	}
-	return StageEcho(c, srvNode, cliNode, ringCap)
+	return StageEcho(c, srvNode, cliNode)
 }
 
 // StageEcho serves echo on srvNode:7, charging the model's application
-// cost per request, and dials it from cliNode; ringCap > 0 puts both sides
-// on SQ/CQ rings of that capacity.
-func StageEcho(c *demi.Cluster, srvNode, cliNode *demi.Node, ringCap int) (*EchoRig, error) {
-	srv, stopSrv, err := echo.Serve(srvNode.LibOS, 7, c.Model.AppRequestNS, ringCap)
+// cost per request, and dials it from cliNode.
+func StageEcho(c *demi.Cluster, srvNode, cliNode *demi.Node) (*EchoRig, error) {
+	srv, stopSrv, err := echo.Serve(srvNode.LibOS, 7, c.Model.AppRequestNS)
 	if err != nil {
 		return nil, err
 	}
-	cli, stopCli, err := echo.Dial(cliNode.LibOS, c.AddrOf(srvNode, 7), ringCap)
+	cli, stopCli, err := echo.Dial(cliNode.LibOS, c.AddrOf(srvNode, 7))
 	if err != nil {
 		stopSrv()
 		return nil, err

@@ -1,12 +1,9 @@
 package experiments
 
 // E17 — a real web workload on the bypass path. An HTTP/1.1 server
-// runs directly on catnip queues (no sockets, no kernel TCP) over both
-// submission disciplines — per-op tokens and SQ/CQ rings — serving a
-// Zipf-popular cached object tree to keep-alive clients. The virtual
-// service-latency CCDF must match across the two paths (the data path
-// underneath is identical; the rings only remove call overhead that
-// virtual time does not charge). Then the part the paper's §2 "OS
+// runs directly on catnip queues (no sockets, no kernel TCP), serving a
+// Zipf-popular cached object tree to keep-alive clients through its
+// completion ring. Then the part the paper's §2 "OS
 // functionality" argument is really about: a client that stops reading.
 // The libOS's bounded rx ready list must park (rx_ready_stalls), the
 // TCP advertised window must close against the server, the server must
@@ -37,9 +34,9 @@ type httpRig struct {
 	close   func()
 }
 
-// newHTTPRig serves tree from one catnip node (over rings when ringCap >
-// 0) to a client on another whose rx ready list is bounded at rxReadyCap.
-func newHTTPRig(seed int64, tree *httpd.Tree, ringCap, rxReadyCap int) (*httpRig, error) {
+// newHTTPRig serves tree from one catnip node to a client on another
+// whose rx ready list is bounded at rxReadyCap.
+func newHTTPRig(seed int64, tree *httpd.Tree, rxReadyCap int) (*httpRig, error) {
 	c := demi.NewCluster(seed)
 	srvNode, err := c.Spawn(demi.Catnip, demi.WithHost(1))
 	if err != nil {
@@ -50,7 +47,7 @@ func newHTTPRig(seed int64, tree *httpd.Tree, ringCap, rxReadyCap int) (*httpRig
 		return nil, err
 	}
 	cliNode.WaitTimeout = 10 * time.Second
-	srv, stopSrv, err := httpd.Serve(srvNode.LibOS, tree, e17Port, ringCap)
+	srv, stopSrv, err := httpd.Serve(srvNode.LibOS, tree, e17Port)
 	if err != nil {
 		return nil, err
 	}
@@ -66,50 +63,37 @@ func runE17(seed int64) (*Result, error) {
 	const reqs = 512
 	res := &Result{}
 
-	// Part 1 — the same Zipf-popular GET stream over both submission
-	// disciplines; the server-side virtual service-latency CCDF must
-	// match (the rings change the submission machinery, not the work).
+	// Part 1 — a Zipf-popular GET stream and the server-side virtual
+	// service-latency CCDF.
 	prod := workload.NewHTTPProduction(64, 1e6, seed)
 	tree := httpd.NewTree()
 	for _, o := range prod.Objects {
 		tree.Add(o.Path, o.Body)
 	}
-	tbl := metrics.NewTable("HTTP GET service latency (virtual): per-op tokens vs SQ/CQ rings",
+	tbl := metrics.NewTable("HTTP GET service latency (virtual)",
 		"path", "requests", "p50", "p99", "p99.9", "max")
-	var p50s [2]int64
-	for i, ringCap := range []int{0, 64} {
-		r, err := newHTTPRig(seed, tree, ringCap, 0)
+	fast, err := newHTTPRig(seed, tree, 0)
+	if err != nil {
+		return nil, err
+	}
+	paths := workload.NewPathSet(len(prod.Objects), workload.NewZipfKeys(len(prod.Objects), 1.2, seed+2))
+	for k := 0; k < reqs; k++ {
+		resp, err := fast.cli.Get(paths.Next())
+		if err == nil && resp.Status != 200 {
+			err = fmt.Errorf("E17: status %d", resp.Status)
+		}
 		if err != nil {
+			fast.close()
 			return nil, err
 		}
-		paths := workload.NewPathSet(len(prod.Objects), workload.NewZipfKeys(len(prod.Objects), 1.2, seed+2))
-		for k := 0; k < reqs; k++ {
-			resp, err := r.cli.Get(paths.Next())
-			if err != nil {
-				r.close()
-				return nil, err
-			}
-			if resp.Status != 200 {
-				r.close()
-				return nil, fmt.Errorf("E17: status %d", resp.Status)
-			}
-		}
-		name := "per-op"
-		if ringCap > 0 {
-			name = "ring"
-		}
-		served := r.srv.Stats().Requests
-		h := r.srv.RouteHistogram("obj")
-		tbl.AddRow(name, served, h.Percentile(50), h.Percentile(99), h.Percentile(99.9), h.Max())
-		p50s[i] = int64(h.Percentile(50))
-		res.check(name+" path serves every request", served == reqs,
-			"served %d of %d", served, reqs)
-		r.close()
 	}
+	served := fast.srv.Stats().Requests
+	h := fast.srv.RouteHistogram("obj")
+	tbl.AddRow("ring", served, h.Percentile(50), h.Percentile(99), h.Percentile(99.9), h.Max())
+	res.check("ring path serves every request", served == reqs,
+		"served %d of %d", served, reqs)
+	fast.close()
 	res.Tables = append(res.Tables, tbl)
-	res.check("ring CCDF tracks per-op (identical data path under both)",
-		p50s[1] <= p50s[0]*11/10 && p50s[0] <= p50s[1]*11/10,
-		"p50 per-op %dns vs ring %dns", p50s[0], p50s[1])
 
 	// Part 2 — the slow client. 160 pipelined 8KiB GETs with the reader
 	// frozen: the responses must fill the client's TCP receive window
@@ -125,7 +109,7 @@ func runE17(seed int64) (*Result, error) {
 	for _, o := range objs {
 		slowTree.Add(o.Path, o.Body)
 	}
-	r, err := newHTTPRig(seed+1, slowTree, 0, 4)
+	r, err := newHTTPRig(seed+1, slowTree, 4)
 	if err != nil {
 		return nil, err
 	}

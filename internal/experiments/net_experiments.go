@@ -28,7 +28,7 @@ func runE1(seed int64) (*Result, error) {
 	var kernel4k, bypass4k simclock.Lat
 	var counterTbl *metrics.Table
 	for _, size := range sizes {
-		kr, err := newEchoRig(demi.NewCluster(seed), demi.Catnap, 0, 0)
+		kr, err := newEchoRig(demi.NewCluster(seed), demi.Catnap, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -42,7 +42,7 @@ func runE1(seed int64) (*Result, error) {
 		cliSyscalls := kr.cliNode.Kernel.Counters().SyscallCrossings
 		kr.Close()
 
-		br, err := newEchoRig(demi.NewCluster(seed), demi.Catnip, 0, 0)
+		br, err := newEchoRig(demi.NewCluster(seed), demi.Catnip, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +220,7 @@ func runE6(seed int64) (*Result, error) {
 		"stack", "p50", "p99", "vs kernel")
 	p50s := make([]simclock.Lat, len(configs))
 	for i, cfg := range configs {
-		rig, err := newEchoRig(demi.NewCluster(seed), cfg.kind, cfg.extra, 0)
+		rig, err := newEchoRig(demi.NewCluster(seed), cfg.kind, cfg.extra)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +297,7 @@ func runE9(seed int64) (*Result, error) {
 // survive a lossy, reordering stream intact and in order.
 func runE11(seed int64) (*Result, error) {
 	res := &Result{}
-	rig, err := newEchoRig(demi.NewCluster(seed), demi.Catnip, 0, 0)
+	rig, err := newEchoRig(demi.NewCluster(seed), demi.Catnip, 0)
 	if err != nil {
 		return nil, err
 	}

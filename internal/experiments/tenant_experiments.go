@@ -68,11 +68,11 @@ func NewTenantRig(seed int64) (*TenantRig, error) {
 	sink := c.MustSpawn(demi.Catnip, demi.WithHost(6))
 	r.hostile = &chaos.HostileTenant{Lib: r.Mal.LibOS, Pool: r.Mal.Catnip.Pool(), Node: r.Mal, Sink: c.AddrOf(sink, 9)}
 
-	pairA, err := StageEcho(c, r.VicA, cliA, 0)
+	pairA, err := StageEcho(c, r.VicA, cliA)
 	if err != nil {
 		return nil, err
 	}
-	pairB, err := StageEcho(c, r.VicB, cliB, 0)
+	pairB, err := StageEcho(c, r.VicB, cliB)
 	if err != nil {
 		pairA.Close()
 		return nil, err

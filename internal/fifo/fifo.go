@@ -21,6 +21,9 @@ type Queue[T any] struct {
 // Len returns the number of queued elements.
 func (q *Queue[T]) Len() int { return q.n }
 
+// Cap returns the number of elements the backing array holds.
+func (q *Queue[T]) Cap() int { return len(q.buf) }
+
 // Push enqueues v at the tail.
 func (q *Queue[T]) Push(v T) {
 	if q.n == len(q.buf) {

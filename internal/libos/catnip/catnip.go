@@ -605,14 +605,11 @@ func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 }
 
 // PushBatched implements queue.BatchIoQueue: Push with the Pump left to
-// the next transport poll. The SQ drain path stages a whole burst of
-// pushes this way, then the poll that follows flushes them through one
-// coalesced flushTx — MSS-sized segments instead of one small segment per
-// push.
+// the caller. LibOS.SubmitBatch stages a whole burst of pushes this way
+// and then pumps once, so the burst goes through one coalesced flushTx —
+// MSS-sized segments instead of one small segment per push.
 func (e *endpoint) PushBatched(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
-	if e.stage(s, cost, done) {
-		e.t.mark(e)
-	}
+	e.stage(s, cost, done)
 }
 
 // stage frames s into device-registered memory and queues it for the
@@ -668,13 +665,11 @@ func (e *endpoint) Pop(done queue.DoneFunc) {
 }
 
 // PopBatched implements queue.BatchIoQueue: Pop with the Pump left to the
-// burst issuer's follow-up poll. A new waiter always gets that pump: data
-// that arrived while nobody waited was reported by the stack then, and is
-// not reported again.
+// caller. A new waiter always needs that pump: data that arrived while
+// nobody waited was reported by the stack then, and is not reported
+// again.
 func (e *endpoint) PopBatched(done queue.DoneFunc) {
-	if e.popOrWait(done) {
-		e.t.mark(e)
-	}
+	e.popOrWait(done)
 }
 
 // popOrWait completes done at once — with a buffered completion, or with
@@ -763,8 +758,8 @@ type txDone struct {
 
 func (e *endpoint) flushTx(conn *netstack.TCPConn) int {
 	// Completed frames collect on the stack and fire after the single
-	// unlock below; 32 slots covers the largest ring drain burst without
-	// spilling to the heap.
+	// unlock below; 32 slots covers a 32-push batch without spilling to
+	// the heap.
 	var firedArr [32]txDone
 	fired := firedArr[:0]
 	e.mu.Lock()

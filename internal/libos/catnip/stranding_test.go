@@ -4,7 +4,7 @@ package catnip_test
 // operation whose endpoint is on no list when its turn comes would wait
 // for ever. These tests drive 256 connections through seeded
 // interleavings of everything that puts work on a list or takes it off —
-// pushes and pops through qtokens and through the SQ/CQ rings, data
+// pushes and pops through qtokens and through batched submission, data
 // before and after the waiter, frames that span many segments, a parked
 // receive drain, a full send buffer, a peer's close, a reset, a partition
 // the retransmission budget runs out on, a crash — and require that every
@@ -218,20 +218,14 @@ func (r *strandRig) pop(c *strandConn, side int) {
 
 // --- polling and harvesting ---
 
-// poll submits what the rings were handed, polls the dialing node and
-// then the serving one, and collects whatever completed.
+// poll submits the batches staged since the last one, polls the dialing
+// node and then the serving one, and collects whatever completed.
 func (r *strandRig) poll() {
 	for side := range r.node {
-		for len(r.sq[side]) > 0 {
-			n, err := r.node[side].SubmitBatch(r.ring[side], r.sq[side])
-			if err != nil {
-				r.fatalf("submit: %v", err)
-			}
-			if n == 0 {
-				break // ring full until the next harvest
-			}
-			r.sq[side] = r.sq[side][n:]
+		if _, err := r.node[side].SubmitBatch(r.ring[side], r.sq[side]); err != nil {
+			r.fatalf("submit: %v", err)
 		}
+		r.sq[side] = r.sq[side][:0]
 	}
 	r.node[1].Poll()
 	r.node[0].Poll()
@@ -557,7 +551,6 @@ func (r *strandRig) crash(x int) {
 	if err := r.node[x].Restart(); err != nil {
 		r.fatalf("restart: %v", err)
 	}
-	r.ring[x] = r.node[x].AttachRing(1024)
 	for _, c := range r.conns {
 		r.pop(c, 1-x)
 		r.push(c, 1-x, 32)
@@ -592,9 +585,10 @@ func TestNothingStranded(t *testing.T) {
 }
 
 // TestMarkRacesDrain is the mark-versus-drain race: background pollers
-// drain the pump lists while application goroutines put endpoints on
-// them through the batched calls, which leave all pumping to the poller.
-// Every echo must complete; run under -race.
+// drain the pump lists, which readiness feeds, while application
+// goroutines stage operations through the batched calls and pump the
+// endpoint themselves, as LibOS.SubmitBatch does. Every echo must
+// complete; run under -race.
 func TestMarkRacesDrain(t *testing.T) {
 	c, srv, cli, cleanup := pair(t, 61)
 	defer cleanup()
@@ -609,19 +603,24 @@ func TestMarkRacesDrain(t *testing.T) {
 	if err := srv.Listen(lqd); err != nil {
 		t.Fatal(err)
 	}
-	batched := func(n *demi.Node, qd demi.QD) queue.BatchIoQueue {
+	type batchEndpoint interface {
+		queue.BatchIoQueue
+		Pump() int
+	}
+	batched := func(n *demi.Node, qd demi.QD) batchEndpoint {
 		ep, err := n.EndpointOf(qd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ep.(queue.BatchIoQueue)
+		return ep.(batchEndpoint)
 	}
-	// exchange pops one message and pushes one, batched, and waits for
-	// both completions.
-	exchange := func(q queue.BatchIoQueue, msg demi.SGA) (demi.SGA, error) {
+	// exchange pops one message and pushes one, staged and then pumped
+	// once, and waits for both completions.
+	exchange := func(q batchEndpoint, msg demi.SGA) (demi.SGA, error) {
 		done := make(chan queue.Completion, 2)
 		q.PopBatched(func(c queue.Completion) { done <- c })
 		q.PushBatched(msg, 0, func(c queue.Completion) { done <- c })
+		q.Pump()
 		var got demi.SGA
 		for i := 0; i < 2; i++ {
 			select {

@@ -238,3 +238,69 @@ func TestParkedDrainResumes(t *testing.T) {
 	}
 	r.atRest("burst consumed")
 }
+
+// TestEchoSegmentsAgainstWaiters: what a multi-segment message costs in
+// pure ACKs is set by how its segments fall across the receiver's polls,
+// not by how many pops wait for it. Every poll that takes in-order data
+// in answers with one cumulative ACK, and the drain that follows — there
+// is a waiter, so the endpoint reads the bytes out, whole frame or not —
+// answers again when it reopened the window by an MSS. A 4 KiB echo (three
+// segments each way) therefore costs each side 3 + 2 segments when the
+// message arrives inside one poll and one more when it straddles two, as
+// the first message of a connection does behind the initial congestion
+// window; a server keeping 8 pops armed reads the same as one keeping 1.
+// Under real pollers the straddle is a matter of scheduling, which is why
+// E1's per-layer frame counts move between runs (DESIGN.md, "What a poll
+// touches").
+func TestEchoSegmentsAgainstWaiters(t *testing.T) {
+	segments := func(waiters int) (perRound [3][2]int64) {
+		r := newWLRig(t, 0)
+		a, b := r.connect()
+		var arrived []sga.SGA
+		serverPop := func(c queue.Completion) {
+			if c.Err != nil {
+				t.Fatalf("server pop: %v", c.Err)
+			}
+			arrived = append(arrived, c.SGA)
+		}
+		for i := 0; i < waiters; i++ {
+			b.Pop(serverPop)
+		}
+		sent := func() [2]int64 {
+			return [2]int64{r.ta.Stack().Stats().TCPSegsSent, r.tb.Stack().Stats().TCPSegsSent}
+		}
+		msg := sga.New(make([]byte, 4096))
+		for round := range perRound {
+			before := sent()
+			echoed := false
+			a.Pop(func(c queue.Completion) {
+				if c.Err != nil || len(c.SGA.Bytes()) != 4096 {
+					t.Fatalf("client pop: %v", c.Err)
+				}
+				c.SGA.Free()
+				echoed = true
+			})
+			a.Push(msg, 0, func(queue.Completion) {})
+			r.until("echo", func() bool {
+				for _, s := range arrived {
+					b.Push(s, 0, func(queue.Completion) {})
+					s.Free()
+					b.Pop(serverPop)
+				}
+				arrived = arrived[:0]
+				return echoed
+			})
+			r.poll() // the last ACKs
+			r.poll()
+			after := sent()
+			perRound[round] = [2]int64{after[0] - before[0], after[1] - before[1]}
+		}
+		return perRound
+	}
+	want := [3][2]int64{{6, 6}, {5, 5}, {5, 5}}
+	for _, waiters := range []int{1, 8} {
+		if got := segments(waiters); got != want {
+			t.Errorf("%d waiters: segments sent per echo [client server] = %v, want %v", waiters, got, want)
+		}
+	}
+}

@@ -83,10 +83,11 @@ type IoQueue interface {
 
 // BatchIoQueue is the optional batched face of an IoQueue: PushBatched
 // and PopBatched stage the operation without advancing the queue's
-// machinery, so a caller issuing a burst (the SQ drain path) can stage
+// machinery, so a caller issuing a burst (LibOS.SubmitBatch) can stage
 // every operation first and pay the pump — TX segmentation, RX sweep —
-// once for the whole burst instead of once per op. The caller owns
-// making progress afterwards (a transport Poll suffices).
+// once for the whole burst instead of once per op. The caller owes the
+// queue one Pump after the last operation it staged; nothing else will
+// make that progress for it.
 type BatchIoQueue interface {
 	PushBatched(s sga.SGA, cost simclock.Lat, done DoneFunc)
 	PopBatched(done DoneFunc)

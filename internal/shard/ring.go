@@ -21,9 +21,8 @@ import "sync/atomic"
 const cacheLine = 64
 
 // Ring is a bounded lock-free SPSC ring. Exactly one goroutine may call
-// Push/PushN (the producer) and exactly one may call Pop/PopN (the
-// consumer); the Group mesh enforces this by dedicating one ring per
-// (from, to) pair.
+// Push (the producer) and exactly one may call Pop (the consumer); the
+// Group mesh enforces this by dedicating one ring per (from, to) pair.
 //
 // Each side keeps a private snapshot of the peer's index (cachedTail on
 // the consumer line, cachedHead on the producer line) and refreshes it
@@ -72,30 +71,6 @@ func (r *Ring[T]) Push(v T) bool {
 	return true
 }
 
-// PushN appends as many elements of vs as fit and returns how many it
-// accepted (a prefix of vs). One release store publishes the whole
-// batch, so the consumer sees it at the cost of a single fence.
-// Producer-side only.
-func (r *Ring[T]) PushN(vs []T) int {
-	tail := r.tail.Load()
-	free := r.mask + 1 - (tail - r.cachedHead)
-	if uint64(len(vs)) > free {
-		r.cachedHead = r.head.Load()
-		free = r.mask + 1 - (tail - r.cachedHead)
-	}
-	n := len(vs)
-	if uint64(n) > free {
-		n = int(free)
-	}
-	for i := 0; i < n; i++ {
-		r.buf[(tail+uint64(i))&r.mask] = vs[i]
-	}
-	if n > 0 {
-		r.tail.Store(tail + uint64(n))
-	}
-	return n
-}
-
 // Pop removes and returns the oldest element. Consumer-side only.
 func (r *Ring[T]) Pop() (T, bool) {
 	var zero T
@@ -110,32 +85,6 @@ func (r *Ring[T]) Pop() (T, bool) {
 	r.buf[head&r.mask] = zero // drop the reference for GC
 	r.head.Store(head + 1)
 	return v, true
-}
-
-// PopN removes up to len(dst) oldest elements into dst and returns how
-// many it delivered. Like PushN, the whole batch retires with one
-// release store of head. Consumer-side only.
-func (r *Ring[T]) PopN(dst []T) int {
-	var zero T
-	head := r.head.Load()
-	avail := r.cachedTail - head
-	if uint64(len(dst)) > avail {
-		r.cachedTail = r.tail.Load()
-		avail = r.cachedTail - head
-	}
-	n := len(dst)
-	if uint64(n) > avail {
-		n = int(avail)
-	}
-	for i := 0; i < n; i++ {
-		idx := (head + uint64(i)) & r.mask
-		dst[i] = r.buf[idx]
-		r.buf[idx] = zero // drop the reference for GC
-	}
-	if n > 0 {
-		r.head.Store(head + uint64(n))
-	}
-	return n
 }
 
 // Len reports the current occupancy (approximate under concurrency).

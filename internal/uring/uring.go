@@ -1,54 +1,54 @@
-// Package uring implements the syscall-free submission path between an
-// application thread and a libOS worker: one pair of lock-free SPSC
-// rings (a submission queue the app produces into and the libOS drains,
-// and a completion queue the libOS produces into and the app harvests),
-// mirroring io_uring's SQ/CQ split and the paper's argument that the
-// control plane should get out of the data path entirely. In steady
-// state an operation crosses from app to libOS and back without a
-// single call into the libOS, without touching the completer's token
-// map, and without allocating: wait state lives in a free-listed slab
-// of op states (index+generation handles) whose completion closures are
-// bound once at construction.
+// Package uring is the completion ring of the batched submission path: a
+// slab of in-flight operation states and a completion queue the libOS
+// posts into and the application harvests, after io_uring's CQ. There is
+// no submission queue. The paper's libOS is linked into the application
+// (§3.2, §4.4), so submitting is a function call (core.LibOS.SubmitBatch)
+// that arms one slab slot per SQE and stages the operation on its queue
+// at once; a ring of SQEs between the two would avoid no crossing and
+// only defer the work to the next poll. What the ring buys is on the way
+// back: completions arrive tagged, in one harvest per batch, without a
+// qtoken per operation or a token table to probe, and without
+// allocating — a slot's completion closure is bound once, when the slab
+// grows.
 //
-// Concurrency contract. Each Pair has exactly one application thread
-// (the SQ producer and CQ consumer — Submit/SubmitN/Harvest) and one
-// libOS side. The libOS side is internally serialized by a mutex
-// because completions can fire from whichever goroutine pumps the
-// netstack, and a crash flush (Reset) must atomically drain the SQ and
-// post error CQEs; the app side is lock-free.
+// Concurrency contract. One mutex guards the slab and the CQ: whichever
+// goroutine pumps the stack completes operations, the application arms
+// and harvests, and a crash flush (Reset) rewrites what is pending, each
+// under it; Harvest takes it once per call. A pair belongs to one
+// application thread all the same, because whoever harvests gets every
+// completion: give each thread its own.
 //
-// Overflow freedom. The CQ can never overflow: Submit reserves a CQ
-// slot up front by capping outstanding operations (SQEs not yet
-// drained + ops in flight + CQEs not yet harvested) at the ring
-// capacity, and Harvest releases the reservation. The libOS therefore
-// admits every drained SQE unconditionally; cq_overflow is a defensive
-// counter that stays zero.
+// No bound. The slab and the CQ grow by doubling, so a pair holds as
+// many operations as its application submitted, which is the guarantee
+// the qtoken table gives; capacity is where the slab starts. Neither
+// shrinks, and both stop growing at the application's own high-water
+// mark.
 package uring
 
 import (
+	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"demikernel/internal/fifo"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
-	"demikernel/internal/shard"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
 )
 
-// SQE is one submission-queue entry: a fixed-size description of a
-// queue operation. The app fills Op, QD, Tag and (for pushes) SGA/Cost;
-// Tag is an opaque user cookie returned verbatim on the matching CQE so
-// the app can dispatch completions without any shared map.
+// SQE describes one queue operation to submit. The app fills Op, QD, Tag
+// and (for pushes) SGA/Cost; Tag is an opaque user cookie returned
+// verbatim on the matching CQE so the app can dispatch completions
+// without any shared map.
 type SQE struct {
 	Op   queue.OpKind
 	QD   int32
 	Tag  uint64
 	SGA  sga.SGA      // push payload; app-owned until successful completion
 	Cost simclock.Lat // virtual latency the app accumulated before submitting
-
-	issueNS int64 // wall stamp, set by Submit while spans are enabled
 }
 
 // CQE is one completion-queue entry. For pops SGA carries the received
@@ -63,258 +63,105 @@ type CQE struct {
 
 	// Span attribution, carried through the ring so issue→consume spans
 	// survive without the completer's token sidecar.
-	qd                        int32
-	issueNS, submitNS, doneNS int64
+	qd              int32
+	issueNS, doneNS int64
 }
 
 // opState is one slab slot: the wait state of one in-flight operation.
-// Its DoneFunc is bound once at NewPair, so arming an op allocates
-// nothing; gen increments on every release so a handle is an
-// (index, generation) pair and stale completions are detectable.
+// Its DoneFunc is bound when the slab grows, so arming an op allocates
+// nothing, and a slot is reached only through pointers, so growth moves
+// none.
 type opState struct {
-	p   *Pair
-	idx uint32
-	gen uint32
-
-	armed             bool
-	tag               uint64
-	qd                int32
-	issueNS, submitNS int64
-
-	done queue.DoneFunc
+	armed   bool
+	tag     uint64
+	qd      int32
+	issueNS int64
+	done    queue.DoneFunc
 }
 
-// batchBuckets are the upper bounds of the drain batch-size histogram;
-// the last bucket is unbounded.
+// batchBuckets are the upper bounds of the submit-size histogram; the
+// last bucket is unbounded.
 var batchBuckets = [...]int64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// Pair is one SQ/CQ ring pair between one app thread and one libOS.
+// Pair is one application thread's ring on one libOS (the name is from
+// the SQ/CQ pair it once was).
 type Pair struct {
-	sq       *shard.Ring[SQE]
-	cq       *shard.Ring[CQE]
-	capacity int
-
-	// outstanding counts reservations: ops submitted but not yet
-	// harvested. Written only by the app thread; atomic so telemetry
-	// and the libOS flush path may read it.
-	outstanding atomic.Int64
-
-	// reset, once non-nil, poisons the pair: Submit refuses, Harvest
-	// rewrites every CQE to the reset error and frees its payload.
-	reset atomic.Pointer[error]
-
-	// mu serializes the libOS side: SQ drains, slab arm/release, CQ
-	// pushes (completions fire from whichever goroutine pumps the
-	// stack) and the crash flush.
-	mu     sync.Mutex
-	states []opState
-	free   []uint32
+	mu   sync.Mutex
+	free []*opState // released slots, LIFO for cache warmth
+	slab int        // slots allocated
+	cq   fifo.Queue[CQE]
 
 	spans *telemetry.SpanTable
 
 	// Counters (names mirror the uring.* registry entries).
-	sqPosted    atomic.Int64
-	sqDrained   atomic.Int64
+	submitted   atomic.Int64
 	cqPosted    atomic.Int64
 	cqHarvested atomic.Int64
-	sqFullSpins atomic.Int64
-	cqOverflow  atomic.Int64
-	sqFlushed   atomic.Int64
 	cqFlushed   atomic.Int64
-	drainBatch  [len(batchBuckets) + 1]atomic.Int64
+	submitBatch [len(batchBuckets) + 1]atomic.Int64
 }
 
-// NewPair returns a ring pair with the given capacity (rounded up to a
-// power of two, minimum 2). Capacity bounds the number of outstanding
-// operations; both rings and the op-state slab share it, which is what
-// makes the completion queue overflow-free.
+// NewPair returns a ring whose slab starts at capacity slots.
 func NewPair(capacity int) *Pair {
-	n := 2
-	for n < capacity {
-		n <<= 1
-	}
-	p := &Pair{
-		sq:       shard.NewRing[SQE](n),
-		cq:       shard.NewRing[CQE](n),
-		capacity: n,
-		states:   make([]opState, n),
-		free:     make([]uint32, n),
-	}
-	for i := range p.states {
-		st := &p.states[i]
-		st.p = p
-		st.idx = uint32(i)
-		st.done = func(c queue.Completion) { p.complete(st, c) }
-		p.free[i] = uint32(n - 1 - i)
-	}
+	p := &Pair{}
+	p.Reserve(capacity)
 	return p
 }
 
-// Cap returns the pair's capacity (== max outstanding operations).
-func (p *Pair) Cap() int { return p.capacity }
+// Reserve grows the slab to at least n slots, so that n operations in
+// flight arm without allocating.
+func (p *Pair) Reserve(n int) {
+	p.mu.Lock()
+	p.reserveLocked(n)
+	p.mu.Unlock()
+}
 
-// Outstanding returns the number of reservations currently held:
-// operations submitted and not yet harvested.
-func (p *Pair) Outstanding() int { return int(p.outstanding.Load()) }
-
-// ResetErr returns the error the pair was flushed with, or nil while
-// the pair is live.
-func (p *Pair) ResetErr() error {
-	if e := p.reset.Load(); e != nil {
-		return *e
+func (p *Pair) reserveLocked(n int) {
+	if n <= p.slab {
+		return
 	}
-	return nil
+	chunk := make([]opState, n-p.slab)
+	for i := range chunk {
+		st := &chunk[i]
+		st.done = func(c queue.Completion) { p.complete(st, c) }
+		p.free = append(p.free, st)
+	}
+	p.slab = n
 }
 
 // SetSpans attaches a span table; while it is enabled, operations are
-// stamped at issue/submit/done/consume and recorded at harvest.
+// stamped at issue/done/consume and recorded at harvest.
 func (p *Pair) SetSpans(t *telemetry.SpanTable) { p.spans = t }
 
-// ---------------------------------------------------------------------
-// App side (one thread): Submit / SubmitN / Harvest.
-// ---------------------------------------------------------------------
-
-// Submit posts one SQE. It returns false when the pair has no free
-// reservation (backpressure: harvest first) or has been reset.
-func (p *Pair) Submit(e SQE) bool {
-	if p.reset.Load() != nil {
-		return false
-	}
-	if p.outstanding.Load() >= int64(p.capacity) {
-		p.sqFullSpins.Add(1)
-		return false
-	}
-	if p.spans != nil && p.spans.Enabled() {
-		e.issueNS = time.Now().UnixNano()
-	}
-	if !p.sq.Push(e) { // unreachable while the reservation invariant holds
-		p.sqFullSpins.Add(1)
-		return false
-	}
-	p.outstanding.Add(1)
-	p.sqPosted.Add(1)
-	return true
-}
-
-// SubmitN posts a batch of SQEs with a single release store and returns
-// how many were accepted (a prefix of es). It may stamp issue times
-// into es.
-func (p *Pair) SubmitN(es []SQE) int {
-	if p.reset.Load() != nil {
-		return 0
-	}
-	room := int64(p.capacity) - p.outstanding.Load()
-	if room <= 0 {
-		p.sqFullSpins.Add(1)
-		return 0
-	}
-	n := len(es)
-	if int64(n) > room {
-		n = int(room)
-	}
-	if p.spans != nil && p.spans.Enabled() {
-		now := time.Now().UnixNano()
-		for i := 0; i < n; i++ {
-			es[i].issueNS = now
-		}
-	}
-	pushed := p.sq.PushN(es[:n])
-	if pushed > 0 {
-		p.outstanding.Add(int64(pushed))
-		p.sqPosted.Add(int64(pushed))
-	}
-	if pushed < len(es) {
-		p.sqFullSpins.Add(1)
-	}
-	return pushed
-}
-
-// Harvest pops up to len(dst) completions, releasing their
-// reservations. After a reset every harvested CQE is rewritten to the
-// reset error and any popped payload is freed, so pending operations
-// resolve to exactly one typed-error completion each.
-func (p *Pair) Harvest(dst []CQE) int {
-	n := p.cq.PopN(dst)
-	if n == 0 {
-		return 0
-	}
-	p.outstanding.Add(int64(-n))
-	p.cqHarvested.Add(int64(n))
-	if rerr := p.reset.Load(); rerr != nil {
-		for i := 0; i < n; i++ {
-			dst[i].SGA.Free()
-			dst[i].SGA = sga.SGA{}
-			dst[i].Err = *rerr
-		}
-		return n
-	}
-	if p.spans != nil && p.spans.Enabled() {
-		now := time.Now().UnixNano()
-		for i := 0; i < n; i++ {
-			c := &dst[i]
-			if c.issueNS == 0 {
-				continue // spans were enabled mid-flight
-			}
-			p.spans.Record(telemetry.SpanRecord{
-				QD:        c.qd,
-				Kind:      int(c.Kind),
-				Err:       c.Err != nil,
-				IssueNS:   c.issueNS,
-				SubmitNS:  c.submitNS,
-				DoneNS:    c.doneNS,
-				ConsumeNS: now,
-				VirtCost:  c.Cost,
-			})
-		}
-	}
-	return n
-}
-
-// ---------------------------------------------------------------------
-// LibOS side: DrainSQ / Arm / (completions via bound DoneFuncs) / Reset.
-// ---------------------------------------------------------------------
-
-// DrainSQ pops up to len(dst) submissions in one burst. LibOS-side.
-func (p *Pair) DrainSQ(dst []SQE) int {
-	p.mu.Lock()
-	n := p.sq.PopN(dst)
-	p.mu.Unlock()
-	if n > 0 {
-		p.sqDrained.Add(int64(n))
-		i := 0
-		for i < len(batchBuckets) && int64(n) > batchBuckets[i] {
-			i++
-		}
-		p.drainBatch[i].Add(1)
-	}
-	return n
-}
-
-// Arm acquires an op-state slot for one drained SQE and returns the
-// pre-bound DoneFunc to hand to the IoQueue. The slab cannot run dry
-// while the reservation invariant holds (slab size == capacity ≥
-// outstanding ≥ armed ops), so exhaustion is a fatal invariant break.
-// LibOS-side.
-func (p *Pair) Arm(e SQE) queue.DoneFunc {
+// Arm acquires a slot for one SQE and returns the DoneFunc to hand to
+// its IoQueue. The submit call counts its batch once, with Submitted.
+func (p *Pair) Arm(e *SQE) queue.DoneFunc {
 	var now int64
 	if p.spans != nil && p.spans.Enabled() {
 		now = time.Now().UnixNano()
 	}
 	p.mu.Lock()
 	if len(p.free) == 0 {
-		p.mu.Unlock()
-		panic("uring: op-state slab exhausted (reservation invariant violated)")
+		p.reserveLocked(max(2*p.slab, 2))
 	}
-	idx := p.free[len(p.free)-1]
+	st := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
-	st := &p.states[idx]
 	st.armed = true
 	st.tag = e.Tag
 	st.qd = e.QD
-	st.issueNS = e.issueNS
-	st.submitNS = now
+	st.issueNS = now
 	p.mu.Unlock()
 	return st.done
+}
+
+// Submitted counts one submit call that armed n operations.
+func (p *Pair) Submitted(n int) {
+	p.submitted.Add(int64(n))
+	i := 0
+	for i < len(batchBuckets) && int64(n) > batchBuckets[i] {
+		i++
+	}
+	p.submitBatch[i].Add(1)
 }
 
 // complete is the target of every slab DoneFunc: it converts the
@@ -329,157 +176,123 @@ func (p *Pair) complete(st *opState, c queue.Completion) {
 		return
 	}
 	st.armed = false
-	st.gen++
 	cqe := CQE{
-		Tag:      st.tag,
-		Kind:     c.Kind,
-		Err:      c.Err,
-		SGA:      c.SGA,
-		Cost:     c.Cost,
-		qd:       st.qd,
-		issueNS:  st.issueNS,
-		submitNS: st.submitNS,
+		Tag:     st.tag,
+		Kind:    c.Kind,
+		Err:     c.Err,
+		SGA:     c.SGA,
+		Cost:    c.Cost,
+		qd:      st.qd,
+		issueNS: st.issueNS,
 	}
 	if st.issueNS != 0 {
 		cqe.doneNS = time.Now().UnixNano()
 	}
-	p.free = append(p.free, st.idx)
-	if !p.cq.Push(cqe) { // unreachable: a reservation backs every CQE
-		p.cqOverflow.Add(1)
-		p.mu.Unlock()
-		cqe.SGA.Free()
-		return
-	}
-	p.cqPosted.Add(1)
+	p.free = append(p.free, st)
+	p.cq.Push(cqe)
 	p.mu.Unlock()
+	p.cqPosted.Add(1)
 }
 
-// Reset flushes the pair after a crash: every posted-but-undrained SQE
-// is converted into a CQE carrying err (its push payload stays
-// app-owned, exactly as if Submit had been refused), already-posted
-// CQEs are rewritten to err at harvest time, and the pair refuses new
-// submissions. It returns how many SQEs were flushed and how many
-// unharvested CQEs were already pending conversion. Idempotent.
-func (p *Pair) Reset(err error) (flushedSQ, flushedCQ int) {
+// Harvest pops up to len(dst) completions, oldest first.
+func (p *Pair) Harvest(dst []CQE) int {
+	p.mu.Lock()
+	n := 0
+	for n < len(dst) && p.cq.Len() > 0 {
+		dst[n] = p.cq.Pop()
+		n++
+	}
+	p.mu.Unlock()
+	if n == 0 {
+		return 0
+	}
+	p.cqHarvested.Add(int64(n))
+	if p.spans != nil && p.spans.Enabled() {
+		now := time.Now().UnixNano()
+		for i := 0; i < n; i++ {
+			c := &dst[i]
+			if c.issueNS == 0 {
+				continue // spans were enabled mid-flight
+			}
+			p.spans.Record(telemetry.SpanRecord{
+				QD:        c.qd,
+				Kind:      int(c.Kind),
+				Err:       c.Err != nil,
+				IssueNS:   c.issueNS,
+				SubmitNS:  c.issueNS,
+				DoneNS:    c.doneNS,
+				ConsumeNS: now,
+				VirtCost:  c.Cost,
+			})
+		}
+	}
+	return n
+}
+
+// Reset is the crash flush. It runs after the transport has failed every
+// operation still in flight with err, so what it finds on the CQ is
+// those failures and the completions the application had not harvested
+// when the stack died. It rewrites the latter in place — err, payload
+// freed — so that every operation pending at the crash resolves to one
+// CQE carrying err, and returns how many it rewrote: the operations this
+// crash failed that the transport's own count does not hold. Nothing is
+// left poisoned; the pair serves the next incarnation.
+func (p *Pair) Reset(err error) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.reset.Load() != nil {
-		return 0, 0
-	}
-	flushedCQ = p.cq.Len()
-	e := err
-	p.reset.Store(&e)
-	var buf [64]SQE
-	for {
-		n := p.sq.PopN(buf[:])
-		if n == 0 {
-			break
+	n := 0
+	for i := p.cq.Len(); i > 0; i-- {
+		c := p.cq.Pop()
+		if !errors.Is(c.Err, err) {
+			c.SGA.Free()
+			c.SGA = sga.SGA{}
+			c.Err = err
+			n++
 		}
-		for i := 0; i < n; i++ {
-			cqe := CQE{Tag: buf[i].Tag, Kind: buf[i].Op, Err: err, qd: buf[i].QD}
-			if !p.cq.Push(cqe) { // unreachable: flushing moves a reservation SQ→CQ
-				p.cqOverflow.Add(1)
-			}
-			buf[i] = SQE{}
-		}
-		flushedSQ += n
+		p.cq.Push(c)
 	}
-	p.sqFlushed.Add(int64(flushedSQ))
-	p.cqFlushed.Add(int64(flushedCQ))
-	return flushedSQ, flushedCQ
+	p.cqFlushed.Add(int64(n))
+	return n
 }
 
-// ---------------------------------------------------------------------
-// Telemetry.
-// ---------------------------------------------------------------------
-
-// RegisterTelemetry publishes the pair's counters under prefix
-// (conventionally "uring" or "shard.N.uring"):
-//
-//	<p>.sq_posted / sq_drained / cq_posted / cq_harvested
-//	<p>.sq_full_spins / cq_overflow / sq_flushed / cq_flushed
-//	<p>.sq_occupancy / cq_occupancy / outstanding   (gauges)
-//	<p>.drain_batch.le_N / .over                    (batch-size histogram)
-func (p *Pair) RegisterTelemetry(r *telemetry.Registry, prefix string) {
-	r.RegisterFunc(prefix+".sq_posted", p.sqPosted.Load)
-	r.RegisterFunc(prefix+".sq_drained", p.sqDrained.Load)
-	r.RegisterFunc(prefix+".cq_posted", p.cqPosted.Load)
-	r.RegisterFunc(prefix+".cq_harvested", p.cqHarvested.Load)
-	r.RegisterFunc(prefix+".sq_full_spins", p.sqFullSpins.Load)
-	r.RegisterFunc(prefix+".cq_overflow", p.cqOverflow.Load)
-	r.RegisterFunc(prefix+".sq_flushed", p.sqFlushed.Load)
-	r.RegisterFunc(prefix+".cq_flushed", p.cqFlushed.Load)
-	r.RegisterFunc(prefix+".sq_occupancy", func() int64 { return int64(p.sq.Len()) })
-	r.RegisterFunc(prefix+".cq_occupancy", func() int64 { return int64(p.cq.Len()) })
-	r.RegisterFunc(prefix+".outstanding", p.outstanding.Load)
-	for i := range p.drainBatch {
-		name := prefix + ".drain_batch.over"
-		if i < len(batchBuckets) {
-			name = prefix + ".drain_batch.le_" + itoa(batchBuckets[i])
-		}
-		r.RegisterFunc(name, p.drainBatch[i].Load)
-	}
-}
-
-// SQLen and CQLen report current ring occupancy (demi-stat's
-// ring-occupancy column).
-func (p *Pair) SQLen() int { return p.sq.Len() }
-
-// CQLen reports the completion-queue occupancy.
-func (p *Pair) CQLen() int { return p.cq.Len() }
-
-// Counters is a point-in-time snapshot of one pair's counters, for
-// aggregation surfaces (core sums them across attached pairs at
-// registry read time, so rings attached after telemetry registration
-// are still counted).
+// Counters is a point-in-time snapshot of one pair: the counters core
+// sums across attached pairs at registry read time (so rings attached
+// after telemetry registration are still counted), and the pair's sizes.
 type Counters struct {
-	SQPosted, SQDrained, CQPosted, CQHarvested    int64
-	SQFullSpins, CQOverflow, SQFlushed, CQFlushed int64
-	SQOccupancy, CQOccupancy, Outstanding         int64
-	DrainBatch                                    [len(batchBuckets) + 1]int64
+	Submitted, CQPosted, CQHarvested, CQFlushed int64
+	// Outstanding is operations submitted and not yet harvested;
+	// CQOccupancy is the completed part of them.
+	Outstanding, CQOccupancy int64
+	// Slab and CQCap are the storage the pair has grown to.
+	Slab, CQCap int64
+	// SubmitBatch is the submit-size histogram (BatchBucketNames).
+	SubmitBatch [len(batchBuckets) + 1]int64
 }
 
 // CountersSnapshot returns the pair's counter values.
 func (p *Pair) CountersSnapshot() (c Counters) {
-	c.SQOccupancy = int64(p.sq.Len())
+	p.mu.Lock()
 	c.CQOccupancy = int64(p.cq.Len())
-	c.Outstanding = p.outstanding.Load()
-	c.SQPosted = p.sqPosted.Load()
-	c.SQDrained = p.sqDrained.Load()
+	c.CQCap = int64(p.cq.Cap())
+	c.Slab = int64(p.slab)
+	p.mu.Unlock()
+	c.Submitted = p.submitted.Load()
 	c.CQPosted = p.cqPosted.Load()
 	c.CQHarvested = p.cqHarvested.Load()
-	c.SQFullSpins = p.sqFullSpins.Load()
-	c.CQOverflow = p.cqOverflow.Load()
-	c.SQFlushed = p.sqFlushed.Load()
 	c.CQFlushed = p.cqFlushed.Load()
-	for i := range p.drainBatch {
-		c.DrainBatch[i] = p.drainBatch[i].Load()
+	c.Outstanding = c.Submitted - c.CQHarvested
+	for i := range p.submitBatch {
+		c.SubmitBatch[i] = p.submitBatch[i].Load()
 	}
 	return c
 }
 
 // BatchBucketNames returns the histogram bucket labels in index order
-// ("le_1" ... "le_128", "over"), matching Counters.DrainBatch.
+// ("le_1" ... "le_128", "over"), matching Counters.SubmitBatch.
 func BatchBucketNames() []string {
 	out := make([]string, 0, len(batchBuckets)+1)
 	for _, b := range batchBuckets {
-		out = append(out, "le_"+itoa(b))
+		out = append(out, "le_"+strconv.FormatInt(b, 10))
 	}
 	return append(out, "over")
-}
-
-// itoa renders a small non-negative int64 without fmt (keeps the
-// telemetry path dependency-light).
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

@@ -9,32 +9,24 @@ import (
 	"demikernel/internal/telemetry"
 )
 
-// drive plays the libOS role for a pair against one MemQueue: drain the
-// SQ in a burst and issue every op with a slab DoneFunc. MemQueue
-// completes inline, so after drive returns the CQ holds the results.
-func drive(t *testing.T, p *Pair, mq *queue.MemQueue) int {
+// submit plays the libOS role for a pair against one MemQueue: arm a
+// slot per SQE and issue the op with its DoneFunc. MemQueue completes
+// inline, so after submit returns the CQ holds the results.
+func submit(t *testing.T, p *Pair, mq *queue.MemQueue, es ...SQE) {
 	t.Helper()
-	var scratch [64]SQE
-	total := 0
-	for {
-		n := p.DrainSQ(scratch[:])
-		if n == 0 {
-			return total
-		}
-		total += n
-		for i := 0; i < n; i++ {
-			e := scratch[i]
-			done := p.Arm(e)
-			switch e.Op {
-			case queue.OpPush:
-				mq.Push(e.SGA, e.Cost, done)
-			case queue.OpPop:
-				mq.Pop(done)
-			default:
-				t.Fatalf("unknown op %v", e.Op)
-			}
+	for i := range es {
+		e := &es[i]
+		done := p.Arm(e)
+		switch e.Op {
+		case queue.OpPush:
+			mq.Push(e.SGA, e.Cost, done)
+		case queue.OpPop:
+			mq.Pop(done)
+		default:
+			t.Fatalf("unknown op %v", e.Op)
 		}
 	}
+	p.Submitted(len(es))
 }
 
 func payload(s string) sga.SGA {
@@ -46,20 +38,13 @@ func TestPairSubmitHarvestRoundTrip(t *testing.T) {
 	mq := queue.NewMemQueue(16)
 
 	// Two pushes and two pops, batch-submitted with distinct tags.
-	sqes := []SQE{
-		{Op: queue.OpPush, QD: 3, Tag: 100, SGA: payload("alpha")},
-		{Op: queue.OpPush, QD: 3, Tag: 101, SGA: payload("beta")},
-		{Op: queue.OpPop, QD: 3, Tag: 200},
-		{Op: queue.OpPop, QD: 3, Tag: 201},
-	}
-	if n := p.SubmitN(sqes); n != 4 {
-		t.Fatalf("SubmitN = %d, want 4", n)
-	}
-	if got := p.Outstanding(); got != 4 {
+	submit(t, p, mq,
+		SQE{Op: queue.OpPush, QD: 3, Tag: 100, SGA: payload("alpha")},
+		SQE{Op: queue.OpPush, QD: 3, Tag: 101, SGA: payload("beta")},
+		SQE{Op: queue.OpPop, QD: 3, Tag: 200},
+		SQE{Op: queue.OpPop, QD: 3, Tag: 201})
+	if got := p.CountersSnapshot().Outstanding; got != 4 {
 		t.Fatalf("Outstanding = %d, want 4", got)
-	}
-	if n := drive(t, p, mq); n != 4 {
-		t.Fatalf("drained %d SQEs, want 4", n)
 	}
 
 	var cqes [8]CQE
@@ -86,42 +71,63 @@ func TestPairSubmitHarvestRoundTrip(t *testing.T) {
 	if got := string(byTag[201].SGA.Segments[0].Buf); got != "beta" {
 		t.Fatalf("pop tag 201 = %q, want beta", got)
 	}
-	if got := p.Outstanding(); got != 0 {
+	if got := p.CountersSnapshot().Outstanding; got != 0 {
 		t.Fatalf("Outstanding after harvest = %d, want 0", got)
 	}
 }
 
+// TestPairReservationBackpressure keeps its name from the capacity bound
+// it used to test; what it holds now is the opposite: a pair takes every
+// operation its application submits, growing slab and CQ past where they
+// started, a slot armed before a growth completes after it, and storage
+// stops growing at the application's high-water mark.
 func TestPairReservationBackpressure(t *testing.T) {
-	p := NewPair(4) // rounds to 4
-	mq := queue.NewMemQueue(16)
+	p := NewPair(4)
+	mq := queue.NewMemQueue(0)
 
-	// Fill every reservation with pops that will not complete (queue
-	// empty, pops park as waiters).
-	for i := 0; i < p.Cap(); i++ {
-		if !p.Submit(SQE{Op: queue.OpPop, QD: 1, Tag: uint64(i)}) {
-			t.Fatalf("Submit %d refused with reservations free", i)
+	// 100 pops that will not complete (queue empty, pops park as waiters).
+	const ops = 100
+	for i := 0; i < ops; i++ {
+		submit(t, p, mq, SQE{Op: queue.OpPop, QD: 1, Tag: uint64(i)})
+	}
+	grown := p.CountersSnapshot()
+	if grown.Outstanding != ops || grown.Slab < ops {
+		t.Fatalf("outstanding %d, slab %d after %d parked pops", grown.Outstanding, grown.Slab, ops)
+	}
+	// Complete them all, first-armed first: the earliest slots are from
+	// before every growth.
+	for i := 0; i < ops; i++ {
+		mq.Push(payload("x"), 0, func(queue.Completion) {})
+	}
+	var cqes [ops + 1]CQE
+	if n := p.Harvest(cqes[:]); n != ops {
+		t.Fatalf("Harvest = %d, want %d", n, ops)
+	}
+	for i, c := range cqes[:ops] {
+		if c.Tag != uint64(i) || c.Err != nil {
+			t.Fatalf("CQE %d: tag %d err %v", i, c.Tag, c.Err)
 		}
 	}
-	if p.Submit(SQE{Op: queue.OpPop, QD: 1, Tag: 99}) {
-		t.Fatal("Submit accepted past capacity")
+	// The same load again, many times: nothing grows further.
+	high := p.CountersSnapshot()
+	for round := 0; round < 50; round++ {
+		for i := 0; i < ops; i++ {
+			submit(t, p, mq, SQE{Op: queue.OpPop, QD: 1, Tag: uint64(i)})
+		}
+		for i := 0; i < ops; i++ {
+			mq.Push(payload("x"), 0, func(queue.Completion) {})
+		}
+		if n := p.Harvest(cqes[:]); n != ops {
+			t.Fatalf("round %d: Harvest = %d, want %d", round, n, ops)
+		}
 	}
-	if p.sqFullSpins.Load() == 0 {
-		t.Fatal("sq_full_spins not counted on refused submit")
-	}
-	drive(t, p, mq)
-
-	// Complete one parked pop; its reservation frees only at harvest.
-	mq.Push(payload("x"), 0, func(queue.Completion) {})
-	var cqes [4]CQE
-	if n := p.Harvest(cqes[:]); n != 1 {
-		t.Fatalf("Harvest = %d, want 1", n)
-	}
-	cqes[0].SGA.Free()
-	if !p.Submit(SQE{Op: queue.OpPop, QD: 1, Tag: 100}) {
-		t.Fatal("Submit refused after harvest freed a reservation")
+	if now := p.CountersSnapshot(); now.Slab != high.Slab || now.CQCap != high.CQCap {
+		t.Fatalf("storage crept: slab %d -> %d, cq %d -> %d", high.Slab, now.Slab, high.CQCap, now.CQCap)
 	}
 }
 
+// TestPairResetFlushesBothRings keeps its name from the SQ/CQ pair; the
+// one ring left is flushed in place and stays usable.
 func TestPairResetFlushesBothRings(t *testing.T) {
 	p := NewPair(8)
 	mq := queue.NewMemQueue(16)
@@ -129,71 +135,56 @@ func TestPairResetFlushesBothRings(t *testing.T) {
 
 	// One completed-but-unharvested CQE...
 	mq.Push(payload("pre"), 0, func(queue.Completion) {})
-	p.Submit(SQE{Op: queue.OpPop, QD: 1, Tag: 1})
-	drive(t, p, mq)
-	// ...one armed-and-parked op (pop on empty queue)...
-	p.Submit(SQE{Op: queue.OpPop, QD: 1, Tag: 2})
-	drive(t, p, mq)
-	// ...and two posted-but-undrained SQEs.
-	p.Submit(SQE{Op: queue.OpPush, QD: 1, Tag: 3, SGA: payload("z")})
-	p.Submit(SQE{Op: queue.OpPop, QD: 1, Tag: 4})
-
-	fsq, fcq := p.Reset(boom)
-	if fsq != 2 {
-		t.Fatalf("flushed SQEs = %d, want 2", fsq)
+	submit(t, p, mq, SQE{Op: queue.OpPop, QD: 1, Tag: 1})
+	// ...and two ops in flight, which the transport fails with the crash
+	// error before the flush.
+	for _, tag := range []uint64{2, 3} {
+		done := p.Arm(&SQE{Op: queue.OpPop, QD: 1, Tag: tag})
+		done(queue.Completion{Kind: queue.OpPop, Err: boom})
 	}
-	if fcq != 1 {
-		t.Fatalf("pending CQEs at flush = %d, want 1", fcq)
-	}
+	p.Submitted(2)
 
-	// The parked op completes late (the transport kills it on crash in
-	// real life); its CQE must still resolve to the reset error.
-	mq.Close() // parked pop completes with ErrClosed
+	if n := p.Reset(boom); n != 1 {
+		t.Fatalf("Reset rewrote %d CQEs, want 1 (the unharvested completion)", n)
+	}
+	if n := p.Reset(boom); n != 0 {
+		t.Fatalf("second Reset rewrote %d CQEs, want 0", n)
+	}
 
 	var cqes [8]CQE
 	n := p.Harvest(cqes[:])
-	if n != 4 {
-		t.Fatalf("Harvest after reset = %d, want 4 (tags 1-4)", n)
+	if n != 3 {
+		t.Fatalf("Harvest after reset = %d, want 3 (tags 1-3)", n)
 	}
-	seen := map[uint64]bool{}
-	for _, c := range cqes[:n] {
+	for i, c := range cqes[:n] {
+		if c.Tag != uint64(i+1) {
+			t.Fatalf("CQE %d carries tag %d: the flush reordered the queue", i, c.Tag)
+		}
 		if !errors.Is(c.Err, boom) {
 			t.Fatalf("tag %d: err = %v, want reset error", c.Tag, c.Err)
 		}
 		if len(c.SGA.Segments) != 0 {
-			t.Fatalf("tag %d: payload survived reset harvest", c.Tag)
-		}
-		seen[c.Tag] = true
-	}
-	for tag := uint64(1); tag <= 4; tag++ {
-		if !seen[tag] {
-			t.Fatalf("tag %d never resolved", tag)
+			t.Fatalf("tag %d: payload survived the flush", c.Tag)
 		}
 	}
-	if p.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d, want 0", p.Outstanding())
+	if cnt := p.CountersSnapshot(); cnt.Outstanding != 0 || cnt.CQFlushed != 1 {
+		t.Fatalf("outstanding %d, cq_flushed %d; want 0, 1", cnt.Outstanding, cnt.CQFlushed)
 	}
 
-	// The pair is poisoned: no new submissions, Reset is idempotent.
-	if p.Submit(SQE{Op: queue.OpPop, QD: 1, Tag: 9}) {
-		t.Fatal("Submit accepted after reset")
-	}
-	if !errors.Is(p.ResetErr(), boom) {
-		t.Fatalf("ResetErr = %v", p.ResetErr())
-	}
-	if fsq, fcq := p.Reset(boom); fsq != 0 || fcq != 0 {
-		t.Fatalf("second Reset flushed %d/%d, want 0/0", fsq, fcq)
+	// Nothing is poisoned: the pair serves the next incarnation.
+	fresh := queue.NewMemQueue(16)
+	submit(t, p, fresh,
+		SQE{Op: queue.OpPush, QD: 1, Tag: 9, SGA: payload("again")},
+		SQE{Op: queue.OpPop, QD: 1, Tag: 10})
+	if n := p.Harvest(cqes[:]); n != 2 || cqes[0].Err != nil || cqes[1].Err != nil ||
+		string(cqes[1].SGA.Segments[0].Buf) != "again" {
+		t.Fatalf("after reset: %d CQEs, %+v", n, cqes[:n])
 	}
 }
 
 func TestPairDoubleCompletionDropped(t *testing.T) {
 	p := NewPair(4)
-	p.Submit(SQE{Op: queue.OpPop, QD: 1, Tag: 7})
-	var scratch [4]SQE
-	if n := p.DrainSQ(scratch[:]); n != 1 {
-		t.Fatalf("drained %d, want 1", n)
-	}
-	done := p.Arm(scratch[0])
+	done := p.Arm(&SQE{Op: queue.OpPop, QD: 1, Tag: 7})
 	done(queue.Completion{Kind: queue.OpPop, SGA: payload("a")})
 	done(queue.Completion{Kind: queue.OpPop, SGA: payload("stale")})
 	if got := p.cqPosted.Load(); got != 1 {
@@ -208,35 +199,23 @@ func TestPairDoubleCompletionDropped(t *testing.T) {
 func TestPairTelemetryAndSpans(t *testing.T) {
 	p := NewPair(8)
 	mq := queue.NewMemQueue(16)
-	reg := telemetry.NewRegistry()
-	p.RegisterTelemetry(reg, "uring")
 	spans := telemetry.NewSpanTable("test")
 	spans.Enable()
 	p.SetSpans(spans)
 
 	mq.Push(payload("s"), 0, func(queue.Completion) {})
-	p.Submit(SQE{Op: queue.OpPop, QD: 5, Tag: 1})
-	drive(t, p, mq)
+	submit(t, p, mq, SQE{Op: queue.OpPop, QD: 5, Tag: 1})
 	var cqes [4]CQE
 	if n := p.Harvest(cqes[:]); n != 1 {
 		t.Fatalf("Harvest = %d, want 1", n)
 	}
 	cqes[0].SGA.Free()
 
-	snap := reg.Snapshot()
-	want := map[string]int64{
-		"uring.sq_posted":        1,
-		"uring.sq_drained":       1,
-		"uring.cq_posted":        1,
-		"uring.cq_harvested":     1,
-		"uring.outstanding":      0,
-		"uring.drain_batch.le_1": 1,
-	}
-	for name, v := range want {
-		got, ok := snap.Get(name)
-		if !ok || got != v {
-			t.Fatalf("%s = %d (ok=%v), want %d", name, got, ok, v)
-		}
+	got := p.CountersSnapshot()
+	want := Counters{Submitted: 1, CQPosted: 1, CQHarvested: 1, Slab: 8, CQCap: got.CQCap}
+	want.SubmitBatch[0] = 1
+	if got != want {
+		t.Fatalf("counters = %+v, want %+v", got, want)
 	}
 
 	sums := spans.Summaries()

@@ -352,8 +352,8 @@ func TestNodeShapesShareLifecycle(t *testing.T) {
 				return cqd, sqd
 			}
 
-			// Arm with nothing polling, so the ring pops are still in their
-			// SQs when the node dies and nothing sits in a NIC ring.
+			// Arm with nothing polling, so nothing sits in a NIC ring when
+			// the node dies: the count below is operations only.
 			qts := make([]QToken, len(libs))
 			rings := make([]*uring.Pair, len(libs))
 			sqds := make([]QD, len(libs))

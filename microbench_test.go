@@ -47,10 +47,9 @@ func BenchmarkHotPath_EventLoopTick(b *testing.B) {
 	}
 }
 
-// BenchmarkURing_SubmitHarvest isolates the ring crossing itself —
-// SubmitN, drain, slab completion, Harvest — over an in-memory queue
-// with no netstack underneath: the cost of the "syscall" that is no
-// longer a syscall.
+// BenchmarkURing_SubmitHarvest isolates the ring itself — batch submit,
+// slab completion, Harvest — over an in-memory queue with no netstack
+// underneath.
 // The 1 alloc/op here is MemQueue's element bookkeeping, not the ring:
 // the network ring path is alloc-free (see TestHotPathAllocsRingEchoRTT).
 func BenchmarkURing_SubmitHarvest(b *testing.B) {
@@ -72,7 +71,6 @@ func BenchmarkURing_SubmitHarvest(b *testing.B) {
 		}
 		got := 0
 		for got < 2 {
-			n.Poll()
 			h := n.HarvestCQ(p, cqes)
 			for j := 0; j < h; j++ {
 				if cqes[j].Err != nil {

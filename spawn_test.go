@@ -73,7 +73,6 @@ func TestSpawnWithTelemetryShardedShape(t *testing.T) {
 		if n, err := l.SubmitBatch(p, []uring.SQE{{Op: queue.OpPush, QD: int32(qd), SGA: NewSGA([]byte("x"))}}); n != 1 || err != nil {
 			t.Fatalf("submit: n=%d err=%v", n, err)
 		}
-		l.Poll()
 	}
 	snap := reg.Snapshot()
 	// names lists, in registry order, what is registered under prefix,
