@@ -15,7 +15,7 @@ STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish
 STORAGE_RUN     := TestChaosPushdownResetMidTraversal
 RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
-BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkHotPath_EventLoopTick|BenchmarkURing_SubmitHarvest|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns
+BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkHotPath_EventLoopTick|BenchmarkURing_SubmitHarvest|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64
 BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/
 
 ## tier1: the gate every PR must keep green — vet, build, full test
@@ -165,7 +165,8 @@ bench-aa:
 ## queue, SGA marshalling, WaitAny's fan-in, and the netstack's (checksum
 ## throughput; ACK dequeue cost at 4 KiB and at 128 KiB queued, and
 ## Stack.Poll beside 1, 1 k and 100 k idle connections, both of which
-## must read as a flat line); part of tier1.
+## must read as a flat line; a 64 B ping-pong between two stacks, whose
+## segs/op must read 2); part of tier1.
 benchsmoke:
 	$(GO) test -run xxx -bench '$(BENCHSMOKE_RUN)' -benchtime=1x $(BENCHSMOKE_PKGS)
 

@@ -308,8 +308,11 @@ func (p *Port) Send(f Frame) {
 	p.stats.TxFrames++
 
 	// Learn the source address (even across a down link: the MAC table
-	// models state the switch learned before the cut).
-	s.macTab[f.SrcMAC()] = p
+	// models state the switch learned before the cut). A lookup per frame,
+	// a table write only for a MAC that is new or has moved ports.
+	if src := f.SrcMAC(); s.macTab[src] != p {
+		s.macTab[src] = p
+	}
 
 	// A cut link transmits nothing.
 	if p.down {

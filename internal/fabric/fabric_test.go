@@ -77,6 +77,20 @@ func TestFloodThenLearn(t *testing.T) {
 	if _, ok := pb.Poll(); !ok {
 		t.Fatal("B missed learned unicast traffic")
 	}
+
+	// A's MAC turns up behind C's port: the table entry is rewritten only
+	// when it changes, and this is the change.
+	pc.Send(frame(macB, macA, "moved"))
+	if _, ok := pb.Poll(); !ok {
+		t.Fatal("B missed the frame from A's new port")
+	}
+	pb.Send(frame(macA, macB, "follow"))
+	if _, ok := pa.Poll(); ok {
+		t.Fatal("A's old port still receives its traffic after the MAC moved")
+	}
+	if _, ok := pc.Poll(); !ok {
+		t.Fatal("traffic for a moved MAC did not follow it to the new port")
+	}
 }
 
 func TestBroadcastFloods(t *testing.T) {

@@ -426,14 +426,15 @@ func (t *Transport) markLocked(ep *endpoint) {
 	}
 }
 
-// WorkQueued reports the sizes of the three work lists a poll serves: the
-// stack's timer heap and ready queue, and the pump list. All are zero on
-// a transport at rest, whatever the number of open connections.
-func (t *Transport) WorkQueued() (timers, ready, pumps int) {
-	timers, ready = t.Stack().WorkQueued()
+// WorkQueued reports the sizes of the four work lists a poll serves: the
+// stack's timer heap, ready queue and held acknowledgements, and the pump
+// list. All are zero on a transport at rest, whatever the number of open
+// connections.
+func (t *Transport) WorkQueued() (timers, ready, acks, pumps int) {
+	timers, ready, acks = t.Stack().WorkQueued()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return timers, ready, len(t.pump)
+	return timers, ready, acks, len(t.pump)
 }
 
 func (t *Transport) adopt(ep *endpoint) {
@@ -616,16 +617,10 @@ func (e *endpoint) PushBatched(s sga.SGA, cost simclock.Lat, done queue.DoneFunc
 // next flushTx. It reports whether the push was queued; when not, done
 // has already fired with the error.
 func (e *endpoint) stage(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) bool {
-	e.mu.Lock()
-	err := e.pushErrLocked()
-	e.mu.Unlock()
-	if err != nil {
-		done(queue.Completion{Kind: queue.OpPush, Err: err})
-		return false
-	}
 	// Stage the framed SGA in device-registered memory (the NIC DMAs
-	// from it). Under a configured memory cap, exhaustion surfaces here
-	// as an ErrNoMem push completion — backpressure, not a panic.
+	// from it), before taking the endpoint lock, so that a push takes it
+	// once. Under a configured memory cap, exhaustion surfaces here as an
+	// ErrNoMem push completion — backpressure, not a panic.
 	buf, err := e.t.mem.TryAlloc(s.MarshalledSize())
 	if err != nil {
 		done(queue.Completion{Kind: queue.OpPush, Err: err})
@@ -633,14 +628,16 @@ func (e *endpoint) stage(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) bool
 	}
 	data := s.AppendMarshal(buf.Bytes()[:0])
 	e.mu.Lock()
-	if err := e.pushErrLocked(); err != nil {
-		e.mu.Unlock()
+	err = e.pushErrLocked()
+	if err == nil {
+		e.txq.Push(txFrame{data: data, buf: buf, cost: cost, done: done})
+	}
+	e.mu.Unlock()
+	if err != nil {
 		buf.Free()
 		done(queue.Completion{Kind: queue.OpPush, Err: err})
 		return false
 	}
-	e.txq.Push(txFrame{data: data, buf: buf, cost: cost, done: done})
-	e.mu.Unlock()
 	return true
 }
 
@@ -725,24 +722,34 @@ func (e *endpoint) resumableLocked() bool {
 
 // Pump implements queue.IoQueue: it flushes pending frames into the TCP
 // send buffer and drains received bytes through the framer into whole
-// SGAs.
+// SGAs — each half only when it has work: frames queued, or a pop waiting
+// or a parked drain to look at again. A push therefore does not read the
+// connection and a pop does not flush it.
 func (e *endpoint) Pump() int {
 	e.mu.Lock()
 	conn := e.conn
+	tx := e.txq.Len() > 0
+	rx := e.waiters.Len() > 0 || e.rxStalled
 	e.mu.Unlock()
 	if conn == nil {
 		return 0
 	}
 	n := 0
-	n += e.flushTx(conn)
-	n += e.drainRx(conn)
+	if tx {
+		n += e.flushTx(conn)
+	}
+	if rx {
+		n += e.drainRx(conn)
+	}
 	if err := conn.Err(); err != nil {
 		// The stack declared the connection dead (max retransmits /
 		// connect timeout). Every outstanding qtoken must complete with
 		// the typed error rather than hang until the Wait deadline.
 		e.failAll(wrapConnErr(err))
 	}
-	e.serveWaiters()
+	if rx {
+		e.serveWaiters()
+	}
 	return n
 }
 

@@ -9,7 +9,7 @@ package catnip_test
 // receive drain, a full send buffer, a peer's close, a reset, a partition
 // the retransmission budget runs out on, a crash — and require that every
 // token completes, with its value or a typed error, within a bounded
-// number of polls, and that all three lists are empty whenever the rig is
+// number of polls, and that all four lists are empty whenever the rig is
 // at rest.
 
 import (
@@ -312,10 +312,9 @@ func (r *strandRig) completed(op *strandOp, comp queue.Completion) {
 }
 
 // drain polls until nothing is outstanding. Some waits only a timer ends
-// — a zero-window probe whose byte the closed window dropped, a burst that
-// overran the NIC ring, a peer behind a partition — so the clocks step
-// past the retransmission timeout whenever 64 polls have completed
-// nothing.
+// — a burst that overran the NIC ring, a peer behind a partition — so the
+// clocks step past the retransmission timeout whenever 64 polls have
+// completed nothing.
 func (r *strandRig) drain(what string) {
 	start := r.polls
 	for len(r.ops) > 0 || len(r.sq[0]) > 0 || len(r.sq[1]) > 0 {
@@ -342,8 +341,8 @@ func (r *strandRig) advance(d time.Duration) {
 
 // rest requires the rig at rest to have nothing on any work list: after
 // the last acknowledgements are exchanged and every timer deadline has
-// passed, the heaps, ready queues and pump lists are empty, however many
-// connections are open.
+// passed, the heaps, ready queues, held-ACK lists and pump lists are empty,
+// however many connections are open.
 func (r *strandRig) rest(what string) {
 	for i := 0; i < 4; i++ {
 		r.poll()
@@ -353,9 +352,9 @@ func (r *strandRig) rest(what string) {
 		r.poll()
 	}
 	for side, n := range r.node {
-		if timers, ready, pumps := n.Catnip.WorkQueued(); timers+ready+pumps != 0 {
-			r.fatalf("%s: node %d at rest still has %d timer entries, %d ready connections, %d endpoints to pump",
-				what, side, timers, ready, pumps)
+		if timers, ready, acks, pumps := n.Catnip.WorkQueued(); timers+ready+acks+pumps != 0 {
+			r.fatalf("%s: node %d at rest still has %d timer entries, %d ready connections, %d held ACKs, %d endpoints to pump",
+				what, side, timers, ready, acks, pumps)
 		}
 	}
 }

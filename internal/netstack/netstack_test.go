@@ -57,7 +57,7 @@ func (w *world) pump() {
 
 // pumpUntil pumps with timer advancement until cond holds or the deadline
 // passes.
-func (w *world) pumpUntil(t *testing.T, cond func() bool, deadline time.Duration) {
+func (w *world) pumpUntil(t testing.TB, cond func() bool, deadline time.Duration) {
 	t.Helper()
 	start := time.Now()
 	for time.Since(start) < deadline {
@@ -70,7 +70,7 @@ func (w *world) pumpUntil(t *testing.T, cond func() bool, deadline time.Duration
 	t.Fatalf("condition not reached within %v", deadline)
 }
 
-func dialPair(t *testing.T, w *world, port uint16) (client, server *TCPConn) {
+func dialPair(t testing.TB, w *world, port uint16) (client, server *TCPConn) {
 	t.Helper()
 	l, err := w.b.ListenTCP(port)
 	if err != nil {

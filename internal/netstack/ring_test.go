@@ -150,7 +150,9 @@ func (m *streamModel) check(step int) {
 // windows that end in RTO or fast retransmit), zero-window probes (a
 // reader that stops until the persist timer fires) and partial
 // RecvAppend(max), checking both rings against the model after every
-// step. The receive window is a few MSS so both rings wrap many times.
+// step. The receive window is a few MSS so both rings wrap many times. A
+// second set of seeds (ackHoldSchedule) interleaves both stacks' polls and
+// writes in both directions, for the acknowledgement rules.
 func TestTCPRingsAgainstStreamModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
@@ -205,6 +207,102 @@ func TestTCPRingsAgainstStreamModel(t *testing.T) {
 				t.Fatal("coverage: no retransmission or zero-window probe was ever sent")
 			}
 		})
+	}
+	// Delayed ACK against burst ACK: which acknowledgement rule a segment
+	// meets — the reply that carries it, the burst end at two full
+	// segments, the next poll — is set by how sends, the two stacks' polls
+	// and the receiver's own writes interleave, so the schedule is what the
+	// seed draws. On a clean link the clock stands still: no interleaving
+	// may need a timeout to finish.
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("ackhold/clean/seed%d", seed), func(t *testing.T) {
+			ackHoldSchedule(t, seed, fabric.Impairments{})
+		})
+		t.Run(fmt.Sprintf("ackhold/impaired/seed%d", seed), func(t *testing.T) {
+			ackHoldSchedule(t, seed, fabric.Impairments{LossRate: 0.05, DupRate: 0.1, ReorderRate: 0.15})
+		})
+	}
+}
+
+// ackHoldSchedule runs one seeded schedule of the delayed-ACK dimension of
+// TestTCPRingsAgainstStreamModel, both directions of the connection held
+// against a stream model each.
+func ackHoldSchedule(t *testing.T, seed int64, imp fabric.Impairments) {
+	r := rand.New(rand.NewSource(seed))
+	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+	mss := 200 + r.Intn(1200)
+	w := newWorld(t, Config{MSS: mss, Clock: clk.now}, Config{MSS: 200 + r.Intn(1200), RxWindow: 8*mss + r.Intn(60_000), Clock: clk.now})
+	c, srv := dialPair(t, w, 8000)
+	w.pump()
+	fwd := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna}
+	rev := &streamModel{t: t, w: &world{a: w.b, b: w.a}, c: srv, srv: c, base: srv.sndUna}
+	w.sw.SetImpairments(imp)
+	clean := imp == fabric.Impairments{}
+	chunk := make([]byte, 5*mss)
+	message := func() []byte {
+		p := chunk[:1+r.Intn(len(chunk))]
+		r.Read(p)
+		return p
+	}
+	check := func(step int) {
+		t.Helper()
+		if step%16 == 0 || step < 0 { // the ring comparison copies both rings
+			fwd.check(step)
+			rev.check(step)
+		}
+		for _, s := range []*Stack{w.a, w.b} {
+			if _, oldest := heldAcks(s); oldest > 0 {
+				t.Fatalf("step %d: an ACK marked %d polls ago is still held", step, oldest)
+			}
+		}
+	}
+	for step := 0; step < 2000; step++ {
+		switch op := r.Intn(10); {
+		case op < 2:
+			fwd.send(message())
+		case op < 4:
+			w.a.Poll()
+		case op < 6:
+			w.b.Poll()
+		case op < 7: // the receiver writes: its segments carry what it owes
+			rev.send(message())
+		case op < 9:
+			fwd.recv(0)
+		default:
+			rev.recv(0)
+		}
+		check(step)
+	}
+	delivered := func() int { return fwd.delivered + rev.delivered }
+	for rounds, idle := 0, 0; fwd.delivered < len(fwd.sent) || rev.delivered < len(rev.sent); rounds++ {
+		before := delivered()
+		w.a.Poll()
+		w.b.Poll()
+		fwd.recv(0)
+		rev.recv(0)
+		if delivered() > before {
+			check(-1)
+			idle = 0
+		} else if idle++; idle > 8 {
+			if clean {
+				t.Fatalf("no progress on a clean link with the clock standing still: %d of %d and %d of %d bytes delivered",
+					fwd.delivered, len(fwd.sent), rev.delivered, len(rev.sent))
+			}
+			clk.t = clk.t.Add(maxRTO) // only a timer recovers a loss with nothing behind it
+			idle = 0
+		}
+		if rounds > 100_000 {
+			t.Fatalf("stream never completed: %d of %d and %d of %d bytes delivered",
+				fwd.delivered, len(fwd.sent), rev.delivered, len(rev.sent))
+		}
+	}
+	sa, sb := w.a.Stats(), w.b.Stats()
+	if clean && sa.Retransmits+sb.Retransmits+sa.FastRetransmits+sb.FastRetransmits+sa.OutOfOrderSegs+sb.OutOfOrderSegs != 0 {
+		t.Fatalf("clean link: %d+%d timeouts, %d+%d fast retransmits, %d+%d out-of-order segments; want none",
+			sa.Retransmits, sb.Retransmits, sa.FastRetransmits, sb.FastRetransmits, sa.OutOfOrderSegs, sb.OutOfOrderSegs)
+	}
+	if !clean && sa.Retransmits+sb.Retransmits+sa.FastRetransmits+sb.FastRetransmits == 0 {
+		t.Fatal("coverage: the impaired link never cost a retransmission")
 	}
 }
 

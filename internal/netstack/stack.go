@@ -175,21 +175,23 @@ type Stack struct {
 	now        func() time.Time
 	stats      Stats
 
-	// Hot-path scratch, guarded by mu and reused across calls so the
-	// steady-state data path does not allocate: rxBatch is the receive
-	// burst buffer handed to nic.AppendRxBurst, ackQueue the connections
-	// that accepted in-order data during the current burst and are owed
-	// one cumulative ACK when it ends (see flushAcksLocked).
-	rxBatch  []fabric.Frame
-	ackQueue []*TCPConn
+	// rxBatch is the receive burst buffer handed to nic.AppendRxBurst,
+	// guarded by mu and reused across calls so the steady-state data path
+	// does not allocate.
+	rxBatch []fabric.Frame
 
 	// The work lists that keep a poll's cost off the connection count:
 	// timers is the deadline heap of armed connections (timer.go), armSeq
-	// the arm counter that breaks its ties, and readyQueue the owned
-	// connections that became readable since the last PollReady.
+	// the arm counter that breaks its ties, readyQueue the owned
+	// connections that became readable since the last PollReady, and
+	// ackQueue the connections that accepted in-order data and may still
+	// owe its acknowledgement, each once (see flushAcksLocked). pollSeq
+	// numbers the calls of pollLocked, which is how long an ACK is held.
 	timers     []timerEntry
 	armSeq     uint32
 	readyQueue []*TCPConn
+	ackQueue   []*TCPConn
+	pollSeq    uint32
 }
 
 // New creates a stack for dev with the given configuration.
@@ -253,6 +255,7 @@ func (s *Stack) Shutdown(cause error) {
 	for _, c := range s.conns {
 		c.abortLocked(cause)
 	}
+	s.flushAcksLocked() // nothing is sent for a closed connection: this empties the list
 	for port, l := range s.listeners {
 		l.closed = true
 		l.backlog = fifo.Queue[*TCPConn]{} // backlog conns were terminated via s.conns above
@@ -370,16 +373,18 @@ func (s *Stack) takeReadyLocked(dst []any) []any {
 }
 
 // WorkQueued reports the sizes of the stack's work lists: heap entries of
-// armed (or not yet lazily dropped) timers, and readable connections not
-// yet handed to PollReady. Both are zero on a stack at rest.
-func (s *Stack) WorkQueued() (timers, ready int) {
+// armed (or not yet lazily dropped) timers, readable connections not yet
+// handed to PollReady, and connections whose acknowledgement is held (or
+// not yet lazily dropped). All are zero on a stack at rest.
+func (s *Stack) WorkQueued() (timers, ready, acks int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.timers), len(s.readyQueue)
+	return len(s.timers), len(s.readyQueue), len(s.ackQueue)
 }
 
 func (s *Stack) pollLocked() int {
 	n := 0
+	s.pollSeq++
 	// Sharded mode: resolutions learned by the ARP-owning sibling shard
 	// land in the shared table; flush any sends parked behind them. This
 	// is a miss-path check — arpPending is empty in steady state.
@@ -412,18 +417,30 @@ func (s *Stack) pollLocked() int {
 	return n
 }
 
-// flushAcksLocked ends a receive burst: every connection that accepted
-// in-order data during it, and has not sent a segment since, sends one
-// cumulative ACK carrying the window as it stands now. A burst of k
-// segments on one flow thus costs one ACK frame instead of k.
+// flushAcksLocked ends a receive burst. A connection that owes an
+// acknowledgement sends it now, as one cumulative ACK carrying the window
+// as it stands, in two cases: it has accepted two full-sized segments'
+// worth since the last segment it sent, so a bulk sender's ACK clock runs
+// per burst (RFC 1122 4.2.3.2, RFC 5681 4.2); or it was marked in an
+// earlier poll and nothing it sent since carried the acknowledgement.
+// Otherwise the ACK is held: a reply pushed before the next poll carries
+// it, and the next poll's first burst end sends it if none was. The bound
+// is a poll, never a clock. Connections that owe nothing any more (they
+// sent a segment, or closed) leave the list here.
 func (s *Stack) flushAcksLocked() {
-	for i, c := range s.ackQueue {
+	kept := s.ackQueue[:0]
+	for _, c := range s.ackQueue {
 		if c.ackPending && c.state != stateClosed {
+			if c.ackSince == s.pollSeq && int(c.rcvNxt-c.ackedTo) < 2*s.cfg.MSS {
+				kept = append(kept, c)
+				continue
+			}
 			c.sendAckLocked()
 		}
-		s.ackQueue[i] = nil
+		c.ackQueued = false
 	}
-	s.ackQueue = s.ackQueue[:0]
+	clear(s.ackQueue[len(kept):])
+	s.ackQueue = kept
 }
 
 func (s *Stack) handleFrameLocked(f fabric.Frame) {

@@ -84,6 +84,10 @@ type TCPConn struct {
 
 	// Send side. sndBuf holds bytes in [sndUna, sndUna+sndBuf.Len()).
 	sndUna, sndNxt uint32
+	// ackedTo is receive-side state (see ackPending) kept here to fill the
+	// word: the acknowledgement number of the last segment sent, so that
+	// rcvNxt-ackedTo bytes are accepted and not yet acknowledged.
+	ackedTo        uint32
 	sndBuf         byteRing
 	peerWnd        int
 	cwnd, ssthresh int
@@ -109,11 +113,13 @@ type TCPConn struct {
 	// application drain has reopened the window enough that the (possibly
 	// stalled) sender must be told with a window-update ACK.
 	advWnd int
-	// ackPending marks in-order data accepted but not yet acknowledged:
-	// the connection sits in stack.ackQueue and one cumulative ACK goes
-	// out when the receive burst ends — unless a segment sent meanwhile
-	// carried the acknowledgement first (see sendSegmentLocked).
-	ackPending bool
+	// ackPending marks in-order data accepted but not yet acknowledged,
+	// since the poll numbered ackSince (Stack.pollSeq): the next segment
+	// the connection sends carries the acknowledgement and clears the mark
+	// (sendSegmentLocked), and failing that flushAcksLocked sends a pure
+	// ACK. ackQueued is set while the connection sits on stack.ackQueue.
+	ackPending, ackQueued bool
+	ackSince              uint32
 
 	// pendingListener receives the connection on handshake completion.
 	pendingListener *TCPListener
@@ -562,12 +568,13 @@ func (c *TCPConn) processDataLocked(seg tcpSegment, cost simclock.Lat) {
 	}
 	switch {
 	case seq == c.rcvNxt:
-		// In-order data that fits is the one case whose ACK can wait for
-		// the end of the receive burst. Anything the sender is waiting on
-		// to make a decision is acknowledged now: a FIN, a segment that
-		// fills (part of) a reassembly gap, and data the window cut short
-		// — which includes the zero-window probe, whose answer is what
-		// keeps the persist timer from giving up.
+		// In-order data that fits is the one case whose ACK can wait: for
+		// the connection's next segment, or else for flushAcksLocked.
+		// Anything the sender is waiting on to make a decision is
+		// acknowledged now: a FIN, a segment that fills (part of) a
+		// reassembly gap, and data the window cut short — which includes
+		// the zero-window probe, whose answer is what keeps the persist
+		// timer from giving up.
 		gap := len(c.ooo) > 0
 		deferAck := c.acceptDataLocked(payload, cost) && !hasFin && !gap
 		if hasFin && !c.peerFinRcvd {
@@ -577,7 +584,10 @@ func (c *TCPConn) processDataLocked(seg tcpSegment, cost simclock.Lat) {
 		c.drainOutOfOrderLocked()
 		if deferAck {
 			if !c.ackPending {
-				c.ackPending = true
+				c.ackPending, c.ackSince = true, c.stack.pollSeq
+			}
+			if !c.ackQueued {
+				c.ackQueued = true
 				c.stack.ackQueue = append(c.stack.ackQueue, c)
 			}
 			return
@@ -704,8 +714,9 @@ func (c *TCPConn) sendSegmentLocked(seq uint32, off, n int, flags uint8) {
 	seg.payload, seg.tail = c.sndBuf.spans(off, n)
 	c.advWnd = int(seg.window)
 	// Every segment carries the cumulative ACK and the current window, so
-	// whatever acknowledgement the burst still owed has now been sent.
+	// whatever acknowledgement was still owed has now been sent.
 	c.ackPending = false
+	c.ackedTo = seg.ack
 	cost := c.txCost + s.model.UserNetStackNS + s.cfg.PerPacketExtra
 	s.sendTCPLocked(c.key.remoteIP, seg, cost)
 }

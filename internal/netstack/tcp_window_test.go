@@ -190,6 +190,65 @@ func TestTCPZeroWindowProbeRecoversLostUpdate(t *testing.T) {
 	}
 }
 
+// TestTCPZeroWindowProbeDroppedResumesAtUna: the persist probe's byte is
+// sent past a window that is still closed, so the receiver drops it and
+// answers with window 0. When the application then drains and the window
+// update arrives, the sender must resume at sndUna — the lost byte
+// included. It used to resume one byte past it: the receiver stashed an
+// out-of-order segment, two duplicate ACKs never made a fast retransmit,
+// and the stream sat out another (backed-off) timeout. The clock is a fake
+// that stands still after the drain, so a recovery by RTO cannot pass.
+func TestTCPZeroWindowProbeDroppedResumesAtUna(t *testing.T) {
+	const mss, window = 1024, 4096
+	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+	w := newWorld(t, Config{MSS: mss, Clock: clk.now}, Config{MSS: mss, RxWindow: window, Clock: clk.now})
+	c, srv := dialPair(t, w, 8000)
+	openCwnd(w, c)
+
+	msg := make([]byte, window+1500)
+	rand.New(rand.NewSource(15)).Read(msg)
+	if sent, err := c.Send(msg, 0); err != nil || sent != len(msg) {
+		t.Fatalf("Send = %d, %v", sent, err)
+	}
+	w.pump()
+	sender := func() (wnd int, flight uint32) {
+		w.a.mu.Lock()
+		defer w.a.mu.Unlock()
+		return c.peerWnd, c.sndNxt - c.sndUna
+	}
+	if wnd, flight := sender(); wnd != 0 || flight != 0 {
+		t.Fatalf("receive buffer full: sender sees window %d with %d bytes in flight, want 0 and 0", wnd, flight)
+	}
+
+	rcvd := w.b.Stats().TCPSegsRcvd
+	clk.t = clk.t.Add(25 * time.Millisecond) // past the RTO: the persist timer fires
+	w.pump()
+	if rt := w.a.Stats().Retransmits; rt != 1 {
+		t.Fatalf("%d timer firings, want the one zero-window probe", rt)
+	}
+	if probes := w.b.Stats().TCPSegsRcvd - rcvd; probes != 1 {
+		t.Fatalf("%d segments reached the receiver, want the one probe", probes)
+	}
+	if wnd, flight := sender(); wnd != 0 || flight != 0 {
+		t.Fatalf("after the probe: window %d, %d bytes in flight; want 0 and the probe byte not counted", wnd, flight)
+	}
+
+	got, _, err := srv.Recv(0) // the drain sends the window update
+	if err != nil || len(got) != window {
+		t.Fatalf("drain returned %d bytes, %v; want %d", len(got), err, window)
+	}
+	w.pump()
+	rest, _, _ := srv.Recv(0)
+	a, b := w.a.Stats(), w.b.Stats()
+	if !bytes.Equal(append(got, rest...), msg) {
+		t.Errorf("%d of %d bytes delivered with the clock standing still after the drain", len(got)+len(rest), len(msg))
+	}
+	if a.Retransmits != 1 || a.FastRetransmits != 0 || a.DupAcksRcvd != 0 || b.OutOfOrderSegs != 0 {
+		t.Errorf("sender: %d timeouts, %d fast retransmits, %d duplicate ACKs; receiver: %d out-of-order segments; want 1 (the probe), 0, 0, 0",
+			a.Retransmits, a.FastRetransmits, a.DupAcksRcvd, b.OutOfOrderSegs)
+	}
+}
+
 // TestTCPSendPartialWriteResume pins the Send/SendBuffered short-write
 // contract: a full send buffer yields (n < len(b), nil) — never an error,
 // never silent truncation — and a caller-side resume loop completes the

@@ -173,9 +173,14 @@ func (c *TCPConn) fireTimerLocked() {
 		c.ssthresh = max(flight/2, 2*mss)
 		c.cwnd = mss
 		if c.peerWnd == 0 && c.sndBuf.Len() > 0 && flight == 0 {
-			// Zero-window probe: one byte past the edge.
+			// Zero-window probe: one byte past the edge, and not counted in
+			// flight. A window still closed drops the byte, and the window
+			// update must then find sending resume at it, not one past it
+			// (a hole only another timeout would fill). A window that had
+			// reopened takes the byte; its ACK, one past sndNxt, is ignored
+			// but for the window it carries, and the receiver trims the byte
+			// off the segment that repeats it.
 			c.sendSegmentLocked(c.sndNxt, 0, 1, flagACK|flagPSH)
-			c.sndNxt++
 		} else if flight > 0 {
 			c.retransmitHeadLocked() // re-arms the timer
 			return

@@ -319,8 +319,8 @@ func TestTimerHeapForgetsRemovedConns(t *testing.T) {
 	}
 	s.Shutdown(nil)
 	gone(3, "shutdown")
-	if timers, ready := s.WorkQueued(); timers != 0 || ready != 4 {
-		t.Fatalf("after shutdown: %d timer entries (want 0), %d ready connections (want all 4, each once)", timers, ready)
+	if timers, ready, acks := s.WorkQueued(); timers != 0 || ready != 4 || acks != 0 {
+		t.Fatalf("after shutdown: %d timer entries (want 0), %d ready connections (want all 4, each once), %d held ACKs (want 0)", timers, ready, acks)
 	}
 }
 
@@ -373,7 +373,7 @@ func BenchmarkNetstack_PollIdleConns(b *testing.B) {
 			// entries the handshakes left behind, lazily cleared.
 			clk.t = clk.t.Add(time.Minute)
 			w.pump()
-			if timers, _ := w.b.WorkQueued(); timers != 0 {
+			if timers, _, _ := w.b.WorkQueued(); timers != 0 {
 				b.Fatalf("%d timer entries on a stack at rest", timers)
 			}
 			b.ResetTimer()
