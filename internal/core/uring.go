@@ -63,9 +63,9 @@ func (l *LibOS) SubmitBatch(p *uring.Pair, es []uring.SQE) (int, error) {
 		iq     queue.IoQueue
 		bq     queue.BatchIoQueue
 	)
+	dones := p.ArmBatch(es)
 	for i := range es {
-		sqe := &es[i]
-		done := p.Arm(sqe)
+		sqe, done := &es[i], dones[i]
 		if iq == nil || QD(sqe.QD) != lastQD {
 			if bq != nil {
 				iq.Pump()

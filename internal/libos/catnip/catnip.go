@@ -52,6 +52,9 @@ type Transport struct {
 	// clonePool recycles pop-SGA headers (segment slice + free closure)
 	// so pooledCloneSGA allocates nothing in steady state; see cloneHdr.
 	clonePool sync.Pool
+	// firedPool recycles the completion lists of pumps that fire more than
+	// a handful at once; see firedSpill.
+	firedPool sync.Pool
 
 	// Rebuild parameters, saved so Restart can construct a fresh stack
 	// bound to the same device, queue, and shared neighbor table.
@@ -397,7 +400,8 @@ func (t *Transport) Poll() int {
 	udps := t.udps
 	t.mu.Unlock()
 	for i, ep := range batch {
-		n += ep.pumpMarked()
+		ep.marked.Store(false) // before pumping: a mark from here on queues again
+		n += ep.Pump()
 		batch[i] = nil
 	}
 	for _, ep := range udps {
@@ -483,9 +487,9 @@ type endpoint struct {
 	// txq holds marshaled frames not yet fully accepted by the TCP send
 	// buffer.
 	txq fifo.Queue[txFrame]
-	// rxStalled is set while drainRx is parked on a full ready list
-	// (RxReadyCap); popReadyLocked marks the endpoint to resume the drain
-	// once the app has harvested the backlog down to half the cap.
+	// rxStalled is set while the receive drain is parked on a full ready
+	// list (RxReadyCap); popReadyLocked marks the endpoint to resume the
+	// drain once the app has harvested the backlog down to half the cap.
 	rxStalled bool
 	closed    bool
 	// dead, when non-nil, is the lifecycle-typed terminal error stamped
@@ -600,23 +604,20 @@ func (e *endpoint) Err() error {
 // byte. No payload copy is charged — the device DMAs from the framed
 // buffer (§3.2's zero-copy path).
 func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
-	if e.stage(s, cost, done) {
-		e.Pump()
-	}
+	e.push(s, cost, done, true)
 }
 
 // PushBatched implements queue.BatchIoQueue: Push with the Pump left to
 // the caller. LibOS.SubmitBatch stages a whole burst of pushes this way
-// and then pumps once, so the burst goes through one coalesced flushTx —
+// and then pumps once, so the burst goes through one coalesced flush —
 // MSS-sized segments instead of one small segment per push.
 func (e *endpoint) PushBatched(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
-	e.stage(s, cost, done)
+	e.push(s, cost, done, false)
 }
 
-// stage frames s into device-registered memory and queues it for the
-// next flushTx. It reports whether the push was queued; when not, done
-// has already fired with the error.
-func (e *endpoint) stage(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) bool {
+// push frames s into device-registered memory and queues it for the next
+// flush, which is the rest of this call when pump is set.
+func (e *endpoint) push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc, pump bool) {
 	// Stage the framed SGA in device-registered memory (the NIC DMAs
 	// from it), before taking the endpoint lock, so that a push takes it
 	// once. Under a configured memory cap, exhaustion surfaces here as an
@@ -624,21 +625,22 @@ func (e *endpoint) stage(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) bool
 	buf, err := e.t.mem.TryAlloc(s.MarshalledSize())
 	if err != nil {
 		done(queue.Completion{Kind: queue.OpPush, Err: err})
-		return false
+		return
 	}
 	data := s.AppendMarshal(buf.Bytes()[:0])
 	e.mu.Lock()
-	err = e.pushErrLocked()
-	if err == nil {
+	if err = e.pushErrLocked(); err == nil {
 		e.txq.Push(txFrame{data: data, buf: buf, cost: cost, done: done})
+		if pump {
+			e.pumpUnlock()
+			return
+		}
 	}
 	e.mu.Unlock()
 	if err != nil {
 		buf.Free()
 		done(queue.Completion{Kind: queue.OpPush, Err: err})
-		return false
 	}
-	return true
 }
 
 // pushErrLocked is the error a push fails with right now: the crash
@@ -655,62 +657,38 @@ func (e *endpoint) pushErrLocked() error {
 }
 
 // Pop implements queue.IoQueue.
-func (e *endpoint) Pop(done queue.DoneFunc) {
-	if e.popOrWait(done) {
-		e.Pump()
-	}
-}
+func (e *endpoint) Pop(done queue.DoneFunc) { e.pop(done, true) }
 
 // PopBatched implements queue.BatchIoQueue: Pop with the Pump left to the
 // caller. A new waiter always needs that pump: data that arrived while
 // nobody waited was reported by the stack then, and is not reported
 // again.
-func (e *endpoint) PopBatched(done queue.DoneFunc) {
-	e.popOrWait(done)
-}
+func (e *endpoint) PopBatched(done queue.DoneFunc) { e.pop(done, false) }
 
-// popOrWait completes done at once — with a buffered completion, or with
-// the error a dead or closed endpoint fails pops with — or else queues it
-// as a waiter, and reports whether it did the latter.
-func (e *endpoint) popOrWait(done queue.DoneFunc) (waiting bool) {
+// pop completes done at once — with a buffered completion, or with the
+// error a dead or closed endpoint fails pops with — or else queues it as a
+// waiter, and when pump is set goes on to read the connection for it.
+func (e *endpoint) pop(done queue.DoneFunc, pump bool) {
+	var c queue.Completion
 	e.mu.Lock()
-	if e.dead != nil && e.ready.Len() == 0 {
-		dead := e.dead
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: dead})
-		return false
+	switch {
+	case e.dead != nil && e.ready.Len() == 0:
+		c = queue.Completion{Kind: queue.OpPop, Err: e.dead}
+	case e.closed:
+		c = queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed}
+	case e.ready.Len() > 0:
+		c = e.popReadyLocked()
+	default:
+		e.waiters.Push(done)
+		if pump {
+			e.pumpUnlock()
+		} else {
+			e.mu.Unlock()
+		}
+		return
 	}
-	if e.closed {
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-		return false
-	}
-	if e.ready.Len() > 0 {
-		c := e.popReadyLocked()
-		e.mu.Unlock()
-		done(c)
-		return false
-	}
-	e.waiters.Push(done)
 	e.mu.Unlock()
-	return true
-}
-
-// pumpMarked is Pump for an endpoint taken off the pump list, which does
-// nothing when no qtoken could come of it: no frame to send, no pop
-// waiting, no parked drain to resume. That is the case of a connection
-// the stack reported readable while nobody waits on it; its bytes stay in
-// the TCP receive buffer, under the advertised window, until the next pop
-// pumps for them.
-func (e *endpoint) pumpMarked() int {
-	e.marked.Store(false) // before looking: a mark from here on queues again
-	e.mu.Lock()
-	idle := e.txq.Len() == 0 && e.waiters.Len() == 0 && !e.resumableLocked()
-	e.mu.Unlock()
-	if idle {
-		return 0
-	}
-	return e.Pump()
+	done(c)
 }
 
 // resumableLocked reports a parked receive drain whose backlog the reader
@@ -723,39 +701,21 @@ func (e *endpoint) resumableLocked() bool {
 // Pump implements queue.IoQueue: it flushes pending frames into the TCP
 // send buffer and drains received bytes through the framer into whole
 // SGAs — each half only when it has work: frames queued, or a pop waiting
-// or a parked drain to look at again. A push therefore does not read the
-// connection and a pop does not flush it.
+// or a parked drain the reader has caught up on. A push therefore does not
+// read the connection and a pop does not flush it, and a pump that no
+// qtoken could come of does nothing: that is the case of a connection the
+// stack reported readable while nobody waits on it, whose bytes stay in the
+// TCP receive buffer, under the advertised window, until the next pop
+// pumps for them.
 func (e *endpoint) Pump() int {
 	e.mu.Lock()
-	conn := e.conn
-	tx := e.txq.Len() > 0
-	rx := e.waiters.Len() > 0 || e.rxStalled
-	e.mu.Unlock()
-	if conn == nil {
-		return 0
-	}
-	n := 0
-	if tx {
-		n += e.flushTx(conn)
-	}
-	if rx {
-		n += e.drainRx(conn)
-	}
-	if err := conn.Err(); err != nil {
-		// The stack declared the connection dead (max retransmits /
-		// connect timeout). Every outstanding qtoken must complete with
-		// the typed error rather than hang until the Wait deadline.
-		e.failAll(wrapConnErr(err))
-	}
-	if rx {
-		e.serveWaiters()
-	}
-	return n
+	return e.pumpUnlock()
 }
 
-// txDone is a completed (or failed) tx frame recorded under e.mu and
-// fired after it is released, so a burst of completed pushes costs one
-// lock round trip instead of one per frame.
+// txDone and popDone are completions recorded under e.mu and fired after
+// it is released: a DoneFunc may come back into the endpoint (QConnect's
+// forwarder pops from inside one), and a burst of them costs one lock
+// round trip instead of one each.
 type txDone struct {
 	done queue.DoneFunc
 	buf  *membuf.Buffer
@@ -763,132 +723,193 @@ type txDone struct {
 	err  error
 }
 
-func (e *endpoint) flushTx(conn *netstack.TCPConn) int {
-	// Completed frames collect on the stack and fire after the single
-	// unlock below; 32 slots covers a 32-push batch without spilling to
-	// the heap.
-	var firedArr [32]txDone
-	fired := firedArr[:0]
-	e.mu.Lock()
+type popDone struct {
+	done queue.DoneFunc
+	c    queue.Completion
+}
+
+// firedSpill is where a pump records a burst of completions too long for
+// the arrays in its own frame: 32 pipelined pushes, or as many pops. It
+// cycles through Transport.firedPool and keeps the capacity of the longest
+// burst it has carried.
+type firedSpill struct {
+	tx  []txDone
+	pop []popDone
+}
+
+// spillFor returns sp, taken from the pool if nil, with room for nTx push
+// and nPop pop completions. The room is made here, before the pump's loops
+// run, so that they never append past the end of what they were given.
+func (t *Transport) spillFor(sp *firedSpill, nTx, nPop int) *firedSpill {
+	if sp == nil {
+		if sp, _ = t.firedPool.Get().(*firedSpill); sp == nil {
+			sp = new(firedSpill)
+		}
+	}
+	if cap(sp.tx) < nTx {
+		sp.tx = make([]txDone, 0, max(nTx, 2*cap(sp.tx)))
+	}
+	if cap(sp.pop) < nPop {
+		sp.pop = make([]popDone, 0, max(nPop, 2*cap(sp.pop)))
+	}
+	return sp
+}
+
+// pumpUnlock is the one body of every data-path call: entered with e.mu
+// held — by Push with its frame queued, by Pop with its waiter queued, by
+// Pump with neither — it flushes, drains, looks at the connection's error
+// and matches waiters to completions under that hold and one hold of the
+// stack's lock inside it, releases e.mu, and only then fires what
+// completed. It returns bytes sent plus SGAs decoded.
+//
+// Lock order: e.mu → Transport.mu, e.mu → Stack.mu and (in Transport.Poll)
+// Transport.mu → Stack.mu; never Transport.mu under Stack.mu, so marking
+// the endpoint waits for the hold's release.
+func (e *endpoint) pumpUnlock() int {
+	conn := e.conn
+	doTx := e.txq.Len() > 0
+	doRx := e.waiters.Len() > 0 || e.resumableLocked()
+	if conn == nil || !(doTx || doRx) {
+		e.mu.Unlock()
+		return 0
+	}
+	// Completions collect in this frame: an echo fires one push or one pop
+	// a pump. What a longer burst needs is known before each loop runs and
+	// comes from the pool; the slices and the pool's pointer stay separate
+	// locals, because stored in one struct they would all move to the heap.
+	var (
+		txArr  [4]txDone
+		popArr [2]popDone
+		spill  *firedSpill
+	)
+	tx, pops := txArr[:0], popArr[:0]
+	if k := e.txq.Len(); k > len(txArr) {
+		spill = e.t.spillFor(spill, k, 0)
+		tx = spill.tx[:0]
+	}
 	n := 0
-	for e.txq.Len() > 0 {
-		f := e.txq.Front()
-		// Buffered send: the whole staged burst coalesces into MSS-sized
-		// segments at the single FlushSend below, so 32 small pushes cost
-		// ~2 segments of per-segment work, not 32.
-		sent, err := conn.SendBuffered(f.data[f.sent:], f.cost)
-		if err != nil {
-			fired = append(fired, txDone{done: f.done, buf: f.buf, err: wrapConnErr(err)})
+	// failErr is what fails the waiters no completion is left for: the end
+	// of the stream (EOF, or bytes that are no frame) or a dead connection.
+	var failErr error
+	h := conn.Hold()
+	if doTx {
+		for e.txq.Len() > 0 {
+			f := e.txq.Front()
+			// Buffered send: the whole staged burst coalesces into MSS-sized
+			// segments at the single FlushSend below, so 32 small pushes cost
+			// ~2 segments of per-segment work, not 32.
+			sent, err := h.SendBuffered(f.data[f.sent:], f.cost)
+			if err != nil {
+				tx = append(tx, txDone{done: f.done, buf: f.buf, err: wrapConnErr(err)})
+				e.txq.Pop()
+				continue
+			}
+			f.sent += sent
+			n += sent
+			if f.sent < len(f.data) {
+				break // TCP send buffer full; retry on a later pump
+			}
+			tx = append(tx, txDone{done: f.done, buf: f.buf, cost: f.cost})
 			e.txq.Pop()
-			continue
 		}
-		f.sent += sent
-		n += sent
-		if f.sent < len(f.data) {
-			break // TCP send buffer full; retry on a later pump
+		if n > 0 {
+			h.FlushSend()
 		}
-		fired = append(fired, txDone{done: f.done, buf: f.buf, cost: f.cost})
-		e.txq.Pop()
 	}
-	if n > 0 {
-		conn.FlushSend()
+	if doRx {
+		// RecvAppend appends the stream bytes straight onto the framer's
+		// reassembly buffer (reused, so the steady-state receive path
+		// allocates nothing); e.mu keeps two concurrent pumps from
+		// interleaving their bytes into it out of order.
+		readyCap := e.t.cfg.RxReadyCap
+		parked := false
+		for failErr == nil {
+			if readyCap > 0 && e.ready.Len() >= readyCap {
+				// Reader too slow: park the drain with the bytes still in
+				// the TCP receive buffer. The stack's shrinking advertised
+				// window now pushes the stall back to the peer's sender —
+				// flow control end to end instead of an unbounded backlog.
+				parked = true
+				break
+			}
+			had := e.framer.Buffer()
+			b, cost, err := h.RecvAppend(had, 0)
+			e.framer.Commit(b)
+			if err == io.EOF {
+				failErr = queue.ErrClosed
+				break
+			}
+			if err != nil || len(b) == len(had) {
+				break
+			}
+			for {
+				s, ok, ferr := e.framer.Next()
+				if failErr = ferr; ferr != nil || !ok {
+					break
+				}
+				e.ready.Push(queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
+				n++
+			}
+		}
+		if parked && !e.rxStalled {
+			e.t.rxStalls.Add(1)
+		}
+		e.rxStalled = parked
 	}
-	if e.txq.Len() > 0 {
+	connErr := h.Err()
+	h.Release()
+	if connErr != nil {
+		// The stack declared the connection dead (max retransmits, connect
+		// timeout, reset). Every outstanding qtoken must complete with the
+		// typed error rather than hang until the Wait deadline: the flush
+		// above has failed every queued frame with it, the waiters follow
+		// below. (Nothing was read under this hold, so none of them is
+		// served ahead of the error.)
+		failErr = wrapConnErr(connErr)
+	} else if e.txq.Len() > 0 {
 		// Send buffer full, and nothing reports when ACKs make room: try
 		// again on every poll until the frames are through.
 		e.t.mark(e)
 	}
+	if k := min(e.waiters.Len(), e.ready.Len()); k > 0 {
+		if k > len(popArr) {
+			spill = e.t.spillFor(spill, 0, k)
+			pops = spill.pop[:0]
+		}
+		for ; k > 0; k-- {
+			pops = append(pops, popDone{done: e.waiters.Pop(), c: e.popReadyLocked()})
+		}
+	}
+	var failedPops []queue.DoneFunc
+	if failErr != nil && e.ready.Len() == 0 {
+		// Fail waiters only once every buffered completion has been handed
+		// out: an EOF that lands in the same drain as the final request
+		// bytes must not reorder itself ahead of them. The condition is
+		// persistent (RecvAppend keeps returning it), so the pump of a pop
+		// that finds the ready list dry delivers it.
+		failedPops = e.waiters.Take()
+	}
 	e.mu.Unlock()
-	for i := range fired {
-		d := &fired[i]
+
+	for i := range tx {
+		d := &tx[i]
 		if d.buf != nil {
 			d.buf.Free() // TCP copied the bytes; staging slot recycles
 		}
-		if d.err != nil {
-			d.done(queue.Completion{Kind: queue.OpPush, Err: d.err})
-		} else {
-			d.done(queue.Completion{Kind: queue.OpPush, Cost: d.cost})
-		}
-		*d = txDone{}
+		d.done(queue.Completion{Kind: queue.OpPush, Cost: d.cost, Err: d.err})
+	}
+	for i := range pops {
+		pops[i].done(pops[i].c)
+	}
+	for _, w := range failedPops {
+		w(queue.Completion{Kind: queue.OpPop, Err: failErr})
+	}
+	if spill != nil {
+		clear(tx) // drop the references before pooling
+		clear(pops)
+		e.t.firedPool.Put(spill)
 	}
 	return n
-}
-
-func (e *endpoint) drainRx(conn *netstack.TCPConn) int {
-	// Hold e.mu across the whole drain: RecvAppend appends the stream
-	// bytes straight onto the framer's reassembly buffer (reused, so the
-	// steady-state receive path allocates nothing), and two concurrent
-	// pumps must not interleave their bytes into it out of order. Lock
-	// order (e.mu → stack.mu) matches flushTx.
-	n := 0
-	var failErr error
-	readyCap := e.t.cfg.RxReadyCap
-	e.mu.Lock()
-	for {
-		if readyCap > 0 && e.ready.Len() >= readyCap {
-			// Reader too slow: park the drain with the bytes still in
-			// the TCP receive buffer. The stack's shrinking advertised
-			// window now pushes the stall back to the peer's sender —
-			// flow control end to end instead of an unbounded backlog.
-			if !e.rxStalled {
-				e.rxStalled = true
-				e.t.rxStalls.Add(1)
-			}
-			e.mu.Unlock()
-			return n
-		}
-		had := e.framer.Buffer()
-		b, cost, err := conn.RecvAppend(had, 0)
-		e.framer.Commit(b)
-		if err == io.EOF {
-			failErr = queue.ErrClosed
-			break
-		}
-		if err != nil || len(b) == len(had) {
-			break
-		}
-		for {
-			s, ok, ferr := e.framer.Next()
-			if ferr != nil {
-				failErr = ferr
-				break
-			}
-			if !ok {
-				break
-			}
-			e.ready.Push(queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
-			n++
-		}
-		if failErr != nil {
-			break
-		}
-	}
-	e.rxStalled = false
-	readyLeft := e.ready.Len()
-	e.mu.Unlock()
-	if failErr != nil && readyLeft == 0 {
-		// Fail waiters only once every buffered completion has been
-		// handed out: an EOF that lands in the same drain as the final
-		// request bytes must not reorder itself ahead of them. The
-		// condition is persistent (RecvAppend keeps returning it), so a
-		// later pump delivers it once the ready list drains dry.
-		e.failWaiters(failErr)
-	}
-	return n
-}
-
-func (e *endpoint) serveWaiters() {
-	for {
-		e.mu.Lock()
-		if e.waiters.Len() == 0 || e.ready.Len() == 0 {
-			e.mu.Unlock()
-			return
-		}
-		w := e.waiters.Pop()
-		c := e.popReadyLocked()
-		e.mu.Unlock()
-		w(c)
-	}
 }
 
 // popReadyLocked dequeues the head completion, and has the next poll
@@ -901,34 +922,6 @@ func (e *endpoint) popReadyLocked() queue.Completion {
 	return c
 }
 
-// failAll fails every queued pop waiter and every pending push with err:
-// the dead-peer path. Unsent tx frames can never be delivered once the
-// stack has given up, so their pushes fail too.
-func (e *endpoint) failAll(err error) {
-	e.mu.Lock()
-	ws := e.waiters.Take()
-	txq := e.txq.Take()
-	e.mu.Unlock()
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: err})
-	}
-	for _, f := range txq {
-		if f.buf != nil {
-			f.buf.Free()
-		}
-		f.done(queue.Completion{Kind: queue.OpPush, Err: err})
-	}
-}
-
-func (e *endpoint) failWaiters(err error) {
-	e.mu.Lock()
-	ws := e.waiters.Take()
-	e.mu.Unlock()
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: err})
-	}
-}
-
 // Close implements queue.IoQueue.
 func (e *endpoint) Close() error {
 	e.mu.Lock()
@@ -938,6 +931,7 @@ func (e *endpoint) Close() error {
 	}
 	e.closed = true
 	conn, l := e.conn, e.listener
+	ws := e.waiters.Take() // a closed endpoint queues no more
 	e.mu.Unlock()
 	if conn != nil {
 		conn.SetOwner(nil) // nobody reads it any more
@@ -946,7 +940,9 @@ func (e *endpoint) Close() error {
 	if l != nil {
 		l.Close()
 	}
-	e.failWaiters(queue.ErrClosed)
+	for _, w := range ws {
+		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
+	}
 	e.t.drop(e)
 	return nil
 }

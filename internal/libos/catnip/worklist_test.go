@@ -18,7 +18,7 @@ import (
 )
 
 type wlRig struct {
-	t      *testing.T
+	t      testing.TB
 	now    time.Time
 	ta, tb *Transport
 	lis    core.Endpoint
@@ -26,7 +26,7 @@ type wlRig struct {
 
 const wlPort = 7
 
-func newWLRig(t *testing.T, readyCap int) *wlRig {
+func newWLRig(t testing.TB, readyCap int) *wlRig {
 	model := simclock.Datacenter2019()
 	sw := fabric.NewSwitch(&model, 1)
 	r := &wlRig{t: t, now: time.Unix(1_000_000, 0)}

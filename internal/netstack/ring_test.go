@@ -85,6 +85,9 @@ type streamModel struct {
 	base      uint32 // sequence number of sent[0]
 	sent      []byte
 	delivered int
+	// held sends and receives through a Hold (SendBuffered, FlushSend,
+	// RecvAppend, Err under one hold) instead of the public calls.
+	held bool
 
 	sndWrapped, rcvWrapped, shortWrite bool
 }
@@ -94,7 +97,20 @@ func (m *streamModel) send(p []byte) {
 	m.w.a.mu.Lock()
 	room := sndBufMax - m.c.sndBuf.Len()
 	m.w.a.mu.Unlock()
-	n, err := m.c.Send(p, 0)
+	var n int
+	var err error
+	if m.held {
+		h := m.c.Hold()
+		if n, err = h.SendBuffered(p, 0); n > 0 {
+			h.FlushSend()
+		}
+		if err == nil {
+			err = h.Err()
+		}
+		h.Release()
+	} else {
+		n, err = m.c.Send(p, 0)
+	}
 	if err != nil {
 		m.t.Fatalf("Send: %v", err)
 	}
@@ -107,7 +123,17 @@ func (m *streamModel) send(p []byte) {
 
 func (m *streamModel) recv(max int) {
 	m.t.Helper()
-	b, _, err := m.srv.RecvAppend(nil, max)
+	var b []byte
+	var err error
+	if m.held {
+		h := m.srv.Hold()
+		if b, _, err = h.RecvAppend(nil, max); err == nil {
+			err = h.Err()
+		}
+		h.Release()
+	} else {
+		b, _, err = m.srv.RecvAppend(nil, max)
+	}
 	if err != nil {
 		m.t.Fatalf("RecvAppend: %v", err)
 	}
@@ -153,7 +179,15 @@ func (m *streamModel) check(step int) {
 // step. The receive window is a few MSS so both rings wrap many times. A
 // second set of seeds (ackHoldSchedule) interleaves both stacks' polls and
 // writes in both directions, for the acknowledgement rules.
-func TestTCPRingsAgainstStreamModel(t *testing.T) {
+func TestTCPRingsAgainstStreamModel(t *testing.T) { streamModelSchedules(t, false) }
+
+// TestHoldMatchesPublicCalls runs TestTCPRingsAgainstStreamModel's
+// schedules with every send and receive made under a Hold: the held calls
+// and the public ones (each a Hold around one call) meet the same model
+// at every step of the same seeds.
+func TestHoldMatchesPublicCalls(t *testing.T) { streamModelSchedules(t, true) }
+
+func streamModelSchedules(t *testing.T, held bool) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
@@ -161,7 +195,7 @@ func TestTCPRingsAgainstStreamModel(t *testing.T) {
 			w := newWorld(t, Config{MSS: 200 + r.Intn(1200), RTO: rto},
 				Config{MSS: 512, RTO: rto, RxWindow: 3000 + r.Intn(6000)})
 			c, srv := dialPair(t, w, 8000)
-			m := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna}
+			m := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna, held: held}
 			chunk := make([]byte, sndBufMax+50_000)
 
 			for step := 0; step < 1500; step++ {
@@ -216,10 +250,10 @@ func TestTCPRingsAgainstStreamModel(t *testing.T) {
 	// may need a timeout to finish.
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("ackhold/clean/seed%d", seed), func(t *testing.T) {
-			ackHoldSchedule(t, seed, fabric.Impairments{})
+			ackHoldSchedule(t, seed, fabric.Impairments{}, held)
 		})
 		t.Run(fmt.Sprintf("ackhold/impaired/seed%d", seed), func(t *testing.T) {
-			ackHoldSchedule(t, seed, fabric.Impairments{LossRate: 0.05, DupRate: 0.1, ReorderRate: 0.15})
+			ackHoldSchedule(t, seed, fabric.Impairments{LossRate: 0.05, DupRate: 0.1, ReorderRate: 0.15}, held)
 		})
 	}
 }
@@ -227,15 +261,15 @@ func TestTCPRingsAgainstStreamModel(t *testing.T) {
 // ackHoldSchedule runs one seeded schedule of the delayed-ACK dimension of
 // TestTCPRingsAgainstStreamModel, both directions of the connection held
 // against a stream model each.
-func ackHoldSchedule(t *testing.T, seed int64, imp fabric.Impairments) {
+func ackHoldSchedule(t *testing.T, seed int64, imp fabric.Impairments, held bool) {
 	r := rand.New(rand.NewSource(seed))
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	mss := 200 + r.Intn(1200)
 	w := newWorld(t, Config{MSS: mss, Clock: clk.now}, Config{MSS: 200 + r.Intn(1200), RxWindow: 8*mss + r.Intn(60_000), Clock: clk.now})
 	c, srv := dialPair(t, w, 8000)
 	w.pump()
-	fwd := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna}
-	rev := &streamModel{t: t, w: &world{a: w.b, b: w.a}, c: srv, srv: c, base: srv.sndUna}
+	fwd := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna, held: held}
+	rev := &streamModel{t: t, w: &world{a: w.b, b: w.a}, c: srv, srv: c, base: srv.sndUna, held: held}
 	w.sw.SetImpairments(imp)
 	clean := imp == fabric.Impairments{}
 	chunk := make([]byte, 5*mss)

@@ -227,9 +227,42 @@ func (c *TCPConn) Established() bool {
 
 // Err returns the terminal error, if the connection failed.
 func (c *TCPConn) Err() error {
+	h := c.Hold()
+	defer h.Release()
+	return h.Err()
+}
+
+// Hold is the stack lock taken on behalf of one connection, so that a
+// caller with several things to do to it — queue bytes, flush them, read,
+// look at the error — pays for the lock once and sees one consistent
+// state. The calls are the TCPConn methods of the same names, which are
+// each a Hold around one call. Release it before calling anything else on
+// the stack, and before taking any lock that is held around stack calls.
+type Hold struct{ c *TCPConn }
+
+// Hold locks the connection's stack until Release.
+func (c *TCPConn) Hold() Hold {
 	c.stack.mu.Lock()
-	defer c.stack.mu.Unlock()
-	return c.err
+	return Hold{c}
+}
+
+// Release ends the hold.
+func (h Hold) Release() { h.c.stack.mu.Unlock() }
+
+// Err is TCPConn.Err under the hold.
+func (h Hold) Err() error { return h.c.err }
+
+// SendBuffered is TCPConn.SendBuffered under the hold.
+func (h Hold) SendBuffered(b []byte, cost simclock.Lat) (int, error) {
+	return h.c.enqueueLocked(b, cost)
+}
+
+// FlushSend is TCPConn.FlushSend under the hold.
+func (h Hold) FlushSend() { h.c.trySendLocked() }
+
+// RecvAppend is TCPConn.RecvAppend under the hold.
+func (h Hold) RecvAppend(dst []byte, max int) ([]byte, simclock.Lat, error) {
+	return h.c.recvAppendLocked(dst, max)
 }
 
 // Send enqueues payload bytes for transmission, carrying the caller's
@@ -251,10 +284,9 @@ func (c *TCPConn) Send(b []byte, cost simclock.Lat) (int, error) {
 // segments instead of one undersized segment per write. Retransmission
 // and flow control are unchanged — sndBuf remains the source of truth.
 func (c *TCPConn) SendBuffered(b []byte, cost simclock.Lat) (int, error) {
-	s := c.stack
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return c.enqueueLocked(b, cost)
+	h := c.Hold()
+	defer h.Release()
+	return h.SendBuffered(b, cost)
 }
 
 // enqueueLocked copies as much of b as fits under sndBufMax into the
@@ -278,10 +310,9 @@ func (c *TCPConn) enqueueLocked(b []byte, cost simclock.Lat) (int, error) {
 // FlushSend emits whatever SendBuffered queued, as far as the
 // congestion and flow-control windows allow.
 func (c *TCPConn) FlushSend() {
-	s := c.stack
-	s.mu.Lock()
-	c.trySendLocked()
-	s.mu.Unlock()
+	h := c.Hold()
+	h.FlushSend()
+	h.Release()
 }
 
 // Recv pops up to max in-order received bytes. It returns (nil, 0, nil)
@@ -296,9 +327,12 @@ func (c *TCPConn) Recv(max int) ([]byte, simclock.Lat, error) {
 // steady-state receive loop runs without allocating. It returns dst
 // unchanged alongside io.EOF / a terminal error / no-data.
 func (c *TCPConn) RecvAppend(dst []byte, max int) ([]byte, simclock.Lat, error) {
-	s := c.stack
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	h := c.Hold()
+	defer h.Release()
+	return h.RecvAppend(dst, max)
+}
+
+func (c *TCPConn) recvAppendLocked(dst []byte, max int) ([]byte, simclock.Lat, error) {
 	if c.err != nil {
 		return dst, 0, c.err
 	}

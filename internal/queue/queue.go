@@ -241,6 +241,11 @@ func (c *Completer) NewTokenFor(qd int32) (QToken, DoneFunc) {
 func (c *Completer) recycle(st *tokenState) {
 	sh := st.home
 	sh.mu.Lock()
+	sh.recycleLocked(st)
+	sh.mu.Unlock()
+}
+
+func (sh *completerShard) recycleLocked(st *tokenState) {
 	st.qt = 0
 	st.done = false
 	st.published = false
@@ -252,7 +257,6 @@ func (c *Completer) recycle(st *tokenState) {
 	if len(sh.free) < maxFreeStates {
 		sh.free = append(sh.free, st)
 	}
-	sh.mu.Unlock()
 }
 
 // MarkSubmit stamps the device-submit stage of qt's span: the libOS
@@ -427,12 +431,17 @@ func (c *Completer) TryWait(qt QToken) (Completion, bool, error) {
 		return Completion{}, false, nil
 	}
 	delete(sh.pending, qt)
-	sh.mu.Unlock()
 	comp := st.comp
 	if st.span != nil {
+		// Recording reads the clock and takes the span table's lock: not
+		// under the shard's.
+		sh.mu.Unlock()
 		c.recordSpan(st, time.Now().UnixNano())
+		c.recycle(st)
+		return comp, true, nil
 	}
-	c.recycle(st)
+	sh.recycleLocked(st) // a token lives on its state's home shard
+	sh.mu.Unlock()
 	return comp, true, nil
 }
 

@@ -89,7 +89,9 @@ type Pair struct {
 	mu   sync.Mutex
 	free []*opState // released slots, LIFO for cache warmth
 	slab int        // slots allocated
-	cq   fifo.Queue[CQE]
+	// armed is ArmBatch's result, reused from call to call.
+	armed []queue.DoneFunc
+	cq    fifo.Queue[CQE]
 
 	spans *telemetry.SpanTable
 
@@ -134,24 +136,38 @@ func (p *Pair) reserveLocked(n int) {
 func (p *Pair) SetSpans(t *telemetry.SpanTable) { p.spans = t }
 
 // Arm acquires a slot for one SQE and returns the DoneFunc to hand to
-// its IoQueue. The submit call counts its batch once, with Submitted.
+// its IoQueue: ArmBatch of one.
 func (p *Pair) Arm(e *SQE) queue.DoneFunc {
+	return p.ArmBatch([]SQE{*e})[0]
+}
+
+// ArmBatch acquires a slot for each SQE of a submission under one hold of
+// the pair's lock, and returns their DoneFuncs in order. The slice is the
+// pair's scratch, good until the next call: the pair's one application
+// thread is the only submitter. The submit call counts its batch once,
+// with Submitted.
+func (p *Pair) ArmBatch(es []SQE) []queue.DoneFunc {
 	var now int64
 	if p.spans != nil && p.spans.Enabled() {
 		now = time.Now().UnixNano()
 	}
 	p.mu.Lock()
-	if len(p.free) == 0 {
-		p.reserveLocked(max(2*p.slab, 2))
+	if short := len(es) - len(p.free); short > 0 {
+		p.reserveLocked(max(2*p.slab, p.slab+short))
 	}
-	st := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	st.armed = true
-	st.tag = e.Tag
-	st.qd = e.QD
-	st.issueNS = now
+	dones := p.armed[:0]
+	for i := range es {
+		st := p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
+		st.armed = true
+		st.tag = es[i].Tag
+		st.qd = es[i].QD
+		st.issueNS = now
+		dones = append(dones, st.done)
+	}
+	p.armed = dones
 	p.mu.Unlock()
-	return st.done
+	return dones
 }
 
 // Submitted counts one submit call that armed n operations.

@@ -10,13 +10,14 @@ import (
 )
 
 // submit plays the libOS role for a pair against one MemQueue: arm a
-// slot per SQE and issue the op with its DoneFunc. MemQueue completes
-// inline, so after submit returns the CQ holds the results.
+// slot per SQE, all under one hold, and issue each op with its DoneFunc.
+// MemQueue completes inline, so after submit returns the CQ holds the
+// results.
 func submit(t *testing.T, p *Pair, mq *queue.MemQueue, es ...SQE) {
 	t.Helper()
+	dones := p.ArmBatch(es)
 	for i := range es {
-		e := &es[i]
-		done := p.Arm(e)
+		e, done := &es[i], dones[i]
 		switch e.Op {
 		case queue.OpPush:
 			mq.Push(e.SGA, e.Cost, done)
