@@ -15,8 +15,8 @@ STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish
 STORAGE_RUN     := TestChaosPushdownResetMidTraversal
 RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
-BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkHotPath_EventLoopTick|BenchmarkURing_SubmitHarvest|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64
-BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/ ./internal/libos/catnip/
+BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkHotPath_EventLoopTick|BenchmarkURing_SubmitHarvest|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkSGA_FramerWrite
+BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/sga/
 
 ## tier1: the gate every PR must keep green — vet, build, full test
 ## suite, a short -race pass over the concurrency-heavy packages
@@ -166,8 +166,9 @@ bench-aa:
 ## throughput; ACK dequeue cost at 4 KiB and at 128 KiB queued, and
 ## Stack.Poll beside 1, 1 k and 100 k idle connections, both of which
 ## must read as a flat line; a 64 B ping-pong between two stacks, whose
-## segs/op must read 2) and catnip's 64 B echo between two transports
-## (segs/op 2 as well); part of tier1.
+## segs/op must read 2), catnip's 64 B echo (segs/op 2 as well) and 16 KiB
+## stream (segs/op 12.5, copies/B 4) between two transports, and the SGA
+## stream decoder alone; part of tier1.
 benchsmoke:
 	$(GO) test -run xxx -bench '$(BENCHSMOKE_RUN)' -benchtime=1x $(BENCHSMOKE_PKGS)
 

@@ -22,6 +22,17 @@ import (
 	"demikernel/internal/workload"
 )
 
+// allocsPerRun is testing.AllocsPerRun for the fences below. Under the race
+// detector it still runs f — the traffic is worth racing — but reports no
+// allocations, because there a count says nothing (see raceEnabled).
+func allocsPerRun(runs int, f func()) float64 {
+	allocs := testing.AllocsPerRun(runs, f)
+	if raceEnabled {
+		return 0
+	}
+	return allocs
+}
+
 // hotPathPair builds a connected catnip pair whose data path is pumped
 // only by the calling goroutine.
 func hotPathPair(tb testing.TB) (cli, srv *LibOS, cqd, sqd QD, cleanup func()) {
@@ -227,7 +238,7 @@ func TestHotPathAllocsCompleter(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		roundTrip() // warm every shard's freelist
 	}
-	if allocs := testing.AllocsPerRun(1000, roundTrip); allocs != 0 {
+	if allocs := allocsPerRun(1000, roundTrip); allocs != 0 {
 		t.Fatalf("completer round trip allocates %.1f objects/op, want 0", allocs)
 	}
 }
@@ -246,7 +257,7 @@ func TestHotPathAllocsEchoRTT(t *testing.T) {
 	// Zero-alloc decode plus buffered TX brought the measured steady
 	// state to 0; keep a little slack for incidental runtime churn.
 	const limit = 2.0
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := allocsPerRun(100, func() {
 		echoRTT(t, cli, srv, cqd, sqd, payload)
 	})
 	if allocs > limit {
@@ -296,10 +307,10 @@ func TestHotPathAllocsEchoServer(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		roundTrip() // accept the connection, warm pools and scratch
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { step() }); allocs != 0 {
+	if allocs := allocsPerRun(1000, func() { step() }); allocs != 0 {
 		t.Errorf("idle echo.Server.Step allocates %.1f objects/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+	if allocs := allocsPerRun(100, roundTrip); allocs != 0 {
 		t.Errorf("64 B echo through echo.Server allocates %.1f objects/op, want 0", allocs)
 	}
 	if app.Echoed() < 64 {
@@ -308,11 +319,12 @@ func TestHotPathAllocsEchoServer(t *testing.T) {
 }
 
 // TestHotPathAllocsStream is the bulk-transfer fence: a steady-state
-// 16 KiB push → pop over catnip↔catnip — twelve MSS segments out of the
-// send ring, one burst into the receive ring, the stream bytes appended
-// straight onto the framer's buffer, one pooled clone out — must be
-// exactly allocation-free. Every per-byte structure on that path (both
-// byte rings, the wire frames, the reassembly buffer) is reused storage.
+// 16 KiB push → pop over catnip↔catnip — the segments copied into the send
+// ring where the application left them, twelve MSS segments out of it, one
+// burst into the receive ring, the framer copying from there into one pooled
+// buffer — must be exactly allocation-free. Every per-byte structure on
+// that path (both byte rings, the wire frames, the frame buffer) is reused
+// storage.
 func TestHotPathAllocsStream(t *testing.T) {
 	cli, srv, cqd, sqd, cleanup := hotPathPair(t)
 	defer cleanup()
@@ -336,7 +348,7 @@ func TestHotPathAllocsStream(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		transfer() // open cwnd, size the rings, warm the pools
 	}
-	if allocs := testing.AllocsPerRun(100, transfer); allocs != 0 {
+	if allocs := allocsPerRun(100, transfer); allocs != 0 {
 		t.Fatalf("16 KiB stream transfer allocates %.1f objects/op, want 0", allocs)
 	}
 }
@@ -360,7 +372,7 @@ func TestHotPathAllocsRingEchoRTT(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			r.roundTrips(t, payload, batch) // warm pools and scratch
 		}
-		if allocs := testing.AllocsPerRun(100, func() { r.roundTrips(t, payload, batch) }); allocs != 0 {
+		if allocs := allocsPerRun(100, func() { r.roundTrips(t, payload, batch) }); allocs != 0 {
 			t.Fatalf("ring echo RTT allocates %.1f objects per batch of %d, want 0", allocs, batch)
 		}
 	}
@@ -385,7 +397,7 @@ func TestHotPathAllocsHTTPRingServe(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r.roundTrips(t, get, 8)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { r.roundTrips(t, get, 8) }); allocs != 0 {
+	if allocs := allocsPerRun(100, func() { r.roundTrips(t, get, 8) }); allocs != 0 {
 		t.Fatalf("ring HTTP serve loop allocates: %.1f allocs/run (want 0)", allocs)
 	}
 }
@@ -413,7 +425,7 @@ func TestHotPathAllocsIdlePoll(t *testing.T) {
 				if work := l.Poll(); work != 0 {
 					t.Errorf("%s %s (ring %v) idle Poll did %d units of work", kind, name, ring, work)
 				}
-				if allocs := testing.AllocsPerRun(1000, func() { l.Poll() }); allocs != 0 {
+				if allocs := allocsPerRun(1000, func() { l.Poll() }); allocs != 0 {
 					t.Errorf("%s %s (ring %v) idle Poll allocates %.1f objects/op, want 0", kind, name, ring, allocs)
 				}
 			}
@@ -488,7 +500,7 @@ func TestHotPathCatnapClosedEndpointsLeavePoll(t *testing.T) {
 	}
 	for name, n := range map[string]*Node{"client": cli, "server": srv} {
 		n.Poll()
-		if allocs := testing.AllocsPerRun(1000, func() { n.LibOS.Poll() }); allocs != 0 {
+		if allocs := allocsPerRun(1000, func() { n.LibOS.Poll() }); allocs != 0 {
 			t.Errorf("catnap %s idle Poll after 10 k cycles allocates %.1f objects/op, want 0", name, allocs)
 		}
 	}
@@ -515,7 +527,7 @@ func TestHotPathIdlePollFindsNoWork(t *testing.T) {
 		if flows := len(n.Catnip.Stack().EstablishedFlows()); flows != 1025 {
 			t.Fatalf("%s has %d connections, want 1025", name, flows)
 		}
-		allocs := testing.AllocsPerRun(1000, func() { n.LibOS.Poll() })
+		allocs := allocsPerRun(1000, func() { n.LibOS.Poll() })
 		timers, ready, acks, pumps := n.Catnip.WorkQueued()
 		if allocs != 0 || timers+ready+acks+pumps != 0 {
 			t.Errorf("%s idle Poll beside 1024 idle connections: %.1f allocs/op, %d timer entries, %d ready connections, %d held ACKs, %d endpoints to pump; want all 0",
@@ -533,7 +545,7 @@ func TestHotPathAllocsEventLoopTick(t *testing.T) {
 	el := sched.New(cli)
 	el.Tick()
 
-	if allocs := testing.AllocsPerRun(1000, func() { el.Tick() }); allocs != 0 {
+	if allocs := allocsPerRun(1000, func() { el.Tick() }); allocs != 0 {
 		t.Errorf("idle EventLoop.Tick allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -5,8 +5,8 @@
 // established TCP connections keep their protocol objects (both
 // transports run the same netstack code over the same device — the
 // paper's deliberate symmetry between Figure 1's two columns), and the
-// per-endpoint soft state (framing buffer, undelivered completions,
-// parked poppers, staged TX frames) travels in a PortState. The
+// per-endpoint soft state (the frame being decoded, undelivered
+// completions, parked poppers, queued TX frames) travels in a PortState. The
 // LibrettOS idea in Demikernel terms: the OS *configuration* changes
 // at run time while the application's queues stay up.
 package core
@@ -41,7 +41,7 @@ type PortState struct {
 	Conn     *netstack.TCPConn
 	Listener *netstack.TCPListener
 
-	Framer  sga.Framer         // reassembly buffer, moved by value; adopter re-sets the clone fn
+	Framer  sga.Framer         // from Framer.Export: a frame half decoded travels re-encoded; adopter sets its allocator
 	Ready   []queue.Completion // decoded-but-undelivered pops
 	Waiters []queue.DoneFunc   // parked poppers, FIFO order
 	Tx      []PortTx           // staged, unsent TX frames

@@ -55,8 +55,7 @@ func runE4(seed int64) (*Result, error) {
 			return nil, err
 		}
 		streamCost += cost
-		framerA.Feed(data)
-		if !framerA.HasCompleteFrame() {
+		if _, _, whole, _ := framerA.Write(data, len(data)); !whole {
 			wastedInspections++
 		} else {
 			served++
@@ -69,8 +68,7 @@ func runE4(seed int64) (*Result, error) {
 				return nil, err
 			}
 			streamCost += cost
-			framerB.Feed(data)
-			if framerB.HasCompleteFrame() {
+			if _, _, whole, _ := framerB.Write(data, len(data)); whole {
 				served++
 			}
 		}

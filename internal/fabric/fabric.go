@@ -23,6 +23,11 @@ import (
 // MAC is an Ethernet hardware address.
 type MAC [6]byte
 
+// key packs the address into a word, for use as a map key.
+func (m MAC) key() uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 | uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
 // Broadcast is the all-ones broadcast address.
 var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
@@ -133,9 +138,12 @@ type PortStats struct {
 type Switch struct {
 	model *simclock.CostModel
 
-	mu     sync.Mutex
-	ports  []*Port
-	macTab map[MAC]*Port
+	mu    sync.Mutex
+	ports []*Port
+	// macTab maps a learned address, packed into a word (MAC.key), to its
+	// port: an 8-byte key takes the map's fast path, where a 6-byte array
+	// is hashed through the variable-length one, twice a frame.
+	macTab map[uint64]*Port
 	imp    Impairments
 	rng    *rand.Rand
 	held   *heldFrame // one-slot reorder buffer
@@ -156,7 +164,7 @@ type heldFrame struct {
 func NewSwitch(model *simclock.CostModel, seed int64) *Switch {
 	return &Switch{
 		model:  model,
-		macTab: make(map[MAC]*Port),
+		macTab: make(map[uint64]*Port),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
@@ -310,7 +318,7 @@ func (p *Port) Send(f Frame) {
 	// Learn the source address (even across a down link: the MAC table
 	// models state the switch learned before the cut). A lookup per frame,
 	// a table write only for a MAC that is new or has moved ports.
-	if src := f.SrcMAC(); s.macTab[src] != p {
+	if src := f.SrcMAC().key(); s.macTab[src] != p {
 		s.macTab[src] = p
 	}
 
@@ -410,7 +418,7 @@ func (s *Switch) forwardLocked(f Frame, from *Port) {
 	f.Cost += s.model.WireDelayNS + s.imp.ExtraDelay + from.imp.ExtraDelay
 	dst := f.DstMAC()
 	if !dst.IsBroadcast() {
-		if out, ok := s.macTab[dst]; ok {
+		if out, ok := s.macTab[dst.key()]; ok {
 			if s.blockedLocked(from, out) {
 				s.stats.AsymDrops++
 				from.stats.AsymDrops++

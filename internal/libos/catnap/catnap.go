@@ -330,19 +330,17 @@ func (e *endpoint) drainRx(fd kernel.FD) int {
 			e.mu.Unlock()
 			return n
 		}
-		e.framer.Feed(b)
-		for {
-			s, ok, ferr := e.framer.Next()
+		for len(b) > 0 {
+			k, s, ok, ferr := e.framer.Write(b, len(b))
 			if ferr != nil {
 				e.mu.Unlock()
 				e.failWaiters(ferr)
 				return n
 			}
-			if !ok {
-				break
+			if b = b[k:]; ok {
+				e.ready = append(e.ready, queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
+				n++
 			}
-			e.ready = append(e.ready, queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
-			n++
 		}
 		e.mu.Unlock()
 	}

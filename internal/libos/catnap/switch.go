@@ -6,10 +6,7 @@
 // costs are charged for the handoff itself.
 package catnap
 
-import (
-	"demikernel/internal/core"
-	"demikernel/internal/sga"
-)
+import "demikernel/internal/core"
 
 // Export implements core.PortExporter. The old endpoint is left
 // closed-in-place without closing the connection; stale concurrent
@@ -23,7 +20,7 @@ func (t *Transport) Export(cep core.Endpoint) (core.PortState, bool) {
 	st := core.PortState{
 		Bound:     e.bound,
 		Listening: e.listening,
-		Framer:    e.framer,
+		Framer:    e.framer.Export(),
 		Ready:     e.ready,
 		Waiters:   e.waiters,
 	}
@@ -49,7 +46,6 @@ func (t *Transport) Export(cep core.Endpoint) (core.PortState, bool) {
 	e.listenFD = 0
 	e.listening = false
 	e.closed = true
-	e.framer = sga.Framer{}
 	e.mu.Unlock()
 	return st, true
 }
@@ -66,7 +62,6 @@ func (t *Transport) Adopt(st core.PortState) (core.Endpoint, error) {
 		ready:   st.Ready,
 		waiters: st.Waiters,
 	}
-	e.framer.SetClone(nil) // catnap decodes into plain heap SGAs
 	if st.Conn != nil {
 		e.fd = t.k.AdoptConn(st.Conn)
 	}

@@ -50,7 +50,7 @@ type Transport struct {
 	// steady-state buffer recycle path never crosses shard cache lines.
 	pool *fabric.FramePool
 	// clonePool recycles pop-SGA headers (segment slice + free closure)
-	// so pooledCloneSGA allocates nothing in steady state; see cloneHdr.
+	// so allocFrame allocates nothing in steady state; see cloneHdr.
 	clonePool sync.Pool
 	// firedPool recycles the completion lists of pumps that fire more than
 	// a handful at once; see firedSpill.
@@ -112,9 +112,10 @@ type Config struct {
 	// emulation tax to model an mTCP-style stack.
 	PerPacketExtra simclock.Lat
 	// MemCapacity caps the bytes of pinned (device-registered) memory
-	// the libOS may create. When staging a push would exceed it the
-	// push completes with membuf.ErrNoMem — visible backpressure
-	// instead of unbounded pinning. Zero means unbounded.
+	// the libOS may create, which is what AllocSGA hands out: past the
+	// cap AllocSGA falls back to heap memory instead of pinning more. A
+	// push stages nothing, so the cap never fails one. Zero means
+	// unbounded.
 	MemCapacity int64
 	// RTO overrides the stack's initial TCP retransmission timeout
 	// (chaos tests shorten it so give-ups land inside the fault
@@ -251,9 +252,11 @@ func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 func (t *Transport) RxStalls() int64 { return t.rxStalls.Load() }
 
 // AllocSGA implements core.Transport: buffers come from device-registered
-// slab regions and free back into them. When a configured memory cap is
-// exhausted the allocation falls back to unregistered heap memory; the
-// later push then reports ErrNoMem backpressure from its staging step.
+// slab regions and free back into them. It is the one consumer of the
+// memory cap (Config.MemCapacity): when that is exhausted the allocation
+// falls back to unregistered heap memory, which pushes like any other. A
+// registered buffer freed while a push of it is queued is recycled only
+// once that push has completed (endpoint.push).
 func (t *Transport) AllocSGA(n int) sga.SGA {
 	buf, err := t.mem.TryAlloc(n)
 	if err != nil {
@@ -272,67 +275,104 @@ func (t *Transport) Open(string) (queue.IoQueue, error) {
 // cloneHdr is the recycled header of one pooled pop SGA: the segment
 // storage (inline up to 8 segments, covering every app in this repo)
 // and the Free closure are allocated once and then cycle through
-// clonePool, so after pooledCloneSGA's first few calls the steady-state
+// clonePool, so after allocFrame's first few calls the steady-state
 // pop path performs zero allocations — payload bytes recycle through
 // the frame pool, headers through clonePool, and nothing reaches the
 // garbage collector.
+//
+// It is also the popped SGA's Reg, counting references the way a
+// membuf.Buffer does: the application's one, dropped by Free, and one per
+// push of the SGA that is still queued (ioHold). Header and buffer recycle
+// when the last is gone, so "push what was popped, then Free it" is safe
+// however long the push waits behind a full send ring. A header rests in
+// the pool with the count at 1, the next application's reference.
 type cloneHdr struct {
 	t      *Transport
-	fb     *fabric.FrameBuf // nil when the clone fell back to heap bytes
+	fb     *fabric.FrameBuf // nil for an empty payload, or heap bytes
 	inline [8]sga.Segment
 	free   func()
+	refs   atomic.Int32
 }
 
-// pooledCloneSGA deep-copies a decoded SGA (which aliases the framer's
-// reassembly buffer) into a single pooled frame buffer, sub-sliced per
-// segment. The SGA's Free hook releases the buffer back to the pool and
-// the header back to clonePool, so the steady-state pop path recycles
-// instead of allocating. Applications that never Free simply leak both
-// to the GC — safe, just unpooled. The pool is the transport's own, so
-// in a sharded deployment pop buffers recycle within one shard.
-func (t *Transport) pooledCloneSGA(s sga.SGA) sga.SGA {
-	fb := t.pool.Get(s.Len())
-	var buf []byte
-	if fb != nil {
-		buf = fb.Bytes()
-	} else {
-		// Tenant frame quota exhausted: fall back to an unpooled heap
-		// clone. The pop still succeeds — the over-quota tenant loses
-		// recycling, not correctness — and the GC reclaims the copy.
-		buf = make([]byte, s.Len())
+// HoldForIO implements ioHold.
+func (h *cloneHdr) HoldForIO() { h.refs.Add(1) }
+
+// ReleaseFromIO implements ioHold.
+func (h *cloneHdr) ReleaseFromIO() {
+	if h.refs.Add(-1) == 0 {
+		h.refs.Store(1)
+		h.recycle()
 	}
+}
+
+// release is the SGA's Free. With no push of it queued the count is the
+// application's own reference, which nobody else can be changing, so the
+// Free of every pop that is not pushed onward writes nothing shared.
+func (h *cloneHdr) release() {
+	if h.refs.Load() != 1 {
+		h.ReleaseFromIO()
+		return
+	}
+	h.recycle()
+}
+
+func (h *cloneHdr) recycle() {
+	if h.fb != nil {
+		h.fb.Release()
+		h.fb = nil
+	}
+	h.inline = [8]sga.Segment{} // drop payload refs before pooling
+	h.t.clonePool.Put(h)
+}
+
+// ioHold is memory that a queued push holds against Free: registered
+// buffers from AllocSGA (*membuf.Buffer) and popped SGAs (*cloneHdr), found
+// through SGA.Reg. A Free between HoldForIO and ReleaseFromIO defers.
+type ioHold interface {
+	HoldForIO()
+	ReleaseFromIO()
+}
+
+// allocFrame is the transport's sga.FrameAlloc: the payload of a frame
+// being decoded goes into one pooled frame buffer, which the framer
+// sub-slices per segment, and its header comes from clonePool. The SGA's
+// Free hook releases the buffer back to the pool and the header back to
+// clonePool, so the steady-state pop path recycles instead of allocating.
+// Applications that never Free simply leak both to the GC — safe, just
+// unpooled. The pool is the transport's own, so in a sharded deployment
+// pop buffers recycle within one shard. Past the inline capacity (rare:
+// MaxSegments-wide SGAs) the framer's append takes a one-off slice.
+func (t *Transport) allocFrame(n int) ([]byte, []sga.Segment, func(), any) {
 	h, _ := t.clonePool.Get().(*cloneHdr)
 	if h == nil {
 		h = &cloneHdr{t: t}
-		h.free = func() {
-			if h.fb != nil {
-				h.fb.Release()
-				h.fb = nil
-			}
-			h.inline = [8]sga.Segment{} // drop payload refs before pooling
-			h.t.clonePool.Put(h)
+		h.free = h.release
+		h.refs.Store(1)
+	}
+	var buf []byte
+	if n > 0 {
+		if h.fb = t.pool.Get(n); h.fb != nil {
+			buf = h.fb.Bytes()
+		} else {
+			// Tenant frame quota exhausted: fall back to unpooled heap
+			// bytes. The pop still succeeds — the over-quota tenant loses
+			// recycling, not correctness — and the GC reclaims them.
+			buf = make([]byte, n)
 		}
 	}
-	h.fb = fb
-	segs := h.inline[:0]
-	if len(s.Segments) > len(h.inline) {
-		// Over the inline capacity (rare: MaxSegments-wide SGAs); take
-		// a one-off slice and let the GC have it.
-		segs = make([]sga.Segment, 0, len(s.Segments))
-	}
-	off := 0
-	for _, seg := range s.Segments {
-		n := copy(buf[off:], seg.Buf)
-		segs = append(segs, sga.Segment{Buf: buf[off : off+n : off+n]})
-		off += n
-	}
-	return sga.SGA{Segments: segs}.WithFree(h.free)
+	return buf, h.inline[:0], h.free, h
+}
+
+// newEndpoint returns an endpoint of this transport, not yet in its table.
+func (t *Transport) newEndpoint() *endpoint {
+	e := &endpoint{t: t}
+	e.framer.SetAlloc(t.allocFrame)
+	return e
 }
 
 // Socket implements core.Transport.
 func (t *Transport) Socket() (core.Endpoint, error) {
-	ep := &endpoint{t: t}
-	ep.framer.SetClone(t.pooledCloneSGA)
+	ep := t.newEndpoint()
 	t.adopt(ep)
 	return ep, nil
 }
@@ -484,8 +524,7 @@ type endpoint struct {
 	framer    sga.Framer
 	ready     fifo.Queue[queue.Completion]
 	waiters   fifo.Queue[queue.DoneFunc]
-	// txq holds marshaled frames not yet fully accepted by the TCP send
-	// buffer.
+	// txq holds pushed SGAs not yet fully accepted by the TCP send buffer.
 	txq fifo.Queue[txFrame]
 	// rxStalled is set while the receive drain is parked on a full ready
 	// list (RxReadyCap); popReadyLocked marks the endpoint to resume the
@@ -499,12 +538,44 @@ type endpoint struct {
 	dead error
 }
 
+// txFrame is one pushed SGA on its way into the TCP send buffer: the pump
+// copies its wire encoding there straight from the segments, sent bytes of
+// it so far. Until done fires the segments are the libOS's; memory that can
+// be recycled under them is held against Free for as long (hold).
 type txFrame struct {
-	data []byte
-	buf  *membuf.Buffer // registered staging buffer backing data
+	s    sga.SGA
+	sent int
 	cost simclock.Lat
 	done queue.DoneFunc
-	sent int
+	hold ioHold
+	// raw, on a frame adopted from another transport (Adopt), is the rest
+	// of an encoding that transport had begun to send, in place of s.
+	raw []byte
+}
+
+// piece returns the next run of the frame's unsent bytes, none at its end.
+func (f *txFrame) piece(scratch *[12]byte) []byte {
+	if f.raw != nil {
+		return f.raw[f.sent:]
+	}
+	return f.s.WirePiece(f.sent, scratch)
+}
+
+// rest returns the frame's unsent bytes in heap memory of their own: what it
+// travels as when its endpoint moves to another transport (Export).
+func (f *txFrame) rest() []byte {
+	if f.raw != nil {
+		return f.raw[f.sent:]
+	}
+	return f.s.Marshal()[f.sent:]
+}
+
+// release ends the hold on the memory of a frame that leaves txq unsent,
+// before its done fires.
+func (f *txFrame) release() {
+	if f.hold != nil {
+		f.hold.ReleaseFromIO()
+	}
 }
 
 // Bind implements core.Endpoint.
@@ -546,8 +617,8 @@ func (e *endpoint) Accept() (core.Endpoint, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	child := &endpoint{t: e.t, conn: conn}
-	child.framer.SetClone(e.t.pooledCloneSGA)
+	child := e.t.newEndpoint()
+	child.conn = conn
 	e.t.adopt(child)
 	conn.SetOwner(child)
 	return child, true, nil
@@ -599,9 +670,11 @@ func (e *endpoint) Err() error {
 	return wrapConnErr(conn.Err())
 }
 
-// Push implements queue.IoQueue: the SGA is framed and handed to the TCP
-// send path; the completion fires when the transport has accepted every
-// byte. No payload copy is charged — the device DMAs from the framed
+// Push implements queue.IoQueue: the SGA is queued by reference and its
+// wire encoding copied into the TCP send buffer by the pump; the completion
+// fires when that buffer has taken the last byte. From Push until then the
+// segments belong to the libOS — the application must not write to or reuse
+// them (§4.5). No payload copy is charged: the device DMAs from the send
 // buffer (§3.2's zero-copy path).
 func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 	e.push(s, cost, done, true)
@@ -615,22 +688,20 @@ func (e *endpoint) PushBatched(s sga.SGA, cost simclock.Lat, done queue.DoneFunc
 	e.push(s, cost, done, false)
 }
 
-// push frames s into device-registered memory and queues it for the next
-// flush, which is the rest of this call when pump is set.
+// push queues s for the next flush, which is the rest of this call when
+// pump is set. Memory from AllocSGA, and the pool buffer of an SGA that was
+// popped here, is held while the frame is queued, so that a Free in that
+// window defers instead of recycling bytes the pump has yet to read; heap
+// memory the garbage collector keeps alive anyway.
 func (e *endpoint) push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc, pump bool) {
-	// Stage the framed SGA in device-registered memory (the NIC DMAs
-	// from it), before taking the endpoint lock, so that a push takes it
-	// once. Under a configured memory cap, exhaustion surfaces here as an
-	// ErrNoMem push completion — backpressure, not a panic.
-	buf, err := e.t.mem.TryAlloc(s.MarshalledSize())
-	if err != nil {
-		done(queue.Completion{Kind: queue.OpPush, Err: err})
-		return
-	}
-	data := s.AppendMarshal(buf.Bytes()[:0])
 	e.mu.Lock()
-	if err = e.pushErrLocked(); err == nil {
-		e.txq.Push(txFrame{data: data, buf: buf, cost: cost, done: done})
+	err := e.pushErrLocked()
+	if err == nil {
+		f := txFrame{s: s, cost: cost, done: done}
+		if f.hold, _ = s.Reg.(ioHold); f.hold != nil {
+			f.hold.HoldForIO()
+		}
+		e.txq.Push(f)
 		if pump {
 			e.pumpUnlock()
 			return
@@ -638,7 +709,6 @@ func (e *endpoint) push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc, pump 
 	}
 	e.mu.Unlock()
 	if err != nil {
-		buf.Free()
 		done(queue.Completion{Kind: queue.OpPush, Err: err})
 	}
 }
@@ -718,7 +788,7 @@ func (e *endpoint) Pump() int {
 // round trip instead of one each.
 type txDone struct {
 	done queue.DoneFunc
-	buf  *membuf.Buffer
+	hold ioHold // the frame's, let go as it fires
 	cost simclock.Lat
 	err  error
 }
@@ -793,23 +863,32 @@ func (e *endpoint) pumpUnlock() int {
 	var failErr error
 	h := conn.Hold()
 	if doTx {
+		// The whole queued burst coalesces into MSS-sized segments at the
+		// single FlushSend below, so 32 small pushes cost ~2 segments of
+		// per-segment work, not 32.
+		var pre [12]byte
 		for e.txq.Len() > 0 {
 			f := e.txq.Front()
-			// Buffered send: the whole staged burst coalesces into MSS-sized
-			// segments at the single FlushSend below, so 32 small pushes cost
-			// ~2 segments of per-segment work, not 32.
-			sent, err := h.SendBuffered(f.data[f.sent:], f.cost)
+			var err error
+			piece := f.piece(&pre)
+			for len(piece) > 0 {
+				var sent int
+				sent, err = h.SendBuffered(piece, f.cost)
+				f.sent += sent
+				n += sent
+				if sent < len(piece) {
+					break // an error, or the TCP send buffer is full
+				}
+				piece = f.piece(&pre)
+			}
+			if err == nil && len(piece) > 0 {
+				break // full: carry on from f.sent on a later pump
+			}
 			if err != nil {
-				tx = append(tx, txDone{done: f.done, buf: f.buf, err: wrapConnErr(err)})
-				e.txq.Pop()
-				continue
+				tx = append(tx, txDone{done: f.done, hold: f.hold, err: wrapConnErr(err)})
+			} else {
+				tx = append(tx, txDone{done: f.done, hold: f.hold, cost: f.cost})
 			}
-			f.sent += sent
-			n += sent
-			if f.sent < len(f.data) {
-				break // TCP send buffer full; retry on a later pump
-			}
-			tx = append(tx, txDone{done: f.done, buf: f.buf, cost: f.cost})
 			e.txq.Pop()
 		}
 		if n > 0 {
@@ -817,39 +896,50 @@ func (e *endpoint) pumpUnlock() int {
 		}
 	}
 	if doRx {
-		// RecvAppend appends the stream bytes straight onto the framer's
-		// reassembly buffer (reused, so the steady-state receive path
-		// allocates nothing); e.mu keeps two concurrent pumps from
-		// interleaving their bytes into it out of order.
+		// The framer copies the stream bytes from where they lie in the
+		// receive ring to their place in the buffer the application gets;
+		// e.mu keeps two concurrent pumps from interleaving their bytes into
+		// it out of order. A drain stops at the frame that fills the ready
+		// list: the reader is too slow, and the bytes left in the TCP receive
+		// buffer shrink the advertised window, which pushes the stall back to
+		// the peer's sender — flow control end to end instead of an unbounded
+		// backlog.
 		readyCap := e.t.cfg.RxReadyCap
 		parked := false
-		for failErr == nil {
-			if readyCap > 0 && e.ready.Len() >= readyCap {
-				// Reader too slow: park the drain with the bytes still in
-				// the TCP receive buffer. The stack's shrinking advertised
-				// window now pushes the stall back to the peer's sender —
-				// flow control end to end instead of an unbounded backlog.
-				parked = true
+		for failErr = e.framer.Err(); failErr == nil; {
+			if parked = readyCap > 0 && e.ready.Len() >= readyCap; parked {
 				break
 			}
-			had := e.framer.Buffer()
-			b, cost, err := h.RecvAppend(had, 0)
-			e.framer.Commit(b)
+			first, second, cost, err := h.RecvSpans()
 			if err == io.EOF {
 				failErr = queue.ErrClosed
 				break
 			}
-			if err != nil || len(b) == len(had) {
+			if err != nil || len(first) == 0 {
 				break
 			}
-			for {
-				s, ok, ferr := e.framer.Next()
-				if failErr = ferr; ferr != nil || !ok {
-					break
+			avail, taken := len(first)+len(second), 0
+		spans:
+			for _, p := range [2][]byte{first, second} {
+				for len(p) > 0 {
+					k, s, ok, ferr := e.framer.Write(p, avail-taken)
+					p = p[k:]
+					taken += k
+					if failErr = ferr; ferr != nil {
+						break spans
+					}
+					if ok {
+						e.ready.Push(queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
+						n++
+						if readyCap > 0 && e.ready.Len() >= readyCap {
+							break spans // park with the rest where it lies
+						}
+					}
 				}
-				e.ready.Push(queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
-				n++
 			}
+			// Once per pass: it can bring stashed segments into the ring and
+			// send a window update, after which the spans are stale.
+			h.RecvDiscard(taken)
 		}
 		if parked && !e.rxStalled {
 			e.t.rxStalls.Add(1)
@@ -893,8 +983,8 @@ func (e *endpoint) pumpUnlock() int {
 
 	for i := range tx {
 		d := &tx[i]
-		if d.buf != nil {
-			d.buf.Free() // TCP copied the bytes; staging slot recycles
+		if d.hold != nil {
+			d.hold.ReleaseFromIO() // the ring has its copy: a deferred Free goes through
 		}
 		d.done(queue.Completion{Kind: queue.OpPush, Cost: d.cost, Err: d.err})
 	}
@@ -932,6 +1022,10 @@ func (e *endpoint) Close() error {
 	e.closed = true
 	conn, l := e.conn, e.listener
 	ws := e.waiters.Take() // a closed endpoint queues no more
+	// Nor does it read any more: a frame half decoded gives its buffer back,
+	// and a parked drain is never resumed.
+	e.framer.Reset()
+	e.rxStalled = false
 	e.mu.Unlock()
 	if conn != nil {
 		conn.SetOwner(nil) // nobody reads it any more

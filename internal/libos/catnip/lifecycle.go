@@ -148,8 +148,9 @@ func (s *ShardSet) Restart() error {
 }
 
 // kill stamps the endpoint with the crash error: every pending qtoken
-// (pop waiters and staged pushes) completes with err, staging buffers
-// free, and un-popped pooled pop payloads are released — the frame-
+// (pop waiters and queued pushes) completes with err, queued pushes let go
+// of their registered memory, and un-popped pooled pop payloads are
+// released, with the frame the framer was in the middle of — the frame-
 // conservation half of dying cleanly. Data endpoints become terminal
 // (e.dead); listener endpoints stay revivable for rearm. Returns the
 // number of qtokens aborted.
@@ -159,6 +160,7 @@ func (e *endpoint) kill(err error) int {
 	ready := e.ready.Take()
 	ws := e.waiters.Take()
 	txq := e.txq.Take()
+	e.framer.Reset() // a frame half decoded: its buffer goes home too
 	e.conn = nil
 	if !isListener {
 		e.dead = err
@@ -171,9 +173,7 @@ func (e *endpoint) kill(err error) int {
 		w(queue.Completion{Kind: queue.OpPop, Err: err})
 	}
 	for i := range txq {
-		if txq[i].buf != nil {
-			txq[i].buf.Free()
-		}
+		txq[i].release()
 		txq[i].done(queue.Completion{Kind: queue.OpPush, Err: err})
 	}
 	return len(ws) + len(txq)

@@ -320,7 +320,7 @@ func BenchmarkCatnip_Echo64(b *testing.B) {
 		cli.Push(msg, 0, pushed)
 		r.tb.Poll()
 		srv.Push(req, 0, pushed)
-		req.Free()
+		req.Free() // the push completed inside Push: the send ring had room
 		srv.Pop(onRequest)
 		r.ta.Poll()
 	}

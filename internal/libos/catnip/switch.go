@@ -9,7 +9,6 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/netstack"
 	"demikernel/internal/nic"
-	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
 )
 
@@ -51,26 +50,21 @@ func (t *Transport) Export(cep core.Endpoint) (core.PortState, bool) {
 		Listening: e.listener != nil,
 		Conn:      e.conn,
 		Listener:  e.listener,
-		Framer:    e.framer,
-		Ready:     e.ready.Take(),
-		Waiters:   e.waiters.Take(),
+		// A frame half decoded travels as the stream bytes it came from:
+		// its buffer is this transport's pool's, and stays here.
+		Framer:  e.framer.Export(),
+		Ready:   e.ready.Take(),
+		Waiters: e.waiters.Take(),
 	}
-	// The clone fn closes over this transport's pools; the adopter
-	// re-binds its own.
-	st.Framer.SetClone(nil)
-	// Staged TX frames move as heap copies of their unsent bytes so the
-	// membuf staging buffers can be freed back to this libOS now.
+	// Queued pushes move as heap copies of their unsent bytes, so that
+	// what they hold of this libOS's registered memory is let go now.
 	for _, f := range e.txq.Take() {
-		rest := append([]byte(nil), f.data[f.sent:]...)
-		st.Tx = append(st.Tx, core.PortTx{Data: rest, Cost: f.cost, Done: f.done})
-		if f.buf != nil {
-			f.buf.Free()
-		}
+		st.Tx = append(st.Tx, core.PortTx{Data: f.rest(), Cost: f.cost, Done: f.done})
+		f.release()
 	}
 	e.conn = nil
 	e.listener = nil
 	e.closed = true
-	e.framer = sga.Framer{}
 	e.mu.Unlock()
 	if st.Conn != nil {
 		st.Conn.SetOwner(nil)
@@ -90,11 +84,10 @@ func (t *Transport) Adopt(st core.PortState) (core.Endpoint, error) {
 		conn:      st.Conn,
 		framer:    st.Framer,
 	}
-	e.framer.SetClone(t.pooledCloneSGA)
+	e.framer.SetAlloc(t.allocFrame)
 	for _, f := range st.Tx {
-		// Heap-backed frames (buf nil): flushTx just skips the staging
-		// free. The bytes were framed by the exporter; they go out as-is.
-		e.txq.Push(txFrame{data: f.Data, cost: f.Cost, done: f.Done})
+		// The bytes were framed by the exporter; they go out as they are.
+		e.txq.Push(txFrame{raw: f.Data, cost: f.Cost, done: f.Done})
 	}
 	for _, c := range st.Ready {
 		e.ready.Push(c)

@@ -6,6 +6,7 @@ package catnip
 // gets it resumed by the next poll.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 
 type wlRig struct {
 	t      testing.TB
+	model  simclock.CostModel
 	now    time.Time
 	ta, tb *Transport
 	lis    core.Endpoint
@@ -27,12 +29,20 @@ type wlRig struct {
 const wlPort = 7
 
 func newWLRig(t testing.TB, readyCap int) *wlRig {
-	model := simclock.Datacenter2019()
-	sw := fabric.NewSwitch(&model, 1)
-	r := &wlRig{t: t, now: time.Unix(1_000_000, 0)}
+	return newWLRigWith(t, func(_, b *Config) { b.RxReadyCap = readyCap })
+}
+
+// newWLRigWith is newWLRig with the two transports' configurations, dialer's
+// and listener's, open to adjustment.
+func newWLRigWith(t testing.TB, adjust func(a, b *Config)) *wlRig {
+	r := &wlRig{t: t, model: simclock.Datacenter2019(), now: time.Unix(1_000_000, 0)}
+	sw := fabric.NewSwitch(&r.model, 1)
 	clock := func() time.Time { return r.now }
-	r.ta = New(&model, sw, Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xa}, IP: netstack.IP(10, 0, 0, 0xa), Clock: clock})
-	r.tb = New(&model, sw, Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xb}, IP: netstack.IP(10, 0, 0, 0xb), Clock: clock, RxReadyCap: readyCap})
+	ca := Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xa}, IP: netstack.IP(10, 0, 0, 0xa), Clock: clock}
+	cb := Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xb}, IP: netstack.IP(10, 0, 0, 0xb), Clock: clock}
+	adjust(&ca, &cb)
+	r.ta = New(&r.model, sw, ca)
+	r.tb = New(&r.model, sw, cb)
 	var err error
 	if r.lis, err = r.tb.Socket(); err != nil {
 		t.Fatal(err)
@@ -118,7 +128,7 @@ func TestCloseReleasesEndpoint(t *testing.T) {
 		r.until("request", func() bool { return gotB })
 		a.Pop(func(c queue.Completion) { atA, gotA = c, true })
 		b.Push(atB.SGA, 0, func(queue.Completion) {})
-		atB.SGA.Free()
+		atB.SGA.Free() // the push completed inside Push: the send ring had room
 		r.until("response", func() bool { return gotA })
 		if atB.Err != nil || atA.Err != nil || atA.SGA.Len() != msg.Len() {
 			t.Fatalf("cycle %d: echo failed: %v, %v, %d bytes", cycle, atB.Err, atA.Err, atA.SGA.Len())
@@ -165,11 +175,21 @@ func TestCloseReleasesEndpoint(t *testing.T) {
 }
 
 // TestParkedDrainResumes: a burst past RxReadyCap parks the receive
-// drain; once the reader has popped the backlog down to half the cap —
-// without ever waiting — the endpoint is on the pump list, and the next
-// poll refills the ready list from the bytes TCP was holding.
+// drain at the frame that fills the ready list — the decoder stops at a
+// frame's end, so the list never holds more than the cap — and once the
+// reader has popped the backlog down to half the cap, without ever waiting,
+// the endpoint is on the pump list, and the next poll refills the ready
+// list from the bytes TCP was holding.
 func TestParkedDrainResumes(t *testing.T) {
-	const readyCap, burst = 4, 200 // 200 KB: three receive windows' worth
+	// At a cap of 4 the first pop already leaves the backlog one above half,
+	// so the "left parked" loop below has no step to take; at 8 it has two.
+	for _, readyCap := range []int{4, 8} {
+		t.Run(fmt.Sprint("cap ", readyCap), func(t *testing.T) { parkedDrainResumes(t, readyCap) })
+	}
+}
+
+func parkedDrainResumes(t *testing.T, readyCap int) {
+	const burst = 200 // 200 KB: three receive windows' worth
 	r := newWLRig(t, readyCap)
 	a, b := r.connect()
 	eb := b.(*endpoint)
@@ -195,19 +215,24 @@ func TestParkedDrainResumes(t *testing.T) {
 		next++
 	}
 	state := func() (buffered int, parked bool, pumps int) {
+		t.Helper()
 		eb.mu.Lock()
 		defer eb.mu.Unlock()
 		_, _, _, pumps = r.tb.WorkQueued()
+		if eb.ready.Len() > readyCap {
+			t.Fatalf("%d completions buffered past a cap of %d", eb.ready.Len(), readyCap)
+		}
 		return eb.ready.Len(), eb.rxStalled, pumps
 	}
-	// The first pop is the waiter that starts the drain. It takes what the
-	// window let through, far past the cap, and parks.
+	// The first pop is the waiter that starts the drain. Of what the window
+	// let through the drain takes the cap's worth of frames, serves the
+	// waiter one of them, and parks.
 	done := false
 	b.Pop(func(c queue.Completion) { done = true; c.SGA.Free() })
 	next++
-	if n, parked, pumps := state(); !done || n < readyCap || !parked || pumps != 0 || r.tb.RxStalls() != 1 {
-		t.Fatalf("after the first pop: served %v, %d buffered, parked %v, %d to pump, %d stalls; want true, >= %d, true, 0, 1",
-			done, n, parked, pumps, r.tb.RxStalls(), readyCap)
+	if n, parked, pumps := state(); !done || n != readyCap-1 || !parked || pumps != 0 || r.tb.RxStalls() != 1 {
+		t.Fatalf("after the first pop: served %v, %d buffered, parked %v, %d to pump, %d stalls; want true, %d, true, 0, 1",
+			done, n, parked, pumps, r.tb.RxStalls(), readyCap-1)
 	}
 	for n, _, _ := state(); n > readyCap/2+1; n, _, _ = state() {
 		pop()
@@ -221,8 +246,8 @@ func TestParkedDrainResumes(t *testing.T) {
 		t.Fatalf("reader caught up: %d buffered, parked %v, %d to pump; want %d, true, 1", n, parked, pumps, readyCap/2)
 	}
 	r.poll()
-	if n, parked, pumps := state(); n < readyCap || !parked || pumps != 0 {
-		t.Fatalf("after the resuming poll: %d buffered, parked %v, %d to pump; want a refilled backlog, parked again, 0", n, parked, pumps)
+	if n, parked, pumps := state(); n != readyCap || !parked || pumps != 0 {
+		t.Fatalf("after the resuming poll: %d buffered, parked %v, %d to pump; want the backlog refilled to the cap, parked again, 0", n, parked, pumps)
 	}
 	for next < burst {
 		done := false
@@ -234,6 +259,7 @@ func TestParkedDrainResumes(t *testing.T) {
 			c.SGA.Free()
 		})
 		r.until("pop", func() bool { return done })
+		state()
 		next++
 	}
 	r.atRest("burst consumed")

@@ -246,28 +246,35 @@ func parseUDP(b []byte, srcIP, dstIP IPv4Addr) (udpDatagram, bool) {
 }
 
 // checksum computes the Internet checksum of b seeded with initial. The
-// one's complement sum does not care how the 16-bit words are grouped
-// (RFC 1071 section 2), so the bulk of b is added eight bytes at a time
-// into a 64-bit accumulator with end-around carry and folded to 16 bits
-// once at the end.
+// one's complement sum does not care how the 16-bit words are grouped, nor
+// which byte order they are added in so long as the result is swapped back
+// (RFC 1071 section 2, (A) and (B)), so the bulk of b is added eight bytes
+// at a time as the machine loads them — little-endian, no swap per word —
+// into a 64-bit accumulator with end-around carry, folded to 16 bits and
+// byte-swapped once at the end; initial, which is in network order, goes
+// in last.
 func checksum(b []byte, initial uint32) uint16 {
-	sum, carry := uint64(initial), uint64(0)
-	for len(b) >= 32 {
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[8:16]), carry)
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[16:24]), carry)
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[24:32]), carry)
-		b = b[32:]
+	var sum, carry uint64
+	for len(b) >= 64 {
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[8:16]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[16:24]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[24:32]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[32:40]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[40:48]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[48:56]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[56:64]), carry)
+		b = b[64:]
 	}
 	for len(b) >= 8 {
-		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(b[0:8]), carry)
+		sum, carry = bits.Add64(sum, binary.LittleEndian.Uint64(b[0:8]), carry)
 		b = b[8:]
 	}
-	// Fewer than eight bytes are left: as a big-endian word zero-padded on
-	// the right they keep their 16-bit lanes, odd last byte included.
+	// Fewer than eight bytes are left: as a little-endian word zero-padded
+	// at the top they keep their 16-bit lanes, odd last byte included.
 	var last uint64
 	for i, c := range b {
-		last |= uint64(c) << (56 - 8*i)
+		last |= uint64(c) << (8 * i)
 	}
 	sum, carry = bits.Add64(sum, last, carry)
 	sum, carry = bits.Add64(sum, 0, carry)
@@ -276,7 +283,10 @@ func checksum(b []byte, initial uint32) uint16 {
 	sum = sum>>32 + sum&0xffffffff
 	sum = sum>>16 + sum&0xffff
 	sum = sum>>16 + sum&0xffff
-	return ^uint16(sum)
+	total := uint32(bits.ReverseBytes16(uint16(sum))) + initial>>16 + initial&0xffff
+	total = total>>16 + total&0xffff
+	total = total>>16 + total&0xffff
+	return ^uint16(total)
 }
 
 // transportChecksum computes the TCP/UDP checksum over the pseudo-header

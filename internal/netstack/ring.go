@@ -58,11 +58,3 @@ func (r *byteRing) discard(n int) {
 		r.head -= len(r.buf)
 	}
 }
-
-// readAppend dequeues the first n bytes, appending them to dst.
-func (r *byteRing) readAppend(dst []byte, n int) []byte {
-	first, second := r.spans(0, n)
-	dst = append(append(dst, first...), second...)
-	r.discard(n)
-	return dst
-}

@@ -41,9 +41,11 @@ func TestByteRingAgainstSlice(t *testing.T) {
 				model = model[n:]
 			case op < 8: // partial read
 				n := r.Intn(len(model) + 1)
-				got := ring.readAppend([]byte("prefix"), n)
+				first, second := ring.spans(0, n)
+				got := append(append([]byte("prefix"), first...), second...)
+				ring.discard(n)
 				if !bytes.Equal(got, append([]byte("prefix"), model[:n]...)) {
-					t.Fatalf("seed %d step %d: readAppend(%d) diverged from the model", seed, step, n)
+					t.Fatalf("seed %d step %d: spans(0, %d) then discard diverged from the model", seed, step, n)
 				}
 				model = model[n:]
 			default: // segment read at an offset, as trySendLocked does
@@ -69,7 +71,7 @@ func TestByteRingAgainstSlice(t *testing.T) {
 		}
 	}
 	var idle byteRing
-	if idle.discard(0); idle.buf != nil || idle.readAppend(nil, 0) != nil {
+	if idle.discard(0); idle.buf != nil {
 		t.Fatal("an untouched ring allocated storage")
 	}
 }
@@ -85,12 +87,21 @@ type streamModel struct {
 	base      uint32 // sequence number of sent[0]
 	sent      []byte
 	delivered int
-	// held sends and receives through a Hold (SendBuffered, FlushSend,
-	// RecvAppend, Err under one hold) instead of the public calls.
-	held bool
+	// face is how the model sends and receives: the public calls, or the
+	// same under one Hold (SendBuffered, FlushSend, RecvAppend, Err), or the
+	// Hold's RecvSpans and RecvDiscard with the copy made here.
+	face face
 
 	sndWrapped, rcvWrapped, shortWrite bool
 }
+
+type face int
+
+const (
+	publicCalls face = iota
+	underHold
+	spansAndDiscard
+)
 
 func (m *streamModel) send(p []byte) {
 	m.t.Helper()
@@ -99,7 +110,7 @@ func (m *streamModel) send(p []byte) {
 	m.w.a.mu.Unlock()
 	var n int
 	var err error
-	if m.held {
+	if m.face != publicCalls {
 		h := m.c.Hold()
 		if n, err = h.SendBuffered(p, 0); n > 0 {
 			h.FlushSend()
@@ -125,13 +136,26 @@ func (m *streamModel) recv(max int) {
 	m.t.Helper()
 	var b []byte
 	var err error
-	if m.held {
+	switch m.face {
+	case spansAndDiscard:
+		h := m.srv.Hold()
+		var first, second []byte
+		if first, second, _, err = h.RecvSpans(); err == nil {
+			b = append(append(b, first...), second...)
+			if max > 0 && len(b) > max {
+				b = b[:max] // a consumer that stops at a frame's end takes less than it was shown
+			}
+			h.RecvDiscard(len(b))
+			err = h.Err()
+		}
+		h.Release()
+	case underHold:
 		h := m.srv.Hold()
 		if b, _, err = h.RecvAppend(nil, max); err == nil {
 			err = h.Err()
 		}
 		h.Release()
-	} else {
+	default:
 		b, _, err = m.srv.RecvAppend(nil, max)
 	}
 	if err != nil {
@@ -179,15 +203,23 @@ func (m *streamModel) check(step int) {
 // step. The receive window is a few MSS so both rings wrap many times. A
 // second set of seeds (ackHoldSchedule) interleaves both stacks' polls and
 // writes in both directions, for the acknowledgement rules.
-func TestTCPRingsAgainstStreamModel(t *testing.T) { streamModelSchedules(t, false) }
+func TestTCPRingsAgainstStreamModel(t *testing.T) { streamModelSchedules(t, publicCalls) }
 
 // TestHoldMatchesPublicCalls runs TestTCPRingsAgainstStreamModel's
 // schedules with every send and receive made under a Hold: the held calls
 // and the public ones (each a Hold around one call) meet the same model
 // at every step of the same seeds.
-func TestHoldMatchesPublicCalls(t *testing.T) { streamModelSchedules(t, true) }
+func TestHoldMatchesPublicCalls(t *testing.T) { streamModelSchedules(t, underHold) }
 
-func streamModelSchedules(t *testing.T, held bool) {
+// TestRecvSpansMatchPublicCalls runs the same schedules with every receive
+// made as a consumer of the ring's spans makes it: look (RecvSpans), copy
+// out some or all, RecvDiscard what was taken. (A discard that itself lets
+// a stashed out-of-order segment into the ring, after which spans still held
+// would be stale, needs a sender that overran the window: that case is
+// TestTCPRecvRedrainsOutOfOrder's, which injects it.)
+func TestRecvSpansMatchPublicCalls(t *testing.T) { streamModelSchedules(t, spansAndDiscard) }
+
+func streamModelSchedules(t *testing.T, face face) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
@@ -195,7 +227,7 @@ func streamModelSchedules(t *testing.T, held bool) {
 			w := newWorld(t, Config{MSS: 200 + r.Intn(1200), RTO: rto},
 				Config{MSS: 512, RTO: rto, RxWindow: 3000 + r.Intn(6000)})
 			c, srv := dialPair(t, w, 8000)
-			m := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna, held: held}
+			m := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna, face: face}
 			chunk := make([]byte, sndBufMax+50_000)
 
 			for step := 0; step < 1500; step++ {
@@ -250,10 +282,10 @@ func streamModelSchedules(t *testing.T, held bool) {
 	// may need a timeout to finish.
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("ackhold/clean/seed%d", seed), func(t *testing.T) {
-			ackHoldSchedule(t, seed, fabric.Impairments{}, held)
+			ackHoldSchedule(t, seed, fabric.Impairments{}, face)
 		})
 		t.Run(fmt.Sprintf("ackhold/impaired/seed%d", seed), func(t *testing.T) {
-			ackHoldSchedule(t, seed, fabric.Impairments{LossRate: 0.05, DupRate: 0.1, ReorderRate: 0.15}, held)
+			ackHoldSchedule(t, seed, fabric.Impairments{LossRate: 0.05, DupRate: 0.1, ReorderRate: 0.15}, face)
 		})
 	}
 }
@@ -261,15 +293,15 @@ func streamModelSchedules(t *testing.T, held bool) {
 // ackHoldSchedule runs one seeded schedule of the delayed-ACK dimension of
 // TestTCPRingsAgainstStreamModel, both directions of the connection held
 // against a stream model each.
-func ackHoldSchedule(t *testing.T, seed int64, imp fabric.Impairments, held bool) {
+func ackHoldSchedule(t *testing.T, seed int64, imp fabric.Impairments, face face) {
 	r := rand.New(rand.NewSource(seed))
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	mss := 200 + r.Intn(1200)
 	w := newWorld(t, Config{MSS: mss, Clock: clk.now}, Config{MSS: 200 + r.Intn(1200), RxWindow: 8*mss + r.Intn(60_000), Clock: clk.now})
 	c, srv := dialPair(t, w, 8000)
 	w.pump()
-	fwd := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna, held: held}
-	rev := &streamModel{t: t, w: &world{a: w.b, b: w.a}, c: srv, srv: c, base: srv.sndUna, held: held}
+	fwd := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna, face: face}
+	rev := &streamModel{t: t, w: &world{a: w.b, b: w.a}, c: srv, srv: c, base: srv.sndUna, face: face}
 	w.sw.SetImpairments(imp)
 	clean := imp == fabric.Impairments{}
 	chunk := make([]byte, 5*mss)

@@ -173,7 +173,12 @@ type Stack struct {
 	nextPort   uint16
 	issCounter uint32
 	now        func() time.Time
-	stats      Stats
+	// clockRead is now() as the timers read it in the current shared
+	// stretch of this hold of mu (0: not yet), clockShares how many such
+	// stretches are open; both are zero whenever mu is free (timer.go).
+	clockRead   int64
+	clockShares int
+	stats       Stats
 
 	// rxBatch is the receive burst buffer handed to nic.AppendRxBurst,
 	// guarded by mu and reused across calls so the steady-state data path
@@ -385,6 +390,8 @@ func (s *Stack) WorkQueued() (timers, ready, acks int) {
 func (s *Stack) pollLocked() int {
 	n := 0
 	s.pollSeq++
+	s.shareClockLocked()
+	defer s.unshareClockLocked()
 	// Sharded mode: resolutions learned by the ARP-owning sibling shard
 	// land in the shared table; flush any sends parked behind them. This
 	// is a miss-path check — arpPending is empty in steady state.

@@ -265,6 +265,22 @@ func (h Hold) RecvAppend(dst []byte, max int) ([]byte, simclock.Lat, error) {
 	return h.c.recvAppendLocked(dst, max)
 }
 
+// RecvSpans shows every in-order received byte where it lies in the
+// receive ring — one span, or two when the bytes wrap its end — with the
+// virtual cost they arrived at, for a consumer that copies them to their
+// final place itself: RecvAppend without the append. No data is a nil
+// first span and a nil error; the error is io.EOF once the peer's FIN has
+// been consumed and the ring is dry, or the connection's terminal one.
+func (h Hold) RecvSpans() (first, second []byte, cost simclock.Lat, err error) {
+	return h.c.recvSpansLocked(0)
+}
+
+// RecvDiscard dequeues the first n bytes RecvSpans showed: what RecvAppend
+// does after its copy. Making room can pull stashed out-of-order data into
+// the ring and send a window update, so the spans are dead from here on:
+// take everything wanted from them first, discard once, then ask again.
+func (h Hold) RecvDiscard(n int) { h.c.recvDiscardLocked(n) }
+
 // Send enqueues payload bytes for transmission, carrying the caller's
 // accumulated virtual cost. It returns the number of bytes accepted,
 // which may be less than len(b) when the send buffer fills.
@@ -333,20 +349,45 @@ func (c *TCPConn) RecvAppend(dst []byte, max int) ([]byte, simclock.Lat, error) 
 }
 
 func (c *TCPConn) recvAppendLocked(dst []byte, max int) ([]byte, simclock.Lat, error) {
-	if c.err != nil {
-		return dst, 0, c.err
+	first, second, cost, err := c.recvSpansLocked(max)
+	if len(first) == 0 {
+		return dst, 0, err
 	}
-	if c.rcvBuf.Len() == 0 {
-		if c.peerFinRcvd {
-			return dst, 0, io.EOF
-		}
-		return dst, 0, nil
+	dst = append(append(dst, first...), second...)
+	c.recvDiscardLocked(len(first) + len(second))
+	return dst, cost, nil
+}
+
+// recvSpansLocked shows the first max (0: all) in-order received bytes
+// where they lie in the receive ring, as one span or two, with the virtual
+// cost they arrived at: no data is (nil, nil, 0, nil), io.EOF follows the
+// last byte once the peer's FIN is in. The spans are good until the next
+// call that discards or takes in data.
+func (c *TCPConn) recvSpansLocked(max int) (first, second []byte, cost simclock.Lat, err error) {
+	if c.err != nil {
+		return nil, nil, 0, c.err
 	}
 	n := c.rcvBuf.Len()
+	if n == 0 {
+		if c.peerFinRcvd {
+			return nil, nil, 0, io.EOF
+		}
+		return nil, nil, 0, nil
+	}
 	if max > 0 && n > max {
 		n = max
 	}
-	dst = c.rcvBuf.readAppend(dst, n)
+	first, second = c.rcvBuf.spans(0, n)
+	return first, second, c.rxCost, nil
+}
+
+// recvDiscardLocked dequeues the first n received bytes and does what
+// freeing that room calls for.
+func (c *TCPConn) recvDiscardLocked(n int) {
+	if n == 0 {
+		return
+	}
+	c.rcvBuf.discard(n)
 	// The drain may have made room for out-of-order segments that were
 	// parked because the reassembly buffer was full; deliver them now
 	// instead of waiting for the sender's RTO to retransmit them.
@@ -367,7 +408,6 @@ func (c *TCPConn) recvAppendLocked(dst []byte, max int) ([]byte, simclock.Lat, e
 		}
 	}
 	c.updateReadyLocked()
-	return dst, c.rxCost, nil
 }
 
 // Close queues a FIN after any buffered data drains.
@@ -770,6 +810,8 @@ func (c *TCPConn) trySendLocked() {
 	if c.state != stateEstablished {
 		return
 	}
+	c.stack.shareClockLocked() // one read for every segment the loop arms
+	defer c.stack.unshareClockLocked()
 	mss := c.stack.cfg.MSS
 	for {
 		flight := int(c.sndNxt - c.sndUna)

@@ -75,52 +75,70 @@ func TestTCPWindowReopenNoRetransmit(t *testing.T) {
 // directly into the connection so no retransmission can ever repair a
 // miss: before the fix the parked bytes are simply never delivered.
 func TestTCPRecvRedrainsOutOfOrder(t *testing.T) {
-	w := newWorld(t, Config{MSS: 512}, Config{MSS: 512, RxWindow: 1024})
-	_, srv := dialPair(t, w, 8000)
+	// Both ways of reading: Recv, and a consumer of the ring's spans, for
+	// which this is the case that makes spans stale after a discard.
+	for name, recv := range map[string]func(srv *TCPConn) []byte{
+		"Recv": func(srv *TCPConn) []byte {
+			b, _, err := srv.Recv(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		},
+		"RecvSpans+RecvDiscard": func(srv *TCPConn) []byte {
+			h := srv.Hold()
+			defer h.Release()
+			first, second, _, err := h.RecvSpans()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := append(append([]byte(nil), first...), second...)
+			h.RecvDiscard(len(b))
+			return b
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(t, Config{MSS: 512}, Config{MSS: 512, RxWindow: 1024})
+			_, srv := dialPair(t, w, 8000)
 
-	full := make([]byte, 1536)
-	rand.New(rand.NewSource(12)).Read(full)
-	base := srv.rcvNxt
-	inject := func(off, n int) {
-		w.b.mu.Lock()
-		srv.handleSegmentLocked(tcpSegment{
-			srcPort: srv.key.remotePort,
-			dstPort: srv.key.localPort,
-			seq:     base + uint32(off),
-			ack:     srv.sndNxt,
-			flags:   flagACK | flagPSH,
-			window:  0xffff,
-			payload: full[off : off+n],
-		}, 0)
-		w.b.mu.Unlock()
-	}
-	inject(0, 768)    // in-order: rcvBuf holds 768, space 256
-	inject(1024, 512) // future segment: stashed in ooo
-	inject(768, 256)  // fills the gap exactly; rcvBuf full (1024)
-	// The stashed segment cannot drain yet: space (0) < payload (512).
-	if len(srv.ooo) != 1 {
-		t.Fatalf("ooo stash = %d segments, want 1 parked", len(srv.ooo))
-	}
+			full := make([]byte, 1536)
+			rand.New(rand.NewSource(12)).Read(full)
+			base := srv.rcvNxt
+			inject := func(off, n int) {
+				w.b.mu.Lock()
+				srv.handleSegmentLocked(tcpSegment{
+					srcPort: srv.key.remotePort,
+					dstPort: srv.key.localPort,
+					seq:     base + uint32(off),
+					ack:     srv.sndNxt,
+					flags:   flagACK | flagPSH,
+					window:  0xffff,
+					payload: full[off : off+n],
+				}, 0)
+				w.b.mu.Unlock()
+			}
+			inject(0, 768)    // in-order: rcvBuf holds 768, space 256
+			inject(1024, 512) // future segment: stashed in ooo
+			inject(768, 256)  // fills the gap exactly; rcvBuf full (1024)
+			// The stashed segment cannot drain yet: space (0) < payload (512).
+			if len(srv.ooo) != 1 {
+				t.Fatalf("ooo stash = %d segments, want 1 parked", len(srv.ooo))
+			}
 
-	got, _, err := srv.Recv(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1024 {
-		t.Fatalf("first drain returned %d bytes, want 1024", len(got))
-	}
-	// The drain freed 1024 bytes of window; the parked segment must have
-	// moved into rcvBuf during the same call.
-	if len(srv.ooo) != 0 {
-		t.Fatal("out-of-order segment still parked after the app drained")
-	}
-	rest, _, err := srv.Recv(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, rest...)
-	if !bytes.Equal(got, full) {
-		t.Fatalf("reassembled %d bytes, corrupt or short (want %d)", len(got), len(full))
+			got := recv(srv)
+			if len(got) != 1024 {
+				t.Fatalf("first drain returned %d bytes, want 1024", len(got))
+			}
+			// The drain freed 1024 bytes of window; the parked segment must have
+			// moved into rcvBuf during the same call.
+			if len(srv.ooo) != 0 {
+				t.Fatal("out-of-order segment still parked after the app drained")
+			}
+			got = append(got, recv(srv)...)
+			if !bytes.Equal(got, full) {
+				t.Fatalf("reassembled %d bytes, corrupt or short (want %d)", len(got), len(full))
+			}
+		})
 	}
 }
 

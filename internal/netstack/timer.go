@@ -34,11 +34,38 @@ func (e *timerEntry) before(o *timerEntry) bool {
 	return int32(e.seq-o.seq) < 0
 }
 
+// shareClockLocked opens a stretch of one hold of the stack's lock —
+// a pollLocked, a trySendLocked loop — over which the timers read the clock
+// at most once: arming per segment sent and ticking per poll otherwise cost
+// a clock read each. The stretches nest, and the read is forgotten when the
+// outermost ends, which is before the lock is released: a clock stepped
+// between two calls into the stack is always seen. The end is deferred
+// where the stretch opens, so no return path can leave one open.
+func (s *Stack) shareClockLocked() { s.clockShares++ }
+
+func (s *Stack) unshareClockLocked() {
+	if s.clockShares--; s.clockShares == 0 {
+		s.clockRead = 0
+	}
+}
+
+// nowLocked is the stack clock in UnixNano for the timers: read afresh
+// outside a shared stretch, once — by whoever asks first — inside one.
+func (s *Stack) nowLocked() int64 {
+	if s.clockShares == 0 {
+		return s.now().UnixNano()
+	}
+	if s.clockRead == 0 {
+		s.clockRead = s.now().UnixNano()
+	}
+	return s.clockRead
+}
+
 func (c *TCPConn) armTimerLocked() {
 	s := c.stack
 	s.armSeq++
 	c.armSeq = s.armSeq
-	c.deadline = s.now().UnixNano() + int64(c.rto)
+	c.deadline = s.nowLocked() + int64(c.rto)
 	if c.timerSlot == 0 {
 		s.timers = append(s.timers, timerEntry{at: c.deadline, seq: c.armSeq, c: c})
 		s.timerUpLocked(len(s.timers) - 1)
@@ -130,7 +157,7 @@ func (s *Stack) tickTimersLocked() {
 	if len(s.timers) == 0 {
 		return
 	}
-	now := s.now().UnixNano()
+	now := s.nowLocked()
 	for len(s.timers) > 0 {
 		head := &s.timers[0]
 		if head.at > now {

@@ -203,19 +203,52 @@ func (s SGA) Marshal() []byte {
 	return s.AppendMarshal(make([]byte, 0, s.MarshalledSize()))
 }
 
+// WirePiece returns the longest contiguous run of s's wire encoding that
+// starts at byte off of it — the rest of the frame header joined to the
+// first length prefix, the rest of a later prefix, or the rest of a
+// segment, which is returned where it lies — and nil once off is the
+// encoding's end. Header and prefixes are written into scratch. A sender
+// that copies piece after piece into a bounded buffer, resuming at the byte
+// count it got to, transmits Marshal's bytes without staging them.
+func (s SGA) WirePiece(off int, scratch *[headerLen + 4]byte) []byte {
+	pre := scratch[:0]
+	if off < headerLen {
+		pre = binary.BigEndian.AppendUint32(pre, uint32(s.Len()))
+		pre = binary.BigEndian.AppendUint32(pre, uint32(len(s.Segments)))
+	} else {
+		off -= headerLen
+	}
+	for _, seg := range s.Segments {
+		pre = binary.BigEndian.AppendUint32(pre, uint32(len(seg.Buf)))
+		if off < len(pre) {
+			return pre[off:]
+		}
+		off -= len(pre)
+		if off < len(seg.Buf) {
+			return seg.Buf[off:]
+		}
+		off -= len(seg.Buf)
+		pre = scratch[:0]
+	}
+	if off < len(pre) {
+		return pre[off:] // no segments: the header is all there is
+	}
+	return nil
+}
+
 // Unmarshal decodes one framed SGA from the front of b. It returns the
 // decoded SGA and the number of bytes consumed. The returned SGA's
 // segments alias b. If b does not yet hold a complete frame, Unmarshal
-// returns ErrShortBuffer (callers doing stream reassembly should then wait
-// for more bytes; see Framer).
+// returns ErrShortBuffer (stream reassembly is Framer's job: it decodes as
+// the bytes arrive instead of waiting for a whole frame).
 func Unmarshal(b []byte) (SGA, int, error) {
 	return UnmarshalInto(b, nil)
 }
 
 // UnmarshalInto is Unmarshal with caller-provided segment storage: the
 // decoded segment headers are appended to segs[:0], so a caller that
-// decodes in a loop (Framer) reuses one scratch slice instead of
-// allocating per frame. The returned SGA's Segments alias segs's
+// decodes in a loop reuses one scratch slice instead of allocating per
+// frame. The returned SGA's Segments alias segs's
 // backing array (grown if needed) and its Bufs alias b.
 func UnmarshalInto(b []byte, segs []Segment) (SGA, int, error) {
 	if len(b) < headerLen {

@@ -178,170 +178,6 @@ func TestPropCloneEqual(t *testing.T) {
 	}
 }
 
-func TestFramerReassembly(t *testing.T) {
-	// Three frames delivered in pathological fragmentation.
-	frames := []SGA{
-		New([]byte("first")),
-		New([]byte("second"), []byte("frame")),
-		New(nil, []byte("third")),
-	}
-	var stream []byte
-	for _, f := range frames {
-		stream = f.AppendMarshal(stream)
-	}
-	var fr Framer
-	var got []SGA
-	for i := 0; i < len(stream); i++ { // byte-at-a-time delivery
-		fr.Feed(stream[i : i+1])
-		for {
-			s, ok, err := fr.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			got = append(got, s)
-		}
-	}
-	if len(got) != len(frames) {
-		t.Fatalf("decoded %d frames, want %d", len(got), len(frames))
-	}
-	for i := range frames {
-		if !got[i].Equal(frames[i]) {
-			t.Fatalf("frame %d mismatch", i)
-		}
-	}
-	if fr.Pending() != 0 {
-		t.Fatalf("%d stray bytes pending", fr.Pending())
-	}
-	if fr.Decoded() != int64(len(frames)) {
-		t.Fatalf("Decoded = %d, want %d", fr.Decoded(), len(frames))
-	}
-}
-
-func TestFramerPoisonedByCorruption(t *testing.T) {
-	s := New([]byte("abcd"))
-	b := s.Marshal()
-	b[0] = 0xFF // absurd length
-	var fr Framer
-	fr.Feed(b)
-	if _, _, err := fr.Next(); err == nil {
-		t.Fatal("expected corruption error")
-	}
-	if _, _, err := fr.Next(); err == nil {
-		t.Fatal("framer should stay poisoned")
-	}
-}
-
-func TestFramerHasCompleteFrame(t *testing.T) {
-	s := New([]byte("payload"))
-	b := s.Marshal()
-	var fr Framer
-	fr.Feed(b[:len(b)-1])
-	if fr.HasCompleteFrame() {
-		t.Fatal("incomplete frame reported complete")
-	}
-	fr.Feed(b[len(b)-1:])
-	if !fr.HasCompleteFrame() {
-		t.Fatal("complete frame not detected")
-	}
-	// Detection must not consume.
-	if !fr.HasCompleteFrame() {
-		t.Fatal("detection consumed the frame")
-	}
-	got, ok, err := fr.Next()
-	if err != nil || !ok || !got.Equal(s) {
-		t.Fatalf("Next after detection: ok=%v err=%v", ok, err)
-	}
-}
-
-// TestFramerDirectAppend: a producer appending straight onto Buffer()
-// (as catnip's receive drain does) is equivalent to Feed; Next consumes
-// by cursor, so decoding pipelined frames leaves the undecoded tail
-// where it lies until the next Buffer call moves it to the front.
-func TestFramerDirectAppend(t *testing.T) {
-	frames := []SGA{New([]byte("first")), New([]byte("second"), []byte("seg")), New(bytes.Repeat([]byte{7}, 300))}
-	var stream []byte
-	for _, s := range frames {
-		stream = s.AppendMarshal(stream)
-	}
-	cut := len(stream) - 100 // the third frame arrives in two pieces
-
-	var fr Framer
-	fr.Commit(append(fr.Buffer(), stream[:cut]...))
-	for i, want := range frames[:2] {
-		got, ok, err := fr.Next()
-		if err != nil || !ok || !got.Equal(want) {
-			t.Fatalf("frame %d: ok=%v err=%v", i, ok, err)
-		}
-	}
-	if _, ok, _ := fr.Next(); ok {
-		t.Fatal("partial third frame decoded")
-	}
-	partial := cut - frames[0].MarshalledSize() - frames[1].MarshalledSize()
-	if fr.Pending() != partial || fr.HasCompleteFrame() {
-		t.Fatalf("Pending = %d, want the %d-byte partial frame", fr.Pending(), partial)
-	}
-	if fr.head == 0 {
-		t.Fatal("Next moved the remainder instead of advancing the cursor")
-	}
-	b := fr.Buffer()
-	if fr.head != 0 || len(b) != partial {
-		t.Fatalf("Buffer left head=%d len=%d, want the partial frame compacted to the front", fr.head, len(b))
-	}
-	fr.Commit(append(b, stream[cut:]...))
-	got, ok, err := fr.Next()
-	if err != nil || !ok || !got.Equal(frames[2]) {
-		t.Fatalf("split frame: ok=%v err=%v", ok, err)
-	}
-	if fr.Pending() != 0 || fr.Decoded() != 3 {
-		t.Fatalf("Pending=%d Decoded=%d after the stream ended", fr.Pending(), fr.Decoded())
-	}
-}
-
-func TestPropFramerArbitraryFragmentation(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(5)
-		frames := make([]SGA, n)
-		var stream []byte
-		for i := range frames {
-			frames[i] = randomSGA(r)
-			stream = frames[i].AppendMarshal(stream)
-		}
-		var fr Framer
-		var got []SGA
-		for len(stream) > 0 {
-			k := 1 + r.Intn(len(stream))
-			fr.Feed(stream[:k])
-			stream = stream[k:]
-			for {
-				s, ok, err := fr.Next()
-				if err != nil {
-					return false
-				}
-				if !ok {
-					break
-				}
-				got = append(got, s)
-			}
-		}
-		if len(got) != n {
-			return false
-		}
-		for i := range frames {
-			if !got[i].Equal(frames[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBytesMatchesSegments(t *testing.T) {
 	s := New([]byte{1, 2}, []byte{}, []byte{3})
 	if !bytes.Equal(s.Bytes(), []byte{1, 2, 3}) {

@@ -44,16 +44,18 @@ type ID string
 // rigs lose nothing.
 type Policy struct {
 	// FrameQuotaBytes caps the bytes of pooled frame storage the tenant
-	// may hold at once (TX frames in flight, RX payload copies, pop
-	// clones). Exhaustion surfaces as a failed FramePool.Get — the
-	// frame-plane analogue of membuf.ErrNoMem. 0 = unbounded.
+	// may hold at once (TX frames in flight, RX payload copies, the
+	// buffers popped SGAs are decoded into). Exhaustion surfaces as a
+	// failed FramePool.Get — the frame-plane analogue of
+	// membuf.ErrNoMem. 0 = unbounded.
 	FrameQuotaBytes int64
 	// FrameQuotaFrames caps the number of outstanding pooled frames.
 	// 0 = unbounded.
 	FrameQuotaFrames int64
-	// MemBytes caps the tenant's pinned (device-registered) staging
-	// memory; it is wired into the libOS membuf manager, whose
-	// exhaustion is the classic typed membuf.ErrNoMem. 0 = unbounded.
+	// MemBytes caps the tenant's pinned (device-registered) memory,
+	// which is what AllocSGA hands out; it is wired into the libOS
+	// membuf manager. Past the cap AllocSGA falls back to heap memory.
+	// Pushes stage nothing and are never failed by it. 0 = unbounded.
 	MemBytes int64
 
 	// TxWeight is the tenant's share in the NIC's weighted-deficit-
@@ -62,7 +64,7 @@ type Policy struct {
 	// TxRateBps, when nonzero, rate-limits the tenant's TX path with a
 	// token bucket of TxBurstBytes (default: one quantum) refilled at
 	// TxRateBps bytes/second.
-	TxRateBps    int64
+	TxRateBps int64
 	// TxBurstBytes is the token bucket depth for TxRateBps.
 	TxBurstBytes int64
 
