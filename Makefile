@@ -15,13 +15,13 @@ STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish
 STORAGE_RUN     := TestChaosPushdownResetMidTraversal
 RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
-BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkHotPath_EventLoopTick|BenchmarkURing_SubmitHarvest|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkSGA_FramerWrite
+BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkURing_SubmitHarvest|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkSGA_FramerWrite
 BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/sga/
 
 ## tier1: the gate every PR must keep green — vet, build, full test
 ## suite, a short -race pass over the concurrency-heavy packages
 ## (the chaos engine, the user TCP stack, the pinned-memory allocator,
-## the telemetry instruments, the qtoken completer, the cross-shard
+## the telemetry instruments, the queues and their qtokens, the cross-shard
 ## SPSC mesh, the sharded KV workers, the failover backoff machinery,
 ## and the simulated drift clock), a counter-consistency smoke
 ## (telemetry must conserve frames: TXed == delivered + every
@@ -160,9 +160,9 @@ bench:
 bench-aa:
 	$(GO) run ./benchmark -aa -sets 2 -runs 3
 
-## benchsmoke: one iteration of every component microbenchmark — the
-## completer, an idle event-loop tick, batch submit and harvest, the memory
-## queue, SGA marshalling, WaitAny's fan-in, and the netstack's (checksum
+## benchsmoke: one iteration of every component microbenchmark — a qtoken
+## round trip, batch submit and harvest, the memory queue, SGA
+## marshalling, WaitAny's fan-in, and the netstack's (checksum
 ## throughput; ACK dequeue cost at 4 KiB and at 128 KiB queued, and
 ## Stack.Poll beside 1, 1 k and 100 k idle connections, both of which
 ## must read as a flat line; a 64 B ping-pong between two stacks, whose

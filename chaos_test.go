@@ -92,19 +92,18 @@ func chaosSoakNet(t *testing.T, flavor string) {
 		// up inside the fault window instead of riding it out.
 		cliNode = c.MustSpawn(Catnip, WithConfig(NodeConfig{Host: 2, RTO: 2 * time.Millisecond, MaxRetransmits: 4}))
 	case "catmint":
-		// Every failure detector has to fire inside the schedule's 40 ms
-		// clean gap, or the client is still waiting when the partition
-		// lands and sends nothing into the downed link. A send completes
-		// when the peer acknowledges it and the KV server waits for its
-		// response to complete, so a response lost to the corruption
-		// phase stalls the server for its OpTimeout (2 s by default);
-		// the client's own sends are still acknowledged, so all it sees
-		// is a pop that never completes, for its WaitTimeout.
-		srvNode = c.MustSpawn(Catmint, WithConfig(NodeConfig{Host: 1, OpTimeout: 10 * time.Millisecond}))
+		// Both OpTimeouts are the default: the server reaps response
+		// completions from its ring, so a response lost to the corruption
+		// phase stalls nothing there, and the client's sends are
+		// acknowledged. All the client sees of a lost response is a pop
+		// that never completes, which only its WaitTimeout ends. That one
+		// detector stays short: the client has to be sending again before
+		// the schedule's 40 ms clean gap is over, or nothing it sends meets
+		// the partition. The redial budget outlasts the partition.
+		srvNode = c.MustSpawn(Catmint, WithHost(1))
 		waitTimeout = 15 * time.Millisecond
 		cliNode = c.MustSpawn(Catmint, WithConfig(NodeConfig{
-			Host: 2, OpTimeout: 10 * time.Millisecond,
-			MaxReconnects: 40, ReconnectBackoff: time.Millisecond,
+			Host: 2, MaxReconnects: 40, ReconnectBackoff: time.Millisecond,
 		}))
 	}
 

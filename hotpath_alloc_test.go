@@ -17,7 +17,6 @@ import (
 	"demikernel/internal/apps/httpd"
 	"demikernel/internal/libos/catnap"
 	"demikernel/internal/queue"
-	"demikernel/internal/sched"
 	"demikernel/internal/uring"
 	"demikernel/internal/workload"
 )
@@ -222,31 +221,28 @@ func (r *ringClient) roundTrips(tb testing.TB, req SGA, batch int) {
 	}
 }
 
-// TestHotPathAllocsCompleter requires the full token round trip
-// (NewToken → done → TryWait) to be allocation-free once the per-shard
-// freelists are warm: token states (including their DoneFunc closures)
-// are recycled, so the completion publish path never boxes or allocates.
+// TestHotPathAllocsCompleter requires the full qtoken round trip
+// (ArmToken → done → TryWait) to be allocation-free: a token is a slot of
+// the ring, whose DoneFunc closure was bound when the slab grew, so the
+// completion publish path never boxes or allocates.
 func TestHotPathAllocsCompleter(t *testing.T) {
-	comp := queue.NewCompleter()
+	p := uring.NewPair(1)
 	roundTrip := func() {
-		qt, done := comp.NewToken()
+		qt, done := p.ArmToken(0)
 		done(queue.Completion{Kind: queue.OpPop})
-		if _, ok, err := comp.TryWait(qt); !ok || err != nil {
+		if _, ok, err := p.TryWait(qt); !ok || err != nil {
 			t.Fatal("token did not complete")
 		}
 	}
-	for i := 0; i < 64; i++ {
-		roundTrip() // warm every shard's freelist
-	}
 	if allocs := allocsPerRun(1000, roundTrip); allocs != 0 {
-		t.Fatalf("completer round trip allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("token round trip allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
 // TestHotPathAllocsEchoRTT bounds allocations for one full echo round
 // trip (client push → server pop → echo push → client pop) through the
 // libOS calls alone, no application between them. Payload bytes, TX
-// frames, RX staging, token states and completion records all come from
+// frames, RX staging, token slots and completion records all come from
 // pools.
 func TestHotPathAllocsEchoRTT(t *testing.T) {
 	cli, srv, cqd, sqd, cleanup := hotPathPair(t)
@@ -533,19 +529,5 @@ func TestHotPathIdlePollFindsNoWork(t *testing.T) {
 			t.Errorf("%s idle Poll beside 1024 idle connections: %.1f allocs/op, %d timer entries, %d ready connections, %d held ACKs, %d endpoints to pump; want all 0",
 				name, allocs, timers, ready, acks, pumps)
 		}
-	}
-}
-
-// TestHotPathAllocsEventLoopTick requires an idle EventLoop tick to be
-// allocation-free: ready-list dispatch does no per-token probing and
-// the acceptor snapshot is cached.
-func TestHotPathAllocsEventLoopTick(t *testing.T) {
-	cli, _, _, _, cleanup := hotPathPair(t)
-	defer cleanup()
-	el := sched.New(cli)
-	el.Tick()
-
-	if allocs := allocsPerRun(1000, func() { el.Tick() }); allocs != 0 {
-		t.Errorf("idle EventLoop.Tick allocates %.1f objects/op, want 0", allocs)
 	}
 }

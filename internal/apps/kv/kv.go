@@ -21,12 +21,15 @@ package kv
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 
 	"demikernel/internal/apps/failover"
 	"demikernel/internal/core"
 	"demikernel/internal/sga"
 	"demikernel/internal/shard"
 	"demikernel/internal/simclock"
+	"demikernel/internal/uring"
 )
 
 // Ops and statuses.
@@ -44,10 +47,48 @@ const (
 var ErrBadRequest = errors.New("kv: malformed request")
 
 // storedVal is one stored value: val aliases a segment of the retained
-// request SGA s, which is freed when the value is overwritten or deleted.
+// request SGA s. It is reference-counted: the store holds one reference,
+// and every GET response that carries val holds another until its push
+// completes, because a push reads its segments in place until then. A SET
+// or DEL that swaps the key out drops the store's reference, and s is
+// freed when the last response is through. The count is atomic because
+// the response to a forwarded GET is pushed by another shard's worker,
+// and a record can migrate to another shard during a reshard.
 type storedVal struct {
-	val []byte
-	s   sga.SGA
+	val  []byte
+	s    sga.SGA
+	refs atomic.Int32
+}
+
+// storedVals recycles stored values. Every SET makes one; allocated
+// afresh, the live ones would end up strewn among the garbage of the
+// requests around them, a few to a heap span, keeping every such span in
+// use.
+var storedVals = sync.Pool{New: func() any { return new(storedVal) }}
+
+// newStoredVal stores val, a segment of req, holding the store's
+// reference.
+func newStoredVal(req sga.SGA, val []byte) *storedVal {
+	v := storedVals.Get().(*storedVal)
+	v.val, v.s = val, req
+	v.refs.Store(1)
+	return v
+}
+
+// pin takes a reference for one response.
+func (v *storedVal) pin() *storedVal {
+	v.refs.Add(1)
+	return v
+}
+
+// release drops one reference; the last frees the value and recycles v.
+// A nil value, the pin of a response that carries none, releases nothing.
+func (v *storedVal) release() {
+	if v != nil && v.refs.Add(-1) == 0 {
+		v.s.Free()
+		v.val, v.s = nil, sga.SGA{}
+		storedVals.Put(v)
+	}
 }
 
 // NewServer creates a KV server over one libOS: the sharded server at
@@ -83,14 +124,17 @@ func Serve(libs []*core.LibOS, mesh *shard.Group, active int, model *simclock.Co
 }
 
 // close releases what stopped workers still hold: each connection with
-// its armed pop (consumed, so the token does not outlive the descriptor)
-// and each listener. The stores stay, for whoever audits them.
+// the values its responses in flight pinned, the requests their rings
+// still hold, and each listener. The stores stay, for whoever audits them.
 func (s *ShardedServer) close() {
 	for _, w := range s.workers {
-		for conn, qt := range w.conns {
-			w.lib.Close(conn) //nolint:errcheck // may already be gone
-			if comp, ok, _ := w.lib.TryWait(qt); ok && comp.Err == nil {
-				comp.SGA.Free()
+		for conn := range w.conns {
+			w.drop(conn)
+		}
+		for n := w.lib.HarvestCQ(w.ring, w.cqes); n > 0; n = w.lib.HarvestCQ(w.ring, w.cqes) {
+			for i := range w.cqes[:n] {
+				w.cqes[i].SGA.Free()
+				w.cqes[i] = uring.CQE{}
 			}
 		}
 		w.lib.Close(w.lqd) //nolint:errcheck // nothing to do about it at shutdown

@@ -172,15 +172,15 @@ func applyServer(seed int64) (*ShardedServer, *shardWorker) {
 func TestApplyMalformedRequests(t *testing.T) {
 	srv, w := applyServer(26)
 
-	resp, retain := w.apply(sga.New([]byte("GET"))) // missing key
+	resp, _, retain := w.apply(sga.New([]byte("GET"))) // missing key
 	if retain || string(resp.Segments[0].Buf) != StatusError {
 		t.Fatalf("resp = %v", resp)
 	}
-	resp, _ = w.apply(sga.New([]byte("SET"), []byte("k"))) // missing value
+	resp, _, _ = w.apply(sga.New([]byte("SET"), []byte("k"))) // missing value
 	if string(resp.Segments[0].Buf) != StatusError {
 		t.Fatalf("resp = %v", resp)
 	}
-	resp, _ = w.apply(sga.New([]byte("WAT"), []byte("k")))
+	resp, _, _ = w.apply(sga.New([]byte("WAT"), []byte("k")))
 	if string(resp.Segments[0].Buf) != StatusError {
 		t.Fatalf("resp = %v", resp)
 	}
@@ -196,14 +196,15 @@ func TestApplyZeroCopySetRetains(t *testing.T) {
 
 	val := []byte("owned-by-store")
 	req := sga.New([]byte(OpSet), []byte("k"), val)
-	resp, retain := w.apply(req)
+	resp, _, retain := w.apply(req)
 	if !retain {
 		t.Fatal("SET must retain the request SGA")
 	}
 	if string(resp.Segments[0].Buf) != StatusOK {
 		t.Fatalf("resp = %v", resp)
 	}
-	getResp, retain2 := w.apply(sga.New([]byte(OpGet), []byte("k")))
+	getResp, pin, retain2 := w.apply(sga.New([]byte(OpGet), []byte("k")))
+	defer pin.release()
 	if retain2 {
 		t.Fatal("GET must not retain")
 	}
@@ -225,7 +226,8 @@ func TestSetOverwriteFreesOldBuffer(t *testing.T) {
 	if freed != 1 {
 		t.Fatalf("old buffer freed %d times, want 1 (free-protection handoff)", freed)
 	}
-	resp, _ := w.apply(sga.New([]byte(OpGet), []byte("k")))
+	resp, pin, _ := w.apply(sga.New([]byte(OpGet), []byte("k")))
+	defer pin.release()
 	if string(resp.Segments[1].Buf) != "new" {
 		t.Fatalf("value = %q", resp.Segments[1].Buf)
 	}

@@ -41,11 +41,11 @@ type Topology struct {
 }
 
 // migRec ships one key/value record across the mesh during a reshard.
-// The storedVal moves whole: its backing SGA travels with it and is
-// freed by whichever shard ultimately discards the record.
+// The storedVal moves whole: the store's reference travels with it and
+// is released by whichever shard ultimately discards the record.
 type migRec struct {
 	key string
-	val storedVal
+	val *storedVal
 }
 
 // migBatch bounds how many records a worker ships per step so the
@@ -123,8 +123,7 @@ func (w *shardWorker) pollTopology() {
 	}
 	if w.idx >= t.New {
 		for conn := range w.conns {
-			delete(w.conns, conn)
-			w.lib.Close(conn) //nolint:errcheck // retiring; client redials
+			w.drop(conn) // retiring; the client redials
 		}
 	}
 	if len(w.migKeys) == 0 {

@@ -1,7 +1,10 @@
 // The server and client: share-nothing and multi-core at any width, with
 // a single libOS as the width-1 case (NewServer, NewClient in kv.go). One
 // worker per libOS shard owns a disjoint slice of the keyspace and every
-// connection RSS steered to its NIC queue. The GET/PUT hot path takes no
+// connection RSS steered to its NIC queue, and serves them from a
+// completion ring: a step harvests its CQ once, and everything it stages —
+// responses, the next pop of each connection — goes out as one batch, so
+// no worker ever blocks on a completion. The GET/PUT hot path takes no
 // lock: the store map, the connection table, and the scratch state are
 // all private to the single worker goroutine that touches them. The only
 // cross-worker traffic is (a) padded atomic stats the control plane may
@@ -21,11 +24,13 @@ import (
 
 	"demikernel/internal/apps/failover"
 	"demikernel/internal/core"
+	"demikernel/internal/fifo"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/shard"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
+	"demikernel/internal/uring"
 )
 
 // KeyShard maps a key to its owning shard: FNV-1a over the key bytes,
@@ -93,10 +98,12 @@ type fwdReq struct {
 	cost   simclock.Lat
 }
 
-// fwdResp carries the owner's response back to the origin shard.
+// fwdResp carries the owner's response back to the origin shard, with
+// the stored value it reads in place (pin, nil when none).
 type fwdResp struct {
 	conn core.QD
 	resp sga.SGA
+	pin  *storedVal
 	cost simclock.Lat
 }
 
@@ -112,9 +119,16 @@ type shardWorker struct {
 	ctr   *shardCounters
 
 	// --- worker-private state: no locks, by construction ---
-	store      map[string]storedVal
-	lqd        core.QD
-	conns      map[core.QD]queue.QToken
+	store map[string]*storedVal
+	lqd   core.QD
+	// conns holds, per accepted connection, the values pinned by its
+	// response pushes in flight, oldest first (nil for a response that
+	// pins none): pushes complete in order, so each push CQE releases the
+	// head.
+	conns      map[core.QD]*fifo.Queue[*storedVal]
+	ring       *uring.Pair
+	sqes       []uring.SQE
+	cqes       []uring.CQE
 	inbox      []shard.Msg
 	fwdBacklog []shard.Msg // forwards the mesh rejected; retried next step
 
@@ -139,6 +153,13 @@ type ShardedServer struct {
 // it starts answering StatusError — backpressure must eventually reach
 // the client instead of growing an unbounded queue.
 const maxFwdBacklog = 256
+
+// workerRing is where a worker's ring starts (it grows with the
+// connections), and harvest how many completions one step takes off it.
+const (
+	workerRing = 16
+	harvest    = 64
+)
 
 // NewShardedServer builds an n-shard server, one worker per libOS in
 // libs (libs[i] must wrap shard i's transport). group is the cross-shard
@@ -169,8 +190,10 @@ func NewShardedServerElastic(libs []*core.LibOS, model *simclock.CostModel, grou
 			group: group,
 			srv:   s,
 			ctr:   &shardCounters{},
-			store: make(map[string]storedVal),
-			conns: make(map[core.QD]queue.QToken),
+			store: make(map[string]*storedVal),
+			conns: make(map[core.QD]*fifo.Queue[*storedVal]),
+			ring:  lib.AttachRing(workerRing),
+			cqes:  make([]uring.CQE, harvest),
 		})
 	}
 	return s
@@ -197,8 +220,9 @@ func (s *ShardedServer) Listen(port uint16) error {
 	return nil
 }
 
-// Step runs one non-blocking iteration of shard i's worker and returns
-// the number of requests it progressed. Single-goroutine benchmark
+// Step runs one non-blocking iteration of shard i's worker — one harvest
+// of its ring, one batch submitted — and returns the number of requests it
+// progressed. Single-goroutine benchmark
 // harnesses drive all shards round-robin through this; Run wraps it in
 // one goroutine per shard.
 func (s *ShardedServer) Step(i int) int { return s.workers[i].step() }
@@ -315,14 +339,22 @@ func telemetryPrefix(prefix string, i int) string {
 
 func (w *shardWorker) step() int {
 	w.pollTopology()
-	n := 0
 	w.acceptNew()
-	n += w.drainMesh()
+	n := w.drainMesh()
 	n += w.retryForwards()
 	n += w.stepMigration()
 	n += w.serveReady()
+	if len(w.sqes) > 0 {
+		w.lib.SubmitBatch(w.ring, w.sqes) //nolint:errcheck // a failed op is a CQE
+		clear(w.sqes)
+		w.sqes = w.sqes[:0]
+	}
 	return n
 }
+
+// Tags name the connection, and the operation kind in the low bit.
+func popTag(conn core.QD) uint64  { return uint64(conn) << 1 }
+func pushTag(conn core.QD) uint64 { return uint64(conn)<<1 | 1 }
 
 func (w *shardWorker) acceptNew() {
 	for {
@@ -330,56 +362,64 @@ func (w *shardWorker) acceptNew() {
 		if err != nil || !ok {
 			return
 		}
-		qt, err := w.lib.Pop(conn)
-		if err != nil {
-			continue
-		}
 		w.ctr.connections.Add(1)
-		w.conns[conn] = qt
+		w.conns[conn] = new(fifo.Queue[*storedVal])
+		w.arm(conn)
 	}
 }
 
-// serveReady collects completed pops and serves or forwards each.
+// arm stages conn's pop. A connection has one at a time: its client has
+// one request in flight, and a second pop would let a request served here
+// answer ahead of an earlier one forwarded over the mesh.
+func (w *shardWorker) arm(conn core.QD) {
+	w.sqes = append(w.sqes, uring.SQE{Op: queue.OpPop, QD: int32(conn), Tag: popTag(conn)})
+}
+
+// serveReady takes one harvest off the ring: a request is served or
+// forwarded and its connection's next pop armed, a completed response
+// push releases what it pinned, and a failed operation drops its
+// connection.
 func (w *shardWorker) serveReady() int {
 	served := 0
-	// Iterating the private map while mutating qt entries is safe: only
-	// values change, and dead conns are collected into doomed first.
-	var doomed []core.QD
-	for conn, qt := range w.conns {
-		comp, ok, err := w.lib.TryWait(qt)
-		if err != nil || !ok {
-			continue
+	n := w.lib.HarvestCQ(w.ring, w.cqes)
+	for i := range w.cqes[:n] {
+		c := &w.cqes[i]
+		conn := core.QD(c.Tag >> 1)
+		pins := w.conns[conn]
+		switch {
+		case pins == nil:
+			c.SGA.Free() // dropped at an earlier completion
+		case c.Err != nil:
+			w.drop(conn)
+		case c.Tag == pushTag(conn):
+			pins.Pop().release()
+		default:
+			// A fresh request, not final, originated here.
+			w.dispatch(fwdReq{conn: conn, origin: w.idx, req: c.SGA, cost: c.Cost}, false)
+			w.arm(conn)
+			served++
 		}
-		if comp.Err != nil {
-			doomed = append(doomed, conn)
-			continue
-		}
-		w.handle(conn, comp)
-		served++
-		qt, err = w.lib.Pop(conn)
-		if err != nil {
-			doomed = append(doomed, conn)
-			continue
-		}
-		w.conns[conn] = qt
-	}
-	for _, conn := range doomed {
-		delete(w.conns, conn)
-		w.lib.Close(conn)
+		*c = uring.CQE{}
 	}
 	return served
 }
 
-// handle serves one decoded request from a connection: it enters the
-// topology-aware dispatch as a fresh, non-final request originated here.
-func (w *shardWorker) handle(conn core.QD, comp queue.Completion) {
-	w.dispatch(&fwdReq{conn: conn, origin: w.idx, req: comp.SGA, cost: comp.Cost}, false)
+// drop closes conn and releases the values its response pushes pinned: a
+// closed connection reads none of them again.
+func (w *shardWorker) drop(conn core.QD) {
+	pins := w.conns[conn]
+	delete(w.conns, conn)
+	w.lib.Close(conn) //nolint:errcheck // may already be gone
+	for pins.Len() > 0 {
+		pins.Pop().release()
+	}
 }
 
 // dispatch routes one request — fresh off a connection (offMesh false)
 // or relayed by a sibling — per the current topology: execute here, or
-// send it one hop closer to the key's current holder.
-func (w *shardWorker) dispatch(f *fwdReq, offMesh bool) {
+// send it one hop closer to the key's current holder. The request is a
+// copy, so that only one that travels is on the heap.
+func (w *shardWorker) dispatch(f fwdReq, offMesh bool) {
 	serveLocal, next, final := true, 0, false
 	if key, ok := requestKey(f.req); ok && !f.final {
 		serveLocal, next, final = w.route(key)
@@ -387,21 +427,23 @@ func (w *shardWorker) dispatch(f *fwdReq, offMesh bool) {
 	if serveLocal {
 		if f.origin == w.idx && !offMesh {
 			// Fully local: the classic one-core fast path.
-			resp, retain := w.apply(f.req)
+			resp, pin, retain := w.apply(f.req)
 			if !retain {
 				f.req.Free()
 			}
-			w.respond(f.conn, resp, f.cost+w.model.AppRequestNS)
+			w.respond(f.conn, resp, pin, f.cost+w.model.AppRequestNS)
 			w.ctr.busyVirt.Add(int64(w.localServeCost()))
 			return
 		}
-		w.executeForward(f)
+		w.executeForward(&f)
 		return
 	}
 	// Misdirected: relay toward the holder. The origin pays the rx/tx
 	// stack work; the executor pays the application compute.
-	f.final = final
-	m := shard.Msg{Op: shard.OpForward, Payload: f}
+	fwd := new(fwdReq)
+	*fwd = f
+	fwd.final = final
+	m := shard.Msg{Op: shard.OpForward, Payload: fwd}
 	if offMesh {
 		w.ctr.busyVirt.Add(int64(w.meshHopCost()))
 	} else {
@@ -411,7 +453,7 @@ func (w *shardWorker) dispatch(f *fwdReq, offMesh bool) {
 		if len(w.fwdBacklog) >= maxFwdBacklog {
 			w.ctr.forwardDrops.Add(1)
 			f.req.Free()
-			w.deliver(f, sga.New([]byte(StatusError)))
+			w.deliver(fwd, sga.New([]byte(StatusError)), nil)
 			return
 		}
 		m.From = w.idx // Send would have stamped it; keep it for retry
@@ -424,7 +466,7 @@ func (w *shardWorker) dispatch(f *fwdReq, offMesh bool) {
 // executeForward applies a relayed request here and delivers the
 // response to its origin shard.
 func (w *shardWorker) executeForward(f *fwdReq) {
-	resp, retain := w.apply(f.req)
+	resp, pin, retain := w.apply(f.req)
 	if !retain {
 		f.req.Free()
 	}
@@ -432,18 +474,19 @@ func (w *shardWorker) executeForward(f *fwdReq) {
 		w.ctr.forwardedIn.Add(1)
 	}
 	w.ctr.busyVirt.Add(int64(w.model.AppRequestNS + w.meshHopCost()))
-	w.deliver(f, resp)
+	w.deliver(f, resp, pin)
 }
 
-// deliver routes a response to the request's origin: straight onto the
-// connection when the origin is this worker, over the mesh otherwise. A
-// full reply ring parks in the backlog like a forward.
-func (w *shardWorker) deliver(f *fwdReq, resp sga.SGA) {
+// deliver routes a response, and the value it pins, to the request's
+// origin: straight onto the connection when the origin is this worker,
+// over the mesh otherwise. A full reply ring parks in the backlog like a
+// forward.
+func (w *shardWorker) deliver(f *fwdReq, resp sga.SGA, pin *storedVal) {
 	if f.origin == w.idx {
-		w.respond(f.conn, resp, f.cost+w.model.AppRequestNS)
+		w.respond(f.conn, resp, pin, f.cost+w.model.AppRequestNS)
 		return
 	}
-	r := shard.Msg{Op: shard.OpReply, Payload: &fwdResp{conn: f.conn, resp: resp, cost: f.cost}}
+	r := shard.Msg{Op: shard.OpReply, Payload: &fwdResp{conn: f.conn, resp: resp, pin: pin, cost: f.cost}}
 	if !w.group.Send(w.idx, f.origin, r) {
 		w.fwdBacklogReply(f.origin, r)
 	}
@@ -501,11 +544,11 @@ func (w *shardWorker) drainMesh() int {
 	for _, m := range w.inbox {
 		switch m.Op {
 		case shard.OpForward:
-			w.dispatch(m.Payload.(*fwdReq), true)
+			w.dispatch(*m.Payload.(*fwdReq), true)
 		case shard.OpReply:
 			f := m.Payload.(*fwdResp)
 			w.ctr.busyVirt.Add(int64(w.meshHopCost()))
-			w.respond(f.conn, f.resp, f.cost+w.model.AppRequestNS)
+			w.respond(f.conn, f.resp, f.pin, f.cost+w.model.AppRequestNS)
 		case shard.OpMigrate:
 			r := m.Payload.(*migRec)
 			w.ctr.busyVirt.Add(int64(w.meshHopCost()))
@@ -514,7 +557,7 @@ func (w *shardWorker) drainMesh() int {
 				// An authoritative write for this key already landed here
 				// (it must have trailed the migrate on some path that
 				// raced ahead); the stored value is newer. Drop the copy.
-				r.val.s.Free()
+				r.val.release()
 				continue
 			}
 			w.store[r.key] = r.val
@@ -525,24 +568,19 @@ func (w *shardWorker) drainMesh() int {
 	return len(w.inbox)
 }
 
-// fwdBacklogReply parks a reply that could not be sent. Replies reuse
-// the forward backlog; retryForwards cannot re-route them by key, so
-// they carry their destination in Seq.
+// fwdBacklogReply parks a reply that could not be sent. Replies share the
+// forward backlog, told apart by their Op; retryForwards cannot re-route
+// them by key, so they carry their destination in Seq.
 func (w *shardWorker) fwdBacklogReply(to int, m shard.Msg) {
-	m.Seq = uint64(to)
-	m.From = w.idx
-	w.replyBacklogPush(m)
-}
-
-// replyBacklog is small enough to share the forward backlog's slice; a
-// reply is distinguished by its Op.
-func (w *shardWorker) replyBacklogPush(m shard.Msg) {
 	if len(w.fwdBacklog) >= maxFwdBacklog {
 		// Drop: the origin's client will time out and retry. Counted so
 		// the chaos tests can assert this never fires in a healthy run.
 		w.ctr.forwardDrops.Add(1)
+		m.Payload.(*fwdResp).pin.release()
 		return
 	}
+	m.Seq = uint64(to)
+	m.From = w.idx
 	w.fwdBacklog = append(w.fwdBacklog, m)
 }
 
@@ -555,12 +593,17 @@ func requestKey(req sga.SGA) (string, bool) {
 	return string(req.Segments[1].Buf), true
 }
 
-// respond pushes a response and waits for the transport to accept it
-// (store-owned buffers are only borrowed until then).
-func (w *shardWorker) respond(conn core.QD, resp sga.SGA, cost simclock.Lat) {
-	if qt, err := w.lib.PushCost(conn, resp, cost); err == nil {
-		w.lib.Wait(qt)
+// respond stages resp as a push on conn, and keeps pin — the stored value
+// a GET response reads in place, or nil — until the push's CQE. A
+// connection dropped meanwhile gets no response, and pin goes at once.
+func (w *shardWorker) respond(conn core.QD, resp sga.SGA, pin *storedVal, cost simclock.Lat) {
+	pins := w.conns[conn]
+	if pins == nil {
+		pin.release()
+		return
 	}
+	pins.Push(pin)
+	w.sqes = append(w.sqes, uring.SQE{Op: queue.OpPush, QD: int32(conn), Tag: pushTag(conn), SGA: resp, Cost: cost})
 }
 
 // localServeCost is the modeled single-core cost of one fully local
@@ -582,15 +625,17 @@ func (w *shardWorker) relayCost() simclock.Lat {
 func (w *shardWorker) meshHopCost() simclock.Lat { return w.model.SyscallNS }
 
 // apply executes one decoded request against this worker's private
-// store and returns the response. retain reports whether the store kept
-// the request SGA's buffers (a SET stores the value segment in place —
-// the zero-copy pointer swap, which needs no synchronisation because one
+// store and returns the response. pin is the stored value a GET response
+// reads in place, pinned for the response: whoever pushes it releases the
+// pin at the push's completion. retain reports whether the store kept the
+// request SGA's buffers (a SET stores the value segment in place — the
+// zero-copy pointer swap, which needs no synchronisation because one
 // goroutine owns the store).
-func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, retain bool) {
+func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, pin *storedVal, retain bool) {
 	segs := req.Segments
 	if len(segs) < 2 {
 		w.ctr.badRequests.Add(1)
-		return sga.New([]byte(StatusError)), false
+		return sga.New([]byte(StatusError)), nil, false
 	}
 	op := string(segs[0].Buf)
 	key := string(segs[1].Buf)
@@ -600,39 +645,40 @@ func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, retain bool) {
 		w.ctr.gets.Add(1)
 		if !ok {
 			w.ctr.notFound.Add(1)
-			return sga.New([]byte(StatusNotFound)), false
+			return sga.New([]byte(StatusNotFound)), nil, false
 		}
 		// Zero-copy: the stored buffer itself is the response segment.
-		return sga.New([]byte(StatusOK), sv.val), false
+		return sga.New([]byte(StatusOK), sv.val), sv.pin(), false
 	case OpSet:
 		if len(segs) < 3 {
 			w.ctr.badRequests.Add(1)
-			return sga.New([]byte(StatusError)), false
+			return sga.New([]byte(StatusError)), nil, false
 		}
 		old, had := w.store[key]
-		w.store[key] = storedVal{val: segs[2].Buf, s: req}
+		w.store[key] = newStoredVal(req, segs[2].Buf)
 		w.ctr.sets.Add(1)
-		w.ctr.bytesStored.Add(int64(len(segs[2].Buf) - len(old.val)))
+		w.ctr.bytesStored.Add(int64(len(segs[2].Buf)))
 		if had {
-			old.s.Free() // the swapped-out buffer goes back to the pool
+			w.ctr.bytesStored.Add(-int64(len(old.val)))
+			old.release() // the swapped-out buffer goes back to the pool
 		} else {
 			w.ctr.keys.Add(1)
 		}
-		return sga.New([]byte(StatusOK)), true
+		return sga.New([]byte(StatusOK)), nil, true
 	case OpDel:
 		old, had := w.store[key]
 		delete(w.store, key)
 		w.ctr.dels.Add(1)
 		if had {
-			old.s.Free()
 			w.ctr.keys.Add(-1)
 			w.ctr.bytesStored.Add(-int64(len(old.val)))
-			return sga.New([]byte(StatusOK)), false
+			old.release()
+			return sga.New([]byte(StatusOK)), nil, false
 		}
-		return sga.New([]byte(StatusNotFound)), false
+		return sga.New([]byte(StatusNotFound)), nil, false
 	default:
 		w.ctr.badRequests.Add(1)
-		return sga.New([]byte(StatusError)), false
+		return sga.New([]byte(StatusError)), nil, false
 	}
 }
 

@@ -174,22 +174,27 @@ func (d *qdesc) ioq() queue.IoQueue {
 }
 
 // LibOS is one Demikernel library-OS instance: a Transport plus the
-// queue-descriptor table, the qtoken completer, and the wait machinery.
-// It is safe for concurrent use.
+// queue-descriptor table, the ring its qtokens are slots of, and the wait
+// machinery. It is safe for concurrent use.
 type LibOS struct {
 	// tp is the active transport behind an atomic pointer: Poll reads
 	// it lock-free on every tick, and SwapTransport (live libOS
 	// switching) replaces it while operations are in flight. The cell
 	// boxes the interface value because the concrete transport type
 	// changes across a switch (catnap <-> catnip).
-	tp        atomic.Pointer[transportCell]
-	model     *simclock.CostModel
-	completer *queue.Completer
+	tp    atomic.Pointer[transportCell]
+	model *simclock.CostModel
+	// tokens is the ring Push and Pop arm their operations on: a qtoken is
+	// a slot of it. It is not among the attached rings (Rings), so neither
+	// the uring.* sums nor a crash flush ever see a token operation.
+	tokens *uring.Pair
+	// spans is the qtoken span table, shared by tokens and every attached
+	// ring.
+	spans *telemetry.SpanTable
 
-	mu       sync.Mutex
-	qds      map[QD]*qdesc
-	next     QD
-	forwards []*forward
+	mu   sync.Mutex
+	qds  map[QD]*qdesc
+	next QD
 
 	// composed is what Poll pumps besides the transport: the queues this
 	// libOS built itself (Merge, Filter, Sort, Map), whose prefetch and
@@ -209,11 +214,6 @@ type LibOS struct {
 	WaitTimeout time.Duration
 }
 
-type forward struct {
-	in, out queue.IoQueue
-	stop    bool
-}
-
 // transportCell boxes the Transport interface for atomic publication.
 type transportCell struct{ t Transport }
 
@@ -221,16 +221,17 @@ type transportCell struct{ t Transport }
 // costs against model.
 func New(t Transport, model *simclock.CostModel) *LibOS {
 	l := &LibOS{
-		model:       model,
-		completer:   queue.NewCompleter(),
+		model:  model,
+		tokens: uring.NewPair(16), // grows with the tokens in flight
+		// Named after the transport, so that traces from several libOSes
+		// in one process are attributable.
+		spans:       telemetry.NewSpanTable(t.Name()),
 		qds:         make(map[QD]*qdesc),
 		next:        1,
 		WaitTimeout: 5 * time.Second,
 	}
+	l.tokens.SetSpans(l.spans)
 	l.tp.Store(&transportCell{t: t})
-	// Name the span table after the transport so traces from multiple
-	// libOSes in one process are attributable.
-	l.completer.Spans().SetName(t.Name())
 	return l
 }
 
@@ -246,21 +247,19 @@ func (l *LibOS) Features() Features { return l.Transport().Features() }
 // AllocSGA allocates from the libOS memory manager (§4.5).
 func (l *LibOS) AllocSGA(n int) sga.SGA { return l.Transport().AllocSGA(n) }
 
-// Completer exposes the token table (used by experiments and the
-// blocking-wait API).
-func (l *LibOS) Completer() *queue.Completer { return l.completer }
-
 // Spans exposes the per-queue qtoken span table (disabled by default;
-// enable it to collect issue→submit→complete→consume latency series).
-func (l *LibOS) Spans() *telemetry.SpanTable { return l.completer.Spans() }
+// enable it to collect issue→complete→consume latency series).
+func (l *LibOS) Spans() *telemetry.SpanTable { return l.spans }
 
 // RegisterTelemetry lifts the libOS's observable state into a telemetry
-// registry: its own queue machinery — the completer under
-// prefix.completer, the attached rings under prefix.uring — and, when
-// the transport itself knows how to register (all in-tree transports
-// do), the transport's device/stack counters under prefix.
+// registry: its own queue machinery — the qtokens under prefix.completer
+// (blocking waiters woken, tokens outstanding), the attached rings under
+// prefix.uring — and, when the transport itself knows how to register
+// (all in-tree transports do), the transport's device/stack counters
+// under prefix.
 func (l *LibOS) RegisterTelemetry(r *telemetry.Registry, prefix string) {
-	l.completer.RegisterTelemetry(r, prefix+".completer")
+	r.RegisterFunc(prefix+".completer.wakeups", func() int64 { return l.tokens.CountersSnapshot().Wakeups })
+	r.RegisterFunc(prefix+".completer.outstanding", func() int64 { return l.tokens.CountersSnapshot().Tokens })
 	l.registerRingTelemetry(r, prefix+".uring")
 	if tr, ok := l.Transport().(interface {
 		RegisterTelemetry(*telemetry.Registry, string)
@@ -553,28 +552,26 @@ func (l *LibOS) QConnect(qdin, qdout QD) error {
 	if err != nil {
 		return err
 	}
-	f := &forward{in: din.ioq(), out: dout.ioq()}
-	l.mu.Lock()
-	l.forwards = append(l.forwards, f)
-	l.mu.Unlock()
-	l.startForward(f)
+	forward(din.ioq(), dout.ioq())
 	return nil
 }
 
-func (l *LibOS) startForward(f *forward) {
-	f.in.Pop(func(c queue.Completion) {
-		if c.Err != nil || f.stop {
+// forward pops in and pushes what it gets onto out, until a pop fails.
+func forward(in, out queue.IoQueue) {
+	in.Pop(func(c queue.Completion) {
+		if c.Err != nil {
 			return
 		}
-		f.out.Push(c.SGA, c.Cost, func(queue.Completion) {})
-		l.startForward(f)
+		out.Push(c.SGA, c.Cost, func(queue.Completion) {})
+		forward(in, out)
 	})
 }
 
 // --- data path (Figure 3, bottom) ---
 
 // Push submits an SGA into a queue as one atomic element and returns a
-// qtoken for its completion.
+// qtoken for its completion: a slot of the libOS's token ring, which the
+// completion stays in until a wait reads it.
 func (l *LibOS) Push(qd QD, s sga.SGA) (queue.QToken, error) {
 	return l.PushCost(qd, s, 0)
 }
@@ -587,9 +584,8 @@ func (l *LibOS) PushCost(qd QD, s sga.SGA, cost simclock.Lat) (queue.QToken, err
 	if err != nil {
 		return 0, err
 	}
-	qt, done := l.completer.NewTokenFor(int32(qd))
+	qt, done := l.tokens.ArmToken(int32(qd))
 	d.ioq().Push(s, cost, done)
-	l.completer.MarkSubmit(qt)
 	return qt, nil
 }
 
@@ -599,9 +595,8 @@ func (l *LibOS) Pop(qd QD) (queue.QToken, error) {
 	if err != nil {
 		return 0, err
 	}
-	qt, done := l.completer.NewTokenFor(int32(qd))
+	qt, done := l.tokens.ArmToken(int32(qd))
 	d.ioq().Pop(done)
-	l.completer.MarkSubmit(qt)
 	return qt, nil
 }
 
@@ -653,7 +648,7 @@ func (l *LibOS) Background() (stop func()) {
 // TryWait returns qt's completion if it has arrived (consuming the
 // token), without polling.
 func (l *LibOS) TryWait(qt queue.QToken) (queue.Completion, bool, error) {
-	return l.completer.TryWait(qt)
+	return l.tokens.TryWait(qt)
 }
 
 // deadlineFor resolves the explicit-deadline-vs-config precedence for
@@ -683,7 +678,7 @@ func (l *LibOS) Wait(qt queue.QToken) (queue.Completion, error) {
 func (l *LibOS) WaitDeadline(qt queue.QToken, deadline time.Time) (queue.Completion, error) {
 	dl, budget := l.deadlineFor(deadline)
 	for {
-		c, ok, err := l.completer.TryWait(qt)
+		c, ok, err := l.tokens.TryWait(qt)
 		if err != nil {
 			return queue.Completion{}, err
 		}
@@ -708,69 +703,37 @@ func (l *LibOS) WaitAny(qts []queue.QToken) (int, queue.Completion, error) {
 // WaitAnyDeadline is WaitAny with an explicit deadline (zero time falls
 // back to the WaitTimeout knob; expiry wraps ErrWaitTimeout).
 //
-// The token slice is scanned exactly once, to subscribe an AnyWaiter;
-// after that each poll iteration asks the waiter for a completed token
-// in O(1) instead of re-probing all n tokens — with 1024 outstanding
-// pops the old rescan dominated the wait loop (BenchmarkWaitAnyFanIn).
+// The token slice is scanned exactly once, to subscribe each token's slot;
+// after that each completion notes its index, and each poll iteration
+// takes a noted index in O(1) instead of re-probing all n tokens — with
+// 1024 outstanding pops the rescan dominated the wait loop
+// (BenchmarkWaitAnyFanIn).
 func (l *LibOS) WaitAnyDeadline(qts []queue.QToken, deadline time.Time) (int, queue.Completion, error) {
 	dl, budget := l.deadlineFor(deadline)
-	w := l.completer.NewAnyWaiter()
-	idx := make(map[queue.QToken]int, len(qts))
-	subscribed := 0
-	unsubscribe := func() {
-		for _, qt := range qts[:subscribed] {
-			l.completer.UnsubscribeAny(w, qt)
-		}
+	var w uring.AnyWaiter
+	i, err := l.tokens.SubscribeAny(&w, qts)
+	defer l.tokens.UnsubscribeAny(&w, qts[:i])
+	if err != nil {
+		return i, queue.Completion{}, err
 	}
-	for i, qt := range qts {
-		done, err := l.completer.SubscribeAny(w, qt)
-		if err != nil {
-			unsubscribe()
-			return i, queue.Completion{}, err
-		}
-		if done {
-			// Already complete: consume it now, preserving the old
-			// first-in-scan-order preference.
-			c, ok, err := l.completer.TryWait(qt)
-			unsubscribe()
-			if err != nil {
-				return i, queue.Completion{}, err
-			}
-			if ok {
-				return i, c, nil
-			}
-			return i, queue.Completion{}, queue.ErrUnknownToken
-		}
-		idx[qt] = i
-		subscribed++
-	}
-	for {
-		for {
-			qt, ok := w.Take()
-			if !ok {
-				break
-			}
-			i, mine := idx[qt]
-			if !mine {
-				continue // stale ping from a recycled token number
-			}
-			c, ok, err := l.completer.TryWait(qt)
-			if err != nil {
-				unsubscribe()
-				return i, queue.Completion{}, err
-			}
-			if ok {
-				unsubscribe()
-				return i, c, nil
-			}
+	// i < len(qts): qts[i] had completed already, and the first in scan
+	// order wins.
+	for i == len(qts) {
+		if j, ok := l.tokens.TakeAny(&w); ok {
+			i = j
+			break
 		}
 		if time.Now().After(dl) {
-			unsubscribe()
 			return -1, queue.Completion{}, timeoutErr("wait-any", budget)
 		}
 		l.Poll()
 		runtime.Gosched()
 	}
+	c, ok, err := l.tokens.TryWait(qts[i])
+	if err == nil && !ok {
+		err = queue.ErrUnknownToken
+	}
+	return i, c, err
 }
 
 // WaitAll polls until every token completes, returning completions in
@@ -780,37 +743,19 @@ func (l *LibOS) WaitAll(qts []queue.QToken) ([]queue.Completion, error) {
 }
 
 // WaitAllDeadline is WaitAll with an explicit deadline (zero time falls
-// back to the WaitTimeout knob; expiry wraps ErrWaitTimeout).
+// back to the WaitTimeout knob; expiry wraps ErrWaitTimeout): a wait for
+// each token in turn, all under the one deadline.
 func (l *LibOS) WaitAllDeadline(qts []queue.QToken, deadline time.Time) ([]queue.Completion, error) {
+	if deadline.IsZero() {
+		deadline = time.Now().Add(l.WaitTimeout)
+	}
 	out := make([]queue.Completion, len(qts))
-	donemask := make([]bool, len(qts))
-	remaining := len(qts)
-	dl, budget := l.deadlineFor(deadline)
-	for remaining > 0 {
-		progressed := false
-		for i, qt := range qts {
-			if donemask[i] {
-				continue
-			}
-			c, ok, err := l.completer.TryWait(qt)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out[i] = c
-				donemask[i] = true
-				remaining--
-				progressed = true
-			}
+	for i, qt := range qts {
+		c, err := l.WaitDeadline(qt, deadline)
+		if err != nil {
+			return nil, err
 		}
-		if remaining == 0 {
-			break
-		}
-		if !progressed && time.Now().After(dl) {
-			return nil, timeoutErr("wait-all", budget)
-		}
-		l.Poll()
-		runtime.Gosched()
+		out[i] = c
 	}
 	return out, nil
 }
@@ -820,7 +765,7 @@ func (l *LibOS) WaitAllDeadline(qts []queue.QToken, deadline time.Time) ([]queue
 // keep another thread pumping Poll, as a scheduler-integrated Demikernel
 // deployment would.
 func (l *LibOS) WaitChan(qt queue.QToken) (<-chan queue.Completion, error) {
-	return l.completer.WaitChan(qt)
+	return l.tokens.WaitChan(qt)
 }
 
 // BlockingPush is "identical to a push, followed by a wait on the

@@ -74,7 +74,7 @@ func (l *LibOS) SwapTransport(newT Transport, migrate func(Endpoint) Endpoint) i
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.tp.Store(&transportCell{t: newT})
-	l.completer.Spans().SetName(newT.Name())
+	l.spans.SetName(newT.Name())
 	n := 0
 	for qd, d := range l.qds {
 		if d.kind != qdEndpoint {

@@ -8,9 +8,10 @@ package core
 // over every attached ring. What a batch saves is pumps and tokens: its
 // operations are staged first and each queue is pumped once, so 32
 // pushes leave as MSS-sized segments, and their completions come back
-// tagged on the ring's CQ (internal/uring), with no qtoken, no token
-// table and no allocation. Push/Pop/Wait is the same path one operation
-// at a time, with a token. Poll does not touch a ring.
+// tagged on the ring's CQ (internal/uring), harvested in bulk with no
+// allocation. Push/Pop/Wait is the same path one operation at a time: a
+// slot of the libOS's own token ring, read through its qtoken. Poll does
+// not touch a ring.
 
 import (
 	"runtime"
@@ -29,7 +30,7 @@ import (
 // owns the returned pair; it outlives Crash and Restart.
 func (l *LibOS) AttachRing(capacity int) *uring.Pair {
 	p := uring.NewPair(capacity)
-	p.SetSpans(l.completer.Spans())
+	p.SetSpans(l.spans)
 	l.mu.Lock()
 	l.rings = append(l.rings, p)
 	l.mu.Unlock()

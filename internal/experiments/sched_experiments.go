@@ -12,6 +12,7 @@ import (
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
+	"demikernel/internal/uring"
 )
 
 // runE4 reproduces the §3.2 stream-vs-atomic-unit claim. A large request
@@ -78,9 +79,9 @@ func runE4(seed int64) (*Result, error) {
 	// --- Demikernel queue server ---
 	qA := queue.NewMemQueue(0)
 	qB := queue.NewMemQueue(0)
-	completer := queue.NewCompleter()
-	tokA, doneA := completer.NewToken()
-	tokB, doneB := completer.NewToken()
+	ring := uring.NewPair(2)
+	tokA, doneA := ring.ArmToken(0)
+	tokB, doneB := ring.ArmToken(1)
 	qA.Pop(doneA)
 	qB.Pop(doneB)
 	qB.Push(sga.New([]byte("ready-request")), 0, func(queue.Completion) {})
@@ -92,11 +93,11 @@ func runE4(seed int64) (*Result, error) {
 	// once complete — partial data never becomes visible.
 	for i := 0; i < fragments; i++ {
 		// wait_any-style check: has anything completed?
-		if c, ok, _ := completer.TryWait(tokB); ok {
+		if c, ok, _ := ring.TryWait(tokB); ok {
 			queueServed++
 			queueCost += c.Cost
 		}
-		if _, ok, _ := completer.TryWait(tokA); ok {
+		if _, ok, _ := ring.TryWait(tokA); ok {
 			queueServed++
 		} else if i > 0 {
 			// Checking a token is free of syscalls and parsing; it is
@@ -105,7 +106,7 @@ func runE4(seed int64) (*Result, error) {
 		}
 	}
 	qA.Push(sga.New(bigRequest), 0, func(queue.Completion) {})
-	if _, ok, _ := completer.TryWait(tokA); ok {
+	if _, ok, _ := ring.TryWait(tokA); ok {
 		queueServed++
 	}
 
@@ -181,14 +182,14 @@ func runE5(seed int64) (*Result, error) {
 	ctr := k.Counters()
 
 	// --- qtoken waiters: each thread waits its own token ---
-	completer := queue.NewCompleter()
+	ring := uring.NewPair(nEvents)
 	q := queue.NewMemQueue(0)
 	var qwg sync.WaitGroup
 	qWon := 0
 	var qmu sync.Mutex
 	tokens := make(chan queue.QToken, nEvents)
 	for i := 0; i < nEvents; i++ {
-		qt, done := completer.NewToken()
+		qt, done := ring.ArmToken(0)
 		q.Pop(done)
 		tokens <- qt
 	}
@@ -198,7 +199,7 @@ func runE5(seed int64) (*Result, error) {
 		go func() {
 			defer qwg.Done()
 			for qt := range tokens {
-				ch, err := completer.WaitChan(qt)
+				ch, err := ring.WaitChan(qt)
 				if err != nil {
 					return
 				}
@@ -216,7 +217,7 @@ func runE5(seed int64) (*Result, error) {
 
 	epollWakeups := ctr.Wakeups
 	epollWasted := ctr.WastedWakeups
-	queueWakeups := completer.Wakeups()
+	queueWakeups := ring.CountersSnapshot().Wakeups
 
 	tbl := metrics.NewTable("E5: thread wakeups for one completion each",
 		"mechanism", "events", "wakeups", "wasted wakeups", "wakeup cost")

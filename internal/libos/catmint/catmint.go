@@ -841,6 +841,11 @@ func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 		delete(e.t.pending, wrID)
 		e.t.mu.Unlock()
 		e.t.freeSlot(sl)
+		if errors.Is(err, rdma.ErrQPState) {
+			// The queue pair errored after the check above, before the
+			// next poll saw it: what a send it flushed would report.
+			err = ErrQPBroken
+		}
 		done(queue.Completion{Kind: queue.OpPush, Err: err})
 	}
 }

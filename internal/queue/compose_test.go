@@ -145,19 +145,3 @@ func TestMergeQueuePushErrorPropagates(t *testing.T) {
 		t.Fatalf("merged push err = %v (one inner closed)", c.Err)
 	}
 }
-
-func TestCompleterOutstanding(t *testing.T) {
-	c := NewCompleter()
-	if c.Outstanding() != 0 {
-		t.Fatal("fresh completer has tokens")
-	}
-	qt, done := c.NewToken()
-	if c.Outstanding() != 1 {
-		t.Fatalf("Outstanding = %d", c.Outstanding())
-	}
-	done(Completion{})
-	c.TryWait(qt)
-	if c.Outstanding() != 0 {
-		t.Fatalf("Outstanding after consume = %d", c.Outstanding())
-	}
-}

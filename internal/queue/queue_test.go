@@ -2,10 +2,8 @@ package queue
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
@@ -118,129 +116,6 @@ func TestMemQueueClose(t *testing.T) {
 	if !errors.Is(pc.Err, ErrClosed) {
 		t.Fatalf("push after close err = %v", pc.Err)
 	}
-}
-
-// --- completer ---
-
-func TestCompleterTryWait(t *testing.T) {
-	c := NewCompleter()
-	qt, done := c.NewToken()
-	if _, ok, err := c.TryWait(qt); ok || err != nil {
-		t.Fatal("token completed before done")
-	}
-	done(Completion{Kind: OpPop, Cost: 5})
-	comp, ok, err := c.TryWait(qt)
-	if !ok || err != nil {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-	if comp.Token != qt || comp.Cost != 5 {
-		t.Fatalf("comp = %+v", comp)
-	}
-	// Consumed: a second wait is an error.
-	if _, _, err := c.TryWait(qt); !errors.Is(err, ErrUnknownToken) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestCompleterTokensUnique(t *testing.T) {
-	c := NewCompleter()
-	seen := make(map[QToken]bool)
-	for i := 0; i < 1000; i++ {
-		qt, _ := c.NewToken()
-		if seen[qt] {
-			t.Fatalf("token %d reused", qt)
-		}
-		seen[qt] = true
-	}
-}
-
-func TestCompleterWaitChanExactlyOneWaiter(t *testing.T) {
-	c := NewCompleter()
-	qt, done := c.NewToken()
-	ch, err := c.WaitChan(qt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A second subscriber must be rejected: one waiter per token (§4.4).
-	if _, err := c.WaitChan(qt); !errors.Is(err, ErrTokenClaimed) {
-		t.Fatalf("second waiter err = %v", err)
-	}
-	done(Completion{Kind: OpPop})
-	select {
-	case comp := <-ch:
-		if comp.Token != qt {
-			t.Fatalf("comp = %+v", comp)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("waiter never woken")
-	}
-	if c.Wakeups() != 1 {
-		t.Fatalf("Wakeups = %d", c.Wakeups())
-	}
-}
-
-func TestCompleterWaitChanAfterCompletion(t *testing.T) {
-	c := NewCompleter()
-	qt, done := c.NewToken()
-	done(Completion{Kind: OpPush})
-	ch, err := c.WaitChan(qt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch:
-	case <-time.After(time.Second):
-		t.Fatal("already-complete token not delivered")
-	}
-}
-
-func TestCompleterNoWastedWakeups(t *testing.T) {
-	// N goroutines each wait on their own token; M < N completions
-	// arrive. Exactly M goroutines wake; the rest stay blocked. This is
-	// the §4.4 property the E5 experiment quantifies against epoll.
-	c := NewCompleter()
-	const n, m = 8, 3
-	var tokens []QToken
-	var dones []DoneFunc
-	for i := 0; i < n; i++ {
-		qt, done := c.NewToken()
-		tokens = append(tokens, qt)
-		dones = append(dones, done)
-	}
-	var woken atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		ch, err := c.WaitChan(tokens[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(ch <-chan Completion) {
-			defer wg.Done()
-			if _, ok := <-ch; ok {
-				woken.Add(1)
-			}
-		}(ch)
-	}
-	for i := 0; i < m; i++ {
-		dones[i](Completion{Kind: OpPop})
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for woken.Load() < m && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond) // would-be stragglers
-	if woken.Load() != m {
-		t.Fatalf("woken = %d, want exactly %d", woken.Load(), m)
-	}
-	if c.Wakeups() != m {
-		t.Fatalf("Wakeups = %d, want %d", c.Wakeups(), m)
-	}
-	// Release the rest so the test exits cleanly.
-	for i := m; i < n; i++ {
-		dones[i](Completion{Kind: OpPop})
-	}
-	wg.Wait()
 }
 
 // --- composition ---

@@ -1,28 +1,37 @@
-// Package uring is the completion ring of the batched submission path: a
-// slab of in-flight operation states and a completion queue the libOS
-// posts into and the application harvests, after io_uring's CQ. There is
-// no submission queue. The paper's libOS is linked into the application
-// (§3.2, §4.4), so submitting is a function call (core.LibOS.SubmitBatch)
-// that arms one slab slot per SQE and stages the operation on its queue
-// at once; a ring of SQEs between the two would avoid no crossing and
-// only defer the work to the next poll. What the ring buys is on the way
-// back: completions arrive tagged, in one harvest per batch, without a
-// qtoken per operation or a token table to probe, and without
-// allocating — a slot's completion closure is bound once, when the slab
-// grows.
+// Package uring is the libOS's one completion mechanism: a slab of
+// in-flight operation states, and a completion queue the libOS posts into
+// and the application harvests, after io_uring's CQ. Every operation
+// arms one slab slot, and how its completion comes back depends on how
+// the slot was armed:
 //
-// Concurrency contract. One mutex guards the slab and the CQ: whichever
-// goroutine pumps the stack completes operations, the application arms
-// and harvests, and a crash flush (Reset) rewrites what is pending, each
-// under it; Harvest takes it once per call. A pair belongs to one
-// application thread all the same, because whoever harvests gets every
-// completion: give each thread its own.
+//   - tagged (ArmBatch, the batched submission path): the completion is
+//     posted to the CQ under the operation's tag, and harvested in bulk;
+//   - by token (ArmToken, the paper's Push/Pop/Wait): the completion stays
+//     in the slot, and the qtoken — generation<<32 | slot — reads it there
+//     (TryWait, WaitChan, an any-of subscription).
+//
+// There is no submission queue. The paper's libOS is linked into the
+// application (§3.2, §4.4), so submitting is a function call
+// (core.LibOS.SubmitBatch) that arms one slot per SQE and stages the
+// operation on its queue at once; a ring of SQEs between the two would
+// avoid no crossing and only defer the work to the next poll. Nor is there
+// a token table: a qtoken names its slot, and the slot's generation,
+// bumped on every release, is what makes a consumed or stale token read
+// queue.ErrUnknownToken. Neither face allocates: a slot's completion
+// closure is bound once, when the slab grows.
+//
+// Concurrency contract. One mutex guards the slab, the CQ and the waiter
+// state: whichever goroutine pumps the stack completes operations, the
+// application arms, waits and harvests, and a crash flush (Reset)
+// rewrites what is pending, each under it. Whoever harvests gets every
+// tagged completion, so a pair's CQ belongs to one application thread;
+// tokens are consumed one by one, so any number of threads may wait on
+// tokens of one pair.
 //
 // No bound. The slab and the CQ grow by doubling, so a pair holds as
-// many operations as its application submitted, which is the guarantee
-// the qtoken table gives; capacity is where the slab starts. Neither
-// shrinks, and both stop growing at the application's own high-water
-// mark.
+// many operations as its application submitted; capacity is where the
+// slab starts. Neither shrinks, and both stop growing at the
+// application's own high-water mark.
 package uring
 
 import (
@@ -62,7 +71,7 @@ type CQE struct {
 	Cost simclock.Lat
 
 	// Span attribution, carried through the ring so issue→consume spans
-	// survive without the completer's token sidecar.
+	// survive the trip.
 	qd              int32
 	issueNS, doneNS int64
 }
@@ -72,26 +81,53 @@ type CQE struct {
 // nothing, and a slot is reached only through pointers, so growth moves
 // none.
 type opState struct {
-	armed   bool
-	tag     uint64
-	qd      int32
-	issueNS int64
-	done    queue.DoneFunc
+	slot uint32 // index in Pair.slots, fixed
+	gen  uint32 // bumped on every release; never 0
+	// armed is set from arming to completion. A token slot stays taken
+	// after that, holding comp, until its token is consumed.
+	armed bool
+	token bool
+
+	tag             uint64
+	qd              int32
+	issueNS, doneNS int64
+	done            queue.DoneFunc
+
+	// Token face: the completion, the one blocking waiter (WaitChan) and
+	// the one any-of subscription (SubscribeAny) with the index it notes.
+	comp   queue.Completion
+	ch     chan queue.Completion
+	any    *AnyWaiter
+	anyIdx int
 }
+
+// qtoken is the token naming the slot's current use.
+func (st *opState) qtoken() queue.QToken {
+	return queue.QToken(uint64(st.gen)<<32 | uint64(st.slot))
+}
+
+// AnyWaiter is one any-of subscription over token slots: each subscribed
+// slot notes its index here when it completes, so a waiter does O(1) work
+// per completion instead of rescanning its tokens. The pair's lock guards
+// it.
+type AnyWaiter struct{ ready []int }
 
 // batchBuckets are the upper bounds of the submit-size histogram; the
 // last bucket is unbounded.
 var batchBuckets = [...]int64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// Pair is one application thread's ring on one libOS (the name is from
-// the SQ/CQ pair it once was).
+// Pair is one ring on one libOS (the name is from the SQ/CQ pair it once
+// was).
 type Pair struct {
-	mu   sync.Mutex
-	free []*opState // released slots, LIFO for cache warmth
-	slab int        // slots allocated
+	mu    sync.Mutex
+	slots []*opState // by slot number
+	free  []*opState // released slots, LIFO for cache warmth
 	// armed is ArmBatch's result, reused from call to call.
 	armed []queue.DoneFunc
 	cq    fifo.Queue[CQE]
+	// tokens counts token slots taken; wakeups the WaitChan deliveries.
+	tokens  int64
+	wakeups int64
 
 	spans *telemetry.SpanTable
 
@@ -119,26 +155,57 @@ func (p *Pair) Reserve(n int) {
 }
 
 func (p *Pair) reserveLocked(n int) {
-	if n <= p.slab {
+	if n <= len(p.slots) {
 		return
 	}
-	chunk := make([]opState, n-p.slab)
+	chunk := make([]opState, n-len(p.slots))
 	for i := range chunk {
 		st := &chunk[i]
+		st.slot = uint32(len(p.slots))
+		st.gen = 1
 		st.done = func(c queue.Completion) { p.complete(st, c) }
+		p.slots = append(p.slots, st)
 		p.free = append(p.free, st)
 	}
-	p.slab = n
+}
+
+// takeLocked arms a free slot, growing the slab when none is left.
+func (p *Pair) takeLocked() *opState {
+	if len(p.free) == 0 {
+		p.reserveLocked(max(2*len(p.slots), 1))
+	}
+	st := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	st.armed = true
+	return st
+}
+
+// releaseLocked returns a slot to the free list under a new generation,
+// which retires every token that named its last use.
+func (p *Pair) releaseLocked(st *opState) {
+	if st.token {
+		p.tokens--
+		st.token = false
+		st.comp, st.ch, st.any = queue.Completion{}, nil, nil
+	}
+	if st.gen++; st.gen == 0 {
+		st.gen = 1
+	}
+	st.armed = false
+	p.free = append(p.free, st)
 }
 
 // SetSpans attaches a span table; while it is enabled, operations are
-// stamped at issue/done/consume and recorded at harvest.
+// stamped at issue/done/consume and recorded when they are consumed.
 func (p *Pair) SetSpans(t *telemetry.SpanTable) { p.spans = t }
 
-// Arm acquires a slot for one SQE and returns the DoneFunc to hand to
-// its IoQueue: ArmBatch of one.
-func (p *Pair) Arm(e *SQE) queue.DoneFunc {
-	return p.ArmBatch([]SQE{*e})[0]
+// stamp is the issue time of an operation armed now: zero while spans are
+// off, which is what marks it as not traced.
+func (p *Pair) stamp() int64 {
+	if p.spans != nil && p.spans.Enabled() {
+		return time.Now().UnixNano()
+	}
+	return 0
 }
 
 // ArmBatch acquires a slot for each SQE of a submission under one hold of
@@ -147,19 +214,11 @@ func (p *Pair) Arm(e *SQE) queue.DoneFunc {
 // thread is the only submitter. The submit call counts its batch once,
 // with Submitted.
 func (p *Pair) ArmBatch(es []SQE) []queue.DoneFunc {
-	var now int64
-	if p.spans != nil && p.spans.Enabled() {
-		now = time.Now().UnixNano()
-	}
+	now := p.stamp()
 	p.mu.Lock()
-	if short := len(es) - len(p.free); short > 0 {
-		p.reserveLocked(max(2*p.slab, p.slab+short))
-	}
 	dones := p.armed[:0]
 	for i := range es {
-		st := p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
-		st.armed = true
+		st := p.takeLocked()
 		st.tag = es[i].Tag
 		st.qd = es[i].QD
 		st.issueNS = now
@@ -168,6 +227,22 @@ func (p *Pair) ArmBatch(es []SQE) []queue.DoneFunc {
 	p.armed = dones
 	p.mu.Unlock()
 	return dones
+}
+
+// ArmToken acquires a slot for one operation on queue descriptor qd whose
+// completion stays in the slot, and returns the qtoken that reads it and
+// the DoneFunc to hand to its IoQueue.
+func (p *Pair) ArmToken(qd int32) (queue.QToken, queue.DoneFunc) {
+	now := p.stamp()
+	p.mu.Lock()
+	st := p.takeLocked()
+	st.token = true
+	st.qd = qd
+	st.issueNS = now
+	p.tokens++
+	qt := st.qtoken()
+	p.mu.Unlock()
+	return qt, st.done
 }
 
 // Submitted counts one submit call that armed n operations.
@@ -180,10 +255,11 @@ func (p *Pair) Submitted(n int) {
 	p.submitBatch[i].Add(1)
 }
 
-// complete is the target of every slab DoneFunc: it converts the
-// operation's completion into a CQE, releases the slab slot, and posts
-// to the CQ. A slot that is no longer armed (stale double-completion)
-// is dropped and its payload freed.
+// complete is the target of every slab DoneFunc. A tagged operation's
+// completion becomes a CQE and its slot is released; a token operation's
+// stays in the slot for its token, or goes straight to the waiter blocked
+// on it. A slot that is no longer armed (a stale double completion) drops
+// the completion and frees its payload.
 func (p *Pair) complete(st *opState, c queue.Completion) {
 	p.mu.Lock()
 	if !st.armed {
@@ -192,6 +268,29 @@ func (p *Pair) complete(st *opState, c queue.Completion) {
 		return
 	}
 	st.armed = false
+	if st.issueNS != 0 {
+		st.doneNS = time.Now().UnixNano()
+	}
+	if st.token {
+		c.Token = st.qtoken()
+		st.comp = c
+		if ch := st.ch; ch != nil {
+			// Exactly this one waiter wakes, and delivery is its consume.
+			// The channel has room for the one completion a token gets,
+			// so the send, outside the lock, cannot block.
+			comp, rec := p.consumeLocked(st)
+			p.wakeups++
+			p.mu.Unlock()
+			p.record(rec)
+			ch <- comp
+			return
+		}
+		if w := st.any; w != nil {
+			w.ready = append(w.ready, st.anyIdx)
+		}
+		p.mu.Unlock()
+		return
+	}
 	cqe := CQE{
 		Tag:     st.tag,
 		Kind:    c.Kind,
@@ -200,14 +299,153 @@ func (p *Pair) complete(st *opState, c queue.Completion) {
 		Cost:    c.Cost,
 		qd:      st.qd,
 		issueNS: st.issueNS,
+		doneNS:  st.doneNS,
 	}
-	if st.issueNS != 0 {
-		cqe.doneNS = time.Now().UnixNano()
-	}
-	p.free = append(p.free, st)
+	p.releaseLocked(st)
 	p.cq.Push(cqe)
 	p.mu.Unlock()
 	p.cqPosted.Add(1)
+}
+
+// lookupLocked resolves a qtoken to its slot: nil unless the slot's
+// current use is the token operation qt names.
+func (p *Pair) lookupLocked(qt queue.QToken) *opState {
+	i := uint64(qt) & 0xffffffff
+	if i >= uint64(len(p.slots)) {
+		return nil
+	}
+	if st := p.slots[i]; st.token && st.qtoken() == qt {
+		return st
+	}
+	return nil
+}
+
+// consumeLocked takes a completed token operation's completion out of its
+// slot and releases the slot, returning the span to record, if any.
+func (p *Pair) consumeLocked(st *opState) (queue.Completion, telemetry.SpanRecord) {
+	c := st.comp
+	var rec telemetry.SpanRecord
+	if st.issueNS != 0 {
+		rec = telemetry.SpanRecord{
+			QD:       st.qd,
+			Kind:     int(c.Kind),
+			Err:      c.Err != nil,
+			IssueNS:  st.issueNS,
+			SubmitNS: st.issueNS,
+			DoneNS:   st.doneNS,
+			VirtCost: c.Cost,
+		}
+	}
+	p.releaseLocked(st)
+	return c, rec
+}
+
+// record files a consumed token operation's span; outside the pair's lock,
+// because it reads the clock and takes the span table's.
+func (p *Pair) record(rec telemetry.SpanRecord) {
+	if rec.IssueNS == 0 || !p.spans.Enabled() {
+		return
+	}
+	rec.ConsumeNS = time.Now().UnixNano()
+	p.spans.Record(rec)
+}
+
+// TryWait returns qt's completion if it has arrived, consuming the token;
+// ok is false while the operation is outstanding. A token that was never
+// issued, or was already consumed, is queue.ErrUnknownToken.
+func (p *Pair) TryWait(qt queue.QToken) (queue.Completion, bool, error) {
+	p.mu.Lock()
+	st := p.lookupLocked(qt)
+	switch {
+	case st == nil:
+		p.mu.Unlock()
+		return queue.Completion{}, false, queue.ErrUnknownToken
+	case st.armed:
+		p.mu.Unlock()
+		return queue.Completion{}, false, nil
+	}
+	c, rec := p.consumeLocked(st)
+	p.mu.Unlock()
+	p.record(rec)
+	return c, true, nil
+}
+
+// WaitChan subscribes the calling thread to qt's completion. The channel
+// receives exactly one Completion, and the token is consumed at delivery.
+// Only one waiter may subscribe per token (queue.ErrTokenClaimed) — the
+// abstraction that removes epoll's thundering herd. If the completion has
+// already arrived, it is delivered through the channel at once.
+func (p *Pair) WaitChan(qt queue.QToken) (<-chan queue.Completion, error) {
+	p.mu.Lock()
+	st := p.lookupLocked(qt)
+	switch {
+	case st == nil:
+		p.mu.Unlock()
+		return nil, queue.ErrUnknownToken
+	case st.ch != nil:
+		p.mu.Unlock()
+		return nil, queue.ErrTokenClaimed
+	}
+	ch := make(chan queue.Completion, 1)
+	if st.armed {
+		st.ch = ch
+		p.mu.Unlock()
+		return ch, nil
+	}
+	c, rec := p.consumeLocked(st)
+	p.wakeups++
+	p.mu.Unlock()
+	p.record(rec)
+	ch <- c
+	return ch, nil
+}
+
+// SubscribeAny attaches w to qts in order, each under its index: a
+// token's completion notes its index on w for TakeAny, without consuming
+// the token. It stops at the first token that is unknown (the error) or
+// has already completed, for which no note will come, and returns how
+// many it attached: len(qts) when it attached them all. A token carries
+// one subscription at a time.
+func (p *Pair) SubscribeAny(w *AnyWaiter, qts []queue.QToken) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, qt := range qts {
+		st := p.lookupLocked(qt)
+		if st == nil {
+			return i, queue.ErrUnknownToken
+		}
+		if !st.armed {
+			return i, nil
+		}
+		st.any, st.anyIdx = w, i
+	}
+	return len(qts), nil
+}
+
+// UnsubscribeAny detaches w from each of qts that is still live and still
+// subscribed to it.
+func (p *Pair) UnsubscribeAny(w *AnyWaiter, qts []queue.QToken) {
+	p.mu.Lock()
+	for _, qt := range qts {
+		if st := p.lookupLocked(qt); st != nil && st.any == w {
+			st.any = nil
+		}
+	}
+	p.mu.Unlock()
+}
+
+// TakeAny returns the index of one subscription that has completed since
+// the last call, oldest first; ok is false when none has. The token it
+// names may have been consumed by another waiter since.
+func (p *Pair) TakeAny(w *AnyWaiter) (i int, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(w.ready) == 0 {
+		return 0, false
+	}
+	i = w.ready[0]
+	w.ready = w.ready[1:]
+	return i, true
 }
 
 // Harvest pops up to len(dst) completions, oldest first.
@@ -281,6 +519,9 @@ type Counters struct {
 	Outstanding, CQOccupancy int64
 	// Slab and CQCap are the storage the pair has grown to.
 	Slab, CQCap int64
+	// Tokens is token operations armed and not yet consumed; Wakeups is
+	// blocking waiters woken, each with its completion.
+	Tokens, Wakeups int64
 	// SubmitBatch is the submit-size histogram (BatchBucketNames).
 	SubmitBatch [len(batchBuckets) + 1]int64
 }
@@ -290,7 +531,9 @@ func (p *Pair) CountersSnapshot() (c Counters) {
 	p.mu.Lock()
 	c.CQOccupancy = int64(p.cq.Len())
 	c.CQCap = int64(p.cq.Cap())
-	c.Slab = int64(p.slab)
+	c.Slab = int64(len(p.slots))
+	c.Tokens = p.tokens
+	c.Wakeups = p.wakeups
 	p.mu.Unlock()
 	c.Submitted = p.submitted.Load()
 	c.CQPosted = p.cqPosted.Load()

@@ -140,7 +140,7 @@ func TestPairResetFlushesBothRings(t *testing.T) {
 	// ...and two ops in flight, which the transport fails with the crash
 	// error before the flush.
 	for _, tag := range []uint64{2, 3} {
-		done := p.Arm(&SQE{Op: queue.OpPop, QD: 1, Tag: tag})
+		done := p.ArmBatch([]SQE{{Op: queue.OpPop, QD: 1, Tag: tag}})[0]
 		done(queue.Completion{Kind: queue.OpPop, Err: boom})
 	}
 	p.Submitted(2)
@@ -185,7 +185,7 @@ func TestPairResetFlushesBothRings(t *testing.T) {
 
 func TestPairDoubleCompletionDropped(t *testing.T) {
 	p := NewPair(4)
-	done := p.Arm(&SQE{Op: queue.OpPop, QD: 1, Tag: 7})
+	done := p.ArmBatch([]SQE{{Op: queue.OpPop, QD: 1, Tag: 7}})[0]
 	done(queue.Completion{Kind: queue.OpPop, SGA: payload("a")})
 	done(queue.Completion{Kind: queue.OpPop, SGA: payload("stale")})
 	if got := p.cqPosted.Load(); got != 1 {
@@ -222,5 +222,98 @@ func TestPairTelemetryAndSpans(t *testing.T) {
 	sums := spans.Summaries()
 	if len(sums) != 1 || sums[0].QD != 5 || sums[0].Ops != 1 {
 		t.Fatalf("span summaries = %+v, want one op on qd 5", sums)
+	}
+}
+
+// TestPairTokenStaleConsumedReissued: a token reads its slot only while
+// the slot's current use is the operation it named. A token never issued,
+// one already consumed, and one whose slot has since been reissued — to
+// another token or to a tagged operation — are all ErrUnknownToken, on
+// every face that takes a token.
+func TestPairTokenStaleConsumedReissued(t *testing.T) {
+	p := NewPair(1)
+	unknown := func(what string, qt queue.QToken) {
+		t.Helper()
+		if _, _, err := p.TryWait(qt); !errors.Is(err, queue.ErrUnknownToken) {
+			t.Fatalf("%s: TryWait err = %v", what, err)
+		}
+		if _, err := p.WaitChan(qt); !errors.Is(err, queue.ErrUnknownToken) {
+			t.Fatalf("%s: WaitChan err = %v", what, err)
+		}
+		if _, err := p.SubscribeAny(&AnyWaiter{}, []queue.QToken{qt}); !errors.Is(err, queue.ErrUnknownToken) {
+			t.Fatalf("%s: SubscribeAny err = %v", what, err)
+		}
+	}
+	unknown("zero", 0)
+	unknown("slot past the slab", 1<<32|7)
+
+	first, done := p.ArmToken(1)
+	unknown("right slot, wrong generation", first+1<<32)
+	done(queue.Completion{Kind: queue.OpPop})
+	if _, ok, err := p.TryWait(first); !ok || err != nil {
+		t.Fatalf("TryWait: ok=%v err=%v", ok, err)
+	}
+	unknown("consumed", first)
+
+	second, done := p.ArmToken(1)
+	if second&0xffffffff != first&0xffffffff || second == first {
+		t.Fatalf("one-slot pair issued %#x after %#x: want the same slot, a new generation", second, first)
+	}
+	unknown("slot reissued to a token", first)
+	done(queue.Completion{Kind: queue.OpPop})
+	unknown("slot reissued to a token, completed", first)
+	if _, ok, err := p.TryWait(second); !ok || err != nil {
+		t.Fatalf("TryWait(second): ok=%v err=%v", ok, err)
+	}
+
+	tagged := p.ArmBatch([]SQE{{Op: queue.OpPop, QD: 1, Tag: 5}})[0]
+	unknown("slot reissued to a tag", second)
+	tagged(queue.Completion{Kind: queue.OpPop})
+	var cqes [2]CQE
+	if n := p.Harvest(cqes[:]); n != 1 || cqes[0].Tag != 5 {
+		t.Fatalf("Harvest = %d tag %d, want 1 tag 5", n, cqes[0].Tag)
+	}
+	unknown("slot reissued to a tag, harvested", second)
+	if c := p.CountersSnapshot(); c.Tokens != 0 || c.Slab != 1 {
+		t.Fatalf("tokens %d, slab %d; want 0, 1", c.Tokens, c.Slab)
+	}
+}
+
+// TestPairTokensAndTagsShareSlab interleaves token and tagged operations on
+// one slab: a token's completion stays in its slot and never reaches the
+// CQ, a tag's reaches only the CQ, the CQ counters count tagged operations
+// alone, and both kinds reuse the same slots.
+func TestPairTokensAndTagsShareSlab(t *testing.T) {
+	p := NewPair(2)
+	mq := queue.NewMemQueue(0)
+	var cqes [8]CQE
+	for round := 0; round < 100; round++ {
+		popQT, popDone := p.ArmToken(1)
+		mq.Pop(popDone)
+		submit(t, p, mq, SQE{Op: queue.OpPush, QD: 1, Tag: uint64(round), SGA: payload("tagged")})
+		submit(t, p, mq, SQE{Op: queue.OpPop, QD: 1, Tag: 1 << 40})
+		pushQT, pushDone := p.ArmToken(1)
+		mq.Push(payload("token"), 0, pushDone)
+
+		if n := p.Harvest(cqes[:]); n != 2 || cqes[0].Tag != uint64(round) || cqes[1].Tag != 1<<40 {
+			t.Fatalf("round %d: harvested %d CQEs %+v, want the two tagged ones", round, n, cqes[:n])
+		}
+		if got := string(cqes[1].SGA.Segments[0].Buf); got != "token" {
+			t.Fatalf("round %d: tagged pop got %q, want the token push's element", round, got)
+		}
+		c, ok, err := p.TryWait(popQT)
+		if !ok || err != nil || string(c.SGA.Segments[0].Buf) != "tagged" {
+			t.Fatalf("round %d: token pop ok=%v err=%v comp=%+v", round, ok, err, c)
+		}
+		if _, ok, err := p.TryWait(pushQT); !ok || err != nil {
+			t.Fatalf("round %d: token push ok=%v err=%v", round, ok, err)
+		}
+	}
+	c := p.CountersSnapshot()
+	if c.Tokens != 0 || c.Outstanding != 0 || c.CQPosted != 200 || c.Submitted != 200 {
+		t.Fatalf("counters = %+v; want no token or tag outstanding and 200 tagged CQEs", c)
+	}
+	if c.Slab != 4 {
+		t.Fatalf("slab grew to %d for at most 3 operations in flight at once", c.Slab)
 	}
 }

@@ -12,38 +12,22 @@ import (
 	"testing"
 
 	"demikernel/internal/queue"
-	"demikernel/internal/sched"
 	"demikernel/internal/sga"
 	"demikernel/internal/uring"
 )
 
-// BenchmarkHotPath_Completer measures one token round trip through the
-// sharded completer: NewToken → complete → TryWait.
+// BenchmarkHotPath_Completer measures one qtoken round trip through a
+// ring's token face: ArmToken → complete → TryWait.
 func BenchmarkHotPath_Completer(b *testing.B) {
-	comp := queue.NewCompleter()
+	p := uring.NewPair(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		qt, done := comp.NewToken()
+		qt, done := p.ArmToken(0)
 		done(queue.Completion{Kind: queue.OpPop})
-		if _, ok, err := comp.TryWait(qt); !ok || err != nil {
+		if _, ok, err := p.TryWait(qt); !ok || err != nil {
 			b.Fatal("token did not complete")
 		}
-	}
-}
-
-// BenchmarkHotPath_EventLoopTick measures an idle EventLoop tick over a
-// connected pair: ready-list dispatch means an idle tick does no
-// per-token probing.
-func BenchmarkHotPath_EventLoopTick(b *testing.B) {
-	cli, _, _, _, cleanup := hotPathPair(b)
-	defer cleanup()
-	el := sched.New(cli)
-	el.Tick()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		el.Tick()
 	}
 }
 
