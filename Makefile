@@ -6,7 +6,7 @@ all: tier1
 
 # What the soak targets select, named once so that runcheck verifies
 # exactly the patterns and package lists the targets run.
-RACE_PKGS       := ./internal/chaos/ ./internal/netstack/ ./internal/membuf/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/
+RACE_PKGS       := ./internal/chaos/ ./internal/netstack/ ./internal/fabric/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/
 RACE_RUN        := TestChaosShardedKV
 LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestNodeShapesShareLifecycle|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush|TestRingServerManyConns
 TENANT_RUN      := TestHostileTenantSoak|TestTenantCrashSparesNeighbors
@@ -20,7 +20,7 @@ BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/ ./internal/libos/catn
 
 ## tier1: the gate every PR must keep green — vet, build, full test
 ## suite, a short -race pass over the concurrency-heavy packages
-## (the chaos engine, the user TCP stack, the pinned-memory allocator,
+## (the chaos engine, the user TCP stack, the frame pool and its SGA headers,
 ## the telemetry instruments, the queues and their qtokens, the cross-shard
 ## SPSC mesh, the sharded KV workers, the failover backoff machinery,
 ## and the simulated drift clock), a counter-consistency smoke

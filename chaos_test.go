@@ -83,6 +83,7 @@ func TestChaosSoakKV(t *testing.T) {
 
 func chaosSoakNet(t *testing.T, flavor string) {
 	c := NewCluster(42)
+	pooled := fabric.DefaultFramePool.Outstanding() // what earlier tests left
 	var srvNode, cliNode *Node
 	waitTimeout := 200 * time.Millisecond
 	switch flavor {
@@ -210,6 +211,13 @@ func chaosSoakNet(t *testing.T, flavor string) {
 	case "catnip":
 		if cliNode.Catnip.Stack().Stats().GiveUps == 0 {
 			t.Fatal("the TCP stack never declared the peer dead")
+		}
+		// No buffer leaked through the faults: at rest both nodes' frame
+		// pool (a set of one draws on the process-wide one) holds the values
+		// the store keeps and nothing else.
+		c.Quiesce(50 * time.Millisecond)
+		if out := fabric.DefaultFramePool.Outstanding() - pooled; out != int64(srv.Len()) {
+			t.Fatalf("%d pool buffers out at rest, %d values stored", out, srv.Len())
 		}
 	case "catmint":
 		if cliNode.Catmint.Reconnects() == 0 {

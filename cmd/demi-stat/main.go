@@ -5,7 +5,7 @@
 // telemetry registry, qtoken span tables, and event tracer saw:
 //
 //   - a before/after diff of every registered counter (fabric, NIC,
-//     netstack, membuf, frame pool, qtokens),
+//     netstack, frame pool, qtokens),
 //   - per-queue-descriptor push/pop latency percentiles from the qtoken
 //     span tables on both sides of the connection,
 //   - optionally (-trace) a chrome://tracing JSON timeline of device and

@@ -85,7 +85,7 @@ type (
 	Lat = simclock.Lat
 	// TenantID names one tenant sharing a NIC (see WithTenant).
 	TenantID = tenant.ID
-	// TenantPolicy is a tenant's resource contract: frame/memory quotas,
+	// TenantPolicy is a tenant's resource contract: frame quotas,
 	// TX weight and rate limit, and steering bounds (see WithTenant).
 	TenantPolicy = tenant.Policy
 )
@@ -302,7 +302,7 @@ func WithShardCapacity(cap int) SpawnOption {
 }
 
 // WithTelemetry registers the node's whole vertical (NIC, stack(s),
-// membuf, lifecycle counters) in reg under "host<N>" as it is spawned
+// lifecycle counters) in reg under "host<N>" as it is spawned
 // (Node.RegisterTelemetry).
 func WithTelemetry(reg *telemetry.Registry) SpawnOption {
 	return func(s *spawnSpec) { s.reg = reg }
@@ -404,7 +404,6 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 				return nil, err
 			}
 			n.Tenant = ten
-			ccfg.MemCapacity = ten.Policy.MemBytes
 			// Every frame pool this tenant's shards create is tagged with
 			// the tenant ID (so misuse panics name the culprit) and
 			// charged against the tenant's ledger (so a leak exhausts the
@@ -588,8 +587,8 @@ func (c *Cluster) Observe(reg *telemetry.Registry) (report func() string) {
 
 // ShardedNode is the catnip shard set of a node as a dialer sees it: one
 // NIC (with one RSS receive queue per shard), one MAC, one IP — and one
-// fully independent libOS per shard, each owning one queue, one netstack,
-// one memory manager, and one frame pool. Libs[i] is shard i's complete
+// fully independent libOS per shard, each owning one queue, one netstack and
+// one frame pool. Libs[i] is shard i's complete
 // Demikernel syscall surface (Node.Libs() returns the same slice); the
 // Mesh carries the rare cross-shard traffic.
 type ShardedNode struct {

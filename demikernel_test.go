@@ -426,18 +426,18 @@ func TestWaitChanExactlyOneWaiter(t *testing.T) {
 
 func TestAllocSGAFreeProtection(t *testing.T) {
 	c := NewCluster(16)
-	n := c.MustSpawn(Catnip, WithHost(1))
+	// A tenant node: its frame pool is its own, so its count is this test's.
+	n := c.MustSpawn(Catnip, WithHost(1), WithTenant("t", TenantPolicy{}))
 	s := n.AllocSGA(128)
 	if s.Len() != 128 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	stats := n.Catnip.Memory().Stats()
-	if stats.Allocs != 1 {
-		t.Fatalf("allocs = %d", stats.Allocs)
+	if got := n.Catnip.Pool().Outstanding(); got != 1 {
+		t.Fatalf("pool buffers out = %d, want 1", got)
 	}
 	s.Free()
-	if got := n.Catnip.Memory().Stats().LiveBuffers; got != 0 {
-		t.Fatalf("live buffers = %d", got)
+	if got := n.Catnip.Pool().Outstanding(); got != 0 {
+		t.Fatalf("pool buffers out = %d after Free", got)
 	}
 }
 

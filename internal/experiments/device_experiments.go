@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 
 	demi "demikernel"
 	"demikernel/internal/fabric"
-	"demikernel/internal/membuf"
 	"demikernel/internal/metrics"
 	"demikernel/internal/nic"
 	"demikernel/internal/offload"
@@ -96,37 +96,71 @@ func runE7(seed int64) (*Result, error) {
 	tbl.AddRow("libOS regions (catmint pool)", poolRegs, poolCost, poolPinned)
 	res.Tables = append(res.Tables, tbl)
 
-	// Free-protection: the app frees while the device holds the buffer.
-	mem := membuf.NewManager(&model)
-	violations := 0
-	for i := 0; i < nMessages; i++ {
-		b := mem.Alloc(msgSize)
-		b.HoldForIO() // device starts DMA
-		b.Free()      // application frees immediately (§4.5 allows this)
-		// The "device" touches the buffer after the app free; if the
-		// allocator recycled it, another alloc could alias it.
-		probe := mem.Alloc(msgSize)
-		if &probe.Bytes()[0] == &b.Bytes()[0] {
-			violations++
-		}
-		probe.Free()
-		b.ReleaseFromIO() // device completes; now it recycles
+	// Free-protection, on a catnip node's AllocSGA.
+	deferred, violations, err := freeWhileQueued(seed, nMessages, msgSize)
+	if err != nil {
+		return nil, err
 	}
-	st := mem.Stats()
 	tbl2 := metrics.NewTable("E7b: free-protection for in-flight buffers",
 		"metric", "value")
 	tbl2.AddRow("app frees while in flight", nMessages)
-	tbl2.AddRow("deferred deallocations", st.DeferredFrees)
+	tbl2.AddRow("deferred deallocations", deferred)
 	tbl2.AddRow("use-after-free aliasing violations", violations)
 	res.Tables = append(res.Tables, tbl2)
 
 	res.check("libOS registration is amortised (>=64x fewer registrations)",
 		rawStats.Registrations >= 64*poolRegs,
 		"explicit=%d pooled=%d", rawStats.Registrations, poolRegs)
-	res.check("every early free was deferred", st.DeferredFrees == nMessages,
-		"deferred=%d", st.DeferredFrees)
+	res.check("every early free was deferred", deferred == nMessages,
+		"deferred=%d", deferred)
 	res.check("no in-flight buffer was recycled", violations == 0, "violations=%d", violations)
 	return res, nil
+}
+
+// freeWhileQueued pushes n buffers of size bytes from a catnip node's
+// AllocSGA behind a push its send buffer cannot take whole, so that each
+// waits in the send queue, and frees each at once (§4.5 allows this). A
+// free is deferred when the buffer stays out of the node's frame pool; a
+// violation is a fresh AllocSGA handed a buffer that is still queued. The
+// node is a tenant, so that the pool it reads is its own.
+func freeWhileQueued(seed int64, n, size int) (deferred, violations int, err error) {
+	c := demi.NewCluster(seed)
+	srv := c.MustSpawn(demi.Catnip, demi.WithHost(1))
+	cli := c.MustSpawn(demi.Catnip, demi.WithHost(2), demi.WithTenant("e7", demi.TenantPolicy{}))
+	stop := srv.Background()
+	defer stop()
+	lqd, _ := srv.Socket() // catnip sockets do not fail
+	cqd, _ := cli.Socket()
+	err = errors.Join(srv.Bind(lqd, demi.Addr{Port: 7}), srv.Listen(lqd))
+	if err == nil {
+		err = cli.Connect(cqd, c.AddrOf(srv, 7))
+	}
+	if err == nil {
+		_, err = cli.Push(cqd, demi.NewSGA(make([]byte, 400_000))) // over the 256 KiB send buffer
+	}
+	if err != nil {
+		return 0, 0, err
+	}
+	pool := cli.Catnip.Pool()
+	queued := map[*byte]bool{}
+	for i := 0; i < n; i++ {
+		s := cli.AllocSGA(size)
+		queued[&s.Segments[0].Buf[0]] = true
+		if _, err := cli.Push(cqd, s); err != nil {
+			return 0, 0, err
+		}
+		out := pool.Outstanding()
+		s.Free()
+		if pool.Outstanding() == out {
+			deferred++
+		}
+		probe := cli.AllocSGA(size)
+		if queued[&probe.Segments[0].Buf[0]] {
+			violations++
+		}
+		probe.Free()
+	}
+	return deferred, violations, nil
 }
 
 // runE8 reproduces §4.2/§4.3: running a queue filter on the device frees

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"demikernel/internal/sga"
 	"demikernel/internal/telemetry"
 )
 
@@ -24,6 +25,11 @@ import (
 // Frames whose Buf is nil (heap-backed, e.g. from tests or transports
 // that do not pool) are unaffected: Release is a no-op for them, so the
 // pool is strictly opt-in and never required for correctness.
+//
+// The same pool backs every pool-backed SGA: the buffers AllocSGA hands
+// out and the ones popped SGAs are decoded into, each under one recycled
+// SGABuf header. One buffer type serves the wire frame and the
+// application, as one DPDK mempool serves the NIC and the app.
 
 // frameClasses are the pooled buffer size classes. The largest class
 // covers a full Ethernet+IPv4+TCP frame at the default 1400-byte MSS
@@ -43,9 +49,8 @@ type Accountant interface {
 }
 
 // ErrNoMem is the typed backpressure error surfaced when a pool's
-// accountant refuses a charge — the frame-plane twin of
-// membuf.ErrNoMem: one tenant exhausting its frame quota gets this
-// while every other tenant's pool keeps allocating.
+// accountant refuses a charge: one tenant exhausting its frame quota gets
+// this while every other tenant's pool keeps allocating.
 var ErrNoMem = errors.New("fabric: frame quota exhausted")
 
 // FrameBuf is a reference-counted, pool-recycled frame backing buffer.
@@ -126,6 +131,11 @@ type FramePoolStats struct {
 	// QuotaDenied counts Gets refused by the pool's accountant (the
 	// owning tenant was over its frame quota).
 	QuotaDenied int64
+	// Outstanding is buffers handed out and not yet finally released.
+	Outstanding int64
+	// DoubleFrees counts Frees of an SGABuf the application had already
+	// freed, through another copy of its SGA: counted and ignored.
+	DoubleFrees int64
 }
 
 // FramePool recycles frame buffers by size class. It is safe for
@@ -138,6 +148,9 @@ type FramePoolStats struct {
 // already per-P sharded internally.
 type FramePool struct {
 	classes [len(frameClasses)]sync.Pool
+	// hdrs recycles SGABuf headers, so that an SGA over the pool costs no
+	// allocation in steady state.
+	hdrs sync.Pool
 
 	// owner/acct attribute the pool to a tenant (SetOwner, config
 	// time). acct==nil — the single-tenant default — costs the hot
@@ -153,6 +166,10 @@ type FramePool struct {
 	_        [56]byte //nolint:unused // false-sharing pad
 
 	quotaDenied atomic.Int64
+	// dropped counts oversized buffers' final releases, which Outstanding
+	// subtracts beside recycled; doubleFrees is SGABuf's.
+	dropped     atomic.Int64
+	doubleFrees atomic.Int64
 }
 
 // NewFramePool returns an empty frame pool.
@@ -241,6 +258,8 @@ func (p *FramePool) onFinalRelease(b *FrameBuf) {
 	}
 	if b.class >= 0 {
 		p.put(b)
+	} else {
+		p.dropped.Add(1)
 	}
 }
 
@@ -257,6 +276,106 @@ func (p *FramePool) put(b *FrameBuf) {
 	p.classes[b.class].Put(b)
 }
 
+// SGABuf is the recycled header of one pool-backed SGA: its segment
+// storage (inline up to 8 segments, which covers every app in this repo),
+// its Free closure, and the FrameBuf its bytes are in — nil for an empty
+// payload, and for heap bytes when the pool's accountant refused the
+// charge (the SGA still works; the over-quota tenant loses recycling, not
+// correctness). Header and buffer cycle through the pool, so after the
+// first few calls SGA and FrameAlloc allocate nothing.
+//
+// It is the SGA's Reg, and counts references: the application's one,
+// dropped by Free, and one per push of the SGA that a transport still has
+// queued (HoldForIO). Header and buffer go back to the pool when the last
+// is gone, so "push it, then Free it" is safe however long the push waits
+// (free-protection, §4.5). A header rests in the pool with the count at
+// 1, the next application's reference.
+type SGABuf struct {
+	pool   *FramePool
+	fb     *FrameBuf
+	inline [8]sga.Segment
+	free   func()
+	refs   atomic.Int32
+	// freed is set by the application's Free and cleared when the header
+	// is handed out again. A plain field, not an atomic: between hand-outs
+	// only the application writes it, so a Free adds no read-modify-write.
+	freed bool
+}
+
+// sgaBuf returns a header over n bytes from the pool.
+func (p *FramePool) sgaBuf(n int) (*SGABuf, []byte) {
+	h, _ := p.hdrs.Get().(*SGABuf)
+	if h == nil {
+		h = &SGABuf{pool: p}
+		h.free = h.release
+		h.refs.Store(1)
+	}
+	h.freed = false
+	var buf []byte
+	if n > 0 {
+		if h.fb = p.Get(n); h.fb != nil {
+			buf = h.fb.Bytes()
+		} else {
+			buf = make([]byte, n)
+		}
+	}
+	return h, buf
+}
+
+// SGA returns a one-segment SGA of n bytes from the pool, its header in
+// Reg and its release as its Free: what a libOS's AllocSGA hands out.
+func (p *FramePool) SGA(n int) sga.SGA {
+	h, buf := p.sgaBuf(n)
+	h.inline[0] = sga.Segment{Buf: buf}
+	return sga.SGA{Segments: h.inline[:1], Reg: h}.WithFree(h.free)
+}
+
+// FrameAlloc implements sga.FrameAlloc over the pool: a frame being
+// decoded goes into one pool buffer, which the framer sub-slices per
+// segment, under a header whose inline segments it appends to.
+func (p *FramePool) FrameAlloc(n int) ([]byte, []sga.Segment, func(), any) {
+	h, buf := p.sgaBuf(n)
+	return buf, h.inline[:0], h.free, h
+}
+
+// HoldForIO takes a reference for a push that has the SGA queued.
+func (h *SGABuf) HoldForIO() { h.refs.Add(1) }
+
+// ReleaseFromIO drops the reference HoldForIO took; if the application
+// has freed the SGA meanwhile, header and buffer go back to the pool now.
+func (h *SGABuf) ReleaseFromIO() {
+	if h.refs.Add(-1) == 0 {
+		h.refs.Store(1)
+		h.recycle()
+	}
+}
+
+// release is the SGA's Free. A second Free, through another copy of the
+// SGA, is counted and ignored. With no push queued the count is the
+// application's own reference, which nobody else can be changing, so no
+// read-modify-write is needed.
+func (h *SGABuf) release() {
+	if h.freed {
+		h.pool.doubleFrees.Add(1)
+		return
+	}
+	h.freed = true
+	if h.refs.Load() != 1 {
+		h.ReleaseFromIO()
+		return
+	}
+	h.recycle()
+}
+
+func (h *SGABuf) recycle() {
+	if h.fb != nil {
+		h.fb.Release()
+		h.fb = nil
+	}
+	h.inline = [8]sga.Segment{} // drop payload refs before pooling
+	h.pool.hdrs.Put(h)
+}
+
 // Stats returns a snapshot of the pool's counters.
 func (p *FramePool) Stats() FramePoolStats {
 	return FramePoolStats{
@@ -264,7 +383,15 @@ func (p *FramePool) Stats() FramePoolStats {
 		Misses:      p.misses.Load(),
 		Recycled:    p.recycled.Load(),
 		QuotaDenied: p.quotaDenied.Load(),
+		Outstanding: p.Outstanding(),
+		DoubleFrees: p.doubleFrees.Load(),
 	}
+}
+
+// Outstanding returns how many buffers are handed out and not yet finally
+// released: 0 on a pool at rest that nothing leaks from.
+func (p *FramePool) Outstanding() int64 {
+	return p.pooled.Load() + p.misses.Load() - p.recycled.Load() - p.dropped.Load()
 }
 
 // PoolStats returns the counters of the process-wide DefaultFramePool,
@@ -278,6 +405,7 @@ func (p *FramePool) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	r.RegisterFunc(prefix+".misses", p.misses.Load)
 	r.RegisterFunc(prefix+".recycled", p.recycled.Load)
 	r.RegisterFunc(prefix+".quota_denied", p.quotaDenied.Load)
+	r.RegisterFunc(prefix+".outstanding", p.Outstanding)
 }
 
 // RegisterBurstTelemetry lifts the process-wide RX burst-size histogram

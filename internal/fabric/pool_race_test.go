@@ -61,6 +61,38 @@ func TestFrameBufRefsRaceStress(t *testing.T) {
 	}
 }
 
+// TestSGABufHoldRaceStress: the application frees an SGA while a push on
+// another goroutine holds it and lets it go; whichever drops the last
+// reference recycles header and buffer, once.
+func TestSGABufHoldRaceStress(t *testing.T) {
+	p := NewFramePool()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				s := p.SGA(512)
+				s.Segments[0].Buf[0] = byte(i)
+				h := s.Reg.(*SGABuf)
+				h.HoldForIO()
+				done := make(chan struct{})
+				go func() {
+					_ = s.Segments[0].Buf[0] // the pump reads it
+					h.ReleaseFromIO()
+					close(done)
+				}()
+				s.Free()
+				<-done
+			}
+		}()
+	}
+	wg.Wait()
+	if st := p.Stats(); st.Outstanding != 0 || st.DoubleFrees != 0 {
+		t.Fatalf("%d buffers out, %d double frees; want 0, 0", st.Outstanding, st.DoubleFrees)
+	}
+}
+
 // TestFrameBufIllegalRetainPanics verifies the deterministic failure
 // mode of the contract: Retain on a fully released buffer (refcount 0)
 // must panic rather than resurrect storage the pool may already have

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"demikernel/internal/core"
+	"demikernel/internal/fabric"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
@@ -40,7 +41,9 @@ type Transport struct {
 	model *simclock.CostModel
 	dev   *spdk.Device
 	store *spdk.Store
-	pool  BufPool // size-classed SGA buffer pool (pool.go)
+	// pool backs AllocSGA and lookup values: the transport's own, so that
+	// its Outstanding is this transport's buffers alone.
+	pool *fabric.FramePool
 
 	mu           sync.Mutex
 	fqs          []*fileQueue
@@ -58,6 +61,7 @@ func New(model *simclock.CostModel, dev *spdk.Device) (*Transport, error) {
 	t := &Transport{
 		model:        model,
 		dev:          dev,
+		pool:         fabric.NewFramePool(),
 		maxRetries:   DefaultMaxRetries,
 		retryBackoff: DefaultRetryBackoff,
 	}
@@ -151,13 +155,13 @@ func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 func (t *Transport) Store() *spdk.Store { return t.store }
 
 // Pool exposes the SGA buffer pool (for leak asserts).
-func (t *Transport) Pool() *BufPool { return &t.pool }
+func (t *Transport) Pool() *fabric.FramePool { return t.pool }
 
-// AllocSGA implements core.Transport: buffers come from the size-classed
-// pool and return to it through the SGA's free hook. The libOS frees a
+// AllocSGA implements core.Transport: buffers come from the transport's
+// frame pool and return to it through the SGA's free hook. The libOS frees a
 // pushed SGA once its record is durably appended (the marshalled copy is
 // on media); applications free popped SGAs when done with them.
-func (t *Transport) AllocSGA(n int) sga.SGA { return t.pool.Get(n).SGA() }
+func (t *Transport) AllocSGA(n int) sga.SGA { return t.pool.SGA(n) }
 
 // Socket implements core.Transport; catfish has no network path.
 func (t *Transport) Socket() (core.Endpoint, error) {

@@ -222,9 +222,8 @@ func (q *LookupQueue) deliver(r spdk.LookupResult) {
 	case !r.Found:
 		res.err = spdk.ErrNotFound
 	default:
-		b := q.t.pool.Get(len(r.Value))
-		copy(b.Bytes(), r.Value)
-		res.s = b.SGA()
+		res.s = q.t.pool.SGA(len(r.Value))
+		copy(res.s.Segments[0].Buf, r.Value)
 	}
 	if q.handle >= 0 {
 		// The one device→host crossing of a pushdown GET.

@@ -185,60 +185,6 @@ func TestLookupQueueResetMidTraversal(t *testing.T) {
 	}
 }
 
-func TestBufPoolRecyclesByClass(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts nondeterministically under -race")
-	}
-	var p BufPool
-	b := p.Get(100)
-	if len(b.Bytes()) != 100 {
-		t.Fatalf("len = %d", len(b.Bytes()))
-	}
-	b.Release()
-	b2 := p.Get(64) // same 128-byte class: must come from the free list
-	st := p.Stats()
-	if st.Pooled != 1 || st.Recycled != 1 {
-		t.Fatalf("pooled/recycled = %d/%d, want 1/1", st.Pooled, st.Recycled)
-	}
-	if st.Outstanding != 1 {
-		t.Fatalf("outstanding = %d", st.Outstanding)
-	}
-	b2.Release()
-
-	// Oversized requests fall back to dedicated buffers.
-	big := p.Get(1 << 20)
-	big.Release()
-	if st := p.Stats(); st.Outstanding != 0 {
-		t.Fatalf("outstanding = %d after full release", st.Outstanding)
-	}
-}
-
-func TestBufPoolDoubleReleasePanics(t *testing.T) {
-	var p BufPool
-	b := p.Get(10)
-	b.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double release did not panic")
-		}
-	}()
-	b.Release()
-}
-
-func TestBufPoolSGAFreeReleases(t *testing.T) {
-	var p BufPool
-	b := p.Get(32)
-	s := b.SGA()
-	copy(s.Segments[0].Buf, "payload")
-	s.Free()
-	if p.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after SGA free", p.Outstanding())
-	}
-	// SGA frees are idempotent per copy; the underlying buffer release
-	// must still happen exactly once.
-	s.Free()
-}
-
 // AllocSGA + durable push: the libOS consumes the staging buffer once
 // the record is on media, so the pool gauge returns to zero without the
 // app ever freeing it.

@@ -2,10 +2,11 @@ package catnip
 
 // The byte path, on two transports driven directly: a push is queued by
 // reference and resumes wherever in its encoding the send ring filled;
-// registered memory freed while its push waits is recycled only afterwards,
-// whichever way the push ends; an endpoint exported mid-frame in both
-// directions carries the stream over intact; and a payload byte is written
-// four times between the two applications' buffers. Run under -race.
+// pool memory freed while its push waits is recycled only afterwards,
+// whichever way the push ends, and once however many copies of its SGA are
+// freed; an endpoint exported mid-frame in both directions carries the
+// stream over intact; and a payload byte is written four times between the
+// two applications' buffers. Run under -race.
 
 import (
 	"bytes"
@@ -82,6 +83,16 @@ func (r *wlRig) popAll(e core.Endpoint, k int) [][]byte {
 		r.until("pop", func() bool { return done })
 	}
 	return got
+}
+
+// popSGA pops one SGA from e, polling, and returns it unfreed.
+func (r *wlRig) popSGA(e core.Endpoint) sga.SGA {
+	r.t.Helper()
+	var s sga.SGA
+	done := false
+	e.Pop(func(c queue.Completion) { s, done = c.SGA, c.Err == nil })
+	r.until("pop", func() bool { return done })
+	return s
 }
 
 // TestPushResumesMidFrame: a peer that does not read shuts its window, the
@@ -182,9 +193,9 @@ func (r *wlRig) stall(a core.Endpoint) {
 }
 
 // TestFreeWhileQueuedDefers: memory from AllocSGA that the application frees
-// while its push waits in txq stays allocated — the pump has yet to read it —
-// and is recycled when the push ends, however it ends: completion, a dead
-// connection, Close, a crash, an export to another transport.
+// while its push waits in txq stays out of the frame pool — the pump has yet
+// to read it — and goes back when the push ends, however it ends: completion,
+// a dead connection, Close, a crash, an export to another transport.
 func TestFreeWhileQueuedDefers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -217,27 +228,28 @@ func TestFreeWhileQueuedDefers(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newWLRig(t, 0)
+			r := newWLRigWith(t, privatePools)
 			a, b := r.connect()
 			r.stall(a)
+			out := r.ta.pool.Outstanding()
 			s := r.ta.AllocSGA(1000)
 			copy(s.Segments[0].Buf, pattern(1000, 1))
 			fired, pushErr := 0, error(nil)
 			a.Push(s, 0, func(c queue.Completion) { fired++; pushErr = c.Err })
+			c := s
 			s.Free()
-			s.Free() // and a double free is still only counted
-			if st := r.ta.Memory().Stats(); fired != 0 || st.LiveBuffers != 1 || st.DeferredFrees != 1 || st.Recycled != 0 {
-				t.Fatalf("freed while queued: push fired %d times, %d live buffers, %d deferred frees, %d recycled; want 0, 1, 1, 0",
-					fired, st.LiveBuffers, st.DeferredFrees, st.Recycled)
+			c.Free() // and a double free, through a copy, is only counted
+			if st := r.ta.pool.Stats(); fired != 0 || st.Outstanding != out+1 || st.DoubleFrees != 1 {
+				t.Fatalf("freed while queued: push fired %d times, %d pool buffers out, %d double frees; want 0, %d, 1",
+					fired, st.Outstanding, st.DoubleFrees, out+1)
 			}
 			r.poll()
-			if st := r.ta.Memory().Stats(); st.LiveBuffers != 1 {
+			if now := r.ta.pool.Outstanding(); now != out+1 {
 				t.Fatalf("a poll with the frame still queued recycled its buffer")
 			}
 			tc.end(r, a, b)
-			st := r.ta.Memory().Stats()
-			if st.LiveBuffers != 0 || st.Recycled != 1 {
-				t.Fatalf("after the push ended: %d live buffers, %d recycled; want 0, 1", st.LiveBuffers, st.Recycled)
+			if now := r.ta.pool.Outstanding(); now != out {
+				t.Fatalf("after the push ended: %d pool buffers out, want %d", now, out)
 			}
 			switch {
 			case tc.ok && (fired != 1 || pushErr != nil):
@@ -266,21 +278,14 @@ func TestPoppedFreeWhileQueuedDefers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newWLRigWith(t, privatePools)
 			a, b := r.connect()
-			pop := func() sga.SGA {
-				var s sga.SGA
-				done := false
-				a.Pop(func(c queue.Completion) { s, done = c.SGA, c.Err == nil })
-				r.until("pop", func() bool { return done })
-				return s
-			}
 			msg := pattern(1000, 5)
 			b.Push(sga.New(msg), 0, func(queue.Completion) {})
-			s := pop()
-			if _, held := s.Reg.(ioHold); !held {
+			s := r.popSGA(a)
+			if _, held := s.Reg.(*fabric.SGABuf); !held {
 				t.Fatal("a popped SGA carries nothing to hold its buffer by")
 			}
 			r.stall(a)
-			out := poolOutstanding(r.ta.pool)
+			out := r.ta.pool.Outstanding()
 			fired := 0
 			a.Push(s, 0, func(queue.Completion) { fired++ })
 			s.Free()
@@ -288,10 +293,10 @@ func TestPoppedFreeWhileQueuedDefers(t *testing.T) {
 			// More traffic the freed buffer would have been recycled into.
 			for i := 0; i < 4; i++ {
 				b.Push(sga.New(pattern(1000, 0x50+byte(i))), 0, func(queue.Completion) {})
-				o := pop()
+				o := r.popSGA(a)
 				o.Free()
 			}
-			if now := poolOutstanding(r.ta.pool); fired != 0 || now != out {
+			if now := r.ta.pool.Outstanding(); fired != 0 || now != out {
 				t.Fatalf("freed while queued: push fired %d times, %d pool buffers out, want 0 and %d", fired, now, out)
 			}
 			// s shares its segment storage with the queued frame.
@@ -302,11 +307,39 @@ func TestPoppedFreeWhileQueuedDefers(t *testing.T) {
 				t.Fatal("the forwarded message arrived changed")
 			}
 			r.poll()
-			if now := poolOutstanding(r.ta.pool); fired != 1 || now != out-1 {
+			if now := r.ta.pool.Outstanding(); fired != 1 || now != out-1 {
 				t.Fatalf("after the push ended: fired %d times, %d pool buffers out, want 1 and %d", fired, now, out-1)
 			}
 		})
 	}
+}
+
+// TestPoppedDoubleFree: SGA.Free is idempotent across copies of one SGA,
+// not only on the variable it is called on. A popped SGA freed through two
+// copies goes back to the pool once, and the two pops after it get a header
+// and a buffer each.
+func TestPoppedDoubleFree(t *testing.T) {
+	r := newWLRigWith(t, privatePools)
+	a, b := r.connect()
+	b.Push(sga.New(pattern(64, 1)), 0, func(queue.Completion) {})
+	s := r.popSGA(a)
+	c := s
+	s.Free()
+	c.Free()
+	b.Push(sga.New(pattern(64, 2)), 0, func(queue.Completion) {})
+	b.Push(sga.New(pattern(64, 3)), 0, func(queue.Completion) {})
+	x, y := r.popSGA(a), r.popSGA(a)
+	if x.Reg == y.Reg || &x.Segments[0].Buf[0] == &y.Segments[0].Buf[0] {
+		t.Fatal("two pops share one header and one payload after a double free")
+	}
+	if !bytes.Equal(x.Bytes(), pattern(64, 2)) || !bytes.Equal(y.Bytes(), pattern(64, 3)) {
+		t.Fatal("the pops after a double free arrived changed")
+	}
+	if n := r.ta.pool.Stats().DoubleFrees; n != 1 {
+		t.Fatalf("%d double frees counted, want 1", n)
+	}
+	x.Free()
+	y.Free()
 }
 
 // TestExportMidFrame: an endpoint with half a frame decoded and half a frame
@@ -350,7 +383,7 @@ func TestExportMidFrame(t *testing.T) {
 			eb.mu.Lock()
 			halfSent := eb.txq.Len() == 1 && eb.txq.Front().sent > 0
 			eb.mu.Unlock()
-			held := poolOutstanding(r.tb.pool)
+			held := r.tb.pool.Outstanding()
 			if !halfSent || popped != nil || held == 0 {
 				t.Fatalf("set-up: frame half sent %v, pop completed %v, %d pool buffers out; want true, false, the half-decoded frame's", halfSent, popped != nil, held)
 			}
@@ -359,7 +392,7 @@ func TestExportMidFrame(t *testing.T) {
 			if !ok {
 				t.Fatal("export refused")
 			}
-			if out := poolOutstanding(r.tb.pool); out != held-1 {
+			if out := r.tb.pool.Outstanding(); out != held-1 {
 				t.Fatalf("export left %d of the old transport's pool buffers out, want %d: the half-decoded frame's buffer must stay behind", out, held-1)
 			}
 			for range path[1:] {
@@ -443,8 +476,8 @@ func TestExportMidFrame(t *testing.T) {
 // package can do without instrumenting them is measure the bytes that
 // reached each kind of buffer a byte can be written into, and divide:
 //
-//	staging   registered buffers the sender allocated while pushing heap
-//	          memory (membuf counts them) — none, since a push stages nothing
+//	staging   pool buffers the sender holds after pushing heap memory (its
+//	          pool's outstanding count) — none, since a push stages nothing
 //	send ring stream bytes of completed pushes: a frame's sent count moves
 //	          only by what SendBuffered copied in
 //	wire      TCP payload bytes in the frames the receiver's NIC saw (a
@@ -461,7 +494,7 @@ func TestExportMidFrame(t *testing.T) {
 type copyLedger struct {
 	r           *wlRig
 	wire        int64 // TCP payload bytes seen by tb's NIC
-	staged      int64 // membuf allocations at ta
+	staged      int64 // pool buffers out at ta
 	poolGets    int64 // pool buffers taken at tb
 	framesSentB int64
 }
@@ -479,15 +512,16 @@ func newCopyLedger(r *wlRig) *copyLedger {
 	return l
 }
 
-func (l *copyLedger) gets() int64 {
-	st := l.r.tb.pool.Stats()
+// gets is the pool buffers t has taken: one per frame it sent, and the rest.
+func gets(t *Transport) int64 {
+	st := t.pool.Stats()
 	return st.Pooled + st.Misses
 }
 
 func (l *copyLedger) reset() {
 	l.wire = 0
-	l.staged = l.r.ta.Memory().Stats().Allocs
-	l.poolGets = l.gets()
+	l.staged = l.r.ta.pool.Outstanding()
+	l.poolGets = gets(l.r.tb)
 	l.framesSentB = l.r.tb.Stack().Stats().TCPSegsSent
 }
 
@@ -498,8 +532,8 @@ func (l *copyLedger) perByte(stream, payload, sgas int64) float64 {
 	if st := l.r.tb.Stack().Stats(); st.OutOfOrderSegs != 0 || l.r.ta.Stack().Stats().Retransmits != 0 {
 		l.r.t.Fatalf("the link was not clean: the wire count is not the receive ring's")
 	}
-	staged := l.r.ta.Memory().Stats().Allocs - l.staged
-	extra := l.gets() - l.poolGets - (l.r.tb.Stack().Stats().TCPSegsSent - l.framesSentB) - sgas
+	staged := l.r.ta.pool.Outstanding() - l.staged
+	extra := gets(l.r.tb) - l.poolGets - (l.r.tb.Stack().Stats().TCPSegsSent - l.framesSentB) - sgas
 	perSGA := float64(payload) / float64(sgas)
 	return float64(stream+2*l.wire)/float64(stream) + (float64(payload)+float64(staged+extra)*perSGA)/float64(payload)
 }

@@ -3,8 +3,9 @@
 // being a DPDK-class device — supplies nothing beyond descriptor rings.
 // Everything else the paper lists as missing OS functionality is supplied
 // here in user space: the TCP/IP stack (internal/netstack), buffer
-// management (internal/membuf), and the scatter-gather framing that
-// preserves atomic queue elements over a byte stream (§5.2).
+// management (a fabric.FramePool behind every pool-backed SGA), and the
+// scatter-gather framing that preserves atomic queue elements over a byte
+// stream (§5.2).
 //
 // The name follows the open-source Demikernel convention (catnip is its
 // DPDK libOS).
@@ -21,7 +22,6 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/fabric"
 	"demikernel/internal/fifo"
-	"demikernel/internal/membuf"
 	"demikernel/internal/netstack"
 	"demikernel/internal/nic"
 	"demikernel/internal/queue"
@@ -44,14 +44,12 @@ type Transport struct {
 	// because Restart swaps in a fresh stack while pollers may be
 	// loading it; everything protocol-level lives behind it.
 	stackp atomic.Pointer[netstack.Stack]
-	mem    *membuf.Manager
-	// pool supplies pop-path payload buffers: the process-wide default in
-	// a set of one, a private pool per shard in a wider set, so the
-	// steady-state buffer recycle path never crosses shard cache lines.
+	// pool supplies every buffer the transport hands out — wire frames,
+	// popped SGAs, AllocSGA — with their fabric.SGABuf headers: the
+	// process-wide default in a set of one, a private pool per shard in a
+	// wider set, so the steady-state recycle path never crosses shard cache
+	// lines.
 	pool *fabric.FramePool
-	// clonePool recycles pop-SGA headers (segment slice + free closure)
-	// so allocFrame allocates nothing in steady state; see cloneHdr.
-	clonePool sync.Pool
 	// firedPool recycles the completion lists of pumps that fire more than
 	// a handful at once; see firedSpill.
 	firedPool sync.Pool
@@ -111,12 +109,6 @@ type Config struct {
 	// for plain catnip; the E6 experiment sets it to the POSIX
 	// emulation tax to model an mTCP-style stack.
 	PerPacketExtra simclock.Lat
-	// MemCapacity caps the bytes of pinned (device-registered) memory
-	// the libOS may create, which is what AllocSGA hands out: past the
-	// cap AllocSGA falls back to heap memory instead of pinning more. A
-	// push stages nothing, so the cap never fails one. Zero means
-	// unbounded.
-	MemCapacity int64
 	// RTO overrides the stack's initial TCP retransmission timeout
 	// (chaos tests shorten it so give-ups land inside the fault
 	// window). Zero keeps the netstack default.
@@ -143,30 +135,25 @@ type Config struct {
 	RxReadyCap int
 }
 
-// New attaches a catnip instance (NIC + user stack + memory manager) to
-// the fabric switch: the one shard of a set of one.
+// New attaches a catnip instance (NIC + user stack + frame pool) to the
+// fabric switch: the one shard of a set of one.
 func New(model *simclock.CostModel, sw *fabric.Switch, cfg Config) *Transport {
 	return NewSharded(model, sw, cfg, 1, 1).Shard(0)
 }
 
 // newTransport is the constructor behind every shard of every set: group
 // nil means the transport owns (a queue of) the whole device; non-nil
-// means it owns a queue of the tenant's slice.
+// means it owns a queue of the tenant's slice. Binding the frame pool
+// registers it with the device, once: a DPDK mempool registered at queue
+// setup, so that no buffer is ever registered on the data path (§4.5).
 func newTransport(model *simclock.CostModel, dev *nic.Device, group *nic.QueueGroup, cfg Config,
 	rxQueue int, pool *fabric.FramePool, neigh *netstack.NeighborTable) *Transport {
 	var port netstack.Device = dev
-	var sink membuf.RegistrationSink = dev
 	if group != nil {
 		port = group
-		sink = group
 	}
-	var opts []membuf.Option
-	if cfg.MemCapacity > 0 {
-		opts = append(opts, membuf.WithCapacity(cfg.MemCapacity))
-	}
-	mem := membuf.NewManager(model, opts...)
-	mem.AttachDevice(sink) // transparent registration (§4.5)
-	t := &Transport{model: model, dev: dev, group: group, port: port, mem: mem, pool: pool,
+	dev.RegisterRegion(pool)
+	t := &Transport{model: model, dev: dev, group: group, port: port, pool: pool,
 		cfg: cfg, rxQueue: rxQueue, neigh: neigh}
 	t.stackp.Store(buildStack(model, port, cfg, rxQueue, pool, neigh))
 	return t
@@ -230,18 +217,14 @@ func (t *Transport) StackStats() netstack.Stats {
 	return prev.Add(t.Stack().Stats())
 }
 
-// Memory exposes the libOS memory manager (for stats).
-func (t *Transport) Memory() *membuf.Manager { return t.mem }
-
 // RegisterTelemetry lifts the transport's vertical above the NIC — user
-// stack, memory manager, rx_ready_stalls, and the crash/restart counts
+// stack, rx_ready_stalls, and the crash/restart counts
 // under prefix.lifecycle — into a telemetry registry under prefix.
 // Netstack counters are registered through StackStats so they survive
 // restarts. The NIC is the shard set's to register: its shards share it.
 // (core.LibOS.RegisterTelemetry finds this method.)
 func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	netstack.RegisterStatsTelemetry(r, prefix+".netstack", t.StackStats)
-	t.mem.RegisterTelemetry(r, prefix+".membuf")
 	r.RegisterFunc(prefix+".lifecycle.crashes", func() int64 { n, _ := t.Lifetimes(); return n })
 	r.RegisterFunc(prefix+".lifecycle.restarts", func() int64 { _, n := t.Lifetimes(); return n })
 	r.RegisterFunc(prefix+".rx_ready_stalls", t.rxStalls.Load)
@@ -251,122 +234,22 @@ func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 // a full ready list (see Config.RxReadyCap).
 func (t *Transport) RxStalls() int64 { return t.rxStalls.Load() }
 
-// AllocSGA implements core.Transport: buffers come from device-registered
-// slab regions and free back into them. It is the one consumer of the
-// memory cap (Config.MemCapacity): when that is exhausted the allocation
-// falls back to unregistered heap memory, which pushes like any other. A
-// registered buffer freed while a push of it is queued is recycled only
-// once that push has completed (endpoint.push).
-func (t *Transport) AllocSGA(n int) sga.SGA {
-	buf, err := t.mem.TryAlloc(n)
-	if err != nil {
-		return sga.New(make([]byte, n))
-	}
-	s := sga.New(buf.Bytes()).WithFree(buf.Free)
-	s.Reg = buf
-	return s
-}
+// AllocSGA implements core.Transport: the buffer comes from the
+// transport's frame pool, registered with the device when it was bound,
+// and frees back into it. A tenant past its frame quota gets heap bytes
+// instead, which push like any other. A buffer freed while a push of it is
+// queued is recycled only once that push has ended (endpoint.push).
+func (t *Transport) AllocSGA(n int) sga.SGA { return t.pool.SGA(n) }
 
 // Open implements core.Transport; catnip has no storage path.
 func (t *Transport) Open(string) (queue.IoQueue, error) {
 	return nil, core.ErrNotSupported
 }
 
-// cloneHdr is the recycled header of one pooled pop SGA: the segment
-// storage (inline up to 8 segments, covering every app in this repo)
-// and the Free closure are allocated once and then cycle through
-// clonePool, so after allocFrame's first few calls the steady-state
-// pop path performs zero allocations — payload bytes recycle through
-// the frame pool, headers through clonePool, and nothing reaches the
-// garbage collector.
-//
-// It is also the popped SGA's Reg, counting references the way a
-// membuf.Buffer does: the application's one, dropped by Free, and one per
-// push of the SGA that is still queued (ioHold). Header and buffer recycle
-// when the last is gone, so "push what was popped, then Free it" is safe
-// however long the push waits behind a full send ring. A header rests in
-// the pool with the count at 1, the next application's reference.
-type cloneHdr struct {
-	t      *Transport
-	fb     *fabric.FrameBuf // nil for an empty payload, or heap bytes
-	inline [8]sga.Segment
-	free   func()
-	refs   atomic.Int32
-}
-
-// HoldForIO implements ioHold.
-func (h *cloneHdr) HoldForIO() { h.refs.Add(1) }
-
-// ReleaseFromIO implements ioHold.
-func (h *cloneHdr) ReleaseFromIO() {
-	if h.refs.Add(-1) == 0 {
-		h.refs.Store(1)
-		h.recycle()
-	}
-}
-
-// release is the SGA's Free. With no push of it queued the count is the
-// application's own reference, which nobody else can be changing, so the
-// Free of every pop that is not pushed onward writes nothing shared.
-func (h *cloneHdr) release() {
-	if h.refs.Load() != 1 {
-		h.ReleaseFromIO()
-		return
-	}
-	h.recycle()
-}
-
-func (h *cloneHdr) recycle() {
-	if h.fb != nil {
-		h.fb.Release()
-		h.fb = nil
-	}
-	h.inline = [8]sga.Segment{} // drop payload refs before pooling
-	h.t.clonePool.Put(h)
-}
-
-// ioHold is memory that a queued push holds against Free: registered
-// buffers from AllocSGA (*membuf.Buffer) and popped SGAs (*cloneHdr), found
-// through SGA.Reg. A Free between HoldForIO and ReleaseFromIO defers.
-type ioHold interface {
-	HoldForIO()
-	ReleaseFromIO()
-}
-
-// allocFrame is the transport's sga.FrameAlloc: the payload of a frame
-// being decoded goes into one pooled frame buffer, which the framer
-// sub-slices per segment, and its header comes from clonePool. The SGA's
-// Free hook releases the buffer back to the pool and the header back to
-// clonePool, so the steady-state pop path recycles instead of allocating.
-// Applications that never Free simply leak both to the GC — safe, just
-// unpooled. The pool is the transport's own, so in a sharded deployment
-// pop buffers recycle within one shard. Past the inline capacity (rare:
-// MaxSegments-wide SGAs) the framer's append takes a one-off slice.
-func (t *Transport) allocFrame(n int) ([]byte, []sga.Segment, func(), any) {
-	h, _ := t.clonePool.Get().(*cloneHdr)
-	if h == nil {
-		h = &cloneHdr{t: t}
-		h.free = h.release
-		h.refs.Store(1)
-	}
-	var buf []byte
-	if n > 0 {
-		if h.fb = t.pool.Get(n); h.fb != nil {
-			buf = h.fb.Bytes()
-		} else {
-			// Tenant frame quota exhausted: fall back to unpooled heap
-			// bytes. The pop still succeeds — the over-quota tenant loses
-			// recycling, not correctness — and the GC reclaims them.
-			buf = make([]byte, n)
-		}
-	}
-	return buf, h.inline[:0], h.free, h
-}
-
 // newEndpoint returns an endpoint of this transport, not yet in its table.
 func (t *Transport) newEndpoint() *endpoint {
 	e := &endpoint{t: t}
-	e.framer.SetAlloc(t.allocFrame)
+	e.framer.SetAlloc(t.pool.FrameAlloc)
 	return e
 }
 
@@ -540,14 +423,14 @@ type endpoint struct {
 
 // txFrame is one pushed SGA on its way into the TCP send buffer: the pump
 // copies its wire encoding there straight from the segments, sent bytes of
-// it so far. Until done fires the segments are the libOS's; memory that can
-// be recycled under them is held against Free for as long (hold).
+// it so far. Until done fires the segments are the libOS's; a pool buffer
+// under them is held against Free for as long (hold).
 type txFrame struct {
 	s    sga.SGA
 	sent int
 	cost simclock.Lat
 	done queue.DoneFunc
-	hold ioHold
+	hold *fabric.SGABuf
 	// raw, on a frame adopted from another transport (Adopt), is the rest
 	// of an encoding that transport had begun to send, in place of s.
 	raw []byte
@@ -689,16 +572,16 @@ func (e *endpoint) PushBatched(s sga.SGA, cost simclock.Lat, done queue.DoneFunc
 }
 
 // push queues s for the next flush, which is the rest of this call when
-// pump is set. Memory from AllocSGA, and the pool buffer of an SGA that was
-// popped here, is held while the frame is queued, so that a Free in that
-// window defers instead of recycling bytes the pump has yet to read; heap
-// memory the garbage collector keeps alive anyway.
+// pump is set. A pool-backed SGA — from AllocSGA, or popped — is held while
+// the frame is queued, so that a Free in that window defers instead of
+// recycling bytes the pump has yet to read; heap memory the garbage
+// collector keeps alive anyway.
 func (e *endpoint) push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc, pump bool) {
 	e.mu.Lock()
 	err := e.pushErrLocked()
 	if err == nil {
 		f := txFrame{s: s, cost: cost, done: done}
-		if f.hold, _ = s.Reg.(ioHold); f.hold != nil {
+		if f.hold, _ = s.Reg.(*fabric.SGABuf); f.hold != nil {
 			f.hold.HoldForIO()
 		}
 		e.txq.Push(f)
@@ -788,7 +671,7 @@ func (e *endpoint) Pump() int {
 // round trip instead of one each.
 type txDone struct {
 	done queue.DoneFunc
-	hold ioHold // the frame's, let go as it fires
+	hold *fabric.SGABuf // the frame's, let go as it fires
 	cost simclock.Lat
 	err  error
 }

@@ -1,7 +1,7 @@
 // Sharded catnip: N independent datapath shards over one multi-queue
 // NIC, the paper's §3.1 scale-out recipe made concrete. RSS on the
 // device steers each flow to one RX queue; each shard owns that queue's
-// netstack instance, its memory manager, its frame pool, and every
+// netstack instance, its frame pool, and every
 // connection whose flow hashes to it. On the per-packet path nothing is
 // shared between shards — not a lock, not a buffer pool, not a counter
 // cache line. What little inter-shard traffic remains (a request that
@@ -44,7 +44,7 @@ type ShardSet struct {
 
 // NewSharded attaches a catnip instance to the fabric switch: a device
 // with capacity RSS receive queues and capacity full shard verticals
-// (netstack polling queue i, membuf manager, mesh row), of which RSS
+// (netstack polling queue i, frame pool, mesh row), of which RSS
 // spreads new flows across the first n. Resteer moves the active width
 // anywhere in [1, capacity] while the set is live. capacity below n means
 // n; a plain node is n = capacity = 1.

@@ -84,7 +84,7 @@ func (t *Transport) Adopt(st core.PortState) (core.Endpoint, error) {
 		conn:      st.Conn,
 		framer:    st.Framer,
 	}
-	e.framer.SetAlloc(t.allocFrame)
+	e.framer.SetAlloc(t.pool.FrameAlloc)
 	for _, f := range st.Tx {
 		// The bytes were framed by the exporter; they go out as they are.
 		e.txq.Push(txFrame{raw: f.Data, cost: f.Cost, done: f.Done})

@@ -106,18 +106,13 @@ func (r *wlRig) atRest(what string) {
 	}
 }
 
-func poolOutstanding(p *fabric.FramePool) int64 {
-	st := p.Stats()
-	return st.Pooled + st.Misses - st.Recycled
-}
-
 // TestCloseReleasesEndpoint: 10 000 connect → echo → close cycles leave
 // the endpoint tables, the stacks' connection tables, the work lists and
 // the frame pool where they started. Before Close removed the endpoint
 // from Transport.eps, each cycle left one behind on either side.
 func TestCloseReleasesEndpoint(t *testing.T) {
 	r := newWLRig(t, 0)
-	frames := poolOutstanding(r.ta.pool)
+	frames := r.ta.pool.Outstanding()
 	msg := sga.New(make([]byte, 64))
 	for cycle := 0; cycle < 10_000; cycle++ {
 		a, b := r.connect()
@@ -151,7 +146,7 @@ func TestCloseReleasesEndpoint(t *testing.T) {
 		t.Fatalf("the listener moved to slot %d of a table of one", r.lis.(*endpoint).slot)
 	}
 	r.atRest("after 10k cycles")
-	if got := poolOutstanding(r.ta.pool); got != frames {
+	if got := r.ta.pool.Outstanding(); got != frames {
 		t.Fatalf("frame pool outstanding went from %d to %d", frames, got)
 	}
 

@@ -43,7 +43,7 @@ type Stats struct {
 	FilterEvals int64 // hardware filter evaluations
 	SteerDrops  int64 // frames owned by no tenant queue group (multi-tenant NICs)
 	DMABytes    int64
-	Regions     int64 // memory regions registered via membuf
+	Regions     int64 // frame pools registered (RegisterRegion)
 	RxFlushed   int64 // ring frames discarded by FlushRings (node crash)
 }
 
@@ -166,10 +166,11 @@ func (d *Device) PortID() int { return d.port.ID() }
 // NumRxQueues returns the configured receive-queue count.
 func (d *Device) NumRxQueues() int { return d.cfg.RxQueues }
 
-// RegisterRegion implements membuf.RegistrationSink: the device records
-// that a DMA-able region exists. (A real NIC would program its IOMMU
-// mapping here.)
-func (d *Device) RegisterRegion(id uint64, mem []byte) {
+// RegisterRegion records that a transport's frame pool is DMA-able
+// memory of this device: one registration per pool, at bind time, however
+// many buffers it hands out. (A real NIC would program its IOMMU mapping
+// here.)
+func (d *Device) RegisterRegion(*fabric.FramePool) {
 	d.regions.Add(1)
 }
 

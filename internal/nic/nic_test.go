@@ -270,8 +270,8 @@ func TestConcurrentQueuePolling(t *testing.T) {
 
 func TestRegisterRegionCounts(t *testing.T) {
 	a, _, _ := pair(t)
-	a.RegisterRegion(1, make([]byte, 64))
-	a.RegisterRegion(2, make([]byte, 64))
+	a.RegisterRegion(fabric.NewFramePool())
+	a.RegisterRegion(fabric.NewFramePool())
 	if a.Stats().Regions != 2 {
 		t.Fatalf("Regions = %d, want 2", a.Stats().Regions)
 	}

@@ -179,7 +179,7 @@ func (r *steerRule) match(data []byte) bool {
 // receive queues [base, base+n), one owned MAC/IP, bounded steering
 // rules, and a TX queue in the device's WDRR scheduler. It implements
 // the same poll-mode surface as Device (MAC / Tx / TxFrame /
-// AppendRxBurst / RegisterRegion), so a netstack binds to a group
+// AppendRxBurst), so a netstack binds to a group
 // exactly as it binds to a whole NIC.
 type QueueGroup struct {
 	dev    *Device
@@ -366,11 +366,6 @@ func (g *QueueGroup) BaseQueue() int { return g.base }
 
 // Device returns the underlying shared NIC.
 func (g *QueueGroup) Device() *Device { return g.dev }
-
-// RegisterRegion implements membuf.RegistrationSink by delegating to
-// the shared device (one IOMMU, per-tenant accounting lives in the
-// membuf manager's own capacity model).
-func (g *QueueGroup) RegisterRegion(id uint64, mem []byte) { g.dev.RegisterRegion(id, mem) }
 
 // Tx transmits one raw frame through the group's scheduled TX queue.
 func (g *QueueGroup) Tx(data []byte, cost simclock.Lat) {

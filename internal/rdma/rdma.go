@@ -8,7 +8,8 @@
 //
 //   - Memory must be registered before any verb can touch it, and
 //     registration is expensive (charged per region from the cost model).
-//     The Demikernel libOS hides this behind package membuf (§4.5).
+//     The Demikernel libOS hides this behind its own pools (§4.5):
+//     catmint registers whole arenas, not buffers.
 //
 //   - "Receivers must allocate enough buffers of the right size for
 //     senders. Allocating too many buffers wastes memory while allocating
@@ -418,13 +419,6 @@ func (pd *PD) RegisterMemory(buf []byte) *MR {
 	d.stats.Registrations++
 	d.stats.PinnedBytes += int64(len(buf))
 	return mr
-}
-
-// RegisterRegion implements membuf.RegistrationSink so a Demikernel
-// memory manager can register its slab regions transparently.
-func (d *Device) RegisterRegion(id uint64, mem []byte) {
-	pd := d.AllocPD()
-	pd.RegisterMemory(mem)
 }
 
 // RegistrationCost returns the charged cost of one registration.

@@ -47,14 +47,14 @@ type Segment struct {
 // Demikernel I/O abstraction. The zero value is an empty, valid SGA.
 //
 // An SGA popped from a libOS queue may own device buffers; Free returns
-// them to the owning memory manager. Freeing is idempotent and freeing an
+// them to the owning pool. Freeing is idempotent and freeing an
 // SGA the application built itself is a no-op.
 type SGA struct {
 	Segments []Segment
-	// Reg is an opaque registration token attached by the libOS memory
-	// manager when the SGA's memory is already registered with a
-	// kernel-bypass device (§4.5). Transports use it to take the
-	// zero-copy path; application code never inspects it.
+	// Reg is an opaque token the libOS attaches when the SGA's memory is
+	// its own, already registered with a kernel-bypass device (§4.5): a
+	// transport holds the memory by it while a push of the SGA is queued.
+	// Application code never inspects it.
 	Reg  any
 	free func()
 }
@@ -70,15 +70,18 @@ func New(segs ...[]byte) SGA {
 
 // WithFree returns a copy of s that invokes fn exactly once when freed.
 // Libraries allocating device memory for an SGA use this to attach the
-// release of that memory (free-protection is the memory manager's job;
-// see package membuf).
+// release of that memory (free-protection is the pool's job; see
+// fabric.SGABuf).
 func (s SGA) WithFree(fn func()) SGA {
 	s.free = fn
 	return s
 }
 
 // Free releases any libOS-owned buffers behind the SGA. It is safe to call
-// on the zero value and safe to call more than once.
+// on the zero value and safe to call more than once, on this variable or
+// on another copy of the SGA: a pool-backed SGA counts a second Free and
+// ignores it. What cannot be told apart is a stale copy freed after its
+// buffer was handed out again; that Free releases the new owner's buffer.
 func (s *SGA) Free() {
 	if s.free != nil {
 		fn := s.free

@@ -11,8 +11,7 @@
 //
 //   - a Ledger charges every pooled frame a tenant holds against its
 //     byte/frame quota (fabric.FramePool calls it through the
-//     fabric.Accountant interface, mirroring membuf.WithCapacity's
-//     typed-backpressure model);
+//     fabric.Accountant interface), AllocSGA's buffers included;
 //   - steering bounds (which MAC/IP/port ranges a tenant may bind
 //     filters for) are validated by internal/nic at rule-install time —
 //     the data path never re-checks them;
@@ -45,18 +44,13 @@ type ID string
 type Policy struct {
 	// FrameQuotaBytes caps the bytes of pooled frame storage the tenant
 	// may hold at once (TX frames in flight, RX payload copies, the
-	// buffers popped SGAs are decoded into). Exhaustion surfaces as a
-	// failed FramePool.Get — the frame-plane analogue of
-	// membuf.ErrNoMem. 0 = unbounded.
+	// buffers popped SGAs are decoded into, AllocSGA's). Exhaustion
+	// surfaces as a failed FramePool.Get; the SGA paths fall back to heap
+	// memory, the frame paths drop with backpressure. 0 = unbounded.
 	FrameQuotaBytes int64
 	// FrameQuotaFrames caps the number of outstanding pooled frames.
 	// 0 = unbounded.
 	FrameQuotaFrames int64
-	// MemBytes caps the tenant's pinned (device-registered) memory,
-	// which is what AllocSGA hands out; it is wired into the libOS
-	// membuf manager. Past the cap AllocSGA falls back to heap memory.
-	// Pushes stage nothing and are never failed by it. 0 = unbounded.
-	MemBytes int64
 
 	// TxWeight is the tenant's share in the NIC's weighted-deficit-
 	// round-robin TX scheduler. 0 = weight 1.

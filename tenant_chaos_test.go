@@ -64,12 +64,12 @@ func TestHostileTenantSoak(t *testing.T) {
 	cliANode.WaitTimeout = 250 * time.Millisecond
 	cliBNode.WaitTimeout = 250 * time.Millisecond
 
-	_, stopSrvA, err := kv.Serve(vicA.Libs(), vicA.Mesh(), vicA.Shards(), &c.Model, port)
+	srvA, stopSrvA, err := kv.Serve(vicA.Libs(), vicA.Mesh(), vicA.Shards(), &c.Model, port)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stopSrvA()
-	_, stopSrvB, err := kv.Serve(vicB.Libs(), vicB.Mesh(), vicB.Shards(), &c.Model, port)
+	srvB, stopSrvB, err := kv.Serve(vicB.Libs(), vicB.Mesh(), vicB.Shards(), &c.Model, port)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +180,22 @@ func TestHostileTenantSoak(t *testing.T) {
 	}
 	if count, _, _ := mal.Tenant.Ledger.Reclaims(); count == 0 {
 		t.Error("crash never ran ledger reclamation")
+	}
+
+	// No victim buffer leaked: at rest a victim's frame pools hold the
+	// values its store keeps (a SET keeps the buffer it was popped into)
+	// and nothing else.
+	for _, v := range []struct {
+		n   *Node
+		srv *kv.ShardedServer
+	}{{vicA, srvA}, {vicB, srvB}} {
+		var out int64
+		for i := 0; i < v.n.Sharded.Set.Capacity(); i++ {
+			out += v.n.Sharded.Set.Shard(i).Pool().Outstanding()
+		}
+		if out != int64(v.srv.Len()) {
+			t.Errorf("victim %s: %d pool buffers out at rest, %d values stored", v.n.Tenant.ID, out, v.srv.Len())
+		}
 	}
 
 	// Per-tenant frame conservation, including across the hostile

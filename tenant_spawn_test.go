@@ -6,6 +6,7 @@ package demikernel
 // shared device's link (and therefore their neighbors) down with them.
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -103,4 +104,60 @@ func TestTenantCrashSparesNeighbors(t *testing.T) {
 	cqd2, sqd2, cleanup2 := connectNodes(t, c, cli, a, 81)
 	defer cleanup2()
 	echoOnce(t, cli, cqd2, a, sqd2, "reborn tenant")
+}
+
+// TestTenantAllocSGAIsCharged: a tenant node's AllocSGA buffers are frame
+// memory, charged to its ledger. Past FrameQuotaBytes they come back
+// heap-backed and still push; the ledger reads 0 after Free and after
+// Crash.
+func TestTenantAllocSGAIsCharged(t *testing.T) {
+	c := NewCluster(84)
+	ten := c.MustSpawn(Catnip, WithHost(1), WithTenant("alloc", TenantPolicy{FrameQuotaBytes: 8 << 10}))
+	ledger := ten.Tenant.Ledger
+	s := ten.AllocSGA(1000)
+	if f, b := ledger.Outstanding(); f != 1 || b != 2048 {
+		t.Fatalf("one AllocSGA(1000) charged %d frames / %d bytes, want 1 / 2048 (class-rounded)", f, b)
+	}
+	s.Free()
+	if f, b := ledger.Outstanding(); f != 0 || b != 0 {
+		t.Fatalf("after Free: %d frames / %d bytes charged", f, b)
+	}
+
+	var full []SGA
+	for i := 0; i < 4; i++ {
+		full = append(full, ten.AllocSGA(2000)) // 4 x 2048: the whole quota
+	}
+	over := ten.AllocSGA(2000)
+	if _, b := ledger.Outstanding(); b != 8<<10 || ledger.Denials() != 1 || over.Len() != 2000 {
+		t.Fatalf("past the quota: %d bytes charged, %d denials, %d bytes handed out; want %d, 1, 2000", b, ledger.Denials(), over.Len(), 8<<10)
+	}
+	for i := range full {
+		full[i].Free()
+	}
+	msg := bytes.Repeat([]byte("heap"), 500)
+	copy(over.Segments[0].Buf, msg)
+	srv := c.MustSpawn(Catnip, WithHost(2))
+	cqd, sqd, cleanup := connectNodes(t, c, ten, srv, 80)
+	defer cleanup()
+	if _, err := ten.BlockingPush(cqd, over); err != nil {
+		t.Fatalf("heap-backed push: %v", err)
+	}
+	over.Free()
+	comp, err := srv.BlockingPop(sqd)
+	if err != nil || !bytes.Equal(comp.SGA.Bytes(), msg) {
+		t.Fatalf("heap-backed push arrived as %d bytes, %v", comp.SGA.Len(), err)
+	}
+	comp.SGA.Free()
+
+	held := ten.AllocSGA(1000)
+	if _, err := ten.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if f, b := ledger.Outstanding(); f != 0 || b != 0 {
+		t.Fatalf("after Crash: %d frames / %d bytes charged", f, b)
+	}
+	held.Free() // late: the credit clamps at zero
+	if f, b := ledger.Outstanding(); f != 0 || b != 0 {
+		t.Fatalf("after a late Free: %d frames / %d bytes charged", f, b)
+	}
 }
