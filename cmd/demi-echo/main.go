@@ -14,7 +14,7 @@ import (
 	"strings"
 
 	demi "demikernel"
-	"demikernel/internal/apps/echo"
+	"demikernel/internal/experiments"
 	"demikernel/internal/metrics"
 	"demikernel/internal/telemetry"
 )
@@ -66,32 +66,22 @@ func measure(flavor string, size, n int, seed int64, stats bool) (*metrics.Histo
 	if err != nil {
 		return nil, err
 	}
-	_, stopSrv, err := echo.Serve(srvNode.LibOS, 7, cluster.Model.AppRequestNS)
+	rig, err := experiments.StageEcho(cluster, srvNode, cliNode)
 	if err != nil {
 		return nil, err
 	}
-	defer stopSrv()
-	client, stopCli, err := echo.Dial(cliNode.LibOS, cluster.AddrOf(srvNode, 7))
-	if err != nil {
-		return nil, err
-	}
-	defer stopCli()
+	defer rig.Close()
 
 	var report func() string
 	if stats {
 		report = cluster.Observe(reg)
 	}
-	payload := make([]byte, size)
-	var h metrics.Histogram
-	for i := 0; i < n; i++ {
-		cost, err := client.RTT(payload, cluster.Model.AppRequestNS)
-		if err != nil {
-			return nil, err
-		}
-		h.Record(cost)
+	h, err := rig.MeasureEcho(size, n)
+	if err != nil {
+		return nil, err
 	}
 	if stats {
 		fmt.Printf("-- %s / %dB --\n%s", flavor, size, report())
 	}
-	return &h, nil
+	return h, nil
 }

@@ -70,7 +70,7 @@ func runDriver(seed int64, total int) error {
 	defer stopCli()
 
 	var seedCtr uint16
-	dial := func(shard int) (*httpd.Client, error) {
+	run, err := workload.NewHTTPDriver(prod, nshards, func(shard int) (*httpd.Client, error) {
 		seedCtr += 8
 		qd, err := c.Router().DialShard(cliNode, sh, httpPort, shard, seedCtr)
 		if err != nil {
@@ -79,77 +79,13 @@ func runDriver(seed int64, total int) error {
 		cl := httpd.NewClient(cliNode.LibOS)
 		cl.Adopt(qd, c.AddrOf(srvNode, httpPort))
 		return cl, nil
+	})
+	if err != nil {
+		return err
 	}
 
-	type lane struct {
-		cl        *httpd.Client
-		shard     int
-		pending   int
-		stallLeft int
-	}
-	const nclients = 4
-	lanes := make([]*lane, nclients)
-	for i := range lanes {
-		cl, err := dial(i % nshards)
-		if err != nil {
-			return err
-		}
-		lanes[i] = &lane{cl: cl, shard: i % nshards}
-	}
-	drain := func(l *lane) error {
-		for l.pending > 0 {
-			resp, err := l.cl.ReadResponse()
-			if err != nil {
-				return fmt.Errorf("read (shard %d): %w", l.shard, err)
-			}
-			if resp.Status != 200 {
-				return fmt.Errorf("status %d (shard %d)", resp.Status, l.shard)
-			}
-			l.pending--
-		}
-		return nil
-	}
-
-	issued := 0
-	run := func(k int) error {
-		for i := 0; i < k; i++ {
-			l := lanes[i%nclients]
-			if err := l.cl.SendRequest(prod.Paths.Next(), false); err != nil {
-				return fmt.Errorf("send (shard %d): %w", l.shard, err)
-			}
-			l.pending++
-			issued++
-			// Stall episodes make this lane a slow reader: responses
-			// pile up unread (bounded) before a burst drain.
-			if l.stallLeft == 0 {
-				l.stallLeft = prod.Stalls.NextStall()
-			} else {
-				l.stallLeft--
-			}
-			if l.stallLeft == 0 || l.pending >= 16 {
-				if err := drain(l); err != nil {
-					return err
-				}
-				if prod.Churn.ShouldClose() {
-					l.cl.Close() //nolint:errcheck
-					nc, err := dial(l.shard)
-					if err != nil {
-						return err
-					}
-					l.cl = nc
-				}
-			}
-		}
-		for _, l := range lanes {
-			if err := drain(l); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	fmt.Printf("demi-http: %d requests over %d keep-alive conns, 2 shards, crash at midpoint\n\n", total, nclients)
-	if err := run(total / 2); err != nil {
+	fmt.Printf("demi-http: %d requests over 4 keep-alive conns, 2 shards, crash at midpoint\n\n", total)
+	if err := run.Run(total / 2); err != nil {
 		return err
 	}
 	if _, err := srvNode.Crash(); err != nil {
@@ -158,18 +94,13 @@ func runDriver(seed int64, total int) error {
 	if err := srvNode.Restart(); err != nil {
 		return err
 	}
-	for _, l := range lanes {
-		l.cl.Close() //nolint:errcheck // old QD died with the node
-		l.pending = 0
-		nc, err := dial(l.shard)
-		if err != nil {
-			return err
-		}
-		l.cl = nc
-	}
-	if err := run(total - total/2); err != nil {
+	if err := run.Redial(); err != nil {
 		return err
 	}
+	if err := run.Run(total - total/2); err != nil {
+		return err
+	}
+	issued := run.Issued()
 
 	var served int64
 	for _, s := range servers {

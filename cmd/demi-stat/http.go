@@ -1,14 +1,14 @@
 package main
 
-// The -http view: run the httpd workload — an HTTP/1.1 server directly
-// on catnip queues serving a Zipf-popular object tree to keep-alive
-// clients, a fraction of them deliberately slow readers — and render
-// what the telemetry saw: the httpd.* counter diff, the full stack
-// counter diff underneath it, the per-route service-latency table, and
-// the p50..p99.9 tail CCDF the paper's head-of-line arguments are
+// The -http view: run the httpd workload (workload.HTTPDriver) — an
+// HTTP/1.1 server directly on catnip queues serving a Zipf-popular object
+// tree to keep-alive clients, a fraction of them deliberately slow readers
+// — and render what the telemetry saw: the httpd.* counter diff, the full
+// stack counter diff underneath it, the per-route service-latency table,
+// and the p50..p99.9 tail CCDF the paper's head-of-line arguments are
 // about. The slow readers must show up as rx_ready_stalls (the bounded
-// ready list parking, turning reader stalls into TCP backpressure)
-// rather than as unbounded buffering.
+// ready list parking, turning reader stalls into TCP backpressure) rather
+// than as unbounded buffering.
 
 import (
 	"fmt"
@@ -44,56 +44,23 @@ func runHTTP(seed int64, n int) error {
 	}
 	defer stopSrv()
 	srv.RegisterTelemetry(reg, "httpd")
-	cl, stopCli, err := httpd.Dial(cliNode.LibOS, c.AddrOf(srvNode, httpStatPort))
+	stopCli := cliNode.Background()
+	defer stopCli()
+	run, err := workload.NewHTTPDriver(prod, 1, func(int) (*httpd.Client, error) {
+		cl := httpd.NewClient(cliNode.LibOS)
+		return cl, cl.Connect(c.AddrOf(srvNode, httpStatPort))
+	})
 	if err != nil {
 		return err
 	}
-	defer stopCli()
 
 	before := reg.Snapshot()
-	pending, stallLeft := 0, 0
-	drain := func() error {
-		for pending > 0 {
-			resp, err := cl.ReadResponse()
-			if err != nil {
-				return err
-			}
-			if resp.Status != 200 {
-				return fmt.Errorf("unexpected status %d", resp.Status)
-			}
-			pending--
-		}
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		if err := cl.SendRequest(prod.Paths.Next(), false); err != nil {
-			return err
-		}
-		pending++
-		if stallLeft == 0 {
-			stallLeft = prod.Stalls.NextStall()
-		} else {
-			stallLeft--
-		}
-		if stallLeft == 0 || pending >= 16 {
-			if pending > 1 {
-				// This lane stalled: it is a genuinely slow reader, so
-				// give the unharvested responses time to pile into the
-				// TCP receive buffer before the burst drain — that is
-				// what parks the bounded ready list.
-				time.Sleep(2 * time.Millisecond)
-			}
-			if err := drain(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := drain(); err != nil {
+	if err := run.Run(n); err != nil {
 		return err
 	}
 	after := reg.Snapshot()
 
-	fmt.Printf("demi-stat -http: %d keep-alive GETs, Zipf(1.2) over %d objects, slow-read episodes\n\n",
+	fmt.Printf("demi-stat -http: %d GETs over 4 keep-alive connections, Zipf(1.2) over %d objects, slow-read episodes\n\n",
 		n, len(prod.Objects))
 	fmt.Print(after.Diff(before).NonZero().String())
 	fmt.Println()

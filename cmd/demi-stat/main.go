@@ -381,19 +381,12 @@ func runSharded(seed int64, shards, ops int) error {
 		return err
 	}
 	defer rig.Close()
-	srvNode, server, cli := rig.SrvNode, rig.Server, rig.Client
+	srvNode, server := rig.SrvNode, rig.Server
 	server.RegisterTelemetry(reg, "host1.shard")
 
 	before := reg.Snapshot()
-	val := []byte("0123456789abcdef0123456789abcdef")
-	for i := 0; i < ops; i++ {
-		key := fmt.Sprintf("stat-key-%04d", i)
-		if _, err := cli.Set(key, val); err != nil {
-			return fmt.Errorf("set %s: %w", key, err)
-		}
-		if _, _, found, err := cli.Get(key); err != nil || !found {
-			return fmt.Errorf("get %s: found=%v err=%w", key, found, err)
-		}
+	if err := rig.SetGet("stat-key", ops, ops, true, nil); err != nil {
+		return err
 	}
 	after := reg.Snapshot()
 

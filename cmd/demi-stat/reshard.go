@@ -37,15 +37,8 @@ func runReshard(seed int64, ops int) error {
 		keys = 512
 	}
 	load := func(label string) error {
-		for i := 0; i < ops; i++ {
-			k := i % keys
-			key := fmt.Sprintf("rs-key-%04d", k)
-			if _, err := cli.Set(key, []byte(fmt.Sprintf("v%04d", k))); err != nil {
-				return fmt.Errorf("%s: set %s: %w", label, key, err)
-			}
-			if _, _, found, err := cli.Get(key); err != nil || !found {
-				return fmt.Errorf("%s: get %s: found=%v err=%w", label, key, found, err)
-			}
+		if err := rig.SetGet("rs-key", ops, keys, true, nil); err != nil {
+			return fmt.Errorf("%s: %w", label, err)
 		}
 		return nil
 	}

@@ -2,14 +2,16 @@
 // libevent-based Demikernel OS, which would enable applications, like
 // memcached, to achieve the benefits of kernel-bypass transparently."
 //
-// This example is a memcached-shaped server written as the loop libevent
-// runs, over a completion ring instead of readiness. Each turn accepts new
-// connections and arms one pop on each, harvests what completed since the
-// last turn, handles every completion by its tag — a request gets its
-// response pushed and the connection's next pop armed — and submits all
-// it staged as one batch. A completion carries its request whole (no
-// extra read call), and a connection with nothing to say costs the loop
-// nothing: there is no readiness to scan and no thundering herd to tame.
+// This example is a memcached-shaped server on serve.Loop, the loop
+// libevent runs, over a completion ring instead of readiness. Each turn
+// accepts new connections (the server arms one pop on each), harvests what
+// completed since the last turn, hands every completion to the server by
+// its connection — a request gets its response pushed and the
+// connection's next pop armed — and submits all it staged as one batch. A
+// completion carries its request whole (no extra read call), and a
+// connection with nothing to say costs the loop nothing: there is no
+// readiness to scan and no thundering herd to tame. What is left to write
+// is the protocol.
 package main
 
 import (
@@ -18,75 +20,36 @@ import (
 	"strings"
 
 	demi "demikernel"
-	"demikernel/internal/queue"
-	"demikernel/internal/uring"
+	"demikernel/internal/apps/serve"
 )
 
-// server is the loop's state: its listener, its ring and the cache.
-type server struct {
-	lib   *demi.LibOS
-	lqd   demi.QD
-	ring  *uring.Pair
-	sqes  []uring.SQE
-	cqes  []uring.CQE
-	cache map[string]string
+// conn is a connection of the server; it keeps no state, and a response
+// pushed holds nothing the loop must release.
+type conn = serve.Conn[struct{}, struct{}]
 
-	accepted, served int
+// server is the protocol: the cache, on a loop.
+type server struct {
+	*serve.Loop[struct{}, struct{}]
+	cache  map[string]string
+	served int
 }
 
 // listen starts a server on lib's port.
 func listen(lib *demi.LibOS, port uint16) (*server, error) {
-	lqd, err := lib.Socket()
-	if err != nil {
-		return nil, err
-	}
-	if err := lib.Bind(lqd, demi.Addr{Port: port}); err != nil {
-		return nil, err
-	}
-	if err := lib.Listen(lqd); err != nil {
-		return nil, err
-	}
-	return &server{
-		lib:   lib,
-		lqd:   lqd,
-		ring:  lib.AttachRing(16),
-		cqes:  make([]uring.CQE, 16),
-		cache: map[string]string{},
-	}, nil
-}
-
-// step is one turn of the loop. A completion's tag is its connection.
-func (s *server) step() {
-	for {
-		conn, ok, err := s.lib.TryAccept(s.lqd)
-		if err != nil || !ok {
-			break
-		}
-		s.accepted++
-		s.sqes = append(s.sqes, uring.SQE{Op: queue.OpPop, QD: int32(conn), Tag: uint64(conn)})
-	}
-	n := s.lib.HarvestCQ(s.ring, s.cqes)
-	for i := range s.cqes[:n] {
-		c := &s.cqes[i]
-		conn := demi.QD(c.Tag)
-		switch {
-		case c.Err != nil:
-			s.lib.Close(conn) //nolint:errcheck // the peer is gone; so may the descriptor be
-		case c.Kind == queue.OpPop:
-			reply := s.handle(string(c.SGA.Bytes()))
-			c.SGA.Free()
+	s := &server{cache: map[string]string{}}
+	s.Loop = serve.New(lib, serve.App[struct{}, struct{}]{
+		Accepted: func(c *conn) { s.Pop(c) },
+		Popped: func(c *conn, req demi.SGA, cost demi.Lat) int {
+			reply := s.handle(string(req.Bytes()))
+			req.Free()
 			s.served++
-			s.sqes = append(s.sqes,
-				uring.SQE{Op: queue.OpPush, QD: int32(conn), Tag: c.Tag, SGA: demi.NewSGA([]byte(reply))},
-				uring.SQE{Op: queue.OpPop, QD: int32(conn), Tag: c.Tag})
-		}
-		*c = uring.CQE{}
-	}
-	if len(s.sqes) > 0 {
-		s.lib.SubmitBatch(s.ring, s.sqes) //nolint:errcheck // a failed op is a CQE
-		clear(s.sqes)
-		s.sqes = s.sqes[:0]
-	}
+			s.Push(c, demi.NewSGA([]byte(reply)), cost, struct{}{})
+			s.Pop(c)
+			return 1
+		},
+		Release: func(struct{}) {},
+	})
+	return s, s.Listen(port)
 }
 
 // handle answers one request of the protocol: "set k v" | "get k".
@@ -105,22 +68,6 @@ func (s *server) handle(req string) string {
 	return "ERROR"
 }
 
-// run turns the loop, polling the libOS whenever a turn finds nothing,
-// until stop closes.
-func (s *server) run(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		served := s.served
-		if s.step(); s.served == served {
-			s.lib.Poll()
-		}
-	}
-}
-
 func main() {
 	cluster := demi.NewCluster(11)
 	srvNode := cluster.MustSpawn(demi.Catnip, demi.WithHost(1))
@@ -131,11 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stop, stopped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		srv.run(stop)
-	}()
+	stop := srv.Start()
 
 	cqd, err := cliNode.Socket()
 	if err != nil {
@@ -158,7 +101,6 @@ func main() {
 	fmt.Println("client: set answer 42     ->", request("set answer 42"))
 	fmt.Println("client: get answer        ->", request("get answer"))
 	fmt.Println("client: get missing       ->", request("get missing"))
-	close(stop)
-	<-stopped
-	fmt.Printf("event loop: %d connection, %d requests, one completion each\n", srv.accepted, srv.served)
+	stop()
+	fmt.Printf("event loop: %d connection, %d requests, one completion each\n", srv.Accepts(), srv.served)
 }

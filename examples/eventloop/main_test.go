@@ -25,7 +25,7 @@ func TestMemcachedShapeServer(t *testing.T) {
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(stopped)
-		srv.run(stop)
+		srv.Run(stop)
 	}()
 
 	cqd, _ := cliNode.Socket()
@@ -54,7 +54,7 @@ func TestMemcachedShapeServer(t *testing.T) {
 	}
 	close(stop)
 	<-stopped
-	if srv.accepted != 1 || srv.served != 20 {
-		t.Fatalf("accepted %d connections, served %d requests; want 1, 20", srv.accepted, srv.served)
+	if srv.Accepts() != 1 || srv.served != 20 {
+		t.Fatalf("accepted %d connections, served %d requests; want 1, 20", srv.Accepts(), srv.served)
 	}
 }

@@ -11,7 +11,6 @@ package demikernel
 // boundary.
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -19,21 +18,11 @@ import (
 	"demikernel/internal/workload"
 )
 
-// soakClient is one keep-alive connection plus its in-order expectation
-// queue (HTTP/1.1 responses come back in request order).
-type soakClient struct {
-	cl        *httpd.Client
-	shard     int
-	pending   []string // paths awaiting responses
-	stallLeft int      // requests left in the current stall episode
-}
-
 func TestHTTPProductionSoak(t *testing.T) {
 	const (
-		port     = 8080
-		nshards  = 2
-		nclients = 4
-		perHalf  = 300 // requests per soak half, across all clients
+		port    = 8080
+		nshards = 2
+		perHalf = 300 // requests per soak half, across all clients
 	)
 	c := NewCluster(91)
 	srvNode := c.MustSpawn(Catnip, WithHost(1), WithShards(nshards))
@@ -44,11 +33,9 @@ func TestHTTPProductionSoak(t *testing.T) {
 	sh := srvNode.Sharded
 
 	prod := workload.NewHTTPProduction(64, 1e6, 91)
-	bodies := make(map[string][]byte, len(prod.Objects))
 	tree := httpd.NewTree()
 	for _, o := range prod.Objects {
 		tree.Add(o.Path, o.Body)
-		bodies[o.Path] = o.Body
 	}
 
 	// One server per shard.
@@ -66,76 +53,22 @@ func TestHTTPProductionSoak(t *testing.T) {
 	// (SourcePortFor scans forward from the seed; with 2 shards it moves
 	// at most a step or two).
 	var seedCtr uint16
-	dial := func(shard int) *httpd.Client {
-		t.Helper()
+	run, err := workload.NewHTTPDriver(prod, nshards, func(shard int) (*httpd.Client, error) {
 		seedCtr += 8
 		qd, err := c.Router().DialShard(cliNode, sh, port, shard, seedCtr)
 		if err != nil {
-			t.Fatalf("dial shard %d: %v", shard, err)
+			return nil, err
 		}
 		cl := httpd.NewClient(cliNode.LibOS)
 		cl.Adopt(qd, c.AddrOf(srvNode, port))
-		return cl
+		return cl, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	clients := make([]*soakClient, nclients)
-	for i := range clients {
-		clients[i] = &soakClient{cl: dial(i % nshards), shard: i % nshards}
+	if err := run.Run(perHalf); err != nil {
+		t.Fatal(err)
 	}
-
-	drain := func(sc *soakClient) {
-		t.Helper()
-		for len(sc.pending) > 0 {
-			resp, err := sc.cl.ReadResponse()
-			if err != nil {
-				t.Fatalf("soak read (shard %d): %v", sc.shard, err)
-			}
-			want := bodies[sc.pending[0]]
-			sc.pending = sc.pending[1:]
-			if resp.Status != 200 || !bytes.Equal(resp.Body, want) {
-				t.Fatalf("soak response (shard %d): status=%d len=%d want=%d",
-					sc.shard, resp.Status, len(resp.Body), len(want))
-			}
-		}
-	}
-
-	issued := 0
-	half := func() {
-		for n := 0; n < perHalf; n++ {
-			sc := clients[n%nclients]
-			path := prod.Paths.Next()
-			if err := sc.cl.SendRequest(path, false); err != nil {
-				t.Fatalf("soak send (shard %d): %v", sc.shard, err)
-			}
-			sc.pending = append(sc.pending, path)
-			issued++
-
-			// The stall schedule turns this connection into a slow
-			// reader for a stretch of requests: responses pile up
-			// unread (bounded at 16) before a burst drain. Everyone
-			// else reads synchronously, so the soak cannot deadlock on
-			// its own pauses.
-			if sc.stallLeft == 0 {
-				sc.stallLeft = prod.Stalls.NextStall()
-			} else {
-				sc.stallLeft--
-			}
-			if sc.stallLeft == 0 || len(sc.pending) >= 16 {
-				drain(sc)
-				// Connection churn: retire a quiesced connection and
-				// redial (RSS decides the new shard).
-				if prod.Churn.ShouldClose() {
-					sc.cl.Close() //nolint:errcheck
-					sc.cl = dial(sc.shard)
-				}
-			}
-		}
-		for _, sc := range clients {
-			drain(sc)
-		}
-	}
-
-	half()
 
 	// Mid-soak node death: every client connection dies with the stack.
 	// The soak resumes against the restarted incarnation, with no call
@@ -146,13 +79,12 @@ func TestHTTPProductionSoak(t *testing.T) {
 	if err := srvNode.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	for i, sc := range clients {
-		sc.cl.Close() //nolint:errcheck // the old QD is already dead
-		clients[i].cl = dial(sc.shard)
-		clients[i].pending = clients[i].pending[:0]
+	if err := run.Redial(); err != nil {
+		t.Fatal(err)
 	}
-
-	half()
+	if err := run.Run(perHalf); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := int(cliNode.Catnip.RxStalls()); got < 1 {
 		t.Fatalf("slow readers never parked the bounded ready list (rx_ready_stalls=%d)", got)
@@ -163,8 +95,8 @@ func TestHTTPProductionSoak(t *testing.T) {
 		served += st.Requests
 		halfCloses += st.HalfCloses
 	}
-	if served != int64(issued) {
-		t.Fatalf("servers account for %d requests, issued %d", served, issued)
+	if served != int64(run.Issued()) {
+		t.Fatalf("servers account for %d requests, issued %d", served, run.Issued())
 	}
 	if halfCloses != 0 {
 		t.Fatalf("unexpected half-closes during soak: %d", halfCloses)

@@ -20,10 +20,13 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"demikernel/internal/core"
 	"demikernel/internal/queue"
+	"demikernel/internal/sga"
+	"demikernel/internal/simclock"
 )
 
 // Policy configures redial-and-replay behavior.
@@ -168,6 +171,121 @@ func Dial(lib *core.LibOS, addr core.Addr) (core.QD, error) {
 		return core.InvalidQD, err
 	}
 	return qd, nil
+}
+
+// Send pushes s on qd, charged cost, and waits for the push to complete:
+// a failed push surfaces its typed error at once, not as a response that
+// never comes.
+func Send(lib *core.LibOS, qd core.QD, s sga.SGA, cost simclock.Lat) error {
+	qt, err := lib.PushCost(qd, s, cost)
+	if err != nil {
+		return err
+	}
+	comp, err := lib.Wait(qt)
+	if err != nil {
+		return err
+	}
+	return comp.Err
+}
+
+// Recv pops the next element on qd, which the caller frees, and the
+// virtual cost it accumulated.
+func Recv(lib *core.LibOS, qd core.QD) (sga.SGA, simclock.Lat, error) {
+	comp, err := lib.BlockingPop(qd)
+	if err == nil {
+		err = comp.Err
+	}
+	if err != nil {
+		return sga.SGA{}, 0, err
+	}
+	return comp.SGA, comp.Cost, nil
+}
+
+// Replayer is the failover state a client carries: the policy
+// EnableFailover arms, and the count of the redials Replay made.
+type Replayer struct {
+	pol     *Policy
+	redials atomic.Int64
+}
+
+// EnableFailover arms redial-and-replay with pol.
+func (r *Replayer) EnableFailover(pol Policy) { r.pol = &pol }
+
+// FailoverStats reports redials and replays performed so far (every
+// successful redial replays the one operation that was in flight).
+func (r *Replayer) FailoverStats() (reconnects, replays int64) {
+	n := r.redials.Load()
+	return n, n
+}
+
+// Replay is Do under the armed policy, counted; a nil redial runs attempt
+// once.
+func (r *Replayer) Replay(attempt, redial func() error) error {
+	pol := r.pol
+	if redial == nil {
+		pol = nil
+	}
+	n, err := Do(pol, attempt, redial)
+	r.redials.Add(int64(n))
+	return err
+}
+
+// Conn is a client's one connection that survives its server's death:
+// it remembers the address it dialled, and under a policy armed with
+// EnableFailover, Do redials it and replays the operation in flight. The
+// echo and HTTP clients embed it.
+type Conn struct {
+	Replayer
+	lib  *core.LibOS
+	qd   core.QD
+	addr core.Addr
+}
+
+// NewConn returns an unconnected Conn on lib.
+func NewConn(lib *core.LibOS) *Conn { return &Conn{lib: lib, qd: core.InvalidQD} }
+
+// Connect dials addr and remembers it for redials.
+func (c *Conn) Connect(addr core.Addr) error {
+	qd, err := Dial(c.lib, addr)
+	if err != nil {
+		return err
+	}
+	c.qd, c.addr = qd, addr
+	return nil
+}
+
+// Stage stages a client on lib: a background poller for lib, under which
+// connect runs. stop runs disconnect and then stops the poller; a connect
+// that fails stops at once.
+func Stage(lib *core.LibOS, connect, disconnect func() error) (stop func(), err error) {
+	stopPoll := lib.Background()
+	stop = func() {
+		disconnect() //nolint:errcheck // the peer may have closed first
+		stopPoll()
+	}
+	if err := connect(); err != nil {
+		stop()
+		return nil, err
+	}
+	return stop, nil
+}
+
+// Adopt takes over qd, already connected to addr.
+func (c *Conn) Adopt(qd core.QD, addr core.Addr) { c.qd, c.addr = qd, addr }
+
+// Lib returns the libOS the connection lives on.
+func (c *Conn) Lib() *core.LibOS { return c.lib }
+
+// QD returns the connection's descriptor.
+func (c *Conn) QD() core.QD { return c.qd }
+
+// Close shuts the connection.
+func (c *Conn) Close() error { return c.lib.Close(c.qd) }
+
+// Do runs the idempotent operation attempt on the connection, redialling
+// and replaying it under the armed policy when the peer dies (see Do).
+func (c *Conn) Do(attempt func() error) error {
+	return c.Replay(attempt, func() error { return Redial(c.lib, &c.qd, c.addr) })
 }
 
 // Redial replaces the dead connection *qd with a fresh one to addr. The

@@ -11,12 +11,10 @@ package httpd
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"demikernel/internal/apps/failover"
+	"demikernel/internal/apps/serve"
 	"demikernel/internal/core"
-	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
 	"demikernel/internal/uring"
@@ -32,72 +30,26 @@ type Response struct {
 
 // Client issues requests over one keep-alive connection.
 type Client struct {
-	lib  *core.LibOS
-	qd   core.QD
-	addr core.Addr
-	req  []byte // reused request-build buffer
-	pol  *failover.Policy
+	*failover.Conn
+	req []byte // reused request-build buffer
 
-	redials atomic.Int64
-
-	// GetBatch state; the ring attaches on the first batch.
-	ring    *uring.Pair
-	rsqes   []uring.SQE
-	rcqes   []uring.CQE
-	ringGen uint64
-	breqs   [][]byte         // per-slot request bytes, alive until push CQEs
-	bsegs   [][1]sga.Segment // per-slot segment arrays backing the SGAs
+	// GetBatch state.
+	batch serve.Batch
+	breqs [][]byte         // per-slot request bytes, alive until push CQEs
+	bsegs [][1]sga.Segment // per-slot segment arrays backing the SGAs
 }
 
 // NewClient creates a client on lib.
-func NewClient(lib *core.LibOS) *Client { return &Client{lib: lib} }
-
-// Connect dials the server and remembers the address for redials.
-func (c *Client) Connect(addr core.Addr) error {
-	qd, err := failover.Dial(c.lib, addr)
-	if err != nil {
-		return err
-	}
-	c.qd = qd
-	c.addr = addr
-	return nil
-}
+func NewClient(lib *core.LibOS) *Client { return &Client{Conn: failover.NewConn(lib)} }
 
 // Dial stages a client on lib: a background poller for lib and a
 // connection to addr. stop closes the connection and stops the poller.
 func Dial(lib *core.LibOS, addr core.Addr) (cli *Client, stop func(), err error) {
-	stopPoll := lib.Background()
 	c := NewClient(lib)
-	if err := c.Connect(addr); err != nil {
-		stopPoll()
+	if stop, err = failover.Stage(lib, func() error { return c.Connect(addr) }, c.Close); err != nil {
 		return nil, nil, err
 	}
-	return c, func() {
-		c.Close() //nolint:errcheck // the server may have closed first
-		stopPoll()
-	}, nil
-}
-
-// Adopt takes over an already-connected descriptor (DialToShard flows).
-func (c *Client) Adopt(qd core.QD, addr core.Addr) {
-	c.qd = qd
-	c.addr = addr
-}
-
-// QD exposes the connection descriptor.
-func (c *Client) QD() core.QD { return c.qd }
-
-// Close shuts the connection.
-func (c *Client) Close() error { return c.lib.Close(c.qd) }
-
-// EnableFailover arms redial-and-replay with pol (GETs are idempotent).
-func (c *Client) EnableFailover(pol failover.Policy) { c.pol = &pol }
-
-// FailoverStats reports redials and replays performed so far (every
-// successful redial replays the one request that was in flight).
-func (c *Client) FailoverStats() (reconnects, replays int64) {
-	n := c.redials.Load()
-	return n, n
+	return c, stop, nil
 }
 
 // appendRequest serializes one request into dst.
@@ -128,31 +80,20 @@ func (c *Client) SendRequest(path string, connClose bool) error {
 
 func (c *Client) send(path string, head, connClose bool, rangeSpec string) error {
 	c.req = appendRequest(c.req[:0], path, head, connClose, rangeSpec)
-	qt, err := c.lib.PushCost(c.qd, sga.New(c.req), 0)
-	if err != nil {
-		return err
-	}
-	comp, err := c.lib.Wait(qt)
-	if err != nil {
-		return err
-	}
-	return comp.Err
+	return failover.Send(c.Lib(), c.QD(), sga.New(c.req), 0)
 }
 
 // ReadResponse blocks for the next response and parses it.
 func (c *Client) ReadResponse() (Response, error) { return c.readResponse(false) }
 
 func (c *Client) readResponse(head bool) (Response, error) {
-	comp, err := c.lib.BlockingPop(c.qd)
+	g, cost, err := failover.Recv(c.Lib(), c.QD())
 	if err != nil {
 		return Response{}, err
 	}
-	if comp.Err != nil {
-		return Response{}, comp.Err
-	}
-	defer comp.SGA.Free()
-	resp, err := parseResponseSGA(comp.SGA, head)
-	resp.Cost = comp.Cost
+	defer g.Free()
+	resp, err := parseResponseSGA(g, head)
+	resp.Cost = cost
 	return resp, err
 }
 
@@ -178,20 +119,13 @@ func (c *Client) GetRange(path, rangeSpec string) (Response, error) {
 }
 
 func (c *Client) roundTrip(path string, head, connClose bool, rangeSpec string) (resp Response, err error) {
-	redials, err := failover.Do(c.pol,
-		func() (err error) { resp, err = c.attempt(path, head, connClose, rangeSpec); return err },
-		func() error { return failover.Redial(c.lib, &c.qd, c.addr) })
-	if redials > 0 {
-		c.redials.Add(int64(redials))
-	}
+	err = c.Do(func() (err error) {
+		if err = c.send(path, head, connClose, rangeSpec); err == nil {
+			resp, err = c.readResponse(head)
+		}
+		return err
+	})
 	return resp, err
-}
-
-func (c *Client) attempt(path string, head, connClose bool, rangeSpec string) (Response, error) {
-	if err := c.send(path, head, connClose, rangeSpec); err != nil {
-		return Response{}, err
-	}
-	return c.readResponse(head)
 }
 
 // GetPipelined concatenates all requests into ONE push — the wire shape
@@ -203,16 +137,8 @@ func (c *Client) GetPipelined(paths []string) ([]Response, error) {
 	for _, p := range paths {
 		c.req = appendRequest(c.req, p, false, false, "")
 	}
-	qt, err := c.lib.PushCost(c.qd, sga.New(c.req), 0)
-	if err != nil {
+	if err := failover.Send(c.Lib(), c.QD(), sga.New(c.req), 0); err != nil {
 		return nil, err
-	}
-	comp, err := c.lib.Wait(qt)
-	if err != nil {
-		return nil, err
-	}
-	if comp.Err != nil {
-		return nil, comp.Err
 	}
 	out := make([]Response, 0, len(paths))
 	for range paths {
@@ -225,32 +151,37 @@ func (c *Client) GetPipelined(paths []string) ([]Response, error) {
 	return out, nil
 }
 
-// parseResponseSGA parses a popped response SGA: the head must sit in
-// the first segment (the server pushes header and body as separate
-// segments and framing preserves them); body segments are copied out.
-// isHead relaxes the Content-Length check — a HEAD reply announces the
-// body it does not carry.
+// parseResponseSGA parses a popped response (checkResponseSGA) and
+// copies its body out.
 func parseResponseSGA(g sga.SGA, isHead bool) (Response, error) {
-	if len(g.Segments) == 0 {
-		return Response{}, fmt.Errorf("httpd: empty response")
-	}
-	head := g.Segments[0].Buf
-	status, contentLen, connClose, err := parseResponseHead(head)
-	if err != nil {
-		return Response{}, err
-	}
+	status, connClose, err := checkResponseSGA(g, isHead)
 	resp := Response{Status: status, Close: connClose}
-	if contentLen > 0 && !isHead {
-		resp.Body = make([]byte, 0, contentLen)
+	if err == nil && !isHead && len(g.Segments) > 1 {
+		resp.Body = make([]byte, 0, g.Len()-len(g.Segments[0].Buf))
 		for _, seg := range g.Segments[1:] {
 			resp.Body = append(resp.Body, seg.Buf...)
 		}
-		if int64(len(resp.Body)) != contentLen {
-			return resp, fmt.Errorf("httpd: body %d bytes, Content-Length %d",
-				len(resp.Body), contentLen)
-		}
 	}
-	return resp, nil
+	return resp, err
+}
+
+// checkResponseSGA validates a popped response in place: the head must sit
+// in the first segment (the server pushes header and body as separate
+// segments and framing preserves them), and the body segments must carry
+// the Content-Length announced, unless isHead — a HEAD reply announces
+// the body it does not carry.
+func checkResponseSGA(g sga.SGA, isHead bool) (status int, connClose bool, err error) {
+	if len(g.Segments) == 0 {
+		return 0, false, fmt.Errorf("httpd: empty response")
+	}
+	status, contentLen, connClose, err := parseResponseHead(g.Segments[0].Buf)
+	if err != nil {
+		return 0, false, err
+	}
+	if body := int64(g.Len() - len(g.Segments[0].Buf)); !isHead && contentLen >= 0 && body != contentLen {
+		return status, connClose, fmt.Errorf("httpd: body %d bytes, Content-Length %d", body, contentLen)
+	}
+	return status, connClose, nil
 }
 
 // parseResponseHead parses the status line and the response headers the
@@ -305,100 +236,26 @@ func parseResponseHead(head []byte) (status int, contentLen int64, connClose boo
 }
 
 // Ring returns the client's ring pair (nil before the first GetBatch).
-func (c *Client) Ring() *uring.Pair { return c.ring }
+func (c *Client) Ring() *uring.Pair { return c.batch.Ring() }
 
-// GetBatch issues len(paths) pipelined GETs in one submission — pushes
-// and pops together, completions harvested as they land — and
-// returns how many responses came back 2xx plus the mean virtual
-// round-trip cost. Bodies are validated against Content-Length and
-// discarded without copying, so the steady-state path allocates
-// nothing once the per-slot buffers are warm.
+// GetBatch issues len(paths) pipelined GETs in one submission and returns
+// how many responses came back 2xx plus their mean virtual round-trip
+// cost. Bodies are validated against Content-Length and discarded without
+// copying, so the steady-state path allocates nothing once the per-slot
+// buffers are warm.
 func (c *Client) GetBatch(paths []string, appCost simclock.Lat) (ok2xx int, mean simclock.Lat, err error) {
-	batch := len(paths)
-	if c.ring == nil {
-		c.ring = c.lib.AttachRing(2 * batch)
-	}
-	if len(c.rcqes) < 2*batch {
-		c.rcqes = make([]uring.CQE, 2*batch)
-	}
-	for len(c.breqs) < batch {
+	for len(c.breqs) < len(paths) {
 		c.breqs = append(c.breqs, nil)
 		c.bsegs = append(c.bsegs, [1]sga.Segment{})
 	}
-	c.ringGen++
-	gen := c.ringGen << 32
-
-	sq := c.rsqes[:0]
-	for i, p := range paths {
-		c.breqs[i] = appendRequest(c.breqs[i][:0], p, false, false, "")
-		c.bsegs[i][0] = sga.Segment{Buf: c.breqs[i]}
-		sq = append(sq,
-			uring.SQE{Op: queue.OpPush, QD: int32(c.qd), Tag: gen | uint64(i)<<1 | 1,
-				SGA: sga.SGA{Segments: c.bsegs[i][:1]}, Cost: appCost},
-			uring.SQE{Op: queue.OpPop, QD: int32(c.qd), Tag: gen | uint64(i)<<1})
-	}
-	c.rsqes = sq[:0]
-	c.lib.SubmitBatch(c.ring, sq) //nolint:errcheck // a failed op is a CQE
-	pops := 0
-	var total simclock.Lat
-	var firstErr error
-	for got := 0; got < len(sq); {
-		n, err := c.lib.WaitAnyRing(c.ring, c.rcqes, time.Time{})
-		if err != nil {
-			return 0, 0, err
-		}
-		for i := 0; i < n; i++ {
-			cq := &c.rcqes[i]
-			if cq.Tag&^uint64(0xffffffff) != gen {
-				cq.SGA.Free() // straggler from an abandoned earlier batch
-				*cq = uring.CQE{}
-				continue
-			}
-			got++
-			if cq.Err != nil {
-				if firstErr == nil {
-					firstErr = cq.Err
-				}
-			} else if cq.Kind == queue.OpPop {
-				if status, bodyLen, perr := checkResponseSGA(cq.SGA); perr != nil {
-					if firstErr == nil {
-						firstErr = perr
-					}
-				} else if status >= 200 && status < 300 && bodyLen >= 0 {
-					ok2xx++
-					total += cq.Cost
-					pops++
-				}
-				cq.SGA.Free()
-			}
-			*cq = uring.CQE{}
-		}
-	}
-	if firstErr != nil {
-		return ok2xx, 0, firstErr
-	}
-	if pops == 0 {
-		return 0, 0, nil
-	}
-	return ok2xx, total / simclock.Lat(pops), nil
-}
-
-// checkResponseSGA validates a response in place without copying the
-// body out.
-func checkResponseSGA(g sga.SGA) (status int, bodyLen int64, err error) {
-	if len(g.Segments) == 0 {
-		return 0, 0, fmt.Errorf("httpd: empty response")
-	}
-	status, contentLen, _, err := parseResponseHead(g.Segments[0].Buf)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, seg := range g.Segments[1:] {
-		bodyLen += int64(len(seg.Buf))
-	}
-	if contentLen >= 0 && bodyLen != contentLen {
-		return status, bodyLen, fmt.Errorf("httpd: body %d bytes, Content-Length %d",
-			bodyLen, contentLen)
-	}
-	return status, bodyLen, nil
+	return c.batch.Round(c.Lib(), c.QD(), len(paths), appCost,
+		func(i int) sga.SGA {
+			c.breqs[i] = appendRequest(c.breqs[i][:0], paths[i], false, false, "")
+			c.bsegs[i][0] = sga.Segment{Buf: c.breqs[i]}
+			return sga.SGA{Segments: c.bsegs[i][:1]}
+		},
+		func(resp sga.SGA) (bool, error) {
+			status, _, err := checkResponseSGA(resp, false)
+			return err == nil && status >= 200 && status < 300, err
+		})
 }

@@ -18,19 +18,18 @@ package httpd
 
 import (
 	"errors"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"demikernel/internal/apps/serve"
 	"demikernel/internal/core"
 	"demikernel/internal/metrics"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
-	"demikernel/internal/uring"
 )
 
 // Tree is the in-memory cached object store the server serves from. It
@@ -76,11 +75,6 @@ const (
 	// defaultPopDepth is how many pops the server keeps armed per
 	// connection — the per-connection pipeline window.
 	defaultPopDepth = 8
-	// serverRing is where the server's ring starts: two connections'
-	// windows. It grows with the connections the server accepts.
-	serverRing = 2 * defaultPopDepth
-	// harvest is how many completions one Step takes off the ring.
-	harvest = 64
 )
 
 // respBuf is one pooled in-flight response: the header bytes plus the
@@ -90,32 +84,31 @@ const (
 type respBuf struct {
 	hdr  []byte
 	segs [2]sga.Segment
-	nseg int
 }
 
-// conn is the server's per-connection state.
-type conn struct {
-	qd core.QD
+// connState is the server's state of one connection; the loop holds its
+// response descriptors in flight.
+type connState struct {
 	// pending buffers a request head split across pops (slow path; the
 	// fast path parses the popped segment in place).
 	pending []byte
 	last    time.Time // last request activity, for idle reaping
 	closing bool      // close once in-flight responses flush
 	paused  bool      // backlog full: stop popping requests
-
-	inflight []*respBuf // header FIFO awaiting push CQEs
-	pops     int        // armed pops
+	pops    int       // armed pops
 }
 
-// Server serves a Tree over HTTP/1.1 on Demikernel queues, through a
-// completion ring on every libOS: a window of defaultPopDepth armed pops
-// per connection (the pipeline depth), a FIFO of pooled response
-// descriptors held until their push CQEs land, backlog-based
-// pause/resume for stalled readers, and half-close/Connection: close
-// teardown driven entirely off the completion stream. Each Step submits
-// what it staged as one batch; the steady-state loop allocates nothing.
+// conn is a connection of the server.
+type conn = serve.Conn[connState, *respBuf]
+
+// Server serves a Tree over HTTP/1.1 on Demikernel queues, from a
+// serve.Loop: a window of defaultPopDepth armed pops per connection (the
+// pipeline depth), a pooled response descriptor held by each push until
+// it completes, backlog-based pause/resume for stalled readers, and
+// half-close/Connection: close teardown driven entirely off the completion
+// stream. The steady-state loop allocates nothing.
 type Server struct {
-	lib  *core.LibOS
+	*serve.Loop[connState, *respBuf]
 	tree *Tree
 
 	// AppCost is the virtual compute charged per request served.
@@ -126,12 +119,7 @@ type Server struct {
 	// Now is the reap clock (injectable for tests); nil means time.Now.
 	Now func() time.Time
 
-	mu       sync.Mutex
-	lqd      core.QD
-	conns    map[core.QD]*conn
-	scan     []*conn // reused Step iteration scratch
 	lastReap time.Time
-
 	respFree []*respBuf
 
 	// Counters (atomics: Step is single-threaded, readers are not).
@@ -143,8 +131,6 @@ type Server struct {
 	r404       atomic.Int64
 	r416       atomic.Int64
 	bytesOut   atomic.Int64
-	accepted   atomic.Int64
-	closed     atomic.Int64
 	idleReaped atomic.Int64
 	halfClosed atomic.Int64
 	pauses     atomic.Int64
@@ -154,50 +140,20 @@ type Server struct {
 	lat    map[string]*metrics.Histogram
 	latOn  atomic.Bool
 	routes []string // registration order, for stable tables
-
-	ring *uring.Pair
-	sqes []uring.SQE
-	cqes []uring.CQE
 }
 
 // NewServer creates a server for tree on lib.
 func NewServer(lib *core.LibOS, tree *Tree) *Server {
-	return &Server{
-		lib: lib, tree: tree, conns: make(map[core.QD]*conn),
-		ring: lib.AttachRing(serverRing), cqes: make([]uring.CQE, harvest),
-	}
-}
-
-// EnableRing pre-sizes the server's ring for capacity operations in
-// flight, and its harvest for as many completions at once. The ring grows
-// to that by itself; a rig that measures steady state from the first
-// request calls this instead of warming up.
-func (s *Server) EnableRing(capacity int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ring.Reserve(capacity)
-	if capacity > len(s.cqes) {
-		s.cqes = make([]uring.CQE, capacity)
-	}
-}
-
-// Ring returns the server's ring pair (telemetry).
-func (s *Server) Ring() *uring.Pair { return s.ring }
-
-// Listen binds the server to port.
-func (s *Server) Listen(port uint16) error {
-	qd, err := s.lib.Socket()
-	if err != nil {
-		return err
-	}
-	if err := s.lib.Bind(qd, core.Addr{Port: port}); err != nil {
-		return err
-	}
-	if err := s.lib.Listen(qd); err != nil {
-		return err
-	}
-	s.lqd = qd
-	return nil
+	s := &Server{tree: tree}
+	s.Loop = serve.New(lib, serve.App[connState, *respBuf]{
+		Accepted: s.onAccept,
+		Popped:   s.onPop,
+		Pushed:   s.settle,
+		Failed:   s.onFail,
+		Release:  s.putResp,
+		Settle:   s.reapIdle,
+	})
+	return s
 }
 
 // Serve stages a server for tree on lib: listening on port, recording
@@ -210,21 +166,7 @@ func Serve(lib *core.LibOS, tree *Tree, port uint16) (srv *Server, stop func(), 
 	if err := s.Listen(port); err != nil {
 		return nil, nil, err
 	}
-	quit, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		s.Run(quit)
-	}()
-	return s, func() {
-		close(quit)
-		<-done
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for _, c := range s.conns {
-			s.closeConn(c)
-		}
-		s.lib.Close(s.lqd) //nolint:errcheck // nothing to do about it at shutdown
-	}, nil
+	return s, s.Start(), nil
 }
 
 func (s *Server) now() time.Time {
@@ -234,113 +176,53 @@ func (s *Server) now() time.Time {
 	return time.Now()
 }
 
-// Tags encode the connection QD and the operation kind in the low bit,
-// so one harvest loop dispatches every connection without a token map.
-func popTag(conn core.QD) uint64  { return uint64(conn) << 1 }
-func pushTag(conn core.QD) uint64 { return uint64(conn)<<1 | 1 }
+// onAccept opens a new connection's pop window.
+func (s *Server) onAccept(c *conn) {
+	c.State.last = s.now()
+	s.armPops(c)
+}
 
-// Step runs one non-blocking server iteration and returns requests
-// served: accept → arm pop windows, harvest → parse/respond/re-arm, and
-// one batch submission of everything that staged.
-func (s *Server) Step() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		qd, ok, err := s.lib.TryAccept(s.lqd)
-		if err != nil || !ok {
-			break
-		}
-		c := &conn{qd: qd, last: s.now()}
-		s.conns[qd] = c
-		s.accepted.Add(1)
-		s.armPops(c)
+// onPop serves the requests a pop brought, unless the connection is
+// closing, and settles the connection.
+func (s *Server) onPop(c *conn, g sga.SGA, cost simclock.Lat) int {
+	c.State.pops--
+	c.State.last = s.now()
+	if c.State.closing {
+		g.Free() // data after close: discard
+		return 0
 	}
-
-	served := 0
-	n := s.lib.HarvestCQ(s.ring, s.cqes)
-	for i := 0; i < n; i++ {
-		cq := &s.cqes[i]
-		qd := core.QD(cq.Tag >> 1)
-		isPush := cq.Tag&1 == 1
-		c, live := s.conns[qd]
-		if !live {
-			// Connection already torn down (reset CQEs from its armed
-			// pops, or stragglers): release any payload and move on.
-			cq.SGA.Free()
-			*cq = uring.CQE{}
-			continue
-		}
-		if cq.Err != nil {
-			if !isPush {
-				c.pops--
-			}
-			s.opFailed(c, isPush, cq.Err)
-			*cq = uring.CQE{}
-			continue
-		}
-		if isPush {
-			// Response delivered: the transport no longer references
-			// the header buffer. Pushes complete FIFO per connection,
-			// so the head descriptor is always the one retiring.
-			if k := len(c.inflight); k > 0 {
-				s.putResp(c.inflight[0])
-				m := copy(c.inflight, c.inflight[1:])
-				c.inflight[m] = nil
-				c.inflight = c.inflight[:m]
-			}
-			if c.closing && len(c.inflight) == 0 {
-				s.closeConn(c)
-			} else {
-				s.armPops(c)
-			}
-			*cq = uring.CQE{}
-			continue
-		}
-		c.pops--
-		c.last = s.now()
-		if c.closing {
-			cq.SGA.Free() // data after close: discard
-		} else {
-			served += s.serveSGA(c, cq.SGA, cq.Cost)
-			if c.closing && len(c.inflight) == 0 {
-				s.closeConn(c)
-			} else {
-				s.armPops(c)
-			}
-		}
-		*cq = uring.CQE{}
-	}
-	if len(s.sqes) > 0 {
-		s.lib.SubmitBatch(s.ring, s.sqes) //nolint:errcheck // a failed op is a CQE
-		clear(s.sqes)
-		s.sqes = s.sqes[:0]
-	}
-	s.reapIdle()
+	served := s.serveSGA(c, g, cost)
+	s.settle(c)
 	return served
 }
 
-// opFailed handles an errored CQE for a live connection. A pop
-// failing with the typed ErrClosed while responses are still in flight
-// is the half-close case: the client sent FIN but still receives, so
-// the server finishes flushing before tearing down.
-func (s *Server) opFailed(c *conn, isPush bool, err error) {
-	if !isPush && errors.Is(err, queue.ErrClosed) && len(c.inflight) > 0 {
-		if !c.closing {
-			s.halfClosed.Add(1)
-			c.closing = true
-		}
-		return
+// settle closes a closing connection once its last response is through,
+// and otherwise re-arms its pops: what follows a request, and each
+// completed response.
+func (s *Server) settle(c *conn) {
+	if c.State.closing && c.Held() == 0 {
+		s.Drop(c)
+	} else {
+		s.armPops(c)
 	}
-	s.closeConn(c)
 }
 
-// submit stages one response push; rb joins the connection's
-// in-flight FIFO until its push CQE retires it.
-func (s *Server) submit(c *conn, rb *respBuf, g sga.SGA, cost simclock.Lat) {
-	s.sqes = append(s.sqes, uring.SQE{
-		Op: queue.OpPush, QD: int32(c.qd), Tag: pushTag(c.qd), SGA: g, Cost: cost,
-	})
-	c.inflight = append(c.inflight, rb)
+// onFail handles a failed operation. A pop failing with the typed
+// ErrClosed while responses are still in flight is the half-close case:
+// the client sent FIN but still receives, so the server finishes flushing
+// before tearing down.
+func (s *Server) onFail(c *conn, push bool, err error) {
+	if !push {
+		c.State.pops--
+		if errors.Is(err, queue.ErrClosed) && c.Held() > 0 {
+			if !c.State.closing {
+				s.halfClosed.Add(1)
+				c.State.closing = true
+			}
+			return
+		}
+	}
+	s.Drop(c)
 }
 
 // armPops tops the connection's armed-pop window up to defaultPopDepth,
@@ -349,40 +231,24 @@ func (s *Server) submit(c *conn, rb *respBuf, g sga.SGA, cost simclock.Lat) {
 // what turns a stalled client into TCP backpressure instead of
 // unbounded buffering.
 func (s *Server) armPops(c *conn) {
-	if c.closing {
+	st := &c.State
+	if st.closing {
 		return
 	}
-	if c.paused {
-		if len(c.inflight) > defaultBacklog/2 {
+	if st.paused {
+		if c.Held() > defaultBacklog/2 {
 			return
 		}
-		c.paused = false
+		st.paused = false
 	}
-	if len(c.inflight) >= defaultBacklog {
-		c.paused = true
+	if c.Held() >= defaultBacklog {
+		st.paused = true
 		s.pauses.Add(1)
 		return
 	}
-	for c.pops < defaultPopDepth {
-		s.sqes = append(s.sqes, uring.SQE{Op: queue.OpPop, QD: int32(c.qd), Tag: popTag(c.qd)})
-		c.pops++
+	for ; st.pops < defaultPopDepth; st.pops++ {
+		s.Pop(c)
 	}
-}
-
-// closeConn tears the connection down, releasing any queued response
-// descriptors.
-func (s *Server) closeConn(c *conn) {
-	if _, ok := s.conns[c.qd]; !ok {
-		return
-	}
-	delete(s.conns, c.qd)
-	for i, rb := range c.inflight {
-		s.putResp(rb)
-		c.inflight[i] = nil
-	}
-	c.inflight = c.inflight[:0]
-	s.lib.Close(c.qd) //nolint:errcheck // may already be gone
-	s.closed.Add(1)
 }
 
 // reapIdle closes connections with no request activity for IdleTimeout,
@@ -397,18 +263,12 @@ func (s *Server) reapIdle() {
 		return
 	}
 	s.lastReap = now
-	s.scan = s.scan[:0]
-	for _, c := range s.conns {
-		if !c.closing && len(c.inflight) == 0 &&
-			now.Sub(c.last) >= s.IdleTimeout {
-			s.scan = append(s.scan, c)
+	for c := range s.All() {
+		if !c.State.closing && c.Held() == 0 && now.Sub(c.State.last) >= s.IdleTimeout {
+			s.idleReaped.Add(1) // counted first: a reader that saw Conns fall sees it
+			s.Drop(c)
 		}
 	}
-	for _, c := range s.scan {
-		s.closeConn(c)
-		s.idleReaped.Add(1)
-	}
-	s.scan = s.scan[:0]
 }
 
 // serveSGA parses every complete request in the popped SGA and responds
@@ -417,18 +277,18 @@ func (s *Server) reapIdle() {
 // segment requests fall back to the per-connection pending buffer.
 func (s *Server) serveSGA(c *conn, g sga.SGA, cost simclock.Lat) int {
 	served := 0
-	if len(c.pending) == 0 && len(g.Segments) == 1 {
+	if len(c.State.pending) == 0 && len(g.Segments) == 1 {
 		buf := g.Segments[0].Buf
 		n := s.parseAndServe(c, buf, cost, &served)
-		if n < len(buf) && !c.closing {
-			c.pending = append(c.pending[:0], buf[n:]...)
+		if n < len(buf) && !c.State.closing {
+			c.State.pending = append(c.State.pending[:0], buf[n:]...)
 		}
 	} else {
 		for _, seg := range g.Segments {
-			c.pending = append(c.pending, seg.Buf...)
+			c.State.pending = append(c.State.pending, seg.Buf...)
 		}
-		n := s.parseAndServe(c, c.pending, cost, &served)
-		c.pending = c.pending[:copy(c.pending, c.pending[n:])]
+		n := s.parseAndServe(c, c.State.pending, cost, &served)
+		c.State.pending = c.State.pending[:copy(c.State.pending, c.State.pending[n:])]
 	}
 	g.Free()
 	return served
@@ -438,13 +298,13 @@ func (s *Server) serveSGA(c *conn, g sga.SGA, cost simclock.Lat) int {
 // request is incomplete, or the connection is closing.
 func (s *Server) parseAndServe(c *conn, buf []byte, cost simclock.Lat, served *int) int {
 	consumed := 0
-	for consumed < len(buf) && !c.closing {
+	for consumed < len(buf) && !c.State.closing {
 		req, n, err := parseRequest(buf[consumed:])
 		if err != nil {
 			// Unsalvageable head: answer 400 and drop the rest of the
 			// stream — there is no trustworthy request boundary left.
 			s.respondBad(c, cost)
-			c.closing = true
+			c.State.closing = true
 			return len(buf)
 		}
 		if n == 0 {
@@ -454,7 +314,7 @@ func (s *Server) parseAndServe(c *conn, buf []byte, cost simclock.Lat, served *i
 		s.respond(c, req, cost)
 		*served++
 		if req.close {
-			c.closing = true
+			c.State.closing = true
 		}
 	}
 	return consumed
@@ -467,7 +327,7 @@ func (s *Server) respond(c *conn, req request, cost simclock.Lat) {
 	if s.latOn.Load() {
 		s.recordLatency(req.path, cost+s.AppCost)
 	}
-	s.submit(c, rb, g, cost+s.AppCost)
+	s.Push(c, g, cost+s.AppCost, rb)
 }
 
 // respondBad answers a malformed request with a close-marked 400.
@@ -476,7 +336,7 @@ func (s *Server) respondBad(c *conn, cost simclock.Lat) {
 	g := s.buildStatus(rb, status400, badReqBody, true)
 	s.requests.Add(1)
 	s.r400.Add(1)
-	s.submit(c, rb, g, cost+s.AppCost)
+	s.Push(c, g, cost+s.AppCost, rb)
 }
 
 // Canned status lines and bodies.
@@ -592,15 +452,13 @@ func appendCommon(hdr []byte, contentLen int64, close bool) []byte {
 // outbound bytes. HEAD responses carry the full headers and no body.
 func (s *Server) finish(rb *respBuf, body []byte, head bool) sga.SGA {
 	rb.segs[0] = sga.Segment{Buf: rb.hdr}
-	rb.nseg = 1
-	n := int64(len(rb.hdr))
-	if !head && len(body) > 0 {
-		rb.segs[1] = sga.Segment{Buf: body}
-		rb.nseg = 2
-		n += int64(len(body))
+	if head || len(body) == 0 {
+		s.bytesOut.Add(int64(len(rb.hdr)))
+		return sga.SGA{Segments: rb.segs[:1]}
 	}
-	s.bytesOut.Add(n)
-	return sga.SGA{Segments: rb.segs[:rb.nseg]}
+	rb.segs[1] = sga.Segment{Buf: body}
+	s.bytesOut.Add(int64(len(rb.hdr) + len(body)))
+	return sga.SGA{Segments: rb.segs[:2]}
 }
 
 // getResp takes a response descriptor from the free list.
@@ -622,30 +480,7 @@ func (s *Server) putResp(rb *respBuf) {
 	}
 	rb.hdr = rb.hdr[:0]
 	rb.segs = [2]sga.Segment{}
-	rb.nseg = 0
 	s.respFree = append(s.respFree, rb)
-}
-
-// Run pumps Step until stop closes.
-func (s *Server) Run(stop <-chan struct{}) {
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if s.Step() == 0 {
-			s.lib.Poll()
-		}
-		runtime.Gosched()
-	}
-}
-
-// Conns returns the live connection count.
-func (s *Server) Conns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
 }
 
 // Stats is a point-in-time snapshot of the server's counters.
@@ -668,13 +503,16 @@ func (s *Server) Stats() Stats {
 		R404:          s.r404.Load(),
 		R416:          s.r416.Load(),
 		BytesOut:      s.bytesOut.Load(),
-		ConnsAccepted: s.accepted.Load(),
-		ConnsClosed:   s.closed.Load(),
+		ConnsAccepted: s.Accepts(),
+		ConnsClosed:   s.closed(),
 		IdleReaped:    s.idleReaped.Load(),
 		HalfCloses:    s.halfClosed.Load(),
 		Backlogs:      s.pauses.Load(),
 	}
 }
+
+// closed counts the connections accepted and closed since.
+func (s *Server) closed() int64 { return s.Accepts() - int64(s.Conns()) }
 
 // RegisterTelemetry lifts the httpd.* counter family into a registry.
 func (s *Server) RegisterTelemetry(r *telemetry.Registry, prefix string) {
@@ -686,8 +524,8 @@ func (s *Server) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	r.RegisterFunc(prefix+".resp_404", s.r404.Load)
 	r.RegisterFunc(prefix+".resp_416", s.r416.Load)
 	r.RegisterFunc(prefix+".bytes_out", s.bytesOut.Load)
-	r.RegisterFunc(prefix+".conns_accepted", s.accepted.Load)
-	r.RegisterFunc(prefix+".conns_closed", s.closed.Load)
+	r.RegisterFunc(prefix+".conns_accepted", s.Accepts)
+	r.RegisterFunc(prefix+".conns_closed", s.closed)
 	r.RegisterFunc(prefix+".idle_reaped", s.idleReaped.Load)
 	r.RegisterFunc(prefix+".half_closes", s.halfClosed.Load)
 	r.RegisterFunc(prefix+".backlog_pauses", s.pauses.Load)

@@ -29,7 +29,6 @@ import (
 	"demikernel/internal/sga"
 	"demikernel/internal/shard"
 	"demikernel/internal/simclock"
-	"demikernel/internal/uring"
 )
 
 // Ops and statuses.
@@ -111,7 +110,7 @@ func Serve(libs []*core.LibOS, mesh *shard.Group, active int, model *simclock.Co
 	}
 	s := NewShardedServerElastic(libs, model, mesh, active)
 	if err := s.Listen(port); err != nil {
-		s.close()
+		s.Close()
 		return nil, nil, err
 	}
 	quit := make(chan struct{})
@@ -119,25 +118,16 @@ func Serve(libs []*core.LibOS, mesh *shard.Group, active int, model *simclock.Co
 	return s, func() {
 		close(quit)
 		wg.Wait()
-		s.close()
+		s.Close()
 	}, nil
 }
 
-// close releases what stopped workers still hold: each connection with
+// Close releases what stopped workers still hold: each connection with
 // the values its responses in flight pinned, the requests their rings
 // still hold, and each listener. The stores stay, for whoever audits them.
-func (s *ShardedServer) close() {
+func (s *ShardedServer) Close() {
 	for _, w := range s.workers {
-		for conn := range w.conns {
-			w.drop(conn)
-		}
-		for n := w.lib.HarvestCQ(w.ring, w.cqes); n > 0; n = w.lib.HarvestCQ(w.ring, w.cqes) {
-			for i := range w.cqes[:n] {
-				w.cqes[i].SGA.Free()
-				w.cqes[i] = uring.CQE{}
-			}
-		}
-		w.lib.Close(w.lqd) //nolint:errcheck // nothing to do about it at shutdown
+		w.Close()
 	}
 }
 
@@ -147,14 +137,8 @@ func (s *ShardedServer) close() {
 // and stays the client's failover redialer, called with the attempt's
 // number. stop closes the connections and stops the poller.
 func Dial(lib *core.LibOS, n int, dial func(shard, attempt int) (core.QD, error)) (cli *ShardedClient, stop func(), err error) {
-	stopPoll := lib.Background()
 	c := &ShardedClient{lib: lib, redialFn: dial}
-	stop = func() {
-		c.Close() //nolint:errcheck // connections may already be dead
-		stopPoll()
-	}
-	if err := c.Resize(n, nil); err != nil {
-		stop()
+	if stop, err = failover.Stage(lib, func() error { return c.Resize(n, nil) }, c.Close); err != nil {
 		return nil, nil, err
 	}
 	return c, stop, nil

@@ -103,11 +103,11 @@ func (s *ShardedServer) AwaitStable(ctx context.Context) error {
 	return nil
 }
 
-// pollTopology observes a generation flip: snapshot the keys this worker
-// must ship out under the new partition, and — when this worker is
-// retiring (index beyond the new active count) — close its accepted
-// connections so clients fail over to the new layout immediately rather
-// than idling on a shard RSS no longer feeds.
+// pollTopology observes a generation flip, at the end of each step:
+// snapshot the keys this worker must ship out under the new partition,
+// and — when this worker is retiring (index beyond the new active count) —
+// close its accepted connections so clients fail over to the new layout
+// immediately rather than idling on a shard RSS no longer feeds.
 func (w *shardWorker) pollTopology() {
 	t := w.srv.topo.Load()
 	if t.Gen == w.gen {
@@ -122,8 +122,8 @@ func (w *shardWorker) pollTopology() {
 		}
 	}
 	if w.idx >= t.New {
-		for conn := range w.conns {
-			w.drop(conn) // retiring; the client redials
+		for c := range w.All() {
+			w.Drop(c) // retiring; the client redials
 		}
 	}
 	if len(w.migKeys) == 0 {

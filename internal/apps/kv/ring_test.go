@@ -91,8 +91,8 @@ func until(t *testing.T, what string, srv *ShardedServer, libs []*demi.LibOS, co
 // hold, over every connection.
 func (w *shardWorker) pinned() int {
 	n := 0
-	for _, pins := range w.conns {
-		n += pins.Len()
+	for c := range w.All() {
+		n += c.Held()
 	}
 	return n
 }
@@ -115,12 +115,12 @@ func TestKVLostResponseDoesNotStallWorker(t *testing.T) {
 	w := srv.workers[0]
 	a, b := dialRaw(t, c, aNode, srvNode, 6379), dialRaw(t, c, bNode, srvNode, 6379)
 	libs := []*demi.LibOS{srvNode.LibOS, aNode.LibOS, bNode.LibOS}
-	until(t, "accept both connections", srv, libs, func() bool { return len(w.conns) == 2 })
+	until(t, "accept both connections", srv, libs, func() bool { return w.Conns() == 2 })
 
 	// arrive polls, without stepping the server, until a request is
 	// waiting on its ring.
 	arrive := func(what string) {
-		until(t, what, nil, libs, func() bool { return w.ring.CountersSnapshot().CQOccupancy > 0 })
+		until(t, what, nil, libs, func() bool { return w.Ring().CountersSnapshot().CQOccupancy > 0 })
 	}
 
 	// A's GET reaches the server; then everything the server sends A dies
@@ -134,11 +134,11 @@ func TestKVLostResponseDoesNotStallWorker(t *testing.T) {
 		t.Fatalf("after A's step: %d GETs served, %d responses in flight; want 1, 1", got, w.pinned())
 	}
 	var toA, toB demi.QD
-	for conn, pins := range w.conns {
-		if pins.Len() == 1 {
-			toA = conn
+	for c := range w.All() {
+		if c.Held() == 1 {
+			toA = c.QD
 		} else {
-			toB = conn
+			toB = c.QD
 		}
 	}
 
@@ -157,10 +157,10 @@ func TestKVLostResponseDoesNotStallWorker(t *testing.T) {
 			}
 			resp.Free()
 		}
-		return len(b.pops) == 0 && w.conns[toB].Len() == 0
+		return len(b.pops) == 0 && w.Conn(toB).Held() == 0
 	})
-	if _, ok := a.recv(t); ok || w.conns[toA].Len() != 1 {
-		t.Fatalf("A's response arrived (%v) or its push completed (%d in flight): it was dropped", ok, w.conns[toA].Len())
+	if _, ok := a.recv(t); ok || w.Conn(toA).Held() != 1 {
+		t.Fatalf("A's response arrived (%v) or its push completed (%d in flight): it was dropped", ok, w.Conn(toA).Held())
 	}
 }
 
@@ -183,7 +183,7 @@ func TestKVGetResponseOutlivesOverwrite(t *testing.T) {
 	w := srv.workers[0]
 	a, b := dialRaw(t, c, cliNode, srvNode, 6379), dialRaw(t, c, cliNode, srvNode, 6379)
 	libs := []*demi.LibOS{srvNode.LibOS, cliNode.LibOS}
-	until(t, "accept both connections", srv, libs, func() bool { return len(w.conns) == 2 })
+	until(t, "accept both connections", srv, libs, func() bool { return w.Conns() == 2 })
 	pools := map[*fabric.FramePool]bool{srvNode.Catnip.Pool(): true, cliNode.Catnip.Pool(): true}
 	outstanding := func() (n int64) {
 		for p := range pools {
@@ -266,7 +266,7 @@ func TestKVGetResponseOutlivesOverwrite(t *testing.T) {
 		resp.Free()
 		return ok
 	})
-	srv.close()
+	srv.Close()
 	for _, r := range []*rawConn{a, b} {
 		r.lib.Close(r.qd) //nolint:errcheck // the server may have closed first
 	}

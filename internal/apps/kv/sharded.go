@@ -2,7 +2,7 @@
 // a single libOS as the width-1 case (NewServer, NewClient in kv.go). One
 // worker per libOS shard owns a disjoint slice of the keyspace and every
 // connection RSS steered to its NIC queue, and serves them from a
-// completion ring: a step harvests its CQ once, and everything it stages —
+// serve.Loop: a step harvests its CQ once, and everything it stages —
 // responses, the next pop of each connection — goes out as one batch, so
 // no worker ever blocks on a completion. The GET/PUT hot path takes no
 // lock: the store map, the connection table, and the scratch state are
@@ -17,20 +17,18 @@ package kv
 import (
 	"bytes"
 	"errors"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"demikernel/internal/apps/failover"
+	"demikernel/internal/apps/serve"
 	"demikernel/internal/core"
-	"demikernel/internal/fifo"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/shard"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
-	"demikernel/internal/uring"
 )
 
 // KeyShard maps a key to its owning shard: FNV-1a over the key bytes,
@@ -72,7 +70,6 @@ type shardCounters struct {
 	gets, sets, dels atomic.Int64
 	notFound         atomic.Int64
 	badRequests      atomic.Int64
-	connections      atomic.Int64
 	forwardedOut     atomic.Int64
 	forwardedIn      atomic.Int64
 	forwardDrops     atomic.Int64
@@ -108,27 +105,20 @@ type fwdResp struct {
 }
 
 // shardWorker is one share-nothing server shard. Every field below the
-// marker is touched only by the worker's own goroutine.
+// marker, and its loop, is touched only by the worker's own goroutine.
+// Each response push holds the stored value it reads in place (nil for a
+// response that reads none) until it completes.
 type shardWorker struct {
+	*serve.Loop[struct{}, *storedVal]
 	idx   int
 	n     int // provisioned worker count (mesh size), not the active partition width
-	lib   *core.LibOS
 	model *simclock.CostModel
 	group *shard.Group
 	srv   *ShardedServer
 	ctr   *shardCounters
 
 	// --- worker-private state: no locks, by construction ---
-	store map[string]*storedVal
-	lqd   core.QD
-	// conns holds, per accepted connection, the values pinned by its
-	// response pushes in flight, oldest first (nil for a response that
-	// pins none): pushes complete in order, so each push CQE releases the
-	// head.
-	conns      map[core.QD]*fifo.Queue[*storedVal]
-	ring       *uring.Pair
-	sqes       []uring.SQE
-	cqes       []uring.CQE
+	store      map[string]*storedVal
 	inbox      []shard.Msg
 	fwdBacklog []shard.Msg // forwards the mesh rejected; retried next step
 
@@ -154,13 +144,6 @@ type ShardedServer struct {
 // the client instead of growing an unbounded queue.
 const maxFwdBacklog = 256
 
-// workerRing is where a worker's ring starts (it grows with the
-// connections), and harvest how many completions one step takes off it.
-const (
-	workerRing = 16
-	harvest    = 64
-)
-
 // NewShardedServer builds an n-shard server, one worker per libOS in
 // libs (libs[i] must wrap shard i's transport). group is the cross-shard
 // mesh; it must have exactly len(libs) workers.
@@ -182,19 +165,23 @@ func NewShardedServerElastic(libs []*core.LibOS, model *simclock.CostModel, grou
 	s := &ShardedServer{group: group}
 	s.topo.Store(&Topology{Gen: 0, Old: active, New: active})
 	for i, lib := range libs {
-		s.workers = append(s.workers, &shardWorker{
+		w := &shardWorker{
 			idx:   i,
 			n:     len(libs),
-			lib:   lib,
 			model: model,
 			group: group,
 			srv:   s,
 			ctr:   &shardCounters{},
 			store: make(map[string]*storedVal),
-			conns: make(map[core.QD]*fifo.Queue[*storedVal]),
-			ring:  lib.AttachRing(workerRing),
-			cqes:  make([]uring.CQE, harvest),
+		}
+		w.Loop = serve.New(lib, serve.App[struct{}, *storedVal]{
+			Accepted: w.onAccept,
+			Popped:   w.onPop,
+			Release:  (*storedVal).release,
+			Work:     w.work,
+			Settle:   w.pollTopology,
 		})
+		s.workers = append(s.workers, w)
 	}
 	return s
 }
@@ -205,17 +192,9 @@ func NewShardedServerElastic(libs []*core.LibOS, model *simclock.CostModel, grou
 // sharded servers use.
 func (s *ShardedServer) Listen(port uint16) error {
 	for _, w := range s.workers {
-		qd, err := w.lib.Socket()
-		if err != nil {
+		if err := w.Listen(port); err != nil {
 			return err
 		}
-		if err := w.lib.Bind(qd, core.Addr{Port: port}); err != nil {
-			return err
-		}
-		if err := w.lib.Listen(qd); err != nil {
-			return err
-		}
-		w.lqd = qd
 	}
 	return nil
 }
@@ -225,27 +204,17 @@ func (s *ShardedServer) Listen(port uint16) error {
 // progressed. Single-goroutine benchmark
 // harnesses drive all shards round-robin through this; Run wraps it in
 // one goroutine per shard.
-func (s *ShardedServer) Step(i int) int { return s.workers[i].step() }
+func (s *ShardedServer) Step(i int) int { return s.workers[i].Step() }
 
 // Run starts one goroutine per shard and pumps until stop closes.
 func (s *ShardedServer) Run(stop <-chan struct{}) *sync.WaitGroup {
 	var wg sync.WaitGroup
 	for _, w := range s.workers {
 		wg.Add(1)
-		go func(w *shardWorker) {
+		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if w.step() == 0 {
-					w.lib.Poll()
-				}
-				runtime.Gosched()
-			}
-		}(w)
+			w.Run(stop)
+		}()
 	}
 	return &wg
 }
@@ -259,7 +228,7 @@ func (s *ShardedServer) StatsOf(i int) ShardStats {
 		Dels:         c.dels.Load(),
 		NotFound:     c.notFound.Load(),
 		BadRequests:  c.badRequests.Load(),
-		Connections:  c.connections.Load(),
+		Connections:  s.workers[i].Accepts(),
 		ForwardedOut: c.forwardedOut.Load(),
 		ForwardedIn:  c.forwardedIn.Load(),
 		ForwardDrops: c.forwardDrops.Load(),
@@ -337,82 +306,28 @@ func telemetryPrefix(prefix string, i int) string {
 
 // --- worker loop ---
 
-func (w *shardWorker) step() int {
-	w.pollTopology()
-	w.acceptNew()
-	n := w.drainMesh()
-	n += w.retryForwards()
-	n += w.stepMigration()
-	n += w.serveReady()
-	if len(w.sqes) > 0 {
-		w.lib.SubmitBatch(w.ring, w.sqes) //nolint:errcheck // a failed op is a CQE
-		clear(w.sqes)
-		w.sqes = w.sqes[:0]
-	}
-	return n
+// work is the worker's own part of a step, ahead of the harvest: the mesh,
+// the forwards it parked, and the migration sweep.
+func (w *shardWorker) work() int {
+	return w.drainMesh() + w.retryForwards() + w.stepMigration()
 }
 
-// Tags name the connection, and the operation kind in the low bit.
-func popTag(conn core.QD) uint64  { return uint64(conn) << 1 }
-func pushTag(conn core.QD) uint64 { return uint64(conn)<<1 | 1 }
+// conn is a client connection of a worker.
+type conn = serve.Conn[struct{}, *storedVal]
 
-func (w *shardWorker) acceptNew() {
-	for {
-		conn, ok, err := w.lib.TryAccept(w.lqd)
-		if err != nil || !ok {
-			return
-		}
-		w.ctr.connections.Add(1)
-		w.conns[conn] = new(fifo.Queue[*storedVal])
-		w.arm(conn)
-	}
-}
+// onAccept arms a new connection's pop. A connection has one at a time:
+// its client has one request in flight, and a second pop would let a
+// request served here answer ahead of an earlier one forwarded over the
+// mesh.
+func (w *shardWorker) onAccept(c *conn) { w.Pop(c) }
 
-// arm stages conn's pop. A connection has one at a time: its client has
-// one request in flight, and a second pop would let a request served here
-// answer ahead of an earlier one forwarded over the mesh.
-func (w *shardWorker) arm(conn core.QD) {
-	w.sqes = append(w.sqes, uring.SQE{Op: queue.OpPop, QD: int32(conn), Tag: popTag(conn)})
-}
-
-// serveReady takes one harvest off the ring: a request is served or
-// forwarded and its connection's next pop armed, a completed response
-// push releases what it pinned, and a failed operation drops its
-// connection.
-func (w *shardWorker) serveReady() int {
-	served := 0
-	n := w.lib.HarvestCQ(w.ring, w.cqes)
-	for i := range w.cqes[:n] {
-		c := &w.cqes[i]
-		conn := core.QD(c.Tag >> 1)
-		pins := w.conns[conn]
-		switch {
-		case pins == nil:
-			c.SGA.Free() // dropped at an earlier completion
-		case c.Err != nil:
-			w.drop(conn)
-		case c.Tag == pushTag(conn):
-			pins.Pop().release()
-		default:
-			// A fresh request, not final, originated here.
-			w.dispatch(fwdReq{conn: conn, origin: w.idx, req: c.SGA, cost: c.Cost}, false)
-			w.arm(conn)
-			served++
-		}
-		*c = uring.CQE{}
-	}
-	return served
-}
-
-// drop closes conn and releases the values its response pushes pinned: a
-// closed connection reads none of them again.
-func (w *shardWorker) drop(conn core.QD) {
-	pins := w.conns[conn]
-	delete(w.conns, conn)
-	w.lib.Close(conn) //nolint:errcheck // may already be gone
-	for pins.Len() > 0 {
-		pins.Pop().release()
-	}
+// onPop serves or forwards a fresh request and arms the connection's next
+// pop.
+func (w *shardWorker) onPop(c *conn, req sga.SGA, cost simclock.Lat) int {
+	// A fresh request, not final, originated here.
+	w.dispatch(fwdReq{conn: c.QD, origin: w.idx, req: req, cost: cost}, false)
+	w.Pop(c)
+	return 1
 }
 
 // dispatch routes one request — fresh off a connection (offMesh false)
@@ -593,17 +508,16 @@ func requestKey(req sga.SGA) (string, bool) {
 	return string(req.Segments[1].Buf), true
 }
 
-// respond stages resp as a push on conn, and keeps pin — the stored value
-// a GET response reads in place, or nil — until the push's CQE. A
+// respond stages resp as a push on conn, which holds pin — the stored
+// value a GET response reads in place, or nil — until it completes. A
 // connection dropped meanwhile gets no response, and pin goes at once.
 func (w *shardWorker) respond(conn core.QD, resp sga.SGA, pin *storedVal, cost simclock.Lat) {
-	pins := w.conns[conn]
-	if pins == nil {
+	c := w.Conn(conn)
+	if c == nil {
 		pin.release()
 		return
 	}
-	pins.Push(pin)
-	w.sqes = append(w.sqes, uring.SQE{Op: queue.OpPush, QD: int32(conn), Tag: pushTag(conn), SGA: resp, Cost: cost})
+	w.Push(c, resp, cost, pin)
 }
 
 // localServeCost is the modeled single-core cost of one fully local
@@ -698,6 +612,7 @@ func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, pin *storedVal, retain b
 // number so it can vary the source-port seed and avoid colliding with
 // the dead connection's 4-tuple in TIME_WAIT-less bypass stacks.
 type ShardedClient struct {
+	failover.Replayer
 	lib *core.LibOS
 
 	// mu guards the elastic width: n, conns, and attempts all change
@@ -710,10 +625,7 @@ type ShardedClient struct {
 	conns    []core.QD
 	attempts []int
 
-	pol      *failover.Policy
 	redialFn func(shard, attempt int) (core.QD, error)
-
-	redials atomic.Int64
 }
 
 // connAt resolves a (possibly stale) shard index against the current
@@ -730,13 +642,9 @@ func (c *ShardedClient) connAt(i int) (core.QD, int) {
 
 // NewShardedClient dials one flow per server shard using dial.
 func NewShardedClient(lib *core.LibOS, n int, dial func(shard int) (core.QD, error)) (*ShardedClient, error) {
-	c := &ShardedClient{lib: lib, n: n, attempts: make([]int, n)}
-	for i := 0; i < n; i++ {
-		qd, err := dial(i)
-		if err != nil {
-			return nil, err
-		}
-		c.conns = append(c.conns, qd)
+	c := &ShardedClient{lib: lib}
+	if err := c.Resize(n, dial); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -748,48 +656,39 @@ func NewShardedClient(lib *core.LibOS, n int, dial func(shard int) (core.QD, err
 // GET/SET/DEL are idempotent, so replay is safe. A nil dial keeps the
 // dialer Connect installs (call order does not matter).
 func (c *ShardedClient) EnableFailover(pol failover.Policy, dial func(shard, attempt int) (core.QD, error)) {
-	c.pol = &pol
+	c.Replayer.EnableFailover(pol)
 	if dial != nil {
 		c.redialFn = dial
 	}
 }
 
-// FailoverStats reports redials and replays across all shards (every
-// successful redial replays the one operation that was in flight).
-func (c *ShardedClient) FailoverStats() (reconnects, replays int64) {
-	n := c.redials.Load()
-	return n, n
-}
-
 // roundTrip pushes req on shard i's connection and waits for the
 // response, redialing that shard and replaying under an armed policy.
+// FailoverStats counts across all shards.
 func (c *ShardedClient) roundTrip(i int, req sga.SGA) (resp sga.SGA, cost simclock.Lat, err error) {
-	pol := c.pol
-	if c.redialFn == nil {
-		pol = nil
-	}
 	j := i
-	redials, err := failover.Do(pol,
-		func() (err error) {
-			conn, _ := c.connAt(j)
-			resp, cost, err = c.attempt(conn, req)
-			if errors.Is(err, core.ErrBadQD) && c.retired(conn) {
-				// A concurrent Resize closed conn between connAt and the
-				// pop: the descriptor was good when the op took it, so
-				// this is a dead connection to replay past, not a bug.
-				err = queue.ErrClosed
-			}
-			return err
-		},
-		func() error {
+	var redial func() error
+	if c.redialFn != nil {
+		redial = func() error {
 			// Re-resolve every time: a concurrent Resize may have shrunk
 			// the width, retiring the shard this op was aimed at.
 			_, j = c.connAt(i)
 			return c.redialShard(j)
-		})
-	if redials > 0 {
-		c.redials.Add(int64(redials))
+		}
 	}
+	err = c.Replay(func() (err error) {
+		conn, _ := c.connAt(j)
+		if err = failover.Send(c.lib, conn, req, 0); err == nil {
+			resp, cost, err = failover.Recv(c.lib, conn)
+		}
+		if errors.Is(err, core.ErrBadQD) && c.retired(conn) {
+			// A concurrent Resize closed conn between connAt and the
+			// pop: the descriptor was good when the op took it, so
+			// this is a dead connection to replay past, not a bug.
+			err = queue.ErrClosed
+		}
+		return err
+	}, redial)
 	return resp, cost, err
 }
 
@@ -799,32 +698,6 @@ func (c *ShardedClient) retired(conn core.QD) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return conn != core.InvalidQD && !slices.Contains(c.conns, conn)
-}
-
-// attempt performs one push/pop round trip on conn.
-func (c *ShardedClient) attempt(conn core.QD, req sga.SGA) (sga.SGA, simclock.Lat, error) {
-	qt, err := c.lib.PushCost(conn, req, 0)
-	if err != nil {
-		return sga.SGA{}, 0, err
-	}
-	pushed, err := c.lib.Wait(qt)
-	if err != nil {
-		return sga.SGA{}, 0, err
-	}
-	if pushed.Err != nil {
-		// The push itself failed (dead peer, backpressure): surface the
-		// typed transport error instead of waiting for a response that
-		// can never come.
-		return sga.SGA{}, 0, pushed.Err
-	}
-	comp, err := c.lib.BlockingPop(conn)
-	if err != nil {
-		return sga.SGA{}, 0, err
-	}
-	if comp.Err != nil {
-		return sga.SGA{}, 0, comp.Err
-	}
-	return comp.SGA, comp.Cost, nil
 }
 
 // redialShard replaces shard i's dead connection with a fresh one. The

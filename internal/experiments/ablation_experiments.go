@@ -21,7 +21,7 @@ func echoOverModel(kind demi.Kind, seed int64, model simclock.CostModel, size, n
 		return nil, err
 	}
 	defer rig.Close()
-	return rig.measureEcho(size, n)
+	return rig.MeasureEcho(size, n)
 }
 
 // runA1 ablates the syscall cost: if syscalls were free, would the

@@ -265,8 +265,9 @@ func StageEcho(c *demi.Cluster, srvNode, cliNode *demi.Node) (*EchoRig, error) {
 	}, nil
 }
 
-// measureEcho collects n round trips of the given payload size.
-func (r *EchoRig) measureEcho(size, n int) (*metrics.Histogram, error) {
+// MeasureEcho collects n round trips of size-byte payloads, each charged
+// the model's application cost.
+func (r *EchoRig) MeasureEcho(size, n int) (*metrics.Histogram, error) {
 	payload := make([]byte, size)
 	var h metrics.Histogram
 	for i := 0; i < n; i++ {

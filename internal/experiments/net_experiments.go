@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	demi "demikernel"
+	"demikernel/internal/apps/failover"
 	"demikernel/internal/fabric"
 	"demikernel/internal/metrics"
 	"demikernel/internal/sga"
@@ -34,7 +35,7 @@ func runE1(seed int64) (*Result, error) {
 		}
 		kr.srvNode.Kernel.ResetCounters()
 		kr.cliNode.Kernel.ResetCounters()
-		kh, err := kr.measureEcho(size, rttSamples)
+		kh, err := kr.MeasureEcho(size, rttSamples)
 		if err != nil {
 			kr.Close()
 			return nil, err
@@ -57,7 +58,7 @@ func runE1(seed int64) (*Result, error) {
 			br.cliNode.RegisterTelemetry(reg, "client")
 			before = reg.Snapshot()
 		}
-		bh, err := br.measureEcho(size, rttSamples)
+		bh, err := br.MeasureEcho(size, rttSamples)
 		if err != nil {
 			br.Close()
 			return nil, err
@@ -224,7 +225,7 @@ func runE6(seed int64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		h, err := rig.measureEcho(64, rttSamples)
+		h, err := rig.MeasureEcho(64, rttSamples)
 		rig.Close()
 		if err != nil {
 			return nil, err
@@ -314,23 +315,20 @@ func runE11(seed int64) (*Result, error) {
 			bytes.Repeat([]byte{byte(i)}, 100+i*13),
 			[]byte("tail"),
 		)
-		qt, err := rig.cliNode.Push(mustQD(rig), s)
-		if err != nil {
+		if err := failover.Send(rig.Client.Lib(), rig.Client.QD(), s, 0); err != nil {
 			return nil, err
 		}
-		if _, err := rig.cliNode.Wait(qt); err != nil {
-			return nil, err
-		}
-		comp, err := rig.cliNode.BlockingPop(mustQD(rig))
+		echo, _, err := failover.Recv(rig.Client.Lib(), rig.Client.QD())
 		if err != nil {
 			return nil, fmt.Errorf("pop %d: %w", i, err)
 		}
-		if comp.SGA.Equal(s) {
+		if echo.Equal(s) {
 			intact++
 		}
-		if string(comp.SGA.Segments[0].Buf) != fmt.Sprintf("hdr-%03d", i) {
+		if string(echo.Segments[0].Buf) != fmt.Sprintf("hdr-%03d", i) {
 			ordered = false
 		}
+		echo.Free()
 	}
 	st := rig.cliNode.Catnip.Stack().Stats()
 	tbl := metrics.NewTable("E11: SGA framing over TCP with 5% loss + 10% reordering",
@@ -344,8 +342,3 @@ func runE11(seed int64) (*Result, error) {
 		"retransmissions observed: %d", st.Retransmits+st.FastRetransmits)
 	return res, nil
 }
-
-// mustQD digs the echo client's queue descriptor out of the rig. The
-// echo client owns the connection; for E11 the experiment pushes raw
-// SGAs over it directly.
-func mustQD(r *EchoRig) demi.QD { return r.Client.QD() }

@@ -63,18 +63,8 @@ func e19Reshard(seed int64, res *Result) error {
 	var lastOps int64
 	lastBusy := make([]int64, server.Size())
 	phase := func(name string, n int, collect *[]simclock.Lat) (e19Phase, error) {
-		for i := 0; i < n; i++ {
-			key := fmt.Sprintf("e19-key-%04d", i%setsGets)
-			cost, err := cli.Set(key, val)
-			if err != nil {
-				return e19Phase{}, fmt.Errorf("%s: set %s: %w", name, key, err)
-			}
-			if collect != nil {
-				*collect = append(*collect, cost)
-			}
-			if _, _, found, err := cli.Get(key); err != nil || !found {
-				return e19Phase{}, fmt.Errorf("%s: get %s: found=%v err=%w", name, key, found, err)
-			}
+		if err := rig.SetGet("e19-key", n, setsGets, true, collect); err != nil {
+			return e19Phase{}, fmt.Errorf("%s: %w", name, err)
 		}
 		p := e19Phase{name: name, shards: cli.Shards(), ops: server.TotalOps() - lastOps}
 		var maxBusy int64

@@ -6,6 +6,7 @@ import (
 	demi "demikernel"
 	"demikernel/internal/apps/kv"
 	"demikernel/internal/metrics"
+	"demikernel/internal/simclock"
 )
 
 // ShardScalePoint is one point of the multi-core scaling curve: an
@@ -37,33 +38,10 @@ func RunShardScale(seed int64, shards, setsGets int, aligned bool) (ShardScalePo
 		return ShardScalePoint{}, err
 	}
 	defer rig.Close()
-	server, client := rig.Server, rig.Client
-
-	val := []byte("0123456789abcdef0123456789abcdef") // 32 B values
-	for i := 0; i < setsGets; i++ {
-		key := fmt.Sprintf("bench-key-%04d", i)
-		if aligned {
-			if _, err := client.Set(key, val); err != nil {
-				return ShardScalePoint{}, fmt.Errorf("set %s: %w", key, err)
-			}
-		} else {
-			if _, err := client.SetOn(0, key, val); err != nil {
-				return ShardScalePoint{}, fmt.Errorf("set %s: %w", key, err)
-			}
-		}
+	if err := rig.SetGet("bench-key", setsGets, setsGets, aligned, nil); err != nil {
+		return ShardScalePoint{}, err
 	}
-	for i := 0; i < setsGets; i++ {
-		key := fmt.Sprintf("bench-key-%04d", i)
-		var found bool
-		if aligned {
-			_, _, found, err = client.Get(key)
-		} else {
-			_, found, err = client.GetOn(0, key)
-		}
-		if err != nil || !found {
-			return ShardScalePoint{}, fmt.Errorf("get %s: found=%v err=%w", key, found, err)
-		}
-	}
+	server := rig.Server
 
 	p := ShardScalePoint{Shards: shards, Ops: server.TotalOps()}
 	var maxBusy int64
@@ -115,6 +93,33 @@ func NewKVRig(c *demi.Cluster, kind demi.Kind, shards, capacity int, port uint16
 		return nil, err
 	}
 	return &KVRig{SrvNode: srvNode, Server: server, Client: client, Close: func() { stopCli(); stopSrv() }}, nil
+}
+
+// SetGet issues n SET+GET pairs of 32 B values, pair i on key
+// prefix-(i mod keys), and requires every GET to find its key. A request
+// travels over its key's owning shard, or, unless aligned, over shard 0's
+// connection whatever the key. costs, when not nil, collects each SET's
+// virtual cost.
+func (r *KVRig) SetGet(prefix string, n, keys int, aligned bool, costs *[]simclock.Lat) error {
+	val := []byte("0123456789abcdef0123456789abcdef")
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("%s-%04d", prefix, i%keys)
+		via := 0
+		if aligned {
+			via = kv.KeyShard(key, r.Client.Shards())
+		}
+		cost, err := r.Client.SetOn(via, key, val)
+		if err != nil {
+			return fmt.Errorf("set %s: %w", key, err)
+		}
+		if costs != nil {
+			*costs = append(*costs, cost)
+		}
+		if _, found, err := r.Client.GetOn(via, key); err != nil || !found {
+			return fmt.Errorf("get %s: found=%v err=%w", key, found, err)
+		}
+	}
+	return nil
 }
 
 // runE14 reproduces the §3.1 scale-out claim: a share-nothing sharded

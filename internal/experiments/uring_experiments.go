@@ -28,7 +28,7 @@ func runE16(seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	perOp, err := perOpRig.measureEcho(64, ops)
+	perOp, err := perOpRig.MeasureEcho(64, ops)
 	perOpRig.Close()
 	if err != nil {
 		return nil, err

@@ -244,8 +244,7 @@ func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 		return
 	}
 	e.txq = append(e.txq, txFrame{data: s.Marshal(), cost: cost, done: done})
-	e.mu.Unlock()
-	e.Pump()
+	e.pumpUnlock()
 }
 
 // Pop implements queue.IoQueue.
@@ -256,7 +255,7 @@ func (e *endpoint) Pop(done queue.DoneFunc) {
 		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
 		return
 	}
-	if len(e.ready) > 0 {
+	if len(e.ready) > 0 && len(e.waiters) == 0 {
 		c := e.ready[0]
 		e.ready = e.ready[1:]
 		e.mu.Unlock()
@@ -264,112 +263,92 @@ func (e *endpoint) Pop(done queue.DoneFunc) {
 		return
 	}
 	e.waiters = append(e.waiters, done)
-	e.mu.Unlock()
-	e.Pump()
+	e.pumpUnlock()
 }
 
 // Pump implements queue.IoQueue.
 func (e *endpoint) Pump() int {
 	e.mu.Lock()
-	fd := e.fd
-	closed := e.closed
-	e.mu.Unlock()
-	if fd < 0 || closed {
-		return 0
-	}
-	n := e.flushTx(fd) + e.drainRx(fd)
-	e.serveWaiters()
-	return n
+	return e.pumpUnlock()
 }
 
-func (e *endpoint) flushTx(fd kernel.FD) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// fired is a completion recorded under e.mu and delivered after it is
+// released, so that a DoneFunc may come back into the endpoint.
+type fired struct {
+	done queue.DoneFunc
+	c    queue.Completion
+}
+
+// pumpUnlock is the one body of Push, Pop and Pump. Entered with e.mu
+// held, it flushes the send queue, drains the socket through the framer
+// and matches waiters to completions, all under that one hold: two
+// pollers (a background one and a waiting application) can then neither
+// feed the framer out of order nor serve a later waiter ahead of an
+// earlier one. Waiters fail at the end of the stream only once every
+// decoded element has been handed out, so the final message is delivered
+// ahead of the EOF behind it. It releases e.mu and only then fires what
+// completed, and returns bytes sent plus SGAs decoded.
+func (e *endpoint) pumpUnlock() int {
+	fd := e.fd
+	if fd < 0 || e.closed {
+		e.mu.Unlock()
+		return 0
+	}
+	var arr [4]fired
+	out := arr[:0]
 	n := 0
 	for len(e.txq) > 0 {
 		f := &e.txq[0]
 		sent, cost, err := e.t.k.Send(fd, f.data[f.sent:], f.cost)
-		if err != nil {
-			done := f.done
-			e.txq = e.txq[1:]
-			e.mu.Unlock()
-			done(queue.Completion{Kind: queue.OpPush, Err: err})
-			e.mu.Lock()
-			continue
+		c := queue.Completion{Kind: queue.OpPush, Err: err}
+		if err == nil {
+			f.sent += sent
+			f.cost = cost
+			n += sent
+			if f.sent < len(f.data) {
+				break
+			}
+			c.Cost = cost
 		}
-		f.sent += sent
-		f.cost = cost
-		n += sent
-		if f.sent < len(f.data) {
-			break
-		}
-		done := f.done
+		out = append(out, fired{f.done, c})
 		e.txq = e.txq[1:]
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPush, Cost: cost})
-		e.mu.Lock()
 	}
-	return n
-}
-
-func (e *endpoint) drainRx(fd kernel.FD) int {
-	n := 0
-	for {
-		// Receive and feed under one hold of the lock: two pollers (a
-		// background one and a waiting application) that each took a chunk
-		// off the socket and then raced to the framer could feed them out
-		// of order, and the stream would decode as a corrupt frame.
-		e.mu.Lock()
+	// failErr is what fails the waiters no completion is left for: the end
+	// of the stream, or bytes that are no frame (the framer stays poisoned).
+	var failErr error
+	for failErr = e.framer.Err(); failErr == nil; {
 		b, cost, err := e.t.k.Recv(fd, 0)
 		if errors.Is(err, io.EOF) {
-			e.mu.Unlock()
-			e.failWaiters(queue.ErrClosed)
-			return n
+			failErr = queue.ErrClosed
+			break
 		}
 		if err != nil || len(b) == 0 {
-			e.mu.Unlock()
-			return n
+			break
 		}
-		for len(b) > 0 {
+		for len(b) > 0 && failErr == nil {
 			k, s, ok, ferr := e.framer.Write(b, len(b))
-			if ferr != nil {
-				e.mu.Unlock()
-				e.failWaiters(ferr)
-				return n
-			}
-			if b = b[k:]; ok {
+			if failErr = ferr; ok {
 				e.ready = append(e.ready, queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
 				n++
 			}
+			b = b[k:]
 		}
-		e.mu.Unlock()
 	}
-}
-
-func (e *endpoint) serveWaiters() {
-	for {
-		e.mu.Lock()
-		if len(e.waiters) == 0 || len(e.ready) == 0 {
-			e.mu.Unlock()
-			return
+	for len(e.waiters) > 0 && len(e.ready) > 0 {
+		out = append(out, fired{e.waiters[0], e.ready[0]})
+		e.waiters, e.ready = e.waiters[1:], e.ready[1:]
+	}
+	if failErr != nil && len(e.ready) == 0 {
+		for _, w := range e.waiters {
+			out = append(out, fired{w, queue.Completion{Kind: queue.OpPop, Err: failErr}})
 		}
-		w := e.waiters[0]
-		e.waiters = e.waiters[1:]
-		c := e.ready[0]
-		e.ready = e.ready[1:]
-		e.mu.Unlock()
-		w(c)
+		e.waiters = nil
 	}
-}
-
-func (e *endpoint) failWaiters(err error) {
-	e.mu.Lock()
-	ws := e.waiters
-	e.waiters = nil
 	e.mu.Unlock()
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: err})
+	for _, f := range out {
+		f.done(f.c)
 	}
+	return n
 }
 
 // Close implements queue.IoQueue.
@@ -381,6 +360,8 @@ func (e *endpoint) Close() error {
 	}
 	e.closed = true
 	fd, lfd, listening := e.fd, e.listenFD, e.listening
+	ws := e.waiters
+	e.waiters = nil
 	e.mu.Unlock()
 	if fd >= 0 {
 		e.t.k.Close(fd)
@@ -388,7 +369,9 @@ func (e *endpoint) Close() error {
 	if listening {
 		e.t.k.Close(lfd)
 	}
-	e.failWaiters(queue.ErrClosed)
+	for _, w := range ws {
+		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
+	}
 	e.t.mu.Lock()
 	e.t.eps = without(e.t.eps, e)
 	e.t.mu.Unlock()

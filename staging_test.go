@@ -36,6 +36,83 @@ func framesOut(n *Node) int64 {
 	return out
 }
 
+// TestStopDrainsRing steps a server by hand until a request's pop has
+// completed onto its ring, then stops it with no further step: the request
+// was never served, and its pooled frame must still come back. A stop
+// that closes the connections without draining the ring keeps it forever.
+func TestStopDrainsRing(t *testing.T) {
+	const port = 7
+	for _, tc := range []struct {
+		name  string
+		req   SGA
+		serve func(c *Cluster, lib *LibOS) (step func() int, stop func(), err error)
+	}{
+		{"echo", NewSGA([]byte("ping")), func(c *Cluster, lib *LibOS) (func() int, func(), error) {
+			s := echo.NewServer(lib)
+			return s.Step, s.Close, s.Listen(port)
+		}},
+		{"httpd", NewSGA([]byte("GET /obj HTTP/1.1\r\n\r\n")), func(c *Cluster, lib *LibOS) (func() int, func(), error) {
+			tree := httpd.NewTree()
+			tree.Add("/obj", []byte("body"))
+			s := httpd.NewServer(lib, tree)
+			return s.Step, s.Close, s.Listen(port)
+		}},
+		{"kv", NewSGA([]byte(kv.OpGet), []byte("k")), func(c *Cluster, lib *LibOS) (func() int, func(), error) {
+			s := kv.NewServer(lib, &c.Model)
+			return func() int { return s.Step(0) }, s.Close, s.Listen(port)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(82)
+			srv := c.MustSpawn(Catnip, WithHost(1))
+			cli := c.MustSpawn(Catnip, WithHost(2))
+			frames := framesOut(srv)
+			step, stop, err := tc.serve(c, srv.LibOS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring := srv.Rings()[0]
+			qd, err := cli.Socket()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stopPoll := srv.Background()
+			err = cli.Connect(qd, c.AddrOf(srv, port))
+			stopPoll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			until := func(what string, cond func() bool, serve bool) {
+				t.Helper()
+				for i := 0; !cond(); i++ {
+					if i > 100_000 {
+						t.Fatalf("no progress: %s", what)
+					}
+					cli.Poll()
+					srv.Poll()
+					if serve {
+						step()
+					}
+				}
+			}
+			until("the accept", func() bool { return ring.CountersSnapshot().Submitted > 0 }, true)
+			if _, err := cli.Push(qd, tc.req); err != nil {
+				t.Fatal(err)
+			}
+			until("the request's pop", func() bool { return ring.CountersSnapshot().CQOccupancy > 0 }, false)
+			stop()
+			cli.Close(qd) //nolint:errcheck // the server closed first
+			deadline := time.Now().Add(2 * time.Second)
+			for framesOut(srv) != frames {
+				if time.Now().After(deadline) {
+					t.Fatalf("after stop %d frames out, %d before: the request's buffer stayed on the ring", framesOut(srv), frames)
+				}
+				c.Poll()
+			}
+		})
+	}
+}
+
 func TestStagingStopsClean(t *testing.T) {
 	const port = 7
 	// batched picks the client's calls: one batch submitted at once and
