@@ -192,8 +192,12 @@ type LibOS struct {
 	// ring.
 	spans *telemetry.SpanTable
 
+	// qds is the descriptor table, indexed by QD (nil: closed). get reads
+	// it with two loads and no lock; writes are under mu, and a full table
+	// is replaced by a copy twice its size. QDs are not reused, so it keeps
+	// a slot for every descriptor ever opened.
 	mu   sync.Mutex
-	qds  map[QD]*qdesc
+	qds  atomic.Pointer[[]atomic.Pointer[qdesc]]
 	next QD
 
 	// composed is what Poll pumps besides the transport: the queues this
@@ -226,10 +230,11 @@ func New(t Transport, model *simclock.CostModel) *LibOS {
 		// Named after the transport, so that traces from several libOSes
 		// in one process are attributable.
 		spans:       telemetry.NewSpanTable(t.Name()),
-		qds:         make(map[QD]*qdesc),
 		next:        1,
 		WaitTimeout: 5 * time.Second,
 	}
+	qds := make([]atomic.Pointer[qdesc], 16)
+	l.qds.Store(&qds)
 	l.tokens.SetSpans(l.spans)
 	l.tp.Store(&transportCell{t: t})
 	return l
@@ -273,7 +278,16 @@ func (l *LibOS) insert(d *qdesc) QD {
 	defer l.mu.Unlock()
 	qd := l.next
 	l.next++
-	l.qds[qd] = d
+	qds := *l.qds.Load()
+	if int(qd) == len(qds) {
+		grown := make([]atomic.Pointer[qdesc], 2*len(qds))
+		for i := range qds {
+			grown[i].Store(qds[i].Load())
+		}
+		l.qds.Store(&grown)
+		qds = grown
+	}
+	qds[qd].Store(d)
 	if d.composed {
 		qs := append(append([]queue.IoQueue(nil), l.composedQueues()...), d.q)
 		l.composed.Store(&qs)
@@ -293,14 +307,22 @@ func (l *LibOS) composedQueues() []queue.IoQueue {
 	return nil
 }
 
-func (l *LibOS) get(qd QD) (*qdesc, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	d, ok := l.qds[qd]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrBadQD, qd)
+// slot returns qd's place in the descriptor table, nil if never issued.
+func (l *LibOS) slot(qd QD) *atomic.Pointer[qdesc] {
+	qds := *l.qds.Load()
+	if qd <= 0 || int(qd) >= len(qds) {
+		return nil
 	}
-	return d, nil
+	return &qds[qd]
+}
+
+func (l *LibOS) get(qd QD) (*qdesc, error) {
+	if s := l.slot(qd); s != nil {
+		if d := s.Load(); d != nil {
+			return d, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: %d", ErrBadQD, qd)
 }
 
 // --- control path: network (Figure 3, top-left) ---
@@ -448,16 +470,15 @@ func (l *LibOS) Connect(qd QD, addr Addr) error {
 
 // Close tears down a queue descriptor.
 func (l *LibOS) Close(qd QD) error {
+	var d *qdesc
 	l.mu.Lock()
-	d, ok := l.qds[qd]
-	if ok {
-		delete(l.qds, qd)
-		if d.composed {
+	if s := l.slot(qd); s != nil {
+		if d = s.Swap(nil); d != nil && d.composed {
 			l.dropComposedLocked(d.q)
 		}
 	}
 	l.mu.Unlock()
-	if !ok {
+	if d == nil {
 		return fmt.Errorf("%w: %d", ErrBadQD, qd)
 	}
 	return d.ioq().Close()

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -228,5 +229,100 @@ func TestConnectTimeoutWrapsSentinel(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("connect timeout took far longer than the configured deadline")
+	}
+}
+
+// TestDescriptorTableConcurrent races the descriptor table's writers
+// against its lock-free readers: one goroutine opens and closes sockets —
+// enough of them that the table is replaced by a bigger one several times
+// over — while two others push, pop and wait on queues of their own and
+// poll a listener for connections. Every live descriptor resolves on every
+// call, and a closed one reads ErrBadQD at once and for good. Run it under
+// -race.
+func TestDescriptorTableConcurrent(t *testing.T) {
+	n := newNode(t, 122)
+	lqd, err := n.Socket()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Bind(lqd, demi.Addr{Port: 80}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Listen(lqd); err != nil {
+		t.Fatal(err)
+	}
+	const sockets = 3000
+	var closed []demi.QD
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for i := 0; i < sockets; i++ {
+			qd, err := n.Socket()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := n.Close(qd); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := n.Pop(qd); !errors.Is(err, core.ErrBadQD) {
+				t.Errorf("pop on closed QD %d: %v", qd, err)
+				return
+			}
+			closed = append(closed, qd)
+		}
+	}()
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		q := n.Queue()
+		go func() {
+			for i := 0; ; i++ {
+				select {
+				case <-churned:
+					errs <- nil
+					return
+				default:
+				}
+				push, err := n.Push(q, demi.NewSGA([]byte{byte(i)}))
+				if err != nil {
+					errs <- err
+					return
+				}
+				pop, err := n.Pop(q)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if _, ok, err := n.TryWait(push); !ok || err != nil {
+					errs <- fmt.Errorf("push %d: done %v, %v", i, ok, err)
+					return
+				}
+				if c, ok, err := n.TryWait(pop); !ok || err != nil || c.SGA.Bytes()[0] != byte(i) {
+					errs <- fmt.Errorf("pop %d: done %v, %v", i, ok, err)
+					return
+				}
+				if _, ok, err := n.TryAccept(lqd); ok || err != nil {
+					errs <- fmt.Errorf("accept on an idle listener: %v, %v", ok, err)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(closed) != sockets {
+		t.Fatalf("%d sockets opened and closed, want %d", len(closed), sockets)
+	}
+	for _, qd := range closed {
+		if _, _, err := n.TryAccept(qd); !errors.Is(err, core.ErrBadQD) {
+			t.Fatalf("accept on closed QD %d: %v", qd, err)
+		}
+		if err := n.Close(qd); !errors.Is(err, core.ErrBadQD) {
+			t.Fatalf("second close of QD %d: %v", qd, err)
+		}
 	}
 }

@@ -76,12 +76,14 @@ func (l *LibOS) SwapTransport(newT Transport, migrate func(Endpoint) Endpoint) i
 	l.tp.Store(&transportCell{t: newT})
 	l.spans.SetName(newT.Name())
 	n := 0
-	for qd, d := range l.qds {
-		if d.kind != qdEndpoint {
+	qds := *l.qds.Load()
+	for qd := QD(1); qd < l.next; qd++ {
+		d := qds[qd].Load()
+		if d == nil || d.kind != qdEndpoint {
 			continue
 		}
 		if nep := migrate(d.ep); nep != nil {
-			l.qds[qd] = &qdesc{kind: qdEndpoint, ep: nep}
+			qds[qd].Store(&qdesc{kind: qdEndpoint, ep: nep})
 			n++
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"demikernel/internal/shard"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
 )
@@ -276,9 +277,12 @@ const DefaultPortRing = 1024
 // Port is one attachment point on the switch. A simulated NIC owns a port
 // and polls frames from it.
 type Port struct {
-	sw    *Switch
-	id    int
-	rx    chan Frame
+	sw *Switch
+	id int
+	// rx is the port's receive ring, and needs no lock of its own: every
+	// writer holds sw.mu, and its one reader at a time holds the owning
+	// device's (a NIC's drain lock, an RDMA device's poll guard).
+	rx    *shard.Ring[Frame]
 	imp   Impairments // per-port fault injection (guarded by sw.mu)
 	down  bool        // administrative link state (guarded by sw.mu)
 	stats PortStats   // guarded by sw.mu
@@ -294,7 +298,7 @@ func (s *Switch) NewPort(ringDepth int) *Port {
 	if ringDepth <= 0 {
 		ringDepth = DefaultPortRing
 	}
-	p := &Port{sw: s, rx: make(chan Frame, ringDepth)}
+	p := &Port{sw: s, rx: shard.NewRing[Frame](ringDepth)}
 	s.mu.Lock()
 	p.id = len(s.ports)
 	s.ports = append(s.ports, p)
@@ -458,15 +462,14 @@ func (s *Switch) deliverLocked(out *Port, f Frame) {
 		f.Release()
 		return
 	}
-	select {
-	case out.rx <- f:
+	if out.rx.Push(f) {
 		s.stats.Delivered++
 		out.stats.Delivered++
-	default:
-		s.stats.DroppedRxFull++
-		telemetry.TraceInstant("fabric", "rx-full-drop", int32(out.id), int64(len(f.Data)))
-		f.Release()
+		return
 	}
+	s.stats.DroppedRxFull++
+	telemetry.TraceInstant("fabric", "rx-full-drop", int32(out.id), int64(len(f.Data)))
+	f.Release()
 }
 
 // RegisterTelemetry lifts the switch's global counters (and one
@@ -489,15 +492,9 @@ func (s *Switch) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	r.RegisterFunc(prefix+".ports", func() int64 { return int64(s.NumPorts()) })
 }
 
-// Poll returns the next received frame without blocking.
-func (p *Port) Poll() (Frame, bool) {
-	select {
-	case f := <-p.rx:
-		return f, true
-	default:
-		return Frame{}, false
-	}
-}
+// Poll returns the next received frame without blocking. One goroutine
+// at a time may poll a port.
+func (p *Port) Poll() (Frame, bool) { return p.rx.Pop() }
 
-// Recv returns the port's receive channel for event-driven consumers.
-func (p *Port) Recv() <-chan Frame { return p.rx }
+// Pending reports whether a received frame waits to be polled.
+func (p *Port) Pending() bool { return p.rx.Len() > 0 }

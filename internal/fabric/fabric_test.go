@@ -149,13 +149,25 @@ func TestRxRingOverflowDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		pa.Send(frame(macB, macA, "spam"))
 	}
+	// macB is unknown, so every send floods to pb alone: its two slots take
+	// the first two frames and each of the other eight is one overflow.
 	st := sw.Stats()
-	if st.DroppedRxFull == 0 {
-		t.Fatal("expected overflow drops on tiny ring")
+	if st.Delivered != 2 || st.DroppedRxFull != 8 {
+		t.Fatalf("delivered %d, dropped on a full ring %d; want 2 and 8", st.Delivered, st.DroppedRxFull)
 	}
-	// The first sends flooded; count delivered+dropped matches sends per port.
-	if st.Delivered == 0 {
-		t.Fatal("nothing delivered at all")
+	// Conservation: every frame delivered is in the ring, once, in order.
+	for i := 0; i < 2; i++ {
+		if f, ok := pb.Poll(); !ok || string(f.Data[MinFrameLen:]) != "spam" {
+			t.Fatalf("poll %d of the ring: %v", i, ok)
+		}
+	}
+	if _, ok := pb.Poll(); ok {
+		t.Fatal("the ring gave back more frames than it was delivered")
+	}
+	// Drained, the ring takes frames again.
+	pa.Send(frame(macB, macA, "spam"))
+	if st := sw.Stats(); st.Delivered != 3 || st.DroppedRxFull != 8 || st.Delivered+st.DroppedRxFull != st.Flooded {
+		t.Fatalf("after a drain: %+v", st)
 	}
 }
 

@@ -39,8 +39,8 @@ func privatePools(a, b *Config) {
 func (r *wlRig) settle(ea *endpoint) int {
 	r.t.Helper()
 	sent := func() int {
-		ea.mu.Lock()
-		defer ea.mu.Unlock()
+		ea.t.mu.Lock()
+		defer ea.t.mu.Unlock()
 		if ea.txq.Len() == 0 {
 			return -1
 		}
@@ -116,8 +116,8 @@ func TestPushResumesMidFrame(t *testing.T) {
 		}
 		ea := a.(*endpoint)
 		stuck := r.settle(ea)
-		ea.mu.Lock()
-		defer ea.mu.Unlock()
+		ea.t.mu.Lock()
+		defer ea.t.mu.Unlock()
 		return (n-ea.txq.Len())*size + stuck
 	}()
 	if capacity < 2*filler {
@@ -134,9 +134,9 @@ func TestPushResumesMidFrame(t *testing.T) {
 				i := len(want)
 				want = append(want, s.Bytes())
 				a.Push(s, 0, func(c queue.Completion) {
-					ea.mu.Lock()
+					ea.t.mu.Lock()
 					queued := ea.txq.Len()
-					ea.mu.Unlock()
+					ea.t.mu.Unlock()
 					// Frames queue in order: with more of them waiting than
 					// were pushed after this one, this one still is.
 					if c.Err != nil || queued > len(want)-(i+1) {
@@ -210,7 +210,7 @@ func TestFreeWhileQueuedDefers(t *testing.T) {
 				r.t.Fatal(err)
 			}
 			for i := 0; i < 8 && a.Err() == nil; i++ {
-				r.now = r.now.Add(time.Second) // the probe that draws the reset
+				r.advance(time.Second) // the probe that draws the reset
 				r.poll()
 				r.poll()
 			}
@@ -380,9 +380,9 @@ func TestExportMidFrame(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				r.tb.Poll()
 			}
-			eb.mu.Lock()
+			eb.t.mu.Lock()
 			halfSent := eb.txq.Len() == 1 && eb.txq.Front().sent > 0
-			eb.mu.Unlock()
+			eb.t.mu.Unlock()
 			held := r.tb.pool.Outstanding()
 			if !halfSent || popped != nil || held == 0 {
 				t.Fatalf("set-up: frame half sent %v, pop completed %v, %d pool buffers out; want true, false, the half-decoded frame's", halfSent, popped != nil, held)
@@ -408,10 +408,10 @@ func TestExportMidFrame(t *testing.T) {
 					nt.Poll()
 				}
 				eh := hop.(*endpoint)
-				eh.mu.Lock()
+				eh.t.mu.Lock()
 				f := eh.txq.Front()
 				further := eh.txq.Len() == 1 && f.raw != nil && f.sent > 12 && f.sent < len(f.raw)
-				eh.mu.Unlock()
+				eh.t.mu.Unlock()
 				if !further {
 					t.Fatal("set-up: the adopted frame did not stop part way again")
 				}

@@ -51,7 +51,7 @@ type Transport struct {
 	// lines.
 	pool *fabric.FramePool
 	// firedPool recycles the completion lists of pumps that fire more than
-	// a handful at once; see firedSpill.
+	// a handful at once; see fired.
 	firedPool sync.Pool
 
 	// Rebuild parameters, saved so Restart can construct a fresh stack
@@ -66,26 +66,30 @@ type Transport struct {
 	// when no fault is active.
 	crashed atomic.Bool
 
-	// prevStats accumulates the counters of dead stack incarnations so
-	// StackStats (and telemetry) stay cumulative across crash/restart —
-	// without it the frame-conservation selftest would see NIC counters
-	// keep climbing while stack counters reset to zero.
-	statsMu   sync.Mutex
-	prevStats netstack.Stats
-	crashes   int64 // completed Crash calls (lifecycle telemetry)
-	restarts  int64 // completed Restart calls
-
 	// rxStalls counts drain parks under RxReadyCap: each increment is
 	// one transition of an endpoint into the "reader too slow, stop
 	// draining" state. The operator's signal that clients are stalling.
 	rxStalls atomic.Int64
 
-	// mu guards the endpoint tables and the pump list. eps holds every
-	// open TCP endpoint at the index it remembers as slot (Close
-	// swap-removes); Crash and Restart walk it, Poll never does. udps is
-	// copy-on-write, because Poll pumps every datagram endpoint from a
-	// snapshot taken under the lock.
-	mu   sync.Mutex
+	// mu is the shard lock. It is the lock of every stack built for this
+	// shard (netstack.NewWithLock), so it outlives each of them, and it
+	// guards the fields below and every endpoint's state too. A libOS entry
+	// — Push, Pop, Pump, Poll, an Accept that finds a connection — takes it
+	// once, and fires the completions it collected after letting go.
+	mu *sync.Mutex
+
+	// prevStats accumulates the counters of dead stack incarnations so
+	// StackStats (and telemetry) stay cumulative across crash/restart —
+	// without it the frame-conservation selftest would see NIC counters
+	// keep climbing while stack counters reset to zero.
+	prevStats netstack.Stats
+	crashes   int64 // completed Crash calls (lifecycle telemetry)
+	restarts  int64 // completed Restart calls
+
+	// eps holds every open TCP endpoint at the index it remembers as slot
+	// (Close swap-removes); Crash and Restart walk it, Poll never does.
+	// udps is copy-on-write, because Poll pumps every datagram endpoint
+	// from a snapshot taken under the lock.
 	eps  []*endpoint
 	udps []*udpEndpoint
 	// pump is the work list Poll serves instead of walking eps: the
@@ -116,7 +120,7 @@ type Config struct {
 	// MaxRetransmits overrides the stack's consecutive-retransmit cap
 	// before a connection gives up. Zero keeps the netstack default.
 	MaxRetransmits int
-	// Clock, when non-nil, replaces time.Now as the stack's timer clock.
+	// Clock, when non-nil, replaces the stack's own timer clock.
 	// The lifecycle facade plugs a simclock.DriftClock in here so the
 	// chaos engine can skew this node's notion of time.
 	Clock func() time.Time
@@ -154,25 +158,24 @@ func newTransport(model *simclock.CostModel, dev *nic.Device, group *nic.QueueGr
 	}
 	dev.RegisterRegion(pool)
 	t := &Transport{model: model, dev: dev, group: group, port: port, pool: pool,
-		cfg: cfg, rxQueue: rxQueue, neigh: neigh}
-	t.stackp.Store(buildStack(model, port, cfg, rxQueue, pool, neigh))
+		cfg: cfg, rxQueue: rxQueue, neigh: neigh, mu: new(sync.Mutex)}
+	t.stackp.Store(t.buildStack())
 	return t
 }
 
-// buildStack constructs the netstack instance for a transport; Restart
-// uses it to give a crashed transport a fresh stack on the same device.
-func buildStack(model *simclock.CostModel, dev netstack.Device, cfg Config,
-	rxQueue int, pool *fabric.FramePool, neigh *netstack.NeighborTable) *netstack.Stack {
-	return netstack.New(model, dev, netstack.Config{
-		IP:             cfg.IP,
-		PerPacketExtra: cfg.PerPacketExtra,
-		RTO:            cfg.RTO,
-		MaxRetransmits: cfg.MaxRetransmits,
-		RxQueue:        rxQueue,
-		Pool:           pool,
-		Neighbors:      neigh,
-		Clock:          cfg.Clock,
-	})
+// buildStack builds the transport a stack on its device, queue, neighbor
+// table and shard lock; Restart gives a crashed transport a fresh one.
+func (t *Transport) buildStack() *netstack.Stack {
+	return netstack.NewWithLock(t.model, t.port, netstack.Config{
+		IP:             t.cfg.IP,
+		PerPacketExtra: t.cfg.PerPacketExtra,
+		RTO:            t.cfg.RTO,
+		MaxRetransmits: t.cfg.MaxRetransmits,
+		RxQueue:        t.rxQueue,
+		Pool:           t.pool,
+		Neighbors:      t.neigh,
+		Clock:          t.cfg.Clock,
+	}, t.mu)
 }
 
 // Name implements core.Transport.
@@ -211,10 +214,12 @@ func (t *Transport) Stack() *netstack.Stack { return t.stackp.Load() }
 // of this transport: the live stack plus everything folded in at each
 // Crash. Conservation laws are stated against these.
 func (t *Transport) StackStats() netstack.Stats {
-	t.statsMu.Lock()
-	prev := t.prevStats
-	t.statsMu.Unlock()
-	return prev.Add(t.Stack().Stats())
+	// Restart changes the base and the stack under one hold: read together,
+	// they count each incarnation once.
+	t.mu.Lock()
+	prev, s := t.prevStats, t.Stack()
+	t.mu.Unlock()
+	return prev.Add(s.Stats())
 }
 
 // RegisterTelemetry lifts the transport's vertical above the NIC — user
@@ -256,7 +261,9 @@ func (t *Transport) newEndpoint() *endpoint {
 // Socket implements core.Transport.
 func (t *Transport) Socket() (core.Endpoint, error) {
 	ep := t.newEndpoint()
-	t.adopt(ep)
+	t.mu.Lock()
+	t.adoptLocked(ep)
+	t.mu.Unlock()
 	return ep, nil
 }
 
@@ -299,56 +306,58 @@ func wrapConnErr(err error) error {
 // victims: the crash path allocates nothing per operation.
 var errCrashed = fmt.Errorf("catnip: stack crashed: %w", core.ErrLocalReset)
 
-// Poll implements core.Transport: it pumps the user stack, then the
-// endpoints on the pump list — those with work to finish, however many
-// are open — then every datagram endpoint. While the transport is crashed
-// the whole body is skipped behind one atomic load — the only cost the
+// Poll implements core.Transport: under one hold of the shard lock it
+// pumps the user stack, then the endpoints on the pump list — those with
+// work to finish, however many are open — and, the lock released, fires
+// what completed and pumps every datagram endpoint. While the transport is
+// crashed the body is skipped behind one atomic load, under the lock so
+// that no poll runs on a stack Crash has shut down: the only cost the
 // lifecycle subsystem adds to a healthy data path.
 func (t *Transport) Poll() int {
+	var (
+		txArr  [4]txDone
+		popArr [2]popDone
+		spill  *fired
+	)
+	f := fired{tx: txArr[:0], pop: popArr[:0]}
+	t.mu.Lock()
 	if t.crashed.Load() {
+		t.mu.Unlock()
 		return 0
 	}
-	t.mu.Lock()
 	n, ready := t.Stack().PollReady(t.ready[:0])
 	for i, owner := range ready {
 		t.markLocked(owner.(*endpoint))
 		ready[i] = nil
 	}
 	t.ready = ready
-	var batch []*endpoint
 	if len(t.pump) > 0 {
-		batch = t.pump
-		t.pump, t.pumpSpare = t.pumpSpare, nil
+		// A pump that marks an endpoint, its own or another, puts it on the
+		// next poll's list.
+		batch := t.pump
+		t.pump = t.pumpSpare
+		for i, ep := range batch {
+			ep.marked = false
+			var k int
+			f, spill, k = ep.pumpLocked(f, spill)
+			n += k
+			batch[i] = nil
+		}
+		t.pumpSpare = batch[:0]
 	}
 	udps := t.udps
 	t.mu.Unlock()
-	for i, ep := range batch {
-		ep.marked.Store(false) // before pumping: a mark from here on queues again
-		n += ep.Pump()
-		batch[i] = nil
-	}
+	t.fire(f, spill)
 	for _, ep := range udps {
 		n += ep.Pump()
-	}
-	if batch != nil {
-		t.mu.Lock()
-		t.pumpSpare = batch[:0]
-		t.mu.Unlock()
 	}
 	return n
 }
 
-// mark puts ep on the pump list unless it is there already.
-func (t *Transport) mark(ep *endpoint) {
-	if ep.marked.CompareAndSwap(false, true) {
-		t.mu.Lock()
-		t.pump = append(t.pump, ep)
-		t.mu.Unlock()
-	}
-}
-
+// markLocked puts ep on the pump list unless it is there already.
 func (t *Transport) markLocked(ep *endpoint) {
-	if ep.marked.CompareAndSwap(false, true) {
+	if !ep.marked {
+		ep.marked = true
 		t.pump = append(t.pump, ep)
 	}
 }
@@ -364,19 +373,15 @@ func (t *Transport) WorkQueued() (timers, ready, acks, pumps int) {
 	return timers, ready, acks, len(t.pump)
 }
 
-func (t *Transport) adopt(ep *endpoint) {
-	t.mu.Lock()
+func (t *Transport) adoptLocked(ep *endpoint) {
 	ep.slot = len(t.eps)
 	t.eps = append(t.eps, ep)
-	t.mu.Unlock()
 }
 
-// drop takes a closed endpoint out of eps, moving the last one into its
-// slot. It stays on the pump list, if it is there, until the poll that
+// dropLocked takes a closed endpoint out of eps, moving the last one into
+// its slot. It stays on the pump list, if it is there, until the poll that
 // finds it with nothing left to flush.
-func (t *Transport) drop(ep *endpoint) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+func (t *Transport) dropLocked(ep *endpoint) {
 	if ep.slot < 0 {
 		return
 	}
@@ -389,20 +394,20 @@ func (t *Transport) drop(ep *endpoint) {
 }
 
 // endpoint is one catnip socket queue: a TCP connection (or listener)
-// carrying framed SGAs.
+// carrying framed SGAs. Its state is under the shard lock (t.mu), except
+// listener, which an accept loop reads without it.
 type endpoint struct {
 	t *Transport
-	// slot is the endpoint's index in t.eps, -1 once dropped (guarded by
-	// t.mu); marked is set while it sits on t.pump.
+	// slot is the endpoint's index in t.eps, -1 once dropped; marked is set
+	// while it sits on t.pump.
 	slot   int
-	marked atomic.Bool
+	marked bool
 
-	mu    sync.Mutex
 	bound core.Addr
 	// localPort, when nonzero, fixes the source port Connect dials from
 	// (set by SocketFrom for shard-targeted flows).
 	localPort uint16
-	listener  *netstack.TCPListener
+	listener  atomic.Pointer[netstack.TCPListener]
 	conn      *netstack.TCPConn
 	framer    sga.Framer
 	ready     fifo.Queue[queue.Completion]
@@ -463,56 +468,61 @@ func (f *txFrame) release() {
 
 // Bind implements core.Endpoint.
 func (e *endpoint) Bind(addr core.Addr) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
 	e.bound = addr
 	return nil
 }
 
 // LocalAddr implements core.Endpoint.
 func (e *endpoint) LocalAddr() core.Addr {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
 	return e.bound
 }
 
 // Listen implements core.Endpoint.
 func (e *endpoint) Listen() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	l, err := e.t.Stack().ListenTCP(e.bound.Port)
+	e.t.mu.Lock()
+	port := e.bound.Port
+	e.t.mu.Unlock()
+	l, err := e.t.Stack().ListenTCP(port)
 	if err != nil {
 		return err
 	}
-	e.listener = l
+	e.listener.Store(l)
 	return nil
 }
 
-// Accept implements core.Endpoint.
+// Accept implements core.Endpoint. An empty backlog costs two loads and
+// no lock: an event loop asks on every step.
 func (e *endpoint) Accept() (core.Endpoint, bool, error) {
-	e.mu.Lock()
-	l := e.listener
-	e.mu.Unlock()
+	l := e.listener.Load()
 	if l == nil {
 		return nil, false, core.ErrNotListening
 	}
-	conn, ok := l.Accept()
+	if l.Pending() == 0 {
+		return nil, false, nil
+	}
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
+	conn, ok := l.AcceptHeld()
 	if !ok {
 		return nil, false, nil
 	}
 	child := e.t.newEndpoint()
 	child.conn = conn
-	e.t.adopt(child)
-	conn.SetOwner(child)
+	e.t.adoptLocked(child)
+	conn.Held().SetOwner(child)
 	return child, true, nil
 }
 
 // Connect implements core.Endpoint.
 func (e *endpoint) Connect(addr core.Addr) error {
-	e.mu.Lock()
+	e.t.mu.Lock()
 	localPort := e.localPort
 	dead := e.dead
-	e.mu.Unlock()
+	e.t.mu.Unlock()
 	if dead != nil {
 		return dead
 	}
@@ -520,18 +530,18 @@ func (e *endpoint) Connect(addr core.Addr) error {
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
+	e.t.mu.Lock()
 	e.conn = conn
-	e.mu.Unlock()
-	conn.SetOwner(e)
+	conn.Held().SetOwner(e)
+	e.t.mu.Unlock()
 	return nil
 }
 
 // Connected implements core.Endpoint.
 func (e *endpoint) Connected() bool {
-	e.mu.Lock()
+	e.t.mu.Lock()
 	conn := e.conn
-	e.mu.Unlock()
+	e.t.mu.Unlock()
 	return conn != nil && conn.Established()
 }
 
@@ -540,17 +550,15 @@ func (e *endpoint) Connected() bool {
 // is spent, or a connect that never completed). Healthy endpoints return
 // nil.
 func (e *endpoint) Err() error {
-	e.mu.Lock()
-	conn := e.conn
-	dead := e.dead
-	e.mu.Unlock()
-	if dead != nil {
-		return dead
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
+	if e.dead != nil {
+		return e.dead
 	}
-	if conn == nil {
+	if e.conn == nil {
 		return nil
 	}
-	return wrapConnErr(conn.Err())
+	return wrapConnErr(e.conn.Held().Err())
 }
 
 // Push implements queue.IoQueue: the SGA is queued by reference and its
@@ -577,7 +585,7 @@ func (e *endpoint) PushBatched(s sga.SGA, cost simclock.Lat, done queue.DoneFunc
 // recycling bytes the pump has yet to read; heap memory the garbage
 // collector keeps alive anyway.
 func (e *endpoint) push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc, pump bool) {
-	e.mu.Lock()
+	e.t.mu.Lock()
 	err := e.pushErrLocked()
 	if err == nil {
 		f := txFrame{s: s, cost: cost, done: done}
@@ -590,7 +598,7 @@ func (e *endpoint) push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc, pump 
 			return
 		}
 	}
-	e.mu.Unlock()
+	e.t.mu.Unlock()
 	if err != nil {
 		done(queue.Completion{Kind: queue.OpPush, Err: err})
 	}
@@ -623,7 +631,7 @@ func (e *endpoint) PopBatched(done queue.DoneFunc) { e.pop(done, false) }
 // waiter, and when pump is set goes on to read the connection for it.
 func (e *endpoint) pop(done queue.DoneFunc, pump bool) {
 	var c queue.Completion
-	e.mu.Lock()
+	e.t.mu.Lock()
 	switch {
 	case e.dead != nil && e.ready.Len() == 0:
 		c = queue.Completion{Kind: queue.OpPop, Err: e.dead}
@@ -636,11 +644,11 @@ func (e *endpoint) pop(done queue.DoneFunc, pump bool) {
 		if pump {
 			e.pumpUnlock()
 		} else {
-			e.mu.Unlock()
+			e.t.mu.Unlock()
 		}
 		return
 	}
-	e.mu.Unlock()
+	e.t.mu.Unlock()
 	done(c)
 }
 
@@ -661,14 +669,14 @@ func (e *endpoint) resumableLocked() bool {
 // TCP receive buffer, under the advertised window, until the next pop
 // pumps for them.
 func (e *endpoint) Pump() int {
-	e.mu.Lock()
+	e.t.mu.Lock()
 	return e.pumpUnlock()
 }
 
-// txDone and popDone are completions recorded under e.mu and fired after
-// it is released: a DoneFunc may come back into the endpoint (QConnect's
-// forwarder pops from inside one), and a burst of them costs one lock
-// round trip instead of one each.
+// txDone and popDone are completions recorded under the shard lock and
+// fired after it is released: a DoneFunc may come back into the endpoint
+// (QConnect's forwarder pops from inside one), and a burst of them costs
+// one lock round trip instead of one each.
 type txDone struct {
 	done queue.DoneFunc
 	hold *fabric.SGABuf // the frame's, let go as it fires
@@ -681,96 +689,124 @@ type popDone struct {
 	c    queue.Completion
 }
 
-// firedSpill is where a pump records a burst of completions too long for
-// the arrays in its own frame: 32 pipelined pushes, or as many pops. It
-// cycles through Transport.firedPool and keeps the capacity of the longest
-// burst it has carried.
-type firedSpill struct {
+// fired is what one hold of the shard lock completed, pushes then pops, to
+// fire once the lock is free. Its lists start on arrays in the frame of
+// whoever took the lock (an echo fires one completion a pump) and move to a
+// spill from Transport.firedPool when a burst outgrows them. They travel by
+// value: stored through a pointer, the arrays would move to the heap.
+type fired struct {
 	tx  []txDone
 	pop []popDone
 }
 
-// spillFor returns sp, taken from the pool if nil, with room for nTx push
-// and nPop pop completions. The room is made here, before the pump's loops
-// run, so that they never append past the end of what they were given.
-func (t *Transport) spillFor(sp *firedSpill, nTx, nPop int) *firedSpill {
-	if sp == nil {
-		if sp, _ = t.firedPool.Get().(*firedSpill); sp == nil {
-			sp = new(firedSpill)
-		}
-	}
-	if cap(sp.tx) < nTx {
-		sp.tx = make([]txDone, 0, max(nTx, 2*cap(sp.tx)))
-	}
-	if cap(sp.pop) < nPop {
-		sp.pop = make([]popDone, 0, max(nPop, 2*cap(sp.pop)))
-	}
-	return sp
+// room reports whether f takes nTx more push and nPop more pop completions
+// without its appends allocating; reserve makes the room when it does not.
+func (f fired) room(nTx, nPop int) bool {
+	return len(f.tx)+nTx <= cap(f.tx) && len(f.pop)+nPop <= cap(f.pop)
 }
 
-// pumpUnlock is the one body of every data-path call: entered with e.mu
-// held — by Push with its frame queued, by Pop with its waiter queued, by
-// Pump with neither — it flushes, drains, looks at the connection's error
-// and matches waiters to completions under that hold and one hold of the
-// stack's lock inside it, releases e.mu, and only then fires what
-// completed. It returns bytes sent plus SGAs decoded.
-//
-// Lock order: e.mu → Transport.mu, e.mu → Stack.mu and (in Transport.Poll)
-// Transport.mu → Stack.mu; never Transport.mu under Stack.mu, so marking
-// the endpoint waits for the hold's release.
+// reserve moves f's lists into sp, taken from the pool if nil.
+func (t *Transport) reserve(f fired, sp *fired, nTx, nPop int) (fired, *fired) {
+	needTx, needPop := len(f.tx)+nTx, len(f.pop)+nPop
+	if sp == nil {
+		if sp, _ = t.firedPool.Get().(*fired); sp == nil {
+			sp = new(fired)
+		}
+	}
+	if needTx > cap(f.tx) {
+		if cap(sp.tx) < needTx {
+			sp.tx = make([]txDone, 0, max(needTx, 2*cap(sp.tx)))
+		}
+		f.tx = append(sp.tx[:0], f.tx...)
+	}
+	if needPop > cap(f.pop) {
+		if cap(sp.pop) < needPop {
+			sp.pop = make([]popDone, 0, max(needPop, 2*cap(sp.pop)))
+		}
+		f.pop = append(sp.pop[:0], f.pop...)
+	}
+	return f, sp
+}
+
+// fire runs what a hold of the shard lock completed, after its release,
+// and hands a spill back to the pool.
+func (t *Transport) fire(f fired, sp *fired) {
+	for i := range f.tx {
+		d := &f.tx[i]
+		if d.hold != nil {
+			d.hold.ReleaseFromIO() // the ring has its copy: a deferred Free goes through
+		}
+		d.done(queue.Completion{Kind: queue.OpPush, Cost: d.cost, Err: d.err})
+	}
+	for i := range f.pop {
+		f.pop[i].done(f.pop[i].c)
+	}
+	if sp != nil {
+		clear(f.tx) // drop the references before pooling
+		clear(f.pop)
+		t.firedPool.Put(sp)
+	}
+}
+
+// pumpUnlock is Pump entered with the shard lock held — by Push with its
+// frame queued, by Pop with its waiter queued, by Pump with neither. It
+// returns bytes sent plus SGAs decoded.
 func (e *endpoint) pumpUnlock() int {
+	var (
+		txArr  [4]txDone
+		popArr [2]popDone
+	)
+	f, spill, n := e.pumpLocked(fired{tx: txArr[:0], pop: popArr[:0]}, nil)
+	e.t.mu.Unlock()
+	e.t.fire(f, spill)
+	return n
+}
+
+// pumpLocked is the one body of every data-path call, run under the shard
+// lock: it flushes, drains, looks at the connection's error and matches
+// waiters to completions, recording what completed in f (spilling to sp)
+// for its caller to fire. It returns f, sp and bytes sent plus SGAs decoded.
+func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 	conn := e.conn
 	doTx := e.txq.Len() > 0
 	doRx := e.waiters.Len() > 0 || e.resumableLocked()
 	if conn == nil || !(doTx || doRx) {
-		e.mu.Unlock()
-		return 0
-	}
-	// Completions collect in this frame: an echo fires one push or one pop
-	// a pump. What a longer burst needs is known before each loop runs and
-	// comes from the pool; the slices and the pool's pointer stay separate
-	// locals, because stored in one struct they would all move to the heap.
-	var (
-		txArr  [4]txDone
-		popArr [2]popDone
-		spill  *firedSpill
-	)
-	tx, pops := txArr[:0], popArr[:0]
-	if k := e.txq.Len(); k > len(txArr) {
-		spill = e.t.spillFor(spill, k, 0)
-		tx = spill.tx[:0]
+		return f, sp, 0
 	}
 	n := 0
 	// failErr is what fails the waiters no completion is left for: the end
 	// of the stream (EOF, or bytes that are no frame) or a dead connection.
 	var failErr error
-	h := conn.Hold()
+	h := conn.Held()
 	if doTx {
 		// The whole queued burst coalesces into MSS-sized segments at the
 		// single FlushSend below, so 32 small pushes cost ~2 segments of
 		// per-segment work, not 32.
+		if !f.room(e.txq.Len(), 0) {
+			f, sp = e.t.reserve(f, sp, e.txq.Len(), 0)
+		}
 		var pre [12]byte
 		for e.txq.Len() > 0 {
-			f := e.txq.Front()
+			tf := e.txq.Front()
 			var err error
-			piece := f.piece(&pre)
+			piece := tf.piece(&pre)
 			for len(piece) > 0 {
 				var sent int
-				sent, err = h.SendBuffered(piece, f.cost)
-				f.sent += sent
+				sent, err = h.SendBuffered(piece, tf.cost)
+				tf.sent += sent
 				n += sent
 				if sent < len(piece) {
 					break // an error, or the TCP send buffer is full
 				}
-				piece = f.piece(&pre)
+				piece = tf.piece(&pre)
 			}
 			if err == nil && len(piece) > 0 {
-				break // full: carry on from f.sent on a later pump
+				break // full: carry on from tf.sent on a later pump
 			}
 			if err != nil {
-				tx = append(tx, txDone{done: f.done, hold: f.hold, err: wrapConnErr(err)})
+				f.tx = append(f.tx, txDone{done: tf.done, hold: tf.hold, err: wrapConnErr(err)})
 			} else {
-				tx = append(tx, txDone{done: f.done, hold: f.hold, cost: f.cost})
+				f.tx = append(f.tx, txDone{done: tf.done, hold: tf.hold, cost: tf.cost})
 			}
 			e.txq.Pop()
 		}
@@ -781,12 +817,12 @@ func (e *endpoint) pumpUnlock() int {
 	if doRx {
 		// The framer copies the stream bytes from where they lie in the
 		// receive ring to their place in the buffer the application gets;
-		// e.mu keeps two concurrent pumps from interleaving their bytes into
-		// it out of order. A drain stops at the frame that fills the ready
-		// list: the reader is too slow, and the bytes left in the TCP receive
-		// buffer shrink the advertised window, which pushes the stall back to
-		// the peer's sender — flow control end to end instead of an unbounded
-		// backlog.
+		// the lock keeps two concurrent pumps from interleaving their bytes
+		// into it out of order. A drain stops at the frame that fills the
+		// ready list: the reader is too slow, and the bytes left in the TCP
+		// receive buffer shrink the advertised window, which pushes the stall
+		// back to the peer's sender — flow control end to end instead of an
+		// unbounded backlog.
 		readyCap := e.t.cfg.RxReadyCap
 		parked := false
 		for failErr = e.framer.Err(); failErr == nil; {
@@ -829,9 +865,7 @@ func (e *endpoint) pumpUnlock() int {
 		}
 		e.rxStalled = parked
 	}
-	connErr := h.Err()
-	h.Release()
-	if connErr != nil {
+	if connErr := h.Err(); connErr != nil {
 		// The stack declared the connection dead (max retransmits, connect
 		// timeout, reset). Every outstanding qtoken must complete with the
 		// typed error rather than hang until the Wait deadline: the flush
@@ -842,47 +876,30 @@ func (e *endpoint) pumpUnlock() int {
 	} else if e.txq.Len() > 0 {
 		// Send buffer full, and nothing reports when ACKs make room: try
 		// again on every poll until the frames are through.
-		e.t.mark(e)
+		e.t.markLocked(e)
 	}
 	if k := min(e.waiters.Len(), e.ready.Len()); k > 0 {
-		if k > len(popArr) {
-			spill = e.t.spillFor(spill, 0, k)
-			pops = spill.pop[:0]
+		if !f.room(0, k) {
+			f, sp = e.t.reserve(f, sp, 0, k)
 		}
 		for ; k > 0; k-- {
-			pops = append(pops, popDone{done: e.waiters.Pop(), c: e.popReadyLocked()})
+			f.pop = append(f.pop, popDone{done: e.waiters.Pop(), c: e.popReadyLocked()})
 		}
 	}
-	var failedPops []queue.DoneFunc
-	if failErr != nil && e.ready.Len() == 0 {
+	if failErr != nil && e.ready.Len() == 0 && e.waiters.Len() > 0 {
 		// Fail waiters only once every buffered completion has been handed
 		// out: an EOF that lands in the same drain as the final request
 		// bytes must not reorder itself ahead of them. The condition is
 		// persistent (RecvAppend keeps returning it), so the pump of a pop
 		// that finds the ready list dry delivers it.
-		failedPops = e.waiters.Take()
-	}
-	e.mu.Unlock()
-
-	for i := range tx {
-		d := &tx[i]
-		if d.hold != nil {
-			d.hold.ReleaseFromIO() // the ring has its copy: a deferred Free goes through
+		if !f.room(0, e.waiters.Len()) {
+			f, sp = e.t.reserve(f, sp, 0, e.waiters.Len())
 		}
-		d.done(queue.Completion{Kind: queue.OpPush, Cost: d.cost, Err: d.err})
+		for e.waiters.Len() > 0 {
+			f.pop = append(f.pop, popDone{done: e.waiters.Pop(), c: queue.Completion{Kind: queue.OpPop, Err: failErr}})
+		}
 	}
-	for i := range pops {
-		pops[i].done(pops[i].c)
-	}
-	for _, w := range failedPops {
-		w(queue.Completion{Kind: queue.OpPop, Err: failErr})
-	}
-	if spill != nil {
-		clear(tx) // drop the references before pooling
-		clear(pops)
-		e.t.firedPool.Put(spill)
-	}
-	return n
+	return f, sp, n
 }
 
 // popReadyLocked dequeues the head completion, and has the next poll
@@ -890,28 +907,31 @@ func (e *endpoint) pumpUnlock() int {
 func (e *endpoint) popReadyLocked() queue.Completion {
 	c := e.ready.Pop()
 	if e.resumableLocked() {
-		e.t.mark(e)
+		e.t.markLocked(e)
 	}
 	return c
 }
 
 // Close implements queue.IoQueue.
 func (e *endpoint) Close() error {
-	e.mu.Lock()
+	e.t.mu.Lock()
 	if e.closed {
-		e.mu.Unlock()
+		e.t.mu.Unlock()
 		return nil
 	}
 	e.closed = true
-	conn, l := e.conn, e.listener
+	conn, l := e.conn, e.listener.Load()
 	ws := e.waiters.Take() // a closed endpoint queues no more
 	// Nor does it read any more: a frame half decoded gives its buffer back,
 	// and a parked drain is never resumed.
 	e.framer.Reset()
 	e.rxStalled = false
-	e.mu.Unlock()
 	if conn != nil {
-		conn.SetOwner(nil) // nobody reads it any more
+		conn.Held().SetOwner(nil) // nobody reads it any more
+	}
+	e.t.dropLocked(e)
+	e.t.mu.Unlock()
+	if conn != nil {
 		conn.Close()
 	}
 	if l != nil {
@@ -920,6 +940,5 @@ func (e *endpoint) Close() error {
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
 	}
-	e.t.drop(e)
 	return nil
 }

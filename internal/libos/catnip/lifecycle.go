@@ -29,24 +29,33 @@ var ErrNotCrashed = errors.New("catnip: restart of a running stack")
 // crash error (errors.Is(err, core.ErrLocalReset)), un-popped pooled
 // pop payloads are released back to their pool, and the poll path is
 // gated off behind the crashed flag. Nothing is transmitted — peers
-// discover the death through their own retransmission budgets.
+// discover the death through their own retransmission budgets. The NIC
+// receive ring is flushed too — frames the dead stack never ingested go
+// back to their pools, counted in nic RxFlushed; this is the device-side
+// resource reclamation of Beadle et al.'s safe sharing, performed here by
+// the simulated device model on behalf of the dead client.
 //
-// Crash returns the number of qtokens it aborted. It is idempotent;
-// repeated calls return 0.
+// Crash returns the number of qtokens it aborted plus frames flushed. It is
+// idempotent; repeated calls return 0.
 func (t *Transport) Crash() int {
 	if !t.crashed.CompareAndSwap(false, true) {
 		return 0
 	}
 	telemetry.TraceInstant("lifecycle", "crash", int32(t.rxQueue), 0)
 	t.Stack().Shutdown(errCrashed)
-	t.statsMu.Lock()
-	t.crashes++
-	t.statsMu.Unlock()
 	t.mu.Lock()
+	t.crashes++
 	eps := append([]*endpoint(nil), t.eps...)
 	udps := append([]*udpEndpoint(nil), t.udps...)
+	// The flush reads the ring, so it runs as the ring's poller does: under
+	// the shard lock.
+	var n int
+	if t.group != nil {
+		n = t.group.FlushRxQueue(t.rxQueue)
+	} else {
+		n = t.dev.FlushRxQueue(t.rxQueue)
+	}
 	t.mu.Unlock()
-	n := 0
 	for _, ep := range eps {
 		n += ep.kill(errCrashed)
 	}
@@ -71,14 +80,12 @@ func (t *Transport) Restart() error {
 	if !t.crashed.Load() {
 		return ErrNotCrashed
 	}
-	old := t.Stack()
-	t.statsMu.Lock()
-	t.prevStats = t.prevStats.Add(old.Stats())
-	t.restarts++
-	t.statsMu.Unlock()
-	fresh := buildStack(t.model, t.port, t.cfg, t.rxQueue, t.pool, t.neigh)
-	t.stackp.Store(fresh)
+	dead := t.Stack().Stats()
+	fresh := t.buildStack()
 	t.mu.Lock()
+	t.prevStats = t.prevStats.Add(dead)
+	t.restarts++
+	t.stackp.Store(fresh)
 	eps := append([]*endpoint(nil), t.eps...)
 	udps := append([]*udpEndpoint(nil), t.udps...)
 	t.mu.Unlock()
@@ -98,31 +105,24 @@ func (t *Transport) Restart() error {
 // Crashes and Restarts report the cumulative lifecycle counts (for
 // telemetry assertions in tests).
 func (t *Transport) Lifetimes() (crashes, restarts int64) {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.crashes, t.restarts
 }
 
 // Crash tears down every shard of the set the way a whole-process crash
-// does: each shard's stack dies in place and every pending qtoken
-// completes with the typed crash error. The shared NIC's receive rings
-// are then flushed — frames the dead stacks never ingested go back to
-// their pools, counted in nic RxFlushed; this is the device-side
-// resource reclamation of Beadle et al.'s safe sharing, performed here
-// by the simulated device model on behalf of the dead client. Returns
-// the number of qtokens aborted plus frames flushed.
+// does (Transport.Crash, shard by shard). Returns the number of qtokens
+// aborted plus frames flushed.
 func (s *ShardSet) Crash() int {
 	n := 0
 	for _, t := range s.shards {
 		n += t.Crash()
 	}
 	if s.qg != nil {
-		// Tenant crash on a shared NIC: flush only the tenant's own
-		// queue range (and its pending TX) — neighbours keep their
-		// frames and their link.
-		n += s.qg.FlushRings()
-	} else {
-		n += s.dev.FlushRings()
+		// Tenant crash on a shared NIC: the shards flushed the tenant's own
+		// queues, and its pending TX goes too — neighbours keep their frames
+		// and their link.
+		n += s.qg.FlushTx()
 	}
 	return n
 }
@@ -155,8 +155,8 @@ func (s *ShardSet) Restart() error {
 // (e.dead); listener endpoints stay revivable for rearm. Returns the
 // number of qtokens aborted.
 func (e *endpoint) kill(err error) int {
-	e.mu.Lock()
-	isListener := e.listener != nil
+	e.t.mu.Lock()
+	isListener := e.listener.Load() != nil
 	ready := e.ready.Take()
 	ws := e.waiters.Take()
 	txq := e.txq.Take()
@@ -165,7 +165,7 @@ func (e *endpoint) kill(err error) int {
 	if !isListener {
 		e.dead = err
 	}
-	e.mu.Unlock()
+	e.t.mu.Unlock()
 	for i := range ready {
 		ready[i].SGA.Free() // un-popped pooled clones go home
 	}
@@ -182,13 +182,14 @@ func (e *endpoint) kill(err error) int {
 // rearm re-binds a listener endpoint onto the (fresh) current stack so
 // the application's listening QD survives the crash.
 func (e *endpoint) rearm() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.listener == nil || e.closed {
+	e.t.mu.Lock()
+	relisten, port := e.listener.Load() != nil && !e.closed, e.bound.Port
+	e.t.mu.Unlock()
+	if !relisten {
 		return
 	}
-	if l, err := e.t.Stack().ListenTCP(e.bound.Port); err == nil {
-		e.listener = l
+	if l, err := e.t.Stack().ListenTCP(port); err == nil {
+		e.listener.Store(l)
 	}
 }
 

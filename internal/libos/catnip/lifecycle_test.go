@@ -10,12 +10,18 @@ package catnip_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	demi "demikernel"
+	"demikernel/internal/apps/echo"
 	"demikernel/internal/core"
+	"demikernel/internal/fabric"
 	"demikernel/internal/libos/catnip"
+	"demikernel/internal/queue"
 )
 
 func TestCrashAbortsPendingQTokensTyped(t *testing.T) {
@@ -218,5 +224,166 @@ func TestCrashReclaimsRingFrames(t *testing.T) {
 	if st := srv.Catnip.StackStats(); ds.RxFrames != st.FramesIn+ds.RxFlushed {
 		t.Fatalf("conservation violated across crash: rx=%d != frames_in=%d + flushed=%d",
 			ds.RxFrames, st.FramesIn, ds.RxFlushed)
+	}
+}
+
+// TestRestartUnderConcurrentPump drives a client node from two goroutines
+// at once — its Background poller, and an application that pushes and pops
+// on its endpoints directly, one echo at a time — across a crash and
+// restart, a switch to catnap and back (which hands the one stack, and its
+// lock, from transport to transport), and a second crash and restart on
+// the promoted node's fresh stack. Every operation completes exactly once,
+// every echo that completes carries its own request, and once the cluster
+// is quiet the frame pool holds what it held before. Run it under -race.
+func TestRestartUnderConcurrentPump(t *testing.T) {
+	c := demi.NewCluster(57)
+	srv := c.MustSpawn(demi.Catnip, demi.WithHost(1))
+	cli := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{
+		Host: 2, RTO: 2 * time.Millisecond, MaxRetransmits: 4,
+	}))
+	cli.WaitTimeout = 500 * time.Millisecond
+	_, stopEcho, err := echo.Serve(srv.LibOS, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := fabric.DefaultFramePool.Outstanding()
+	stopPoll := cli.Background()
+
+	// op counts the completions of one push or pop.
+	type op struct {
+		fired atomic.Int32
+		c     queue.Completion
+	}
+	var (
+		ops    []*op // the application's, read once it has stopped
+		echoes atomic.Int64
+		stop   atomic.Bool
+	)
+	issue := func() (*op, queue.DoneFunc) {
+		o := new(op)
+		ops = append(ops, o)
+		return o, func(comp queue.Completion) {
+			o.c = comp // a second completion races the reader: -race reports it
+			o.fired.Add(1)
+		}
+	}
+	wait := func(o *op) bool {
+		for deadline := time.Now().Add(5 * time.Second); o.fired.Load() == 0; {
+			if time.Now().After(deadline) {
+				return false
+			}
+			runtime.Gosched()
+		}
+		return true
+	}
+	appDone := make(chan error, 1)
+	go func() {
+		qd := demi.QD(core.InvalidQD)
+		for seq := 0; !stop.Load(); seq++ {
+			if qd == core.InvalidQD {
+				if cli.Crashed() {
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				var err error
+				if qd, err = cli.Socket(); err != nil {
+					appDone <- err
+					return
+				}
+				if cli.Connect(qd, c.AddrOf(srv, 7)) != nil {
+					cli.Close(qd)
+					qd = core.InvalidQD
+					continue
+				}
+			}
+			ep, err := cli.EndpointOf(qd)
+			if err != nil {
+				appDone <- err
+				return
+			}
+			msg := []byte(fmt.Sprintf("echo %d", seq))
+			push, pushDone := issue()
+			pop, popDone := issue()
+			ep.Push(demi.NewSGA(msg), 0, pushDone)
+			ep.Pop(popDone)
+			if !wait(push) || !wait(pop) {
+				appDone <- fmt.Errorf("echo %d: an operation never completed", seq)
+				return
+			}
+			if pop.c.Err == nil && push.c.Err == nil {
+				got := pop.c.SGA.Bytes()
+				if !bytes.Equal(got, msg) {
+					appDone <- fmt.Errorf("echo %d came back as %q", seq, got)
+					return
+				}
+				pop.c.SGA.Free()
+				echoes.Add(1)
+				continue
+			}
+			pop.c.SGA.Free()
+			// A crash or a switch under the operation: the stream may have
+			// lost or kept a message, so start a fresh one.
+			cli.Close(qd)
+			qd = core.InvalidQD
+		}
+		if qd != core.InvalidQD {
+			cli.Close(qd)
+		}
+		appDone <- nil
+	}()
+
+	// progress waits for the application to complete n more echoes.
+	progress := func(what string, n int64) {
+		t.Helper()
+		target := echoes.Load() + n
+		for deadline := time.Now().Add(10 * time.Second); echoes.Load() < target; {
+			select {
+			case err := <-appDone:
+				t.Fatalf("%s: the application stopped: %v", what, err)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d echoes of %d", what, echoes.Load()-target+n, n)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	crashRestart := func(what string) {
+		t.Helper()
+		if _, err := cli.Crash(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		time.Sleep(2 * time.Millisecond)
+		if err := cli.Restart(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		progress(what, 50)
+	}
+	progress("warm-up", 50)
+	crashRestart("crash and restart")
+	if err := cli.SwitchKind(demi.Catnap); err != nil {
+		t.Fatal(err)
+	}
+	progress("catnip to catnap", 50)
+	if err := cli.SwitchKind(demi.Catnip); err != nil {
+		t.Fatal(err)
+	}
+	progress("catnap to catnip", 50)
+	crashRestart("crash and restart of the promoted node")
+
+	stop.Store(true)
+	if err := <-appDone; err != nil {
+		t.Fatal(err)
+	}
+	stopPoll()
+	stopEcho()
+	c.Quiesce(50 * time.Millisecond)
+	for i, o := range ops {
+		if n := o.fired.Load(); n != 1 {
+			t.Fatalf("operation %d of %d completed %d times", i, len(ops), n)
+		}
+	}
+	if got := fabric.DefaultFramePool.Outstanding(); got != baseline {
+		t.Fatalf("frame pool holds %d buffers once quiet, %d before", got, baseline)
 	}
 }

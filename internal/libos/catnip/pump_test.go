@@ -1,7 +1,7 @@
 package catnip
 
 // The lock scopes of the data path, on two transports driven directly: a
-// pump holds the endpoint's lock once and fires what completed after
+// pump holds the shard lock once and fires what completed after
 // releasing it, so a completion may call back into the endpoint; two
 // goroutines pumping one endpoint keep the stream in order; and the
 // orderings the pump promises — data before the EOF behind it, a dead
@@ -32,13 +32,24 @@ const overSendBuffer = 400_000
 // the completion, and counts how often each fired.
 type reentry struct {
 	e     core.Endpoint
+	mu    sync.Mutex
 	fired map[string]int
 }
 
+func (x *reentry) count(what string) int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	return x.fired[what]
+}
+
 func (x *reentry) done(what string, reenter bool) queue.DoneFunc {
+	x.mu.Lock()
 	x.fired[what] = 0
+	x.mu.Unlock()
 	return func(queue.Completion) {
+		x.mu.Lock()
 		x.fired[what]++
+		x.mu.Unlock()
 		if !reenter {
 			return
 		}
@@ -56,7 +67,9 @@ func (x *reentry) done(what string, reenter bool) queue.DoneFunc {
 // connection, a peer's close, the endpoint's own close and a crash — may
 // pump, pop, push and close the endpoint it came from. None of it may
 // deadlock, and every DoneFunc, the ones handed over from inside a
-// completion included, fires exactly once.
+// completion included, fires exactly once: with the case's goroutine
+// alone, and beside a poller goroutine that pumps both transports (as
+// LibOS.Background does), which fires some of the completions itself.
 func TestDoneFuncMayReenterEndpoint(t *testing.T) {
 	small := sga.New(make([]byte, 64))
 	big := sga.New(make([]byte, overSendBuffer))
@@ -70,7 +83,7 @@ func TestDoneFuncMayReenterEndpoint(t *testing.T) {
 		{"pump-served pop", func(r *wlRig, a, b core.Endpoint, x *reentry) {
 			a.Pop(x.done("pop", true))
 			b.Push(small, 0, func(queue.Completion) {})
-			r.until("the pop", func() bool { return x.fired["pop"] > 0 })
+			r.until("the pop", func() bool { return x.count("pop") > 0 })
 		}},
 		{"dead connection", func(r *wlRig, a, b core.Endpoint, x *reentry) {
 			a.Pop(x.done("pop", true))
@@ -81,15 +94,15 @@ func TestDoneFuncMayReenterEndpoint(t *testing.T) {
 				r.t.Fatal(err)
 			}
 			r.until("the reset", func() bool {
-				r.now = r.now.Add(time.Second) // the retransmission that draws it
-				return x.fired["pop"] > 0 && x.fired["push"] > 0
+				r.advance(time.Second) // the retransmission that draws it
+				return x.count("pop") > 0 && x.count("push") > 0
 			})
 		}},
 		{"peer close", func(r *wlRig, a, b core.Endpoint, x *reentry) {
 			a.Pop(x.done("pop 1", true))
 			a.Pop(x.done("pop 2", true))
 			b.Close()
-			r.until("the FIN", func() bool { return x.fired["pop 2"] > 0 })
+			r.until("the FIN", func() bool { return x.count("pop 2") > 0 })
 		}},
 		{"close", func(r *wlRig, a, b core.Endpoint, x *reentry) {
 			a.Pop(x.done("pop 1", true))
@@ -102,27 +115,44 @@ func TestDoneFuncMayReenterEndpoint(t *testing.T) {
 			r.ta.Crash()
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			r := newWLRig(t, 0)
-			a, b := r.connect()
-			x := &reentry{e: a, fired: map[string]int{}}
-			finished := make(chan struct{})
-			go func() {
-				defer close(finished)
-				tc.run(r, a, b, x)
-				a.Close() // fails whatever a completion left waiting
-			}()
-			select {
-			case <-finished:
-			case <-time.After(20 * time.Second):
-				t.Fatal("deadlock: a completion that re-entered its endpoint never returned")
+		for _, poller := range []bool{false, true} {
+			name := tc.name
+			if poller {
+				name += " beside a poller"
 			}
-			for what, n := range x.fired {
-				if n != 1 {
-					t.Errorf("DoneFunc %q fired %d times, want once", what, n)
+			t.Run(name, func(t *testing.T) {
+				r := newWLRig(t, 0)
+				a, b := r.connect()
+				x := &reentry{e: a, fired: map[string]int{}}
+				var stop atomic.Bool
+				polled := make(chan struct{})
+				go func() {
+					defer close(polled)
+					for poller && !stop.Load() {
+						r.poll()
+						runtime.Gosched()
+					}
+				}()
+				finished := make(chan struct{})
+				go func() {
+					defer close(finished)
+					tc.run(r, a, b, x)
+					a.Close() // fails whatever a completion left waiting
+				}()
+				select {
+				case <-finished:
+				case <-time.After(20 * time.Second):
+					t.Fatal("deadlock: a completion that re-entered its endpoint never returned")
 				}
-			}
-		})
+				stop.Store(true)
+				<-polled
+				for what, n := range x.fired {
+					if n != 1 {
+						t.Errorf("DoneFunc %q fired %d times, want once", what, n)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -286,7 +316,7 @@ func TestDeadConnFailsPushesAndWaiters(t *testing.T) {
 			t.Fatalf("round %d: %d pops and %d pushes completed on a connection still alive", i, pops, pushes)
 		}
 		r.tb.Poll()
-		r.now = r.now.Add(time.Second)
+		r.advance(time.Second)
 		r.ta.Poll()
 	}
 	for what, got := range map[string]struct {

@@ -20,7 +20,12 @@ import (
 // set crashes, restarts and registers like one spawned as catnip.
 func NewOnStack(model *simclock.CostModel, dev *nic.Device, cfg Config, stack *netstack.Stack) *ShardSet {
 	s := newSet(model, dev, nil, cfg, 1, 1)
-	s.shards[0].stackp.Store(stack) // in place of the fresh one newSet built
+	// In place of the fresh stack newSet built: the stack, and its lock
+	// with it, which is the shard lock from now on and every restarted
+	// stack's.
+	t := s.shards[0]
+	t.mu = stack.Mutex()
+	t.stackp.Store(stack)
 	return s
 }
 
@@ -43,13 +48,15 @@ func (t *Transport) Export(cep core.Endpoint) (core.PortState, bool) {
 	if !ok || e.t != t {
 		return core.PortState{}, false
 	}
-	e.mu.Lock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	l := e.listener.Load()
 	st := core.PortState{
 		Bound:     e.bound,
 		LocalPort: e.localPort,
-		Listening: e.listener != nil,
+		Listening: l != nil,
 		Conn:      e.conn,
-		Listener:  e.listener,
+		Listener:  l,
 		// A frame half decoded travels as the stream bytes it came from:
 		// its buffer is this transport's pool's, and stays here.
 		Framer:  e.framer.Export(),
@@ -62,14 +69,13 @@ func (t *Transport) Export(cep core.Endpoint) (core.PortState, bool) {
 		st.Tx = append(st.Tx, core.PortTx{Data: f.rest(), Cost: f.cost, Done: f.done})
 		f.release()
 	}
-	e.conn = nil
-	e.listener = nil
-	e.closed = true
-	e.mu.Unlock()
 	if st.Conn != nil {
-		st.Conn.SetOwner(nil)
+		st.Conn.Held().SetOwner(nil)
 	}
-	t.drop(e)
+	e.conn = nil
+	e.listener.Store(nil)
+	e.closed = true
+	t.dropLocked(e)
 	return st, true
 }
 
@@ -80,10 +86,10 @@ func (t *Transport) Adopt(st core.PortState) (core.Endpoint, error) {
 		t:         t,
 		bound:     st.Bound,
 		localPort: st.LocalPort,
-		listener:  st.Listener,
 		conn:      st.Conn,
 		framer:    st.Framer,
 	}
+	e.listener.Store(st.Listener)
 	e.framer.SetAlloc(t.pool.FrameAlloc)
 	for _, f := range st.Tx {
 		// The bytes were framed by the exporter; they go out as they are.
@@ -95,12 +101,14 @@ func (t *Transport) Adopt(st core.PortState) (core.Endpoint, error) {
 	for _, w := range st.Waiters {
 		e.waiters.Push(w)
 	}
-	t.adopt(e)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.adoptLocked(e)
 	if st.Conn != nil {
-		st.Conn.SetOwner(e)
+		st.Conn.Held().SetOwner(e)
 	}
 	// Whatever came along — staged frames, parked poppers, bytes the old
 	// transport left in the connection — is work for the first poll.
-	t.mark(e)
+	t.markLocked(e)
 	return e, nil
 }

@@ -7,6 +7,7 @@ package catnip
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,9 +20,11 @@ import (
 )
 
 type wlRig struct {
-	t      testing.TB
-	model  simclock.CostModel
-	now    time.Time
+	t     testing.TB
+	model simclock.CostModel
+	// now is the stacks' clock, in UnixNano: stepped by hand (advance), and
+	// read by whichever goroutine polls.
+	now    atomic.Int64
 	ta, tb *Transport
 	lis    core.Endpoint
 }
@@ -35,9 +38,10 @@ func newWLRig(t testing.TB, readyCap int) *wlRig {
 // newWLRigWith is newWLRig with the two transports' configurations, dialer's
 // and listener's, open to adjustment.
 func newWLRigWith(t testing.TB, adjust func(a, b *Config)) *wlRig {
-	r := &wlRig{t: t, model: simclock.Datacenter2019(), now: time.Unix(1_000_000, 0)}
+	r := &wlRig{t: t, model: simclock.Datacenter2019()}
+	r.now.Store(time.Unix(1_000_000, 0).UnixNano())
 	sw := fabric.NewSwitch(&r.model, 1)
-	clock := func() time.Time { return r.now }
+	clock := func() time.Time { return time.Unix(0, r.now.Load()) }
 	ca := Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xa}, IP: netstack.IP(10, 0, 0, 0xa), Clock: clock}
 	cb := Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xb}, IP: netstack.IP(10, 0, 0, 0xb), Clock: clock}
 	adjust(&ca, &cb)
@@ -57,6 +61,9 @@ func newWLRigWith(t testing.TB, adjust func(a, b *Config)) *wlRig {
 }
 
 func (r *wlRig) poll() { r.ta.Poll(); r.tb.Poll() }
+
+// advance steps the stacks' clock by d.
+func (r *wlRig) advance(d time.Duration) { r.now.Add(int64(d)) }
 
 // until polls until cond holds.
 func (r *wlRig) until(what string, cond func() bool) {
@@ -96,7 +103,7 @@ func (r *wlRig) connect() (a, b core.Endpoint) {
 // deadline has passed.
 func (r *wlRig) atRest(what string) {
 	r.t.Helper()
-	r.now = r.now.Add(time.Minute)
+	r.advance(time.Minute)
 	r.poll()
 	r.poll()
 	for name, tr := range map[string]*Transport{"dialer": r.ta, "listener": r.tb} {
@@ -211,9 +218,9 @@ func parkedDrainResumes(t *testing.T, readyCap int) {
 	}
 	state := func() (buffered int, parked bool, pumps int) {
 		t.Helper()
-		eb.mu.Lock()
-		defer eb.mu.Unlock()
 		_, _, _, pumps = r.tb.WorkQueued()
+		eb.t.mu.Lock()
+		defer eb.t.mu.Unlock()
 		if eb.ready.Len() > readyCap {
 			t.Fatalf("%d completions buffered past a cap of %d", eb.ready.Len(), readyCap)
 		}

@@ -380,7 +380,7 @@ func BenchmarkNetstack_AckDequeue(b *testing.B) {
 	for _, queued := range []int{4 << 10, 128 << 10} {
 		b.Run(fmt.Sprintf("%dKiB", queued>>10), func(b *testing.B) {
 			const mss = 1024
-			s := &Stack{cfg: Config{MSS: mss, RTO: time.Second}, now: time.Now}
+			s := &Stack{cfg: Config{MSS: mss, RTO: time.Second}, now: func() int64 { return time.Now().UnixNano() }}
 			c := s.newConnLocked(connKey{}, stateClosed) // closed: the ACK path sends nothing
 			c.sndBuf.write(make([]byte, queued), sndBufMax)
 			c.sndNxt = c.sndUna + uint32(queued)

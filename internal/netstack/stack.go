@@ -22,6 +22,9 @@ type Device interface {
 	Tx(data []byte, cost simclock.Lat)
 	TxFrame(f fabric.Frame)
 	AppendRxBurst(dst []fabric.Frame, queue, max int) []fabric.Frame
+	// RxPending reports, without taking a lock, whether a burst of queue
+	// could find a frame now.
+	RxPending(queue int) bool
 }
 
 // Config describes one stack instance.
@@ -59,12 +62,12 @@ type Config struct {
 	// shard stacks: learns are published to it and misses consult it
 	// before falling back to an ARP request. See NeighborTable.
 	Neighbors *NeighborTable
-	// Clock, when non-nil, replaces time.Now as the stack's notion of
-	// wall time for RTO timers. The chaos engine plugs a
-	// simclock.DriftClock in here to model per-node clock skew: a
-	// fast-running clock fires retransmission timers early, a slow one
-	// late — the paper's point that protocol timekeeping now lives in
-	// the library, where nothing keeps node clocks honest.
+	// Clock, when non-nil, replaces the stack's monotonic clock for RTO
+	// timers. The chaos engine plugs a simclock.DriftClock in here to
+	// model per-node clock skew: a fast-running clock fires retransmission
+	// timers early, a slow one late — the paper's point that protocol
+	// timekeeping now lives in the library, where nothing keeps node
+	// clocks honest.
 	Clock func() time.Time
 }
 
@@ -154,8 +157,9 @@ type pendingPkt struct {
 }
 
 // Stack is one user-level TCP/IP instance bound to a simulated NIC.
-// All methods are safe for concurrent use; the data path is driven by
-// Poll, which the owning libOS pumps from its wait loop.
+// All methods are safe for concurrent use, each taking the stack's lock
+// (Mutex) but for the few documented as called with it held; the data
+// path is driven by Poll, which the owning libOS pumps from its wait loop.
 type Stack struct {
 	model *simclock.CostModel
 	dev   Device
@@ -163,7 +167,8 @@ type Stack struct {
 
 	pool *fabric.FramePool // cfg.Pool or fabric.DefaultFramePool
 
-	mu         sync.Mutex
+	// mu is the stack's lock: its own, or a libOS shard's (NewWithLock).
+	mu         *sync.Mutex
 	arp        map[IPv4Addr]fabric.MAC // private cache; misses consult cfg.Neighbors
 	arpPending map[IPv4Addr][]pendingPkt
 	conns      map[connKey]*TCPConn
@@ -172,7 +177,7 @@ type Stack struct {
 	ipID       uint16
 	nextPort   uint16
 	issCounter uint32
-	now        func() time.Time
+	now        func() int64 // the timer clock, in nanoseconds (UnixNano for Config.Clock)
 	// clockRead is now() as the timers read it in the current shared
 	// stretch of this hold of mu (0: not yet), clockShares how many such
 	// stretches are open; both are zero whenever mu is free (timer.go).
@@ -199,8 +204,16 @@ type Stack struct {
 	pollSeq    uint32
 }
 
-// New creates a stack for dev with the given configuration.
+// New creates a stack for dev with the given configuration, and a lock of
+// its own.
 func New(model *simclock.CostModel, dev Device, cfg Config) *Stack {
+	return NewWithLock(model, dev, cfg, new(sync.Mutex))
+}
+
+// NewWithLock is New for a stack whose lock is mu: the one lock of a libOS
+// shard, which outlives the stack — a restarted shard gets a fresh stack on
+// the same lock — and which the libOS holds across its own calls into it.
+func NewWithLock(model *simclock.CostModel, dev Device, cfg Config, mu *sync.Mutex) *Stack {
 	if cfg.MSS <= 0 {
 		cfg.MSS = 1400
 	}
@@ -217,15 +230,21 @@ func New(model *simclock.CostModel, dev Device, cfg Config) *Stack {
 	if pool == nil {
 		pool = fabric.DefaultFramePool
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = time.Now
+	var clock func() int64
+	if cfg.Clock != nil {
+		clock = func() int64 { return cfg.Clock().UnixNano() }
+	} else {
+		// The wall clock is read once; after that, the monotonic clock only.
+		epoch := time.Now()
+		base := epoch.UnixNano()
+		clock = func() int64 { return base + int64(time.Since(epoch)) }
 	}
 	return &Stack{
 		model:      model,
 		dev:        dev,
 		cfg:        cfg,
 		pool:       pool,
+		mu:         mu,
 		arp:        make(map[IPv4Addr]fabric.MAC),
 		arpPending: make(map[IPv4Addr][]pendingPkt),
 		conns:      make(map[connKey]*TCPConn),
@@ -238,6 +257,9 @@ func New(model *simclock.CostModel, dev Device, cfg Config) *Stack {
 
 // IP returns the stack's address.
 func (s *Stack) IP() IPv4Addr { return s.cfg.IP }
+
+// Mutex returns the stack's lock (see NewWithLock).
+func (s *Stack) Mutex() *sync.Mutex { return s.mu }
 
 // Shutdown terminates the whole stack instantly, as a process crash
 // would: every connection (including handshakes parked in a listener
@@ -264,6 +286,7 @@ func (s *Stack) Shutdown(cause error) {
 	for port, l := range s.listeners {
 		l.closed = true
 		l.backlog = fifo.Queue[*TCPConn]{} // backlog conns were terminated via s.conns above
+		l.pending.Store(0)
 		delete(s.listeners, port)
 	}
 	for port, u := range s.udp {
@@ -352,15 +375,14 @@ func (s *Stack) Poll() int {
 }
 
 // PollReady is Poll for a caller that consumes connections through
-// TCPConn.SetOwner: besides the frame count it returns dst with the owner
-// appended of every connection that a segment (or a partial read) has left
-// readable — data, FIN or a terminal error — since the previous call, in
-// the order that happened. A connection is reported once per call however
-// much arrived, and not again until something more does: the owner reads
-// until it runs dry, or comes back for the rest unprompted.
+// TCPConn.SetOwner, and holds the stack's lock (Mutex) across the call:
+// besides the frame count it returns dst with the owner appended of every
+// connection that a segment (or a partial read) has left readable — data,
+// FIN or a terminal error — since the previous call, in the order that
+// happened. A connection is reported once per call however much arrived,
+// and not again until something more does: the owner reads until it runs
+// dry, or comes back for the rest unprompted.
 func (s *Stack) PollReady(dst []any) (int, []any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.pollLocked(), s.takeReadyLocked(dst)
 }
 
@@ -387,6 +409,9 @@ func (s *Stack) WorkQueued() (timers, ready, acks int) {
 	return len(s.timers), len(s.readyQueue), len(s.ackQueue)
 }
 
+// rxBurstMax is the most frames a poll asks the device for at once.
+const rxBurstMax = 64
+
 func (s *Stack) pollLocked() int {
 	n := 0
 	s.pollSeq++
@@ -404,10 +429,9 @@ func (s *Stack) pollLocked() int {
 		}
 	}
 	for {
-		// One burst per pass, appended into the reused scratch slice:
-		// the stack lock is amortised per burst and the steady-state
-		// loop allocates nothing.
-		s.rxBatch = s.dev.AppendRxBurst(s.rxBatch[:0], s.cfg.RxQueue, 64)
+		// One burst per pass, appended into the reused scratch slice, so
+		// the steady-state loop allocates nothing.
+		s.rxBatch = s.dev.AppendRxBurst(s.rxBatch[:0], s.cfg.RxQueue, rxBurstMax)
 		for i := range s.rxBatch {
 			s.handleFrameLocked(s.rxBatch[i])
 			// Ingest is copy-out (rcvBuf / pooled datagram payloads), so
@@ -416,7 +440,11 @@ func (s *Stack) pollLocked() int {
 			n++
 		}
 		s.flushAcksLocked()
-		if len(s.rxBatch) == 0 {
+		// The poll ends at an empty burst, or at a short one — it emptied
+		// the queue — unless a frame came while the pass ran: another
+		// host's, or one the pass's own sends brought back (a reordering
+		// switch releases the frame it held when the next one comes).
+		if len(s.rxBatch) == 0 || len(s.rxBatch) < rxBurstMax && !s.dev.RxPending(s.cfg.RxQueue) {
 			break
 		}
 	}

@@ -3,6 +3,7 @@ package netstack
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"demikernel/internal/fabric"
@@ -38,6 +39,9 @@ type TCPListener struct {
 	stack   *Stack
 	port    uint16
 	backlog fifo.Queue[*TCPConn]
+	// pending is backlog.Len(), written under the stack's lock and read
+	// without it: an accept loop finds an empty backlog with one load.
+	pending atomic.Int32
 	closed  bool
 }
 
@@ -53,14 +57,24 @@ func (s *Stack) ListenTCP(port uint16) (*TCPListener, error) {
 	return l, nil
 }
 
-// Accept pops one fully established connection, without blocking.
+// Accept pops one fully established connection, without blocking, and
+// without taking the stack's lock when there is none.
 func (l *TCPListener) Accept() (*TCPConn, bool) {
-	s := l.stack
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if l.Pending() == 0 {
+		return nil, false
+	}
+	l.stack.mu.Lock()
+	defer l.stack.mu.Unlock()
+	return l.AcceptHeld()
+}
+
+// AcceptHeld is Accept for a caller that holds the stack's lock
+// (Stack.Mutex).
+func (l *TCPListener) AcceptHeld() (*TCPConn, bool) {
 	if l.backlog.Len() == 0 {
 		return nil, false
 	}
+	l.pending.Add(-1)
 	return l.backlog.Pop(), true
 }
 
@@ -127,7 +141,7 @@ type TCPConn struct {
 	err error
 
 	// The one timer (RTO, persist and give-up share it; see timer.go).
-	// deadline is when it fires, in the stack clock's UnixNano, 0 while
+	// deadline is when it fires, in the stack clock's nanoseconds, 0 while
 	// unarmed; armSeq orders connections armed for the same instant;
 	// timerSlot is the connection's 1-based position in stack.timers, 0
 	// while it has no entry there.
@@ -147,10 +161,9 @@ type TCPConn struct {
 // error is there to be read, starting with whatever already is. nil stops
 // the reports.
 func (c *TCPConn) SetOwner(owner any) {
-	c.stack.mu.Lock()
-	c.owner = owner
-	c.updateReadyLocked()
-	c.stack.mu.Unlock()
+	h := c.Hold()
+	h.SetOwner(owner)
+	h.Release()
 }
 
 // updateReadyLocked queues a readable connection for its owner. Call at
@@ -235,9 +248,10 @@ func (c *TCPConn) Err() error {
 // Hold is the stack lock taken on behalf of one connection, so that a
 // caller with several things to do to it — queue bytes, flush them, read,
 // look at the error — pays for the lock once and sees one consistent
-// state. The calls are the TCPConn methods of the same names, which are
-// each a Hold around one call. Release it before calling anything else on
-// the stack, and before taking any lock that is held around stack calls.
+// state. Err, RecvAppend and SetOwner are the TCPConn methods of the same
+// names, each a Hold around one call. Release it before calling anything
+// else on the stack, and before taking any lock that is held around stack
+// calls.
 type Hold struct{ c *TCPConn }
 
 // Hold locks the connection's stack until Release.
@@ -246,18 +260,33 @@ func (c *TCPConn) Hold() Hold {
 	return Hold{c}
 }
 
+// Held is the Hold of a caller that already holds the stack's lock
+// (Stack.Mutex), as a libOS does across a whole call: it takes nothing,
+// and is not released.
+func (c *TCPConn) Held() Hold { return Hold{c} }
+
 // Release ends the hold.
 func (h Hold) Release() { h.c.stack.mu.Unlock() }
 
 // Err is TCPConn.Err under the hold.
 func (h Hold) Err() error { return h.c.err }
 
-// SendBuffered is TCPConn.SendBuffered under the hold.
+// SetOwner is TCPConn.SetOwner under the hold.
+func (h Hold) SetOwner(owner any) {
+	h.c.owner = owner
+	h.c.updateReadyLocked()
+}
+
+// SendBuffered queues bytes like Send but defers segmentation until
+// FlushSend, so a burst of application writes coalesces into MSS-sized
+// segments instead of one undersized segment per write. Retransmission
+// and flow control are unchanged — sndBuf remains the source of truth.
 func (h Hold) SendBuffered(b []byte, cost simclock.Lat) (int, error) {
 	return h.c.enqueueLocked(b, cost)
 }
 
-// FlushSend is TCPConn.FlushSend under the hold.
+// FlushSend emits whatever SendBuffered queued, as far as the congestion
+// and flow-control windows allow.
 func (h Hold) FlushSend() { h.c.trySendLocked() }
 
 // RecvAppend is TCPConn.RecvAppend under the hold.
@@ -295,16 +324,6 @@ func (c *TCPConn) Send(b []byte, cost simclock.Lat) (int, error) {
 	return n, err
 }
 
-// SendBuffered queues bytes like Send but defers segmentation until
-// FlushSend, so a burst of application writes coalesces into MSS-sized
-// segments instead of one undersized segment per write. Retransmission
-// and flow control are unchanged — sndBuf remains the source of truth.
-func (c *TCPConn) SendBuffered(b []byte, cost simclock.Lat) (int, error) {
-	h := c.Hold()
-	defer h.Release()
-	return h.SendBuffered(b, cost)
-}
-
 // enqueueLocked copies as much of b as fits under sndBufMax into the
 // send queue: (0, nil) is a full buffer, not an error.
 func (c *TCPConn) enqueueLocked(b []byte, cost simclock.Lat) (int, error) {
@@ -321,14 +340,6 @@ func (c *TCPConn) enqueueLocked(b []byte, cost simclock.Lat) (int, error) {
 	c.sndBuf.write(b[:n], sndBufMax)
 	c.txCost = cost
 	return n, nil
-}
-
-// FlushSend emits whatever SendBuffered queued, as far as the
-// congestion and flow-control windows allow.
-func (c *TCPConn) FlushSend() {
-	h := c.Hold()
-	h.FlushSend()
-	h.Release()
 }
 
 // Recv pops up to max in-order received bytes. It returns (nil, 0, nil)
@@ -431,12 +442,8 @@ func (c *TCPConn) Readable() bool {
 }
 
 // Pending returns the number of connections waiting in the accept
-// backlog.
-func (l *TCPListener) Pending() int {
-	l.stack.mu.Lock()
-	defer l.stack.mu.Unlock()
-	return l.backlog.Len()
-}
+// backlog. It takes no lock.
+func (l *TCPListener) Pending() int { return int(l.pending.Load()) }
 
 // Closed reports whether both directions have shut down or the connection
 // was reset.
@@ -526,6 +533,7 @@ func (c *TCPConn) handleSegmentLocked(seg tcpSegment, cost simclock.Lat) {
 			c.clearTimerLocked()
 			if l := c.pendingListener; l != nil && !l.closed {
 				l.backlog.Push(c)
+				l.pending.Add(1)
 			}
 			c.pendingListener = nil
 			// Fall through: the handshake ACK may carry data.

@@ -13,7 +13,9 @@ import "demikernel/internal/telemetry"
 // holds throughout is that an armed connection's entry sorts no later than
 // its true (deadline, armSeq); a deadline that moves *earlier* (rto reset
 // after backoff, a clock stepped back) therefore re-sorts at once. The
-// tick brings a due head up to date — drop it if cleared, sift it down if
+// tick drops cleared entries off the head before it reads the clock, due
+// or not (a request's timer is cleared by the reply that the tick's own
+// poll took in), then brings a due head up to date — sift it down if
 // re-armed — and fires it only once entry and connection agree, at which
 // point no other connection can be due before it. Equal deadlines fire in
 // arm order, so one seed gives one retransmission order.
@@ -49,14 +51,14 @@ func (s *Stack) unshareClockLocked() {
 	}
 }
 
-// nowLocked is the stack clock in UnixNano for the timers: read afresh
+// nowLocked is the stack clock in nanoseconds for the timers: read afresh
 // outside a shared stretch, once — by whoever asks first — inside one.
 func (s *Stack) nowLocked() int64 {
 	if s.clockShares == 0 {
-		return s.now().UnixNano()
+		return s.now()
 	}
 	if s.clockRead == 0 {
-		s.clockRead = s.now().UnixNano()
+		s.clockRead = s.now()
 	}
 	return s.clockRead
 }
@@ -152,8 +154,11 @@ func (s *Stack) forgetLocked(c *TCPConn) {
 }
 
 // tickTimersLocked fires every timer that is due, earliest first, and
-// does not read the clock while none is armed.
+// does not read the clock while the head is not armed.
 func (s *Stack) tickTimersLocked() {
+	for len(s.timers) > 0 && s.timers[0].c.deadline == 0 {
+		s.timerRemoveLocked(s.timers[0].c)
+	}
 	if len(s.timers) == 0 {
 		return
 	}

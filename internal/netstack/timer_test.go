@@ -19,11 +19,14 @@ import (
 	"demikernel/internal/simclock"
 )
 
-// tapDevice is a NIC that receives nothing and writes down every TCP
-// segment it is asked to transmit.
+// tapDevice is a NIC that writes down every TCP segment it is asked to
+// transmit, and receives what a test puts in rx, counting the bursts it is
+// asked for.
 type tapDevice struct {
-	t   *testing.T
-	log []string
+	t      *testing.T
+	log    []string
+	rx     []fabric.Frame
+	bursts int
 }
 
 func (d *tapDevice) MAC() fabric.MAC { return macA }
@@ -35,7 +38,15 @@ func (d *tapDevice) TxFrame(f fabric.Frame) {
 	f.Release()
 }
 
-func (d *tapDevice) AppendRxBurst(dst []fabric.Frame, _, _ int) []fabric.Frame { return dst }
+func (d *tapDevice) RxPending(int) bool { return len(d.rx) > 0 }
+
+func (d *tapDevice) AppendRxBurst(dst []fabric.Frame, _, max int) []fabric.Frame {
+	d.bursts++
+	n := min(max, len(d.rx))
+	dst = append(dst, d.rx[:n]...)
+	d.rx = d.rx[n:]
+	return dst
+}
 
 func (d *tapDevice) record(frame []byte) {
 	h, body, ok := parseIPv4(frame[ethHdrLen:])
@@ -69,7 +80,7 @@ func newTapStack(t *testing.T, clk *fakeClock) (*Stack, *tapDevice) {
 func referenceTick(s *Stack) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.now().UnixNano()
+	now := s.now()
 	var due []*TCPConn
 	for _, c := range s.conns {
 		if c.deadline != 0 && c.deadline <= now {
@@ -229,7 +240,9 @@ func TestTimersAgainstReferenceScan(t *testing.T) {
 					advance := []time.Duration{0, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond,
 						21 * time.Millisecond, 80 * time.Millisecond, 700 * time.Millisecond}[rng.Intn(7)]
 					clk.t = clk.t.Add(advance)
+					heap.s.mu.Lock()
 					_, heap.ready = heap.s.PollReady(heap.ready)
+					heap.s.mu.Unlock()
 					referenceTick(ref.s)
 					ref.ready = append(ref.ready, takeReady(ref.s)...)
 				} else {
@@ -381,5 +394,31 @@ func BenchmarkNetstack_PollIdleConns(b *testing.B) {
 				w.b.Poll()
 			}
 		})
+	}
+}
+
+// TestShortBurstEndsPoll: a poll whose burst comes back short of the
+// maximum, with nothing pending behind it, asks the device for one burst —
+// it does not come back for an empty one — and a full burst is followed
+// by another.
+func TestShortBurstEndsPoll(t *testing.T) {
+	s, dev := newTapStack(t, &fakeClock{t: time.Unix(1_000_000, 0)})
+	// ARP replies: the stack learns from them and sends nothing.
+	reply := arpPacket{op: arpOpReply, senderHW: macB, senderIP: ipB, targetHW: macA, targetIP: ipA}
+	for _, frames := range []int{0, 1, 3, rxBurstMax - 1, rxBurstMax, rxBurstMax + 1} {
+		dev.rx, dev.bursts = nil, 0
+		for i := 0; i < frames; i++ {
+			dev.rx = append(dev.rx, fabric.Frame{Data: reply.marshal(appendEth(nil, macA, macB, etherTypeARP))})
+		}
+		if n := s.Poll(); n != frames {
+			t.Fatalf("%d frames queued: the poll took %d", frames, n)
+		}
+		want := 1
+		if frames >= rxBurstMax {
+			want = 2
+		}
+		if dev.bursts != want || len(dev.log) != 0 {
+			t.Fatalf("%d frames queued: %d bursts asked for, %d segments sent; want %d and 0", frames, dev.bursts, len(dev.log), want)
+		}
 	}
 }

@@ -9,12 +9,13 @@
 // their own I/O stack" — that stack is package netstack, and the libOS
 // that ties them together is internal/libos/catnip.
 //
-// Locking is partitioned so that N shard workers can poll N receive
-// queues concurrently without contending on a device-wide lock: each
-// receive ring has its own (cache-line padded) mutex, the wire drain is
-// guarded by a separate TryLock'd mutex so exactly one poller moves
-// frames from the fabric into the rings while the rest go straight to
-// their own ring, and the counters are atomics.
+// The receive path takes one lock, and only to move frames: N shard
+// workers poll N receive queues without contending. The wire drain is
+// guarded by a TryLock'd mutex, so exactly one poller moves frames from
+// the fabric into the rings while the rest go straight to their own ring;
+// each ring is single-producer (the drain) and single-consumer (its
+// queue's poller), so it is a lock-free shard.Ring, bounded and dropping
+// when full as a hardware descriptor ring does; the counters are atomics.
 package nic
 
 import (
@@ -23,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"demikernel/internal/fabric"
+	"demikernel/internal/shard"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
 )
@@ -31,7 +33,7 @@ import (
 type Config struct {
 	MAC       fabric.MAC
 	RxQueues  int // number of receive queues (RSS spreads across them)
-	RingDepth int // descriptor ring depth per queue
+	RingDepth int // descriptor ring depth per queue, rounded up to a power of two
 }
 
 // Stats counts device events.
@@ -44,7 +46,7 @@ type Stats struct {
 	SteerDrops  int64 // frames owned by no tenant queue group (multi-tenant NICs)
 	DMABytes    int64
 	Regions     int64 // frame pools registered (RegisterRegion)
-	RxFlushed   int64 // ring frames discarded by FlushRings (node crash)
+	RxFlushed   int64 // ring frames discarded by FlushRxQueue (node crash)
 }
 
 // FilterAction tells the device what to do with a frame matching a
@@ -69,27 +71,19 @@ type HWFilter struct {
 	Queue  int
 }
 
-// rxQueue is one receive ring plus its own lock, padded out to a cache
-// line so two shards hammering adjacent queues never share a line for
-// the lock word (classic false sharing; §3.1's "never share state across
-// cores" applies to the metadata too).
-type rxQueue struct {
-	mu   sync.Mutex
-	ring *ring
-	_    [64 - 16]byte //nolint:unused // false-sharing pad
-}
-
 // Device is a simulated kernel-bypass NIC attached to a fabric switch.
-// All methods are safe for concurrent use; per-queue RxBurst calls from
-// distinct goroutines proceed in parallel.
+// All methods are safe for concurrent use, with one rule: a receive queue
+// has one poller at a time (a shard, under its lock). RxBurst calls on
+// distinct queues proceed in parallel.
 type Device struct {
 	model *simclock.CostModel
 	cfg   Config
 	port  *fabric.Port
 
 	// drainMu serialises moving frames from the fabric port into the
-	// receive rings. Pollers TryLock it: whoever wins drains for
-	// everyone, the rest skip straight to popping their own ring.
+	// receive rings: its holder is the port's one reader and every ring's
+	// one writer. Pollers TryLock it: whoever wins drains for everyone,
+	// the rest skip straight to popping their own ring.
 	drainMu sync.Mutex
 
 	// mu guards classification-plane *mutations* only: the master
@@ -110,7 +104,8 @@ type Device struct {
 
 	class atomic.Pointer[classTable]
 
-	rx []*rxQueue
+	// rx holds the descriptor rings, one a queue (see the package comment).
+	rx []*shard.Ring[fabric.Frame]
 
 	sched *txScheduler
 
@@ -147,9 +142,9 @@ func New(model *simclock.CostModel, sw *fabric.Switch, cfg Config) *Device {
 		cfg:   cfg,
 		port:  sw.NewPort(portDepth),
 	}
-	d.rx = make([]*rxQueue, cfg.RxQueues)
+	d.rx = make([]*shard.Ring[fabric.Frame], cfg.RxQueues)
 	for i := range d.rx {
-		d.rx[i] = &rxQueue{ring: newRing(cfg.RingDepth)}
+		d.rx[i] = shard.NewRing[fabric.Frame](cfg.RingDepth)
 	}
 	d.sched = newTxScheduler()
 	d.class.Store(&classTable{})
@@ -206,8 +201,8 @@ func (d *Device) RxBurst(queue, max int) []fabric.Frame {
 // caller, who must Release every frame once ingested.
 //
 // Concurrent calls on different queues do not serialise against each
-// other: one caller at a time performs the wire drain (TryLock), and
-// each queue's ring has its own lock.
+// other: one caller at a time performs the wire drain (TryLock), and a
+// queue's ring is read by its one poller without a lock.
 func (d *Device) AppendRxBurst(dst []fabric.Frame, queue, max int) []fabric.Frame {
 	if queue < 0 || queue >= len(d.rx) {
 		panic(fmt.Sprintf("nic: RxBurst on queue %d of %d", queue, len(d.rx)))
@@ -217,20 +212,24 @@ func (d *Device) AppendRxBurst(dst []fabric.Frame, queue, max int) []fabric.Fram
 		d.drainMu.Unlock()
 	}
 	q := d.rx[queue]
-	q.mu.Lock()
 	start := len(dst)
 	for len(dst)-start < max {
-		f, ok := q.ring.pop()
+		f, ok := q.Pop()
 		if !ok {
 			break
 		}
 		dst = append(dst, f)
 	}
-	q.mu.Unlock()
 	if n := len(dst) - start; n > 0 {
 		fabric.RecordBurstSize(n)
 	}
 	return dst
+}
+
+// RxPending reports whether a frame waits in queue's ring, or on the wire
+// for a drain to classify (to this queue or another). It takes no lock.
+func (d *Device) RxPending(queue int) bool {
+	return d.rx[queue].Len() > 0 || d.port.Pending()
 }
 
 // drainWireLocked moves frames from the fabric port into receive rings.
@@ -262,11 +261,7 @@ func (d *Device) drainWireLocked() {
 			continue
 		}
 		g := t.queueOwner(qi)
-		q := d.rx[qi]
-		q.mu.Lock()
-		pushed := q.ring.push(f)
-		q.mu.Unlock()
-		if pushed {
+		if d.rx[qi].Push(f) {
 			d.rxFrames.Add(1)
 			if g != nil {
 				g.rxFrames.Add(1)
@@ -448,55 +443,41 @@ func (d *Device) Stats() Stats {
 	}
 }
 
-// FlushRings empties every receive ring, releasing pooled frames back to
+// FlushRxQueue empties one receive ring, releasing pooled frames back to
 // their pools, and returns the number of frames discarded. It first
 // performs a normal wire drain so frames already delivered by the fabric
-// are classified and counted as RxFrames, then flushes the rings,
-// counting each discarded frame in RxFlushed — the device-side half of a
-// node crash: when a kernel-bypass application dies, the frames its
-// stack never ingested must still be reclaimed, or the pool leaks (§3:
-// the OS can no longer clean up after the dead process; here the
-// simulated device model does it on the stack's behalf at Crash time).
+// are classified and counted as RxFrames, then flushes the ring, counting
+// each discarded frame in RxFlushed (the device's and the owning queue
+// group's) — the device-side half of a node crash: when a kernel-bypass
+// application dies, the frames its stack never ingested must still be
+// reclaimed, or the pool leaks (§3: the OS can no longer clean up after
+// the dead process; here the simulated device model does it on the
+// stack's behalf at Crash time). The flush reads the ring, so it runs as
+// the queue's poller: under the shard lock of the stack that polls it.
 //
 // The stack-level conservation law picks up the new bucket:
 //
 //	nic.RxFrames == Σ stack.FramesIn + Σ ring occupancy + nic.RxFlushed
-func (d *Device) FlushRings() int {
+func (d *Device) FlushRxQueue(queue int) int {
 	d.drainMu.Lock()
 	d.drainWireLocked()
 	d.drainMu.Unlock()
-	t := d.class.Load()
 	n := 0
-	for qi := range d.rx {
-		if flushed := d.flushQueue(qi); flushed > 0 {
-			if g := t.queueOwner(qi); g != nil {
-				g.rxFlushed.Add(int64(flushed))
-			}
-			n += flushed
-		}
-	}
-	if n > 0 {
-		d.rxFlushed.Add(int64(n))
-		telemetry.TraceInstant("nic", "rx-flush", int32(d.port.ID()), int64(n))
-	}
-	return n
-}
-
-// flushQueue empties one receive ring, releasing pooled frames, and
-// returns the count discarded. Callers account rxFlushed.
-func (d *Device) flushQueue(qi int) int {
-	q := d.rx[qi]
-	n := 0
-	q.mu.Lock()
 	for {
-		f, ok := q.ring.pop()
+		f, ok := d.rx[queue].Pop()
 		if !ok {
 			break
 		}
 		f.Release()
 		n++
 	}
-	q.mu.Unlock()
+	if n > 0 {
+		if g := d.class.Load().queueOwner(queue); g != nil {
+			g.rxFlushed.Add(int64(n))
+		}
+		d.rxFlushed.Add(int64(n))
+		telemetry.TraceInstant("nic", "rx-flush", int32(d.port.ID()), int64(n))
+	}
 	return n
 }
 
@@ -517,11 +498,7 @@ func (d *Device) RxOccupancy(queue int) int {
 	if queue < 0 || queue >= len(d.rx) {
 		return 0
 	}
-	q := d.rx[queue]
-	q.mu.Lock()
-	n := q.ring.len()
-	q.mu.Unlock()
-	return n
+	return d.rx[queue].Len()
 }
 
 // RegisterTelemetry lifts the device counters into a telemetry registry

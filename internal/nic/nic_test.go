@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"demikernel/internal/fabric"
+	"demikernel/internal/shard"
 	"demikernel/internal/simclock"
 )
 
@@ -223,7 +224,7 @@ func TestRSSQueueFlowMatchesDevice(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueuePolling exercises the per-ring locking: four
+// TestConcurrentQueuePolling exercises the lock-free receive rings: four
 // goroutines each poll their own queue while a fifth transmits. Run
 // under -race this is the fence for the shard-concurrency restructure.
 func TestConcurrentQueuePolling(t *testing.T) {
@@ -288,15 +289,15 @@ func TestQueueDepth(t *testing.T) {
 }
 
 func TestRingWraparound(t *testing.T) {
-	r := newRing(4)
+	r := shard.NewRing[fabric.Frame](4)
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 3; i++ {
-			if !r.push(fabric.Frame{Data: []byte{byte(round), byte(i)}}) {
+			if !r.Push(fabric.Frame{Data: []byte{byte(round), byte(i)}}) {
 				t.Fatal("push failed below capacity")
 			}
 		}
 		for i := 0; i < 3; i++ {
-			f, ok := r.pop()
+			f, ok := r.Pop()
 			if !ok {
 				t.Fatal("pop failed")
 			}
@@ -305,7 +306,7 @@ func TestRingWraparound(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := r.pop(); ok {
+	if _, ok := r.Pop(); ok {
 		t.Fatal("pop from empty ring succeeded")
 	}
 }

@@ -390,33 +390,26 @@ func (g *QueueGroup) AppendRxBurst(dst []fabric.Frame, relQueue, max int) []fabr
 	return g.dev.AppendRxBurst(dst, g.base+relQueue, max)
 }
 
+// RxPending is Device.RxPending for the group's relQueue-th queue.
+func (g *QueueGroup) RxPending(relQueue int) bool { return g.dev.RxPending(g.base + relQueue) }
+
 // RxBurst is AppendRxBurst with fresh storage.
 func (g *QueueGroup) RxBurst(relQueue, max int) []fabric.Frame {
 	return g.AppendRxBurst(nil, relQueue, max)
 }
 
-// FlushRings is the group-scoped crash reclaim: it drains the wire
-// (classifying frames to their owners), then flushes only this group's
-// queues and its pending TX queue, releasing every pooled frame. Other
+// FlushRxQueue is Device.FlushRxQueue on the group's relQueue-th queue
+// (group-relative): the group-scoped crash reclaim flushes the group's
+// own queues, one by its poller each, and its TX queue (FlushTx). Other
 // tenants' rings are untouched — one tenant's crash must not discard a
 // neighbour's frames.
-func (g *QueueGroup) FlushRings() int {
-	d := g.dev
-	d.drainMu.Lock()
-	d.drainWireLocked()
-	d.drainMu.Unlock()
-	n := 0
-	for q := g.base; q < g.base+g.n; q++ {
-		n += d.flushQueue(q)
-	}
-	if n > 0 {
-		g.rxFlushed.Add(int64(n))
-		d.rxFlushed.Add(int64(n))
-		telemetry.TraceInstant("nic", "rx-flush", int32(d.port.ID()), int64(n))
-	}
-	n += d.sched.flushQueue(g.tq)
-	return n
+func (g *QueueGroup) FlushRxQueue(relQueue int) int {
+	return g.dev.FlushRxQueue(g.base + relQueue)
 }
+
+// FlushTx releases every frame staged on the group's TX queue (crash
+// reclaim) and returns how many there were.
+func (g *QueueGroup) FlushTx() int { return g.dev.sched.flushQueue(g.tq) }
 
 // GroupStats is a snapshot of one queue group's counters.
 type GroupStats struct {

@@ -338,6 +338,8 @@ type Device struct {
 	model *simclock.CostModel
 	mac   fabric.MAC
 	port  *fabric.Port
+	// pollMu is held by the one Poll reading port.
+	pollMu sync.Mutex
 
 	mu        sync.Mutex
 	nextPD    uint32

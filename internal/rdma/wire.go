@@ -51,7 +51,13 @@ func (d *Device) send(mac fabric.MAC, opcode byte, dstQPN uint32, payload []byte
 
 // Poll processes incoming transport frames and returns how many it
 // handled. Applications (or the libOS) pump it alongside their CQ polls.
+// The fabric port has one reader at a time: a Poll that finds another
+// under way returns 0 and leaves the frames, in order, to it.
 func (d *Device) Poll() int {
+	if !d.pollMu.TryLock() {
+		return 0
+	}
+	defer d.pollMu.Unlock()
 	n := 0
 	for {
 		f, ok := d.port.Poll()

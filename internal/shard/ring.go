@@ -87,8 +87,12 @@ func (r *Ring[T]) Pop() (T, bool) {
 	return v, true
 }
 
-// Len reports the current occupancy (approximate under concurrency).
-func (r *Ring[T]) Len() int { return int(r.tail.Load() - r.head.Load()) }
+// Len reports the current occupancy (approximate under concurrency: head is
+// read first, so it is never negative).
+func (r *Ring[T]) Len() int {
+	head := r.head.Load()
+	return int(r.tail.Load() - head)
+}
 
 // Cap reports the ring's capacity.
 func (r *Ring[T]) Cap() int { return len(r.buf) }

@@ -42,6 +42,18 @@ func TestRingRoundsCapacity(t *testing.T) {
 	}
 }
 
+// TestRingPopClearsSlot: a popped slot drops its reference, so a ring of
+// pooled frames (a NIC's descriptor ring, a fabric port's) pins no buffer
+// it has handed out.
+func TestRingPopClearsSlot(t *testing.T) {
+	r := NewRing[*int](2)
+	r.Push(new(int))
+	r.Pop()
+	if r.buf[0] != nil {
+		t.Fatal("pop left a reference in the ring slot")
+	}
+}
+
 // TestRingSPSCStress pushes values through the ring from one producer
 // goroutine to one consumer goroutine. Run with -race this is the fence
 // for the lock-free ordering: the tail store must publish the element
