@@ -6,7 +6,7 @@ all: tier1
 
 # What the soak targets select, named once so that runcheck verifies
 # exactly the patterns and package lists the targets run.
-RACE_PKGS       := ./internal/chaos/ ./internal/core/ ./internal/rdma/ ./internal/netstack/ ./internal/fabric/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/serve/ ./internal/apps/echo/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/
+RACE_PKGS       := ./internal/chaos/ ./internal/core/ ./internal/rdma/ ./internal/netstack/ ./internal/fabric/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/serve/ ./internal/apps/echo/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/ ./cmd/demi-stat/
 RACE_RUN        := TestChaosShardedKV
 LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestNodeShapesShareLifecycle|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush|TestRingServerManyConns
 TENANT_RUN      := TestHostileTenantSoak|TestTenantCrashSparesNeighbors
@@ -23,7 +23,8 @@ BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/ ./internal/libos/catn
 ## (the chaos engine, the user TCP stack, the frame pool and its SGA headers,
 ## the telemetry instruments, the queues and their qtokens, the cross-shard
 ## SPSC mesh, the sharded KV workers, the failover backoff machinery,
-## and the simulated drift clock), a counter-consistency smoke
+## the simulated drift clock, and every demi-stat rig with its pollers
+## and chaos goroutine), a counter-consistency smoke
 ## (telemetry must conserve frames: TXed == delivered + every
 ## attributed drop, at the fabric, per NIC, and per stack — including
 ## across a crash/restart, the crash-time RxFlushed bucket folded in),
@@ -71,12 +72,13 @@ race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
 	$(GO) test -race -count=1 -run '$(RACE_RUN)' .
 
-## statsmoke: run an impaired echo workload and check that the telemetry
-## counters obey the frame-conservation laws end to end (demi-stat
-## -selftest, which reads them from Cluster.Conservation as the tests do).
-## A leak anywhere in the datapath bookkeeping fails tier1.
+## statsmoke: run an impaired echo workload with a mid-run crash/restart
+## and check that the telemetry counters obey the frame-conservation laws
+## end to end (demi-stat -rig chaos, which reads them from
+## Cluster.Conservation as the tests do, as it does on every rig). A leak
+## anywhere in the datapath bookkeeping fails tier1.
 statsmoke:
-	$(GO) run ./cmd/demi-stat -selftest
+	$(GO) run ./cmd/demi-stat -rig chaos
 
 ## lifecyclesoak: the crash/restart gauntlet, repeated under the race
 ## detector — node death mid-connection, client failover across the
@@ -97,12 +99,9 @@ lifecyclesoak:
 ## quota leak → crash mid-burst); victims' KV ops must all succeed
 ## with p99 within 2x of the quiet baseline, per-tenant frame
 ## conservation must hold across the crash, and the dead tenant's
-## quota must reclaim to zero. Followed by a short run of the
-## demi-stat -tenants dashboard, which re-asserts containment.
-## Part of tier1.
+## quota must reclaim to zero. Part of tier1.
 tenantsoak:
 	$(GO) test -race -count=1 -run '$(TENANT_RUN)' .
-	$(GO) run ./cmd/demi-stat -tenants -n 300
 
 ## httpsoak: the HTTP/1.1 workload gauntlet, under the race detector —
 ## the production-shaped soak (Zipf popularity, keep-alive churn, slow
@@ -110,12 +109,10 @@ tenantsoak:
 ## request accounting) plus the slow-client stall/recover tests (a
 ## slow-read phase, and read straight through): a stalled reader must
 ## park the bounded rx ready list (rx_ready_stalls) and turn into TCP
-## backpressure, then drain cleanly once the reader resumes. Followed
-## by a short run of the demi-stat -http dashboard, which re-asserts
-## the same on the CLI surface. Part of tier1.
+## backpressure, then drain cleanly once the reader resumes. Part of
+## tier1.
 httpsoak:
 	$(GO) test -race -count=1 -run '$(HTTP_RUN)' .
-	$(GO) run ./cmd/demi-stat -http -n 600
 
 ## storagesoak: the storage-pushdown gauntlet, under the race detector —
 ## the pushdown engine tests (depth-N traversals, hop-budget and
@@ -125,13 +122,10 @@ httpsoak:
 ## decoder-agreement property tests (device IndexStep vs host fallback,
 ## byte-identical on thousands of corrupt blocks), and the root chaos
 ## test that resets the controller mid-traversal over a live catfish
-## node. Followed by a short run of the demi-stat -storage dashboard,
-## which audits the crossing/leak invariants on the CLI surface.
-## Part of tier1.
+## node. Part of tier1.
 storagesoak:
 	$(GO) test -race -count=1 $(STORAGE_PKGS)
 	$(GO) test -race -count=1 -run '$(STORAGE_RUN)' .
-	$(GO) run ./cmd/demi-stat -storage -n 300 -depth 4
 
 ## reshardsoak: the elastic-resharding and live-switching gauntlet,
 ## under the race detector — grow 4→8 and shrink 8→2 under client load

@@ -35,7 +35,7 @@ func (c *Cluster) FabricLawApplies() bool { return c.Switch.NumPorts() == 2 }
 // rest — after Quiesce, with no operation in flight; it polls the nodes
 // itself, and idle pollers beside it move no counter — and returns every
 // violation, joined, each with its numbers. Every test, soak and
-// `demi-stat -selftest` reads the laws here:
+// `demi-stat` rig reads the laws here:
 //
 //  1. Fabric — the wire loses nothing silently: Σ port tx + injected
 //     duplicates == delivered + loss + link-down + rx-full + asymmetric

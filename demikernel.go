@@ -462,8 +462,8 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 }
 
 // Tenants returns the cluster's tenant registry, creating it on first
-// use. Every WithTenant spawn registers here; `demi-stat -tenants`
-// reads quota occupancy from the same ledgers.
+// use. Every WithTenant spawn registers here; Observe lifts the same
+// ledgers into a registry.
 func (c *Cluster) Tenants() *tenant.Registry {
 	if c.tenants == nil {
 		c.tenants = tenant.NewRegistry()
@@ -553,17 +553,20 @@ func (n *Node) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	}
 }
 
-// Observe opens a measurement window over the cluster: the fabric's
-// counters join reg under "fabric", beside those of the nodes spawned
-// WithTelemetry(reg), and the qtoken span table of every libOS of every
-// node is enabled, named "host<N> <kind>" on a node of one libOS and
-// "host<N>.shard<i> <kind>" on a wider one. The returned function renders
-// what the window saw: each registered counter that moved, then each span
-// table.
+// Observe opens a measurement window over the cluster: everything
+// reachable from it joins reg — the fabric's counters under "fabric",
+// every node's vertical under "host<N>" (the names WithTelemetry(reg)
+// gives it) and every tenant's ledger under "tenant.<id>" — and the qtoken
+// span table of every libOS of every node is enabled, named
+// "host<N> <kind>" on a node of one libOS and "host<N>.shard<i> <kind>" on
+// a wider one. The returned function renders what the window saw: each
+// registered counter that moved, then each span table.
 func (c *Cluster) Observe(reg *telemetry.Registry) (report func() string) {
 	c.Switch.RegisterTelemetry(reg, "fabric")
+	c.Tenants().RegisterTelemetry(reg, "tenant")
 	var spans []*telemetry.SpanTable
 	for _, n := range c.nodes {
+		n.RegisterTelemetry(reg, fmt.Sprintf("host%d", n.host))
 		for i, l := range n.libs {
 			name := fmt.Sprintf("host%d %s", n.host, n.kind)
 			if len(n.libs) > 1 {

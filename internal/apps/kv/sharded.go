@@ -270,8 +270,8 @@ func (s *ShardedServer) Len() int {
 func (s *ShardedServer) Size() int { return len(s.workers) }
 
 // RegisterTelemetry lifts per-shard KV counters into a registry as
-// prefix.<i>.kv_* so demi-stat can show the per-core op distribution
-// next to the mesh and stack counters.
+// prefix.<i>.kv_* beside the mesh and stack counters; under a node's
+// "host<N>.shard" prefix, demi-stat rolls them up as shard.*.kv_*.
 func (s *ShardedServer) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	for i, w := range s.workers {
 		p := telemetryPrefix(prefix, i)

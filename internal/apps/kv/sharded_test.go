@@ -148,8 +148,8 @@ func TestShardedKVForwarding(t *testing.T) {
 	}
 }
 
-// TestShardedKVTelemetry spot-checks the per-shard registry surface the
-// demi-stat aggregation relies on.
+// TestShardedKVTelemetry spot-checks the per-shard registry surface
+// demi-stat's shard.* roll-up relies on.
 func TestShardedKVTelemetry(t *testing.T) {
 	h := newHarness(t, demi.Catnip, 2, 3)
 	if _, err := h.client.Set("a", []byte("1")); err != nil {

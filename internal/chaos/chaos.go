@@ -49,8 +49,8 @@ type Event struct {
 
 // FiredEvent records one event that has fired: its name, the offset it
 // was scheduled for, and the offset at which the engine actually
-// observed it due (>= At; the gap is polling-loop slack). demi-stat's
-// -chaos view renders these as a lifecycle timeline.
+// observed it due (>= At; the gap is polling-loop slack). demi-stat
+// prints these for every rig that has an engine.
 type FiredEvent struct {
 	Name    string
 	At      time.Duration // scheduled offset

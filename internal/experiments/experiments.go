@@ -223,7 +223,7 @@ func spawnPair(c *demi.Cluster, kind demi.Kind, cfg demi.NodeConfig) (srvNode, c
 }
 
 // EchoRig is a connected echo client/server pair: the experiments' rig and
-// the `demi-stat` echo dashboards'.
+// `demi-stat -rig echo|ring|chaos`'s.
 type EchoRig struct {
 	Client  *echo.Client
 	Close   func()

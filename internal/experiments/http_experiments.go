@@ -59,6 +59,87 @@ func newHTTPRig(seed int64, tree *httpd.Tree, rxReadyCap int) (*httpRig, error) 
 	return &httpRig{cliNode: cliNode, srv: srv, cli: cli, close: func() { stopCli(); stopSrv() }}, nil
 }
 
+// HTTPSoakRig is the production-shaped HTTP scenario, staged: a 2-shard
+// catnip server serving HTTPProduction's object tree from every shard, and
+// workload.HTTPDriver's keep-alive lanes dialled RSS-aligned to it from a
+// client whose rx ready list is bounded at 4, so slow readers park it —
+// TestHTTPProductionSoak's rig and `demi-stat -rig http`'s.
+type HTTPSoakRig struct {
+	Cluster *demi.Cluster
+	CliNode *demi.Node
+	Servers []*httpd.Server // one per shard
+	Driver  *workload.HTTPDriver
+	Close   func()
+	srvNode *demi.Node
+}
+
+// NewHTTPSoakRig spawns and stages the scenario.
+func NewHTTPSoakRig(seed int64) (*HTTPSoakRig, error) {
+	const port = 8080
+	c := demi.NewCluster(seed)
+	r := &HTTPSoakRig{Cluster: c, srvNode: c.MustSpawn(demi.Catnip, demi.WithHost(1), demi.WithShards(2))}
+	r.CliNode = c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{
+		Host: 2, RxReadyCap: 4, RTO: 2 * time.Millisecond, MaxRetransmits: 8,
+	}))
+	r.CliNode.WaitTimeout = 5 * time.Second
+	prod := workload.NewHTTPProduction(64, 1e6, seed)
+	tree := prod.Tree()
+	var stops []func()
+	r.Close = func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}
+	for _, lib := range r.srvNode.Libs() {
+		srv, stop, err := httpd.Serve(lib, tree, port)
+		if err != nil {
+			r.Close()
+			return nil, err
+		}
+		r.Servers, stops = append(r.Servers, srv), append(stops, stop)
+	}
+	// Seeds stride by 8 so no two dials resolve to the same source port
+	// (SourcePortFor scans forward from the seed; with 2 shards it moves
+	// at most a step or two).
+	var seedCtr uint16
+	var err error
+	r.Driver, err = workload.NewHTTPDriver(prod, len(r.Servers), func(shard int) (*httpd.Client, error) {
+		seedCtr += 8
+		qd, err := c.Router().DialShard(r.CliNode, r.srvNode.Sharded, port, shard, seedCtr)
+		if err != nil {
+			return nil, err
+		}
+		cl := httpd.NewClient(r.CliNode.LibOS)
+		cl.Adopt(qd, c.AddrOf(r.srvNode, port))
+		return cl, nil
+	})
+	if err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r, nil
+}
+
+// Run issues n requests, crashing and restarting the server node after
+// the first half: every client connection dies with the stack, and the
+// second half runs against the restarted incarnation with no call into
+// the servers — they heal themselves.
+func (r *HTTPSoakRig) Run(n int) error {
+	if err := r.Driver.Run(n / 2); err != nil {
+		return err
+	}
+	if _, err := r.srvNode.Crash(); err != nil {
+		return err
+	}
+	if err := r.srvNode.Restart(); err != nil {
+		return err
+	}
+	if err := r.Driver.Redial(); err != nil {
+		return err
+	}
+	return r.Driver.Run(n - n/2)
+}
+
 func runE17(seed int64) (*Result, error) {
 	const reqs = 512
 	res := &Result{}
@@ -66,10 +147,7 @@ func runE17(seed int64) (*Result, error) {
 	// Part 1 — a Zipf-popular GET stream and the server-side virtual
 	// service-latency CCDF.
 	prod := workload.NewHTTPProduction(64, 1e6, seed)
-	tree := httpd.NewTree()
-	for _, o := range prod.Objects {
-		tree.Add(o.Path, o.Body)
-	}
+	tree := prod.Tree()
 	tbl := metrics.NewTable("HTTP GET service latency (virtual)",
 		"path", "requests", "p50", "p99", "p99.9", "max")
 	fast, err := newHTTPRig(seed, tree, 0)

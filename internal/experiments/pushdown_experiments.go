@@ -16,16 +16,17 @@ import (
 // LookupRig is a catfish node holding a static index of the given depth
 // (fanout 2, so 2^(depth+1) keys) with a lookup queue open on it, its
 // step function pushed into the device or run on the host: E18's rig and
-// the `demi-stat -storage` dashboard's.
+// `demi-stat -rig storage`'s.
 type LookupRig struct {
 	Transport *catfish.Transport
 	Queue     *catfish.LookupQueue
 	Pairs     []spdk.KV // what the index holds
 }
 
-// NewLookupRig spawns the node, builds the index and opens the queue.
-func NewLookupRig(seed int64, depth int, pushdown bool) (*LookupRig, error) {
-	node, err := demi.NewCluster(seed).Spawn(demi.Catfish, demi.WithBlocks(0))
+// NewLookupRig spawns the node on c with opts, builds the index and opens
+// the queue.
+func NewLookupRig(c *demi.Cluster, depth int, pushdown bool, opts ...demi.SpawnOption) (*LookupRig, error) {
+	node, err := c.Spawn(demi.Catfish, append([]demi.SpawnOption{demi.WithBlocks(0)}, opts...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -99,11 +100,11 @@ func runE18(seed int64) (*Result, error) {
 	var outcomes []outcome
 
 	for _, depth := range depths {
-		pd, err := NewLookupRig(seed, depth, true)
+		pd, err := NewLookupRig(demi.NewCluster(seed), depth, true)
 		if err != nil {
 			return nil, err
 		}
-		host, err := NewLookupRig(seed+1, depth, false)
+		host, err := NewLookupRig(demi.NewCluster(seed+1), depth, false)
 		if err != nil {
 			return nil, err
 		}

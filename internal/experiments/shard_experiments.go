@@ -59,8 +59,8 @@ func RunShardScale(seed int64, shards, setsGets int, aligned bool) (ShardScalePo
 }
 
 // KVRig is a KV server node, served, and a client of it with one
-// connection per active shard: every KV experiment's rig and the
-// `demi-stat -shards` and `-reshard` dashboards'.
+// connection per active shard: every KV experiment's rig and
+// `demi-stat -rig kv|reshard`'s.
 type KVRig struct {
 	SrvNode *demi.Node
 	Server  *kv.ShardedServer

@@ -37,7 +37,7 @@ type TenantAttackPoint struct {
 // TenantRig is the hostile-tenant scenario, staged: three tenants on one
 // shared NIC — two victims serving echo to clients on NICs of their own,
 // and one that will go hostile against a bystander sink — E15's rig and
-// the `demi-stat -tenants` dashboard's.
+// `demi-stat -rig tenants`'s.
 type TenantRig struct {
 	Cluster         *demi.Cluster
 	VicA, VicB, Mal *demi.Node

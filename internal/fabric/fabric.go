@@ -374,7 +374,7 @@ func (p *Port) Send(f Frame) {
 			// duplicate still goes out now, only the original is held.
 			// (Holding the whole batch used to leak the duplicate — it
 			// was neither forwarded nor counted as dropped, a gap the
-			// demi-stat conservation selftest catches.)
+			// fabric conservation law catches.)
 			for _, fr := range frames[1:] {
 				s.forwardLocked(fr, p)
 			}

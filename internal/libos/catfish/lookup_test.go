@@ -127,10 +127,12 @@ func TestLookupQueueModesAgree(t *testing.T) {
 }
 
 func TestLookupQueueMissIsTyped(t *testing.T) {
-	tr, _ := newTransport(t)
-	q, _ := openLookup(t, tr, testPairs(8), LookupConfig{Pushdown: true})
-	if _, err := get(t, tr, q, []byte("absent")); !errors.Is(err, spdk.ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	for _, pushdown := range []bool{true, false} {
+		tr, _ := newTransport(t)
+		q, _ := openLookup(t, tr, testPairs(8), LookupConfig{Pushdown: pushdown})
+		if _, err := get(t, tr, q, []byte("absent")); !errors.Is(err, spdk.ErrNotFound) {
+			t.Fatalf("pushdown=%v: err = %v, want ErrNotFound", pushdown, err)
+		}
 	}
 }
 

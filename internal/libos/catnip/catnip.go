@@ -80,7 +80,7 @@ type Transport struct {
 
 	// prevStats accumulates the counters of dead stack incarnations so
 	// StackStats (and telemetry) stay cumulative across crash/restart —
-	// without it the frame-conservation selftest would see NIC counters
+	// without it the frame-conservation laws would see NIC counters
 	// keep climbing while stack counters reset to zero.
 	prevStats netstack.Stats
 	crashes   int64 // completed Crash calls (lifecycle telemetry)

@@ -104,7 +104,7 @@ type Stats struct {
 // Add returns the field-wise sum of two stats snapshots. The lifecycle
 // layer uses it to keep conservation counters cumulative across a
 // crash/restart: frames ingested by a dead stack incarnation still
-// happened, and the demi-stat selftest must see them.
+// happened, and Cluster.Conservation must see them.
 func (a Stats) Add(b Stats) Stats {
 	return Stats{
 		FramesIn:        a.FramesIn + b.FramesIn,

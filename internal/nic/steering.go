@@ -440,15 +440,10 @@ func (g *QueueGroup) Stats() GroupStats {
 	}
 }
 
-// TxCredits reports the group's instantaneous TX scheduling credit: the
-// WDRR deficit and the token-bucket balance, both in bytes. demi-stat's
-// -tenants view renders these next to the quota ledger.
-func (g *QueueGroup) TxCredits() (deficit, tokens int64) {
-	return g.tq.deficitNow(), g.tq.tokensNow()
-}
-
 // RegisterTelemetry lifts the group's counters into a telemetry
-// registry under prefix (e.g. "tenant.a.nic").
+// registry under prefix (e.g. "tenant.a.nic"), its instantaneous TX
+// scheduling credit among them: the WDRR deficit (tx_deficit) and the
+// token-bucket balance (tx_tokens), both in bytes.
 func (g *QueueGroup) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	stat := func(read func(GroupStats) int64) func() int64 {
 		return func() int64 { return read(g.Stats()) }

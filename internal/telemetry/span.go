@@ -199,7 +199,7 @@ func (t *SpanTable) Summaries() []QueueSummary {
 }
 
 // Table renders the per-queue latency summaries as a metrics table
-// (demi-stat's dashboard body).
+// (what Cluster.Observe renders after the counter diff).
 func (t *SpanTable) Table() *metrics.Table {
 	tbl := metrics.NewTable("per-queue operation latency ("+t.Name()+")",
 		"qd", "op", "ops", "errs", "p50", "p99", "mean", "max")

@@ -71,7 +71,7 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Trace is the process-wide tracer the datapath layers emit into.
-// Disabled by default; demi-stat and tests enable it around a run.
+// Disabled by default; `demi-stat -trace` and tests enable it around a run.
 var Trace = NewTracer(DefaultTraceCap)
 
 // Enable turns event recording on.

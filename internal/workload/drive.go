@@ -7,6 +7,15 @@ import (
 	"demikernel/internal/apps/httpd"
 )
 
+// Tree returns an httpd object tree serving the production's objects.
+func (p *HTTPProduction) Tree() *httpd.Tree {
+	tree := httpd.NewTree()
+	for _, o := range p.Objects {
+		tree.Add(o.Path, o.Body)
+	}
+	return tree
+}
+
 // lanes is how many keep-alive clients an HTTPDriver runs, dialled round
 // robin over the server's shards.
 const lanes = 4

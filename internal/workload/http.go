@@ -149,9 +149,9 @@ func (s *StallSchedule) NextStall() int {
 }
 
 // HTTPProduction bundles the production-shaped HTTP workload the E17
-// experiment and `demi-http` drive: Zipf-popular paths over a bimodal
-// object tree, Poisson open-loop arrivals, connection churn, and a slow
-// reader fraction.
+// experiment, the HTTP soak and `demi-stat -rig http` drive: Zipf-popular
+// paths over a bimodal object tree, Poisson open-loop arrivals, connection
+// churn, and a slow reader fraction.
 type HTTPProduction struct {
 	Objects []HTTPObject
 	Paths   *PathSet
