@@ -57,12 +57,11 @@ func main() {
 
 func measure(flavor string, size, n int, seed int64, stats bool) (*metrics.Histogram, error) {
 	cluster := demi.NewCluster(seed)
-	reg := telemetry.NewRegistry()
-	srvNode, err := cluster.Spawn(demi.Kind(flavor), demi.WithHost(1), demi.WithTelemetry(reg))
+	srvNode, err := cluster.Spawn(demi.Kind(flavor), demi.WithHost(1))
 	if err != nil {
 		return nil, err
 	}
-	cliNode, err := cluster.Spawn(demi.Kind(flavor), demi.WithHost(2), demi.WithTelemetry(reg))
+	cliNode, err := cluster.Spawn(demi.Kind(flavor), demi.WithHost(2))
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +73,7 @@ func measure(flavor string, size, n int, seed int64, stats bool) (*metrics.Histo
 
 	var report func() string
 	if stats {
-		report = cluster.Observe(reg)
+		report = cluster.Observe(telemetry.NewRegistry())
 	}
 	h, err := rig.MeasureEcho(size, n)
 	if err != nil {

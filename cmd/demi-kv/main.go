@@ -38,12 +38,11 @@ func main() {
 
 func run(libos string, ops, valueSize int, wl string, seed int64, stats bool) error {
 	cluster := demi.NewCluster(seed)
-	reg := telemetry.NewRegistry()
-	srvNode, err := cluster.Spawn(demi.Kind(libos), demi.WithHost(1), demi.WithTelemetry(reg))
+	srvNode, err := cluster.Spawn(demi.Kind(libos), demi.WithHost(1))
 	if err != nil {
 		return err
 	}
-	cliNode, err := cluster.Spawn(demi.Kind(libos), demi.WithHost(2), demi.WithTelemetry(reg))
+	cliNode, err := cluster.Spawn(demi.Kind(libos), demi.WithHost(2))
 	if err != nil {
 		return err
 	}
@@ -60,7 +59,7 @@ func run(libos string, ops, valueSize int, wl string, seed int64, stats bool) er
 
 	var report func() string
 	if stats {
-		report = cluster.Observe(reg)
+		report = cluster.Observe(telemetry.NewRegistry())
 	}
 
 	const keys = 64

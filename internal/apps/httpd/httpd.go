@@ -136,10 +136,9 @@ type Server struct {
 	pauses     atomic.Int64
 
 	// Per-route latency histograms (opt-in; see EnableLatency).
-	latMu  sync.Mutex
-	lat    map[string]*metrics.Histogram
-	latOn  atomic.Bool
-	routes []string // registration order, for stable tables
+	latMu sync.Mutex
+	lat   map[string]*metrics.Histogram
+	latOn atomic.Bool
 }
 
 // NewServer creates a server for tree on lib.
@@ -551,7 +550,6 @@ func (s *Server) recordLatency(path []byte, cost simclock.Lat) {
 	if !ok {
 		h = &metrics.Histogram{}
 		s.lat[string(route)] = h
-		s.routes = append(s.routes, string(route))
 	}
 	h.Record(cost)
 	s.latMu.Unlock()
@@ -563,18 +561,4 @@ func (s *Server) RouteHistogram(route string) *metrics.Histogram {
 	s.latMu.Lock()
 	defer s.latMu.Unlock()
 	return s.lat[route]
-}
-
-// LatencyTable renders per-route latency percentiles, first-seen order.
-func (s *Server) LatencyTable() *metrics.Table {
-	tbl := metrics.NewTable("httpd per-route service latency (virtual)",
-		"route", "requests", "p50", "p99", "p99.9", "max")
-	s.latMu.Lock()
-	defer s.latMu.Unlock()
-	for _, route := range s.routes {
-		h := s.lat[route]
-		tbl.AddRow(route, h.Count(), h.Percentile(50), h.Percentile(99),
-			h.Percentile(99.9), h.Max())
-	}
-	return tbl
 }

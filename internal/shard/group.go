@@ -143,23 +143,6 @@ func (g *Group) PendingTo(to int) int {
 	return n
 }
 
-// Stats is a snapshot of one worker's mesh counters.
-type Stats struct {
-	Sent     int64
-	Received int64
-	Dropped  int64
-}
-
-// StatsOf snapshots worker i's counters.
-func (g *Group) StatsOf(i int) Stats {
-	s := g.stats[i]
-	return Stats{
-		Sent:     s.sent.Load(),
-		Received: s.received.Load(),
-		Dropped:  s.dropped.Load(),
-	}
-}
-
 // RegisterTelemetry lifts per-worker mesh counters into a telemetry
 // registry as shard.<i>.xs_sent / xs_received / xs_dropped / xs_pending
 // under the given prefix (conventionally "shard").

@@ -115,12 +115,21 @@ func TestGroupMesh(t *testing.T) {
 	if msgs[1].From != 1 || msgs[1].Op != OpControl {
 		t.Fatalf("msg 1 = %+v", msgs[1])
 	}
-	if s := g.StatsOf(0); s.Sent != 1 {
-		t.Fatalf("shard 0 stats = %+v", s)
+	if n := counter(g, "shard.0.xs_sent"); n != 1 {
+		t.Fatalf("shard 0 sent = %d, want 1", n)
 	}
-	if s := g.StatsOf(2); s.Received != 2 {
-		t.Fatalf("shard 2 stats = %+v", s)
+	if n := counter(g, "shard.2.xs_received"); n != 2 {
+		t.Fatalf("shard 2 received = %d, want 2", n)
 	}
+}
+
+// counter reads one of g's mesh counters through the registry, as an
+// operator does.
+func counter(g *Group, name string) int64 {
+	reg := telemetry.NewRegistry()
+	g.RegisterTelemetry(reg, "shard")
+	v, _ := reg.Snapshot().Get(name)
+	return v
 }
 
 func TestGroupBackpressure(t *testing.T) {
@@ -133,8 +142,8 @@ func TestGroupBackpressure(t *testing.T) {
 	if g.Send(0, 1, Msg{Seq: 99}) {
 		t.Fatal("send should fail when the edge ring is full")
 	}
-	if s := g.StatsOf(0); s.Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1", s.Dropped)
+	if n := counter(g, "shard.0.xs_dropped"); n != 1 {
+		t.Fatalf("dropped = %d, want 1", n)
 	}
 }
 
