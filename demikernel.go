@@ -152,8 +152,8 @@ type Node struct {
 	// capacity 1 unless the node was spawned WithShards.
 	Sharded *ShardedNode
 	// Clock is non-nil when the node was spawned WithLifecycle: the
-	// node's private virtual wall clock, skewable by the chaos engine's
-	// ClockSkew fault (every protocol timer on this node reads it).
+	// node's private virtual wall clock, skewable with SetSkew (every
+	// protocol timer on this node reads it).
 	Clock *simclock.DriftClock
 	// Tenant is non-nil when the node was spawned WithTenant: its
 	// identity, policy, and frame-quota ledger on the shared NIC.
@@ -309,8 +309,8 @@ func WithTelemetry(reg *telemetry.Registry) SpawnOption {
 }
 
 // WithLifecycle gives the node a private skewable virtual wall clock
-// (Node.Clock) that every protocol timer on the node reads — the hook
-// the chaos engine's ClockSkew fault drives. Crash and Restart work on
+// (Node.Clock) that every protocol timer on the node reads, so a test can
+// skew it or step it past a deadline. Crash and Restart work on
 // every catnip node regardless; WithLifecycle only adds the clock.
 func WithLifecycle() SpawnOption {
 	return func(s *spawnSpec) { s.lifecycle = true }

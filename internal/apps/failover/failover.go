@@ -94,13 +94,6 @@ func (b *Backoff) Next() (time.Duration, bool) {
 	return d, true
 }
 
-// Attempts reports how many delays have been handed out since Reset.
-func (b *Backoff) Attempts() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.attempt
-}
-
 // Reset rewinds the iterator (a successful operation forgives history).
 func (b *Backoff) Reset() {
 	b.mu.Lock()

@@ -26,8 +26,8 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	if _, ok := b.Next(); ok {
 		t.Fatal("iterator outlived MaxAttempts")
 	}
-	if b.Attempts() != 6 {
-		t.Fatalf("Attempts = %d, want 6", b.Attempts())
+	if b.attempt != 6 {
+		t.Fatalf("attempts = %d, want 6", b.attempt)
 	}
 	b.Reset()
 	if d, ok := b.Next(); !ok || d != time.Millisecond {

@@ -24,9 +24,7 @@
 package kv
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"demikernel/internal/shard"
 )
@@ -88,20 +86,6 @@ func (s *ShardedServer) Generation() uint64 { return s.topo.Load().Gen }
 // Active returns the number of shards the keyspace is (being)
 // partitioned onto — the New count while a migration drains.
 func (s *ShardedServer) Active() int { return s.topo.Load().New }
-
-// AwaitStable blocks until the current reshard generation drains or ctx
-// expires. The workers must be running (Run, or concurrent Step calls);
-// AwaitStable only watches.
-func (s *ShardedServer) AwaitStable(ctx context.Context) error {
-	for !s.Stable() {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(100 * time.Microsecond):
-		}
-	}
-	return nil
-}
 
 // pollTopology observes a generation flip, at the end of each step:
 // snapshot the keys this worker must ship out under the new partition,

@@ -36,7 +36,6 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/fabric"
 	"demikernel/internal/sga"
-	"demikernel/internal/simclock"
 	"demikernel/internal/spdk"
 )
 
@@ -214,14 +213,6 @@ func (e *Engine) LinkFlap(at, downFor time.Duration, sw *fabric.Switch, port int
 	return e.LinkUp(at+downFor, sw, port)
 }
 
-// Impair schedules replacing one port's impairments (loss, duplication,
-// reordering, corruption, delay). Zero Impairments heals the port.
-func (e *Engine) Impair(at time.Duration, sw *fabric.Switch, port int, imp fabric.Impairments) *Engine {
-	return e.At(at, fmt.Sprintf("impair(port=%d,%+v)", port, imp), func() {
-		sw.SetPortImpairments(port, imp)
-	})
-}
-
 // ImpairAll schedules replacing the switch-wide impairments applied to
 // every frame regardless of port. Zero Impairments heals the fabric.
 func (e *Engine) ImpairAll(at time.Duration, sw *fabric.Switch, imp fabric.Impairments) *Engine {
@@ -365,17 +356,4 @@ func (e *Engine) AsymmetricPartition(at, healAfter time.Duration, sw *fabric.Swi
 		})
 	}
 	return e
-}
-
-// ClockSkew schedules skewing one node's virtual wall clock: from `at`
-// on, the clock runs fast or slow by ppm parts-per-million and jumps by
-// offset. Every protocol timer on the node (RTO backoff, dead-peer
-// budgets) reads this clock, so positive ppm fires timers early
-// (spurious retransmits) and negative ppm late (slow failure detection).
-// Schedule a second ClockSkew with (0, 0) to discipline the clock again;
-// virtual time stays continuous across the change.
-func (e *Engine) ClockSkew(at time.Duration, clock *simclock.DriftClock, ppm float64, offset time.Duration) *Engine {
-	return e.At(at, fmt.Sprintf("clock-skew(ppm=%g,offset=%s)", ppm, offset), func() {
-		clock.SetSkew(ppm, offset)
-	})
 }

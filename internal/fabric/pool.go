@@ -83,25 +83,6 @@ func (b *FrameBuf) ownerSuffix() string {
 // from Get). The slice is valid until the final reference is released.
 func (b *FrameBuf) Bytes() []byte { return b.data }
 
-// Retain takes an additional reference, for holders that fan a frame out
-// to more than one consumer.
-//
-// Invariant (audited): Retain is only legal while the caller itself
-// holds a live reference, i.e. while refs >= 1 is guaranteed by the
-// caller's own ownership. Under that contract the count can never be
-// observed at 0 by a legal Retain, so there is no window between the
-// count reaching 0 in Release and the buffer entering the pool in which
-// a correct program can resurrect it. An *illegal* Retain that races
-// that window flips the count 0→1 and is caught deterministically by the
-// panic below (Add returns exactly 1); the concurrent recycle is then
-// moot because the process is already down. TestFrameBufRefsRaceStress
-// pins the legal-use side of this contract under -race.
-func (b *FrameBuf) Retain() {
-	if b.refs.Add(1) <= 1 {
-		panic("fabric: Retain on released FrameBuf" + b.ownerSuffix())
-	}
-}
-
 // Release drops one reference; the storage recycles into the pool when
 // the last reference is gone. Releasing more times than retained is a
 // bug and panics. Exactly one goroutine can observe the count hit 0
@@ -176,7 +157,7 @@ type FramePool struct {
 func NewFramePool() *FramePool { return &FramePool{} }
 
 // SetOwner tags the pool with the owning tenant's name (surfaced in
-// Retain/Release violation panics, naming the offender) and optionally
+// reference-count violation panics, naming the offender) and optionally
 // attaches an accountant charging the tenant's frame quota. Call before
 // the pool is shared with the data path; not safe concurrently with
 // Get/Release.
@@ -264,9 +245,9 @@ func (p *FramePool) onFinalRelease(b *FrameBuf) {
 }
 
 func (p *FramePool) put(b *FrameBuf) {
-	// Defensive fence for the audited Retain/Release invariant: by the
-	// time the last Release reaches here no other holder may exist, so
-	// any non-zero count means an illegal Retain raced the recycle.
+	// Defensive fence for the reference count: by the time the last
+	// Release reaches here no other holder may exist, so any non-zero
+	// count means a reference was taken after the final Release.
 	// Failing loudly here beats recycling a buffer somebody still reads.
 	if b.refs.Load() != 0 {
 		panic("fabric: FrameBuf recycled while still referenced (illegal Retain after final Release)" + b.ownerSuffix())

@@ -5,6 +5,25 @@ import (
 	"testing"
 )
 
+// Retain takes an additional reference, for a test that fans a frame out
+// to more than one consumer; product code holds a frame once.
+//
+// Invariant (audited): Retain is only legal while the caller itself
+// holds a live reference, i.e. while refs >= 1 is guaranteed by the
+// caller's own ownership. Under that contract the count can never be
+// observed at 0 by a legal Retain, so there is no window between the
+// count reaching 0 in Release and the buffer entering the pool in which
+// a correct program can resurrect it. An *illegal* Retain that races
+// that window flips the count 0→1 and is caught deterministically by the
+// panic below (Add returns exactly 1); the concurrent recycle is then
+// moot because the process is already down. TestFrameBufRefsRaceStress
+// pins the legal-use side of this contract under -race.
+func (b *FrameBuf) Retain() {
+	if b.refs.Add(1) <= 1 {
+		panic("fabric: Retain on released FrameBuf" + b.ownerSuffix())
+	}
+}
+
 // TestFrameBufRefsRaceStress pins the legal-use side of the audited
 // Retain/Release contract under -race: Retain is only called while the
 // caller itself holds a live reference. Under that discipline the count

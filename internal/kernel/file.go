@@ -210,12 +210,3 @@ func (k *Kernel) FileSize(fd FD) (int, error) {
 	defer k.mu.Unlock()
 	return e.file.size, nil
 }
-
-// DropCaches empties the page cache (dirty pages are discarded), so cold
-// read paths can be measured.
-func (k *Kernel) DropCaches() {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.fs.pageCache = make(map[int][]byte)
-	k.fs.dirty = make(map[int]bool)
-}

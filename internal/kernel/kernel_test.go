@@ -346,6 +346,15 @@ func TestFileWriteReadFsync(t *testing.T) {
 	}
 }
 
+// dropCaches empties the page cache (dirty pages are discarded), so the
+// next read is cold.
+func dropCaches(k *Kernel) {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	k.fs.pageCache = make(map[int][]byte)
+	k.fs.dirty = make(map[int]bool)
+}
+
 func TestFileColdReadAfterDropCaches(t *testing.T) {
 	model := simclock.Datacenter2019()
 	k := New(&model, nil, netstack.IPv4Addr{})
@@ -354,7 +363,7 @@ func TestFileColdReadAfterDropCaches(t *testing.T) {
 	fd, _, _ := k.OpenFile("f")
 	k.WriteFile(fd, bytes.Repeat([]byte{7}, 4096))
 	k.Fsync(fd)
-	k.DropCaches()
+	dropCaches(k)
 	before := disk.Stats().Reads
 	_, coldCost, err := k.ReadFile(fd, 0, 4096)
 	if err != nil {

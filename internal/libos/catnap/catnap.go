@@ -64,7 +64,6 @@ func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	}
 	r.RegisterFunc(prefix+".kernel.syscall_crossings", ctr(func(c simclock.Counters) int64 { return c.SyscallCrossings }))
 	r.RegisterFunc(prefix+".kernel.bytes_copied", ctr(func(c simclock.Counters) int64 { return c.BytesCopied }))
-	r.RegisterFunc(prefix+".kernel.bytes_dma", ctr(func(c simclock.Counters) int64 { return c.BytesDMA }))
 	r.RegisterFunc(prefix+".kernel.packets", ctr(func(c simclock.Counters) int64 { return c.Packets }))
 	r.RegisterFunc(prefix+".kernel.wakeups", ctr(func(c simclock.Counters) int64 { return c.Wakeups }))
 	r.RegisterFunc(prefix+".kernel.wasted_wakeups", ctr(func(c simclock.Counters) int64 { return c.WastedWakeups }))

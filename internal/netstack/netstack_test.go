@@ -315,8 +315,16 @@ func TestTCPCloseBothSides(t *testing.T) {
 	}
 	srv.Close()
 	w.pumpUntil(t, func() bool {
-		return c.Closed() && srv.Closed()
+		return connClosed(c) && connClosed(srv)
 	}, 2*time.Second)
+}
+
+// connClosed reports whether both directions of c have shut down or it
+// was reset.
+func connClosed(c *TCPConn) bool {
+	c.stack.mu.Lock()
+	defer c.stack.mu.Unlock()
+	return c.state == stateClosed
 }
 
 func TestTCPSendAfterCloseFails(t *testing.T) {

@@ -445,14 +445,6 @@ func (c *TCPConn) Readable() bool {
 // backlog. It takes no lock.
 func (l *TCPListener) Pending() int { return int(l.pending.Load()) }
 
-// Closed reports whether both directions have shut down or the connection
-// was reset.
-func (c *TCPConn) Closed() bool {
-	c.stack.mu.Lock()
-	defer c.stack.mu.Unlock()
-	return c.state == stateClosed
-}
-
 // --- segment input ---
 
 func (s *Stack) handleTCPLocked(h ipv4Header, body []byte, cost simclock.Lat) {

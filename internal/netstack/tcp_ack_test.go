@@ -341,7 +341,7 @@ func TestAckHeldDiesWithConnection(t *testing.T) {
 	}
 	for i, x := range exits {
 		x.exit(i)
-		if !a.conns[i].Closed() {
+		if !connClosed(a.conns[i]) {
 			t.Fatalf("%s: the connection is still open", x.how)
 		}
 	}

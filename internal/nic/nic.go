@@ -336,15 +336,6 @@ func (d *Device) AddFilter(f HWFilter) int {
 	return len(d.filters) - 1
 }
 
-// ClearFilters removes all device-wide hardware filters (group steering
-// rules are per-group state and unaffected).
-func (d *Device) ClearFilters() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.filters = nil
-	d.publishLocked()
-}
-
 // FNV-1a constants for the inline flow hash below.
 const (
 	fnvOffset32 = 2166136261

@@ -119,13 +119,22 @@ func TestSteeringFilter(t *testing.T) {
 	}
 }
 
+// clearFilters removes every device-wide hardware filter (group steering
+// rules are per-group state and unaffected).
+func clearFilters(d *Device) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.filters = nil
+	d.publishLocked()
+}
+
 func TestFilterClears(t *testing.T) {
 	a, b, _ := pair(t)
 	b.AddFilter(HWFilter{Match: func([]byte) bool { return true }, Action: ActionDrop})
-	b.ClearFilters()
+	clearFilters(b)
 	a.Tx(ethFrame(macB, macA, "survives"), 0)
 	if got := b.RxBurst(0, 8); len(got) != 1 {
-		t.Fatalf("frame did not survive after ClearFilters: %d", len(got))
+		t.Fatalf("frame did not survive after clearFilters: %d", len(got))
 	}
 }
 

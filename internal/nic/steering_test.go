@@ -294,7 +294,7 @@ func TestConcurrentMutationVsRx(t *testing.T) {
 			d.AddFilter(HWFilter{Match: func([]byte) bool { return false }})
 			_ = g.AddSteering(SteeringRule{Proto: 17, DstPortLo: uint16(7000 + i), DstPortHi: uint16(7000 + i), Queue: i % 4})
 			if i%50 == 0 {
-				d.ClearFilters()
+				clearFilters(d)
 			}
 		}
 	}()

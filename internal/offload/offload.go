@@ -16,37 +16,19 @@ import (
 	"container/list"
 
 	"demikernel/internal/nic"
-	"demikernel/internal/queue"
-	"demikernel/internal/sga"
-	"demikernel/internal/simclock"
 )
 
-// FilterSpec is one filter expressed at both levels: over SGAs for the
-// CPU path, and over raw frames for the device path. The two must agree
-// on any frame a libOS would deliver; tests check that.
-type FilterSpec struct {
-	Name string
-	// SGA is the CPU implementation over popped elements.
-	SGA queue.FilterFunc
-	// Frame is the device implementation over raw Ethernet frames.
-	Frame func(frame []byte) bool
-}
-
-// InstallDrop lowers the spec onto the device as a drop filter:
-// non-matching frames are discarded in "hardware", costing the device's
-// per-element offloaded filter cost but zero host CPU. It returns the
+// InstallDrop lowers a filter over raw Ethernet frames onto the device as
+// a drop filter: frames keep rejects are discarded in "hardware", costing
+// the device's per-element offloaded filter cost but zero host CPU. The
+// host CPU's fallback runs the same keep over every frame it receives;
+// both deliver the same frames (tests check that). It returns the
 // filter-table index.
-func InstallDrop(dev *nic.Device, spec FilterSpec) int {
+func InstallDrop(dev *nic.Device, keep func(frame []byte) bool) int {
 	return dev.AddFilter(nic.HWFilter{
-		Match:  func(f []byte) bool { return !spec.Frame(f) },
+		Match:  func(f []byte) bool { return !keep(f) },
 		Action: nic.ActionDrop,
 	})
-}
-
-// CPUFilter wraps q with the spec's CPU fallback, charging host filter
-// cost per element.
-func CPUFilter(q queue.IoQueue, spec FilterSpec, model *simclock.CostModel) queue.IoQueue {
-	return queue.NewFilterQueue(q, spec.SGA, model)
 }
 
 // KeySteering installs one steering filter per receive queue, assigning
@@ -77,11 +59,6 @@ func hashBytes(b []byte) uint32 {
 		h *= 16777619
 	}
 	return h
-}
-
-// QueueForKey returns the receive queue KeySteering assigns to key.
-func QueueForKey(key []byte, nQueues int) int {
-	return int(hashBytes(key)) % nQueues
 }
 
 // CacheSim models per-core data caches as independent LRU sets of
@@ -151,31 +128,4 @@ func (l *lru) touch(key string) bool {
 	}
 	l.index[key] = l.order.PushFront(key)
 	return false
-}
-
-// SGAKeyFilter builds a FilterSpec matching elements whose first segment
-// starts with prefix. The frame-level variant scans the raw frame for the
-// framed SGA: it assumes the standard catnip layout (eth+ip+tcp headers,
-// then the SGA frame) and falls back to a payload scan — imprecise in
-// exactly the way real offloaded parsers are, and consistent for the
-// experiment's traffic.
-func SGAKeyFilter(prefix []byte) FilterSpec {
-	return FilterSpec{
-		Name: "prefix:" + string(prefix),
-		SGA: func(s sga.SGA) bool {
-			if s.NumSegments() == 0 {
-				return false
-			}
-			first := s.Segments[0].Buf
-			return len(first) >= len(prefix) && string(first[:len(prefix)]) == string(prefix)
-		},
-		Frame: func(f []byte) bool {
-			// eth(14)+ipv4(20)+tcp(20)+sga hdr(8)+seg len(4) = 66.
-			const off = 66
-			if len(f) < off+len(prefix) {
-				return false
-			}
-			return string(f[off:off+len(prefix)]) == string(prefix)
-		},
-	}
 }

@@ -7,8 +7,6 @@ import (
 
 	"demikernel/internal/fabric"
 	"demikernel/internal/nic"
-	"demikernel/internal/queue"
-	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
 )
 
@@ -23,19 +21,10 @@ func TestInstallDrop(t *testing.T) {
 	a := nic.New(&model, sw, nic.Config{MAC: macA})
 	b := nic.New(&model, sw, nic.Config{MAC: macB})
 
-	spec := FilterSpec{
-		Name:  "starts-with-K",
-		Frame: func(f []byte) bool { return len(f) > 14 && f[14] == 'K' },
+	InstallDrop(b, startsWithK)
+	for _, p := range []string{"Keep", "drop", "Keep2"} {
+		a.Tx(frameTo(p), 0)
 	}
-	InstallDrop(b, spec)
-
-	send := func(payload string) {
-		frame := append(append(append([]byte{}, macB[:]...), macA[:]...), 0x08, 0x00)
-		a.Tx(append(frame, payload...), 0)
-	}
-	send("Keep")
-	send("drop")
-	send("Keep2")
 	got := b.RxBurst(0, 10)
 	if len(got) != 2 {
 		t.Fatalf("frames = %d, want 2", len(got))
@@ -45,64 +34,82 @@ func TestInstallDrop(t *testing.T) {
 	}
 }
 
+// frameTo is an Ethernet frame from macA to macB carrying payload.
+func frameTo(payload string) []byte {
+	return append(append(append(append([]byte{}, macB[:]...), macA[:]...), 0x08, 0x00), payload...)
+}
+
+// startsWithK keeps the frames whose payload starts with 'K'.
+func startsWithK(f []byte) bool { return len(f) > 14 && f[14] == 'K' }
+
+// TestCPUFilterAgreesWithSpec: the CPU fallback, the host running the
+// filter over every received frame, keeps exactly the frames the device
+// keeps once the filter is installed on it.
 func TestCPUFilterAgreesWithSpec(t *testing.T) {
-	model := simclock.Datacenter2019()
-	spec := SGAKeyFilter([]byte("hot:"))
-	inner := queue.NewMemQueue(0)
-	f := CPUFilter(inner, spec, &model)
-	for _, p := range []string{"hot:1", "cold:1", "hot:2"} {
-		inner.Push(sga.New([]byte(p)), 0, func(queue.Completion) {})
-	}
-	var got []string
-	for i := 0; i < 2; i++ {
-		done := make(chan queue.Completion, 1)
-		f.Pop(func(c queue.Completion) { done <- c })
-		c := <-done
-		if c.Err != nil {
-			t.Fatal(c.Err)
+	kept := func(onDevice bool) (kept []string) {
+		model := simclock.Datacenter2019()
+		sw := fabric.NewSwitch(&model, 1)
+		a := nic.New(&model, sw, nic.Config{MAC: macA})
+		b := nic.New(&model, sw, nic.Config{MAC: macB})
+		if onDevice {
+			InstallDrop(b, startsWithK)
 		}
-		got = append(got, string(c.SGA.Bytes()))
+		for _, p := range []string{"Keep", "drop", "K", "keep", "Keep2"} {
+			a.Tx(frameTo(p), 0)
+		}
+		for _, f := range b.RxBurst(0, 16) {
+			if onDevice || startsWithK(f.Data) {
+				kept = append(kept, string(f.Data[14:]))
+			}
+		}
+		return kept
 	}
-	if got[0] != "hot:1" || got[1] != "hot:2" {
-		t.Fatalf("got %v", got)
+	cpu, dev := kept(false), kept(true)
+	if fmt.Sprint(cpu) != fmt.Sprint(dev) || len(dev) != 3 {
+		t.Fatalf("CPU kept %q, device kept %q; want the same 3", cpu, dev)
 	}
 }
 
+// TestKeySteeringStable: every frame of a key lands on the same receive
+// queue, and the keys spread over every queue.
 func TestKeySteeringStable(t *testing.T) {
 	model := simclock.Datacenter2019()
 	sw := fabric.NewSwitch(&model, 2)
 	a := nic.New(&model, sw, nic.Config{MAC: macA})
 	b := nic.New(&model, sw, nic.Config{MAC: macB, RxQueues: 4})
-
-	keyOf := func(f []byte) ([]byte, bool) {
+	KeySteering(b, 4, func(f []byte) ([]byte, bool) {
 		if len(f) < 20 {
 			return nil, false
 		}
 		return f[14:20], true // first 6 payload bytes are the key
-	}
-	KeySteering(b, 4, keyOf)
-
-	send := func(key string) {
-		frame := append(append(append([]byte{}, macB[:]...), macA[:]...), 0x08, 0x00)
-		a.Tx(append(frame, key...), 0)
-	}
-	// Every frame for a key lands on QueueForKey(key).
-	keys := []string{"key-01", "key-02", "key-03", "key-04"}
+	})
+	queueOf := map[string]int{}
+	frames := 0
 	for rep := 0; rep < 5; rep++ {
-		for _, k := range keys {
-			send(k)
+		for k := 0; k < 16; k++ {
+			a.Tx(frameTo(fmt.Sprintf("key-%02d", k)), 0)
+		}
+		for q := 0; q < 4; q++ {
+			for _, f := range b.RxBurst(q, 100) {
+				key := string(f.Data[14:20])
+				if prev, ok := queueOf[key]; ok && prev != q {
+					t.Fatalf("key %q moved from queue %d to queue %d", key, prev, q)
+				}
+				queueOf[key] = q
+				frames++
+			}
 		}
 	}
-	for _, k := range keys {
-		q := QueueForKey([]byte(k), 4)
-		got := b.RxBurst(q, 100)
-		if len(got) != 5 {
-			t.Fatalf("key %q: queue %d got %d frames, want 5", k, q, len(got))
-		}
-		for _, f := range got {
-			if string(f.Data[14:20]) != k {
-				t.Fatalf("foreign frame on queue %d: %q", q, f.Data[14:20])
-			}
+	keysOn := make([]int, 4)
+	for _, q := range queueOf {
+		keysOn[q]++
+	}
+	if frames != 5*16 || len(queueOf) != 16 {
+		t.Fatalf("%d frames of %d keys steered, want 80 of 16", frames, len(queueOf))
+	}
+	for q, n := range keysOn {
+		if n == 0 {
+			t.Fatalf("queue %d got no key (keys per queue %v)", q, keysOn)
 		}
 	}
 }
@@ -117,7 +124,7 @@ func TestCacheSimSteeringBeatsSpray(t *testing.T) {
 	sprayed := NewCacheSim(nCores, capacity)
 	for i := 0; i < nAccesses; i++ {
 		key := fmt.Sprintf("key-%03d", r.Intn(nKeys))
-		steered.Access(QueueForKey([]byte(key), nCores), key)
+		steered.Access(int(hashBytes([]byte(key)))%nCores, key)
 		sprayed.Access(r.Intn(nCores), key)
 	}
 	if steered.HitRatio() <= sprayed.HitRatio() {

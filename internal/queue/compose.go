@@ -215,13 +215,6 @@ func (q *SortQueue) serveWaiters() {
 	}
 }
 
-// Buffered returns how many elements are staged in the priority heap.
-func (q *SortQueue) Buffered() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.h.Len()
-}
-
 // Close implements IoQueue.
 func (q *SortQueue) Close() error {
 	q.mu.Lock()

@@ -75,8 +75,8 @@ func TestSortQueueBufferedAndClose(t *testing.T) {
 	pd, _ := collect(t)
 	inner.Push(sga.New([]byte{9}), 0, pd)
 	s.Pump()
-	if s.Buffered() != 1 {
-		t.Fatalf("Buffered = %d", s.Buffered())
+	if s.h.Len() != 1 {
+		t.Fatalf("buffered = %d", s.h.Len())
 	}
 	// A waiter blocked at close must fail with ErrClosed.
 	done1, c1 := collect(t)

@@ -292,13 +292,6 @@ func (d *Device) errorQPLocked(qp *QP) {
 	qp.flushLocked()
 }
 
-// PostedRecvs returns the number of currently posted receive buffers.
-func (qp *QP) PostedRecvs() int {
-	qp.dev.mu.Lock()
-	defer qp.dev.mu.Unlock()
-	return len(qp.recvQ)
-}
-
 // Listener accepts queue-pair connections on a service port.
 type Listener struct {
 	dev     *Device
@@ -422,9 +415,6 @@ func (pd *PD) RegisterMemory(buf []byte) *MR {
 	d.stats.PinnedBytes += int64(len(buf))
 	return mr
 }
-
-// RegistrationCost returns the charged cost of one registration.
-func (d *Device) RegistrationCost() simclock.Lat { return d.model.RegistrationNS }
 
 // Listen binds a service port; accepted queue pairs use the given PD and
 // completion queues.

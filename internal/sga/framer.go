@@ -253,6 +253,3 @@ func (f *Framer) Reset() {
 	}
 	*f = Framer{}
 }
-
-// Decoded returns the number of complete SGAs produced so far.
-func (f *Framer) Decoded() int64 { return f.decoded }

@@ -83,8 +83,8 @@ func TestFramerReassembly(t *testing.T) {
 	if fr.inFrame || fr.have != 0 {
 		t.Fatal("stray bytes pending after the last frame")
 	}
-	if fr.Decoded() != int64(len(frames)) {
-		t.Fatalf("Decoded = %d, want %d", fr.Decoded(), len(frames))
+	if fr.decoded != int64(len(frames)) {
+		t.Fatalf("decoded = %d, want %d", fr.decoded, len(frames))
 	}
 }
 
@@ -150,8 +150,8 @@ func TestFramerDirectAppend(t *testing.T) {
 		t.Fatalf("split frame: consumed %d, %v", n, err)
 	}
 	sameFrames(t, "pipelined", append(got, rest...), frames)
-	if fr.Decoded() != 3 {
-		t.Fatalf("Decoded=%d after the stream ended", fr.Decoded())
+	if fr.decoded != 3 {
+		t.Fatalf("decoded=%d after the stream ended", fr.decoded)
 	}
 }
 
@@ -428,8 +428,8 @@ func TestFramerExportMidFrame(t *testing.T) {
 			t.Fatalf("cut %d: adopter: %v", cut, err)
 		}
 		sameFrames(t, fmt.Sprint("cut ", cut), append(got, rest...), frames)
-		if to.Decoded() != int64(len(frames)) {
-			t.Fatalf("cut %d: Decoded = %d across the export", cut, to.Decoded())
+		if to.decoded != int64(len(frames)) {
+			t.Fatalf("cut %d: decoded = %d across the export", cut, to.decoded)
 		}
 		for i, s := range append(got, rest...) {
 			// Each SGA carries the token of the allocator its storage is from.

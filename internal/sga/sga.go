@@ -29,13 +29,10 @@ const (
 	MaxTotalLen = 1 << 26
 )
 
-// Errors returned by validation and unmarshalling.
+// Errors returned by unmarshalling.
 var (
-	ErrTooManySegments = errors.New("sga: too many segments")
-	ErrSegmentTooLarge = errors.New("sga: segment too large")
-	ErrTotalTooLarge   = errors.New("sga: total payload too large")
-	ErrShortBuffer     = errors.New("sga: short buffer")
-	ErrCorruptFrame    = errors.New("sga: corrupt frame")
+	ErrShortBuffer  = errors.New("sga: short buffer")
+	ErrCorruptFrame = errors.New("sga: corrupt frame")
 )
 
 // Segment is one contiguous run of bytes in a scatter-gather array.
@@ -137,33 +134,6 @@ func (s SGA) Equal(o SGA) bool {
 		}
 	}
 	return true
-}
-
-// EqualBytes reports whether two SGAs carry the same payload bytes,
-// ignoring segmentation boundaries.
-func (s SGA) EqualBytes(o SGA) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	return bytes.Equal(s.Bytes(), o.Bytes())
-}
-
-// Validate checks the SGA against the package limits.
-func (s SGA) Validate() error {
-	if len(s.Segments) > MaxSegments {
-		return fmt.Errorf("%w: %d > %d", ErrTooManySegments, len(s.Segments), MaxSegments)
-	}
-	total := 0
-	for i, seg := range s.Segments {
-		if len(seg.Buf) > MaxSegmentLen {
-			return fmt.Errorf("%w: segment %d is %d bytes", ErrSegmentTooLarge, i, len(seg.Buf))
-		}
-		total += len(seg.Buf)
-	}
-	if total > MaxTotalLen {
-		return fmt.Errorf("%w: %d > %d", ErrTotalTooLarge, total, MaxTotalLen)
-	}
-	return nil
 }
 
 // String summarises the SGA for debugging.

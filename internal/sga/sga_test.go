@@ -27,9 +27,6 @@ func TestZeroValue(t *testing.T) {
 		t.Fatal("zero SGA should be empty")
 	}
 	s.Free() // must not panic
-	if err := s.Validate(); err != nil {
-		t.Fatalf("zero SGA invalid: %v", err)
-	}
 	if len(s.Bytes()) != 0 {
 		t.Fatal("zero SGA should flatten to empty")
 	}
@@ -53,7 +50,7 @@ func TestCloneIndependence(t *testing.T) {
 	if c.Bytes()[0] != 'a' {
 		t.Fatal("Clone shares memory with original")
 	}
-	if !c.EqualBytes(New([]byte("abc"))) {
+	if !bytes.Equal(c.Bytes(), []byte("abc")) {
 		t.Fatal("Clone payload mismatch")
 	}
 }
@@ -68,8 +65,8 @@ func TestEqual(t *testing.T) {
 	if a.Equal(c) {
 		t.Fatal("differently segmented SGAs should not be Equal")
 	}
-	if !a.EqualBytes(c) {
-		t.Fatal("same payload should be EqualBytes regardless of segmentation")
+	if !bytes.Equal(a.Bytes(), c.Bytes()) {
+		t.Fatal("same payload should flatten to the same bytes regardless of segmentation")
 	}
 }
 
@@ -78,8 +75,8 @@ func TestValidateLimits(t *testing.T) {
 	for i := range segs {
 		segs[i] = []byte{0}
 	}
-	if err := New(segs...).Validate(); !errors.Is(err, ErrTooManySegments) {
-		t.Fatalf("want ErrTooManySegments, got %v", err)
+	if _, _, err := Unmarshal(New(segs...).Marshal()); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("%d segments: want ErrCorruptFrame, got %v", len(segs), err)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // DriftClock is a virtual wall clock with injectable skew, the per-node
-// clock of the chaos engine's ClockSkew fault. A kernel-bypass stack
+// clock of a node spawned WithLifecycle. A kernel-bypass stack
 // keeps its own protocol timers (RTO, keepalive) in userspace, trusting
 // whatever clock the process sees; nothing below it disciplines that
 // clock. DriftClock models the consequence: Now() returns real time
@@ -67,11 +67,4 @@ func (c *DriftClock) SetSkew(ppm float64, offset time.Duration) {
 	c.virt = cur.Add(-c.offset) // keep pre-offset continuity; offset re-applies below
 	c.ppm = ppm
 	c.offset = offset
-}
-
-// Skew reports the current drift rate and step offset.
-func (c *DriftClock) Skew() (ppm float64, offset time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ppm, c.offset
 }

@@ -60,8 +60,7 @@ func TestDriftClockSetSkewPreservesContinuity(t *testing.T) {
 func TestDriftClockSkewReporting(t *testing.T) {
 	c := NewDriftClock()
 	c.SetSkew(250, -time.Second)
-	ppm, off := c.Skew()
-	if ppm != 250 || off != -time.Second {
-		t.Fatalf("Skew() = %v, %v", ppm, off)
+	if c.ppm != 250 || c.offset != -time.Second {
+		t.Fatalf("skew = %v, %v", c.ppm, c.offset)
 	}
 }

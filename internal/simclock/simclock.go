@@ -160,11 +160,6 @@ func (m *CostModel) OffloadedFilterCost() Lat {
 	return Lat(float64(m.FilterNS) * m.OffloadFactor)
 }
 
-// OffloadedMapCost returns the per-element cost of a map run on the device.
-func (m *CostModel) OffloadedMapCost() Lat {
-	return Lat(float64(m.MapNS) * m.OffloadFactor)
-}
-
 // Counters tracks observable data-path events so tests and experiments can
 // verify architectural properties (e.g. "the bypass path performs zero
 // kernel crossings", "the zero-copy path copies zero payload bytes").
@@ -174,7 +169,6 @@ func (m *CostModel) OffloadedMapCost() Lat {
 type Counters struct {
 	SyscallCrossings int64 // user/kernel boundary round trips
 	BytesCopied      int64 // payload bytes moved by CPU memcpy
-	BytesDMA         int64 // payload bytes moved by device DMA
 	Packets          int64 // packets processed
 	Wakeups          int64 // threads woken
 	WastedWakeups    int64 // threads woken with no work available
@@ -186,9 +180,6 @@ func (c *Counters) AddSyscall() { c.SyscallCrossings++ }
 
 // AddCopy records a CPU copy of n payload bytes.
 func (c *Counters) AddCopy(n int) { c.BytesCopied += int64(n) }
-
-// AddDMA records a DMA transfer of n payload bytes.
-func (c *Counters) AddDMA(n int) { c.BytesDMA += int64(n) }
 
 // Reset zeroes every counter.
 func (c *Counters) Reset() { *c = Counters{} }

@@ -83,17 +83,12 @@ func TestOffloadCostsScale(t *testing.T) {
 		t.Errorf("offloaded filter %v should cost more per element than CPU filter %v",
 			m.OffloadedFilterCost(), m.FilterNS)
 	}
-	if m.OffloadedMapCost() <= m.MapNS {
-		t.Errorf("offloaded map %v should cost more per element than CPU map %v",
-			m.OffloadedMapCost(), m.MapNS)
-	}
 }
 
 func TestCountersReset(t *testing.T) {
 	var c Counters
 	c.AddSyscall()
 	c.AddCopy(100)
-	c.AddDMA(50)
 	c.Packets = 3
 	c.Wakeups = 2
 	c.WastedWakeups = 1
@@ -110,11 +105,6 @@ func TestCountersAccumulate(t *testing.T) {
 	c.AddCopy(20)
 	if c.BytesCopied != 30 {
 		t.Fatalf("BytesCopied = %d, want 30", c.BytesCopied)
-	}
-	c.AddDMA(5)
-	c.AddDMA(7)
-	if c.BytesDMA != 12 {
-		t.Fatalf("BytesDMA = %d, want 12", c.BytesDMA)
 	}
 	c.AddSyscall()
 	c.AddSyscall()

@@ -191,17 +191,6 @@ func (s *Store) Lookup(name string) (*File, bool) {
 	return f, ok
 }
 
-// Files returns the names of all files.
-func (s *Store) Files() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.byName))
-	for name := range s.byName {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Name returns the file's name.
 func (f *File) Name() string { return f.name }
 

@@ -262,13 +262,13 @@ func TestPollSteadyStateAllocFree(t *testing.T) {
 	d := newDev(Config{})
 	// Warm the ring.
 	for i := 0; i < 4; i++ {
-		if _, err := d.Submit(Command{Op: OpFlush}); err != nil {
+		if _, err := d.submit(Command{Op: OpFlush}, nil, false); err != nil {
 			t.Fatal(err)
 		}
 		d.Poll(0)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if _, err := d.Submit(Command{Op: OpFlush}); err != nil {
+		if _, err := d.submit(Command{Op: OpFlush}, nil, false); err != nil {
 			t.Fatal(err)
 		}
 		if cs := d.Poll(0); len(cs) != 1 {
@@ -284,7 +284,7 @@ func TestPollSteadyStateAllocFree(t *testing.T) {
 // entries queued for Poll survive an interleaved Execute untouched.
 func TestExecuteLeavesForeignCompletionsAlone(t *testing.T) {
 	d := newDev(Config{})
-	id, err := d.Submit(Command{Op: OpFlush})
+	id, err := d.submit(Command{Op: OpFlush}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

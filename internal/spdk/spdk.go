@@ -194,13 +194,6 @@ func (d *Device) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	d.registerPushdownTelemetry(r, prefix+".pushdown")
 }
 
-// Submit enqueues a command and returns its completion ID. It fails fast
-// with ErrQueueFull when the submission queue is at depth, as a polled
-// NVMe driver would observe. The completion surfaces through Poll.
-func (d *Device) Submit(cmd Command) (uint64, error) {
-	return d.submit(cmd, nil, false)
-}
-
 func (d *Device) submit(cmd Command, done func(Completion), internal bool) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -71,7 +71,7 @@ func TestLBABoundsChecked(t *testing.T) {
 
 func TestWriteWrongLengthRejected(t *testing.T) {
 	d := newDev(Config{})
-	if _, err := d.Submit(Command{Op: OpWrite, LBA: 0, Data: []byte("short")}); !errors.Is(err, ErrBadLength) {
+	if _, err := d.submit(Command{Op: OpWrite, LBA: 0, Data: []byte("short")}, nil, false); !errors.Is(err, ErrBadLength) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -79,18 +79,18 @@ func TestWriteWrongLengthRejected(t *testing.T) {
 func TestQueueDepthEnforced(t *testing.T) {
 	d := newDev(Config{QueueDepth: 4})
 	for i := 0; i < 4; i++ {
-		if _, err := d.Submit(Command{Op: OpRead, LBA: i}); err != nil {
+		if _, err := d.submit(Command{Op: OpRead, LBA: i}, nil, false); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := d.Submit(Command{Op: OpRead, LBA: 5}); !errors.Is(err, ErrQueueFull) {
+	if _, err := d.submit(Command{Op: OpRead, LBA: 5}, nil, false); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v", err)
 	}
 	if got := d.Poll(0); len(got) != 4 {
 		t.Fatalf("completions = %d", len(got))
 	}
 	// Queue drained: submissions flow again.
-	if _, err := d.Submit(Command{Op: OpRead, LBA: 5}); err != nil {
+	if _, err := d.submit(Command{Op: OpRead, LBA: 5}, nil, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,7 +98,7 @@ func TestQueueDepthEnforced(t *testing.T) {
 func TestSubmitCopiesWriteBuffer(t *testing.T) {
 	d := newDev(Config{})
 	buf := block('a')
-	if _, err := d.Submit(Command{Op: OpWrite, LBA: 0, Data: buf}); err != nil {
+	if _, err := d.submit(Command{Op: OpWrite, LBA: 0, Data: buf}, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	buf[0] = 'Z' // caller reuses its buffer before completion
@@ -113,7 +113,7 @@ func TestAsyncCompletionOrder(t *testing.T) {
 	d := newDev(Config{})
 	var ids []uint64
 	for i := 0; i < 5; i++ {
-		id, err := d.Submit(Command{Op: OpWrite, LBA: i, Data: block(byte(i))})
+		id, err := d.submit(Command{Op: OpWrite, LBA: i, Data: block(byte(i))}, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestAsyncCompletionOrder(t *testing.T) {
 func TestReset(t *testing.T) {
 	d := newDev(Config{})
 	d.Execute(Command{Op: OpWrite, LBA: 0, Data: block('x')})
-	d.Submit(Command{Op: OpRead, LBA: 0})
+	d.submit(Command{Op: OpRead, LBA: 0}, nil, false)
 	d.Reset()
 	comps := d.Poll(0)
 	found := false
@@ -214,8 +214,8 @@ func TestBlobMultipleFiles(t *testing.T) {
 	if string(ga) != "a again" || string(gb) != "for b" {
 		t.Fatalf("cross-file interleave broken: %q %q", ga, gb)
 	}
-	if len(s.Files()) != 2 {
-		t.Fatalf("Files = %v", s.Files())
+	if len(s.byName) != 2 {
+		t.Fatalf("files = %v", s.byName)
 	}
 }
 

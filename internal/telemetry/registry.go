@@ -34,9 +34,6 @@ import (
 // handle: Add/Inc are single atomic adds with no map lookups.
 type Counter struct{ v atomic.Int64 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds d.
 func (c *Counter) Add(d int64) { c.v.Add(d) }
 
@@ -116,28 +113,6 @@ func (r *Registry) RegisterFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.funcs[name] = fn
-}
-
-// Unregister removes every metric whose name starts with prefix, so a
-// component instance can withdraw itself (tests, node teardown).
-func (r *Registry) Unregister(prefix string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name := range r.counters {
-		if strings.HasPrefix(name, prefix) {
-			delete(r.counters, name)
-		}
-	}
-	for name := range r.gauges {
-		if strings.HasPrefix(name, prefix) {
-			delete(r.gauges, name)
-		}
-	}
-	for name := range r.funcs {
-		if strings.HasPrefix(name, prefix) {
-			delete(r.funcs, name)
-		}
-	}
 }
 
 // Sample is one named value inside a Snapshot.

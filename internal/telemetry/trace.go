@@ -139,14 +139,6 @@ func (t *Tracer) Len() int {
 	return t.next
 }
 
-// Total returns the number of events emitted since the last Reset,
-// including any the ring has since overwritten.
-func (t *Tracer) Total() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // Events returns the ring's contents oldest-first.
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()

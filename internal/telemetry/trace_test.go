@@ -13,8 +13,8 @@ func TestTracerDisabledRecordsNothing(t *testing.T) {
 	tr := NewTracer(32)
 	tr.Instant("cat", "ev", 1, 2)
 	tr.Span("cat", "sp", 1, 100, 50, 0)
-	if tr.Len() != 0 || tr.Total() != 0 {
-		t.Fatalf("disabled tracer recorded: len=%d total=%d", tr.Len(), tr.Total())
+	if tr.Len() != 0 || tr.total != 0 {
+		t.Fatalf("disabled tracer recorded: len=%d total=%d", tr.Len(), tr.total)
 	}
 	if evs := tr.Events(); len(evs) != 0 {
 		t.Fatalf("disabled tracer has events: %v", evs)
@@ -35,7 +35,7 @@ func TestTracerRingWraparound(t *testing.T) {
 	if got := tr.Len(); got != capacity {
 		t.Fatalf("Len = %d, want %d (ring must stay bounded)", got, capacity)
 	}
-	if got := tr.Total(); got != emitted {
+	if got := tr.total; got != emitted {
 		t.Fatalf("Total = %d, want %d (overwritten events still count)", got, emitted)
 	}
 	evs := tr.Events()
@@ -60,8 +60,8 @@ func TestTracerResetClears(t *testing.T) {
 		tr.Instant("c", "e", 0, int64(i))
 	}
 	tr.Reset()
-	if tr.Len() != 0 || tr.Total() != 0 {
-		t.Fatalf("after Reset: len=%d total=%d", tr.Len(), tr.Total())
+	if tr.Len() != 0 || tr.total != 0 {
+		t.Fatalf("after Reset: len=%d total=%d", tr.Len(), tr.total)
 	}
 	if !tr.Enabled() {
 		t.Fatal("Reset disabled the tracer")
@@ -168,7 +168,7 @@ func TestTracerConcurrentEmit(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := tr.Total(); got != workers*per {
+	if got := tr.total; got != workers*per {
 		t.Fatalf("Total = %d, want %d (emissions lost under contention)", got, workers*per)
 	}
 	if got := tr.Len(); got != 64 {

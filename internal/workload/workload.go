@@ -5,23 +5,10 @@
 // values are small with a heavy tail, and reads outnumber writes. Since
 // real traces are unavailable, this package provides deterministic
 // generators with those shape properties (uniform and Zipf key
-// popularity, fixed and bimodal value sizes, configurable read ratio).
+// popularity, fixed and bimodal value sizes).
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-)
-
-// Op is one generated operation.
-type Op struct {
-	// IsRead selects GET (true) or SET (false).
-	IsRead bool
-	// Key is the operation's key.
-	Key string
-	// ValueLen is the value size for writes (0 for reads).
-	ValueLen int
-}
+import "math/rand"
 
 // KeyDist selects keys.
 type KeyDist interface {
@@ -98,54 +85,4 @@ func (b *BimodalSize) NextSize() int {
 		return b.Small
 	}
 	return b.Large
-}
-
-// Generator produces a deterministic operation stream.
-type Generator struct {
-	keys      KeyDist
-	sizes     SizeDist
-	readRatio float64
-	r         *rand.Rand
-
-	reads, writes int64
-}
-
-// NewGenerator builds a generator. readRatio in [0,1] is the fraction of
-// GETs.
-func NewGenerator(keys KeyDist, sizes SizeDist, readRatio float64, seed int64) *Generator {
-	return &Generator{
-		keys:      keys,
-		sizes:     sizes,
-		readRatio: readRatio,
-		r:         rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Next returns the next operation.
-func (g *Generator) Next() Op {
-	op := Op{Key: fmt.Sprintf("key-%06d", g.keys.NextKey())}
-	if g.r.Float64() < g.readRatio {
-		op.IsRead = true
-		g.reads++
-	} else {
-		op.ValueLen = g.sizes.NextSize()
-		g.writes++
-	}
-	return op
-}
-
-// Counts returns the generated read/write totals.
-func (g *Generator) Counts() (reads, writes int64) { return g.reads, g.writes }
-
-// Presets match common benchmark shapes.
-
-// YCSBStyleB returns a read-heavy (95/5) Zipf workload, the YCSB-B shape.
-func YCSBStyleB(keys int, seed int64) *Generator {
-	return NewGenerator(NewZipfKeys(keys, 1.1, seed),
-		NewBimodalSize(128, 4096, 0.9, seed+1), 0.95, seed+2)
-}
-
-// UniformSmall returns a uniform 50/50 workload with small fixed values.
-func UniformSmall(keys int, seed int64) *Generator {
-	return NewGenerator(NewUniformKeys(keys, seed), FixedSize(64), 0.5, seed+1)
 }

@@ -59,34 +59,12 @@ func TestBimodalShares(t *testing.T) {
 	}
 }
 
-func TestGeneratorReadRatio(t *testing.T) {
-	g := NewGenerator(NewUniformKeys(10, 4), FixedSize(100), 0.7, 5)
-	const n = 10000
-	for i := 0; i < n; i++ {
-		op := g.Next()
-		if op.IsRead && op.ValueLen != 0 {
-			t.Fatal("read carries a value size")
-		}
-		if !op.IsRead && op.ValueLen != 100 {
-			t.Fatalf("write value len %d", op.ValueLen)
-		}
-	}
-	reads, writes := g.Counts()
-	if reads+writes != n {
-		t.Fatal("counts do not add up")
-	}
-	ratio := float64(reads) / n
-	if ratio < 0.67 || ratio > 0.73 {
-		t.Fatalf("read ratio %.3f, want ~0.7", ratio)
-	}
-}
-
 func TestGeneratorDeterministic(t *testing.T) {
 	f := func(seed int64) bool {
-		g1 := YCSBStyleB(100, seed)
-		g2 := YCSBStyleB(100, seed)
+		z1, z2 := NewZipfKeys(100, 1.1, seed), NewZipfKeys(100, 1.1, seed)
+		b1, b2 := NewBimodalSize(128, 4096, 0.9, seed), NewBimodalSize(128, 4096, 0.9, seed)
 		for i := 0; i < 50; i++ {
-			if g1.Next() != g2.Next() {
+			if z1.NextKey() != z2.NextKey() || b1.NextSize() != b2.NextSize() {
 				return false
 			}
 		}
@@ -94,19 +72,5 @@ func TestGeneratorDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPresets(t *testing.T) {
-	y := YCSBStyleB(50, 1)
-	for i := 0; i < 100; i++ {
-		op := y.Next()
-		if op.Key == "" {
-			t.Fatal("empty key")
-		}
-	}
-	u := UniformSmall(50, 1)
-	if op := u.Next(); op.Key == "" {
-		t.Fatal("empty key")
 	}
 }
