@@ -6,7 +6,7 @@ all: tier1
 
 # What the soak targets select, named once so that runcheck verifies
 # exactly the patterns and package lists the targets run.
-RACE_PKGS       := ./internal/chaos/ ./internal/core/ ./internal/rdma/ ./internal/netstack/ ./internal/fabric/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/serve/ ./internal/apps/echo/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/ ./cmd/demi-stat/
+RACE_PKGS       := ./internal/chaos/ ./internal/core/ ./internal/rdma/ ./internal/netstack/ ./internal/fabric/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/serve/ ./internal/apps/echo/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/libos/catnap/ ./internal/kernel/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/ ./cmd/demi-stat/
 RACE_RUN        := TestChaosShardedKV
 LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestNodeShapesShareLifecycle|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush|TestRingServerManyConns
 TENANT_RUN      := TestHostileTenantSoak|TestTenantCrashSparesNeighbors
@@ -23,8 +23,9 @@ BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/ ./internal/libos/catn
 ## (the chaos engine, the user TCP stack, the frame pool and its SGA headers,
 ## the telemetry instruments, the queues and their qtokens, the cross-shard
 ## SPSC mesh, the sharded KV workers, the failover backoff machinery,
-## the simulated drift clock, and every demi-stat rig with its pollers
-## and chaos goroutine), a counter-consistency smoke
+## the simulated drift clock, the kernel libOS's pump beside a poller and
+## the kernel's pipes, epoll and files, and every demi-stat rig with its
+## pollers and chaos goroutine), a counter-consistency smoke
 ## (telemetry must conserve frames: TXed == delivered + every
 ## attributed drop, at the fabric, per NIC, and per stack — including
 ## across a crash/restart, the crash-time RxFlushed bucket folded in),
@@ -132,7 +133,8 @@ storagesoak:
 ## with zero failed requests, reshard 2→4→3 through loss, an asymmetric
 ## partition, and a crash/restart (request + frame conservation across
 ## generations), and a catnap↔catnip switch with an established
-## connection carrying in-flight bytes through both transitions.
+## connection carrying in-flight bytes through both transitions, stepped
+## to land mid-frame in both directions.
 ## Part of tier1.
 reshardsoak:
 	$(GO) test -race -count=1 -run '$(RESHARD_RUN)' .

@@ -94,7 +94,6 @@ type (
 var (
 	ErrBadQD        = core.ErrBadQD
 	ErrNotSupported = core.ErrNotSupported
-	ErrTimeout      = core.ErrTimeout
 	// ErrWaitTimeout is the sentinel wrapped by every Wait/Accept/Connect
 	// deadline error; match it with errors.Is.
 	ErrWaitTimeout = core.ErrWaitTimeout
@@ -138,7 +137,7 @@ type Node struct {
 	MAC fabric.MAC
 	IP  netstack.IPv4Addr
 
-	// Kernel is non-nil on catnap nodes (for counters).
+	// Kernel is non-nil on catnap nodes (for counters and files).
 	Kernel *kernel.Kernel
 	// Catnip is non-nil on catnip nodes (for device/stack access): shard
 	// 0's transport.
@@ -177,15 +176,15 @@ type NodeConfig struct {
 	// node's stack (used to model mTCP-style POSIX emulation, §6).
 	PerPacketExtra Lat
 
-	// RTO overrides the user TCP stack's initial retransmission timeout
-	// (catnip only; chaos tests shorten it).
+	// RTO overrides the TCP stack's initial retransmission timeout
+	// (catnip and catnap; chaos tests shorten it).
 	RTO time.Duration
-	// MaxRetransmits overrides the TCP give-up budget (catnip only).
+	// MaxRetransmits overrides the TCP give-up budget (catnip and catnap).
 	MaxRetransmits int
 	// RxReadyCap bounds buffered-but-unharvested pop completions per
 	// endpoint; past it the receive drain parks and the TCP advertised
 	// window closes toward the peer, so a slow reader stalls its sender
-	// instead of growing an unbounded backlog (catnip only, 0 =
+	// instead of growing an unbounded backlog (catnip and catnap, 0 =
 	// unbounded).
 	RxReadyCap int
 
@@ -222,10 +221,6 @@ func (c *Cluster) mac(host byte) fabric.MAC {
 
 func (c *Cluster) ip(host byte) netstack.IPv4Addr {
 	return netstack.IP(10, 0, 0, host)
-}
-
-func (c *Cluster) newKernelNIC(host byte) *nic.Device {
-	return nic.New(&c.Model, c.Switch, nic.Config{MAC: c.mac(host)})
 }
 
 // Kind names a library OS a Cluster can spawn. The same application
@@ -382,17 +377,19 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 		n.Clock = simclock.NewDriftClock()
 		clock = n.Clock.Now
 	}
+	// Catnap's sockets are catnip endpoints on a kernel's prices, so both
+	// network kinds build their transports from the same configuration.
+	ccfg := catnip.Config{
+		MAC:            c.mac(cfg.Host),
+		IP:             c.ip(cfg.Host),
+		PerPacketExtra: cfg.PerPacketExtra,
+		RTO:            cfg.RTO,
+		MaxRetransmits: cfg.MaxRetransmits,
+		RxReadyCap:     cfg.RxReadyCap,
+		Clock:          clock,
+	}
 	switch kind {
 	case Catnip:
-		ccfg := catnip.Config{
-			MAC:            c.mac(cfg.Host),
-			IP:             c.ip(cfg.Host),
-			PerPacketExtra: cfg.PerPacketExtra,
-			RTO:            cfg.RTO,
-			MaxRetransmits: cfg.MaxRetransmits,
-			RxReadyCap:     cfg.RxReadyCap,
-			Clock:          clock,
-		}
 		sp.shards = max(sp.shards, 1)
 		var set *catnip.ShardSet
 		if sp.hasTenant {
@@ -423,10 +420,9 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 		}
 		n.bindSet(set)
 	case Catnap:
-		dev := c.newKernelNIC(cfg.Host)
-		k := kernel.New(&c.Model, dev, c.ip(cfg.Host))
-		n.libs = []*LibOS{core.New(catnap.New(&c.Model, k), &c.Model)}
-		n.Kernel = k
+		t := catnap.New(&c.Model, catnip.NewSharded(&c.Model, c.Switch, ccfg, 1, 1))
+		n.libs = []*LibOS{core.New(t, &c.Model)}
+		n.Kernel = t.Kernel()
 	case Catmint:
 		t := catmint.New(&c.Model, c.Switch, catmint.Config{
 			MAC:              c.mac(cfg.Host),

@@ -431,8 +431,8 @@ func TestHotPathAllocsIdlePoll(t *testing.T) {
 }
 
 // TestHotPathCatnapClosedEndpointsLeavePoll is the kernel libOS's half of
-// the same fence: a poll pumps every open endpoint and file queue, so a
-// closed one has to leave its table. 10 k connect → echo → close cycles
+// the same fence: a poll pumps the sockets on its pump list and every open
+// file queue, so a closed one has to leave both. 10 k connect → echo → close cycles
 // (and as many file queues opened and closed) leave the server's and the
 // client's tables at their starting lengths, and an idle poll afterwards
 // still allocates nothing.

@@ -8,12 +8,11 @@
 //     keyspace over the mesh with generation-tagged ownership, and
 //     clients ride through on failover redials.
 //
-//   - SwitchKind(k): live migration of the node between the kernel
+//   - SwitchKind(k): live switching of the node between the kernel
 //     libOS (catnap) and the bypass libOS (catnip) — the LibrettOS
-//     idea in Demikernel terms. Both transports drive the SAME
-//     netstack over the SAME device, so established TCP connections
-//     and armed listeners move as pointer handoffs; only the
-//     per-packet cost profile and the syscall surface change.
+//     idea in Demikernel terms. Catnap's sockets are catnip endpoints
+//     at kernel prices, so a switch changes the prices and leaves every
+//     connection, listener and queued operation where it is.
 package demikernel
 
 import (
@@ -22,7 +21,6 @@ import (
 	"time"
 
 	"demikernel/internal/core"
-	"demikernel/internal/kernel"
 	"demikernel/internal/libos/catnap"
 	"demikernel/internal/libos/catnip"
 )
@@ -98,16 +96,17 @@ func (n *Node) Reshard(ctx context.Context, m int) error {
 	return nil
 }
 
-// SwitchKind migrates the node onto another library OS without dropping
-// established connections: both catnap and catnip drive the same
-// netstack object over the same simulated device, so the TCP state
-// machines, listener backlogs, and timers stay in place while the
-// transport above them is swapped and the per-packet cost profile flips
-// between the kernel and bypass columns of the cost model. Queue
-// descriptors keep their numbers; parked pops and staged pushes travel
-// with them. A gratuitous ARP announces the (unchanged) binding, as a
-// real migration would. Supported between Catnap and Catnip on
-// non-tenant nodes of one libOS; everything else is ErrNotSupported.
+// SwitchKind moves the node onto another library OS without dropping
+// established connections. Catnap's sockets are catnip endpoints with a
+// kernel's prices attached, so a switch between the two changes prices and
+// nothing else: the shard's kernel pointer and its stack's per-packet tax
+// are set or cleared under the shard lock, the LibOS is pointed at the
+// other transport, and every descriptor, connection, listener, timer,
+// queued push and parked pop stays where it is. A gratuitous ARP announces
+// the (unchanged) binding, as a real migration would. Supported between
+// Catnap and Catnip on non-tenant nodes of one libOS with no UDP socket
+// open (the kernel path has no datagram surface); everything else is
+// ErrNotSupported.
 func (n *Node) SwitchKind(k Kind) error {
 	if k == n.kind {
 		return nil
@@ -118,90 +117,27 @@ func (n *Node) SwitchKind(k Kind) error {
 	if n.Tenant != nil {
 		return fmt.Errorf("demikernel: SwitchKind on a tenant node: %w", core.ErrNotSupported)
 	}
+	var set *catnip.ShardSet
 	switch {
 	case n.kind == Catnap && k == Catnip:
-		return n.promoteToCatnip()
+		set = n.LibOS.Transport().(*catnap.Transport).Set()
+		set.Shard(0).SetKernel(nil)
+		n.LibOS.SwapTransport(set.Shard(0))
+		n.bindSet(set)
+		n.Kernel = nil
 	case n.kind == Catnip && k == Catnap:
-		return n.demoteToCatnap()
-	}
-	return fmt.Errorf("demikernel: SwitchKind %s→%s: %w", n.kind, k, core.ErrNotSupported)
-}
-
-// promoteToCatnip moves a catnap node onto the bypass path: the kernel's
-// stack and device are adopted wholesale by a fresh catnip set of one,
-// every socket FD is detached from the kernel and rebuilt as a catnip
-// endpoint, and the stack's per-packet tax drops to the user-level
-// profile.
-func (n *Node) promoteToCatnip() error {
-	c := n.cluster
-	kern := n.Kernel
-	dev, stack := kern.Device(), kern.Stack()
-	set := catnip.NewOnStack(&c.Model, dev, catnip.Config{
-		MAC:            n.MAC,
-		IP:             n.IP,
-		PerPacketExtra: n.cfg.PerPacketExtra,
-		RxReadyCap:     n.cfg.RxReadyCap,
-	}, stack)
-	if err := n.swapOnto(set.Shard(0)); err != nil {
-		return err
-	}
-	stack.SetPerPacketExtra(n.cfg.PerPacketExtra)
-	n.bindSet(set)
-	n.Kernel = nil
-	n.kind = Catnip
-	stack.AnnounceARP()
-	return nil
-}
-
-// demoteToCatnap moves a catnip node back under kernel management: a
-// fresh kernel adopts the running stack and device, socket state is
-// wrapped in file descriptors, and the per-packet tax rises to the
-// kernel profile.
-func (n *Node) demoteToCatnap() error {
-	c := n.cluster
-	old := n.Catnip
-	if old.HasUDP() {
-		return fmt.Errorf("demikernel: SwitchKind with open UDP sockets: %w", core.ErrNotSupported)
-	}
-	dev, stack := old.Device(), old.Stack()
-	kern := kernel.NewOnStack(&c.Model, dev, stack)
-	nt := catnap.New(&c.Model, kern)
-	if err := n.swapOnto(nt); err != nil {
-		return err
-	}
-	stack.SetPerPacketExtra(kernel.KernelPerPacketExtra(&c.Model) + n.cfg.PerPacketExtra)
-	n.Kernel, n.Catnip, n.Sharded = kern, nil, nil
-	n.kind = Catnap
-	stack.AnnounceARP()
-	return nil
-}
-
-// swapOnto migrates every socket descriptor from the node's current
-// transport onto nt via the Export/Adopt pair, then installs nt as the
-// libOS transport. In-flight qtokens need no quiescing: undelivered
-// completions and parked waiters travel inside each PortState, and
-// operations racing the swap observe the old endpoint closed-in-place
-// and fail with the retriable queue.ErrClosed.
-func (n *Node) swapOnto(nt core.Transport) error {
-	exp, ok := n.LibOS.Transport().(core.PortExporter)
-	if !ok {
-		return fmt.Errorf("demikernel: %s cannot export endpoints: %w", n.kind, core.ErrNotSupported)
-	}
-	ad, ok := nt.(core.PortAdopter)
-	if !ok {
-		return fmt.Errorf("demikernel: %s cannot adopt endpoints: %w", nt.Name(), core.ErrNotSupported)
-	}
-	n.LibOS.SwapTransport(nt, func(old core.Endpoint) core.Endpoint {
-		st, ok := exp.Export(old)
-		if !ok {
-			return nil
+		if n.Catnip.HasUDP() {
+			return fmt.Errorf("demikernel: SwitchKind with open UDP sockets: %w", core.ErrNotSupported)
 		}
-		ne, err := ad.Adopt(st)
-		if err != nil {
-			return nil
-		}
-		return ne
-	})
+		set = n.Sharded.Set
+		nap := catnap.New(&n.cluster.Model, set)
+		n.LibOS.SwapTransport(nap)
+		n.Kernel, n.Catnip, n.Sharded = nap.Kernel(), nil, nil
+	default:
+		return fmt.Errorf("demikernel: SwitchKind %s→%s: %w", n.kind, k, core.ErrNotSupported)
+	}
+	n.kind = k
+	set.Shard(0).Stack().AnnounceARP()
 	return nil
 }
 

@@ -50,10 +50,6 @@ var (
 	// transport-reported failure with errors.Is.
 	ErrWaitTimeout = errors.New("demikernel: wait deadline exceeded")
 
-	// ErrTimeout is the historical name of ErrWaitTimeout, kept so
-	// errors.Is(err, ErrTimeout) continues to hold.
-	ErrTimeout = ErrWaitTimeout
-
 	// ErrPeerDead reports that the remote endpoint of a connection is
 	// gone: its libOS crashed, its retransmit budget ran out, or it reset
 	// the connection. The paper's §3 warning made concrete — when a
@@ -242,6 +238,15 @@ func New(t Transport, model *simclock.CostModel) *LibOS {
 
 // Transport returns the currently active transport.
 func (l *LibOS) Transport() Transport { return l.tp.Load().t }
+
+// SwapTransport makes t the active transport (live libOS switching). The
+// descriptor table stays as it is, so every endpoint in it must be one of
+// t's: Node.SwitchKind swaps between two transports over one set of
+// endpoints.
+func (l *LibOS) SwapTransport(t Transport) {
+	l.tp.Store(&transportCell{t: t})
+	l.spans.SetName(t.Name())
+}
 
 // Name returns the underlying libOS name.
 func (l *LibOS) Name() string { return l.Transport().Name() }

@@ -32,7 +32,7 @@ func TestWaitTimesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := n.Wait(qt); !errors.Is(err, core.ErrTimeout) {
+	if _, err := n.Wait(qt); !errors.Is(err, core.ErrWaitTimeout) {
 		t.Fatalf("err = %v", err)
 	}
 	if time.Since(start) > time.Second {
@@ -46,7 +46,7 @@ func TestAcceptTimesOut(t *testing.T) {
 	qd, _ := n.Socket()
 	n.Bind(qd, demi.Addr{Port: 99})
 	n.Listen(qd)
-	if _, err := n.Accept(qd); !errors.Is(err, core.ErrTimeout) {
+	if _, err := n.Accept(qd); !errors.Is(err, core.ErrWaitTimeout) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -56,7 +56,7 @@ func TestWaitAnyTimesOut(t *testing.T) {
 	n.WaitTimeout = 30 * time.Millisecond
 	q := n.Queue()
 	qt, _ := n.Pop(q)
-	if _, _, err := n.WaitAny([]queue.QToken{qt}); !errors.Is(err, core.ErrTimeout) {
+	if _, _, err := n.WaitAny([]queue.QToken{qt}); !errors.Is(err, core.ErrWaitTimeout) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -187,9 +187,6 @@ func TestMergeOfComposedQueues(t *testing.T) {
 func TestErrWaitTimeoutSentinel(t *testing.T) {
 	// Every deadline error across the system-call surface wraps the one
 	// sentinel, so applications can write a single errors.Is check.
-	if !errors.Is(core.ErrTimeout, core.ErrWaitTimeout) {
-		t.Fatal("ErrTimeout must alias ErrWaitTimeout")
-	}
 	n := newNode(t, 120)
 	n.WaitTimeout = 20 * time.Millisecond
 	q := n.Queue()

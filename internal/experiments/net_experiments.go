@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 
 	demi "demikernel"
@@ -28,6 +29,9 @@ func runE1(seed int64) (*Result, error) {
 
 	var kernel4k, bypass4k simclock.Lat
 	var counterTbl *metrics.Table
+	// The fewest syscalls a kernel-path request made and the most a
+	// bypass-path one did, per request, over every size.
+	minKernelSys, maxBypassSys := math.Inf(1), 0.0
 	for _, size := range sizes {
 		kr, err := newEchoRig(demi.NewCluster(seed), demi.Catnap, 0)
 		if err != nil {
@@ -40,7 +44,7 @@ func runE1(seed int64) (*Result, error) {
 			kr.Close()
 			return nil, err
 		}
-		cliSyscalls := kr.cliNode.Kernel.Counters().SyscallCrossings
+		kernelSys := syscallsPerReq(kr.cliNode)
 		kr.Close()
 
 		br, err := newEchoRig(demi.NewCluster(seed), demi.Catnip, 0)
@@ -63,6 +67,7 @@ func runE1(seed int64) (*Result, error) {
 			br.Close()
 			return nil, err
 		}
+		bypassSys := syscallsPerReq(br.cliNode)
 		if size == 4096 {
 			diff := reg.Snapshot().Diff(before).NonZero()
 			counterTbl = metrics.NewTable("E1: per-layer counters across the 4KB bypass echo run ("+
@@ -89,7 +94,8 @@ func runE1(seed int64) (*Result, error) {
 			kernel4k, bypass4k = kp50, bp50
 		}
 		tbl.AddRow(size, kp50, bp50, metrics.Ratio(kp50, bp50),
-			fmt.Sprintf("%.1f", float64(cliSyscalls)/float64(rttSamples)), "0.0")
+			fmt.Sprintf("%.1f", kernelSys), fmt.Sprintf("%.1f", bypassSys))
+		minKernelSys, maxBypassSys = min(minKernelSys, kernelSys), max(maxBypassSys, bypassSys)
 	}
 	res.Tables = append(res.Tables, tbl)
 	if counterTbl != nil {
@@ -101,7 +107,20 @@ func runE1(seed int64) (*Result, error) {
 	res.check("kernel overhead is material (>=1.3x at 4KB)",
 		float64(kernel4k) >= 1.3*float64(bypass4k),
 		"ratio %.2f", float64(kernel4k)/float64(bypass4k))
+	res.check("kernel path crosses at least twice a request (a send and a recv)", minKernelSys >= 2,
+		"fewest kernel syscalls/req %.1f", minKernelSys)
+	res.check("bypass path never crosses", maxBypassSys == 0,
+		"most bypass syscalls/req %.1f", maxBypassSys)
 	return res, nil
+}
+
+// syscallsPerReq is the client's kernel crossings per measured round trip
+// since its counters were reset: none on a node with no kernel.
+func syscallsPerReq(n *demi.Node) float64 {
+	if n.Kernel == nil {
+		return 0
+	}
+	return float64(n.Kernel.Counters().SyscallCrossings) / rttSamples
 }
 
 // instantaneousGauge reports whether a registry sample name is an

@@ -208,9 +208,9 @@ func e19Switch(seed int64, res *Result) error {
 		return err
 	}
 
-	// The server's echo loop survives both switches on the same QD:
-	// an op parked across the swap fails typed (ErrClosed / timeout)
-	// and simply retries against the adopted endpoint.
+	// The server's echo loop survives both switches on the same QD: a
+	// switch moves no endpoint, so an op parked across it completes as
+	// if nothing happened, and one that fails typed simply retries.
 	stopEcho := make(chan struct{})
 	echoDone := make(chan struct{})
 	go func() {

@@ -8,7 +8,6 @@ import (
 
 	"demikernel/internal/kernel"
 	"demikernel/internal/metrics"
-	"demikernel/internal/netstack"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
@@ -28,7 +27,7 @@ func runE4(seed int64) (*Result, error) {
 	bigRequest := bytes.Repeat([]byte{0xAA}, fragments*64)
 
 	// --- POSIX stream server over kernel pipes ---
-	k := kernel.New(&model, nil, netstack.IPv4Addr{})
+	k := kernel.New(&model)
 	rA, wA, _ := k.Pipe()
 	rB, wB, _ := k.Pipe()
 	framed := sga.New(bigRequest).Marshal()
@@ -134,7 +133,7 @@ func runE5(seed int64) (*Result, error) {
 	const nEvents = 25
 
 	// --- epoll herd ---
-	k := kernel.New(&model, nil, netstack.IPv4Addr{})
+	k := kernel.New(&model)
 	r, w, _ := k.Pipe()
 	ep := k.EpollCreate()
 	ep.Add(r)

@@ -7,7 +7,6 @@ import (
 	demi "demikernel"
 	"demikernel/internal/kernel"
 	"demikernel/internal/metrics"
-	"demikernel/internal/netstack"
 	"demikernel/internal/simclock"
 )
 
@@ -55,7 +54,7 @@ func runE12(seed int64) (*Result, error) {
 		// Kernel file path: write + fsync per record through the page
 		// cache and journal.
 		model := c.Model
-		k := kernel.New(&model, nil, netstack.IPv4Addr{})
+		k := kernel.New(&model)
 		disk := c.NewDisk(1 << 16)
 		k.AttachDisk(disk)
 		fd, _, err := k.OpenFile("/bench/records")

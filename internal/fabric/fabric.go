@@ -91,18 +91,6 @@ type Impairments struct {
 	ExtraDelay  simclock.Lat
 }
 
-// merge returns the combination of two impairment configurations: rates
-// compose as independent fault sources, delays add.
-func (a Impairments) merge(b Impairments) Impairments {
-	return Impairments{
-		LossRate:    1 - (1-a.LossRate)*(1-b.LossRate),
-		DupRate:     1 - (1-a.DupRate)*(1-b.DupRate),
-		ReorderRate: 1 - (1-a.ReorderRate)*(1-b.ReorderRate),
-		CorruptRate: 1 - (1-a.CorruptRate)*(1-b.CorruptRate),
-		ExtraDelay:  a.ExtraDelay + b.ExtraDelay,
-	}
-}
-
 // Stats counts fabric-level events.
 type Stats struct {
 	Delivered       int64
@@ -271,9 +259,8 @@ type Port struct {
 	// writer holds sw.mu, and its one reader at a time holds the owning
 	// device's (a NIC's drain lock, an RDMA device's poll guard).
 	rx    *shard.Ring[Frame]
-	imp   Impairments // per-port fault injection (guarded by sw.mu)
-	down  bool        // administrative link state (guarded by sw.mu)
-	stats PortStats   // guarded by sw.mu
+	down  bool      // administrative link state (guarded by sw.mu)
+	stats PortStats // guarded by sw.mu
 }
 
 // ID returns the port's index on its switch, the handle fault schedules
@@ -323,9 +310,8 @@ func (p *Port) Send(f Frame) {
 		return
 	}
 
-	// Fault injection: the port's own impairments compose with the
-	// switch-global ones.
-	imp := s.imp.merge(p.imp)
+	// Fault injection.
+	imp := &s.imp
 	if imp.LossRate > 0 && s.rng.Float64() < imp.LossRate {
 		s.stats.InjectedLoss++
 		p.stats.InjectedLoss++
@@ -407,7 +393,7 @@ func (s *Switch) Flush() {
 }
 
 func (s *Switch) forwardLocked(f Frame, from *Port) {
-	f.Cost += s.model.WireDelayNS + s.imp.ExtraDelay + from.imp.ExtraDelay
+	f.Cost += s.model.WireDelayNS + s.imp.ExtraDelay
 	dst := f.DstMAC()
 	if !dst.IsBroadcast() {
 		if out, ok := s.macTab[dst.key()]; ok {

@@ -42,6 +42,10 @@ func (q *Queue[T]) Front() *T {
 	return &q.buf[q.head]
 }
 
+// At returns a pointer to the element i places behind the oldest (0 is the
+// oldest), valid until the next Push or Pop; i must be below Len.
+func (q *Queue[T]) At(i int) *T { return &q.buf[q.wrap(q.head+i)] }
+
 // Pop dequeues the oldest element. It panics on an empty queue.
 func (q *Queue[T]) Pop() T {
 	p := q.Front()

@@ -25,22 +25,19 @@ type Epoll struct {
 
 // EpollCreate creates an epoll instance.
 func (k *Kernel) EpollCreate() *Epoll {
-	k.syscall()
+	k.Syscall(0)
 	ep := &Epoll{
 		k:       k,
 		watched: make(map[FD]bool),
 		ready:   make(map[FD]bool),
 	}
 	ep.cond = sync.NewCond(&ep.mu)
-	k.mu.Lock()
-	k.epolls = append(k.epolls, ep)
-	k.mu.Unlock()
 	return ep
 }
 
 // Add registers a descriptor for readiness notification.
 func (ep *Epoll) Add(fd FD) {
-	ep.k.syscall()
+	ep.k.Syscall(0)
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	ep.watched[fd] = true
@@ -54,7 +51,7 @@ func (ep *Epoll) Add(fd FD) {
 // Note the deliberate herd: every waiter is woken per event delivery; the
 // losers record wasted wakeups in the kernel counters.
 func (ep *Epoll) Wait() (fds []FD, cost simclock.Lat, ok bool) {
-	cost = ep.k.syscall()
+	cost = ep.k.Syscall(0)
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	for {
@@ -83,7 +80,7 @@ func (ep *Epoll) Wait() (fds []FD, cost simclock.Lat, ok bool) {
 // TryWait polls readiness without blocking (the shape a busy-polling
 // server uses).
 func (ep *Epoll) TryWait() ([]FD, simclock.Lat) {
-	cost := ep.k.syscall()
+	cost := ep.k.Syscall(0)
 	ep.k.refreshReadiness(ep)
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
@@ -142,33 +139,14 @@ func (k *Kernel) refreshReadiness(ep *Epoll) {
 	ep.cond.Broadcast()
 }
 
-// fdReadable computes level-triggered readiness.
+// fdReadable computes level-triggered readiness: a pipe's read end with
+// bytes in it, or whose writer closed.
 func (k *Kernel) fdReadable(fd FD) bool {
 	e, err := k.lookup(fd)
-	if err != nil {
+	if err != nil || e.kind != fdPipeRead {
 		return false
 	}
-	switch e.kind {
-	case fdTCPConn:
-		return e.conn.Readable()
-	case fdTCPListener:
-		return e.listener.Pending() > 0
-	case fdPipeRead:
-		k.mu.Lock()
-		defer k.mu.Unlock()
-		return len(e.pipe.buf) > 0 || e.pipe.wrClosed
-	default:
-		return false
-	}
-}
-
-// deliverEvents refreshes readiness on all epoll instances; called from
-// Poll after the network stack ran.
-func (k *Kernel) deliverEvents() {
 	k.mu.Lock()
-	eps := append([]*Epoll(nil), k.epolls...)
-	k.mu.Unlock()
-	for _, ep := range eps {
-		k.refreshReadiness(ep)
-	}
+	defer k.mu.Unlock()
+	return len(e.pipe.buf) > 0 || e.pipe.wrClosed
 }

@@ -60,7 +60,7 @@ func (k *Kernel) AttachDisk(dev *spdk.Device) {
 
 // OpenFile opens (or creates) a file and returns its descriptor.
 func (k *Kernel) OpenFile(name string) (FD, simclock.Lat, error) {
-	cost := k.syscall()
+	cost := k.Syscall(0)
 	k.mu.Lock()
 	if k.fs.disk == nil {
 		k.mu.Unlock()
@@ -79,7 +79,7 @@ func (k *Kernel) OpenFile(name string) (FD, simclock.Lat, error) {
 // is copied user→kernel and dirtied pages are charged page-cache
 // management cost; no device I/O happens until Fsync.
 func (k *Kernel) WriteFile(fd FD, data []byte) (simclock.Lat, error) {
-	cost := k.syscall()
+	cost := k.Syscall(0)
 	e, err := k.lookup(fd)
 	if err != nil {
 		return cost, err
@@ -121,7 +121,7 @@ func (k *Kernel) WriteFile(fd FD, data []byte) (simclock.Lat, error) {
 // Fsync flushes the file's dirty pages with journaling write
 // amplification.
 func (k *Kernel) Fsync(fd FD) (simclock.Lat, error) {
-	cost := k.syscall()
+	cost := k.Syscall(0)
 	e, err := k.lookup(fd)
 	if err != nil {
 		return cost, err
@@ -153,7 +153,7 @@ func (k *Kernel) Fsync(fd FD) (simclock.Lat, error) {
 // ReadFile reads n bytes at off, through the page cache, with the
 // kernel→user copy charged.
 func (k *Kernel) ReadFile(fd FD, off, n int) ([]byte, simclock.Lat, error) {
-	cost := k.syscall()
+	cost := k.Syscall(0)
 	e, err := k.lookup(fd)
 	if err != nil {
 		return nil, cost, err

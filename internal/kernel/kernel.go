@@ -6,8 +6,10 @@
 // cache with journaling write amplification.
 //
 // The package exists to be the baseline each experiment compares the
-// Demikernel path against. Its network stack is the same protocol code as
-// the kernel-bypass path (package netstack) — deliberately, so the only
+// Demikernel path against. It has no socket layer of its own: a kernel
+// socket is a catnip endpoint whose pump charges Syscall for every send and
+// recv, over a stack that pays KernelPerPacketExtra on every packet — the
+// same protocol code as the kernel-bypass path, deliberately, so the only
 // differences measured are the architectural ones the paper talks about:
 // syscall crossings, copies, POSIX semantics, and scheduling behaviour.
 package kernel
@@ -17,8 +19,6 @@ import (
 	"fmt"
 	"sync"
 
-	"demikernel/internal/netstack"
-	"demikernel/internal/nic"
 	"demikernel/internal/simclock"
 )
 
@@ -36,75 +36,36 @@ type FD int
 type fdKind int
 
 const (
-	fdTCPListener fdKind = iota
-	fdTCPConn
-	fdPipeRead
+	fdPipeRead fdKind = iota
 	fdPipeWrite
 	fdFile
-	fdUDP
 )
 
 type fdEntry struct {
-	kind     fdKind
-	listener *netstack.TCPListener
-	conn     *netstack.TCPConn
-	udp      *netstack.UDPSock
-	pipe     *pipe
-	file     *file
-	closed   bool
+	kind   fdKind
+	pipe   *pipe
+	file   *file
+	closed bool
 }
 
-// Kernel is one simulated legacy-OS instance on a host. Its network stack
-// is attached to the same fabric as the kernel-bypass devices, so kernel
-// and Demikernel paths are measured over an identical wire.
+// Kernel is one simulated legacy-OS instance on a host: its descriptor
+// table, file system and cost counters.
 type Kernel struct {
 	model *simclock.CostModel
-	dev   *nic.Device
 
-	mu     sync.Mutex
-	stack  *netstack.Stack
-	fds    map[FD]*fdEntry
-	next   FD
-	ctr    simclock.Counters
-	fs     *fileSystem
-	epolls []*Epoll
+	mu   sync.Mutex
+	fds  map[FD]*fdEntry
+	next FD
+	ctr  simclock.Counters
+	fs   *fileSystem
 }
 
-// New creates a kernel whose in-kernel network stack runs over dev.
-// Pass a nil device for hosts that only exercise pipes and files.
-func New(model *simclock.CostModel, dev *nic.Device, ip netstack.IPv4Addr) *Kernel {
-	k := &Kernel{
-		model: model,
-		dev:   dev,
-		fds:   make(map[FD]*fdEntry),
-		next:  3, // 0..2 are where stdio would be
-		fs:    newFileSystem(model),
-	}
-	if dev != nil {
-		// The kernel network stack does the same protocol work as the
-		// user-level stack plus the kernel's extra per-packet overhead
-		// (skb management, netfilter, socket lookup, softirq).
-		k.stack = netstack.New(model, dev, netstack.Config{
-			IP:             ip,
-			PerPacketExtra: model.KernelNetStackNS - model.UserNetStackNS,
-		})
-	}
-	return k
-}
-
-// NewOnStack creates a kernel that adopts an already-running network
-// stack instead of building a fresh one — the demotion half of live
-// libOS switching: the same protocol state (established connections,
-// listeners, timers) moves under kernel management, and the caller
-// flips the stack's per-packet cost to the kernel profile via
-// KernelPerPacketExtra.
-func NewOnStack(model *simclock.CostModel, dev *nic.Device, stack *netstack.Stack) *Kernel {
+// New creates a kernel charging costs from model.
+func New(model *simclock.CostModel) *Kernel {
 	return &Kernel{
 		model: model,
-		dev:   dev,
-		stack: stack,
 		fds:   make(map[FD]*fdEntry),
-		next:  3,
+		next:  3, // 0..2 are where stdio would be
 		fs:    newFileSystem(model),
 	}
 }
@@ -114,25 +75,6 @@ func NewOnStack(model *simclock.CostModel, dev *nic.Device, stack *netstack.Stac
 // socket lookup, softirq).
 func KernelPerPacketExtra(model *simclock.CostModel) simclock.Lat {
 	return model.KernelNetStackNS - model.UserNetStackNS
-}
-
-// Stack exposes the kernel's network stack for test plumbing.
-func (k *Kernel) Stack() *netstack.Stack { return k.stack }
-
-// Device exposes the NIC the kernel's stack drives (nil for hosts that
-// only exercise pipes and files).
-func (k *Kernel) Device() *nic.Device { return k.dev }
-
-// Poll pumps the kernel's network stack (the simulation stand-in for
-// softirq processing). It does not charge syscall costs: this is kernel
-// work, not an application call.
-func (k *Kernel) Poll() int {
-	if k.stack == nil {
-		return 0
-	}
-	n := k.stack.Poll()
-	k.deliverEvents()
-	return n
 }
 
 // Counters returns a snapshot of the kernel's observable cost counters.
@@ -149,20 +91,14 @@ func (k *Kernel) ResetCounters() {
 	k.ctr.Reset()
 }
 
-// syscall charges one user/kernel crossing.
-func (k *Kernel) syscall() simclock.Lat {
+// Syscall charges one user/kernel crossing that copies copied payload
+// bytes across the boundary (none for a call that moves no payload).
+func (k *Kernel) Syscall(copied int) simclock.Lat {
 	k.mu.Lock()
 	k.ctr.AddSyscall()
+	k.ctr.AddCopy(copied)
 	k.mu.Unlock()
-	return k.model.SyscallNS
-}
-
-// copyBytes charges a CPU copy of n payload bytes across the boundary.
-func (k *Kernel) copyBytes(n int) simclock.Lat {
-	k.mu.Lock()
-	k.ctr.AddCopy(n)
-	k.mu.Unlock()
-	return k.model.CopyCost(n)
+	return k.model.SyscallNS + k.model.CopyCost(copied)
 }
 
 func (k *Kernel) newFD(e *fdEntry) FD {
@@ -189,7 +125,7 @@ func (k *Kernel) lookup(fd FD) (*fdEntry, error) {
 
 // Close releases a descriptor.
 func (k *Kernel) Close(fd FD) (simclock.Lat, error) {
-	cost := k.syscall()
+	cost := k.Syscall(0)
 	e, err := k.lookup(fd)
 	if err != nil {
 		return cost, err
@@ -197,107 +133,9 @@ func (k *Kernel) Close(fd FD) (simclock.Lat, error) {
 	k.mu.Lock()
 	e.closed = true
 	delete(k.fds, fd)
-	k.mu.Unlock()
-	switch e.kind {
-	case fdTCPConn:
-		e.conn.Close()
-	case fdTCPListener:
-		e.listener.Close()
-	case fdUDP:
-		e.udp.Close()
-	case fdPipeWrite:
+	if e.kind == fdPipeWrite {
 		e.pipe.closeWrite()
 	}
+	k.mu.Unlock()
 	return cost, nil
-}
-
-// --- sockets ---
-
-// Listen creates a listening TCP socket bound to port.
-func (k *Kernel) Listen(port uint16) (FD, simclock.Lat, error) {
-	cost := k.syscall() * 3 // socket+bind+listen
-	l, err := k.stack.ListenTCP(port)
-	if err != nil {
-		return -1, cost, err
-	}
-	return k.newFD(&fdEntry{kind: fdTCPListener, listener: l}), cost, nil
-}
-
-// Accept pops one established connection; ErrWouldBlock when none is
-// ready.
-func (k *Kernel) Accept(fd FD) (FD, simclock.Lat, error) {
-	cost := k.syscall()
-	e, err := k.lookup(fd)
-	if err != nil {
-		return -1, cost, err
-	}
-	if e.kind != fdTCPListener {
-		return -1, cost, ErrBadFD
-	}
-	conn, ok := e.listener.Accept()
-	if !ok {
-		return -1, cost, ErrWouldBlock
-	}
-	return k.newFD(&fdEntry{kind: fdTCPConn, conn: conn}), cost, nil
-}
-
-// Connect starts a TCP connection; poll Connected until it establishes.
-func (k *Kernel) Connect(ip netstack.IPv4Addr, port uint16) (FD, simclock.Lat, error) {
-	cost := k.syscall() * 2 // socket+connect
-	c, err := k.stack.DialTCP(ip, port)
-	if err != nil {
-		return -1, cost, err
-	}
-	return k.newFD(&fdEntry{kind: fdTCPConn, conn: c}), cost, nil
-}
-
-// Connected reports whether a connecting socket has established.
-func (k *Kernel) Connected(fd FD) bool {
-	e, err := k.lookup(fd)
-	if err != nil || e.kind != fdTCPConn {
-		return false
-	}
-	return e.conn.Established()
-}
-
-// Send writes bytes on a TCP socket. POSIX semantics: the payload is
-// copied from the user buffer into kernel socket buffers, and the call
-// crosses the kernel boundary. Returns bytes accepted.
-func (k *Kernel) Send(fd FD, b []byte, cost simclock.Lat) (int, simclock.Lat, error) {
-	cost += k.syscall()
-	e, err := k.lookup(fd)
-	if err != nil {
-		return 0, cost, err
-	}
-	if e.kind != fdTCPConn {
-		return 0, cost, ErrBadFD
-	}
-	cost += k.copyBytes(len(b))
-	n, err := e.conn.Send(b, cost)
-	return n, cost, err
-}
-
-// Recv reads up to max bytes from a TCP socket, copying them from kernel
-// buffers into a fresh user buffer. Stream semantics: it returns whatever
-// contiguous bytes are available, regardless of message boundaries.
-func (k *Kernel) Recv(fd FD, max int) ([]byte, simclock.Lat, error) {
-	cost := k.syscall()
-	e, err := k.lookup(fd)
-	if err != nil {
-		return nil, cost, err
-	}
-	if e.kind != fdTCPConn {
-		return nil, cost, ErrBadFD
-	}
-	data, rxCost, err := e.conn.Recv(max)
-	if err != nil {
-		return nil, cost, err
-	}
-	if len(data) == 0 {
-		return nil, cost, ErrWouldBlock
-	}
-	cost += rxCost + k.copyBytes(len(data))
-	// netstack already allocated a fresh slice; the charged copy above
-	// is the user<->kernel copy the bypass path avoids.
-	return data, cost, nil
 }

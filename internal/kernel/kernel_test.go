@@ -9,157 +9,35 @@ import (
 	"testing"
 	"time"
 
-	"demikernel/internal/fabric"
-	"demikernel/internal/netstack"
-	"demikernel/internal/nic"
 	"demikernel/internal/simclock"
 	"demikernel/internal/spdk"
 )
 
-var (
-	macA = fabric.MAC{0x02, 0, 0, 0, 0, 0xA}
-	macB = fabric.MAC{0x02, 0, 0, 0, 0, 0xB}
-	ipA  = netstack.IP(10, 0, 0, 1)
-	ipB  = netstack.IP(10, 0, 0, 2)
-)
-
-type hosts struct {
-	a, b *Kernel
-}
-
-func newHosts(t *testing.T) *hosts {
-	t.Helper()
-	model := simclock.Datacenter2019()
-	sw := fabric.NewSwitch(&model, 5)
-	devA := nic.New(&model, sw, nic.Config{MAC: macA})
-	devB := nic.New(&model, sw, nic.Config{MAC: macB})
-	return &hosts{
-		a: New(&model, devA, ipA),
-		b: New(&model, devB, ipB),
-	}
-}
-
-func (h *hosts) pump() {
-	for h.a.Poll()+h.b.Poll() > 0 {
-	}
-}
-
-func (h *hosts) pumpUntil(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		h.pump()
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("condition not reached")
-}
-
-func connectPair(t *testing.T, h *hosts) (cli, srv FD) {
-	t.Helper()
-	lfd, _, err := h.b.Listen(8080)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, _, err = h.a.Connect(ipB, 8080)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv = -1
-	h.pumpUntil(t, func() bool {
-		if srv < 0 {
-			if fd, _, err := h.b.Accept(lfd); err == nil {
-				srv = fd
-			}
-		}
-		return srv >= 0 && h.a.Connected(cli)
-	})
-	return cli, srv
-}
-
-func TestSocketEcho(t *testing.T) {
-	h := newHosts(t)
-	cli, srv := connectPair(t, h)
-	if _, _, err := h.a.Send(cli, []byte("echo me"), 0); err != nil {
-		t.Fatal(err)
-	}
-	var got []byte
-	h.pumpUntil(t, func() bool {
-		b, _, err := h.b.Recv(srv, 0)
-		if err == nil {
-			got = append(got, b...)
-		}
-		return len(got) == 7
-	})
-	if string(got) != "echo me" {
-		t.Fatalf("got %q", got)
-	}
-}
-
-func TestSyscallAndCopyCharged(t *testing.T) {
-	h := newHosts(t)
-	cli, srv := connectPair(t, h)
-	h.a.ResetCounters()
-	h.b.ResetCounters()
-	payload := make([]byte, 4096)
-	_, cost, err := h.a.Send(cli, payload, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := simclock.Datacenter2019()
-	if cost < model.SyscallNS+model.CopyCost(4096) {
-		t.Fatalf("send cost %v too low", cost)
-	}
-	ca := h.a.Counters()
-	if ca.SyscallCrossings != 1 || ca.BytesCopied != 4096 {
-		t.Fatalf("client counters: %+v", ca)
-	}
-	var got []byte
-	h.pumpUntil(t, func() bool {
-		b, _, err := h.b.Recv(srv, 0)
-		if err == nil {
-			got = append(got, b...)
-		}
-		return len(got) == 4096
-	})
-	cb := h.b.Counters()
-	if cb.BytesCopied != 4096 {
-		t.Fatalf("server should copy kernel->user exactly once: %+v", cb)
-	}
-}
-
+// TestRecvWouldBlock: a read of a descriptor with nothing in it and a
+// writer still open does not block the caller — it fails with
+// ErrWouldBlock, and the caller polls again.
 func TestRecvWouldBlock(t *testing.T) {
-	h := newHosts(t)
-	cli, _ := connectPair(t, h)
-	if _, _, err := h.a.Recv(cli, 0); !errors.Is(err, ErrWouldBlock) {
+	model := simclock.Datacenter2019()
+	k := New(&model)
+	r, _, _ := k.Pipe()
+	if _, _, err := k.ReadPipe(r, 0); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestCloseInvalidFD(t *testing.T) {
-	h := newHosts(t)
-	if _, err := h.a.Close(999); !errors.Is(err, ErrBadFD) {
+	model := simclock.Datacenter2019()
+	k := New(&model)
+	if _, err := k.Close(999); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("err = %v", err)
 	}
-}
-
-func TestCloseShutsDownTCP(t *testing.T) {
-	h := newHosts(t)
-	cli, srv := connectPair(t, h)
-	h.a.Close(cli)
-	h.pumpUntil(t, func() bool {
-		_, _, err := h.b.Recv(srv, 0)
-		return errors.Is(err, io.EOF)
-	})
 }
 
 // --- pipes ---
 
 func TestPipeStreamSemantics(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	r, w, _ := k.Pipe()
 
 	// Two logical messages written separately...
@@ -187,7 +65,7 @@ func TestPipeStreamSemantics(t *testing.T) {
 
 func TestPipeEOF(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	r, w, _ := k.Pipe()
 	k.WritePipe(w, []byte("last"), 0)
 	k.Close(w)
@@ -201,7 +79,7 @@ func TestPipeEOF(t *testing.T) {
 
 func TestPipeBackpressure(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	_, w, _ := k.Pipe()
 	big := make([]byte, pipeCapacity+1000)
 	n, _, err := k.WritePipe(w, big, 0)
@@ -217,7 +95,7 @@ func TestPipeBackpressure(t *testing.T) {
 
 func TestEpollThunderingHerd(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	r, w, _ := k.Pipe()
 	ep := k.EpollCreate()
 	ep.Add(r)
@@ -266,7 +144,7 @@ func TestEpollThunderingHerd(t *testing.T) {
 
 func TestEpollTryWait(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	r, w, _ := k.Pipe()
 	ep := k.EpollCreate()
 	ep.Add(r)
@@ -289,30 +167,11 @@ func TestEpollTryWait(t *testing.T) {
 	}
 }
 
-func TestEpollSocketReadiness(t *testing.T) {
-	h := newHosts(t)
-	cli, srv := connectPair(t, h)
-	ep := h.b.EpollCreate()
-	ep.Add(srv)
-	if fds, _ := ep.TryWait(); len(fds) != 0 {
-		t.Fatal("socket ready before data")
-	}
-	h.a.Send(cli, []byte("wake"), 0)
-	var fds []FD
-	h.pumpUntil(t, func() bool {
-		fds, _ = ep.TryWait()
-		return len(fds) == 1
-	})
-	if fds[0] != srv {
-		t.Fatalf("fds = %v", fds)
-	}
-}
-
 // --- files ---
 
 func TestFileWriteReadFsync(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	disk := spdk.New(&model, spdk.Config{})
 	k.AttachDisk(disk)
 
@@ -357,7 +216,7 @@ func dropCaches(k *Kernel) {
 
 func TestFileColdReadAfterDropCaches(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	disk := spdk.New(&model, spdk.Config{})
 	k.AttachDisk(disk)
 	fd, _, _ := k.OpenFile("f")
@@ -380,7 +239,7 @@ func TestFileColdReadAfterDropCaches(t *testing.T) {
 
 func TestFileWithoutDisk(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	if _, _, err := k.OpenFile("f"); !errors.Is(err, ErrNoDisk) {
 		t.Fatalf("err = %v", err)
 	}
@@ -388,7 +247,7 @@ func TestFileWithoutDisk(t *testing.T) {
 
 func TestReadBeyondEOFTruncated(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	disk := spdk.New(&model, spdk.Config{})
 	k.AttachDisk(disk)
 	fd, _, _ := k.OpenFile("f")
@@ -404,7 +263,7 @@ func TestReadBeyondEOFTruncated(t *testing.T) {
 
 func TestPipeWrongDirectionRejected(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	r, w, _ := k.Pipe()
 	if _, _, err := k.WritePipe(r, []byte("x"), 0); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("write to read end: %v", err)
@@ -414,29 +273,9 @@ func TestPipeWrongDirectionRejected(t *testing.T) {
 	}
 }
 
-func TestSocketOpsOnWrongFDKind(t *testing.T) {
-	h := newHosts(t)
-	lfd, _, err := h.b.Listen(8080)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Send on a listener is nonsense.
-	if _, _, err := h.b.Send(lfd, []byte("x"), 0); !errors.Is(err, ErrBadFD) {
-		t.Fatalf("send on listener: %v", err)
-	}
-	if _, _, err := h.b.Recv(lfd, 0); !errors.Is(err, ErrBadFD) {
-		t.Fatalf("recv on listener: %v", err)
-	}
-	// Accept on a pipe is nonsense.
-	r, _, _ := h.b.Pipe()
-	if _, _, err := h.b.Accept(r); !errors.Is(err, ErrBadFD) {
-		t.Fatalf("accept on pipe: %v", err)
-	}
-}
-
 func TestDiskFullSurfaces(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	k.AttachDisk(spdk.New(&model, spdk.Config{NumBlocks: 2}))
 	fd, _, _ := k.OpenFile("big")
 	_, err := k.WriteFile(fd, make([]byte, 3*spdk.BlockSize))
@@ -447,7 +286,7 @@ func TestDiskFullSurfaces(t *testing.T) {
 
 func TestEpollCloseWakesWaiters(t *testing.T) {
 	model := simclock.Datacenter2019()
-	k := New(&model, nil, netstack.IPv4Addr{})
+	k := New(&model)
 	ep := k.EpollCreate()
 	done := make(chan bool, 1)
 	go func() {
@@ -467,13 +306,15 @@ func TestEpollCloseWakesWaiters(t *testing.T) {
 }
 
 func TestUseAfterCloseRejected(t *testing.T) {
-	h := newHosts(t)
-	cli, _ := connectPair(t, h)
-	h.a.Close(cli)
-	if _, _, err := h.a.Send(cli, []byte("x"), 0); err == nil {
-		t.Fatal("send on closed fd succeeded")
+	model := simclock.Datacenter2019()
+	k := New(&model)
+	r, w, _ := k.Pipe()
+	k.Close(w)
+	k.Close(r)
+	if _, _, err := k.WritePipe(w, []byte("x"), 0); err == nil {
+		t.Fatal("write on closed fd succeeded")
 	}
-	if _, _, err := h.a.Recv(cli, 0); err == nil {
-		t.Fatal("recv on closed fd succeeded")
+	if _, _, err := k.ReadPipe(r, 0); err == nil {
+		t.Fatal("read on closed fd succeeded")
 	}
 }

@@ -24,7 +24,7 @@ const pipeCapacity = 64 * 1024
 
 // Pipe creates a pipe and returns its read and write descriptors.
 func (k *Kernel) Pipe() (r FD, w FD, cost simclock.Lat) {
-	cost = k.syscall()
+	cost = k.Syscall(0)
 	p := &pipe{capacity: pipeCapacity}
 	r = k.newFD(&fdEntry{kind: fdPipeRead, pipe: p})
 	w = k.newFD(&fdEntry{kind: fdPipeWrite, pipe: p})
@@ -37,7 +37,7 @@ func (p *pipe) closeWrite() { p.wrClosed = true }
 // It returns the number of bytes accepted, which may be short when the
 // pipe is full.
 func (k *Kernel) WritePipe(fd FD, b []byte, cost simclock.Lat) (int, simclock.Lat, error) {
-	cost += k.syscall()
+	cost += k.Syscall(0)
 	e, err := k.lookup(fd)
 	if err != nil {
 		return 0, cost, err
@@ -62,7 +62,7 @@ func (k *Kernel) WritePipe(fd FD, b []byte, cost simclock.Lat) (int, simclock.La
 // an empty pipe returns ErrWouldBlock, and a drained pipe whose writer
 // closed returns io.EOF.
 func (k *Kernel) ReadPipe(fd FD, max int) ([]byte, simclock.Lat, error) {
-	cost := k.syscall()
+	cost := k.Syscall(0)
 	e, err := k.lookup(fd)
 	if err != nil {
 		return nil, cost, err

@@ -5,15 +5,20 @@
 // catmint (RDMA) runs here — paying the legacy costs of Figure 1's left
 // side: a syscall crossing and a payload copy per I/O, and the in-kernel
 // network stack per packet.
+//
+// Figure 1's two columns run the same protocol over the same wire, so a
+// catnap socket is a catnip endpoint on a transport with a kernel attached
+// (catnip.Transport.SetKernel): the one pump charges the kernel's prices.
+// What is catnap's own is what differs — the features, plain heap buffers,
+// file queues over the kernel file system, and the kernel's counters.
 package catnap
 
 import (
-	"errors"
-	"io"
 	"sync"
 
 	"demikernel/internal/core"
 	"demikernel/internal/kernel"
+	"demikernel/internal/libos/catnip"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
@@ -22,22 +27,23 @@ import (
 
 // Transport is the catnap libOS transport.
 type Transport struct {
-	model *simclock.CostModel
-	k     *kernel.Kernel
+	set *catnip.ShardSet
+	k   *kernel.Kernel
 
-	// eps and fqs are what Poll pumps, from slice headers snapshotted
-	// under mu and walked outside it. An open appends, which writes past
-	// what any snapshot covers; a close builds a new slice without its
-	// entry and never writes the old one.
+	// fqs is what Poll pumps besides the sockets, from a slice header
+	// snapshotted under mu and walked outside it. An open appends, which
+	// writes past what any snapshot covers; a close builds a new slice
+	// without its entry and never writes the old one.
 	mu  sync.Mutex
-	eps []*endpoint
 	fqs []*fileQueue
 }
 
-// New wraps an existing simulated kernel. The kernel carries the NIC and
-// in-kernel stack; see kernel.New.
-func New(model *simclock.CostModel, k *kernel.Kernel) *Transport {
-	return &Transport{model: model, k: k}
+// New puts set, a catnip set of one, on the kernel path of a fresh kernel
+// and wraps it: its sockets are catnap's, at kernel prices.
+func New(model *simclock.CostModel, set *catnip.ShardSet) *Transport {
+	t := &Transport{set: set, k: kernel.New(model)}
+	set.Shard(0).SetKernel(t.k)
+	return t
 }
 
 // Name implements core.Transport.
@@ -52,19 +58,22 @@ func (t *Transport) Features() core.Features {
 	}
 }
 
-// Kernel exposes the underlying kernel (for counters in experiments).
+// Kernel exposes the kernel (for counters and its file system).
 func (t *Transport) Kernel() *kernel.Kernel { return t.k }
 
-// RegisterTelemetry lifts the kernel's simclock counters and the
-// in-kernel stack's counters into a telemetry registry under prefix.
+// Set exposes the catnip set of one the sockets run on, which SwitchKind
+// hands to the bypass path as it is.
+func (t *Transport) Set() *catnip.ShardSet { return t.set }
+
+// RegisterTelemetry lifts the socket transport's stack counters and the
+// kernel's cost counters into a telemetry registry under prefix.
 func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
-	t.k.Stack().RegisterTelemetry(r, prefix+".netstack")
+	t.set.Shard(0).RegisterTelemetry(r, prefix)
 	ctr := func(read func(simclock.Counters) int64) func() int64 {
 		return func() int64 { return read(t.k.Counters()) }
 	}
 	r.RegisterFunc(prefix+".kernel.syscall_crossings", ctr(func(c simclock.Counters) int64 { return c.SyscallCrossings }))
 	r.RegisterFunc(prefix+".kernel.bytes_copied", ctr(func(c simclock.Counters) int64 { return c.BytesCopied }))
-	r.RegisterFunc(prefix+".kernel.packets", ctr(func(c simclock.Counters) int64 { return c.Packets }))
 	r.RegisterFunc(prefix+".kernel.wakeups", ctr(func(c simclock.Counters) int64 { return c.Wakeups }))
 	r.RegisterFunc(prefix+".kernel.wasted_wakeups", ctr(func(c simclock.Counters) int64 { return c.WastedWakeups }))
 }
@@ -89,290 +98,27 @@ func (t *Transport) Open(path string) (queue.IoQueue, error) {
 
 // Socket implements core.Transport.
 func (t *Transport) Socket() (core.Endpoint, error) {
-	ep := &endpoint{t: t, fd: -1}
-	t.adopt(ep)
-	return ep, nil
+	return t.set.Shard(0).Socket()
 }
 
-// Poll implements core.Transport.
+// Poll implements core.Transport: the sockets' transport, then every open
+// file queue.
 func (t *Transport) Poll() int {
-	n := t.k.Poll()
-	// Snapshot the slice headers only: no change to either table writes
-	// where a snapshot reads, so the tick allocates nothing.
+	n := t.set.Shard(0).Poll()
 	t.mu.Lock()
-	eps, fqs := t.eps, t.fqs
+	fqs := t.fqs
 	t.mu.Unlock()
-	for _, ep := range eps {
-		n += ep.Pump()
-	}
 	for _, fq := range fqs {
 		n += fq.Pump()
 	}
 	return n
 }
 
-// Pumped reports how many socket endpoints and file queues a Poll pumps:
-// the open ones, a closed one having left its table.
+// Pumped reports how many socket endpoints and file queues the next Poll
+// pumps: the endpoints with work marked for it, and the open file queues.
 func (t *Transport) Pumped() (endpoints, files int) {
+	_, _, _, endpoints = t.set.Shard(0).WorkQueued()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.eps), len(t.fqs)
-}
-
-func (t *Transport) adopt(ep *endpoint) {
-	t.mu.Lock()
-	t.eps = append(t.eps, ep)
-	t.mu.Unlock()
-}
-
-// without returns a copy of list that lacks x.
-func without[T comparable](list []T, x T) []T {
-	kept := make([]T, 0, len(list))
-	for _, v := range list {
-		if v != x {
-			kept = append(kept, v)
-		}
-	}
-	return kept
-}
-
-// endpoint is one catnap socket queue over a kernel TCP socket.
-type endpoint struct {
-	t *Transport
-
-	mu        sync.Mutex
-	bound     core.Addr
-	fd        kernel.FD // connection fd, -1 until connected/accepted
-	listenFD  kernel.FD
-	listening bool
-	framer    sga.Framer
-	ready     []queue.Completion
-	waiters   []queue.DoneFunc
-	txq       []txFrame
-	closed    bool
-}
-
-type txFrame struct {
-	data []byte
-	cost simclock.Lat
-	done queue.DoneFunc
-	sent int
-}
-
-// Bind implements core.Endpoint.
-func (e *endpoint) Bind(addr core.Addr) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.bound = addr
-	return nil
-}
-
-// LocalAddr implements core.Endpoint.
-func (e *endpoint) LocalAddr() core.Addr {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.bound
-}
-
-// Listen implements core.Endpoint.
-func (e *endpoint) Listen() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fd, _, err := e.t.k.Listen(e.bound.Port)
-	if err != nil {
-		return err
-	}
-	e.listenFD = fd
-	e.listening = true
-	return nil
-}
-
-// Accept implements core.Endpoint.
-func (e *endpoint) Accept() (core.Endpoint, bool, error) {
-	e.mu.Lock()
-	if !e.listening {
-		e.mu.Unlock()
-		return nil, false, core.ErrNotListening
-	}
-	lfd := e.listenFD
-	e.mu.Unlock()
-	fd, _, err := e.t.k.Accept(lfd)
-	if errors.Is(err, kernel.ErrWouldBlock) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	child := &endpoint{t: e.t, fd: fd}
-	e.t.adopt(child)
-	return child, true, nil
-}
-
-// Connect implements core.Endpoint.
-func (e *endpoint) Connect(addr core.Addr) error {
-	fd, _, err := e.t.k.Connect(addr.IP, addr.Port)
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	e.fd = fd
-	e.mu.Unlock()
-	return nil
-}
-
-// Connected implements core.Endpoint.
-func (e *endpoint) Connected() bool {
-	e.mu.Lock()
-	fd := e.fd
-	e.mu.Unlock()
-	return fd >= 0 && e.t.k.Connected(fd)
-}
-
-// Err implements core.Endpoint. The in-kernel stack owns failure
-// detection for catnap sockets and reports errors through syscall
-// results, so the endpoint itself never carries a terminal error.
-func (e *endpoint) Err() error { return nil }
-
-// Push implements queue.IoQueue. Unlike catnip, every pushed byte pays
-// the syscall and user→kernel copy inside kernel.Send.
-func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
-	e.mu.Lock()
-	if e.closed || e.fd < 0 {
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPush, Err: queue.ErrClosed})
-		return
-	}
-	e.txq = append(e.txq, txFrame{data: s.Marshal(), cost: cost, done: done})
-	e.pumpUnlock()
-}
-
-// Pop implements queue.IoQueue.
-func (e *endpoint) Pop(done queue.DoneFunc) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-		return
-	}
-	if len(e.ready) > 0 && len(e.waiters) == 0 {
-		c := e.ready[0]
-		e.ready = e.ready[1:]
-		e.mu.Unlock()
-		done(c)
-		return
-	}
-	e.waiters = append(e.waiters, done)
-	e.pumpUnlock()
-}
-
-// Pump implements queue.IoQueue.
-func (e *endpoint) Pump() int {
-	e.mu.Lock()
-	return e.pumpUnlock()
-}
-
-// fired is a completion recorded under e.mu and delivered after it is
-// released, so that a DoneFunc may come back into the endpoint.
-type fired struct {
-	done queue.DoneFunc
-	c    queue.Completion
-}
-
-// pumpUnlock is the one body of Push, Pop and Pump. Entered with e.mu
-// held, it flushes the send queue, drains the socket through the framer
-// and matches waiters to completions, all under that one hold: two
-// pollers (a background one and a waiting application) can then neither
-// feed the framer out of order nor serve a later waiter ahead of an
-// earlier one. Waiters fail at the end of the stream only once every
-// decoded element has been handed out, so the final message is delivered
-// ahead of the EOF behind it. It releases e.mu and only then fires what
-// completed, and returns bytes sent plus SGAs decoded.
-func (e *endpoint) pumpUnlock() int {
-	fd := e.fd
-	if fd < 0 || e.closed {
-		e.mu.Unlock()
-		return 0
-	}
-	var arr [4]fired
-	out := arr[:0]
-	n := 0
-	for len(e.txq) > 0 {
-		f := &e.txq[0]
-		sent, cost, err := e.t.k.Send(fd, f.data[f.sent:], f.cost)
-		c := queue.Completion{Kind: queue.OpPush, Err: err}
-		if err == nil {
-			f.sent += sent
-			f.cost = cost
-			n += sent
-			if f.sent < len(f.data) {
-				break
-			}
-			c.Cost = cost
-		}
-		out = append(out, fired{f.done, c})
-		e.txq = e.txq[1:]
-	}
-	// failErr is what fails the waiters no completion is left for: the end
-	// of the stream, or bytes that are no frame (the framer stays poisoned).
-	var failErr error
-	for failErr = e.framer.Err(); failErr == nil; {
-		b, cost, err := e.t.k.Recv(fd, 0)
-		if errors.Is(err, io.EOF) {
-			failErr = queue.ErrClosed
-			break
-		}
-		if err != nil || len(b) == 0 {
-			break
-		}
-		for len(b) > 0 && failErr == nil {
-			k, s, ok, ferr := e.framer.Write(b, len(b))
-			if failErr = ferr; ok {
-				e.ready = append(e.ready, queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
-				n++
-			}
-			b = b[k:]
-		}
-	}
-	for len(e.waiters) > 0 && len(e.ready) > 0 {
-		out = append(out, fired{e.waiters[0], e.ready[0]})
-		e.waiters, e.ready = e.waiters[1:], e.ready[1:]
-	}
-	if failErr != nil && len(e.ready) == 0 {
-		for _, w := range e.waiters {
-			out = append(out, fired{w, queue.Completion{Kind: queue.OpPop, Err: failErr}})
-		}
-		e.waiters = nil
-	}
-	e.mu.Unlock()
-	for _, f := range out {
-		f.done(f.c)
-	}
-	return n
-}
-
-// Close implements queue.IoQueue.
-func (e *endpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	fd, lfd, listening := e.fd, e.listenFD, e.listening
-	ws := e.waiters
-	e.waiters = nil
-	e.mu.Unlock()
-	if fd >= 0 {
-		e.t.k.Close(fd)
-	}
-	if listening {
-		e.t.k.Close(lfd)
-	}
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-	}
-	e.t.mu.Lock()
-	e.t.eps = without(e.t.eps, e)
-	e.t.mu.Unlock()
-	return nil
+	return endpoints, len(t.fqs)
 }

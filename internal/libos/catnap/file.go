@@ -175,3 +175,14 @@ func (q *fileQueue) Close() error {
 	q.t.mu.Unlock()
 	return nil
 }
+
+// without returns a copy of list that lacks x.
+func without[T comparable](list []T, x T) []T {
+	kept := make([]T, 0, len(list))
+	for _, v := range list {
+		if v != x {
+			kept = append(kept, v)
+		}
+	}
+	return kept
+}

@@ -1,9 +1,9 @@
 package catnap
 
-// The orderings catnap's pump promises, on two transports driven directly:
-// data before the EOF behind it, and waiter k of an endpoint served element
-// k of its stream while a poller and the application pump it at once. Run
-// under -race.
+// The orderings the pump promises on the kernel path, on two catnap
+// transports driven directly: data before the EOF behind it, and waiter k of
+// an endpoint served element k of its stream while a poller and the
+// application pump it at once. Run under -race.
 
 import (
 	"encoding/binary"
@@ -16,9 +16,8 @@ import (
 
 	"demikernel/internal/core"
 	"demikernel/internal/fabric"
-	"demikernel/internal/kernel"
+	"demikernel/internal/libos/catnip"
 	"demikernel/internal/netstack"
-	"demikernel/internal/nic"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
@@ -38,8 +37,10 @@ func newPumpRig(t testing.TB) *pumpRig {
 	r := &pumpRig{t: t, model: simclock.Datacenter2019()}
 	sw := fabric.NewSwitch(&r.model, 1)
 	host := func(x byte) *Transport {
-		dev := nic.New(&r.model, sw, nic.Config{MAC: fabric.MAC{2, 0, 0, 0, 0, x}})
-		return New(&r.model, kernel.New(&r.model, dev, netstack.IP(10, 0, 0, x)))
+		return New(&r.model, catnip.NewSharded(&r.model, sw, catnip.Config{
+			MAC: fabric.MAC{2, 0, 0, 0, 0, x},
+			IP:  netstack.IP(10, 0, 0, x),
+		}, 1, 1))
 	}
 	r.ta, r.tb = host(0xa), host(0xb)
 	var err error

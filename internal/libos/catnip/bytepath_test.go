@@ -4,22 +4,18 @@ package catnip
 // reference and resumes wherever in its encoding the send ring filled;
 // pool memory freed while its push waits is recycled only afterwards,
 // whichever way the push ends, and once however many copies of its SGA are
-// freed; an endpoint exported mid-frame in both directions carries the
-// stream over intact; and a payload byte is written four times between the
-// two applications' buffers. Run under -race.
+// freed; and a payload byte is written four times between the two
+// applications' buffers. Run under -race.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 
 	"demikernel/internal/core"
 	"demikernel/internal/fabric"
-	"demikernel/internal/kernel"
-	"demikernel/internal/libos/catnap"
 	"demikernel/internal/netstack"
 	"demikernel/internal/nic"
 	"demikernel/internal/queue"
@@ -195,15 +191,14 @@ func (r *wlRig) stall(a core.Endpoint) {
 // TestFreeWhileQueuedDefers: memory from AllocSGA that the application frees
 // while its push waits in txq stays out of the frame pool — the pump has yet
 // to read it — and goes back when the push ends, however it ends: completion,
-// a dead connection, Close, a crash, an export to another transport.
+// a dead connection, Close, a crash.
 func TestFreeWhileQueuedDefers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		end  func(r *wlRig, a, b core.Endpoint)
-		err  error // what the push completes with; nil: see ok
-		ok   bool  // the push completes without error
+		err  error // what the push completes with, nil for success
 	}{
-		{name: "completion", ok: true, end: func(r *wlRig, a, b core.Endpoint) { r.popAll(b, 3) }},
+		{name: "completion", end: func(r *wlRig, a, b core.Endpoint) { r.popAll(b, 3) }},
 		{name: "dead connection", err: core.ErrPeerDead, end: func(r *wlRig, a, b core.Endpoint) {
 			r.tb.Crash()
 			if err := r.tb.Restart(); err != nil {
@@ -217,15 +212,6 @@ func TestFreeWhileQueuedDefers(t *testing.T) {
 		}},
 		{name: "close", err: netstack.ErrConnClosed, end: func(r *wlRig, a, b core.Endpoint) { a.Close(); r.poll() }},
 		{name: "crash", err: core.ErrLocalReset, end: func(r *wlRig, a, b core.Endpoint) { r.ta.Crash() }},
-		{name: "export", end: func(r *wlRig, a, b core.Endpoint) {
-			st, ok := r.ta.Export(a)
-			if !ok || len(st.Tx) != 3 {
-				r.t.Fatalf("export: ok=%v with %d frames, want 3", ok, len(st.Tx))
-			}
-			if want := sga.New(pattern(1000, 1)).Marshal(); !bytes.Equal(st.Tx[2].Data, want) {
-				r.t.Fatal("the exported frame is not the encoding of what was pushed")
-			}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newWLRigWith(t, privatePools)
@@ -251,13 +237,8 @@ func TestFreeWhileQueuedDefers(t *testing.T) {
 			if now := r.ta.pool.Outstanding(); now != out {
 				t.Fatalf("after the push ended: %d pool buffers out, want %d", now, out)
 			}
-			switch {
-			case tc.ok && (fired != 1 || pushErr != nil):
-				t.Fatalf("push fired %d times with %v, want once without error", fired, pushErr)
-			case tc.err != nil && (fired != 1 || !errors.Is(pushErr, tc.err)):
+			if fired != 1 || !errors.Is(pushErr, tc.err) {
 				t.Fatalf("push fired %d times with %v, want once with %v", fired, pushErr, tc.err)
-			case !tc.ok && tc.err == nil && fired != 0:
-				t.Fatalf("an exported push fired %d times on the transport it left", fired)
 			}
 		})
 	}
@@ -340,134 +321,6 @@ func TestPoppedDoubleFree(t *testing.T) {
 	}
 	x.Free()
 	y.Free()
-}
-
-// TestExportMidFrame: an endpoint with half a frame decoded and half a frame
-// sent moves to another catnip transport, and to catnap, over the same stack
-// and device. The half-decoded frame's pooled buffer goes back to the pool it
-// came from, and both streams carry on intact: the parked pop gets the frame
-// it was in the middle of, the peer gets the frame that was half sent, and
-// the connection keeps working afterwards. With a catnip hop in between, the
-// half-sent frame is exported a second time in the form it was adopted in —
-// the rest of an encoding, further along.
-func TestExportMidFrame(t *testing.T) {
-	for _, path := range [][]string{{"catnip"}, {"catnap"}, {"catnip", "catnip"}, {"catnip", "catnap"}} {
-		t.Run("catnip to "+strings.Join(path, " to "), func(t *testing.T) {
-			r := newWLRigWith(t, privatePools)
-			a, b := r.connect()
-			eb := b.(*endpoint)
-			inbound, outbound := pattern(100_000, 3), pattern(overSendBuffer, 4)
-			var popped []byte
-			b.Pop(func(c queue.Completion) {
-				if c.Err != nil {
-					t.Errorf("the parked pop: %v", c.Err)
-				}
-				popped = c.SGA.Bytes()
-				c.SGA.Free()
-			})
-			// a is not polled from here to the switch, so its frame gets as far
-			// as its initial congestion window: b's drain decodes that much of
-			// the first segment and waits for the rest. b's own frame is more
-			// than its send ring takes.
-			a.Push(sga.New(inbound[:60_000], inbound[60_000:]), 0, func(queue.Completion) {})
-			pushed := 0
-			b.Push(sga.New(outbound), 0, func(c queue.Completion) {
-				if c.Err != nil {
-					t.Errorf("the half-sent push: %v", c.Err)
-				}
-				pushed++
-			})
-			for i := 0; i < 3; i++ {
-				r.tb.Poll()
-			}
-			eb.t.mu.Lock()
-			halfSent := eb.txq.Len() == 1 && eb.txq.Front().sent > 0
-			eb.t.mu.Unlock()
-			held := r.tb.pool.Outstanding()
-			if !halfSent || popped != nil || held == 0 {
-				t.Fatalf("set-up: frame half sent %v, pop completed %v, %d pool buffers out; want true, false, the half-decoded frame's", halfSent, popped != nil, held)
-			}
-
-			st, ok := r.tb.Export(b)
-			if !ok {
-				t.Fatal("export refused")
-			}
-			if out := r.tb.pool.Outstanding(); out != held-1 {
-				t.Fatalf("export left %d of the old transport's pool buffers out, want %d: the half-decoded frame's buffer must stay behind", out, held-1)
-			}
-			for range path[1:] {
-				// a acknowledges what its receive buffer takes, nobody popping
-				// there yet: the adopted frame moves on and stops short again.
-				nt := NewOnStack(&r.model, r.tb.dev, r.tb.cfg, r.tb.Stack()).Shard(0)
-				hop, err := nt.Adopt(st)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := 0; i < 50; i++ {
-					r.ta.Poll()
-					nt.Poll()
-				}
-				eh := hop.(*endpoint)
-				eh.t.mu.Lock()
-				f := eh.txq.Front()
-				further := eh.txq.Len() == 1 && f.raw != nil && f.sent > 12 && f.sent < len(f.raw)
-				eh.t.mu.Unlock()
-				if !further {
-					t.Fatal("set-up: the adopted frame did not stop part way again")
-				}
-				if st, ok = nt.Export(hop); !ok {
-					t.Fatal("second export refused")
-				}
-			}
-			var nb core.Endpoint
-			var poll func() int
-			var err error
-			switch path[len(path)-1] {
-			case "catnip":
-				nt := NewOnStack(&r.model, r.tb.dev, r.tb.cfg, r.tb.Stack()).Shard(0)
-				nb, err = nt.Adopt(st)
-				poll = nt.Poll
-			case "catnap":
-				nt := catnap.New(&r.model, kernel.NewOnStack(&r.model, r.tb.dev, r.tb.Stack()))
-				nb, err = nt.Adopt(st)
-				poll = nt.Poll
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			var atA []byte
-			a.Pop(func(c queue.Completion) {
-				if c.Err != nil {
-					t.Errorf("the peer's pop: %v", c.Err)
-				}
-				atA = c.SGA.Bytes()
-				c.SGA.Free()
-			})
-			for i := 0; (atA == nil || popped == nil || pushed == 0) && i < 10_000; i++ {
-				r.ta.Poll()
-				poll()
-			}
-			if !bytes.Equal(popped, inbound) {
-				t.Fatalf("the frame that was half decoded arrived as %d bytes, want the %d pushed", len(popped), len(inbound))
-			}
-			if !bytes.Equal(atA, outbound) || pushed != 1 {
-				t.Fatalf("the frame that was half sent arrived as %d bytes with %d push completions, want %d and 1", len(atA), pushed, len(outbound))
-			}
-			// And the moved endpoint is an endpoint: one more each way.
-			var again, back []byte
-			nb.Pop(func(c queue.Completion) { again = c.SGA.Bytes(); c.SGA.Free() })
-			a.Pop(func(c queue.Completion) { back = c.SGA.Bytes(); c.SGA.Free() })
-			a.Push(sga.New([]byte("ping")), 0, func(queue.Completion) {})
-			nb.Push(sga.New([]byte("pong")), 0, func(queue.Completion) {})
-			for i := 0; (again == nil || back == nil) && i < 10_000; i++ {
-				r.ta.Poll()
-				poll()
-			}
-			if string(again) != "ping" || string(back) != "pong" {
-				t.Fatalf("after the switch: got %q and %q", again, back)
-			}
-		})
-	}
 }
 
 // copyLedger counts how often a byte is written between the buffer one

@@ -22,6 +22,7 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/fabric"
 	"demikernel/internal/fifo"
+	"demikernel/internal/kernel"
 	"demikernel/internal/netstack"
 	"demikernel/internal/nic"
 	"demikernel/internal/queue"
@@ -77,6 +78,12 @@ type Transport struct {
 	// — Push, Pop, Pump, Poll, an Accept that finds a connection — takes it
 	// once, and fires the completions it collected after letting go.
 	mu *sync.Mutex
+
+	// kern is nil on the bypass path. On the kernel path (catnap, or a node
+	// SwitchKind demoted) it is the kernel whose prices the pump charges —
+	// a syscall and a copy for every send and recv — while the stack pays
+	// the kernel's per-packet tax; see SetKernel.
+	kern *kernel.Kernel
 
 	// prevStats accumulates the counters of dead stack incarnations so
 	// StackStats (and telemetry) stay cumulative across crash/restart —
@@ -164,11 +171,12 @@ func newTransport(model *simclock.CostModel, dev *nic.Device, group *nic.QueueGr
 }
 
 // buildStack builds the transport a stack on its device, queue, neighbor
-// table and shard lock; Restart gives a crashed transport a fresh one.
+// table and shard lock; Restart gives a crashed transport a fresh one,
+// under that lock.
 func (t *Transport) buildStack() *netstack.Stack {
 	return netstack.NewWithLock(t.model, t.port, netstack.Config{
 		IP:             t.cfg.IP,
-		PerPacketExtra: t.cfg.PerPacketExtra,
+		PerPacketExtra: t.perPacketExtraLocked(),
 		RTO:            t.cfg.RTO,
 		MaxRetransmits: t.cfg.MaxRetransmits,
 		RxQueue:        t.rxQueue,
@@ -436,26 +444,6 @@ type txFrame struct {
 	cost simclock.Lat
 	done queue.DoneFunc
 	hold *fabric.SGABuf
-	// raw, on a frame adopted from another transport (Adopt), is the rest
-	// of an encoding that transport had begun to send, in place of s.
-	raw []byte
-}
-
-// piece returns the next run of the frame's unsent bytes, none at its end.
-func (f *txFrame) piece(scratch *[12]byte) []byte {
-	if f.raw != nil {
-		return f.raw[f.sent:]
-	}
-	return f.s.WirePiece(f.sent, scratch)
-}
-
-// rest returns the frame's unsent bytes in heap memory of their own: what it
-// travels as when its endpoint moves to another transport (Export).
-func (f *txFrame) rest() []byte {
-	if f.raw != nil {
-		return f.raw[f.sent:]
-	}
-	return f.s.Marshal()[f.sent:]
 }
 
 // release ends the hold on the memory of a frame that leaves txq unsent,
@@ -565,8 +553,9 @@ func (e *endpoint) Err() error {
 // wire encoding copied into the TCP send buffer by the pump; the completion
 // fires when that buffer has taken the last byte. From Push until then the
 // segments belong to the libOS — the application must not write to or reuse
-// them (§4.5). No payload copy is charged: the device DMAs from the send
-// buffer (§3.2's zero-copy path).
+// them (§4.5). On the bypass path no payload copy is charged: the device
+// DMAs from the send buffer (§3.2's zero-copy path). On the kernel path
+// (SetKernel) each send the pump makes pays a syscall and a copy.
 func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 	e.push(s, cost, done, true)
 }
@@ -778,6 +767,7 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 	// of the stream (EOF, or bytes that are no frame) or a dead connection.
 	var failErr error
 	h := conn.Held()
+	kern := e.t.kern
 	if doTx {
 		// The whole queued burst coalesces into MSS-sized segments at the
 		// single FlushSend below, so 32 small pushes cost ~2 segments of
@@ -788,8 +778,13 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 		var pre [12]byte
 		for e.txq.Len() > 0 {
 			tf := e.txq.Front()
+			if kern != nil {
+				// send(2): a crossing, and a copy of all the frame has left
+				// to send, however much of it the buffer takes.
+				tf.cost += kern.Syscall(tf.s.MarshalledSize() - tf.sent)
+			}
 			var err error
-			piece := tf.piece(&pre)
+			piece := tf.s.WirePiece(tf.sent, &pre)
 			for len(piece) > 0 {
 				var sent int
 				sent, err = h.SendBuffered(piece, tf.cost)
@@ -798,7 +793,7 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 				if sent < len(piece) {
 					break // an error, or the TCP send buffer is full
 				}
-				piece = tf.piece(&pre)
+				piece = tf.s.WirePiece(tf.sent, &pre)
 			}
 			if err == nil && len(piece) > 0 {
 				break // full: carry on from tf.sent on a later pump
@@ -830,6 +825,9 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 				break
 			}
 			first, second, cost, err := h.RecvSpans()
+			if kern != nil && len(first) == 0 {
+				kern.Syscall(0) // a recv(2) that finds nothing crosses too
+			}
 			if err == io.EOF {
 				failErr = queue.ErrClosed
 				break
@@ -837,7 +835,7 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 			if err != nil || len(first) == 0 {
 				break
 			}
-			avail, taken := len(first)+len(second), 0
+			avail, taken, mark := len(first)+len(second), 0, e.ready.Len()
 		spans:
 			for _, p := range [2][]byte{first, second} {
 				for len(p) > 0 {
@@ -859,6 +857,14 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 			// Once per pass: it can bring stashed segments into the ring and
 			// send a window update, after which the spans are stale.
 			h.RecvDiscard(taken)
+			if kern != nil {
+				// recv(2): a crossing and a copy of the bytes taken, on the
+				// cost of every frame they completed.
+				kc := kern.Syscall(taken)
+				for i := mark; i < e.ready.Len(); i++ {
+					e.ready.At(i).Cost += kc
+				}
+			}
 		}
 		if parked && !e.rxStalled {
 			e.t.rxStalls.Add(1)

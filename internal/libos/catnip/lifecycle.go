@@ -81,8 +81,8 @@ func (t *Transport) Restart() error {
 		return ErrNotCrashed
 	}
 	dead := t.Stack().Stats()
-	fresh := t.buildStack()
 	t.mu.Lock()
+	fresh := t.buildStack()
 	t.prevStats = t.prevStats.Add(dead)
 	t.restarts++
 	t.stackp.Store(fresh)

@@ -230,9 +230,9 @@ func TestCrashReclaimsRingFrames(t *testing.T) {
 // TestRestartUnderConcurrentPump drives a client node from two goroutines
 // at once — its Background poller, and an application that pushes and pops
 // on its endpoints directly, one echo at a time — across a crash and
-// restart, a switch to catnap and back (which hands the one stack, and its
-// lock, from transport to transport), and a second crash and restart on
-// the promoted node's fresh stack. Every operation completes exactly once,
+// restart, a switch to catnap and back (which sets and clears the kernel's
+// prices under the shard lock the two pumps take), and a second crash and
+// restart on the promoted node's fresh stack. Every operation completes exactly once,
 // every echo that completes carries its own request, and once the cluster
 // is quiet the frame pool holds what it held before. Run it under -race.
 func TestRestartUnderConcurrentPump(t *testing.T) {
@@ -321,8 +321,8 @@ func TestRestartUnderConcurrentPump(t *testing.T) {
 				continue
 			}
 			pop.c.SGA.Free()
-			// A crash or a switch under the operation: the stream may have
-			// lost or kept a message, so start a fresh one.
+			// A crash under the operation: the stream may have lost or kept
+			// a message, so start a fresh one.
 			cli.Close(qd)
 			qd = core.InvalidQD
 		}

@@ -30,20 +30,10 @@ func (s *Stack) EstablishedFlows() []Flow {
 	return out
 }
 
-// SetPerPacketExtra rebinds the stack's additional per-packet
-// processing cost. Live libOS switching uses this: the same stack
-// object keeps all its connection state while the per-packet tax flips
-// between the kernel path's syscall-laden profile and the bypass
-// path's zero extra (LibrettOS-style network server vs. direct mode).
-func (s *Stack) SetPerPacketExtra(extra simclock.Lat) {
-	s.mu.Lock()
+// SetPerPacketExtraLocked rebinds the stack's additional per-packet
+// processing cost; the caller holds the stack's lock. Live libOS switching
+// uses it: the same stack keeps all its connection state while the tax
+// flips between the kernel path's and the bypass path's.
+func (s *Stack) SetPerPacketExtraLocked(extra simclock.Lat) {
 	s.cfg.PerPacketExtra = extra
-	s.mu.Unlock()
-}
-
-// PerPacketExtra reports the current additional per-packet cost.
-func (s *Stack) PerPacketExtra() simclock.Lat {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.PerPacketExtra
 }

@@ -433,14 +433,6 @@ func (c *TCPConn) Close() {
 	c.trySendLocked()
 }
 
-// Readable reports whether Recv would return data or EOF right now
-// (level-triggered readiness, as epoll sees it).
-func (c *TCPConn) Readable() bool {
-	c.stack.mu.Lock()
-	defer c.stack.mu.Unlock()
-	return c.rcvBuf.Len() > 0 || c.peerFinRcvd || c.err != nil
-}
-
 // Pending returns the number of connections waiting in the accept
 // backlog. It takes no lock.
 func (l *TCPListener) Pending() int { return int(l.pending.Load()) }

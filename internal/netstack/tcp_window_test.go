@@ -42,7 +42,10 @@ func TestTCPWindowReopenNoRetransmit(t *testing.T) {
 		}
 		w.pump()
 	}
-	if !srv.Readable() {
+	h := srv.Hold()
+	buffered := h.c.rcvBuf.Len()
+	h.Release()
+	if buffered == 0 {
 		t.Fatal("receiver buffered nothing; stall never engaged")
 	}
 	// Drain-and-refill: every RecvAppend that reopens the window must

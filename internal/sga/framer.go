@@ -30,13 +30,9 @@ import (
 // eagerLen — and regrown, by at least doubling, only for a larger frame that
 // arrives in smaller pieces. A header claiming MaxTotalLen pins eagerLen.
 //
-// A Framer is not safe for concurrent use; each connection owns one. It is
-// moved by value (core.PortState); see Export.
+// A Framer is not safe for concurrent use; each connection owns one.
 type Framer struct {
 	alloc FrameAlloc
-	// pending is a partial frame re-encoded by Export on another transport,
-	// replayed ahead of the first Write's bytes.
-	pending []byte
 
 	// scratch gathers the header or length prefix being read, have bytes so
 	// far; both are read from it even when they arrive whole.
@@ -93,15 +89,6 @@ func (f *Framer) SetAlloc(fn FrameAlloc) { f.alloc = fn }
 func (f *Framer) Write(p []byte, avail int) (n int, s SGA, ok bool, err error) {
 	if f.err != nil {
 		return 0, SGA{}, false, f.err
-	}
-	if f.pending != nil {
-		// An exported partial frame: by construction it completes nothing
-		// and holds no error Export's framer had not met.
-		pend := f.pending
-		f.pending = nil
-		if _, _, _, err := f.Write(pend, len(pend)+avail); err != nil {
-			return 0, SGA{}, false, err
-		}
 	}
 	for {
 		switch {
@@ -215,35 +202,6 @@ func (f *Framer) poison(format string, args ...any) error {
 
 // Err returns the error that poisoned the stream, if one did.
 func (f *Framer) Err() error { return f.err }
-
-// Export takes the framer's state out for another transport to carry on
-// from: the returned value holds the frame in progress re-encoded as the
-// stream bytes it was decoded from (header, the lengths and bytes so far,
-// a half-read field), which the adopter's first Write replays through its
-// own allocator, so that no buffer of this framer's allocator crosses over.
-// That buffer is released, and f is left empty (Reset).
-func (f *Framer) Export() Framer {
-	out := Framer{err: f.err, decoded: f.decoded, pending: f.pending}
-	if f.inFrame {
-		b := make([]byte, 0, headerLen+4*len(f.segs)+len(f.buf)+f.have)
-		b = binary.BigEndian.AppendUint32(b, uint32(f.payloadLen))
-		b = binary.BigEndian.AppendUint32(b, uint32(f.segsLeft+len(f.segs)))
-		for i, seg := range f.segs {
-			segLen := len(seg.Buf)
-			if i == len(f.segs)-1 {
-				segLen += f.segLeft
-			}
-			b = binary.BigEndian.AppendUint32(b, uint32(segLen))
-			b = append(b, seg.Buf...)
-		}
-		out.pending = b
-	}
-	if f.have > 0 {
-		out.pending = append(out.pending, f.scratch[:f.have]...)
-	}
-	f.Reset()
-	return out
-}
 
 // Reset drops the frame in progress, giving its storage back, and leaves f
 // empty: what the owner of a connection that will be read no more calls.

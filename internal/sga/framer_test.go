@@ -401,62 +401,6 @@ func TestFramerAllocationBound(t *testing.T) {
 	}
 }
 
-// TestFramerExportMidFrame: a framer exported at any byte of a stream — in
-// a header, a prefix, a segment, between frames — and carried on by another
-// framer with another allocator decodes the same frames, none of the first
-// allocator's buffers cross over, and an exported poisoned framer stays
-// poisoned.
-func TestFramerExportMidFrame(t *testing.T) {
-	frames := []SGA{New([]byte("one"), nil, []byte("two")), {}, New(bytes.Repeat([]byte{9}, 700)), New(nil)}
-	stream := marshalAll(frames...)
-	for cut := 0; cut <= len(stream); cut++ {
-		var a, b classAlloc
-		var from Framer
-		from.SetAlloc(a.alloc)
-		got, _, err := feed(&from, stream[:cut])
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		to := from.Export()
-		if from.inFrame || from.have != 0 || from.alloc != nil {
-			t.Fatalf("cut %d: Export left state behind", cut)
-		}
-		to = to.Export() // a second hop before any byte arrives loses nothing
-		to.SetAlloc(b.alloc)
-		rest, _, err := feed(&to, stream[cut:])
-		if err != nil {
-			t.Fatalf("cut %d: adopter: %v", cut, err)
-		}
-		sameFrames(t, fmt.Sprint("cut ", cut), append(got, rest...), frames)
-		if to.decoded != int64(len(frames)) {
-			t.Fatalf("cut %d: decoded = %d across the export", cut, to.decoded)
-		}
-		for i, s := range append(got, rest...) {
-			// Each SGA carries the token of the allocator its storage is from.
-			want := &a
-			if i >= len(got) {
-				want = &b
-			}
-			if s.Reg != any(want) {
-				t.Fatalf("cut %d: frame %d of %d+%d has Reg %p", cut, i, len(got), len(rest), s.Reg)
-			}
-			s.Free()
-		}
-		if a.live != 0 || b.live != 0 {
-			t.Fatalf("cut %d: %d and %d buffers out after every frame was freed", cut, a.live, b.live)
-		}
-		if cut < len(stream) && b.allocs == 0 {
-			t.Fatalf("cut %d: the adopter decoded without its allocator", cut)
-		}
-	}
-	var bad Framer
-	feed(&bad, header(MaxTotalLen+1, 0))
-	moved := bad.Export()
-	if _, _, _, err := moved.Write([]byte{0}, 1); !errors.Is(err, ErrCorruptFrame) {
-		t.Fatalf("exported poisoned framer: %v", err)
-	}
-}
-
 // TestWirePieceMatchesMarshal: the pieces WirePiece yields from any offset
 // are Marshal's bytes from that offset, header and first prefix come as one
 // 12-byte piece, and a segment's piece is the segment's own memory.

@@ -169,10 +169,8 @@ func (m *CostModel) OffloadedFilterCost() Lat {
 type Counters struct {
 	SyscallCrossings int64 // user/kernel boundary round trips
 	BytesCopied      int64 // payload bytes moved by CPU memcpy
-	Packets          int64 // packets processed
 	Wakeups          int64 // threads woken
 	WastedWakeups    int64 // threads woken with no work available
-	Registrations    int64 // device memory registrations performed
 }
 
 // AddSyscall records one syscall crossing.

@@ -89,10 +89,8 @@ func TestCountersReset(t *testing.T) {
 	var c Counters
 	c.AddSyscall()
 	c.AddCopy(100)
-	c.Packets = 3
 	c.Wakeups = 2
 	c.WastedWakeups = 1
-	c.Registrations = 4
 	c.Reset()
 	if c != (Counters{}) {
 		t.Fatalf("Reset left counters non-zero: %+v", c)

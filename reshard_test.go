@@ -13,7 +13,8 @@ package demikernel
 //     three generations.
 //   - TestSwitchKindLive promotes a kernel-libOS node to the bypass
 //     stack (and back) with an established connection carrying data
-//     through the switch — zero drops, virtual downtime measured.
+//     through the switch — zero drops — and, polled step by step, does
+//     it again with a frame half decoded and a frame half sent.
 
 import (
 	"bytes"
@@ -403,6 +404,10 @@ func TestChaosReshardUnderCrashRestart(t *testing.T) {
 // established connection alive the whole time — including bytes pushed
 // before the switch and popped after it. Zero dropped connections, and
 // the virtual cost of the kernel tax visibly disappears on promotion.
+// Then, polled step by step, the switch there and back lands in the
+// middle of a frame each way, at offsets inside the 12-byte header (an
+// 8-byte length and count, then the first segment's 4-byte length) and
+// past it (switchMidFrame).
 func TestSwitchKindLive(t *testing.T) {
 	c := NewCluster(93)
 	srv := c.MustSpawn(Catnap, WithHost(1))
@@ -456,5 +461,130 @@ func TestSwitchKindLive(t *testing.T) {
 	// Idempotence and gating.
 	if err := srv.SwitchKind(Catnap); err != nil {
 		t.Fatalf("no-op switch: %v", err)
+	}
+
+	for _, k := range []int{1, 8, 11, 12, 15, 19, 300} {
+		t.Run(fmt.Sprint("mid-frame at byte ", k), func(t *testing.T) { switchMidFrame(t, k) })
+	}
+}
+
+// switchMidFrame switches a catnap server to catnip and back while it has
+// decoded the first k bytes of a frame from its client and sent the first k
+// bytes of a frame of its own. Nothing is polled but by the test: each side
+// sends a filler that ends k bytes before its first flight does — the
+// client's initial congestion window of two 1 400-byte segments, the
+// server's 256 KiB send buffer — then a frame of two segments, then one
+// more. Every message arrives once, intact and in order, and every push
+// completes.
+func switchMidFrame(t *testing.T, k int) {
+	const cwnd, sendBuf, header = 2 * 1400, 256 << 10, 12
+	c := NewCluster(93)
+	srv := c.MustSpawn(Catnap, WithHost(1))
+	cli := c.MustSpawn(Catnip, WithHost(2))
+	cqd, sqd, stopPollers := connectNodes(t, c, cli, srv, 80)
+	stopPollers()
+
+	msgs := func(flight int, salt byte) []SGA {
+		return []SGA{
+			NewSGA(bytes.Repeat([]byte{salt}, flight-k-header)),
+			NewSGA([]byte("seg-0"), bytes.Repeat([]byte{salt + 1}, 300)),
+			NewSGA([]byte("after the switches")),
+		}
+	}
+	up, down := msgs(cwnd, 'a'), msgs(sendBuf, 'x')
+	var srvPops, cliPops, pushes []QToken
+	keep := func(qt QToken, err error, to *[]QToken) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		*to = append(*to, qt)
+	}
+	for range up {
+		qt, err := srv.Pop(sqd)
+		keep(qt, err, &srvPops)
+	}
+	for _, m := range up {
+		qt, err := cli.Push(cqd, m)
+		keep(qt, err, &pushes)
+	}
+	for _, m := range down {
+		qt, err := srv.Push(sqd, m)
+		keep(qt, err, &pushes)
+	}
+	// The client's first flight: the filler, and k bytes of the frame
+	// behind it.
+	srv.Poll()
+	// done reports whether qt has completed, and consumes it if so.
+	done := func(n *Node, qt QToken) bool {
+		_, ok, err := n.TryWait(qt)
+		return ok || err != nil
+	}
+	if done(srv, srvPops[1]) {
+		t.Fatal("set-up: the first flight did not end inside the second frame")
+	}
+
+	if err := srv.SwitchKind(Catnip); err != nil {
+		t.Fatal(err)
+	}
+	cli.Poll() // a step on the bypass path: ACKs, and more of each stream
+	srv.Poll()
+	if err := srv.SwitchKind(Catnap); err != nil {
+		t.Fatal(err)
+	}
+
+	for range down {
+		qt, err := cli.Pop(cqd)
+		keep(qt, err, &cliPops)
+	}
+	// arrived polls both nodes until each pop in qts has completed with its
+	// message, in order.
+	arrived := func(n *Node, qts []QToken, want []SGA) {
+		t.Helper()
+		for i, qt := range qts {
+			for polls := 0; ; polls++ {
+				comp, ok, err := n.TryWait(qt)
+				if err != nil || (ok && comp.Err != nil) {
+					t.Fatalf("pop %d: %v %v", i, err, comp.Err)
+				}
+				if ok {
+					if !comp.SGA.Equal(want[i]) {
+						t.Fatalf("message %d arrived as %d bytes in %d segments, want %d in %d",
+							i, comp.SGA.Len(), len(comp.SGA.Segments), want[i].Len(), len(want[i].Segments))
+					}
+					comp.SGA.Free()
+					break
+				}
+				if polls == 100_000 {
+					t.Fatalf("message %d never arrived", i)
+				}
+				cli.Poll()
+				srv.Poll()
+			}
+		}
+	}
+	arrived(srv, srvPops, up)
+	arrived(cli, cliPops, down)
+	for i, qt := range pushes {
+		owner := cli
+		if i >= len(up) {
+			owner = srv
+		}
+		if comp, ok, err := owner.TryWait(qt); !ok || err != nil || comp.Err != nil {
+			t.Fatalf("push %d: completed %v with %v %v", i, ok, err, comp.Err)
+		}
+	}
+	// Once: nothing more arrives on either side.
+	extraS, errS := srv.Pop(sqd)
+	extraC, errC := cli.Pop(cqd)
+	if errS != nil || errC != nil {
+		t.Fatal(errS, errC)
+	}
+	for i := 0; i < 100; i++ {
+		cli.Poll()
+		srv.Poll()
+	}
+	if done(srv, extraS) || done(cli, extraC) {
+		t.Fatal("a message arrived twice")
 	}
 }
