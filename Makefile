@@ -6,7 +6,7 @@ all: tier1
 
 # What the soak targets select, named once so that runcheck verifies
 # exactly the patterns and package lists the targets run.
-RACE_PKGS       := ./internal/chaos/ ./internal/core/ ./internal/rdma/ ./internal/netstack/ ./internal/fabric/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/serve/ ./internal/apps/echo/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/libos/catnap/ ./internal/kernel/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/ ./cmd/demi-stat/
+RACE_PKGS       := ./internal/chaos/ ./internal/core/ ./internal/rdma/ ./internal/netstack/ ./internal/fabric/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/serve/ ./internal/apps/echo/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/libos/catmint/ ./internal/libos/catnap/ ./internal/kernel/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/ ./cmd/demi-stat/
 RACE_RUN        := TestChaosShardedKV
 LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestNodeShapesShareLifecycle|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush|TestRingServerManyConns
 TENANT_RUN      := TestHostileTenantSoak|TestTenantCrashSparesNeighbors
@@ -24,7 +24,8 @@ BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/ ./internal/libos/catn
 ## the telemetry instruments, the queues and their qtokens, the cross-shard
 ## SPSC mesh, the sharded KV workers, the failover backoff machinery,
 ## the simulated drift clock, the kernel libOS's pump beside a poller and
-## the kernel's pipes, epoll and files, and every demi-stat rig with its
+## the kernel's pipes, epoll and files, the RDMA libOS's transport and
+## endpoint locks beside its poller, and every demi-stat rig with its
 ## pollers and chaos goroutine), a counter-consistency smoke
 ## (telemetry must conserve frames: TXed == delivered + every
 ## attributed drop, at the fabric, per NIC, and per stack — including

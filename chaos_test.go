@@ -15,6 +15,8 @@ import (
 	"testing"
 	"time"
 
+	"demikernel/internal/apps/echo"
+	"demikernel/internal/apps/failover"
 	"demikernel/internal/apps/kv"
 	"demikernel/internal/chaos"
 	"demikernel/internal/fabric"
@@ -56,8 +58,6 @@ func typedErr(err error) bool {
 		netstack.ErrConnectTimeout,
 		catmint.ErrQPBroken,
 		catmint.ErrOpTimeout,
-		catmint.ErrReconnecting,
-		catmint.ErrPeerDead,
 	} {
 		if errors.Is(err, want) {
 			return true
@@ -100,12 +100,10 @@ func chaosSoakNet(t *testing.T, flavor string) {
 		// that never completes, which only its WaitTimeout ends. That one
 		// detector stays short: the client has to be sending again before
 		// the schedule's 40 ms clean gap is over, or nothing it sends meets
-		// the partition. The redial budget outlasts the partition.
+		// the partition.
 		srvNode = c.MustSpawn(Catmint, WithHost(1))
 		waitTimeout = 15 * time.Millisecond
-		cliNode = c.MustSpawn(Catmint, WithConfig(NodeConfig{
-			Host: 2, MaxReconnects: 40, ReconnectBackoff: time.Millisecond,
-		}))
+		cliNode = c.MustSpawn(Catmint, WithHost(2))
 	}
 
 	srv := kv.NewServer(srvNode.LibOS, &c.Model)
@@ -141,7 +139,14 @@ func chaosSoakNet(t *testing.T, flavor string) {
 	eng.Start()
 
 	expected := make(map[string][]byte)
-	var failures, successes, postHealOK int
+	var failures, successes, postHealOK, redials int
+	// A connection that failed is dead on either libOS: reconnect at the
+	// application level. The dial fails fast while partitioned.
+	redial := func() {
+		if cli.Connect(addr) == nil {
+			redials++
+		}
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; postHealOK < 20; i++ {
 		if time.Now().After(deadline) {
@@ -156,12 +161,7 @@ func chaosSoakNet(t *testing.T, flavor string) {
 				t.Fatalf("set %d failed with untyped error: %v", i, err)
 			}
 			failures++
-			// catnip connections are terminal after give-up: reconnect
-			// at the application level. catmint redials the same queue
-			// pair underneath, so the same client keeps working.
-			if flavor == "catnip" {
-				_ = cli.Connect(addr) // fails fast while partitioned
-			}
+			redial()
 			continue
 		}
 		expected[key] = val
@@ -171,9 +171,7 @@ func chaosSoakNet(t *testing.T, flavor string) {
 				t.Fatalf("get %d failed with untyped error: %v", i, err)
 			}
 			failures++
-			if flavor == "catnip" {
-				_ = cli.Connect(addr)
-			}
+			redial()
 			continue
 		}
 		if !found || !bytes.Equal(got, expected[key]) {
@@ -190,6 +188,9 @@ func chaosSoakNet(t *testing.T, flavor string) {
 	}
 	if failures == 0 {
 		t.Fatal("the partition never produced a visible failure: fault schedule did not bite")
+	}
+	if redials == 0 {
+		t.Fatal("the client never redialed after a failure")
 	}
 
 	// The schedule must actually have fired on the wire.
@@ -220,8 +221,8 @@ func chaosSoakNet(t *testing.T, flavor string) {
 			t.Fatalf("%d pool buffers out at rest, %d values stored", out, srv.Len())
 		}
 	case "catmint":
-		if cliNode.Catmint.Reconnects() == 0 {
-			t.Fatal("catmint never redialed the broken queue pair")
+		if cliNode.Catmint.Device().Stats().QPErrors == 0 && cliNode.Catmint.OpTimeouts() == 0 {
+			t.Fatal("no queue pair ever broke: neither a QP error nor the dead-peer detector")
 		}
 	}
 }
@@ -554,30 +555,40 @@ func TestChaosTCPGiveUp(t *testing.T) {
 	echoOnce(t, cli, qd3, srv, sqd2, "back from the dead")
 }
 
-// TestChaosCatmintReconnect flaps the client's link and requires the
-// catmint libOS to detect the dead peer, fail in-flight operations with
-// typed errors, and redial the queue pair once the link heals — same
-// endpoint, no application-level reconnect.
+// TestChaosCatmintReconnect flaps the client's link under an echo
+// client: the dead-peer detector must fail the push in flight within
+// OpTimeout, typed as a dead peer, and after the heal the client's
+// failover must redial and complete a round trip. What catmint held for
+// the dead queue pair must be back: the client transport then holds
+// only the live queue pair's posted receive window.
 func TestChaosCatmintReconnect(t *testing.T) {
 	c := NewCluster(302)
 	srv := c.MustSpawn(Catmint, WithHost(1))
-	cli := c.MustSpawn(Catmint, WithConfig(NodeConfig{
-		Host: 2, OpTimeout: 10 * time.Millisecond,
-		MaxReconnects: 40, ReconnectBackoff: time.Millisecond,
-	}))
-	cqd, lqd, sqd, cleanup := chaosConnect(t, c, cli, srv, 7)
-	defer cleanup()
-	echoOnce(t, cli, cqd, srv, sqd, "healthy before the flap")
+	const opTimeout = 10 * time.Millisecond
+	cli := c.MustSpawn(Catmint, WithConfig(NodeConfig{Host: 2, OpTimeout: opTimeout}))
+	_, stopSrv, err := echo.Serve(srv.LibOS, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopSrv()
+	client, stopCli, err := echo.Dial(cli.LibOS, c.AddrOf(srv, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopCli()
+	client.EnableFailover(failover.Policy{MaxAttempts: 40, Base: time.Millisecond, Max: 20 * time.Millisecond, Seed: 302})
+	if _, err := client.RTT([]byte("healthy before the flap"), 0); err != nil {
+		t.Fatal(err)
+	}
 
-	const downFor = 40 * time.Millisecond
 	eng := chaos.New(302)
-	eng.LinkFlap(0, downFor, c.Switch, cli.FabricPort())
+	eng.LinkFlap(0, 40*time.Millisecond, c.Switch, cli.FabricPort())
 	eng.Start()
 	eng.Step() // fires link-down
 
-	// The in-flight push can never complete; the dead-peer detector
-	// must fail it with a typed error within the op timeout.
-	qt, err := cli.Push(cqd, NewSGA([]byte("lost")))
+	// The in-flight push can never complete: only the detector ends it.
+	start := time.Now()
+	qt, err := cli.Push(client.QD(), NewSGA([]byte("lost")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,87 +596,40 @@ func TestChaosCatmintReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("wait during outage: %v", err)
 	}
-	if comp.Err == nil {
-		t.Fatal("push across a dead link reported success")
+	if !errors.Is(comp.Err, ErrPeerDead) || !errors.Is(comp.Err, catmint.ErrOpTimeout) {
+		t.Fatalf("push across a dead link completed with %v, want ErrPeerDead wrapping ErrOpTimeout", comp.Err)
 	}
-	if !typedErr(comp.Err) {
-		t.Fatalf("push failed with untyped error: %v", comp.Err)
+	// OpTimeout plus the poller's scheduling slack; a hang would take
+	// WaitTimeout.
+	if elapsed := time.Since(start); elapsed > opTimeout+time.Second {
+		t.Fatalf("the detector took %v at OpTimeout %v", elapsed, opTimeout)
 	}
-
-	// While the redial is in flight, operations fail fast.
-	qt2, err := cli.Push(cqd, NewSGA([]byte("still down")))
-	if err == nil {
-		if comp2, werr := cli.Wait(qt2); werr != nil || comp2.Err == nil || !typedErr(comp2.Err) {
-			t.Fatalf("push during reconnect: err=%v comp.Err=%v", werr, comp2.Err)
+	// waitPending waits for the client transport's pending work requests
+	// to read want: flushed receives come back on the poller's next pass.
+	waitPending := func(want int, when string) {
+		deadline := time.Now().Add(time.Second)
+		for cli.Catmint.Pending() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: client holds %d work requests, want %d", when, cli.Catmint.Pending(), want)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
+	// The broken queue pair is destroyed before anyone closes it.
+	waitPending(0, "after the break")
 
-	// Heal and let the redial land: keep pushing on the SAME client
-	// descriptor until one push completes cleanly.
 	for !eng.Done() {
 		eng.Step()
 		time.Sleep(time.Millisecond)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("the endpoint never recovered after the flap")
-		}
-		qt, err := cli.Push(cqd, NewSGA([]byte("recovered after the flap")))
-		if err != nil {
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		comp, werr := cli.Wait(qt)
-		if werr != nil {
-			continue
-		}
-		if comp.Err != nil {
-			if !typedErr(comp.Err) {
-				t.Fatalf("push during recovery failed with untyped error: %v", comp.Err)
-			}
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		break // delivered over the redialed queue pair
+	if _, err := client.RTT([]byte("recovered after the flap"), 0); err != nil {
+		t.Fatalf("echo after the heal: %v", err)
 	}
-	if cli.Catmint.Reconnects() == 0 {
-		t.Fatal("no reconnect was ever attempted")
+	if redials, _ := client.FailoverStats(); redials == 0 {
+		t.Fatal("the echo completed without a redial over a dead queue pair")
 	}
-	// The replacement connection surfaces at the server's listener; pop
-	// the message that made it through (the outage pushes never left the
-	// client, so the first delivery is the recovery marker).
-	srv.WaitTimeout = time.Second
-	var got string
-	for got == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("server never saw the redialed connection's data")
-		}
-		sqd2, err := srv.Accept(lqd)
-		if err != nil {
-			continue
-		}
-		comp, err := srv.BlockingPop(sqd2)
-		if err != nil || comp.Err != nil {
-			continue // a stale child from a redial attempt; keep accepting
-		}
-		got = string(comp.SGA.Bytes())
-		// Echo it back on the same (new) connection: full duplex works.
-		if _, err := srv.BlockingPush(sqd2, comp.SGA); err != nil {
-			t.Fatalf("server echo push: %v", err)
-		}
-	}
-	if got != "recovered after the flap" {
-		t.Fatalf("server popped %q after recovery", got)
-	}
-	back, err := cli.BlockingPop(cqd)
-	if err != nil || back.Err != nil {
-		t.Fatalf("client pop of the echo: %v %v", err, back.Err)
-	}
-	if string(back.SGA.Bytes()) != "recovered after the flap" {
-		t.Fatalf("client got %q", back.SGA.Bytes())
-	}
-	_ = sqd
+
+	waitPending(catmint.DefaultPostedRecvs, "after the redial") // the live queue pair's window
 }
 
 // TestChaosCatfishResetRetry injects an NVMe controller reset mid-stream:

@@ -192,12 +192,6 @@ type NodeConfig struct {
 	// before the peer is declared dead (catmint only; negative
 	// disables).
 	OpTimeout time.Duration
-	// MaxReconnects bounds QP redial attempts after a QP error
-	// (catmint only).
-	MaxReconnects int
-	// ReconnectBackoff is the first QP redial delay; it doubles per
-	// attempt (catmint only).
-	ReconnectBackoff time.Duration
 }
 
 // NewCluster creates a cluster with deterministic fault injection seeded
@@ -424,12 +418,7 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 		n.libs = []*LibOS{core.New(t, &c.Model)}
 		n.Kernel = t.Kernel()
 	case Catmint:
-		t := catmint.New(&c.Model, c.Switch, catmint.Config{
-			MAC:              c.mac(cfg.Host),
-			OpTimeout:        cfg.OpTimeout,
-			MaxReconnects:    cfg.MaxReconnects,
-			ReconnectBackoff: cfg.ReconnectBackoff,
-		})
+		t := catmint.New(&c.Model, c.Switch, catmint.Config{MAC: c.mac(cfg.Host), OpTimeout: cfg.OpTimeout})
 		n.libs = []*LibOS{core.New(t, &c.Model)}
 		n.Catmint = t
 	case Catfish:

@@ -8,6 +8,7 @@ import (
 
 	demi "demikernel"
 	"demikernel/internal/core"
+	"demikernel/internal/libos/catmint"
 	"demikernel/internal/queue"
 )
 
@@ -81,6 +82,8 @@ func TestRetriableClassification(t *testing.T) {
 		core.ErrWaitTimeout, // the silent-peer liveness signal
 		queue.ErrClosed,
 		fmt.Errorf("wrapped: %w", core.ErrPeerDead),
+		catmint.ErrQPBroken,  // a broken queue pair's flushed requests
+		catmint.ErrOpTimeout, // the dead-peer detector
 	} {
 		if !Retriable(err) {
 			t.Errorf("Retriable(%v) = false, want true", err)

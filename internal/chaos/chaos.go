@@ -3,7 +3,7 @@
 //
 // The paper's thesis is that kernel-bypass devices ship with none of the
 // operating system's safety net; the libOSes in this repository supply
-// that net (retransmission budgets, QP reconnects, device-reset retries,
+// that net (retransmission budgets, dead-peer detectors, device-reset retries,
 // memory backpressure). This package exists to *attack* the net on a
 // schedule and observe that applications see typed errors and recover —
 // never hangs, never silent corruption.

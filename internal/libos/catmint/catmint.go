@@ -27,6 +27,7 @@ package catmint
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -59,38 +60,25 @@ const readyByte = 0xA5
 // ErrMessageTooBig is returned when a framed SGA exceeds SlotSize.
 var ErrMessageTooBig = errors.New("catmint: message exceeds slot size")
 
-// Failure-path errors (all surfaced through qtoken completions, never by
-// hanging a Wait):
+// A broken queue pair is terminal for its endpoint, as a dead connection
+// is on catnip: both errors are core.ErrPeerDead, so a client's failover
+// redials a fresh connection, and each stays matchable with errors.Is.
+// They are surfaced through qtoken completions, never by hanging a Wait.
 var (
 	// ErrQPBroken is carried by completions whose work requests were
-	// flushed when the queue pair errored. The endpoint may still
-	// recover: the dialing side tears the QP down and redials with
-	// exponential backoff.
-	ErrQPBroken = errors.New("catmint: queue pair errored")
+	// flushed when the queue pair errored, and by every operation on its
+	// endpoint after that.
+	ErrQPBroken = fmt.Errorf("%w: catmint: queue pair errored", core.ErrPeerDead)
 	// ErrOpTimeout is the dead-peer detector: an operation stayed
 	// inflight past OpTimeout, so the peer (or the path to it) is gone.
-	ErrOpTimeout = errors.New("catmint: operation timed out (dead peer)")
-	// ErrPeerDead is terminal: the reconnect budget is exhausted and the
-	// endpoint will not recover.
-	ErrPeerDead = errors.New("catmint: peer unreachable (reconnect budget exhausted)")
-	// ErrReconnecting rejects pushes while a redial is in progress;
-	// callers retry after the endpoint reports Connected again.
-	ErrReconnecting = errors.New("catmint: reconnect in progress")
+	ErrOpTimeout = fmt.Errorf("%w: catmint: operation timed out", core.ErrPeerDead)
 )
 
-// Reconnect policy defaults.
-const (
-	// DefaultOpTimeout bounds how long a send-side work request may stay
-	// inflight before the libOS declares the peer dead. Healthy
-	// completions take microseconds of polling; two seconds only ever
-	// expires when the peer stopped answering.
-	DefaultOpTimeout = 2 * time.Second
-	// DefaultMaxReconnects bounds redial attempts per outage.
-	DefaultMaxReconnects = 6
-	// DefaultReconnectBackoff is the first redial delay; it doubles on
-	// every failed attempt.
-	DefaultReconnectBackoff = 2 * time.Millisecond
-)
+// DefaultOpTimeout bounds how long a send-side work request may stay
+// inflight before the libOS declares the peer dead. Healthy completions
+// take microseconds of polling; two seconds only ever expires when the
+// peer stopped answering.
+const DefaultOpTimeout = 2 * time.Second
 
 // Config tunes the transport.
 type Config struct {
@@ -98,10 +86,6 @@ type Config struct {
 	// OpTimeout overrides DefaultOpTimeout (chaos tests shorten it so
 	// dead peers are detected quickly). Negative disables the detector.
 	OpTimeout time.Duration
-	// MaxReconnects overrides DefaultMaxReconnects.
-	MaxReconnects int
-	// ReconnectBackoff overrides DefaultReconnectBackoff.
-	ReconnectBackoff time.Duration
 }
 
 // Transport is the catmint libOS transport.
@@ -116,19 +100,15 @@ type Transport struct {
 	mu       sync.Mutex
 	pool     []*slot // free slots
 	arenas   int
-	byQPN    map[uint32]*endpoint
 	pending  map[uint64]*pendingOp // wrID -> op
 	nextWRID uint64
-	eps      []*endpoint
-	// epsSnap caches the endpoint list for Poll; rebuilt (as a fresh
-	// slice, safe against a concurrent Poll still iterating the old
-	// one) only when an endpoint is added.
-	epsSnap  []*endpoint
-	epsDirty bool
+	// listeners are the endpoints Poll stages inbound connections for.
+	// The slice is never written in place, so Poll iterates a copy of
+	// the header outside the lock.
+	listeners []*endpoint
 	// stats
 	stagedCopies int64
 	zeroCopyTx   int64
-	reconnects   int64
 	opTimeouts   int64
 }
 
@@ -147,8 +127,7 @@ type pendingOp struct {
 	cost simclock.Lat
 	// onWC, when set, routes the raw completion to a one-sided
 	// operation (see remote.go) instead of the queue machinery.
-	onWC   func(rdma.WC)
-	isRead bool
+	onWC func(rdma.WC)
 	// deadline, when non-zero, is the dead-peer detector: Transport.Poll
 	// expires the op with ErrOpTimeout once the deadline passes. Only
 	// send-side ops carry deadlines; posted receives legitimately sit
@@ -161,19 +140,12 @@ func New(model *simclock.CostModel, sw *fabric.Switch, cfg Config) *Transport {
 	if cfg.OpTimeout == 0 {
 		cfg.OpTimeout = DefaultOpTimeout
 	}
-	if cfg.MaxReconnects <= 0 {
-		cfg.MaxReconnects = DefaultMaxReconnects
-	}
-	if cfg.ReconnectBackoff <= 0 {
-		cfg.ReconnectBackoff = DefaultReconnectBackoff
-	}
 	dev := rdma.New(model, sw, cfg.MAC)
 	t := &Transport{
 		model:   model,
 		dev:     dev,
 		pd:      dev.AllocPD(),
 		cfg:     cfg,
-		byQPN:   make(map[uint32]*endpoint),
 		pending: make(map[uint64]*pendingOp),
 	}
 	t.scq = dev.CreateCQ()
@@ -214,18 +186,19 @@ func (t *Transport) ZeroCopyTx() int64 {
 	return t.zeroCopyTx
 }
 
-// Reconnects reports how many QP redials the transport has performed.
-func (t *Transport) Reconnects() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.reconnects
-}
-
 // OpTimeouts reports operations expired by the dead-peer detector.
 func (t *Transport) OpTimeouts() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.opTimeouts
+}
+
+// Pending reports work requests posted and not yet completed: on a
+// transport at rest, each open connection's posted receive window.
+func (t *Transport) Pending() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.pending)
 }
 
 // RegisterTelemetry lifts the transport's counters — its own libOS-layer
@@ -234,7 +207,6 @@ func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	t.dev.RegisterTelemetry(r, prefix+".rnic")
 	r.RegisterFunc(prefix+".staged_copies", t.StagedCopies)
 	r.RegisterFunc(prefix+".zero_copy_tx", t.ZeroCopyTx)
-	r.RegisterFunc(prefix+".reconnects", t.Reconnects)
 	r.RegisterFunc(prefix+".op_timeouts", t.OpTimeouts)
 	r.RegisterFunc(prefix+".arenas", func() int64 { return int64(t.Arenas()) })
 }
@@ -300,29 +272,13 @@ func (t *Transport) Open(string) (queue.IoQueue, error) {
 
 // Socket implements core.Transport.
 func (t *Transport) Socket() (core.Endpoint, error) {
-	ep := &endpoint{t: t}
-	t.mu.Lock()
-	t.eps = append(t.eps, ep)
-	t.epsDirty = true
-	t.mu.Unlock()
-	return ep, nil
-}
-
-// pollSnapshot returns the cached endpoint list, rebuilding it only
-// when the set changed, so steady-state polling does not allocate.
-func (t *Transport) pollSnapshot() []*endpoint {
-	t.mu.Lock()
-	if t.epsDirty {
-		t.epsSnap = append(make([]*endpoint, 0, len(t.eps)), t.eps...)
-		t.epsDirty = false
-	}
-	eps := t.epsSnap
-	t.mu.Unlock()
-	return eps
+	return &endpoint{t: t}, nil
 }
 
 // Poll implements core.Transport: pump the device, stage inbound
-// connections, and route completions.
+// connections, route completions, and expire dead-peer ops. A broken
+// queue pair needs no walk of its own: its posted receives flush to the
+// receive CQ, and a peer that went silent is what checkDeadlines finds.
 func (t *Transport) Poll() int {
 	n := t.dev.Poll()
 
@@ -330,9 +286,11 @@ func (t *Transport) Poll() int {
 	// application) posts the receive window and signals readiness, so a
 	// peer that connects and immediately pushes never hits RNR — the
 	// buffer-management burden §2 describes, carried by the libOS.
-	eps := t.pollSnapshot()
-	for _, ep := range eps {
-		n += ep.stageAccepts()
+	t.mu.Lock()
+	listeners := t.listeners
+	t.mu.Unlock()
+	for _, l := range listeners {
+		n += l.stageAccepts()
 	}
 
 	for _, wc := range t.rcq.Poll(0) {
@@ -343,25 +301,13 @@ func (t *Transport) Poll() int {
 		n++
 		t.handleSendComp(wc)
 	}
-
-	// Failure handling: expire dead-peer ops, then drive per-endpoint
-	// recovery (teardown + redial with backoff).
-	n += t.checkDeadlines()
-	eps = t.pollSnapshot() // accepts above may have adopted endpoints
-	for _, ep := range eps {
-		n += ep.checkQP()
-	}
-
-	for _, ep := range eps {
-		ep.serveWaiters()
-	}
-	return n
+	return n + t.checkDeadlines()
 }
 
 // checkDeadlines is the dead-peer detector: any send-side work request
 // inflight past its deadline completes with ErrOpTimeout and breaks its
-// queue pair, which starts the reconnect machinery. A peer behind a
-// downed link never NAKs, so without this the op would hang forever.
+// queue pair. A peer behind a downed link never NAKs, so without this
+// the op would hang forever.
 func (t *Transport) checkDeadlines() int {
 	now := time.Now()
 	t.mu.Lock()
@@ -375,43 +321,50 @@ func (t *Transport) checkDeadlines() int {
 	t.opTimeouts += int64(len(expired))
 	t.mu.Unlock()
 	for _, op := range expired {
-		if op.slot != nil {
-			t.freeSlot(op.slot)
-		}
+		// Break first: a destroyed queue pair no longer writes the slot.
+		op.ep.breakQP(ErrOpTimeout)
+		t.freeSlot(op.slot)
 		if op.onWC != nil {
 			op.onWC(rdma.WC{Status: rdma.StatusQPError})
 		} else if op.done != nil {
 			op.done(queue.Completion{Kind: op.kind, Err: ErrOpTimeout})
 		}
-		if op.ep != nil {
-			op.ep.breakQP()
-		}
 	}
 	return len(expired)
 }
 
-func (t *Transport) handleRecv(wc rdma.WC) {
+// take removes and returns the op posted as wrID; nil when the op is no
+// longer pending (the detector expired it first).
+func (t *Transport) take(wrID uint64) *pendingOp {
 	t.mu.Lock()
-	op, ok := t.pending[wc.WRID]
-	if ok {
-		delete(t.pending, wc.WRID)
+	defer t.mu.Unlock()
+	op := t.pending[wrID]
+	delete(t.pending, wrID)
+	return op
+}
+
+// unpost withdraws a work request the device refused and recycles its
+// slot. It reports false when the detector expired the op first, which
+// has then completed it already.
+func (t *Transport) unpost(wrID uint64) bool {
+	op := t.take(wrID)
+	if op != nil {
+		t.freeSlot(op.slot)
 	}
-	t.mu.Unlock()
-	if !ok {
+	return op != nil
+}
+
+func (t *Transport) handleRecv(wc rdma.WC) {
+	op := t.take(wc.WRID)
+	if op == nil {
 		return
 	}
 	ep := op.ep
 	if wc.Status != rdma.StatusSuccess {
-		// Flushed or failed receive: recycle the slot and record one
-		// typed error for the endpoint instead of queueing an error
-		// completion per posted buffer (a QP error flushes the whole
-		// receive window at once).
+		// A flushed receive: the queue pair errored or was destroyed,
+		// and the endpoint dies with it.
 		t.freeSlot(op.slot)
-		err := error(ErrQPBroken)
-		if wc.Status != rdma.StatusQPError {
-			err = fmt.Errorf("catmint: recv failed: %v", wc.Status)
-		}
-		ep.recvError(err)
+		ep.breakQP(ErrQPBroken)
 		return
 	}
 	// Keep the configured number of receives posted.
@@ -434,39 +387,41 @@ func (t *Transport) handleRecv(wc rdma.WC) {
 }
 
 func (t *Transport) handleSendComp(wc rdma.WC) {
-	t.mu.Lock()
-	op, ok := t.pending[wc.WRID]
-	if ok {
-		delete(t.pending, wc.WRID)
-	}
-	t.mu.Unlock()
-	if !ok {
+	op := t.take(wc.WRID)
+	if op == nil {
 		return
 	}
 	if op.onWC != nil {
 		// One-sided operation: the callback may need the slot's bytes
 		// (reads), so it runs before the slot recycles.
 		op.onWC(wc)
-		if op.slot != nil {
-			t.freeSlot(op.slot)
-		}
-		return
 	}
-	if op.slot != nil {
-		t.freeSlot(op.slot)
+	t.freeSlot(op.slot)
+	if op.done != nil { // nil: a one-sided op, or the ready marker
+		op.done(queue.Completion{Kind: queue.OpPush, Cost: op.cost + wc.Cost, Err: wcErr("send", wc.Status)})
 	}
-	if op.done == nil {
-		return // fire-and-forget (the ready marker)
-	}
-	c := queue.Completion{Kind: queue.OpPush, Cost: op.cost + wc.Cost}
-	switch wc.Status {
+}
+
+// wcErr is the error a work completion reports: nil on success, and
+// ErrQPBroken for a request its queue pair flushed.
+func wcErr(op string, st rdma.WCStatus) error {
+	switch st {
 	case rdma.StatusSuccess:
+		return nil
 	case rdma.StatusQPError:
-		c.Err = ErrQPBroken // typed: caller may retry after reconnect
-	default:
-		c.Err = fmt.Errorf("catmint: send failed: %v", wc.Status)
+		return ErrQPBroken
 	}
-	op.done(c)
+	return fmt.Errorf("catmint: %s failed: %v", op, st)
+}
+
+// postErr is the error of a work request the device refused: a queue
+// pair that errored after the endpoint last looked reports what a
+// request it flushed would.
+func postErr(err error) error {
+	if errors.Is(err, rdma.ErrQPState) {
+		return ErrQPBroken
+	}
+	return err
 }
 
 func (t *Transport) newWRID(op *pendingOp) uint64 {
@@ -482,15 +437,16 @@ func (t *Transport) newWRID(op *pendingOp) uint64 {
 	return t.nextWRID
 }
 
-func (t *Transport) adopt(ep *endpoint, qpn uint32) {
+// dropListener takes a closed listener off Poll's list.
+func (t *Transport) dropListener(e *endpoint) {
 	t.mu.Lock()
-	t.eps = append(t.eps, ep)
-	t.epsDirty = true
-	t.byQPN[qpn] = ep
+	t.listeners = slices.DeleteFunc(slices.Clone(t.listeners), func(l *endpoint) bool { return l == e })
 	t.mu.Unlock()
 }
 
-// endpoint is one catmint socket queue over an RDMA queue pair.
+// endpoint is one catmint socket queue over an RDMA queue pair. When the
+// queue pair breaks the endpoint is dead for good, on the dialing side as
+// on the accepting one: the client's failover redials a new connection.
 type endpoint struct {
 	t *Transport
 
@@ -499,20 +455,12 @@ type endpoint struct {
 	listener *rdma.Listener
 	qp       *rdma.QP
 	ready    []queue.Completion
-	waiters  []queue.DoneFunc
-	acceptQ  []*endpoint // staged inbound connections (listeners only)
-	isReady  bool        // connection fully usable (ready marker seen / sent)
-	accepted bool
+	waiters  []queue.DoneFunc // pops waiting; only while ready is empty
+	acceptQ  []*endpoint      // staged inbound connections (listeners only)
+	isReady  bool             // connection fully usable (ready marker seen / sent)
 	closed   bool
-
-	// Failure / recovery state.
-	remote       core.Addr // peer address (dialing side only)
-	dialer       bool      // this side called Connect and may redial
-	reconnecting bool      // old QP torn down, redial pending or inflight
-	redialAt     time.Time // earliest time the next redial may fire
-	attempts     int       // redials since the last healthy connection
-	epErr        error     // terminal failure; nil while healthy/recovering
-	popErr       error     // one-shot error for the next pop (QP flush)
+	// dead is the error that broke the queue pair, nil while healthy.
+	dead error
 }
 
 // Bind implements core.Endpoint.
@@ -532,43 +480,46 @@ func (e *endpoint) LocalAddr() core.Addr {
 
 // Listen implements core.Endpoint.
 func (e *endpoint) Listen() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	l, err := e.t.dev.Listen(e.bound.Port, e.t.pd, e.t.scq, e.t.rcq)
+	l, err := e.t.dev.Listen(e.LocalAddr().Port, e.t.pd, e.t.scq, e.t.rcq)
 	if err != nil {
 		return err
 	}
+	e.mu.Lock()
 	e.listener = l
+	e.mu.Unlock()
+	e.t.mu.Lock()
+	e.t.listeners = append(e.t.listeners, e)
+	e.t.mu.Unlock()
 	return nil
 }
 
 // stageAccepts drains the device-level backlog into fully initialised
 // endpoints (receive window posted, ready marker sent). Called from
-// Transport.Poll so staging never waits for the application.
+// Transport.Poll so staging never waits for the application; what
+// arrives at a closed listener is closed at once.
 func (e *endpoint) stageAccepts() int {
 	e.mu.Lock()
 	l := e.listener
 	e.mu.Unlock()
-	if l == nil {
-		return 0
-	}
 	n := 0
-	for {
-		qp, ok := l.Accept()
-		if !ok {
-			return n
-		}
-		child := &endpoint{t: e.t, qp: qp, isReady: true, accepted: true}
-		e.t.adopt(child, qp.Num())
+	for qp, ok := l.Accept(); ok; qp, ok = l.Accept() {
+		child := &endpoint{t: e.t, qp: qp, isReady: true}
 		for i := 0; i < DefaultPostedRecvs; i++ {
 			child.postRecv()
 		}
 		child.sendReadyMarker()
 		e.mu.Lock()
-		e.acceptQ = append(e.acceptQ, child)
+		closed := e.closed
+		if !closed {
+			e.acceptQ = append(e.acceptQ, child)
+		}
 		e.mu.Unlock()
+		if closed {
+			child.Close()
+		}
 		n++
 	}
+	return n
 }
 
 // Accept implements core.Endpoint: it pops one staged connection.
@@ -597,10 +548,7 @@ func (e *endpoint) Connect(addr core.Addr) error {
 	qp := e.t.dev.NewQP(e.t.pd, e.t.scq, e.t.rcq)
 	e.mu.Lock()
 	e.qp = qp
-	e.remote = addr
-	e.dialer = true
 	e.mu.Unlock()
-	e.t.adopt(e, qp.Num())
 	for i := 0; i < DefaultPostedRecvs; i++ {
 		e.postRecv()
 	}
@@ -615,154 +563,35 @@ func (e *endpoint) Connected() bool {
 	return e.isReady && e.qp != nil && e.qp.Connected()
 }
 
-// Err implements core.Endpoint: non-nil once the endpoint has failed for
-// good (reconnect budget exhausted, or a server-side QP died — only the
-// dialing side knows the address to redial).
+// Err implements core.Endpoint: non-nil once the queue pair broke.
 func (e *endpoint) Err() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.epErr
+	return e.dead
 }
 
 func (e *endpoint) markReady() {
 	e.mu.Lock()
 	e.isReady = true
-	e.attempts = 0 // healthy again: reset the reconnect budget
-	e.reconnecting = false
-	e.popErr = nil // errors of the dead incarnation die with it
 	e.mu.Unlock()
 }
 
-// breakQP tears the endpoint's queue pair down after a failure and arms
-// the redial timer (dialing side) or records the terminal error (server
-// side). Safe to call repeatedly.
-func (e *endpoint) breakQP() {
+// breakQP kills the endpoint with err, which every later operation fails
+// with; completions delivered before the break can still be popped. The
+// queue pair is destroyed so that what it still holds flushes back. The
+// first error sticks.
+func (e *endpoint) breakQP(err error) {
 	e.mu.Lock()
-	qp := e.qp
-	if qp == nil || e.closed || e.reconnecting || e.epErr != nil {
+	if e.closed || e.dead != nil {
 		e.mu.Unlock()
 		return
 	}
-	e.qp = nil
-	e.isReady = false
-	// The broken incarnation's undelivered data dies with it: a response
-	// whose request already failed must not be served to a later pop
-	// (classic off-by-one desync). Slots recycle; the stream restarts
-	// clean after the redial.
-	stale := e.ready
-	e.ready = nil
-	e.popErr = nil
-	if e.dialer {
-		e.reconnecting = true
-		backoff := e.t.cfg.ReconnectBackoff << e.attempts
-		e.redialAt = time.Now().Add(backoff)
-	} else {
-		// The accepting side cannot redial (the dialer owns the
-		// address); the connection is gone for good. The application's
-		// accept loop will pick up the replacement connection.
-		e.epErr = ErrQPBroken
-	}
-	e.mu.Unlock()
-	for _, c := range stale {
-		c.SGA.Free()
-	}
-	qp.Destroy() // flushes remaining WRs; completions surface via CQs
-	if err := e.Err(); err != nil {
-		e.failWaiters(err)
-	} else {
-		e.failWaiters(ErrReconnecting)
-	}
-}
-
-// checkQP drives failure detection and recovery for one endpoint from
-// Transport.Poll: notice errored QPs, and fire pending redials once
-// their backoff expires.
-func (e *endpoint) checkQP() int {
-	e.mu.Lock()
+	e.dead = err
 	qp := e.qp
-	closed := e.closed
-	reconnecting := e.reconnecting
-	redialAt := e.redialAt
-	e.mu.Unlock()
-	if closed {
-		return 0
-	}
-	if !reconnecting && qp != nil && qp.Errored() {
-		e.breakQP()
-		return 1
-	}
-	if !reconnecting || time.Now().Before(redialAt) {
-		return 0
-	}
-	return e.redial()
-}
-
-// redial dials a replacement QP, or gives up with ErrPeerDead once the
-// attempt budget is spent. The endpoint counts attempts from the moment
-// the redial fires; success is only declared when the peer's ready
-// marker arrives (markReady), which also resets the budget.
-func (e *endpoint) redial() int {
-	e.mu.Lock()
-	if e.closed || e.epErr != nil || !e.reconnecting {
-		e.mu.Unlock()
-		return 0
-	}
-	if e.attempts >= e.t.cfg.MaxReconnects {
-		e.epErr = ErrPeerDead
-		e.reconnecting = false
-		e.mu.Unlock()
-		e.failWaiters(ErrPeerDead)
-		return 0
-	}
-	e.attempts++
-	attempt := e.attempts
-	remote := e.remote
-	old := e.qp
-	e.qp = nil
-	e.mu.Unlock()
-	if old != nil {
-		old.Destroy() // previous redial attempt died too
-	}
-
-	qp := e.t.dev.NewQP(e.t.pd, e.t.scq, e.t.rcq)
-	e.mu.Lock()
-	e.qp = qp
-	// Arm the next backoff now: if this attempt dies too, checkQP
-	// redials after the (doubled) delay without extra bookkeeping.
-	e.redialAt = time.Now().Add(e.t.cfg.ReconnectBackoff << attempt)
-	e.mu.Unlock()
-	e.t.mu.Lock()
-	e.t.reconnects++
-	e.t.byQPN[qp.Num()] = e
-	e.t.mu.Unlock()
-	for i := 0; i < DefaultPostedRecvs; i++ {
-		e.postRecv()
-	}
-	qp.Connect(remote.MAC, remote.Port) // after the window is posted, as in Connect
-	return 1
-}
-
-// recvError records a flushed/failed receive: waiting pops fail now;
-// otherwise one error completion is held for the next pop so a single QP
-// flush does not flood the ready queue.
-func (e *endpoint) recvError(err error) {
-	e.mu.Lock()
-	ws := e.waiters
-	e.waiters = nil
-	if len(ws) == 0 {
-		e.popErr = err
-	}
-	e.mu.Unlock()
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: err})
-	}
-}
-
-func (e *endpoint) failWaiters(err error) {
-	e.mu.Lock()
 	ws := e.waiters
 	e.waiters = nil
 	e.mu.Unlock()
+	qp.Destroy()
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: err})
 	}
@@ -772,50 +601,46 @@ func (e *endpoint) sendReadyMarker() {
 	sl := e.t.allocSlot()
 	sl.bytes()[0] = readyByte
 	wrID := e.t.newWRID(&pendingOp{kind: queue.OpPush, ep: e, slot: sl})
-	e.qp.PostSend(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: 1})
+	if e.qp.PostSend(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: 1}) != nil {
+		e.t.unpost(wrID) // the queue pair broke already: its flushed receives say so
+	}
 }
 
-// postRecv posts one pool slot as a receive buffer.
+// postRecv posts one pool slot as a receive buffer. A receive posted to
+// a queue pair that has errored flushes at once, like those before it.
 func (e *endpoint) postRecv() {
 	e.mu.Lock()
 	qp := e.qp
-	closed := e.closed
 	e.mu.Unlock()
-	if qp == nil || closed || qp.Errored() {
-		return
-	}
 	sl := e.t.allocSlot()
 	wrID := e.t.newWRID(&pendingOp{kind: queue.OpPop, ep: e, slot: sl})
-	if err := qp.PostRecv(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: SlotSize}); err != nil {
-		e.t.freeSlot(sl)
+	if qp.PostRecv(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: SlotSize}) != nil {
+		e.t.unpost(wrID)
 	}
+}
+
+// usableQP returns the queue pair an operation posts to, or the error
+// the operation fails with at once.
+func (e *endpoint) usableQP() (*rdma.QP, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	switch {
+	case e.closed || e.qp == nil:
+		return nil, queue.ErrClosed
+	case e.dead != nil:
+		return nil, e.dead
+	}
+	return e.qp, nil
 }
 
 // Push implements queue.IoQueue.
 func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
-	e.mu.Lock()
-	qp := e.qp
-	closed := e.closed
-	epErr := e.epErr
-	reconnecting := e.reconnecting
-	e.mu.Unlock()
-	switch {
-	case closed:
-		done(queue.Completion{Kind: queue.OpPush, Err: queue.ErrClosed})
-		return
-	case epErr != nil:
-		done(queue.Completion{Kind: queue.OpPush, Err: epErr})
-		return
-	case reconnecting:
-		done(queue.Completion{Kind: queue.OpPush, Err: ErrReconnecting})
-		return
-	case qp == nil:
-		done(queue.Completion{Kind: queue.OpPush, Err: queue.ErrClosed})
-		return
+	qp, err := e.usableQP()
+	if err == nil && s.MarshalledSize() > SlotSize {
+		err = ErrMessageTooBig
 	}
-	size := s.MarshalledSize()
-	if size > SlotSize {
-		done(queue.Completion{Kind: queue.OpPush, Err: ErrMessageTooBig})
+	if err != nil {
+		done(queue.Completion{Kind: queue.OpPush, Err: err})
 		return
 	}
 	sl := e.t.allocSlot()
@@ -836,17 +661,8 @@ func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 	}
 
 	wrID := e.t.newWRID(&pendingOp{kind: queue.OpPush, ep: e, slot: sl, done: done, cost: cost})
-	if err := qp.PostSend(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: len(buf)}); err != nil {
-		e.t.mu.Lock()
-		delete(e.t.pending, wrID)
-		e.t.mu.Unlock()
-		e.t.freeSlot(sl)
-		if errors.Is(err, rdma.ErrQPState) {
-			// The queue pair errored after the check above, before the
-			// next poll saw it: what a send it flushed would report.
-			err = ErrQPBroken
-		}
-		done(queue.Completion{Kind: queue.OpPush, Err: err})
+	if err := qp.PostSend(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: len(buf)}); err != nil && e.t.unpost(wrID) {
+		done(queue.Completion{Kind: queue.OpPush, Err: postErr(err)})
 	}
 }
 
@@ -861,64 +677,41 @@ func registered(s sga.SGA) bool {
 
 // Pop implements queue.IoQueue.
 func (e *endpoint) Pop(done queue.DoneFunc) {
+	var c queue.Completion
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-		return
-	}
-	if len(e.ready) > 0 {
-		c := e.ready[0]
+	switch {
+	case e.closed:
+		c = queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed}
+	case len(e.ready) > 0:
+		c = e.ready[0]
 		e.ready = e.ready[1:]
+	case e.dead != nil:
+		c = queue.Completion{Kind: queue.OpPop, Err: e.dead}
+	default:
+		e.waiters = append(e.waiters, done)
 		e.mu.Unlock()
-		done(c)
 		return
 	}
-	if e.popErr != nil {
-		err := e.popErr
-		e.popErr = nil
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: err})
-		return
-	}
-	if e.epErr != nil {
-		err := e.epErr
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: err})
-		return
-	}
-	if e.reconnecting {
-		// No QP exists while the redial is in flight, so nothing can
-		// arrive: fail fast rather than queue a waiter that would
-		// outlive the outage and steal the first post-heal delivery.
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: ErrReconnecting})
-		return
-	}
-	e.waiters = append(e.waiters, done)
 	e.mu.Unlock()
+	done(c)
 }
 
+// deliver hands c to the oldest waiting pop, or holds it for the next
+// one; a closed endpoint has no next pop, so c is freed.
 func (e *endpoint) deliver(c queue.Completion) {
 	e.mu.Lock()
-	e.ready = append(e.ready, c)
-	e.mu.Unlock()
-	e.serveWaiters()
-}
-
-func (e *endpoint) serveWaiters() {
-	for {
-		e.mu.Lock()
-		if len(e.waiters) == 0 || len(e.ready) == 0 {
-			e.mu.Unlock()
-			return
-		}
+	switch {
+	case e.closed:
+		e.mu.Unlock()
+		c.SGA.Free()
+	case len(e.waiters) > 0:
 		w := e.waiters[0]
 		e.waiters = e.waiters[1:]
-		c := e.ready[0]
-		e.ready = e.ready[1:]
 		e.mu.Unlock()
 		w(c)
+	default:
+		e.ready = append(e.ready, c)
+		e.mu.Unlock()
 	}
 }
 
@@ -926,7 +719,11 @@ func (e *endpoint) serveWaiters() {
 // Transport.Poll.
 func (e *endpoint) Pump() int { return 0 }
 
-// Close implements queue.IoQueue.
+// Close implements queue.IoQueue and releases what the endpoint held: its
+// queue pair is destroyed, so the posted receives flush back to the pool
+// on the next Poll; completions nobody popped are freed; and a listener
+// leaves the transport and closes the connections it staged that nobody
+// accepted.
 func (e *endpoint) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -934,12 +731,23 @@ func (e *endpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	ws := e.waiters
-	e.waiters = nil
-	l := e.listener
+	qp, l := e.qp, e.listener
+	ready, ws, staged := e.ready, e.waiters, e.acceptQ
+	e.ready, e.waiters, e.acceptQ = nil, nil, nil
 	e.mu.Unlock()
 	if l != nil {
-		l.Close() // or the port stays bound to a listener nobody accepts from
+		e.t.dropListener(e)
+		l.Close()        // or the port stays bound to a listener nobody accepts from
+		e.stageAccepts() // the device's backlog, each closed as it is staged
+	}
+	if qp != nil {
+		qp.Destroy()
+	}
+	for _, c := range ready {
+		c.SGA.Free()
+	}
+	for _, child := range staged {
+		child.Close()
 	}
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})

@@ -75,12 +75,9 @@ type WriteResult struct {
 // Write copies data into the peer window (rkey, roff) with no peer
 // software on the path. done is invoked from the transport's Poll.
 func (o *OneSided) Write(data []byte, rkey uint32, roff int, done func(WriteResult)) error {
-	o.ep.mu.Lock()
-	qp := o.ep.qp
-	closed := o.ep.closed
-	o.ep.mu.Unlock()
-	if qp == nil || closed {
-		return queue.ErrClosed
+	qp, err := o.ep.usableQP()
+	if err != nil {
+		return err
 	}
 	if len(data) > SlotSize {
 		return ErrMessageTooBig
@@ -92,19 +89,11 @@ func (o *OneSided) Write(data []byte, rkey uint32, roff int, done func(WriteResu
 		ep:   o.ep,
 		slot: sl,
 		onWC: func(wc rdma.WC) {
-			r := WriteResult{Cost: wc.Cost}
-			if wc.Status != rdma.StatusSuccess {
-				r.Err = errors.New("catmint: one-sided write failed: " + wc.Status.String())
-			}
-			done(r)
+			done(WriteResult{Cost: wc.Cost, Err: wcErr("one-sided write", wc.Status)})
 		},
 	})
-	if err := qp.PostWrite(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: len(data)}, rkey, roff); err != nil {
-		o.t.mu.Lock()
-		delete(o.t.pending, wrID)
-		o.t.mu.Unlock()
-		o.t.freeSlot(sl)
-		return err
+	if err := qp.PostWrite(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: len(data)}, rkey, roff); err != nil && o.t.unpost(wrID) {
+		return postErr(err)
 	}
 	return nil
 }
@@ -119,39 +108,28 @@ type ReadResult struct {
 // Read fetches n bytes from the peer window (rkey, roff) with no peer
 // software on the path.
 func (o *OneSided) Read(n int, rkey uint32, roff int, done func(ReadResult)) error {
-	o.ep.mu.Lock()
-	qp := o.ep.qp
-	closed := o.ep.closed
-	o.ep.mu.Unlock()
-	if qp == nil || closed {
-		return queue.ErrClosed
+	qp, err := o.ep.usableQP()
+	if err != nil {
+		return err
 	}
 	if n > SlotSize {
 		return ErrMessageTooBig
 	}
 	sl := o.t.allocSlot()
-	t := o.t
-	wrID := t.newWRID(&pendingOp{
-		kind:   queue.OpPop,
-		ep:     o.ep,
-		slot:   sl,
-		isRead: true,
+	wrID := o.t.newWRID(&pendingOp{
+		kind: queue.OpPop,
+		ep:   o.ep,
+		slot: sl,
 		onWC: func(wc rdma.WC) {
-			r := ReadResult{Cost: wc.Cost}
-			if wc.Status != rdma.StatusSuccess {
-				r.Err = errors.New("catmint: one-sided read failed: " + wc.Status.String())
-			} else {
+			r := ReadResult{Cost: wc.Cost, Err: wcErr("one-sided read", wc.Status)}
+			if r.Err == nil {
 				r.Data = append([]byte(nil), sl.bytes()[:wc.Len]...)
 			}
 			done(r)
 		},
 	})
-	if err := qp.PostRead(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: n}, rkey, roff, n); err != nil {
-		t.mu.Lock()
-		delete(t.pending, wrID)
-		t.mu.Unlock()
-		t.freeSlot(sl)
-		return err
+	if err := qp.PostRead(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: n}, rkey, roff, n); err != nil && o.t.unpost(wrID) {
+		return postErr(err)
 	}
 	return nil
 }

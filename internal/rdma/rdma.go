@@ -233,9 +233,6 @@ type QP struct {
 	inflight map[uint32]pendingSend // psn -> send awaiting ack
 }
 
-// Num returns the queue-pair number.
-func (qp *QP) Num() uint32 { return qp.num }
-
 // Connected reports whether the connection handshake has completed.
 func (qp *QP) Connected() bool {
 	qp.dev.mu.Lock()
@@ -243,19 +240,10 @@ func (qp *QP) Connected() bool {
 	return qp.state == qpReady
 }
 
-// Errored reports whether the queue pair has entered the error state
-// (sequence break, corrupted frame gap, or peer-side teardown). An
-// errored QP never recovers; libOSes tear it down and dial a new one.
-func (qp *QP) Errored() bool {
-	qp.dev.mu.Lock()
-	defer qp.dev.mu.Unlock()
-	return qp.state == qpError
-}
-
 // Destroy tears the queue pair down: every outstanding work request is
 // flushed to its completion queue with StatusQPError and the QP number
-// is released. LibOS reconnect paths call it before dialing a
-// replacement QP.
+// is released. A libOS calls it when it closes a connection or gives up
+// on a broken one.
 func (qp *QP) Destroy() {
 	d := qp.dev
 	d.mu.Lock()
@@ -467,7 +455,9 @@ func (d *Device) newQPLocked(pd *PD, sendCQ, recvCQ *CQ) *QP {
 	return qp
 }
 
-// PostRecv posts one receive buffer. Each SEND consumes exactly one.
+// PostRecv posts one receive buffer. Each SEND consumes exactly one. A
+// receive posted to a queue pair in the error state flushes at once, as
+// the ones posted before the error did.
 func (qp *QP) PostRecv(wrID uint64, sge Sge) error {
 	if err := sge.check(); err != nil {
 		return err
@@ -475,6 +465,10 @@ func (qp *QP) PostRecv(wrID uint64, sge Sge) error {
 	d := qp.dev
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if qp.state == qpError {
+		qp.recvCQ.pushLocked(WC{WRID: wrID, QPNum: qp.num, Op: OpRecv, Status: StatusQPError})
+		return nil
+	}
 	qp.recvQ = append(qp.recvQ, recvWR{wrID: wrID, sge: sge})
 	return nil
 }
