@@ -401,32 +401,88 @@ func TestHotPathAllocsHTTPRingServe(t *testing.T) {
 // TestHotPathAllocsIdlePoll requires a steady-state LibOS.Poll over
 // connected-but-idle descriptors to be allocation-free, on the bypass
 // libOS and on the kernel one: no per-poll snapshot of any table, and
-// every per-poll scratch buffer reused. The second row attaches a ring
-// to each libOS with a pop in flight on it: a poll does not visit rings,
-// so it finds as little to do, and allocates as little.
+// every per-poll scratch buffer reused. The ring row attaches a ring to
+// each libOS with a pop in flight on it: a poll does not visit rings, so
+// it finds as little to do, and allocates as little. The udp row binds
+// 1 000 datagram descriptors on each catnip node, one of them holding a
+// datagram nobody popped: a poll pumps a datagram endpoint only when the
+// stack reports its socket readable, so at rest there is nothing to pump.
 func TestHotPathAllocsIdlePoll(t *testing.T) {
 	for _, kind := range []Kind{Catnip, Catnap} {
-		for _, ring := range []bool{false, true} {
+		for _, row := range []string{"plain", "ring", "udp"} {
+			if row == "udp" && kind != Catnip {
+				continue // the kernel path has no datagram surface
+			}
 			cliNode, srvNode, cqd, sqd, cleanup := hotPathNodes(t, kind, 0)
-			if ring {
+			switch row {
+			case "ring":
 				for l, qd := range map[*LibOS]QD{cliNode.LibOS: cqd, srvNode.LibOS: sqd} {
 					if _, err := l.SubmitBatch(l.AttachRing(8), []uring.SQE{{Op: queue.OpPop, QD: int32(qd)}}); err != nil {
 						t.Fatal(err)
 					}
 				}
+			case "udp":
+				cleanup = bindIdleUDP(t, cliNode, srvNode, 1000, cleanup)
 			}
 			cliNode.Poll()
 			srvNode.Poll()
-			for name, l := range map[string]*LibOS{"client": cliNode.LibOS, "server": srvNode.LibOS} {
-				if work := l.Poll(); work != 0 {
-					t.Errorf("%s %s (ring %v) idle Poll did %d units of work", kind, name, ring, work)
+			for name, n := range map[string]*Node{"client": cliNode, "server": srvNode} {
+				if work := n.LibOS.Poll(); work != 0 {
+					t.Errorf("%s %s (%s) idle Poll did %d units of work", kind, name, row, work)
 				}
-				if allocs := allocsPerRun(1000, func() { l.Poll() }); allocs != 0 {
-					t.Errorf("%s %s (ring %v) idle Poll allocates %.1f objects/op, want 0", kind, name, ring, allocs)
+				if allocs := allocsPerRun(1000, func() { n.LibOS.Poll() }); allocs != 0 {
+					t.Errorf("%s %s (%s) idle Poll allocates %.1f objects/op, want 0", kind, name, row, allocs)
+				}
+				if row == "udp" {
+					if _, ready, _, pumps := n.Catnip.WorkQueued(); ready+pumps != 0 {
+						t.Errorf("%s (%s) at rest: %d ready sockets, %d endpoints to pump; want 0, 0", name, row, ready, pumps)
+					}
 				}
 			}
 			cleanup()
 		}
+	}
+}
+
+// bindIdleUDP binds n datagram descriptors on each of cli and srv, and has
+// the client send one datagram to the server's first, which nobody pops.
+// It returns cleanup extended to close them.
+func bindIdleUDP(tb testing.TB, cli, srv *Node, n int, cleanup func()) func() {
+	tb.Helper()
+	qds := map[*Node][]QD{}
+	for _, node := range []*Node{cli, srv} {
+		for i := 0; i < n; i++ {
+			qd, err := node.SocketUDP()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if err := node.Bind(qd, Addr{Port: uint16(20000 + i)}); err != nil {
+				tb.Fatal(err)
+			}
+			qds[node] = append(qds[node], qd)
+		}
+	}
+	if err := cli.Connect(qds[cli][0], Addr{IP: srv.IP, MAC: srv.MAC, Port: 20000}); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := cli.BlockingPush(qds[cli][0], NewSGA(make([]byte, 64))); err != nil {
+		tb.Fatal(err)
+	}
+	rcvd := srv.Catnip.StackStats().UDPRcvd
+	for i := 0; srv.Catnip.StackStats().UDPRcvd == rcvd; i++ {
+		if i > 10_000 {
+			tb.Fatal("the datagram never arrived")
+		}
+		cli.Poll()
+		srv.Poll()
+	}
+	return func() {
+		for node, list := range qds {
+			for _, qd := range list {
+				node.Close(qd)
+			}
+		}
+		cleanup()
 	}
 }
 

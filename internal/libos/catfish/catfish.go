@@ -12,6 +12,7 @@ package catfish
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,6 +46,9 @@ type Transport struct {
 	// its Outstanding is this transport's buffers alone.
 	pool *fabric.FramePool
 
+	// fqs and lqs are the open queues, which Poll walks from a snapshot of
+	// the headers: an open appends past what a snapshot covers, and a close
+	// builds a new slice without its entry.
 	mu           sync.Mutex
 	fqs          []*fileQueue
 	lqs          []*LookupQueue
@@ -199,9 +203,7 @@ func (t *Transport) Open(path string) (queue.IoQueue, error) {
 // every queue's waiters.
 func (t *Transport) Poll() int {
 	n := t.dev.Pump()
-	// Snapshot the slice headers only: queues are append-only, so the
-	// captured prefix stays valid (and the poll tick allocation-free)
-	// even if a concurrent Open grows the slice.
+	// Snapshot the slice headers only (see fqs): the tick stays allocation-free.
 	t.mu.Lock()
 	fqs := t.fqs
 	lqs := t.lqs
@@ -312,6 +314,9 @@ func (q *fileQueue) Close() error {
 	ws := q.waiters
 	q.waiters = nil
 	q.mu.Unlock()
+	q.t.mu.Lock()
+	q.t.fqs = slices.DeleteFunc(slices.Clone(q.t.fqs), func(x *fileQueue) bool { return x == q })
+	q.t.mu.Unlock()
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
 	}

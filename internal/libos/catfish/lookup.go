@@ -1,6 +1,7 @@
 package catfish
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -306,5 +307,8 @@ func (q *LookupQueue) Close() error {
 	if q.handle >= 0 {
 		q.t.dev.UninstallPushdown(q.handle)
 	}
+	q.t.mu.Lock()
+	q.t.lqs = slices.DeleteFunc(slices.Clone(q.t.lqs), func(x *LookupQueue) bool { return x == q })
+	q.t.mu.Unlock()
 	return nil
 }

@@ -258,3 +258,47 @@ func TestLookupQueueSteadyStateAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestClosedQueuesLeavePoll: a poll serves every open file and lookup
+// queue, so a closed one has to leave its list. 1 000 open → use → close
+// cycles of each leave both lists where they started, and an idle poll
+// afterwards allocates nothing.
+func TestClosedQueuesLeavePoll(t *testing.T) {
+	tr, _ := newTransport(t)
+	idx, err := tr.BuildIndex(testPairs(8), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists := func() [2]int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return [2]int{len(tr.fqs), len(tr.lqs)}
+	}
+	base := lists()
+	for i := 0; i < 1000; i++ {
+		fq, err := tr.Open("/log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fq.Pop(func(queue.Completion) {}) // fails with ErrClosed at the close
+		lq, err := tr.OpenLookup(idx, offload.IndexLookup(), LookupConfig{Pushdown: i%2 == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := get(t, tr, lq, []byte("key-0003")); err != nil || string(v) != "value-3" {
+			t.Fatalf("cycle %d: GET = %q, %v", i, v, err)
+		}
+		for _, q := range []queue.IoQueue{fq, lq} {
+			if err := q.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := lists(); got != base {
+		t.Fatalf("poll serves %v file/lookup queues after 1 000 cycles, %v before", got, base)
+	}
+	tr.Poll()
+	if avg := testing.AllocsPerRun(1000, func() { tr.Poll() }); avg != 0 && !raceEnabled {
+		t.Fatalf("idle Poll after 1 000 cycles allocates %.1f objects/op, want 0", avg)
+	}
+}

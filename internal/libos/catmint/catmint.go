@@ -216,10 +216,6 @@ func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 func (t *Transport) allocSlot() *slot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.allocSlotLocked()
-}
-
-func (t *Transport) allocSlotLocked() *slot {
 	if len(t.pool) == 0 {
 		arena := make([]byte, SlotSize*slotsPerArena)
 		mr := t.pd.RegisterMemory(arena)
@@ -372,7 +368,9 @@ func (t *Transport) handleRecv(wc rdma.WC) {
 	data := op.slot.bytes()[:wc.Len]
 	if wc.Len == 1 && data[0] == readyByte {
 		t.freeSlot(op.slot)
-		ep.markReady()
+		ep.mu.Lock()
+		ep.isReady = true
+		ep.mu.Unlock()
 		return
 	}
 	s, _, err := sga.Unmarshal(data)
@@ -454,13 +452,11 @@ type endpoint struct {
 	bound    core.Addr
 	listener *rdma.Listener
 	qp       *rdma.QP
-	ready    []queue.Completion
-	waiters  []queue.DoneFunc // pops waiting; only while ready is empty
-	acceptQ  []*endpoint      // staged inbound connections (listeners only)
-	isReady  bool             // connection fully usable (ready marker seen / sent)
-	closed   bool
-	// dead is the error that broke the queue pair, nil while healthy.
-	dead error
+	// rx is the pop side, under mu. Its terminal error is the one that
+	// broke the queue pair.
+	rx      queue.PopSide
+	acceptQ []*endpoint // staged inbound connections (listeners only)
+	isReady bool        // connection fully usable (ready marker seen / sent)
 }
 
 // Bind implements core.Endpoint.
@@ -509,7 +505,7 @@ func (e *endpoint) stageAccepts() int {
 		}
 		child.sendReadyMarker()
 		e.mu.Lock()
-		closed := e.closed
+		closed := e.rx.Closed()
 		if !closed {
 			e.acceptQ = append(e.acceptQ, child)
 		}
@@ -567,13 +563,7 @@ func (e *endpoint) Connected() bool {
 func (e *endpoint) Err() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.dead
-}
-
-func (e *endpoint) markReady() {
-	e.mu.Lock()
-	e.isReady = true
-	e.mu.Unlock()
+	return e.rx.Err()
 }
 
 // breakQP kills the endpoint with err, which every later operation fails
@@ -582,19 +572,15 @@ func (e *endpoint) markReady() {
 // first error sticks.
 func (e *endpoint) breakQP(err error) {
 	e.mu.Lock()
-	if e.closed || e.dead != nil {
+	if e.rx.Closed() || e.rx.Err() != nil {
 		e.mu.Unlock()
 		return
 	}
-	e.dead = err
+	dropped := e.rx.Fail(err)
 	qp := e.qp
-	ws := e.waiters
-	e.waiters = nil
 	e.mu.Unlock()
 	qp.Destroy()
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: err})
-	}
+	dropped.Settle()
 }
 
 func (e *endpoint) sendReadyMarker() {
@@ -625,10 +611,10 @@ func (e *endpoint) usableQP() (*rdma.QP, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	switch {
-	case e.closed || e.qp == nil:
+	case e.rx.Closed() || e.qp == nil:
 		return nil, queue.ErrClosed
-	case e.dead != nil:
-		return nil, e.dead
+	case e.rx.Err() != nil:
+		return nil, e.rx.Err()
 	}
 	return e.qp, nil
 }
@@ -649,16 +635,14 @@ func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 	// Zero-copy accounting: if every segment came from the registered
 	// pool the device gathers in place; otherwise the staging into the
 	// slot is a real copy and is charged.
-	if registered(s) {
-		e.t.mu.Lock()
+	e.t.mu.Lock()
+	if _, registered := s.Reg.(*slot); registered {
 		e.t.zeroCopyTx++
-		e.t.mu.Unlock()
 	} else {
-		e.t.mu.Lock()
 		e.t.stagedCopies++
-		e.t.mu.Unlock()
 		cost += e.t.model.CopyCost(s.Len())
 	}
+	e.t.mu.Unlock()
 
 	wrID := e.t.newWRID(&pendingOp{kind: queue.OpPush, ep: e, slot: sl, done: done, cost: cost})
 	if err := qp.PostSend(wrID, rdma.Sge{MR: sl.mr, Off: sl.off, Len: len(buf)}); err != nil && e.t.unpost(wrID) {
@@ -666,52 +650,25 @@ func (e *endpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 	}
 }
 
-// registered reports whether every segment of s lives in pool memory.
-func registered(s sga.SGA) bool {
-	if s.Reg == nil {
-		return false
-	}
-	_, ok := s.Reg.(*slot)
-	return ok
-}
-
-// Pop implements queue.IoQueue.
+// Pop implements queue.IoQueue: the pop side answers it, or it parks until
+// a receive completes.
 func (e *endpoint) Pop(done queue.DoneFunc) {
-	var c queue.Completion
 	e.mu.Lock()
-	switch {
-	case e.closed:
-		c = queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed}
-	case len(e.ready) > 0:
-		c = e.ready[0]
-		e.ready = e.ready[1:]
-	case e.dead != nil:
-		c = queue.Completion{Kind: queue.OpPop, Err: e.dead}
-	default:
-		e.waiters = append(e.waiters, done)
-		e.mu.Unlock()
-		return
-	}
+	c, ok := e.rx.Pop(done)
 	e.mu.Unlock()
-	done(c)
+	if ok {
+		done(c)
+	}
 }
 
-// deliver hands c to the oldest waiting pop, or holds it for the next
-// one; a closed endpoint has no next pop, so c is freed.
+// deliver hands c to the pop side: to the oldest parked pop, or held for
+// the next one; a closed endpoint has no next pop, so c is freed.
 func (e *endpoint) deliver(c queue.Completion) {
 	e.mu.Lock()
-	switch {
-	case e.closed:
-		e.mu.Unlock()
-		c.SGA.Free()
-	case len(e.waiters) > 0:
-		w := e.waiters[0]
-		e.waiters = e.waiters[1:]
-		e.mu.Unlock()
+	w, ok := e.rx.Deliver(c)
+	e.mu.Unlock()
+	if ok {
 		w(c)
-	default:
-		e.ready = append(e.ready, c)
-		e.mu.Unlock()
 	}
 }
 
@@ -726,14 +683,13 @@ func (e *endpoint) Pump() int { return 0 }
 // accepted.
 func (e *endpoint) Close() error {
 	e.mu.Lock()
-	if e.closed {
+	if e.rx.Closed() {
 		e.mu.Unlock()
 		return nil
 	}
-	e.closed = true
-	qp, l := e.qp, e.listener
-	ready, ws, staged := e.ready, e.waiters, e.acceptQ
-	e.ready, e.waiters, e.acceptQ = nil, nil, nil
+	dropped := e.rx.Close()
+	qp, l, staged := e.qp, e.listener, e.acceptQ
+	e.acceptQ = nil
 	e.mu.Unlock()
 	if l != nil {
 		e.t.dropListener(e)
@@ -743,14 +699,9 @@ func (e *endpoint) Close() error {
 	if qp != nil {
 		qp.Destroy()
 	}
-	for _, c := range ready {
-		c.SGA.Free()
-	}
 	for _, child := range staged {
 		child.Close()
 	}
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-	}
+	dropped.Settle()
 	return nil
 }

@@ -94,9 +94,9 @@ type Transport struct {
 	restarts  int64 // completed Restart calls
 
 	// eps holds every open TCP endpoint at the index it remembers as slot
-	// (Close swap-removes); Crash and Restart walk it, Poll never does.
-	// udps is copy-on-write, because Poll pumps every datagram endpoint
-	// from a snapshot taken under the lock.
+	// (Close swap-removes), udps every open datagram endpoint; Crash and
+	// Restart walk them, Poll never does: a datagram endpoint is pumped when
+	// PollReady reports its socket.
 	eps  []*endpoint
 	udps []*udpEndpoint
 	// pump is the work list Poll serves instead of walking eps: the
@@ -141,7 +141,7 @@ type Config struct {
 	// stream bytes stay in the TCP receive buffer, the advertised
 	// window shrinks toward zero, and the peer's sender stalls — so a
 	// slow or stalled reader exerts end-to-end flow control instead of
-	// growing an unbounded ready list. Zero means unbounded (the
+	// growing an unbounded backlog. Zero means unbounded (the
 	// historical behavior).
 	RxReadyCap int
 }
@@ -244,7 +244,7 @@ func (t *Transport) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 }
 
 // RxStalls reports how many times an endpoint's receive drain parked on
-// a full ready list (see Config.RxReadyCap).
+// a full backlog (see Config.RxReadyCap).
 func (t *Transport) RxStalls() int64 { return t.rxStalls.Load() }
 
 // AllocSGA implements core.Transport: the buffer comes from the
@@ -317,10 +317,10 @@ var errCrashed = fmt.Errorf("catnip: stack crashed: %w", core.ErrLocalReset)
 // Poll implements core.Transport: under one hold of the shard lock it
 // pumps the user stack, then the endpoints on the pump list — those with
 // work to finish, however many are open — and, the lock released, fires
-// what completed and pumps every datagram endpoint. While the transport is
-// crashed the body is skipped behind one atomic load, under the lock so
-// that no poll runs on a stack Crash has shut down: the only cost the
-// lifecycle subsystem adds to a healthy data path.
+// what completed. While the transport is crashed the body is skipped
+// behind one atomic load, under the lock so that no poll runs on a stack
+// Crash has shut down: the only cost the lifecycle subsystem adds to a
+// healthy data path.
 func (t *Transport) Poll() int {
 	var (
 		txArr  [4]txDone
@@ -335,7 +335,15 @@ func (t *Transport) Poll() int {
 	}
 	n, ready := t.Stack().PollReady(t.ready[:0])
 	for i, owner := range ready {
-		t.markLocked(owner.(*endpoint))
+		// A datagram endpoint has nothing to finish but the pops parked on
+		// it, and nothing else marks it: it is pumped as it is reported.
+		if u, ok := owner.(*udpEndpoint); ok {
+			var k int
+			f, spill, k = u.pumpLocked(f, spill)
+			n += k
+		} else {
+			t.markLocked(owner.(*endpoint))
+		}
 		ready[i] = nil
 	}
 	t.ready = ready
@@ -353,12 +361,8 @@ func (t *Transport) Poll() int {
 		}
 		t.pumpSpare = batch[:0]
 	}
-	udps := t.udps
 	t.mu.Unlock()
 	t.fire(f, spill)
-	for _, ep := range udps {
-		n += ep.Pump()
-	}
 	return n
 }
 
@@ -418,19 +422,19 @@ type endpoint struct {
 	listener  atomic.Pointer[netstack.TCPListener]
 	conn      *netstack.TCPConn
 	framer    sga.Framer
-	ready     fifo.Queue[queue.Completion]
-	waiters   fifo.Queue[queue.DoneFunc]
+	// rx is the pop side; its terminal error is the end of the stream or the
+	// connection's error, once a pump has seen it.
+	rx queue.PopSide
 	// txq holds pushed SGAs not yet fully accepted by the TCP send buffer.
 	txq fifo.Queue[txFrame]
-	// rxStalled is set while the receive drain is parked on a full ready
-	// list (RxReadyCap); popReadyLocked marks the endpoint to resume the
-	// drain once the app has harvested the backlog down to half the cap.
+	// rxStalled is set while the receive drain is parked on a full pop side
+	// (RxReadyCap); pop marks the endpoint to resume the drain once the app
+	// has harvested the backlog down to half the cap.
 	rxStalled bool
-	closed    bool
 	// dead, when non-nil, is the lifecycle-typed terminal error stamped
-	// on this endpoint by a stack crash: every subsequent operation
-	// fails with it immediately. Listener endpoints are exempt — they
-	// are re-armed on Restart instead.
+	// on this endpoint by a stack crash: every later push and connect
+	// fails with it. Listener endpoints are exempt — they are re-armed on
+	// Restart instead.
 	dead error
 }
 
@@ -600,7 +604,7 @@ func (e *endpoint) pushErrLocked() error {
 	if e.dead != nil {
 		return e.dead
 	}
-	if e.closed || e.conn == nil {
+	if e.rx.Closed() || e.conn == nil {
 		return queue.ErrClosed
 	}
 	return nil
@@ -610,42 +614,35 @@ func (e *endpoint) pushErrLocked() error {
 func (e *endpoint) Pop(done queue.DoneFunc) { e.pop(done, true) }
 
 // PopBatched implements queue.BatchIoQueue: Pop with the Pump left to the
-// caller. A new waiter always needs that pump: data that arrived while
+// caller. A parked pop always needs that pump: data that arrived while
 // nobody waited was reported by the stack then, and is not reported
 // again.
 func (e *endpoint) PopBatched(done queue.DoneFunc) { e.pop(done, false) }
 
-// pop completes done at once — with a buffered completion, or with the
-// error a dead or closed endpoint fails pops with — or else queues it as a
-// waiter, and when pump is set goes on to read the connection for it.
+// pop answers done at once, as the pop side does, or parks it and, when
+// pump is set, goes on to read the connection for it. A pop that brings a
+// parked drain's backlog low enough has the next poll resume the drain.
 func (e *endpoint) pop(done queue.DoneFunc, pump bool) {
-	var c queue.Completion
 	e.t.mu.Lock()
-	switch {
-	case e.dead != nil && e.ready.Len() == 0:
-		c = queue.Completion{Kind: queue.OpPop, Err: e.dead}
-	case e.closed:
-		c = queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed}
-	case e.ready.Len() > 0:
-		c = e.popReadyLocked()
-	default:
-		e.waiters.Push(done)
-		if pump {
-			e.pumpUnlock()
-		} else {
-			e.t.mu.Unlock()
-		}
+	c, ok := e.rx.Pop(done)
+	if !ok && pump {
+		e.pumpUnlock()
 		return
 	}
+	if ok && e.resumableLocked() {
+		e.t.markLocked(e)
+	}
 	e.t.mu.Unlock()
-	done(c)
+	if ok {
+		done(c)
+	}
 }
 
 // resumableLocked reports a parked receive drain whose backlog the reader
 // has brought down to half the cap (the hysteresis keeps a merely slow
 // reader from thrashing stall/resume).
 func (e *endpoint) resumableLocked() bool {
-	return e.rxStalled && e.ready.Len() <= e.t.cfg.RxReadyCap/2
+	return e.rxStalled && e.rx.Held() <= e.t.cfg.RxReadyCap/2
 }
 
 // Pump implements queue.IoQueue: it flushes pending frames into the TCP
@@ -738,7 +735,7 @@ func (t *Transport) fire(f fired, sp *fired) {
 }
 
 // pumpUnlock is Pump entered with the shard lock held — by Push with its
-// frame queued, by Pop with its waiter queued, by Pump with neither. It
+// frame queued, by Pop with its pop parked, by Pump with neither. It
 // returns bytes sent plus SGAs decoded.
 func (e *endpoint) pumpUnlock() int {
 	var (
@@ -752,19 +749,19 @@ func (e *endpoint) pumpUnlock() int {
 }
 
 // pumpLocked is the one body of every data-path call, run under the shard
-// lock: it flushes, drains, looks at the connection's error and matches
-// waiters to completions, recording what completed in f (spilling to sp)
-// for its caller to fire. It returns f, sp and bytes sent plus SGAs decoded.
+// lock: it flushes, drains through the pop side, and looks at the
+// connection's error, recording what completed in f (spilling to sp) for
+// its caller to fire. It returns f, sp and bytes sent plus SGAs decoded.
 func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 	conn := e.conn
 	doTx := e.txq.Len() > 0
-	doRx := e.waiters.Len() > 0 || e.resumableLocked()
+	doRx := e.rx.Parked() > 0 || e.resumableLocked()
 	if conn == nil || !(doTx || doRx) {
 		return f, sp, 0
 	}
 	n := 0
-	// failErr is what fails the waiters no completion is left for: the end
-	// of the stream (EOF, or bytes that are no frame) or a dead connection.
+	// failErr is the end of the stream (EOF, or bytes that are no frame) or
+	// a dead connection, once this pump has seen one.
 	var failErr error
 	h := conn.Held()
 	kern := e.t.kern
@@ -813,15 +810,19 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 		// The framer copies the stream bytes from where they lie in the
 		// receive ring to their place in the buffer the application gets;
 		// the lock keeps two concurrent pumps from interleaving their bytes
-		// into it out of order. A drain stops at the frame that fills the
-		// ready list: the reader is too slow, and the bytes left in the TCP
+		// into it out of order. Each whole frame goes to the oldest parked
+		// pop, or is held. A drain stops at the frame that fills the pop
+		// side's cap: the reader is too slow, and the bytes left in the TCP
 		// receive buffer shrink the advertised window, which pushes the stall
 		// back to the peer's sender — flow control end to end instead of an
 		// unbounded backlog.
 		readyCap := e.t.cfg.RxReadyCap
 		parked := false
+		if k := e.rx.Parked(); !f.room(0, k) { // the most this pump completes
+			f, sp = e.t.reserve(f, sp, 0, k)
+		}
 		for failErr = e.framer.Err(); failErr == nil; {
-			if parked = readyCap > 0 && e.ready.Len() >= readyCap; parked {
+			if parked = readyCap > 0 && e.rx.Held() >= readyCap; parked {
 				break
 			}
 			first, second, cost, err := h.RecvSpans()
@@ -835,7 +836,8 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 			if err != nil || len(first) == 0 {
 				break
 			}
-			avail, taken, mark := len(first)+len(second), 0, e.ready.Len()
+			avail, taken := len(first)+len(second), 0
+			servedMark, heldMark := len(f.pop), e.rx.Held()
 		spans:
 			for _, p := range [2][]byte{first, second} {
 				for len(p) > 0 {
@@ -846,9 +848,12 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 						break spans
 					}
 					if ok {
-						e.ready.Push(queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
+						c := queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost}
+						if w, served := e.rx.Deliver(c); served {
+							f.pop = append(f.pop, popDone{done: w, c: c})
+						}
 						n++
-						if readyCap > 0 && e.ready.Len() >= readyCap {
+						if readyCap > 0 && e.rx.Held() >= readyCap {
 							break spans // park with the rest where it lies
 						}
 					}
@@ -859,10 +864,13 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 			h.RecvDiscard(taken)
 			if kern != nil {
 				// recv(2): a crossing and a copy of the bytes taken, on the
-				// cost of every frame they completed.
+				// cost of every frame they completed, served or held.
 				kc := kern.Syscall(taken)
-				for i := mark; i < e.ready.Len(); i++ {
-					e.ready.At(i).Cost += kc
+				for i := servedMark; i < len(f.pop); i++ {
+					f.pop[i].c.Cost += kc
+				}
+				for i := heldMark; i < e.rx.Held(); i++ {
+					e.rx.HeldAt(i).Cost += kc
 				}
 			}
 		}
@@ -875,7 +883,7 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 		// The stack declared the connection dead (max retransmits, connect
 		// timeout, reset). Every outstanding qtoken must complete with the
 		// typed error rather than hang until the Wait deadline: the flush
-		// above has failed every queued frame with it, the waiters follow
+		// above has failed every queued frame with it, the parked pops follow
 		// below. (Nothing was read under this hold, so none of them is
 		// served ahead of the error.)
 		failErr = wrapConnErr(connErr)
@@ -884,52 +892,30 @@ func (e *endpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
 		// again on every poll until the frames are through.
 		e.t.markLocked(e)
 	}
-	if k := min(e.waiters.Len(), e.ready.Len()); k > 0 {
-		if !f.room(0, k) {
-			f, sp = e.t.reserve(f, sp, 0, k)
-		}
-		for ; k > 0; k-- {
-			f.pop = append(f.pop, popDone{done: e.waiters.Pop(), c: e.popReadyLocked()})
-		}
-	}
-	if failErr != nil && e.ready.Len() == 0 && e.waiters.Len() > 0 {
-		// Fail waiters only once every buffered completion has been handed
-		// out: an EOF that lands in the same drain as the final request
-		// bytes must not reorder itself ahead of them. The condition is
-		// persistent (RecvAppend keeps returning it), so the pump of a pop
-		// that finds the ready list dry delivers it.
-		if !f.room(0, e.waiters.Len()) {
-			f, sp = e.t.reserve(f, sp, 0, e.waiters.Len())
-		}
-		for e.waiters.Len() > 0 {
-			f.pop = append(f.pop, popDone{done: e.waiters.Pop(), c: queue.Completion{Kind: queue.OpPop, Err: failErr}})
+	if failErr != nil {
+		// The pop side's terminal error from now on. It fails the pops parked
+		// (none is while a frame is held), so an EOF that lands in the same
+		// drain as the final request bytes is not reordered ahead of them.
+		d := e.rx.Fail(failErr)
+		for _, w := range d.Pops {
+			f.pop = append(f.pop, popDone{done: w, c: queue.Completion{Kind: queue.OpPop, Err: d.Err}})
 		}
 	}
 	return f, sp, n
 }
 
-// popReadyLocked dequeues the head completion, and has the next poll
-// resume a parked receive drain once that brings the backlog low enough.
-func (e *endpoint) popReadyLocked() queue.Completion {
-	c := e.ready.Pop()
-	if e.resumableLocked() {
-		e.t.markLocked(e)
-	}
-	return c
-}
-
-// Close implements queue.IoQueue.
+// Close implements queue.IoQueue. The frames nobody popped go back to their
+// pool, and the pops still parked fail with ErrClosed.
 func (e *endpoint) Close() error {
 	e.t.mu.Lock()
-	if e.closed {
+	if e.rx.Closed() {
 		e.t.mu.Unlock()
 		return nil
 	}
-	e.closed = true
+	dropped := e.rx.Close()
 	conn, l := e.conn, e.listener.Load()
-	ws := e.waiters.Take() // a closed endpoint queues no more
-	// Nor does it read any more: a frame half decoded gives its buffer back,
-	// and a parked drain is never resumed.
+	// A closed endpoint reads no more: a frame half decoded gives its buffer
+	// back, and a parked drain is never resumed.
 	e.framer.Reset()
 	e.rxStalled = false
 	if conn != nil {
@@ -943,8 +929,6 @@ func (e *endpoint) Close() error {
 	if l != nil {
 		l.Close()
 	}
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-	}
+	dropped.Settle()
 	return nil
 }

@@ -46,7 +46,12 @@ func (t *Transport) Crash() int {
 	t.mu.Lock()
 	t.crashes++
 	eps := append([]*endpoint(nil), t.eps...)
-	udps := append([]*udpEndpoint(nil), t.udps...)
+	// A datagram endpoint dies under this hold: its socket went with the
+	// stack, and its parked pops fail once the lock is free.
+	dropped := make([]queue.Dropped, len(t.udps))
+	for i, u := range t.udps {
+		u.sock, dropped[i] = nil, u.rx.Crash(errCrashed)
+	}
 	// The flush reads the ring, so it runs as the ring's poller does: under
 	// the shard lock.
 	var n int
@@ -59,8 +64,8 @@ func (t *Transport) Crash() int {
 	for _, ep := range eps {
 		n += ep.kill(errCrashed)
 	}
-	for _, ep := range udps {
-		n += ep.kill(errCrashed)
+	for _, d := range dropped {
+		n += d.Settle()
 	}
 	return n
 }
@@ -87,13 +92,12 @@ func (t *Transport) Restart() error {
 	t.restarts++
 	t.stackp.Store(fresh)
 	eps := append([]*endpoint(nil), t.eps...)
-	udps := append([]*udpEndpoint(nil), t.udps...)
+	for _, ep := range t.udps {
+		ep.reviveLocked()
+	}
 	t.mu.Unlock()
 	for _, ep := range eps {
 		ep.rearm()
-	}
-	for _, ep := range udps {
-		ep.revive()
 	}
 	// Un-gate the poll path only once the fresh stack is fully armed.
 	t.crashed.Store(false)
@@ -148,7 +152,7 @@ func (s *ShardSet) Restart() error {
 }
 
 // kill stamps the endpoint with the crash error: every pending qtoken
-// (pop waiters and queued pushes) completes with err, queued pushes let go
+// (parked pops and queued pushes) completes with err, queued pushes let go
 // of their registered memory, and un-popped pooled pop payloads are
 // released, with the frame the framer was in the middle of — the frame-
 // conservation half of dying cleanly. Data endpoints become terminal
@@ -156,34 +160,27 @@ func (s *ShardSet) Restart() error {
 // number of qtokens aborted.
 func (e *endpoint) kill(err error) int {
 	e.t.mu.Lock()
-	isListener := e.listener.Load() != nil
-	ready := e.ready.Take()
-	ws := e.waiters.Take()
+	dropped := e.rx.Crash(err)
 	txq := e.txq.Take()
 	e.framer.Reset() // a frame half decoded: its buffer goes home too
 	e.conn = nil
-	if !isListener {
+	if e.listener.Load() == nil {
 		e.dead = err
 	}
 	e.t.mu.Unlock()
-	for i := range ready {
-		ready[i].SGA.Free() // un-popped pooled clones go home
-	}
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: err})
-	}
+	n := dropped.Settle()
 	for i := range txq {
 		txq[i].release()
 		txq[i].done(queue.Completion{Kind: queue.OpPush, Err: err})
 	}
-	return len(ws) + len(txq)
+	return n + len(txq)
 }
 
 // rearm re-binds a listener endpoint onto the (fresh) current stack so
 // the application's listening QD survives the crash.
 func (e *endpoint) rearm() {
 	e.t.mu.Lock()
-	relisten, port := e.listener.Load() != nil && !e.closed, e.bound.Port
+	relisten, port := e.listener.Load() != nil && !e.rx.Closed(), e.bound.Port
 	e.t.mu.Unlock()
 	if !relisten {
 		return
@@ -193,37 +190,15 @@ func (e *endpoint) rearm() {
 	}
 }
 
-// kill is the datagram flavor: waiters fail, pooled datagram payloads
-// release, and the endpoint goes dead until revive.
-func (e *udpEndpoint) kill(err error) int {
-	e.mu.Lock()
-	ready := e.ready.Take()
-	ws := e.waiters.Take()
-	e.sock = nil // the stack shutdown already recycled its queue
-	e.dead = err
-	e.mu.Unlock()
-	for i := range ready {
-		ready[i].SGA.Free()
-	}
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: err})
-	}
-	return len(ws)
-}
-
-// revive rebinds the datagram socket on the fresh stack at its original
-// port (explicitly bound sockets keep their port; connected-UDP sockets
-// get a fresh ephemeral one) and clears the dead stamp.
-func (e *udpEndpoint) revive() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
+// reviveLocked rebinds the datagram socket on the fresh stack at its
+// original port (explicitly bound sockets keep their port; connected-UDP
+// sockets get a fresh ephemeral one) and clears the crash error.
+func (e *udpEndpoint) reviveLocked() {
+	if e.rx.Closed() {
 		return
 	}
-	e.dead = nil
-	if e.sock == nil {
-		if err := e.ensureSockLocked(e.bound.Port); err != nil {
-			e.dead = err
-		}
+	e.rx.Revive()
+	if err := e.openLocked(e.bound.Port); err != nil {
+		e.rx.Fail(err)
 	}
 }

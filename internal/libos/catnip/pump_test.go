@@ -12,6 +12,7 @@ package catnip
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -370,4 +371,31 @@ func BenchmarkCatnip_Echo64(b *testing.B) {
 		b.Fatalf("%d requests and %d echoes completed, want %d of each: an echo took more than a poll a side", requests, echoes, want)
 	}
 	b.ReportMetric(float64(segs()-before)/float64(b.N), "segs/op")
+}
+
+// BenchmarkCatnip_PollIdleUDP is an idle Transport.Poll beside 0, 1 and
+// 1 000 bound datagram endpoints. A datagram endpoint is pumped only when
+// the stack reports its socket readable, so the three must read alike, and
+// allocate nothing.
+func BenchmarkCatnip_PollIdleUDP(b *testing.B) {
+	for _, n := range []int{0, 1, 1000} {
+		b.Run(fmt.Sprint(n, " endpoints"), func(b *testing.B) {
+			r := newWLRig(b, 0)
+			for i := 0; i < n; i++ {
+				u, err := r.ta.SocketUDP()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := u.Bind(core.Addr{Port: uint16(20000 + i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			r.poll()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.ta.Poll()
+			}
+		})
+	}
 }

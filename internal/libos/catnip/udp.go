@@ -1,10 +1,9 @@
 package catnip
 
 import (
-	"sync"
+	"slices"
 
 	"demikernel/internal/core"
-	"demikernel/internal/fifo"
 	"demikernel/internal/netstack"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
@@ -18,44 +17,42 @@ import (
 func (t *Transport) SocketUDP() (core.Endpoint, error) {
 	ep := &udpEndpoint{t: t}
 	t.mu.Lock()
-	t.udps = append(t.udps[:len(t.udps):len(t.udps)], ep) // copy: Poll may hold the old slice
+	t.udps = append(t.udps, ep)
 	t.mu.Unlock()
 	return ep, nil
 }
 
 // udpEndpoint is one catnip datagram queue. Connect fixes the peer for
 // subsequent pushes (connected-UDP semantics); Listen/Accept are not
-// datagram concepts and return ErrNotListening.
+// datagram concepts and return ErrNotListening. Its state is under the
+// shard lock, as a TCP endpoint's is. Its socket holds the datagrams: a
+// pump takes one for each parked pop, and a poll pumps the endpoint when
+// the stack reports one landed.
 type udpEndpoint struct {
-	t *Transport
-
-	mu       sync.Mutex
+	t        *Transport
 	bound    core.Addr
 	peer     core.Addr
 	havePeer bool
 	sock     *netstack.UDPSock
-	ready    fifo.Queue[queue.Completion]
-	waiters  fifo.Queue[queue.DoneFunc]
-	closed   bool
-	// dead, when non-nil, is the lifecycle-typed error stamped by a
-	// stack crash; cleared when Restart rebinds the socket on the fresh
-	// stack.
-	dead error
+	// rx is the pop side. Its terminal error is the crash's, until a
+	// restart rebinds the socket.
+	rx queue.PopSide
 }
 
 // Bind implements core.Endpoint.
 func (e *udpEndpoint) Bind(addr core.Addr) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
 	e.bound = addr
-	return e.ensureSockLocked(addr.Port)
+	return e.openLocked(addr.Port)
 }
 
-func (e *udpEndpoint) ensureSockLocked(port uint16) error {
+// openLocked binds the endpoint's socket, if it has none yet.
+func (e *udpEndpoint) openLocked(port uint16) error {
 	if e.sock != nil {
 		return nil
 	}
-	u, err := e.t.Stack().OpenUDP(port)
+	u, err := e.t.Stack().OpenUDPHeld(port, e)
 	if err != nil {
 		return err
 	}
@@ -65,8 +62,8 @@ func (e *udpEndpoint) ensureSockLocked(port uint16) error {
 
 // LocalAddr implements core.Endpoint.
 func (e *udpEndpoint) LocalAddr() core.Addr {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
 	return e.bound
 }
 
@@ -80,9 +77,9 @@ func (e *udpEndpoint) Accept() (core.Endpoint, bool, error) {
 
 // Connect implements core.Endpoint: it fixes the default peer.
 func (e *udpEndpoint) Connect(addr core.Addr) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.ensureSockLocked(0); err != nil {
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
+	if err := e.openLocked(0); err != nil {
 		return err
 	}
 	e.peer = addr
@@ -92,145 +89,112 @@ func (e *udpEndpoint) Connect(addr core.Addr) error {
 
 // Connected implements core.Endpoint; connected-UDP is ready instantly.
 func (e *udpEndpoint) Connected() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
 	return e.havePeer
 }
 
 // Err implements core.Endpoint; datagram sockets are connectionless, so
 // the only terminal failure they can carry is a local stack crash.
 func (e *udpEndpoint) Err() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.dead
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
+	return e.rx.Err()
 }
 
 // Push implements queue.IoQueue: one SGA becomes one datagram.
 func (e *udpEndpoint) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
-	e.mu.Lock()
-	if e.dead != nil {
-		dead := e.dead
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPush, Err: dead})
+	e.t.mu.Lock()
+	err := e.rx.Err()
+	if err == nil && (e.rx.Closed() || !e.havePeer || e.sock == nil) {
+		err = queue.ErrClosed
+	}
+	peer, sock := e.peer, e.sock
+	e.t.mu.Unlock()
+	if err != nil {
+		done(queue.Completion{Kind: queue.OpPush, Err: err})
 		return
 	}
-	if e.closed || !e.havePeer || e.sock == nil {
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPush, Err: queue.ErrClosed})
-		return
-	}
-	peer := e.peer
-	sock := e.sock
-	e.mu.Unlock()
 	sock.SendTo(peer.IP, peer.Port, s.Marshal(), cost)
 	done(queue.Completion{Kind: queue.OpPush, Cost: cost})
 }
 
-// Pop implements queue.IoQueue.
+// Pop implements queue.IoQueue: the pop side answers it, or it parks and
+// the pump reads the socket for it.
 func (e *udpEndpoint) Pop(done queue.DoneFunc) {
-	e.mu.Lock()
-	if e.dead != nil {
-		dead := e.dead
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: dead})
-		return
-	}
-	if e.closed {
-		e.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-		return
-	}
-	if e.ready.Len() > 0 {
-		c := e.ready.Pop()
-		e.mu.Unlock()
+	e.t.mu.Lock()
+	if c, ok := e.rx.Pop(done); ok {
+		e.t.mu.Unlock()
 		done(c)
 		return
 	}
-	e.waiters.Push(done)
-	e.mu.Unlock()
-	e.Pump()
+	e.pumpUnlock()
 }
 
-// Pump implements queue.IoQueue: drain received datagrams into whole
-// SGAs.
+// Pump implements queue.IoQueue.
 func (e *udpEndpoint) Pump() int {
-	e.mu.Lock()
-	sock := e.sock
-	closed := e.closed
-	e.mu.Unlock()
-	if sock == nil || closed {
-		return 0
-	}
-	n := 0
-	for {
-		d, ok := sock.Recv()
-		if !ok {
-			break
-		}
-		// Zero-copy pop: the SGA aliases the datagram's pooled payload;
-		// the consumer's SGA.Free recycles it (Unmarshal aliases its
-		// input, so no byte is copied between wire and application).
-		s, _, err := sga.Unmarshal(d.Payload)
-		comp := queue.Completion{Kind: queue.OpPop, Cost: d.Cost}
-		if err != nil {
-			d.Free()
-			comp.Err = err
-		} else {
-			comp.SGA = s.WithFree(d.Free)
-		}
-		e.mu.Lock()
-		e.ready.Push(comp)
-		e.mu.Unlock()
-		n++
-	}
-	e.serveWaiters()
+	e.t.mu.Lock()
+	return e.pumpUnlock()
+}
+
+// pumpUnlock is Pump entered with the shard lock held.
+func (e *udpEndpoint) pumpUnlock() int {
+	var popArr [2]popDone
+	f, spill, n := e.pumpLocked(fired{pop: popArr[:0]}, nil)
+	e.t.mu.Unlock()
+	e.t.fire(f, spill)
 	return n
 }
 
-func (e *udpEndpoint) serveWaiters() {
-	for {
-		e.mu.Lock()
-		if e.waiters.Len() == 0 || e.ready.Len() == 0 {
-			e.mu.Unlock()
-			return
-		}
-		w, c := e.waiters.Pop(), e.ready.Pop()
-		e.mu.Unlock()
-		w(c)
+// pumpLocked takes a datagram off the socket for each parked pop, under the
+// shard lock, and records the pops answered in f (spilling to sp).
+func (e *udpEndpoint) pumpLocked(f fired, sp *fired) (fired, *fired, int) {
+	if e.sock == nil || e.rx.Parked() == 0 {
+		return f, sp, 0
 	}
+	if k := e.rx.Parked(); !f.room(0, k) {
+		f, sp = e.t.reserve(f, sp, 0, k)
+	}
+	n := 0
+	for ; e.rx.Parked() > 0; n++ {
+		d, ok := e.sock.RecvHeld()
+		if !ok {
+			break
+		}
+		c := datagramPop(d)
+		w, _ := e.rx.Deliver(c) // a pop is parked: it gets c
+		f.pop = append(f.pop, popDone{done: w, c: c})
+	}
+	return f, sp, n
 }
 
-// Close implements queue.IoQueue.
+// datagramPop is a datagram's pop completion. Zero-copy: the SGA aliases the
+// pooled payload, and the consumer's SGA.Free recycles it.
+func datagramPop(d netstack.Datagram) queue.Completion {
+	s, _, err := sga.Unmarshal(d.Payload)
+	if err != nil {
+		d.Free()
+		return queue.Completion{Kind: queue.OpPop, Err: err, Cost: d.Cost}
+	}
+	return queue.Completion{Kind: queue.OpPop, SGA: s.WithFree(d.Free), Cost: d.Cost}
+}
+
+// Close implements queue.IoQueue: parked pops fail with ErrClosed, and the
+// datagrams nobody popped go back to their pool with the socket.
 func (e *udpEndpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	e.t.mu.Lock()
+	if e.rx.Closed() {
+		e.t.mu.Unlock()
 		return nil
 	}
-	e.closed = true
-	ws := e.waiters.Take()
-	sock := e.sock
-	e.mu.Unlock()
+	dropped, sock := e.rx.Close(), e.sock
+	if i := slices.Index(e.t.udps, e); i >= 0 {
+		e.t.udps = slices.Delete(e.t.udps, i, i+1)
+	}
+	e.t.mu.Unlock()
 	if sock != nil {
 		sock.Close()
 	}
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-	}
-	e.t.dropUDP(e)
+	dropped.Settle()
 	return nil
-}
-
-// dropUDP takes a closed datagram endpoint out of udps, into a fresh
-// slice like every change to it.
-func (t *Transport) dropUDP(ep *udpEndpoint) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	kept := make([]*udpEndpoint, 0, len(t.udps))
-	for _, u := range t.udps {
-		if u != ep {
-			kept = append(kept, u)
-		}
-	}
-	t.udps = kept
 }

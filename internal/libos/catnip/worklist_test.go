@@ -113,21 +113,32 @@ func (r *wlRig) atRest(what string) {
 	}
 }
 
-// TestCloseReleasesEndpoint: 10 000 connect → echo → close cycles leave
-// the endpoint tables, the stacks' connection tables, the work lists and
-// the frame pool where they started. Before Close removed the endpoint
-// from Transport.eps, each cycle left one behind on either side.
+// TestCloseReleasesEndpoint: 10 000 connect → echo → close cycles, each
+// closing the server's end with two requests received and not popped,
+// leave the endpoint tables, the stacks' connection tables, the work lists
+// and both frame pools where they started; so do 100 datagram endpoints,
+// each closed holding a datagram nobody popped. Before Close removed the
+// endpoint from Transport.eps, each cycle left one behind on either side;
+// before Close freed what nobody popped, each left two frames out.
 func TestCloseReleasesEndpoint(t *testing.T) {
 	r := newWLRig(t, 0)
-	frames := r.ta.pool.Outstanding()
+	frames, lisFrames := r.ta.pool.Outstanding(), r.tb.pool.Outstanding()
 	msg := sga.New(make([]byte, 64))
 	for cycle := 0; cycle < 10_000; cycle++ {
 		a, b := r.connect()
 		var atB, atA queue.Completion
 		gotB, gotA := false, false
 		b.Pop(func(c queue.Completion) { atB, gotB = c, true })
-		a.Push(msg, 0, func(queue.Completion) {})
+		// One flush, so the request and the two behind it arrive, and are
+		// decoded, together.
+		for i := 0; i < 3; i++ {
+			a.(*endpoint).PushBatched(msg, 0, func(queue.Completion) {})
+		}
+		a.Pump()
 		r.until("request", func() bool { return gotB })
+		if held := heldBy(b); held != 2 {
+			t.Fatalf("cycle %d: the server holds %d requests, want the 2 behind the one popped", cycle, held)
+		}
 		a.Pop(func(c queue.Completion) { atA, gotA = c, true })
 		b.Push(atB.SGA, 0, func(queue.Completion) {})
 		atB.SGA.Free() // the push completed inside Push: the send ring had room
@@ -153,38 +164,66 @@ func TestCloseReleasesEndpoint(t *testing.T) {
 		t.Fatalf("the listener moved to slot %d of a table of one", r.lis.(*endpoint).slot)
 	}
 	r.atRest("after 10k cycles")
-	if got := r.ta.pool.Outstanding(); got != frames {
-		t.Fatalf("frame pool outstanding went from %d to %d", frames, got)
+	pools := func(what string) {
+		t.Helper()
+		if got, lis := r.ta.pool.Outstanding(), r.tb.pool.Outstanding(); got != frames || lis != lisFrames {
+			t.Fatalf("%s: frame pools outstanding went from %d and %d to %d and %d", what, frames, lisFrames, got, lis)
+		}
 	}
+	pools("after 10k cycles")
 
-	// The datagram table likewise.
+	// The datagram table likewise, each endpoint closed with a datagram
+	// received and not popped.
+	sender, err := r.tb.SocketUDP()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 100; i++ {
 		u, err := r.ta.SocketUDP()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := u.Bind(core.Addr{Port: uint16(5000 + i)}); err != nil {
+		port := uint16(5000 + i)
+		if err := u.Bind(core.Addr{Port: port}); err != nil {
 			t.Fatal(err)
 		}
+		if err := sender.Connect(core.Addr{IP: netstack.IP(10, 0, 0, 0xa), Port: port}); err != nil {
+			t.Fatal(err)
+		}
+		rcvd := r.ta.Stack().Stats().UDPRcvd
+		sender.Push(msg, 0, func(queue.Completion) {})
+		r.until("datagram", func() bool { return r.ta.Stack().Stats().UDPRcvd > rcvd })
 		r.poll()
 		if err := u.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if r.ta.HasUDP() {
-		t.Fatalf("datagram table holds %d closed endpoints", len(r.ta.udps))
+	if err := sender.Close(); err != nil {
+		t.Fatal(err)
 	}
+	if r.ta.HasUDP() || r.tb.HasUDP() {
+		t.Fatalf("datagram tables hold %d and %d closed endpoints", len(r.ta.udps), len(r.tb.udps))
+	}
+	pools("after 100 datagram endpoints")
+}
+
+// heldBy returns how many completions ep holds that nobody has popped.
+func heldBy(ep core.Endpoint) int {
+	e := ep.(*endpoint)
+	e.t.mu.Lock()
+	defer e.t.mu.Unlock()
+	return e.rx.Held()
 }
 
 // TestParkedDrainResumes: a burst past RxReadyCap parks the receive
-// drain at the frame that fills the ready list — the decoder stops at a
-// frame's end, so the list never holds more than the cap — and once the
-// reader has popped the backlog down to half the cap, without ever waiting,
-// the endpoint is on the pump list, and the next poll refills the ready
-// list from the bytes TCP was holding.
+// drain at the frame that fills the pop side — the decoder stops at a
+// frame's end, so it never holds more than the cap — and once the reader
+// has popped the backlog down to half the cap, without ever waiting, the
+// endpoint is on the pump list, and the next poll refills the pop side
+// from the bytes TCP was holding.
 func TestParkedDrainResumes(t *testing.T) {
-	// At a cap of 4 the first pop already leaves the backlog one above half,
-	// so the "left parked" loop below has no step to take; at 8 it has two.
+	// The "left parked" loop below has one step to take at a cap of 4, and
+	// three at 8.
 	for _, readyCap := range []int{4, 8} {
 		t.Run(fmt.Sprint("cap ", readyCap), func(t *testing.T) { parkedDrainResumes(t, readyCap) })
 	}
@@ -198,8 +237,9 @@ func parkedDrainResumes(t *testing.T, readyCap int) {
 	for i := 0; i < burst; i++ {
 		a.Push(sga.New(append([]byte{byte(i)}, make([]byte, 999)...)), 0, func(queue.Completion) {})
 	}
-	r.poll()
-	r.poll()
+	for i := 0; i < 4; i++ { // past the cap's worth of frames and one more
+		r.poll()
+	}
 	next := 0
 	pop := func() {
 		t.Helper()
@@ -221,20 +261,20 @@ func parkedDrainResumes(t *testing.T, readyCap int) {
 		_, _, _, pumps = r.tb.WorkQueued()
 		eb.t.mu.Lock()
 		defer eb.t.mu.Unlock()
-		if eb.ready.Len() > readyCap {
-			t.Fatalf("%d completions buffered past a cap of %d", eb.ready.Len(), readyCap)
+		if eb.rx.Held() > readyCap {
+			t.Fatalf("%d completions buffered past a cap of %d", eb.rx.Held(), readyCap)
 		}
-		return eb.ready.Len(), eb.rxStalled, pumps
+		return eb.rx.Held(), eb.rxStalled, pumps
 	}
 	// The first pop is the waiter that starts the drain. Of what the window
-	// let through the drain takes the cap's worth of frames, serves the
-	// waiter one of them, and parks.
+	// let through the drain serves the waiter the first frame, holds the
+	// cap's worth after it, and parks.
 	done := false
 	b.Pop(func(c queue.Completion) { done = true; c.SGA.Free() })
 	next++
-	if n, parked, pumps := state(); !done || n != readyCap-1 || !parked || pumps != 0 || r.tb.RxStalls() != 1 {
+	if n, parked, pumps := state(); !done || n != readyCap || !parked || pumps != 0 || r.tb.RxStalls() != 1 {
 		t.Fatalf("after the first pop: served %v, %d buffered, parked %v, %d to pump, %d stalls; want true, %d, true, 0, 1",
-			done, n, parked, pumps, r.tb.RxStalls(), readyCap-1)
+			done, n, parked, pumps, r.tb.RxStalls(), readyCap)
 	}
 	for n, _, _ := state(); n > readyCap/2+1; n, _, _ = state() {
 		pop()

@@ -89,19 +89,33 @@ func dialPair(t testing.TB, w *world, port uint16) (client, server *TCPConn) {
 	return c, server
 }
 
+// openUDP and recvUDP are OpenUDPHeld and RecvHeld, each under a hold of
+// the stack's lock.
+func openUDP(s *Stack, port uint16, owner any) (*UDPSock, error) {
+	s.Mutex().Lock()
+	defer s.Mutex().Unlock()
+	return s.OpenUDPHeld(port, owner)
+}
+
+func recvUDP(u *UDPSock) (Datagram, bool) {
+	u.stack.Mutex().Lock()
+	defer u.stack.Mutex().Unlock()
+	return u.RecvHeld()
+}
+
 func TestUDPBasic(t *testing.T) {
 	w := newWorld(t, Config{}, Config{})
-	ua, err := w.a.OpenUDP(5000)
+	ua, err := openUDP(w.a, 5000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ub, err := w.b.OpenUDP(6000)
+	ub, err := openUDP(w.b, 6000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ua.SendTo(ipB, 6000, []byte("ping"), 0)
 	w.pump()
-	d, ok := ub.Recv()
+	d, ok := recvUDP(ub)
 	if !ok {
 		t.Fatal("datagram not delivered")
 	}
@@ -114,7 +128,7 @@ func TestUDPBasic(t *testing.T) {
 	// Reply path uses the learned ARP entry.
 	ub.SendTo(d.SrcIP, d.SrcPort, []byte("pong"), 0)
 	w.pump()
-	r, ok := ua.Recv()
+	r, ok := recvUDP(ua)
 	if !ok || string(r.Payload) != "pong" {
 		t.Fatalf("reply missing: %v %q", ok, r.Payload)
 	}
@@ -123,19 +137,59 @@ func TestUDPBasic(t *testing.T) {
 	}
 }
 
-func TestUDPPortConflict(t *testing.T) {
+// TestUDPReadyReportsOwner: a datagram landing on an owned socket puts it
+// on the ready queue once, however many land, PollReady hands the owner
+// back, and a closed socket is reported no more.
+func TestUDPReadyReportsOwner(t *testing.T) {
 	w := newWorld(t, Config{}, Config{})
-	if _, err := w.a.OpenUDP(7000); err != nil {
+	ua, _ := openUDP(w.a, 5000, nil)
+	owner := new(int)
+	ub, err := openUDP(w.b, 6000, owner)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.a.OpenUDP(7000); err == nil {
+	pollReady := func() []any {
+		w.b.Mutex().Lock()
+		defer w.b.Mutex().Unlock()
+		_, ready := w.b.PollReady(nil)
+		return ready
+	}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			ua.SendTo(ipB, 6000, []byte("ping"), 0)
+		}
+		w.pump()
+	}
+	send(3)
+	if _, ready, _ := w.b.WorkQueued(); ready != 1 {
+		t.Fatalf("three datagrams queued the socket %d times, want once", ready)
+	}
+	if ready := pollReady(); len(ready) != 1 || ready[0] != owner {
+		t.Fatalf("PollReady = %v, want the owner once", ready)
+	}
+	if ready := pollReady(); len(ready) != 0 {
+		t.Fatalf("PollReady reported %v again with nothing new", ready)
+	}
+	send(1)
+	ub.Close()
+	if ready := pollReady(); len(ready) != 0 {
+		t.Fatalf("PollReady reported the closed socket's owner: %v", ready)
+	}
+}
+
+func TestUDPPortConflict(t *testing.T) {
+	w := newWorld(t, Config{}, Config{})
+	if _, err := openUDP(w.a, 7000, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openUDP(w.a, 7000, nil); err == nil {
 		t.Fatal("duplicate bind succeeded")
 	}
 }
 
 func TestUDPNoListenerDropped(t *testing.T) {
 	w := newWorld(t, Config{}, Config{})
-	ua, _ := w.a.OpenUDP(5000)
+	ua, _ := openUDP(w.a, 5000, nil)
 	ua.SendTo(ipB, 9999, []byte("void"), 0)
 	w.pump()
 	if w.b.Stats().NoListener != 1 {

@@ -193,13 +193,13 @@ type Stack struct {
 	// The work lists that keep a poll's cost off the connection count:
 	// timers is the deadline heap of armed connections (timer.go), armSeq
 	// the arm counter that breaks its ties, readyQueue the owned
-	// connections that became readable since the last PollReady, and
+	// sockets that became readable since the last PollReady, and
 	// ackQueue the connections that accepted in-order data and may still
 	// owe its acknowledgement, each once (see flushAcksLocked). pollSeq
 	// numbers the calls of pollLocked, which is how long an ACK is held.
 	timers     []timerEntry
 	armSeq     uint32
-	readyQueue []*TCPConn
+	readyQueue []*readiness
 	ackQueue   []*TCPConn
 	pollSeq    uint32
 }
@@ -289,12 +289,8 @@ func (s *Stack) Shutdown(cause error) {
 		l.pending.Store(0)
 		delete(s.listeners, port)
 	}
-	for port, u := range s.udp {
-		for i := range u.rx {
-			u.rx[i].Free()
-		}
-		u.rx = nil
-		delete(s.udp, port)
+	for _, u := range s.udp {
+		u.closeLocked()
 	}
 	// Sends parked behind ARP are heap-backed copies; just drop them.
 	for ip := range s.arpPending {
@@ -374,24 +370,41 @@ func (s *Stack) Poll() int {
 	return s.pollLocked()
 }
 
-// PollReady is Poll for a caller that consumes connections through
-// TCPConn.SetOwner, and holds the stack's lock (Mutex) across the call:
-// besides the frame count it returns dst with the owner appended of every
-// connection that a segment (or a partial read) has left readable — data,
-// FIN or a terminal error — since the previous call, in the order that
-// happened. A connection is reported once per call however much arrived,
-// and not again until something more does: the owner reads until it runs
-// dry, or comes back for the rest unprompted.
+// PollReady is Poll for a caller that consumes sockets through their
+// owners (Hold.SetOwner, OpenUDPHeld), and holds the stack's lock
+// (Mutex) across the call: besides the frame count it returns dst with the
+// owner appended of every socket that a segment (or a partial read) has
+// left readable — data, FIN or a terminal error on a connection, a datagram
+// on a UDP socket — since the previous call, in the order that happened. A
+// socket is reported once per call however much arrived, and not again
+// until something more does: the owner reads until it runs dry, or comes
+// back for the rest unprompted.
 func (s *Stack) PollReady(dst []any) (int, []any) {
 	return s.pollLocked(), s.takeReadyLocked(dst)
 }
 
+// readiness is what PollReady needs of a socket, TCP or UDP: owner consumes
+// its receive side, and queued is set while it is on the ready queue.
+type readiness struct {
+	owner  any
+	queued bool
+}
+
+// queueReadyLocked puts a readable socket on the ready queue for its owner,
+// unless it has none or is there already.
+func (s *Stack) queueReadyLocked(r *readiness) {
+	if r.owner != nil && !r.queued {
+		r.queued = true
+		s.readyQueue = append(s.readyQueue, r)
+	}
+}
+
 // takeReadyLocked empties the ready queue, appending the owners to dst.
 func (s *Stack) takeReadyLocked(dst []any) []any {
-	for i, c := range s.readyQueue {
-		c.readyQueued = false
-		if c.owner != nil {
-			dst = append(dst, c.owner)
+	for i, r := range s.readyQueue {
+		r.queued = false
+		if r.owner != nil {
+			dst = append(dst, r.owner)
 		}
 		s.readyQueue[i] = nil
 	}
@@ -677,19 +690,20 @@ type UDPSock struct {
 	port  uint16
 	rx    []Datagram
 	max   int
+	// The socket joins stack.readyQueue when a datagram lands.
+	readiness
 }
 
-// OpenUDP binds a UDP socket to port (0 picks an ephemeral port).
-func (s *Stack) OpenUDP(port uint16) (*UDPSock, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// OpenUDPHeld binds a UDP socket to port (0: an ephemeral one), with the
+// stack's lock (Mutex) held; PollReady reports owner when a datagram lands.
+func (s *Stack) OpenUDPHeld(port uint16, owner any) (*UDPSock, error) {
 	if port == 0 {
 		port = s.ephemeralLocked()
 	}
 	if _, used := s.udp[port]; used {
 		return nil, fmt.Errorf("%w: udp %d", ErrPortInUse, port)
 	}
-	u := &UDPSock{stack: s, port: port, max: 1024}
+	u := &UDPSock{stack: s, port: port, max: 1024, readiness: readiness{owner: owner}}
 	s.udp[port] = u
 	return u, nil
 }
@@ -739,10 +753,8 @@ func (s *Stack) handleUDPLocked(h ipv4Header, body []byte, cost simclock.Lat) {
 		SrcIP: h.src, SrcPort: u.srcPort,
 		Payload: fb.Bytes(), Cost: cost, buf: fb,
 	})
+	s.queueReadyLocked(&sock.readiness)
 }
-
-// Port returns the socket's bound port.
-func (u *UDPSock) Port() uint16 { return u.port }
 
 // SendTo transmits one datagram. cost is the virtual latency already
 // accumulated by the caller (application compute, libOS work).
@@ -758,11 +770,9 @@ func (u *UDPSock) SendTo(ip IPv4Addr, port uint16, payload []byte, cost simclock
 	}
 }
 
-// Recv pops one received datagram without blocking.
-func (u *UDPSock) Recv() (Datagram, bool) {
-	s := u.stack
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// RecvHeld pops one received datagram without blocking, for a caller that
+// holds the stack's lock (Mutex).
+func (u *UDPSock) RecvHeld() (Datagram, bool) {
 	if len(u.rx) == 0 {
 		return Datagram{}, false
 	}
@@ -771,14 +781,18 @@ func (u *UDPSock) Recv() (Datagram, bool) {
 	return d, true
 }
 
-// Close unbinds the socket and recycles any queued datagrams.
+// Close unbinds the socket, recycles its datagrams and drops its owner.
 func (u *UDPSock) Close() {
-	s := u.stack
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	u.stack.mu.Lock()
+	defer u.stack.mu.Unlock()
+	u.closeLocked()
+}
+
+func (u *UDPSock) closeLocked() {
 	for i := range u.rx {
 		u.rx[i].Free()
 	}
 	u.rx = nil
-	delete(s.udp, u.port)
+	u.owner = nil
+	delete(u.stack.udp, u.port)
 }

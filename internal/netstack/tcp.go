@@ -149,32 +149,16 @@ type TCPConn struct {
 	armSeq    uint32
 	timerSlot int32
 
-	// owner is whoever consumes this connection's receive side, as handed
-	// to SetOwner; while it is set, the connection joins stack.readyQueue
-	// (once, readyQueued) whenever it is or becomes readable.
-	owner       any
-	readyQueued bool
-}
-
-// SetOwner names the consumer of the connection's receive side: from now
-// on Stack.PollReady hands owner back whenever data, a FIN or a terminal
-// error is there to be read, starting with whatever already is. nil stops
-// the reports.
-func (c *TCPConn) SetOwner(owner any) {
-	h := c.Hold()
-	h.SetOwner(owner)
-	h.Release()
+	// Set by Hold.SetOwner, the connection joins stack.readyQueue whenever
+	// it is or becomes readable.
+	readiness
 }
 
 // updateReadyLocked queues a readable connection for its owner. Call at
 // every point where rcvBuf, peerFinRcvd, or err transitions.
 func (c *TCPConn) updateReadyLocked() {
-	if c.owner == nil || c.readyQueued {
-		return
-	}
 	if c.rcvBuf.Len() > 0 || c.peerFinRcvd || c.err != nil {
-		c.readyQueued = true
-		c.stack.readyQueue = append(c.stack.readyQueue, c)
+		c.stack.queueReadyLocked(&c.readiness)
 	}
 }
 
@@ -248,8 +232,8 @@ func (c *TCPConn) Err() error {
 // Hold is the stack lock taken on behalf of one connection, so that a
 // caller with several things to do to it — queue bytes, flush them, read,
 // look at the error — pays for the lock once and sees one consistent
-// state. Err, RecvAppend and SetOwner are the TCPConn methods of the same
-// names, each a Hold around one call. Release it before calling anything
+// state. Err and RecvAppend are the TCPConn methods of the same names,
+// each a Hold around one call. Release it before calling anything
 // else on the stack, and before taking any lock that is held around stack
 // calls.
 type Hold struct{ c *TCPConn }
@@ -271,7 +255,10 @@ func (h Hold) Release() { h.c.stack.mu.Unlock() }
 // Err is TCPConn.Err under the hold.
 func (h Hold) Err() error { return h.c.err }
 
-// SetOwner is TCPConn.SetOwner under the hold.
+// SetOwner names the consumer of the connection's receive side: from now
+// on Stack.PollReady hands owner back whenever data, a FIN or a terminal
+// error is there to be read, starting with whatever already is. nil stops
+// the reports.
 func (h Hold) SetOwner(owner any) {
 	h.c.owner = owner
 	h.c.updateReadyLocked()

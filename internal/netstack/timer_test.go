@@ -151,7 +151,9 @@ func (a *timerActor) dial(i int, gen int) {
 	if err != nil {
 		a.dev.t.Fatalf("dial %d: %v", i, err)
 	}
-	c.SetOwner(i)
+	h := c.Hold()
+	h.SetOwner(i)
+	h.Release()
 	a.conns[i] = c
 }
 
