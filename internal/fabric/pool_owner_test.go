@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -27,7 +28,85 @@ func (a *countingAcct) CreditFrame(n int) {
 	a.credits++
 }
 
+// TestFramePoolAccounting pins what one pool-backed SGA costs the pool's
+// counters and its accountant, through both ways one is taken (SGA and
+// FrameAlloc), for every size regime — none, a class, the largest class,
+// oversized — with no accountant, one that takes every charge and one
+// that refuses every charge; then the plain Get quota arithmetic.
 func TestFramePoolAccounting(t *testing.T) {
+	type taker struct {
+		name string
+		take func(p *FramePool, n int) (buf []byte, free func())
+	}
+	takers := []taker{
+		{"SGA", func(p *FramePool, n int) ([]byte, func()) {
+			s := p.SGA(n)
+			c := s // a second copy, freed after the first
+			return s.Segments[0].Buf, func() { s.Free(); c.Free() }
+		}},
+		{"FrameAlloc", func(p *FramePool, n int) ([]byte, func()) {
+			buf, _, free, _ := p.FrameAlloc(n)
+			return buf, func() { free(); free() }
+		}},
+	}
+	accts := []struct {
+		name string
+		acct *countingAcct // nil: none
+	}{{"none", nil}, {"permissive", &countingAcct{}}, {"refusing", &countingAcct{cap: 1}}}
+	for _, tk := range takers {
+		for _, n := range []int{0, 64, 1500, 16384, 16385, 1 << 20} {
+			for _, a := range accts {
+				t.Run(fmt.Sprintf("%s/%d/%s", tk.name, n, a.name), func(t *testing.T) {
+					p := NewFramePool()
+					var acct *countingAcct
+					if a.acct != nil {
+						acct = &countingAcct{cap: a.acct.cap}
+						p.SetOwner("tenant-a", acct)
+					}
+					refused := acct != nil && acct.cap > 0 && n > 0
+					pooled := n > 0 && !refused // a pool buffer is behind it
+					charge, charges := 0, 0
+					if pooled {
+						charges = 1
+						if charge = n; classFor(n) >= 0 {
+							charge = frameClasses[classFor(n)] // class-rounded
+						}
+					}
+					buf, free := tk.take(p, n)
+					if len(buf) != n {
+						t.Fatalf("%d bytes, want %d", len(buf), n)
+					}
+					want := FramePoolStats{}
+					if pooled {
+						want.Misses, want.Outstanding = 1, 1
+					}
+					if refused {
+						want.QuotaDenied = 1
+					}
+					if st := p.Stats(); st != want {
+						t.Fatalf("taken: stats %+v, want %+v", st, want)
+					}
+					if acct != nil && (acct.held != int64(charge) || acct.charges != charges || acct.credits != 0) {
+						t.Fatalf("taken: %d bytes held, %d charges, %d credits; want %d, %d, 0",
+							acct.held, acct.charges, acct.credits, charge, charges)
+					}
+					free() // and a second Free, through another copy
+					want.Outstanding, want.DoubleFrees = 0, 1
+					if pooled && n <= frameClasses[len(frameClasses)-1] {
+						want.Recycled = 1
+					}
+					if st := p.Stats(); st != want {
+						t.Fatalf("freed: stats %+v, want %+v", st, want)
+					}
+					if acct != nil && (acct.held != 0 || acct.charges != charges || acct.credits != charges) {
+						t.Fatalf("freed: %d bytes held, %d charges, %d credits; want 0, %d, %d",
+							acct.held, acct.charges, acct.credits, charges, charges)
+					}
+				})
+			}
+		}
+	}
+
 	p := NewFramePool()
 	acct := &countingAcct{cap: 4096}
 	p.SetOwner("tenant-a", acct)
