@@ -15,8 +15,8 @@ STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish
 STORAGE_RUN     := TestChaosPushdownResetMidTraversal
 RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
-BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkURing_SubmitHarvest|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkCatnip_PollIdleUDP|BenchmarkSGA_FramerWrite
-BENCHSMOKE_PKGS := . ./internal/core/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/sga/
+BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkURing_SubmitHarvest|BenchmarkFramePool_SGA|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkCatnip_PollIdleUDP|BenchmarkSGA_FramerWrite
+BENCHSMOKE_PKGS := . ./internal/core/ ./internal/fabric/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/sga/
 
 ## tier1: the gate every PR must keep green — vet, build, full test
 ## suite, a short -race pass over the concurrency-heavy packages
@@ -158,8 +158,9 @@ bench-aa:
 	$(GO) run ./benchmark -aa -sets 2 -runs 3
 
 ## benchsmoke: one iteration of every component microbenchmark — a qtoken
-## round trip, batch submit and harvest, the memory queue, SGA
-## marshalling, WaitAny's fan-in, and the netstack's (checksum
+## round trip, batch submit and harvest, a pool SGA's alloc and Free
+## (which fails on an allocation), the memory queue, SGA marshalling,
+## WaitAny's fan-in, and the netstack's (checksum
 ## throughput; ACK dequeue cost at 4 KiB and at 128 KiB queued, and
 ## Stack.Poll beside 1, 1 k and 100 k idle connections, both of which
 ## must read as a flat line; a 64 B ping-pong between two stacks, whose

@@ -27,9 +27,11 @@ import (
 // pool is strictly opt-in and never required for correctness.
 //
 // The same pool backs every pool-backed SGA: the buffers AllocSGA hands
-// out and the ones popped SGAs are decoded into, each under one recycled
-// SGABuf header. One buffer type serves the wire frame and the
-// application, as one DPDK mempool serves the NIC and the app.
+// out and the ones popped SGAs are decoded into are FrameBufs too, each
+// the whole SGA — segments, Free and reference count — in one pooled
+// object. One buffer type serves the wire frame and the application, as
+// one DPDK mempool serves the NIC and the app; a push holds the buffer of
+// the SGA it has queued by one more reference (Retain).
 
 // frameClasses are the pooled buffer size classes. The largest class
 // covers a full Ethernet+IPv4+TCP frame at the default 1400-byte MSS
@@ -54,13 +56,37 @@ type Accountant interface {
 var ErrNoMem = errors.New("fabric: frame quota exhausted")
 
 // FrameBuf is a reference-counted, pool-recycled frame backing buffer.
+// It is also the whole of a pool-backed SGA, and that SGA's Reg: its
+// segments are inline (up to 8, which covers every app in this repo) and
+// its Free is bound once, so after the first few calls SGA and FrameAlloc
+// cost one class-pool Get and Free one Put. The count holds the
+// application's reference, dropped by Free, and one per push of the SGA
+// that a transport still has queued (Retain); the storage goes back to
+// the pool when the last is gone, so "push it, then Free it" is safe
+// however long the push waits (free-protection, §4.5).
 type FrameBuf struct {
 	pool  *FramePool
-	class int8 // index into frameClasses; -1 = oversized, not recycled
+	class int8 // index into frameClasses; classOversized, classBare
 	refs  atomic.Int32
 	data  []byte // current view (len = requested size)
 	full  []byte // full class-sized backing storage
+
+	inline [8]sga.Segment
+	free   func() // freeSGA, bound on first use as an SGA
+	// freed is set by the application's Free and cleared when the buffer
+	// is handed out as an SGA again. A plain field, not an atomic: between
+	// hand-outs only the application writes it.
+	freed bool
 }
+
+// The classes of a FrameBuf that is not in frameClasses: an oversized
+// buffer, on dedicated heap storage that is never recycled, and a bare
+// one, behind an empty or over-quota SGA, which the pool neither counts
+// nor charges.
+const (
+	classOversized = -1
+	classBare      = -2
+)
 
 // Owner names the tenant owning the buffer's pool ("" when unowned).
 func (b *FrameBuf) Owner() string {
@@ -82,6 +108,18 @@ func (b *FrameBuf) ownerSuffix() string {
 // Bytes returns the buffer's usable bytes (length = the size requested
 // from Get). The slice is valid until the final reference is released.
 func (b *FrameBuf) Bytes() []byte { return b.data }
+
+// Retain takes an additional reference: a transport's, for as long as a
+// push of the SGA the buffer backs is queued. It is only legal while the
+// caller itself holds a live reference, so a legal Retain never sees the
+// count at 0; an illegal one that races the final Release flips it 0→1
+// and panics (Add returns exactly 1) instead of resurrecting storage the
+// pool may already have handed to someone else.
+func (b *FrameBuf) Retain() {
+	if b.refs.Add(1) <= 1 {
+		panic("fabric: Retain on released FrameBuf" + b.ownerSuffix())
+	}
+}
 
 // Release drops one reference; the storage recycles into the pool when
 // the last reference is gone. Releasing more times than retained is a
@@ -114,8 +152,8 @@ type FramePoolStats struct {
 	QuotaDenied int64
 	// Outstanding is buffers handed out and not yet finally released.
 	Outstanding int64
-	// DoubleFrees counts Frees of an SGABuf the application had already
-	// freed, through another copy of its SGA: counted and ignored.
+	// DoubleFrees counts Frees of a pool SGA the application had already
+	// freed, through another copy of it: counted and ignored.
 	DoubleFrees int64
 }
 
@@ -129,9 +167,9 @@ type FramePoolStats struct {
 // already per-P sharded internally.
 type FramePool struct {
 	classes [len(frameClasses)]sync.Pool
-	// hdrs recycles SGABuf headers, so that an SGA over the pool costs no
-	// allocation in steady state.
-	hdrs sync.Pool
+	// bare recycles the FrameBufs of bare SGAs (see sgaBuf), so that an
+	// empty SGA costs no allocation and an over-quota one only its bytes.
+	bare sync.Pool
 
 	// owner/acct attribute the pool to a tenant (SetOwner, config
 	// time). acct==nil — the single-tenant default — costs the hot
@@ -148,7 +186,7 @@ type FramePool struct {
 
 	quotaDenied atomic.Int64
 	// dropped counts oversized buffers' final releases, which Outstanding
-	// subtracts beside recycled; doubleFrees is SGABuf's.
+	// subtracts beside recycled; doubleFrees is freeSGA's.
 	dropped     atomic.Int64
 	doubleFrees atomic.Int64
 }
@@ -201,7 +239,7 @@ func (p *FramePool) Get(n int) *FrameBuf {
 		// Oversized: dedicated heap buffer, never recycled.
 		p.misses.Add(1)
 		mem := make([]byte, n)
-		b := &FrameBuf{pool: p, class: -1, data: mem, full: mem}
+		b := &FrameBuf{pool: p, class: classOversized, data: mem, full: mem}
 		b.refs.Store(1)
 		return b
 	}
@@ -234,6 +272,19 @@ func chargeSize(ci, n int) int {
 // reference is gone: the tenant's account is credited and class-backed
 // storage recycles (oversized buffers go to the GC, as before).
 func (p *FramePool) onFinalRelease(b *FrameBuf) {
+	// Drop the payload references an SGA left in its segments before
+	// pooling: they run up to the first unused one.
+	for i := range b.inline {
+		if b.inline[i].Buf == nil {
+			break
+		}
+		b.inline[i] = sga.Segment{}
+	}
+	if b.class == classBare {
+		b.data = nil
+		p.bare.Put(b)
+		return
+	}
 	if p.acct != nil {
 		p.acct.CreditFrame(chargeSize(int(b.class), len(b.full)))
 	}
@@ -257,104 +308,58 @@ func (p *FramePool) put(b *FrameBuf) {
 	p.classes[b.class].Put(b)
 }
 
-// SGABuf is the recycled header of one pool-backed SGA: its segment
-// storage (inline up to 8 segments, which covers every app in this repo),
-// its Free closure, and the FrameBuf its bytes are in — nil for an empty
-// payload, and for heap bytes when the pool's accountant refused the
-// charge (the SGA still works; the over-quota tenant loses recycling, not
-// correctness). Header and buffer cycle through the pool, so after the
-// first few calls SGA and FrameAlloc allocate nothing.
-//
-// It is the SGA's Reg, and counts references: the application's one,
-// dropped by Free, and one per push of the SGA that a transport still has
-// queued (HoldForIO). Header and buffer go back to the pool when the last
-// is gone, so "push it, then Free it" is safe however long the push waits
-// (free-protection, §4.5). A header rests in the pool with the count at
-// 1, the next application's reference.
-type SGABuf struct {
-	pool   *FramePool
-	fb     *FrameBuf
-	inline [8]sga.Segment
-	free   func()
-	refs   atomic.Int32
-	// freed is set by the application's Free and cleared when the header
-	// is handed out again. A plain field, not an atomic: between hand-outs
-	// only the application writes it, so a Free adds no read-modify-write.
-	freed bool
-}
-
-// sgaBuf returns a header over n bytes from the pool.
-func (p *FramePool) sgaBuf(n int) (*SGABuf, []byte) {
-	h, _ := p.hdrs.Get().(*SGABuf)
-	if h == nil {
-		h = &SGABuf{pool: p}
-		h.free = h.release
-		h.refs.Store(1)
-	}
-	h.freed = false
-	var buf []byte
+// sgaBuf returns a buffer of n bytes for a pool SGA, the application's
+// reference held. An empty SGA, and one whose charge the accountant
+// refused, gets a bare buffer: no pool storage, heap bytes when n > 0 (the
+// SGA still works; the over-quota tenant loses recycling, not
+// correctness), and nothing counted or charged.
+func (p *FramePool) sgaBuf(n int) *FrameBuf {
+	var b *FrameBuf
 	if n > 0 {
-		if h.fb = p.Get(n); h.fb != nil {
-			buf = h.fb.Bytes()
-		} else {
-			buf = make([]byte, n)
-		}
+		b = p.Get(n)
 	}
-	return h, buf
+	if b == nil {
+		if b, _ = p.bare.Get().(*FrameBuf); b == nil {
+			b = &FrameBuf{pool: p, class: classBare}
+		}
+		if n > 0 {
+			b.data = make([]byte, n)
+		}
+		b.refs.Store(1)
+	}
+	if b.free == nil {
+		b.free = b.freeSGA
+	}
+	b.freed = false
+	return b
 }
 
-// SGA returns a one-segment SGA of n bytes from the pool, its header in
-// Reg and its release as its Free: what a libOS's AllocSGA hands out.
+// SGA returns a one-segment SGA of n bytes from the pool, its buffer in
+// Reg and the buffer's release as its Free: what a libOS's AllocSGA hands
+// out.
 func (p *FramePool) SGA(n int) sga.SGA {
-	h, buf := p.sgaBuf(n)
-	h.inline[0] = sga.Segment{Buf: buf}
-	return sga.SGA{Segments: h.inline[:1], Reg: h}.WithFree(h.free)
+	b := p.sgaBuf(n)
+	b.inline[0] = sga.Segment{Buf: b.data}
+	return sga.SGA{Segments: b.inline[:1], Reg: b}.WithFree(b.free)
 }
 
 // FrameAlloc implements sga.FrameAlloc over the pool: a frame being
 // decoded goes into one pool buffer, which the framer sub-slices per
-// segment, under a header whose inline segments it appends to.
+// segment into the buffer's inline segments.
 func (p *FramePool) FrameAlloc(n int) ([]byte, []sga.Segment, func(), any) {
-	h, buf := p.sgaBuf(n)
-	return buf, h.inline[:0], h.free, h
+	b := p.sgaBuf(n)
+	return b.data, b.inline[:0], b.free, b
 }
 
-// HoldForIO takes a reference for a push that has the SGA queued.
-func (h *SGABuf) HoldForIO() { h.refs.Add(1) }
-
-// ReleaseFromIO drops the reference HoldForIO took; if the application
-// has freed the SGA meanwhile, header and buffer go back to the pool now.
-func (h *SGABuf) ReleaseFromIO() {
-	if h.refs.Add(-1) == 0 {
-		h.refs.Store(1)
-		h.recycle()
-	}
-}
-
-// release is the SGA's Free. A second Free, through another copy of the
-// SGA, is counted and ignored. With no push queued the count is the
-// application's own reference, which nobody else can be changing, so no
-// read-modify-write is needed.
-func (h *SGABuf) release() {
-	if h.freed {
-		h.pool.doubleFrees.Add(1)
+// freeSGA is a pool SGA's Free: it drops the application's reference. A
+// second Free, through another copy of the SGA, is counted and ignored.
+func (b *FrameBuf) freeSGA() {
+	if b.freed {
+		b.pool.doubleFrees.Add(1)
 		return
 	}
-	h.freed = true
-	if h.refs.Load() != 1 {
-		h.ReleaseFromIO()
-		return
-	}
-	h.recycle()
-}
-
-func (h *SGABuf) recycle() {
-	if h.fb != nil {
-		h.fb.Release()
-		h.fb = nil
-	}
-	h.inline = [8]sga.Segment{} // drop payload refs before pooling
-	h.pool.hdrs.Put(h)
+	b.freed = true
+	b.Release()
 }
 
 // Stats returns a snapshot of the pool's counters.

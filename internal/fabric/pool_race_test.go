@@ -5,31 +5,12 @@ import (
 	"testing"
 )
 
-// Retain takes an additional reference, for a test that fans a frame out
-// to more than one consumer; product code holds a frame once.
-//
-// Invariant (audited): Retain is only legal while the caller itself
-// holds a live reference, i.e. while refs >= 1 is guaranteed by the
-// caller's own ownership. Under that contract the count can never be
-// observed at 0 by a legal Retain, so there is no window between the
-// count reaching 0 in Release and the buffer entering the pool in which
-// a correct program can resurrect it. An *illegal* Retain that races
-// that window flips the count 0→1 and is caught deterministically by the
-// panic below (Add returns exactly 1); the concurrent recycle is then
-// moot because the process is already down. TestFrameBufRefsRaceStress
-// pins the legal-use side of this contract under -race.
-func (b *FrameBuf) Retain() {
-	if b.refs.Add(1) <= 1 {
-		panic("fabric: Retain on released FrameBuf" + b.ownerSuffix())
-	}
-}
-
 // TestFrameBufRefsRaceStress pins the legal-use side of the audited
-// Retain/Release contract under -race: Retain is only called while the
-// caller itself holds a live reference. Under that discipline the count
-// never flips 0→1, so no released buffer can be resurrected and the
-// pool's recycle fence never fires, no matter how the retains, releases,
-// reads, and pool recycling interleave across goroutines.
+// Retain/Release contract (see Retain) under -race: Retain is only called
+// while the caller itself holds a live reference. Under that discipline
+// the count never flips 0→1, so no released buffer can be resurrected and
+// the pool's recycle fence never fires, no matter how the retains,
+// releases, reads, and pool recycling interleave across goroutines.
 func TestFrameBufRefsRaceStress(t *testing.T) {
 	p := NewFramePool()
 	const (
@@ -82,7 +63,7 @@ func TestFrameBufRefsRaceStress(t *testing.T) {
 
 // TestSGABufHoldRaceStress: the application frees an SGA while a push on
 // another goroutine holds it and lets it go; whichever drops the last
-// reference recycles header and buffer, once.
+// reference recycles the buffer, once.
 func TestSGABufHoldRaceStress(t *testing.T) {
 	p := NewFramePool()
 	var wg sync.WaitGroup
@@ -93,12 +74,12 @@ func TestSGABufHoldRaceStress(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				s := p.SGA(512)
 				s.Segments[0].Buf[0] = byte(i)
-				h := s.Reg.(*SGABuf)
-				h.HoldForIO()
+				h := s.Reg.(*FrameBuf)
+				h.Retain()
 				done := make(chan struct{})
 				go func() {
 					_ = s.Segments[0].Buf[0] // the pump reads it
-					h.ReleaseFromIO()
+					h.Release()
 					close(done)
 				}()
 				s.Free()

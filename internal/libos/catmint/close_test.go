@@ -1,6 +1,7 @@
 package catmint
 
 import (
+	"errors"
 	"testing"
 
 	"demikernel/internal/core"
@@ -26,20 +27,16 @@ func held(t *Transport) (eps, pending, arenas int) {
 	return len(reach), len(t.pending), t.arenas
 }
 
-// TestCloseReleasesQueuePair runs connect / push two, pop one / close
-// cycles between two transports: closing both ends must give back every
-// posted receive and every slot, the unpopped message's too, so
-// afterwards each side holds its listener (or nothing) and the arenas the
-// first cycle needed. Closing the listener then closes a connection it
-// staged that nobody accepted.
-func TestCloseReleasesQueuePair(t *testing.T) {
+// listening returns a server transport with a listener on port 7, a
+// client transport, the server's address and settle, which polls both
+// sides until two passes in a row move nothing.
+func listening(t *testing.T) (srv, cli *Transport, srvMAC fabric.MAC, lis core.Endpoint, settle func()) {
 	model := simclock.Datacenter2019()
 	sw := fabric.NewSwitch(&model, 1)
-	srvMAC := fabric.MAC{0x02, 0, 0, 0, 0, 1}
-	srv := New(&model, sw, Config{MAC: srvMAC})
-	cli := New(&model, sw, Config{MAC: fabric.MAC{0x02, 0, 0, 0, 0, 2}})
-	// settle polls both sides until two passes in a row move nothing.
-	settle := func() {
+	srvMAC = fabric.MAC{0x02, 0, 0, 0, 0, 1}
+	srv = New(&model, sw, Config{MAC: srvMAC})
+	cli = New(&model, sw, Config{MAC: fabric.MAC{0x02, 0, 0, 0, 0, 2}})
+	settle = func() {
 		for quiet := 0; quiet < 2; {
 			if srv.Poll()+cli.Poll() == 0 {
 				quiet++
@@ -48,14 +45,24 @@ func TestCloseReleasesQueuePair(t *testing.T) {
 			}
 		}
 	}
-
-	lis, _ := srv.Socket()
+	lis, _ = srv.Socket()
 	if err := lis.Bind(core.Addr{Port: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := lis.Listen(); err != nil {
 		t.Fatal(err)
 	}
+	return srv, cli, srvMAC, lis, settle
+}
+
+// TestCloseReleasesQueuePair runs connect / push two, pop one / close
+// cycles between two transports: closing both ends must give back every
+// posted receive and every slot, the unpopped message's too, so
+// afterwards each side holds its listener (or nothing) and the arenas the
+// first cycle needed. Closing the listener then closes a connection it
+// staged that nobody accepted.
+func TestCloseReleasesQueuePair(t *testing.T) {
+	srv, cli, srvMAC, lis, settle := listening(t)
 	var srvArenas, cliArenas int
 	for i := 0; i < 50; i++ {
 		c, _ := cli.Socket()
@@ -106,5 +113,54 @@ func TestCloseReleasesQueuePair(t *testing.T) {
 	settle()
 	if eps, pending, _ := held(srv); eps != 0 || pending != 0 {
 		t.Errorf("server after closing its listener over a staged connection: %d endpoints, %d pending work requests", eps, pending)
+	}
+}
+
+// TestCloseDisconnectsPeer: closing one end of a connection releases the
+// device queue pair at the other end too, whose application may never
+// close it. A client that closes fails the server's waiting pop with a
+// dead peer, and the server's device then holds no queue pair and no
+// posted receive for it. A listener closed over a connection request its
+// device took after the last poll closes the connection it stages, and
+// its client learns so. live reads each device's count of queue pairs.
+func TestCloseDisconnectsPeer(t *testing.T) {
+	srv, cli, srvMAC, lis, settle := listening(t)
+	live := func(tr *Transport) int64 { return tr.Device().Stats().LiveQPs }
+
+	c, _ := cli.Socket()
+	if err := c.Connect(core.Addr{MAC: srvMAC, Port: 7}); err != nil {
+		t.Fatal(err)
+	}
+	settle()
+	s, ok, err := lis.Accept()
+	if err != nil || !ok || live(srv) != 1 || live(cli) != 1 {
+		t.Fatalf("accept ok=%v err=%v; %d and %d queue pairs live, want 1 and 1", ok, err, live(srv), live(cli))
+	}
+	var popped queue.Completion
+	s.Pop(func(comp queue.Completion) { popped = comp })
+	c.Close()
+	settle()
+	if !errors.Is(popped.Err, core.ErrPeerDead) || live(srv) != 0 || srv.Pending() != 0 {
+		t.Fatalf("after the client's close: server pop %v, %d queue pairs live, %d work requests pending; want a dead peer, 0, 0",
+			popped.Err, live(srv), srv.Pending())
+	}
+	s.Close()
+
+	c, _ = cli.Socket()
+	if err := c.Connect(core.Addr{MAC: srvMAC, Port: 7}); err != nil {
+		t.Fatal(err)
+	}
+	srv.Device().Poll() // the device takes the request; no transport poll stages it
+	lis.Close()
+	settle()
+	if live(srv) != 0 || !errors.Is(c.Err(), core.ErrPeerDead) {
+		t.Fatalf("listener closed over a connection request: %d server queue pairs live, client err %v; want 0, a dead peer",
+			live(srv), c.Err())
+	}
+	c.Close()
+	settle()
+	if live(srv)+live(cli) != 0 || srv.Pending()+cli.Pending() != 0 {
+		t.Fatalf("at the end: %d and %d queue pairs live, %d and %d work requests pending",
+			live(srv), live(cli), srv.Pending(), cli.Pending())
 	}
 }

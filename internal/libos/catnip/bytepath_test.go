@@ -262,7 +262,7 @@ func TestPoppedFreeWhileQueuedDefers(t *testing.T) {
 			msg := pattern(1000, 5)
 			b.Push(sga.New(msg), 0, func(queue.Completion) {})
 			s := r.popSGA(a)
-			if _, held := s.Reg.(*fabric.SGABuf); !held {
+			if _, held := s.Reg.(*fabric.FrameBuf); !held {
 				t.Fatal("a popped SGA carries nothing to hold its buffer by")
 			}
 			r.stall(a)

@@ -46,7 +46,7 @@ type Transport struct {
 	// loading it; everything protocol-level lives behind it.
 	stackp atomic.Pointer[netstack.Stack]
 	// pool supplies every buffer the transport hands out — wire frames,
-	// popped SGAs, AllocSGA — with their fabric.SGABuf headers: the
+	// popped SGAs, AllocSGA — each one fabric.FrameBuf: the
 	// process-wide default in a set of one, a private pool per shard in a
 	// wider set, so the steady-state recycle path never crosses shard cache
 	// lines.
@@ -447,14 +447,14 @@ type txFrame struct {
 	sent int
 	cost simclock.Lat
 	done queue.DoneFunc
-	hold *fabric.SGABuf
+	hold *fabric.FrameBuf
 }
 
 // release ends the hold on the memory of a frame that leaves txq unsent,
 // before its done fires.
 func (f *txFrame) release() {
 	if f.hold != nil {
-		f.hold.ReleaseFromIO()
+		f.hold.Release()
 	}
 }
 
@@ -582,8 +582,8 @@ func (e *endpoint) push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc, pump 
 	err := e.pushErrLocked()
 	if err == nil {
 		f := txFrame{s: s, cost: cost, done: done}
-		if f.hold, _ = s.Reg.(*fabric.SGABuf); f.hold != nil {
-			f.hold.HoldForIO()
+		if f.hold, _ = s.Reg.(*fabric.FrameBuf); f.hold != nil {
+			f.hold.Retain()
 		}
 		e.txq.Push(f)
 		if pump {
@@ -665,7 +665,7 @@ func (e *endpoint) Pump() int {
 // one lock round trip instead of one each.
 type txDone struct {
 	done queue.DoneFunc
-	hold *fabric.SGABuf // the frame's, let go as it fires
+	hold *fabric.FrameBuf // the frame's, let go as it fires
 	cost simclock.Lat
 	err  error
 }
@@ -720,7 +720,7 @@ func (t *Transport) fire(f fired, sp *fired) {
 	for i := range f.tx {
 		d := &f.tx[i]
 		if d.hold != nil {
-			d.hold.ReleaseFromIO() // the ring has its copy: a deferred Free goes through
+			d.hold.Release() // the ring has its copy: a deferred Free goes through
 		}
 		d.done(queue.Completion{Kind: queue.OpPush, Cost: d.cost, Err: d.err})
 	}

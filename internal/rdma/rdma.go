@@ -193,6 +193,8 @@ type Stats struct {
 	// frame leaves a PSN gap, so the next frame moves the QP to the
 	// error state — corruption is never silent.
 	IcrcDrops int64
+	// LiveQPs is queue pairs created and not yet destroyed.
+	LiveQPs int64
 }
 
 // qpState is the queue-pair lifecycle.
@@ -241,9 +243,11 @@ func (qp *QP) Connected() bool {
 }
 
 // Destroy tears the queue pair down: every outstanding work request is
-// flushed to its completion queue with StatusQPError and the QP number
-// is released. A libOS calls it when it closes a connection or gives up
-// on a broken one.
+// flushed to its completion queue with StatusQPError, the QP number is
+// released, and a connected peer is told (a disconnect), so that its
+// queue pair errors and flushes too instead of holding its posted
+// receives for a connection that is gone. A libOS calls it when it closes
+// a connection or gives up on a broken one.
 func (qp *QP) Destroy() {
 	d := qp.dev
 	d.mu.Lock()
@@ -251,6 +255,9 @@ func (qp *QP) Destroy() {
 	if qp.state != qpError {
 		qp.state = qpError
 		qp.flushLocked()
+	}
+	if _, live := d.qps[qp.num]; live && qp.remoteQPN != 0 {
+		d.send(qp.remoteMAC, opDisconnect, qp.remoteQPN, nil, 0)
 	}
 	delete(d.qps, qp.num)
 }
@@ -355,7 +362,9 @@ func (d *Device) PortID() int { return d.port.ID() }
 func (d *Device) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.stats
+	s := d.stats
+	s.LiveQPs = int64(len(d.qps))
+	return s
 }
 
 // RegisterTelemetry lifts the device counters into a telemetry registry
@@ -376,6 +385,7 @@ func (d *Device) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	r.RegisterFunc(prefix+".access_naks", stat(func(s Stats) int64 { return s.AccessNaks }))
 	r.RegisterFunc(prefix+".qp_errors", stat(func(s Stats) int64 { return s.QPErrors }))
 	r.RegisterFunc(prefix+".icrc_drops", stat(func(s Stats) int64 { return s.IcrcDrops }))
+	r.RegisterFunc(prefix+".live_qps", stat(func(s Stats) int64 { return s.LiveQPs }))
 }
 
 // AllocPD allocates a protection domain.

@@ -323,6 +323,33 @@ func TestRecvPostedAfterDestroyFlushes(t *testing.T) {
 	}
 }
 
+// TestDestroyDisconnectsPeer: destroying one end of a connection tells
+// the other (rdma_cm's DREQ): its queue pair errors and flushes its
+// posted receives, without counting a QP error, and owes no disconnect
+// back. LiveQPs counts each device's queue pairs not yet destroyed.
+func TestDestroyDisconnectsPeer(t *testing.T) {
+	r := newRig(t)
+	cli, srv, cliPD, _, _, cliRCQ, _, _ := r.connect(t)
+	if a, b := r.a.Stats().LiveQPs, r.b.Stats().LiveQPs; a != 1 || b != 1 {
+		t.Fatalf("connected: %d and %d queue pairs live, want 1 and 1", a, b)
+	}
+	mr := cliPD.RegisterMemory(make([]byte, 64))
+	cli.PostRecv(1, Sge{MR: mr, Off: 0, Len: 64})
+	srv.Destroy()
+	r.pump()
+	wcs := cliRCQ.Poll(0)
+	if len(wcs) != 1 || wcs[0].Status != StatusQPError || cli.Connected() {
+		t.Fatalf("peer destroyed: client completions %+v, connected %v; want its receive flushed", wcs, cli.Connected())
+	}
+	if a, b := r.a.Stats(), r.b.Stats(); a.LiveQPs != 1 || b.LiveQPs != 0 || a.QPErrors+b.QPErrors != 0 {
+		t.Fatalf("%d and %d queue pairs live, %d QP errors; want 1, 0, 0", a.LiveQPs, b.LiveQPs, a.QPErrors+b.QPErrors)
+	}
+	cli.Destroy()
+	if n := r.a.Poll() + r.b.Poll(); n != 0 || r.a.Stats().LiveQPs != 0 {
+		t.Fatalf("after both destroys: %d frames moved, %d queue pairs live; want 0, 0", n, r.a.Stats().LiveQPs)
+	}
+}
+
 // TestTwoPollersOneDevice polls each device from two goroutines at once
 // while the client streams sends: the fabric port has one reader at a
 // time, so the receiver handles the frames in wire order and every send

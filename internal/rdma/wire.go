@@ -22,6 +22,7 @@ const (
 	opReadResp
 	opAck
 	opNak
+	opDisconnect
 )
 
 // NAK reason codes on the wire.
@@ -114,6 +115,8 @@ func (d *Device) handleFrame(f fabric.Frame) {
 		d.handleAckLocked(dstQPN, body, cost)
 	case opNak:
 		d.handleNakLocked(dstQPN, body, cost)
+	case opDisconnect:
+		d.handleDisconnectLocked(srcMAC, dstQPN)
 	}
 }
 
@@ -136,6 +139,22 @@ func (d *Device) handleConnReqLocked(srcMAC fabric.MAC, body []byte) {
 	resp := binary.BigEndian.AppendUint32(nil, qp.num)
 	// Unlock-free send: d.send does not take d.mu.
 	d.send(srcMAC, opConnResp, clientQPN, resp, 0)
+}
+
+// handleDisconnectLocked tears down the local end of a connection whose
+// peer destroyed its queue pair, as rdma_cm's DREQ does: the queue pair
+// moves to the error state and flushes, so its libOS learns the peer is
+// gone and destroys it in turn. It owes the peer no disconnect back.
+func (d *Device) handleDisconnectLocked(srcMAC fabric.MAC, dstQPN uint32) {
+	qp, ok := d.qps[dstQPN]
+	if !ok || qp.remoteMAC != srcMAC {
+		return
+	}
+	qp.remoteQPN = 0
+	if qp.state != qpError {
+		qp.state = qpError
+		qp.flushLocked()
+	}
 }
 
 func (d *Device) handleConnRespLocked(dstQPN uint32, body []byte) {

@@ -68,7 +68,7 @@ func New(segs ...[]byte) SGA {
 // WithFree returns a copy of s that invokes fn exactly once when freed.
 // Libraries allocating device memory for an SGA use this to attach the
 // release of that memory (free-protection is the pool's job; see
-// fabric.SGABuf).
+// fabric.FrameBuf).
 func (s SGA) WithFree(fn func()) SGA {
 	s.free = fn
 	return s

@@ -4,11 +4,15 @@
 // arms one slab slot, and how its completion comes back depends on how
 // the slot was armed:
 //
-//   - tagged (ArmBatch, the batched submission path): the completion is
-//     posted to the CQ under the operation's tag, and harvested in bulk;
+//   - tagged (ArmBatch, the batched submission path): the completion stays
+//     in the slot, the slot goes on the CQ, and Harvest writes it out
+//     under the operation's tag, in bulk, releasing the slot as it goes;
 //   - by token (ArmToken, the paper's Push/Pop/Wait): the completion stays
 //     in the slot, and the qtoken — generation<<32 | slot — reads it there
 //     (TryWait, WaitChan, an any-of subscription).
+//
+// Either way a completion is written once, into its slot, and copied once
+// more only to the application: the CQ is a FIFO of slots, not of entries.
 //
 // There is no submission queue. The paper's libOS is linked into the
 // application (§3.2, §4.4), so submitting is a function call
@@ -20,18 +24,18 @@
 // queue.ErrUnknownToken. Neither face allocates: a slot's completion
 // closure is bound once, when the slab grows.
 //
-// Concurrency contract. One mutex guards the slab, the CQ and the waiter
-// state: whichever goroutine pumps the stack completes operations, the
-// application arms, waits and harvests, and a crash flush (Reset)
-// rewrites what is pending, each under it. Whoever harvests gets every
+// Concurrency contract. One mutex guards the slab, the CQ and its
+// counters, and the waiter state: whichever goroutine pumps the stack
+// completes operations, the application arms, waits and harvests, and a
+// crash flush (Reset) rewrites what is pending, each under it. Whoever harvests gets every
 // tagged completion, so a pair's CQ belongs to one application thread;
 // tokens are consumed one by one, so any number of threads may wait on
 // tokens of one pair.
 //
 // No bound. The slab and the CQ grow by doubling, so a pair holds as
-// many operations as its application submitted; capacity is where the
-// slab starts. Neither shrinks, and both stop growing at the
-// application's own high-water mark.
+// many operations as its application submitted and has not harvested;
+// capacity is where the slab starts. Neither shrinks, and both stop
+// growing at the application's own high-water mark.
 package uring
 
 import (
@@ -83,8 +87,9 @@ type CQE struct {
 type opState struct {
 	slot uint32 // index in Pair.slots, fixed
 	gen  uint32 // bumped on every release; never 0
-	// armed is set from arming to completion. A token slot stays taken
-	// after that, holding comp, until its token is consumed.
+	// armed is set from arming to completion. The slot stays taken after
+	// that, holding comp, until its token is consumed or its CQ entry is
+	// harvested.
 	armed bool
 	token bool
 
@@ -92,10 +97,10 @@ type opState struct {
 	qd              int32
 	issueNS, doneNS int64
 	done            queue.DoneFunc
+	comp            queue.Completion
 
-	// Token face: the completion, the one blocking waiter (WaitChan) and
-	// the one any-of subscription (SubscribeAny) with the index it notes.
-	comp   queue.Completion
+	// Token face: the one blocking waiter (WaitChan) and the one any-of
+	// subscription (SubscribeAny) with the index it notes.
 	ch     chan queue.Completion
 	any    *AnyWaiter
 	anyIdx int
@@ -124,18 +129,17 @@ type Pair struct {
 	free  []*opState // released slots, LIFO for cache warmth
 	// armed is ArmBatch's result, reused from call to call.
 	armed []queue.DoneFunc
-	cq    fifo.Queue[CQE]
+	// cq holds the completed tagged slots, oldest first.
+	cq fifo.Queue[*opState]
 	// tokens counts token slots taken; wakeups the WaitChan deliveries.
 	tokens  int64
 	wakeups int64
+	// The CQ counters (names mirror the uring.* registry entries).
+	cqPosted, cqHarvested, cqFlushed int64
 
 	spans *telemetry.SpanTable
 
-	// Counters (names mirror the uring.* registry entries).
 	submitted   atomic.Int64
-	cqPosted    atomic.Int64
-	cqHarvested atomic.Int64
-	cqFlushed   atomic.Int64
 	submitBatch [len(batchBuckets) + 1]atomic.Int64
 }
 
@@ -186,8 +190,9 @@ func (p *Pair) releaseLocked(st *opState) {
 	if st.token {
 		p.tokens--
 		st.token = false
-		st.comp, st.ch, st.any = queue.Completion{}, nil, nil
+		st.ch, st.any = nil, nil
 	}
+	st.comp = queue.Completion{}
 	if st.gen++; st.gen == 0 {
 		st.gen = 1
 	}
@@ -255,11 +260,11 @@ func (p *Pair) Submitted(n int) {
 	p.submitBatch[i].Add(1)
 }
 
-// complete is the target of every slab DoneFunc. A tagged operation's
-// completion becomes a CQE and its slot is released; a token operation's
-// stays in the slot for its token, or goes straight to the waiter blocked
-// on it. A slot that is no longer armed (a stale double completion) drops
-// the completion and frees its payload.
+// complete is the target of every slab DoneFunc. The completion is stored
+// in the slot: a tagged operation's slot goes on the CQ, a token
+// operation's waits for its token, or its completion goes straight to the
+// waiter blocked on it. A slot that is no longer armed (a stale double
+// completion) drops the completion and frees its payload.
 func (p *Pair) complete(st *opState, c queue.Completion) {
 	p.mu.Lock()
 	if !st.armed {
@@ -271,9 +276,9 @@ func (p *Pair) complete(st *opState, c queue.Completion) {
 	if st.issueNS != 0 {
 		st.doneNS = time.Now().UnixNano()
 	}
+	st.comp = c
 	if st.token {
-		c.Token = st.qtoken()
-		st.comp = c
+		st.comp.Token = st.qtoken()
 		if ch := st.ch; ch != nil {
 			// Exactly this one waiter wakes, and delivery is its consume.
 			// The channel has room for the one completion a token gets,
@@ -291,20 +296,9 @@ func (p *Pair) complete(st *opState, c queue.Completion) {
 		p.mu.Unlock()
 		return
 	}
-	cqe := CQE{
-		Tag:     st.tag,
-		Kind:    c.Kind,
-		Err:     c.Err,
-		SGA:     c.SGA,
-		Cost:    c.Cost,
-		qd:      st.qd,
-		issueNS: st.issueNS,
-		doneNS:  st.doneNS,
-	}
-	p.releaseLocked(st)
-	p.cq.Push(cqe)
+	p.cq.Push(st)
+	p.cqPosted++
 	p.mu.Unlock()
-	p.cqPosted.Add(1)
 }
 
 // lookupLocked resolves a qtoken to its slot: nil unless the slot's
@@ -448,19 +442,22 @@ func (p *Pair) TakeAny(w *AnyWaiter) (i int, ok bool) {
 	return i, true
 }
 
-// Harvest pops up to len(dst) completions, oldest first.
+// Harvest pops up to len(dst) completions, oldest first, each written
+// into dst straight from its slot, which it releases.
 func (p *Pair) Harvest(dst []CQE) int {
 	p.mu.Lock()
-	n := 0
-	for n < len(dst) && p.cq.Len() > 0 {
-		dst[n] = p.cq.Pop()
-		n++
+	n := min(len(dst), p.cq.Len())
+	for i := 0; i < n; i++ {
+		st, d := p.cq.Pop(), &dst[i]
+		d.Tag, d.Kind, d.Err, d.SGA, d.Cost = st.tag, st.comp.Kind, st.comp.Err, st.comp.SGA, st.comp.Cost
+		d.qd, d.issueNS, d.doneNS = st.qd, st.issueNS, st.doneNS
+		p.releaseLocked(st)
 	}
+	p.cqHarvested += int64(n)
 	p.mu.Unlock()
 	if n == 0 {
 		return 0
 	}
-	p.cqHarvested.Add(int64(n))
 	if p.spans != nil && p.spans.Enabled() {
 		now := time.Now().UnixNano()
 		for i := 0; i < n; i++ {
@@ -486,26 +483,25 @@ func (p *Pair) Harvest(dst []CQE) int {
 // Reset is the crash flush. It runs after the transport has failed every
 // operation still in flight with err, so what it finds on the CQ is
 // those failures and the completions the application had not harvested
-// when the stack died. It rewrites the latter in place — err, payload
-// freed — so that every operation pending at the crash resolves to one
-// CQE carrying err, and returns how many it rewrote: the operations this
-// crash failed that the transport's own count does not hold. Nothing is
-// left poisoned; the pair serves the next incarnation.
+// when the stack died. It rewrites the latter in their slots — err,
+// payload freed — so that every operation pending at the crash resolves
+// to one CQE carrying err, and returns how many it rewrote: the
+// operations this crash failed that the transport's own count does not
+// hold. Nothing is left poisoned; the pair serves the next incarnation.
 func (p *Pair) Reset(err error) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
-	for i := p.cq.Len(); i > 0; i-- {
-		c := p.cq.Pop()
+	for i := 0; i < p.cq.Len(); i++ {
+		c := &(*p.cq.At(i)).comp
 		if !errors.Is(c.Err, err) {
 			c.SGA.Free()
 			c.SGA = sga.SGA{}
 			c.Err = err
 			n++
 		}
-		p.cq.Push(c)
 	}
-	p.cqFlushed.Add(int64(n))
+	p.cqFlushed += int64(n)
 	return n
 }
 
@@ -534,11 +530,9 @@ func (p *Pair) CountersSnapshot() (c Counters) {
 	c.Slab = int64(len(p.slots))
 	c.Tokens = p.tokens
 	c.Wakeups = p.wakeups
+	c.CQPosted, c.CQHarvested, c.CQFlushed = p.cqPosted, p.cqHarvested, p.cqFlushed
 	p.mu.Unlock()
 	c.Submitted = p.submitted.Load()
-	c.CQPosted = p.cqPosted.Load()
-	c.CQHarvested = p.cqHarvested.Load()
-	c.CQFlushed = p.cqFlushed.Load()
 	c.Outstanding = c.Submitted - c.CQHarvested
 	for i := range p.submitBatch {
 		c.SubmitBatch[i] = p.submitBatch[i].Load()

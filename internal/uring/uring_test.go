@@ -2,6 +2,8 @@ package uring
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"demikernel/internal/queue"
@@ -183,17 +185,35 @@ func TestPairResetFlushesBothRings(t *testing.T) {
 	}
 }
 
+// TestPairDoubleCompletionDropped: a second completion of one tagged
+// operation that arrives after the first, while the first waits in its
+// slot for Harvest, is dropped and its payload freed; Harvest returns the
+// first exactly once, payload intact.
 func TestPairDoubleCompletionDropped(t *testing.T) {
 	p := NewPair(4)
 	done := p.ArmBatch([]SQE{{Op: queue.OpPop, QD: 1, Tag: 7}})[0]
-	done(queue.Completion{Kind: queue.OpPop, SGA: payload("a")})
-	done(queue.Completion{Kind: queue.OpPop, SGA: payload("stale")})
-	if got := p.cqPosted.Load(); got != 1 {
+	freed := map[string]int{}
+	tracked := func(s string) sga.SGA {
+		return payload(s).WithFree(func() { freed[s]++ })
+	}
+	done(queue.Completion{Kind: queue.OpPop, SGA: tracked("a")})
+	done(queue.Completion{Kind: queue.OpPop, SGA: tracked("stale")})
+	if got := p.CountersSnapshot().CQPosted; got != 1 {
 		t.Fatalf("cq_posted = %d, want 1 (stale completion must drop)", got)
 	}
+	if freed["stale"] != 1 || freed["a"] != 0 {
+		t.Fatalf("frees %v before harvest, want the stale payload's alone", freed)
+	}
 	var cqes [4]CQE
-	if n := p.Harvest(cqes[:]); n != 1 || cqes[0].Tag != 7 {
-		t.Fatalf("Harvest = %d tag %d, want 1 tag 7", n, cqes[0].Tag)
+	if n := p.Harvest(cqes[:]); n != 1 || cqes[0].Tag != 7 || string(cqes[0].SGA.Bytes()) != "a" {
+		t.Fatalf("Harvest = %d tag %d %q, want 1 tag 7 \"a\"", n, cqes[0].Tag, cqes[0].SGA.Bytes())
+	}
+	if n := p.Harvest(cqes[:]); n != 0 {
+		t.Fatalf("second Harvest = %d, want 0", n)
+	}
+	cqes[0].SGA.Free()
+	if freed["a"] != 1 || freed["stale"] != 1 {
+		t.Fatalf("frees %v, want one each", freed)
 	}
 }
 
@@ -315,5 +335,119 @@ func TestPairTokensAndTagsShareSlab(t *testing.T) {
 	}
 	if c.Slab != 4 {
 		t.Fatalf("slab grew to %d for at most 3 operations in flight at once", c.Slab)
+	}
+}
+
+// TestPairCompleterRaceStress: a completer goroutine fires tagged and
+// token DoneFuncs while the application goroutine arms, harvests and
+// waits, across one crash flush and the slab's growth. Every operation
+// comes back exactly once — each tag harvested once, each token consumed
+// once — and every payload is freed once, by the application or by the
+// flush.
+func TestPairCompleterRaceStress(t *testing.T) {
+	const (
+		rounds = 400
+		batch  = 6
+		burst  = 64 // one round arms this many more, growing the slab
+	)
+	p := NewPair(4)
+	boom := errors.New("local reset")
+	// Room for more than the largest round, so that arming seldom waits
+	// on the completer; it never has to.
+	fire := make(chan queue.DoneFunc, 2*burst)
+	var frees atomic.Int64
+	go func() {
+		for done := range fire {
+			done(queue.Completion{Kind: queue.OpPop, SGA: payload("x").WithFree(func() { frees.Add(1) })})
+		}
+	}()
+
+	seen := map[uint64]int{}
+	var live []queue.QToken // tokens armed and not yet consumed
+	var cqes [16]CQE
+	flushed, failed := 0, 0
+	harvest := func() {
+		for {
+			n := p.Harvest(cqes[:])
+			for _, c := range cqes[:n] {
+				seen[c.Tag]++
+				if errors.Is(c.Err, boom) {
+					failed++
+				}
+				c.SGA.Free()
+			}
+			if n < len(cqes) {
+				return
+			}
+		}
+	}
+	wait := func() {
+		kept := live[:0]
+		for _, qt := range live {
+			c, ok, err := p.TryWait(qt)
+			switch {
+			case err != nil:
+				t.Fatalf("TryWait(%#x): %v", qt, err)
+			case ok:
+				c.SGA.Free()
+				if _, _, err := p.TryWait(qt); !errors.Is(err, queue.ErrUnknownToken) {
+					t.Fatalf("token %#x consumed twice: %v", qt, err)
+				}
+			default:
+				kept = append(kept, qt)
+			}
+		}
+		live = kept
+	}
+	var tag uint64
+	ops := 0
+	for r := 0; r < rounds; r++ {
+		n := batch
+		if r == rounds/2 {
+			n += burst
+		}
+		es := make([]SQE, n)
+		for i := range es {
+			tag++
+			es[i] = SQE{Op: queue.OpPop, QD: 1, Tag: tag}
+		}
+		for _, done := range p.ArmBatch(es) {
+			fire <- done
+		}
+		p.Submitted(n)
+		qt, done := p.ArmToken(1)
+		live = append(live, qt)
+		fire <- done
+		ops += n + 1
+		if r == rounds/3 {
+			for p.CountersSnapshot().CQOccupancy == 0 {
+				runtime.Gosched()
+			}
+			flushed = p.Reset(boom)
+		}
+		harvest()
+		wait()
+	}
+	for len(seen) < int(tag) || len(live) > 0 {
+		harvest()
+		wait()
+		runtime.Gosched()
+	}
+	close(fire)
+
+	for tg := uint64(1); tg <= tag; tg++ {
+		if seen[tg] != 1 {
+			t.Fatalf("tag %d harvested %d times", tg, seen[tg])
+		}
+	}
+	c := p.CountersSnapshot()
+	if c.Outstanding != 0 || c.Tokens != 0 || c.CQOccupancy != 0 || c.Slab < burst {
+		t.Fatalf("counters %+v: want nothing outstanding and a slab grown past %d", c, burst)
+	}
+	if got := frees.Load(); got != int64(ops) {
+		t.Fatalf("%d payloads freed for %d operations", got, ops)
+	}
+	if flushed == 0 || failed != flushed || c.CQFlushed != int64(flushed) {
+		t.Fatalf("the flush rewrote %d completions (counted %d); %d came back failed", flushed, c.CQFlushed, failed)
 	}
 }
