@@ -158,8 +158,8 @@ bench-aa:
 	$(GO) run ./benchmark -aa -sets 2 -runs 3
 
 ## benchsmoke: one iteration of every component microbenchmark — a qtoken
-## round trip, batch submit and harvest, a pool SGA's alloc and Free
-## (which fails on an allocation), the memory queue, SGA marshalling,
+## round trip, batch submit and harvest, a pool SGA's alloc and Free and
+## the memory queue's push and pop (each fails on an allocation), SGA marshalling,
 ## WaitAny's fan-in, and the netstack's (checksum
 ## throughput; ACK dequeue cost at 4 KiB and at 128 KiB queued, and
 ## Stack.Poll beside 1, 1 k and 100 k idle connections, both of which

@@ -46,12 +46,12 @@ type Transport struct {
 	// its Outstanding is this transport's buffers alone.
 	pool *fabric.FramePool
 
-	// fqs and lqs are the open queues, which Poll walks from a snapshot of
-	// the headers: an open appends past what a snapshot covers, and a close
-	// builds a new slice without its entry.
+	// fqs is the open file queues, which Poll walks from a snapshot of the
+	// header: an open appends past what a snapshot covers, and a close
+	// builds a new slice without its entry. A lookup queue answers its pops
+	// as lookups finish, so Poll has no list of them.
 	mu           sync.Mutex
 	fqs          []*fileQueue
-	lqs          []*LookupQueue
 	maxRetries   int
 	retryBackoff time.Duration
 	retries      int64 // transient failures absorbed by the retry loop
@@ -199,20 +199,16 @@ func (t *Transport) Open(path string) (queue.IoQueue, error) {
 }
 
 // Poll implements core.Transport: pump the device (driving Execute
-// waiters and in-flight pushdown traversals one hop per tick) and serve
-// every queue's waiters.
+// waiters and in-flight pushdown traversals one hop per tick, each
+// finished lookup answering its Pop) and serve every file queue's waiters.
 func (t *Transport) Poll() int {
 	n := t.dev.Pump()
-	// Snapshot the slice headers only (see fqs): the tick stays allocation-free.
+	// Snapshot the slice header only (see fqs): the tick stays allocation-free.
 	t.mu.Lock()
 	fqs := t.fqs
-	lqs := t.lqs
 	t.mu.Unlock()
 	for _, fq := range fqs {
 		n += fq.Pump()
-	}
-	for _, lq := range lqs {
-		n += lq.Pump()
 	}
 	return n
 }

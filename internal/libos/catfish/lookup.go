@@ -1,7 +1,6 @@
 package catfish
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -88,9 +87,6 @@ func (t *Transport) OpenLookup(idx *spdk.Index, spec offload.BlockLookupSpec, cf
 		}
 		q.handle = h
 	}
-	t.mu.Lock()
-	t.lqs = append(t.lqs, q)
-	t.mu.Unlock()
 	return q, nil
 }
 
@@ -111,17 +107,8 @@ type LookupQueue struct {
 	crossings    atomic.Int64
 	fallbackHops atomic.Int64
 
-	mu      sync.Mutex
-	results []lookupRes
-	rhead   int
-	waiters []queue.DoneFunc
-	closed  bool
-}
-
-type lookupRes struct {
-	s    sga.SGA
-	err  error
-	cost simclock.Lat
+	mu   sync.Mutex
+	pops queue.PopSide
 }
 
 // Stats returns the queue's crossing counters.
@@ -139,7 +126,7 @@ func (q *LookupQueue) Stats() LookupStats {
 // arrives on a Pop.
 func (q *LookupQueue) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 	q.mu.Lock()
-	closed := q.closed
+	closed := q.pops.Closed()
 	q.mu.Unlock()
 	if closed {
 		done(queue.Completion{Kind: queue.OpPush, Err: queue.ErrClosed})
@@ -212,103 +199,60 @@ func (q *LookupQueue) hostLookup(key []byte) spdk.LookupResult {
 	}
 }
 
-// deliver stages one finished lookup as a Pop-able result. For hits the
-// value is copied into a pooled buffer (spdk.LookupResult.Value is only
-// valid during this callback); the popping application frees it.
+// deliver answers the oldest parked Pop with one finished lookup, or holds
+// it for the next Pop. For hits the value is copied into a pooled buffer
+// (spdk.LookupResult.Value is only valid during this callback); the
+// popping application frees it.
 func (q *LookupQueue) deliver(r spdk.LookupResult) {
-	res := lookupRes{cost: r.Cost}
+	c := queue.Completion{Kind: queue.OpPop, Cost: r.Cost}
 	switch {
 	case r.Err != nil:
-		res.err = r.Err
+		c.Err = r.Err
 	case !r.Found:
-		res.err = spdk.ErrNotFound
+		c.Err = spdk.ErrNotFound
 	default:
-		res.s = q.t.pool.SGA(len(r.Value))
-		copy(res.s.Segments[0].Buf, r.Value)
+		c.SGA = q.t.pool.SGA(len(r.Value))
+		copy(c.SGA.Segments[0].Buf, r.Value)
 	}
 	if q.handle >= 0 {
 		// The one device→host crossing of a pushdown GET.
 		q.crossings.Add(1)
 	}
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		res.s.Free()
-		return
-	}
-	q.results = append(q.results, res)
+	w, ok := q.pops.Deliver(c)
 	q.mu.Unlock()
-	q.Pump()
+	if ok {
+		w(c)
+	}
 }
 
 // Pop implements queue.IoQueue.
 func (q *LookupQueue) Pop(done queue.DoneFunc) {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-		return
-	}
-	q.waiters = append(q.waiters, done)
+	c, ok := q.pops.Pop(done)
 	q.mu.Unlock()
-	q.Pump()
-}
-
-// Pump implements queue.IoQueue: serve waiters from finished lookups,
-// FIFO both sides.
-func (q *LookupQueue) Pump() int {
-	n := 0
-	for {
-		q.mu.Lock()
-		if q.closed || len(q.waiters) == 0 || q.rhead >= len(q.results) {
-			q.mu.Unlock()
-			return n
-		}
-		w := q.waiters[0]
-		// Shift in place so the backing array (and its capacity) is
-		// reused instead of creeping forward and reallocating.
-		copy(q.waiters, q.waiters[1:])
-		q.waiters[len(q.waiters)-1] = nil
-		q.waiters = q.waiters[:len(q.waiters)-1]
-		res := q.results[q.rhead]
-		q.results[q.rhead] = lookupRes{}
-		q.rhead++
-		if q.rhead == len(q.results) {
-			// Fully drained: rewind, reusing the backing array.
-			q.results = q.results[:0]
-			q.rhead = 0
-		}
-		q.mu.Unlock()
-		w(queue.Completion{Kind: queue.OpPop, SGA: res.s, Err: res.err, Cost: res.cost})
-		n++
+	if ok {
+		done(c)
 	}
 }
 
-// Close implements queue.IoQueue.
+// Pump implements queue.IoQueue: a lookup answers its Pop when it
+// finishes, so there is nothing to pump.
+func (q *LookupQueue) Pump() int { return 0 }
+
+// Close implements queue.IoQueue: parked pops fail, the values nobody
+// popped are freed, and the pushdown program is uninstalled.
 func (q *LookupQueue) Close() error {
 	q.mu.Lock()
-	if q.closed {
+	if q.pops.Closed() {
 		q.mu.Unlock()
 		return nil
 	}
-	q.closed = true
-	ws := q.waiters
-	q.waiters = nil
-	rs := q.results[q.rhead:]
-	q.results = nil
-	q.rhead = 0
+	dropped := q.pops.Close()
 	q.mu.Unlock()
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-	}
-	for i := range rs {
-		rs[i].s.Free()
-	}
+	dropped.Settle()
 	if q.handle >= 0 {
 		q.t.dev.UninstallPushdown(q.handle)
 	}
-	q.t.mu.Lock()
-	q.t.lqs = slices.DeleteFunc(slices.Clone(q.t.lqs), func(x *LookupQueue) bool { return x == q })
-	q.t.mu.Unlock()
 	return nil
 }

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"demikernel/internal/offload"
 	"demikernel/internal/queue"
@@ -187,6 +191,82 @@ func TestLookupQueueResetMidTraversal(t *testing.T) {
 	}
 }
 
+// TestLookupQueueDevicePumpStress: pushdown GETs complete on a goroutine
+// that polls the transport, while the application pushes, pops and, with
+// GETs still in flight, closes the queue. Every pop completes exactly
+// once, with a value or ErrClosed, and every pooled buffer comes back.
+func TestLookupQueueDevicePumpStress(t *testing.T) {
+	tr, dev := newTransport(t)
+	kvs := testPairs(32)
+	q, _ := openLookup(t, tr, kvs, LookupConfig{Pushdown: true})
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			tr.Poll()
+			runtime.Gosched()
+		}
+	}()
+
+	const gets, depth = 2000, 8
+	answers := make([]atomic.Int32, gets)
+	var answered, values atomic.Int64
+	pushDone := func(c queue.Completion) {
+		if c.Err != nil {
+			t.Errorf("push: %v", c.Err)
+		}
+	}
+	for i := range gets {
+		for int64(i)-answered.Load() >= depth {
+			runtime.Gosched()
+		}
+		key := kvs[i%len(kvs)].Key
+		ks := tr.AllocSGA(len(key))
+		copy(ks.Segments[0].Buf, key)
+		q.Push(ks, 0, pushDone)
+		q.Pop(func(c queue.Completion) {
+			answers[i].Add(1)
+			switch {
+			case c.Err == nil:
+				if !bytes.HasPrefix(c.SGA.Bytes(), []byte("value-")) {
+					t.Errorf("pop %d: %q", i, c.SGA.Bytes())
+				}
+				c.SGA.Free()
+				values.Add(1)
+			case !errors.Is(c.Err, queue.ErrClosed):
+				t.Errorf("pop %d: %v", i, c.Err)
+			}
+			answered.Add(1)
+		})
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); dev.PushdownStats().Inflight != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d lookups still in flight", dev.PushdownStats().Inflight)
+		}
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	for i := range answers {
+		if n := answers[i].Load(); n != 1 {
+			t.Fatalf("pop %d completed %d times", i, n)
+		}
+	}
+	if values.Load() < gets-depth {
+		t.Fatalf("%d of %d pops got a value, want all but the last %d", values.Load(), gets, depth)
+	}
+	if out := tr.Pool().Outstanding(); out != 0 {
+		t.Fatalf("%d pooled buffers outstanding after close", out)
+	}
+}
+
 // AllocSGA + durable push: the libOS consumes the staging buffer once
 // the record is on media, so the pool gauge returns to zero without the
 // app ever freeing it.
@@ -259,43 +339,29 @@ func TestLookupQueueSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestClosedQueuesLeavePoll: a poll serves every open file and lookup
-// queue, so a closed one has to leave its list. 1 000 open → use → close
-// cycles of each leave both lists where they started, and an idle poll
-// afterwards allocates nothing.
+// TestClosedQueuesLeavePoll: a poll serves every open file queue, so a
+// closed one has to leave the list. 1 000 open → use → close cycles leave
+// it where it started, and an idle poll afterwards allocates nothing.
 func TestClosedQueuesLeavePoll(t *testing.T) {
 	tr, _ := newTransport(t)
-	idx, err := tr.BuildIndex(testPairs(8), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lists := func() [2]int {
+	open := func() int {
 		tr.mu.Lock()
 		defer tr.mu.Unlock()
-		return [2]int{len(tr.fqs), len(tr.lqs)}
+		return len(tr.fqs)
 	}
-	base := lists()
+	base := open()
 	for i := 0; i < 1000; i++ {
 		fq, err := tr.Open("/log")
 		if err != nil {
 			t.Fatal(err)
 		}
 		fq.Pop(func(queue.Completion) {}) // fails with ErrClosed at the close
-		lq, err := tr.OpenLookup(idx, offload.IndexLookup(), LookupConfig{Pushdown: i%2 == 0})
-		if err != nil {
+		if err := fq.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if v, err := get(t, tr, lq, []byte("key-0003")); err != nil || string(v) != "value-3" {
-			t.Fatalf("cycle %d: GET = %q, %v", i, v, err)
-		}
-		for _, q := range []queue.IoQueue{fq, lq} {
-			if err := q.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
-	if got := lists(); got != base {
-		t.Fatalf("poll serves %v file/lookup queues after 1 000 cycles, %v before", got, base)
+	if got := open(); got != base {
+		t.Fatalf("poll serves %d file queues after 1 000 cycles, %d before", got, base)
 	}
 	tr.Poll()
 	if avg := testing.AllocsPerRun(1000, func() { tr.Poll() }); avg != 0 && !raceEnabled {

@@ -102,12 +102,12 @@ type Transport struct {
 	// pump is the work list Poll serves instead of walking eps: the
 	// endpoints marked since the last poll, each once (endpoint.marked),
 	// in marking order. An endpoint is marked by whatever gives it work a
-	// poll must finish — a push or pop staged without an inline pump, a
-	// pump that left frames behind a full send buffer, a parked receive
-	// drain the reader has caught up on, and the stack reporting its
-	// connection readable. pumpSpare is the drained list of the previous
-	// poll, kept so that two slices trade places and nothing is allocated;
-	// ready is PollReady's scratch.
+	// poll must finish — a pump that left frames behind a full send buffer,
+	// a parked receive drain the reader has caught up on, and the stack
+	// reporting its connection readable. A batched push or pop marks
+	// nothing: its pump is its submitter's (queue.BatchIoQueue). pumpSpare
+	// is the drained list of the previous poll, kept so that two slices
+	// trade places and nothing is allocated; ready is PollReady's scratch.
 	pump, pumpSpare []*endpoint
 	ready           []any
 }

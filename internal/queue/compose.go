@@ -115,17 +115,18 @@ func (q *MapQueue) Close() error { return q.inner.Close() }
 
 // SortQueue reorders an inner queue: pops return the highest-priority
 // buffered element rather than the oldest. It keeps a small window of
-// outstanding pops on the inner queue and heapifies their results.
+// outstanding pops on the inner queue and heapifies their results. Its
+// buffered elements are a heap, not a FIFO, so only its parked pops and
+// closed flag are a PopSide's; nothing is ever held there.
 type SortQueue struct {
 	inner IoQueue
 	less  LessFunc
 
 	mu          sync.Mutex
 	h           sgaHeap
-	waiters     []DoneFunc
+	pops        PopSide
 	outstanding int
 	window      int
-	closed      bool
 }
 
 // NewSortQueue wraps inner, ordering pops by less. window bounds how many
@@ -142,30 +143,27 @@ func (q *SortQueue) Push(s sga.SGA, cost simclock.Lat, done DoneFunc) {
 	q.inner.Push(s, cost, done)
 }
 
-// Pop implements IoQueue.
+// Pop implements IoQueue. A closed queue's heap is empty.
 func (q *SortQueue) Pop(done DoneFunc) {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		done(Completion{Kind: OpPop, Err: ErrClosed})
-		return
+	var c Completion
+	ok := q.h.Len() > 0
+	if ok {
+		c = heap.Pop(&q.h).(Completion)
+	} else {
+		c, ok = q.pops.Pop(done)
 	}
-	if q.h.Len() > 0 {
-		c := heap.Pop(&q.h).(Completion)
-		q.mu.Unlock()
-		done(c)
-		return
-	}
-	q.waiters = append(q.waiters, done)
 	q.mu.Unlock()
+	if ok {
+		done(c)
+	}
 }
 
-// Pump implements IoQueue: it refills the prefetch window and serves
-// waiters in priority order.
+// Pump implements IoQueue: it refills the prefetch window.
 func (q *SortQueue) Pump() int {
 	n := q.inner.Pump()
 	q.mu.Lock()
-	if q.closed {
+	if q.pops.Closed() {
 		q.mu.Unlock()
 		return n
 	}
@@ -176,62 +174,41 @@ func (q *SortQueue) Pump() int {
 		q.inner.Pop(q.onInnerPop)
 		n++
 	}
-	q.serveWaiters()
 	return n
 }
 
+// onInnerPop heaps an element nobody waits for. A parked pop (none parks
+// while the heap holds one) takes the element itself, or a terminal error
+// other than ErrClosed; a closed queue frees the element.
 func (q *SortQueue) onInnerPop(c Completion) {
 	q.mu.Lock()
 	q.outstanding--
-	if c.Err != nil {
-		// Propagate terminal errors to one waiter, if any.
-		if len(q.waiters) > 0 && c.Err != ErrClosed {
-			w := q.waiters[0]
-			q.waiters = q.waiters[1:]
-			q.mu.Unlock()
-			w(c)
-			return
-		}
-		q.mu.Unlock()
-		return
+	var w DoneFunc
+	switch {
+	case q.pops.Closed() || q.pops.Parked() > 0 && c.Err != ErrClosed:
+		w, _ = q.pops.Deliver(c)
+	case c.Err == nil:
+		heap.Push(&q.h, c)
 	}
-	heap.Push(&q.h, c)
 	q.mu.Unlock()
-	q.serveWaiters()
-}
-
-func (q *SortQueue) serveWaiters() {
-	for {
-		q.mu.Lock()
-		if len(q.waiters) == 0 || q.h.Len() == 0 {
-			q.mu.Unlock()
-			return
-		}
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		c := heap.Pop(&q.h).(Completion)
-		q.mu.Unlock()
+	if w != nil {
 		w(c)
 	}
 }
 
-// Close implements IoQueue.
+// Close implements IoQueue: parked pops fail and the heap's elements are
+// freed.
 func (q *SortQueue) Close() error {
 	q.mu.Lock()
-	q.closed = true
-	waiters := q.waiters
-	q.waiters = nil
+	dropped := q.pops.Close()
+	dropped.Held, q.h.items = q.h.items, nil
 	q.mu.Unlock()
-	for _, w := range waiters {
-		w(Completion{Kind: OpPop, Err: ErrClosed})
-	}
+	dropped.Settle()
 	return q.inner.Close()
 }
 
-// sgaHeap orders completions by the owning SortQueue's LessFunc. The heap
-// stores the less function on each push via closure capture; to keep it
-// simple the queue re-sorts using a package-level trick: completions carry
-// their priority through the SGA and the heap holds a reference to less.
+// sgaHeap is a container/heap of completions, ordered by their SGAs under
+// the owning SortQueue's LessFunc.
 type sgaHeap struct {
 	items []Completion
 	less  LessFunc
@@ -258,11 +235,9 @@ type MergeQueue struct {
 	a, b IoQueue
 
 	mu          sync.Mutex
-	ready       []Completion
-	waiters     []DoneFunc
+	pops        PopSide
 	outstanding int
 	window      int
-	closed      bool
 }
 
 // NewMergeQueue merges a and b. window bounds outstanding prefetch pops
@@ -302,27 +277,18 @@ func (q *MergeQueue) Push(s sga.SGA, cost simclock.Lat, done DoneFunc) {
 // Pop implements IoQueue.
 func (q *MergeQueue) Pop(done DoneFunc) {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		done(Completion{Kind: OpPop, Err: ErrClosed})
-		return
-	}
-	if len(q.ready) > 0 {
-		c := q.ready[0]
-		q.ready = q.ready[1:]
-		q.mu.Unlock()
-		done(c)
-		return
-	}
-	q.waiters = append(q.waiters, done)
+	c, ok := q.pops.Pop(done)
 	q.mu.Unlock()
+	if ok {
+		done(c)
+	}
 }
 
-// Pump implements IoQueue.
+// Pump implements IoQueue: it refills both prefetch windows.
 func (q *MergeQueue) Pump() int {
 	n := q.a.Pump() + q.b.Pump()
 	q.mu.Lock()
-	if q.closed {
+	if q.pops.Closed() {
 		q.mu.Unlock()
 		return n
 	}
@@ -335,10 +301,11 @@ func (q *MergeQueue) Pump() int {
 		q.b.Pop(q.onInnerPop)
 		n += 2
 	}
-	q.serveWaiters()
 	return n
 }
 
+// onInnerPop delivers an inner element in arrival order; inner errors are
+// dropped.
 func (q *MergeQueue) onInnerPop(c Completion) {
 	q.mu.Lock()
 	q.outstanding--
@@ -346,37 +313,20 @@ func (q *MergeQueue) onInnerPop(c Completion) {
 		q.mu.Unlock()
 		return
 	}
-	q.ready = append(q.ready, c)
+	w, ok := q.pops.Deliver(c)
 	q.mu.Unlock()
-	q.serveWaiters()
-}
-
-func (q *MergeQueue) serveWaiters() {
-	for {
-		q.mu.Lock()
-		if len(q.waiters) == 0 || len(q.ready) == 0 {
-			q.mu.Unlock()
-			return
-		}
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		c := q.ready[0]
-		q.ready = q.ready[1:]
-		q.mu.Unlock()
+	if ok {
 		w(c)
 	}
 }
 
-// Close implements IoQueue: closes both inner queues.
+// Close implements IoQueue: parked pops fail, the elements nobody popped
+// are freed, and both inner queues close.
 func (q *MergeQueue) Close() error {
 	q.mu.Lock()
-	q.closed = true
-	waiters := q.waiters
-	q.waiters = nil
+	dropped := q.pops.Close()
 	q.mu.Unlock()
-	for _, w := range waiters {
-		w(Completion{Kind: OpPop, Err: ErrClosed})
-	}
+	dropped.Settle()
 	err1 := q.a.Close()
 	err2 := q.b.Close()
 	if err1 != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"demikernel/internal/fabric"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
 )
@@ -143,5 +144,71 @@ func TestMergeQueuePushErrorPropagates(t *testing.T) {
 	m.Push(sga.New([]byte("x")), 0, done)
 	if !errors.Is(c.Err, ErrClosed) {
 		t.Fatalf("merged push err = %v (one inner closed)", c.Err)
+	}
+}
+
+// keepOpen is an inner queue whose Close does nothing, so that a pop a
+// composite parked on it can still complete after the composite closed.
+type keepOpen struct{ *MemQueue }
+
+func (keepOpen) Close() error { return nil }
+
+// TestCloseFreesWhatNobodyPopped: a queue that closes with elements nobody
+// popped frees them, and a composite frees an inner element that lands
+// after its Close. Three pool SGAs are pushed and pumped into the queue,
+// which closes; a composite then gets a fourth from an inner pop it
+// parked before the close. Every buffer is back in the pool, each freed
+// once.
+func TestCloseFreesWhatNobodyPopped(t *testing.T) {
+	byFirstByte := func(a, b sga.SGA) bool { return a.Bytes()[0] < b.Bytes()[0] }
+	for _, row := range []struct {
+		name string
+		// open returns the queue, the queue its elements are pushed into,
+		// and the inner queue that answers a pop after the close (nil: none).
+		open func() (q, in IoQueue, late *MemQueue)
+	}{
+		{"mem", func() (IoQueue, IoQueue, *MemQueue) {
+			q := NewMemQueue(0)
+			return q, q, nil
+		}},
+		{"merge", func() (IoQueue, IoQueue, *MemQueue) {
+			a, b := NewMemQueue(0), NewMemQueue(0)
+			return NewMergeQueue(a, keepOpen{b}, 4), a, b
+		}},
+		{"sort", func() (IoQueue, IoQueue, *MemQueue) {
+			inner := NewMemQueue(0)
+			q := NewSortQueue(keepOpen{inner}, byFirstByte, 8)
+			return q, q, inner
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p := fabric.NewFramePool()
+			push := func(q IoQueue, b byte) {
+				s := p.SGA(64)
+				s.Segments[0].Buf[0] = b
+				done, c := collect(t)
+				q.Push(s, 0, done)
+				if c.Err != nil {
+					t.Fatal(c.Err)
+				}
+			}
+			q, in, late := row.open()
+			for b := byte(3); b > 0; b-- {
+				push(in, b)
+			}
+			q.Pump()
+			if err := q.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if late != nil {
+				push(late, 4)
+			}
+			if out := p.Outstanding(); out != 0 {
+				t.Fatalf("%d pool buffers outstanding after Close, want 0", out)
+			}
+			if df := p.Stats().DoubleFrees; df != 0 {
+				t.Fatalf("%d double frees", df)
+			}
+		})
 	}
 }

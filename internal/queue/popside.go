@@ -2,11 +2,17 @@ package queue
 
 import "demikernel/internal/fifo"
 
-// PopSide is the pop half of a socket queue, written once for every libOS:
-// completions nobody has popped yet (held), pops nobody has answered yet
-// (parked), a sticky terminal error and a closed flag. A pop is answered in
-// one order: closed → ErrClosed, else the oldest held completion, else the
-// terminal error, else it parks; so a pop parks only while nothing is held.
+// PopSide is the pop half of a FIFO queue, written once: completions nobody
+// has popped yet (held), pops nobody has answered yet (parked), a sticky
+// terminal error and a closed flag. A pop is answered in one order: closed →
+// ErrClosed, else the oldest held completion, else the terminal error, else
+// it parks; so a pop parks only while nothing is held.
+//
+// Every socket queue, MemQueue, MergeQueue and catfish's lookup queue pop
+// through one. SortQueue keeps only its parked pops and closed flag here:
+// its elements are a heap in priority order. The file queues keep their
+// own pop half: they pair a parked pop with a record under their lock and
+// read it outside, so a Deliver after the read could reorder two pumps.
 //
 // A PopSide takes no lock: its owner's lock guards it. No method runs a
 // DoneFunc or frees a buffer; each returns what the owner is to do once it

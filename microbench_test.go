@@ -71,14 +71,21 @@ func BenchmarkURing_SubmitHarvest(b *testing.B) {
 }
 
 // BenchmarkMemQueue measures the raw queue primitive under everything
-// else.
+// else: one push and one pop, which allocate nothing (it fails if they do).
 func BenchmarkMemQueue(b *testing.B) {
 	q := queue.NewMemQueue(1024)
 	s := sga.New(make([]byte, 64))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	cycle := func() {
 		q.Push(s, 0, func(queue.Completion) {})
 		q.Pop(func(queue.Completion) {})
+	}
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		b.Fatalf("%v allocs per push+pop", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 
