@@ -8,7 +8,7 @@ all: tier1
 # exactly the patterns and package lists the targets run.
 RACE_PKGS       := ./internal/chaos/ ./internal/core/ ./internal/rdma/ ./internal/netstack/ ./internal/fabric/ ./internal/telemetry/ ./internal/queue/ ./internal/shard/ ./internal/apps/serve/ ./internal/apps/echo/ ./internal/apps/kv/ ./internal/apps/failover/ ./internal/apps/httpd/ ./internal/simclock/ ./internal/libos/catnip/ ./internal/libos/catmint/ ./internal/libos/catnap/ ./internal/kernel/ ./internal/tenant/ ./internal/nic/ ./internal/uring/ ./internal/workload/ ./cmd/demi-stat/
 RACE_RUN        := TestChaosShardedKV
-LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestNodeShapesShareLifecycle|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush|TestRingServerManyConns
+LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestChaosShardedKVCrashRestart|TestNodeShapesShareLifecycle|TestRingCrashRestart|TestShardedRingSmoke|TestHTTPCrashRestartKeepAlive|TestHTTPHalfCloseFlush|TestRingServerManyConns|TestHTTPLateAnswerAfterFailedRedial
 TENANT_RUN      := TestHostileTenantSoak|TestTenantCrashSparesNeighbors
 HTTP_RUN        := TestHTTPProductionSoak|TestHTTPSlowClientStallAndRecover|TestHTTPRingSlowClient
 STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish/
@@ -92,7 +92,9 @@ statsmoke:
 ## it outlive three crash/restart cycles untouched; frames conserved
 ## across the incarnation boundary), and the echo and httpd serve loops
 ## past their rings' initial size (64 connections, 64 pipelined
-## requests; no creep afterwards). Part of tier1.
+## requests; no creep afterwards), and a failover client's late answer
+## (a push held past its wait, a failed redial: the next request still
+## reads its own answer). Part of tier1.
 lifecyclesoak:
 	$(GO) test -race -count=2 -run '$(LIFECYCLE_RUN)' .
 

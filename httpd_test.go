@@ -11,6 +11,7 @@ package demikernel
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 	"demikernel/internal/apps/failover"
 	"demikernel/internal/apps/httpd"
+	"demikernel/internal/fabric"
 	"demikernel/internal/telemetry"
 	"demikernel/internal/workload"
 )
@@ -435,6 +437,76 @@ func TestHTTPRingSlowClient(t *testing.T) {
 	}
 	if st := r.srv.Stats(); st.Requests != n {
 		t.Fatalf("served %d, want %d", st.Requests, n)
+	}
+}
+
+// TestHTTPLateAnswerAfterFailedRedial: over catmint, a push completes
+// only when the peer acknowledges it, so a link that holds the request
+// fails the push's wait while the request is still on its way. The
+// redial after it fails too (the client's link is cut), so the client
+// keeps the connection, and when the link heals the first request's
+// answer arrives with no pop posted for it. A GET of another path on
+// that connection must read its own body, not the late answer.
+func TestHTTPLateAnswerAfterFailedRedial(t *testing.T) {
+	c := NewCluster(91)
+	srvNode := c.MustSpawn(Catmint, WithHost(1))
+	cliNode := c.MustSpawn(Catmint, WithHost(2))
+	tree := httpd.NewTree()
+	first, second := bytes.Repeat([]byte{'1'}, 100), bytes.Repeat([]byte{'2'}, 200)
+	tree.Add("/first", first)
+	tree.Add("/second", second)
+	_, stopSrv, err := httpd.Serve(srvNode.LibOS, tree, httpdPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopSrv()
+	// The client is polled by its own blocking calls only, so nothing
+	// moves on its side between them.
+	cl := httpd.NewClient(cliNode.LibOS)
+	if err := cl.Connect(c.AddrOf(srvNode, httpdPort)); err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if resp, err := cl.Get("/second"); err != nil || !bytes.Equal(resp.Body, second) {
+		t.Fatalf("healthy GET /second: %d bytes, err=%v", len(resp.Body), err)
+	}
+	cliNode.WaitTimeout = 100 * time.Millisecond
+	cl.EnableFailover(failover.Policy{MaxAttempts: 1, Base: 100 * time.Millisecond, Max: 100 * time.Millisecond})
+
+	// Every frame is now held until the next one passes, and nothing else
+	// is in flight: the GET's request is held. Once it is, cut the
+	// client's link, before the push's wait and the backoff run out, so
+	// the redial's connect request dies at the client's port.
+	port := cliNode.FabricPort()
+	c.Switch.SetImpairments(fabric.Impairments{ReorderRate: 1})
+	cut := make(chan struct{})
+	go func() {
+		defer close(cut)
+		for c.Switch.Stats().InjectedReorder == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		c.Switch.SetLinkState(port, false)
+	}()
+	_, err = cl.Get("/first")
+	<-cut
+	if !errors.Is(err, ErrWaitTimeout) {
+		t.Fatalf("GET /first across a held request and a cut link = %v, want a timed-out wait", err)
+	}
+	if redials, _ := cl.FailoverStats(); redials != 0 {
+		t.Fatalf("%d redials succeeded across a cut link", redials)
+	}
+
+	// Heal: the held request reaches the server, which answers it late.
+	c.Switch.SetLinkState(port, true)
+	c.Switch.SetImpairments(fabric.Impairments{})
+	c.Switch.Flush()
+	resp, err := cl.Get("/second")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != 200 || !bytes.Equal(resp.Body, second) {
+		t.Fatalf("GET /second after the heal: status %d, %d-byte body (/first's is %d, its own %d)",
+			resp.Status, len(resp.Body), len(first), len(second))
 	}
 }
 

@@ -83,8 +83,8 @@ func (s *Server) onPop(c *conn, req sga.SGA, cost simclock.Lat) int {
 
 // Client measures echo round trips, one at a time with the paper's
 // Push/Pop/Wait (RTT) or pipelined through a completion ring (RTTBatch).
-// With EnableFailover RTT redials the saved address and replays the echo
-// when the peer dies mid-flight (echo is trivially idempotent).
+// With EnableFailover RTT redials the connection's address and replays
+// the echo when the peer dies mid-flight (echo is trivially idempotent).
 type Client struct {
 	*failover.Conn
 
@@ -95,7 +95,7 @@ type Client struct {
 
 // NewClient creates an echo client on lib.
 func NewClient(lib *core.LibOS) *Client {
-	return &Client{Conn: failover.NewConn(lib)}
+	return &Client{Conn: failover.NewConn(lib, core.InvalidQD, nil)}
 }
 
 // Dial stages an echo client on lib: a background poller for lib and a
@@ -112,14 +112,12 @@ func Dial(lib *core.LibOS, addr core.Addr) (cli *Client, stop func(), err error)
 // response — the simulated round-trip latency. Under an armed failover
 // policy a dead peer triggers backoff, redial, and replay.
 func (c *Client) RTT(payload []byte, appCost simclock.Lat) (cost simclock.Lat, err error) {
-	err = c.Do(func() (err error) {
-		if err = failover.Send(c.Lib(), c.QD(), sga.New(payload), appCost); err == nil {
-			var resp sga.SGA
-			resp, cost, err = failover.Recv(c.Lib(), c.QD())
-			resp.Free()
-		}
+	err = c.Replay(func() (err error) {
+		var resp sga.SGA
+		resp, cost, err = c.Exchange(sga.New(payload), appCost)
+		resp.Free()
 		return err
-	})
+	}, c.Redial)
 	return cost, err
 }
 

@@ -13,7 +13,11 @@
 // Backoff iterator seeded for reproducible chaos runs, Retriable — the
 // single predicate deciding whether an error means "the peer died, try
 // again" versus "the request itself is wrong, give up" — and Do, the
-// one attempt → backoff → redial → replay loop every client runs.
+// one attempt → backoff → redial → replay loop every client runs. Conn
+// is the one connection those clients run it on: the echo and HTTP
+// clients are one each, and a KV client is one per server shard. Its
+// redial swaps descriptors dial-first, and it counts the answers a
+// timed-out push may still owe, so no request takes another's answer.
 package failover
 
 import (
@@ -223,28 +227,54 @@ func (r *Replayer) Replay(attempt, redial func() error) error {
 	return err
 }
 
-// Conn is a client's one connection that survives its server's death:
-// it remembers the address it dialled, and under a policy armed with
-// EnableFailover, Do redials it and replays the operation in flight. The
-// echo and HTTP clients embed it.
+// Conn is a client's one connection that survives its server's death.
+// It redials through its dialer, dial-first (Redial), and it keeps the
+// rule a connection whose answers carry no request id needs: a push
+// whose wait timed out may still be answered, so Conn counts the answers
+// it owes with no pop posted, and Exchange pops those ahead of its own.
+// Under a policy armed with EnableFailover, Replay(attempt, c.Redial)
+// redials it and replays the operation in flight. The echo and HTTP
+// clients embed one; a kv.ShardedClient holds one per shard.
 type Conn struct {
 	Replayer
-	lib  *core.LibOS
-	qd   core.QD
-	addr core.Addr
+	lib *core.LibOS
+
+	// mu guards the fields below: Redial swaps the descriptor while
+	// another goroutine may Close the Conn (a kv Resize retiring it).
+	mu      sync.Mutex
+	qd      core.QD
+	dial    func(attempt int) (core.QD, error)
+	attempt int
+	owed    int
+	closed  bool
 }
 
-// NewConn returns an unconnected Conn on lib.
-func NewConn(lib *core.LibOS) *Conn { return &Conn{lib: lib, qd: core.InvalidQD} }
+// NewConn returns a Conn on lib holding qd (core.InvalidQD for none
+// yet), which redials through dial, called with the redial's number
+// (1, 2, …). A nil dial is installed by Connect or Adopt.
+func NewConn(lib *core.LibOS, qd core.QD, dial func(attempt int) (core.QD, error)) *Conn {
+	return &Conn{lib: lib, qd: qd, dial: dial}
+}
 
-// Connect dials addr and remembers it for redials.
+// Connect dials addr, replacing (dial-first) the connection the Conn
+// had, and keeps that dialer for redials.
 func (c *Conn) Connect(addr core.Addr) error {
-	qd, err := Dial(c.lib, addr)
-	if err != nil {
-		return err
-	}
-	c.qd, c.addr = qd, addr
-	return nil
+	c.mu.Lock()
+	c.dial, c.closed = dialer(c.lib, addr), false
+	c.mu.Unlock()
+	return c.Redial()
+}
+
+// Adopt takes over qd, already connected to addr, and redials addr.
+func (c *Conn) Adopt(qd core.QD, addr core.Addr) {
+	c.mu.Lock()
+	c.qd, c.dial, c.owed, c.closed = qd, dialer(c.lib, addr), 0, false
+	c.mu.Unlock()
+}
+
+// dialer is the dialer of a connection to addr: every attempt dials it.
+func dialer(lib *core.LibOS, addr core.Addr) func(int) (core.QD, error) {
+	return func(int) (core.QD, error) { return Dial(lib, addr) }
 }
 
 // Stage stages a client on lib: a background poller for lib, under which
@@ -263,35 +293,92 @@ func Stage(lib *core.LibOS, connect, disconnect func() error) (stop func(), err 
 	return stop, nil
 }
 
-// Adopt takes over qd, already connected to addr.
-func (c *Conn) Adopt(qd core.QD, addr core.Addr) { c.qd, c.addr = qd, addr }
-
 // Lib returns the libOS the connection lives on.
 func (c *Conn) Lib() *core.LibOS { return c.lib }
 
 // QD returns the connection's descriptor.
-func (c *Conn) QD() core.QD { return c.qd }
-
-// Close shuts the connection.
-func (c *Conn) Close() error { return c.lib.Close(c.qd) }
-
-// Do runs the idempotent operation attempt on the connection, redialling
-// and replaying it under the armed policy when the peer dies (see Do).
-func (c *Conn) Do(attempt func() error) error {
-	return c.Replay(attempt, func() error { return Redial(c.lib, &c.qd, c.addr) })
+func (c *Conn) QD() core.QD {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.qd
 }
 
-// Redial replaces the dead connection *qd with a fresh one to addr. The
+// Close shuts the connection; a Redial in flight leaves it shut.
+func (c *Conn) Close() error {
+	c.mu.Lock()
+	qd := c.qd
+	c.qd, c.owed, c.closed = core.InvalidQD, 0, true
+	c.mu.Unlock()
+	return c.lib.Close(qd)
+}
+
+// Redial replaces the connection with a fresh one from the dialer. The
 // swap is dial-first: the old QD is closed only once a replacement
 // exists, so a failed redial (server still down) leaves the client
 // holding a QD whose errors stay typed and retriable — never a stale
-// closed descriptor that would surface non-retriable ErrBadQD.
-func Redial(lib *core.LibOS, qd *core.QD, addr core.Addr) error {
-	fresh, err := Dial(lib, addr)
+// closed descriptor that would surface non-retriable ErrBadQD — and
+// whose owed answers the next Exchange still pops. A Conn closed before
+// or during the dial stays closed: the fresh QD is dropped, and Redial
+// fails with queue.ErrClosed, which is retriable, so a client that holds
+// several (kv) resolves its connection again and redials that.
+func (c *Conn) Redial() error {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return queue.ErrClosed
+	}
+	c.attempt++
+	attempt, dial := c.attempt, c.dial
+	c.mu.Unlock()
+	fresh, err := dial(attempt)
 	if err != nil {
 		return err
 	}
-	lib.Close(*qd) //nolint:errcheck // the old QD is already dead
-	*qd = fresh
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		c.lib.Close(fresh) //nolint:errcheck // surplus dial
+		return queue.ErrClosed
+	}
+	old := c.qd
+	c.qd, c.owed = fresh, 0
+	c.mu.Unlock()
+	if old != core.InvalidQD {
+		c.lib.Close(old) //nolint:errcheck // the old QD is already dead
+	}
 	return nil
+}
+
+// Exchange sends req, charged cost, and returns its answer, which the
+// caller frees, with the answer's cost. It pops, and frees, every answer
+// owed ahead of its own. A push counts one answer even when its wait
+// timed out, and every pop posted takes one even when its own wait
+// times out, because the pop stays parked. Draining after the push, not
+// before it, matters: a lost push is only exposed by the next one.
+func (c *Conn) Exchange(req sga.SGA, cost simclock.Lat) (resp sga.SGA, respCost simclock.Lat, err error) {
+	qd := c.QD()
+	err = Send(c.lib, qd, req, cost)
+	if err == nil || errors.Is(err, core.ErrWaitTimeout) {
+		c.owe(qd, 1)
+	}
+	for err == nil {
+		resp, respCost, err = Recv(c.lib, qd)
+		if c.owe(qd, -1) == 0 {
+			return resp, respCost, err
+		}
+		resp.Free()
+	}
+	return sga.SGA{}, 0, err
+}
+
+// owe adds d to the answers qd owes, and returns how many it still owes:
+// none once qd is no longer the Conn's descriptor.
+func (c *Conn) owe(qd core.QD, d int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.qd != qd {
+		return 0
+	}
+	c.owed += d
+	return c.owed
 }

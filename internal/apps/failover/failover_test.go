@@ -176,9 +176,13 @@ func TestDoNonRetriableRedialEndsLoop(t *testing.T) {
 	}
 }
 
-// Dial-first, close-second: a redial that fails must leave the old QD
-// open (its errors stay typed, never ErrBadQD); one that succeeds swaps
-// the descriptor and closes the old one.
+// The redial rules every client shares, through Conn: the dialer sees
+// attempt numbers 1, 2, 3…; the swap is dial-first, close-second, so a
+// redial that fails leaves the old QD open (its errors stay typed, never
+// ErrBadQD) with the answers it owes, and one that succeeds swaps the
+// descriptor, closes the old one and owes nothing; Connect on a connected
+// Conn makes the same swap and closes the QD it replaces; a closed Conn
+// stays closed.
 func TestRedialClosesOldQDOnlyAfterDialing(t *testing.T) {
 	c := demi.NewCluster(7)
 	srv := c.MustSpawn(demi.Catnip, demi.WithHost(1))
@@ -196,28 +200,63 @@ func TestRedialClosesOldQDOnlyAfterDialing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	qd, err := Dial(cli.LibOS, c.AddrOf(srv, 7))
-	if err != nil {
+	port := uint16(7)
+	var attempts []int
+	conn := NewConn(cli.LibOS, core.InvalidQD, func(attempt int) (core.QD, error) {
+		attempts = append(attempts, attempt)
+		return Dial(cli.LibOS, c.AddrOf(srv, port))
+	})
+	if err := conn.Redial(); err != nil {
 		t.Fatal(err)
 	}
-	old := qd
-	if err := Redial(cli.LibOS, &qd, c.AddrOf(srv, 9)); err == nil {
+	old := conn.QD()
+	conn.owe(old, 2) // two pushes whose waits timed out
+
+	port = 9
+	if err := conn.Redial(); err == nil {
 		t.Fatal("redial to a port nobody listens on succeeded")
 	}
-	if qd != old {
-		t.Fatalf("failed redial replaced the QD: %d -> %d", old, qd)
+	if conn.QD() != old {
+		t.Fatalf("failed redial replaced the QD: %d -> %d", old, conn.QD())
 	}
-	if _, err := cli.Push(qd, demi.NewSGA([]byte("still open"))); err != nil {
+	if conn.owed != 2 {
+		t.Fatalf("failed redial left %d answers owed, want the 2 the kept QD owes", conn.owed)
+	}
+	if _, err := cli.Push(old, demi.NewSGA([]byte("still open"))); err != nil {
 		t.Fatalf("old QD unusable after a failed redial: %v", err)
 	}
 
-	if err := Redial(cli.LibOS, &qd, c.AddrOf(srv, 7)); err != nil {
+	port = 7
+	if err := conn.Redial(); err != nil {
 		t.Fatal(err)
 	}
-	if qd == old {
+	if conn.QD() == old {
 		t.Fatal("successful redial kept the old QD")
+	}
+	if conn.owed != 0 {
+		t.Fatalf("successful redial left %d answers owed, want 0 on a fresh connection", conn.owed)
 	}
 	if err := cli.Close(old); !errors.Is(err, core.ErrBadQD) {
 		t.Fatalf("Close(old) = %v after a successful redial, want ErrBadQD (already closed)", err)
+	}
+	if fmt.Sprint(attempts) != "[1 2 3]" {
+		t.Fatalf("dialer saw attempts %v, want [1 2 3]", attempts)
+	}
+
+	prev := conn.QD()
+	if err := conn.Connect(c.AddrOf(srv, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if conn.QD() == prev {
+		t.Fatal("Connect on a connected Conn kept its QD")
+	}
+	if err := cli.Close(prev); !errors.Is(err, core.ErrBadQD) {
+		t.Fatalf("Close(prev) = %v after a second Connect, want ErrBadQD (closed, not leaked)", err)
+	}
+	if err := conn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Redial(); !errors.Is(err, queue.ErrClosed) || len(attempts) != 3 {
+		t.Fatalf("Redial of a closed Conn = %v after %d dials, want ErrClosed and no dial", err, len(attempts))
 	}
 }

@@ -40,7 +40,9 @@ type Client struct {
 }
 
 // NewClient creates a client on lib.
-func NewClient(lib *core.LibOS) *Client { return &Client{Conn: failover.NewConn(lib)} }
+func NewClient(lib *core.LibOS) *Client {
+	return &Client{Conn: failover.NewConn(lib, core.InvalidQD, nil)}
+}
 
 // Dial stages a client on lib: a background poller for lib and a
 // connection to addr. stop closes the connection and stops the poller.
@@ -75,26 +77,17 @@ func appendRequest(dst []byte, path string, head, connClose bool, rangeSpec stri
 // SendRequest pushes one request without reading the response — the
 // slow-reader half; pair with ReadResponse.
 func (c *Client) SendRequest(path string, connClose bool) error {
-	return c.send(path, false, connClose, "")
-}
-
-func (c *Client) send(path string, head, connClose bool, rangeSpec string) error {
-	c.req = appendRequest(c.req[:0], path, head, connClose, rangeSpec)
+	c.req = appendRequest(c.req[:0], path, false, connClose, "")
 	return failover.Send(c.Lib(), c.QD(), sga.New(c.req), 0)
 }
 
 // ReadResponse blocks for the next response and parses it.
-func (c *Client) ReadResponse() (Response, error) { return c.readResponse(false) }
-
-func (c *Client) readResponse(head bool) (Response, error) {
+func (c *Client) ReadResponse() (Response, error) {
 	g, cost, err := failover.Recv(c.Lib(), c.QD())
 	if err != nil {
 		return Response{}, err
 	}
-	defer g.Free()
-	resp, err := parseResponseSGA(g, head)
-	resp.Cost = cost
-	return resp, err
+	return parseResponseSGA(g, cost, false)
 }
 
 // Get issues one GET and reads its response; under an armed failover
@@ -118,13 +111,17 @@ func (c *Client) GetRange(path, rangeSpec string) (Response, error) {
 	return c.roundTrip(path, false, false, rangeSpec)
 }
 
+// roundTrip is one request and its response on the connection, redialled
+// and replayed under an armed failover policy.
 func (c *Client) roundTrip(path string, head, connClose bool, rangeSpec string) (resp Response, err error) {
-	err = c.Do(func() (err error) {
-		if err = c.send(path, head, connClose, rangeSpec); err == nil {
-			resp, err = c.readResponse(head)
+	err = c.Replay(func() error {
+		c.req = appendRequest(c.req[:0], path, head, connClose, rangeSpec)
+		g, cost, err := c.Exchange(sga.New(c.req), 0)
+		if err == nil {
+			resp, err = parseResponseSGA(g, cost, head)
 		}
 		return err
-	})
+	}, c.Redial)
 	return resp, err
 }
 
@@ -151,11 +148,12 @@ func (c *Client) GetPipelined(paths []string) ([]Response, error) {
 	return out, nil
 }
 
-// parseResponseSGA parses a popped response (checkResponseSGA) and
-// copies its body out.
-func parseResponseSGA(g sga.SGA, isHead bool) (Response, error) {
+// parseResponseSGA parses a popped response (checkResponseSGA) that
+// cost cost, copies its body out, and frees g.
+func parseResponseSGA(g sga.SGA, cost simclock.Lat, isHead bool) (Response, error) {
+	defer g.Free()
 	status, connClose, err := checkResponseSGA(g, isHead)
-	resp := Response{Status: status, Close: connClose}
+	resp := Response{Status: status, Close: connClose, Cost: cost}
 	if err == nil && !isHead && len(g.Segments) > 1 {
 		resp.Body = make([]byte, 0, g.Len()-len(g.Segments[0].Buf))
 		for _, seg := range g.Segments[1:] {

@@ -144,19 +144,19 @@ func Dial(lib *core.LibOS, n int, dial func(shard, attempt int) (core.QD, error)
 	return c, stop, nil
 }
 
-// NewClient creates a client on lib with no connection yet; Connect
-// makes it the one-connection client of a width-1 server.
+// NewClient creates a width-1 client on lib with no connection yet (its
+// operations fail ErrBadQD); Connect makes it the one-connection client
+// of a width-1 server.
 func NewClient(lib *core.LibOS) *ShardedClient {
-	return &ShardedClient{lib: lib}
+	c := &ShardedClient{lib: lib}
+	c.conns = []*failover.Conn{c.newConn(0, core.InvalidQD)}
+	return c
 }
 
 // Connect dials addr with Socket+Connect and makes that the client's
-// single connection, replacing (dial-first) the one a previous Connect
+// shard-0 connection, replacing (dial-first) the one a previous Connect
 // made. The same dialer serves failover redials of the connection.
 func (c *ShardedClient) Connect(addr core.Addr) error {
 	c.redialFn = func(int, int) (core.QD, error) { return failover.Dial(c.lib, addr) }
-	if c.Shards() == 0 {
-		return c.Resize(1, nil)
-	}
-	return c.redialShard(0)
+	return c.connAt(0).Redial()
 }

@@ -598,52 +598,43 @@ func (w *shardWorker) apply(req sga.SGA) (resp sga.SGA, pin *storedVal, retain b
 
 // --- sharded client ---
 
-// ShardedClient talks to a ShardedServer over one connection per server
-// shard. The dialer (supplied by the facade, which knows the transport's
-// RSS function) must return a connection whose flow lands on the given
-// shard; Get/Set/Del then route each key over the connection of its
-// owning shard, so in steady state no request crosses a server core.
+// ShardedClient talks to a ShardedServer over one failover.Conn per
+// server shard. The dialer (supplied by the facade, which knows the
+// transport's RSS function) must return a connection whose flow lands on
+// the given shard; Get/Set/Del then route each key over the connection
+// of its owning shard, so in steady state no request crosses a server
+// core.
 //
 // With EnableFailover it survives server death: a retriable typed error
 // (ErrPeerDead, ErrLocalReset) on any per-shard connection triggers
-// jittered backoff, a redial of that shard only, and a replay of the
-// in-flight idempotent operation — the availability loop the kernel's
-// connection repair used to hide. The redial dialer receives the attempt
-// number so it can vary the source-port seed and avoid colliding with
-// the dead connection's 4-tuple in TIME_WAIT-less bypass stacks.
+// jittered backoff, a redial of that shard's Conn only, and a replay of
+// the in-flight idempotent operation — the availability loop the
+// kernel's connection repair used to hide. The redial dialer receives
+// the attempt number so it can vary the source-port seed and avoid
+// colliding with the dead connection's 4-tuple in TIME_WAIT-less bypass
+// stacks. Each Conn counts the answers it owes, so a request never takes
+// the late answer of one whose push timed out.
 type ShardedClient struct {
 	failover.Replayer
 	lib *core.LibOS
 
-	// mu guards the elastic width: n, conns, attempts and owed all
-	// change under Resize, which may race in-flight operations on another
-	// goroutine. Operations snapshot (index, conn) under RLock and
-	// clamp stale shard indices to the current width — a misdirected
-	// request stays correct because the server mesh forwards it.
-	mu       sync.RWMutex
-	n        int
-	conns    []core.QD
-	attempts []int
-	// owed counts, per shard, the answers its connection owes that no
-	// pop has been posted for: a push whose wait timed out may still be
-	// answered, and the next operation (one at a time per connection, as
-	// the answers carry no request id) pops those answers ahead of its
-	// own, or it would take one for its own.
-	owed []int
+	// mu guards the elastic width: conns changes under Resize, which may
+	// race in-flight operations on another goroutine. Operations resolve
+	// their Conn under RLock and clamp stale shard indices to the current
+	// width — a misdirected request stays correct because the server mesh
+	// forwards it.
+	mu    sync.RWMutex
+	conns []*failover.Conn
 
 	redialFn func(shard, attempt int) (core.QD, error)
 }
 
 // connAt resolves a (possibly stale) shard index against the current
-// width: the returned j is i clamped to [0,n), alongside its live QD.
-func (c *ShardedClient) connAt(i int) (core.QD, int) {
+// width: shard i's Conn, i clamped to [0,n).
+func (c *ShardedClient) connAt(i int) *failover.Conn {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.n == 0 {
-		return core.InvalidQD, 0 // NewClient before Connect: ops fail ErrBadQD
-	}
-	j := i % c.n
-	return c.conns[j], j
+	return c.conns[i%len(c.conns)]
 }
 
 // NewShardedClient dials one flow per server shard using dial.
@@ -668,41 +659,22 @@ func (c *ShardedClient) EnableFailover(pol failover.Policy, dial func(shard, att
 	}
 }
 
-// roundTrip pushes req on shard i's connection and waits for the
-// response, redialing that shard and replaying under an armed policy.
-// FailoverStats counts across all shards.
+// roundTrip exchanges req on shard i's connection, redialing that shard
+// and replaying under an armed policy. Every attempt re-resolves the
+// Conn: a concurrent Resize may have shrunk the width, retiring the shard
+// the op was aimed at. FailoverStats counts across all shards.
 func (c *ShardedClient) roundTrip(i int, req sga.SGA) (resp sga.SGA, cost simclock.Lat, err error) {
-	j := i
 	var redial func() error
 	if c.redialFn != nil {
-		redial = func() error {
-			// Re-resolve every time: a concurrent Resize may have shrunk
-			// the width, retiring the shard this op was aimed at.
-			_, j = c.connAt(i)
-			return c.redialShard(j)
-		}
+		redial = func() error { return c.connAt(i).Redial() }
 	}
 	err = c.Replay(func() (err error) {
-		conn, _ := c.connAt(j)
-		err = failover.Send(c.lib, conn, req, 0)
-		if err == nil || errors.Is(err, core.ErrWaitTimeout) {
-			c.owe(j, conn, 1)
-		}
-		// Pop every answer owed ahead of this push's, then its own. A pop
-		// takes an answer even if its wait times out: it stays parked.
-		for err == nil {
-			var s sga.SGA
-			s, cost, err = failover.Recv(c.lib, conn)
-			if c.owe(j, conn, -1) == 0 {
-				resp = s
-				break
-			}
-			s.Free()
-		}
+		conn := c.connAt(i)
+		resp, cost, err = conn.Exchange(req, 0)
 		if errors.Is(err, core.ErrBadQD) && c.retired(conn) {
-			// A concurrent Resize closed conn between connAt and the
-			// pop: the descriptor was good when the op took it, so
-			// this is a dead connection to replay past, not a bug.
+			// A concurrent Resize closed conn while the op used it: the
+			// descriptor was good when the op took it, so this is a dead
+			// connection to replay past, not a bug.
 			err = queue.ErrClosed
 		}
 		return err
@@ -710,65 +682,19 @@ func (c *ShardedClient) roundTrip(i int, req sga.SGA) (resp sga.SGA, cost simclo
 	return resp, cost, err
 }
 
-// owe adds d to the answers conn owes, and returns how many it still
-// owes: none once conn is no longer shard j's connection.
-func (c *ShardedClient) owe(j int, conn core.QD, d int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if j >= c.n || c.conns[j] != conn {
-		return 0
-	}
-	c.owed[j] += d
-	return c.owed[j]
-}
-
-// retired reports whether conn was one of the client's connections and
-// no longer is.
-func (c *ShardedClient) retired(conn core.QD) bool {
+// retired reports whether conn is no longer one of the client's
+// connections.
+func (c *ShardedClient) retired(conn *failover.Conn) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return conn != core.InvalidQD && !slices.Contains(c.conns, conn)
-}
-
-// redialShard replaces shard i's dead connection with a fresh one. The
-// swap is dial-first: the dead QD is closed only once its replacement
-// exists, so a redial that fails (server still down) leaves the shard
-// holding a QD whose errors remain typed and retriable rather than a
-// stale closed descriptor surfacing non-retriable ErrBadQD.
-func (c *ShardedClient) redialShard(i int) error {
-	c.mu.Lock()
-	if i >= c.n {
-		// Resized out from under us; the caller re-resolves.
-		c.mu.Unlock()
-		return nil
-	}
-	c.attempts[i]++
-	attempt := c.attempts[i]
-	c.mu.Unlock()
-	qd, err := c.redialFn(i, attempt)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	if i >= c.n {
-		// Shrunk while the dial was in flight: the fresh connection has
-		// no slot; drop it and let the caller re-resolve the index.
-		c.mu.Unlock()
-		c.lib.Close(qd) //nolint:errcheck // surplus dial
-		return nil
-	}
-	old := c.conns[i]
-	c.conns[i], c.owed[i] = qd, 0
-	c.mu.Unlock()
-	c.lib.Close(old) //nolint:errcheck // the old QD is already dead
-	return nil
+	return !slices.Contains(c.conns, conn)
 }
 
 // owner hashes key over the client's current shard width.
 func (c *ShardedClient) owner(key string) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return KeyShard(key, c.n)
+	return KeyShard(key, len(c.conns))
 }
 
 // Get fetches key from its owning shard; found is false on
@@ -859,25 +785,26 @@ func (c *ShardedClient) Resize(n int, dial func(shard int) (core.QD, error)) err
 		if err != nil {
 			return err
 		}
-		c.conns = append(c.conns, qd)
-		c.attempts = append(c.attempts, 0)
-		c.owed = append(c.owed, 0)
+		c.conns = append(c.conns, c.newConn(i, qd))
 	}
-	for i := n; i < len(c.conns); i++ {
-		c.lib.Close(c.conns[i]) //nolint:errcheck // surplus conns may already be dead
+	for _, conn := range c.conns[n:] {
+		conn.Close() //nolint:errcheck // surplus conns may already be dead
 	}
-	c.conns = c.conns[:n]
-	c.attempts = c.attempts[:n]
-	c.owed = c.owed[:n]
-	c.n = n
+	c.conns = slices.Delete(c.conns, n, len(c.conns))
 	return nil
+}
+
+// newConn makes qd shard i's connection, redialed through the client's
+// dialer.
+func (c *ShardedClient) newConn(i int, qd core.QD) *failover.Conn {
+	return failover.NewConn(c.lib, qd, func(attempt int) (core.QD, error) { return c.redialFn(i, attempt) })
 }
 
 // Shards returns the shard width the client currently hashes over.
 func (c *ShardedClient) Shards() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.n
+	return len(c.conns)
 }
 
 // Close shuts every per-shard connection.
@@ -885,8 +812,8 @@ func (c *ShardedClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var first error
-	for _, qd := range c.conns {
-		if err := c.lib.Close(qd); err != nil && first == nil {
+	for _, conn := range c.conns {
+		if err := conn.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

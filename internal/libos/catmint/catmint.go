@@ -97,6 +97,13 @@ type Transport struct {
 	rcq   *rdma.CQ
 	cfg   Config
 
+	// route is held while Poll routes the completions it took off the
+	// CQs: two pollers (a Background one and a blocking wait's) taking a
+	// batch each would otherwise hand one connection's messages to its
+	// pops out of order. A poller that finds it held leaves the CQs to
+	// the holder, so a completion callback that polls cannot deadlock.
+	route sync.Mutex
+
 	mu       sync.Mutex
 	pool     []*slot // free slots
 	arenas   int
@@ -289,13 +296,16 @@ func (t *Transport) Poll() int {
 		n += l.stageAccepts()
 	}
 
-	for _, wc := range t.rcq.Poll(0) {
-		n++
-		t.handleRecv(wc)
-	}
-	for _, wc := range t.scq.Poll(0) {
-		n++
-		t.handleSendComp(wc)
+	if t.route.TryLock() {
+		for _, wc := range t.rcq.Poll(0) {
+			n++
+			t.handleRecv(wc)
+		}
+		for _, wc := range t.scq.Poll(0) {
+			n++
+			t.handleSendComp(wc)
+		}
+		t.route.Unlock()
 	}
 	return n + t.checkDeadlines()
 }

@@ -3,6 +3,7 @@ package catmint_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	demi "demikernel"
@@ -171,5 +172,54 @@ func TestFeatures(t *testing.T) {
 	f := srv.Features()
 	if !f.KernelBypass || !f.HWTransport {
 		t.Fatalf("catmint features wrong: %+v", f)
+	}
+}
+
+// TestConcurrentPollersDeliverInOrder: a node's Background poller and a
+// blocking pop's own polls run Poll at the same time. Each takes a batch
+// of receive completions off the device; the messages of one connection
+// must still reach its pops in the order they arrived. The sender keeps
+// at most half the posted receive window unpopped, so no push meets RNR.
+func TestConcurrentPollersDeliverInOrder(t *testing.T) {
+	c, srv, cli, cleanup := pair(t, 67)
+	defer cleanup()
+	cqd, sqd := connect(t, c, srv, cli, 7)
+	const n = 2000
+	credits := make(chan struct{}, catmint.DefaultPostedRecvs/2)
+	for len(credits) < cap(credits) {
+		credits <- struct{}{}
+	}
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			<-credits
+			comp, err := srv.BlockingPush(sqd, demi.NewSGA([]byte{byte(i >> 8), byte(i)}))
+			if err == nil {
+				err = comp.Err
+			}
+			if err != nil {
+				sent <- fmt.Errorf("push %d: %w", i, err)
+				return
+			}
+		}
+		sent <- nil
+	}()
+	for i := 0; i < n; i++ {
+		comp, err := cli.BlockingPop(cqd)
+		if err == nil {
+			err = comp.Err
+		}
+		if err != nil {
+			t.Fatalf("pop %d: %v", i, err)
+		}
+		b := comp.SGA.Segments[0].Buf
+		if got := int(b[0])<<8 | int(b[1]); got != i {
+			t.Fatalf("pop %d returned message %d", i, got)
+		}
+		comp.SGA.Free()
+		credits <- struct{}{}
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -14,8 +14,6 @@
 package catnap
 
 import (
-	"sync"
-
 	"demikernel/internal/core"
 	"demikernel/internal/kernel"
 	"demikernel/internal/libos/catnip"
@@ -29,13 +27,6 @@ import (
 type Transport struct {
 	set *catnip.ShardSet
 	k   *kernel.Kernel
-
-	// fqs is what Poll pumps besides the sockets, from a slice header
-	// snapshotted under mu and walked outside it. An open appends, which
-	// writes past what any snapshot covers; a close builds a new slice
-	// without its entry and never writes the old one.
-	mu  sync.Mutex
-	fqs []*fileQueue
 }
 
 // New puts set, a catnip set of one, on the kernel path of a fresh kernel
@@ -101,24 +92,14 @@ func (t *Transport) Socket() (core.Endpoint, error) {
 	return t.set.Shard(0).Socket()
 }
 
-// Poll implements core.Transport: the sockets' transport, then every open
-// file queue.
-func (t *Transport) Poll() int {
-	n := t.set.Shard(0).Poll()
-	t.mu.Lock()
-	fqs := t.fqs
-	t.mu.Unlock()
-	for _, fq := range fqs {
-		n += fq.Pump()
-	}
-	return n
-}
+// Poll implements core.Transport: the sockets' transport. A file queue
+// needs no poll: its Push and Pop pump it, and every record it can pop
+// was indexed by its own Push or when it opened.
+func (t *Transport) Poll() int { return t.set.Shard(0).Poll() }
 
-// Pumped reports how many socket endpoints and file queues the next Poll
-// pumps: the endpoints with work marked for it, and the open file queues.
-func (t *Transport) Pumped() (endpoints, files int) {
-	_, _, _, endpoints = t.set.Shard(0).WorkQueued()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return endpoints, len(t.fqs)
+// Pumped reports how many socket endpoints the next Poll pumps: the
+// endpoints with work marked for it.
+func (t *Transport) Pumped() int {
+	_, _, _, endpoints := t.set.Shard(0).WorkQueued()
+	return endpoints
 }

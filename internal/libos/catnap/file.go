@@ -33,9 +33,6 @@ func (t *Transport) OpenFileQueue(path string) (queue.IoQueue, error) {
 	if err := fq.reindex(); err != nil {
 		return nil, err
 	}
-	t.mu.Lock()
-	t.fqs = append(t.fqs, fq)
-	t.mu.Unlock()
 	return fq, nil
 }
 
@@ -170,19 +167,5 @@ func (q *fileQueue) Close() error {
 	for _, w := range ws {
 		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
 	}
-	q.t.mu.Lock()
-	q.t.fqs = without(q.t.fqs, q)
-	q.t.mu.Unlock()
 	return nil
-}
-
-// without returns a copy of list that lacks x.
-func without[T comparable](list []T, x T) []T {
-	kept := make([]T, 0, len(list))
-	for _, v := range list {
-		if v != x {
-			kept = append(kept, v)
-		}
-	}
-	return kept
 }
