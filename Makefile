@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 vet build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak chaos bench bench-aa benchsmoke report loc clean
+.PHONY: all tier1 vet fmtcheck build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak chaos bench bench-aa benchsmoke report loc clean
 
 all: tier1
 
@@ -12,13 +12,13 @@ LIFECYCLE_RUN   := TestCrashRestartMidConnection|TestKVFailoverAcrossCrash|TestC
 TENANT_RUN      := TestHostileTenantSoak|TestTenantCrashSparesNeighbors
 HTTP_RUN        := TestHTTPProductionSoak|TestHTTPSlowClientStallAndRecover|TestHTTPRingSlowClient
 STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish/
-STORAGE_RUN     := TestChaosPushdownResetMidTraversal
+STORAGE_RUN     := TestChaosPushdownResetMidTraversal|TestFileQueueOpensShareRecords
 RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
 BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkURing_SubmitHarvest|BenchmarkFramePool_SGA|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkCatnip_PollIdleUDP|BenchmarkSGA_FramerWrite
 BENCHSMOKE_PKGS := . ./internal/core/ ./internal/fabric/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/sga/
 
-## tier1: the gate every PR must keep green — vet, build, full test
+## tier1: the gate every PR must keep green — vet, gofmt, build, full test
 ## suite, a short -race pass over the concurrency-heavy packages
 ## (the chaos engine, the user TCP stack, the frame pool and its SGA headers,
 ## the telemetry instruments, the queues and their qtokens, the cross-shard
@@ -41,10 +41,14 @@ BENCHSMOKE_PKGS := . ./internal/core/ ./internal/fabric/ ./internal/netstack/ ./
 ## request crossing the mesh) is experiment E14's, checked by `test`.
 ## runcheck goes first: a soak whose pattern matches nothing passes
 ## vacuously.
-tier1: vet build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak benchsmoke
+tier1: vet fmtcheck build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak benchsmoke
 
 vet:
 	$(GO) vet ./...
+
+## fmtcheck: every Go file is as gofmt writes it.
+fmtcheck:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -124,9 +128,10 @@ httpsoak:
 ## its single typed completion), the blob-store recovery suite (torn
 ## tails, CRC mismatches, chaos resets, injected I/O errors), the
 ## decoder-agreement property tests (device IndexStep vs host fallback,
-## byte-identical on thousands of corrupt blocks), and the root chaos
+## byte-identical on thousands of corrupt blocks), the root chaos
 ## test that resets the controller mid-traversal over a live catfish
-## node. Part of tier1.
+## node, and the file queues of catnap and catfish with one path open
+## twice, pushed and popped from four goroutines. Part of tier1.
 storagesoak:
 	$(GO) test -race -count=1 $(STORAGE_PKGS)
 	$(GO) test -race -count=1 -run '$(STORAGE_RUN)' .

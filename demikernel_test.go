@@ -3,7 +3,10 @@ package demikernel
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
@@ -358,6 +361,139 @@ func TestCatfishDurability(t *testing.T) {
 	}
 	if comp.SGA.NumSegments() != 2 {
 		t.Fatalf("segmentation lost across restart: %d", comp.SGA.NumSegments())
+	}
+}
+
+// TestFileQueueOpensShareRecords: the opens of one path read one log, on
+// both storage libOSes. Each open pops every record in log order,
+// whichever open pushed it; a push through one open answers a pop parked
+// on another with no poll; and two pushers beside two poppers leave both
+// poppers with one sequence holding every record once.
+func TestFileQueueOpensShareRecords(t *testing.T) {
+	kinds := []struct {
+		name  string
+		spawn func() *Node
+	}{
+		{"catnap", func() *Node {
+			c := NewCluster(41)
+			n := c.MustSpawn(Catnap, WithHost(1))
+			n.Kernel.AttachDisk(c.NewDisk(0))
+			return n
+		}},
+		{"catfish", func() *Node { return NewCluster(42).MustSpawn(Catfish, WithBlocks(0)) }},
+	}
+	push := func(t *testing.T, n *Node, qd QD, rec string) {
+		if c, err := n.BlockingPush(qd, NewSGA([]byte(rec))); err != nil || c.Err != nil {
+			t.Errorf("push %s: %v %v", rec, err, c.Err)
+		}
+	}
+	// answered returns what qt's pop took, which it must have by now.
+	answered := func(t *testing.T, n *Node, qt QToken) string {
+		t.Helper()
+		c, ok, err := n.TryWait(qt)
+		if err != nil || !ok || c.Err != nil {
+			t.Fatalf("pop not answered: ok=%v %v %v", ok, err, c.Err)
+		}
+		return string(c.SGA.Bytes())
+	}
+	popNow := func(t *testing.T, n *Node, qd QD) string {
+		t.Helper()
+		qt, err := n.Pop(qd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answered(t, n, qt)
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, n *Node, q1, q2 QD)
+	}{
+		{"interleaved", func(t *testing.T, n *Node, q1, q2 QD) {
+			for i, qd := range []QD{q1, q2, q1} {
+				push(t, n, qd, fmt.Sprintf("r%d", i))
+			}
+			for j, qd := range []QD{q1, q2} {
+				for i := 0; i < 3; i++ {
+					if got, want := popNow(t, n, qd), fmt.Sprintf("r%d", i); got != want {
+						t.Fatalf("open %d popped %q, want %q", j+1, got, want)
+					}
+				}
+			}
+		}},
+		{"parked", func(t *testing.T, n *Node, q1, q2 QD) {
+			qt, err := n.Pop(q1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, _ := n.TryWait(qt); ok {
+				t.Fatal("pop answered on an empty log")
+			}
+			push(t, n, q2, "wakes q1")
+			if got := answered(t, n, qt); got != "wakes q1" {
+				t.Fatalf("parked pop got %q", got)
+			}
+		}},
+		{"concurrent", func(t *testing.T, n *Node, q1, q2 QD) {
+			const each = 100
+			var wg sync.WaitGroup
+			seqs := make([][]string, 2)
+			for w, qd := range []QD{q1, q2} {
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						push(t, n, qd, fmt.Sprintf("w%d-%03d", w, i))
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					for range 2 * each {
+						qt, err := n.Pop(qd)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						c, err := n.WaitDeadline(qt, time.Now().Add(10*time.Second))
+						if err != nil || c.Err != nil {
+							t.Errorf("reader %d after %d records: %v %v", w, len(seqs[w]), err, c.Err)
+							return
+						}
+						seqs[w] = append(seqs[w], string(c.SGA.Bytes()))
+					}
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			if !slices.Equal(seqs[0], seqs[1]) {
+				t.Fatalf("the readers popped different sequences:\n%v\n%v", seqs[0], seqs[1])
+			}
+			next := [2]int{}
+			for _, rec := range seqs[0] {
+				var w, i int
+				if _, err := fmt.Sscanf(rec, "w%d-%d", &w, &i); err != nil || i != next[w] {
+					t.Fatalf("popped %q, want w%d-%03d next", rec, w, next[w])
+				}
+				next[w]++
+			}
+		}},
+	}
+	for _, k := range kinds {
+		for _, tc := range cases {
+			t.Run(k.name+"/"+tc.name, func(t *testing.T) {
+				n := k.spawn()
+				q1, err := n.Open("/shared")
+				if err != nil {
+					t.Fatal(err)
+				}
+				q2, err := n.Open("/shared")
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.run(t, n, q1, q2)
+			})
+		}
 	}
 }
 

@@ -198,10 +198,11 @@ type LibOS struct {
 
 	// composed is what Poll pumps besides the transport: the queues this
 	// libOS built itself (Merge, Filter, Sort, Map), whose prefetch and
-	// waiter machinery nothing else drives. Endpoints and file queues are
-	// the transport's to service inside its own Poll, and a memory queue
-	// has no machinery, so the descriptor table is never walked. Copy on
-	// write under mu, loaded lock-free on every tick.
+	// waiter machinery nothing else drives. Endpoints are the transport's
+	// to service inside its own Poll, a file queue is pumped by the pushes
+	// on its path, and a memory queue has no machinery, so the descriptor
+	// table is never walked. Copy on write under mu, loaded lock-free on
+	// every tick.
 	composed atomic.Pointer[[]queue.IoQueue]
 
 	// rings holds the attached completion rings (see uring.go), under mu:
@@ -628,9 +629,9 @@ func (l *LibOS) Pop(qd QD) (queue.QToken, error) {
 
 // Poll pumps the whole libOS data path once: transport, composed
 // queues, and qconnect forwarding. The transport
-// services every queue it handed out (sockets, files) from work lists of
-// its own, so the cost of a poll follows the work there is, not the
-// number of descriptors open.
+// services every socket it handed out from work lists of its own, and a
+// file queue is pumped by the pushes on its path, so the cost of a poll
+// follows the work there is, not the number of descriptors open.
 func (l *LibOS) Poll() int {
 	n := l.Transport().Poll()
 	for _, q := range l.composedQueues() {

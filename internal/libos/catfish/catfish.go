@@ -7,12 +7,14 @@
 // scatter-gather array; pop returns the next unread one. Records keep
 // their segmentation via the standard SGA framing, so "a scatter-gather
 // array pushed into a Demikernel queue always pops out as a single
-// element" holds across the storage path and across restarts.
+// element" holds across the storage path and across restarts. The queue
+// is queue.FileQueue, which catnap's file queues are too; catfish gives
+// it only the layout: each path is one blob file, every device call
+// inside the transient-failure retry loop.
 package catfish
 
 import (
 	"errors"
-	"slices"
 	"sync"
 	"time"
 
@@ -46,12 +48,11 @@ type Transport struct {
 	// its Outstanding is this transport's buffers alone.
 	pool *fabric.FramePool
 
-	// fqs is the open file queues, which Poll walks from a snapshot of the
-	// header: an open appends past what a snapshot covers, and a close
-	// builds a new slice without its entry. A lookup queue answers its pops
-	// as lookups finish, so Poll has no list of them.
+	// files is the file queues' paths, one blob file each.
+	files queue.Files
+
+	// mu guards the retry policy and its counter.
 	mu           sync.Mutex
-	fqs          []*fileQueue
 	maxRetries   int
 	retryBackoff time.Duration
 	retries      int64 // transient failures absorbed by the retry loop
@@ -181,140 +182,38 @@ func (t *Transport) SocketUDP() (core.Endpoint, error) {
 // record stream. Reads resume from the first record (a fresh cursor per
 // open).
 func (t *Transport) Open(path string) (queue.IoQueue, error) {
-	var f *spdk.File
-	_, err := t.retry(func() (simclock.Lat, error) {
-		var c simclock.Lat
-		var e error
-		f, c, e = t.store.Open(path)
-		return c, e
+	return t.files.Open(path, func() (queue.Log, error) {
+		var f *spdk.File
+		_, err := t.retry(func() (c simclock.Lat, err error) { f, c, err = t.store.Open(path); return c, err })
+		return blobLog{t: t, f: f}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	fq := &fileQueue{t: t, f: f}
-	t.mu.Lock()
-	t.fqs = append(t.fqs, fq)
-	t.mu.Unlock()
-	return fq, nil
 }
 
-// Poll implements core.Transport: pump the device (driving Execute
+// Poll implements core.Transport: pump the device, driving Execute
 // waiters and in-flight pushdown traversals one hop per tick, each
-// finished lookup answering its Pop) and serve every file queue's waiters.
-func (t *Transport) Poll() int {
-	n := t.dev.Pump()
-	// Snapshot the slice header only (see fqs): the tick stays allocation-free.
-	t.mu.Lock()
-	fqs := t.fqs
-	t.mu.Unlock()
-	for _, fq := range fqs {
-		n += fq.Pump()
-	}
-	return n
-}
+// finished lookup answering its Pop. No poll visits a file queue: a push
+// pumps every queue open on its path.
+func (t *Transport) Poll() int { return t.dev.Pump() }
 
-// fileQueue adapts one blob file to the IoQueue interface.
-type fileQueue struct {
+// blobLog is one blob file as a queue.Log, each device call inside the
+// transient-failure retry loop.
+type blobLog struct {
 	t *Transport
 	f *spdk.File
-
-	mu      sync.Mutex
-	cursor  int
-	waiters []queue.DoneFunc
-	closed  bool
 }
 
-// Push implements queue.IoQueue: a durable append of the framed SGA.
-func (q *fileQueue) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
-	q.mu.Lock()
-	closed := q.closed
-	q.mu.Unlock()
-	if closed {
-		done(queue.Completion{Kind: queue.OpPush, Err: queue.ErrClosed})
-		return
-	}
-	// Transient device failures (resets, injected errors) are retried
-	// with backoff; the qtoken only fails once the budget is spent.
-	data := s.Marshal()
-	c, err := q.t.retry(func() (simclock.Lat, error) { return q.f.Append(data) })
-	if err != nil {
-		done(queue.Completion{Kind: queue.OpPush, Err: err})
-		return
-	}
-	// The record is durable: the staging SGA is consumed, so pooled
-	// buffers (AllocSGA) recycle here. A failed push leaves ownership
-	// with the application, which may retry with the same SGA.
-	s.Free()
-	done(queue.Completion{Kind: queue.OpPush, Cost: cost + c})
-	q.Pump() // a waiter may be satisfiable now
+// Append implements queue.Log: a durable append, retried while the device
+// fails transiently; the cost covers every attempt.
+func (l blobLog) Append(rec []byte) (simclock.Lat, error) {
+	return l.t.retry(func() (simclock.Lat, error) { return l.f.Append(rec) })
 }
 
-// Pop implements queue.IoQueue: the next unread record, or a wait until
-// one is appended.
-func (q *fileQueue) Pop(done queue.DoneFunc) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		done(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-		return
-	}
-	q.waiters = append(q.waiters, done)
-	q.mu.Unlock()
-	q.Pump()
-}
+// Len implements queue.Log.
+func (l blobLog) Len() int { return l.f.NumRecords() }
 
-// Pump implements queue.IoQueue: serve waiters from available records.
-func (q *fileQueue) Pump() int {
-	n := 0
-	for {
-		q.mu.Lock()
-		if q.closed || len(q.waiters) == 0 || q.cursor >= q.f.NumRecords() {
-			q.mu.Unlock()
-			return n
-		}
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		idx := q.cursor
-		q.cursor++
-		q.mu.Unlock()
-
-		var rec []byte
-		cost, err := q.t.retry(func() (simclock.Lat, error) {
-			var c simclock.Lat
-			var e error
-			rec, c, e = q.f.Read(idx)
-			return c, e
-		})
-		if err != nil {
-			w(queue.Completion{Kind: queue.OpPop, Err: err})
-			continue
-		}
-		s, _, err := sga.Unmarshal(rec)
-		if err != nil {
-			w(queue.Completion{Kind: queue.OpPop, Err: err})
-			continue
-		}
-		w(queue.Completion{Kind: queue.OpPop, SGA: s, Cost: cost})
-		n++
-	}
-}
-
-// Close implements queue.IoQueue.
-func (q *fileQueue) Close() error {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return nil
-	}
-	q.closed = true
-	ws := q.waiters
-	q.waiters = nil
-	q.mu.Unlock()
-	q.t.mu.Lock()
-	q.t.fqs = slices.DeleteFunc(slices.Clone(q.t.fqs), func(x *fileQueue) bool { return x == q })
-	q.t.mu.Unlock()
-	for _, w := range ws {
-		w(queue.Completion{Kind: queue.OpPop, Err: queue.ErrClosed})
-	}
-	return nil
+// Read implements queue.Log, retried as Append is.
+func (l blobLog) Read(i int) ([]byte, simclock.Lat, error) {
+	var rec []byte
+	cost, err := l.t.retry(func() (c simclock.Lat, err error) { rec, c, err = l.f.Read(i); return c, err })
+	return rec, cost, err
 }

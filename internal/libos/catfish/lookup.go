@@ -15,8 +15,8 @@ import (
 // abstraction: a LookupQueue is a PushPop-style IoQueue face over a
 // block-resident index. Push submits one GET (the pushed SGA is the
 // key); Pop returns the value — so a whole depth-N traversal is exactly
-// one app↔libOS round trip. Legacy per-record access (fileQueue) is
-// untouched.
+// one app↔libOS round trip. Legacy per-record access (Open's file
+// queues) is untouched.
 //
 // Two modes, one offload.BlockLookupSpec:
 //

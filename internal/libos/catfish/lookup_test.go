@@ -12,6 +12,7 @@ import (
 
 	"demikernel/internal/offload"
 	"demikernel/internal/queue"
+	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
 	"demikernel/internal/spdk"
 )
@@ -300,6 +301,38 @@ func TestAllocSGAConsumedByDurablePush(t *testing.T) {
 	}
 }
 
+// TestFailedPopKeepsItsRecord: a pop that a read error fails, once the
+// retry budget is spent, leaves the cursor on its record, so the next pop
+// reads that record instead of skipping it.
+func TestFailedPopKeepsItsRecord(t *testing.T) {
+	tr, dev := newTransport(t)
+	fq, err := tr.Open("/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{"r0", "r1"} {
+		fq.Push(sga.New([]byte(rec)), 0, func(c queue.Completion) { err = c.Err })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.SetRetryPolicy(0, time.Microsecond)
+	dev.SetErrorRate(1, 1)
+	var failed queue.Completion
+	fq.Pop(func(c queue.Completion) { failed = c })
+	if !errors.Is(failed.Err, spdk.ErrIO) {
+		t.Fatalf("pop under injected errors: %v, want ErrIO", failed.Err)
+	}
+	dev.SetErrorRate(0, 0)
+	for _, want := range []string{"r0", "r1"} {
+		var c queue.Completion
+		fq.Pop(func(got queue.Completion) { c = got })
+		if c.Err != nil || string(c.SGA.Bytes()) != want {
+			t.Fatalf("popped %q, %v; want %q", c.SGA.Bytes(), c.Err, want)
+		}
+	}
+}
+
 // The steady-state GET through the whole catfish face is allocation
 // free at every index depth: pooled key staging, pooled value buffers,
 // recycled results and traversals.
@@ -339,17 +372,18 @@ func TestLookupQueueSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestClosedQueuesLeavePoll: a poll serves every open file queue, so a
-// closed one has to leave the list. 1 000 open → use → close cycles leave
-// it where it started, and an idle poll afterwards allocates nothing.
+// TestClosedQueuesLeavePoll: a push pumps every queue open on its path,
+// so a closed one has to leave the path's list, or every push would pump
+// dead queues. 1 000 open → pop → close cycles leave the list where it
+// started, and an idle poll afterwards allocates nothing.
 func TestClosedQueuesLeavePoll(t *testing.T) {
 	tr, _ := newTransport(t)
-	open := func() int {
-		tr.mu.Lock()
-		defer tr.mu.Unlock()
-		return len(tr.fqs)
+	keep, err := tr.Open("/log") // the base: one queue stays open
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := open()
+	defer keep.Close()
+	base := tr.files.Opens("/log")
 	for i := 0; i < 1000; i++ {
 		fq, err := tr.Open("/log")
 		if err != nil {
@@ -360,8 +394,8 @@ func TestClosedQueuesLeavePoll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := open(); got != base {
-		t.Fatalf("poll serves %d file queues after 1 000 cycles, %d before", got, base)
+	if got := tr.files.Opens("/log"); got != base {
+		t.Fatalf("%d queues open on the path after 1 000 cycles, %d before", got, base)
 	}
 	tr.Poll()
 	if avg := testing.AllocsPerRun(1000, func() { tr.Poll() }); avg != 0 && !raceEnabled {

@@ -10,7 +10,7 @@
 // catnap socket is a catnip endpoint on a transport with a kernel attached
 // (catnip.Transport.SetKernel): the one pump charges the kernel's prices.
 // What is catnap's own is what differs — the features, plain heap buffers,
-// file queues over the kernel file system, and the kernel's counters.
+// the file queues' layout in kernel files, and the kernel's counters.
 package catnap
 
 import (
@@ -25,8 +25,9 @@ import (
 
 // Transport is the catnap libOS transport.
 type Transport struct {
-	set *catnip.ShardSet
-	k   *kernel.Kernel
+	set   *catnip.ShardSet
+	k     *kernel.Kernel
+	files queue.Files
 }
 
 // New puts set, a catnip set of one, on the kernel path of a fresh kernel
@@ -84,7 +85,7 @@ func (t *Transport) SocketUDP() (core.Endpoint, error) {
 // file system (page cache, journaling, syscalls, copies). Requires a
 // disk attached to the kernel; see file.go.
 func (t *Transport) Open(path string) (queue.IoQueue, error) {
-	return t.OpenFileQueue(path)
+	return t.files.Open(path, func() (queue.Log, error) { return t.openLog(path) })
 }
 
 // Socket implements core.Transport.
@@ -93,8 +94,8 @@ func (t *Transport) Socket() (core.Endpoint, error) {
 }
 
 // Poll implements core.Transport: the sockets' transport. A file queue
-// needs no poll: its Push and Pop pump it, and every record it can pop
-// was indexed by its own Push or when it opened.
+// needs no poll: its Pop pumps it, and a Push pumps every queue open on
+// its path.
 func (t *Transport) Poll() int { return t.set.Shard(0).Poll() }
 
 // Pumped reports how many socket endpoints the next Poll pumps: the

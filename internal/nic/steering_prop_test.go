@@ -63,7 +63,7 @@ func TestSteeringIsolationProperty(t *testing.T) {
 			dst := macs[rng.Intn(len(macs))]
 			dstIP := ips[rng.Intn(3)]
 			data := ipv4UDP(dst, macT3, [4]byte{10, 0, 0, 99}, dstIP,
-				uint16(1 + rng.Intn(60000)), uint16(1 + rng.Intn(60000)), "prop")
+				uint16(1+rng.Intn(60000)), uint16(1+rng.Intn(60000)), "prop")
 			inj.Send(fabric.Frame{Data: data})
 			sent++
 			if rng.Intn(8) == 0 {

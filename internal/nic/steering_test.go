@@ -194,12 +194,12 @@ func TestAddSteeringBounds(t *testing.T) {
 		t.Fatalf("in-bounds rule refused: %v", err)
 	}
 	cases := []SteeringRule{
-		{DstPortLo: 500, DstPortHi: 600, Queue: 0},          // below bound
-		{DstPortLo: 1500, DstPortHi: 2500, Queue: 0},        // straddles bound
-		{Queue: 0},                                          // any-port under bounded ports
-		{DstPortLo: 1500, DstPortHi: 1600, Queue: 4},        // queue outside group
-		{DstIP: ipT2, DstPortLo: 1500, DstPortHi: 1600},     // foreign IP
-		{DstPortLo: 1600, DstPortHi: 1500, Queue: 0},        // inverted range
+		{DstPortLo: 500, DstPortHi: 600, Queue: 0},   // below bound
+		{DstPortLo: 1500, DstPortHi: 2500, Queue: 0}, // straddles bound
+		{Queue: 0}, // any-port under bounded ports
+		{DstPortLo: 1500, DstPortHi: 1600, Queue: 4},    // queue outside group
+		{DstIP: ipT2, DstPortLo: 1500, DstPortHi: 1600}, // foreign IP
+		{DstPortLo: 1600, DstPortHi: 1500, Queue: 0},    // inverted range
 	}
 	for i, r := range cases {
 		if err := g.AddSteering(r); !errors.Is(err, ErrSteeringDenied) {

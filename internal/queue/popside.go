@@ -8,11 +8,11 @@ import "demikernel/internal/fifo"
 // ErrClosed, else the oldest held completion, else the terminal error, else
 // it parks; so a pop parks only while nothing is held.
 //
-// Every socket queue, MemQueue, MergeQueue and catfish's lookup queue pop
-// through one. SortQueue keeps only its parked pops and closed flag here:
-// its elements are a heap in priority order. The file queues keep their
-// own pop half: they pair a parked pop with a record under their lock and
-// read it outside, so a Deliver after the read could reorder two pumps.
+// Every socket queue, MemQueue, MergeQueue, FileQueue and catfish's lookup
+// queue pop through one. A FileQueue holds nothing here: its elements stay
+// in its log, and it reads the record a parked pop takes, and delivers it,
+// under its lock. SortQueue keeps only its parked pops and closed flag
+// here: its elements are a heap in priority order.
 //
 // A PopSide takes no lock: its owner's lock guards it. No method runs a
 // DoneFunc or frees a buffer; each returns what the owner is to do once it

@@ -6,9 +6,11 @@
 // waiting on them, are slots of a completion ring (internal/uring).
 //
 // The package is transport-agnostic: a queue backed by application memory
-// (MemQueue) lives here; queues backed by simulated kernel-bypass devices
-// are provided by the libOS packages (internal/libos/...), all satisfying
-// IoQueue. The composition operators wrap any IoQueue.
+// (MemQueue) lives here, and so does the file queue (FileQueue), over a
+// record log each storage libOS provides; the other queues backed by
+// simulated kernel-bypass devices are provided by the libOS packages
+// (internal/libos/...), all satisfying IoQueue. The composition operators
+// wrap any IoQueue.
 package queue
 
 import (
