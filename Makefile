@@ -15,8 +15,8 @@ STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish
 STORAGE_RUN     := TestChaosPushdownResetMidTraversal|TestFileQueueOpensShareRecords
 RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
-BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkURing_SubmitHarvest|BenchmarkFramePool_SGA|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkCatnip_PollIdleUDP|BenchmarkSGA_FramerWrite
-BENCHSMOKE_PKGS := . ./internal/core/ ./internal/fabric/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/sga/
+BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkURing_SubmitHarvest|BenchmarkFramePool_SGA|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkCatnip_PollIdleUDP|BenchmarkCatmint_PollIdleQPs|BenchmarkSGA_FramerWrite
+BENCHSMOKE_PKGS := . ./internal/core/ ./internal/fabric/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/libos/catmint/ ./internal/sga/
 
 ## tier1: the gate every PR must keep green — vet, gofmt, build, full test
 ## suite, a short -race pass over the concurrency-heavy packages
@@ -172,8 +172,9 @@ bench-aa:
 ## Stack.Poll beside 1, 1 k and 100 k idle connections, both of which
 ## must read as a flat line; a 64 B ping-pong between two stacks, whose
 ## segs/op must read 2), catnip's 64 B echo (segs/op 2 as well) and 16 KiB
-## stream (segs/op 12.5, copies/B 4) between two transports, and the SGA
-## stream decoder alone; part of tier1.
+## stream (segs/op 12.5, copies/B 4) between two transports, catmint's
+## idle server Poll beside 1, 100 and 1 000 idle queue pairs (a flat line
+## as well), and the SGA stream decoder alone; part of tier1.
 benchsmoke:
 	$(GO) test -run xxx -bench '$(BENCHSMOKE_RUN)' -benchtime=1x $(BENCHSMOKE_PKGS)
 

@@ -131,7 +131,9 @@ type Cluster struct {
 // node has one shape, whatever its kind and width: Libs() is its libOSes
 // (one per provisioned shard; one, on a kind that has no shards), LibOS is
 // the first of them, and Poll, Background, Crash, Restart and
-// RegisterTelemetry each walk them all.
+// RegisterTelemetry each walk them all. Clock is the node's one clock,
+// made at spawn and kept across SwitchKind: its libOSes' waits, its
+// transports' timers and deadlines and its tenant NIC group all read it.
 type Node struct {
 	*LibOS
 	MAC fabric.MAC
@@ -150,10 +152,6 @@ type Node struct {
 	// every SwitchKind: the catnip shard set behind this host identity, of
 	// capacity 1 unless the node was spawned WithShards.
 	Sharded *ShardedNode
-	// Clock is non-nil when the node was spawned WithLifecycle: the
-	// node's private virtual wall clock, skewable with SetSkew (every
-	// protocol timer on this node reads it).
-	Clock *simclock.DriftClock
 	// Tenant is non-nil when the node was spawned WithTenant: its
 	// identity, policy, and frame-quota ledger on the shared NIC.
 	Tenant *tenant.Tenant
@@ -236,14 +234,13 @@ const (
 
 // spawnSpec accumulates functional options for Spawn.
 type spawnSpec struct {
-	cfg       NodeConfig
-	hostSet   bool
-	shards    int
-	capacity  int
-	reg       *telemetry.Registry
-	lifecycle bool
-	blocks    int
-	disk      *spdk.Device
+	cfg      NodeConfig
+	hostSet  bool
+	shards   int
+	capacity int
+	reg      *telemetry.Registry
+	blocks   int
+	disk     *spdk.Device
 
 	hasTenant    bool
 	tenantID     tenant.ID
@@ -295,14 +292,6 @@ func WithShardCapacity(cap int) SpawnOption {
 // (Node.RegisterTelemetry).
 func WithTelemetry(reg *telemetry.Registry) SpawnOption {
 	return func(s *spawnSpec) { s.reg = reg }
-}
-
-// WithLifecycle gives the node a private skewable virtual wall clock
-// (Node.Clock) that every protocol timer on the node reads, so a test can
-// skew it or step it past a deadline. Crash and Restart work on
-// every catnip node regardless; WithLifecycle only adds the clock.
-func WithLifecycle() SpawnOption {
-	return func(s *spawnSpec) { s.lifecycle = true }
 }
 
 // WithTenant spawns the catnip node as one tenant of the cluster's
@@ -366,11 +355,7 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 		cluster: c,
 		host:    cfg.Host,
 	}
-	var clock func() time.Time
-	if sp.lifecycle {
-		n.Clock = simclock.NewDriftClock()
-		clock = n.Clock.Now
-	}
+	clock := simclock.NewClock()
 	// Catnap's sockets are catnip endpoints on a kernel's prices, so both
 	// network kinds build their transports from the same configuration.
 	ccfg := catnip.Config{
@@ -410,16 +395,16 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 			set = catnip.NewSharded(&c.Model, c.Switch, ccfg, sp.shards, sp.capacity)
 		}
 		for i := 0; i < set.Capacity(); i++ {
-			n.libs = append(n.libs, core.New(set.Shard(i), &c.Model))
+			n.libs = append(n.libs, core.New(set.Shard(i), &c.Model, clock))
 		}
 		n.bindSet(set)
 	case Catnap:
 		t := catnap.New(&c.Model, catnip.NewSharded(&c.Model, c.Switch, ccfg, 1, 1))
-		n.libs = []*LibOS{core.New(t, &c.Model)}
+		n.libs = []*LibOS{core.New(t, &c.Model, clock)}
 		n.Kernel = t.Kernel()
 	case Catmint:
-		t := catmint.New(&c.Model, c.Switch, catmint.Config{MAC: c.mac(cfg.Host), OpTimeout: cfg.OpTimeout})
-		n.libs = []*LibOS{core.New(t, &c.Model)}
+		t := catmint.New(&c.Model, c.Switch, catmint.Config{MAC: c.mac(cfg.Host), OpTimeout: cfg.OpTimeout}, clock)
+		n.libs = []*LibOS{core.New(t, &c.Model, clock)}
 		n.Catmint = t
 	case Catfish:
 		dev := sp.disk
@@ -430,7 +415,7 @@ func (c *Cluster) Spawn(kind Kind, opts ...SpawnOption) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		n.libs = []*LibOS{core.New(t, &c.Model)}
+		n.libs = []*LibOS{core.New(t, &c.Model, clock)}
 		n.Catfish = t
 		n.MAC, n.IP = fabric.MAC{}, netstack.IPv4Addr{}
 	default:
@@ -474,7 +459,7 @@ func (c *Cluster) SharedNIC() *nic.Device {
 // on the shared NIC — the bind-time half of isolation: every check that
 // could cost per-frame (steering bounds, quota tagging, TX weight) is
 // fixed here, before the first packet.
-func (c *Cluster) spawnTenant(sp *spawnSpec, n *Node, clock func() time.Time) (*tenant.Tenant, *nic.QueueGroup, error) {
+func (c *Cluster) spawnTenant(sp *spawnSpec, n *Node, clock *simclock.Clock) (*tenant.Tenant, *nic.QueueGroup, error) {
 	pol := sp.tenantPolicy
 	// An empty steering bound means "exactly yourself": the node's own
 	// MAC and IP, all ports. Wider bounds must be granted explicitly.

@@ -435,6 +435,7 @@ func TestFileQueueOpensShareRecords(t *testing.T) {
 		}},
 		{"concurrent", func(t *testing.T, n *Node, q1, q2 QD) {
 			const each = 100
+			n.WaitTimeout = 10 * time.Second
 			var wg sync.WaitGroup
 			seqs := make([][]string, 2)
 			for w, qd := range []QD{q1, q2} {
@@ -453,7 +454,7 @@ func TestFileQueueOpensShareRecords(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						c, err := n.WaitDeadline(qt, time.Now().Add(10*time.Second))
+						c, err := n.Wait(qt)
 						if err != nil || c.Err != nil {
 							t.Errorf("reader %d after %d records: %v %v", w, len(seqs[w]), err, c.Err)
 							return

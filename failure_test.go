@@ -6,11 +6,13 @@ package demikernel
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"demikernel/internal/fabric"
+	"demikernel/internal/libos/catmint"
 	"demikernel/internal/rdma"
 )
 
@@ -85,6 +87,58 @@ func TestRDMAQPErrorOnLossyFabric(t *testing.T) {
 		t.Fatal("no QP errors or NAKs recorded under loss")
 	}
 	_ = sqd
+}
+
+// TestCatmintOpTimeoutReadsNodeClock: catmint's dead-peer detector times
+// a push by the node's clock, not the wall clock. A client partitioned
+// with one push in flight has its clock stepped past the default
+// OpTimeout; within a few polls the push fails with ErrOpTimeout and the
+// endpoint is a dead peer, long before that timeout's two wall seconds.
+func TestCatmintOpTimeoutReadsNodeClock(t *testing.T) {
+	c := NewCluster(204)
+	srv := c.MustSpawn(Catmint, WithHost(1))
+	cli := c.MustSpawn(Catmint, WithHost(2))
+	cqd, _, stop := connectNodes(t, c, cli, srv, 7)
+	stop() // from here on, every poll is the test's
+
+	start := time.Now()
+	c.Switch.SetLinkState(cli.FabricPort(), false)
+	qt, err := cli.Push(cqd, NewSGA([]byte("lost")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		cli.Poll()
+	}
+	if _, ok, _ := cli.TryWait(qt); ok {
+		t.Fatal("a push across a partition completed before any deadline")
+	}
+	cli.Clock().Step(catmint.DefaultOpTimeout + time.Millisecond)
+	var comp Completion
+	done := false
+	for polls := 0; !done; polls++ {
+		if polls == 3 {
+			t.Fatal("the push outlived the node clock's step past OpTimeout by 3 polls")
+		}
+		cli.Poll()
+		comp, done, err = cli.TryWait(qt)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !errors.Is(comp.Err, catmint.ErrOpTimeout) {
+		t.Fatalf("push completed with %v, want ErrOpTimeout", comp.Err)
+	}
+	qt, err = cli.Push(cqd, NewSGA([]byte("after")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if comp, ok, _ := cli.TryWait(qt); !ok || !errors.Is(comp.Err, ErrPeerDead) {
+		t.Fatalf("the endpoint after the timeout: push done=%v err=%v, want a dead peer", ok, comp.Err)
+	}
+	if elapsed := time.Since(start); elapsed >= catmint.DefaultOpTimeout {
+		t.Fatalf("the detector took %v of wall time", elapsed)
+	}
 }
 
 func TestCatfishSurvivesFullDisk(t *testing.T) {

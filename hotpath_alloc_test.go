@@ -40,16 +40,16 @@ func hotPathPair(tb testing.TB) (cli, srv *LibOS, cqd, sqd QD, cleanup func()) {
 	return cliNode.LibOS, srvNode.LibOS, cqd, sqd, cleanup
 }
 
-// hotPathNodes is hotPathPair with the knobs: the libOS kind, spawn
-// options for both nodes, and idle extra connections — established on the
+// hotPathNodes is hotPathPair with the knobs: the libOS kind and idle
+// extra connections — established on the
 // same listener beside the measured one, and never used again.
 // Background polling is used for the handshakes only and stopped before
 // returning.
-func hotPathNodes(tb testing.TB, kind Kind, idle int, opts ...SpawnOption) (cliNode, srvNode *Node, cqd, sqd QD, cleanup func()) {
+func hotPathNodes(tb testing.TB, kind Kind, idle int) (cliNode, srvNode *Node, cqd, sqd QD, cleanup func()) {
 	tb.Helper()
 	c := NewCluster(1)
-	srvNode = c.MustSpawn(kind, append([]SpawnOption{WithHost(1)}, opts...)...)
-	cliNode = c.MustSpawn(kind, append([]SpawnOption{WithHost(2)}, opts...)...)
+	srvNode = c.MustSpawn(kind, WithHost(1))
+	cliNode = c.MustSpawn(kind, WithHost(2))
 
 	lqd, addr := listenAll(tb, srvNode, 7)[0], c.AddrOf(srvNode, 7)
 	qds := make([]QD, 0, 2*(idle+1))
@@ -561,12 +561,12 @@ func TestHotPathCatnapClosedEndpointsLeavePoll(t *testing.T) {
 // the transport's pump list all empty — the connections are on no list, so
 // no poll visits them — and allocates nothing. A count, not a timing.
 func TestHotPathIdlePollFindsNoWork(t *testing.T) {
-	cliNode, srvNode, _, _, cleanup := hotPathNodes(t, Catnip, 1024, WithLifecycle())
+	cliNode, srvNode, _, _, cleanup := hotPathNodes(t, Catnip, 1024)
 	defer cleanup()
 	for _, n := range []*Node{cliNode, srvNode} {
 		// Past the deadline of every handshake's timer: the entries they
 		// left in the heap, cleared but not yet dropped, go at the next poll.
-		n.Clock.SetSkew(0, time.Minute)
+		n.Clock().Step(time.Minute)
 	}
 	for i := 0; i < 2; i++ {
 		cliNode.Poll()

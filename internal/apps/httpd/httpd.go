@@ -92,10 +92,10 @@ type connState struct {
 	// pending buffers a request head split across pops (slow path; the
 	// fast path parses the popped segment in place).
 	pending []byte
-	last    time.Time // last request activity, for idle reaping
-	closing bool      // close once in-flight responses flush
-	paused  bool      // backlog full: stop popping requests
-	pops    int       // armed pops
+	last    int64 // last request activity on the node's clock, for idle reaping
+	closing bool  // close once in-flight responses flush
+	paused  bool  // backlog full: stop popping requests
+	pops    int   // armed pops
 }
 
 // conn is a connection of the server.
@@ -114,12 +114,11 @@ type Server struct {
 	// AppCost is the virtual compute charged per request served.
 	AppCost simclock.Lat
 	// IdleTimeout reaps connections with no request activity for this
-	// long (0 disables reaping).
+	// long on the node's clock (0 disables reaping).
 	IdleTimeout time.Duration
-	// Now is the reap clock (injectable for tests); nil means time.Now.
-	Now func() time.Time
 
-	lastReap time.Time
+	clock    *simclock.Clock
+	lastReap int64
 	respFree []*respBuf
 
 	// Counters (atomics: Step is single-threaded, readers are not).
@@ -143,7 +142,7 @@ type Server struct {
 
 // NewServer creates a server for tree on lib.
 func NewServer(lib *core.LibOS, tree *Tree) *Server {
-	s := &Server{tree: tree}
+	s := &Server{tree: tree, clock: lib.Clock()}
 	s.Loop = serve.New(lib, serve.App[connState, *respBuf]{
 		Accepted: s.onAccept,
 		Popped:   s.onPop,
@@ -168,16 +167,9 @@ func Serve(lib *core.LibOS, tree *Tree, port uint16) (srv *Server, stop func(), 
 	return s, s.Start(), nil
 }
 
-func (s *Server) now() time.Time {
-	if s.Now != nil {
-		return s.Now()
-	}
-	return time.Now()
-}
-
 // onAccept opens a new connection's pop window.
 func (s *Server) onAccept(c *conn) {
-	c.State.last = s.now()
+	c.State.last = s.clock.UnixNano()
 	s.armPops(c)
 }
 
@@ -185,7 +177,7 @@ func (s *Server) onAccept(c *conn) {
 // closing, and settles the connection.
 func (s *Server) onPop(c *conn, g sga.SGA, cost simclock.Lat) int {
 	c.State.pops--
-	c.State.last = s.now()
+	c.State.last = s.clock.UnixNano()
 	if c.State.closing {
 		g.Free() // data after close: discard
 		return 0
@@ -257,13 +249,13 @@ func (s *Server) reapIdle() {
 	if s.IdleTimeout <= 0 {
 		return
 	}
-	now := s.now()
-	if now.Sub(s.lastReap) < s.IdleTimeout/4 {
+	now := s.clock.UnixNano()
+	if now-s.lastReap < int64(s.IdleTimeout/4) {
 		return
 	}
 	s.lastReap = now
 	for c := range s.All() {
-		if !c.State.closing && c.Held() == 0 && now.Sub(c.State.last) >= s.IdleTimeout {
+		if !c.State.closing && c.Held() == 0 && now-c.State.last >= int64(s.IdleTimeout) {
 			s.idleReaped.Add(1) // counted first: a reader that saw Conns fall sees it
 			s.Drop(c)
 		}

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"time"
-
 	"demikernel/internal/core"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
@@ -50,7 +48,7 @@ func (b *Batch) Round(lib *core.LibOS, qd core.QD, n int, cost simclock.Lat, req
 	lib.SubmitBatch(b.ring, sq) //nolint:errcheck // a failed op is a CQE
 	var total simclock.Lat
 	for got := 0; got < len(sq); {
-		k, werr := lib.WaitAnyRing(b.ring, b.cqes, time.Time{})
+		k, werr := lib.WaitAnyRing(b.ring, b.cqes)
 		if werr != nil {
 			return 0, 0, werr
 		}

@@ -209,20 +209,23 @@ type LibOS struct {
 	// nothing on the data path reads it.
 	rings []*uring.Pair
 
-	// WaitTimeout bounds Wait/WaitAny/WaitAll spinning. The default
-	// (5s of wall time) exists so a lost completion fails loudly in
-	// tests instead of hanging.
+	// WaitTimeout bounds every wait — Accept, Connect, Wait, WaitAny,
+	// WaitAll and WaitAnyRing — on the node's clock. The default (5s)
+	// exists so a lost completion fails loudly in tests instead of
+	// hanging.
 	WaitTimeout time.Duration
+	clock       *simclock.Clock
 }
 
 // transportCell boxes the Transport interface for atomic publication.
 type transportCell struct{ t Transport }
 
 // New creates a libOS over the given transport, charging composed-queue
-// costs against model.
-func New(t Transport, model *simclock.CostModel) *LibOS {
+// costs against model and timing its waits by clock, the node's clock.
+func New(t Transport, model *simclock.CostModel, clock *simclock.Clock) *LibOS {
 	l := &LibOS{
 		model:  model,
+		clock:  clock,
 		tokens: uring.NewPair(16), // grows with the tokens in flight
 		// Named after the transport, so that traces from several libOSes
 		// in one process are attributable.
@@ -236,6 +239,15 @@ func New(t Transport, model *simclock.CostModel) *LibOS {
 	l.tp.Store(&transportCell{t: t})
 	return l
 }
+
+// Clock returns the node's clock, which the libOS's waits read.
+func (l *LibOS) Clock() *simclock.Clock { return l.clock }
+
+// deadline is when a wait that starts now times out.
+func (l *LibOS) deadline() int64 { return l.clock.UnixNano() + int64(l.WaitTimeout) }
+
+// overdue reports whether deadline has passed.
+func (l *LibOS) overdue(deadline int64) bool { return l.clock.UnixNano() > deadline }
 
 // Transport returns the currently active transport.
 func (l *LibOS) Transport() Transport { return l.tp.Load().t }
@@ -409,7 +421,7 @@ func (l *LibOS) Accept(qd QD) (QD, error) {
 	if d.kind != qdEndpoint {
 		return InvalidQD, ErrBadQD
 	}
-	deadline := time.Now().Add(l.WaitTimeout)
+	deadline := l.deadline()
 	for {
 		ep, ok, err := d.ep.Accept()
 		if err != nil {
@@ -421,7 +433,7 @@ func (l *LibOS) Accept(qd QD) (QD, error) {
 		if err := d.ep.Err(); err != nil {
 			return InvalidQD, err
 		}
-		if time.Now().After(deadline) {
+		if l.overdue(deadline) {
 			return InvalidQD, timeoutErr("accept", l.WaitTimeout)
 		}
 		l.Poll()
@@ -458,14 +470,14 @@ func (l *LibOS) Connect(qd QD, addr Addr) error {
 	if err := d.ep.Connect(addr); err != nil {
 		return err
 	}
-	deadline := time.Now().Add(l.WaitTimeout)
+	deadline := l.deadline()
 	for !d.ep.Connected() {
 		if err := d.ep.Err(); err != nil {
 			// The transport diagnosed the failure (SYN timeout, QP
 			// error): report it instead of spinning to the deadline.
 			return err
 		}
-		if time.Now().After(deadline) {
+		if l.overdue(deadline) {
 			return timeoutErr("connect", l.WaitTimeout)
 		}
 		l.Poll()
@@ -678,32 +690,15 @@ func (l *LibOS) TryWait(qt queue.QToken) (queue.Completion, bool, error) {
 	return l.tokens.TryWait(qt)
 }
 
-// deadlineFor resolves the explicit-deadline-vs-config precedence for
-// the Wait family: an explicit non-zero deadline wins; the zero
-// time.Time means "no explicit deadline", falling back to the global
-// WaitTimeout knob measured from now. The returned duration is only
-// used to label the timeout error.
-func (l *LibOS) deadlineFor(deadline time.Time) (time.Time, time.Duration) {
-	if deadline.IsZero() {
-		return time.Now().Add(l.WaitTimeout), l.WaitTimeout
-	}
-	return deadline, time.Until(deadline)
-}
-
 // Wait polls the data path until qt completes and returns its completion.
 // Because "wait directly returns the data from the operation", a pop's
 // SGA arrives here with no further call (§4.4). The wait is bounded by
-// the libOS-wide WaitTimeout knob; use WaitDeadline for a per-call bound.
+// WaitTimeout.
 func (l *LibOS) Wait(qt queue.QToken) (queue.Completion, error) {
-	return l.WaitDeadline(qt, time.Time{})
+	return l.waitUntil(qt, l.deadline())
 }
 
-// WaitDeadline is Wait with an explicit deadline. A non-zero deadline
-// takes precedence over the global WaitTimeout; the zero time falls back
-// to it. Expiry is reported wrapped in ErrWaitTimeout, so existing
-// errors.Is(err, ErrWaitTimeout) call sites need no change.
-func (l *LibOS) WaitDeadline(qt queue.QToken, deadline time.Time) (queue.Completion, error) {
-	dl, budget := l.deadlineFor(deadline)
+func (l *LibOS) waitUntil(qt queue.QToken, deadline int64) (queue.Completion, error) {
 	for {
 		c, ok, err := l.tokens.TryWait(qt)
 		if err != nil {
@@ -712,8 +707,8 @@ func (l *LibOS) WaitDeadline(qt queue.QToken, deadline time.Time) (queue.Complet
 		if ok {
 			return c, nil
 		}
-		if time.Now().After(dl) {
-			return queue.Completion{}, timeoutErr("wait", budget)
+		if l.overdue(deadline) {
+			return queue.Completion{}, timeoutErr("wait", l.WaitTimeout)
 		}
 		l.Poll()
 		runtime.Gosched()
@@ -722,21 +717,15 @@ func (l *LibOS) WaitDeadline(qt queue.QToken, deadline time.Time) (queue.Complet
 
 // WaitAny polls until any of the tokens completes; it returns the index
 // of the winner and its completion. It is the queue-native replacement
-// for an epoll loop (§4.4). Bounded by WaitTimeout; see WaitAnyDeadline.
-func (l *LibOS) WaitAny(qts []queue.QToken) (int, queue.Completion, error) {
-	return l.WaitAnyDeadline(qts, time.Time{})
-}
-
-// WaitAnyDeadline is WaitAny with an explicit deadline (zero time falls
-// back to the WaitTimeout knob; expiry wraps ErrWaitTimeout).
+// for an epoll loop (§4.4). Bounded by WaitTimeout.
 //
 // The token slice is scanned exactly once, to subscribe each token's slot;
 // after that each completion notes its index, and each poll iteration
 // takes a noted index in O(1) instead of re-probing all n tokens — with
 // 1024 outstanding pops the rescan dominated the wait loop
 // (BenchmarkWaitAnyFanIn).
-func (l *LibOS) WaitAnyDeadline(qts []queue.QToken, deadline time.Time) (int, queue.Completion, error) {
-	dl, budget := l.deadlineFor(deadline)
+func (l *LibOS) WaitAny(qts []queue.QToken) (int, queue.Completion, error) {
+	deadline := l.deadline()
 	var w uring.AnyWaiter
 	i, err := l.tokens.SubscribeAny(&w, qts)
 	defer l.tokens.UnsubscribeAny(&w, qts[:i])
@@ -750,8 +739,8 @@ func (l *LibOS) WaitAnyDeadline(qts []queue.QToken, deadline time.Time) (int, qu
 			i = j
 			break
 		}
-		if time.Now().After(dl) {
-			return -1, queue.Completion{}, timeoutErr("wait-any", budget)
+		if l.overdue(deadline) {
+			return -1, queue.Completion{}, timeoutErr("wait-any", l.WaitTimeout)
 		}
 		l.Poll()
 		runtime.Gosched()
@@ -764,21 +753,12 @@ func (l *LibOS) WaitAnyDeadline(qts []queue.QToken, deadline time.Time) (int, qu
 }
 
 // WaitAll polls until every token completes, returning completions in
-// token order. Bounded by WaitTimeout; see WaitAllDeadline.
+// token order: a wait for each token in turn, all under one WaitTimeout.
 func (l *LibOS) WaitAll(qts []queue.QToken) ([]queue.Completion, error) {
-	return l.WaitAllDeadline(qts, time.Time{})
-}
-
-// WaitAllDeadline is WaitAll with an explicit deadline (zero time falls
-// back to the WaitTimeout knob; expiry wraps ErrWaitTimeout): a wait for
-// each token in turn, all under the one deadline.
-func (l *LibOS) WaitAllDeadline(qts []queue.QToken, deadline time.Time) ([]queue.Completion, error) {
-	if deadline.IsZero() {
-		deadline = time.Now().Add(l.WaitTimeout)
-	}
+	deadline := l.deadline()
 	out := make([]queue.Completion, len(qts))
 	for i, qt := range qts {
-		c, err := l.WaitDeadline(qt, deadline)
+		c, err := l.waitUntil(qt, deadline)
 		if err != nil {
 			return nil, err
 		}

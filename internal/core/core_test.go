@@ -40,6 +40,40 @@ func TestWaitTimesOut(t *testing.T) {
 	}
 }
 
+// TestWaitTimesOutOnNodeClock: a wait's timeout is WaitTimeout on the
+// node's clock. At an hour of it, wall time cannot be what ends a wait on
+// a pop nobody answers; stepping the node's clock past the hour does, at
+// once.
+func TestWaitTimesOutOnNodeClock(t *testing.T) {
+	n := newNode(t, 123)
+	n.WaitTimeout = time.Hour
+	qt, err := n.Pop(n.Queue())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.Wait(qt)
+		done <- err
+	}()
+	// Step until the wait returns: a step that lands before the wait
+	// read its deadline only moves the deadline, and the next one passes it.
+	giveUp := time.After(10 * time.Second)
+	for {
+		select {
+		case err := <-done:
+			if !errors.Is(err, core.ErrWaitTimeout) {
+				t.Fatalf("err = %v, want ErrWaitTimeout", err)
+			}
+			return
+		case <-giveUp:
+			t.Fatal("the wait outlived ten wall seconds of steps past WaitTimeout")
+		case <-time.After(time.Millisecond):
+			n.Clock().Step(time.Hour + time.Second)
+		}
+	}
+}
+
 func TestAcceptTimesOut(t *testing.T) {
 	n := newNode(t, 113)
 	n.WaitTimeout = 30 * time.Millisecond

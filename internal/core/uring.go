@@ -15,7 +15,6 @@ package core
 
 import (
 	"runtime"
-	"time"
 
 	"demikernel/internal/queue"
 	"demikernel/internal/telemetry"
@@ -110,15 +109,16 @@ func (l *LibOS) HarvestCQ(p *uring.Pair, dst []uring.CQE) int {
 // harvested from p, fills dst, and returns the count. It replaces
 // WaitAny for ring-path applications: completions arrive tagged, so
 // there is no token slice to rescan. Operations pending at a crash
-// surface here as CQEs carrying the typed reset error.
-func (l *LibOS) WaitAnyRing(p *uring.Pair, dst []uring.CQE, deadline time.Time) (int, error) {
-	dl, budget := l.deadlineFor(deadline)
+// surface here as CQEs carrying the typed reset error. Bounded by
+// WaitTimeout.
+func (l *LibOS) WaitAnyRing(p *uring.Pair, dst []uring.CQE) (int, error) {
+	deadline := l.deadline()
 	for {
 		if n := p.Harvest(dst); n > 0 {
 			return n, nil
 		}
-		if time.Now().After(dl) {
-			return 0, timeoutErr("wait-any-ring", budget)
+		if l.overdue(deadline) {
+			return 0, timeoutErr("wait-any-ring", l.WaitTimeout)
 		}
 		l.Poll()
 		runtime.Gosched()

@@ -127,10 +127,9 @@ type Config struct {
 	// MaxRetransmits overrides the stack's consecutive-retransmit cap
 	// before a connection gives up. Zero keeps the netstack default.
 	MaxRetransmits int
-	// Clock, when non-nil, replaces the stack's own timer clock.
-	// The lifecycle facade plugs a simclock.DriftClock in here so the
-	// chaos engine can skew this node's notion of time.
-	Clock func() time.Time
+	// Clock is the node's clock, which every shard's stack times its
+	// timers by (nil: a fresh wall clock per stack).
+	Clock *simclock.Clock
 	// PoolFactory, when non-nil, supplies the frame pool each transport
 	// (or shard) allocates from. The multi-tenant facade passes a
 	// factory that tags the pool with the tenant's ID and wires its

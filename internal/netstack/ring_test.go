@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"demikernel/internal/fabric"
+	"demikernel/internal/simclock"
 )
 
 // contents returns the ring's queued bytes as one slice.
@@ -295,9 +296,9 @@ func streamModelSchedules(t *testing.T, face face) {
 // against a stream model each.
 func ackHoldSchedule(t *testing.T, seed int64, imp fabric.Impairments, face face) {
 	r := rand.New(rand.NewSource(seed))
-	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+	clk := stoppedClock()
 	mss := 200 + r.Intn(1200)
-	w := newWorld(t, Config{MSS: mss, Clock: clk.now}, Config{MSS: 200 + r.Intn(1200), RxWindow: 8*mss + r.Intn(60_000), Clock: clk.now})
+	w := newWorld(t, Config{MSS: mss, Clock: clk}, Config{MSS: 200 + r.Intn(1200), RxWindow: 8*mss + r.Intn(60_000), Clock: clk})
 	c, srv := dialPair(t, w, 8000)
 	w.pump()
 	fwd := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna, face: face}
@@ -354,7 +355,7 @@ func ackHoldSchedule(t *testing.T, seed int64, imp fabric.Impairments, face face
 				t.Fatalf("no progress on a clean link with the clock standing still: %d of %d and %d of %d bytes delivered",
 					fwd.delivered, len(fwd.sent), rev.delivered, len(rev.sent))
 			}
-			clk.t = clk.t.Add(maxRTO) // only a timer recovers a loss with nothing behind it
+			clk.Step(maxRTO) // only a timer recovers a loss with nothing behind it
 			idle = 0
 		}
 		if rounds > 100_000 {
@@ -380,7 +381,7 @@ func BenchmarkNetstack_AckDequeue(b *testing.B) {
 	for _, queued := range []int{4 << 10, 128 << 10} {
 		b.Run(fmt.Sprintf("%dKiB", queued>>10), func(b *testing.B) {
 			const mss = 1024
-			s := &Stack{cfg: Config{MSS: mss, RTO: time.Second}, now: func() int64 { return time.Now().UnixNano() }}
+			s := &Stack{cfg: Config{MSS: mss, RTO: time.Second}, clock: simclock.NewClock()}
 			c := s.newConnLocked(connKey{}, stateClosed) // closed: the ACK path sends nothing
 			c.sndBuf.write(make([]byte, queued), sndBufMax)
 			c.sndNxt = c.sndUna + uint32(queued)

@@ -62,13 +62,13 @@ type Config struct {
 	// shard stacks: learns are published to it and misses consult it
 	// before falling back to an ARP request. See NeighborTable.
 	Neighbors *NeighborTable
-	// Clock, when non-nil, replaces the stack's monotonic clock for RTO
-	// timers. The chaos engine plugs a simclock.DriftClock in here to
-	// model per-node clock skew: a fast-running clock fires retransmission
-	// timers early, a slow one late — the paper's point that protocol
-	// timekeeping now lives in the library, where nothing keeps node
-	// clocks honest.
-	Clock func() time.Time
+	// Clock is the node's clock, which the RTO timers read (nil: a fresh
+	// wall clock). The spawn facade hands every node's stacks the node's
+	// one clock, so skewing it models per-node clock skew: a fast-running
+	// clock fires retransmission timers early, a slow one late — the
+	// paper's point that protocol timekeeping now lives in the library,
+	// where nothing keeps node clocks honest.
+	Clock *simclock.Clock
 }
 
 // Stats counts stack events.
@@ -177,8 +177,8 @@ type Stack struct {
 	ipID       uint16
 	nextPort   uint16
 	issCounter uint32
-	now        func() int64 // the timer clock, in nanoseconds (UnixNano for Config.Clock)
-	// clockRead is now() as the timers read it in the current shared
+	clock      *simclock.Clock // the timer clock, read in Unix nanoseconds
+	// clockRead is the clock as the timers read it in the current shared
 	// stretch of this hold of mu (0: not yet), clockShares how many such
 	// stretches are open; both are zero whenever mu is free (timer.go).
 	clockRead   int64
@@ -230,14 +230,9 @@ func NewWithLock(model *simclock.CostModel, dev Device, cfg Config, mu *sync.Mut
 	if pool == nil {
 		pool = fabric.DefaultFramePool
 	}
-	var clock func() int64
-	if cfg.Clock != nil {
-		clock = func() int64 { return cfg.Clock().UnixNano() }
-	} else {
-		// The wall clock is read once; after that, the monotonic clock only.
-		epoch := time.Now()
-		base := epoch.UnixNano()
-		clock = func() int64 { return base + int64(time.Since(epoch)) }
+	clock := cfg.Clock
+	if clock == nil {
+		clock = simclock.NewClock()
 	}
 	return &Stack{
 		model:      model,
@@ -251,7 +246,7 @@ func NewWithLock(model *simclock.CostModel, dev Device, cfg Config, mu *sync.Mut
 		listeners:  make(map[uint16]*TCPListener),
 		udp:        make(map[uint16]*UDPSock),
 		nextPort:   49152,
-		now:        clock,
+		clock:      clock,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 	"unsafe"
 
 	"demikernel/internal/fabric"
@@ -309,7 +308,7 @@ func TestAckPiggybacksOnReply(t *testing.T) {
 // the list by the next poll without a segment being sent for it, and
 // Shutdown, which no poll follows, empties the list itself.
 func TestAckHeldDiesWithConnection(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+	clk := stoppedClock()
 	s, dev := newTapStack(t, clk)
 	a := &timerActor{s: s, dev: dev, conns: make([]*TCPConn, 4)}
 	// fromPeer delivers the peer's next in-order segment to connection i.

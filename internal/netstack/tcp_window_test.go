@@ -221,8 +221,8 @@ func TestTCPZeroWindowProbeRecoversLostUpdate(t *testing.T) {
 // that stands still after the drain, so a recovery by RTO cannot pass.
 func TestTCPZeroWindowProbeDroppedResumesAtUna(t *testing.T) {
 	const mss, window = 1024, 4096
-	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	w := newWorld(t, Config{MSS: mss, Clock: clk.now}, Config{MSS: mss, RxWindow: window, Clock: clk.now})
+	clk := stoppedClock()
+	w := newWorld(t, Config{MSS: mss, Clock: clk}, Config{MSS: mss, RxWindow: window, Clock: clk})
 	c, srv := dialPair(t, w, 8000)
 	openCwnd(w, c)
 
@@ -242,7 +242,7 @@ func TestTCPZeroWindowProbeDroppedResumesAtUna(t *testing.T) {
 	}
 
 	rcvd := w.b.Stats().TCPSegsRcvd
-	clk.t = clk.t.Add(25 * time.Millisecond) // past the RTO: the persist timer fires
+	clk.Step(25 * time.Millisecond) // past the RTO: the persist timer fires
 	w.pump()
 	if rt := w.a.Stats().Retransmits; rt != 1 {
 		t.Fatalf("%d timer firings, want the one zero-window probe", rt)

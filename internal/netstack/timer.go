@@ -55,10 +55,10 @@ func (s *Stack) unshareClockLocked() {
 // outside a shared stretch, once — by whoever asks first — inside one.
 func (s *Stack) nowLocked() int64 {
 	if s.clockShares == 0 {
-		return s.now()
+		return s.clock.UnixNano()
 	}
 	if s.clockRead == 0 {
-		s.clockRead = s.now()
+		s.clockRead = s.clock.UnixNano()
 	}
 	return s.clockRead
 }

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"demikernel/internal/fabric"
 	"demikernel/internal/simclock"
@@ -130,8 +129,9 @@ type GroupConfig struct {
 	// TxQueueDepth bounds the group's TX staging ring (0 = 512); a full
 	// ring drops (and releases) the frame, counted as a throttle drop.
 	TxQueueDepth int
-	// Clock supplies time for token-bucket refill (default time.Now).
-	Clock func() time.Time
+	// Clock is the node's clock, which token-bucket refill reads (nil: a
+	// fresh wall clock).
+	Clock *simclock.Clock
 }
 
 // SteeringRule is one tenant-installed flow-steering rule: IPv4 frames

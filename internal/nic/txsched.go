@@ -17,9 +17,9 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"demikernel/internal/fabric"
+	"demikernel/internal/simclock"
 )
 
 const (
@@ -58,9 +58,9 @@ type txQueue struct {
 	rate    float64 // bytes/second; 0 = unlimited
 	burst   float64 // token bucket depth in bytes
 	tokens  float64
-	last    time.Time
+	last    int64 // clock reading of the last refill, Unix nanoseconds
 	started bool
-	clock   func() time.Time
+	clock   *simclock.Clock
 
 	drops      atomic.Int64 // throttle drops at a full ring
 	sentFrames atomic.Int64
@@ -71,7 +71,7 @@ type txQueue struct {
 // newQueue registers a TX queue with the given WDRR weight (0 = 1),
 // rate limit (0 = unlimited), burst (0 = one quantum), and staging
 // depth (0 = default).
-func (s *txScheduler) newQueue(name string, weight int, rateBps, burstBytes int64, depth int, clock func() time.Time) *txQueue {
+func (s *txScheduler) newQueue(name string, weight int, rateBps, burstBytes int64, depth int, clock *simclock.Clock) *txQueue {
 	if weight <= 0 {
 		weight = 1
 	}
@@ -79,7 +79,7 @@ func (s *txScheduler) newQueue(name string, weight int, rateBps, burstBytes int6
 		depth = txDefaultDepth
 	}
 	if clock == nil {
-		clock = time.Now
+		clock = simclock.NewClock()
 	}
 	burst := float64(burstBytes)
 	if burst <= 0 {
@@ -183,14 +183,14 @@ func (q *txQueue) refillTokens() {
 	if q.rate <= 0 {
 		return
 	}
-	now := q.clock()
+	now := q.clock.UnixNano()
 	if !q.started {
 		q.started = true
 		q.last = now
 		q.tokens = q.burst
 		return
 	}
-	if el := now.Sub(q.last).Seconds(); el > 0 {
+	if el := float64(now-q.last) / 1e9; el > 0 {
 		q.tokens = math.Min(q.burst, q.tokens+q.rate*el)
 		q.last = now
 	}

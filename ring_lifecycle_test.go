@@ -259,7 +259,8 @@ func TestShardedRingSmoke(t *testing.T) {
 			t.Fatalf("shard %d push: %v", shardID, err)
 		}
 		cqes := make([]uring.CQE, 4)
-		n, err := lib.WaitAnyRing(sp, cqes, time.Now().Add(2*time.Second))
+		lib.WaitTimeout = 2 * time.Second
+		n, err := lib.WaitAnyRing(sp, cqes)
 		if err != nil {
 			t.Fatalf("shard %d ring wait: %v", shardID, err)
 		}

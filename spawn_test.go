@@ -27,16 +27,12 @@ func TestSpawnHonorsOptions(t *testing.T) {
 		WithConfig(NodeConfig{RTO: 3 * time.Millisecond, MaxRetransmits: 2}),
 		WithHost(7), // later WithHost wins over WithConfig's Host
 		WithTelemetry(reg),
-		WithLifecycle(),
 	)
 	if n.Catnip == nil || n.Sharded == nil || len(n.Libs()) != 1 || n.Shards() != 1 {
 		t.Fatalf("spawned the wrong shape: %+v", n)
 	}
 	if n.IP != c.ip(7) || n.MAC != c.mac(7) {
 		t.Fatalf("WithHost lost to WithConfig: ip=%v mac=%v", n.IP, n.MAC)
-	}
-	if n.Clock == nil {
-		t.Fatal("WithLifecycle attached no drift clock")
 	}
 	if len(reg.Snapshot().Samples) == 0 {
 		t.Fatal("WithTelemetry registered nothing")
@@ -45,6 +41,28 @@ func TestSpawnHonorsOptions(t *testing.T) {
 	sharded := c.MustSpawn(Catnip, WithHost(8), WithShards(4))
 	if len(sharded.Libs()) != 4 || sharded.Shards() != 4 {
 		t.Fatalf("WithShards(4) produced %+v", sharded.Sharded)
+	}
+
+	// Every node of every kind has its one clock from spawn, shared by
+	// all its libOSes, and SwitchKind keeps it.
+	for i, k := range []Kind{Catnip, Catnap, Catmint, Catfish} {
+		if m := c.MustSpawn(k, WithHost(byte(9+i))); m.Clock() == nil {
+			t.Errorf("a %s node has no clock", k)
+		}
+	}
+	for i, l := range sharded.Libs() {
+		if l.Clock() != sharded.Clock() {
+			t.Errorf("shard %d reads a clock of its own", i)
+		}
+	}
+	clock := n.Clock()
+	for _, k := range []Kind{Catnap, Catnip} {
+		if err := n.SwitchKind(k); err != nil {
+			t.Fatal(err)
+		}
+		if n.Clock() != clock {
+			t.Fatalf("SwitchKind to %s changed the node's clock", k)
+		}
 	}
 }
 
