@@ -633,8 +633,8 @@ func TestChaosCatmintReconnect(t *testing.T) {
 }
 
 // TestChaosCatfishResetRetry injects an NVMe controller reset mid-stream:
-// with the default budget the retry loop absorbs it invisibly; with the
-// budget zeroed the application sees the typed device error.
+// the retry loop absorbs a reset within its budget invisibly, and the
+// application sees the typed device error of one that outlasts it.
 func TestChaosCatfishResetRetry(t *testing.T) {
 	c := NewCluster(303)
 	node, err := c.Spawn(Catfish, WithBlocks(0))
@@ -663,23 +663,21 @@ func TestChaosCatfishResetRetry(t *testing.T) {
 		t.Fatalf("resets = %d, want 1", dev.Stats().Resets)
 	}
 
-	// With no retry budget the same fault becomes a typed failure.
-	node.Catfish.SetRetryPolicy(0, time.Microsecond)
-	eng.ControllerReset(0, dev, 5)
+	// A reset that outlasts the retry budget becomes a typed failure.
+	eng.ControllerReset(0, dev, catfish.DefaultMaxRetries+1)
 	eng.Step()
 	comp, err = node.BlockingPush(qd, NewSGA([]byte("gives up")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(comp.Err, spdk.ErrDeviceReset) {
-		t.Fatalf("push with zero budget failed with %v, want ErrDeviceReset", comp.Err)
+		t.Fatalf("push past the retry budget failed with %v, want ErrDeviceReset", comp.Err)
 	}
 
-	// Restore the budget: the stream is intact and appends resume.
-	node.Catfish.SetRetryPolicy(8, 100*time.Microsecond)
+	// The device is back: the stream is intact and appends resume.
 	comp, err = node.BlockingPush(qd, NewSGA([]byte("resumes")))
 	if err != nil || comp.Err != nil {
-		t.Fatalf("push after restoring budget: %v %v", err, comp.Err)
+		t.Fatalf("push after the reset: %v %v", err, comp.Err)
 	}
 	for _, want := range []string{"survives the reset", "resumes"} {
 		comp, err := node.BlockingPop(qd)

@@ -111,10 +111,11 @@ func TestEveryExportHasACaller(t *testing.T) {
 
 // wallClockSites are the only places outside benchmark/,
 // internal/experiments and internal/simclock where non-test code may read
-// the wall clock, each with its reason. A site is a file and the function
-// or method in it, or a file alone for all of it. Everything else keeps
-// time by its node's simclock.Clock, so a test that steps that clock
-// moves every timer, wait and deadline on the node.
+// the wall clock, sleep on it or arm a timer on it, each with its reason.
+// A site is a file and the function or method in it, or a file alone for
+// all of it. Everything else keeps time by its node's simclock.Clock, so a
+// test that steps that clock moves every timer, wait and deadline on the
+// node.
 var wallClockSites = map[string]string{
 	"internal/telemetry/registry.go Registry.Snapshot": "a telemetry snapshot's wall-clock stamp",
 	"internal/telemetry/trace.go Tracer.Instant":       "a trace event's wall-clock stamp",
@@ -122,14 +123,22 @@ var wallClockSites = map[string]string{
 	"internal/uring/uring.go Pair.complete":            "a ring span's done stamp",
 	"internal/uring/uring.go Pair.record":              "a ring span's consume stamp",
 	"internal/uring/uring.go Pair.Harvest":             "a ring span's harvest stamp",
+	"internal/core/core.go LibOS.Background":           "the polling thread's idle yield, until item 2's driver",
 	"internal/chaos/chaos.go":                          "the chaos schedule runs on the wall clock until the whole cluster steps on one clock",
 	"conservation.go":                                  "Cluster.Quiesce polls for wall time until the whole cluster steps on one clock",
 }
 
-// TestOneClock fails on a read of the wall clock — time.Now, time.Since
-// or time.Until, called or passed as a value — in a non-test file outside
-// benchmark/, internal/experiments and internal/simclock, anywhere but at
-// the sites wallClockSites allows.
+// wallClockCalls are the time package's functions that read the wall
+// clock (the first three) or wait on it.
+var wallClockCalls = map[string]bool{
+	"Now": true, "Since": true, "Until": true,
+	"Sleep": true, "After": true, "AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true,
+}
+
+// TestOneClock fails on a call of one of wallClockCalls, or the function
+// passed as a value, in a non-test file outside benchmark/,
+// internal/experiments and internal/simclock, anywhere but at the sites
+// wallClockSites allows.
 func TestOneClock(t *testing.T) {
 	fset := token.NewFileSet()
 	var stray []string
@@ -167,8 +176,7 @@ func TestOneClock(t *testing.T) {
 				if !ok {
 					return true
 				}
-				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "time" ||
-					(sel.Sel.Name != "Now" && sel.Sel.Name != "Since" && sel.Sel.Name != "Until") {
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "time" || !wallClockCalls[sel.Sel.Name] {
 					return true
 				}
 				switch {
@@ -188,7 +196,7 @@ func TestOneClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(stray) > 0 {
-		t.Errorf("%d wall-clock reads outside wallClockSites; read the node's simclock.Clock instead:\n\t%s",
+		t.Errorf("%d wall-clock reads or waits outside wallClockSites; read or poll the node's simclock.Clock instead:\n\t%s",
 			len(stray), strings.Join(stray, "\n\t"))
 	}
 	for site := range wallClockSites {

@@ -18,7 +18,7 @@ package demikernel
 import (
 	"context"
 	"fmt"
-	"time"
+	"runtime"
 
 	"demikernel/internal/core"
 	"demikernel/internal/libos/catnap"
@@ -86,11 +86,10 @@ func (n *Node) Reshard(ctx context.Context, m int) error {
 	n.gen.Add(1)
 	if r := n.resharder; r != nil {
 		for !r.Stable() {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(100 * time.Microsecond):
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			runtime.Gosched()
 		}
 	}
 	return nil

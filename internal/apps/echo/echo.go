@@ -112,7 +112,7 @@ func Dial(lib *core.LibOS, addr core.Addr) (cli *Client, stop func(), err error)
 // response — the simulated round-trip latency. Under an armed failover
 // policy a dead peer triggers backoff, redial, and replay.
 func (c *Client) RTT(payload []byte, appCost simclock.Lat) (cost simclock.Lat, err error) {
-	err = c.Replay(func() (err error) {
+	err = c.Replay(c.Lib(), func() (err error) {
 		var resp sga.SGA
 		resp, cost, err = c.Exchange(sga.New(payload), appCost)
 		resp.Free()

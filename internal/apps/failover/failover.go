@@ -129,8 +129,11 @@ func Retriable(err error) bool {
 // and attempt's last result: nil, a non-retriable error, or, once the
 // policy's attempts are exhausted, the last typed error seen. A redial
 // that fails retriably (server still down) keeps backing off; any other
-// redial error ends the loop at once.
-func Do(pol *Policy, attempt, redial func() error) (redials int, err error) {
+// redial error ends the loop at once. The backoff is lib.PollFor: a wait
+// on the client node's clock that keeps polling the client's libOS, as
+// every wait of a libOS does. Nothing sleeps, and a test that steps the
+// clock ends it.
+func Do(lib *core.LibOS, pol *Policy, attempt, redial func() error) (redials int, err error) {
 	err = attempt()
 	if err == nil || pol == nil || !Retriable(err) {
 		return 0, err
@@ -141,7 +144,7 @@ func Do(pol *Policy, attempt, redial func() error) (redials int, err error) {
 		if !ok {
 			return redials, err
 		}
-		time.Sleep(d)
+		lib.PollFor(d)
 		if rerr := redial(); rerr != nil {
 			if Retriable(rerr) {
 				err = rerr
@@ -215,14 +218,14 @@ func (r *Replayer) FailoverStats() (reconnects, replays int64) {
 	return n, n
 }
 
-// Replay is Do under the armed policy, counted; a nil redial runs attempt
-// once.
-func (r *Replayer) Replay(attempt, redial func() error) error {
+// Replay is Do on lib under the armed policy, counted; a nil redial runs
+// attempt once.
+func (r *Replayer) Replay(lib *core.LibOS, attempt, redial func() error) error {
 	pol := r.pol
 	if redial == nil {
 		pol = nil
 	}
-	n, err := Do(pol, attempt, redial)
+	n, err := Do(lib, pol, attempt, redial)
 	r.redials.Add(int64(n))
 	return err
 }

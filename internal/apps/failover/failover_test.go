@@ -3,6 +3,7 @@ package failover
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,15 +102,21 @@ func TestRetriableClassification(t *testing.T) {
 	}
 }
 
-// fastPolicy retries n times with negligible sleeps.
+// fastPolicy retries n times with negligible backoffs.
 func fastPolicy(n int) *Policy {
 	return &Policy{MaxAttempts: n, Base: time.Microsecond, Max: time.Microsecond}
 }
 
+// clientLib is a client node's libOS, which Do polls while it backs off.
+func clientLib() *core.LibOS {
+	return demi.NewCluster(1).MustSpawn(demi.Catnip, demi.WithHost(2)).LibOS
+}
+
 func TestDoReplaysAfterRedial(t *testing.T) {
+	lib := clientLib()
 	const k = 3
 	attempts := 0
-	redials, err := Do(fastPolicy(10),
+	redials, err := Do(lib, fastPolicy(10),
 		func() error {
 			attempts++
 			if attempts <= k {
@@ -128,7 +135,7 @@ func TestDoReplaysAfterRedial(t *testing.T) {
 		err error
 	}{{nil, core.ErrPeerDead}, {fastPolicy(10), core.ErrBadQD}} {
 		attempts = 0
-		redials, err = Do(tc.pol,
+		redials, err = Do(lib, tc.pol,
 			func() error { attempts++; return tc.err },
 			func() error { t.Fatal("redial called"); return nil })
 		if !errors.Is(err, tc.err) || redials != 0 || attempts != 1 {
@@ -138,11 +145,12 @@ func TestDoReplaysAfterRedial(t *testing.T) {
 }
 
 func TestDoStopsAtMaxAttemptsWithLastTypedError(t *testing.T) {
+	lib := clientLib()
 	// The server stays down for the first two redials (typed, retriable),
 	// then every replay dies with a different typed error: the budget
 	// counts both, and the error reported is the last one seen.
 	calls := 0
-	redials, err := Do(fastPolicy(5),
+	redials, err := Do(lib, fastPolicy(5),
 		func() error { return core.ErrPeerDead },
 		func() error {
 			calls++
@@ -158,7 +166,7 @@ func TestDoStopsAtMaxAttemptsWithLastTypedError(t *testing.T) {
 		t.Fatalf("err = %v, want the last attempt's ErrPeerDead", err)
 	}
 
-	_, err = Do(fastPolicy(4),
+	_, err = Do(lib, fastPolicy(4),
 		func() error { return core.ErrPeerDead },
 		func() error { return core.ErrWaitTimeout })
 	if !errors.Is(err, core.ErrWaitTimeout) {
@@ -167,12 +175,51 @@ func TestDoStopsAtMaxAttemptsWithLastTypedError(t *testing.T) {
 }
 
 func TestDoNonRetriableRedialEndsLoop(t *testing.T) {
+	lib := clientLib()
 	calls := 0
-	redials, err := Do(fastPolicy(10),
+	redials, err := Do(lib, fastPolicy(10),
 		func() error { return core.ErrPeerDead },
 		func() error { calls++; return core.ErrBadQD })
 	if !errors.Is(err, core.ErrBadQD) || redials != 0 || calls != 1 {
 		t.Fatalf("Do = %d redials, err %v after %d redial calls; want 0, ErrBadQD, 1", redials, err, calls)
+	}
+}
+
+// TestBackoffWaitsOnNodeClock: Do's backoff is a wait on the client node's
+// clock. With that clock stopped, an hour's backoff holds the redial until
+// the test steps the clock an hour, and then the replay finishes at once.
+func TestBackoffWaitsOnNodeClock(t *testing.T) {
+	lib := clientLib()
+	lib.Clock().SetSkew(-1e6)
+	var r Replayer
+	r.EnableFailover(Policy{MaxAttempts: 1, Base: time.Hour, Max: time.Hour})
+	var redialed atomic.Bool
+	done := make(chan error, 1)
+	go func() {
+		failed := false
+		done <- r.Replay(lib, func() error {
+			if !failed {
+				failed = true
+				return core.ErrPeerDead
+			}
+			return nil
+		}, func() error { redialed.Store(true); return nil })
+	}()
+	time.Sleep(50 * time.Millisecond)
+	if redialed.Load() {
+		t.Fatal("redial ran while the node clock stood still")
+	}
+	lib.Clock().Step(time.Hour)
+	select {
+	case err := <-done:
+		if err != nil || !redialed.Load() {
+			t.Fatalf("replay after the step: %v, redialed %v", err, redialed.Load())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("backoff still waiting 2s after the node clock stepped an hour")
+	}
+	if n, _ := r.FailoverStats(); n != 1 {
+		t.Fatalf("%d redials, want 1", n)
 	}
 }
 

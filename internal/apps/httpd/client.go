@@ -114,7 +114,7 @@ func (c *Client) GetRange(path, rangeSpec string) (Response, error) {
 // roundTrip is one request and its response on the connection, redialled
 // and replayed under an armed failover policy.
 func (c *Client) roundTrip(path string, head, connClose bool, rangeSpec string) (resp Response, err error) {
-	err = c.Replay(func() error {
+	err = c.Replay(c.Lib(), func() error {
 		c.req = appendRequest(c.req[:0], path, head, connClose, rangeSpec)
 		g, cost, err := c.Exchange(sga.New(c.req), 0)
 		if err == nil {

@@ -668,7 +668,7 @@ func (c *ShardedClient) roundTrip(i int, req sga.SGA) (resp sga.SGA, cost simclo
 	if c.redialFn != nil {
 		redial = func() error { return c.connAt(i).Redial() }
 	}
-	err = c.Replay(func() (err error) {
+	err = c.Replay(c.lib, func() (err error) {
 		conn := c.connAt(i)
 		resp, cost, err = conn.Exchange(req, 0)
 		if errors.Is(err, core.ErrBadQD) && c.retired(conn) {

@@ -246,8 +246,27 @@ func (l *LibOS) Clock() *simclock.Clock { return l.clock }
 // deadline is when a wait that starts now times out.
 func (l *LibOS) deadline() int64 { return l.clock.UnixNano() + int64(l.WaitTimeout) }
 
-// overdue reports whether deadline has passed.
-func (l *LibOS) overdue(deadline int64) bool { return l.clock.UnixNano() > deadline }
+// pollUntil polls the data path until ready reports true, yielding the
+// processor between polls, and reports whether it did: false means the
+// node's clock reached deadline first. It is the one loop every wait of
+// the libOS runs.
+func (l *LibOS) pollUntil(deadline int64, ready func() bool) bool {
+	for !ready() {
+		if l.clock.UnixNano() >= deadline {
+			return false
+		}
+		l.Poll()
+		runtime.Gosched()
+	}
+	return true
+}
+
+// PollFor polls the data path until the node's clock has moved d on: a
+// pause that keeps the libOS running, and that a test stepping the
+// clock ends.
+func (l *LibOS) PollFor(d time.Duration) {
+	l.pollUntil(l.clock.UnixNano()+int64(d), func() bool { return false })
+}
 
 // Transport returns the currently active transport.
 func (l *LibOS) Transport() Transport { return l.tp.Load().t }
@@ -421,24 +440,20 @@ func (l *LibOS) Accept(qd QD) (QD, error) {
 	if d.kind != qdEndpoint {
 		return InvalidQD, ErrBadQD
 	}
-	deadline := l.deadline()
-	for {
-		ep, ok, err := d.ep.Accept()
-		if err != nil {
-			return InvalidQD, err
+	var ep Endpoint
+	if !l.pollUntil(l.deadline(), func() bool {
+		var ok bool
+		if ep, ok, err = d.ep.Accept(); err == nil && !ok {
+			err = d.ep.Err()
 		}
-		if ok {
-			return l.insert(&qdesc{kind: qdEndpoint, ep: ep}), nil
-		}
-		if err := d.ep.Err(); err != nil {
-			return InvalidQD, err
-		}
-		if l.overdue(deadline) {
-			return InvalidQD, timeoutErr("accept", l.WaitTimeout)
-		}
-		l.Poll()
-		runtime.Gosched()
+		return ok || err != nil
+	}) {
+		return InvalidQD, timeoutErr("accept", l.WaitTimeout)
 	}
+	if err != nil {
+		return InvalidQD, err
+	}
+	return l.insert(&qdesc{kind: qdEndpoint, ep: ep}), nil
 }
 
 // TryAccept is the non-blocking accept used by event loops.
@@ -470,20 +485,18 @@ func (l *LibOS) Connect(qd QD, addr Addr) error {
 	if err := d.ep.Connect(addr); err != nil {
 		return err
 	}
-	deadline := l.deadline()
-	for !d.ep.Connected() {
-		if err := d.ep.Err(); err != nil {
-			// The transport diagnosed the failure (SYN timeout, QP
-			// error): report it instead of spinning to the deadline.
-			return err
+	if !l.pollUntil(l.deadline(), func() bool {
+		if d.ep.Connected() {
+			return true
 		}
-		if l.overdue(deadline) {
-			return timeoutErr("connect", l.WaitTimeout)
-		}
-		l.Poll()
-		runtime.Gosched()
+		// The transport may diagnose the failure (SYN timeout, QP
+		// error): report it instead of spinning to the deadline.
+		err = d.ep.Err()
+		return err != nil
+	}) {
+		return timeoutErr("connect", l.WaitTimeout)
 	}
-	return nil
+	return err
 }
 
 // Close tears down a queue descriptor.
@@ -698,21 +711,15 @@ func (l *LibOS) Wait(qt queue.QToken) (queue.Completion, error) {
 	return l.waitUntil(qt, l.deadline())
 }
 
-func (l *LibOS) waitUntil(qt queue.QToken, deadline int64) (queue.Completion, error) {
-	for {
-		c, ok, err := l.tokens.TryWait(qt)
-		if err != nil {
-			return queue.Completion{}, err
-		}
-		if ok {
-			return c, nil
-		}
-		if l.overdue(deadline) {
-			return queue.Completion{}, timeoutErr("wait", l.WaitTimeout)
-		}
-		l.Poll()
-		runtime.Gosched()
+func (l *LibOS) waitUntil(qt queue.QToken, deadline int64) (c queue.Completion, err error) {
+	if !l.pollUntil(deadline, func() bool {
+		var ok bool
+		c, ok, err = l.tokens.TryWait(qt)
+		return ok || err != nil
+	}) {
+		return queue.Completion{}, timeoutErr("wait", l.WaitTimeout)
 	}
+	return c, err
 }
 
 // WaitAny polls until any of the tokens completes; it returns the index
@@ -734,16 +741,12 @@ func (l *LibOS) WaitAny(qts []queue.QToken) (int, queue.Completion, error) {
 	}
 	// i < len(qts): qts[i] had completed already, and the first in scan
 	// order wins.
-	for i == len(qts) {
-		if j, ok := l.tokens.TakeAny(&w); ok {
-			i = j
-			break
-		}
-		if l.overdue(deadline) {
-			return -1, queue.Completion{}, timeoutErr("wait-any", l.WaitTimeout)
-		}
-		l.Poll()
-		runtime.Gosched()
+	if i == len(qts) && !l.pollUntil(deadline, func() bool {
+		var ok bool
+		i, ok = l.tokens.TakeAny(&w)
+		return ok
+	}) {
+		return -1, queue.Completion{}, timeoutErr("wait-any", l.WaitTimeout)
 	}
 	c, ok, err := l.tokens.TryWait(qts[i])
 	if err == nil && !ok {

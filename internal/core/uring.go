@@ -14,8 +14,6 @@ package core
 // not touch a ring.
 
 import (
-	"runtime"
-
 	"demikernel/internal/queue"
 	"demikernel/internal/telemetry"
 	"demikernel/internal/uring"
@@ -111,18 +109,14 @@ func (l *LibOS) HarvestCQ(p *uring.Pair, dst []uring.CQE) int {
 // there is no token slice to rescan. Operations pending at a crash
 // surface here as CQEs carrying the typed reset error. Bounded by
 // WaitTimeout.
-func (l *LibOS) WaitAnyRing(p *uring.Pair, dst []uring.CQE) (int, error) {
-	deadline := l.deadline()
-	for {
-		if n := p.Harvest(dst); n > 0 {
-			return n, nil
-		}
-		if l.overdue(deadline) {
-			return 0, timeoutErr("wait-any-ring", l.WaitTimeout)
-		}
-		l.Poll()
-		runtime.Gosched()
+func (l *LibOS) WaitAnyRing(p *uring.Pair, dst []uring.CQE) (n int, err error) {
+	if !l.pollUntil(l.deadline(), func() bool {
+		n = p.Harvest(dst)
+		return n > 0
+	}) {
+		return 0, timeoutErr("wait-any-ring", l.WaitTimeout)
 	}
+	return n, nil
 }
 
 // registerRingTelemetry publishes the uring.* counter family as

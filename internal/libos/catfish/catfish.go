@@ -10,13 +10,15 @@
 // element" holds across the storage path and across restarts. The queue
 // is queue.FileQueue, which catnap's file queues are too; catfish gives
 // it only the layout: each path is one blob file, every device call
-// inside the transient-failure retry loop.
+// inside the transient-failure retry loop. That loop retries at once: the
+// device recovers by commands, not by time, so nothing in a push or pop
+// sleeps. Every operation it retries is idempotent: a blob append, a
+// record read, the recovery scan and BuildIndex.
 package catfish
 
 import (
 	"errors"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"demikernel/internal/core"
 	"demikernel/internal/fabric"
@@ -27,17 +29,11 @@ import (
 	"demikernel/internal/telemetry"
 )
 
-// Retry policy for transient device failures. Injected media errors
-// (spdk.ErrIO) and controller resets (spdk.ErrDeviceReset) are absorbed
-// by the libOS — the application's qtoken only fails once the retry
+// DefaultMaxRetries bounds the retries of one operation. Injected media
+// errors (spdk.ErrIO) and controller resets (spdk.ErrDeviceReset) are
+// absorbed by the libOS: the application's qtoken only fails once the
 // budget is spent.
-const (
-	// DefaultMaxRetries bounds retry attempts per operation.
-	DefaultMaxRetries = 8
-	// DefaultRetryBackoff is the first retry delay; it doubles per
-	// attempt.
-	DefaultRetryBackoff = 100 * time.Microsecond
-)
+const DefaultMaxRetries = 8
 
 // Transport is the catfish libOS transport.
 type Transport struct {
@@ -51,11 +47,7 @@ type Transport struct {
 	// files is the file queues' paths, one blob file each.
 	files queue.Files
 
-	// mu guards the retry policy and its counter.
-	mu           sync.Mutex
-	maxRetries   int
-	retryBackoff time.Duration
-	retries      int64 // transient failures absorbed by the retry loop
+	retries atomic.Int64 // transient failures absorbed by the retry loop
 }
 
 // New opens (recovering if necessary) a catfish instance on dev. The
@@ -63,13 +55,7 @@ type Transport struct {
 // controller reset mid-scan is a retried open, never a silently
 // truncated log.
 func New(model *simclock.CostModel, dev *spdk.Device) (*Transport, error) {
-	t := &Transport{
-		model:        model,
-		dev:          dev,
-		pool:         fabric.NewFramePool(),
-		maxRetries:   DefaultMaxRetries,
-		retryBackoff: DefaultRetryBackoff,
-	}
+	t := &Transport{model: model, dev: dev, pool: fabric.NewFramePool()}
 	_, err := t.retry(func() (simclock.Lat, error) {
 		var c simclock.Lat
 		var e error
@@ -82,22 +68,9 @@ func New(model *simclock.CostModel, dev *spdk.Device) (*Transport, error) {
 	return t, nil
 }
 
-// SetRetryPolicy overrides the transient-failure retry budget (chaos
-// tests tighten it to observe give-up behaviour).
-func (t *Transport) SetRetryPolicy(maxRetries int, backoff time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.maxRetries = maxRetries
-	t.retryBackoff = backoff
-}
-
 // Retries reports how many transient device failures the retry loop has
 // absorbed.
-func (t *Transport) Retries() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.retries
-}
+func (t *Transport) Retries() int64 { return t.retries.Load() }
 
 // transient reports whether err is worth retrying: controller resets
 // clear after the controller re-initialises, injected media errors are
@@ -106,27 +79,23 @@ func transient(err error) bool {
 	return errors.Is(err, spdk.ErrDeviceReset) || errors.Is(err, spdk.ErrIO)
 }
 
-// retry runs op, retrying with exponential backoff while it fails
-// transiently. The blob layer's appends are idempotent on failure (the
-// tail only advances after a fully successful append), so re-running op
-// is safe. The accumulated virtual cost of every attempt is returned —
+// retry runs op, and runs it again at once while it fails transiently, up
+// to DefaultMaxRetries times. Waiting would buy nothing: the simulated
+// controller recovers by commands (each one it fails while re-initialising
+// counts down its reset), not by time. Every op is idempotent on failure:
+// the blob layer's tail only advances after a fully successful append, a
+// read moves nothing, and BuildIndex reuses the regions its first attempt
+// allocated. The accumulated virtual cost of every attempt is returned —
 // failed device commands still spent device time.
 func (t *Transport) retry(op func() (simclock.Lat, error)) (simclock.Lat, error) {
-	t.mu.Lock()
-	maxRetries, backoff := t.maxRetries, t.retryBackoff
-	t.mu.Unlock()
 	var total simclock.Lat
 	for attempt := 0; ; attempt++ {
 		cost, err := op()
 		total += cost
-		if err == nil || !transient(err) || attempt >= maxRetries {
+		if err == nil || !transient(err) || attempt >= DefaultMaxRetries {
 			return total, err
 		}
-		t.mu.Lock()
-		t.retries++
-		t.mu.Unlock()
-		time.Sleep(backoff)
-		backoff *= 2
+		t.retries.Add(1)
 	}
 }
 

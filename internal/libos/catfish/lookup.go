@@ -56,12 +56,27 @@ type LookupStats struct {
 
 // BuildIndex bulk-builds a block-resident sorted index over the store's
 // raw-block region (spdk.BuildIndex over Store.AllocBlocks), retrying
-// transient device failures like any other storage op.
+// transient device failures like any other storage op. A retry rewrites
+// the regions the first attempt allocated (its i-th allocation is the
+// first attempt's i-th), so a failed attempt leaks no blocks.
 func (t *Transport) BuildIndex(kvs []spdk.KV, fanout int) (*spdk.Index, error) {
+	var regions []int
 	var idx *spdk.Index
 	_, err := t.retry(func() (simclock.Lat, error) {
+		i := 0
+		alloc := func(n int) (int, error) {
+			if i == len(regions) {
+				lo, err := t.store.AllocBlocks(n)
+				if err != nil {
+					return 0, err
+				}
+				regions = append(regions, lo)
+			}
+			i++
+			return regions[i-1], nil
+		}
 		var e error
-		idx, e = spdk.BuildIndex(t.dev, t.store.AllocBlocks, kvs, fanout)
+		idx, e = spdk.BuildIndex(t.dev, alloc, kvs, fanout)
 		if idx != nil {
 			return idx.BuildCost, e
 		}

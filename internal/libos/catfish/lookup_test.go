@@ -316,8 +316,7 @@ func TestFailedPopKeepsItsRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tr.SetRetryPolicy(0, time.Microsecond)
-	dev.SetErrorRate(1, 1)
+	dev.SetErrorRate(1, 1) // outlasts the retry budget
 	var failed queue.Completion
 	fq.Pop(func(c queue.Completion) { failed = c })
 	if !errors.Is(failed.Err, spdk.ErrIO) {
@@ -330,6 +329,81 @@ func TestFailedPopKeepsItsRecord(t *testing.T) {
 		if c.Err != nil || string(c.SGA.Bytes()) != want {
 			t.Fatalf("popped %q, %v; want %q", c.SGA.Bytes(), c.Err, want)
 		}
+	}
+}
+
+// TestPushAcrossResetReturnsAtOnce: a push that a controller reset fails
+// DefaultMaxRetries times is retried at once, not after a backoff, and a
+// pop parked on another open of the path completes with its record.
+func TestPushAcrossResetReturnsAtOnce(t *testing.T) {
+	tr, dev := newTransport(t)
+	reader, err := tr.Open("/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := tr.Open("/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var popped queue.Completion
+	parked := true
+	reader.Pop(func(c queue.Completion) { popped, parked = c, false })
+	if !parked {
+		t.Fatalf("pop on an empty path completed: %v", popped.Err)
+	}
+
+	dev.ControllerReset(DefaultMaxRetries)
+	before := tr.Retries()
+	pushErr := errors.New("push never completed")
+	start := time.Now()
+	writer.Push(sga.New([]byte("after the reset")), 0, func(c queue.Completion) { pushErr = c.Err })
+	took := time.Since(start)
+	if pushErr != nil {
+		t.Fatalf("push across a reset of %d commands: %v", DefaultMaxRetries, pushErr)
+	}
+	if got := tr.Retries() - before; got != DefaultMaxRetries {
+		t.Fatalf("push absorbed %d failures, want %d", got, DefaultMaxRetries)
+	}
+	if took >= 10*time.Millisecond {
+		t.Fatalf("push across the reset took %v, want < 10ms: the retry loop waited", took)
+	}
+	if parked || popped.Err != nil || string(popped.SGA.Bytes()) != "after the reset" {
+		t.Fatalf("parked pop: parked %v, %q, %v; want the pushed record", parked, popped.SGA.Bytes(), popped.Err)
+	}
+}
+
+// TestBuildIndexRetryLeaksNoBlocks: a build that a controller reset makes
+// retry writes the regions its first attempt allocated, so the store's
+// next free block is where a build without the reset leaves it.
+func TestBuildIndexRetryLeaksNoBlocks(t *testing.T) {
+	nextFree := func(resetFor int) int {
+		tr, dev := newTransport(t)
+		if resetFor > 0 {
+			dev.ControllerReset(resetFor)
+		}
+		idx, err := tr.BuildIndex(testPairs(64), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Retries(); got != int64(resetFor) {
+			t.Fatalf("build absorbed %d failures, want %d", got, resetFor)
+		}
+		q, err := tr.OpenLookup(idx, offload.IndexLookup(), LookupConfig{Pushdown: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := get(t, tr, q, []byte("key-0042")); err != nil || string(v) != "value-42" {
+			t.Fatalf("GET after a build across a reset of %d: %q, %v", resetFor, v, err)
+		}
+		lo, err := tr.Store().AllocBlocks(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lo
+	}
+	if got, want := nextFree(3), nextFree(0); got != want {
+		t.Fatalf("next free block after a build across ControllerReset(3) = %d, want %d: %d blocks leaked",
+			got, want, want-got)
 	}
 }
 
