@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all tier1 vet fmtcheck build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak chaos bench bench-aa benchsmoke report loc clean
+.PHONY: all tier1 vet fmtcheck build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak chaos bench bench-aa benchsmoke fuzzsmoke report loc clean
 
 all: tier1
 
@@ -17,6 +17,9 @@ RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSw
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
 BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkURing_SubmitHarvest|BenchmarkFramePool_SGA|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkCatnip_PollIdleUDP|BenchmarkCatmint_PollIdleQPs|BenchmarkSGA_FramerWrite
 BENCHSMOKE_PKGS := . ./internal/core/ ./internal/fabric/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/libos/catmint/ ./internal/sga/
+# Each fuzz target as package:name; go test fuzzes one target at a time.
+FUZZ_TARGETS    := ./internal/sga/:FuzzFramer ./internal/netstack/:FuzzChecksum ./internal/netstack/:FuzzIngest
+FUZZTIME        ?= 3s
 
 ## tier1: the gate every PR must keep green — vet, gofmt, build, full test
 ## suite, a short -race pass over the concurrency-heavy packages
@@ -36,12 +39,13 @@ BENCHSMOKE_PKGS := . ./internal/core/ ./internal/fabric/ ./internal/netstack/ ./
 ## (production-shaped traffic with slow readers and a mid-run
 ## crash/restart; stalled readers must become TCP backpressure, not
 ## unbounded buffering), and a one-iteration smoke of the component
-## microbenchmarks so a broken rig fails the gate. The sharded runtime's
+## microbenchmarks so a broken rig fails the gate, and a few seconds of
+## every fuzz target. The sharded runtime's
 ## scaling floor (4 shards >= 2.5x one, monotone growth, no aligned
 ## request crossing the mesh) is experiment E14's, checked by `test`.
 ## runcheck goes first: a soak whose pattern matches nothing passes
 ## vacuously.
-tier1: vet fmtcheck build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak benchsmoke
+tier1: vet fmtcheck build test runcheck race statsmoke lifecyclesoak tenantsoak httpsoak storagesoak reshardsoak benchsmoke fuzzsmoke
 
 vet:
 	$(GO) vet ./...
@@ -58,8 +62,9 @@ test:
 
 ## runcheck: every alternative of every -run/-bench pattern above names
 ## at least one test (or benchmark) in the packages its target passes,
-## and every listed package has tests — so a deleted or renamed test
-## fails the gate instead of turning a soak into a silent no-op.
+## and every listed package has tests, and every fuzz target exists — so a
+## deleted or renamed test fails the gate instead of turning a soak into a
+## silent no-op.
 runcheck:
 	@fail=0; \
 	check() { \
@@ -72,6 +77,10 @@ runcheck:
 	check '$(RACE_RUN)|$(LIFECYCLE_RUN)|$(TENANT_RUN)|$(HTTP_RUN)|$(STORAGE_RUN)|$(RESHARD_RUN)' .; \
 	check '$(CHAOS_RUN)' ./...; \
 	check '$(BENCHSMOKE_RUN)' '$(BENCHSMOKE_PKGS)'; \
+	for target in $(FUZZ_TARGETS); do \
+		$(GO) test -list "^$${target##*:}\$$" $${target%%:*} | grep -qx "$${target##*:}" || \
+			{ echo "runcheck: fuzz target '$$target' does not exist"; fail=1; }; \
+	done; \
 	exit $$fail
 
 race:
@@ -177,6 +186,15 @@ bench-aa:
 ## as well), and the SGA stream decoder alone; part of tier1.
 benchsmoke:
 	$(GO) test -run xxx -bench '$(BENCHSMOKE_RUN)' -benchtime=1x $(BENCHSMOKE_PKGS)
+
+## fuzzsmoke: FUZZTIME of fuzzing for each fuzz target, one worker each —
+## the stream decoder (FuzzFramer), the Internet checksum against its
+## reference (FuzzChecksum), and a receive burst taken in with and without
+## the NIC's checksum and segmentation offloads (FuzzIngest). Part of tier1.
+fuzzsmoke:
+	@for target in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${target##*:}\$$" -fuzztime $(FUZZTIME) -parallel 1 $${target%%:*} || exit 1; \
+	done
 
 ## report: regenerate EXPERIMENTS.md's measured tables.
 report:

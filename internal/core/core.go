@@ -97,6 +97,12 @@ type Features struct {
 	HWBufferMgmt bool
 	// HWOffloads: the device can run filters/maps (FPGA/SoC class).
 	HWOffloads bool
+	// ChecksumOffload: the device computes and checks the IPv4 and TCP/UDP
+	// checksums, so the libOS's stack does not.
+	ChecksumOffload bool
+	// SegmentationOffload: the device cuts a send burst into MSS segments
+	// (TSO), so the libOS's TCP handles a burst, not a segment, at a time.
+	SegmentationOffload bool
 	// SoftwareSupplied lists the OS components this libOS had to
 	// implement on the CPU to close the gap (§2).
 	SoftwareSupplied []string

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	demi "demikernel"
@@ -33,13 +34,14 @@ func runE2(seed int64) (*Result, error) {
 	nodes["catfish"] = catfishNode
 
 	tbl := metrics.NewTable("E2: accelerator taxonomy (Table 1) and the software gap",
-		"libOS", "bypass", "HW transport", "HW offloads", "software the libOS supplies")
+		"libOS", "bypass", "HW transport", "HW offloads", "NIC checksum/TSO", "software the libOS supplies")
 	order := []string{"catnap", "catnip", "catmint", "catfish"}
 	feats := map[string]demi.Features{}
 	for _, name := range order {
 		f := nodes[name].Features()
 		feats[name] = f
 		tbl.AddRow(name, f.KernelBypass, f.HWTransport, f.HWOffloads,
+			fmt.Sprintf("%v/%v", f.ChecksumOffload, f.SegmentationOffload),
 			strings.Join(f.SoftwareSupplied, "; "))
 	}
 	res.Tables = append(res.Tables, tbl)
@@ -53,6 +55,11 @@ func runE2(seed int64) (*Result, error) {
 		len(feats["catnip"].SoftwareSupplied), len(feats["catmint"].SoftwareSupplied))
 	res.check("RDMA provides transport in hardware, DPDK does not",
 		feats["catmint"].HWTransport && !feats["catnip"].HWTransport, "")
+	nip := feats["catnip"]
+	res.check("a DPDK-class NIC checksums and segments, the libOS still supplies TCP",
+		nip.ChecksumOffload && nip.SegmentationOffload && !nip.HWTransport &&
+			slices.ContainsFunc(nip.SoftwareSupplied, func(c string) bool { return strings.HasPrefix(c, "tcp") }),
+		"checksum %v, segmentation %v", nip.ChecksumOffload, nip.SegmentationOffload)
 	return res, nil
 }
 

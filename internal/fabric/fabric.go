@@ -54,7 +54,38 @@ type Frame struct {
 	// receiving stack after ingest, or the fabric/NIC at a drop point)
 	// calls Release exactly once. Heap-backed frames leave it nil.
 	Buf *FrameBuf
+	// Csum is the frame's checksum offload state (see Csum).
+	Csum Csum
+	// Flip marks a frame the fabric corrupted: 1 + the offset of the byte
+	// it flipped, 0 on an intact frame. A receiving NIC that checks
+	// checksums in hardware reads its verdict from it (nic.Device).
+	Flip int32
 }
+
+// Csum is what a frame's checksum fields hold, the simulated wire's
+// stand-in for DPDK's mbuf offload flags. A NIC with checksum offload
+// computes the IPv4 and L4 checksums as the frame leaves, and checks them
+// as it arrives; the simulated devices spend no Go time on either, so the
+// fields of an offloaded frame read zero and CsumPending stands for the
+// sums they would hold. The byte a corruption flips is recorded in
+// Frame.Flip, and a flipped byte always changes a one's-complement sum, so
+// a verdict read from the mark is the verdict a check of the sums gives.
+type Csum uint8
+
+const (
+	// CsumNone: the fields hold the frame's sums, for its receiver to check
+	// in software (ARP, a frame built by hand, a sender without offload).
+	CsumNone Csum = iota
+	// CsumPending: the sending NIC computes the sums; no receiving NIC has
+	// checked them yet.
+	CsumPending
+	// CsumGood, CsumBadIP and CsumBadL4 are a receiving NIC's verdict on a
+	// CsumPending frame: both sums check, or the IPv4 header's fails (the
+	// L4 sum is then not looked at), or the TCP/UDP one does.
+	CsumGood
+	CsumBadIP
+	CsumBadL4
+)
 
 // Release returns the frame's pooled backing buffer (if any) to its
 // pool and clears the reference. It is safe on heap-backed frames and
@@ -284,14 +315,29 @@ func (s *Switch) NewPort(ringDepth int) *Port {
 // Send transmits a frame into the fabric. Short frames are dropped, as a
 // physical switch would drop runts.
 func (p *Port) Send(f Frame) {
+	p.sw.mu.Lock()
+	defer p.sw.mu.Unlock()
+	p.sendLocked(f)
+}
+
+// SendBurst transmits frames in order, as that many Sends would, under
+// one hold of the switch lock: every frame gets its own fault decisions.
+// Ownership of each frame passes to the fabric; the caller may reuse the
+// slice, whose elements it should clear.
+func (p *Port) SendBurst(frames []Frame) {
+	p.sw.mu.Lock()
+	defer p.sw.mu.Unlock()
+	for _, f := range frames {
+		p.sendLocked(f)
+	}
+}
+
+func (p *Port) sendLocked(f Frame) {
 	if len(f.Data) < MinFrameLen {
 		f.Release()
 		return
 	}
 	s := p.sw
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	p.stats.TxFrames++
 
 	// Learn the source address (even across a down link: the MAC table
@@ -361,9 +407,9 @@ func (p *Port) Send(f Frame) {
 }
 
 // corruptLocked returns a copy of f with one byte past the Ethernet
-// header flipped — the wire-level bit error a schedule injects. The copy
-// keeps the sender's buffer intact, as real corruption happens on the
-// wire, not in host memory.
+// header flipped — the wire-level bit error a schedule injects — and
+// marked in Flip. The copy keeps the sender's buffer intact, as real
+// corruption happens on the wire, not in host memory.
 func (s *Switch) corruptLocked(f Frame, p *Port) Frame {
 	s.stats.InjectedCorrupt++
 	p.stats.InjectedCorrupt++
@@ -372,6 +418,7 @@ func (s *Switch) corruptLocked(f Frame, p *Port) Frame {
 	if len(data) > MinFrameLen {
 		i := MinFrameLen + s.rng.Intn(len(data)-MinFrameLen)
 		data[i] ^= 0xFF
+		f.Flip = int32(i) + 1
 	}
 	// The damaged copy is heap-backed; the sender's pooled buffer (if
 	// any) is done the moment the wire mangles the bits.

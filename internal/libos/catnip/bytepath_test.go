@@ -524,22 +524,25 @@ func TestCopiesPerPayloadByte(t *testing.T) {
 // stream16k: two transports on one switch, one goroutine, 8 pushes of
 // 16 KiB outstanding, no libOS and no application above them. An op is one
 // message delivered. segs/op is what it put on the wire, both directions
-// (12 data segments and the ACKs they drew); copies/B is copyLedger's
-// reading over the timed messages.
+// (12 data segments and the ACKs they drew); stack_segs/op what the two TCP
+// machines handled of it, with the NICs cutting and the stacks chaining
+// segments (sends and received chains, halved: without offloads it reads
+// segs/op); copies/B is copyLedger's reading over the timed messages.
 func BenchmarkCatnip_Stream16k(b *testing.B) {
 	r := newWLRigWith(b, privatePools)
 	s := newStream16k(r)
 	s.deliver(64)
 	s.drain()
 	l := newCopyLedger(r)
-	segs := func() int64 { return r.ta.Stack().Stats().TCPSegsSent + r.tb.Stack().Stats().TCPSegsSent }
-	before, from := segs(), s.delivered
+	segs, stackSegs, from := r.wireSegs(), r.stackSegs(), s.delivered
 	b.SetBytes(16384)
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.deliver(b.N)
 	b.StopTimer()
 	s.drain()
-	b.ReportMetric(float64(segs()-before)/float64(s.delivered-from), "segs/op")
+	n := float64(s.delivered - from)
+	b.ReportMetric(float64(r.wireSegs()-segs)/n, "segs/op")
+	b.ReportMetric(float64(r.stackSegs()-stackSegs)/n, "stack_segs/op")
 	b.ReportMetric(s.copiesSince(l, from), "copies/B")
 }

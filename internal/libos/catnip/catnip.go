@@ -188,12 +188,15 @@ func (t *Transport) buildStack() *netstack.Stack {
 // Name implements core.Transport.
 func (t *Transport) Name() string { return "catnip" }
 
-// Features implements core.Transport: DPDK-class devices give only
-// kernel bypass; the libOS supplies the whole stack (Table 1).
+// Features implements core.Transport: DPDK-class devices give kernel
+// bypass and the checksum and segmentation offloads of every such NIC; the
+// libOS supplies the rest of the stack (Table 1).
 func (t *Transport) Features() core.Features {
 	return core.Features{
-		KernelBypass: true,
-		HWOffloads:   true, // the simulated NIC has a filter table
+		KernelBypass:        true,
+		HWOffloads:          true, // the simulated NIC has a filter table
+		ChecksumOffload:     t.dev.Offloads(),
+		SegmentationOffload: t.dev.Offloads(),
 		SoftwareSupplied: []string{
 			"ethernet/arp", "ipv4", "tcp (retransmit, congestion control, flow control)",
 			"buffer management", "sga framing",

@@ -330,47 +330,65 @@ func TestDeadConnFailsPushesAndWaiters(t *testing.T) {
 	}
 }
 
+// echoLoop is BenchmarkCatnip_Echo64's round trip: a 64 B request from a
+// to b and b's echo of it, each side polled once.
+type echoLoop struct {
+	r                *wlRig
+	cli, srv         core.Endpoint
+	req              sga.SGA
+	msg              sga.SGA
+	requests, echoes int
+	onRequest        func(queue.Completion)
+	onEcho, pushed   func(queue.Completion)
+}
+
+func newEchoLoop(r *wlRig) *echoLoop {
+	e := &echoLoop{r: r, msg: sga.New(make([]byte, 64))}
+	e.cli, e.srv = r.connect()
+	e.onRequest = func(c queue.Completion) { e.req = c.SGA; e.requests++ }
+	e.onEcho = func(c queue.Completion) { c.SGA.Free(); e.echoes++ }
+	e.pushed = func(queue.Completion) {}
+	e.srv.Pop(e.onRequest)
+	return e
+}
+
+func (e *echoLoop) echo() {
+	e.cli.Pop(e.onEcho)
+	e.cli.Push(e.msg, 0, e.pushed)
+	e.r.tb.Poll()
+	e.srv.Push(e.req, 0, e.pushed)
+	e.req.Free() // the push completed inside Push: the send ring had room
+	e.srv.Pop(e.onRequest)
+	e.r.ta.Poll()
+}
+
 // BenchmarkCatnip_Echo64 is one 64 B echo between two transports on one
 // switch, driven from one goroutine with no libOS above them: the client's
 // Pop and Push, the server's poll, its Push of the echo and Pop for the next
 // request, the client's poll. It is the catnip rung of the repo benchmark's
 // echo64 ladder (catnip, netstack, NIC and fabric, without core and the
 // application), as BenchmarkNetstack_PingPong64 is the netstack rung.
-// segs/op is what the round trip put on the wire: 2.
+// segs/op is what the round trip put on the wire: 2; stack_segs/op what the
+// two TCP machines handled of it (sends and received chains, halved): 2 too.
 func BenchmarkCatnip_Echo64(b *testing.B) {
 	r := newWLRig(b, 0)
-	cli, srv := r.connect()
-	var req sga.SGA
-	requests, echoes := 0, 0
-	onRequest := func(c queue.Completion) { req = c.SGA; requests++ }
-	onEcho := func(c queue.Completion) { c.SGA.Free(); echoes++ }
-	pushed := func(queue.Completion) {}
-	msg := sga.New(make([]byte, 64))
-	echo := func() {
-		cli.Pop(onEcho)
-		cli.Push(msg, 0, pushed)
-		r.tb.Poll()
-		srv.Push(req, 0, pushed)
-		req.Free() // the push completed inside Push: the send ring had room
-		srv.Pop(onRequest)
-		r.ta.Poll()
-	}
-	srv.Pop(onRequest)
+	e := newEchoLoop(r)
 	for i := 0; i < 64; i++ {
-		echo() // warm pools and rings
+		e.echo() // warm pools and rings
 	}
-	segs := func() int64 { return r.ta.Stack().Stats().TCPSegsSent + r.tb.Stack().Stats().TCPSegsSent }
-	before, want := segs(), echoes+b.N
+	segs, stackSegs := r.wireSegs(), r.stackSegs()
+	want := e.echoes + b.N
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		echo()
+		e.echo()
 	}
 	b.StopTimer()
-	if requests != want || echoes != want {
-		b.Fatalf("%d requests and %d echoes completed, want %d of each: an echo took more than a poll a side", requests, echoes, want)
+	if e.requests != want || e.echoes != want {
+		b.Fatalf("%d requests and %d echoes completed, want %d of each: an echo took more than a poll a side", e.requests, e.echoes, want)
 	}
-	b.ReportMetric(float64(segs()-before)/float64(b.N), "segs/op")
+	b.ReportMetric(float64(r.wireSegs()-segs)/float64(b.N), "segs/op")
+	b.ReportMetric(float64(r.stackSegs()-stackSegs)/float64(b.N), "stack_segs/op")
 }
 
 // BenchmarkCatnip_PollIdleUDP is an idle Transport.Poll beside 0, 1 and

@@ -13,6 +13,7 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/fabric"
 	"demikernel/internal/netstack"
+	"demikernel/internal/nic"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
@@ -24,6 +25,7 @@ type wlRig struct {
 	// clock is the stacks' clock: it stands still until stepped by hand
 	// (advance), and is read by whichever goroutine polls.
 	clock  *simclock.Clock
+	sw     *fabric.Switch
 	ta, tb *Transport
 	lis    core.Endpoint
 }
@@ -37,14 +39,24 @@ func newWLRig(t testing.TB, readyCap int) *wlRig {
 // newWLRigWith is newWLRig with the two transports' configurations, dialer's
 // and listener's, open to adjustment.
 func newWLRigWith(t testing.TB, adjust func(a, b *Config)) *wlRig {
+	return newWLRigOn(t, 1, nic.Config{}, adjust)
+}
+
+// newWLRigOn is newWLRigWith on a switch whose faults are drawn from seed,
+// with both devices configured as dev but for their MACs.
+func newWLRigOn(t testing.TB, seed int64, dev nic.Config, adjust func(a, b *Config)) *wlRig {
 	r := &wlRig{t: t, model: simclock.Datacenter2019(), clock: simclock.NewClock()}
 	r.clock.SetSkew(-1e6)
-	sw := fabric.NewSwitch(&r.model, 1)
+	r.sw = fabric.NewSwitch(&r.model, seed)
+	sw := r.sw
 	ca := Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xa}, IP: netstack.IP(10, 0, 0, 0xa), Clock: r.clock}
 	cb := Config{MAC: fabric.MAC{2, 0, 0, 0, 0, 0xb}, IP: netstack.IP(10, 0, 0, 0xb), Clock: r.clock}
 	adjust(&ca, &cb)
-	r.ta = New(&r.model, sw, ca)
-	r.tb = New(&r.model, sw, cb)
+	build := func(cfg Config) *Transport {
+		dev.MAC = cfg.MAC
+		return newSet(&r.model, nic.New(&r.model, sw, dev), nil, cfg, 1, 1).Shard(0)
+	}
+	r.ta, r.tb = build(ca), build(cb)
 	var err error
 	if r.lis, err = r.tb.Socket(); err != nil {
 		t.Fatal(err)

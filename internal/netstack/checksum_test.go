@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"demikernel/internal/fabric"
 )
 
 // referenceChecksum is the byte-pair loop checksum was before it went
@@ -113,7 +115,7 @@ func TestUDPZeroChecksumSentAsAllOnes(t *testing.T) {
 	if got := binary.BigEndian.Uint16(b[6:8]); got != 0xffff {
 		t.Fatalf("transmitted checksum %#04x, want 0xffff", got)
 	}
-	got, ok := parseUDP(b, ipA, ipB)
+	got, ok := parseUDP(b, ipA, ipB, fabric.CsumNone)
 	if !ok || string(got.payload) != string(d.payload) {
 		t.Fatalf("receiver rejected the 0xffff form: ok=%v payload=%x", ok, got.payload)
 	}

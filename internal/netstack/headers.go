@@ -107,28 +107,38 @@ type ipv4Header struct {
 	src, dst IPv4Addr
 }
 
+// marshal appends the header with its checksum.
 func (h ipv4Header) marshal(dst []byte) []byte {
 	start := len(dst)
+	dst = h.appendTo(dst)
+	cs := checksum(dst[start:start+ipv4HdrLen], 0)
+	binary.BigEndian.PutUint16(dst[start+10:start+12], cs)
+	return dst
+}
+
+// appendTo appends the header with its checksum field zero, for a device
+// that computes the sum (checksum offload).
+func (h ipv4Header) appendTo(dst []byte) []byte {
 	dst = append(dst, 0x45, 0) // version+IHL, TOS
 	dst = binary.BigEndian.AppendUint16(dst, h.totalLen)
 	dst = binary.BigEndian.AppendUint16(dst, h.id)
 	dst = binary.BigEndian.AppendUint16(dst, 0) // flags+frag
 	dst = append(dst, h.ttl, h.proto, 0, 0)     // checksum placeholder
 	dst = append(dst, h.src[:]...)
-	dst = append(dst, h.dst[:]...)
-	cs := checksum(dst[start:start+ipv4HdrLen], 0)
-	binary.BigEndian.PutUint16(dst[start+10:start+12], cs)
-	return dst
+	return append(dst, h.dst[:]...)
 }
 
-func parseIPv4(b []byte) (ipv4Header, []byte, bool) {
+// parseIPv4 parses an IPv4 packet whose header checksum the receiving NIC
+// has judged (csum, a fabric.Csum verdict) or left to software
+// (fabric.CsumNone).
+func parseIPv4(b []byte, csum fabric.Csum) (ipv4Header, []byte, bool) {
 	if len(b) < ipv4HdrLen {
 		return ipv4Header{}, nil, false
 	}
 	if b[0] != 0x45 {
 		return ipv4Header{}, nil, false // options unsupported
 	}
-	if checksum(b[:ipv4HdrLen], 0) != 0 {
+	if csum == fabric.CsumBadIP || csum == fabric.CsumNone && checksum(b[:ipv4HdrLen], 0) != 0 {
 		return ipv4Header{}, nil, false
 	}
 	var h ipv4Header
@@ -165,8 +175,18 @@ type tcpSegment struct {
 	tail []byte
 }
 
+// marshal appends the segment with its checksum.
 func (s tcpSegment) marshal(dst []byte, srcIP, dstIP IPv4Addr) []byte {
 	start := len(dst)
+	dst = s.appendTo(dst)
+	cs := transportChecksum(srcIP, dstIP, protoTCP, dst[start:])
+	binary.BigEndian.PutUint16(dst[start+16:start+18], cs)
+	return dst
+}
+
+// appendTo appends the segment with its checksum field zero (checksum
+// offload).
+func (s tcpSegment) appendTo(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, s.srcPort)
 	dst = binary.BigEndian.AppendUint16(dst, s.dstPort)
 	dst = binary.BigEndian.AppendUint32(dst, s.seq)
@@ -175,17 +195,16 @@ func (s tcpSegment) marshal(dst []byte, srcIP, dstIP IPv4Addr) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, s.window)
 	dst = append(dst, 0, 0, 0, 0) // checksum + urgent
 	dst = append(dst, s.payload...)
-	dst = append(dst, s.tail...)
-	cs := transportChecksum(srcIP, dstIP, protoTCP, dst[start:])
-	binary.BigEndian.PutUint16(dst[start+16:start+18], cs)
-	return dst
+	return append(dst, s.tail...)
 }
 
-func parseTCP(b []byte, srcIP, dstIP IPv4Addr) (tcpSegment, bool) {
+// parseTCP parses a segment whose checksum the receiving NIC has judged
+// (csum) or left to software (fabric.CsumNone).
+func parseTCP(b []byte, srcIP, dstIP IPv4Addr, csum fabric.Csum) (tcpSegment, bool) {
 	if len(b) < tcpHdrLen {
 		return tcpSegment{}, false
 	}
-	if transportChecksum(srcIP, dstIP, protoTCP, b) != 0 {
+	if csum == fabric.CsumBadL4 || csum == fabric.CsumNone && transportChecksum(srcIP, dstIP, protoTCP, b) != 0 {
 		return tcpSegment{}, false
 	}
 	var s tcpSegment
@@ -209,29 +228,43 @@ type udpDatagram struct {
 	payload          []byte
 }
 
+// marshal appends the datagram with its checksum.
 func (u udpDatagram) marshal(dst []byte, srcIP, dstIP IPv4Addr) []byte {
 	start := len(dst)
+	dst = u.appendTo(dst)
+	putUDPChecksum(dst[start:], srcIP, dstIP)
+	return dst
+}
+
+// appendTo appends the datagram with its checksum field zero (checksum
+// offload).
+func (u udpDatagram) appendTo(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, u.srcPort)
 	dst = binary.BigEndian.AppendUint16(dst, u.dstPort)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(udpHdrLen+len(u.payload)))
 	dst = append(dst, 0, 0) // checksum placeholder
-	dst = append(dst, u.payload...)
-	cs := transportChecksum(srcIP, dstIP, protoUDP, dst[start:])
+	return append(dst, u.payload...)
+}
+
+// putUDPChecksum writes the checksum of datagram b, whose field reads zero.
+func putUDPChecksum(b []byte, srcIP, dstIP IPv4Addr) {
+	cs := transportChecksum(srcIP, dstIP, protoUDP, b)
 	if cs == 0 {
 		// RFC 768: a transmitted checksum of zero means "none computed",
 		// so a sum that comes out zero goes on the wire as all ones (the
 		// two are the same value in one's complement arithmetic).
 		cs = 0xffff
 	}
-	binary.BigEndian.PutUint16(dst[start+6:start+8], cs)
-	return dst
+	binary.BigEndian.PutUint16(b[6:8], cs)
 }
 
-func parseUDP(b []byte, srcIP, dstIP IPv4Addr) (udpDatagram, bool) {
+// parseUDP parses a datagram whose checksum the receiving NIC has judged
+// (csum) or left to software (fabric.CsumNone).
+func parseUDP(b []byte, srcIP, dstIP IPv4Addr, csum fabric.Csum) (udpDatagram, bool) {
 	if len(b) < udpHdrLen {
 		return udpDatagram{}, false
 	}
-	if transportChecksum(srcIP, dstIP, protoUDP, b) != 0 {
+	if csum == fabric.CsumBadL4 || csum == fabric.CsumNone && transportChecksum(srcIP, dstIP, protoUDP, b) != 0 {
 		return udpDatagram{}, false
 	}
 	var u udpDatagram

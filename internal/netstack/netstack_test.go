@@ -537,11 +537,11 @@ func TestCostAccumulatesOverTCP(t *testing.T) {
 func TestChecksumRejectsCorruption(t *testing.T) {
 	seg := tcpSegment{srcPort: 1, dstPort: 2, seq: 3, ack: 4, flags: flagACK, window: 100, payload: []byte("data")}
 	b := seg.marshal(nil, ipA, ipB)
-	if _, ok := parseTCP(b, ipA, ipB); !ok {
+	if _, ok := parseTCP(b, ipA, ipB, fabric.CsumNone); !ok {
 		t.Fatal("valid segment rejected")
 	}
 	b[len(b)-1] ^= 0xFF
-	if _, ok := parseTCP(b, ipA, ipB); ok {
+	if _, ok := parseTCP(b, ipA, ipB, fabric.CsumNone); ok {
 		t.Fatal("corrupt segment accepted")
 	}
 }
@@ -550,7 +550,7 @@ func TestIPv4HeaderRoundtrip(t *testing.T) {
 	h := ipv4Header{totalLen: 40, id: 7, ttl: 64, proto: protoTCP, src: ipA, dst: ipB}
 	b := h.marshal(nil)
 	b = append(b, make([]byte, 20)...)
-	got, body, ok := parseIPv4(b)
+	got, body, ok := parseIPv4(b, fabric.CsumNone)
 	if !ok {
 		t.Fatal("rejected valid header")
 	}
@@ -558,7 +558,7 @@ func TestIPv4HeaderRoundtrip(t *testing.T) {
 		t.Fatalf("parsed %+v", got)
 	}
 	b[9] ^= 0x40 // corrupt protocol field
-	if _, _, ok := parseIPv4(b); ok {
+	if _, _, ok := parseIPv4(b, fabric.CsumNone); ok {
 		t.Fatal("accepted corrupt IPv4 header")
 	}
 }

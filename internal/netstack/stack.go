@@ -8,6 +8,7 @@ import (
 
 	"demikernel/internal/fabric"
 	"demikernel/internal/fifo"
+	"demikernel/internal/nic"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
 )
@@ -25,6 +26,13 @@ type Device interface {
 	// RxPending reports, without taking a lock, whether a burst of queue
 	// could find a frame now.
 	RxPending(queue int) bool
+	// Offloads reports whether the device computes and checks the IPv4
+	// and L4 checksums and cuts TCP segments (TxTSO) itself. The stack
+	// then also chains what it receives (ingestLocked).
+	Offloads() bool
+	// TxTSO transmits one TCP segment of any length as MSS frames, and
+	// returns how many of them the frame pool refused a buffer.
+	TxTSO(t *nic.TSO) int
 }
 
 // Config describes one stack instance.
@@ -99,6 +107,14 @@ type Stats struct {
 	// RxQuotaDrops counts received UDP datagrams dropped because pooled
 	// copy-out storage was refused by the quota.
 	RxQuotaDrops int64
+	// TCPDescsSent counts the TCP sends the stack handed its device: one a
+	// segment, or on a device that cuts segments itself one a send burst,
+	// however many frames (TCPSegsSent) it is cut into.
+	TCPDescsSent int64
+	// TCPChainsRcvd counts the runs of the TCP state machine over received
+	// segments: one a segment, or on a device with offloads one a chain of
+	// in-order data segments of one connection within a receive burst.
+	TCPChainsRcvd int64
 }
 
 // Add returns the field-wise sum of two stats snapshots. The lifecycle
@@ -125,6 +141,8 @@ func (a Stats) Add(b Stats) Stats {
 		GiveUps:         a.GiveUps + b.GiveUps,
 		TxQuotaDrops:    a.TxQuotaDrops + b.TxQuotaDrops,
 		RxQuotaDrops:    a.RxQuotaDrops + b.RxQuotaDrops,
+		TCPDescsSent:    a.TCPDescsSent + b.TCPDescsSent,
+		TCPChainsRcvd:   a.TCPChainsRcvd + b.TCPChainsRcvd,
 	}
 }
 
@@ -190,6 +208,13 @@ type Stack struct {
 	// does not allocate.
 	rxBatch []fabric.Frame
 
+	// offloads is the device's Offloads; tso the descriptor every
+	// segmentation-offload send reuses, and chain the receive burst's open
+	// chain (ingest.go).
+	offloads bool
+	tso      nic.TSO
+	chain    rxChain
+
 	// The work lists that keep a poll's cost off the connection count:
 	// timers is the deadline heap of armed connections (timer.go), armSeq
 	// the arm counter that breaks its ties, readyQueue the owned
@@ -247,6 +272,7 @@ func NewWithLock(model *simclock.CostModel, dev Device, cfg Config, mu *sync.Mut
 		udp:        make(map[uint16]*UDPSock),
 		nextPort:   49152,
 		clock:      clock,
+		offloads:   dev.Offloads(),
 	}
 }
 
@@ -353,6 +379,8 @@ func RegisterStatsTelemetry(r *telemetry.Registry, prefix string, src func() Sta
 	r.RegisterFunc(prefix+".give_ups", stat(func(st Stats) int64 { return st.GiveUps }))
 	r.RegisterFunc(prefix+".tx_quota_drops", stat(func(st Stats) int64 { return st.TxQuotaDrops }))
 	r.RegisterFunc(prefix+".rx_quota_drops", stat(func(st Stats) int64 { return st.RxQuotaDrops }))
+	r.RegisterFunc(prefix+".tcp_descs_sent", stat(func(st Stats) int64 { return st.TCPDescsSent }))
+	r.RegisterFunc(prefix+".tcp_chains_rcvd", stat(func(st Stats) int64 { return st.TCPChainsRcvd }))
 }
 
 // Poll pumps the data path once: it drains received frames from the NIC,
@@ -440,13 +468,8 @@ func (s *Stack) pollLocked() int {
 		// One burst per pass, appended into the reused scratch slice, so
 		// the steady-state loop allocates nothing.
 		s.rxBatch = s.dev.AppendRxBurst(s.rxBatch[:0], s.cfg.RxQueue, rxBurstMax)
-		for i := range s.rxBatch {
-			s.handleFrameLocked(s.rxBatch[i])
-			// Ingest is copy-out (rcvBuf / pooled datagram payloads), so
-			// the wire frame's pooled storage recycles immediately.
-			s.rxBatch[i].Release()
-			n++
-		}
+		s.ingestLocked(s.rxBatch)
+		n += len(s.rxBatch)
 		s.flushAcksLocked()
 		// The poll ends at an empty burst, or at a short one — it emptied
 		// the queue — unless a frame came while the pass ran: another
@@ -498,7 +521,13 @@ func (s *Stack) handleFrameLocked(f fabric.Frame) {
 	case etherTypeARP:
 		s.handleARPLocked(body)
 	case etherTypeIPv4:
-		s.handleIPv4Locked(body, f.Cost)
+		if f.Csum == fabric.CsumPending {
+			// Offloaded by its sender, unchecked by this device: the frame
+			// leaves the offload domain here.
+			fillSums(f.Data, f.Flip)
+			f.Csum = fabric.CsumNone
+		}
+		s.handleIPv4Locked(body, f.Csum, f.Cost)
 	}
 }
 
@@ -560,6 +589,9 @@ type ipv4Tx struct {
 	dst IPv4Addr
 	// fb is the pooled wire frame, nil while dst's MAC is unresolved.
 	fb *fabric.FrameBuf
+	// csum is CsumPending when the device computes the checksums: the
+	// headers are written without them.
+	csum fabric.Csum
 	// pkt is Ethernet+IPv4+L4 inside fb, or a heap-backed IPv4+L4 packet
 	// to park behind ARP resolution when fb is nil.
 	pkt []byte
@@ -582,13 +614,7 @@ func (s *Stack) openIPv4Locked(dstIP IPv4Addr, proto uint8, l4Len int) (ipv4Tx, 
 	}
 	tx := ipv4Tx{dst: dstIP}
 
-	mac, resolved := s.arp[dstIP]
-	if !resolved && s.cfg.Neighbors != nil {
-		// Shared-table miss path: a sibling shard may have resolved it.
-		if mac, resolved = s.cfg.Neighbors.Lookup(dstIP); resolved {
-			s.arp[dstIP] = mac // cache privately; next send skips the table
-		}
-	}
+	mac, resolved := s.resolveLocked(dstIP)
 	if !resolved {
 		// Slow path: a heap-backed packet, queued behind ARP resolution.
 		tx.pkt = h.marshal(make([]byte, 0, ipv4HdrLen+l4Len))
@@ -605,7 +631,13 @@ func (s *Stack) openIPv4Locked(dstIP IPv4Addr, proto uint8, l4Len int) (ipv4Tx, 
 			s.stats.TxQuotaDrops++
 			return tx, false
 		}
-		tx.pkt = h.marshal(appendEth(tx.fb.Bytes()[:0], mac, s.dev.MAC(), etherTypeIPv4))
+		tx.pkt = appendEth(tx.fb.Bytes()[:0], mac, s.dev.MAC(), etherTypeIPv4)
+		if s.offloads {
+			tx.csum = fabric.CsumPending
+			tx.pkt = h.appendTo(tx.pkt)
+		} else {
+			tx.pkt = h.marshal(tx.pkt)
+		}
 	}
 	hdrs := len(tx.pkt)
 	tx.pkt = tx.pkt[:hdrs+l4Len]
@@ -613,11 +645,24 @@ func (s *Stack) openIPv4Locked(dstIP IPv4Addr, proto uint8, l4Len int) (ipv4Tx, 
 	return tx, true
 }
 
+// resolveLocked looks dstIP's MAC up in the ARP cache, and on a miss in
+// the shared neighbor table, if there is one.
+func (s *Stack) resolveLocked(dstIP IPv4Addr) (fabric.MAC, bool) {
+	mac, resolved := s.arp[dstIP]
+	if !resolved && s.cfg.Neighbors != nil {
+		// Shared-table miss path: a sibling shard may have resolved it.
+		if mac, resolved = s.cfg.Neighbors.Lookup(dstIP); resolved {
+			s.arp[dstIP] = mac // cache privately; next send skips the table
+		}
+	}
+	return mac, resolved
+}
+
 // sendIPv4Locked transmits a packet whose l4 region the caller has
 // filled, or parks it and asks for the destination's MAC.
 func (s *Stack) sendIPv4Locked(tx ipv4Tx, cost simclock.Lat) {
 	if tx.fb != nil {
-		s.dev.TxFrame(fabric.Frame{Data: tx.pkt, Cost: cost, Buf: tx.fb})
+		s.dev.TxFrame(fabric.Frame{Data: tx.pkt, Cost: cost, Buf: tx.fb, Csum: tx.csum})
 		return
 	}
 	s.arpPending[tx.dst] = append(s.arpPending[tx.dst], pendingPkt{etherTypeIPv4, tx.pkt, cost})
@@ -635,8 +680,8 @@ func (s *Stack) sendIPv4Locked(tx ipv4Tx, cost simclock.Lat) {
 
 // --- IPv4 demux ---
 
-func (s *Stack) handleIPv4Locked(b []byte, cost simclock.Lat) {
-	h, body, ok := parseIPv4(b)
+func (s *Stack) handleIPv4Locked(b []byte, csum fabric.Csum, cost simclock.Lat) {
+	h, body, ok := parseIPv4(b, csum)
 	if !ok {
 		s.stats.BadChecksums++
 		return
@@ -646,9 +691,9 @@ func (s *Stack) handleIPv4Locked(b []byte, cost simclock.Lat) {
 	}
 	switch h.proto {
 	case protoTCP:
-		s.handleTCPLocked(h, body, cost)
+		s.handleTCPLocked(h, body, csum, cost)
 	case protoUDP:
-		s.handleUDPLocked(h, body, cost)
+		s.handleUDPLocked(h, body, csum, cost)
 	}
 }
 
@@ -718,8 +763,8 @@ func (s *Stack) ephemeralLocked() uint16 {
 	}
 }
 
-func (s *Stack) handleUDPLocked(h ipv4Header, body []byte, cost simclock.Lat) {
-	u, ok := parseUDP(body, h.src, h.dst)
+func (s *Stack) handleUDPLocked(h ipv4Header, body []byte, csum fabric.Csum, cost simclock.Lat) {
+	u, ok := parseUDP(body, h.src, h.dst, csum)
 	if !ok {
 		s.stats.BadChecksums++
 		return
@@ -760,7 +805,11 @@ func (u *UDPSock) SendTo(ip IPv4Addr, port uint16, payload []byte, cost simclock
 	s.stats.UDPSent++
 	d := udpDatagram{srcPort: u.port, dstPort: port, payload: payload}
 	if tx, ok := s.openIPv4Locked(ip, protoUDP, udpHdrLen+len(payload)); ok {
-		d.marshal(tx.l4, s.cfg.IP, ip)
+		if tx.csum == fabric.CsumPending {
+			d.appendTo(tx.l4)
+		} else {
+			d.marshal(tx.l4, s.cfg.IP, ip)
+		}
 		s.sendIPv4Locked(tx, cost+s.model.UserNetStackNS+s.cfg.PerPacketExtra)
 	}
 }

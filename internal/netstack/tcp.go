@@ -8,6 +8,7 @@ import (
 
 	"demikernel/internal/fabric"
 	"demikernel/internal/fifo"
+	"demikernel/internal/nic"
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
 )
@@ -130,7 +131,7 @@ type TCPConn struct {
 	// ackPending marks in-order data accepted but not yet acknowledged,
 	// since the poll numbered ackSince (Stack.pollSeq): the next segment
 	// the connection sends carries the acknowledgement and clears the mark
-	// (sendSegmentLocked), and failing that flushAcksLocked sends a pure
+	// (sendSegmentsLocked), and failing that flushAcksLocked sends a pure
 	// ACK. ackQueued is set while the connection sits on stack.ackQueue.
 	ackPending, ackQueued bool
 	ackSince              uint32
@@ -186,7 +187,7 @@ func (s *Stack) DialTCPFrom(localPort uint16, ip IPv4Addr, port uint16) (*TCPCon
 	}
 	c := s.newConnLocked(key, stateSynSent)
 	s.conns[key] = c
-	c.sendSegmentLocked(c.iss, 0, 0, flagSYN)
+	c.sendSegmentsLocked(c.iss, 0, 0, flagSYN)
 	c.sndNxt = c.iss + 1
 	c.armTimerLocked()
 	return c, nil
@@ -426,13 +427,20 @@ func (l *TCPListener) Pending() int { return int(l.pending.Load()) }
 
 // --- segment input ---
 
-func (s *Stack) handleTCPLocked(h ipv4Header, body []byte, cost simclock.Lat) {
-	seg, ok := parseTCP(body, h.src, h.dst)
+func (s *Stack) handleTCPLocked(h ipv4Header, body []byte, csum fabric.Csum, cost simclock.Lat) {
+	seg, ok := parseTCP(body, h.src, h.dst, csum)
 	if !ok {
 		s.stats.BadChecksums++
 		return
 	}
 	s.stats.TCPSegsRcvd++
+	s.stats.TCPChainsRcvd++
+	s.segmentLocked(h, seg, cost)
+}
+
+// segmentLocked hands a received segment to its connection, or answers it
+// for one being opened or none.
+func (s *Stack) segmentLocked(h ipv4Header, seg tcpSegment, cost simclock.Lat) {
 	key := connKey{localPort: seg.dstPort, remoteIP: h.src, remotePort: seg.srcPort}
 	if c, ok := s.conns[key]; ok {
 		c.handleSegmentLocked(seg, cost)
@@ -446,7 +454,7 @@ func (s *Stack) handleTCPLocked(h ipv4Header, body []byte, cost simclock.Lat) {
 			c.rcvNxt = seg.seq + 1
 			c.peerWnd = int(seg.window)
 			c.pendingListener = l
-			c.sendSegmentLocked(c.iss, 0, 0, flagSYN|flagACK)
+			c.sendSegmentsLocked(c.iss, 0, 0, flagSYN|flagACK)
 			c.sndNxt = c.iss + 1
 			c.armTimerLocked()
 			return
@@ -589,9 +597,9 @@ func (c *TCPConn) fastRetransmitLocked() {
 // FIN when only the FIN is outstanding).
 func (c *TCPConn) retransmitHeadLocked() {
 	if n := min(c.stack.cfg.MSS, c.sndBuf.Len()); n > 0 {
-		c.sendSegmentLocked(c.sndUna, 0, n, flagACK|flagPSH)
+		c.sendSegmentsLocked(c.sndUna, 0, n, flagACK|flagPSH)
 	} else if c.finSent && !c.finAcked {
-		c.sendSegmentLocked(c.sndNxt-1, 0, 0, flagFIN|flagACK)
+		c.sendSegmentsLocked(c.sndNxt-1, 0, 0, flagFIN|flagACK)
 	}
 	c.armTimerLocked()
 }
@@ -636,13 +644,7 @@ func (c *TCPConn) processDataLocked(seg tcpSegment, cost simclock.Lat) {
 		}
 		c.drainOutOfOrderLocked()
 		if deferAck {
-			if !c.ackPending {
-				c.ackPending, c.ackSince = true, c.stack.pollSeq
-			}
-			if !c.ackQueued {
-				c.ackQueued = true
-				c.stack.ackQueue = append(c.stack.ackQueue, c)
-			}
+			c.holdAckLocked()
 			return
 		}
 	default:
@@ -668,6 +670,18 @@ func (c *TCPConn) processDataLocked(seg tcpSegment, cost simclock.Lat) {
 		// FIN out of order is recovered by retransmission.
 	}
 	c.sendAckLocked()
+}
+
+// holdAckLocked owes the acknowledgement of in-order data just taken in,
+// to the connection's next segment or else flushAcksLocked.
+func (c *TCPConn) holdAckLocked() {
+	if !c.ackPending {
+		c.ackPending, c.ackSince = true, c.stack.pollSeq
+	}
+	if !c.ackQueued {
+		c.ackQueued = true
+		c.stack.ackQueue = append(c.stack.ackQueue, c)
+	}
 }
 
 // acceptDataLocked queues in-order payload and reports whether all of it
@@ -746,16 +760,17 @@ func (c *TCPConn) advertisedWindowLocked() uint16 {
 }
 
 func (c *TCPConn) sendAckLocked() {
-	c.sendSegmentLocked(c.sndNxt, 0, 0, flagACK)
+	c.sendSegmentsLocked(c.sndNxt, 0, 0, flagACK)
 }
 
-// sendSegmentLocked transmits one segment whose payload is the n bytes
-// of the send queue starting off bytes past sndUna (n == 0: a bare
-// control segment). The bytes are marshaled from the ring straight into
-// the outgoing frame.
-func (c *TCPConn) sendSegmentLocked(seq uint32, off, n int, flags uint8) {
+// sendSegmentsLocked transmits the n bytes of the send queue starting off
+// bytes past sndUna as segments of at most an MSS each, from sequence
+// number seq on, all with flags (n == 0: one bare control segment). The
+// bytes go from the ring straight into the outgoing frames: marshaled a
+// segment at a time here, or on a device with offloads cut by the device
+// from one descriptor (sendTSOLocked).
+func (c *TCPConn) sendSegmentsLocked(seq uint32, off, n int, flags uint8) {
 	s := c.stack
-	s.stats.TCPSegsSent++
 	seg := tcpSegment{
 		srcPort: c.key.localPort,
 		dstPort: c.key.remotePort,
@@ -764,20 +779,62 @@ func (c *TCPConn) sendSegmentLocked(seq uint32, off, n int, flags uint8) {
 		flags:   flags,
 		window:  c.advertisedWindowLocked(),
 	}
-	seg.payload, seg.tail = c.sndBuf.spans(off, n)
 	c.advWnd = int(seg.window)
 	// Every segment carries the cumulative ACK and the current window, so
 	// whatever acknowledgement was still owed has now been sent.
 	c.ackPending = false
 	c.ackedTo = seg.ack
 	cost := c.txCost + s.model.UserNetStackNS + s.cfg.PerPacketExtra
-	s.sendTCPLocked(c.key.remoteIP, seg, cost)
+	if s.offloads && s.sendTSOLocked(c.key.remoteIP, seg, &c.sndBuf, off, n, cost) {
+		return
+	}
+	for {
+		k := min(n, s.cfg.MSS)
+		s.stats.TCPSegsSent++
+		s.stats.TCPDescsSent++
+		seg.payload, seg.tail = c.sndBuf.spans(off, k)
+		s.sendTCPLocked(c.key.remoteIP, seg, cost)
+		if n -= k; n == 0 {
+			return
+		}
+		off += k
+		seg.seq += uint32(k)
+	}
+}
+
+// sendTSOLocked hands the device one descriptor for seg with the n bytes
+// of ring starting off bytes past its head as payload, to cut into MSS
+// frames, and reports true — or false, sending nothing, while dst's MAC
+// is unresolved (the segment-at-a-time path parks what it sends behind
+// ARP). Each frame takes an IP id and counts as a segment sent, as it
+// would a segment at a time.
+func (s *Stack) sendTSOLocked(dst IPv4Addr, seg tcpSegment, ring *byteRing, off, n int, cost simclock.Lat) bool {
+	mac, ok := s.resolveLocked(dst)
+	if !ok {
+		return false
+	}
+	frames := nic.TSOFrames(n, s.cfg.MSS)
+	s.stats.TCPSegsSent += int64(frames)
+	s.stats.TCPDescsSent++
+	h := ipv4Header{id: s.ipID + 1, ttl: 64, proto: protoTCP, src: s.cfg.IP, dst: dst}
+	s.ipID += uint16(frames)
+	t := &s.tso
+	t.Hdr = seg.appendTo(h.appendTo(appendEth(t.Hdr[:0], mac, s.dev.MAC(), etherTypeIPv4)))
+	t.Payload[0], t.Payload[1] = ring.spans(off, n)
+	t.MSS, t.Cost, t.Pool = s.cfg.MSS, cost, s.pool
+	s.stats.TxQuotaDrops += int64(s.dev.TxTSO(t))
+	t.Payload = [2][]byte{}
+	return true
 }
 
 // sendTCPLocked marshals seg into an IPv4 packet to dst and transmits it.
 func (s *Stack) sendTCPLocked(dst IPv4Addr, seg tcpSegment, cost simclock.Lat) {
 	if tx, ok := s.openIPv4Locked(dst, protoTCP, tcpHdrLen+len(seg.payload)+len(seg.tail)); ok {
-		seg.marshal(tx.l4, s.cfg.IP, dst)
+		if tx.csum == fabric.CsumPending {
+			seg.appendTo(tx.l4)
+		} else {
+			seg.marshal(tx.l4, s.cfg.IP, dst)
+		}
 		s.sendIPv4Locked(tx, cost)
 	}
 }
@@ -789,26 +846,17 @@ func (c *TCPConn) trySendLocked() {
 	if c.state != stateEstablished {
 		return
 	}
-	c.stack.shareClockLocked() // one read for every segment the loop arms
+	c.stack.shareClockLocked() // one read for the burst and the FIN
 	defer c.stack.unshareClockLocked()
-	mss := c.stack.cfg.MSS
-	for {
-		flight := int(c.sndNxt - c.sndUna)
-		wnd := min(c.peerWnd, c.cwnd)
-		unsent := c.sndBuf.Len() - flight
-		if unsent <= 0 {
-			break
-		}
-		n := min(mss, unsent, wnd-flight)
-		if n <= 0 {
-			break
-		}
-		c.sendSegmentLocked(c.sndNxt, flight, n, flagACK|flagPSH)
+	flight := int(c.sndNxt - c.sndUna)
+	if n := min(c.sndBuf.Len()-flight, min(c.peerWnd, c.cwnd)-flight); n > 0 {
+		// One send burst: MSS segments, the last one what is left.
+		c.sendSegmentsLocked(c.sndNxt, flight, n, flagACK|flagPSH)
 		c.sndNxt += uint32(n)
 		c.armTimerLocked()
 	}
 	if c.finQueued && !c.finSent && int(c.sndNxt-c.sndUna) == c.sndBuf.Len() {
-		c.sendSegmentLocked(c.sndNxt, 0, 0, flagFIN|flagACK)
+		c.sendSegmentsLocked(c.sndNxt, 0, 0, flagFIN|flagACK)
 		c.sndNxt++
 		c.finSent = true
 		c.armTimerLocked()

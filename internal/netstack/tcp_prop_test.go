@@ -102,13 +102,13 @@ func TestPropChecksumDetectsSingleBitFlips(t *testing.T) {
 		}
 		r.Read(seg.payload)
 		b := seg.marshal(nil, ipA, ipB)
-		if _, ok := parseTCP(b, ipA, ipB); !ok {
+		if _, ok := parseTCP(b, ipA, ipB, fabric.CsumNone); !ok {
 			return false // valid segment must parse
 		}
 		// Flip one random bit: the checksum must catch it.
 		bit := r.Intn(len(b) * 8)
 		b[bit/8] ^= 1 << (bit % 8)
-		_, ok := parseTCP(b, ipA, ipB)
+		_, ok := parseTCP(b, ipA, ipB, fabric.CsumNone)
 		return !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -119,11 +119,11 @@ func TestPropChecksumDetectsSingleBitFlips(t *testing.T) {
 func TestUDPChecksumDetectsCorruption(t *testing.T) {
 	d := udpDatagram{srcPort: 7, dstPort: 8, payload: []byte("datagram body")}
 	b := d.marshal(nil, ipA, ipB)
-	if _, ok := parseUDP(b, ipA, ipB); !ok {
+	if _, ok := parseUDP(b, ipA, ipB, fabric.CsumNone); !ok {
 		t.Fatal("valid datagram rejected")
 	}
 	b[10] ^= 0x01
-	if _, ok := parseUDP(b, ipA, ipB); ok {
+	if _, ok := parseUDP(b, ipA, ipB, fabric.CsumNone); ok {
 		t.Fatal("corrupt datagram accepted")
 	}
 }

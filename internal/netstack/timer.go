@@ -197,9 +197,9 @@ func (c *TCPConn) fireTimerLocked() {
 	mss := s.cfg.MSS
 	switch c.state {
 	case stateSynSent:
-		c.sendSegmentLocked(c.iss, 0, 0, flagSYN)
+		c.sendSegmentsLocked(c.iss, 0, 0, flagSYN)
 	case stateSynRcvd:
-		c.sendSegmentLocked(c.iss, 0, 0, flagSYN|flagACK)
+		c.sendSegmentsLocked(c.iss, 0, 0, flagSYN|flagACK)
 	case stateEstablished:
 		flight := int(c.sndNxt - c.sndUna)
 		c.ssthresh = max(flight/2, 2*mss)
@@ -212,7 +212,7 @@ func (c *TCPConn) fireTimerLocked() {
 			// reopened takes the byte; its ACK, one past sndNxt, is ignored
 			// but for the window it carries, and the receiver trims the byte
 			// off the segment that repeats it.
-			c.sendSegmentLocked(c.sndNxt, 0, 1, flagACK|flagPSH)
+			c.sendSegmentsLocked(c.sndNxt, 0, 1, flagACK|flagPSH)
 		} else if flight > 0 {
 			c.retransmitHeadLocked() // re-arms the timer
 			return

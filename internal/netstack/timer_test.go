@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"demikernel/internal/fabric"
+	"demikernel/internal/nic"
 	"demikernel/internal/simclock"
 )
 
@@ -40,6 +41,10 @@ func (d *tapDevice) TxFrame(f fabric.Frame) {
 
 func (d *tapDevice) RxPending(int) bool { return len(d.rx) > 0 }
 
+func (d *tapDevice) Offloads() bool { return false }
+
+func (d *tapDevice) TxTSO(*nic.TSO) int { panic("tapDevice has no segmentation offload") }
+
 func (d *tapDevice) AppendRxBurst(dst []fabric.Frame, _, max int) []fabric.Frame {
 	d.bursts++
 	n := min(max, len(d.rx))
@@ -49,11 +54,11 @@ func (d *tapDevice) AppendRxBurst(dst []fabric.Frame, _, max int) []fabric.Frame
 }
 
 func (d *tapDevice) record(frame []byte) {
-	h, body, ok := parseIPv4(frame[ethHdrLen:])
+	h, body, ok := parseIPv4(frame[ethHdrLen:], fabric.CsumNone)
 	if !ok {
 		d.t.Fatalf("stack transmitted a bad IPv4 packet")
 	}
-	seg, ok := parseTCP(body, h.src, h.dst)
+	seg, ok := parseTCP(body, h.src, h.dst, fabric.CsumNone)
 	if !ok {
 		d.t.Fatalf("stack transmitted a bad TCP segment")
 	}

@@ -34,6 +34,10 @@ type Config struct {
 	MAC       fabric.MAC
 	RxQueues  int // number of receive queues (RSS spreads across them)
 	RingDepth int // descriptor ring depth per queue, rounded up to a power of two
+	// NoOffloads models a device without checksum or segmentation offload
+	// (offload.go): its stack computes and checks every checksum and cuts
+	// every segment itself, and hands the device whole frames.
+	NoOffloads bool
 }
 
 // Stats counts device events.
@@ -247,6 +251,9 @@ func (d *Device) drainWireLocked() {
 		// Hardware receive processing + DMA into host memory.
 		f.Cost += d.model.NICProcessNS + d.model.DMACost(len(f.Data))
 		d.dmaBytes.Add(int64(len(f.Data)))
+		if f.Csum == fabric.CsumPending && !d.cfg.NoOffloads {
+			f.Csum = csumVerdict(f.Flip)
+		}
 
 		qi, verdict := d.classify(t, &f)
 		switch verdict {
