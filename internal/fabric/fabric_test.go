@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"demikernel/internal/simclock"
@@ -329,6 +331,11 @@ func TestCorruptionInjection(t *testing.T) {
 	if diffs != 1 {
 		t.Fatalf("%d bytes differ, want exactly 1", diffs)
 	}
+	// The frame is marked with the byte: what a receiving NIC that checks
+	// checksums in hardware reads its verdict from.
+	if i := got.Flip - 1; got.Flip == 0 || got.Data[i] != orig[i]^0xFF {
+		t.Fatalf("Flip = %d does not mark the flipped byte", got.Flip)
+	}
 	// The sender's buffer is untouched: corruption copies.
 	for i := range orig {
 		if sent.Data[i] != orig[i] {
@@ -383,5 +390,50 @@ func TestDeterministicInjection(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("same seed produced different stats: %+v vs %+v", a, b)
+	}
+}
+
+// TestSendBurstIsSends: a burst through SendBurst meets the faults that
+// the same frames sent one by one do — each frame its own draws, in order
+// — and comes out the far side identical, marks included.
+func TestSendBurstIsSends(t *testing.T) {
+	run := func(burst bool) ([]Frame, Stats) {
+		model := simclock.Datacenter2019()
+		sw := NewSwitch(&model, 42)
+		sw.SetImpairments(Impairments{LossRate: 0.1, DupRate: 0.1, ReorderRate: 0.1, CorruptRate: 0.1})
+		pa, pb := sw.NewPort(0), sw.NewPort(0)
+		var frames []Frame
+		for i := 0; i < 300; i++ {
+			f := frame(macB, macA, fmt.Sprintf("frame %03d", i))
+			f.Csum = CsumPending
+			frames = append(frames, f)
+		}
+		if burst {
+			pa.SendBurst(frames)
+		} else {
+			for _, f := range frames {
+				pa.Send(f)
+			}
+		}
+		sw.Flush()
+		var got []Frame
+		for f, ok := pb.Poll(); ok; f, ok = pb.Poll() {
+			got = append(got, f)
+		}
+		return got, sw.Stats()
+	}
+	sends, sendStats := run(false)
+	burst, burstStats := run(true)
+	if sendStats != burstStats || sendStats.InjectedCorrupt == 0 {
+		t.Fatalf("one by one %+v, in a burst %+v", sendStats, burstStats)
+	}
+	if len(sends) != len(burst) {
+		t.Fatalf("%d frames delivered one by one, %d in a burst", len(sends), len(burst))
+	}
+	for i := range sends {
+		a, b := sends[i], burst[i]
+		if !bytes.Equal(a.Data, b.Data) || a.Flip != b.Flip || a.Csum != b.Csum || a.Cost != b.Cost {
+			t.Fatalf("frame %d: %q flip %d one by one, %q flip %d in a burst", i, a.Data, a.Flip, b.Data, b.Flip)
+		}
 	}
 }

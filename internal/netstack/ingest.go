@@ -108,7 +108,7 @@ func (s *Stack) flushChainLocked() {
 	}
 	switch {
 	case rest == 0:
-	case c.state == stateEstablished && seq == c.rcvNxt && len(c.ooo) == 0 && !c.peerFinRcvd &&
+	case c.state == stateEstablished && seq == c.rcvNxt && len(c.ooo) == 0 &&
 		rest <= s.cfg.RxWindow-c.rcvBuf.Len() && !(seqLT(c.sndUna, seg.ack) && seqLEQ(seg.ack, c.sndNxt)):
 		for _, p := range ch.pays[1:] {
 			c.rcvBuf.write(p, s.cfg.RxWindow)

@@ -20,6 +20,9 @@ import (
 // ingestRig is one stack (ipB) on a device with or without offloads, with
 // an established connection from a peer (ipA) that is only a switch port:
 // a test writes the peer's frames by hand and reads what the stack answers.
+// The peer's window is shut, with ingestPending bytes queued behind it: a
+// segment that opens it makes the stack send, as the rest of its burst
+// would have the stack send a segment at a time.
 type ingestRig struct {
 	model    simclock.CostModel
 	sw       *fabric.Switch
@@ -32,7 +35,7 @@ type ingestRig struct {
 	seq, ack uint32
 }
 
-const ingestPort, peerPort = 80, 40000
+const ingestPort, peerPort, ingestPending = 80, 40000, 8000
 
 func newIngestRig(t testing.TB, offloads bool) *ingestRig {
 	r := &ingestRig{model: simclock.Datacenter2019(), offloads: offloads, pool: fabric.NewFramePool()}
@@ -53,11 +56,14 @@ func newIngestRig(t testing.TB, offloads bool) *ingestRig {
 		t.Fatalf("the listener answered a SYN with %d segments", len(synAck))
 	}
 	r.ack = synAck[0].seq + 1
-	r.inject(r.frame(flagACK, r.seq, r.ack, 0xffff, nil))
+	r.inject(r.frame(flagACK, r.seq, r.ack, 0, nil))
 	r.s.Poll()
 	var ok bool
 	if r.conn, ok = l.Accept(); !ok {
 		t.Fatal("handshake did not complete")
+	}
+	if n, err := r.conn.Send(ingestStream(0, ingestPending), 0); n != ingestPending || err != nil {
+		t.Fatalf("queued %d bytes: %v", n, err)
 	}
 	return r
 }
@@ -125,7 +131,7 @@ func ingestStream(seq uint32, n int) []byte {
 //	6    0: intact; otherwise the frame has one byte flipped, the
 //	     value picking which one past the Ethernet header
 //	7    acknowledgement number, as a signed offset from the stack's
-//	     next byte
+//	     next byte, in units of 16 bytes
 const ingestRecord = 8
 
 // burst builds the frames the records in data describe, at most one
@@ -136,7 +142,7 @@ func (r *ingestRig) burst(data []byte) []fabric.Frame {
 	for ; len(data) >= ingestRecord && len(frames) < rxBurstMax; data = data[ingestRecord:] {
 		seq := next + uint32(int16(binary.BigEndian.Uint16(data[1:])))
 		n := int(binary.BigEndian.Uint16(data[3:])) % 1461
-		ack := r.ack + uint32(int8(data[7]))
+		ack := r.ack + uint32(int8(data[7]))*16
 		f := r.frame(data[0]&0x1f, seq, ack, uint16(data[5])<<8, ingestStream(seq, n))
 		if data[6] != 0 {
 			i := ethHdrLen + int(data[6])%(len(f.Data)-ethHdrLen)
@@ -150,8 +156,9 @@ func (r *ingestRig) burst(data []byte) []fabric.Frame {
 }
 
 // ingestOutcome is everything a burst leaves that the two paths must agree
-// on: the bytes delivered, whether the FIN was, the answers sent, and the
-// counters but the two that count sends and chains.
+// on: the bytes delivered, whether the FIN was, the answers sent by the
+// poll that took the burst in, by the next (a held ACK leaves there) and by
+// the read, and the counters but the two that count sends and chains.
 type ingestOutcome struct {
 	delivered []byte
 	fin       bool
@@ -160,12 +167,14 @@ type ingestOutcome struct {
 }
 
 func (r *ingestRig) take(data []byte) ingestOutcome {
-	r.inject(r.burst(data)...)
-	r.s.Poll()
-	r.s.Poll() // the held ACK leaves on the next poll
 	var out ingestOutcome
+	r.inject(r.burst(data)...)
+	for range 2 {
+		r.s.Poll()
+		out.answers = append(append(out.answers, r.answers()...), tcpSegment{})
+	}
 	out.delivered, out.fin = r.read()
-	out.answers = r.answers()
+	out.answers = append(out.answers, r.answers()...)
 	out.stats = r.s.Stats()
 	out.stats.TCPDescsSent, out.stats.TCPChainsRcvd = 0, 0
 	return out
