@@ -52,14 +52,58 @@ type Frame struct {
 	// Buf, when non-nil, is the pooled buffer backing Data. Ownership
 	// travels with the frame: whoever holds the frame last (the
 	// receiving stack after ingest, or the fabric/NIC at a drop point)
-	// calls Release exactly once. Heap-backed frames leave it nil.
+	// calls Release exactly once. Heap-backed frames leave it nil, unless
+	// they carry offload marks (SetCsum, Corrupt): the buffer holds those,
+	// as a DPDK mbuf holds its offload flags, and a heap-backed frame is
+	// given one of its own that no pool recycles.
 	Buf *FrameBuf
-	// Csum is the frame's checksum offload state (see Csum).
-	Csum Csum
-	// Flip marks a frame the fabric corrupted: 1 + the offset of the byte
-	// it flipped, 0 on an intact frame. A receiving NIC that checks
-	// checksums in hardware reads its verdict from it (nic.Device).
-	Flip int32
+}
+
+// Csum returns the frame's checksum offload state.
+func (f Frame) Csum() Csum {
+	if f.Buf == nil {
+		return CsumNone
+	}
+	return f.Buf.csum
+}
+
+// SetCsum sets the frame's checksum offload state.
+func (f *Frame) SetCsum(c Csum) { f.marks().csum = c }
+
+// Flip marks a frame the fabric corrupted: 1 + the offset of the byte it
+// flipped, 0 on an intact frame. A receiving NIC that checks checksums in
+// hardware reads its verdict from it (nic.Device).
+func (f Frame) Flip() int32 {
+	if f.Buf == nil {
+		return 0
+	}
+	return f.Buf.flip
+}
+
+// Corrupt flips byte i of the frame and marks it (Flip): the damage a
+// bit error on the wire does.
+func (f *Frame) Corrupt(i int) {
+	f.Data[i] ^= 0xFF
+	f.marks().flip = int32(i) + 1
+}
+
+// marks is the buffer that holds the frame's offload marks, made for a
+// heap-backed frame that has none.
+func (f *Frame) marks() *FrameBuf {
+	if f.Buf == nil {
+		f.Buf = heapBuf(f.Data)
+	}
+	return f.Buf
+}
+
+// clone returns a heap-backed copy of the frame, offload marks included.
+func (f Frame) clone() Frame {
+	c := Frame{Data: append([]byte(nil), f.Data...), Cost: f.Cost}
+	if f.Csum() != CsumNone || f.Flip() != 0 {
+		b := c.marks()
+		b.csum, b.flip = f.Buf.csum, f.Buf.flip
+	}
+	return c
 }
 
 // Csum is what a frame's checksum fields hold, the simulated wire's
@@ -67,9 +111,9 @@ type Frame struct {
 // computes the IPv4 and L4 checksums as the frame leaves, and checks them
 // as it arrives; the simulated devices spend no Go time on either, so the
 // fields of an offloaded frame read zero and CsumPending stands for the
-// sums they would hold. The byte a corruption flips is recorded in
-// Frame.Flip, and a flipped byte always changes a one's-complement sum, so
-// a verdict read from the mark is the verdict a check of the sums gives.
+// sums they would hold. The byte a corruption flips is marked (Flip), and
+// a flipped byte always changes a one's-complement sum, so a verdict read
+// from the mark is the verdict a check of the sums gives.
 type Csum uint8
 
 const (
@@ -114,10 +158,11 @@ type Impairments struct {
 	LossRate    float64
 	DupRate     float64
 	ReorderRate float64 // probability a frame is held and swapped with the next
-	// CorruptRate flips a payload byte past the Ethernet header. The
-	// frame still routes (MACs are untouched); the damage must be caught
-	// by the integrity checks of the stack above (IPv4/TCP/UDP
-	// checksums, the RDMA ICRC, the blob-store CRC).
+	// CorruptRate flips a payload byte past the Ethernet header and marks
+	// which (Frame.Corrupt). The frame still routes (MACs are untouched); the
+	// damage must be caught by the integrity checks above (IPv4/TCP/UDP
+	// checksums, in software or by a NIC that offloads them; the RDMA
+	// ICRC; the blob-store CRC).
 	CorruptRate float64
 	ExtraDelay  simclock.Lat
 }
@@ -371,10 +416,8 @@ func (p *Port) sendLocked(f Frame) {
 	frames := []Frame{f}
 	if imp.DupRate > 0 && s.rng.Float64() < imp.DupRate {
 		s.stats.InjectedDup++
-		dup := f
-		dup.Data = append([]byte(nil), f.Data...)
-		dup.Buf = nil // the copy is heap-backed; ownership of Buf stays with f
-		frames = append(frames, dup)
+		// The copy is heap-backed; ownership of Buf stays with f.
+		frames = append(frames, f.clone())
 	}
 	if imp.ReorderRate > 0 {
 		if s.held != nil {
@@ -408,23 +451,20 @@ func (p *Port) sendLocked(f Frame) {
 
 // corruptLocked returns a copy of f with one byte past the Ethernet
 // header flipped — the wire-level bit error a schedule injects — and
-// marked in Flip. The copy keeps the sender's buffer intact, as real
-// corruption happens on the wire, not in host memory.
+// marked (Frame.Corrupt). The copy keeps the sender's buffer intact, as
+// real corruption happens on the wire, not in host memory.
 func (s *Switch) corruptLocked(f Frame, p *Port) Frame {
 	s.stats.InjectedCorrupt++
 	p.stats.InjectedCorrupt++
 	telemetry.TraceInstant("fabric", "corrupt", int32(p.id), int64(len(f.Data)))
-	data := append([]byte(nil), f.Data...)
-	if len(data) > MinFrameLen {
-		i := MinFrameLen + s.rng.Intn(len(data)-MinFrameLen)
-		data[i] ^= 0xFF
-		f.Flip = int32(i) + 1
+	c := f.clone()
+	if len(c.Data) > MinFrameLen {
+		c.Corrupt(MinFrameLen + s.rng.Intn(len(c.Data)-MinFrameLen))
 	}
 	// The damaged copy is heap-backed; the sender's pooled buffer (if
 	// any) is done the moment the wire mangles the bits.
 	f.Release()
-	f.Data = data
-	return f
+	return c
 }
 
 // Flush delivers any frame held by the reorder buffer. Tests and quiesce
@@ -467,10 +507,7 @@ func (s *Switch) forwardLocked(f Frame, from *Port) {
 			from.stats.AsymDrops++
 			continue
 		}
-		df := f
-		df.Data = append([]byte(nil), f.Data...)
-		df.Buf = nil
-		s.deliverLocked(out, df)
+		s.deliverLocked(out, f.clone())
 	}
 	f.Release()
 }

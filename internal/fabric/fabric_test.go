@@ -333,8 +333,8 @@ func TestCorruptionInjection(t *testing.T) {
 	}
 	// The frame is marked with the byte: what a receiving NIC that checks
 	// checksums in hardware reads its verdict from.
-	if i := got.Flip - 1; got.Flip == 0 || got.Data[i] != orig[i]^0xFF {
-		t.Fatalf("Flip = %d does not mark the flipped byte", got.Flip)
+	if i := got.Flip() - 1; got.Flip() == 0 || got.Data[i] != orig[i]^0xFF {
+		t.Fatalf("Flip = %d does not mark the flipped byte", got.Flip())
 	}
 	// The sender's buffer is untouched: corruption copies.
 	for i := range orig {
@@ -405,7 +405,7 @@ func TestSendBurstIsSends(t *testing.T) {
 		var frames []Frame
 		for i := 0; i < 300; i++ {
 			f := frame(macB, macA, fmt.Sprintf("frame %03d", i))
-			f.Csum = CsumPending
+			f.SetCsum(CsumPending)
 			frames = append(frames, f)
 		}
 		if burst {
@@ -432,8 +432,8 @@ func TestSendBurstIsSends(t *testing.T) {
 	}
 	for i := range sends {
 		a, b := sends[i], burst[i]
-		if !bytes.Equal(a.Data, b.Data) || a.Flip != b.Flip || a.Csum != b.Csum || a.Cost != b.Cost {
-			t.Fatalf("frame %d: %q flip %d one by one, %q flip %d in a burst", i, a.Data, a.Flip, b.Data, b.Flip)
+		if !bytes.Equal(a.Data, b.Data) || a.Flip() != b.Flip() || a.Csum() != b.Csum() || a.Cost != b.Cost {
+			t.Fatalf("frame %d: %q flip %d one by one, %q flip %d in a burst", i, a.Data, a.Flip(), b.Data, b.Flip())
 		}
 	}
 }

@@ -67,9 +67,15 @@ var ErrNoMem = errors.New("fabric: frame quota exhausted")
 type FrameBuf struct {
 	pool  *FramePool
 	class int8 // index into frameClasses; classOversized, classBare
-	refs  atomic.Int32
-	data  []byte // current view (len = requested size)
-	full  []byte // full class-sized backing storage
+	// csum and flip are the offload marks of the wire frame the buffer
+	// backs (Frame.Csum, Frame.Flip), cleared when it is recycled. They
+	// sit in the first cache line, which the frame's Release touches
+	// anyway.
+	csum Csum
+	refs atomic.Int32
+	flip int32
+	data []byte // current view (len = requested size)
+	full []byte // full class-sized backing storage
 
 	inline [8]sga.Segment
 	free   func() // freeSGA, bound on first use as an SGA
@@ -77,6 +83,14 @@ type FrameBuf struct {
 	// is handed out as an SGA again. A plain field, not an atomic: between
 	// hand-outs only the application writes it.
 	freed bool
+}
+
+// heapBuf is a buffer for data that no pool owns: it carries a heap-backed
+// frame's offload marks, and its final release frees nothing.
+func heapBuf(data []byte) *FrameBuf {
+	b := &FrameBuf{class: classOversized, data: data, full: data}
+	b.refs.Store(1)
+	return b
 }
 
 // The classes of a FrameBuf that is not in frameClasses: an oversized
@@ -304,6 +318,7 @@ func (p *FramePool) put(b *FrameBuf) {
 		panic("fabric: FrameBuf recycled while still referenced (illegal Retain after final Release)" + b.ownerSuffix())
 	}
 	b.data = nil
+	b.csum, b.flip = CsumNone, 0
 	p.recycled.Add(1)
 	p.classes[b.class].Put(b)
 }

@@ -18,50 +18,52 @@ import (
 // is acknowledged as its segments would be.
 
 // rxChain is the receive burst's open chain: c's segments, whose frames
-// it holds until flushChainLocked releases them.
+// stay in the burst, from index from on, until flushChainLocked releases
+// them.
 type rxChain struct {
 	c *TCPConn
 	h ipv4Header
 	// seg is the first segment (its payload is pays[0]); next is the
 	// sequence number after the chain's last byte.
-	seg  tcpSegment
-	next uint32
-	// frames are the chained frames and pays their payloads, reused from
-	// chain to chain.
-	frames []fabric.Frame
-	pays   [][]byte
+	seg   tcpSegment
+	next  uint32
+	burst []fabric.Frame
+	from  int
+	// pays are the segments' payloads, reused from chain to chain.
+	pays [][]byte
 }
 
 // ingestLocked takes in a receive burst, releasing every frame.
 func (s *Stack) ingestLocked(burst []fabric.Frame) {
 	for i := range burst {
-		f := &burst[i]
-		if s.chainLocked(f) {
+		if s.chainLocked(burst, i) {
 			continue
 		}
 		s.flushChainLocked()
-		s.handleFrameLocked(*f)
+		s.handleFrameLocked(burst[i])
 		// Ingest is copy-out (rcvBuf / pooled datagram payloads), so the
 		// wire frame's pooled storage recycles immediately.
-		f.Release()
+		burst[i].Release()
 	}
 	s.flushChainLocked()
 }
 
-// chainLocked moves f into the open chain, or flushes that and moves f
-// into a new one, when f is an intact data segment of an established
-// connection with no SYN, FIN or RST; it reports false, leaving f be, for
-// every other frame.
-func (s *Stack) chainLocked(f *fabric.Frame) bool {
-	if !s.offloads || f.Csum != fabric.CsumGood || len(f.Data) < ethHdrLen ||
+// chainLocked adds frame i of burst to the open chain, or flushes that and
+// opens one with it, when it is an intact data segment of an established
+// connection with no SYN, FIN or RST; it reports false, leaving the frame
+// be, for every other. A chain's frames are adjacent in its burst: every
+// frame that does not join it flushes it first.
+func (s *Stack) chainLocked(burst []fabric.Frame, i int) bool {
+	f := &burst[i]
+	if !s.offloads || f.Csum() != fabric.CsumGood || len(f.Data) < ethHdrLen ||
 		binary.BigEndian.Uint16(f.Data[12:]) != etherTypeIPv4 {
 		return false
 	}
-	h, body, ok := parseIPv4(f.Data[ethHdrLen:], f.Csum)
+	h, body, ok := parseIPv4(f.Data[ethHdrLen:], fabric.CsumGood)
 	if !ok || h.dst != s.cfg.IP || h.proto != protoTCP {
 		return false
 	}
-	seg, ok := parseTCP(body, h.src, h.dst, f.Csum)
+	seg, ok := parseTCP(body, h.src, h.dst, fabric.CsumGood)
 	if !ok || len(seg.payload) == 0 || seg.flags&(flagSYN|flagFIN|flagRST|flagACK) != flagACK {
 		return false
 	}
@@ -73,14 +75,12 @@ func (s *Stack) chainLocked(f *fabric.Frame) bool {
 		if !ok || c.state != stateEstablished {
 			return false
 		}
-		ch.c, ch.h, ch.seg = c, h, seg
+		ch.c, ch.h, ch.seg, ch.burst, ch.from = c, h, seg, burst, i
 	}
 	s.stats.FramesIn++
 	s.stats.TCPSegsRcvd++
 	ch.next = seg.seq + uint32(len(seg.payload))
-	ch.frames = append(ch.frames, *f)
 	ch.pays = append(ch.pays, seg.payload)
-	*f = fabric.Frame{}
 	return true
 }
 
@@ -114,7 +114,7 @@ func (s *Stack) flushChainLocked() {
 			c.rcvBuf.write(p, s.cfg.RxWindow)
 		}
 		c.rcvNxt += uint32(rest)
-		c.rxCost = s.frameCost(len(ch.frames) - 1)
+		c.rxCost = s.frameCost(len(ch.pays) - 1)
 		c.holdAckLocked()
 		c.updateReadyLocked()
 	default:
@@ -125,18 +125,17 @@ func (s *Stack) flushChainLocked() {
 			seq += uint32(len(p))
 		}
 	}
-	for i := range ch.frames {
-		ch.frames[i].Release()
+	for i := range ch.pays {
+		ch.burst[ch.from+i].Release()
 	}
-	clear(ch.frames)
 	clear(ch.pays)
-	ch.frames, ch.pays, ch.c = ch.frames[:0], ch.pays[:0], nil
+	ch.pays, ch.burst, ch.c = ch.pays[:0], nil, nil
 }
 
 // frameCost is the cost the chain's segment i arrived at, the stack's
 // per-packet work included.
 func (s *Stack) frameCost(i int) simclock.Lat {
-	return s.chain.frames[i].Cost + s.model.UserNetStackNS + s.cfg.PerPacketExtra
+	return s.chain.burst[s.chain.from+i].Cost + s.model.UserNetStackNS + s.cfg.PerPacketExtra
 }
 
 // fillSums writes the IPv4 and TCP/UDP checksums of an IPv4 frame whose

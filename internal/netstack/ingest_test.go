@@ -75,7 +75,9 @@ func (r *ingestRig) frame(flags uint8, seq, ack uint32, wnd uint16, payload []by
 	h := ipv4Header{totalLen: uint16(ipv4HdrLen + tcpHdrLen + len(payload)), ttl: 64, proto: protoTCP, src: ipA, dst: ipB}
 	b := appendEth(nil, macB, macA, etherTypeIPv4)
 	if r.offloads {
-		return fabric.Frame{Data: seg.appendTo(h.appendTo(b)), Csum: fabric.CsumPending}
+		f := fabric.Frame{Data: seg.appendTo(h.appendTo(b))}
+		f.SetCsum(fabric.CsumPending)
+		return f
 	}
 	return fabric.Frame{Data: seg.marshal(h.marshal(b), ipA, ipB)}
 }
@@ -93,7 +95,7 @@ func (r *ingestRig) answers() []tcpSegment {
 		b := f.Data[ethHdrLen:]
 		h := ipv4Header{src: IPv4Addr(b[12:16]), dst: IPv4Addr(b[16:20])}
 		csum := fabric.CsumNone
-		if f.Csum == fabric.CsumPending {
+		if f.Csum() == fabric.CsumPending {
 			csum = fabric.CsumGood
 		}
 		if seg, ok := parseTCP(b[ipv4HdrLen:], h.src, h.dst, csum); ok {
@@ -145,9 +147,7 @@ func (r *ingestRig) burst(data []byte) []fabric.Frame {
 		ack := r.ack + uint32(int8(data[7]))*16
 		f := r.frame(data[0]&0x1f, seq, ack, uint16(data[5])<<8, ingestStream(seq, n))
 		if data[6] != 0 {
-			i := ethHdrLen + int(data[6])%(len(f.Data)-ethHdrLen)
-			f.Data[i] ^= 0xFF
-			f.Flip = int32(i) + 1
+			f.Corrupt(ethHdrLen + int(data[6])%(len(f.Data)-ethHdrLen))
 		}
 		frames = append(frames, f)
 		next = seq + uint32(n)

@@ -521,13 +521,14 @@ func (s *Stack) handleFrameLocked(f fabric.Frame) {
 	case etherTypeARP:
 		s.handleARPLocked(body)
 	case etherTypeIPv4:
-		if f.Csum == fabric.CsumPending {
+		csum := f.Csum()
+		if csum == fabric.CsumPending {
 			// Offloaded by its sender, unchecked by this device: the frame
 			// leaves the offload domain here.
-			fillSums(f.Data, f.Flip)
-			f.Csum = fabric.CsumNone
+			fillSums(f.Data, f.Flip())
+			csum = fabric.CsumNone
 		}
-		s.handleIPv4Locked(body, f.Csum, f.Cost)
+		s.handleIPv4Locked(body, csum, f.Cost)
 	}
 }
 
@@ -662,7 +663,9 @@ func (s *Stack) resolveLocked(dstIP IPv4Addr) (fabric.MAC, bool) {
 // filled, or parks it and asks for the destination's MAC.
 func (s *Stack) sendIPv4Locked(tx ipv4Tx, cost simclock.Lat) {
 	if tx.fb != nil {
-		s.dev.TxFrame(fabric.Frame{Data: tx.pkt, Cost: cost, Buf: tx.fb, Csum: tx.csum})
+		f := fabric.Frame{Data: tx.pkt, Cost: cost, Buf: tx.fb}
+		f.SetCsum(tx.csum)
+		s.dev.TxFrame(f)
 		return
 	}
 	s.arpPending[tx.dst] = append(s.arpPending[tx.dst], pendingPkt{etherTypeIPv4, tx.pkt, cost})

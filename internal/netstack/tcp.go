@@ -767,8 +767,9 @@ func (c *TCPConn) sendAckLocked() {
 // bytes past sndUna as segments of at most an MSS each, from sequence
 // number seq on, all with flags (n == 0: one bare control segment). The
 // bytes go from the ring straight into the outgoing frames: marshaled a
-// segment at a time here, or on a device with offloads cut by the device
-// from one descriptor (sendTSOLocked).
+// segment at a time here, or, when there is more than one segment and the
+// device has offloads, cut by the device from one descriptor
+// (sendTSOLocked).
 func (c *TCPConn) sendSegmentsLocked(seq uint32, off, n int, flags uint8) {
 	s := c.stack
 	seg := tcpSegment{
@@ -785,7 +786,7 @@ func (c *TCPConn) sendSegmentsLocked(seq uint32, off, n int, flags uint8) {
 	c.ackPending = false
 	c.ackedTo = seg.ack
 	cost := c.txCost + s.model.UserNetStackNS + s.cfg.PerPacketExtra
-	if s.offloads && s.sendTSOLocked(c.key.remoteIP, seg, &c.sndBuf, off, n, cost) {
+	if s.offloads && n > s.cfg.MSS && s.sendTSOLocked(c.key.remoteIP, seg, &c.sndBuf, off, n, cost) {
 		return
 	}
 	for {

@@ -251,8 +251,8 @@ func (d *Device) drainWireLocked() {
 		// Hardware receive processing + DMA into host memory.
 		f.Cost += d.model.NICProcessNS + d.model.DMACost(len(f.Data))
 		d.dmaBytes.Add(int64(len(f.Data)))
-		if f.Csum == fabric.CsumPending && !d.cfg.NoOffloads {
-			f.Csum = csumVerdict(f.Flip)
+		if !d.cfg.NoOffloads && f.Csum() == fabric.CsumPending {
+			f.SetCsum(csumVerdict(f.Flip()))
 		}
 
 		qi, verdict := d.classify(t, &f)

@@ -12,13 +12,13 @@ package nic
 // reads a payload byte to do it: the Go time the stack saves is not spent
 // here instead.
 //
-// Segmentation. A stack hands TxTSO one descriptor per send burst — the
-// header of the burst's first frame, the payload where it lies in the send
-// ring, the MSS — and the device cuts the frames, each with its own IPv4
-// total length and id and TCP sequence number, copying each payload
-// straight from the ring into its wire frame. The receive half (LRO) is
-// the stack's: it chains in-order segments of a flow within a burst
-// (netstack's ingest).
+// Segmentation. A stack hands TxTSO one descriptor per send burst of more
+// than one segment — the header of the burst's first frame, the payload
+// where it lies in the send ring, the MSS — and the device cuts the
+// frames, each with its own IPv4 total length and id and TCP sequence
+// number, copying each payload straight from the ring into its wire frame.
+// The receive half (LRO) is the stack's: it chains in-order segments of a
+// flow within a burst (netstack's ingest).
 
 import (
 	"encoding/binary"
@@ -53,7 +53,7 @@ func (d *Device) Offloads() bool { return !d.cfg.NoOffloads }
 
 // TSO is one segmentation-offload transmit descriptor: a TCP segment of
 // any length, which the device sends as frames of at most MSS payload
-// bytes — one frame, header only, when there is no payload.
+// bytes.
 type TSO struct {
 	// Hdr is the first frame's Ethernet, IPv4 (20 bytes) and TCP headers.
 	// Each frame gets a copy with its IPv4 total length, its id (Hdr's
@@ -74,12 +74,7 @@ type TSO struct {
 }
 
 // TSOFrames returns how many frames a segment of n payload bytes is cut into.
-func TSOFrames(n, mss int) int {
-	if n == 0 {
-		return 1
-	}
-	return (n + mss - 1) / mss
-}
+func TSOFrames(n, mss int) int { return (n + mss - 1) / mss }
 
 // cut appends t's frames to t.Frames, and returns how many the pool
 // refused a buffer: those are lost, as when a driver fails a descriptor
@@ -98,7 +93,9 @@ func (t *TSO) cut() (refused int) {
 			binary.BigEndian.PutUint16(data[ipOff+4:], id)
 			binary.BigEndian.PutUint32(data[tcpOff+4:], seq)
 			copy(data[len(t.Hdr)+copy(data[len(t.Hdr):], a):], b)
-			t.Frames = append(t.Frames, fabric.Frame{Data: data, Cost: t.Cost, Buf: fb, Csum: fabric.CsumPending})
+			f := fabric.Frame{Data: data, Cost: t.Cost, Buf: fb}
+			f.SetCsum(fabric.CsumPending)
+			t.Frames = append(t.Frames, f)
 		} else {
 			refused++
 		}
