@@ -210,22 +210,34 @@ func e19Switch(seed int64, res *Result) error {
 
 	// The server's echo loop survives both switches on the same QD: a
 	// switch moves no endpoint, so an op parked across it completes as
-	// if nothing happened, and one that fails typed simply retries.
+	// if nothing happened, and one that fails typed simply retries. A
+	// wait that times out waits again on the same pop: a fresh pop would
+	// park behind it, and the abandoned one would take the next request.
 	stopEcho := make(chan struct{})
 	echoDone := make(chan struct{})
 	go func() {
 		defer close(echoDone)
+		var qt demi.QToken
+		parked := false
 		for {
 			select {
 			case <-stopEcho:
 				return
 			default:
 			}
-			comp, err := srv.BlockingPop(sqd)
-			if err != nil || comp.Err != nil {
-				if errors.Is(err, demi.ErrWaitTimeout) || errors.Is(comp.Err, demi.ErrWaitTimeout) {
-					continue
+			if !parked {
+				var err error
+				if qt, err = srv.Pop(sqd); err != nil {
+					return
 				}
+				parked = true
+			}
+			comp, err := srv.Wait(qt)
+			if errors.Is(err, demi.ErrWaitTimeout) {
+				continue
+			}
+			parked = false
+			if err != nil || comp.Err != nil {
 				if failover.Retriable(err) || failover.Retriable(comp.Err) {
 					continue
 				}

@@ -70,9 +70,9 @@ func (f Frame) Csum() Csum {
 // SetCsum sets the frame's checksum offload state.
 func (f *Frame) SetCsum(c Csum) { f.marks().csum = c }
 
-// Flip marks a frame the fabric corrupted: 1 + the offset of the byte it
-// flipped, 0 on an intact frame. A receiving NIC that checks checksums in
-// hardware reads its verdict from it (nic.Device).
+// Flip returns the frame's corruption mark: 1 + the offset of the byte the
+// fabric flipped, 0 on an intact frame. A receiving NIC that checks
+// checksums in hardware reads its verdict from it (nic.Device).
 func (f Frame) Flip() int32 {
 	if f.Buf == nil {
 		return 0
