@@ -15,10 +15,10 @@ STORAGE_PKGS    := ./internal/spdk/ ./internal/offload/ ./internal/libos/catfish
 STORAGE_RUN     := TestChaosPushdownResetMidTraversal|TestFileQueueOpensShareRecords
 RESHARD_RUN     := TestReshardUnderLoad|TestChaosReshardUnderCrashRestart|TestSwitchKindLive
 CHAOS_RUN       := TestChaos|TestCrashRestart|TestKVFailover
-BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkURing_SubmitHarvest|BenchmarkFramePool_SGA|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkCatnip_PollIdleUDP|BenchmarkCatmint_PollIdleQPs|BenchmarkSGA_FramerWrite
-BENCHSMOKE_PKGS := . ./internal/core/ ./internal/fabric/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/libos/catmint/ ./internal/sga/
+BENCHSMOKE_RUN  := BenchmarkHotPath_Completer|BenchmarkURing_SubmitHarvest|BenchmarkFramePool_SGA|BenchmarkMemQueue|BenchmarkSGAMarshal|BenchmarkWaitAnyFanIn|BenchmarkNetstack_Checksum|BenchmarkNetstack_AckDequeue|BenchmarkNetstack_PollIdleConns|BenchmarkNetstack_PingPong64|BenchmarkCatnip_Echo64|BenchmarkCatnip_Stream16k|BenchmarkCatnip_PollIdleUDP|BenchmarkCatmint_PollIdleQPs|BenchmarkSGA_FramerWrite|BenchmarkSPDK_PushdownGet
+BENCHSMOKE_PKGS := . ./internal/core/ ./internal/fabric/ ./internal/netstack/ ./internal/libos/catnip/ ./internal/libos/catmint/ ./internal/sga/ ./internal/spdk/
 # Each fuzz target as package:name; go test fuzzes one target at a time.
-FUZZ_TARGETS    := ./internal/sga/:FuzzFramer ./internal/netstack/:FuzzChecksum ./internal/netstack/:FuzzIngest
+FUZZ_TARGETS    := ./internal/sga/:FuzzFramer ./internal/netstack/:FuzzChecksum ./internal/netstack/:FuzzIngest ./internal/offload/:FuzzIndexStep
 FUZZTIME        ?= 3s
 
 ## tier1: the gate every PR must keep green — vet, gofmt, build, full test
@@ -183,14 +183,17 @@ bench-aa:
 ## segs/op must read 2), catnip's 64 B echo (segs/op 2 as well) and 16 KiB
 ## stream (segs/op 12.5, copies/B 4) between two transports, catmint's
 ## idle server Poll beside 1, 100 and 1 000 idle queue pairs (a flat line
-## as well), and the SGA stream decoder alone; part of tier1.
+## as well), the SGA stream decoder alone, and a pushdown GET over a
+## depth-4 index (hops/op 5, and it fails on an allocation); part of tier1.
 benchsmoke:
 	$(GO) test -run xxx -bench '$(BENCHSMOKE_RUN)' -benchtime=1x $(BENCHSMOKE_PKGS)
 
 ## fuzzsmoke: FUZZTIME of fuzzing for each fuzz target, one worker each —
 ## the stream decoder (FuzzFramer), the Internet checksum against its
-## reference (FuzzChecksum), and a receive burst taken in with and without
-## the NIC's checksum and segmentation offloads (FuzzIngest). Part of tier1.
+## reference (FuzzChecksum), a receive burst taken in with and without
+## the NIC's checksum and segmentation offloads (FuzzIngest), and the
+## pushdown index step against the host's decoder (FuzzIndexStep). Part of
+## tier1.
 fuzzsmoke:
 	@for target in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${target##*:}\$$" -fuzztime $(FUZZTIME) -parallel 1 $${target%%:*} || exit 1; \

@@ -215,9 +215,8 @@ func (q *LookupQueue) hostLookup(key []byte) spdk.LookupResult {
 }
 
 // deliver answers the oldest parked Pop with one finished lookup, or holds
-// it for the next Pop. For hits the value is copied into a pooled buffer
-// (spdk.LookupResult.Value is only valid during this callback); the
-// popping application frees it.
+// it for the next Pop. For hits the value is copied into a pooled buffer,
+// the host's DMA copy of it; the popping application frees it.
 func (q *LookupQueue) deliver(r spdk.LookupResult) {
 	c := queue.Completion{Kind: queue.OpPop, Cost: r.Cost}
 	switch {

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,6 +34,8 @@ type ingestRig struct {
 	offloads bool
 	// seq is the next byte the peer sends, ack what it acknowledges.
 	seq, ack uint32
+	// fins holds the sequence number of each FIN its bursts carried.
+	fins []uint32
 }
 
 const ingestPort, peerPort, ingestPending = 80, 40000, 8000
@@ -110,6 +113,9 @@ func (r *ingestRig) answers() []tcpSegment {
 // peer's FIN is in.
 func (r *ingestRig) read() ([]byte, bool) {
 	b, _, err := r.conn.RecvAppend(nil, 0)
+	if err == nil {
+		_, _, err = r.conn.RecvAppend(nil, 0) // io.EOF follows the last byte
+	}
 	return b, err == io.EOF
 }
 
@@ -146,6 +152,9 @@ func (r *ingestRig) burst(data []byte) []fabric.Frame {
 		n := int(binary.BigEndian.Uint16(data[3:])) % 1461
 		ack := r.ack + uint32(int8(data[7]))*16
 		f := r.frame(data[0]&0x1f, seq, ack, uint16(data[5])<<8, ingestStream(seq, n))
+		if data[0]&flagFIN != 0 {
+			r.fins = append(r.fins, seq+uint32(n))
+		}
 		if data[6] != 0 {
 			f.Corrupt(ethHdrLen + int(data[6])%(len(f.Data)-ethHdrLen))
 		}
@@ -180,6 +189,19 @@ func (r *ingestRig) take(data []byte) ingestOutcome {
 	return out
 }
 
+// checkStream fails t unless o's bytes are the peer's stream from its
+// first byte on and, when the FIN was delivered, end at one the burst
+// carried: a byte past the FIN would sit one sequence number off.
+func (r *ingestRig) checkStream(t *testing.T, o ingestOutcome) {
+	t.Helper()
+	if want := ingestStream(r.seq, len(o.delivered)); !bytes.Equal(o.delivered, want) {
+		t.Fatalf("offloads %v: the %d bytes delivered are not the stream sent", r.offloads, len(o.delivered))
+	}
+	if end := r.seq + uint32(len(o.delivered)); o.fin && !slices.Contains(r.fins, end) {
+		t.Fatalf("offloads %v: %d bytes delivered, but no FIN sits at %d (FINs at %v)", r.offloads, len(o.delivered), end, r.fins)
+	}
+}
+
 func (o ingestOutcome) String() string {
 	return fmt.Sprintf("%d bytes, fin %v, %d answers, %+v", len(o.delivered), o.fin, len(o.answers), o.stats)
 }
@@ -189,15 +211,18 @@ func (o ingestOutcome) String() string {
 // checks checksums and whose bursts it chains and one that does both
 // itself. They must deliver the same bytes, send the same answers, count
 // the same (BadChecksums, out-of-order segments, drops and the rest), and
-// hold no frame afterwards. The committed corpus holds an in-order 16 KiB
-// burst, an out-of-order one, a FIN amid a burst, a burst past the receive
-// window and bursts with a corrupted frame.
+// hold no frame afterwards. Each must deliver the peer's stream as sent,
+// and nothing past a FIN it took. The committed corpus holds an in-order
+// 16 KiB burst, an out-of-order one, a FIN amid a burst, a burst past the
+// receive window, one whose FIN's text the window cuts short, and bursts
+// with a corrupted frame.
 func FuzzIngest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var outs [2]ingestOutcome
 		for i, offloads := range []bool{true, false} {
 			r := newIngestRig(t, offloads)
 			outs[i] = r.take(data)
+			r.checkStream(t, outs[i])
 			r.s.Shutdown(nil)
 			if n := r.pool.Outstanding(); n != 0 {
 				t.Fatalf("offloads %v: %d frame buffers outstanding after shutdown", offloads, n)
@@ -216,6 +241,48 @@ func FuzzIngest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNoDataPastFIN: the peer's stream ends at its FIN. Text that arrives
+// after it — a segment starting at the FIN's own sequence number, or one
+// stashed out of order just past it — is dropped and answered with an ACK
+// of the FIN, on both receive paths.
+func TestNoDataPastFIN(t *testing.T) {
+	// Each case is the bursts the peer sends: fin is 500 bytes and a FIN,
+	// at the stream's start, so the FIN's sequence number is seq+500.
+	for _, tc := range []struct {
+		name   string
+		bursts func(r *ingestRig, fin fabric.Frame) [][]fabric.Frame
+	}{
+		{"data after the FIN", func(r *ingestRig, fin fabric.Frame) [][]fabric.Frame {
+			return [][]fabric.Frame{{fin, r.frame(flagACK, r.seq+500, r.ack, 0, ingestStream(r.seq+500, 500))}}
+		}},
+		{"stash past the FIN", func(r *ingestRig, fin fabric.Frame) [][]fabric.Frame {
+			return [][]fabric.Frame{{r.frame(flagACK, r.seq+501, r.ack, 0, ingestStream(r.seq+501, 500))}, {fin}}
+		}},
+	} {
+		for _, offloads := range []bool{true, false} {
+			r := newIngestRig(t, offloads)
+			fin := r.frame(flagACK|flagFIN, r.seq, r.ack, 0, ingestStream(r.seq, 500))
+			for _, b := range tc.bursts(r, fin) {
+				r.inject(b...)
+				r.s.Poll()
+			}
+			r.s.Poll()
+			got, eof := r.read()
+			if len(got) != 500 || !eof {
+				t.Errorf("%s, offloads %v: %d bytes delivered (EOF %v), want the 500 before the FIN", tc.name, offloads, len(got), eof)
+			}
+			answers := r.answers()
+			if len(answers) == 0 || answers[len(answers)-1].ack != r.seq+501 {
+				t.Errorf("%s, offloads %v: answers %+v, the last not an ACK of the FIN (%d)", tc.name, offloads, answers, r.seq+501)
+			}
+			r.s.Shutdown(nil)
+			if n := r.pool.Outstanding(); n != 0 {
+				t.Errorf("%s, offloads %v: %d frame buffers outstanding after shutdown", tc.name, offloads, n)
+			}
+		}
+	}
 }
 
 // TestMixedOffloadPeers: a sender with offloads and a receiver without,

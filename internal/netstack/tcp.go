@@ -611,6 +611,12 @@ func (c *TCPConn) processDataLocked(seg tcpSegment, cost simclock.Lat) {
 	if len(payload) == 0 && !hasFin {
 		return
 	}
+	if c.peerFinRcvd {
+		// The stream ended at the FIN: text past it is ignored (RFC 9293
+		// §3.10.7.4), and a retransmission only needs the ACK again.
+		c.sendAckLocked()
+		return
+	}
 	// Trim anything we already have.
 	if seqLT(seq, c.rcvNxt) {
 		skip := int(c.rcvNxt - seq)
@@ -637,10 +643,15 @@ func (c *TCPConn) processDataLocked(seg tcpSegment, cost simclock.Lat) {
 		// the zero-window probe, whose answer is what keeps the persist
 		// timer from giving up.
 		gap := len(c.ooo) > 0
-		deferAck := c.acceptDataLocked(payload, cost) && !hasFin && !gap
-		if hasFin && !c.peerFinRcvd {
+		fits := c.acceptDataLocked(payload, cost)
+		deferAck := fits && !hasFin && !gap
+		// A FIN follows its segment's last byte: if the window cut the
+		// text short, the FIN lies outside it too.
+		if hasFin && fits {
 			c.peerFinRcvd = true
 			c.rcvNxt++
+			// Whatever is stashed lies past the FIN.
+			c.releaseOOOLocked()
 		}
 		c.drainOutOfOrderLocked()
 		if deferAck {

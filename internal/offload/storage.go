@@ -66,7 +66,7 @@ func hostIndexStep(key, block []byte) spdk.Step {
 	})
 	if level == 0 {
 		if hi > 0 && bytes.Equal(entries[hi-1].key, key) {
-			return spdk.Step{Kind: spdk.StepDone, Value: entries[hi-1].val}
+			return spdk.Step{Kind: spdk.StepDone, Value: string(entries[hi-1].val)}
 		}
 		return spdk.Step{Kind: spdk.StepMiss}
 	}
@@ -96,6 +96,9 @@ func parseIndexNode(block []byte) (entries []indexEntry, level int, ok bool) {
 	if nKeys == 0 {
 		return nil, 0, false
 	}
+	// An entry takes at least 4 bytes, which bounds the table a corrupt
+	// count can ask for.
+	entries = make([]indexEntry, 0, min(nKeys, (len(block)-hdr)/4))
 	off := hdr
 	for i := 0; i < nKeys; i++ {
 		var e indexEntry

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -159,32 +160,48 @@ func TestRecoveryUnderChaosResets(t *testing.T) {
 	d := newDev(Config{})
 	seedLog(t, d, 50)
 
-	// Concurrent controller resets while opens run. Each attempt either
-	// fails with a typed transient error or recovers the full 50 records:
-	// a partially scanned (silently truncated) store is the one forbidden
-	// outcome.
+	// Controller resets while opens run. Each attempt either fails with
+	// a typed transient error or recovers the full 50 records: a
+	// partially scanned (silently truncated) store is the one forbidden
+	// outcome. The resets are paced by the device's progress, not by how
+	// fast a goroutine can loop: one scan is about 105 block reads, so a
+	// reset every resetEvery reads lets about one scan in two finish.
+	const resetEvery = 150
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	defer func() { close(stop); wg.Wait() }()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		next := d.Stats().Reads + resetEvery
 		for {
 			select {
 			case <-stop:
 				return
 			default:
+			}
+			if reads := d.Stats().Reads; reads >= next {
 				d.ControllerReset(3)
+				next = reads + resetEvery
+			} else {
+				runtime.Gosched()
 			}
 		}
 	}()
 
-	recovered := 0
-	for i := 0; i < 200; i++ {
+	// At least 200 attempts, and more until both outcomes have shown, so
+	// a resetter the scheduler kept waiting cannot pass the test vacuously.
+	recovered, failed := 0, 0
+	for i := 0; i < 200 || recovered == 0 || failed == 0; i++ {
+		if i == 100_000 {
+			t.Fatalf("%d attempts: %d recovered, %d failed", i, recovered, failed)
+		}
 		s, _, err := NewStore(d)
 		if err != nil {
 			if !errors.Is(err, ErrDeviceReset) && !errors.Is(err, ErrIO) {
 				t.Errorf("attempt %d: unexpected error %v", i, err)
 			}
+			failed++
 			continue
 		}
 		recovered++
@@ -195,11 +212,6 @@ func TestRecoveryUnderChaosResets(t *testing.T) {
 		if got := f.NumRecords(); got != 50 {
 			t.Fatalf("attempt %d: silent truncation to %d records", i, got)
 		}
-	}
-	close(stop)
-	wg.Wait()
-	if recovered == 0 {
-		t.Skip("no attempt recovered cleanly under this interleaving")
 	}
 }
 

@@ -69,34 +69,32 @@ type Index struct {
 // — before any verdict is returned, so a block that is corrupt anywhere
 // is StepCorrupt everywhere: the device program and the host fallback
 // cannot diverge on how far into a damaged block they happened to read.
-func IndexStep(key, block []byte) Step {
-	if len(block) < indexHdrLen || binary.BigEndian.Uint32(block[0:4]) != nodeMagic {
+func IndexStep(key []byte, block string) Step {
+	if len(block) < indexHdrLen || be32(block, 0) != nodeMagic {
 		return Step{Kind: StepCorrupt}
 	}
-	level := int(binary.BigEndian.Uint16(block[4:6]))
-	nKeys := int(binary.BigEndian.Uint16(block[6:8]))
+	level := be16(block, 4)
+	nKeys := be16(block, 6)
 	if nKeys == 0 {
 		return Step{Kind: StepCorrupt}
 	}
 	off := indexHdrLen
-	var prev []byte
-	var value []byte
+	var prev, value string
 	found := false
 	child := -1
 	for i := 0; i < nKeys; i++ {
-		var k []byte
+		var k string
 		if level == 0 {
 			if off+4 > len(block) {
 				return Step{Kind: StepCorrupt}
 			}
-			klen := int(binary.BigEndian.Uint16(block[off : off+2]))
-			vlen := int(binary.BigEndian.Uint16(block[off+2 : off+4]))
+			klen, vlen := be16(block, off), be16(block, off+2)
 			off += 4
 			if off+klen+vlen > len(block) {
 				return Step{Kind: StepCorrupt}
 			}
 			k = block[off : off+klen]
-			if bytes.Equal(k, key) {
+			if k == string(key) {
 				found, value = true, block[off+klen:off+klen+vlen]
 			}
 			off += klen + vlen
@@ -104,19 +102,18 @@ func IndexStep(key, block []byte) Step {
 			if off+6 > len(block) {
 				return Step{Kind: StepCorrupt}
 			}
-			klen := int(binary.BigEndian.Uint16(block[off : off+2]))
-			c := int(binary.BigEndian.Uint32(block[off+2 : off+6]))
+			klen, c := be16(block, off), int(be32(block, off+2))
 			off += 6
 			if off+klen > len(block) {
 				return Step{Kind: StepCorrupt}
 			}
 			k = block[off : off+klen]
-			if bytes.Compare(k, key) <= 0 {
+			if k <= string(key) {
 				child = c
 			}
 			off += klen
 		}
-		if i > 0 && bytes.Compare(prev, k) >= 0 {
+		if i > 0 && prev >= k {
 			return Step{Kind: StepCorrupt}
 		}
 		prev = k
@@ -134,6 +131,13 @@ func IndexStep(key, block []byte) Step {
 	return Step{Kind: StepNext, NextLBA: child}
 }
 
+// be16 and be32 decode the big-endian fields of a node block.
+func be16(b string, off int) int { return int(b[off])<<8 | int(b[off+1]) }
+
+func be32(b string, off int) uint32 {
+	return uint32(b[off])<<24 | uint32(b[off+1])<<16 | uint32(b[off+2])<<8 | uint32(b[off+3])
+}
+
 // IndexProg is the device-side pushdown program over index node blocks.
 type IndexProg struct{}
 
@@ -141,7 +145,7 @@ type IndexProg struct{}
 func (IndexProg) Name() string { return "blockindex" }
 
 // Step implements Prog.
-func (IndexProg) Step(key, block []byte) Step { return IndexStep(key, block) }
+func (IndexProg) Step(key []byte, block string) Step { return IndexStep(key, block) }
 
 // BuildIndex bulk-builds a static index over kvs with the given fanout
 // (entries per node; 0 = 8). alloc reserves n contiguous raw blocks and

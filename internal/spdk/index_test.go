@@ -9,7 +9,7 @@ import (
 
 // hostTraverse walks the index on the host, one Execute per node — the
 // reference traversal the pushdown engine must match.
-func hostTraverse(t *testing.T, d *Device, idx *Index, key []byte) ([]byte, int, bool) {
+func hostTraverse(t *testing.T, d *Device, idx *Index, key []byte) (string, int, bool) {
 	t.Helper()
 	lba := idx.Root
 	for hops := 1; hops <= MaxHopBudget; hops++ {
@@ -17,19 +17,19 @@ func hostTraverse(t *testing.T, d *Device, idx *Index, key []byte) ([]byte, int,
 		if c.Err != nil {
 			t.Fatal(c.Err)
 		}
-		switch s := IndexStep(key, c.Data); s.Kind {
+		switch s := IndexStep(key, string(c.Data)); s.Kind {
 		case StepNext:
 			lba = s.NextLBA
 		case StepDone:
 			return s.Value, hops, true
 		case StepMiss:
-			return nil, hops, false
+			return "", hops, false
 		default:
 			t.Fatalf("corrupt verdict at LBA %d", lba)
 		}
 	}
 	t.Fatal("traversal did not terminate")
-	return nil, 0, false
+	return "", 0, false
 }
 
 func TestIndexBuildShapes(t *testing.T) {
@@ -62,7 +62,7 @@ func TestIndexBuildShapes(t *testing.T) {
 		// Every key resolves in exactly Levels hops.
 		for i := 0; i < tc.keys; i++ {
 			v, hops, ok := hostTraverse(t, d, idx, []byte(fmt.Sprintf("k%05d", i)))
-			if !ok || !bytes.Equal(v, []byte(fmt.Sprintf("v%d", i))) {
+			if !ok || v != fmt.Sprintf("v%d", i) {
 				t.Fatalf("%d keys: key %d -> %q ok=%v", tc.keys, i, v, ok)
 			}
 			if hops != idx.Levels {
@@ -93,7 +93,7 @@ func TestIndexDuplicateKeysLastWins(t *testing.T) {
 		t.Fatalf("NumKeys = %d, want 2 after dedupe", idx.NumKeys)
 	}
 	v, _, ok := hostTraverse(t, d, idx, []byte("a"))
-	if !ok || string(v) != "new" {
+	if !ok || v != "new" {
 		t.Fatalf("a -> %q ok=%v, want the last value", v, ok)
 	}
 }
@@ -125,7 +125,7 @@ func TestIndexStepRejectsDamage(t *testing.T) {
 		t.Fatal(c.Err)
 	}
 	good := append([]byte(nil), c.Data...)
-	if s := IndexStep([]byte("key-0000"), good); s.Kind == StepCorrupt {
+	if s := IndexStep([]byte("key-0000"), string(good)); s.Kind == StepCorrupt {
 		t.Fatal("pristine node rejected")
 	}
 	// Damage every byte of the header region in turn; magic, level, or
@@ -133,18 +133,18 @@ func TestIndexStepRejectsDamage(t *testing.T) {
 	for off := 0; off < 4; off++ {
 		bad := append([]byte(nil), good...)
 		bad[off] ^= 0xFF
-		if s := IndexStep([]byte("key-0000"), bad); s.Kind != StepCorrupt {
+		if s := IndexStep([]byte("key-0000"), string(bad)); s.Kind != StepCorrupt {
 			t.Fatalf("bad magic byte %d accepted: kind %d", off, s.Kind)
 		}
 	}
 	// Truncated block.
-	if s := IndexStep([]byte("key-0000"), good[:4]); s.Kind != StepCorrupt {
+	if s := IndexStep([]byte("key-0000"), string(good[:4])); s.Kind != StepCorrupt {
 		t.Fatal("truncated block accepted")
 	}
 	// Entry count beyond the packed data walks off the block.
 	bad := append([]byte(nil), good...)
 	bad[6], bad[7] = 0xFF, 0xFF
-	if s := IndexStep([]byte("key-0000"), bad); s.Kind != StepCorrupt {
+	if s := IndexStep([]byte("key-0000"), string(bad)); s.Kind != StepCorrupt {
 		t.Fatal("inflated nKeys accepted")
 	}
 }

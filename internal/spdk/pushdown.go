@@ -72,22 +72,23 @@ const (
 type Step struct {
 	Kind    StepKind
 	NextLBA int
-	// Value is the emitted result for StepDone. It may alias the block
-	// buffer; the engine surfaces it before recycling the block.
-	Value []byte
+	// Value is the emitted result for StepDone. It may be a substring
+	// of the block: blocks are immutable, so it stays valid.
+	Value string
 }
 
 // Prog is a sandboxed pushdown program: a pure function from (key,
-// block) to a verdict. It must not retain the block slice — the engine
-// recycles it after the step — and must not block; the admission check
-// cannot verify purity (this is a simulation, not a verifier), but the
-// engine re-validates every verdict, so a misbehaving program can waste
-// its own hop budget and nothing else.
+// block) to a verdict. The block is the media block itself, handed over
+// as a string so the program cannot write it; it never changes, so the
+// program may keep it or any part of it. A program must not block; the
+// admission check cannot verify purity (this is a simulation, not a
+// verifier), but the engine re-validates every verdict, so a
+// misbehaving program can waste its own hop budget and nothing else.
 type Prog interface {
 	// Name identifies the program in telemetry and errors.
 	Name() string
 	// Step inspects one block and decides what happens next.
-	Step(key, block []byte) Step
+	Step(key []byte, block string) Step
 }
 
 // PushdownConfig bounds one installed program.
@@ -138,10 +139,9 @@ type progSlot struct {
 
 // LookupResult is the single completion a pushdown traversal surfaces.
 type LookupResult struct {
-	// Value holds the found value. It aliases device memory and is valid
-	// only for the duration of the completion callback (the DMA window);
-	// copy it out to keep it.
-	Value []byte
+	// Value holds the found value. It is immutable and may be kept
+	// past the completion callback.
+	Value string
 	// Found distinguishes a clean miss (Err == nil, Found == false) from
 	// a hit.
 	Found bool
@@ -260,9 +260,7 @@ func (t *traversal) step(c Completion) {
 	t.cost += c.Cost
 	if c.Err != nil {
 		// The typed error completion: a reset (or injected error) ends
-		// the traversal here, hop budget accounted, block already
-		// recycled or never allocated.
-		d.recycleBlock(c.Data)
+		// the traversal here, hop budget accounted.
 		if errors.Is(c.Err, ErrDeviceReset) {
 			d.pd.resetAborts.Add(1)
 		}
@@ -272,10 +270,9 @@ func (t *traversal) step(c Completion) {
 	t.hops++
 	// The program runs at the device's offloaded per-element rate.
 	t.cost += d.model.OffloadedFilterCost()
-	s := t.prog.Step(t.key[:t.keyLen], c.Data)
+	s := t.prog.Step(t.key[:t.keyLen], c.block)
 	switch s.Kind {
 	case StepNext:
-		d.recycleBlock(c.Data)
 		if s.NextLBA < 0 || s.NextLBA >= d.cfg.NumBlocks {
 			t.finish(LookupResult{Err: fmt.Errorf("%w: next LBA %d out of range", ErrCorruptIndex, s.NextLBA)})
 			return
@@ -291,7 +288,6 @@ func (t *traversal) step(c Completion) {
 		}
 	case StepDone:
 		if len(s.Value) > MaxValueLen {
-			d.recycleBlock(c.Data)
 			t.finish(LookupResult{Err: fmt.Errorf("%w: value %d bytes", ErrCorruptIndex, len(s.Value))})
 			return
 		}
@@ -300,16 +296,11 @@ func (t *traversal) step(c Completion) {
 		// Only the final value DMAs to the host — that is the win.
 		t.cost += d.model.DMACost(len(s.Value))
 		t.finish(LookupResult{Value: s.Value, Found: true})
-		// The value may alias the block; recycle only after the
-		// callback consumed it.
-		d.recycleBlock(c.Data)
 	case StepMiss:
-		d.recycleBlock(c.Data)
 		d.pd.misses.Add(1)
 		d.pd.hopsSaved.Add(int64(t.hops - 1))
 		t.finish(LookupResult{})
 	default: // StepCorrupt and anything unrecognised
-		d.recycleBlock(c.Data)
 		d.pd.corruptBlocks.Add(1)
 		t.finish(LookupResult{Err: fmt.Errorf("%w: %q at hop %d", ErrCorruptIndex, t.prog.Name(), t.hops)})
 	}

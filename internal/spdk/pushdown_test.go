@@ -1,9 +1,9 @@
 package spdk
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"demikernel/internal/telemetry"
@@ -49,8 +49,6 @@ func runLookup(t testing.TB, d *Device, handle, root int, key []byte) LookupResu
 	var r LookupResult
 	got := false
 	err := d.SubmitLookup(handle, root, key, func(res LookupResult) {
-		// Value aliases device memory: copy before the callback returns.
-		res.Value = append([]byte(nil), res.Value...)
 		r = res
 		got = true
 	})
@@ -78,7 +76,7 @@ func TestPushdownLookupDepth3(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("key %q: %v", k, r.Err)
 		}
-		if !r.Found || !bytes.Equal(r.Value, []byte(fmt.Sprintf("val-%d", i))) {
+		if !r.Found || r.Value != fmt.Sprintf("val-%d", i) {
 			t.Fatalf("key %q: found=%v value=%q", k, r.Found, r.Value)
 		}
 		if r.Hops != idx.Levels {
@@ -132,8 +130,8 @@ func TestPushdownMiss(t *testing.T) {
 // loopProg descends forever: every block points back at itself.
 type loopProg struct{ lba int }
 
-func (p loopProg) Name() string          { return "loop" }
-func (p loopProg) Step(_, _ []byte) Step { return Step{Kind: StepNext, NextLBA: p.lba} }
+func (p loopProg) Name() string                 { return "loop" }
+func (p loopProg) Step(_ []byte, _ string) Step { return Step{Kind: StepNext, NextLBA: p.lba} }
 
 func TestPushdownHopBudgetTerminates(t *testing.T) {
 	d := newDev(Config{})
@@ -191,8 +189,8 @@ func TestPushdownCorruptBlock(t *testing.T) {
 // wildProg emits out-of-range verdicts to probe the runtime re-checks.
 type wildProg struct{ s Step }
 
-func (p wildProg) Name() string          { return "wild" }
-func (p wildProg) Step(_, _ []byte) Step { return p.s }
+func (p wildProg) Name() string                 { return "wild" }
+func (p wildProg) Step(_ []byte, _ string) Step { return p.s }
 
 func TestPushdownRuntimeValidation(t *testing.T) {
 	d := newDev(Config{NumBlocks: 64})
@@ -202,7 +200,7 @@ func TestPushdownRuntimeValidation(t *testing.T) {
 		t.Fatalf("wild next: err = %v", r.Err)
 	}
 	// Oversized value: rejected.
-	h2, _ := d.InstallPushdown(wildProg{s: Step{Kind: StepDone, Value: make([]byte, MaxValueLen+1)}}, PushdownConfig{})
+	h2, _ := d.InstallPushdown(wildProg{s: Step{Kind: StepDone, Value: strings.Repeat("v", MaxValueLen+1)}}, PushdownConfig{})
 	if r := runLookup(t, d, h2, 0, []byte("k")); !errors.Is(r.Err, ErrCorruptIndex) {
 		t.Fatalf("wild value: err = %v", r.Err)
 	}
@@ -314,31 +312,100 @@ func TestExecuteSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// The full device-side GET is allocation-free once warm: pooled
-// traversals, pooled staging blocks, reused continuation batches.
-func TestPushdownLookupSteadyStateAllocFree(t *testing.T) {
-	d := newDev(Config{})
-	idx, keys := buildTestIndex(t, d, 2)
+// steadyGet builds a depth-deep index on d, installs the index program
+// and returns its keys and a GET that drives one pushdown lookup to its
+// hit with no allocation of its own.
+func steadyGet(tb testing.TB, d *Device, depth int) (func(key []byte), [][]byte) {
+	idx, keys := buildTestIndex(tb, d, depth)
 	h, _ := d.InstallPushdown(IndexProg{}, PushdownConfig{})
 	var r LookupResult
 	got := false
 	done := func(res LookupResult) { r = res; got = true }
-	run := func() {
+	return func(key []byte) {
 		got = false
-		if err := d.SubmitLookup(h, idx.Root, keys[1], done); err != nil {
-			t.Fatal(err)
+		if err := d.SubmitLookup(h, idx.Root, key, done); err != nil {
+			tb.Fatal(err)
 		}
 		for !got {
 			d.Pump()
 		}
 		if r.Err != nil || !r.Found {
-			t.Fatalf("err=%v found=%v", r.Err, r.Found)
+			tb.Fatalf("key %q: err=%v found=%v", key, r.Err, r.Found)
 		}
-	}
+	}, keys
+}
+
+// The full device-side GET is allocation-free once warm: pooled
+// traversals, blocks read in place, reused continuation batches.
+func TestPushdownLookupSteadyStateAllocFree(t *testing.T) {
+	d := newDev(Config{})
+	get, keys := steadyGet(t, d, 2)
+	run := func() { get(keys[1]) }
 	run() // warm pools
 	avg := testing.AllocsPerRun(100, run)
 	if avg != 0 {
 		t.Fatalf("pushdown GET allocates %v/op in steady state, want 0", avg)
+	}
+}
+
+// BenchmarkSPDK_PushdownGet is one pushdown GET over a depth-4 index,
+// from SubmitLookup to its single completion, driven by the device pump
+// alone. hops/op is the block reads per GET (5); an allocation fails it.
+func BenchmarkSPDK_PushdownGet(b *testing.B) {
+	d := newDev(Config{})
+	get, keys := steadyGet(b, d, 4)
+	if a := testing.AllocsPerRun(100, func() { get(keys[1]) }); a != 0 {
+		b.Fatalf("%v allocs per GET", a)
+	}
+	reads := d.Stats().Reads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		get(keys[i%len(keys)])
+	}
+	b.ReportMetric(float64(d.Stats().Reads-reads)/float64(b.N), "hops/op")
+}
+
+// TestPushdownReadsBlockAsOfItsRead: a program sees its block as it was
+// when the read was processed. A write to the root, processed after the
+// lookup's root read but in the same Pump and so before the program
+// runs, does not reach that traversal; the next lookup reads the new
+// node.
+func TestPushdownReadsBlockAsOfItsRead(t *testing.T) {
+	d := newDev(Config{})
+	key := []byte("k")
+	oldIdx, err := BuildIndex(d, seqAlloc(100), []KV{{Key: key, Val: []byte("old")}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newIdx, err := BuildIndex(d, seqAlloc(200), []KV{{Key: key, Val: []byte("new")}}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRoot := d.Execute(Command{Op: OpRead, LBA: newIdx.Root})
+	if newRoot.Err != nil {
+		t.Fatal(newRoot.Err)
+	}
+	h, _ := d.InstallPushdown(IndexProg{}, PushdownConfig{})
+
+	var got []LookupResult
+	if err := d.SubmitLookup(h, oldIdx.Root, key, func(r LookupResult) { got = append(got, r) }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.submit(Command{Op: OpWrite, LBA: oldIdx.Root, Data: newRoot.Data}, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Pump(); n != 1 || len(got) != 1 {
+		t.Fatalf("one Pump ran %d continuations and finished %d lookups, want 1 and 1", n, len(got))
+	}
+	if cs := d.Poll(0); len(cs) != 1 || cs[0].Op != OpWrite || cs[0].Err != nil {
+		t.Fatalf("the write's completion = %+v", cs)
+	}
+	if r := got[0]; r.Err != nil || r.Value != "old" {
+		t.Fatalf("lookup racing the write: value %q err %v, want the old node's %q", r.Value, r.Err, "old")
+	}
+	if r := runLookup(t, d, h, oldIdx.Root, key); r.Err != nil || r.Value != "new" {
+		t.Fatalf("lookup after the write: value %q err %v, want the new node's %q", r.Value, r.Err, "new")
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"demikernel/internal/simclock"
@@ -67,8 +68,12 @@ type Completion struct {
 	Op   Op
 	LBA  int
 	Err  error
-	Data []byte // block contents for reads
+	Data []byte // block contents for host reads: the host's own DMA copy
 	Cost simclock.Lat
+
+	// block is a device-internal read's block: the media block itself,
+	// immutable.
+	block string
 }
 
 // Config describes a device.
@@ -96,8 +101,10 @@ type Device struct {
 	model *simclock.CostModel
 	cfg   Config
 
-	mu     sync.Mutex
-	blocks map[int][]byte
+	mu sync.Mutex
+	// blocks is the media. A write installs a fresh string, so an
+	// installed block never changes and a reader may keep it.
+	blocks map[int]string
 	sq     []sqe
 	nextID uint64
 	stats  Stats
@@ -118,12 +125,6 @@ type Device struct {
 	// execFree recycles Execute's wait state.
 	execFree []*execState
 
-	// blockFree recycles the one-block staging buffers of
-	// device-internal (pushdown) reads, which never escape to the host.
-	// A plain freelist under mu: unlike a sync.Pool it recycles without
-	// boxing the slice header, keeping the hop path allocation-free.
-	blockFree [][]byte
-
 	// pd is the storage-pushdown engine state (pushdown.go).
 	pd pushdownState
 
@@ -135,14 +136,19 @@ type Device struct {
 
 type sqe struct {
 	id  uint64
-	cmd Command
+	op  Op
+	lba int
+	// data is a write's block, copied at submission.
+	data string
 	// done, when non-nil, receives the completion instead of the CQ.
 	done func(Completion)
 	// internal marks a pushdown-engine read: the block stays device-side
-	// (no host DMA charged) in a pooled staging buffer that the engine
-	// recycles after inspecting it.
+	// (no host DMA charged) and the engine reads it where it lies.
 	internal bool
 }
+
+// zeroBlock is what a read of an unwritten LBA sees.
+var zeroBlock = strings.Repeat("\x00", BlockSize)
 
 type pendingCont struct {
 	fn func(Completion)
@@ -164,7 +170,7 @@ func New(model *simclock.CostModel, cfg Config) *Device {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	return &Device{model: model, cfg: cfg, blocks: make(map[int][]byte)}
+	return &Device{model: model, cfg: cfg, blocks: make(map[int]string)}
 }
 
 // NumBlocks returns the namespace capacity in blocks.
@@ -210,12 +216,12 @@ func (d *Device) submitLocked(cmd Command, done func(Completion), internal bool)
 	}
 	d.nextID++
 	id := d.nextID
-	e := sqe{id: id, cmd: cmd, done: done, internal: internal}
+	e := sqe{id: id, op: cmd.Op, lba: cmd.LBA, done: done, internal: internal}
 	if cmd.Op == OpWrite {
 		// The device DMAs the buffer at submission; keep a copy so the
 		// caller may reuse its buffer immediately (completion-side
 		// free-protection is the libOS's job, not the device's).
-		e.cmd.Data = append([]byte(nil), cmd.Data...)
+		e.data = string(cmd.Data)
 	}
 	d.sq = append(d.sq, e)
 	return id, nil
@@ -297,7 +303,7 @@ func (d *Device) dispatch(conts []pendingCont) int {
 
 func (d *Device) processLocked() {
 	for _, e := range d.sq {
-		c := Completion{ID: e.id, Op: e.cmd.Op, LBA: e.cmd.LBA}
+		c := Completion{ID: e.id, Op: e.op, LBA: e.lba}
 		if d.downFor > 0 {
 			// Controller still re-initialising after a reset: every
 			// command aborts without touching media.
@@ -315,46 +321,35 @@ func (d *Device) processLocked() {
 			d.completeLocked(e, c)
 			continue
 		}
-		switch e.cmd.Op {
+		switch e.op {
 		case OpRead:
-			if e.cmd.LBA < 0 || e.cmd.LBA >= d.cfg.NumBlocks {
+			if e.lba < 0 || e.lba >= d.cfg.NumBlocks {
 				c.Err = ErrOutOfRange
 			} else {
 				d.stats.Reads++
-				blk := d.blocks[e.cmd.LBA]
+				blk, ok := d.blocks[e.lba]
+				if !ok {
+					blk = zeroBlock
+				}
 				if e.internal {
 					// Pushdown-internal read: the block stays on the
-					// device (no host DMA) in a pooled staging buffer
-					// the engine recycles after inspection.
-					var data []byte
-					if n := len(d.blockFree); n > 0 {
-						data = d.blockFree[n-1]
-						d.blockFree = d.blockFree[:n-1]
-					} else {
-						data = make([]byte, BlockSize)
-					}
-					if len(blk) > 0 {
-						copy(data, blk)
-					} else {
-						clear(data)
-					}
-					c.Data = data
+					// device (no host DMA) and the program reads it in
+					// place.
+					c.block = blk
 					c.Cost = d.model.NVMeReadNS
 				} else {
 					d.stats.DMABytes += BlockSize
-					data := make([]byte, BlockSize)
-					copy(data, blk)
-					c.Data = data
+					c.Data = []byte(blk)
 					c.Cost = d.model.NVMeReadNS + d.model.DMACost(BlockSize)
 				}
 			}
 		case OpWrite:
-			if e.cmd.LBA < 0 || e.cmd.LBA >= d.cfg.NumBlocks {
+			if e.lba < 0 || e.lba >= d.cfg.NumBlocks {
 				c.Err = ErrOutOfRange
 			} else {
 				d.stats.Writes++
 				d.stats.DMABytes += BlockSize
-				d.blocks[e.cmd.LBA] = e.cmd.Data
+				d.blocks[e.lba] = e.data
 				c.Cost = d.model.NVMeWriteNS + d.model.DMACost(BlockSize)
 			}
 		case OpFlush:
@@ -377,17 +372,6 @@ func (d *Device) completeLocked(e sqe, c Completion) {
 		return
 	}
 	d.cq = append(d.cq, c)
-}
-
-// recycleBlock returns a pushdown staging buffer to the freelist. Safe
-// on nil (aborted commands carry no data).
-func (d *Device) recycleBlock(b []byte) {
-	if len(b) != BlockSize {
-		return
-	}
-	d.mu.Lock()
-	d.blockFree = append(d.blockFree, b)
-	d.mu.Unlock()
 }
 
 // Execute submits cmd and pumps the device until its completion arrives,
@@ -436,7 +420,7 @@ func (d *Device) putExecState(st *execState) {
 func (d *Device) Reset() {
 	d.mu.Lock()
 	d.abortInflightLocked()
-	d.blocks = make(map[int][]byte)
+	d.blocks = make(map[int]string)
 	conts := d.takeContsLocked()
 	d.mu.Unlock()
 	d.dispatch(conts)
@@ -464,7 +448,7 @@ func (d *Device) ControllerReset(downFor int) {
 func (d *Device) abortInflightLocked() {
 	for _, e := range d.sq {
 		d.stats.Errors++
-		d.completeLocked(e, Completion{ID: e.id, Op: e.cmd.Op, LBA: e.cmd.LBA, Err: ErrDeviceReset})
+		d.completeLocked(e, Completion{ID: e.id, Op: e.op, LBA: e.lba, Err: ErrDeviceReset})
 	}
 	d.sq = d.sq[:0]
 }
