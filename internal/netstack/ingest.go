@@ -50,9 +50,11 @@ func (s *Stack) ingestLocked(burst []fabric.Frame) {
 
 // chainLocked adds frame i of burst to the open chain, or flushes that and
 // opens one with it, when it is an intact data segment of an established
-// connection with no SYN, FIN or RST; it reports false, leaving the frame
-// be, for every other. A chain's frames are adjacent in its burst: every
-// frame that does not join it flushes it first.
+// connection with no SYN, FIN or RST, whose peer has not sent its FIN (text
+// past a FIN is dropped segment by segment, as without offloads); it
+// reports false, leaving the frame be, for every other. A chain's frames
+// are adjacent in its burst: every frame that does not join it flushes it
+// first.
 func (s *Stack) chainLocked(burst []fabric.Frame, i int) bool {
 	f := &burst[i]
 	if !s.offloads || f.Csum() != fabric.CsumGood || len(f.Data) < ethHdrLen ||
@@ -72,7 +74,7 @@ func (s *Stack) chainLocked(burst []fabric.Frame, i int) bool {
 	if ch.c == nil || ch.c.key != key || seg.seq != ch.next || seg.ack != ch.seg.ack || seg.window != ch.seg.window {
 		s.flushChainLocked()
 		c, ok := s.conns[key]
-		if !ok || c.state != stateEstablished {
+		if !ok || c.state != stateEstablished || c.peerFinRcvd {
 			return false
 		}
 		ch.c, ch.h, ch.seg, ch.burst, ch.from = c, h, seg, burst, i

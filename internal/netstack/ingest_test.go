@@ -214,8 +214,9 @@ func (o ingestOutcome) String() string {
 // hold no frame afterwards. Each must deliver the peer's stream as sent,
 // and nothing past a FIN it took. The committed corpus holds an in-order
 // 16 KiB burst, an out-of-order one, a FIN amid a burst, a burst past the
-// receive window, one whose FIN's text the window cuts short, and bursts
-// with a corrupted frame.
+// receive window, one whose FIN's text the window cuts short, a FIN
+// followed by a chain that starts just before its sequence number, and
+// bursts with a corrupted frame.
 func FuzzIngest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var outs [2]ingestOutcome
@@ -244,9 +245,10 @@ func FuzzIngest(f *testing.F) {
 }
 
 // TestNoDataPastFIN: the peer's stream ends at its FIN. Text that arrives
-// after it — a segment starting at the FIN's own sequence number, or one
-// stashed out of order just past it — is dropped and answered with an ACK
-// of the FIN, on both receive paths.
+// after it — a segment starting at the FIN's own sequence number, one
+// stashed out of order just past it, or a chain of segments (LRO) that
+// follows it — is dropped and answered with an ACK of the FIN, on both
+// receive paths.
 func TestNoDataPastFIN(t *testing.T) {
 	// Each case is the bursts the peer sends: fin is 500 bytes and a FIN,
 	// at the stream's start, so the FIN's sequence number is seq+500.
@@ -259,6 +261,15 @@ func TestNoDataPastFIN(t *testing.T) {
 		}},
 		{"stash past the FIN", func(r *ingestRig, fin fabric.Frame) [][]fabric.Frame {
 			return [][]fabric.Frame{{r.frame(flagACK, r.seq+501, r.ack, 0, ingestStream(r.seq+501, 500))}, {fin}}
+		}},
+		// The later burst is one chain: its first segment ends at the
+		// FIN's next sequence number, so the rest look in order.
+		{"chain after the FIN", func(r *ingestRig, fin fabric.Frame) [][]fabric.Frame {
+			return [][]fabric.Frame{{fin}, {
+				r.frame(flagACK, r.seq+401, r.ack, 0, ingestStream(r.seq+401, 100)),
+				r.frame(flagACK, r.seq+501, r.ack, 0, ingestStream(r.seq+501, 500)),
+				r.frame(flagACK, r.seq+1001, r.ack, 0, ingestStream(r.seq+1001, 500)),
+			}}
 		}},
 	} {
 		for _, offloads := range []bool{true, false} {
