@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,18 +23,35 @@ var callerlessExports = map[string]string{
 
 // TestEveryExportHasACaller fails on any exported function, or exported
 // method of an exported type, declared in a non-test file outside
-// benchmark/ whose name is mentioned nowhere else: not in a non-test file
-// of the module (benchmark/ included) outside the declaration itself, and
-// not in a _test.go file of another directory. A name only its own
-// package's tests use is code the product never runs. The scan is by
-// name, so it is coarse: a name shared with anything else passes.
+// benchmark/ that nothing calls outside its own package's tests. A name
+// only its own package's tests use is code the product never runs.
+//
+// A package-level function F of package p counts as called where it is
+// written as <name>.F in a file that imports p under that name, or as a
+// bare F inside p: in a non-test file of the module (benchmark/
+// included), or in a _test.go file of another directory. A method is
+// matched by name alone, so it is coarse: a method name mentioned
+// anywhere else passes.
 func TestEveryExportHasACaller(t *testing.T) {
 	type decl struct {
 		key, dir, name string
+		method         bool
 	}
 	var decls []decl
-	prodUses := map[string]int{}             // name -> mentions in non-test files
-	testDirs := map[string]map[string]bool{} // name -> directories of test files mentioning it
+	// A method is keyed by its name, a package-level function F of the
+	// package in dir by dir.F.
+	prodUses := map[string]bool{}            // key -> used in a non-test file
+	testDirs := map[string]map[string]bool{} // key -> directories of test files using it
+	use := func(key, dir string, isTest bool) {
+		if !isTest {
+			prodUses[key] = true
+			return
+		}
+		if testDirs[key] == nil {
+			testDirs[key] = map[string]bool{}
+		}
+		testDirs[key][dir] = true
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -54,6 +72,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
 		isTest := strings.HasSuffix(path, "_test.go")
+		imports := moduleImports(f) // import name -> package dir
 		for _, top := range f.Decls {
 			// A declaration's mentions of its own name (recursion, a
 			// delegating method of the same name) do not count.
@@ -62,24 +81,31 @@ func TestEveryExportHasACaller(t *testing.T) {
 				self = fn.Name.Name
 				if !isTest && dir != "benchmark" && !strings.HasPrefix(dir, "benchmark/") &&
 					fn.Name.IsExported() && recvExported(fn) {
-					decls = append(decls, decl{funcKey(dir, fn), dir, self})
+					decls = append(decls, decl{funcKey(dir, fn), dir, self, fn.Recv != nil})
 				}
 			}
-			ast.Inspect(top, func(n ast.Node) bool {
-				id, ok := n.(*ast.Ident)
-				if !ok || id.Name == self {
-					return true
-				}
-				if isTest {
-					if testDirs[id.Name] == nil {
-						testDirs[id.Name] = map[string]bool{}
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					// x.F is a qualified call when x names an import,
+					// and never a bare F.
+					if pkg, ok := sel.X.(*ast.Ident); ok && imports[pkg.Name] != "" {
+						use(imports[pkg.Name]+"."+sel.Sel.Name, dir, isTest)
+					} else {
+						ast.Inspect(sel.X, visit)
 					}
-					testDirs[id.Name][dir] = true
-				} else {
-					prodUses[id.Name]++
+					if sel.Sel.Name != self {
+						use(sel.Sel.Name, dir, isTest)
+					}
+					return false
+				}
+				if id, ok := n.(*ast.Ident); ok && id.Name != self {
+					use(id.Name, dir, isTest)
+					use(dir+"."+id.Name, dir, isTest)
 				}
 				return true
-			})
+			}
+			ast.Inspect(top, visit)
 		}
 		return nil
 	})
@@ -88,11 +114,15 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	var orphans []string
 	for _, d := range decls {
-		if prodUses[d.name] > 0 || callerlessExports[d.key] != "" {
+		if callerlessExports[d.key] != "" {
 			continue
 		}
-		used := false
-		for dir := range testDirs[d.name] {
+		key := d.name
+		if !d.method {
+			key = d.dir + "." + d.name
+		}
+		used := prodUses[key]
+		for dir := range testDirs[key] {
 			used = used || dir != d.dir
 		}
 		if !used {
@@ -107,6 +137,27 @@ func TestEveryExportHasACaller(t *testing.T) {
 	if len(callerlessExports) > 6 {
 		t.Errorf("%d allowlisted exports; at most 6", len(callerlessExports))
 	}
+}
+
+// moduleImports maps the name each of f's imports of this module's
+// packages goes by in f to the package's directory ("." for the root).
+func moduleImports(f *ast.File) map[string]string {
+	out := map[string]string{}
+	for _, imp := range f.Imports {
+		p, err := strconv.Unquote(imp.Path.Value)
+		if err != nil || (p != "demikernel" && !strings.HasPrefix(p, "demikernel/")) {
+			continue
+		}
+		name := p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		out[name] = strings.TrimPrefix(strings.TrimPrefix(p, "demikernel"), "/")
+		if out[name] == "" {
+			out[name] = "."
+		}
+	}
+	return out
 }
 
 // wallClockSites are the only places outside benchmark/,

@@ -123,13 +123,20 @@ func TestEpollThunderingHerd(t *testing.T) {
 	k.WritePipe(w, []byte("one event"), 0)
 	k.refreshReadiness(ep) // event delivery: wakes the whole herd
 
-	// Exactly one waiter should win; release the rest via Close.
+	// Exactly one waiter should win. Close only once every waiter has
+	// recorded its wakeup: a loser that wakes to a closed instance does
+	// not count its wakeup as wasted.
 	deadline := time.Now().Add(2 * time.Second)
-	for winners.Load() == 0 && time.Now().Before(deadline) {
+	for k.Counters().Wakeups < nWaiters && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
+	woken := k.Counters()
 	ep.Close()
 	wg.Wait()
+	if woken.Wakeups < nWaiters {
+		t.Fatalf("after 2s: Wakeups = %d, WastedWakeups = %d, want %d woken before Close",
+			woken.Wakeups, woken.WastedWakeups, nWaiters)
+	}
 	if winners.Load() != 1 {
 		t.Fatalf("winners = %d, want 1", winners.Load())
 	}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"demikernel/internal/offload"
 	"demikernel/internal/queue"
 	"demikernel/internal/sga"
 	"demikernel/internal/simclock"
@@ -18,16 +17,16 @@ import (
 // one app↔libOS round trip. Legacy per-record access (Open's file
 // queues) is untouched.
 //
-// Two modes, one offload.BlockLookupSpec:
+// Two modes, one program (spdk.Prog) and one traversal:
 //
-//   - Pushdown: the spec's device program runs in the NVMe completion
-//     path; intermediate hops resubmit device-side and only the final
-//     value (or one typed error) crosses back. One device crossing per
-//     GET, whatever the depth.
-//   - Host fallback: the spec's CPU step runs in the libOS over each
-//     surfaced block — today's status quo, one device round trip per
-//     hop. Same results, byte for byte; the property test holds both
-//     sides to that.
+//   - Pushdown: the program runs in the NVMe completion path;
+//     intermediate hops resubmit device-side and only the final value
+//     (or one typed error) crosses back. One device crossing per GET,
+//     whatever the depth.
+//   - Host fallback: the program runs in the libOS over each surfaced
+//     block — today's status quo, one device round trip per hop. The
+//     device's traversal drives it (spdk.Device.HostLookup) under the
+//     same rules, so the results are the same, byte for byte.
 //
 // Lookups are not retried on transient device errors: unlike a blob
 // append, a half-done traversal has no idempotent tail to re-run, so a
@@ -36,11 +35,9 @@ import (
 
 // LookupConfig configures OpenLookup.
 type LookupConfig struct {
-	// Pushdown installs the spec's device program and runs lookups in
-	// the completion path; false runs the spec's host step per block.
+	// Pushdown installs the program into the device and runs lookups in
+	// the completion path; false runs it on the host per block.
 	Pushdown bool
-	// MaxHops bounds the traversal (0 = spdk.DefaultMaxHops).
-	MaxHops int
 }
 
 // LookupStats counts one queue's crossings.
@@ -85,18 +82,14 @@ func (t *Transport) BuildIndex(kvs []spdk.KV, fanout int) (*spdk.Index, error) {
 	return idx, err
 }
 
-// OpenLookup opens a PushPop lookup face over idx using spec. With
-// cfg.Pushdown the spec's device program is installed into the device's
-// pushdown slot table; otherwise every lookup runs the spec's host step
-// per surfaced block.
-func (t *Transport) OpenLookup(idx *spdk.Index, spec offload.BlockLookupSpec, cfg LookupConfig) (*LookupQueue, error) {
-	if cfg.MaxHops == 0 {
-		cfg.MaxHops = spdk.DefaultMaxHops
-	}
-	q := &LookupQueue{t: t, idx: idx, spec: spec, cfg: cfg, handle: -1}
+// OpenLookup opens a PushPop lookup face over idx that runs prog. With
+// cfg.Pushdown prog is installed into the device's pushdown slot table;
+// otherwise every lookup runs it on the host per surfaced block.
+func (t *Transport) OpenLookup(idx *spdk.Index, prog spdk.Prog, cfg LookupConfig) (*LookupQueue, error) {
+	q := &LookupQueue{t: t, idx: idx, prog: prog, handle: -1}
 	q.onResult = q.deliver
 	if cfg.Pushdown {
-		h, err := spec.Install(t.dev, spdk.PushdownConfig{MaxHops: cfg.MaxHops})
+		h, err := t.dev.InstallPushdown(prog)
 		if err != nil {
 			return nil, err
 		}
@@ -112,8 +105,7 @@ func (t *Transport) OpenLookup(idx *spdk.Index, spec offload.BlockLookupSpec, cf
 type LookupQueue struct {
 	t      *Transport
 	idx    *spdk.Index
-	spec   offload.BlockLookupSpec
-	cfg    LookupConfig
+	prog   spdk.Prog
 	handle int
 
 	onResult func(spdk.LookupResult)
@@ -165,53 +157,12 @@ func (q *LookupQueue) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 		done(queue.Completion{Kind: queue.OpPush, Cost: cost})
 		return
 	}
-	q.t.dev.NoteHostFallback()
-	r := q.hostLookup(key)
+	r, reads := q.t.dev.HostLookup(q.prog, q.idx.Root, key)
+	q.crossings.Add(int64(reads))
+	q.fallbackHops.Add(int64(reads))
 	s.Free()
 	done(queue.Completion{Kind: queue.OpPush, Cost: cost})
 	q.deliver(r)
-}
-
-// hostLookup is the CPU fallback: the same traversal the device program
-// performs, but every block surfaces to the host — one device round
-// trip (submit→complete→consume) and one host filter step per hop.
-func (q *LookupQueue) hostLookup(key []byte) spdk.LookupResult {
-	var r spdk.LookupResult
-	lba := q.idx.Root
-	for {
-		if r.Hops >= q.cfg.MaxHops {
-			r.Err = spdk.ErrHopBudget
-			return r
-		}
-		q.crossings.Add(1)
-		q.fallbackHops.Add(1)
-		c := q.t.dev.Execute(spdk.Command{Op: spdk.OpRead, LBA: lba})
-		r.Cost += c.Cost
-		if c.Err != nil {
-			r.Err = c.Err
-			return r
-		}
-		r.Hops++
-		r.Cost += q.t.model.FilterNS // the step runs at host rate
-		s := q.spec.Host(key, c.Data)
-		switch s.Kind {
-		case spdk.StepNext:
-			if s.NextLBA < 0 || s.NextLBA >= q.t.dev.NumBlocks() {
-				r.Err = spdk.ErrCorruptIndex
-				return r
-			}
-			lba = s.NextLBA
-		case spdk.StepDone:
-			r.Value = s.Value
-			r.Found = true
-			return r
-		case spdk.StepMiss:
-			return r
-		default:
-			r.Err = spdk.ErrCorruptIndex
-			return r
-		}
-	}
 }
 
 // deliver answers the oldest parked Pop with one finished lookup, or holds

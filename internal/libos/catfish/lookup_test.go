@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,7 +87,7 @@ func TestLookupQueueModesAgree(t *testing.T) {
 	kvs := testPairs(32) // depth 4 at fanout 2
 	tr1, dev1 := newTransport(t)
 	pd, idx := openLookup(t, tr1, kvs, LookupConfig{Pushdown: true})
-	tr2, _ := newTransport(t)
+	tr2, dev2 := newTransport(t)
 	host, idx2 := openLookup(t, tr2, kvs, LookupConfig{Pushdown: false})
 	if idx.Levels != idx2.Levels {
 		t.Fatalf("index shapes differ: %d vs %d levels", idx.Levels, idx2.Levels)
@@ -122,6 +123,10 @@ func TestLookupQueueModesAgree(t *testing.T) {
 	if st := dev1.PushdownStats(); st.Inflight != 0 {
 		t.Fatalf("inflight = %d after drain", st.Inflight)
 	}
+	// Host-mode GETs move no pushdown counter but the fallback count.
+	if st := dev2.PushdownStats(); st != (spdk.PushdownStats{HostFallbacks: n}) {
+		t.Fatalf("host-mode pushdown counters = %+v, want only HostFallbacks %d", st, n)
+	}
 	// No storage buffers leaked by either mode.
 	if out := tr1.Pool().Outstanding(); out != 0 {
 		t.Fatalf("pushdown transport leaks %d pooled buffers", out)
@@ -156,6 +161,39 @@ func TestLookupQueueClosedAndUninstall(t *testing.T) {
 	err := dev.SubmitLookup(0, idx.Root, []byte("k"), func(spdk.LookupResult) {})
 	if !errors.Is(err, spdk.ErrNoProg) {
 		t.Fatalf("slot not uninstalled: %v", err)
+	}
+}
+
+// verdictProg gives one verdict on every block.
+type verdictProg spdk.Step
+
+func (p verdictProg) Name() string                      { return "verdict" }
+func (p verdictProg) Step(_ []byte, _ string) spdk.Step { return spdk.Step(p) }
+
+// TestLookupQueueRulesHoldInBothModes: the device holds a program's
+// verdicts to one set of rules wherever the program runs. A value longer
+// than spdk.MaxValueLen and a next LBA outside the device each fail the
+// GET with spdk.ErrCorruptIndex, pushed down or on the host.
+func TestLookupQueueRulesHoldInBothModes(t *testing.T) {
+	for _, pushdown := range []bool{true, false} {
+		tr, dev := newTransport(t)
+		idx, err := tr.BuildIndex(testPairs(8), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prog := range []verdictProg{
+			{Kind: spdk.StepDone, Value: strings.Repeat("v", spdk.MaxValueLen+1)},
+			{Kind: spdk.StepNext, NextLBA: dev.NumBlocks()},
+		} {
+			q, err := tr.OpenLookup(idx, prog, LookupConfig{Pushdown: pushdown})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, err := get(t, tr, q, []byte("key-0001")); !errors.Is(err, spdk.ErrCorruptIndex) {
+				t.Fatalf("pushdown %v, verdict %d: %d bytes, err %v; want ErrCorruptIndex", pushdown, prog.Kind, len(v), err)
+			}
+			q.Close()
+		}
 	}
 }
 
@@ -408,40 +446,43 @@ func TestBuildIndexRetryLeaksNoBlocks(t *testing.T) {
 }
 
 // The steady-state GET through the whole catfish face is allocation
-// free at every index depth: pooled key staging, pooled value buffers,
-// recycled results and traversals.
+// free in both modes at every index depth: pooled key staging, pooled
+// value buffers, recycled results and traversals, and host reads that
+// hand the program the media block instead of a copy.
 func TestLookupQueueSteadyStateAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc fences are not meaningful under -race (sync.Pool drops Puts)")
 	}
-	for _, depth := range []int{1, 2, 4, 8} {
-		tr, _ := newTransport(t)
-		q, idx := openLookup(t, tr, testPairs(1<<(depth+1)), LookupConfig{Pushdown: true}) // fanout 2
-		if idx.Depth != depth {
-			t.Fatalf("index depth = %d, want %d", idx.Depth, depth)
-		}
-		key := []byte("key-0003")
-		var res queue.Completion
-		got := false
-		popDone := func(c queue.Completion) { res = c; got = true }
-		pushDone := func(c queue.Completion) {}
-		run := func() {
-			got = false
-			ks := tr.AllocSGA(len(key))
-			copy(ks.Segments[0].Buf, key)
-			q.Push(ks, 0, pushDone)
-			q.Pop(popDone)
-			for !got {
-				tr.Poll()
+	for _, pushdown := range []bool{true, false} {
+		for _, depth := range []int{1, 2, 4, 8} {
+			tr, _ := newTransport(t)
+			q, idx := openLookup(t, tr, testPairs(1<<(depth+1)), LookupConfig{Pushdown: pushdown}) // fanout 2
+			if idx.Depth != depth {
+				t.Fatalf("index depth = %d, want %d", idx.Depth, depth)
 			}
-			if res.Err != nil {
-				t.Fatal(res.Err)
+			key := []byte("key-0003")
+			var res queue.Completion
+			got := false
+			popDone := func(c queue.Completion) { res = c; got = true }
+			pushDone := func(c queue.Completion) {}
+			run := func() {
+				got = false
+				ks := tr.AllocSGA(len(key))
+				copy(ks.Segments[0].Buf, key)
+				q.Push(ks, 0, pushDone)
+				q.Pop(popDone)
+				for !got {
+					tr.Poll()
+				}
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				res.SGA.Free()
 			}
-			res.SGA.Free()
-		}
-		run() // warm every pool
-		if avg := testing.AllocsPerRun(200, run); avg != 0 {
-			t.Fatalf("depth %d: steady-state GET allocates %v/op, want 0", depth, avg)
+			run() // warm every pool
+			if avg := testing.AllocsPerRun(200, run); avg != 0 {
+				t.Fatalf("pushdown %v, depth %d: steady-state GET allocates %v/op, want 0", pushdown, depth, avg)
+			}
 		}
 	}
 }

@@ -5,17 +5,105 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"demikernel/internal/simclock"
 	"demikernel/internal/spdk"
 )
 
-// The agreement property: the host step and the device step are
-// independent decoders of the same on-block format, and a lookup must
-// return byte-identical results whichever side runs it — on pristine
-// nodes AND on corrupt ones, where "how far into the damage did you
-// read" must not leak into the verdict.
+// The agreement property: the index program (spdk.IndexStep, which
+// both lookup modes run) and hostIndexStep below are independent
+// decoders of the same on-block format, and they must return
+// byte-identical verdicts — on pristine nodes AND on corrupt ones, where
+// "how far into the damage did you read" must not leak into the verdict.
+// hostIndexStep is the oracle: it decodes the whole node into an entry
+// table and binary-searches it, where IndexStep makes one pass over the
+// block.
+
+// hostIndexStep is the oracle's step over one index node block. Same
+// verdict contract as spdk.IndexStep: any malformed block is
+// StepCorrupt; inner nodes descend to the last entry <= key; leaves
+// match exactly.
+func hostIndexStep(key, block []byte) spdk.Step {
+	entries, level, ok := parseIndexNode(block)
+	if !ok {
+		return spdk.Step{Kind: spdk.StepCorrupt}
+	}
+	// Binary search: first entry with key > target.
+	hi := sort.Search(len(entries), func(i int) bool {
+		return bytes.Compare(entries[i].key, key) > 0
+	})
+	if level == 0 {
+		if hi > 0 && bytes.Equal(entries[hi-1].key, key) {
+			return spdk.Step{Kind: spdk.StepDone, Value: string(entries[hi-1].val)}
+		}
+		return spdk.Step{Kind: spdk.StepMiss}
+	}
+	if hi == 0 {
+		return spdk.Step{Kind: spdk.StepMiss}
+	}
+	return spdk.Step{Kind: spdk.StepNext, NextLBA: entries[hi-1].child}
+}
+
+type indexEntry struct {
+	key   []byte
+	val   []byte
+	child int
+}
+
+// parseIndexNode validates and decodes one node block into an entry
+// table. The validation rules — bounds and strictly ascending key order
+// — mirror spdk.IndexStep's exactly; the agreement property depends on
+// it.
+func parseIndexNode(block []byte) (entries []indexEntry, level int, ok bool) {
+	const hdr = 8
+	if len(block) < hdr || binary.BigEndian.Uint32(block[0:4]) != 0xB7EE1DE5 {
+		return nil, 0, false
+	}
+	level = int(binary.BigEndian.Uint16(block[4:6]))
+	nKeys := int(binary.BigEndian.Uint16(block[6:8]))
+	if nKeys == 0 {
+		return nil, 0, false
+	}
+	// An entry takes at least 4 bytes, which bounds the table a corrupt
+	// count can ask for.
+	entries = make([]indexEntry, 0, min(nKeys, (len(block)-hdr)/4))
+	off := hdr
+	for i := 0; i < nKeys; i++ {
+		var e indexEntry
+		if level == 0 {
+			if off+4 > len(block) {
+				return nil, 0, false
+			}
+			klen := int(binary.BigEndian.Uint16(block[off : off+2]))
+			vlen := int(binary.BigEndian.Uint16(block[off+2 : off+4]))
+			off += 4
+			if off+klen+vlen > len(block) {
+				return nil, 0, false
+			}
+			e = indexEntry{key: block[off : off+klen], val: block[off+klen : off+klen+vlen]}
+			off += klen + vlen
+		} else {
+			if off+6 > len(block) {
+				return nil, 0, false
+			}
+			klen := int(binary.BigEndian.Uint16(block[off : off+2]))
+			child := int(binary.BigEndian.Uint32(block[off+2 : off+6]))
+			off += 6
+			if off+klen > len(block) {
+				return nil, 0, false
+			}
+			e = indexEntry{key: block[off : off+klen], child: child}
+			off += klen
+		}
+		if i > 0 && bytes.Compare(entries[i-1].key, e.key) >= 0 {
+			return nil, 0, false
+		}
+		entries = append(entries, e)
+	}
+	return entries, level, true
+}
 
 func stepsEqual(a, b spdk.Step) bool {
 	if a.Kind != b.Kind {
@@ -109,10 +197,10 @@ func sortKeys(keys [][]byte) {
 
 func checkAgreement(t *testing.T, tag string, key, block []byte) {
 	t.Helper()
-	dev := spdk.IndexStep(key, string(block))
-	host := hostIndexStep(key, block)
-	if !stepsEqual(dev, host) {
-		t.Fatalf("%s: device %+v != host %+v (key %x)", tag, dev, host, key)
+	prog := spdk.IndexStep(key, string(block))
+	oracle := hostIndexStep(key, block)
+	if !stepsEqual(prog, oracle) {
+		t.Fatalf("%s: program %+v != oracle %+v (key %x)", tag, prog, oracle, key)
 	}
 }
 
@@ -176,7 +264,7 @@ func TestIndexStepAgreementGarbage(t *testing.T) {
 }
 
 // End-to-end: a full traversal over a built index returns byte-identical
-// results through the canonical device step and the host decoder.
+// results through the index program and the oracle.
 func TestIndexLookupEndToEndAgreement(t *testing.T) {
 	model := simclock.Datacenter2019()
 	dev := spdk.New(&model, spdk.Config{})
@@ -193,10 +281,9 @@ func TestIndexLookupEndToEndAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := IndexLookup()
 	traverse := func(step func(key, block []byte) spdk.Step, key []byte) (string, bool) {
 		lba := idx.Root
-		for hops := 0; hops < spdk.MaxHopBudget; hops++ {
+		for hops := 0; hops < spdk.MaxHops; hops++ {
 			c := dev.Execute(spdk.Command{Op: spdk.OpRead, LBA: lba})
 			if c.Err != nil {
 				t.Fatal(c.Err)
@@ -219,22 +306,19 @@ func TestIndexLookupEndToEndAgreement(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		probe = append(probe, []byte(fmt.Sprintf("user:%04d", i*3)))
 	}
-	// The device reads the media block in place; the host reads its own
-	// DMA copy of it.
-	device := func(key, block []byte) spdk.Step { return spec.Device.Step(key, string(block)) }
+	prog := func(key, block []byte) spdk.Step { return IndexLookup().Step(key, string(block)) }
 	for _, key := range probe {
-		dv, dok := traverse(device, key)
-		hv, hok := traverse(spec.Host, key)
-		if dok != hok || dv != hv {
-			t.Fatalf("key %q: device (%q,%v) != host (%q,%v)", key, dv, dok, hv, hok)
+		pv, pok := traverse(prog, key)
+		ov, ook := traverse(hostIndexStep, key)
+		if pok != ook || pv != ov {
+			t.Fatalf("key %q: program (%q,%v) != oracle (%q,%v)", key, pv, pok, ov, ook)
 		}
 	}
 }
 
 // FuzzIndexStep is the agreement property under a fuzzer: on any key and
-// block, the device step reading the block as media and the host decoder
-// reading its own copy give the same verdict, the same next LBA and the
-// same value bytes. The committed corpus holds a leaf, an inner node, a
+// block, the index program and the oracle give the same verdict, the
+// same next LBA and the same value bytes. The committed corpus holds a leaf, an inner node, a
 // truncated entry, keys out of order, a bad magic and a node of no keys.
 func FuzzIndexStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key, block []byte) {

@@ -61,14 +61,13 @@ type Index struct {
 	BuildCost simclock.Lat
 }
 
-// IndexStep is the canonical lookup step over one node block: the
-// reference the device program wraps and the host fallback must agree
-// with byte-for-byte (offload.BlockLookupSpec property-tests that).
+// IndexStep is the lookup step over one node block, the only decoder of
+// the node format: IndexProg runs it in both lookup modes, and package
+// offload's tests hold it byte-for-byte to an independent full decode.
 //
 // The whole node is validated — bounds and strictly ascending key order
 // — before any verdict is returned, so a block that is corrupt anywhere
-// is StepCorrupt everywhere: the device program and the host fallback
-// cannot diverge on how far into a damaged block they happened to read.
+// is StepCorrupt everywhere, however far into the damage a lookup reads.
 func IndexStep(key []byte, block string) Step {
 	if len(block) < indexHdrLen || be32(block, 0) != nodeMagic {
 		return Step{Kind: StepCorrupt}
@@ -138,7 +137,7 @@ func be32(b string, off int) uint32 {
 	return uint32(b[off])<<24 | uint32(b[off+1])<<16 | uint32(b[off+2])<<8 | uint32(b[off+3])
 }
 
-// IndexProg is the device-side pushdown program over index node blocks.
+// IndexProg is the lookup program over index node blocks.
 type IndexProg struct{}
 
 // Name implements Prog.

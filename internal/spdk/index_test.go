@@ -12,7 +12,7 @@ import (
 func hostTraverse(t *testing.T, d *Device, idx *Index, key []byte) (string, int, bool) {
 	t.Helper()
 	lba := idx.Root
-	for hops := 1; hops <= MaxHopBudget; hops++ {
+	for hops := 1; hops <= MaxHops; hops++ {
 		c := d.Execute(Command{Op: OpRead, LBA: lba})
 		if c.Err != nil {
 			t.Fatal(c.Err)

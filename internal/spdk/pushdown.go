@@ -22,23 +22,22 @@ import (
 // no surfaced completion — or emits the final value (or a typed error)
 // as the single completion that crosses back to the libOS.
 //
-// The completion path is the protection boundary: programs are validated
-// at install time (the sandbox admission check), every per-hop verdict
-// is re-validated at run time (LBA range, value bounds), and the hop
-// budget guarantees termination no matter what the program does. The
-// device — standing in for the OS control plane — never cedes those
-// checks to the application, exactly the kernel-retains-control split
-// the paper argues for.
+// The completion path is the protection boundary: every per-hop verdict
+// is validated at run time (LBA range, value bounds), and the hop budget
+// guarantees termination no matter what the program does. The device —
+// standing in for the OS control plane — never cedes those checks to the
+// application, exactly the kernel-retains-control split the paper argues
+// for. The host fallback (HostLookup) runs the same program through the
+// same checks, one host read per hop, so where a lookup runs is a
+// scheduling decision and never a semantics change.
 
 // Sandbox limits on pushdown programs and lookups.
 const (
 	// MaxKeyLen bounds the lookup key a traversal carries device-side.
 	MaxKeyLen = 128
-	// DefaultMaxHops is the default per-lookup hop budget.
-	DefaultMaxHops = 16
-	// MaxHopBudget is the hard ceiling a program may request at install
-	// time; the admission check rejects anything larger.
-	MaxHopBudget = 64
+	// MaxHops is the per-lookup hop budget: the block reads a traversal
+	// may make before it ends with ErrHopBudget.
+	MaxHops = 16
 	// MaxValueLen bounds the value a program may emit from a block.
 	MaxValueLen = BlockSize
 )
@@ -91,12 +90,6 @@ type Prog interface {
 	Step(key []byte, block string) Step
 }
 
-// PushdownConfig bounds one installed program.
-type PushdownConfig struct {
-	// MaxHops is the per-lookup read budget (0 = DefaultMaxHops).
-	MaxHops int
-}
-
 // PushdownStats counts pushdown-engine events.
 type PushdownStats struct {
 	Installs       int64 // programs admitted
@@ -115,7 +108,7 @@ type PushdownStats struct {
 // pushdownState is the engine state embedded in Device. Counters are
 // atomics: steps run outside the device lock.
 type pushdownState struct {
-	progs []progSlot // handle = index; nil prog = uninstalled
+	progs []Prog // handle = index; nil = uninstalled
 
 	installs       atomic.Int64
 	lookups        atomic.Int64
@@ -132,12 +125,8 @@ type pushdownState struct {
 	travFree []*traversal
 }
 
-type progSlot struct {
-	prog Prog
-	cfg  PushdownConfig
-}
-
-// LookupResult is the single completion a pushdown traversal surfaces.
+// LookupResult is the single completion a pushdown traversal surfaces,
+// and what HostLookup returns.
 type LookupResult struct {
 	// Value holds the found value. It is immutable and may be kept
 	// past the completion callback.
@@ -149,43 +138,45 @@ type LookupResult struct {
 	// including the one that failed — the budget is always accounted.
 	Hops int
 	// Cost is the accumulated virtual device time: per-hop read + program
-	// step, plus the final value's DMA to the host.
+	// step, plus the final value's DMA to the host (a host fallback's
+	// reads DMA each whole block instead).
 	Cost simclock.Lat
 	// Err is the typed error that ended the traversal, if any.
 	Err error
 }
 
-// traversal is one in-flight pushdown lookup. Instances recycle through
-// a freelist; onRead is bound once so resubmission allocates nothing.
+// traversal is one lookup's walk down a block structure, in either
+// mode. Instances recycle through a freelist; onRead is bound once so
+// resubmission allocates nothing.
 type traversal struct {
-	d      *Device
-	prog   Prog
-	budget int
-	key    [MaxKeyLen]byte
-	keyLen int
-	hops   int
-	cost   simclock.Lat
+	d    *Device
+	prog Prog
+	// host marks the CPU fallback: every block crosses to the host and
+	// the program runs at host rate. It moves no pushdown counter.
+	host bool
+	// stepCost is the virtual cost of one program step where it runs.
+	stepCost simclock.Lat
+	key      [MaxKeyLen]byte
+	keyLen   int
+	hops     int
+	cost     simclock.Lat
+	// res is the result that ended the walk, once it has ended.
+	res    LookupResult
 	done   func(LookupResult)
 	onRead func(Completion)
 }
 
 // InstallPushdown admits a program into the device's pushdown slot table
-// and returns its handle. Admission enforces the sandbox bounds the
-// device refuses to outsource: a present program and a hop budget within
-// MaxHopBudget.
-func (d *Device) InstallPushdown(prog Prog, cfg PushdownConfig) (int, error) {
+// and returns its handle. The program is untrusted: admission only
+// refuses a missing one, and every verdict it returns is checked in the
+// completion path.
+func (d *Device) InstallPushdown(prog Prog) (int, error) {
 	if prog == nil {
 		return 0, fmt.Errorf("%w: nil program", ErrBadProg)
 	}
-	if cfg.MaxHops == 0 {
-		cfg.MaxHops = DefaultMaxHops
-	}
-	if cfg.MaxHops < 1 || cfg.MaxHops > MaxHopBudget {
-		return 0, fmt.Errorf("%w: hop budget %d outside [1, %d]", ErrBadProg, cfg.MaxHops, MaxHopBudget)
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.pd.progs = append(d.pd.progs, progSlot{prog: prog, cfg: cfg})
+	d.pd.progs = append(d.pd.progs, prog)
 	d.pd.installs.Add(1)
 	return len(d.pd.progs) - 1, nil
 }
@@ -196,7 +187,7 @@ func (d *Device) UninstallPushdown(handle int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if handle >= 0 && handle < len(d.pd.progs) {
-		d.pd.progs[handle] = progSlot{}
+		d.pd.progs[handle] = nil
 	}
 }
 
@@ -211,19 +202,13 @@ func (d *Device) SubmitLookup(handle, rootLBA int, key []byte, done func(LookupR
 		return fmt.Errorf("%w: %d bytes", ErrKeyTooLong, len(key))
 	}
 	d.mu.Lock()
-	if handle < 0 || handle >= len(d.pd.progs) || d.pd.progs[handle].prog == nil {
+	if handle < 0 || handle >= len(d.pd.progs) || d.pd.progs[handle] == nil {
 		d.mu.Unlock()
 		return ErrNoProg
 	}
-	slot := d.pd.progs[handle]
-	t := d.getTraversalLocked()
-	t.prog = slot.prog
-	t.budget = slot.cfg.MaxHops
-	t.keyLen = copy(t.key[:], key)
-	t.hops = 0
-	t.cost = 0
+	t := d.getTraversalLocked(d.pd.progs[handle], key, false)
 	t.done = done
-	_, err := d.submitLocked(Command{Op: OpRead, LBA: rootLBA}, t.onRead, true)
+	_, err := d.submitLocked(Command{Op: OpRead, LBA: rootLBA}, t.onRead, inDevice)
 	if err != nil {
 		d.putTraversalLocked(t)
 		d.mu.Unlock()
@@ -235,96 +220,158 @@ func (d *Device) SubmitLookup(handle, rootLBA int, key []byte, done func(LookupR
 	return nil
 }
 
-func (d *Device) getTraversalLocked() *traversal {
-	if n := len(d.pd.travFree); n > 0 {
-		t := d.pd.travFree[n-1]
-		d.pd.travFree = d.pd.travFree[:n-1]
-		return t
+// HostLookup is the CPU fallback ("library OSes ... default to using the
+// CPU if necessary"): the traversal SubmitLookup runs, under the same
+// rules, but every block crosses to the host as a full read with its
+// block-sized DMA, and prog runs at host rate. It returns when the
+// traversal ends, with the number of device round trips it made. Of the
+// pushdown counters it moves only HostFallbacks.
+func (d *Device) HostLookup(prog Prog, rootLBA int, key []byte) (r LookupResult, reads int) {
+	d.pd.hostFallbacks.Add(1)
+	if len(key) > MaxKeyLen {
+		return LookupResult{Err: fmt.Errorf("%w: %d bytes", ErrKeyTooLong, len(key))}, 0
 	}
-	t := &traversal{d: d}
-	t.onRead = t.step
+	d.mu.Lock()
+	t := d.getTraversalLocked(prog, key, true)
+	d.mu.Unlock()
+	for lba, more := rootLBA, true; more; reads++ {
+		c := d.execute(Command{Op: OpRead, LBA: lba}, toHostInPlace)
+		lba, more = t.advance(&c)
+	}
+	r = t.result()
+	d.mu.Lock()
+	d.putTraversalLocked(t)
+	d.mu.Unlock()
+	return r, reads
+}
+
+func (d *Device) getTraversalLocked(prog Prog, key []byte, host bool) *traversal {
+	var t *traversal
+	if n := len(d.pd.travFree); n > 0 {
+		t = d.pd.travFree[n-1]
+		d.pd.travFree = d.pd.travFree[:n-1]
+	} else {
+		t = &traversal{d: d}
+		t.onRead = t.step
+	}
+	t.prog = prog
+	t.host = host
+	// The device runs the program at its offloaded per-element rate.
+	t.stepCost = d.model.OffloadedFilterCost()
+	if host {
+		t.stepCost = d.model.FilterNS
+	}
+	t.keyLen = copy(t.key[:], key)
+	t.hops = 0
+	t.cost = 0
 	return t
 }
 
 func (d *Device) putTraversalLocked(t *traversal) {
 	t.prog = nil
+	t.res = LookupResult{}
 	t.done = nil
 	d.pd.travFree = append(d.pd.travFree, t)
 }
 
-// step is the continuation of every read a traversal submits: it runs
-// the program over the block in the completion path and acts on the
-// verdict.
-func (t *traversal) step(c Completion) {
+// advance takes one completed read of a traversal in either mode and
+// holds the program's verdict on its block to the device's rules: the
+// next LBA must lie in the namespace, the walk must end within MaxHops
+// reads, and a value must fit in MaxValueLen. It returns the next LBA to
+// read, or more == false once t.res holds the result that ends the walk.
+func (t *traversal) advance(c *Completion) (next int, more bool) {
 	d := t.d
 	t.cost += c.Cost
 	if c.Err != nil {
 		// The typed error completion: a reset (or injected error) ends
 		// the traversal here, hop budget accounted.
 		if errors.Is(c.Err, ErrDeviceReset) {
-			d.pd.resetAborts.Add(1)
+			t.count(&d.pd.resetAborts, 1)
 		}
-		t.finish(LookupResult{Err: c.Err})
-		return
+		return t.end(LookupResult{Err: c.Err})
 	}
 	t.hops++
-	// The program runs at the device's offloaded per-element rate.
-	t.cost += d.model.OffloadedFilterCost()
+	t.cost += t.stepCost
 	s := t.prog.Step(t.key[:t.keyLen], c.block)
 	switch s.Kind {
 	case StepNext:
 		if s.NextLBA < 0 || s.NextLBA >= d.cfg.NumBlocks {
-			t.finish(LookupResult{Err: fmt.Errorf("%w: next LBA %d out of range", ErrCorruptIndex, s.NextLBA)})
-			return
+			return t.end(LookupResult{Err: fmt.Errorf("%w: next LBA %d out of range", ErrCorruptIndex, s.NextLBA)})
 		}
-		if t.hops >= t.budget {
-			d.pd.budgetExceeded.Add(1)
-			t.finish(LookupResult{Err: fmt.Errorf("%w: %d hops", ErrHopBudget, t.hops)})
-			return
+		if t.hops >= MaxHops {
+			t.count(&d.pd.budgetExceeded, 1)
+			return t.end(LookupResult{Err: fmt.Errorf("%w: %d hops", ErrHopBudget, t.hops)})
 		}
-		d.pd.resubmits.Add(1)
-		if _, err := d.submit(Command{Op: OpRead, LBA: s.NextLBA}, t.onRead, true); err != nil {
-			t.finish(LookupResult{Err: err})
-		}
+		return s.NextLBA, true
 	case StepDone:
 		if len(s.Value) > MaxValueLen {
-			t.finish(LookupResult{Err: fmt.Errorf("%w: value %d bytes", ErrCorruptIndex, len(s.Value))})
-			return
+			return t.end(LookupResult{Err: fmt.Errorf("%w: value %d bytes", ErrCorruptIndex, len(s.Value))})
 		}
-		d.pd.hits.Add(1)
-		d.pd.hopsSaved.Add(int64(t.hops - 1))
-		// Only the final value DMAs to the host — that is the win.
-		t.cost += d.model.DMACost(len(s.Value))
-		t.finish(LookupResult{Value: s.Value, Found: true})
+		t.count(&d.pd.hits, 1)
+		t.count(&d.pd.hopsSaved, int64(t.hops-1))
+		if !t.host {
+			// Only the final value DMAs to the host — that is the win.
+			t.cost += d.model.DMACost(len(s.Value))
+		}
+		return t.end(LookupResult{Value: s.Value, Found: true})
 	case StepMiss:
-		d.pd.misses.Add(1)
-		d.pd.hopsSaved.Add(int64(t.hops - 1))
-		t.finish(LookupResult{})
+		t.count(&d.pd.misses, 1)
+		t.count(&d.pd.hopsSaved, int64(t.hops-1))
+		return t.end(LookupResult{})
 	default: // StepCorrupt and anything unrecognised
-		d.pd.corruptBlocks.Add(1)
-		t.finish(LookupResult{Err: fmt.Errorf("%w: %q at hop %d", ErrCorruptIndex, t.prog.Name(), t.hops)})
+		t.count(&d.pd.corruptBlocks, 1)
+		return t.end(LookupResult{Err: fmt.Errorf("%w: %q at hop %d", ErrCorruptIndex, t.prog.Name(), t.hops)})
 	}
 }
 
-// finish delivers the traversal's single surfaced completion and
-// recycles its state.
-func (t *traversal) finish(r LookupResult) {
+// end records the result that ends the walk.
+func (t *traversal) end(r LookupResult) (next int, more bool) {
+	t.res = r
+	return 0, false
+}
+
+// count adds n to a pushdown-engine counter; the host fallback moves
+// none of them.
+func (t *traversal) count(c *atomic.Int64, n int64) {
+	if !t.host {
+		c.Add(n)
+	}
+}
+
+// step is the continuation of every read a pushdown traversal submits:
+// it runs the program over the block in the completion path and either
+// resubmits device-side or surfaces the result.
+func (t *traversal) step(c Completion) {
+	if next, more := t.advance(&c); more {
+		t.d.pd.resubmits.Add(1)
+		_, err := t.d.submit(Command{Op: OpRead, LBA: next}, t.onRead, inDevice)
+		if err == nil {
+			return
+		}
+		t.res = LookupResult{Err: err}
+	}
+	t.finish()
+}
+
+// result is the walk's result with its hops and cost.
+func (t *traversal) result() LookupResult {
+	r := t.res
 	r.Hops = t.hops
 	r.Cost = t.cost
+	return r
+}
+
+// finish delivers a pushdown traversal's single surfaced completion and
+// recycles its state.
+func (t *traversal) finish() {
 	d := t.d
 	done := t.done
-	done(r)
+	done(t.result())
 	d.pd.inflight.Add(-1)
 	d.mu.Lock()
 	d.putTraversalLocked(t)
 	d.mu.Unlock()
 }
-
-// NoteHostFallback records one lookup the libOS chose to run on the host
-// CPU instead of the device ("library OSes ... default to using the CPU
-// if necessary"), so the fallback rate is observable next to the
-// pushdown counters.
-func (d *Device) NoteHostFallback() { d.pd.hostFallbacks.Add(1) }
 
 // PushdownStats returns a snapshot of the pushdown-engine counters.
 func (d *Device) PushdownStats() PushdownStats {

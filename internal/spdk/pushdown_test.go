@@ -67,7 +67,7 @@ func runLookup(t testing.TB, d *Device, handle, root int, key []byte) LookupResu
 func TestPushdownLookupDepth3(t *testing.T) {
 	d := newDev(Config{})
 	idx, keys := buildTestIndex(t, d, 3)
-	h, err := d.InstallPushdown(IndexProg{}, PushdownConfig{})
+	h, err := d.InstallPushdown(IndexProg{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPushdownLookupDepth3(t *testing.T) {
 func TestPushdownMiss(t *testing.T) {
 	d := newDev(Config{})
 	idx, _ := buildTestIndex(t, d, 2)
-	h, _ := d.InstallPushdown(IndexProg{}, PushdownConfig{})
+	h, _ := d.InstallPushdown(IndexProg{})
 	r := runLookup(t, d, h, idx.Root, []byte("key-9999~nope"))
 	if r.Err != nil || r.Found {
 		t.Fatalf("miss: err=%v found=%v", r.Err, r.Found)
@@ -135,7 +135,7 @@ func (p loopProg) Step(_ []byte, _ string) Step { return Step{Kind: StepNext, Ne
 
 func TestPushdownHopBudgetTerminates(t *testing.T) {
 	d := newDev(Config{})
-	h, err := d.InstallPushdown(loopProg{lba: 5}, PushdownConfig{MaxHops: 4})
+	h, err := d.InstallPushdown(loopProg{lba: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,8 @@ func TestPushdownHopBudgetTerminates(t *testing.T) {
 	if !errors.Is(r.Err, ErrHopBudget) {
 		t.Fatalf("err = %v, want ErrHopBudget", r.Err)
 	}
-	if r.Hops != 4 {
-		t.Fatalf("hops = %d, want the full budget 4", r.Hops)
+	if r.Hops != MaxHops {
+		t.Fatalf("hops = %d, want the full budget %d", r.Hops, MaxHops)
 	}
 	if st := d.PushdownStats(); st.BudgetExceeded != 1 || st.Inflight != 0 {
 		t.Fatalf("budgetExceeded/inflight = %d/%d", st.BudgetExceeded, st.Inflight)
@@ -153,16 +153,13 @@ func TestPushdownHopBudgetTerminates(t *testing.T) {
 
 func TestPushdownInstallValidation(t *testing.T) {
 	d := newDev(Config{})
-	if _, err := d.InstallPushdown(nil, PushdownConfig{}); !errors.Is(err, ErrBadProg) {
+	if _, err := d.InstallPushdown(nil); !errors.Is(err, ErrBadProg) {
 		t.Fatalf("nil prog: err = %v", err)
-	}
-	if _, err := d.InstallPushdown(IndexProg{}, PushdownConfig{MaxHops: MaxHopBudget + 1}); !errors.Is(err, ErrBadProg) {
-		t.Fatalf("over-budget: err = %v", err)
 	}
 	if err := d.SubmitLookup(0, 0, []byte("k"), func(LookupResult) {}); !errors.Is(err, ErrNoProg) {
 		t.Fatalf("no prog installed: err = %v", err)
 	}
-	h, _ := d.InstallPushdown(IndexProg{}, PushdownConfig{})
+	h, _ := d.InstallPushdown(IndexProg{})
 	long := make([]byte, MaxKeyLen+1)
 	if err := d.SubmitLookup(h, 0, long, func(LookupResult) {}); !errors.Is(err, ErrKeyTooLong) {
 		t.Fatalf("long key: err = %v", err)
@@ -176,7 +173,7 @@ func TestPushdownInstallValidation(t *testing.T) {
 func TestPushdownCorruptBlock(t *testing.T) {
 	d := newDev(Config{})
 	// Block 3 is not an index node (zeroes: bad magic).
-	h, _ := d.InstallPushdown(IndexProg{}, PushdownConfig{})
+	h, _ := d.InstallPushdown(IndexProg{})
 	r := runLookup(t, d, h, 3, []byte("k"))
 	if !errors.Is(r.Err, ErrCorruptIndex) {
 		t.Fatalf("err = %v, want ErrCorruptIndex", r.Err)
@@ -195,12 +192,12 @@ func (p wildProg) Step(_ []byte, _ string) Step { return p.s }
 func TestPushdownRuntimeValidation(t *testing.T) {
 	d := newDev(Config{NumBlocks: 64})
 	// Next LBA outside the namespace: rejected in the completion path.
-	h, _ := d.InstallPushdown(wildProg{s: Step{Kind: StepNext, NextLBA: 64}}, PushdownConfig{})
+	h, _ := d.InstallPushdown(wildProg{s: Step{Kind: StepNext, NextLBA: 64}})
 	if r := runLookup(t, d, h, 0, []byte("k")); !errors.Is(r.Err, ErrCorruptIndex) {
 		t.Fatalf("wild next: err = %v", r.Err)
 	}
 	// Oversized value: rejected.
-	h2, _ := d.InstallPushdown(wildProg{s: Step{Kind: StepDone, Value: strings.Repeat("v", MaxValueLen+1)}}, PushdownConfig{})
+	h2, _ := d.InstallPushdown(wildProg{s: Step{Kind: StepDone, Value: strings.Repeat("v", MaxValueLen+1)}})
 	if r := runLookup(t, d, h2, 0, []byte("k")); !errors.Is(r.Err, ErrCorruptIndex) {
 		t.Fatalf("wild value: err = %v", r.Err)
 	}
@@ -212,7 +209,7 @@ func TestPushdownRuntimeValidation(t *testing.T) {
 func TestPushdownResetMidTraversal(t *testing.T) {
 	d := newDev(Config{})
 	idx, keys := buildTestIndex(t, d, 3)
-	h, _ := d.InstallPushdown(IndexProg{}, PushdownConfig{})
+	h, _ := d.InstallPushdown(IndexProg{})
 
 	var results []LookupResult
 	if err := d.SubmitLookup(h, idx.Root, keys[0], func(r LookupResult) {
@@ -260,13 +257,13 @@ func TestPollSteadyStateAllocFree(t *testing.T) {
 	d := newDev(Config{})
 	// Warm the ring.
 	for i := 0; i < 4; i++ {
-		if _, err := d.submit(Command{Op: OpFlush}, nil, false); err != nil {
+		if _, err := d.submit(Command{Op: OpFlush}, nil, toHost); err != nil {
 			t.Fatal(err)
 		}
 		d.Poll(0)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if _, err := d.submit(Command{Op: OpFlush}, nil, false); err != nil {
+		if _, err := d.submit(Command{Op: OpFlush}, nil, toHost); err != nil {
 			t.Fatal(err)
 		}
 		if cs := d.Poll(0); len(cs) != 1 {
@@ -282,7 +279,7 @@ func TestPollSteadyStateAllocFree(t *testing.T) {
 // entries queued for Poll survive an interleaved Execute untouched.
 func TestExecuteLeavesForeignCompletionsAlone(t *testing.T) {
 	d := newDev(Config{})
-	id, err := d.submit(Command{Op: OpFlush}, nil, false)
+	id, err := d.submit(Command{Op: OpFlush}, nil, toHost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +314,7 @@ func TestExecuteSteadyStateAllocFree(t *testing.T) {
 // hit with no allocation of its own.
 func steadyGet(tb testing.TB, d *Device, depth int) (func(key []byte), [][]byte) {
 	idx, keys := buildTestIndex(tb, d, depth)
-	h, _ := d.InstallPushdown(IndexProg{}, PushdownConfig{})
+	h, _ := d.InstallPushdown(IndexProg{})
 	var r LookupResult
 	got := false
 	done := func(res LookupResult) { r = res; got = true }
@@ -386,13 +383,13 @@ func TestPushdownReadsBlockAsOfItsRead(t *testing.T) {
 	if newRoot.Err != nil {
 		t.Fatal(newRoot.Err)
 	}
-	h, _ := d.InstallPushdown(IndexProg{}, PushdownConfig{})
+	h, _ := d.InstallPushdown(IndexProg{})
 
 	var got []LookupResult
 	if err := d.SubmitLookup(h, oldIdx.Root, key, func(r LookupResult) { got = append(got, r) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.submit(Command{Op: OpWrite, LBA: oldIdx.Root, Data: newRoot.Data}, nil, false); err != nil {
+	if _, err := d.submit(Command{Op: OpWrite, LBA: oldIdx.Root, Data: newRoot.Data}, nil, toHost); err != nil {
 		t.Fatal(err)
 	}
 	if n := d.Pump(); n != 1 || len(got) != 1 {
@@ -412,7 +409,7 @@ func TestPushdownReadsBlockAsOfItsRead(t *testing.T) {
 func TestPushdownTelemetry(t *testing.T) {
 	d := newDev(Config{})
 	idx, keys := buildTestIndex(t, d, 2)
-	h, _ := d.InstallPushdown(IndexProg{}, PushdownConfig{})
+	h, _ := d.InstallPushdown(IndexProg{})
 	runLookup(t, d, h, idx.Root, keys[0])
 
 	reg := telemetry.NewRegistry()

@@ -71,8 +71,8 @@ type Completion struct {
 	Data []byte // block contents for host reads: the host's own DMA copy
 	Cost simclock.Lat
 
-	// block is a device-internal read's block: the media block itself,
-	// immutable.
+	// block is the media block itself, immutable, for a read that is
+	// not copied into Data.
 	block string
 }
 
@@ -142,10 +142,23 @@ type sqe struct {
 	data string
 	// done, when non-nil, receives the completion instead of the CQ.
 	done func(Completion)
-	// internal marks a pushdown-engine read: the block stays device-side
-	// (no host DMA charged) and the engine reads it where it lies.
-	internal bool
+	// path is where a read's block goes.
+	path readPath
 }
+
+// readPath is where a read's block goes.
+type readPath uint8
+
+const (
+	// toHost DMAs the block into the host's own copy, Completion.Data.
+	toHost readPath = iota
+	// toHostInPlace charges the same DMA but hands the reader the media
+	// block itself, which a copy would equal byte for byte: the host
+	// fallback's read of an index node.
+	toHostInPlace
+	// inDevice keeps the block on the device, no DMA: a pushdown hop.
+	inDevice
+)
 
 // zeroBlock is what a read of an unwritten LBA sees.
 var zeroBlock = strings.Repeat("\x00", BlockSize)
@@ -200,13 +213,13 @@ func (d *Device) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	d.registerPushdownTelemetry(r, prefix+".pushdown")
 }
 
-func (d *Device) submit(cmd Command, done func(Completion), internal bool) (uint64, error) {
+func (d *Device) submit(cmd Command, done func(Completion), path readPath) (uint64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.submitLocked(cmd, done, internal)
+	return d.submitLocked(cmd, done, path)
 }
 
-func (d *Device) submitLocked(cmd Command, done func(Completion), internal bool) (uint64, error) {
+func (d *Device) submitLocked(cmd Command, done func(Completion), path readPath) (uint64, error) {
 	if len(d.sq) >= d.cfg.QueueDepth {
 		d.stats.QueueFulls++
 		return 0, ErrQueueFull
@@ -216,7 +229,7 @@ func (d *Device) submitLocked(cmd Command, done func(Completion), internal bool)
 	}
 	d.nextID++
 	id := d.nextID
-	e := sqe{id: id, op: cmd.Op, lba: cmd.LBA, done: done, internal: internal}
+	e := sqe{id: id, op: cmd.Op, lba: cmd.LBA, done: done, path: path}
 	if cmd.Op == OpWrite {
 		// The device DMAs the buffer at submission; keep a copy so the
 		// caller may reuse its buffer immediately (completion-side
@@ -331,16 +344,18 @@ func (d *Device) processLocked() {
 				if !ok {
 					blk = zeroBlock
 				}
-				if e.internal {
+				if e.path == inDevice {
 					// Pushdown-internal read: the block stays on the
-					// device (no host DMA) and the program reads it in
-					// place.
-					c.block = blk
+					// device (no host DMA).
 					c.Cost = d.model.NVMeReadNS
 				} else {
 					d.stats.DMABytes += BlockSize
-					c.Data = []byte(blk)
 					c.Cost = d.model.NVMeReadNS + d.model.DMACost(BlockSize)
+				}
+				if e.path == toHost {
+					c.Data = []byte(blk)
+				} else {
+					c.block = blk
 				}
 			}
 		case OpWrite:
@@ -378,9 +393,12 @@ func (d *Device) completeLocked(e sqe, c Completion) {
 // returning it. It is the synchronous convenience used by the blob
 // layer. The completion travels by continuation, so foreign completions
 // are never scanned or re-queued.
-func (d *Device) Execute(cmd Command) Completion {
+func (d *Device) Execute(cmd Command) Completion { return d.execute(cmd, toHost) }
+
+// execute is Execute with the read path chosen.
+func (d *Device) execute(cmd Command, path readPath) Completion {
 	st := d.getExecState()
-	if _, err := d.submit(cmd, st.fn, false); err != nil {
+	if _, err := d.submit(cmd, st.fn, path); err != nil {
 		d.putExecState(st)
 		return Completion{Op: cmd.Op, LBA: cmd.LBA, Err: err}
 	}

@@ -5,10 +5,10 @@
 //
 // It has three parts:
 //
-//   - a process-wide counter/gauge Registry that unifies the previously
-//     ad-hoc per-component stats (fabric drops, frame-pool recycling, NIC
-//     ring occupancy, netstack retransmits, completer wakeups, event-loop
-//     dispatch depth) behind named handles with snapshot/diff support;
+//   - a Registry of named sampled metrics that unifies the per-component
+//     stats (fabric drops, frame-pool recycling, NIC ring occupancy,
+//     netstack retransmits, completer wakeups, event-loop dispatch depth)
+//     behind one snapshot/diff view;
 //   - per-qtoken operation spans (see span.go) that attribute latency to
 //     individual queue operations as they move issue → device submit →
 //     completion → consume, feeding per-queue latency histograms;
@@ -26,89 +26,29 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Counter is a monotonically increasing named value. It is a hot-path
-// handle: Add/Inc are single atomic adds with no map lookups.
-type Counter struct{ v atomic.Int64 }
-
-// Add adds d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is a named level that can move both ways (ring occupancy,
-// outstanding tokens).
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the level by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// Registry is a name → metric table. Components either allocate atomic
-// Counter/Gauge handles through it (new code) or register sample
-// functions that read their existing mutex-guarded stats structs at
-// snapshot time (the adapter path that absorbs the pre-existing ad-hoc
-// counters without touching their hot paths).
+// Registry is a name → metric table. Each metric is a sample function
+// that the component registers over its own counters (atomics, or a
+// mutex-guarded stats struct) and that runs at snapshot time, so the
+// component's hot path never touches the registry.
 //
 // All methods are safe for concurrent use. Snapshot is the only reader
 // of sample functions, so components may take their own locks inside
 // them.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	funcs    map[string]func() int64
+	mu    sync.RWMutex
+	funcs map[string]func() int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		funcs:    make(map[string]func() int64),
-	}
-}
-
-// Default is the process-wide registry that commands and apps report
-// from. Tests that need isolation build their own with NewRegistry.
-var Default = NewRegistry()
-
-// Counter returns the named counter handle, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge handle, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return &Registry{funcs: make(map[string]func() int64)}
 }
 
 // RegisterFunc registers (or replaces) a sampled metric: fn is invoked at
-// snapshot time. This is the adapter that lifts existing Stats() structs
-// into the registry without converting their fields to atomics.
+// snapshot time.
 func (r *Registry) RegisterFunc(name string, fn func() int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -128,19 +68,13 @@ type Snapshot struct {
 	Samples []Sample
 }
 
-// Snapshot reads every counter, gauge, and sample function. Sample
-// functions run outside the registry's write path but inside its read
-// lock; they must not re-enter the registry.
+// Snapshot reads every sample function. They run outside the
+// registry's write path but inside its read lock; they must not re-enter
+// the registry.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	out := Snapshot{When: time.Now()}
-	out.Samples = make([]Sample, 0, len(r.counters)+len(r.gauges)+len(r.funcs))
-	for name, c := range r.counters {
-		out.Samples = append(out.Samples, Sample{name, c.Load()})
-	}
-	for name, g := range r.gauges {
-		out.Samples = append(out.Samples, Sample{name, g.Load()})
-	}
+	out.Samples = make([]Sample, 0, len(r.funcs))
 	for name, fn := range r.funcs {
 		out.Samples = append(out.Samples, Sample{name, fn()})
 	}

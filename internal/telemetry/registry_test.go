@@ -4,26 +4,16 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
-func TestCounterGaugeIdentity(t *testing.T) {
-	r := NewRegistry()
-	c1 := r.Counter("a.b")
-	c1.Add(1)
-	c1.Add(4)
-	if c2 := r.Counter("a.b"); c2 != c1 {
-		t.Fatal("Counter(\"a.b\") returned a different handle on second call")
-	}
-	if got := r.Counter("a.b").Load(); got != 5 {
-		t.Fatalf("counter = %d, want 5", got)
-	}
-	g := r.Gauge("depth")
-	g.Set(9)
-	g.Add(-2)
-	if got := r.Gauge("depth").Load(); got != 7 {
-		t.Fatalf("gauge = %d, want 7", got)
-	}
+// value registers name on r as a sample of a fresh atomic and returns
+// the atomic.
+func value(r *Registry, name string) *atomic.Int64 {
+	v := new(atomic.Int64)
+	r.RegisterFunc(name, v.Load)
+	return v
 }
 
 // TestSnapshotDeterminism: snapshots are sorted by name and two
@@ -31,9 +21,9 @@ func TestCounterGaugeIdentity(t *testing.T) {
 // matter the registration order.
 func TestSnapshotDeterminism(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zzz").Add(1)
-	r.Counter("aaa").Add(2)
-	r.Gauge("mmm").Set(3)
+	value(r, "zzz").Add(1)
+	value(r, "aaa").Add(2)
+	value(r, "mmm").Store(3)
 	r.RegisterFunc("fff", func() int64 { return 4 })
 
 	s1 := r.Snapshot()
@@ -59,14 +49,14 @@ func TestSnapshotDeterminism(t *testing.T) {
 
 func TestSnapshotDiff(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("ops")
-	g := r.Gauge("depth")
-	c.Add(10)
-	g.Set(5)
+	ops := value(r, "ops")
+	depth := value(r, "depth")
+	ops.Add(10)
+	depth.Store(5)
 	before := r.Snapshot()
-	c.Add(7)
-	g.Set(2)
-	r.Counter("late").Add(3) // registered after the first snapshot
+	ops.Add(7)
+	depth.Store(2)
+	value(r, "late").Add(3) // registered after the first snapshot
 	after := r.Snapshot()
 
 	d := after.Diff(before)
@@ -83,8 +73,8 @@ func TestSnapshotDiff(t *testing.T) {
 
 func TestSnapshotNonZeroAndString(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hot").Add(2)
-	r.Counter("cold") // stays zero
+	value(r, "hot").Add(2)
+	value(r, "cold") // stays zero
 	s := r.Snapshot().NonZero()
 	if len(s.Samples) != 1 || s.Samples[0].Name != "hot" {
 		t.Fatalf("NonZero = %v", s.Samples)
@@ -95,17 +85,18 @@ func TestSnapshotNonZeroAndString(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrency: handles and snapshots from many goroutines,
-// meaningful under -race.
+// TestRegistryConcurrency: registrations and snapshots from many
+// goroutines, meaningful under -race.
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
+	shared := value(r, "shared")
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 500; i++ {
-				r.Counter("shared").Add(1)
-				r.Gauge("g").Set(int64(i))
+				shared.Add(1)
+				r.RegisterFunc("g", func() int64 { return int64(i) })
 				_ = r.Snapshot()
 			}
 		}(w)
@@ -113,7 +104,7 @@ func TestRegistryConcurrency(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		<-done
 	}
-	if got := r.Counter("shared").Load(); got != 2000 {
+	if got, _ := r.Snapshot().Get("shared"); got != 2000 {
 		t.Fatalf("shared = %d, want 2000", got)
 	}
 }
