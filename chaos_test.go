@@ -131,7 +131,7 @@ func chaosSoakNet(t *testing.T, flavor string) {
 	// then heal. The gap guarantees the client is healthy — and therefore
 	// transmitting — when the partition lands.
 	port := cliNode.FabricPort()
-	eng := chaos.New(42).
+	eng := chaos.New(42, cliNode.Clock()).
 		ImpairAll(0, c.Switch, fabric.Impairments{LossRate: 0.03, CorruptRate: 0.12}).
 		ImpairAll(60*time.Millisecond, c.Switch, fabric.Impairments{}).
 		LinkDown(100*time.Millisecond, c.Switch, port).
@@ -275,7 +275,7 @@ func TestChaosShardedKV(t *testing.T) {
 	}
 
 	fport := cliNode.FabricPort()
-	eng := chaos.New(44).
+	eng := chaos.New(44, cliNode.Clock()).
 		ImpairAll(0, c.Switch, fabric.Impairments{LossRate: 0.03, CorruptRate: 0.12}).
 		ImpairAll(60*time.Millisecond, c.Switch, fabric.Impairments{}).
 		LinkDown(100*time.Millisecond, c.Switch, fport).
@@ -409,7 +409,7 @@ func chaosSoakCatfish(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := node.Catfish.Device()
-	eng := chaos.New(43).
+	eng := chaos.New(43, node.Clock()).
 		IOErrorRate(0, dev, 0.15).
 		ControllerReset(8*time.Millisecond, dev, 3).
 		IOErrorRate(16*time.Millisecond, dev, 0)
@@ -493,7 +493,7 @@ func TestChaosTCPGiveUp(t *testing.T) {
 	cqd, lqd, _, cleanup := chaosConnect(t, c, cli, srv, 80)
 	defer cleanup()
 
-	eng := chaos.New(301)
+	eng := chaos.New(301, cli.Clock())
 	eng.LinkDown(0, c.Switch, cli.FabricPort())
 	eng.Start()
 	eng.Step()
@@ -581,7 +581,7 @@ func TestChaosCatmintReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	eng := chaos.New(302)
+	eng := chaos.New(302, cli.Clock())
 	eng.LinkFlap(0, 40*time.Millisecond, c.Switch, cli.FabricPort())
 	eng.Start()
 	eng.Step() // fires link-down
@@ -648,7 +648,7 @@ func TestChaosCatfishResetRetry(t *testing.T) {
 	dev := node.Catfish.Device()
 
 	// Reset absorbed by the retry budget.
-	eng := chaos.New(303)
+	eng := chaos.New(303, node.Clock())
 	eng.ControllerReset(0, dev, 3)
 	eng.Start()
 	eng.Step()
@@ -759,7 +759,7 @@ func TestChaosPushdownResetMidTraversal(t *testing.T) {
 	if st := dev.PushdownStats(); st.Inflight != 1 {
 		t.Fatalf("inflight = %d mid-traversal, want 1", st.Inflight)
 	}
-	eng := chaos.New(307)
+	eng := chaos.New(307, node.Clock())
 	eng.ControllerReset(0, dev, 2)
 	eng.Start()
 	eng.Step()

@@ -159,8 +159,12 @@ func rollup(s telemetry.Snapshot) telemetry.Snapshot {
 // schedule is done.
 func echoRig(seed int64, batch int, impaired bool) (*rig, error) {
 	c := demi.NewCluster(seed)
-	srv := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{Host: 1, RTO: 2 * time.Millisecond}))
-	cli := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{Host: 2, RTO: 2 * time.Millisecond}))
+	rto := 2 * time.Millisecond // recovers inside the chaos schedule
+	if !impaired {
+		rto = 0 // the default: node clocks keep wall time, so a poller descheduled 2 ms would retransmit
+	}
+	srv := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{Host: 1, RTO: rto}))
+	cli := c.MustSpawn(demi.Catnip, demi.WithConfig(demi.NodeConfig{Host: 2, RTO: rto}))
 	cli.WaitTimeout = 250 * time.Millisecond // a dead server shows only here: fail over fast
 	pair, err := experiments.StageEcho(c, srv, cli)
 	if err != nil {
@@ -170,7 +174,7 @@ func echoRig(seed int64, batch int, impaired bool) (*rig, error) {
 	if impaired {
 		pair.Client.EnableFailover(failover.Policy{MaxAttempts: 60, Base: 2 * time.Millisecond, Max: 40 * time.Millisecond, Jitter: 0.5, Seed: seed})
 		c.Switch.SetImpairments(fabric.Impairments{LossRate: 0.05, DupRate: 0.03, CorruptRate: 0.03, ReorderRate: 0.05})
-		r.eng = chaos.New(seed).NodeCrashRestart(30*time.Millisecond, 25*time.Millisecond, "server", srv)
+		r.eng = chaos.New(seed, cli.Clock()).NodeCrashRestart(30*time.Millisecond, 25*time.Millisecond, "server", srv)
 	}
 	buf, cost := make([]byte, 64), c.Model.AppRequestNS
 	r.run = func(n int) (err error) {
@@ -178,7 +182,7 @@ func echoRig(seed int64, batch int, impaired bool) (*rig, error) {
 			// The engine steps on its own goroutine: the run blocks in
 			// failover while the server is down, and the restart must fire.
 			done := make(chan struct{})
-			go func() { defer close(done); r.eng.Run(60*time.Millisecond, time.Millisecond) }()
+			go func() { defer close(done); r.eng.Run(60 * time.Millisecond) }()
 			defer func() { <-done }()
 		}
 		for i := 0; err == nil && (i < n || r.eng != nil && !r.eng.Done()); i += batch {

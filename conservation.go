@@ -10,18 +10,24 @@ import (
 )
 
 // Quiesce brings the cluster to rest so that its counters stop moving:
-// fault injection is cleared, the switch's reorder buffer is released,
-// and every node is polled for d — a few retransmission timeouts, so that
-// every frame in flight has landed in a counter somewhere. A caller whose
-// pollers may still have work of their own to send (a serve loop, a redial)
-// stops them next, before it reads Conservation.
+// fault injection is cleared, then every node's clock is stepped through d
+// (a few RTOs) in ticks of at most 1 ms, the nodes polled to two quiet
+// rounds before each, so every frame in flight lands in a counter. Stop
+// pollers that may still send after it, before reading Conservation.
 func (c *Cluster) Quiesce(d time.Duration) {
 	c.Switch.SetImpairments(fabric.Impairments{})
-	c.Switch.Flush()
-	for deadline := time.Now().Add(d); time.Now().Before(deadline); {
-		c.Poll()
-		c.Switch.Flush()
-		time.Sleep(time.Millisecond)
+	for tick := min(d, time.Millisecond); ; d -= tick {
+		for quiet := 0; quiet < 2; quiet++ {
+			if c.Switch.Flush(); c.Poll() > 0 {
+				quiet = -1 // two quiet rounds in a row
+			}
+		}
+		if d <= 0 {
+			return
+		}
+		for _, n := range c.nodes {
+			n.Clock().Step(tick)
+		}
 	}
 }
 

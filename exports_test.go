@@ -174,9 +174,9 @@ var wallClockSites = map[string]string{
 	"internal/uring/uring.go Pair.complete":            "a ring span's done stamp",
 	"internal/uring/uring.go Pair.record":              "a ring span's consume stamp",
 	"internal/uring/uring.go Pair.Harvest":             "a ring span's harvest stamp",
-	"internal/core/core.go LibOS.Background":           "the polling thread's idle yield, until item 2's driver",
-	"internal/chaos/chaos.go":                          "the chaos schedule runs on the wall clock until the whole cluster steps on one clock",
-	"conservation.go":                                  "Cluster.Quiesce polls for wall time until the whole cluster steps on one clock",
+	"internal/core/core.go LibOS.Background":           "the polling thread's idle yield: frames arrive with no deadline, so a poller parked until its next timer would miss them",
+	"internal/chaos/chaos.go Engine.Run":               "the real-time yield of the CPU between Steps of a schedule kept on its clock",
+	"internal/chaos/chaos.go HostileTenant.flood":      "the flood's pause between bursts, which keeps its CPU away from the victims",
 }
 
 // wallClockCalls are the time package's functions that read the wall

@@ -20,9 +20,9 @@
 //   - node crash/restart (modeled as the node's links going down and the
 //     application ceasing to poll — see the root chaos tests).
 //
-// Everything random (which byte a corruption flips, which command an
-// error rate fails) is driven by seeded generators, so a chaos run is
-// reproducible from its seed and schedule alone.
+// Everything random (which byte a corruption flips, which command an error
+// rate fails) is driven by seeded generators, so a chaos run replays from
+// its seed and schedule alone, on a stopped clock down to when events fire.
 package chaos
 
 import (
@@ -36,6 +36,7 @@ import (
 	"demikernel/internal/core"
 	"demikernel/internal/fabric"
 	"demikernel/internal/sga"
+	"demikernel/internal/simclock"
 	"demikernel/internal/spdk"
 )
 
@@ -48,8 +49,8 @@ type Event struct {
 
 // FiredEvent records one event that has fired: its name, the offset it
 // was scheduled for, and the offset at which the engine actually
-// observed it due (>= At; the gap is polling-loop slack). demi-stat
-// prints these for every rig that has an engine.
+// observed it due (>= At; the gap is how far its clock ran past At before
+// a Step). demi-stat prints these for every rig that has an engine.
 type FiredEvent struct {
 	Name    string
 	At      time.Duration // scheduled offset
@@ -69,25 +70,23 @@ type Lifecycle interface {
 // use; Step may be called from a polling loop while another goroutine
 // inspects Fired.
 type Engine struct {
-	seed int64
+	seed  int64
+	clock *simclock.Clock
 
 	mu      sync.Mutex
 	rng     *rand.Rand
 	events  []Event
-	started bool
-	start   time.Time
+	start   int64 // the clock at Start, Unix nanoseconds; 0 before
 	next    int
 	fired   []string
 	firedEv []FiredEvent
 }
 
-// New returns an engine whose random choices derive from seed.
-func New(seed int64) *Engine {
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
+// New returns an engine whose random choices derive from seed and whose
+// offsets are read on clock, a node's.
+func New(seed int64, clock *simclock.Clock) *Engine {
+	return &Engine{seed: seed, clock: clock, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Seed returns the engine's seed (for logging a reproducible run).
-func (e *Engine) Seed() int64 { return e.seed }
 
 // Rand returns the engine's seeded random source. Schedules use it to
 // derive fault parameters (which port, how long an outage) so the whole
@@ -112,25 +111,28 @@ func (e *Engine) At(at time.Duration, name string, inject func()) *Engine {
 	return e
 }
 
-// Start records the schedule's time zero. Run calls it implicitly.
+// Start records the schedule's time zero. Step and Run call it implicitly.
 func (e *Engine) Start() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.started {
-		e.started = true
-		e.start = time.Now()
+	e.elapsedLocked()
+}
+
+// elapsedLocked is the time since the schedule's time zero, which it
+// records first if Start has not.
+func (e *Engine) elapsedLocked() time.Duration {
+	now := e.clock.UnixNano()
+	if e.start == 0 {
+		e.start = now
 	}
+	return time.Duration(now - e.start)
 }
 
 // Step fires every event whose offset has elapsed and returns how many
 // fired. It is cheap enough to call from a tight polling loop.
 func (e *Engine) Step() int {
 	e.mu.Lock()
-	if !e.started {
-		e.started = true
-		e.start = time.Now()
-	}
-	elapsed := time.Since(e.start)
+	elapsed := e.elapsedLocked()
 	var due []Event
 	for e.next < len(e.events) && e.events[e.next].At <= elapsed {
 		due = append(due, e.events[e.next])
@@ -171,21 +173,14 @@ func (e *Engine) FiredEvents() []FiredEvent {
 	return append([]FiredEvent(nil), e.firedEv...)
 }
 
-// Run starts the schedule and steps it every tick until total has
-// elapsed and all events fired. It blocks the calling goroutine; tests
-// usually run it alongside Background pollers.
-func (e *Engine) Run(total, tick time.Duration) {
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
-	e.Start()
-	deadline := time.Now().Add(total)
-	for {
-		e.Step()
-		if time.Now().After(deadline) && e.Done() {
-			return
-		}
-		time.Sleep(tick)
+// Run steps the schedule every millisecond of real time until total has
+// passed on the engine's clock and all events fired. It blocks the calling
+// goroutine; tests usually run it alongside Background pollers. A test on
+// a stopped clock calls Step itself.
+func (e *Engine) Run(total time.Duration) {
+	end := e.clock.UnixNano() + int64(total)
+	for e.Step(); e.clock.UnixNano() < end || !e.Done(); e.Step() {
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -28,10 +28,11 @@ func (f *fakeNode) Restart() error {
 }
 
 func TestNodeCrashRestartSchedulesBothPhases(t *testing.T) {
-	e := New(11)
+	clock := stoppedClock()
+	e := New(11, clock)
 	n := &fakeNode{}
 	e.NodeCrashRestart(0, 3*time.Millisecond, "srv", n)
-	e.Run(5*time.Millisecond, time.Millisecond)
+	stepThrough(e, clock, 5*time.Millisecond, time.Millisecond)
 	if n.crashes != 1 || n.restarts != 1 {
 		t.Fatalf("crashes=%d restarts=%d, want 1/1", n.crashes, n.restarts)
 	}
@@ -45,10 +46,11 @@ func TestNodeCrashRestartSchedulesBothPhases(t *testing.T) {
 }
 
 func TestFiredEventsCarryOffsets(t *testing.T) {
-	e := New(12)
+	clock := stoppedClock()
+	e := New(12, clock)
 	e.At(0, "now", func() {})
 	e.At(2*time.Millisecond, "later", func() {})
-	e.Run(4*time.Millisecond, time.Millisecond)
+	stepThrough(e, clock, 4*time.Millisecond, time.Millisecond)
 	evs := e.FiredEvents()
 	if len(evs) != 2 {
 		t.Fatalf("FiredEvents = %v", evs)
@@ -90,7 +92,8 @@ func TestAsymmetricPartitionIsOneWay(t *testing.T) {
 	pb.Send(ethFrame(macA, macB))
 	pa.Poll()
 
-	e := New(21)
+	clock := stoppedClock()
+	e := New(21, clock)
 	e.AsymmetricPartition(0, 3*time.Millisecond, sw, pa.ID(), pb.ID())
 	e.Start()
 	e.Step() // partition up
@@ -108,10 +111,8 @@ func TestAsymmetricPartitionIsOneWay(t *testing.T) {
 	}
 
 	// Heal fires at +3ms; afterwards A→B flows again.
-	for !e.Done() {
-		e.Step()
-		time.Sleep(time.Millisecond)
-	}
+	clock.Step(3 * time.Millisecond)
+	e.Step()
 	pa.Send(ethFrame(macB, macA))
 	if _, ok := pb.Poll(); !ok {
 		t.Fatal("A→B still blocked after heal")

@@ -88,8 +88,8 @@ func NewTenantRig(seed int64) (*TenantRig, error) {
 // another stagger later) under at least hot more round trips per victim,
 // stepping the engine between them until the schedule is done. The
 // stagger is 20 ms, or what the quiet half took if that was longer: the
-// schedule runs on the wall clock, and on a loaded host a flood that is
-// crashed after 40 ms may not have got to its rate cap yet.
+// schedule runs on a node clock, at wall rate, and on a loaded host a
+// flood crashed after 40 ms may not have got to its rate cap yet.
 func (r *TenantRig) Run(quiet, hot int) (*chaos.Engine, error) {
 	buf := make([]byte, 64)
 	step := func(into *[2]metrics.Histogram) error {
@@ -109,7 +109,7 @@ func (r *TenantRig) Run(quiet, hot int) (*chaos.Engine, error) {
 		}
 	}
 	stagger := max(20*time.Millisecond, time.Since(start))
-	eng := chaos.New(r.seed).Rampage(0, stagger, "mal", r.hostile)
+	eng := chaos.New(r.seed, r.Mal.Clock()).Rampage(0, stagger, "mal", r.hostile)
 	eng.Start()
 	defer r.hostile.Stop()
 	for i := 0; i < hot || !eng.Done(); i++ {

@@ -47,8 +47,6 @@ type LookupStats struct {
 	// Crossings counts device→host completion round trips: 1 per GET
 	// with pushdown, one per hop without.
 	Crossings int64
-	// FallbackHops counts host-mode per-block round trips.
-	FallbackHops int64
 }
 
 // BuildIndex bulk-builds a block-resident sorted index over the store's
@@ -110,9 +108,8 @@ type LookupQueue struct {
 
 	onResult func(spdk.LookupResult)
 
-	lookups      atomic.Int64
-	crossings    atomic.Int64
-	fallbackHops atomic.Int64
+	lookups   atomic.Int64
+	crossings atomic.Int64
 
 	mu   sync.Mutex
 	pops queue.PopSide
@@ -121,9 +118,8 @@ type LookupQueue struct {
 // Stats returns the queue's crossing counters.
 func (q *LookupQueue) Stats() LookupStats {
 	return LookupStats{
-		Lookups:      q.lookups.Load(),
-		Crossings:    q.crossings.Load(),
-		FallbackHops: q.fallbackHops.Load(),
+		Lookups:   q.lookups.Load(),
+		Crossings: q.crossings.Load(),
 	}
 }
 
@@ -159,7 +155,6 @@ func (q *LookupQueue) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 	}
 	r, reads := q.t.dev.HostLookup(q.prog, q.idx.Root, key)
 	q.crossings.Add(int64(reads))
-	q.fallbackHops.Add(int64(reads))
 	s.Free()
 	done(queue.Completion{Kind: queue.OpPush, Cost: cost})
 	q.deliver(r)

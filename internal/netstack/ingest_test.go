@@ -307,7 +307,7 @@ func TestMixedOffloadPeers(t *testing.T) {
 		model := simclock.Datacenter2019()
 		sw := fabric.NewSwitch(&model, 7)
 		clk := stoppedClock()
-		w := &world{sw: sw,
+		w := &world{sw: sw, clock: clk,
 			devA: nic.New(&model, sw, nic.Config{MAC: macA, NoOffloads: !offA}),
 			devB: nic.New(&model, sw, nic.Config{MAC: macB, NoOffloads: !offB})}
 		w.a = New(&model, w.devA, Config{IP: ipA, Clock: clk, MaxRetransmits: 64})

@@ -23,8 +23,11 @@ type world struct {
 	sw         *fabric.Switch
 	a, b       *Stack
 	devA, devB *nic.Device
+	clock      *simclock.Clock
 }
 
+// newWorld puts two stacks on one switch and one clock: cfgA's, or a
+// stopped one, which moves only when the test or pumpUntil steps it.
 func newWorld(t testing.TB, cfgA, cfgB Config) *world {
 	t.Helper()
 	model := simclock.Datacenter2019()
@@ -33,41 +36,64 @@ func newWorld(t testing.TB, cfgA, cfgB Config) *world {
 	devB := nic.New(&model, sw, nic.Config{MAC: macB})
 	cfgA.IP = ipA
 	cfgB.IP = ipB
+	if cfgA.Clock == nil {
+		cfgA.Clock = stoppedClock()
+	}
+	cfgB.Clock = cfgA.Clock
 	return &world{
-		sw:   sw,
-		a:    New(&model, devA, cfgA),
-		b:    New(&model, devB, cfgB),
-		devA: devA,
-		devB: devB,
+		sw:    sw,
+		a:     New(&model, devA, cfgA),
+		b:     New(&model, devB, cfgB),
+		devA:  devA,
+		devB:  devB,
+		clock: cfgA.Clock,
 	}
 }
 
-// pump polls both stacks until neither makes progress.
-func (w *world) pump() {
+// pump polls both stacks until two rounds in a row move nothing, and
+// returns how many frames they took in.
+func (w *world) pump() int {
+	moved := 0
 	for {
 		n := w.a.Poll() + w.b.Poll()
 		if n == 0 {
 			w.sw.Flush()
-			if w.a.Poll()+w.b.Poll() == 0 {
-				return
+			if n = w.a.Poll() + w.b.Poll(); n == 0 {
+				return moved
 			}
 		}
+		moved += n
 	}
 }
 
-// pumpUntil pumps with timer advancement until cond holds or the deadline
-// passes.
-func (w *world) pumpUntil(t testing.TB, cond func() bool, deadline time.Duration) {
+// pumpUntil pumps until cond holds. Once cond has come back false twice
+// with nothing moving on the wire in between (its first call may only
+// have read what let the second succeed), it steps the clock to the
+// earlier of the two stacks' next deadlines; it fails once that would take
+// the clock more than budget past where it started, or no timer is armed
+// to move it.
+func (w *world) pumpUntil(t testing.TB, cond func() bool, budget time.Duration) {
 	t.Helper()
-	start := time.Now()
-	for time.Since(start) < deadline {
-		w.pump()
-		if cond() {
-			return
+	end := w.clock.UnixNano() + int64(budget)
+	w.pump()
+	for quiet := false; !cond(); {
+		if moved := w.pump() > 0; moved || !quiet {
+			quiet = !moved
+			continue
 		}
-		time.Sleep(time.Millisecond)
+		quiet = false
+		next, ok := w.a.nextDeadline()
+		if at, armed := w.b.nextDeadline(); armed && (!ok || at < next) {
+			next, ok = at, true
+		}
+		if !ok {
+			t.Fatal("condition not reached, and no timer is armed to move the clock")
+		}
+		if next > end {
+			t.Fatalf("condition not reached within %v", budget)
+		}
+		w.clock.Step(time.Duration(next - w.clock.UnixNano()))
 	}
-	t.Fatalf("condition not reached within %v", deadline)
 }
 
 func dialPair(t testing.TB, w *world, port uint16) (client, server *TCPConn) {
@@ -406,7 +432,7 @@ func TestTCPFlowControlZeroWindow(t *testing.T) {
 			sent += n
 		}
 		w.pump()
-		time.Sleep(100 * time.Microsecond)
+		w.clock.Step(100 * time.Microsecond)
 	}
 	var got []byte
 	w.pumpUntil(t, func() bool {
@@ -445,7 +471,7 @@ func TestTCPConnectNoListener(t *testing.T) {
 	// The SYN goes nowhere useful; the connection must not establish.
 	for i := 0; i < 20; i++ {
 		w.pump()
-		time.Sleep(time.Millisecond)
+		w.clock.Step(time.Millisecond)
 	}
 	if c.Established() {
 		t.Fatal("established without a listener")

@@ -11,10 +11,13 @@ import (
 	"demikernel/internal/simclock"
 )
 
-// contents returns the ring's queued bytes as one slice.
-func (r *byteRing) contents() []byte {
+// holds reports whether the ring's queued bytes are want, compared span
+// by span. The stream model calls it on up to 256 KiB a step, so it
+// compares with bytes.Compare, whose assembly the race detector does not
+// instrument: under -race, Equal's range reads cost more than the stack.
+func (r *byteRing) holds(want []byte) bool {
 	first, second := r.spans(0, r.n)
-	return append(append([]byte(nil), first...), second...)
+	return r.n == len(want) && bytes.Compare(first, want[:len(first)]) == 0 && bytes.Compare(second, want[len(first):]) == 0
 }
 
 // TestByteRingAgainstSlice drives a byteRing and the plain slice it
@@ -60,7 +63,7 @@ func TestByteRingAgainstSlice(t *testing.T) {
 					t.Fatalf("seed %d step %d: spans(%d, %d) diverged from the model", seed, step, off, n)
 				}
 			}
-			if ring.Len() != len(model) || !bytes.Equal(ring.contents(), model) {
+			if !ring.holds(model) {
 				t.Fatalf("seed %d step %d: ring holds %d bytes, model %d, or contents differ", seed, step, ring.Len(), len(model))
 			}
 			if len(ring.buf) > limit {
@@ -175,24 +178,24 @@ func (m *streamModel) recv(max int) {
 func (m *streamModel) check(step int) {
 	m.t.Helper()
 	m.w.a.mu.Lock()
-	acked := int(m.c.sndUna - m.base)
-	queued := m.c.sndBuf.contents()
-	_, second := m.c.sndBuf.spans(0, m.c.sndBuf.Len())
+	acked, queued := int(m.c.sndUna-m.base), m.c.sndBuf.Len()
+	_, second := m.c.sndBuf.spans(0, queued)
+	same := acked+queued == len(m.sent) && m.c.sndBuf.holds(m.sent[acked:])
 	m.w.a.mu.Unlock()
 	m.sndWrapped = m.sndWrapped || second != nil
-	if acked+len(queued) != len(m.sent) || !bytes.Equal(queued, m.sent[acked:]) {
+	if !same {
 		m.t.Fatalf("step %d: send ring holds %d bytes after %d acked, model has %d sent; or contents differ",
-			step, len(queued), acked, len(m.sent))
+			step, queued, acked, len(m.sent))
 	}
 	m.w.b.mu.Lock()
-	ready := m.srv.rcvBuf.contents()
-	_, second = m.srv.rcvBuf.spans(0, m.srv.rcvBuf.Len())
-	next := int(m.srv.rcvNxt - m.base)
+	ready, next := m.srv.rcvBuf.Len(), int(m.srv.rcvNxt-m.base)
+	_, second = m.srv.rcvBuf.spans(0, ready)
+	same = m.delivered+ready == next && m.srv.rcvBuf.holds(m.sent[m.delivered:next])
 	m.w.b.mu.Unlock()
 	m.rcvWrapped = m.rcvWrapped || second != nil
-	if m.delivered+len(ready) != next || !bytes.Equal(ready, m.sent[m.delivered:next]) {
+	if !same {
 		m.t.Fatalf("step %d: receive ring holds %d bytes after %d delivered, rcvNxt at %d; or contents differ",
-			step, len(ready), m.delivered, next)
+			step, ready, m.delivered, next)
 	}
 }
 
@@ -244,7 +247,7 @@ func streamModelSchedules(t *testing.T, face face) {
 				case op < 18: // loss window: the head is retransmitted
 					w.sw.SetImpairments(fabric.Impairments{LossRate: 0.3})
 					w.pump()
-					time.Sleep(rto)
+					w.clock.Step(rto)
 					w.pump()
 					w.sw.SetImpairments(fabric.Impairments{})
 				case op < 19: // stalled reader: window closes, probes go out
@@ -296,9 +299,8 @@ func streamModelSchedules(t *testing.T, face face) {
 // against a stream model each.
 func ackHoldSchedule(t *testing.T, seed int64, imp fabric.Impairments, face face) {
 	r := rand.New(rand.NewSource(seed))
-	clk := stoppedClock()
 	mss := 200 + r.Intn(1200)
-	w := newWorld(t, Config{MSS: mss, Clock: clk}, Config{MSS: 200 + r.Intn(1200), RxWindow: 8*mss + r.Intn(60_000), Clock: clk})
+	w := newWorld(t, Config{MSS: mss}, Config{MSS: 200 + r.Intn(1200), RxWindow: 8*mss + r.Intn(60_000)})
 	c, srv := dialPair(t, w, 8000)
 	w.pump()
 	fwd := &streamModel{t: t, w: w, c: c, srv: srv, base: c.sndUna, face: face}
@@ -355,7 +357,7 @@ func ackHoldSchedule(t *testing.T, seed int64, imp fabric.Impairments, face face
 				t.Fatalf("no progress on a clean link with the clock standing still: %d of %d and %d of %d bytes delivered",
 					fwd.delivered, len(fwd.sent), rev.delivered, len(rev.sent))
 			}
-			clk.Step(maxRTO) // only a timer recovers a loss with nothing behind it
+			w.clock.Step(maxRTO) // only a timer recovers a loss with nothing behind it
 			idle = 0
 		}
 		if rounds > 100_000 {

@@ -33,9 +33,9 @@ func TestPropTCPDeliversExactStreamUnderImpairment(t *testing.T) {
 
 		var got []byte
 		sent := 0
-		deadline := time.Now().Add(8 * time.Second)
+		deadline := w.clock.UnixNano() + int64(8*time.Second)
 		for len(got) < len(msg) {
-			if time.Now().After(deadline) {
+			if w.clock.UnixNano() > deadline {
 				return false
 			}
 			if sent < len(msg) {
@@ -56,7 +56,7 @@ func TestPropTCPDeliversExactStreamUnderImpairment(t *testing.T) {
 				return false
 			}
 			got = append(got, b...)
-			time.Sleep(200 * time.Microsecond)
+			w.clock.Step(200 * time.Microsecond)
 		}
 		return bytes.Equal(got, msg)
 	}

@@ -21,9 +21,9 @@ import (
 // complete with zero retransmissions (before the fix, every reopen cost
 // one RTO-driven retransmit).
 func TestTCPWindowReopenNoRetransmit(t *testing.T) {
-	// RTO is set far above the test's runtime so an RTO-based recovery
-	// cannot masquerade as success: without the window-update ACK the
-	// transfer stalls until the retransmit fires and the stat trips.
+	// An RTO-based recovery cannot masquerade as success: the clock moves
+	// only when the transfer stalls, and then to the retransmission, which
+	// trips the stat.
 	w := newWorld(t, Config{MSS: 512, RTO: 500 * time.Millisecond},
 		Config{MSS: 512, RxWindow: 1024, RTO: 500 * time.Millisecond})
 	c, srv := dialPair(t, w, 8000)
@@ -221,8 +221,7 @@ func TestTCPZeroWindowProbeRecoversLostUpdate(t *testing.T) {
 // that stands still after the drain, so a recovery by RTO cannot pass.
 func TestTCPZeroWindowProbeDroppedResumesAtUna(t *testing.T) {
 	const mss, window = 1024, 4096
-	clk := stoppedClock()
-	w := newWorld(t, Config{MSS: mss, Clock: clk}, Config{MSS: mss, RxWindow: window, Clock: clk})
+	w := newWorld(t, Config{MSS: mss}, Config{MSS: mss, RxWindow: window})
 	c, srv := dialPair(t, w, 8000)
 	openCwnd(w, c)
 
@@ -242,7 +241,7 @@ func TestTCPZeroWindowProbeDroppedResumesAtUna(t *testing.T) {
 	}
 
 	rcvd := w.b.Stats().TCPSegsRcvd
-	clk.Step(25 * time.Millisecond) // past the RTO: the persist timer fires
+	w.clock.Step(25 * time.Millisecond) // past the RTO: the persist timer fires
 	w.pump()
 	if rt := w.a.Stats().Retransmits; rt != 1 {
 		t.Fatalf("%d timer firings, want the one zero-window probe", rt)

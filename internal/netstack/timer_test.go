@@ -106,6 +106,22 @@ func referenceTick(s *Stack) {
 	}
 }
 
+// nextDeadline is the clock reading, in Unix nanoseconds, of the heap's
+// head once cleared entries are dropped off it, as the tick drops them,
+// and false if no timer is armed. The head sorts no later than any armed
+// connection's deadline, so a clock stepped to it passes no timer.
+func (s *Stack) nextDeadline() (int64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.timers) > 0 && s.timers[0].c.deadline == 0 {
+		s.timerRemoveLocked(s.timers[0].c)
+	}
+	if len(s.timers) == 0 {
+		return 0, false
+	}
+	return s.timers[0].at, true
+}
+
 // takeReady empties the ready queue as PollReady does, without polling.
 func takeReady(s *Stack) []any {
 	s.mu.Lock()
@@ -359,8 +375,7 @@ func BenchmarkNetstack_PollIdleConns(b *testing.B) {
 			name = fmt.Sprintf("%dk", n/1000)
 		}
 		b.Run(name, func(b *testing.B) {
-			clk := stoppedClock()
-			w := newWorld(b, Config{Clock: clk}, Config{Clock: clk})
+			w := newWorld(b, Config{}, Config{})
 			// A client port pairs with one server port only once, so the
 			// connections spread over as many listeners as that takes.
 			const perListener = 50_000
@@ -394,7 +409,7 @@ func BenchmarkNetstack_PollIdleConns(b *testing.B) {
 			}
 			// Past every handshake's deadline: one poll retires the heap
 			// entries the handshakes left behind, lazily cleared.
-			clk.Step(time.Minute)
+			w.clock.Step(time.Minute)
 			w.pump()
 			if timers, _, _ := w.b.WorkQueued(); timers != 0 {
 				b.Fatalf("%d timer entries on a stack at rest", timers)

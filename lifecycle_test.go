@@ -192,7 +192,7 @@ func TestChaosShardedKVCrashRestart(t *testing.T) {
 
 	// The schedule: loss, one-way partition (client→server dies while
 	// server→client flows — the gray failure), whole-node crash, rebirth.
-	eng := chaos.New(45).
+	eng := chaos.New(45, cliNode.Clock()).
 		ImpairAll(0, c.Switch, fabric.Impairments{LossRate: 0.03}).
 		ImpairAll(20*time.Millisecond, c.Switch, fabric.Impairments{}).
 		AsymmetricPartition(25*time.Millisecond, 15*time.Millisecond, c.Switch,
@@ -203,7 +203,7 @@ func TestChaosShardedKVCrashRestart(t *testing.T) {
 	// schedule regardless.
 	engDone := make(chan struct{})
 	go func() {
-		eng.Run(100*time.Millisecond, time.Millisecond)
+		eng.Run(100 * time.Millisecond)
 		close(engDone)
 	}()
 	done := func() bool {

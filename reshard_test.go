@@ -248,7 +248,7 @@ func TestChaosReshardUnderCrashRestart(t *testing.T) {
 
 	fport := rig.cliNode.FabricPort()
 	sport := rig.srvNode.FabricPort()
-	eng := chaos.New(92).
+	eng := chaos.New(92, rig.cliNode.Clock()).
 		ImpairAll(0, rig.c.Switch, fabric.Impairments{LossRate: 0.02, CorruptRate: 0.05}).
 		ImpairAll(50*time.Millisecond, rig.c.Switch, fabric.Impairments{}).
 		AsymmetricPartition(70*time.Millisecond, 0, rig.c.Switch, fport, sport)

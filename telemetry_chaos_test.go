@@ -43,7 +43,7 @@ func TestSpanAttributionUnderChaos(t *testing.T) {
 	// Loss + corruption for the first stretch, then a hard flap of the
 	// client's link, then quiet. The schedule guarantees both retransmits
 	// (loss window) and typed give-ups (flap window).
-	eng := chaos.New(777).
+	eng := chaos.New(777, cli.Clock()).
 		ImpairAll(0, c.Switch, fabric.Impairments{LossRate: 0.05, CorruptRate: 0.05}).
 		ImpairAll(40*time.Millisecond, c.Switch, fabric.Impairments{}).
 		LinkFlap(60*time.Millisecond, 30*time.Millisecond, c.Switch, cli.FabricPort())

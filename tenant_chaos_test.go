@@ -125,7 +125,7 @@ func TestHostileTenantSoak(t *testing.T) {
 	// pooled frames charged to the hostile quota and never released; the
 	// ledger absorbs it, the crash reclaims it.
 	hostile := &chaos.HostileTenant{Lib: mal.LibOS, Pool: mal.Catnip.Pool(), Node: mal, Sink: c.AddrOf(sinkNode, 9)}
-	eng := chaos.New(46).Rampage(0, 40*time.Millisecond, "mal", hostile)
+	eng := chaos.New(46, mal.Clock()).Rampage(0, 40*time.Millisecond, "mal", hostile)
 	eng.Start()
 
 	var hostileA, hostileB []Lat
