@@ -167,8 +167,8 @@ func TestLookupQueueClosedAndUninstall(t *testing.T) {
 // verdictProg gives one verdict on every block.
 type verdictProg spdk.Step
 
-func (p verdictProg) Name() string                      { return "verdict" }
-func (p verdictProg) Step(_ []byte, _ string) spdk.Step { return spdk.Step(p) }
+func (p verdictProg) Name() string                           { return "verdict" }
+func (p verdictProg) Step(_ []byte, _ *spdk.Block) spdk.Step { return spdk.Step(p) }
 
 // TestLookupQueueRulesHoldInBothModes: the device holds a program's
 // verdicts to one set of rules wherever the program runs. A value longer

@@ -107,11 +107,16 @@ const (
 	spansAndDiscard
 )
 
+// room is the free space in the sender's send ring.
+func (m *streamModel) room() int {
+	m.w.a.mu.Lock()
+	defer m.w.a.mu.Unlock()
+	return sndBufMax - m.c.sndBuf.Len()
+}
+
 func (m *streamModel) send(p []byte) {
 	m.t.Helper()
-	m.w.a.mu.Lock()
-	room := sndBufMax - m.c.sndBuf.Len()
-	m.w.a.mu.Unlock()
+	room := m.room()
 	var n int
 	var err error
 	if m.face != publicCalls {
@@ -252,8 +257,9 @@ func streamModelSchedules(t *testing.T, face face) {
 					w.sw.SetImpairments(fabric.Impairments{})
 				case op < 19: // stalled reader: window closes, probes go out
 					before := w.a.Stats().Retransmits
-					r.Read(chunk)
-					m.send(chunk) // more than sndBufMax: a short write
+					p := chunk[:m.room()+1+r.Intn(50_000)]
+					r.Read(p)
+					m.send(p) // more than the ring's free room: a short write
 					w.pumpUntil(t, func() bool {
 						m.check(step)
 						return w.a.Stats().Retransmits > before

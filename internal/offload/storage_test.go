@@ -3,6 +3,7 @@ package offload
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -204,6 +205,73 @@ func checkAgreement(t *testing.T, tag string, key, block []byte) {
 	}
 }
 
+// probe wraps the index program, records its verdict on the block the
+// device hands it, and ends the walk there, so a lookup shows the one
+// step whatever its verdict.
+type probe struct {
+	got   spdk.Step
+	block string
+}
+
+func (p *probe) Name() string { return "probe" }
+
+func (p *probe) Step(key []byte, b *spdk.Block) spdk.Step {
+	p.got, p.block = IndexLookup().Step(key, b), b.Data()
+	return spdk.Step{Kind: spdk.StepMiss}
+}
+
+// checkDeviceAgreement installs block (cut or zero-padded to one device
+// block) on a device and looks key up in it twice: a pushdown lookup,
+// whose program decodes the block cold, then a host fallback, which finds
+// the decode the first one kept on the block. Both verdicts must be the
+// oracle's on the installed block.
+func checkDeviceAgreement(t *testing.T, tag string, key, block []byte) {
+	t.Helper()
+	model := simclock.Datacenter2019()
+	dev := spdk.New(&model, spdk.Config{NumBlocks: 1})
+	installed := make([]byte, spdk.BlockSize)
+	copy(installed, block)
+	if c := dev.Execute(spdk.Command{Op: spdk.OpWrite, LBA: 0, Data: installed}); c.Err != nil {
+		t.Fatal(c.Err)
+	}
+	p := &probe{}
+	h, err := dev.InstallPushdown(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r spdk.LookupResult
+	got := false
+	err = dev.SubmitLookup(h, 0, key, func(res spdk.LookupResult) { r, got = res, true })
+	if len(key) > spdk.MaxKeyLen {
+		// The device refuses the key in both modes; no program runs.
+		if _, reads := dev.HostLookup(p, 0, key); !errors.Is(err, spdk.ErrKeyTooLong) || reads != 0 {
+			t.Fatalf("%s: a %d-byte key was taken: err %v, %d host reads", tag, len(key), err, reads)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !got {
+		dev.Pump()
+	}
+	oracle := hostIndexStep(key, installed)
+	for _, pass := range []string{"cold", "warm"} {
+		if pass == "warm" {
+			r, _ = dev.HostLookup(p, 0, key)
+		}
+		if r.Err != nil || r.Hops != 1 {
+			t.Fatalf("%s: %s lookup ended with err %v after %d hops", tag, pass, r.Err, r.Hops)
+		}
+		if p.block != string(installed) {
+			t.Fatalf("%s: %s lookup's program saw other bytes than were written", tag, pass)
+		}
+		if !stepsEqual(p.got, oracle) {
+			t.Fatalf("%s: %s program %+v != oracle %+v (key %x)", tag, pass, p.got, oracle, key)
+		}
+	}
+}
+
 func TestIndexStepAgreementWellFormed(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
@@ -240,7 +308,9 @@ func TestIndexStepAgreementCorrupted(t *testing.T) {
 		for m := 0; m <= rng.Intn(8); m++ {
 			block[rng.Intn(len(block))] ^= byte(1 + rng.Intn(255))
 		}
-		checkAgreement(t, "mutated", randKey(rng), block)
+		key := randKey(rng)
+		checkAgreement(t, "mutated", key, block)
+		checkDeviceAgreement(t, "mutated", key, block)
 	}
 }
 
@@ -264,7 +334,8 @@ func TestIndexStepAgreementGarbage(t *testing.T) {
 }
 
 // End-to-end: a full traversal over a built index returns byte-identical
-// results through the index program and the oracle.
+// results through the device's traversal of the index program and the
+// oracle's.
 func TestIndexLookupEndToEndAgreement(t *testing.T) {
 	model := simclock.Datacenter2019()
 	dev := spdk.New(&model, spdk.Config{})
@@ -306,22 +377,28 @@ func TestIndexLookupEndToEndAgreement(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		probe = append(probe, []byte(fmt.Sprintf("user:%04d", i*3)))
 	}
-	prog := func(key, block []byte) spdk.Step { return IndexLookup().Step(key, string(block)) }
 	for _, key := range probe {
-		pv, pok := traverse(prog, key)
+		r, _ := dev.HostLookup(IndexLookup(), idx.Root, key)
+		if r.Err != nil {
+			t.Fatalf("key %q: %v", key, r.Err)
+		}
 		ov, ook := traverse(hostIndexStep, key)
-		if pok != ook || pv != ov {
-			t.Fatalf("key %q: program (%q,%v) != oracle (%q,%v)", key, pv, pok, ov, ook)
+		if r.Found != ook || r.Value != ov {
+			t.Fatalf("key %q: program (%q,%v) != oracle (%q,%v)", key, r.Value, r.Found, ov, ook)
 		}
 	}
 }
 
 // FuzzIndexStep is the agreement property under a fuzzer: on any key and
 // block, the index program and the oracle give the same verdict, the
-// same next LBA and the same value bytes. The committed corpus holds a leaf, an inner node, a
-// truncated entry, keys out of order, a bad magic and a node of no keys.
+// same next LBA and the same value bytes, cold (IndexStep) and through a
+// device, where the block is installed and looked up twice, once to
+// decode it and once over the decode the device kept. The committed
+// corpus holds a leaf, an inner node, a truncated entry, keys out of
+// order, a bad magic and a node of no keys.
 func FuzzIndexStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, key, block []byte) {
 		checkAgreement(t, "fuzz", key, block)
+		checkDeviceAgreement(t, "fuzz", key, block)
 	})
 }

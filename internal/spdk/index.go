@@ -61,73 +61,106 @@ type Index struct {
 	BuildCost simclock.Lat
 }
 
-// IndexStep is the lookup step over one node block, the only decoder of
-// the node format: IndexProg runs it in both lookup modes, and package
-// offload's tests hold it byte-for-byte to an independent full decode.
-//
-// The whole node is validated — bounds and strictly ascending key order
-// — before any verdict is returned, so a block that is corrupt anywhere
-// is StepCorrupt everywhere, however far into the damage a lookup reads.
-func IndexStep(key []byte, block string) Step {
+// IndexStep is the lookup step over one node block, cold: it decodes the
+// block and searches the result, as IndexProg does on a block whose
+// decode nobody kept yet. decode is the only decoder of the node format
+// and search the only search, so package offload's tests, which hold
+// IndexStep byte for byte to an independent full decode, hold the
+// device's program to it too.
+func IndexStep(key []byte, block string) Step { return decode(block).search(key, block) }
+
+// entryTable is what the whole-node validation makes of one block: the
+// node's kind and the offset of each of its entries, whose key, value and
+// child are re-read from the block. A corrupt block's table has no
+// entries. Offsets are 32-bit so IndexStep decodes a string of any
+// length; a device block needs 12 bits.
+type entryTable struct {
+	leaf bool
+	offs []uint32
+}
+
+// corruptNode is the table of every block that fails validation.
+var corruptNode = &entryTable{}
+
+// decode validates a whole node — bounds and strictly ascending key
+// order — before any search reads it, so a block that is corrupt
+// anywhere is StepCorrupt everywhere, however far into the damage a
+// lookup reads.
+func decode(block string) *entryTable {
 	if len(block) < indexHdrLen || be32(block, 0) != nodeMagic {
-		return Step{Kind: StepCorrupt}
+		return corruptNode
 	}
-	level := be16(block, 4)
+	leaf := be16(block, 4) == 0
 	nKeys := be16(block, 6)
-	if nKeys == 0 {
+	// An entry's header: leaf u16 klen, u16 vlen; inner u16 klen, u32
+	// child. A count the block cannot hold is corrupt before any entry
+	// is read.
+	hdr := 6
+	if leaf {
+		hdr = 4
+	}
+	if nKeys == 0 || nKeys > (len(block)-indexHdrLen)/hdr {
+		return corruptNode
+	}
+	offs := make([]uint32, nKeys)
+	off := indexHdrLen
+	var prev string
+	for i := range offs {
+		if off+hdr > len(block) {
+			return corruptNode
+		}
+		klen := be16(block, off)
+		end := off + hdr + klen
+		if leaf {
+			end += be16(block, off+2)
+		}
+		if end > len(block) {
+			return corruptNode
+		}
+		k := block[off+hdr : off+hdr+klen]
+		if i > 0 && prev >= k {
+			return corruptNode
+		}
+		offs[i], prev, off = uint32(off), k, end
+	}
+	return &entryTable{leaf: leaf, offs: offs}
+}
+
+// search is the lookup step over a validated node: a binary search for
+// the last entry whose key is <= key. An inner node descends to it and
+// misses if key precedes the first entry; a leaf matches it exactly.
+func (n *entryTable) search(key []byte, block string) Step {
+	if len(n.offs) == 0 {
 		return Step{Kind: StepCorrupt}
 	}
-	off := indexHdrLen
-	var prev, value string
-	found := false
-	child := -1
-	for i := 0; i < nKeys; i++ {
-		var k string
-		if level == 0 {
-			if off+4 > len(block) {
-				return Step{Kind: StepCorrupt}
-			}
-			klen, vlen := be16(block, off), be16(block, off+2)
-			off += 4
-			if off+klen+vlen > len(block) {
-				return Step{Kind: StepCorrupt}
-			}
-			k = block[off : off+klen]
-			if k == string(key) {
-				found, value = true, block[off+klen:off+klen+vlen]
-			}
-			off += klen + vlen
+	hdr := 6
+	if n.leaf {
+		hdr = 4
+	}
+	// lo ends at the first entry whose key is > key.
+	lo, hi := 0, len(n.offs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		off := int(n.offs[m])
+		if block[off+hdr:off+hdr+be16(block, off)] <= string(key) {
+			lo = m + 1
 		} else {
-			if off+6 > len(block) {
-				return Step{Kind: StepCorrupt}
-			}
-			klen, c := be16(block, off), int(be32(block, off+2))
-			off += 6
-			if off+klen > len(block) {
-				return Step{Kind: StepCorrupt}
-			}
-			k = block[off : off+klen]
-			if k <= string(key) {
-				child = c
-			}
-			off += klen
+			hi = m
 		}
-		if i > 0 && prev >= k {
-			return Step{Kind: StepCorrupt}
-		}
-		prev = k
 	}
-	if level == 0 {
-		if found {
-			return Step{Kind: StepDone, Value: value}
-		}
+	if lo == 0 {
+		// The target precedes every key in the node.
 		return Step{Kind: StepMiss}
 	}
-	if child < 0 {
-		// The target precedes every key in the tree.
+	off := int(n.offs[lo-1])
+	if !n.leaf {
+		return Step{Kind: StepNext, NextLBA: int(be32(block, off+2))}
+	}
+	k := off + hdr + be16(block, off)
+	if block[off+hdr:k] != string(key) {
 		return Step{Kind: StepMiss}
 	}
-	return Step{Kind: StepNext, NextLBA: child}
+	return Step{Kind: StepDone, Value: block[k : k+be16(block, off+2)]}
 }
 
 // be16 and be32 decode the big-endian fields of a node block.
@@ -137,14 +170,28 @@ func be32(b string, off int) uint32 {
 	return uint32(b[off])<<24 | uint32(b[off+1])<<16 | uint32(b[off+2])<<8 | uint32(b[off+3])
 }
 
-// IndexProg is the lookup program over index node blocks.
+// IndexProg is the lookup program over index node blocks. It decodes a
+// block the first time any lookup reads it and keeps the decode on the
+// block: a block never changes, so every later hop over it is a binary
+// search, in either lookup mode.
 type IndexProg struct{}
 
 // Name implements Prog.
 func (IndexProg) Name() string { return "blockindex" }
 
 // Step implements Prog.
-func (IndexProg) Step(key []byte, block string) Step { return IndexStep(key, block) }
+func (IndexProg) Step(key []byte, b *Block) Step { return b.entryTable().search(key, b.data) }
+
+// entryTable is the block's decode, made by the first lookup that reads
+// the block. Concurrent first decodes of one block are equal, so the
+// first one published wins.
+func (b *Block) entryTable() *entryTable {
+	if n := b.decoded.Load(); n != nil {
+		return n
+	}
+	b.decoded.CompareAndSwap(nil, decode(b.data))
+	return b.decoded.Load()
+}
 
 // BuildIndex bulk-builds a static index over kvs with the given fanout
 // (entries per node; 0 = 8). alloc reserves n contiguous raw blocks and

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -146,5 +147,117 @@ func TestIndexStepRejectsDamage(t *testing.T) {
 	bad[6], bad[7] = 0xFF, 0xFF
 	if s := IndexStep([]byte("key-0000"), string(bad)); s.Kind != StepCorrupt {
 		t.Fatal("inflated nKeys accepted")
+	}
+}
+
+// TestIndexDecodeKeptPerBlock: the index program decodes a node once per
+// installed block. The first lookup that reads a node keeps its decode on
+// the block, a later lookup in either mode searches that decode, and a
+// write installs a new block that nobody has decoded.
+func TestIndexDecodeKeptPerBlock(t *testing.T) {
+	d := newDev(Config{})
+	idx, keys := buildTestIndex(t, d, 2)
+	h, _ := d.InstallPushdown(IndexProg{})
+	root := d.blocks.get(idx.Root)
+	if root.decoded.Load() != nil {
+		t.Fatal("the root was decoded before any lookup read it")
+	}
+	if r := runLookup(t, d, h, idx.Root, keys[0]); r.Err != nil || !r.Found {
+		t.Fatalf("pushdown lookup: err=%v found=%v", r.Err, r.Found)
+	}
+	kept := root.decoded.Load()
+	if kept == nil || kept.leaf || len(kept.offs) != 2 {
+		t.Fatalf("root decode after a lookup = %+v, want an inner node of 2 entries", kept)
+	}
+	if r, _ := d.HostLookup(IndexProg{}, idx.Root, keys[len(keys)-1]); r.Err != nil || !r.Found {
+		t.Fatalf("host lookup: err=%v found=%v", r.Err, r.Found)
+	}
+	if root.decoded.Load() != kept {
+		t.Fatal("a second lookup decoded the root again")
+	}
+	if c := d.Execute(Command{Op: OpWrite, LBA: idx.Root, Data: []byte(root.data)}); c.Err != nil {
+		t.Fatal(c.Err)
+	}
+	if b := d.blocks.get(idx.Root); b == root || b.decoded.Load() != nil {
+		t.Fatal("a write did not install a new, undecoded block")
+	}
+	if root.decoded.Load() != kept {
+		t.Fatal("a write changed the old block's decode")
+	}
+}
+
+// TestConcurrentFirstDecodes: lookups from several goroutines at once, in
+// both modes, that all read nodes nobody has decoded yet, each find their
+// values; the first decode published is the one every later hop reads.
+func TestConcurrentFirstDecodes(t *testing.T) {
+	d := newDev(Config{})
+	idx, keys := buildTestIndex(t, d, 3)
+	h, _ := d.InstallPushdown(IndexProg{})
+	errs := make(chan error, 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(host bool) {
+			defer wg.Done()
+			got := make(chan LookupResult, 1)
+			done := func(r LookupResult) { got <- r }
+			for i, k := range keys {
+				var r LookupResult
+				if host {
+					r, _ = d.HostLookup(IndexProg{}, idx.Root, k)
+				} else if err := d.SubmitLookup(h, idx.Root, k, done); err != nil {
+					errs <- err
+					return
+				} else {
+				wait:
+					for {
+						select {
+						case r = <-got:
+							break wait
+						default:
+							d.Pump()
+						}
+					}
+				}
+				if want := fmt.Sprintf("val-%d", i); r.Err != nil || r.Value != want {
+					errs <- fmt.Errorf("key %q (host %v): value %q err %v, want %q", k, host, r.Value, r.Err, want)
+					return
+				}
+			}
+		}(g%2 == 0)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if d.blocks.get(idx.Root).decoded.Load() == nil {
+		t.Fatal("no decode kept on the root")
+	}
+}
+
+// TestBlockTableLeaves: the media table allocates a leaf on the first
+// write into it, covers a namespace that is no multiple of a leaf, and
+// reads an unwritten LBA as the zero block.
+func TestBlockTableLeaves(t *testing.T) {
+	d := newDev(Config{NumBlocks: leafLen + 3})
+	if len(d.blocks) != 2 || d.blocks[0] != nil || d.blocks[1] != nil {
+		t.Fatalf("a new table holds %d leaves, want 2 unallocated", len(d.blocks))
+	}
+	last := d.NumBlocks() - 1
+	if c := d.Execute(Command{Op: OpWrite, LBA: last, Data: block('z')}); c.Err != nil {
+		t.Fatal(c.Err)
+	}
+	if d.blocks[0] != nil || d.blocks[1] == nil {
+		t.Fatal("a write into the second leaf did not allocate it alone")
+	}
+	if c := d.Execute(Command{Op: OpRead, LBA: last}); c.Err != nil || !bytes.Equal(c.Data, block('z')) {
+		t.Fatalf("read of the last LBA: err=%v", c.Err)
+	}
+	if d.blocks.get(0) != zeroBlock || d.blocks.get(last-1) != zeroBlock {
+		t.Fatal("an unwritten LBA is not the zero block")
+	}
+	if c := d.Execute(Command{Op: OpWrite, LBA: d.NumBlocks(), Data: block('z')}); !errors.Is(c.Err, ErrOutOfRange) {
+		t.Fatalf("write past the namespace: err=%v", c.Err)
 	}
 }

@@ -15,12 +15,13 @@ import (
 // "BPF for storage" (PAPERS.md) shows the biggest storage win is
 // eliminating the per-block host crossing of a multi-hop index lookup.
 //
-// The mechanism rides the continuation-carrying completion path: a
-// lookup submits one read whose continuation runs the installed program
-// over the block right where the completion is processed. The program's
-// verdict either resubmits the next read — device-internal, no host DMA,
+// The mechanism is the device's completion path: a lookup submits one
+// read, and where that read completes, under the device lock in the same
+// pump, the device runs the installed program over the block, as a
+// controller runs it in its completion path. The program's verdict either
+// queues the next read for the next pump — device-internal, no host DMA,
 // no surfaced completion — or emits the final value (or a typed error)
-// as the single completion that crosses back to the libOS.
+// as the single continuation that crosses back to the libOS.
 //
 // The completion path is the protection boundary: every per-hop verdict
 // is validated at run time (LBA range, value bounds), and the hop budget
@@ -72,22 +73,24 @@ type Step struct {
 	Kind    StepKind
 	NextLBA int
 	// Value is the emitted result for StepDone. It may be a substring
-	// of the block: blocks are immutable, so it stays valid.
+	// of the block's Data: blocks are immutable, so it stays valid.
 	Value string
 }
 
 // Prog is a sandboxed pushdown program: a pure function from (key,
-// block) to a verdict. The block is the media block itself, handed over
-// as a string so the program cannot write it; it never changes, so the
-// program may keep it or any part of it. A program must not block; the
-// admission check cannot verify purity (this is a simulation, not a
-// verifier), but the engine re-validates every verdict, so a
-// misbehaving program can waste its own hop budget and nothing else.
+// block) to a verdict. The block is the media block itself, whose bytes
+// (Block.Data) are a string so the program cannot write them; it never
+// changes, so the program may keep it or any part of it. A program runs
+// in the device's completion path, under the device lock: it must not
+// block or call the device. The admission check cannot verify that
+// (this is a simulation, not a verifier), but the engine re-validates
+// every verdict, so a misbehaving program can waste its own hop budget
+// and nothing else.
 type Prog interface {
 	// Name identifies the program in telemetry and errors.
 	Name() string
 	// Step inspects one block and decides what happens next.
-	Step(key []byte, block string) Step
+	Step(key []byte, b *Block) Step
 }
 
 // PushdownStats counts pushdown-engine events.
@@ -106,7 +109,7 @@ type PushdownStats struct {
 }
 
 // pushdownState is the engine state embedded in Device. Counters are
-// atomics: steps run outside the device lock.
+// atomics: PushdownStats reads them without the device lock.
 type pushdownState struct {
 	progs []Prog // handle = index; nil = uninstalled
 
@@ -146,8 +149,8 @@ type LookupResult struct {
 }
 
 // traversal is one lookup's walk down a block structure, in either
-// mode. Instances recycle through a freelist; onRead is bound once so
-// resubmission allocates nothing.
+// mode. Instances recycle through a freelist, so a hop allocates
+// nothing.
 type traversal struct {
 	d    *Device
 	prog Prog
@@ -161,9 +164,8 @@ type traversal struct {
 	hops     int
 	cost     simclock.Lat
 	// res is the result that ended the walk, once it has ended.
-	res    LookupResult
-	done   func(LookupResult)
-	onRead func(Completion)
+	res  LookupResult
+	done func(LookupResult)
 }
 
 // InstallPushdown admits a program into the device's pushdown slot table
@@ -208,8 +210,7 @@ func (d *Device) SubmitLookup(handle, rootLBA int, key []byte, done func(LookupR
 	}
 	t := d.getTraversalLocked(d.pd.progs[handle], key, false)
 	t.done = done
-	_, err := d.submitLocked(Command{Op: OpRead, LBA: rootLBA}, t.onRead, inDevice)
-	if err != nil {
+	if err := d.queueHopLocked(&d.sq, rootLBA, t); err != nil {
 		d.putTraversalLocked(t)
 		d.mu.Unlock()
 		return err
@@ -252,7 +253,6 @@ func (d *Device) getTraversalLocked(prog Prog, key []byte, host bool) *traversal
 		d.pd.travFree = d.pd.travFree[:n-1]
 	} else {
 		t = &traversal{d: d}
-		t.onRead = t.step
 	}
 	t.prog = prog
 	t.host = host
@@ -338,19 +338,32 @@ func (t *traversal) count(c *atomic.Int64, n int64) {
 	}
 }
 
-// step is the continuation of every read a pushdown traversal submits:
-// it runs the program over the block in the completion path and either
-// resubmits device-side or surfaces the result.
-func (t *traversal) step(c Completion) {
-	if next, more := t.advance(&c); more {
-		t.d.pd.resubmits.Add(1)
-		_, err := t.d.submit(Command{Op: OpRead, LBA: next}, t.onRead, inDevice)
+// queueHopLocked queues a pushdown traversal's read of lba on q: sq for a
+// lookup's first read, next for the read a hop descends to.
+func (d *Device) queueHopLocked(q *[]sqe, lba int, t *traversal) error {
+	if len(*q) >= d.cfg.QueueDepth {
+		d.stats.QueueFulls++
+		return ErrQueueFull
+	}
+	d.nextID++
+	*q = append(*q, sqe{id: d.nextID, op: OpRead, lba: lba, t: t, path: inDevice})
+	return nil
+}
+
+// hopLocked is where a pushdown read completes: it runs the program over
+// the block under the device lock and either queues the next read
+// device-side for the next pump or stages the result as the traversal's
+// one continuation (dispatch delivers it and recycles the traversal).
+func (d *Device) hopLocked(t *traversal, c *Completion) {
+	if next, more := t.advance(c); more {
+		d.pd.resubmits.Add(1)
+		err := d.queueHopLocked(&d.next, next, t)
 		if err == nil {
 			return
 		}
 		t.res = LookupResult{Err: err}
 	}
-	t.finish()
+	d.conts = append(d.conts, pendingCont{t: t})
 }
 
 // result is the walk's result with its hops and cost.
@@ -359,18 +372,6 @@ func (t *traversal) result() LookupResult {
 	r.Hops = t.hops
 	r.Cost = t.cost
 	return r
-}
-
-// finish delivers a pushdown traversal's single surfaced completion and
-// recycles its state.
-func (t *traversal) finish() {
-	d := t.d
-	done := t.done
-	done(t.result())
-	d.pd.inflight.Add(-1)
-	d.mu.Lock()
-	d.putTraversalLocked(t)
-	d.mu.Unlock()
 }
 
 // PushdownStats returns a snapshot of the pushdown-engine counters.

@@ -24,16 +24,25 @@ func seqAlloc(base int) func(n int) (int, error) {
 // fanout 2 and returns it with the key set. Key i maps to value
 // "val-i".
 func buildTestIndex(t testing.TB, d *Device, depth int) (*Index, [][]byte) {
+	return buildIndexAt(t, d, depth, 2, "key-%04d", "val-%d")
+}
+
+// buildIndexAt builds an index of the given depth at the given fanout:
+// 2*fanout^depth keys, key i formatted by keyFmt and its value by valFmt.
+func buildIndexAt(t testing.TB, d *Device, depth, fanout int, keyFmt, valFmt string) (*Index, [][]byte) {
 	t.Helper()
-	n := 1 << (depth + 1) // 2^(depth+1) keys at fanout 2
+	n := 2
+	for i := 0; i < depth; i++ {
+		n *= fanout
+	}
 	var kvs []KV
 	var keys [][]byte
 	for i := 0; i < n; i++ {
-		k := []byte(fmt.Sprintf("key-%04d", i))
-		kvs = append(kvs, KV{Key: k, Val: []byte(fmt.Sprintf("val-%d", i))})
+		k := []byte(fmt.Sprintf(keyFmt, i))
+		kvs = append(kvs, KV{Key: k, Val: []byte(fmt.Sprintf(valFmt, i))})
 		keys = append(keys, k)
 	}
-	idx, err := BuildIndex(d, seqAlloc(100), kvs, 2)
+	idx, err := BuildIndex(d, seqAlloc(100), kvs, fanout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +140,7 @@ func TestPushdownMiss(t *testing.T) {
 type loopProg struct{ lba int }
 
 func (p loopProg) Name() string                 { return "loop" }
-func (p loopProg) Step(_ []byte, _ string) Step { return Step{Kind: StepNext, NextLBA: p.lba} }
+func (p loopProg) Step(_ []byte, _ *Block) Step { return Step{Kind: StepNext, NextLBA: p.lba} }
 
 func TestPushdownHopBudgetTerminates(t *testing.T) {
 	d := newDev(Config{})
@@ -187,7 +196,7 @@ func TestPushdownCorruptBlock(t *testing.T) {
 type wildProg struct{ s Step }
 
 func (p wildProg) Name() string                 { return "wild" }
-func (p wildProg) Step(_ []byte, _ string) Step { return p.s }
+func (p wildProg) Step(_ []byte, _ *Block) Step { return p.s }
 
 func TestPushdownRuntimeValidation(t *testing.T) {
 	d := newDev(Config{NumBlocks: 64})
@@ -314,6 +323,12 @@ func TestExecuteSteadyStateAllocFree(t *testing.T) {
 // hit with no allocation of its own.
 func steadyGet(tb testing.TB, d *Device, depth int) (func(key []byte), [][]byte) {
 	idx, keys := buildTestIndex(tb, d, depth)
+	return indexGet(tb, d, idx), keys
+}
+
+// indexGet installs the index program and returns a GET over idx that
+// drives one pushdown lookup to its hit with no allocation of its own.
+func indexGet(tb testing.TB, d *Device, idx *Index) func(key []byte) {
 	h, _ := d.InstallPushdown(IndexProg{})
 	var r LookupResult
 	got := false
@@ -329,7 +344,7 @@ func steadyGet(tb testing.TB, d *Device, depth int) (func(key []byte), [][]byte)
 		if r.Err != nil || !r.Found {
 			tb.Fatalf("key %q: err=%v found=%v", key, r.Err, r.Found)
 		}
-	}, keys
+	}
 }
 
 // The full device-side GET is allocation-free once warm: pooled
@@ -345,22 +360,39 @@ func TestPushdownLookupSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkSPDK_PushdownGet is one pushdown GET over a depth-4 index,
-// from SubmitLookup to its single completion, driven by the device pump
-// alone. hops/op is the block reads per GET (5); an allocation fails it.
+// fullFanout is the fanout at which a leaf of 9-byte keys and 9-byte
+// values fills its block.
+const fullFanout = (BlockSize - indexHdrLen) / (4 + 9 + 9)
+
+// BenchmarkSPDK_PushdownGet is one pushdown GET, from SubmitLookup to its
+// single completion, driven by the device pump alone: over a depth-4
+// index at fanout 2 (hops/op, the block reads per GET, 5), and over a
+// depth-2 index whose leaves fill their blocks (hops/op 3), where the
+// search within a node is most of a hop. An allocation fails it.
 func BenchmarkSPDK_PushdownGet(b *testing.B) {
-	d := newDev(Config{})
-	get, keys := steadyGet(b, d, 4)
-	if a := testing.AllocsPerRun(100, func() { get(keys[1]) }); a != 0 {
-		b.Fatalf("%v allocs per GET", a)
+	for _, fanout := range []int{2, fullFanout} {
+		b.Run(fmt.Sprint("fanout", fanout), func(b *testing.B) {
+			d := newDev(Config{})
+			var idx *Index
+			var keys [][]byte
+			if fanout == 2 {
+				idx, keys = buildTestIndex(b, d, 4)
+			} else {
+				idx, keys = buildIndexAt(b, d, 2, fanout, "key-%05d", "val-%05d")
+			}
+			get := indexGet(b, d, idx)
+			if a := testing.AllocsPerRun(100, func() { get(keys[1]) }); a != 0 {
+				b.Fatalf("%v allocs per GET", a)
+			}
+			reads := d.Stats().Reads
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				get(keys[i%len(keys)])
+			}
+			b.ReportMetric(float64(d.Stats().Reads-reads)/float64(b.N), "hops/op")
+		})
 	}
-	reads := d.Stats().Reads
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		get(keys[i%len(keys)])
-	}
-	b.ReportMetric(float64(d.Stats().Reads-reads)/float64(b.N), "hops/op")
 }
 
 // TestPushdownReadsBlockAsOfItsRead: a program sees its block as it was

@@ -23,6 +23,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"demikernel/internal/simclock"
 	"demikernel/internal/telemetry"
@@ -73,7 +74,58 @@ type Completion struct {
 
 	// block is the media block itself, immutable, for a read that is
 	// not copied into Data.
-	block string
+	block *Block
+}
+
+// Block is one installed media block. A write installs a new Block, so
+// a Block never changes: a reader may keep it, and what a program once
+// made of its bytes stays true.
+type Block struct {
+	data string
+	// decoded is the index program's decode of data (index.go), made
+	// by the first lookup that reads the block.
+	decoded atomic.Pointer[entryTable]
+}
+
+// Data returns the block's bytes.
+func (b *Block) Data() string { return b.data }
+
+// zeroBlock is what a read of an unwritten LBA sees.
+var zeroBlock = &Block{data: strings.Repeat("\x00", BlockSize)}
+
+// leafBits sizes a leaf of the block table: 256 LBAs, 2 KiB of pointers.
+const (
+	leafBits = 8
+	leafLen  = 1 << leafBits
+)
+
+// blockTable is the media, indexed by LBA: a top array of fixed-size
+// leaves, each allocated on the first write into it, so an unwritten
+// stretch of the namespace costs one nil pointer per leafLen blocks.
+type blockTable []*[leafLen]*Block
+
+func newBlockTable(numBlocks int) blockTable {
+	return make(blockTable, (numBlocks+leafLen-1)>>leafBits)
+}
+
+// get returns the block at an in-range lba.
+func (t blockTable) get(lba int) *Block {
+	if leaf := t[lba>>leafBits]; leaf != nil {
+		if b := leaf[lba&(leafLen-1)]; b != nil {
+			return b
+		}
+	}
+	return zeroBlock
+}
+
+// put installs b at an in-range lba.
+func (t blockTable) put(lba int, b *Block) {
+	leaf := t[lba>>leafBits]
+	if leaf == nil {
+		leaf = new([leafLen]*Block)
+		t[lba>>leafBits] = leaf
+	}
+	leaf[lba&(leafLen-1)] = b
 }
 
 // Config describes a device.
@@ -101,11 +153,13 @@ type Device struct {
 	model *simclock.CostModel
 	cfg   Config
 
-	mu sync.Mutex
-	// blocks is the media. A write installs a fresh string, so an
-	// installed block never changes and a reader may keep it.
-	blocks map[int]string
+	mu     sync.Mutex
+	blocks blockTable
 	sq     []sqe
+	// next holds the reads pushdown hops queue while a pump processes
+	// sq; they become sq for the next pump, so a traversal advances one
+	// hop per pump.
+	next   []sqe
 	nextID uint64
 	stats  Stats
 
@@ -115,10 +169,10 @@ type Device struct {
 	cq     []Completion
 	cqHead int
 
-	// Completed continuation-carrying entries, staged under mu and
-	// dispatched outside it (a continuation may resubmit, which retakes
-	// the lock). conts/spare ping-pong so the steady state allocates
-	// nothing.
+	// Completed continuation-carrying entries and finished pushdown
+	// traversals, staged under mu and dispatched outside it (a
+	// continuation may resubmit, which retakes the lock). conts/spare
+	// ping-pong so the steady state allocates nothing.
 	conts []pendingCont
 	spare []pendingCont
 
@@ -138,10 +192,13 @@ type sqe struct {
 	id  uint64
 	op  Op
 	lba int
-	// data is a write's block, copied at submission.
-	data string
+	// blk is a write's block, copied at submission.
+	blk *Block
 	// done, when non-nil, receives the completion instead of the CQ.
 	done func(Completion)
+	// t, when non-nil, is the pushdown traversal whose hop this read
+	// is: the device runs its program where the read completes.
+	t *traversal
 	// path is where a read's block goes.
 	path readPath
 }
@@ -160,12 +217,12 @@ const (
 	inDevice
 )
 
-// zeroBlock is what a read of an unwritten LBA sees.
-var zeroBlock = strings.Repeat("\x00", BlockSize)
-
+// pendingCont is one staged continuation: fn with its completion, or a
+// finished traversal t, whose result is its only completion.
 type pendingCont struct {
 	fn func(Completion)
 	c  Completion
+	t  *traversal
 }
 
 // execState is the pooled wait state behind Execute. The buffered
@@ -183,7 +240,7 @@ func New(model *simclock.CostModel, cfg Config) *Device {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256
 	}
-	return &Device{model: model, cfg: cfg, blocks: make(map[int]string)}
+	return &Device{model: model, cfg: cfg, blocks: newBlockTable(cfg.NumBlocks)}
 }
 
 // NumBlocks returns the namespace capacity in blocks.
@@ -234,7 +291,7 @@ func (d *Device) submitLocked(cmd Command, done func(Completion), path readPath)
 		// The device DMAs the buffer at submission; keep a copy so the
 		// caller may reuse its buffer immediately (completion-side
 		// free-protection is the libOS's job, not the device's).
-		e.data = string(cmd.Data)
+		e.blk = &Block{data: string(cmd.Data)}
 	}
 	d.sq = append(d.sq, e)
 	return id, nil
@@ -266,16 +323,21 @@ func (d *Device) Poll(max int) []Completion {
 
 // Pump processes pending submissions and dispatches continuation-
 // carrying completions, leaving CQ completions queued for Poll. It
-// returns the number of continuations dispatched. LibOS poll loops call
-// it to drive Execute waiters and in-flight pushdown traversals.
+// returns the number of completions it processed that had a consumer
+// other than the CQ: one per pushdown hop advanced, whether its
+// traversal went on or ended, and one per other continuation. LibOS
+// poll loops call it to drive Execute waiters and in-flight pushdown
+// traversals.
 func (d *Device) Pump() int {
 	d.mu.Lock()
+	n := 0
 	if len(d.sq) > 0 {
-		d.processLocked()
+		n = d.processLocked()
 	}
 	conts := d.takeContsLocked()
 	d.mu.Unlock()
-	return d.dispatch(conts)
+	d.dispatch(conts)
+	return n
 }
 
 // takeContsLocked detaches the staged continuation batch, installing the
@@ -295,98 +357,117 @@ func (d *Device) takeContsLocked() []pendingCont {
 	return out
 }
 
-// dispatch invokes a batch of continuations and returns the batch to the
+// dispatch invokes a batch of continuations, then, under one hold of the
+// lock, recycles its finished traversals and returns the batch to the
 // spare slot for reuse.
-func (d *Device) dispatch(conts []pendingCont) int {
+func (d *Device) dispatch(conts []pendingCont) {
 	if len(conts) == 0 {
-		return 0
+		return
 	}
 	for i := range conts {
-		conts[i].fn(conts[i].c)
+		if t := conts[i].t; t != nil {
+			t.done(t.result())
+			d.pd.inflight.Add(-1)
+		} else {
+			conts[i].fn(conts[i].c)
+		}
+	}
+	d.mu.Lock()
+	for i := range conts {
+		if t := conts[i].t; t != nil {
+			d.putTraversalLocked(t)
+		}
 		conts[i] = pendingCont{}
 	}
-	n := len(conts)
-	d.mu.Lock()
 	if d.spare == nil {
 		d.spare = conts[:0]
 	}
 	d.mu.Unlock()
-	return n
 }
 
-func (d *Device) processLocked() {
-	for _, e := range d.sq {
+// processLocked completes every queued command and returns how many had
+// a consumer other than the CQ (completeLocked).
+func (d *Device) processLocked() int {
+	n := 0
+	for i := range d.sq {
+		e := &d.sq[i]
 		c := Completion{ID: e.id, Op: e.op, LBA: e.lba}
-		if d.downFor > 0 {
+		switch {
+		case d.downFor > 0:
 			// Controller still re-initialising after a reset: every
 			// command aborts without touching media.
 			d.downFor--
 			c.Err = ErrDeviceReset
-			d.stats.Errors++
-			d.completeLocked(e, c)
-			continue
-		}
-		if d.errRate > 0 && d.rng != nil && d.rng.Float64() < d.errRate {
+		case d.errRate > 0 && d.rng != nil && d.rng.Float64() < d.errRate:
 			// Injected transient media error; the command has no effect.
 			d.stats.InjectedErrors++
 			c.Err = ErrIO
-			d.stats.Errors++
-			d.completeLocked(e, c)
-			continue
-		}
-		switch e.op {
-		case OpRead:
-			if e.lba < 0 || e.lba >= d.cfg.NumBlocks {
-				c.Err = ErrOutOfRange
-			} else {
-				d.stats.Reads++
-				blk, ok := d.blocks[e.lba]
-				if !ok {
-					blk = zeroBlock
-				}
-				if e.path == inDevice {
-					// Pushdown-internal read: the block stays on the
-					// device (no host DMA).
-					c.Cost = d.model.NVMeReadNS
-				} else {
-					d.stats.DMABytes += BlockSize
-					c.Cost = d.model.NVMeReadNS + d.model.DMACost(BlockSize)
-				}
-				if e.path == toHost {
-					c.Data = []byte(blk)
-				} else {
-					c.block = blk
-				}
-			}
-		case OpWrite:
-			if e.lba < 0 || e.lba >= d.cfg.NumBlocks {
-				c.Err = ErrOutOfRange
-			} else {
-				d.stats.Writes++
-				d.stats.DMABytes += BlockSize
-				d.blocks[e.lba] = e.data
-				c.Cost = d.model.NVMeWriteNS + d.model.DMACost(BlockSize)
-			}
-		case OpFlush:
-			d.stats.Flushes++
-			c.Cost = d.model.NVMeWriteNS
+		default:
+			d.mediaLocked(e, &c)
 		}
 		if c.Err != nil {
 			d.stats.Errors++
 		}
-		d.completeLocked(e, c)
+		n += d.completeLocked(e, &c)
 	}
-	d.sq = d.sq[:0]
+	// The reads this pass's hops queued are the next pump's.
+	d.sq, d.next = d.next, d.sq[:0]
+	return n
 }
 
-// completeLocked routes one finished command: continuation-carrying
-// entries stage for out-of-lock dispatch, the rest join the CQ ring.
-func (d *Device) completeLocked(e sqe, c Completion) {
-	if e.done != nil {
-		d.conts = append(d.conts, pendingCont{fn: e.done, c: c})
-		return
+// mediaLocked carries out one command on the media.
+func (d *Device) mediaLocked(e *sqe, c *Completion) {
+	switch e.op {
+	case OpRead:
+		if e.lba < 0 || e.lba >= d.cfg.NumBlocks {
+			c.Err = ErrOutOfRange
+			return
+		}
+		d.stats.Reads++
+		blk := d.blocks.get(e.lba)
+		if e.path == inDevice {
+			// Pushdown-internal read: the block stays on the device
+			// (no host DMA).
+			c.Cost = d.model.NVMeReadNS
+		} else {
+			d.stats.DMABytes += BlockSize
+			c.Cost = d.model.NVMeReadNS + d.model.DMACost(BlockSize)
+		}
+		if e.path == toHost {
+			c.Data = []byte(blk.data)
+		} else {
+			c.block = blk
+		}
+	case OpWrite:
+		if e.lba < 0 || e.lba >= d.cfg.NumBlocks {
+			c.Err = ErrOutOfRange
+			return
+		}
+		d.stats.Writes++
+		d.stats.DMABytes += BlockSize
+		d.blocks.put(e.lba, e.blk)
+		c.Cost = d.model.NVMeWriteNS + d.model.DMACost(BlockSize)
+	case OpFlush:
+		d.stats.Flushes++
+		c.Cost = d.model.NVMeWriteNS
 	}
-	d.cq = append(d.cq, c)
+}
+
+// completeLocked routes one finished command: a pushdown hop runs its
+// program here (hopLocked), other continuation-carrying entries stage
+// for out-of-lock dispatch, and the rest join the CQ ring. It returns 1
+// for a command with a consumer other than the CQ.
+func (d *Device) completeLocked(e *sqe, c *Completion) int {
+	switch {
+	case e.t != nil:
+		d.hopLocked(e.t, c)
+	case e.done != nil:
+		d.conts = append(d.conts, pendingCont{fn: e.done, c: *c})
+	default:
+		d.cq = append(d.cq, *c)
+		return 0
+	}
+	return 1
 }
 
 // Execute submits cmd and pumps the device until its completion arrives,
@@ -438,7 +519,7 @@ func (d *Device) putExecState(st *execState) {
 func (d *Device) Reset() {
 	d.mu.Lock()
 	d.abortInflightLocked()
-	d.blocks = make(map[int]string)
+	d.blocks = newBlockTable(d.cfg.NumBlocks)
 	conts := d.takeContsLocked()
 	d.mu.Unlock()
 	d.dispatch(conts)
@@ -464,9 +545,10 @@ func (d *Device) ControllerReset(downFor int) {
 }
 
 func (d *Device) abortInflightLocked() {
-	for _, e := range d.sq {
+	for i := range d.sq {
+		e := &d.sq[i]
 		d.stats.Errors++
-		d.completeLocked(e, Completion{ID: e.id, Op: e.op, LBA: e.lba, Err: ErrDeviceReset})
+		d.completeLocked(e, &Completion{ID: e.id, Op: e.op, LBA: e.lba, Err: ErrDeviceReset})
 	}
 	d.sq = d.sq[:0]
 }

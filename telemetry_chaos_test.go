@@ -23,7 +23,10 @@ func TestSpanAttributionUnderChaos(t *testing.T) {
 	c := NewCluster(777)
 	srv := c.MustSpawn(Catnip, WithHost(1))
 	cli := c.MustSpawn(Catnip, WithConfig(NodeConfig{Host: 2, RTO: 2 * time.Millisecond, MaxRetransmits: 4}))
+	// Both sides give up on a wait the link flap lost after 200 ms, not
+	// the default 5 s.
 	cli.WaitTimeout = 200 * time.Millisecond
+	srv.WaitTimeout = cli.WaitTimeout
 
 	cqd, lqd, sqd, cleanup := chaosConnect(t, c, cli, srv, 7)
 	defer cleanup()
