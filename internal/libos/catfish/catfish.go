@@ -158,9 +158,9 @@ func (t *Transport) Open(path string) (queue.IoQueue, error) {
 	})
 }
 
-// Poll implements core.Transport: pump the device, driving Execute
-// waiters and in-flight pushdown traversals one hop per tick, each
-// finished lookup answering its Pop. No poll visits a file queue: a push
+// Poll implements core.Transport: pump the device, driving in-flight
+// pushdown traversals one hop per tick, each finished lookup answering
+// its Pop. No poll visits a file queue: a push
 // pumps every queue open on its path.
 func (t *Transport) Poll() int { return t.dev.Pump() }
 

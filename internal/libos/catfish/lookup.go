@@ -1,6 +1,7 @@
 package catfish
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -35,8 +36,8 @@ import (
 
 // LookupConfig configures OpenLookup.
 type LookupConfig struct {
-	// Pushdown installs the program into the device and runs lookups in
-	// the completion path; false runs it on the host per block.
+	// Pushdown runs the program in the device's completion path; false
+	// runs it on the host per block.
 	Pushdown bool
 }
 
@@ -81,18 +82,15 @@ func (t *Transport) BuildIndex(kvs []spdk.KV, fanout int) (*spdk.Index, error) {
 }
 
 // OpenLookup opens a PushPop lookup face over idx that runs prog. With
-// cfg.Pushdown prog is installed into the device's pushdown slot table;
-// otherwise every lookup runs it on the host per surfaced block.
+// cfg.Pushdown every lookup runs prog in the device's completion path;
+// otherwise on the host per surfaced block. A nil prog is refused with
+// spdk.ErrBadProg.
 func (t *Transport) OpenLookup(idx *spdk.Index, prog spdk.Prog, cfg LookupConfig) (*LookupQueue, error) {
-	q := &LookupQueue{t: t, idx: idx, prog: prog, handle: -1}
-	q.onResult = q.deliver
-	if cfg.Pushdown {
-		h, err := t.dev.InstallPushdown(prog)
-		if err != nil {
-			return nil, err
-		}
-		q.handle = h
+	if prog == nil {
+		return nil, fmt.Errorf("%w: nil program", spdk.ErrBadProg)
 	}
+	q := &LookupQueue{t: t, idx: idx, prog: prog, pushdown: cfg.Pushdown}
+	q.onResult = q.deliver
 	return q, nil
 }
 
@@ -101,10 +99,10 @@ func (t *Transport) OpenLookup(idx *spdk.Index, prog spdk.Prog, cfg LookupConfig
 // the popped SGA when done — it is pool-backed), spdk.ErrNotFound on a
 // clean miss, or the typed error that ended the traversal.
 type LookupQueue struct {
-	t      *Transport
-	idx    *spdk.Index
-	prog   spdk.Prog
-	handle int
+	t        *Transport
+	idx      *spdk.Index
+	prog     spdk.Prog
+	pushdown bool
 
 	onResult func(spdk.LookupResult)
 
@@ -142,11 +140,11 @@ func (q *LookupQueue) Push(s sga.SGA, cost simclock.Lat, done queue.DoneFunc) {
 		key = s.Bytes()
 	}
 	q.lookups.Add(1)
-	if q.handle >= 0 {
+	if q.pushdown {
 		// SubmitLookup copies the key before returning, so the SGA can
 		// be freed immediately; the single surfaced completion lands in
 		// deliver from whichever goroutine pumps the device.
-		if err := q.t.dev.SubmitLookup(q.handle, q.idx.Root, key, q.onResult); err != nil {
+		if err := q.t.dev.SubmitLookup(q.prog, q.idx.Root, key, q.onResult); err != nil {
 			q.deliver(spdk.LookupResult{Err: err})
 		}
 		s.Free()
@@ -174,7 +172,7 @@ func (q *LookupQueue) deliver(r spdk.LookupResult) {
 		c.SGA = q.t.pool.SGA(len(r.Value))
 		copy(c.SGA.Segments[0].Buf, r.Value)
 	}
-	if q.handle >= 0 {
+	if q.pushdown {
 		// The one device→host crossing of a pushdown GET.
 		q.crossings.Add(1)
 	}
@@ -200,8 +198,8 @@ func (q *LookupQueue) Pop(done queue.DoneFunc) {
 // finishes, so there is nothing to pump.
 func (q *LookupQueue) Pump() int { return 0 }
 
-// Close implements queue.IoQueue: parked pops fail, the values nobody
-// popped are freed, and the pushdown program is uninstalled.
+// Close implements queue.IoQueue: parked pops fail and the values nobody
+// popped are freed.
 func (q *LookupQueue) Close() error {
 	q.mu.Lock()
 	if q.pops.Closed() {
@@ -211,8 +209,5 @@ func (q *LookupQueue) Close() error {
 	dropped := q.pops.Close()
 	q.mu.Unlock()
 	dropped.Settle()
-	if q.handle >= 0 {
-		q.t.dev.UninstallPushdown(q.handle)
-	}
 	return nil
 }

@@ -146,9 +146,11 @@ func TestLookupQueueMissIsTyped(t *testing.T) {
 	}
 }
 
+// TestLookupQueueClosedAndUninstall: a closed queue fails its pops and
+// pushes, and its program runs on the device no more.
 func TestLookupQueueClosedAndUninstall(t *testing.T) {
 	tr, dev := newTransport(t)
-	q, idx := openLookup(t, tr, testPairs(8), LookupConfig{Pushdown: true})
+	q, _ := openLookup(t, tr, testPairs(8), LookupConfig{Pushdown: true})
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +159,30 @@ func TestLookupQueueClosedAndUninstall(t *testing.T) {
 	if !errors.Is(res.Err, queue.ErrClosed) {
 		t.Fatalf("pop after close: %v", res.Err)
 	}
-	// The pushdown slot was uninstalled with the queue.
-	err := dev.SubmitLookup(0, idx.Root, []byte("k"), func(spdk.LookupResult) {})
-	if !errors.Is(err, spdk.ErrNoProg) {
-		t.Fatalf("slot not uninstalled: %v", err)
+	ks := tr.AllocSGA(8)
+	copy(ks.Segments[0].Buf, "key-0001")
+	q.Push(ks, 0, func(c queue.Completion) { res = c })
+	ks.Free()
+	if !errors.Is(res.Err, queue.ErrClosed) {
+		t.Fatalf("push after close: %v", res.Err)
+	}
+	if st := dev.PushdownStats(); st.Lookups != 0 || st.Inflight != 0 {
+		t.Fatalf("lookups/inflight = %d/%d after a push to a closed queue", st.Lookups, st.Inflight)
+	}
+}
+
+// TestOpenLookupRefusesNilProg: a lookup queue needs a program in either
+// mode; a nil one is refused at open instead of failing the first GET.
+func TestOpenLookupRefusesNilProg(t *testing.T) {
+	for _, pushdown := range []bool{true, false} {
+		tr, _ := newTransport(t)
+		idx, err := tr.BuildIndex(testPairs(8), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, err := tr.OpenLookup(idx, nil, LookupConfig{Pushdown: pushdown}); !errors.Is(err, spdk.ErrBadProg) || q != nil {
+			t.Fatalf("pushdown %v: nil program opened a queue (err %v)", pushdown, err)
+		}
 	}
 }
 

@@ -235,13 +235,9 @@ func checkDeviceAgreement(t *testing.T, tag string, key, block []byte) {
 		t.Fatal(c.Err)
 	}
 	p := &probe{}
-	h, err := dev.InstallPushdown(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var r spdk.LookupResult
 	got := false
-	err = dev.SubmitLookup(h, 0, key, func(res spdk.LookupResult) { r, got = res, true })
+	err := dev.SubmitLookup(p, 0, key, func(res spdk.LookupResult) { r, got = res, true })
 	if len(key) > spdk.MaxKeyLen {
 		// The device refuses the key in both modes; no program runs.
 		if _, reads := dev.HostLookup(p, 0, key); !errors.Is(err, spdk.ErrKeyTooLong) || reads != 0 {

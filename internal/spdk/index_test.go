@@ -157,7 +157,7 @@ func TestIndexStepRejectsDamage(t *testing.T) {
 func TestIndexDecodeKeptPerBlock(t *testing.T) {
 	d := newDev(Config{})
 	idx, keys := buildTestIndex(t, d, 2)
-	h, _ := d.InstallPushdown(IndexProg{})
+	h := IndexProg{}
 	root := d.blocks.get(idx.Root)
 	if root.decoded.Load() != nil {
 		t.Fatal("the root was decoded before any lookup read it")
@@ -192,7 +192,7 @@ func TestIndexDecodeKeptPerBlock(t *testing.T) {
 func TestConcurrentFirstDecodes(t *testing.T) {
 	d := newDev(Config{})
 	idx, keys := buildTestIndex(t, d, 3)
-	h, _ := d.InstallPushdown(IndexProg{})
+	h := IndexProg{}
 	errs := make(chan error, 8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

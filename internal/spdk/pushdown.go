@@ -17,11 +17,11 @@ import (
 //
 // The mechanism is the device's completion path: a lookup submits one
 // read, and where that read completes, under the device lock in the same
-// pump, the device runs the installed program over the block, as a
+// pump, the device runs the lookup's program over the block, as a
 // controller runs it in its completion path. The program's verdict either
 // queues the next read for the next pump — device-internal, no host DMA,
 // no surfaced completion — or emits the final value (or a typed error)
-// as the single continuation that crosses back to the libOS.
+// as the single result that crosses back to the libOS.
 //
 // The completion path is the protection boundary: every per-hop verdict
 // is validated at run time (LBA range, value bounds), and the hop budget
@@ -48,7 +48,6 @@ var (
 	ErrNotFound     = errors.New("spdk: key not found")
 	ErrHopBudget    = errors.New("spdk: pushdown hop budget exhausted")
 	ErrBadProg      = errors.New("spdk: pushdown program rejected")
-	ErrNoProg       = errors.New("spdk: no pushdown program at handle")
 	ErrKeyTooLong   = errors.New("spdk: lookup key exceeds MaxKeyLen")
 	ErrCorruptIndex = errors.New("spdk: pushdown program rejected block")
 )
@@ -95,7 +94,6 @@ type Prog interface {
 
 // PushdownStats counts pushdown-engine events.
 type PushdownStats struct {
-	Installs       int64 // programs admitted
 	Lookups        int64 // traversals started
 	Hits           int64 // lookups completed with a value
 	Misses         int64 // lookups completed key-not-found
@@ -111,9 +109,6 @@ type PushdownStats struct {
 // pushdownState is the engine state embedded in Device. Counters are
 // atomics: PushdownStats reads them without the device lock.
 type pushdownState struct {
-	progs []Prog // handle = index; nil = uninstalled
-
-	installs       atomic.Int64
 	lookups        atomic.Int64
 	hits           atomic.Int64
 	misses         atomic.Int64
@@ -168,47 +163,20 @@ type traversal struct {
 	done func(LookupResult)
 }
 
-// InstallPushdown admits a program into the device's pushdown slot table
-// and returns its handle. The program is untrusted: admission only
-// refuses a missing one, and every verdict it returns is checked in the
-// completion path.
-func (d *Device) InstallPushdown(prog Prog) (int, error) {
-	if prog == nil {
-		return 0, fmt.Errorf("%w: nil program", ErrBadProg)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pd.progs = append(d.pd.progs, prog)
-	d.pd.installs.Add(1)
-	return len(d.pd.progs) - 1, nil
-}
-
-// UninstallPushdown removes the program at handle; in-flight traversals
-// finish with the program they started with.
-func (d *Device) UninstallPushdown(handle int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if handle >= 0 && handle < len(d.pd.progs) {
-		d.pd.progs[handle] = nil
-	}
-}
-
-// SubmitLookup starts a pushdown traversal: read rootLBA, run the
-// program at handle over each completed block, follow its verdicts
-// device-side, and deliver exactly one LookupResult to done — the single
-// host crossing of the whole lookup. The key is copied; the caller may
+// SubmitLookup starts a pushdown traversal: read rootLBA, run prog over
+// each completed block, follow its verdicts device-side, and deliver
+// exactly one LookupResult to done — the single host crossing of the
+// whole lookup. The program is untrusted: admission refuses only a
+// missing one and a key past MaxKeyLen, and every verdict it returns is
+// checked in the completion path. The key is copied; the caller may
 // reuse it immediately. done runs from whichever goroutine pumps the
-// device, like any completion continuation.
-func (d *Device) SubmitLookup(handle, rootLBA int, key []byte, done func(LookupResult)) error {
-	if len(key) > MaxKeyLen {
-		return fmt.Errorf("%w: %d bytes", ErrKeyTooLong, len(key))
+// device.
+func (d *Device) SubmitLookup(prog Prog, rootLBA int, key []byte, done func(LookupResult)) error {
+	if err := admit(prog, key); err != nil {
+		return err
 	}
 	d.mu.Lock()
-	if handle < 0 || handle >= len(d.pd.progs) || d.pd.progs[handle] == nil {
-		d.mu.Unlock()
-		return ErrNoProg
-	}
-	t := d.getTraversalLocked(d.pd.progs[handle], key, false)
+	t := d.getTraversalLocked(prog, key, false)
 	t.done = done
 	if err := d.queueHopLocked(&d.sq, rootLBA, t); err != nil {
 		d.putTraversalLocked(t)
@@ -221,6 +189,17 @@ func (d *Device) SubmitLookup(handle, rootLBA int, key []byte, done func(LookupR
 	return nil
 }
 
+// admit refuses a lookup the device will not start, in either mode.
+func admit(prog Prog, key []byte) error {
+	if prog == nil {
+		return fmt.Errorf("%w: nil program", ErrBadProg)
+	}
+	if len(key) > MaxKeyLen {
+		return fmt.Errorf("%w: %d bytes", ErrKeyTooLong, len(key))
+	}
+	return nil
+}
+
 // HostLookup is the CPU fallback ("library OSes ... default to using the
 // CPU if necessary"): the traversal SubmitLookup runs, under the same
 // rules, but every block crosses to the host as a full read with its
@@ -229,8 +208,8 @@ func (d *Device) SubmitLookup(handle, rootLBA int, key []byte, done func(LookupR
 // pushdown counters it moves only HostFallbacks.
 func (d *Device) HostLookup(prog Prog, rootLBA int, key []byte) (r LookupResult, reads int) {
 	d.pd.hostFallbacks.Add(1)
-	if len(key) > MaxKeyLen {
-		return LookupResult{Err: fmt.Errorf("%w: %d bytes", ErrKeyTooLong, len(key))}, 0
+	if err := admit(prog, key); err != nil {
+		return LookupResult{Err: err}, 0
 	}
 	d.mu.Lock()
 	t := d.getTraversalLocked(prog, key, true)
@@ -345,15 +324,14 @@ func (d *Device) queueHopLocked(q *[]sqe, lba int, t *traversal) error {
 		d.stats.QueueFulls++
 		return ErrQueueFull
 	}
-	d.nextID++
-	*q = append(*q, sqe{id: d.nextID, op: OpRead, lba: lba, t: t, path: inDevice})
+	*q = append(*q, sqe{lba: lba, t: t})
 	return nil
 }
 
 // hopLocked is where a pushdown read completes: it runs the program over
 // the block under the device lock and either queues the next read
-// device-side for the next pump or stages the result as the traversal's
-// one continuation (dispatch delivers it and recycles the traversal).
+// device-side for the next pump or stages the traversal as finished
+// (dispatch delivers its result and recycles it).
 func (d *Device) hopLocked(t *traversal, c *Completion) {
 	if next, more := t.advance(c); more {
 		d.pd.resubmits.Add(1)
@@ -363,7 +341,7 @@ func (d *Device) hopLocked(t *traversal, c *Completion) {
 		}
 		t.res = LookupResult{Err: err}
 	}
-	d.conts = append(d.conts, pendingCont{t: t})
+	d.conts = append(d.conts, t)
 }
 
 // result is the walk's result with its hops and cost.
@@ -377,7 +355,6 @@ func (t *traversal) result() LookupResult {
 // PushdownStats returns a snapshot of the pushdown-engine counters.
 func (d *Device) PushdownStats() PushdownStats {
 	return PushdownStats{
-		Installs:       d.pd.installs.Load(),
 		Lookups:        d.pd.lookups.Load(),
 		Hits:           d.pd.hits.Load(),
 		Misses:         d.pd.misses.Load(),
@@ -394,7 +371,6 @@ func (d *Device) PushdownStats() PushdownStats {
 // registerPushdownTelemetry lifts the pushdown counters into a registry
 // under prefix (RegisterTelemetry appends ".pushdown" for it).
 func (d *Device) registerPushdownTelemetry(r *telemetry.Registry, prefix string) {
-	r.RegisterFunc(prefix+".installs", d.pd.installs.Load)
 	r.RegisterFunc(prefix+".lookups", d.pd.lookups.Load)
 	r.RegisterFunc(prefix+".hits", d.pd.hits.Load)
 	r.RegisterFunc(prefix+".misses", d.pd.misses.Load)

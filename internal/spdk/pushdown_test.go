@@ -53,11 +53,11 @@ func buildIndexAt(t testing.TB, d *Device, depth, fanout int, keyFmt, valFmt str
 }
 
 // runLookup drives one pushdown lookup to completion.
-func runLookup(t testing.TB, d *Device, handle, root int, key []byte) LookupResult {
+func runLookup(t testing.TB, d *Device, prog Prog, root int, key []byte) LookupResult {
 	t.Helper()
 	var r LookupResult
 	got := false
-	err := d.SubmitLookup(handle, root, key, func(res LookupResult) {
+	err := d.SubmitLookup(prog, root, key, func(res LookupResult) {
 		r = res
 		got = true
 	})
@@ -76,10 +76,7 @@ func runLookup(t testing.TB, d *Device, handle, root int, key []byte) LookupResu
 func TestPushdownLookupDepth3(t *testing.T) {
 	d := newDev(Config{})
 	idx, keys := buildTestIndex(t, d, 3)
-	h, err := d.InstallPushdown(IndexProg{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := IndexProg{}
 	for i, k := range keys {
 		r := runLookup(t, d, h, idx.Root, k)
 		if r.Err != nil {
@@ -121,7 +118,7 @@ func TestPushdownLookupDepth3(t *testing.T) {
 func TestPushdownMiss(t *testing.T) {
 	d := newDev(Config{})
 	idx, _ := buildTestIndex(t, d, 2)
-	h, _ := d.InstallPushdown(IndexProg{})
+	h := IndexProg{}
 	r := runLookup(t, d, h, idx.Root, []byte("key-9999~nope"))
 	if r.Err != nil || r.Found {
 		t.Fatalf("miss: err=%v found=%v", r.Err, r.Found)
@@ -144,10 +141,7 @@ func (p loopProg) Step(_ []byte, _ *Block) Step { return Step{Kind: StepNext, Ne
 
 func TestPushdownHopBudgetTerminates(t *testing.T) {
 	d := newDev(Config{})
-	h, err := d.InstallPushdown(loopProg{lba: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := loopProg{lba: 5}
 	r := runLookup(t, d, h, 5, []byte("k"))
 	if !errors.Is(r.Err, ErrHopBudget) {
 		t.Fatalf("err = %v, want ErrHopBudget", r.Err)
@@ -160,29 +154,38 @@ func TestPushdownHopBudgetTerminates(t *testing.T) {
 	}
 }
 
+// TestPushdownInstallValidation: a lookup with no program or with a key
+// past MaxKeyLen is refused in both modes before it reads a block.
 func TestPushdownInstallValidation(t *testing.T) {
 	d := newDev(Config{})
-	if _, err := d.InstallPushdown(nil); !errors.Is(err, ErrBadProg) {
-		t.Fatalf("nil prog: err = %v", err)
-	}
-	if err := d.SubmitLookup(0, 0, []byte("k"), func(LookupResult) {}); !errors.Is(err, ErrNoProg) {
-		t.Fatalf("no prog installed: err = %v", err)
-	}
-	h, _ := d.InstallPushdown(IndexProg{})
 	long := make([]byte, MaxKeyLen+1)
-	if err := d.SubmitLookup(h, 0, long, func(LookupResult) {}); !errors.Is(err, ErrKeyTooLong) {
-		t.Fatalf("long key: err = %v", err)
+	for _, c := range []struct {
+		prog Prog
+		key  []byte
+		want error
+	}{
+		{nil, []byte("k"), ErrBadProg},
+		{IndexProg{}, long, ErrKeyTooLong},
+	} {
+		if err := d.SubmitLookup(c.prog, 0, c.key, func(LookupResult) {}); !errors.Is(err, c.want) {
+			t.Fatalf("pushdown, prog %v, %d-byte key: err = %v, want %v", c.prog, len(c.key), err, c.want)
+		}
+		if r, reads := d.HostLookup(c.prog, 0, c.key); !errors.Is(r.Err, c.want) || reads != 0 {
+			t.Fatalf("host, prog %v, %d-byte key: err = %v after %d reads, want %v", c.prog, len(c.key), r.Err, reads, c.want)
+		}
 	}
-	d.UninstallPushdown(h)
-	if err := d.SubmitLookup(h, 0, []byte("k"), func(LookupResult) {}); !errors.Is(err, ErrNoProg) {
-		t.Fatalf("uninstalled: err = %v", err)
+	if st := d.Stats(); st.Reads != 0 {
+		t.Fatalf("%d reads for refused lookups", st.Reads)
+	}
+	if st := d.PushdownStats(); st.Lookups != 0 || st.Inflight != 0 {
+		t.Fatalf("lookups/inflight = %d/%d after refusals", st.Lookups, st.Inflight)
 	}
 }
 
 func TestPushdownCorruptBlock(t *testing.T) {
 	d := newDev(Config{})
 	// Block 3 is not an index node (zeroes: bad magic).
-	h, _ := d.InstallPushdown(IndexProg{})
+	h := IndexProg{}
 	r := runLookup(t, d, h, 3, []byte("k"))
 	if !errors.Is(r.Err, ErrCorruptIndex) {
 		t.Fatalf("err = %v, want ErrCorruptIndex", r.Err)
@@ -201,12 +204,12 @@ func (p wildProg) Step(_ []byte, _ *Block) Step { return p.s }
 func TestPushdownRuntimeValidation(t *testing.T) {
 	d := newDev(Config{NumBlocks: 64})
 	// Next LBA outside the namespace: rejected in the completion path.
-	h, _ := d.InstallPushdown(wildProg{s: Step{Kind: StepNext, NextLBA: 64}})
+	h := wildProg{s: Step{Kind: StepNext, NextLBA: 64}}
 	if r := runLookup(t, d, h, 0, []byte("k")); !errors.Is(r.Err, ErrCorruptIndex) {
 		t.Fatalf("wild next: err = %v", r.Err)
 	}
 	// Oversized value: rejected.
-	h2, _ := d.InstallPushdown(wildProg{s: Step{Kind: StepDone, Value: strings.Repeat("v", MaxValueLen+1)}})
+	h2 := wildProg{s: Step{Kind: StepDone, Value: strings.Repeat("v", MaxValueLen+1)}}
 	if r := runLookup(t, d, h2, 0, []byte("k")); !errors.Is(r.Err, ErrCorruptIndex) {
 		t.Fatalf("wild value: err = %v", r.Err)
 	}
@@ -218,7 +221,7 @@ func TestPushdownRuntimeValidation(t *testing.T) {
 func TestPushdownResetMidTraversal(t *testing.T) {
 	d := newDev(Config{})
 	idx, keys := buildTestIndex(t, d, 3)
-	h, _ := d.InstallPushdown(IndexProg{})
+	h := IndexProg{}
 
 	var results []LookupResult
 	if err := d.SubmitLookup(h, idx.Root, keys[0], func(r LookupResult) {
@@ -260,54 +263,10 @@ func TestPushdownResetMidTraversal(t *testing.T) {
 	}
 }
 
-// Satellite: Poll must reuse the CQ backing array — zero allocations per
-// submit+poll cycle in the steady state.
-func TestPollSteadyStateAllocFree(t *testing.T) {
-	d := newDev(Config{})
-	// Warm the ring.
-	for i := 0; i < 4; i++ {
-		if _, err := d.submit(Command{Op: OpFlush}, nil, toHost); err != nil {
-			t.Fatal(err)
-		}
-		d.Poll(0)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if _, err := d.submit(Command{Op: OpFlush}, nil, toHost); err != nil {
-			t.Fatal(err)
-		}
-		if cs := d.Poll(0); len(cs) != 1 {
-			t.Fatalf("polled %d completions", len(cs))
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("submit+poll allocates %v/op in steady state, want 0", avg)
-	}
-}
-
-// Satellite: Execute must not scan or re-queue foreign CQ completions —
-// entries queued for Poll survive an interleaved Execute untouched.
-func TestExecuteLeavesForeignCompletionsAlone(t *testing.T) {
-	d := newDev(Config{})
-	id, err := d.submit(Command{Op: OpFlush}, nil, toHost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Execute drives the device to completion; the plain submission's
-	// completion must still be waiting in the CQ afterwards.
-	if c := d.Execute(Command{Op: OpWrite, LBA: 1, Data: block('e')}); c.Err != nil {
-		t.Fatal(c.Err)
-	}
-	cs := d.Poll(0)
-	if len(cs) != 1 || cs[0].ID != id {
-		t.Fatalf("Poll = %+v, want the foreign flush completion %d", cs, id)
-	}
-}
-
-// Execute itself is allocation-free in the steady state (pooled wait
-// state, continuation-carried completion).
+// Execute itself is allocation-free in the steady state.
 func TestExecuteSteadyStateAllocFree(t *testing.T) {
 	d := newDev(Config{})
-	d.Execute(Command{Op: OpFlush}) // warm the exec-state pool
+	d.Execute(Command{Op: OpFlush})
 	avg := testing.AllocsPerRun(100, func() {
 		if c := d.Execute(Command{Op: OpFlush}); c.Err != nil {
 			t.Fatal(c.Err)
@@ -318,24 +277,22 @@ func TestExecuteSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// steadyGet builds a depth-deep index on d, installs the index program
-// and returns its keys and a GET that drives one pushdown lookup to its
+// steadyGet builds a depth-deep index on d and returns its keys and a GET that drives one pushdown lookup to its
 // hit with no allocation of its own.
 func steadyGet(tb testing.TB, d *Device, depth int) (func(key []byte), [][]byte) {
 	idx, keys := buildTestIndex(tb, d, depth)
 	return indexGet(tb, d, idx), keys
 }
 
-// indexGet installs the index program and returns a GET over idx that
-// drives one pushdown lookup to its hit with no allocation of its own.
+// indexGet returns a GET over idx that drives one pushdown lookup of the
+// index program to its hit with no allocation of its own.
 func indexGet(tb testing.TB, d *Device, idx *Index) func(key []byte) {
-	h, _ := d.InstallPushdown(IndexProg{})
 	var r LookupResult
 	got := false
 	done := func(res LookupResult) { r = res; got = true }
 	return func(key []byte) {
 		got = false
-		if err := d.SubmitLookup(h, idx.Root, key, done); err != nil {
+		if err := d.SubmitLookup(IndexProg{}, idx.Root, key, done); err != nil {
 			tb.Fatal(err)
 		}
 		for !got {
@@ -396,10 +353,10 @@ func BenchmarkSPDK_PushdownGet(b *testing.B) {
 }
 
 // TestPushdownReadsBlockAsOfItsRead: a program sees its block as it was
-// when the read was processed. A write to the root, processed after the
-// lookup's root read but in the same Pump and so before the program
-// runs, does not reach that traversal; the next lookup reads the new
-// node.
+// when the read was processed. A write to the root, issued after the
+// lookup, runs the lookup's queued root hop first and only then replaces
+// the root; it does not reach that traversal, and the next lookup reads
+// the new node.
 func TestPushdownReadsBlockAsOfItsRead(t *testing.T) {
 	d := newDev(Config{})
 	key := []byte("k")
@@ -415,20 +372,17 @@ func TestPushdownReadsBlockAsOfItsRead(t *testing.T) {
 	if newRoot.Err != nil {
 		t.Fatal(newRoot.Err)
 	}
-	h, _ := d.InstallPushdown(IndexProg{})
+	h := IndexProg{}
 
 	var got []LookupResult
 	if err := d.SubmitLookup(h, oldIdx.Root, key, func(r LookupResult) { got = append(got, r) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.submit(Command{Op: OpWrite, LBA: oldIdx.Root, Data: newRoot.Data}, nil, toHost); err != nil {
-		t.Fatal(err)
+	if c := d.Execute(Command{Op: OpWrite, LBA: oldIdx.Root, Data: newRoot.Data}); c.Err != nil {
+		t.Fatal(c.Err)
 	}
-	if n := d.Pump(); n != 1 || len(got) != 1 {
-		t.Fatalf("one Pump ran %d continuations and finished %d lookups, want 1 and 1", n, len(got))
-	}
-	if cs := d.Poll(0); len(cs) != 1 || cs[0].Op != OpWrite || cs[0].Err != nil {
-		t.Fatalf("the write's completion = %+v", cs)
+	if len(got) != 1 {
+		t.Fatalf("the write finished %d lookups, want the 1 whose root hop it ran", len(got))
 	}
 	if r := got[0]; r.Err != nil || r.Value != "old" {
 		t.Fatalf("lookup racing the write: value %q err %v, want the old node's %q", r.Value, r.Err, "old")
@@ -441,8 +395,7 @@ func TestPushdownReadsBlockAsOfItsRead(t *testing.T) {
 func TestPushdownTelemetry(t *testing.T) {
 	d := newDev(Config{})
 	idx, keys := buildTestIndex(t, d, 2)
-	h, _ := d.InstallPushdown(IndexProg{})
-	runLookup(t, d, h, idx.Root, keys[0])
+	runLookup(t, d, IndexProg{}, idx.Root, keys[0])
 
 	reg := telemetry.NewRegistry()
 	d.RegisterTelemetry(reg, "nvme")
@@ -451,7 +404,7 @@ func TestPushdownTelemetry(t *testing.T) {
 		snap[s.Name] = s.Value
 	}
 	for _, key := range []string{
-		"nvme.pushdown.installs", "nvme.pushdown.lookups", "nvme.pushdown.hits",
+		"nvme.pushdown.lookups", "nvme.pushdown.hits",
 		"nvme.pushdown.resubmits", "nvme.pushdown.hops_saved", "nvme.pushdown.inflight",
 	} {
 		if _, ok := snap[key]; !ok {
@@ -463,5 +416,59 @@ func TestPushdownTelemetry(t *testing.T) {
 	}
 	if snap["nvme.pushdown.hops_saved"] != int64(idx.Depth) {
 		t.Fatalf("hops_saved = %d, want %d", snap["nvme.pushdown.hops_saved"], idx.Depth)
+	}
+}
+
+// TestExecuteAdvancesQueuedTraversalOneHop: a host command runs the
+// pushdown reads queued before it, as a pump would, so each Execute
+// issued while a traversal is queued advances it by exactly one hop.
+func TestExecuteAdvancesQueuedTraversalOneHop(t *testing.T) {
+	d := newDev(Config{})
+	idx, keys := buildTestIndex(t, d, 3)
+	var got []LookupResult
+	if err := d.SubmitLookup(IndexProg{}, idx.Root, keys[0], func(r LookupResult) { got = append(got, r) }); err != nil {
+		t.Fatal(err)
+	}
+	for hop := 1; hop <= idx.Levels; hop++ {
+		reads := d.Stats().Reads
+		if c := d.Execute(Command{Op: OpFlush}); c.Err != nil {
+			t.Fatal(c.Err)
+		}
+		if n := d.Stats().Reads - reads; n != 1 {
+			t.Fatalf("Execute %d ran %d pushdown reads, want 1", hop, n)
+		}
+		if want := min(hop, idx.Depth); d.PushdownStats().Resubmits != int64(want) {
+			t.Fatalf("after Execute %d: %d hops queued, want %d", hop, d.PushdownStats().Resubmits, want)
+		}
+		if done := hop == idx.Levels; (len(got) == 1) != done {
+			t.Fatalf("after Execute %d of %d: %d results", hop, idx.Levels, len(got))
+		}
+	}
+	if r := got[0]; r.Err != nil || r.Value != "val-0" || r.Hops != idx.Levels {
+		t.Fatalf("lookup: value %q err %v hops %d", r.Value, r.Err, r.Hops)
+	}
+	if n := d.Pump(); n != 0 {
+		t.Fatalf("Pump after the lookup ended advanced %d hops", n)
+	}
+}
+
+// TestQueuesHoldNoFinishedTraversal: once a GET ends, no slot of either
+// queue's backing array still points at a traversal, so a recycled one
+// is reachable only from the freelist.
+func TestQueuesHoldNoFinishedTraversal(t *testing.T) {
+	d := newDev(Config{})
+	idx, keys := buildTestIndex(t, d, 4)
+	if r := runLookup(t, d, IndexProg{}, idx.Root, keys[1]); r.Err != nil || !r.Found {
+		t.Fatalf("lookup: err=%v found=%v", r.Err, r.Found)
+	}
+	d.Pump()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for name, q := range map[string][]sqe{"sq": d.sq, "next": d.next} {
+		for i, e := range q[:cap(q)] {
+			if e.t != nil {
+				t.Fatalf("%s[%d] still holds a traversal", name, i)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 // Package spdk simulates an SPDK-class kernel-bypass NVMe device (Table 1,
 // left column of the paper, storage side): a namespace of fixed-size
-// blocks accessed through asynchronous submission/completion queue pairs,
-// with device latencies charged from the cost model.
+// blocks with device latencies charged from the cost model.
 //
 // Like its network sibling (package nic), the device offers no OS
 // functionality: no file system, no page cache, no naming. The
@@ -9,12 +8,11 @@
 // lives on top, in blob.go, and the storage libOS (internal/libos/catfish)
 // exposes it through Demikernel file queues.
 //
-// Completions are continuation-carrying: a submitter may attach a
-// callback that the device invokes when the command completes, instead of
-// surfacing the completion through the shared CQ. That is the mechanism
-// behind both the synchronous Execute convenience and the storage
-// pushdown engine (pushdown.go), which chains reads entirely inside the
-// device without ever crossing back to the host.
+// A host command (Execute) completes inside the call that submits it,
+// its modelled latency charged in virtual time. Only the reads of the
+// storage pushdown engine (pushdown.go) queue: a lookup chains them
+// inside the device, one hop per Pump, and crosses back to the host once,
+// with its result.
 package spdk
 
 import (
@@ -42,7 +40,7 @@ const (
 	OpFlush
 )
 
-// Errors returned by Submit and surfaced in completions.
+// Errors surfaced in completions.
 var (
 	ErrQueueFull   = errors.New("spdk: submission queue full")
 	ErrOutOfRange  = errors.New("spdk: LBA out of range")
@@ -54,7 +52,7 @@ var (
 	ErrIO = errors.New("spdk: media I/O error")
 )
 
-// Command is one submission-queue entry.
+// Command is one host block command.
 type Command struct {
 	Op  Op
 	LBA int
@@ -63,9 +61,8 @@ type Command struct {
 	Data []byte
 }
 
-// Completion is one completion-queue entry.
+// Completion is the outcome of one command.
 type Completion struct {
-	ID   uint64
 	Op   Op
 	LBA  int
 	Err  error
@@ -147,37 +144,26 @@ type Stats struct {
 	InjectedErrors int64 // commands failed by the injected error rate
 }
 
-// Device is a simulated NVMe namespace with one SQ/CQ pair. All methods
-// are safe for concurrent use.
+// Device is a simulated NVMe namespace. All methods are safe for
+// concurrent use.
 type Device struct {
 	model *simclock.CostModel
 	cfg   Config
 
 	mu     sync.Mutex
 	blocks blockTable
-	sq     []sqe
-	// next holds the reads pushdown hops queue while a pump processes
-	// sq; they become sq for the next pump, so a traversal advances one
-	// hop per pump.
-	next   []sqe
-	nextID uint64
-	stats  Stats
+	// sq holds the pushdown reads the next pump processes, and next the
+	// reads their hops queue while it does; next becomes sq for the pump
+	// after, so a traversal advances one hop per pump.
+	sq    []sqe
+	next  []sqe
+	stats Stats
 
-	// CQ ring: completions without a continuation accumulate in cq and
-	// are drained by Poll from cqHead. The backing array is reused: once
-	// fully drained it rewinds to the front instead of reallocating.
-	cq     []Completion
-	cqHead int
-
-	// Completed continuation-carrying entries and finished pushdown
-	// traversals, staged under mu and dispatched outside it (a
-	// continuation may resubmit, which retakes the lock). conts/spare
+	// Finished traversals, staged under mu and dispatched outside it (a
+	// result callback may submit, which retakes the lock). conts/spare
 	// ping-pong so the steady state allocates nothing.
-	conts []pendingCont
-	spare []pendingCont
-
-	// execFree recycles Execute's wait state.
-	execFree []*execState
+	conts []*traversal
+	spare []*traversal
 
 	// pd is the storage-pushdown engine state (pushdown.go).
 	pd pushdownState
@@ -188,19 +174,10 @@ type Device struct {
 	downFor int        // commands still failed while the controller re-inits
 }
 
+// sqe is one queued pushdown read: the hop of traversal t that reads lba.
 type sqe struct {
-	id  uint64
-	op  Op
 	lba int
-	// blk is a write's block, copied at submission.
-	blk *Block
-	// done, when non-nil, receives the completion instead of the CQ.
-	done func(Completion)
-	// t, when non-nil, is the pushdown traversal whose hop this read
-	// is: the device runs its program where the read completes.
-	t *traversal
-	// path is where a read's block goes.
-	path readPath
+	t   *traversal
 }
 
 // readPath is where a read's block goes.
@@ -216,21 +193,6 @@ const (
 	// inDevice keeps the block on the device, no DMA: a pushdown hop.
 	inDevice
 )
-
-// pendingCont is one staged continuation: fn with its completion, or a
-// finished traversal t, whose result is its only completion.
-type pendingCont struct {
-	fn func(Completion)
-	c  Completion
-	t  *traversal
-}
-
-// execState is the pooled wait state behind Execute. The buffered
-// channel lets any goroutine's pump deliver the completion.
-type execState struct {
-	ch chan Completion
-	fn func(Completion)
-}
 
 // New creates a device.
 func New(model *simclock.CostModel, cfg Config) *Device {
@@ -270,80 +232,27 @@ func (d *Device) RegisterTelemetry(r *telemetry.Registry, prefix string) {
 	d.registerPushdownTelemetry(r, prefix+".pushdown")
 }
 
-func (d *Device) submit(cmd Command, done func(Completion), path readPath) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.submitLocked(cmd, done, path)
-}
-
-func (d *Device) submitLocked(cmd Command, done func(Completion), path readPath) (uint64, error) {
-	if len(d.sq) >= d.cfg.QueueDepth {
-		d.stats.QueueFulls++
-		return 0, ErrQueueFull
-	}
-	if cmd.Op == OpWrite && len(cmd.Data) != BlockSize {
-		return 0, fmt.Errorf("%w: %d", ErrBadLength, len(cmd.Data))
-	}
-	d.nextID++
-	id := d.nextID
-	e := sqe{id: id, op: cmd.Op, lba: cmd.LBA, done: done, path: path}
-	if cmd.Op == OpWrite {
-		// The device DMAs the buffer at submission; keep a copy so the
-		// caller may reuse its buffer immediately (completion-side
-		// free-protection is the libOS's job, not the device's).
-		e.blk = &Block{data: string(cmd.Data)}
-	}
-	d.sq = append(d.sq, e)
-	return id, nil
-}
-
-// Poll processes pending submissions and returns up to max completions
-// (0 means all). The returned slice aliases the device's completion
-// ring and is valid only until the next Poll — the rx_burst contract:
-// consume or copy before polling again.
-func (d *Device) Poll(max int) []Completion {
-	d.mu.Lock()
-	d.processLocked()
-	n := len(d.cq) - d.cqHead
-	if max > 0 && n > max {
-		n = max
-	}
-	out := d.cq[d.cqHead : d.cqHead+n]
-	d.cqHead += n
-	if d.cqHead == len(d.cq) {
-		// Fully drained: rewind the ring, reusing the backing array.
-		d.cq = d.cq[:0]
-		d.cqHead = 0
-	}
-	conts := d.takeContsLocked()
-	d.mu.Unlock()
-	d.dispatch(conts)
-	return out
-}
-
-// Pump processes pending submissions and dispatches continuation-
-// carrying completions, leaving CQ completions queued for Poll. It
-// returns the number of completions it processed that had a consumer
-// other than the CQ: one per pushdown hop advanced, whether its
-// traversal went on or ended, and one per other continuation. LibOS
-// poll loops call it to drive Execute waiters and in-flight pushdown
-// traversals.
+// Pump processes the queued pushdown reads, one hop of each traversal,
+// and delivers the results of the traversals that ended. It returns the
+// number of hops advanced. LibOS poll loops call it to drive in-flight
+// pushdown traversals.
 func (d *Device) Pump() int {
 	d.mu.Lock()
-	n := 0
-	if len(d.sq) > 0 {
-		n = d.processLocked()
+	if len(d.sq) == 0 {
+		d.mu.Unlock()
+		return 0
 	}
+	n := d.processLocked()
 	conts := d.takeContsLocked()
 	d.mu.Unlock()
 	d.dispatch(conts)
 	return n
 }
 
-// takeContsLocked detaches the staged continuation batch, installing the
-// spare buffer (if free) so processing can continue while the batch is
+// takeContsLocked detaches the staged traversals, installing the spare
+// buffer (if free) so processing can continue while the batch is
 // dispatched outside the lock.
-func (d *Device) takeContsLocked() []pendingCont {
+func (d *Device) takeContsLocked() []*traversal {
 	if len(d.conts) == 0 {
 		return nil
 	}
@@ -357,75 +266,68 @@ func (d *Device) takeContsLocked() []pendingCont {
 	return out
 }
 
-// dispatch invokes a batch of continuations, then, under one hold of the
-// lock, recycles its finished traversals and returns the batch to the
-// spare slot for reuse.
-func (d *Device) dispatch(conts []pendingCont) {
+// dispatch delivers a batch of finished traversals' results, then, under
+// one hold of the lock, recycles the traversals and returns the batch to
+// the spare slot for reuse.
+func (d *Device) dispatch(conts []*traversal) {
 	if len(conts) == 0 {
 		return
 	}
-	for i := range conts {
-		if t := conts[i].t; t != nil {
-			t.done(t.result())
-			d.pd.inflight.Add(-1)
-		} else {
-			conts[i].fn(conts[i].c)
-		}
+	for _, t := range conts {
+		t.done(t.result())
+		d.pd.inflight.Add(-1)
 	}
 	d.mu.Lock()
-	for i := range conts {
-		if t := conts[i].t; t != nil {
-			d.putTraversalLocked(t)
-		}
-		conts[i] = pendingCont{}
+	for _, t := range conts {
+		d.putTraversalLocked(t)
 	}
+	clear(conts)
 	if d.spare == nil {
 		d.spare = conts[:0]
 	}
 	d.mu.Unlock()
 }
 
-// processLocked completes every queued command and returns how many had
-// a consumer other than the CQ (completeLocked).
+// processLocked runs every queued pushdown read and its hop, and returns
+// how many it ran.
 func (d *Device) processLocked() int {
-	n := 0
 	for i := range d.sq {
 		e := &d.sq[i]
-		c := Completion{ID: e.id, Op: e.op, LBA: e.lba}
-		switch {
-		case d.downFor > 0:
-			// Controller still re-initialising after a reset: every
-			// command aborts without touching media.
-			d.downFor--
-			c.Err = ErrDeviceReset
-		case d.errRate > 0 && d.rng != nil && d.rng.Float64() < d.errRate:
-			// Injected transient media error; the command has no effect.
-			d.stats.InjectedErrors++
-			c.Err = ErrIO
-		default:
-			d.mediaLocked(e, &c)
-		}
-		if c.Err != nil {
-			d.stats.Errors++
-		}
-		n += d.completeLocked(e, &c)
+		c := Completion{Op: OpRead, LBA: e.lba}
+		d.runLocked(&c, nil, inDevice)
+		d.hopLocked(e.t, &c)
+		// A processed entry lets go of its traversal.
+		*e = sqe{}
 	}
+	n := len(d.sq)
 	// The reads this pass's hops queued are the next pump's.
 	d.sq, d.next = d.next, d.sq[:0]
 	return n
 }
 
-// mediaLocked carries out one command on the media.
-func (d *Device) mediaLocked(e *sqe, c *Completion) {
-	switch e.op {
-	case OpRead:
-		if e.lba < 0 || e.lba >= d.cfg.NumBlocks {
-			c.Err = ErrOutOfRange
-			return
-		}
+// runLocked carries out the command c names (its Op and LBA; data is a
+// write's): it aborts while the controller re-initialises after a reset,
+// fails at the injected error rate, and otherwise runs on the media.
+func (d *Device) runLocked(c *Completion, data []byte, path readPath) {
+	switch {
+	case d.downFor > 0:
+		// Controller still re-initialising after a reset: every
+		// command aborts without touching media.
+		d.downFor--
+		c.Err = ErrDeviceReset
+	case d.errRate > 0 && d.rng != nil && d.rng.Float64() < d.errRate:
+		// Injected transient media error; the command has no effect.
+		d.stats.InjectedErrors++
+		c.Err = ErrIO
+	case c.Op == OpFlush:
+		d.stats.Flushes++
+		c.Cost = d.model.NVMeWriteNS
+	case c.LBA < 0 || c.LBA >= d.cfg.NumBlocks:
+		c.Err = ErrOutOfRange
+	case c.Op == OpRead:
 		d.stats.Reads++
-		blk := d.blocks.get(e.lba)
-		if e.path == inDevice {
+		blk := d.blocks.get(c.LBA)
+		if path == inDevice {
 			// Pushdown-internal read: the block stays on the device
 			// (no host DMA).
 			c.Cost = d.model.NVMeReadNS
@@ -433,105 +335,61 @@ func (d *Device) mediaLocked(e *sqe, c *Completion) {
 			d.stats.DMABytes += BlockSize
 			c.Cost = d.model.NVMeReadNS + d.model.DMACost(BlockSize)
 		}
-		if e.path == toHost {
+		if path == toHost {
 			c.Data = []byte(blk.data)
 		} else {
 			c.block = blk
 		}
-	case OpWrite:
-		if e.lba < 0 || e.lba >= d.cfg.NumBlocks {
-			c.Err = ErrOutOfRange
-			return
-		}
+	case c.Op == OpWrite:
 		d.stats.Writes++
 		d.stats.DMABytes += BlockSize
-		d.blocks.put(e.lba, e.blk)
+		// The device DMAs the buffer into a block of its own, so the
+		// caller may reuse its buffer at once.
+		d.blocks.put(c.LBA, &Block{data: string(data)})
 		c.Cost = d.model.NVMeWriteNS + d.model.DMACost(BlockSize)
-	case OpFlush:
-		d.stats.Flushes++
-		c.Cost = d.model.NVMeWriteNS
+	}
+	if c.Err != nil {
+		d.stats.Errors++
 	}
 }
 
-// completeLocked routes one finished command: a pushdown hop runs its
-// program here (hopLocked), other continuation-carrying entries stage
-// for out-of-lock dispatch, and the rest join the CQ ring. It returns 1
-// for a command with a consumer other than the CQ.
-func (d *Device) completeLocked(e *sqe, c *Completion) int {
-	switch {
-	case e.t != nil:
-		d.hopLocked(e.t, c)
-	case e.done != nil:
-		d.conts = append(d.conts, pendingCont{fn: e.done, c: *c})
-	default:
-		d.cq = append(d.cq, *c)
-		return 0
-	}
-	return 1
-}
-
-// Execute submits cmd and pumps the device until its completion arrives,
-// returning it. It is the synchronous convenience used by the blob
-// layer. The completion travels by continuation, so foreign completions
-// are never scanned or re-queued.
+// Execute runs cmd to completion and returns its completion, the
+// modelled device latency in Cost. The pushdown reads queued before it
+// run first, as a pump would run them. It is the synchronous block
+// interface of the blob layer and the kernel's file system.
 func (d *Device) Execute(cmd Command) Completion { return d.execute(cmd, toHost) }
 
 // execute is Execute with the read path chosen.
 func (d *Device) execute(cmd Command, path readPath) Completion {
-	st := d.getExecState()
-	if _, err := d.submit(cmd, st.fn, path); err != nil {
-		d.putExecState(st)
-		return Completion{Op: cmd.Op, LBA: cmd.LBA, Err: err}
-	}
-	for {
-		select {
-		case c := <-st.ch:
-			d.putExecState(st)
-			return c
-		default:
-		}
-		d.Pump()
-	}
-}
-
-func (d *Device) getExecState() *execState {
+	c := Completion{Op: cmd.Op, LBA: cmd.LBA}
 	d.mu.Lock()
-	if n := len(d.execFree); n > 0 {
-		st := d.execFree[n-1]
-		d.execFree = d.execFree[:n-1]
+	if len(d.sq) >= d.cfg.QueueDepth {
+		d.stats.QueueFulls++
 		d.mu.Unlock()
-		return st
+		c.Err = ErrQueueFull
+		return c
 	}
-	d.mu.Unlock()
-	st := &execState{ch: make(chan Completion, 1)}
-	st.fn = func(c Completion) { st.ch <- c }
-	return st
-}
-
-func (d *Device) putExecState(st *execState) {
-	d.mu.Lock()
-	d.execFree = append(d.execFree, st)
-	d.mu.Unlock()
-}
-
-// Reset clears queues and storage, as a factory-level namespace format
-// would. (For a media-preserving controller reset, see ControllerReset.)
-func (d *Device) Reset() {
-	d.mu.Lock()
-	d.abortInflightLocked()
-	d.blocks = newBlockTable(d.cfg.NumBlocks)
+	if cmd.Op == OpWrite && len(cmd.Data) != BlockSize {
+		d.mu.Unlock()
+		c.Err = fmt.Errorf("%w: %d", ErrBadLength, len(cmd.Data))
+		return c
+	}
+	if len(d.sq) > 0 {
+		d.processLocked()
+	}
+	d.runLocked(&c, cmd.Data, path)
 	conts := d.takeContsLocked()
 	d.mu.Unlock()
 	d.dispatch(conts)
+	return c
 }
 
 // ControllerReset simulates a spontaneous NVMe controller reset: every
-// in-flight command aborts with ErrDeviceReset and the next downFor
-// submitted commands also fail while the controller re-initialises.
-// Media contents are preserved — after recovery, retried commands see
-// the data that was durably written before the reset. In-flight pushdown
-// traversals surface exactly one typed error completion each (their
-// aborted read's continuation runs like any other).
+// queued pushdown read aborts with ErrDeviceReset and the next downFor
+// commands also fail while the controller re-initialises. Media contents
+// are preserved — after recovery, retried commands see the data that was
+// durably written before the reset. In-flight pushdown traversals
+// surface exactly one typed error result each.
 func (d *Device) ControllerReset(downFor int) {
 	d.mu.Lock()
 	d.stats.Resets++
@@ -548,8 +406,9 @@ func (d *Device) abortInflightLocked() {
 	for i := range d.sq {
 		e := &d.sq[i]
 		d.stats.Errors++
-		d.completeLocked(e, &Completion{ID: e.id, Op: e.op, LBA: e.lba, Err: ErrDeviceReset})
+		d.hopLocked(e.t, &Completion{Op: OpRead, LBA: e.lba, Err: ErrDeviceReset})
 	}
+	clear(d.sq)
 	d.sq = d.sq[:0]
 }
 

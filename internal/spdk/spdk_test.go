@@ -71,83 +71,54 @@ func TestLBABoundsChecked(t *testing.T) {
 
 func TestWriteWrongLengthRejected(t *testing.T) {
 	d := newDev(Config{})
-	if _, err := d.submit(Command{Op: OpWrite, LBA: 0, Data: []byte("short")}, nil, toHost); !errors.Is(err, ErrBadLength) {
-		t.Fatalf("err = %v", err)
+	if c := d.Execute(Command{Op: OpWrite, LBA: 0, Data: []byte("short")}); !errors.Is(c.Err, ErrBadLength) {
+		t.Fatalf("err = %v", c.Err)
 	}
 }
 
+// TestQueueDepthEnforced: pushdown reads fill the submission queue; a
+// full queue refuses both a lookup and a host command until a pump
+// drains it.
 func TestQueueDepthEnforced(t *testing.T) {
 	d := newDev(Config{QueueDepth: 4})
+	miss := wildProg{s: Step{Kind: StepMiss}}
+	done := func(LookupResult) {}
 	for i := 0; i < 4; i++ {
-		if _, err := d.submit(Command{Op: OpRead, LBA: i}, nil, toHost); err != nil {
+		if err := d.SubmitLookup(miss, i, []byte("k"), done); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := d.submit(Command{Op: OpRead, LBA: 5}, nil, toHost); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("err = %v", err)
+	if err := d.SubmitLookup(miss, 5, []byte("k"), done); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("lookup into a full queue: err = %v", err)
 	}
-	if got := d.Poll(0); len(got) != 4 {
-		t.Fatalf("completions = %d", len(got))
+	if c := d.Execute(Command{Op: OpRead, LBA: 5}); !errors.Is(c.Err, ErrQueueFull) {
+		t.Fatalf("command beside a full queue: err = %v", c.Err)
+	}
+	if got := d.Stats().QueueFulls; got != 2 {
+		t.Fatalf("QueueFulls = %d, want 2", got)
+	}
+	if n := d.Pump(); n != 4 {
+		t.Fatalf("Pump advanced %d hops, want 4", n)
 	}
 	// Queue drained: submissions flow again.
-	if _, err := d.submit(Command{Op: OpRead, LBA: 5}, nil, toHost); err != nil {
+	if err := d.SubmitLookup(miss, 5, []byte("k"), done); err != nil {
 		t.Fatal(err)
+	}
+	if c := d.Execute(Command{Op: OpRead, LBA: 5}); c.Err != nil {
+		t.Fatal(c.Err)
 	}
 }
 
 func TestSubmitCopiesWriteBuffer(t *testing.T) {
 	d := newDev(Config{})
 	buf := block('a')
-	if _, err := d.submit(Command{Op: OpWrite, LBA: 0, Data: buf}, nil, toHost); err != nil {
-		t.Fatal(err)
+	if c := d.Execute(Command{Op: OpWrite, LBA: 0, Data: buf}); c.Err != nil {
+		t.Fatal(c.Err)
 	}
-	buf[0] = 'Z' // caller reuses its buffer before completion
-	d.Poll(0)
+	buf[0] = 'Z' // caller reuses its buffer
 	r := d.Execute(Command{Op: OpRead, LBA: 0})
 	if r.Data[0] != 'a' {
 		t.Fatal("device did not capture write data at submission")
-	}
-}
-
-func TestAsyncCompletionOrder(t *testing.T) {
-	d := newDev(Config{})
-	var ids []uint64
-	for i := 0; i < 5; i++ {
-		id, err := d.submit(Command{Op: OpWrite, LBA: i, Data: block(byte(i))}, nil, toHost)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	comps := d.Poll(0)
-	if len(comps) != 5 {
-		t.Fatalf("completions = %d", len(comps))
-	}
-	for i, c := range comps {
-		if c.ID != ids[i] || c.Err != nil {
-			t.Fatalf("completion %d: %+v", i, c)
-		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	d := newDev(Config{})
-	d.Execute(Command{Op: OpWrite, LBA: 0, Data: block('x')})
-	d.submit(Command{Op: OpRead, LBA: 0}, nil, toHost)
-	d.Reset()
-	comps := d.Poll(0)
-	found := false
-	for _, c := range comps {
-		if errors.Is(c.Err, ErrDeviceReset) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("in-flight command not failed by reset")
-	}
-	r := d.Execute(Command{Op: OpRead, LBA: 0})
-	if !bytes.Equal(r.Data, make([]byte, BlockSize)) {
-		t.Fatal("storage survived reset")
 	}
 }
 
